@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # ci.sh — the repo's verification gate. Mirrors what a reviewer runs:
 #
-#   vet, build, unit + property tests under the race detector, and a
-#   smoke pass over the fuzz seed corpora (no fuzzing engine time).
+#   vet, build, unit + property tests under the race detector, a smoke
+#   pass over the fuzz seed corpora, and 10 s of real fuzzing on the
+#   frame reader.
 #
 # Usage: ./ci.sh [-short]
 #   -short  pass -short to go test (skips the slower property tests)
@@ -81,7 +82,13 @@ echo "== fuzz seed smoke =="
 # -run=Fuzz executes every fuzz target once per seed corpus entry,
 # without the fuzzing engine; crashes here mean a regressed parser,
 # model loader, or quantizer.
-go test -run=Fuzz ./internal/layout/ ./internal/gdsii/ ./internal/nn/ ./internal/tensor/
+go test -run=Fuzz ./internal/layout/ ./internal/gdsii/ ./internal/nn/ ./internal/tensor/ ./internal/framelog/
+
+echo "== frame reader fuzz =="
+# A bounded budget of real fuzzing on the one frame reader every
+# durable file (model, checkpoint, journal, WAL, baseline) is read
+# through: it must fail with a documented error or round-trip.
+go test -run='^$' -fuzz=FuzzReadFrame -fuzztime=10s ./internal/framelog/
 
 echo "== trace store race =="
 # The trace store and tail sampler are hit from every request

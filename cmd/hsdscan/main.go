@@ -81,6 +81,12 @@ func run() error {
 	if *resume && *journalPath == "" {
 		return fmt.Errorf("-resume requires -journal")
 	}
+	// The same loud-failure contract as hsdlearn: creating a journal
+	// truncates the file, and doing that to one that is there without
+	// saying -resume would throw away a killed scan's durable shards.
+	if st, err := os.Stat(*journalPath); !*resume && err == nil && st.Size() > 0 {
+		return fmt.Errorf("journal %s already exists; pass -resume to continue it, or remove it for a fresh run", *journalPath)
+	}
 
 	f, err := os.Open(*suitePath)
 	if err != nil {
@@ -219,6 +225,10 @@ func run() error {
 			farmCfg.Completed = completed
 			fmt.Printf("resuming from %s: %d shards already journaled\n",
 				*journalPath, len(completed))
+			if t := j.Tail(); t.Discarded > 0 {
+				fmt.Printf("resuming from %s: discarded %d bytes after offset %d; their shards are rescanned\n",
+					*journalPath, t.Discarded, t.Offset)
+			}
 		} else {
 			j, err = hsd.CreateScanJournal(*journalPath, meta)
 			if err != nil {

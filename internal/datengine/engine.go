@@ -223,14 +223,14 @@ func Open(path string, cfg Config) (*Engine, error) {
 		state:   Replay(records),
 	}
 	e.updatePending()
+	if t := wal.Tail(); t.Discarded > 0 {
+		e.logf("datengine: WAL %s: discarded %d bytes after offset %d; the work they recorded is redone", path, t.Discarded, t.Offset)
+	}
 	return e, nil
 }
 
 // Close closes the WAL.
 func (e *Engine) Close() error { return e.wal.Close() }
-
-// WALPath returns the engine's journal path.
-func (e *Engine) WALPath() string { return e.wal.Path() }
 
 func (e *Engine) logf(format string, args ...any) {
 	if e.cfg.Logf != nil {

@@ -142,10 +142,7 @@ func TestIngestConcurrent(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, recs, _, err := LoadWAL(filepath.Join(dir, "learn.wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, recs := loadWAL(t, filepath.Join(dir, "learn.wal"))
 	if s := Replay(recs); len(s.Candidates) != unique {
 		t.Fatalf("replayed candidates = %d, want %d", len(s.Candidates), unique)
 	}
@@ -199,10 +196,7 @@ func TestRunCycleFull(t *testing.T) {
 	}
 
 	// Replayed state agrees.
-	_, recs, _, err := LoadWAL(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, recs := loadWAL(t, walPath)
 	s := Replay(recs)
 	if s.Shipped != 2 || s.Pending != nil || len(s.Consumed) != 8 {
 		t.Fatalf("replayed state: shipped=%d pending=%v consumed=%d", s.Shipped, s.Pending, len(s.Consumed))

@@ -1,19 +1,8 @@
-// The learn journal: a framed-CRC32 append-only write-ahead log of the
+// The learn journal: an append-only framelog write-ahead log of the
 // active-learning loop's state, the persistence layer behind
-// `hsdlearn -resume`.
-//
-// Layout of the file:
-//
-//	header frame:  magic "HSDLWh1\n" | len u64 | crc32 u32 | gob(Meta)
-//	record frames: magic "HSDLWr1\n" | len u64 | crc32 u32 | gob(Record)
-//
-// The framing is the same integrity scheme as the scan journal and the
-// model/checkpoint formats (internal/scanfarm, internal/nn): a torn
-// tail — the WAL's crash mode, since records are appended and fsynced
-// one at a time — is detected by a short or CRC-failing final frame and
-// discarded on load, so a SIGKILLed learning loop resumes from the last
-// durable record. Everything before the torn frame is intact by
-// construction.
+// `hsdlearn -resume`. Records are appended and fsynced one at a time,
+// so a SIGKILLed learning loop resumes from the last durable record;
+// DESIGN.md "On-disk formats" has the layout and the crash mode.
 //
 // Record semantics (the idempotency contract, see DESIGN.md §17):
 // every stage of the loop journals its outcome before the next stage
@@ -29,33 +18,15 @@
 package datengine
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
-	"sync"
 
+	"github.com/golitho/hsd/internal/framelog"
 	"github.com/golitho/hsd/internal/layout"
 )
 
-var (
-	walHeaderMagic = []byte("HSDLWh1\n")
-	walRecordMagic = []byte("HSDLWr1\n")
-)
-
-// frameHeaderLen is the frame suffix after the magic: payload length
-// (u64) plus payload CRC32 (u32), matching the nn/scanfarm formats.
-const frameHeaderLen = 8 + 4
-
-// maxFrameBytes bounds a declared payload so a corrupt length field
-// cannot drive a giant allocation.
-const maxFrameBytes = 1 << 30
+// walFormat: the header frame carries gob(Meta), record frames
+// gob(Record).
+var walFormat = framelog.Format{Header: "HSDLWh1\n", Record: "HSDLWr1\n"}
 
 // Meta binds a WAL to one learning loop. The detector identity must
 // match for a resume to be sound: candidates mined under one detector
@@ -144,209 +115,20 @@ type Record struct {
 	Reason    string
 }
 
-// ErrWALMismatch is returned when a WAL's Meta does not match the loop
-// being resumed.
-var ErrWALMismatch = errors.New("datengine: WAL belongs to a different learning loop")
-
 // WAL is an open, appendable learn journal. Append is safe for
-// concurrent use.
-type WAL struct {
-	path string
-	mu   sync.Mutex
-	f    *os.File
-}
+// concurrent use and returns only after the record is fsynced.
+type WAL = framelog.Log[Record]
 
 // CreateWAL creates (truncating) a WAL at path and durably writes its
 // header frame.
 func CreateWAL(path string, meta Meta) (*WAL, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("datengine: create WAL: %w", err)
-	}
-	payload, err := gobEncode(meta)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := writeFrame(f, walHeaderMagic, payload); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("datengine: fsync WAL: %w", err)
-	}
-	syncDir(path)
-	return &WAL{path: path, f: f}, nil
+	return framelog.Create[Meta, Record](path, walFormat, meta)
 }
 
-// LoadWAL reads a WAL, tolerating a torn tail: it returns the header
-// Meta, every intact record in append order, and the byte offset where
-// the intact prefix ends (the truncation point for re-opening in append
-// mode).
-func LoadWAL(path string) (Meta, []Record, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Meta{}, nil, 0, fmt.Errorf("datengine: open WAL: %w", err)
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-
-	payload, n, err := readFrame(br, walHeaderMagic)
-	if err != nil {
-		return Meta{}, nil, 0, fmt.Errorf("datengine: WAL header: %w", err)
-	}
-	var meta Meta
-	if err := gobDecode(payload, &meta); err != nil {
-		return Meta{}, nil, 0, fmt.Errorf("datengine: WAL header: %w", err)
-	}
-	offset := n
-	var records []Record
-	for {
-		payload, n, err := readFrame(br, walRecordMagic)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			// Torn or corrupt tail: everything before it is intact;
-			// the caller truncates here and redoes the lost work.
-			break
-		}
-		var rec Record
-		if err := gobDecode(payload, &rec); err != nil {
-			break
-		}
-		records = append(records, rec)
-		offset += n
-	}
-	return meta, records, offset, nil
-}
-
-// ResumeWAL loads the WAL at path, validates it against meta, truncates
-// any torn tail, and re-opens it for appending. It returns the WAL and
-// the intact records to replay.
+// ResumeWAL loads the WAL at path, refuses it with
+// framelog.ErrMetaMismatch unless its Meta equals meta, truncates any
+// torn tail (WAL.Tail reports what was dropped), and re-opens it for
+// appending. It returns the WAL and the intact records to replay.
 func ResumeWAL(path string, meta Meta) (*WAL, []Record, error) {
-	got, records, offset, err := LoadWAL(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	if got != meta {
-		return nil, nil, fmt.Errorf("%w: WAL %+v, loop %+v", ErrWALMismatch, got, meta)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("datengine: reopen WAL: %w", err)
-	}
-	if err := f.Truncate(offset); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("datengine: truncate torn WAL tail: %w", err)
-	}
-	if _, err := f.Seek(offset, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("datengine: seek WAL: %w", err)
-	}
-	return &WAL{path: path, f: f}, records, nil
-}
-
-// Append durably writes one record: the frame is written and fsynced
-// before Append returns, so a journaled stage outcome survives any
-// later crash.
-func (w *WAL) Append(rec Record) error {
-	payload, err := gobEncode(rec)
-	if err != nil {
-		return err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := writeFrame(w.f, walRecordMagic, payload); err != nil {
-		return err
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("datengine: fsync WAL: %w", err)
-	}
-	return nil
-}
-
-// Path returns the WAL's file path.
-func (w *WAL) Path() string { return w.path }
-
-// Close closes the underlying file.
-func (w *WAL) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.f.Close()
-}
-
-// writeFrame emits magic | payload length | payload CRC32 | payload.
-func writeFrame(w io.Writer, magic, payload []byte) error {
-	header := make([]byte, len(magic)+frameHeaderLen)
-	copy(header, magic)
-	binary.BigEndian.PutUint64(header[len(magic):], uint64(len(payload)))
-	binary.BigEndian.PutUint32(header[len(magic)+8:], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(header); err != nil {
-		return fmt.Errorf("datengine: write frame header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("datengine: write frame payload: %w", err)
-	}
-	return nil
-}
-
-// readFrame consumes one frame, verifying magic and CRC, and returns
-// the payload plus the total frame length in bytes. A clean end-of-file
-// before any magic byte returns io.EOF; anything else wrong (bad magic,
-// short frame, CRC mismatch) returns a descriptive error.
-func readFrame(br *bufio.Reader, magic []byte) ([]byte, int64, error) {
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		if err == io.EOF {
-			return nil, 0, io.EOF
-		}
-		return nil, 0, fmt.Errorf("datengine: frame magic truncated: %w", err)
-	}
-	if !bytes.Equal(head, magic) {
-		return nil, 0, fmt.Errorf("datengine: bad frame magic %q", head)
-	}
-	header := make([]byte, frameHeaderLen)
-	if _, err := io.ReadFull(br, header); err != nil {
-		return nil, 0, fmt.Errorf("datengine: frame header truncated (torn write?): %w", err)
-	}
-	size := binary.BigEndian.Uint64(header)
-	wantCRC := binary.BigEndian.Uint32(header[8:])
-	if size > maxFrameBytes {
-		return nil, 0, fmt.Errorf("datengine: implausible frame size %d", size)
-	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, 0, fmt.Errorf("datengine: frame truncated: want %d bytes (torn write?): %w", size, err)
-	}
-	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
-		return nil, 0, fmt.Errorf("datengine: frame checksum %08x, want %08x", got, wantCRC)
-	}
-	return payload, int64(len(magic)+frameHeaderLen) + int64(size), nil
-}
-
-func gobEncode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("datengine: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func gobDecode(payload []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return fmt.Errorf("datengine: decode: %w", err)
-	}
-	return nil
-}
-
-// syncDir best-effort fsyncs the directory containing path so a just
-// written file's directory entry is durable (matches the nn atomic
-// writer's behavior; some filesystems do not support directory fsync).
-func syncDir(path string) {
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
+	return framelog.Resume[Meta, Record](path, walFormat, meta)
 }

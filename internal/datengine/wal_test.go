@@ -1,10 +1,15 @@
 package datengine
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
+	"github.com/golitho/hsd/internal/framelog"
 	"github.com/golitho/hsd/internal/geom"
 	"github.com/golitho/hsd/internal/layout"
 )
@@ -35,20 +40,46 @@ func testRecords(n int) []Record {
 	return recs
 }
 
-func TestWALRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "learn.wal")
-	meta := Meta{Detector: "cnn"}
-	w, err := CreateWAL(path, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := testRecords(5)
-	recs = append(recs,
+// goldenRecords covers every record kind; testdata/golden.wal holds
+// them as written at the parent commit (before framelog).
+func goldenRecords() []Record {
+	recs := testRecords(3)
+	return append(recs,
 		Record{Kind: RecBatch, BatchID: 0, FPs: []layout.Fingerprint{recs[0].FP, recs[2].FP}},
 		Record{Kind: RecLabel, BatchID: 0, FP: recs[0].FP, Hotspot: true},
 		Record{Kind: RecQuarantine, BatchID: 0, FP: recs[2].FP, Attempts: 3, Err: "oracle panic: chaos"},
 		Record{Kind: RecShipped, BatchID: 0, Outcome: OutcomeShipped, ModelPath: "m.gob"},
 	)
+}
+
+// loadWAL reads a WAL without modifying it.
+func loadWAL(t *testing.T, path string) (Meta, []Record) {
+	t.Helper()
+	meta, recs, _, err := framelog.Load[Meta, Record](path, walFormat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return meta, recs
+}
+
+func checkWAL(t *testing.T, path string, meta Meta, recs []Record) {
+	t.Helper()
+	gotMeta, got := loadWAL(t, path)
+	if gotMeta != meta {
+		t.Fatalf("meta = %+v, want %+v", gotMeta, meta)
+	}
+	if !reflect.DeepEqual(got, recs) {
+		t.Fatalf("records = %+v, want %+v", got, recs)
+	}
+}
+
+func writeTestWAL(t *testing.T, meta Meta, recs []Record) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "learn.wal")
+	w, err := CreateWAL(path, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range recs {
 		if err := w.Append(r); err != nil {
 			t.Fatal(err)
@@ -57,105 +88,16 @@ func TestWALRoundTrip(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	gotMeta, got, _, err := LoadWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotMeta != meta {
-		t.Fatalf("meta = %+v, want %+v", gotMeta, meta)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("got %d records, want %d", len(got), len(recs))
-	}
-	for i, r := range got {
-		if r.Kind != recs[i].Kind || r.FP != recs[i].FP || r.BatchID != recs[i].BatchID {
-			t.Errorf("record %d = %+v, want %+v", i, r, recs[i])
-		}
-	}
-	if got[5].Kind != RecBatch || len(got[5].FPs) != 2 {
-		t.Errorf("batch record = %+v", got[5])
-	}
-	if !got[6].Hotspot {
-		t.Errorf("label record lost verdict: %+v", got[6])
-	}
+	return path
 }
 
-// TestWALTornTailEveryByte truncates a valid WAL at every byte length
-// and asserts the load never errors, never returns a partial record,
-// and ResumeWAL can append after truncation.
-func TestWALTornTailEveryByte(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "learn.wal")
+func TestWALRoundTrip(t *testing.T) {
 	meta := Meta{Detector: "cnn"}
-	w, err := CreateWAL(path, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	headerEnd := st.Size()
-	recs := testRecords(3)
-	offsets := []int64{}
-	for _, r := range recs {
-		if err := w.Append(r); err != nil {
-			t.Fatal(err)
-		}
-		st, _ := os.Stat(path)
-		offsets = append(offsets, st.Size())
-	}
-	w.Close()
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	checkWAL(t, writeTestWAL(t, meta, goldenRecords()), meta, goldenRecords())
+}
 
-	torn := filepath.Join(dir, "torn.wal")
-	for cut := headerEnd; cut < int64(len(full)); cut++ {
-		if err := os.WriteFile(torn, full[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		_, got, off, err := LoadWAL(torn)
-		if err != nil {
-			t.Fatalf("cut %d: load: %v", cut, err)
-		}
-		// The intact record count is the number of record offsets <= cut.
-		want := 0
-		for _, o := range offsets {
-			if o <= cut {
-				want++
-			}
-		}
-		if len(got) != want {
-			t.Fatalf("cut %d: %d records, want %d", cut, len(got), want)
-		}
-		if off > cut {
-			t.Fatalf("cut %d: offset %d beyond file", cut, off)
-		}
-
-		// Resume must truncate the tail and accept a fresh append.
-		rw, rrecs, err := ResumeWAL(torn, meta)
-		if err != nil {
-			t.Fatalf("cut %d: resume: %v", cut, err)
-		}
-		if len(rrecs) != want {
-			t.Fatalf("cut %d: resume %d records, want %d", cut, len(rrecs), want)
-		}
-		extra := testRecords(4)[3]
-		if err := rw.Append(extra); err != nil {
-			t.Fatalf("cut %d: append after resume: %v", cut, err)
-		}
-		rw.Close()
-		_, again, _, err := LoadWAL(torn)
-		if err != nil {
-			t.Fatalf("cut %d: reload: %v", cut, err)
-		}
-		if len(again) != want+1 {
-			t.Fatalf("cut %d: after append %d records, want %d", cut, len(again), want+1)
-		}
-	}
+func TestWALGolden(t *testing.T) {
+	checkWAL(t, "testdata/golden.wal", Meta{Detector: "cnn"}, goldenRecords())
 }
 
 func TestWALMetaMismatch(t *testing.T) {
@@ -165,38 +107,45 @@ func TestWALMetaMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
-	if _, _, err := ResumeWAL(path, Meta{Detector: "mlp"}); err == nil {
-		t.Fatal("resume with mismatched detector succeeded")
+	if _, _, err := ResumeWAL(path, Meta{Detector: "mlp"}); !errors.Is(err, framelog.ErrMetaMismatch) {
+		t.Fatalf("resume with mismatched detector: err = %v, want ErrMetaMismatch", err)
 	}
 }
 
+// TestWALBitFlip proves the engine's WAL is wired through framelog's
+// integrity check (whose exhaustive suite lives there): a flipped bit
+// costs exactly the record it is in, and reopening says so through Logf.
 func TestWALBitFlip(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "learn.wal")
-	w, err := CreateWAL(path, Meta{Detector: "cnn"})
+	cfg := fastCfg(dir)
+	walPath := filepath.Join(dir, "learn.wal")
+	e, err := Open(walPath, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := testRecords(2)
-	for _, r := range recs {
-		if err := w.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.Close()
-	full, _ := os.ReadFile(path)
-	// Flip a bit in the final record's payload: the load must drop that
-	// record (checksum) but keep the prefix.
-	flipped := append([]byte(nil), full...)
-	flipped[len(flipped)-1] ^= 0x40
-	bad := filepath.Join(dir, "flipped.wal")
-	os.WriteFile(bad, flipped, 0o644)
-	_, got, _, err := LoadWAL(bad)
+	mustIngest(t, e, 3)
+	e.Close()
+	full, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 {
-		t.Fatalf("bit-flipped tail: %d records survived, want 1", len(got))
+	full[len(full)-1] ^= 0x40
+	if err := os.WriteFile(walPath, full, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logged []string
+	cfg.Logf = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
+	e2, err := Open(walPath, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	if n := e2.PendingCandidates(); n != 2 {
+		t.Fatalf("bit-flipped tail: %d candidates survived, want 2", n)
+	}
+	if len(logged) != 1 || !strings.Contains(logged[0], "discarded") || !strings.Contains(logged[0], "after offset") {
+		t.Fatalf("discarded tail not reported: %q", logged)
 	}
 }
 

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/gob"
 	"fmt"
@@ -9,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"github.com/golitho/hsd/internal/framelog"
 )
 
 // Checkpoint captures a training run at an epoch boundary: network
@@ -42,9 +43,9 @@ type ckptFile struct {
 	Opt     optState
 }
 
-// ckptMagic opens the framed checkpoint format; the frame (length +
-// CRC32) is shared with network files so torn writes fail loudly.
-var ckptMagic = []byte("HSDCKv1\n")
+// ckptMagic opens the framed checkpoint format (DESIGN.md "On-disk
+// formats").
+const ckptMagic = "HSDCKv1\n"
 
 const ckptVersion = 1
 
@@ -93,8 +94,8 @@ func (c *Checkpoint) apply(net *Network, cfg *TrainConfig) error {
 	return so.restoreState(c.opt, net.Params())
 }
 
-// SaveCheckpoint serializes c in the framed format (magic, length,
-// CRC32, gob payload). Like Save, it never mutates the run.
+// SaveCheckpoint serializes c as one framelog frame. Like Save, it
+// never mutates the run.
 func SaveCheckpoint(w io.Writer, c *Checkpoint) error {
 	var payload bytes.Buffer
 	file := ckptFile{
@@ -108,20 +109,15 @@ func SaveCheckpoint(w io.Writer, c *Checkpoint) error {
 	if err := gob.NewEncoder(&payload).Encode(file); err != nil {
 		return fmt.Errorf("nn: encode checkpoint: %w", err)
 	}
-	return writeFramed(w, ckptMagic, payload.Bytes())
+	return framelog.WriteFrame(w, ckptMagic, payload.Bytes())
 }
 
 // LoadCheckpoint reads a checkpoint written by SaveCheckpoint,
 // rejecting truncated or corrupted files with a clear error.
 func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(ckptMagic))
-	if err != nil || !bytes.Equal(head, ckptMagic) {
-		return nil, fmt.Errorf("nn: not a checkpoint file (bad magic)")
-	}
-	payload, err := readFramed(br, ckptMagic, "checkpoint")
+	payload, err := framelog.ReadFrame(r, ckptMagic)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("nn: checkpoint file: %w", err)
 	}
 	var file ckptFile
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&file); err != nil {
@@ -146,7 +142,7 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 // file, fsync, atomic rename) — a crash mid-save leaves any previous
 // checkpoint intact.
 func SaveCheckpointFile(path string, c *Checkpoint) error {
-	return atomicWriteFile(path, func(w io.Writer) error { return SaveCheckpoint(w, c) })
+	return framelog.WriteFileAtomic(path, func(w io.Writer) error { return SaveCheckpoint(w, c) })
 }
 
 // LoadCheckpointFile reads a checkpoint from path with the integrity

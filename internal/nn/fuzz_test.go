@@ -3,8 +3,9 @@ package nn
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"testing"
+
+	"github.com/golitho/hsd/internal/framelog"
 )
 
 // fuzzSeedNet trains nothing but exercises every serializable layer
@@ -24,14 +25,9 @@ func fuzzSeedNet(f *testing.F) *Network {
 
 // reframe wraps payload in a fresh, CRC-consistent frame, so the fuzzer
 // can reach the gob decoder instead of bouncing off the checksum.
-func reframe(magic, payload []byte) []byte {
+func reframe(magic string, payload []byte) []byte {
 	var buf bytes.Buffer
-	header := make([]byte, len(magic)+frameHeaderLen)
-	copy(header, magic)
-	binary.BigEndian.PutUint64(header[len(magic):], uint64(len(payload)))
-	binary.BigEndian.PutUint32(header[len(magic)+8:], crc32.ChecksumIEEE(payload))
-	buf.Write(header)
-	buf.Write(payload)
+	_ = framelog.WriteFrame(&buf, magic, payload) // a bytes.Buffer write cannot fail
 	return buf.Bytes()
 }
 
@@ -52,9 +48,9 @@ func FuzzLoadNetwork(f *testing.F) {
 	f.Add([]byte("not a model file")) // legacy path: raw gob attempt
 	// CRC-consistent frames with hostile payloads reach the gob layer.
 	f.Add(reframe(fileMagic, []byte("garbage gob")))
-	f.Add(reframe(fileMagic, valid[len(fileMagic)+frameHeaderLen:len(fileMagic)+frameHeaderLen+32]))
+	f.Add(reframe(fileMagic, valid[len(fileMagic)+12:len(fileMagic)+12+32]))
 	// Implausible declared size must be rejected before allocation.
-	huge := append([]byte(nil), valid[:len(fileMagic)+frameHeaderLen]...)
+	huge := append([]byte(nil), valid[:len(fileMagic)+12]...)
 	binary.BigEndian.PutUint64(huge[len(fileMagic):], 1<<40)
 	f.Add(huge)
 

@@ -3,13 +3,12 @@ package nn
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
+
+	"github.com/golitho/hsd/internal/framelog"
 )
 
 // snapshot is the serialized form of one layer: a kind tag plus the
@@ -41,67 +40,13 @@ func init() {
 	_ = gob.NewEncoder(io.Discard).Encode(netFile{Layers: []snapshot{{}}})
 }
 
-// fileMagic opens the framed network file format: a fixed tag, the
-// payload length, and a CRC32 of the payload, so Load can distinguish a
-// torn or corrupted file from a valid one before handing bytes to gob.
-// Files written before the frame existed are raw gob streams; Load
-// still accepts those.
-var fileMagic = []byte("HSDNNv2\n")
+// fileMagic opens the framed network file format (DESIGN.md "On-disk
+// formats"). Files written before the frame existed are raw gob
+// streams; Load still accepts those.
+const fileMagic = "HSDNNv2\n"
 
-// frameHeaderLen is the byte length of the frame after the magic:
-// uint64 payload length + uint32 CRC32 (IEEE) of the payload.
-const frameHeaderLen = 8 + 4
-
-// maxPayloadBytes bounds the declared payload so a corrupted length
-// field cannot drive a giant allocation.
-const maxPayloadBytes = 1 << 31
-
-// writeFramed emits magic, payload length, payload CRC32, then the
-// payload itself: the shared integrity frame of the network and
-// checkpoint formats.
-func writeFramed(w io.Writer, magic, payload []byte) error {
-	header := make([]byte, len(magic)+frameHeaderLen)
-	copy(header, magic)
-	binary.BigEndian.PutUint64(header[len(magic):], uint64(len(payload)))
-	binary.BigEndian.PutUint32(header[len(magic)+8:], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(header); err != nil {
-		return fmt.Errorf("nn: write header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("nn: write payload: %w", err)
-	}
-	return nil
-}
-
-// readFramed consumes a frame written by writeFramed (the magic has
-// already been peeked and matched) and returns the verified payload.
-// kind names the file type in errors ("network", "checkpoint").
-func readFramed(br *bufio.Reader, magic []byte, kind string) ([]byte, error) {
-	if _, err := br.Discard(len(magic)); err != nil {
-		return nil, fmt.Errorf("nn: read magic: %w", err)
-	}
-	header := make([]byte, frameHeaderLen)
-	if _, err := io.ReadFull(br, header); err != nil {
-		return nil, fmt.Errorf("nn: %s file truncated in header (torn write?): %w", kind, err)
-	}
-	size := binary.BigEndian.Uint64(header)
-	wantCRC := binary.BigEndian.Uint32(header[8:])
-	if size > maxPayloadBytes {
-		return nil, fmt.Errorf("nn: %s file corrupt: implausible payload size %d", kind, size)
-	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, fmt.Errorf("nn: %s file truncated: want %d payload bytes (torn write?): %w", kind, size, err)
-	}
-	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
-		return nil, fmt.Errorf("nn: %s file corrupt: checksum %08x, want %08x", kind, got, wantCRC)
-	}
-	return payload, nil
-}
-
-// Save serializes the network's architecture and weights in the framed
-// format: magic, payload length, payload CRC32, gob payload. The frame
-// lets Load reject truncated or bit-flipped files with a clear error
+// Save serializes the network's architecture and weights as one
+// framelog frame, so Load rejects truncated or bit-flipped files
 // instead of reconstructing garbage weights. Save does not mutate the
 // network: saving the same state twice produces identical bytes.
 func Save(w io.Writer, net *Network) error {
@@ -109,7 +54,7 @@ func Save(w io.Writer, net *Network) error {
 	if err := encodeNet(&payload, net); err != nil {
 		return err
 	}
-	return writeFramed(w, fileMagic, payload.Bytes())
+	return framelog.WriteFrame(w, fileMagic, payload.Bytes())
 }
 
 // snapshotLayer captures one layer without mutating it; the shared
@@ -176,61 +121,20 @@ func encodeNet(w io.Writer, net *Network) error {
 // (written before the frame existed) are still accepted.
 func Load(r io.Reader) (*Network, error) {
 	br := bufio.NewReader(r)
-	head, err := br.Peek(len(fileMagic))
-	if err == nil && bytes.Equal(head, fileMagic) {
-		payload, err := readFramed(br, fileMagic, "network")
+	if head, err := br.Peek(len(fileMagic)); err == nil && string(head) == fileMagic {
+		payload, err := framelog.ReadFrame(br, fileMagic)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("nn: network file: %w", err)
 		}
 		return decodeNet(bytes.NewReader(payload))
 	}
 	return decodeNet(br)
 }
 
-// atomicWriteFile writes a file crash-safely: the bytes go to a temp
-// file in the same directory, are fsynced, and atomically renamed over
-// path. A crash mid-save leaves the previous file (or nothing) intact —
-// never a torn file.
-func atomicWriteFile(path string, write func(io.Writer) error) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("nn: create temp file: %w", err)
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if err := write(tmp); err != nil {
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("nn: fsync %s: %w", tmp.Name(), err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("nn: close %s: %w", tmp.Name(), err)
-	}
-	name := tmp.Name()
-	tmp = nil // committed past this point: disable the cleanup
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("nn: rename into place: %w", err)
-	}
-	// Make the rename itself durable. Directory fsync is best-effort:
-	// not all platforms/filesystems support it.
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
-	return nil
-}
-
 // SaveFile writes the network to path crash-safely (temp file, fsync,
 // atomic rename).
 func SaveFile(path string, net *Network) error {
-	return atomicWriteFile(path, func(w io.Writer) error { return Save(w, net) })
+	return framelog.WriteFileAtomic(path, func(w io.Writer) error { return Save(w, net) })
 }
 
 // LoadFile reads a network from path with the integrity checks of Load.

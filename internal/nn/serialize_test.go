@@ -3,10 +3,13 @@ package nn
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/golitho/hsd/internal/framelog"
 )
 
 func testNet(t *testing.T) *Network {
@@ -18,8 +21,7 @@ func testNet(t *testing.T) *Network {
 // TestSaveFileAtomicRoundTrip writes through the crash-safe path and
 // loads the result back.
 func TestSaveFileAtomicRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "model.net")
+	path := filepath.Join(t.TempDir(), "model.net")
 	net := testNet(t)
 	if err := SaveFile(path, net); err != nil {
 		t.Fatal(err)
@@ -31,71 +33,58 @@ func TestSaveFileAtomicRoundTrip(t *testing.T) {
 	if len(got.Layers) != len(net.Layers) {
 		t.Fatalf("layers = %d, want %d", len(got.Layers), len(net.Layers))
 	}
-	// No temp droppings left behind.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("directory has %d entries after SaveFile, want 1", len(entries))
-	}
-	// Overwriting an existing model also succeeds (rename over target).
-	if err := SaveFile(path, net); err != nil {
-		t.Fatal(err)
-	}
 }
 
-// TestLoadRejectsTornWrite truncates a saved model at every interesting
-// boundary and asserts Load fails with a clear error — never returns a
-// network reconstructed from partial bytes.
-func TestLoadRejectsTornWrite(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Save(&buf, testNet(t)); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	cuts := []int{
-		len(fileMagic) - 2,                  // inside the magic
-		len(fileMagic) + 3,                  // inside the length field
-		len(fileMagic) + frameHeaderLen,     // header only, no payload
-		len(fileMagic) + frameHeaderLen + 7, // partial payload
-		len(full) - 1,                       // one byte short
-	}
-	for _, cut := range cuts {
-		if cut < 0 || cut >= len(full) {
-			t.Fatalf("bad cut %d for file of %d bytes", cut, len(full))
-		}
-		_, err := Load(bytes.NewReader(full[:cut]))
-		if err == nil {
-			t.Fatalf("truncation at %d/%d bytes loaded successfully", cut, len(full))
-		}
-	}
-	// Truncations past the header must say so clearly.
-	_, err := Load(bytes.NewReader(full[:len(full)-1]))
-	if err == nil || !strings.Contains(err.Error(), "truncated") {
-		t.Fatalf("payload truncation error = %v, want mention of truncation", err)
-	}
-}
-
-// TestLoadRejectsCorruption flips one payload byte: the checksum must
-// catch it before gob sees the bytes.
+// TestLoadRejectsCorruption proves Load is wired through framelog's
+// integrity check (whose exhaustive suite lives there): a flipped
+// payload bit or a torn tail fails before gob sees the bytes.
 func TestLoadRejectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Save(&buf, testNet(t)); err != nil {
 		t.Fatal(err)
 	}
 	full := append([]byte(nil), buf.Bytes()...)
-	full[len(full)-5] ^= 0x40
-	_, err := Load(bytes.NewReader(full))
-	if err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("corruption error = %v, want checksum mismatch", err)
+	if _, err := Load(bytes.NewReader(full[:len(full)-1])); !errors.Is(err, framelog.ErrTorn) {
+		t.Fatalf("truncation error = %v, want ErrTorn", err)
 	}
-	// A corrupted length field is caught by the plausibility bound.
-	huge := append([]byte(nil), buf.Bytes()...)
-	huge[len(fileMagic)] = 0xFF
-	_, err = Load(bytes.NewReader(huge))
-	if err == nil {
-		t.Fatal("implausible payload length accepted")
+	full[len(full)-5] ^= 0x40
+	if _, err := Load(bytes.NewReader(full)); !errors.Is(err, framelog.ErrChecksum) {
+		t.Fatalf("corruption error = %v, want ErrChecksum", err)
+	}
+}
+
+// TestLoadGolden: a network file written at the parent commit (before
+// framelog) loads to the weights it was saved from, and saving that
+// network again reproduces the file byte for byte, which holds only
+// because init pins the format's gob type ids.
+func TestLoadGolden(t *testing.T) {
+	golden, err := os.ReadFile("testdata/golden.net")
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := LoadFile("testdata/golden.net")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ckptNet()
+	if len(net.Layers) != len(want.Layers) {
+		t.Fatalf("%d layers, want %d", len(net.Layers), len(want.Layers))
+	}
+	for i, l := range want.Layers {
+		if got := net.Layers[i].Name(); got != l.Name() {
+			t.Fatalf("layer %d is %s, want %s", i, got, l.Name())
+		}
+	}
+	d0, d3, drop := net.Layers[0].(*Dense), net.Layers[3].(*Dense), net.Layers[2].(*Dropout)
+	if d0.W.Data[0] != 0.4142548774517474 || d0.B[0] != -0.018932620822876365 ||
+		d3.W.Data[len(d3.W.Data)-1] != -0.006357123101204157 || d3.B[1] != -0.018797464189068774 {
+		t.Fatalf("weights changed: %v %v %v %v", d0.W.Data[0], d0.B[0], d3.W.Data[len(d3.W.Data)-1], d3.B[1])
+	}
+	if drop.seed != 42 || drop.draws != 256 {
+		t.Fatalf("dropout stream at (%d, %d), want (42, 256)", drop.seed, drop.draws)
+	}
+	if !bytes.Equal(saveBytes(t, net), golden) {
+		t.Fatal("re-saving the golden network does not reproduce the parent commit's bytes")
 	}
 }
 
@@ -112,7 +101,7 @@ func TestLoadLegacyRawGob(t *testing.T) {
 	if err := encodeNet(&legacy, net); err != nil {
 		t.Fatal(err)
 	}
-	if bytes.HasPrefix(legacy.Bytes(), fileMagic) {
+	if bytes.HasPrefix(legacy.Bytes(), []byte(fileMagic)) {
 		t.Fatal("legacy gob stream collides with the frame magic")
 	}
 	got, err := Load(&legacy)

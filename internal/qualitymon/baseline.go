@@ -1,37 +1,28 @@
 // The training-time baseline: the reference score distribution drift is
 // measured against. hsdtrain writes one as a sidecar next to the saved
 // model (<model>.qb); the registry installs it on every hot reload so
-// the drift reference always matches the live generation. The file
-// shares the repo's integrity convention — framed CRC32 + gob payload,
-// written atomically — so a torn write is detected, never half-loaded.
+// the drift reference always matches the live generation. The file is
+// one framelog frame, written atomically, so a torn write is detected,
+// never half-loaded (DESIGN.md "On-disk formats").
 
 package qualitymon
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
+
+	"github.com/golitho/hsd/internal/framelog"
 )
 
 // baselineMagic opens the quality-baseline file format.
-var baselineMagic = []byte("HSDQBv1\n")
+const baselineMagic = "HSDQBv1\n"
 
-const (
-	baselineVersion = 1
-	// frameHeaderLen is uint64 payload length + uint32 CRC32 (IEEE).
-	frameHeaderLen = 8 + 4
-	// maxPayloadBytes bounds the declared payload so a corrupted length
-	// field cannot drive a giant allocation.
-	maxPayloadBytes = 1 << 28
-)
+const baselineVersion = 1
 
 // BaselineEntry is the reference distribution for one (detector, stage)
 // series: shared bin edges plus the training-split bin counts.
@@ -108,8 +99,7 @@ func (b *Baseline) validate() error {
 	return nil
 }
 
-// SaveBaseline writes the framed format: magic, payload length, payload
-// CRC32, gob payload.
+// SaveBaseline writes the baseline as one framelog frame.
 func SaveBaseline(w io.Writer, b *Baseline) error {
 	cp := *b
 	cp.Version = baselineVersion
@@ -121,41 +111,15 @@ func SaveBaseline(w io.Writer, b *Baseline) error {
 	if err := gob.NewEncoder(&payload).Encode(cp); err != nil {
 		return fmt.Errorf("qualitymon: encode baseline: %w", err)
 	}
-	header := make([]byte, len(baselineMagic)+frameHeaderLen)
-	copy(header, baselineMagic)
-	binary.BigEndian.PutUint64(header[len(baselineMagic):], uint64(payload.Len()))
-	binary.BigEndian.PutUint32(header[len(baselineMagic)+8:], crc32.ChecksumIEEE(payload.Bytes()))
-	if _, err := w.Write(header); err != nil {
-		return fmt.Errorf("qualitymon: write header: %w", err)
-	}
-	if _, err := w.Write(payload.Bytes()); err != nil {
-		return fmt.Errorf("qualitymon: write payload: %w", err)
-	}
-	return nil
+	return framelog.WriteFrame(w, baselineMagic, payload.Bytes())
 }
 
 // LoadBaseline reads a baseline written by SaveBaseline, rejecting
 // torn, truncated, or bit-flipped files before gob sees them.
 func LoadBaseline(r io.Reader) (*Baseline, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, len(baselineMagic)+frameHeaderLen)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("qualitymon: baseline truncated in header (torn write?): %w", err)
-	}
-	if !bytes.Equal(head[:len(baselineMagic)], baselineMagic) {
-		return nil, fmt.Errorf("qualitymon: not a quality baseline file (bad magic)")
-	}
-	size := binary.BigEndian.Uint64(head[len(baselineMagic):])
-	wantCRC := binary.BigEndian.Uint32(head[len(baselineMagic)+8:])
-	if size > maxPayloadBytes {
-		return nil, fmt.Errorf("qualitymon: baseline corrupt: implausible payload size %d", size)
-	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, fmt.Errorf("qualitymon: baseline truncated: want %d payload bytes (torn write?): %w", size, err)
-	}
-	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
-		return nil, fmt.Errorf("qualitymon: baseline corrupt: checksum %08x, want %08x", got, wantCRC)
+	payload, err := framelog.ReadFrame(r, baselineMagic)
+	if err != nil {
+		return nil, fmt.Errorf("qualitymon: baseline file: %w", err)
 	}
 	var b Baseline
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&b); err != nil {
@@ -170,41 +134,10 @@ func LoadBaseline(r io.Reader) (*Baseline, error) {
 	return &b, nil
 }
 
-// SaveBaselineFile writes crash-safely: temp file in the same
-// directory, fsync, atomic rename — a crash leaves the previous file
-// (or nothing), never a torn one.
+// SaveBaselineFile writes the baseline to path crash-safely (temp file,
+// fsync, atomic rename).
 func SaveBaselineFile(path string, b *Baseline) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("qualitymon: create temp file: %w", err)
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if err := SaveBaseline(tmp, b); err != nil {
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("qualitymon: fsync %s: %w", tmp.Name(), err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("qualitymon: close %s: %w", tmp.Name(), err)
-	}
-	name := tmp.Name()
-	tmp = nil // committed: disable the cleanup
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("qualitymon: rename into place: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
-	return nil
+	return framelog.WriteFileAtomic(path, func(w io.Writer) error { return SaveBaseline(w, b) })
 }
 
 // LoadBaselineFile reads path with the integrity checks of LoadBaseline.

@@ -2,10 +2,12 @@ package qualitymon
 
 import (
 	"bytes"
-	"os"
+	"errors"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"github.com/golitho/hsd/internal/framelog"
 )
 
 func testBaseline() *Baseline {
@@ -15,12 +17,8 @@ func testBaseline() *Baseline {
 	}}
 }
 
-func TestBaselineRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "model.gob.qb")
-	b := testBaseline()
-	if err := SaveBaselineFile(path, b); err != nil {
-		t.Fatal(err)
-	}
+func checkBaseline(t *testing.T, path string) {
+	t.Helper()
 	got, err := LoadBaselineFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -31,9 +29,21 @@ func TestBaselineRoundTrip(t *testing.T) {
 	want := testBaseline()
 	want.Sort()
 	if !reflect.DeepEqual(got.Entries, want.Entries) {
-		t.Fatalf("entries round-trip mismatch:\ngot  %+v\nwant %+v", got.Entries, want.Entries)
+		t.Fatalf("entries mismatch:\ngot  %+v\nwant %+v", got.Entries, want.Entries)
 	}
 }
+
+func TestBaselineRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "model.gob.qb")
+	if err := SaveBaselineFile(path, testBaseline()); err != nil {
+		t.Fatal(err)
+	}
+	checkBaseline(t, path)
+}
+
+// TestBaselineGolden: a sidecar written at the parent commit (before
+// framelog) loads to the baseline it was saved from.
+func TestBaselineGolden(t *testing.T) { checkBaseline(t, "testdata/golden.qb") }
 
 func TestBaselineEntryOrderIndependent(t *testing.T) {
 	scores := []float64{0.9, 0.1, 0.5, 0.3, 0.7}
@@ -45,37 +55,28 @@ func TestBaselineEntryOrderIndependent(t *testing.T) {
 	}
 }
 
+// TestBaselineCorruptionDetected proves the sidecar is wired through
+// framelog's integrity check (whose exhaustive suite lives there).
 func TestBaselineCorruptionDetected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "b.qb")
-	if err := SaveBaselineFile(path, testBaseline()); err != nil {
+	var buf bytes.Buffer
+	if err := SaveBaseline(&buf, testBaseline()); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip a payload bit: the CRC must catch it.
+	raw := buf.Bytes()
 	flipped := append([]byte(nil), raw...)
 	flipped[len(flipped)-1] ^= 0x40
-	if err := os.WriteFile(path, flipped, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadBaselineFile(path); err == nil {
-		t.Fatalf("bit-flipped baseline loaded without error")
-	}
-	// Truncate mid-payload: torn write.
-	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadBaselineFile(path); err == nil {
-		t.Fatalf("truncated baseline loaded without error")
-	}
-	// Wrong magic.
-	if err := os.WriteFile(path, append([]byte("NOTQB!!\n"), raw[8:]...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadBaselineFile(path); err == nil {
-		t.Fatalf("wrong-magic baseline loaded without error")
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"bit flip", flipped, framelog.ErrChecksum},
+		{"torn write", raw[:len(raw)/2], framelog.ErrTorn},
+		{"wrong magic", append([]byte("NOTQB!!\n"), raw[8:]...), framelog.ErrBadMagic},
+	} {
+		if _, err := LoadBaseline(bytes.NewReader(tc.data)); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 

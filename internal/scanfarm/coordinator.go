@@ -19,7 +19,7 @@
 //
 // Run cancellation (ctx) is not a failure: in-flight shards stop, the
 // journal keeps every durable record, and a later Run with Completed
-// from LoadJournal finishes the rest with byte-identical findings.
+// from ResumeJournal finishes the rest with byte-identical findings.
 
 package scanfarm
 

@@ -1,49 +1,22 @@
-// The scan journal: a framed-CRC32 append-only record of completed and
-// quarantined shards, the persistence layer behind `hsdscan -resume`.
-//
-// Layout of the file:
-//
-//	header frame:  magic "HSDSJh1\n" | len u64 | crc32 u32 | gob(Meta)
-//	record frames: magic "HSDSJr1\n" | len u64 | crc32 u32 | gob(ShardRecord)
-//
-// The framing is the same integrity scheme as the model/checkpoint
-// formats (internal/nn): a torn tail — the journal's crash mode, since
-// records are appended and fsynced one at a time — is detected by a
-// short or CRC-failing final frame and discarded on load, so a
-// SIGKILLed scan resumes from the last durable shard. Everything before
-// the torn frame is intact by construction.
+// The scan journal: an append-only framelog of completed and quarantined
+// shards, the persistence layer behind `hsdscan -resume`. Records are
+// appended and fsynced one at a time, so a SIGKILLed scan resumes from
+// the last durable shard; DESIGN.md "On-disk formats" has the layout
+// and the crash mode.
 
 package scanfarm
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
-	"sync"
 
 	"github.com/golitho/hsd/internal/core"
+	"github.com/golitho/hsd/internal/framelog"
 	"github.com/golitho/hsd/internal/geom"
 )
 
-var (
-	journalHeaderMagic = []byte("HSDSJh1\n")
-	journalRecordMagic = []byte("HSDSJr1\n")
-)
-
-// frameHeaderLen is the frame suffix after the magic: payload length
-// (u64) plus payload CRC32 (u32), matching the nn file formats.
-const frameHeaderLen = 8 + 4
-
-// maxFrameBytes bounds a declared payload so a corrupt length field
-// cannot drive a giant allocation.
-const maxFrameBytes = 1 << 30
+// journalFormat: the header frame carries gob(Meta), record frames
+// gob(ShardRecord).
+var journalFormat = framelog.Format{Header: "HSDSJh1\n", Record: "HSDSJr1\n"}
 
 // Meta binds a journal to one specific scan. Every field must match for
 // a resume to be sound: a different chip, window geometry, or shard
@@ -98,208 +71,30 @@ type ShardRecord struct {
 
 // ErrJournalMismatch is returned when a journal's Meta does not match
 // the scan being resumed.
-var ErrJournalMismatch = errors.New("scanfarm: journal belongs to a different scan")
+var ErrJournalMismatch = framelog.ErrMetaMismatch
 
 // Journal is an open, appendable scan journal. Append is safe for
-// concurrent use.
-type Journal struct {
-	path string
-	mu   sync.Mutex
-	f    *os.File
-}
+// concurrent use and returns only after the record is fsynced.
+type Journal = framelog.Log[ShardRecord]
 
 // CreateJournal creates (truncating) a journal at path and durably
 // writes its header frame.
 func CreateJournal(path string, meta Meta) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("scanfarm: create journal: %w", err)
-	}
-	payload, err := gobEncode(meta)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := writeFrame(f, journalHeaderMagic, payload); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("scanfarm: fsync journal: %w", err)
-	}
-	syncDir(path)
-	return &Journal{path: path, f: f}, nil
-}
-
-// LoadJournal reads a journal, tolerating a torn tail: it returns the
-// header Meta, every intact shard record keyed by shard ID, and the
-// byte offset where the intact prefix ends (the truncation point for
-// re-opening in append mode). A later duplicate record for the same
-// shard ID wins, though the coordinator never writes duplicates.
-func LoadJournal(path string) (Meta, map[int]ShardRecord, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Meta{}, nil, 0, fmt.Errorf("scanfarm: open journal: %w", err)
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-
-	payload, n, err := readFrame(br, journalHeaderMagic)
-	if err != nil {
-		return Meta{}, nil, 0, fmt.Errorf("scanfarm: journal header: %w", err)
-	}
-	var meta Meta
-	if err := gobDecode(payload, &meta); err != nil {
-		return Meta{}, nil, 0, fmt.Errorf("scanfarm: journal header: %w", err)
-	}
-	offset := n
-	records := make(map[int]ShardRecord)
-	for {
-		payload, n, err := readFrame(br, journalRecordMagic)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			// Torn or corrupt tail: everything before it is intact;
-			// the caller truncates here and rescans the rest.
-			break
-		}
-		var rec ShardRecord
-		if err := gobDecode(payload, &rec); err != nil {
-			break
-		}
-		records[rec.ShardID] = rec
-		offset += n
-	}
-	return meta, records, offset, nil
+	return framelog.Create[Meta, ShardRecord](path, journalFormat, meta)
 }
 
 // ResumeJournal loads the journal at path, validates it against meta,
-// truncates any torn tail, and re-opens it for appending. It returns
-// the journal and the intact shard records to skip.
+// truncates any torn tail (Journal.Tail reports what was dropped), and
+// re-opens it for appending. It returns the journal and the intact
+// shard records to skip, keyed by shard ID.
 func ResumeJournal(path string, meta Meta) (*Journal, map[int]ShardRecord, error) {
-	got, records, offset, err := LoadJournal(path)
+	j, records, err := framelog.Resume[Meta, ShardRecord](path, journalFormat, meta)
 	if err != nil {
 		return nil, nil, err
 	}
-	if got != meta {
-		return nil, nil, fmt.Errorf("%w: journal %+v, scan %+v", ErrJournalMismatch, got, meta)
+	completed := make(map[int]ShardRecord, len(records))
+	for _, rec := range records {
+		completed[rec.ShardID] = rec
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("scanfarm: reopen journal: %w", err)
-	}
-	if err := f.Truncate(offset); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("scanfarm: truncate torn journal tail: %w", err)
-	}
-	if _, err := f.Seek(offset, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("scanfarm: seek journal: %w", err)
-	}
-	return &Journal{path: path, f: f}, records, nil
-}
-
-// Append durably records one shard outcome: the frame is written and
-// fsynced before Append returns, so a completed shard survives any
-// later crash.
-func (j *Journal) Append(rec ShardRecord) error {
-	payload, err := gobEncode(rec)
-	if err != nil {
-		return err
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := writeFrame(j.f, journalRecordMagic, payload); err != nil {
-		return err
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("scanfarm: fsync journal: %w", err)
-	}
-	return nil
-}
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
-// Close closes the underlying file.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
-}
-
-// writeFrame emits magic | payload length | payload CRC32 | payload.
-func writeFrame(w io.Writer, magic, payload []byte) error {
-	header := make([]byte, len(magic)+frameHeaderLen)
-	copy(header, magic)
-	binary.BigEndian.PutUint64(header[len(magic):], uint64(len(payload)))
-	binary.BigEndian.PutUint32(header[len(magic)+8:], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(header); err != nil {
-		return fmt.Errorf("scanfarm: write frame header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("scanfarm: write frame payload: %w", err)
-	}
-	return nil
-}
-
-// readFrame consumes one frame, verifying magic and CRC, and returns
-// the payload plus the total frame length in bytes. A clean
-// end-of-file before any magic byte returns io.EOF; anything else wrong
-// (bad magic, short frame, CRC mismatch) returns a descriptive error.
-func readFrame(br *bufio.Reader, magic []byte) ([]byte, int64, error) {
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		if err == io.EOF {
-			return nil, 0, io.EOF
-		}
-		return nil, 0, fmt.Errorf("scanfarm: frame magic truncated: %w", err)
-	}
-	if !bytes.Equal(head, magic) {
-		return nil, 0, fmt.Errorf("scanfarm: bad frame magic %q", head)
-	}
-	header := make([]byte, frameHeaderLen)
-	if _, err := io.ReadFull(br, header); err != nil {
-		return nil, 0, fmt.Errorf("scanfarm: frame header truncated (torn write?): %w", err)
-	}
-	size := binary.BigEndian.Uint64(header)
-	wantCRC := binary.BigEndian.Uint32(header[8:])
-	if size > maxFrameBytes {
-		return nil, 0, fmt.Errorf("scanfarm: implausible frame size %d", size)
-	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return nil, 0, fmt.Errorf("scanfarm: frame truncated: want %d bytes (torn write?): %w", size, err)
-	}
-	if got := crc32.ChecksumIEEE(payload); got != wantCRC {
-		return nil, 0, fmt.Errorf("scanfarm: frame checksum %08x, want %08x", got, wantCRC)
-	}
-	return payload, int64(len(magic)+frameHeaderLen) + int64(size), nil
-}
-
-func gobEncode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("scanfarm: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func gobDecode(payload []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return fmt.Errorf("scanfarm: decode: %w", err)
-	}
-	return nil
-}
-
-// syncDir best-effort fsyncs the directory containing path so a just
-// written file's directory entry is durable (matches the nn atomic
-// writer's behavior; some filesystems do not support directory fsync).
-func syncDir(path string) {
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
+	return j, completed, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/golitho/hsd/internal/core"
+	"github.com/golitho/hsd/internal/framelog"
 	"github.com/golitho/hsd/internal/geom"
 )
 
@@ -59,12 +60,23 @@ func writeTestJournal(t *testing.T) (string, Meta, []ShardRecord) {
 	return path, meta, recs
 }
 
-func TestJournalRoundTrip(t *testing.T) {
-	path, meta, recs := writeTestJournal(t)
-	gotMeta, got, _, err := LoadJournal(path)
+// loadJournal reads a journal without modifying it.
+func loadJournal(t *testing.T, path string) (Meta, map[int]ShardRecord) {
+	t.Helper()
+	meta, recs, _, err := framelog.Load[Meta, ShardRecord](path, journalFormat)
 	if err != nil {
 		t.Fatal(err)
 	}
+	byID := make(map[int]ShardRecord, len(recs))
+	for _, r := range recs {
+		byID[r.ShardID] = r
+	}
+	return meta, byID
+}
+
+func checkJournal(t *testing.T, path string, meta Meta, recs []ShardRecord) {
+	t.Helper()
+	gotMeta, got := loadJournal(t, path)
 	if gotMeta != meta {
 		t.Fatalf("meta %+v, want %+v", gotMeta, meta)
 	}
@@ -78,113 +90,41 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJournalTornTailEveryByte is the crash-tolerance sweep: truncating
-// the journal at every possible byte offset must either load cleanly
-// (prefix of intact records) or — for a cut inside the header — fail
-// loudly; a torn tail never corrupts, duplicates, or invents a record.
-func TestJournalTornTailEveryByte(t *testing.T) {
+func TestJournalRoundTrip(t *testing.T) {
+	path, meta, recs := writeTestJournal(t)
+	checkJournal(t, path, meta, recs)
+}
+
+// TestJournalGolden: a journal written at the parent commit (before
+// framelog) loads to the values it was written from.
+func TestJournalGolden(t *testing.T) {
+	checkJournal(t, "testdata/golden.journal", testMeta(), testRecords())
+}
+
+// TestJournalBitFlipRejected proves the journal is wired through
+// framelog's integrity check (whose exhaustive suite lives there): a
+// flipped payload byte costs exactly the record it is in, and the
+// resumed journal says so.
+func TestJournalBitFlipRejected(t *testing.T) {
 	path, meta, recs := writeTestJournal(t)
 	full, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, off, err := LoadJournal(path); err != nil {
+	full[len(full)-1] ^= 0xFF
+	if err := os.WriteFile(path, full, 0o644); err != nil {
 		t.Fatal(err)
-	} else if off != int64(len(full)) {
-		t.Fatalf("intact journal valid offset %d, want %d", off, len(full))
 	}
-
-	dir := t.TempDir()
-	torn := filepath.Join(dir, "torn.journal")
-	headerLen := headerFrameLen(t, full)
-	for cut := 0; cut <= len(full); cut++ {
-		if err := os.WriteFile(torn, full[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		gotMeta, got, off, err := LoadJournal(torn)
-		if cut < headerLen {
-			if err == nil {
-				t.Fatalf("cut %d inside header loaded silently", cut)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
-		}
-		if gotMeta != meta {
-			t.Fatalf("cut %d: meta %+v", cut, gotMeta)
-		}
-		if off > int64(cut) {
-			t.Fatalf("cut %d: valid offset %d beyond file", cut, off)
-		}
-		// Every loaded record must be byte-exactly one we wrote.
-		for id, rec := range got {
-			found := false
-			for _, want := range recs {
-				if want.ShardID == id && reflect.DeepEqual(rec, want) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("cut %d: invented or corrupted record %+v", cut, rec)
-			}
-		}
-		// And a full-length cut recovers everything.
-		if cut == len(full) && len(got) != len(recs) {
-			t.Fatalf("full journal recovered %d records, want %d", len(got), len(recs))
-		}
-	}
-}
-
-// headerFrameLen computes the byte length of the header frame.
-func headerFrameLen(t *testing.T, full []byte) int {
-	t.Helper()
-	dir := t.TempDir()
-	p := filepath.Join(dir, "probe.journal")
-	// Binary search the smallest prefix that loads without error: that
-	// is exactly the header frame.
-	lo, hi := 1, len(full)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if err := os.WriteFile(p, full[:mid], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, _, err := LoadJournal(p); err != nil {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// TestJournalBitFlipRejected: a flipped payload byte fails the CRC and
-// the load keeps only records before the corruption.
-func TestJournalBitFlipRejected(t *testing.T) {
-	path, _, _ := writeTestJournal(t)
-	full, err := os.ReadFile(path)
+	j, got, err := ResumeJournal(path, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	headerLen := headerFrameLen(t, full)
-	// Flip a byte inside the first record's payload (past its magic and
-	// frame header).
-	flip := headerLen + len(journalRecordMagic) + frameHeaderLen + 3
-	full[flip] ^= 0xFF
-	corrupt := filepath.Join(t.TempDir(), "corrupt.journal")
-	if err := os.WriteFile(corrupt, full, 0o644); err != nil {
-		t.Fatal(err)
+	defer j.Close()
+	if len(got) != len(recs)-1 {
+		t.Fatalf("kept %d records, want %d", len(got), len(recs)-1)
 	}
-	_, got, off, err := LoadJournal(corrupt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("records after the corrupt frame were kept: %d", len(got))
-	}
-	if off != int64(headerLen) {
-		t.Fatalf("valid offset %d, want header end %d", off, headerLen)
+	if tail := j.Tail(); tail.Discarded == 0 || tail.Offset+tail.Discarded != int64(len(full)) {
+		t.Fatalf("corrupt record dropped silently: tail %+v of %d bytes", tail, len(full))
 	}
 }
 
@@ -214,10 +154,7 @@ func TestResumeJournalTornAppend(t *testing.T) {
 	}
 	j.Close()
 
-	_, got, _, err := LoadJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, got := loadJournal(t, path)
 	if len(got) != len(recs) {
 		t.Fatalf("after torn append: %d records, want %d", len(got), len(recs))
 	}

@@ -161,7 +161,7 @@ type Config struct {
 	// for -resume. Run appends; the caller owns Close.
 	Journal *Journal
 	// Completed maps shard ID -> record for shards already finished in
-	// a previous run (from LoadJournal); they are skipped and their
+	// a previous run (from ResumeJournal); they are skipped and their
 	// findings merged as-is.
 	Completed map[int]ShardRecord
 	// Metrics, when non-nil, receives scan_shards_total{state},
@@ -206,7 +206,7 @@ func (c Config) coreHalf() int {
 
 // Meta derives the journal metadata binding a journal file to one
 // specific scan: chip identity, window geometry, shard layout, and
-// detector. LoadJournal refuses to resume under a different Meta.
+// detector. ResumeJournal refuses to resume under a different Meta.
 func (c Config) Meta(chip *layout.Layout, detector string) Meta {
 	p := NewPlan(chip.Bounds(), c)
 	c = c.withDefaults()

@@ -1,13 +1,15 @@
 #!/usr/bin/env sh
 # scan_smoke.sh — end-to-end kill-resume gate for the scan farm.
 #
-# Runs hsdscan three times over the same deterministic chip:
+# Runs hsdscan four times over the same deterministic chip:
 #
 #   1. an uninterrupted reference scan writing full.txt;
 #   2. a journaled scan that is SIGKILLed as soon as the journal shows
 #      at least one completed shard (a real crash: no cleanup, no
 #      flush, the journal is whatever fsync made durable);
-#   3. the same scan with -resume, writing resumed.txt.
+#   3. the same scan without -resume, which must refuse to overwrite
+#      the journal and leave it untouched;
+#   4. the same scan with -resume, writing resumed.txt.
 #
 # The gate: resumed.txt must be byte-identical to full.txt, and the
 # resumed run must have actually skipped work (1 <= resumed shards <
@@ -49,19 +51,16 @@ echo "scan smoke: journaled scan, killing mid-flight"
 	-findings "$WORK/interrupted.txt" >"$WORK/kill.log" 2>&1 &
 SCAN_PID=$!
 
-# The journal header is written at creation; a completed shard record
-# pushes the file past ~200 bytes. Kill on the first sign of one.
+# The journal header is written at creation (about 320 bytes, so a size
+# threshold cannot tell it from a record); kill on the first record
+# frame magic instead.
 killed=""
 i=0
 while [ $i -lt 600 ]; do
 	if ! kill -0 "$SCAN_PID" 2>/dev/null; then
 		break # scan finished before we could kill it
 	fi
-	size=0
-	if [ -f "$WORK/scan.journal" ]; then
-		size=$(wc -c <"$WORK/scan.journal")
-	fi
-	if [ "$size" -gt 200 ]; then
+	if grep -aq 'HSDSJr1' "$WORK/scan.journal" 2>/dev/null; then
 		kill -9 "$SCAN_PID"
 		killed=1
 		break
@@ -74,6 +73,24 @@ SCAN_PID=""
 if [ -z "$killed" ]; then
 	echo "scan smoke: scan exited before the kill landed; gate is vacuous" >&2
 	cat "$WORK/kill.log" >&2
+	exit 1
+fi
+
+echo "scan smoke: a fresh run over the killed scan's journal must be refused"
+before=$(wc -c <"$WORK/scan.journal")
+# shellcheck disable=SC2086
+if "$WORK/hsdscan" -suite "$WORK/suite.gob" $SCAN_ARGS \
+	-journal "$WORK/scan.journal" >"$WORK/fresh.log" 2>&1; then
+	echo "scan smoke: hsdscan without -resume overwrote an existing journal" >&2
+	exit 1
+fi
+grep -q 'already exists; pass -resume' "$WORK/fresh.log" || {
+	echo "scan smoke: refusal does not tell the operator about -resume:" >&2
+	cat "$WORK/fresh.log" >&2
+	exit 1
+}
+if [ "$(wc -c <"$WORK/scan.journal")" -ne "$before" ]; then
+	echo "scan smoke: refused run still modified the journal" >&2
 	exit 1
 fi
 

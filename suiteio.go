@@ -4,8 +4,8 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
+
+	"github.com/golitho/hsd/internal/framelog"
 )
 
 // suiteFileVersion guards the on-disk suite format.
@@ -27,41 +27,11 @@ func SaveSuite(w io.Writer, s *Suite) error {
 	return nil
 }
 
-// SaveSuiteFile writes a suite to path crash-safely: the bytes go to a
-// temp file in the same directory, are fsynced, and atomically renamed
-// over path, so an interrupted save never leaves a torn cache behind.
+// SaveSuiteFile writes a suite to path crash-safely (temp file, fsync,
+// atomic rename), so an interrupted save never leaves a torn cache
+// behind.
 func SaveSuiteFile(path string, s *Suite) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("hsd: create temp file: %w", err)
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if err := SaveSuite(tmp, s); err != nil {
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("hsd: fsync %s: %w", tmp.Name(), err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("hsd: close %s: %w", tmp.Name(), err)
-	}
-	name := tmp.Name()
-	tmp = nil // committed: disable the deferred cleanup
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("hsd: rename into place: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
-	return nil
+	return framelog.WriteFileAtomic(path, func(w io.Writer) error { return SaveSuite(w, s) })
 }
 
 // LoadSuite reads a suite saved with SaveSuite.
