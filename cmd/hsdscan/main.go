@@ -245,7 +245,9 @@ func run() error {
 		return err
 	}
 	findings := res.Findings
-	fmt.Printf("scan flagged %d windows in %v\n", len(findings), time.Since(t1).Round(time.Millisecond))
+	took := time.Since(t1)
+	fmt.Printf("scan flagged %d windows in %v; scanned %d windows this run, %.0f windows/s\n",
+		len(findings), took.Round(time.Millisecond), res.Scanned, float64(res.Scanned)/took.Seconds())
 	fmt.Printf("shards: %d done (%d resumed from journal), %d quarantined, %d windows\n",
 		res.Completed, res.Resumed, len(res.Quarantined), res.Windows)
 	for _, q := range res.Quarantined {

@@ -499,7 +499,9 @@ func (d *NeuralDetector) History() []nn.EpochStats { return d.hist }
 // Network returns the trained network (nil before Fit).
 func (d *NeuralDetector) Network() *nn.Network { return d.net }
 
-// Score implements Detector.
+// Score implements Detector. It does not mutate the detector: the
+// forward pass runs on a pooled arena (nn.Score), so concurrent calls on
+// one un-cloned detector are safe.
 func (d *NeuralDetector) Score(clip layout.Clip) (float64, error) {
 	if d.net == nil {
 		return 0, errNotFitted
@@ -528,9 +530,13 @@ func (d *NeuralDetector) Threshold() float64 {
 	return d.Thr
 }
 
-// CloneDetector implements Cloner: neural forward passes mutate layer
-// caches, so concurrent scoring needs clones. The compressed inference
-// network is stateless and immutable, so clones share it.
+// CloneDetector implements Cloner. Scoring no longer needs it: Score,
+// ScoreCtx and ScoreBatch read the network and write only pooled
+// scratch, so one detector serves any number of goroutines. It stays
+// because callers that still follow the Cloner contract (the router, the
+// serve scorer, the benchmark) call it, and a clone is what isolates a
+// caller that goes on to train. The compressed inference network is
+// immutable, so clones share it.
 func (d *NeuralDetector) CloneDetector() Detector {
 	out := *d
 	if d.net != nil {

@@ -16,6 +16,7 @@ import (
 	"github.com/golitho/hsd/internal/features"
 	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/nn"
+	"github.com/golitho/hsd/internal/tensor"
 	"github.com/golitho/hsd/internal/trace"
 )
 
@@ -87,13 +88,16 @@ func ScoreClipsCtx(ctx context.Context, d Detector, clips []layout.Clip) ([]floa
 // scoreFeatures is the shared span path of the feature-based detectors:
 // extraction under ExtractCtx (one "raster" + "features" span pair per
 // extractor), then the fitted model under an "inference" span.
-func scoreFeatures(ctx context.Context, name string, ex features.Extractor,
+func scoreFeatures(ctx context.Context, d Detector, ex features.Extractor,
 	clip layout.Clip, model func(v []float64) float64) (float64, error) {
 	v, err := features.ExtractCtx(ctx, ex, clip)
 	if err != nil {
 		return 0, err
 	}
-	_, sp := trace.Start(ctx, "inference", trace.A("detector", name))
+	_, sp := trace.Start(ctx, "inference")
+	if sp != nil { // the name is built only for a recording trace
+		sp.SetAttr("detector", d.Name())
+	}
 	s := model(v)
 	sp.End()
 	return s, nil
@@ -114,7 +118,7 @@ func (d *SVMDetector) ScoreCtx(ctx context.Context, clip layout.Clip) (float64, 
 	if d.model == nil {
 		return 0, errNotFitted
 	}
-	return scoreFeatures(ctx, d.Name(), d.Ex, clip, func(v []float64) float64 {
+	return scoreFeatures(ctx, d, d.Ex, clip, func(v []float64) float64 {
 		return d.model.Decision(d.scale.apply(v))
 	})
 }
@@ -124,7 +128,7 @@ func (d *BoostDetector) ScoreCtx(ctx context.Context, clip layout.Clip) (float64
 	if d.model == nil {
 		return 0, errNotFitted
 	}
-	return scoreFeatures(ctx, d.Name(), d.Ex, clip, func(v []float64) float64 {
+	return scoreFeatures(ctx, d, d.Ex, clip, func(v []float64) float64 {
 		return d.model.Score(d.scale.apply(v))
 	})
 }
@@ -134,7 +138,7 @@ func (d *ForestDetector) ScoreCtx(ctx context.Context, clip layout.Clip) (float6
 	if d.model == nil {
 		return 0, errNotFitted
 	}
-	return scoreFeatures(ctx, d.Name(), d.Ex, clip, func(v []float64) float64 {
+	return scoreFeatures(ctx, d, d.Ex, clip, func(v []float64) float64 {
 		return d.model.Prob(d.scale.apply(v))
 	})
 }
@@ -144,36 +148,52 @@ func (d *LogRegDetector) ScoreCtx(ctx context.Context, clip layout.Clip) (float6
 	if d.model == nil {
 		return 0, errNotFitted
 	}
-	return scoreFeatures(ctx, d.Name(), d.Ex, clip, func(v []float64) float64 {
+	return scoreFeatures(ctx, d, d.Ex, clip, func(v []float64) float64 {
 		return d.model.Prob(d.scale.apply(v))
 	})
 }
 
-// ScoreCtx implements CtxScorer. Like Score, it mutates layer caches:
-// concurrent callers need clones.
+// ScoreCtx implements CtxScorer. Like Score, it is read-only on the
+// detector and safe for concurrent use.
 func (d *NeuralDetector) ScoreCtx(ctx context.Context, clip layout.Clip) (float64, error) {
 	if d.net == nil {
 		return 0, errNotFitted
 	}
-	return scoreFeatures(ctx, d.Name(), d.Ex, clip, func(v []float64) float64 {
+	return scoreFeatures(ctx, d, d.Ex, clip, func(v []float64) float64 {
 		return nn.Score(d.inferNet(), d.scale.apply(v))
 	})
 }
 
 // ScoreBatchCtx implements CtxBatchScorer: per-clip extraction spans,
 // then the batched forward pass under nn.PredictBatchCtx (arena and
-// matmul stage spans). Safe for concurrent use like ScoreBatch.
+// matmul stage spans), both sharded over tensor.Default. Safe for
+// concurrent use like ScoreBatch.
 func (d *NeuralDetector) ScoreBatchCtx(ctx context.Context, clips []layout.Clip) ([]float64, error) {
 	if d.net == nil {
 		return nil, errNotFitted
 	}
+	// Extraction is sharded over the kernel pool like the forward pass
+	// after it: extractors share nothing but pooled scratch, and every
+	// clip writes its own slot. A shard stops at its first failure, so
+	// the lowest failing index overall is always reached and reported.
 	xs := make([][]float64, len(clips))
-	for i, clip := range clips {
-		v, err := features.ExtractCtx(ctx, d.Ex, clip)
+	errs := make([]error, len(clips))
+	if err := tensor.Default().RunCtx(ctx, len(clips), 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			v, err := features.ExtractCtx(ctx, d.Ex, clips[i])
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			xs[i] = d.scale.apply(v)
+		}
+	}); err != nil {
+		return nil, err
+	}
+	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("core: extract clip %d: %w", i, err)
 		}
-		xs[i] = d.scale.apply(v)
 	}
 	return nn.PredictBatchCtx(ctx, d.inferNet(), xs, 0)
 }

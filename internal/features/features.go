@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/golitho/hsd/internal/fft"
 	"github.com/golitho/hsd/internal/geom"
@@ -54,19 +55,59 @@ func ExtractCtx(ctx context.Context, ex Extractor, clip layout.Clip) ([]float64,
 	return ex.Extract(clip)
 }
 
-// rasterize renders a clip at the given pixel pitch.
-func rasterize(clip layout.Clip, pixelNM int) (*raster.Image, error) {
-	return raster.Rasterize(raster.Config{Window: clip.Window, PixelNM: pixelNM}, clip.Shapes)
+// scratch is what one extraction needs and no caller ever sees: the
+// clip's raster and the DCT kernel's working buffer. Extractors borrow
+// one from scratchPool for the length of an Extract call, so the raster
+// of a window (131 KB at the zoo's pitch) is reused instead of allocated.
+// Nothing the extractors return may alias it.
+type scratch struct {
+	im  raster.Image
+	dct []float64
 }
 
-// rasterizeCtx renders a clip under a "raster" span so rasterization
-// cost is attributed separately from the feature transform.
-func rasterizeCtx(ctx context.Context, name string, clip layout.Clip, pixelNM int) (*raster.Image, error) {
-	_, sp := trace.Start(ctx, "raster", trace.A("extractor", name))
-	im, err := rasterize(clip, pixelNM)
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// startSpan opens a stage span labelled with the extractor. The label is
+// a Sprintf, so it is built only when the trace is recording.
+func startSpan(ctx context.Context, stage string, ex Extractor) *trace.Span {
+	_, sp := trace.Start(ctx, stage)
+	if sp != nil {
+		sp.SetAttr("extractor", ex.Name())
+	}
+	return sp
+}
+
+// imageExtractor is an extractor whose features are a function of the
+// clip's raster alone, which is what lets the raster live in the pool.
+type imageExtractor interface {
+	Extractor
+	// fromImage derives the features from sc.im. It may use sc's other
+	// buffers; nothing it returns may alias sc.
+	fromImage(sc *scratch) ([]float64, error)
+}
+
+// extractPooled renders the clip into pooled scratch under a "raster"
+// span, runs ex.fromImage under a "features" span, and returns the
+// scratch to the pool. kind labels a rasterization error; pixelNM <= 0
+// means the default pitch of 8.
+func extractPooled(ctx context.Context, ex imageExtractor, kind string, clip layout.Clip, pixelNM int) ([]float64, error) {
+	if pixelNM <= 0 {
+		pixelNM = 8
+	}
+	sc := scratchPool.Get().(*scratch)
+	// RasterizeInto sizes and clears the image for whoever borrows it
+	// next, so it can go back in any state.
+	defer scratchPool.Put(sc)
+	sp := startSpan(ctx, "raster", ex)
+	err := raster.RasterizeInto(&sc.im, raster.Config{Window: clip.Window, PixelNM: pixelNM}, clip.Shapes)
 	sp.SetError(err)
 	sp.End()
-	return im, err
+	if err != nil {
+		return nil, fmt.Errorf("features: %s: %w", kind, err)
+	}
+	sp = startSpan(ctx, "features", ex)
+	defer sp.End()
+	return ex.fromImage(sc)
 }
 
 // Density is the density-grid extractor: the clip is divided into
@@ -96,16 +137,11 @@ func (d *Density) ExtractCtx(ctx context.Context, clip layout.Clip) ([]float64, 
 	if d.Grid <= 0 {
 		return nil, fmt.Errorf("features: density grid must be positive, got %d", d.Grid)
 	}
-	px := d.PixelNM
-	if px <= 0 {
-		px = 8
-	}
-	im, err := rasterizeCtx(ctx, d.Name(), clip, px)
-	if err != nil {
-		return nil, fmt.Errorf("features: density: %w", err)
-	}
-	_, sp := trace.Start(ctx, "features", trace.A("extractor", d.Name()))
-	defer sp.End()
+	return extractPooled(ctx, d, "density", clip, d.PixelNM)
+}
+
+func (d *Density) fromImage(sc *scratch) ([]float64, error) {
+	im := &sc.im
 	if im.W%d.Grid != 0 || im.H%d.Grid != 0 {
 		return nil, fmt.Errorf("features: image %dx%d not divisible into %d cells",
 			im.W, im.H, d.Grid)
@@ -157,16 +193,11 @@ func (c *CCAS) ExtractCtx(ctx context.Context, clip layout.Clip) ([]float64, err
 	if c.Rings <= 0 || c.Sectors <= 0 {
 		return nil, fmt.Errorf("features: ccas needs positive rings/sectors, got %d/%d", c.Rings, c.Sectors)
 	}
-	px := c.PixelNM
-	if px <= 0 {
-		px = 8
-	}
-	im, err := rasterizeCtx(ctx, c.Name(), clip, px)
-	if err != nil {
-		return nil, fmt.Errorf("features: ccas: %w", err)
-	}
-	_, sp := trace.Start(ctx, "features", trace.A("extractor", c.Name()))
-	defer sp.End()
+	return extractPooled(ctx, c, "ccas", clip, c.PixelNM)
+}
+
+func (c *CCAS) fromImage(sc *scratch) ([]float64, error) {
+	im := &sc.im
 	cx, cy := float64(im.W)/2, float64(im.H)/2
 	maxR := math.Min(cx, cy)
 	sums := make([]float64, c.Rings*c.Sectors)
@@ -239,16 +270,11 @@ func (d *DCT) ExtractCtx(ctx context.Context, clip layout.Clip) ([]float64, erro
 	if d.Blocks <= 0 || d.Coefs <= 0 {
 		return nil, fmt.Errorf("features: dct needs positive blocks/coefs, got %d/%d", d.Blocks, d.Coefs)
 	}
-	px := d.PixelNM
-	if px <= 0 {
-		px = 8
-	}
-	im, err := rasterizeCtx(ctx, d.Name(), clip, px)
-	if err != nil {
-		return nil, fmt.Errorf("features: dct: %w", err)
-	}
-	_, sp := trace.Start(ctx, "features", trace.A("extractor", d.Name()))
-	defer sp.End()
+	return extractPooled(ctx, d, "dct", clip, d.PixelNM)
+}
+
+func (d *DCT) fromImage(sc *scratch) ([]float64, error) {
+	im := &sc.im
 	if im.W != im.H || im.W%d.Blocks != 0 {
 		return nil, fmt.Errorf("features: image %dx%d not divisible into %d blocks", im.W, im.H, d.Blocks)
 	}
@@ -256,21 +282,25 @@ func (d *DCT) ExtractCtx(ctx context.Context, clip layout.Clip) ([]float64, erro
 	if d.Coefs > bs*bs {
 		return nil, fmt.Errorf("features: %d coefs exceed block size %d^2", d.Coefs, bs)
 	}
-	zig := fft.Zigzag(bs)
-	block := make([]float64, bs*bs)
+	plan, err := fft.PlanDCT(bs)
+	if err != nil {
+		return nil, fmt.Errorf("features: dct block: %w", err)
+	}
+	// Each block is transformed where it lies in the raster, and only
+	// the zigzag prefix that is kept is computed.
+	want := fft.Zigzag(bs)[:d.Coefs]
+	if need := d.Coefs + bs*bs; cap(sc.dct) < need {
+		sc.dct = make([]float64, need)
+	}
+	coef, tmp := sc.dct[:d.Coefs], sc.dct[d.Coefs:d.Coefs+bs*bs]
 	out := make([]float64, d.Dim())
 	for by := 0; by < d.Blocks; by++ {
 		for bx := 0; bx < d.Blocks; bx++ {
-			for y := 0; y < bs; y++ {
-				srcRow := (by*bs + y) * im.W
-				copy(block[y*bs:(y+1)*bs], im.Pix[srcRow+bx*bs:srcRow+(bx+1)*bs])
-			}
-			coef, err := fft.DCT2D(block, bs)
-			if err != nil {
+			if err := plan.Forward(coef, im.Pix[by*bs*im.W+bx*bs:], im.W, want, tmp); err != nil {
 				return nil, fmt.Errorf("features: dct block: %w", err)
 			}
-			for k := 0; k < d.Coefs; k++ {
-				out[(k*d.Blocks+by)*d.Blocks+bx] = coef[zig[k]]
+			for k, v := range coef {
+				out[(k*d.Blocks+by)*d.Blocks+bx] = v
 			}
 		}
 	}

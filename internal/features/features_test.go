@@ -3,11 +3,14 @@ package features
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"github.com/golitho/hsd/internal/fft"
 	"github.com/golitho/hsd/internal/geom"
 	"github.com/golitho/hsd/internal/layout"
+	"github.com/golitho/hsd/internal/raster"
 )
 
 // testClip builds a 1024 nm clip centred at (512,512) over the shapes.
@@ -426,5 +429,146 @@ func TestGeomStatsWidthSensitivity(t *testing.T) {
 	// narrow line must fill an early bucket the wide one does not.
 	if vn[2] <= vw[2] {
 		t.Fatalf("width histogram insensitive: narrow[2]=%v wide[2]=%v", vn[2], vw[2])
+	}
+}
+
+// blockCopyDCT is the extractor's pre-plan pipeline, kept as the
+// reference: rasterize afresh, copy each block out, transform it whole
+// with fft.DCT2D, keep the zigzag prefix.
+func blockCopyDCT(t *testing.T, d *DCT, clip layout.Clip) []float64 {
+	t.Helper()
+	px := d.PixelNM
+	if px <= 0 {
+		px = 8
+	}
+	im, err := raster.Rasterize(raster.Config{Window: clip.Window, PixelNM: px}, clip.Shapes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := im.W / d.Blocks
+	zig := fft.Zigzag(bs)
+	block := make([]float64, bs*bs)
+	out := make([]float64, d.Dim())
+	for by := 0; by < d.Blocks; by++ {
+		for bx := 0; bx < d.Blocks; bx++ {
+			for y := 0; y < bs; y++ {
+				srcRow := (by*bs + y) * im.W
+				copy(block[y*bs:(y+1)*bs], im.Pix[srcRow+bx*bs:srcRow+(bx+1)*bs])
+			}
+			coef, err := fft.DCT2D(block, bs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < d.Coefs; k++ {
+				out[(k*d.Blocks+by)*d.Blocks+bx] = coef[zig[k]]
+			}
+		}
+	}
+	return out
+}
+
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: len %d, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: feature %d = %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestDCTExtractBitIdenticalToBlockCopy: in-place pruned transforms give
+// the tensor the block-copy pipeline gave, bit for bit. (fft's own tests
+// pin DCT2D to the naive transform, which closes the chain to the parent.)
+func TestDCTExtractBitIdenticalToBlockCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	for _, d := range []*DCT{
+		{Blocks: 16, Coefs: 16}, {Blocks: 16, Coefs: 64}, {Blocks: 8, Coefs: 32}, {Blocks: 4, Coefs: 10},
+	} {
+		for i := 0; i < 24; i++ {
+			clip := randomClip(t, rng)
+			got, err := d.Extract(clip)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, d.Name(), got, blockCopyDCT(t, d, clip))
+		}
+	}
+}
+
+// TestPooledScratchDoesNotLeakBetweenClips: a dense clip, then an empty
+// one, then one at another pitch (another image size), then back, through
+// each pooled extractor equal the same transform over a fresh
+// raster.Rasterize, so neither stale pixels nor a stale size survive in
+// the pool.
+func TestPooledScratchDoesNotLeakBetweenClips(t *testing.T) {
+	dense := testClip(t, geom.R(0, 0, 1024, 1024))
+	busy := randomClip(t, rand.New(rand.NewSource(5)))
+	steps := []struct {
+		name string
+		clip layout.Clip
+		px   int
+	}{
+		{"dense", dense, 8}, {"empty", testClip(t), 8}, {"busy@16", busy, 16},
+		{"empty@16", testClip(t), 16}, {"busy", busy, 8}, {"dense@4", dense, 4},
+	}
+	for _, mk := range []func(px int) imageExtractor{
+		func(px int) imageExtractor { return &Density{Grid: 8, PixelNM: px} },
+		func(px int) imageExtractor { return &CCAS{Rings: 4, Sectors: 6, PixelNM: px} },
+		func(px int) imageExtractor { return &DCT{Blocks: 8, Coefs: 6, PixelNM: px} },
+	} {
+		for _, st := range steps {
+			ex := mk(st.px)
+			got, err := ex.Extract(st.clip)
+			if err != nil {
+				t.Fatal(err)
+			}
+			im, err := raster.Rasterize(raster.Config{Window: st.clip.Window, PixelNM: st.px}, st.clip.Shapes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ex.fromImage(&scratch{im: *im})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, ex.Name()+" "+st.name, got, want)
+			if len(st.clip.Shapes) == 0 {
+				for i, v := range got {
+					if v != 0 {
+						t.Fatalf("%s %s: feature %d = %v on an empty clip", ex.Name(), st.name, i, v)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestExtractAllocations bounds what one steady-state DCT extraction
+// allocates: the returned tensor and the zigzag order, not the raster.
+func TestExtractAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items on purpose under -race")
+	}
+	d := &DCT{Blocks: 16, Coefs: 16}
+	clip := randomClip(t, rand.New(rand.NewSource(9)))
+	if _, err := d.Extract(clip); err != nil { // fills the pool, builds the plan
+		t.Fatal(err)
+	}
+	var m0, m1 runtime.MemStats
+	const runs = 50
+	runtime.ReadMemStats(&m0)
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := d.Extract(clip); err != nil {
+			t.Fatal(err)
+		}
+	})
+	runtime.ReadMemStats(&m1)
+	if allocs > 4 {
+		t.Errorf("DCT.Extract allocates %v objects per call, want <= 4", allocs)
+	}
+	if per := (m1.TotalAlloc - m0.TotalAlloc) / (runs + 1); per > 40<<10 {
+		t.Errorf("DCT.Extract allocates %d B per call, want <= 40 KB", per)
 	}
 }

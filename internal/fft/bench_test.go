@@ -54,16 +54,44 @@ func BenchmarkConvolveSame128(b *testing.B) {
 	}
 }
 
-func BenchmarkDCT2D16(b *testing.B) {
+// BenchmarkDCT2D8 is the block every zoo detector transforms (128 px
+// raster / 16 blocks); BenchmarkDCT2D16 is the historical size.
+func BenchmarkDCT2D8(b *testing.B)  { benchDCT2D(b, 8) }
+func BenchmarkDCT2D16(b *testing.B) { benchDCT2D(b, 16) }
+
+func benchDCT2D(b *testing.B, n int) {
 	rng := rand.New(rand.NewSource(4))
-	block := make([]float64, 16*16)
+	block := make([]float64, n*n)
 	for i := range block {
 		block[i] = rng.Float64()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DCT2D(block, 16); err != nil {
+		if _, err := DCT2D(block, n); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDCTPlanZigzag16of64 is the feature tensor's per-block call: an
+// 8x8 block read in place from a 128-wide raster, 16 zigzag coefficients.
+func BenchmarkDCTPlanZigzag16of64(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	img := make([]float64, 8*128)
+	for i := range img {
+		img[i] = rng.Float64()
+	}
+	p, err := PlanDCT(8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	want := Zigzag(8)[:16]
+	dst, scratch := make([]float64, 16), make([]float64, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.Forward(dst, img[40:], 128, want, scratch); err != nil {
 			b.Fatal(err)
 		}
 	}

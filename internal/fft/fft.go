@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/bits"
 	"math/cmplx"
+	"sync"
 )
 
 // IsPow2 reports whether n is a positive power of two.
@@ -159,72 +160,44 @@ func ConvolveSame(img []float64, w, h int, kernel []float64, kw, kh int) ([]floa
 	return out, nil
 }
 
-// DCT2D computes the orthonormal 2-D DCT-II of a row-major n x n block and
-// returns a new n x n coefficient grid. n must be positive.
-func DCT2D(block []float64, n int) ([]float64, error) {
-	if n <= 0 || len(block) != n*n {
-		return nil, fmt.Errorf("fft: dct block length %d != %d^2", len(block), n)
-	}
-	c := dctMatrix(n)
-	// tmp = C * X
-	tmp := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			var s float64
-			for k := 0; k < n; k++ {
-				s += c[i*n+k] * block[k*n+j]
-			}
-			tmp[i*n+j] = s
-		}
-	}
-	// out = tmp * C^T
-	out := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			var s float64
-			for k := 0; k < n; k++ {
-				s += tmp[i*n+k] * c[j*n+k]
-			}
-			out[i*n+j] = s
-		}
-	}
-	return out, nil
+// DCTPlan is the orthonormal DCT-II basis for n x n blocks. It is built
+// once per n per process (PlanDCT memoises it), is immutable afterwards,
+// and is therefore safe for any number of concurrent transforms.
+//
+// The forward and inverse transforms (the inverse runs the same kernel on
+// the transposed basis) keep one association and one summation order:
+// the row pass tmp = B*X, then out = tmp*B^T, every dot product accumulated
+// from zero in ascending k. A pruned call computes the same sums as a
+// full one, so a coefficient's bits never depend on which others were
+// asked for. Callers (the feature tensor, the golden scores downstream
+// of it) rely on that; do not reorder the loops.
+type DCTPlan struct {
+	n int
+	// fwd is the basis C row-major (fwd[i*n+k] = C[i][k]); inv is its
+	// transpose, the basis of the inverse transform.
+	fwd, inv []float64
+	// row[w] and col[w] are the offsets i*n and j*n of coefficient
+	// w = i*n+j into a row-major n x n grid, tabulated so the kernel
+	// divides nothing per output.
+	row, col []int
 }
 
-// IDCT2D inverts DCT2D (orthonormal, so the inverse is the transpose pair).
-func IDCT2D(coef []float64, n int) ([]float64, error) {
-	if n <= 0 || len(coef) != n*n {
-		return nil, fmt.Errorf("fft: idct block length %d != %d^2", len(coef), n)
-	}
-	c := dctMatrix(n)
-	// tmp = C^T * Y
-	tmp := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			var s float64
-			for k := 0; k < n; k++ {
-				s += c[k*n+i] * coef[k*n+j]
-			}
-			tmp[i*n+j] = s
-		}
-	}
-	// out = tmp * C
-	out := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			var s float64
-			for k := 0; k < n; k++ {
-				s += tmp[i*n+k] * c[k*n+j]
-			}
-			out[i*n+j] = s
-		}
-	}
-	return out, nil
-}
+// dctPlans memoises one *DCTPlan per block size.
+var dctPlans sync.Map
 
-// dctMatrix returns the n x n orthonormal DCT-II basis matrix.
-func dctMatrix(n int) []float64 {
-	c := make([]float64, n*n)
+// PlanDCT returns the process-wide plan for n x n blocks, building it on
+// the first call for n. n must be positive.
+func PlanDCT(n int) (*DCTPlan, error) {
+	if p, ok := dctPlans.Load(n); ok {
+		return p.(*DCTPlan), nil
+	}
+	if n <= 0 {
+		return nil, fmt.Errorf("fft: dct block size %d must be positive", n)
+	}
+	p := &DCTPlan{
+		n: n, fwd: make([]float64, n*n), inv: make([]float64, n*n),
+		row: make([]int, n*n), col: make([]int, n*n),
+	}
 	a0 := math.Sqrt(1 / float64(n))
 	a := math.Sqrt(2 / float64(n))
 	for i := 0; i < n; i++ {
@@ -233,10 +206,146 @@ func dctMatrix(n int) []float64 {
 			scale = a0
 		}
 		for j := 0; j < n; j++ {
-			c[i*n+j] = scale * math.Cos(math.Pi*float64(i)*(2*float64(j)+1)/(2*float64(n)))
+			v := scale * math.Cos(math.Pi*float64(i)*(2*float64(j)+1)/(2*float64(n)))
+			p.fwd[i*n+j] = v
+			p.inv[j*n+i] = v
+			p.row[i*n+j], p.col[i*n+j] = i*n, j*n
 		}
 	}
-	return c
+	got, _ := dctPlans.LoadOrStore(n, p)
+	return got.(*DCTPlan), nil
+}
+
+// Forward computes DCT-II coefficients of the n x n block whose row y
+// starts at src[y*stride], so a block can be transformed in place inside
+// a larger row-major image. want lists the coefficients to compute as
+// row-major indices i*n+j (nil means all n*n, in row-major order);
+// coefficient want[k] is written to dst[k]. Only basis rows up to the
+// highest row in want enter the row pass, which for a zigzag prefix is
+// exactly the rows the prefix touches. scratch must hold n*n values and
+// is overwritten; Forward allocates nothing.
+func (p *DCTPlan) Forward(dst, src []float64, stride int, want []int, scratch []float64) error {
+	return p.apply(p.fwd, dst, src, stride, want, scratch)
+}
+
+// apply is the one DCT kernel: dst[k] = (B * X * B^T)[want[k]].
+func (p *DCTPlan) apply(basis, dst, src []float64, stride int, want []int, scratch []float64) error {
+	n := p.n
+	nout, rows := n*n, n
+	if want != nil {
+		last := 0 // offset of the highest wanted row
+		for _, w := range want {
+			if w < 0 || w >= n*n {
+				return fmt.Errorf("fft: dct coefficient index %d outside %dx%d block", w, n, n)
+			}
+			last = max(last, p.row[w])
+		}
+		nout, rows = len(want), last/n+1
+	}
+	if stride < n || len(src) < (n-1)*stride+n {
+		return fmt.Errorf("fft: dct source length %d, stride %d cannot hold a %dx%d block", len(src), stride, n, n)
+	}
+	if len(dst) < nout || len(scratch) < n*n {
+		return fmt.Errorf("fft: dct needs %d outputs and %d scratch, got %d and %d", nout, n*n, len(dst), len(scratch))
+	}
+	// Row pass: tmp[i][j] = sum_k B[i][k] * X[k][j].
+	// Four columns advance together so the adds of independent sums
+	// overlap; each sum still accumulates alone, in ascending k.
+	for i := 0; i < rows; i++ {
+		bi, ti := basis[i*n:(i+1)*n], scratch[i*n:(i+1)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			var s0, s1, s2, s3 float64
+			for k, b := range bi {
+				x := src[k*stride+j : k*stride+j+4]
+				s0 += b * x[0]
+				s1 += b * x[1]
+				s2 += b * x[2]
+				s3 += b * x[3]
+			}
+			ti[j], ti[j+1], ti[j+2], ti[j+3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
+			var s float64
+			for k, b := range bi {
+				s += b * src[k*stride+j]
+			}
+			ti[j] = s
+		}
+	}
+	// Column pass: out[i][j] = sum_k tmp[i][k] * B[j][k], four outputs
+	// at a time for the same reason.
+	at := func(k int) (ti, bj []float64) {
+		w := k
+		if want != nil {
+			w = want[k]
+		}
+		i, j := p.row[w], p.col[w]
+		return scratch[i : i+n], basis[j : j+n]
+	}
+	k := 0
+	for ; k+4 <= nout; k += 4 {
+		t0, b0 := at(k)
+		t1, b1 := at(k + 1)
+		t2, b2 := at(k + 2)
+		t3, b3 := at(k + 3)
+		var s0, s1, s2, s3 float64
+		for q := range t0 {
+			s0 += t0[q] * b0[q]
+			s1 += t1[q] * b1[q]
+			s2 += t2[q] * b2[q]
+			s3 += t3[q] * b3[q]
+		}
+		dst[k], dst[k+1], dst[k+2], dst[k+3] = s0, s1, s2, s3
+	}
+	for ; k < nout; k++ {
+		t, b := at(k)
+		var s float64
+		for q, v := range t {
+			s += v * b[q]
+		}
+		dst[k] = s
+	}
+	return nil
+}
+
+// DCT2D computes the orthonormal 2-D DCT-II of a row-major n x n block and
+// returns a new n x n coefficient grid. n must be positive.
+func DCT2D(block []float64, n int) ([]float64, error) {
+	if n <= 0 || len(block) != n*n {
+		return nil, fmt.Errorf("fft: dct block length %d != %d^2", len(block), n)
+	}
+	p, err := PlanDCT(n)
+	if err != nil {
+		return nil, err
+	}
+	return p.full(p.fwd, block)
+}
+
+// IDCT2D inverts DCT2D (orthonormal, so the inverse is the transpose pair).
+func IDCT2D(coef []float64, n int) ([]float64, error) {
+	if n <= 0 || len(coef) != n*n {
+		return nil, fmt.Errorf("fft: idct block length %d != %d^2", len(coef), n)
+	}
+	p, err := PlanDCT(n)
+	if err != nil {
+		return nil, err
+	}
+	return p.full(p.inv, coef)
+}
+
+// full transforms one contiguous block into a fresh coefficient grid.
+func (p *DCTPlan) full(basis, block []float64) ([]float64, error) {
+	var stack [256]float64 // row-pass scratch for blocks up to 16 x 16
+	scratch := stack[:]
+	if p.n*p.n > len(stack) {
+		scratch = make([]float64, p.n*p.n)
+	}
+	out := make([]float64, p.n*p.n)
+	if err := p.apply(basis, out, block, p.n, nil, scratch); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Zigzag returns the zigzag scan order for an n x n block: a permutation

@@ -323,3 +323,218 @@ func TestZigzagIsPermutation(t *testing.T) {
 		}
 	}
 }
+
+// naiveDCTMatrix, naiveDCT2D and naiveIDCT2D are the pre-plan transforms,
+// kept verbatim as the reference the plan must reproduce bit for bit: the
+// basis rebuilt per call, tmp = C*X then out = tmp*C^T, every sum
+// accumulated from zero in ascending k.
+func naiveDCTMatrix(n int) []float64 {
+	c := make([]float64, n*n)
+	a0 := math.Sqrt(1 / float64(n))
+	a := math.Sqrt(2 / float64(n))
+	for i := 0; i < n; i++ {
+		scale := a
+		if i == 0 {
+			scale = a0
+		}
+		for j := 0; j < n; j++ {
+			c[i*n+j] = scale * math.Cos(math.Pi*float64(i)*(2*float64(j)+1)/(2*float64(n)))
+		}
+	}
+	return c
+}
+
+func naiveDCT2D(block []float64, n int) []float64 {
+	c := naiveDCTMatrix(n)
+	tmp := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			var s float64
+			for k := 0; k < n; k++ {
+				s += c[i*n+k] * block[k*n+j]
+			}
+			tmp[i*n+j] = s
+		}
+	}
+	out := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			var s float64
+			for k := 0; k < n; k++ {
+				s += tmp[i*n+k] * c[j*n+k]
+			}
+			out[i*n+j] = s
+		}
+	}
+	return out
+}
+
+func naiveIDCT2D(coef []float64, n int) []float64 {
+	c := naiveDCTMatrix(n)
+	tmp := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			var s float64
+			for k := 0; k < n; k++ {
+				s += c[k*n+i] * coef[k*n+j]
+			}
+			tmp[i*n+j] = s
+		}
+	}
+	out := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			var s float64
+			for k := 0; k < n; k++ {
+				s += tmp[i*n+k] * c[k*n+j]
+			}
+			out[i*n+j] = s
+		}
+	}
+	return out
+}
+
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: len %d, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: element %d = %x (%v), want %x (%v)", what, i,
+				math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+		}
+	}
+}
+
+// TestDCTPlanBitIdenticalToNaive pins the plan to the reference for full
+// and pruned coefficient sets, power-of-two and other n, and blocks read
+// in place out of a wider image.
+func TestDCTPlanBitIdenticalToNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, n := range []int{4, 8, 16, 6} {
+		p, err := PlanDCT(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zig := Zigzag(n)
+		wants := map[string][]int{
+			"all":        nil,
+			"zigzag":     zig,
+			"zigzag/4":   zig[:n*n/4],
+			"zigzag/one": zig[:1],
+			"last":       {n*n - 1},
+			"scattered":  {n + 1, 0, n*n - n, 2},
+		}
+		for trial := 0; trial < 8; trial++ {
+			// The block sits at (ox, oy) inside a stride-wide image.
+			stride := n + rng.Intn(3*n)
+			ox, oy := rng.Intn(stride-n+1), rng.Intn(4)
+			img := make([]float64, (oy+n)*stride)
+			for i := range img {
+				img[i] = rng.NormFloat64()
+			}
+			if trial == 0 { // a raster-like block: exact zeros and ones
+				for i := range img {
+					img[i] = float64(rng.Intn(2))
+				}
+			}
+			block := make([]float64, n*n)
+			for y := 0; y < n; y++ {
+				copy(block[y*n:(y+1)*n], img[(oy+y)*stride+ox:])
+			}
+			strided := img[oy*stride+ox:]
+			fwd, inv := naiveDCT2D(block, n), naiveIDCT2D(block, n)
+			scratch := make([]float64, n*n)
+			for name, want := range wants {
+				ref := func(full []float64) []float64 {
+					if want == nil {
+						return full
+					}
+					out := make([]float64, len(want))
+					for k, w := range want {
+						out[k] = full[w]
+					}
+					return out
+				}
+				dst := make([]float64, n*n)
+				nout := n * n
+				if want != nil {
+					nout = len(want)
+				}
+				for i := range scratch {
+					scratch[i] = math.NaN() // stale scratch must not leak
+				}
+				if err := p.Forward(dst, strided, stride, want, scratch); err != nil {
+					t.Fatal(err)
+				}
+				sameBits(t, name+" strided forward", dst[:nout], ref(fwd))
+				if err := p.Forward(dst, block, n, want, scratch); err != nil {
+					t.Fatal(err)
+				}
+				sameBits(t, name+" contiguous forward", dst[:nout], ref(fwd))
+			}
+			got, err := DCT2D(block, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, "DCT2D", got, fwd)
+			if got, err = IDCT2D(block, n); err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, "IDCT2D", got, inv)
+		}
+	}
+}
+
+func TestDCTPlanIsMemoisedAndReadOnly(t *testing.T) {
+	a, err := PlanDCT(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	basis := append([]float64(nil), a.fwd...)
+	block := make([]float64, 64)
+	for i := range block {
+		block[i] = float64(i%7) - 3
+	}
+	if _, err := DCT2D(block, 8); err != nil {
+		t.Fatal(err)
+	}
+	b, err := PlanDCT(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Fatal("PlanDCT(8) built a second plan")
+	}
+	sameBits(t, "basis after use", b.fwd, basis)
+	sameBits(t, "basis vs reference", b.fwd, naiveDCTMatrix(8))
+	if _, err := PlanDCT(0); err == nil {
+		t.Fatal("n=0 accepted")
+	}
+}
+
+func TestDCTPlanValidation(t *testing.T) {
+	p, err := PlanDCT(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, dst, scratch := make([]float64, 16), make([]float64, 16), make([]float64, 16)
+	for name, call := range map[string]func() error{
+		"index past block": func() error { return p.Forward(dst, src, 4, []int{16}, scratch) },
+		"negative index":   func() error { return p.Forward(dst, src, 4, []int{-1}, scratch) },
+		"stride < n":       func() error { return p.Forward(dst, src, 3, nil, scratch) },
+		"short source":     func() error { return p.Forward(dst, src[:15], 4, nil, scratch) },
+		"short strided":    func() error { return p.Forward(dst, src, 5, nil, scratch) },
+		"short dst":        func() error { return p.Forward(dst[:2], src, 4, []int{0, 1, 2}, scratch) },
+		"short scratch":    func() error { return p.Forward(dst, src, 4, nil, scratch[:15]) },
+	} {
+		if err := call(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	// The last row of a strided block needs only n values, not a full stride.
+	if err := p.Forward(dst, make([]float64, 3*6+4), 6, nil, scratch); err != nil {
+		t.Fatalf("tight strided source refused: %v", err)
+	}
+}

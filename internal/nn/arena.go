@@ -111,8 +111,8 @@ func (a *Arena) geti8(r, c int) *tensor.Int8Matrix {
 // network output) are invalidated.
 func (a *Arena) Reset() { a.next, a.next32, a.nextI8 = 0, 0, 0 }
 
-// arenaPool recycles arenas across PredictBatch calls so steady-state
-// batched inference allocates no scratch at all.
+// arenaPool recycles arenas across Score and PredictBatch calls so
+// steady-state inference allocates no scratch at all.
 var arenaPool = sync.Pool{New: func() any { return NewArena() }}
 
 func getArena() *Arena { return arenaPool.Get().(*Arena) }

@@ -2,12 +2,13 @@
 // path over reusable scratch arenas.
 //
 // Network.Forward mutates per-layer caches even in eval mode, so a
-// Network cannot be shared across goroutines. The inference path below
+// Network cannot be shared across goroutines that call it. The inference
+// path below (ForwardBatch, and Score and PredictBatch on top of it)
 // reads only layer parameters and writes only arena-owned scratch, which
 // makes one Network safely shareable by any number of workers — each
 // with its own Arena. Determinism contract: every sample's score is
 // computed row-independently with a fixed operation order, so results
-// are bit-identical to the serial Forward/Score path regardless of batch
+// are bit-identical to the training-path Forward regardless of batch
 // size, chunking, or worker count.
 
 package nn
@@ -145,7 +146,7 @@ func PredictBatchCtx(ctx context.Context, net *Network, x [][]float64, workers i
 // forwardInfer implements inferencer: y = x*W + b without touching the
 // input cache.
 func (d *Dense) forwardInfer(x *tensor.Matrix, ar *Arena) *tensor.Matrix {
-	checkCols(d.Name(), d.In, x.Cols)
+	checkCols(d, d.In, x.Cols)
 	out := ar.get(x.Rows, d.Out)
 	tensor.ParallelMatMulInto(out, x, d.W)
 	if err := out.AddRowVector(d.B); err != nil {
@@ -156,7 +157,7 @@ func (d *Dense) forwardInfer(x *tensor.Matrix, ar *Arena) *tensor.Matrix {
 
 // forwardInfer implements inferencer.
 func (r *ReLU) forwardInfer(x *tensor.Matrix, ar *Arena) *tensor.Matrix {
-	checkCols(r.Name(), r.Dim, x.Cols)
+	checkCols(r, r.Dim, x.Cols)
 	out := ar.get(x.Rows, x.Cols)
 	for i, v := range x.Data {
 		if v > 0 {
@@ -168,13 +169,13 @@ func (r *ReLU) forwardInfer(x *tensor.Matrix, ar *Arena) *tensor.Matrix {
 
 // forwardInfer implements inferencer: inference dropout is the identity.
 func (d *Dropout) forwardInfer(x *tensor.Matrix, _ *Arena) *tensor.Matrix {
-	checkCols(d.Name(), d.Dim, x.Cols)
+	checkCols(d, d.Dim, x.Cols)
 	return x
 }
 
 // forwardInfer implements inferencer: the running-statistics eval path.
 func (b *BatchNorm) forwardInfer(x *tensor.Matrix, ar *Arena) *tensor.Matrix {
-	checkCols(b.Name(), b.Dim, x.Cols)
+	checkCols(b, b.Dim, x.Cols)
 	out := ar.get(x.Rows, x.Cols)
 	for i := 0; i < x.Rows; i++ {
 		src, dst := x.Row(i), out.Row(i)
@@ -192,7 +193,7 @@ func (b *BatchNorm) forwardInfer(x *tensor.Matrix, ar *Arena) *tensor.Matrix {
 // result is bit-identical to Forward's full-materialization im2col +
 // matmul while the scratch stays cache-sized.
 func (c *Conv2D) forwardInfer(x *tensor.Matrix, ar *Arena) *tensor.Matrix {
-	checkCols(c.Name(), c.InC*c.InH*c.InW, x.Cols)
+	checkCols(c, c.InC*c.InH*c.InW, x.Cols)
 	g := c.geom()
 	out := ar.get(x.Rows, c.OutDim())
 	klen := g.inC * g.k * g.k
@@ -224,7 +225,7 @@ func (c *Conv2D) forwardInfer(x *tensor.Matrix, ar *Arena) *tensor.Matrix {
 
 // forwardInfer implements inferencer: max pooling without argmax caches.
 func (m *MaxPool2D) forwardInfer(x *tensor.Matrix, ar *Arena) *tensor.Matrix {
-	checkCols(m.Name(), m.C*m.H*m.W, x.Cols)
+	checkCols(m, m.C*m.H*m.W, x.Cols)
 	oh, ow := m.H/m.Size, m.W/m.Size
 	out := ar.get(x.Rows, m.OutDim())
 	for i := 0; i < x.Rows; i++ {

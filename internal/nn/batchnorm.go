@@ -50,7 +50,7 @@ func (b *BatchNorm) OutDim() int { return b.Dim }
 
 // Forward implements Layer.
 func (b *BatchNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	checkCols(b.Name(), b.Dim, x.Cols)
+	checkCols(b, b.Dim, x.Cols)
 	out := tensor.NewMatrix(x.Rows, x.Cols)
 	if !train {
 		for i := 0; i < x.Rows; i++ {

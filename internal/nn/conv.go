@@ -125,7 +125,7 @@ func (c *Conv2D) col2im(cols *tensor.Matrix, dst []float64) {
 
 // Forward implements Layer.
 func (c *Conv2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	checkCols(c.Name(), c.InC*c.InH*c.InW, x.Cols)
+	checkCols(c, c.InC*c.InH*c.InW, x.Cols)
 	oh, ow := c.OutH(), c.OutW()
 	out := tensor.NewMatrix(x.Rows, c.OutDim())
 	if train {
@@ -228,7 +228,7 @@ func (m *MaxPool2D) OutDim() int { return m.C * (m.H / m.Size) * (m.W / m.Size) 
 
 // Forward implements Layer.
 func (m *MaxPool2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	checkCols(m.Name(), m.C*m.H*m.W, x.Cols)
+	checkCols(m, m.C*m.H*m.W, x.Cols)
 	oh, ow := m.H/m.Size, m.W/m.Size
 	out := tensor.NewMatrix(x.Rows, m.OutDim())
 	if train {

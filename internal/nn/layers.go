@@ -48,7 +48,7 @@ func (d *Dense) init(rng *rand.Rand) {
 
 // Forward implements Layer.
 func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	checkCols(d.Name(), d.In, x.Cols)
+	checkCols(d, d.In, x.Cols)
 	out := tensor.NewMatrix(x.Rows, d.Out)
 	tensor.MatMulInto(out, x, d.W)
 	if err := out.AddRowVector(d.B); err != nil {
@@ -120,7 +120,7 @@ func (r *ReLU) OutDim() int { return r.Dim }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	checkCols(r.Name(), r.Dim, x.Cols)
+	checkCols(r, r.Dim, x.Cols)
 	out := x.Clone()
 	if train {
 		r.mask = make([]bool, len(out.Data))
@@ -197,7 +197,7 @@ func (d *Dropout) OutDim() int { return d.Dim }
 
 // Forward implements Layer.
 func (d *Dropout) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	checkCols(d.Name(), d.Dim, x.Cols)
+	checkCols(d, d.Dim, x.Cols)
 	if !train || d.P <= 0 {
 		d.mask = nil
 		return x

@@ -7,8 +7,10 @@
 // Convolutional layers interpret rows in (C, H, W) channel-major order,
 // matching the feature-tensor layout produced by the features package.
 //
-// Layers carry per-batch caches for backpropagation, so a Network is NOT
-// safe for concurrent use; Clone one network per goroutine instead.
+// Layers carry per-batch caches for backpropagation, so Forward and
+// Backward are NOT safe for concurrent use; Clone one network per
+// training goroutine. The inference entry points (Score, PredictBatch,
+// ForwardBatch) only read the network and may share one.
 package nn
 
 import (
@@ -119,8 +121,9 @@ func (n *Network) Init(rng *rand.Rand) {
 // checkCols panics with a clear message on a layer input-width mismatch;
 // this is a programming error (wrong architecture wiring), not runtime
 // input, so panicking is appropriate.
-func checkCols(layer string, want, got int) {
+func checkCols(l Layer, want, got int) {
 	if want != got {
-		panic(fmt.Sprintf("nn: %s expects input width %d, got %d", layer, want, got))
+		// Name is a Sprintf: built only for the panic, not per pass.
+		panic(fmt.Sprintf("nn: %s expects input width %d, got %d", l.Name(), want, got))
 	}
 }

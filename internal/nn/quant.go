@@ -165,7 +165,7 @@ func (d *DenseF32) Clone() Layer { return d }
 // forwardInfer implements inferencer: narrow the batch to float32, run
 // the float32 matmul, widen the biased result.
 func (d *DenseF32) forwardInfer(x *tensor.Matrix, ar *Arena) *tensor.Matrix {
-	checkCols(d.Name(), d.In, x.Cols)
+	checkCols(d, d.In, x.Cols)
 	x32 := ar.get32(x.Rows, x.Cols)
 	for i, v := range x.Data {
 		x32.Data[i] = float32(v)
@@ -231,7 +231,7 @@ func (d *DenseInt8) Clone() Layer { return d }
 
 // forwardInfer implements inferencer.
 func (d *DenseInt8) forwardInfer(x *tensor.Matrix, ar *Arena) *tensor.Matrix {
-	checkCols(d.Name(), d.In, x.Cols)
+	checkCols(d, d.In, x.Cols)
 	qx := ar.geti8(1, d.In).Row(0)
 	out := ar.get(x.Rows, d.Out)
 	for i := 0; i < x.Rows; i++ {
@@ -296,7 +296,7 @@ func (c *Conv2DF32) Clone() Layer { return c }
 func (c *Conv2DF32) forwardInfer(x *tensor.Matrix, ar *Arena) *tensor.Matrix {
 	g := c.g
 	inLen := g.inC * g.inH * g.inW
-	checkCols(c.Name(), inLen, x.Cols)
+	checkCols(c, inLen, x.Cols)
 	out := ar.get(x.Rows, c.OutDim())
 	klen := g.inC * g.k * g.k
 	rowsPer := convTileRows(g)
@@ -381,7 +381,7 @@ func (c *Conv2DInt8) Clone() Layer { return c }
 // forwardInfer implements inferencer.
 func (c *Conv2DInt8) forwardInfer(x *tensor.Matrix, ar *Arena) *tensor.Matrix {
 	inLen := c.g.inC * c.g.inH * c.g.inW
-	checkCols(c.Name(), inLen, x.Cols)
+	checkCols(c, inLen, x.Cols)
 	klen := c.g.inC * c.g.k * c.g.k
 	positions := c.g.oh * c.g.ow
 	out := ar.get(x.Rows, c.OutDim())

@@ -321,13 +321,22 @@ func ScoreBatch(net *Network, x [][]float64) ([]float64, error) {
 	return out, nil
 }
 
-// Score returns the hotspot probability of a single sample.
+// Score returns the hotspot probability of a single sample: one row
+// through ForwardBatch on a pooled arena, softmax in place. It reads the
+// network and writes only the arena, so any number of goroutines may
+// score through one Network, and in steady state it allocates nothing.
+// The result is bit-identical to Probabilities(net.Forward(x, false))[0]
+// and to the sample's PredictBatch score.
 func Score(net *Network, x []float64) float64 {
-	xb, err := tensor.FromSlice(1, len(x), x)
-	if err != nil {
-		return 0
-	}
-	return Probabilities(net.Forward(xb, false))[0]
+	ar := getArena()
+	// Deferred so that a layer panic (an input of the wrong width) hands
+	// the arena back rewound rather than mid-pass.
+	defer putArena(ar)
+	xb := ar.get(1, len(x))
+	copy(xb.Data, x)
+	logits := net.ForwardBatch(xb, ar)
+	logits.SoftmaxRows()
+	return logits.At(0, 1)
 }
 
 // BuildMLP assembles in -> hidden... -> 2 with ReLU activations, the

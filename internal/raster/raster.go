@@ -190,12 +190,30 @@ func (c Config) Validate() error {
 // Rasterize renders the given shapes clipped to c.Window into an
 // area-accurate grayscale image. Overlapping shapes saturate at 1.
 func Rasterize(c Config, shapes []geom.Rect) (*Image, error) {
-	if err := c.Validate(); err != nil {
+	im := new(Image)
+	if err := RasterizeInto(im, c, shapes); err != nil {
 		return nil, err
+	}
+	return im, nil
+}
+
+// RasterizeInto is Rasterize into a caller-owned image: im is resized to
+// the window (its pixel buffer is reused when large enough), cleared, and
+// rendered, so whatever it held before cannot show through. On error im
+// is left as it was.
+func RasterizeInto(im *Image, c Config, shapes []geom.Rect) error {
+	if err := c.Validate(); err != nil {
+		return err
 	}
 	w := ceilDiv(c.Window.Dx(), c.PixelNM)
 	h := ceilDiv(c.Window.Dy(), c.PixelNM)
-	im := NewImage(w, h)
+	if cap(im.Pix) < w*h {
+		im.Pix = make([]float64, w*h)
+	} else {
+		im.Pix = im.Pix[:w*h]
+		clear(im.Pix)
+	}
+	im.W, im.H = w, h
 	pxArea := float64(c.PixelNM) * float64(c.PixelNM)
 
 	for _, s := range shapes {
@@ -228,7 +246,7 @@ func Rasterize(c Config, shapes []geom.Rect) (*Image, error) {
 			}
 		}
 	}
-	return im, nil
+	return nil
 }
 
 // Downsample reduces im by an integer factor using box averaging. The image

@@ -260,3 +260,56 @@ func TestRasterizeManyOverlappingShapes(t *testing.T) {
 		}
 	}
 }
+
+// TestRasterizeIntoReusesAndClears: one image carried through a full
+// window, an empty one, a larger one, a smaller one and a refused config
+// always equals a fresh Rasterize, and keeps its buffer when it fits.
+func TestRasterizeIntoReusesAndClears(t *testing.T) {
+	full := []geom.Rect{geom.R(0, 0, 400, 400)}
+	var im Image
+	for i, step := range []struct {
+		c      Config
+		shapes []geom.Rect
+	}{
+		{Config{Window: geom.R(0, 0, 100, 100), PixelNM: 10}, full},
+		{Config{Window: geom.R(0, 0, 100, 100), PixelNM: 10}, nil},
+		{Config{Window: geom.R(0, 0, 400, 200), PixelNM: 10}, []geom.Rect{geom.R(15, 15, 390, 42)}},
+		{Config{Window: geom.R(50, 50, 90, 110), PixelNM: 20}, full},
+	} {
+		fits := cap(im.Pix) >= ceilDiv(step.c.Window.Dx(), step.c.PixelNM)*ceilDiv(step.c.Window.Dy(), step.c.PixelNM)
+		first := backing(im.Pix)
+		if err := RasterizeInto(&im, step.c, step.shapes); err != nil {
+			t.Fatal(err)
+		}
+		want, err := Rasterize(step.c, step.shapes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if im.W != want.W || im.H != want.H || len(im.Pix) != len(want.Pix) {
+			t.Fatalf("step %d: %dx%d (%d px), want %dx%d (%d px)", i, im.W, im.H, len(im.Pix), want.W, want.H, len(want.Pix))
+		}
+		for j := range want.Pix {
+			if im.Pix[j] != want.Pix[j] {
+				t.Fatalf("step %d: pixel %d = %v, want %v", i, j, im.Pix[j], want.Pix[j])
+			}
+		}
+		if fits && first != backing(im.Pix) {
+			t.Fatalf("step %d: a buffer that fits was replaced", i)
+		}
+	}
+	w, h, n := im.W, im.H, len(im.Pix)
+	if err := RasterizeInto(&im, Config{Window: geom.R(0, 0, 10, 10)}, nil); err == nil {
+		t.Fatal("PixelNM 0 accepted")
+	}
+	if im.W != w || im.H != h || len(im.Pix) != n {
+		t.Fatal("a refused config changed the image")
+	}
+}
+
+// backing identifies a slice's backing array by its first element.
+func backing(p []float64) *float64 {
+	if cap(p) == 0 {
+		return nil
+	}
+	return &p[:1][0]
+}

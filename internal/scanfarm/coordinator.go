@@ -71,6 +71,10 @@ type Result struct {
 	// Resumed counts shards skipped because Completed records covered
 	// them.
 	Resumed int
+	// Scanned counts the windows of the shards this run scanned to the
+	// end: resumed and quarantined shards excluded. Scanned over the
+	// run's wall time is the scan's windows/s.
+	Scanned int
 	// Quarantined lists poison shards in ascending shard ID order.
 	Quarantined []Quarantine
 	// Interrupted is set when ctx was cancelled before every shard
@@ -199,6 +203,10 @@ func Run(ctx context.Context, chip *layout.Layout, det core.Detector, cfg Config
 		mu.Lock()
 		defer mu.Unlock()
 		records[rec.ShardID] = rec
+		if rec.State == ShardDone {
+			r0, r1 := plan.ShardRowRange(rec.ShardID)
+			res.Scanned += (r1 - r0) * plan.Cols
+		}
 		if cfg.Journal != nil && journalErr == nil {
 			journalErr = cfg.Journal.Append(*rec)
 		}

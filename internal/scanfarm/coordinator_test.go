@@ -41,6 +41,9 @@ func TestFarmMatchesCoreScan(t *testing.T) {
 	if res.Interrupted || len(res.Quarantined) != 0 {
 		t.Fatalf("clean run interrupted=%v quarantined=%d", res.Interrupted, len(res.Quarantined))
 	}
+	if res.Scanned != res.Windows || res.Windows == 0 {
+		t.Fatalf("clean run scanned %d of %d windows", res.Scanned, res.Windows)
+	}
 	if !reflect.DeepEqual(res.Findings, want) {
 		t.Fatalf("farm findings diverge from core scan:\nfarm %v\ncore %v", res.Findings, want)
 	}
@@ -148,6 +151,9 @@ func TestFarmQuarantinesPoisonShard(t *testing.T) {
 	// Every reference finding outside the quarantined shards survives,
 	// and nothing extra appears.
 	plan := NewPlan(chip.Bounds(), cfg)
+	if lost := len(res.Quarantined) * plan.Cols; res.Scanned != res.Windows-lost { // ShardRows is 1
+		t.Fatalf("scanned %d windows, want %d less the %d quarantined", res.Scanned, res.Windows, lost)
+	}
 	var want []core.Finding
 	for _, f := range referenceFindings(t, chip, inner, cfg) {
 		if !quarantined[shardOf(plan, f.Center)] {
@@ -189,8 +195,8 @@ func TestFarmQuarantinesPoisonShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Resumed != res2.Shards {
-		t.Fatalf("resume ran shards: resumed %d of %d", res2.Resumed, res2.Shards)
+	if res2.Resumed != res2.Shards || res2.Scanned != 0 {
+		t.Fatalf("resume ran shards: resumed %d of %d, scanned %d windows", res2.Resumed, res2.Shards, res2.Scanned)
 	}
 	if got := counterValue(t, reg2, "scan_quarantined_shards"); got != float64(len(res.Quarantined)) {
 		t.Fatalf("resumed scan_quarantined_shards = %v, want %d", got, len(res.Quarantined))
@@ -345,6 +351,11 @@ func TestFarmCancelIsResumable(t *testing.T) {
 	}
 	if res2.Resumed != len(completed) {
 		t.Fatalf("resumed %d shards, want %d", res2.Resumed, len(completed))
+	}
+	// Windows/s is over what each run scanned itself: the two runs
+	// split the chip's windows between them, resumed shards uncounted.
+	if res.Scanned == 0 || res2.Scanned == 0 || res.Scanned+res2.Scanned != res2.Windows {
+		t.Fatalf("scanned %d then %d windows of %d", res.Scanned, res2.Scanned, res2.Windows)
 	}
 	if !reflect.DeepEqual(res2.Findings, want) {
 		t.Fatalf("resumed findings diverge:\ngot  %v\nwant %v", res2.Findings, want)
