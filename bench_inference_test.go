@@ -118,6 +118,32 @@ func BenchmarkParallelMatMul(b *testing.B) {
 	})
 }
 
+// BenchmarkMatMulTransB measures the A·Bᵀ kernel on conv1's weight-
+// gradient shape (one sample: OutC x positions times the klen x
+// positions column matrix) against what it replaced, a fresh Transpose
+// followed by the blocked kernel.
+func BenchmarkMatMulTransB(b *testing.B) {
+	const outC, positions, klen = 16, 256, 144
+	rng := rand.New(rand.NewSource(11))
+	grad := tensor.NewMatrix(outC, positions)
+	grad.Randomize(rng, 1)
+	cols := tensor.NewMatrix(klen, positions)
+	cols.Randomize(rng, 1)
+	dst := tensor.NewMatrix(outC, klen)
+	b.Run("transb", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tensor.MatMulTransBInto(dst, grad, cols)
+		}
+	})
+	b.Run("transpose+matmul", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tensor.MatMulInto(dst, grad, cols.Transpose())
+		}
+	})
+}
+
 // BenchmarkMatMulKernels compares the three kernel tiers on the Dense
 // hot-path shape (batch x hidden x hidden): the blocked float64 kernel,
 // its float32 twin, and the int8 quantized transposed kernel (including

@@ -50,8 +50,11 @@ echo "== kill-resume chaos =="
 # Training is killed at several injected fault points and resumed from
 # the checkpoint; the resumed model must be byte-identical to the
 # uninterrupted run. -race because resume replays concurrent-safe RNG
-# and optimizer state.
-go test -run 'TestKillResume|TestStopResume|TestCheckpointTornWrite' -race ./internal/nn/
+# and optimizer state. The TestTrainStep tests hold the sample-sharded
+# training step to the bytes the serial loop trained (a golden written
+# at the commit before it), under 1, 2 and 8 kernel workers and with
+# fits running side by side on the one pool.
+go test -run 'TestKillResume|TestStopResume|TestCheckpointTornWrite|TestTrainStep' -race ./internal/nn/
 
 echo "== scan farm chaos =="
 # The shard coordinator is hammered with injected faults (errors,

@@ -182,7 +182,7 @@ func run() error {
 			// reproduce the shipped model byte-identically.
 			cand := spec.New().(*hsd.NeuralDetector)
 			train := append(append([]core.LabeledClip(nil), baseTrain...), labeled...)
-			if err := cand.Fit(hsd.AugmentMinority(train, spec.Augment)); err != nil {
+			if err := cand.FitCtx(tctx, hsd.AugmentMinority(train, spec.Augment)); err != nil {
 				return "", err
 			}
 			path := fmt.Sprintf("%s/model-%03d.gob", *modelDir, batchID)

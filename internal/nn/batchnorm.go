@@ -19,10 +19,17 @@ type BatchNorm struct {
 	RunMean, RunVar []float64
 
 	gGamma, gBeta []float64
-	// Per-batch caches.
-	xhat   *tensor.Matrix
-	invStd []float64
-	xmu    *tensor.Matrix
+	tr            *bnScratch
+}
+
+// bnScratch is a BatchNorm's training scratch (see scratch.go): the
+// batch statistics and normalized activations Backward reads, and the
+// reduction terms of its dx formula.
+type bnScratch struct {
+	out, dx, xmu, xhat *tensor.Matrix
+	mean, variance     []float64
+	invStd             []float64
+	sumDy, sumDyXhat   []float64
 }
 
 var _ Layer = (*BatchNorm)(nil)
@@ -48,11 +55,13 @@ func (b *BatchNorm) Name() string { return fmt.Sprintf("batchnorm(%d)", b.Dim) }
 // OutDim implements Layer.
 func (b *BatchNorm) OutDim() int { return b.Dim }
 
+func (b *BatchNorm) dropScratch() { b.tr = nil }
+
 // Forward implements Layer.
 func (b *BatchNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	checkCols(b, b.Dim, x.Cols)
-	out := tensor.NewMatrix(x.Rows, x.Cols)
 	if !train {
+		out := tensor.NewMatrix(x.Rows, x.Cols)
 		for i := 0; i < x.Rows; i++ {
 			src, dst := x.Row(i), out.Row(i)
 			for j := range src {
@@ -60,11 +69,22 @@ func (b *BatchNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 				dst[j] = b.Gamma[j]*xhat + b.Beta[j]
 			}
 		}
-		b.xhat = nil
 		return out
 	}
+	if b.tr == nil {
+		b.tr = &bnScratch{}
+	}
+	s := b.tr
+	s.out = sized(s.out, x.Rows, x.Cols)
+	s.xmu = sized(s.xmu, x.Rows, x.Cols)
+	s.xhat = sized(s.xhat, x.Rows, x.Cols)
+	s.mean = grow(s.mean, b.Dim)
+	s.variance = grow(s.variance, b.Dim)
+	s.invStd = grow(s.invStd, b.Dim)
+	mean, variance := s.mean, s.variance
+	clear(mean)
+	clear(variance)
 	n := float64(x.Rows)
-	mean := make([]float64, b.Dim)
 	for i := 0; i < x.Rows; i++ {
 		row := x.Row(i)
 		for j, v := range row {
@@ -74,29 +94,25 @@ func (b *BatchNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	for j := range mean {
 		mean[j] /= n
 	}
-	variance := make([]float64, b.Dim)
-	b.xmu = tensor.NewMatrix(x.Rows, x.Cols)
 	for i := 0; i < x.Rows; i++ {
 		row := x.Row(i)
-		xmu := b.xmu.Row(i)
+		xmu := s.xmu.Row(i)
 		for j, v := range row {
 			d := v - mean[j]
 			xmu[j] = d
 			variance[j] += d * d
 		}
 	}
-	b.invStd = make([]float64, b.Dim)
 	for j := range variance {
 		variance[j] /= n
-		b.invStd[j] = 1 / math.Sqrt(variance[j]+b.Eps)
+		s.invStd[j] = 1 / math.Sqrt(variance[j]+b.Eps)
 	}
-	b.xhat = tensor.NewMatrix(x.Rows, x.Cols)
 	for i := 0; i < x.Rows; i++ {
-		xmu := b.xmu.Row(i)
-		xh := b.xhat.Row(i)
-		dst := out.Row(i)
+		xmu := s.xmu.Row(i)
+		xh := s.xhat.Row(i)
+		dst := s.out.Row(i)
 		for j := range xmu {
-			xh[j] = xmu[j] * b.invStd[j]
+			xh[j] = xmu[j] * s.invStd[j]
 			dst[j] = b.Gamma[j]*xh[j] + b.Beta[j]
 		}
 	}
@@ -105,21 +121,25 @@ func (b *BatchNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 		b.RunMean[j] = (1-m)*b.RunMean[j] + m*mean[j]
 		b.RunVar[j] = (1-m)*b.RunVar[j] + m*variance[j]
 	}
-	return out
+	return s.out
 }
 
 // Backward implements Layer.
 func (b *BatchNorm) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	if b.xhat == nil {
+	s := b.tr
+	if s == nil || s.xhat.Rows != grad.Rows {
 		panic("nn: BatchNorm.Backward without training Forward")
 	}
 	n := float64(grad.Rows)
 	// dgamma, dbeta, and the two reduction terms of the dx formula.
-	sumDy := make([]float64, b.Dim)
-	sumDyXhat := make([]float64, b.Dim)
+	s.sumDy = grow(s.sumDy, b.Dim)
+	s.sumDyXhat = grow(s.sumDyXhat, b.Dim)
+	sumDy, sumDyXhat := s.sumDy, s.sumDyXhat
+	clear(sumDy)
+	clear(sumDyXhat)
 	for i := 0; i < grad.Rows; i++ {
 		g := grad.Row(i)
-		xh := b.xhat.Row(i)
+		xh := s.xhat.Row(i)
 		for j := range g {
 			sumDy[j] += g[j]
 			sumDyXhat[j] += g[j] * xh[j]
@@ -129,18 +149,18 @@ func (b *BatchNorm) Backward(grad *tensor.Matrix) *tensor.Matrix {
 		b.gGamma[j] += sumDyXhat[j]
 		b.gBeta[j] += sumDy[j]
 	}
-	dx := tensor.NewMatrix(grad.Rows, grad.Cols)
+	s.dx = sized(s.dx, grad.Rows, grad.Cols)
 	for i := 0; i < grad.Rows; i++ {
 		g := grad.Row(i)
-		xh := b.xhat.Row(i)
-		d := dx.Row(i)
+		xh := s.xhat.Row(i)
+		d := s.dx.Row(i)
 		for j := range g {
 			// dx = gamma*invStd/N * (N*dy - sum(dy) - xhat*sum(dy*xhat))
-			d[j] = b.Gamma[j] * b.invStd[j] / n *
+			d[j] = b.Gamma[j] * s.invStd[j] / n *
 				(n*g[j] - sumDy[j] - xh[j]*sumDyXhat[j])
 		}
 	}
-	return dx
+	return s.dx
 }
 
 // Params implements Layer.

@@ -71,3 +71,31 @@ func BenchmarkMLPInference(b *testing.B) {
 		Score(net, x)
 	}
 }
+
+// BenchmarkFitZooCNN measures one whole fit of the zoo CNN as every
+// bench set-up and learn cycle runs it: two epochs over 256 samples,
+// batch 32, Adam, dropout. B/op is what one fit allocates in total.
+func BenchmarkFitZooCNN(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	x := make([][]float64, 256)
+	y := make([]int, len(x))
+	for i := range x {
+		x[i] = make([]float64, 16*16*16)
+		for j := range x[i] {
+			x[i][j] = rng.NormFloat64()
+		}
+		y[i] = rng.Intn(2)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net, err := BuildCNN(CNNConfig{InC: 16, InH: 16, InW: 16, Conv1: 16, Conv2: 24, Hidden: 48, DropoutP: 0.1, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := TrainConfig{Epochs: 2, BatchSize: 32, Seed: 1, Optimizer: NewAdam(1e-3), Loss: SoftmaxCE{BiasEps: 0.25}}
+		if _, err := Fit(net, x, y, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -17,9 +17,31 @@ type Conv2D struct {
 	W *tensor.Matrix // OutC x (InC*K*K)
 	B []float64
 
-	gw   *tensor.Matrix
-	gb   []float64
-	cols []*tensor.Matrix // per-sample im2col cache
+	gw *tensor.Matrix
+	gb []float64
+	tr *convScratch
+}
+
+// convScratch is what one training step of a Conv2D keeps between
+// Forward and Backward and hands to its neighbours (see scratch.go).
+type convScratch struct {
+	// cols holds sample i's im2col matrix (klen x positions, row-major)
+	// at [i*klen*positions:]: gathered by Forward, read by Backward.
+	cols []float64
+	out  *tensor.Matrix
+
+	// gwSlot and gbSlot hold sample i's weight- and bias-gradient
+	// partials at [i*OutC*klen:] and [i*OutC:]. Pool goroutines fill
+	// them concurrently; backward then adds them into gw and gb in
+	// ascending sample order, the order the serial loop summed in, so
+	// the gradients do not depend on which goroutine took which sample.
+	gwSlot, gbSlot []float64
+
+	dx *tensor.Matrix
+	wT *tensor.Matrix
+	// band holds, per pool goroutine, a K*K x positions slice of
+	// Wᵀ·grad: one input channel at a time on its way through col2im.
+	band []float64
 }
 
 var _ Layer = (*Conv2D)(nil)
@@ -64,125 +86,138 @@ func (c *Conv2D) init(rng *rand.Rand) {
 	}
 }
 
-// im2col unrolls one flattened sample into a (InC*K*K) x (OutH*OutW)
-// matrix whose columns are receptive fields.
-func (c *Conv2D) im2col(sample []float64) *tensor.Matrix {
-	oh, ow := c.OutH(), c.OutW()
-	cols := tensor.NewMatrix(c.InC*c.K*c.K, oh*ow)
-	for ch := 0; ch < c.InC; ch++ {
-		chOff := ch * c.InH * c.InW
-		for ky := 0; ky < c.K; ky++ {
-			for kx := 0; kx < c.K; kx++ {
-				rowIdx := (ch*c.K+ky)*c.K + kx
-				dst := cols.Row(rowIdx)
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*c.Stride + ky - c.Pad
-					if iy < 0 || iy >= c.InH {
-						continue
-					}
-					srcRow := chOff + iy*c.InW
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*c.Stride + kx - c.Pad
-						if ix < 0 || ix >= c.InW {
-							continue
-						}
-						dst[oy*ow+ox] = sample[srcRow+ix]
-					}
-				}
-			}
-		}
-	}
-	return cols
-}
+func (c *Conv2D) dropScratch() { c.tr = nil }
 
-// col2im scatters column gradients back into a flattened sample gradient.
-func (c *Conv2D) col2im(cols *tensor.Matrix, dst []float64) {
-	oh, ow := c.OutH(), c.OutW()
-	for ch := 0; ch < c.InC; ch++ {
-		chOff := ch * c.InH * c.InW
-		for ky := 0; ky < c.K; ky++ {
-			for kx := 0; kx < c.K; kx++ {
-				rowIdx := (ch*c.K+ky)*c.K + kx
-				src := cols.Row(rowIdx)
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*c.Stride + ky - c.Pad
-					if iy < 0 || iy >= c.InH {
-						continue
-					}
-					dstRow := chOff + iy*c.InW
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*c.Stride + kx - c.Pad
-						if ix < 0 || ix >= c.InW {
-							continue
-						}
-						dst[dstRow+ix] += src[oy*ow+ox]
-					}
+// col2imChannel scatters one input channel's K*K rows of column
+// gradients (band, K*K x positions) into that channel of a flattened
+// sample gradient. Taps are visited in ascending (ky, kx), the order in
+// which each dst cell must take its terms.
+func col2imChannel(g convGeom, ch int, band, dst []float64) {
+	positions := g.oh * g.ow
+	chOff := ch * g.inH * g.inW
+	for ky := 0; ky < g.k; ky++ {
+		oy0, oy1 := validRange(g.oh, g.stride, ky, g.pad, g.inH)
+		for kx := 0; kx < g.k; kx++ {
+			ox0, ox1 := validRange(g.ow, g.stride, kx, g.pad, g.inW)
+			src := band[(ky*g.k+kx)*positions:][:positions]
+			for oy := oy0; oy < oy1; oy++ {
+				drow := dst[chOff+(oy*g.stride+ky-g.pad)*g.inW:][:g.inW]
+				srow := src[oy*g.ow : (oy+1)*g.ow]
+				for ox := ox0; ox < ox1; ox++ {
+					drow[ox*g.stride+kx-g.pad] += srow[ox]
 				}
 			}
 		}
 	}
 }
 
-// Forward implements Layer.
+// Forward implements Layer: per sample, the full-height im2col gather
+// and one blocked matmul written straight into the sample's output row,
+// with the batch's samples spread over the kernel pool. Samples are
+// independent, so the output does not depend on who computed which.
 func (c *Conv2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	checkCols(c, c.InC*c.InH*c.InW, x.Cols)
-	oh, ow := c.OutH(), c.OutW()
-	out := tensor.NewMatrix(x.Rows, c.OutDim())
+	g := c.geom()
+	klen, positions := c.W.Cols, g.oh*g.ow
+	csz := klen * positions
+	ex := executors()
+	// Column matrices: one per sample, kept for Backward, when training;
+	// one per pool goroutine otherwise.
+	var out *tensor.Matrix
+	var cache []float64
 	if train {
-		c.cols = make([]*tensor.Matrix, x.Rows)
-	} else {
-		c.cols = nil
-	}
-	prod := tensor.NewMatrix(c.OutC, oh*ow)
-	for i := 0; i < x.Rows; i++ {
-		cols := c.im2col(x.Row(i))
-		if train {
-			c.cols[i] = cols
+		if c.tr == nil {
+			c.tr = &convScratch{}
 		}
-		tensor.MatMulInto(prod, c.W, cols)
-		dst := out.Row(i)
-		for oc := 0; oc < c.OutC; oc++ {
-			bias := c.B[oc]
-			src := prod.Row(oc)
-			base := oc * oh * ow
-			for p, v := range src {
-				dst[base+p] = v + bias
+		s := c.tr
+		s.out = sized(s.out, x.Rows, c.OutDim())
+		s.cols = grow(s.cols, x.Rows*csz)
+		out, cache = s.out, s.cols
+	} else {
+		out = tensor.NewMatrix(x.Rows, c.OutDim())
+		cache = make([]float64, ex*csz)
+	}
+	forSamples(x.Rows, ex, func(w, i int) {
+		at := w
+		if train {
+			at = i
+		}
+		cols := tensor.Matrix{Rows: klen, Cols: positions, Data: cache[at*csz : (at+1)*csz]}
+		im2colTile(g, x.Row(i), 0, g.oh, cols.Data)
+		prod := tensor.Matrix{Rows: c.OutC, Cols: positions, Data: out.Row(i)}
+		tensor.MatMulInto(&prod, c.W, &cols)
+		for oc, bias := range c.B {
+			seg := prod.Row(oc)
+			for p := range seg {
+				seg[p] += bias
 			}
 		}
-	}
+	})
 	return out
 }
 
 // Backward implements Layer.
-func (c *Conv2D) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	if c.cols == nil {
+func (c *Conv2D) Backward(grad *tensor.Matrix) *tensor.Matrix { return c.backward(grad, true) }
+
+// backwardParams implements paramGrader.
+func (c *Conv2D) backwardParams(grad *tensor.Matrix) { c.backward(grad, false) }
+
+// backward accumulates dL/dW and dL/db and, when needDX, returns
+// dL/dInput. Samples are spread over the kernel pool; see convScratch
+// for why the result does not depend on who computed which.
+func (c *Conv2D) backward(grad *tensor.Matrix, needDX bool) *tensor.Matrix {
+	s := c.tr
+	if s == nil || s.out.Rows != grad.Rows {
 		panic("nn: Conv2D.Backward without training Forward")
 	}
-	oh, ow := c.OutH(), c.OutW()
-	dx := tensor.NewMatrix(grad.Rows, c.InC*c.InH*c.InW)
-	gradSample := tensor.NewMatrix(c.OutC, oh*ow)
-	wT := c.W.Transpose()
-	dcols := tensor.NewMatrix(c.W.Cols, oh*ow)
-	gwPart := tensor.NewMatrix(c.OutC, c.W.Cols)
-	for i := 0; i < grad.Rows; i++ {
-		g := grad.Row(i)
+	rows := grad.Rows
+	g := c.geom()
+	klen, positions := c.W.Cols, g.oh*g.ow
+	csz, wsz := klen*positions, c.OutC*klen
+	s.gwSlot = grow(s.gwSlot, rows*wsz)
+	s.gbSlot = grow(s.gbSlot, rows*c.OutC)
+	ex := executors()
+	kk := c.K * c.K
+	var dx *tensor.Matrix
+	if needDX {
+		s.dx = sized(s.dx, rows, c.InC*c.InH*c.InW)
+		s.dx.Zero() // col2im accumulates
+		s.wT = transposeInto(s.wT, c.W)
+		s.band = grow(s.band, ex*kk*positions)
+		dx = s.dx
+	}
+	forSamples(rows, ex, func(w, i int) {
+		gm := tensor.Matrix{Rows: c.OutC, Cols: positions, Data: grad.Row(i)}
 		for oc := 0; oc < c.OutC; oc++ {
-			src := g[oc*oh*ow : (oc+1)*oh*ow]
-			copy(gradSample.Row(oc), src)
-			var s float64
-			for _, v := range src {
-				s += v
+			var sum float64
+			for _, v := range gm.Row(oc) {
+				sum += v
 			}
-			c.gb[oc] += s
+			s.gbSlot[i*c.OutC+oc] = sum
 		}
-		// dW += gradSample * cols^T
-		tensor.MatMulInto(gwPart, gradSample, c.cols[i].Transpose())
-		if err := tensor.Axpy(1, gwPart, c.gw); err != nil {
-			panic(err)
+		// dW partial = grad_i · cols_iᵀ
+		cols := tensor.Matrix{Rows: klen, Cols: positions, Data: s.cols[i*csz : (i+1)*csz]}
+		slot := tensor.Matrix{Rows: c.OutC, Cols: klen, Data: s.gwSlot[i*wsz : (i+1)*wsz]}
+		tensor.MatMulTransBInto(&slot, &gm, &cols)
+		if !needDX {
+			return
 		}
-		// dCols = W^T * gradSample; scatter back.
-		tensor.MatMulInto(dcols, wT, gradSample)
-		c.col2im(dcols, dx.Row(i))
+		// dCols = Wᵀ · grad_i, one input channel's rows at a time,
+		// scattered back while the band is cache-hot.
+		band := tensor.Matrix{Rows: kk, Cols: positions, Data: s.band[w*kk*positions : (w+1)*kk*positions]}
+		for ch := 0; ch < c.InC; ch++ {
+			wTch := tensor.Matrix{Rows: kk, Cols: c.OutC, Data: s.wT.Data[ch*kk*c.OutC : (ch+1)*kk*c.OutC]}
+			tensor.MatMulInto(&band, &wTch, &gm)
+			col2imChannel(g, ch, band.Data, dx.Row(i))
+		}
+	})
+	for i := 0; i < rows; i++ {
+		for oc := range c.gb {
+			c.gb[oc] += s.gbSlot[i*c.OutC+oc]
+		}
+		for j, v := range s.gwSlot[i*wsz : (i+1)*wsz] {
+			c.gw.Data[j] += v
+		}
 	}
 	return dx
 }
@@ -207,7 +242,14 @@ type MaxPool2D struct {
 	C, H, W int
 	Size    int
 
-	argmax [][]int // per sample, per output element: input index
+	tr *poolScratch
+}
+
+// poolScratch is a MaxPool2D's training scratch (see scratch.go);
+// argmax holds, per sample and output element, the winning input index.
+type poolScratch struct {
+	out, dx *tensor.Matrix
+	argmax  []int
 }
 
 var _ Layer = (*MaxPool2D)(nil)
@@ -226,24 +268,29 @@ func (m *MaxPool2D) Name() string { return fmt.Sprintf("maxpool(%d)", m.Size) }
 // OutDim implements Layer.
 func (m *MaxPool2D) OutDim() int { return m.C * (m.H / m.Size) * (m.W / m.Size) }
 
+func (m *MaxPool2D) dropScratch() { m.tr = nil }
+
 // Forward implements Layer.
 func (m *MaxPool2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	checkCols(m, m.C*m.H*m.W, x.Cols)
 	oh, ow := m.H/m.Size, m.W/m.Size
-	out := tensor.NewMatrix(x.Rows, m.OutDim())
+	od := m.OutDim()
+	var out *tensor.Matrix
+	var argmax []int
 	if train {
-		m.argmax = make([][]int, x.Rows)
+		if m.tr == nil {
+			m.tr = &poolScratch{}
+		}
+		s := m.tr
+		s.out = sized(s.out, x.Rows, od)
+		s.argmax = grow(s.argmax, x.Rows*od)
+		out, argmax = s.out, s.argmax
 	} else {
-		m.argmax = nil
+		out = tensor.NewMatrix(x.Rows, od)
 	}
-	for i := 0; i < x.Rows; i++ {
+	forRows(x.Rows, x.Cols, func(i int) {
 		src := x.Row(i)
 		dst := out.Row(i)
-		var am []int
-		if train {
-			am = make([]int, m.OutDim())
-			m.argmax[i] = am
-		}
 		for ch := 0; ch < m.C; ch++ {
 			chOff := ch * m.H * m.W
 			for oy := 0; oy < oh; oy++ {
@@ -263,29 +310,32 @@ func (m *MaxPool2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 					o := (ch*oh+oy)*ow + ox
 					dst[o] = best
 					if train {
-						am[o] = bestIdx
+						argmax[i*od+o] = bestIdx
 					}
 				}
 			}
 		}
-	}
+	})
 	return out
 }
 
 // Backward implements Layer.
 func (m *MaxPool2D) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	if m.argmax == nil {
+	s := m.tr
+	if s == nil || len(s.argmax) != len(grad.Data) {
 		panic("nn: MaxPool2D.Backward without training Forward")
 	}
-	dx := tensor.NewMatrix(grad.Rows, m.C*m.H*m.W)
-	for i := 0; i < grad.Rows; i++ {
+	s.dx = sized(s.dx, grad.Rows, m.C*m.H*m.W)
+	od := m.OutDim()
+	forRows(grad.Rows, s.dx.Cols, func(i int) {
 		g := grad.Row(i)
-		d := dx.Row(i)
-		for o, idx := range m.argmax[i] {
+		d := s.dx.Row(i)
+		clear(d)
+		for o, idx := range s.argmax[i*od : (i+1)*od] {
 			d[idx] += g[o]
 		}
-	}
-	return dx
+	})
+	return s.dx
 }
 
 // Params implements Layer.

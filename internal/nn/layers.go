@@ -14,9 +14,17 @@ type Dense struct {
 	W       *tensor.Matrix // In x Out
 	B       []float64
 
-	gw   *tensor.Matrix
-	gb   []float64
-	last *tensor.Matrix // cached input
+	gw *tensor.Matrix
+	gb []float64
+	tr *denseScratch
+}
+
+// denseScratch is a Dense layer's training scratch (see scratch.go). x
+// is the last training Forward's input, borrowed from the caller; xT
+// and gw are its transpose and this batch's xᵀ·grad.
+type denseScratch struct {
+	x               *tensor.Matrix
+	out, dx, xT, gw *tensor.Matrix
 }
 
 var _ Layer = (*Dense)(nil)
@@ -46,31 +54,45 @@ func (d *Dense) init(rng *rand.Rand) {
 	}
 }
 
+func (d *Dense) dropScratch() { d.tr = nil }
+
 // Forward implements Layer.
 func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	checkCols(d, d.In, x.Cols)
-	out := tensor.NewMatrix(x.Rows, d.Out)
-	tensor.MatMulInto(out, x, d.W)
+	var out *tensor.Matrix
+	if train {
+		if d.tr == nil {
+			d.tr = &denseScratch{}
+		}
+		d.tr.x = x
+		d.tr.out = sized(d.tr.out, x.Rows, d.Out)
+		out = d.tr.out
+	} else {
+		out = tensor.NewMatrix(x.Rows, d.Out)
+	}
+	tensor.ParallelMatMulInto(out, x, d.W)
 	if err := out.AddRowVector(d.B); err != nil {
 		panic(err) // impossible: dimensions fixed at construction
-	}
-	if train {
-		d.last = x
-	} else {
-		d.last = nil
 	}
 	return out
 }
 
 // Backward implements Layer.
-func (d *Dense) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	if d.last == nil {
+func (d *Dense) Backward(grad *tensor.Matrix) *tensor.Matrix { return d.backward(grad, true) }
+
+// backwardParams implements paramGrader.
+func (d *Dense) backwardParams(grad *tensor.Matrix) { d.backward(grad, false) }
+
+func (d *Dense) backward(grad *tensor.Matrix, needDX bool) *tensor.Matrix {
+	s := d.tr
+	if s == nil || s.x.Rows != grad.Rows {
 		panic("nn: Dense.Backward without training Forward")
 	}
 	// dW += x^T * grad
-	gw := tensor.NewMatrix(d.In, d.Out)
-	tensor.MatMulInto(gw, d.last.Transpose(), grad)
-	if err := tensor.Axpy(1, gw, d.gw); err != nil {
+	s.xT = transposeInto(s.xT, s.x)
+	s.gw = sized(s.gw, d.In, d.Out)
+	tensor.ParallelMatMulInto(s.gw, s.xT, grad)
+	if err := tensor.Axpy(1, s.gw, d.gw); err != nil {
 		panic(err)
 	}
 	// db += column sums of grad
@@ -80,10 +102,13 @@ func (d *Dense) Backward(grad *tensor.Matrix) *tensor.Matrix {
 			d.gb[j] += row[j]
 		}
 	}
+	if !needDX {
+		return nil
+	}
 	// dX = grad * W^T
-	dx := tensor.NewMatrix(grad.Rows, d.In)
-	tensor.MatMulInto(dx, grad, d.W.Transpose())
-	return dx
+	s.dx = sized(s.dx, grad.Rows, d.In)
+	tensor.MatMulTransBInto(s.dx, grad, d.W)
+	return s.dx
 }
 
 // Params implements Layer.
@@ -103,8 +128,15 @@ func (d *Dense) Clone() Layer {
 
 // ReLU is the rectified linear activation.
 type ReLU struct {
-	Dim  int
-	mask []bool
+	Dim int
+	tr  *maskScratch
+}
+
+// maskScratch is the training scratch of the element-wise layers (see
+// scratch.go): mask marks the elements whose gradient passes.
+type maskScratch struct {
+	out, dx *tensor.Matrix
+	mask    []bool
 }
 
 var _ Layer = (*ReLU)(nil)
@@ -118,35 +150,57 @@ func (r *ReLU) Name() string { return "relu" }
 // OutDim implements Layer.
 func (r *ReLU) OutDim() int { return r.Dim }
 
+func (r *ReLU) dropScratch() { r.tr = nil }
+
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	checkCols(r, r.Dim, x.Cols)
-	out := x.Clone()
-	if train {
-		r.mask = make([]bool, len(out.Data))
-	}
-	for i, v := range out.Data {
-		if v < 0 {
-			out.Data[i] = 0
-		} else if train {
-			r.mask[i] = true
+	if !train {
+		out := x.Clone()
+		for i, v := range out.Data {
+			if v < 0 {
+				out.Data[i] = 0
+			}
 		}
+		return out
 	}
-	return out
+	if r.tr == nil {
+		r.tr = &maskScratch{}
+	}
+	s := r.tr
+	s.out = sized(s.out, x.Rows, x.Cols)
+	s.mask = grow(s.mask, len(x.Data))
+	forRows(x.Rows, x.Cols, func(r int) {
+		for i := r * x.Cols; i < (r+1)*x.Cols; i++ {
+			v := x.Data[i]
+			pass := !(v < 0)
+			s.mask[i] = pass
+			if !pass {
+				v = 0
+			}
+			s.out.Data[i] = v
+		}
+	})
+	return s.out
 }
 
 // Backward implements Layer.
 func (r *ReLU) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	if r.mask == nil {
+	s := r.tr
+	if s == nil || len(s.mask) != len(grad.Data) {
 		panic("nn: ReLU.Backward without training Forward")
 	}
-	out := grad.Clone()
-	for i := range out.Data {
-		if !r.mask[i] {
-			out.Data[i] = 0
+	s.dx = sized(s.dx, grad.Rows, grad.Cols)
+	forRows(grad.Rows, grad.Cols, func(r int) {
+		for i := r * grad.Cols; i < (r+1)*grad.Cols; i++ {
+			g := grad.Data[i]
+			if !s.mask[i] {
+				g = 0
+			}
+			s.dx.Data[i] = g
 		}
-	}
-	return out
+	})
+	return s.dx
 }
 
 // Params implements Layer.
@@ -169,7 +223,7 @@ type Dropout struct {
 	seed  int64
 	draws int64
 
-	mask []bool
+	tr *maskScratch
 }
 
 var _ Layer = (*Dropout)(nil)
@@ -195,43 +249,51 @@ func (d *Dropout) Name() string { return fmt.Sprintf("dropout(%.2f)", d.P) }
 // OutDim implements Layer.
 func (d *Dropout) OutDim() int { return d.Dim }
 
+func (d *Dropout) dropScratch() { d.tr = nil }
+
 // Forward implements Layer.
 func (d *Dropout) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	checkCols(d, d.Dim, x.Cols)
 	if !train || d.P <= 0 {
-		d.mask = nil
 		return x
 	}
-	out := x.Clone()
-	d.mask = make([]bool, len(out.Data))
-	d.draws += int64(len(out.Data))
+	if d.tr == nil {
+		d.tr = &maskScratch{}
+	}
+	s := d.tr
+	s.out = sized(s.out, x.Rows, x.Cols)
+	s.mask = grow(s.mask, len(x.Data))
+	d.draws += int64(len(x.Data))
 	scale := 1 / (1 - d.P)
-	for i := range out.Data {
-		if d.rng.Float64() < d.P {
-			out.Data[i] = 0
+	for i, v := range x.Data {
+		keep := !(d.rng.Float64() < d.P)
+		s.mask[i] = keep
+		if keep {
+			s.out.Data[i] = v * scale
 		} else {
-			d.mask[i] = true
-			out.Data[i] *= scale
+			s.out.Data[i] = 0
 		}
 	}
-	return out
+	return s.out
 }
 
-// Backward implements Layer.
+// Backward implements Layer. A layer that drops nothing passes the
+// gradient through, as its Forward passed the activations.
 func (d *Dropout) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	if d.mask == nil {
+	s := d.tr
+	if d.P <= 0 || s == nil {
 		return grad
 	}
-	out := grad.Clone()
+	s.dx = sized(s.dx, grad.Rows, grad.Cols)
 	scale := 1 / (1 - d.P)
-	for i := range out.Data {
-		if d.mask[i] {
-			out.Data[i] *= scale
+	for i, g := range grad.Data {
+		if s.mask[i] {
+			s.dx.Data[i] = g * scale
 		} else {
-			out.Data[i] = 0
+			s.dx.Data[i] = 0
 		}
 	}
-	return out
+	return s.dx
 }
 
 // Params implements Layer.

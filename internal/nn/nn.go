@@ -7,10 +7,14 @@
 // Convolutional layers interpret rows in (C, H, W) channel-major order,
 // matching the feature-tensor layout produced by the features package.
 //
-// Layers carry per-batch caches for backpropagation, so Forward and
-// Backward are NOT safe for concurrent use; Clone one network per
-// training goroutine. The inference entry points (Score, PredictBatch,
-// ForwardBatch) only read the network and may share one.
+// Layers carry per-batch scratch for backpropagation (see scratch.go),
+// so Forward(x, true) and Backward are NOT safe for concurrent use;
+// Clone one network per training goroutine. The inference entry points
+// (Score, PredictBatch, ForwardBatch) only read the network and may
+// share one. Nothing in the program scores through the eval-mode
+// Forward(x, false): it is the plain per-layer reference the kernel-
+// equivalence tests hold the inference path to, and Conv2D's is reached
+// only by them.
 package nn
 
 import (
@@ -68,10 +72,20 @@ func (n *Network) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return x
 }
 
-// Backward runs backpropagation from the loss gradient.
+// Backward runs backpropagation from the loss gradient. Nothing reads
+// the first layer's dL/dInput, so a first layer that can skip it (see
+// paramGrader) is asked for its parameter gradients only.
 func (n *Network) Backward(grad *tensor.Matrix) {
-	for i := len(n.Layers) - 1; i >= 0; i-- {
+	for i := len(n.Layers) - 1; i > 0; i-- {
 		grad = n.Layers[i].Backward(grad)
+	}
+	if len(n.Layers) == 0 {
+		return
+	}
+	if pg, ok := n.Layers[0].(paramGrader); ok {
+		pg.backwardParams(grad)
+	} else {
+		n.Layers[0].Backward(grad)
 	}
 }
 

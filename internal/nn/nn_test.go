@@ -262,7 +262,7 @@ func TestFitCNNBlobs(t *testing.T) {
 	if acc := hist[len(hist)-1].Acc; acc < 0.95 {
 		t.Fatalf("CNN blob accuracy = %v", acc)
 	}
-	scores, err := ScoreBatch(net, x)
+	scores, err := PredictBatch(net, x, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestFitCNNBlobs(t *testing.T) {
 		}
 	}
 	if frac := float64(correct) / float64(len(x)); frac < 0.95 {
-		t.Fatalf("ScoreBatch accuracy = %v", frac)
+		t.Fatalf("PredictBatch accuracy = %v", frac)
 	}
 }
 

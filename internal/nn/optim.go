@@ -24,6 +24,7 @@ type SGD struct {
 	WeightDecay float64
 
 	velocity []*tensor.Matrix
+	lr0      configuredLR
 }
 
 var _ Optimizer = (*SGD)(nil)
@@ -31,7 +32,40 @@ var _ Optimizer = (*SGD)(nil)
 // Name implements Optimizer.
 func (s *SGD) Name() string { return "sgd" }
 
-func (s *SGD) scaleLR(f float64) { s.LR *= f }
+func (s *SGD) scaleLR(f float64) { s.lr0.set(&s.LR, s.LR*f) }
+
+func (s *SGD) reset() {
+	s.lr0.restore(&s.LR)
+	s.velocity = nil
+}
+
+// configuredLR remembers the learning rate an optimizer was configured
+// with across what a fit does to its LR field (step decay, a checkpoint
+// restore), so that the next fit sharing the optimizer starts from the
+// configured rate and not from wherever the last one left off. A rate
+// the caller assigns between fits is the configured one from then on.
+type configuredLR struct {
+	lr, wrote float64
+	held      bool
+}
+
+// set assigns v to *lr on a fit's behalf, first remembering *lr when it
+// is still the caller's value and not one a fit wrote.
+func (c *configuredLR) set(lr *float64, v float64) {
+	if !c.held || *lr != c.wrote {
+		c.lr, c.held = *lr, true
+	}
+	*lr, c.wrote = v, v
+}
+
+// restore puts the remembered rate back unless the caller has assigned
+// *lr since the last set.
+func (c *configuredLR) restore(lr *float64) {
+	if c.held && *lr == c.wrote {
+		*lr = c.lr
+	}
+	c.held = false
+}
 
 // Step implements Optimizer.
 func (s *SGD) Step(params []*Param) {
@@ -64,10 +98,13 @@ type optState struct {
 }
 
 // statefulOptimizer is satisfied by optimizers whose internal state can
-// round-trip through a checkpoint.
+// round-trip through a checkpoint and be discarded: reset returns the
+// optimizer to step zero, no slots and its configured learning rate,
+// which is where every fit that does not resume starts.
 type statefulOptimizer interface {
 	captureState() optState
 	restoreState(st optState, params []*Param) error
+	reset()
 }
 
 func flattenSlots(mats []*tensor.Matrix) [][]float64 {
@@ -106,7 +143,7 @@ func (s *SGD) restoreState(st optState, params []*Param) error {
 	if st.Kind != "sgd" {
 		return fmt.Errorf("nn: checkpoint has %s optimizer state, run uses sgd", st.Kind)
 	}
-	s.LR = st.LR
+	s.lr0.set(&s.LR, st.LR)
 	if len(st.Slots) == 0 {
 		s.velocity = nil
 		return nil
@@ -129,6 +166,7 @@ type Adam struct {
 
 	t    int
 	m, v []*tensor.Matrix
+	lr0  configuredLR
 }
 
 var _ Optimizer = (*Adam)(nil)
@@ -141,7 +179,13 @@ func NewAdam(lr float64) *Adam {
 // Name implements Optimizer.
 func (a *Adam) Name() string { return "adam" }
 
-func (a *Adam) scaleLR(f float64) { a.LR *= f }
+func (a *Adam) scaleLR(f float64) { a.lr0.set(&a.LR, a.LR*f) }
+
+func (a *Adam) reset() {
+	a.lr0.restore(&a.LR)
+	a.t = 0
+	a.m, a.v = nil, nil
+}
 
 func (a *Adam) captureState() optState {
 	st := optState{Kind: "adam", T: a.t, LR: a.LR}
@@ -155,7 +199,7 @@ func (a *Adam) restoreState(st optState, params []*Param) error {
 	if st.Kind != "adam" {
 		return fmt.Errorf("nn: checkpoint has %s optimizer state, run uses adam", st.Kind)
 	}
-	a.LR = st.LR
+	a.lr0.set(&a.LR, st.LR)
 	a.t = st.T
 	if len(st.Slots) == 0 {
 		a.m, a.v = nil, nil

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"github.com/golitho/hsd/internal/faultinject"
@@ -162,6 +163,9 @@ func FitCtx(ctx context.Context, net *Network, x [][]float64, y []int, cfg Train
 		return nil, errors.New("nn: network must end with 2 logits")
 	}
 	cfg.normalize()
+	// Layers fill their training scratch on the first step; it is this
+	// call's, and goes when the call returns (see scratch.go).
+	defer net.dropScratch()
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	net.Init(rng)
 
@@ -201,6 +205,27 @@ func FitCtx(ctx context.Context, net *Network, x [][]float64, y []int, cfg Train
 		history = append([]EpochStats(nil), r.History...)
 		startEpoch = r.Epoch
 		lastGood = r
+	} else if so, ok := cfg.Optimizer.(statefulOptimizer); ok {
+		// A config, and with it one optimizer, may be fitted more than
+		// once (a detector refitted each learn cycle): a fit that does
+		// not resume starts from no moments, step zero and the
+		// configured learning rate, whatever an earlier fit left.
+		so.reset()
+	}
+	// Resume replaces the layers, so the parameters are collected after
+	// it; the slice and the batch buffers serve every step of the fit.
+	params := net.Params()
+	xb := tensor.NewMatrix(min(cfg.BatchSize, n), dim)
+	yb := make([]int, xb.Rows)
+	// halt stops the run on a non-finite value: the epoch's span carries
+	// err, the last good checkpoint is persisted, err is returned.
+	halt := func(span *trace.Span, err error) ([]EpochStats, error) {
+		span.SetError(err)
+		span.End()
+		if perr := persistCheckpoint(ctx, &cfg, lastGood); perr != nil {
+			return history, perr
+		}
+		return history, err
 	}
 	for epoch := startEpoch + 1; epoch <= cfg.Epochs; epoch++ {
 		if cerr := ctx.Err(); cerr != nil {
@@ -215,6 +240,7 @@ func FitCtx(ctx context.Context, net *Network, x [][]float64, y []int, cfg Train
 			return history, err
 		}
 		epochStart := cfg.Clock.Now()
+		_, span := trace.Start(ctx, "train.epoch")
 		shuffle()
 		var lossSum float64
 		correct, batches := 0, 0
@@ -224,8 +250,7 @@ func FitCtx(ctx context.Context, net *Network, x [][]float64, y []int, cfg Train
 				end = n
 			}
 			bs := end - start
-			xb := tensor.NewMatrix(bs, dim)
-			yb := make([]int, bs)
+			xb, yb = sized(xb, bs, dim), yb[:bs]
 			for i := 0; i < bs; i++ {
 				copy(xb.Row(i), x[order[start+i]])
 				yb[i] = y[order[start+i]]
@@ -233,22 +258,18 @@ func FitCtx(ctx context.Context, net *Network, x [][]float64, y []int, cfg Train
 			logits := net.Forward(xb, true)
 			loss, grad, c := cfg.Loss.Loss(logits, yb)
 			if math.IsNaN(loss) || math.IsInf(loss, 0) {
-				if err := persistCheckpoint(ctx, &cfg, lastGood); err != nil {
-					return history, err
-				}
-				return history, fmt.Errorf("%w: loss=%v at epoch %d batch %d%s",
-					ErrNonFinite, loss, epoch, batches, lastGoodNote(lastGood))
+				return halt(span, fmt.Errorf("%w: loss=%v at epoch %d batch %d%s",
+					ErrNonFinite, loss, epoch, batches, lastGoodNote(lastGood)))
 			}
-			net.ZeroGrad()
+			for _, p := range params {
+				p.G.Zero()
+			}
 			net.Backward(grad)
-			if pi, bad := nonFiniteGrad(net.Params()); bad {
-				if err := persistCheckpoint(ctx, &cfg, lastGood); err != nil {
-					return history, err
-				}
-				return history, fmt.Errorf("%w: gradient of param %d at epoch %d batch %d%s",
-					ErrNonFinite, pi, epoch, batches, lastGoodNote(lastGood))
+			if pi, bad := nonFiniteGrad(params); bad {
+				return halt(span, fmt.Errorf("%w: gradient of param %d at epoch %d batch %d%s",
+					ErrNonFinite, pi, epoch, batches, lastGoodNote(lastGood)))
 			}
-			cfg.Optimizer.Step(net.Params())
+			cfg.Optimizer.Step(params)
 			lossSum += loss
 			correct += c
 			batches++
@@ -260,6 +281,14 @@ func FitCtx(ctx context.Context, net *Network, x [][]float64, y []int, cfg Train
 			Elapsed: cfg.Clock.Now().Sub(epochStart),
 		}
 		history = append(history, st)
+		if span != nil {
+			span.SetAttrInt("epoch", epoch)
+			span.SetAttrInt("batches", batches)
+			span.SetAttrInt("samples", n)
+			span.SetAttr("loss", strconv.FormatFloat(st.Loss, 'g', 6, 64))
+			span.SetAttr("acc", strconv.FormatFloat(st.Acc, 'g', 6, 64))
+			span.End()
+		}
 		if cfg.Verbose != nil {
 			cfg.Verbose("epoch %d: loss=%.4f acc=%.4f time=%v",
 				st.Epoch, st.Loss, st.Acc, st.Elapsed.Round(time.Millisecond))
@@ -293,32 +322,6 @@ func lastGoodNote(c *Checkpoint) string {
 		return " (no checkpoint configured)"
 	}
 	return fmt.Sprintf(" (last good checkpoint: epoch %d)", c.Epoch)
-}
-
-// ScoreBatch returns the hotspot probability for each input row.
-func ScoreBatch(net *Network, x [][]float64) ([]float64, error) {
-	if len(x) == 0 {
-		return nil, nil
-	}
-	dim := len(x[0])
-	const chunk = 64
-	out := make([]float64, 0, len(x))
-	for start := 0; start < len(x); start += chunk {
-		end := start + chunk
-		if end > len(x) {
-			end = len(x)
-		}
-		xb := tensor.NewMatrix(end-start, dim)
-		for i := start; i < end; i++ {
-			if len(x[i]) != dim {
-				return nil, fmt.Errorf("nn: sample %d has dim %d, want %d", i, len(x[i]), dim)
-			}
-			copy(xb.Row(i-start), x[i])
-		}
-		logits := net.Forward(xb, false)
-		out = append(out, Probabilities(logits)...)
-	}
-	return out, nil
 }
 
 // Score returns the hotspot probability of a single sample: one row

@@ -1,0 +1,378 @@
+package nn
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"reflect"
+	"runtime"
+	"strconv"
+	"sync"
+	"testing"
+
+	"github.com/golitho/hsd/internal/tensor"
+	"github.com/golitho/hsd/internal/trace"
+)
+
+// updateTrainStep rewrites testdata/trainstep_golden.json from the
+// running code. The committed file was written at the commit before the
+// sample-parallel training step landed; regenerating it on a later
+// commit defeats its purpose, which is to pin trained bytes across that
+// boundary.
+var updateTrainStep = flag.Bool("update-trainstep-golden", false, "rewrite the training-step golden (see comment)")
+
+const trainStepGoldenPath = "testdata/trainstep_golden.json"
+
+// trainStepDigest is what one golden fit leaves behind: a SHA-256 of
+// each parameter's Float64bits, one of the saved model (which also
+// covers BatchNorm running statistics and the dropout stream position),
+// and the loss bits of every epoch.
+type trainStepDigest struct {
+	Params []string `json:"params"`
+	Model  string   `json:"model"`
+	Loss   []string `json:"loss"`
+}
+
+type trainStepCase struct {
+	name  string
+	build func() (*Network, error)
+	cfg   func() TrainConfig
+}
+
+// trainStepCases are the zoo CNN (16x16x16 -> conv16 -> conv24 ->
+// dense48, dropout, Adam, biased loss), the same shape with BatchNorm
+// under SGD with momentum, weight decay and a learning-rate step, and
+// the zoo MLP widths.
+func trainStepCases() []trainStepCase {
+	cnn := func(bn bool) func() (*Network, error) {
+		return func() (*Network, error) {
+			return BuildCNN(CNNConfig{
+				InC: 16, InH: 16, InW: 16,
+				Conv1: 16, Conv2: 24, Hidden: 48, DropoutP: 0.1, BatchNorm: bn, Seed: 5,
+			})
+		}
+	}
+	return []trainStepCase{
+		{"zoo-cnn", cnn(false), func() TrainConfig {
+			return TrainConfig{Epochs: 2, BatchSize: 32, Seed: 11,
+				Optimizer: NewAdam(1e-3), Loss: SoftmaxCE{BiasEps: 0.25}}
+		}},
+		{"zoo-cnn-bn", cnn(true), func() TrainConfig {
+			return TrainConfig{Epochs: 2, BatchSize: 32, Seed: 12,
+				Optimizer:   &SGD{LR: 0.02, Momentum: 0.9, WeightDecay: 1e-4},
+				LRStepEvery: 1, LRStepFactor: 0.5}
+		}},
+		{"zoo-mlp", func() (*Network, error) { return BuildMLP(482, 64, 32), nil }, func() TrainConfig {
+			return TrainConfig{Epochs: 2, BatchSize: 32, Seed: 13, Optimizer: NewAdam(1e-3)}
+		}},
+	}
+}
+
+// trainStepSamples is two full batches of 32 and a ragged one of 8.
+const trainStepSamples = 72
+
+// fitDigest fits one case on its fixed-seed inputs and digests the
+// result. It reports failures as an error so that it can run off the
+// test's goroutine.
+func fitDigest(c trainStepCase) (trainStepDigest, error) {
+	var d trainStepDigest
+	net, err := c.build()
+	if err != nil {
+		return d, err
+	}
+	rng := rand.New(rand.NewSource(1515))
+	x := randRows(rng, trainStepSamples, inDim(net))
+	y := make([]int, len(x))
+	for i := range y {
+		y[i] = rng.Intn(2)
+	}
+	hist, err := Fit(net, x, y, c.cfg())
+	if err != nil {
+		return d, err
+	}
+	for _, p := range net.Params() {
+		h := sha256.New()
+		var b [8]byte
+		for _, v := range p.W.Data {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+		d.Params = append(d.Params, hex.EncodeToString(h.Sum(nil)))
+	}
+	var saved bytes.Buffer
+	if err := Save(&saved, net); err != nil {
+		return d, err
+	}
+	model := sha256.Sum256(saved.Bytes())
+	d.Model = hex.EncodeToString(model[:])
+	for _, st := range hist {
+		d.Loss = append(d.Loss, fmt.Sprintf("%016x", math.Float64bits(st.Loss)))
+	}
+	return d, nil
+}
+
+func readTrainStepGolden(t *testing.T) map[string]trainStepDigest {
+	t.Helper()
+	b, err := os.ReadFile(trainStepGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]trainStepDigest
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// TestTrainStepGolden fits every case under 1, 2 and 8 kernel workers
+// and demands, each time, the exact trained bytes the parent commit
+// produced with its serial loop. The kill/resume suites compare this
+// commit with itself; this is the cross-commit anchor, and the worker
+// sweep is why trained bytes do not depend on GOMAXPROCS.
+func TestTrainStepGolden(t *testing.T) {
+	cases := trainStepCases()
+	if *updateTrainStep {
+		got := map[string]trainStepDigest{}
+		for _, c := range cases {
+			d, err := fitDigest(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[c.name] = d
+		}
+		b, err := json.MarshalIndent(got, "", "\t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(trainStepGoldenPath, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", trainStepGoldenPath)
+		return
+	}
+	want := readTrainStepGolden(t)
+	defer tensor.SetDefaultWorkers(0)
+	for _, workers := range []int{1, 2, 8} {
+		tensor.SetDefaultWorkers(workers)
+		for _, c := range cases {
+			if got, err := fitDigest(c); err != nil {
+				t.Fatal(err)
+			} else if !reflect.DeepEqual(got, want[c.name]) {
+				t.Errorf("%s at %d workers: trained bytes differ from the golden\n got %+v\nwant %+v",
+					c.name, workers, got, want[c.name])
+			}
+		}
+	}
+}
+
+// TestTrainStepRefitStartsFresh: a config, and with it one optimizer, is
+// fitted twice (a NeuralDetector refitted each learn cycle holds one
+// *Adam). The second fit must not inherit the first one's step count,
+// moments or decayed learning rate: it gives the bytes a fit on a fresh
+// config gives.
+func TestTrainStepRefitStartsFresh(t *testing.T) {
+	x, y := ckptData(40)
+	opts := map[string]func() Optimizer{
+		"adam": func() Optimizer { return NewAdam(5e-3) },
+		"sgd":  func() Optimizer { return &SGD{LR: 0.05, Momentum: 0.9} },
+	}
+	for name, newOpt := range opts {
+		for _, stepEvery := range []int{0, 2} {
+			cfg := func() TrainConfig {
+				return TrainConfig{Epochs: 5, BatchSize: 8, Seed: 3, Optimizer: newOpt(),
+					LRStepEvery: stepEvery, LRStepFactor: 0.5}
+			}
+			fresh := ckptNet()
+			if _, err := Fit(fresh, x, y, cfg()); err != nil {
+				t.Fatal(err)
+			}
+			shared := cfg()
+			for round := 1; round <= 2; round++ {
+				net := ckptNet()
+				if _, err := Fit(net, x, y, shared); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(saveBytes(t, net), saveBytes(t, fresh)) {
+					t.Errorf("%s LRStepEvery=%d: fit %d on a shared config differs from a fit on a fresh one",
+						name, stepEvery, round)
+				}
+			}
+		}
+	}
+}
+
+// TestNetworkBackwardSkipsOnlyInputGrad: Network.Backward asks its first
+// layer for parameter gradients only; they must be the ones a direct
+// Backward call, which still returns dL/dInput, accumulates.
+func TestNetworkBackwardSkipsOnlyInputGrad(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	firsts := map[string]func() Layer{
+		"conv":  func() Layer { return NewConv2D(2, 6, 6, 3, 3, 1, 1) },
+		"dense": func() Layer { return NewDense(72, 108) },
+	}
+	for name, newFirst := range firsts {
+		a, b := NewNetwork(newFirst(), NewDense(108, 2)), NewNetwork(newFirst(), NewDense(108, 2))
+		a.Init(rand.New(rand.NewSource(72)))
+		b.Init(rand.New(rand.NewSource(72)))
+		x := tensor.NewMatrix(5, 72)
+		x.Randomize(rng, 1)
+		y := []int{0, 1, 1, 0, 1}
+		_, ga, _ := SoftmaxCE{}.Loss(a.Forward(x, true), y)
+		a.Backward(ga)
+		_, gb, _ := SoftmaxCE{}.Loss(b.Forward(x, true), y)
+		dx := b.Layers[0].Backward(b.Layers[1].Backward(gb))
+		if dx == nil || dx.Rows != 5 || dx.Cols != 72 {
+			t.Fatalf("%s: direct Backward returned no input gradient", name)
+		}
+		nonzero := false
+		for _, v := range dx.Data {
+			nonzero = nonzero || v != 0
+		}
+		if !nonzero {
+			t.Fatalf("%s: direct Backward returned an all-zero input gradient", name)
+		}
+		pa, pb := a.Params(), b.Params()
+		for i := range pa {
+			for j := range pa[i].G.Data {
+				if math.Float64bits(pa[i].G.Data[j]) != math.Float64bits(pb[i].G.Data[j]) {
+					t.Fatalf("%s: param %d gradient %d = %v via Network.Backward, %v via direct Backward",
+						name, i, j, pa[i].G.Data[j], pb[i].G.Data[j])
+				}
+			}
+		}
+	}
+}
+
+// TestConvForwardMatchesSparseGather: the training path gathers with
+// im2colTile over the full height; on every odd geometry it must equal
+// the independent gather kept with the benchmarks (zeroed matrix, padded
+// taps skipped).
+func TestConvForwardMatchesSparseGather(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	for _, conv := range convGeometries() {
+		NewNetwork(conv).Init(rng)
+		x := tensor.NewMatrix(3, conv.InC*conv.InH*conv.InW)
+		x.Randomize(rng, 1)
+		want := conv.forwardInferIm2col(x, NewArena())
+		for _, train := range []bool{false, true} {
+			got := conv.Forward(x, train)
+			for i := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("%s train=%v: element %d = %v, want %v", conv.Name(), train, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+}
+
+// TestFittedNetworkHoldsNoScratch: the column cache of the zoo CNN is
+// 12 MB at batch 32 and its parameters are 0.2 MB; once Fit has
+// returned, the network must pin the second and not the first.
+func TestFittedNetworkHoldsNoScratch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations make heap sizes meaningless")
+	}
+	c := trainStepCases()[0]
+	rng := rand.New(rand.NewSource(74))
+	x := randRows(rng, 32, 16*16*16)
+	y := make([]int, len(x))
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	net, err := c.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := c.cfg()
+	cfg.Epochs = 1
+	if _, err := Fit(net, x, y, cfg); err != nil {
+		t.Fatal(err)
+	}
+	retained := int64(heap()) - int64(before)
+	runtime.KeepAlive(net)
+	runtime.KeepAlive(cfg)
+	// Weights, gradient accumulators and Adam's two moments are four
+	// copies of 26 k parameters: under 1 MB.
+	if retained > 2<<20 {
+		t.Fatalf("a fitted network and its optimizer retain %d bytes", retained)
+	}
+}
+
+// TestTrainStepConcurrentFits: fits on different networks run at once,
+// all sharding over the one process-wide kernel pool and helping with
+// each other's shards; each must still produce its golden bytes.
+func TestTrainStepConcurrentFits(t *testing.T) {
+	want := readTrainStepGolden(t)
+	cases := trainStepCases()
+	got := make([]trainStepDigest, len(cases))
+	errs := make([]error, len(cases))
+	var wg sync.WaitGroup
+	for i, c := range cases {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = fitDigest(c)
+		}()
+	}
+	wg.Wait()
+	for i, c := range cases {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(got[i], want[c.name]) {
+			t.Errorf("%s: a concurrent fit changed the trained bytes", c.name)
+		}
+	}
+}
+
+// TestFitEmitsEpochSpans: under a recording tracer every epoch is one
+// train.epoch span carrying the epoch's statistics.
+func TestFitEmitsEpochSpans(t *testing.T) {
+	x, y := ckptData(20)
+	tr := trace.New(trace.Config{Shards: 1})
+	ctx, root := trace.Start(trace.WithTracer(context.Background(), tr), "fit")
+	hist, err := FitCtx(ctx, ckptNet(), x, y, TrainConfig{Epochs: 3, BatchSize: 8, Seed: 3})
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces := tr.Traces(0)
+	if len(traces) != 1 {
+		t.Fatalf("%d traces, want 1", len(traces))
+	}
+	epoch := 0
+	for _, sp := range traces[0].Spans {
+		if sp.Name != "train.epoch" {
+			continue
+		}
+		attrs := map[string]string{}
+		for _, a := range sp.Attrs {
+			attrs[a.Key] = a.Value
+		}
+		st := hist[epoch]
+		epoch++
+		want := map[string]string{
+			"epoch": strconv.Itoa(st.Epoch), "batches": "3", "samples": "20",
+			"loss": strconv.FormatFloat(st.Loss, 'g', 6, 64),
+			"acc":  strconv.FormatFloat(st.Acc, 'g', 6, 64),
+		}
+		if !reflect.DeepEqual(attrs, want) {
+			t.Errorf("train.epoch attrs = %v, want %v", attrs, want)
+		}
+	}
+	if epoch != 3 {
+		t.Fatalf("%d train.epoch spans, want 3", epoch)
+	}
+}

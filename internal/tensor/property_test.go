@@ -104,6 +104,36 @@ func TestMatMulVariantsBitIdenticalToNaive(t *testing.T) {
 	}
 }
 
+// TestMatMulTransBMatchesTransposeThenMatMul: the A·Bᵀ kernel must equal
+// MatMulInto on a materialized transpose bit for bit, over the same
+// degenerate and odd shapes (b.Rows % 4 != 0 reaches the single-sum
+// tail), into a NaN-poisoned destination.
+func TestMatMulTransBMatchesTransposeThenMatMul(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, sh := range propertyShapes(rng) {
+		m, k, n := sh[0], sh[1], sh[2]
+		t.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(t *testing.T) {
+			a := randomMatrix(rng, m, k)
+			b := randomMatrix(rng, n, k)
+			want := NewMatrix(m, n)
+			MatMulInto(want, a, b.Transpose())
+
+			got := NewMatrix(m, n)
+			for i := range got.Data {
+				got.Data[i] = math.NaN()
+			}
+			MatMulTransBInto(got, a, b)
+			assertBitsEqual(t, "MatMulTransBInto", want.Data, got.Data)
+		})
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("mismatched shapes did not panic")
+		}
+	}()
+	MatMulTransBInto(NewMatrix(2, 3), NewMatrix(2, 4), NewMatrix(3, 5))
+}
+
 func TestMatMul32VariantsBitIdenticalToNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, sh := range propertyShapes(rng) {

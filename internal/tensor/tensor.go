@@ -153,6 +153,52 @@ func matMulRows(dst, a, b *Matrix, r0, r1 int) {
 	}
 }
 
+// MatMulTransBInto computes dst = a * bᵀ without forming the transpose:
+// dst[i][j] is row i of a dotted with row j of b, so a and b share their
+// column count and dst must be pre-sized a.Rows x b.Rows. Both operands
+// are read along their rows, which is what backpropagation has in hand
+// (grad · colsᵀ for weight gradients, grad · Wᵀ for input gradients).
+//
+// Every sum starts from zero and takes its terms one at a time in
+// ascending k, the association matMulRows gives each dst element, so
+// the result equals MatMulInto(dst, a, b.Transpose()) bit for bit. Four
+// sums over four rows of b run interleaved: a single sum is bound by the
+// latency of its adds, four independent ones keep the adder busy.
+func MatMulTransBInto(dst, a, b *Matrix) {
+	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
+		panic(fmt.Sprintf("tensor: matmul shapes %dx%d * (%dx%d)ᵀ -> %dx%d",
+			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
+	}
+	k, n := a.Cols, b.Rows
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Data[i*k : (i+1)*k]
+		drow := dst.Data[i*n : (i+1)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0 := b.Data[j*k : (j+1)*k][:len(arow)]
+			b1 := b.Data[(j+1)*k : (j+2)*k][:len(arow)]
+			b2 := b.Data[(j+2)*k : (j+3)*k][:len(arow)]
+			b3 := b.Data[(j+3)*k : (j+4)*k][:len(arow)]
+			var s0, s1, s2, s3 float64
+			for t, av := range arow {
+				s0 += av * b0[t]
+				s1 += av * b1[t]
+				s2 += av * b2[t]
+				s3 += av * b3[t]
+			}
+			drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
+			brow := b.Data[j*k : (j+1)*k][:len(arow)]
+			var s float64
+			for t, av := range arow {
+				s += av * brow[t]
+			}
+			drow[j] = s
+		}
+	}
+}
+
 // Transpose returns a new matrix that is m transposed.
 func (m *Matrix) Transpose() *Matrix {
 	out := NewMatrix(m.Cols, m.Rows)
