@@ -77,20 +77,6 @@ func BenchmarkPredictBatch(b *testing.B) {
 			}
 		})
 	}
-	for _, tier := range []nn.Precision{nn.Float32, nn.Int8} {
-		cnet, err := nn.Compress(net, tier)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run("batch-w1-"+tier.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := nn.PredictBatch(cnet, x, 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkParallelMatMul compares the blocked serial kernel with the
@@ -144,11 +130,8 @@ func BenchmarkMatMulTransB(b *testing.B) {
 	})
 }
 
-// BenchmarkMatMulKernels compares the three kernel tiers on the Dense
-// hot-path shape (batch x hidden x hidden): the blocked float64 kernel,
-// its float32 twin, and the int8 quantized transposed kernel (including
-// per-call dynamic activation quantization, as the DenseInt8 layer pays
-// it).
+// BenchmarkMatMulKernels measures the blocked kernel on the Dense
+// hot-path shape (batch x hidden x hidden).
 func BenchmarkMatMulKernels(b *testing.B) {
 	const m, k, n = 64, 512, 512
 	rng := rand.New(rand.NewSource(10))
@@ -161,28 +144,6 @@ func BenchmarkMatMulKernels(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			tensor.MatMulInto(dst, ma, mb)
-		}
-	})
-	b.Run("float32", func(b *testing.B) {
-		a32, b32 := ma.ToFloat32(), mb.ToFloat32()
-		dst := tensor.NewMatrix32(m, n)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tensor.MatMul32Into(dst, a32, b32)
-		}
-	})
-	b.Run("int8", func(b *testing.B) {
-		// Weights quantize once (as at Compress time); activations
-		// re-quantize every iteration (as at serve time).
-		bT := tensor.QuantizeRowsInt8(mb.Transpose())
-		qa := tensor.NewInt8Matrix(m, k)
-		dst := tensor.NewMatrix(m, n)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for r := 0; r < m; r++ {
-				qa.Scale[r] = tensor.QuantizeRowInt8(qa.Row(r), ma.Row(r))
-			}
-			tensor.Int8MatMulTransInto(dst, qa, bT)
 		}
 	})
 }

@@ -2,8 +2,8 @@
 # ci.sh — the repo's verification gate. Mirrors what a reviewer runs:
 #
 #   vet, build, unit + property tests under the race detector, a smoke
-#   pass over the fuzz seed corpora, and 10 s of real fuzzing on the
-#   frame reader.
+#   pass over the fuzz seed corpora, 10 s of real fuzzing on the frame
+#   reader, and a quick pass of the repo benchmark's four workloads.
 #
 # Usage: ./ci.sh [-short]
 #   -short  pass -short to go test (skips the slower property tests)
@@ -86,8 +86,8 @@ echo "== scan smoke =="
 echo "== fuzz seed smoke =="
 # -run=Fuzz executes every fuzz target once per seed corpus entry,
 # without the fuzzing engine; crashes here mean a regressed parser,
-# model loader, or quantizer.
-go test -run=Fuzz ./internal/layout/ ./internal/gdsii/ ./internal/nn/ ./internal/tensor/ ./internal/framelog/
+# model loader, or frame reader.
+go test -run=Fuzz ./internal/layout/ ./internal/gdsii/ ./internal/nn/ ./internal/framelog/
 
 echo "== frame reader fuzz =="
 # A bounded budget of real fuzzing on the one frame reader every
@@ -141,5 +141,11 @@ echo "== quality smoke =="
 # hotspot_quality_alert_state within the fast window, and rollback
 # clears the alert through the ClearHold hysteresis.
 ./scripts/quality_smoke.sh
+
+echo "== benchmark smoke =="
+# The repo benchmark (BENCHMARK.json) at its shortest setting: each of
+# the four workloads runs once for 2 s, untraced, and the command exits
+# non-zero on any failed operation or broken correctness check.
+go run ./bench --quick
 
 echo "ci: all checks passed"

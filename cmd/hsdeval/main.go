@@ -25,7 +25,6 @@ import (
 
 	hsd "github.com/golitho/hsd"
 	"github.com/golitho/hsd/internal/experiments"
-	"github.com/golitho/hsd/internal/nn"
 	"github.com/golitho/hsd/internal/telemetry"
 	"github.com/golitho/hsd/internal/trace"
 )
@@ -45,7 +44,6 @@ func run() error {
 	figBench := flag.String("bench", "", "benchmark for figures (default: first)")
 	noODST := flag.Bool("no-odst", false, "skip lithography verification of flagged clips")
 	traceOut := flag.String("trace", "", "write per-evaluation Chrome trace_event JSON to this file (about:tracing / ui.perfetto.dev)")
-	precFlag := flag.String("precision", "float64", "inference precision for the neural zoo detectors (float64, float32, int8); tables then measure the quantized serving path")
 	routerLo := flag.Float64("router-lo", -1, "router: force the low confidence cut (with -router-hi)")
 	routerHi := flag.Float64("router-hi", -1, "router: force the high confidence cut (with -router-lo)")
 	routerEps := flag.Float64("router-eps", 0, "router: per-stage answered-error budget for band fitting (0 = default)")
@@ -56,11 +54,6 @@ func run() error {
 		goVersion, revision := telemetry.BuildInfo()
 		fmt.Printf("hsdeval go_version=%s revision=%s\n", goVersion, revision)
 		return nil
-	}
-
-	prec, err := nn.ParsePrecision(*precFlag)
-	if err != nil {
-		return err
 	}
 
 	suite, err := loadOrGenerate(*suitePath, *seed, *small)
@@ -78,30 +71,12 @@ func run() error {
 	}
 
 	zoo := hsd.SurveyZoo(*seed)
-	if prec != nn.Float64 {
-		// Neural detectors remember the precision across Fit: training
-		// stays float64 and the network is compressed when it completes,
-		// so the tables measure the reduced-precision serving path.
-		for i := range zoo {
-			inner := zoo[i].New
-			zoo[i].New = func() hsd.Detector {
-				det := inner()
-				if nd, ok := det.(*hsd.NeuralDetector); ok {
-					if err := nd.SetPrecision(prec); err != nil {
-						fmt.Fprintf(os.Stderr, "hsdeval: %s: %v\n", nd.Name(), err)
-					}
-				}
-				return det
-			}
-		}
-		fmt.Printf("neural detectors serve at %s precision\n\n", prec)
-	}
 	if (*routerLo >= 0) != (*routerHi >= 0) {
 		return fmt.Errorf("-router-lo and -router-hi must be set together")
 	}
 	if *routerLo >= 0 || *routerEps > 0 {
-		// Same wrapping pattern as -precision: the zoo's Router spec
-		// picks up the forced band / error budget at construction.
+		// The zoo's Router spec picks up the forced band / error budget
+		// at construction.
 		lo, hi, eps := *routerLo, *routerHi, *routerEps
 		for i := range zoo {
 			inner := zoo[i].New

@@ -77,7 +77,6 @@ import (
 	"github.com/golitho/hsd/internal/lithosim"
 	"github.com/golitho/hsd/internal/nn"
 	"github.com/golitho/hsd/internal/qualitymon"
-	"github.com/golitho/hsd/internal/registry"
 	"github.com/golitho/hsd/internal/serve"
 	"github.com/golitho/hsd/internal/telemetry"
 	"github.com/golitho/hsd/internal/tensor"
@@ -171,7 +170,6 @@ func run() error {
 	maxFARRise := flag.Float64("max-far-rise", 0.05, "max golden-set false-alarm rate a reload candidate may add")
 	probation := flag.Int("probation", 200, "post-swap primary outcomes watched for automatic rollback (0: off)")
 	probationMaxFail := flag.Int("probation-max-failures", 5, "primary failures tolerated inside the probation window")
-	precFlag := flag.String("precision", "float64", "inference precision for a neural primary (float64, float32, int8); reduced precision must pass the golden-set tolerance gate before serving")
 	kernelWorkers := flag.Int("kernel-workers", 0, "total kernel-pool parallelism for batched inference and matmuls (0: GOMAXPROCS)")
 	routerLo := flag.Float64("router-lo", -1, "router: force the low confidence cut (with -router-hi; -detector Router)")
 	routerHi := flag.Float64("router-hi", -1, "router: force the high confidence cut (with -router-lo; -detector Router)")
@@ -197,10 +195,6 @@ func run() error {
 		return nil
 	}
 
-	prec, err := nn.ParsePrecision(*precFlag)
-	if err != nil {
-		return err
-	}
 	if *kernelWorkers > 0 {
 		tensor.SetDefaultWorkers(*kernelWorkers)
 	}
@@ -261,31 +255,9 @@ func run() error {
 
 	golden := goldenSet(bench, *goldenN)
 
-	// Reduced-precision serving: compress the neural primary's network
-	// and refuse to serve unless the compressed model passes the same
-	// golden-set tolerance gate that guards hot reloads — compared
-	// against its own float64 original as the baseline.
-	if prec != nn.Float64 {
-		nd, ok := det.(*hsd.NeuralDetector)
-		if !ok {
-			return fmt.Errorf("-precision %s needs a neural primary; %s has no reduced-precision path", prec, det.Name())
-		}
-		baseline := nd.CloneDetector()
-		if err := nd.SetPrecision(prec); err != nil {
-			return err
-		}
-		verdict := registry.Gate(baseline, nd, golden, *maxRecallDrop, *maxFARRise, log.Printf)
-		if !verdict.OK {
-			return fmt.Errorf("refusing to serve at %s precision: %s", prec, verdict.Reason)
-		}
-		log.Printf("serving %s at %s precision (gate: %s)", det.Name(), prec, verdict)
-	}
-
 	// Hot reload: a neural primary can be swapped for a new network saved
 	// by hsdtrain. The registry gates each candidate on a golden subset
-	// of the benchmark's test split before it may serve. A reloaded
-	// network inherits the primary's precision: WithNetwork recompresses,
-	// and the gate scores the candidate through its compressed path.
+	// of the benchmark's test split before it may serve.
 	var reload *serve.ReloadOptions
 	if nd, ok := det.(*hsd.NeuralDetector); ok {
 		reload = &serve.ReloadOptions{

@@ -382,13 +382,6 @@ type NeuralDetector struct {
 	scale *scaler
 	net   *nn.Network
 	hist  []nn.EpochStats
-
-	// prec and infer are the reduced-precision serving state: infer is
-	// the nn.Compress result of net at prec, used by every scoring path
-	// when non-nil. The float64 net is always retained — it is the
-	// training/serialization source of truth.
-	prec  nn.Precision
-	infer *nn.Network
 }
 
 var _ Detector = (*NeuralDetector)(nil)
@@ -427,9 +420,6 @@ func (d *NeuralDetector) FitCtx(ctx context.Context, train []LabeledClip) error 
 	}
 	d.net = net
 	d.hist = hist
-	if err := d.SetPrecision(d.prec); err != nil {
-		return err
-	}
 	if ferr != nil {
 		return fmt.Errorf("core: nn fit: %w", ferr)
 	}
@@ -450,47 +440,27 @@ func (d *NeuralDetector) WithNetwork(net *nn.Network) (*NeuralDetector, error) {
 	if d.scale == nil {
 		return nil, errNotFitted
 	}
+	if err := probeInputWidth(net, d.Ex.Dim()); err != nil {
+		return nil, err
+	}
 	out := *d
 	out.net = net
 	out.hist = nil
-	if err := out.SetPrecision(d.prec); err != nil {
-		return nil, err
-	}
 	return &out, nil
 }
 
-// SetPrecision selects the inference kernel tier. Float64 serves the
-// trained network directly (bit-identical scores); Float32 and Int8
-// compress it into an inference-only copy whose scores drift within the
-// quantization tolerance — callers are expected to pass the candidate
-// through registry.Gate (or an equivalent golden-set check) before
-// serving reduced precision. Callable before Fit (the choice applies to
-// every future network) or after (the current network is recompressed).
-func (d *NeuralDetector) SetPrecision(p nn.Precision) error {
-	if d.net != nil && p != nn.Float64 {
-		inf, err := nn.Compress(d.net, p)
-		if err != nil {
-			return fmt.Errorf("core: compress to %s: %w", p, err)
+// probeInputWidth scores one zero vector of the extractor's width
+// through net and reports the layer panic of a width mismatch (a model
+// saved for a different extractor) as an error, so such a file is
+// refused at load instead of failing every request after the swap.
+func probeInputWidth(net *nn.Network, dim int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("core: network does not accept the extractor's %d features: %v", dim, r)
 		}
-		d.infer = inf
-	} else {
-		d.infer = nil
-	}
-	d.prec = p
+	}()
+	nn.Score(net, make([]float64, dim))
 	return nil
-}
-
-// Precision returns the serving precision set by SetPrecision.
-func (d *NeuralDetector) Precision() nn.Precision { return d.prec }
-
-// inferNet returns the network the scoring paths use: the compressed
-// inference copy when reduced precision is active, the trained float64
-// network otherwise.
-func (d *NeuralDetector) inferNet() *nn.Network {
-	if d.infer != nil {
-		return d.infer
-	}
-	return d.net
 }
 
 // History returns the training history of the last Fit.
@@ -510,7 +480,7 @@ func (d *NeuralDetector) Score(clip layout.Clip) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return nn.Score(d.inferNet(), d.scale.apply(v)), nil
+	return nn.Score(d.net, d.scale.apply(v)), nil
 }
 
 // ScoreBatch implements BatchScorer through the nn batched inference
@@ -535,8 +505,7 @@ func (d *NeuralDetector) Threshold() float64 {
 // scratch, so one detector serves any number of goroutines. It stays
 // because callers that still follow the Cloner contract (the router, the
 // serve scorer, the benchmark) call it, and a clone is what isolates a
-// caller that goes on to train. The compressed inference network is
-// immutable, so clones share it.
+// caller that goes on to train.
 func (d *NeuralDetector) CloneDetector() Detector {
 	out := *d
 	if d.net != nil {

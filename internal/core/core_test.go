@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -197,6 +198,33 @@ func TestMLPDetectorEvaluate(t *testing.T) {
 	}
 	if res.AUC < 0.55 {
 		t.Fatalf("mlp AUC = %v", res.AUC)
+	}
+}
+
+// TestWithNetworkRejectsWrongInputWidth: a network built for another
+// extractor is refused at load, before any golden set or request sees
+// it; one of the right width still swaps in and scores.
+func TestWithNetworkRejectsWrongInputWidth(t *testing.T) {
+	train, test := tinySplits(t)
+	ex := &features.Density{Grid: 8}
+	det := NewMLPDetector(ex, []int{4}, nn.TrainConfig{Epochs: 1, BatchSize: 16, Seed: 3})
+	if err := det.Fit(train); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	wrong := nn.BuildMLP(ex.Dim()+1, 4)
+	wrong.Init(rng)
+	if _, err := det.WithNetwork(wrong); err == nil {
+		t.Fatalf("network of input width %d accepted for a %d-feature extractor", ex.Dim()+1, ex.Dim())
+	}
+	right := nn.BuildMLP(ex.Dim(), 4)
+	right.Init(rng)
+	swapped, err := det.WithNetwork(right)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := swapped.Score(test[0].Clip); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,21 +1,10 @@
 // Fused im2col+matmul convolution: the receptive-field gather is tiled
 // through the blocked matmul kernel instead of materializing the full
-// column matrix per sample.
-//
-// Two formulations were implemented and benchmarked on the target box:
-//
-//   - a direct stencil (taps held in registers, no column matrix at
-//     all), including a 3x3 stride-1 specialization with a noinline
-//     interior leaf — consistently 1.7-2.2x SLOWER than im2col+matmul
-//     on the CNN zoo shapes, because Go's scalar codegen spills the
-//     nine taps across the edge-handling calls while the blocked
-//     matmul kernel sustains ~2x the MAC throughput;
-//   - the tiled im2col+matmul below: gather a band of output rows into
-//     a small column tile (bounded working set, every cell written so
-//     no per-sample re-zeroing), multiply it with the blocked kernel,
-//     scatter with the bias fold. This matches the full-materialization
-//     path's throughput while capping the scratch at convTileElems
-//     instead of InC*K*K x OutH*OutW.
+// column matrix per sample. A band of output rows is gathered into a
+// small column tile (bounded working set, every cell written so no
+// per-sample re-zeroing), multiplied with the blocked kernel and
+// scattered with the bias fold, which caps the scratch at convTileElems
+// instead of InC*K*K x OutH*OutW.
 //
 // Bit-identity with Conv2D.Forward (im2col + matmul) holds exactly, not
 // approximately: the tile IS the im2col matrix restricted to a column
@@ -24,17 +13,8 @@
 // with the same left-associated adds. Column tiling only changes which
 // independent elements are computed together, never the term order
 // within an element.
-//
-// The gather is generic over float32/float64: Go stencils a separate
-// instantiation per element width, so the float32 tier runs a real
-// single-precision pipeline, not a boxed one.
 
 package nn
-
-// floatKind are the element types the fused convolution is stenciled for.
-type floatKind interface {
-	~float32 | ~float64
-}
 
 // convGeom is the geometry a fused convolution needs, precomputed once
 // per forward pass.
@@ -104,7 +84,7 @@ func validRange(outN, stride, k, pad, size int) (int, int) {
 // cell is written — out-of-image taps as explicit zeros — so the buffer
 // needs no per-sample reset. Stride-1 interiors reduce to contiguous
 // copies.
-func im2colTile[F floatKind](g convGeom, sample []F, oyA, oyB int, cols []F) {
+func im2colTile(g convGeom, sample []float64, oyA, oyB int, cols []float64) {
 	tp := (oyB - oyA) * g.ow
 	rowIdx := 0
 	for ch := 0; ch < g.inC; ch++ {

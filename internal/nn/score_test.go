@@ -43,35 +43,6 @@ func TestScoreMatchesForward(t *testing.T) {
 	}
 }
 
-// TestScoreMatchesPredictBatchCompressed: on both reduced-precision
-// tiers (whose Forward is the arena path on a throwaway arena) Score
-// equals the sample's PredictBatch score exactly.
-func TestScoreMatchesPredictBatchCompressed(t *testing.T) {
-	rng := rand.New(rand.NewSource(62))
-	for name, net := range testNetworks(t, 62) {
-		for _, p := range []Precision{Float32, Int8} {
-			c, err := Compress(net, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			x := randRows(rng, 40, inDim(net))
-			batch, err := PredictBatch(c, x, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range x {
-				got := Score(c, x[i])
-				if math.Float64bits(got) != math.Float64bits(batch[i]) {
-					t.Fatalf("%s/%s sample %d: Score = %v, PredictBatch = %v", name, p, i, got, batch[i])
-				}
-				if want := forwardScore(t, c, x[i]); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s/%s sample %d: Score = %v, Forward path = %v", name, p, i, got, want)
-				}
-			}
-		}
-	}
-}
-
 // TestScoreAfterPanicIsClean: a pass that panics mid-network (an input of
 // the wrong width trips checkCols after the arena has handed out
 // buffers) must return its arena rewound; the next Score on the same

@@ -37,20 +37,6 @@ func ParallelMatMulIntoWorkers(dst, a, b *Matrix, workers int) {
 	})
 }
 
-// ParallelMatMul32Into is the float32 twin of ParallelMatMulInto, with
-// the same bit-identity guarantee against MatMul32Into.
-func ParallelMatMul32Into(dst, a, b *Matrix32) {
-	checkMatMul32Shapes(dst, a, b)
-	shards := matMulShards(a.Rows, a.Cols, b.Cols, 0)
-	if shards <= 1 {
-		matMul32Rows(dst, a, b, 0, a.Rows)
-		return
-	}
-	Default().Run(a.Rows, shards, func(r0, r1 int) {
-		matMul32Rows(dst, a, b, r0, r1)
-	})
-}
-
 // matMulShards sizes the shard count for an m x k x n product: bounded
 // by the requested worker budget (0 = pool width), the row count at
 // parallelMinRows grain, and dropped to 1 when the product is too small
