@@ -28,7 +28,11 @@ echo "== chaos smoke =="
 # The chaos tests inject faults (latency, errors, panics) into the
 # primary detector and the scan loop, asserting the serving cascade
 # degrades instead of failing; -race because degradation is concurrent.
-go test -run Chaos -race ./internal/serve/ ./internal/core/
+# The shared-instance tests ride along: every caller scores on the one
+# fitted detector with no clone and no lock, so the zoo, the CNN behind
+# concurrent POST /score and the un-cloned scan detector must each
+# answer their serial bits from many goroutines under the detector.
+go test -run 'Chaos|TestSharedInstanceConcurrentScore|TestSharedDetectorConcurrentScore|TestConcurrentScoreSharedCNN' -race . ./internal/serve/ ./internal/core/
 
 echo "== inference smoke =="
 # The batched inference engine must not fall behind the serial
@@ -67,8 +71,8 @@ echo "== router equivalence =="
 # The routing-equivalence property layer: for any band setting the
 # router's verdicts must be bit-identical to the answering stage's raw
 # verdict, and always-escalate mode must reproduce the final detector's
-# confusion matrix. -race because the batch path clones members per
-# call and shares atomic routing counters across scan workers.
+# confusion matrix. -race because scan workers and batch calls share the
+# one router, its members and its atomic routing counters.
 go test -run 'TestRouter|TestFitBand|TestCalibrat|TestGate.*Router' -race ./internal/router/ ./internal/registry/
 
 echo "== router smoke =="

@@ -395,8 +395,8 @@ func ResumeScanJournal(path string, meta ScanJournalMeta) (*ScanJournal, map[int
 // Operational telemetry.
 type (
 	// MetricsRegistry collects operational counters, gauges, and latency
-	// histograms; pass one as ScanConfig.Metrics to observe a scan, and
-	// render it with WritePrometheus or Snapshot.
+	// histograms; pass one as ScanFarmConfig.Metrics to observe a scan,
+	// and render it with WritePrometheus or Snapshot.
 	MetricsRegistry = telemetry.Registry
 	// MetricsSnapshot is one metric series of a registry snapshot.
 	MetricsSnapshot = telemetry.SeriesSnapshot

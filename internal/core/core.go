@@ -27,9 +27,13 @@ type LabeledClip struct {
 }
 
 // Detector is a trainable hotspot classifier over layout clips.
-// Implementations are safe for concurrent Score calls after Fit unless
-// they also implement Cloner, in which case callers must give each
-// goroutine its own clone.
+//
+// Concurrency contract: once Fit has returned, Score (and the optional
+// ScoreCtx, ScoreBatch and ScoreBatchCtx) must be safe to call from any
+// number of goroutines on the one instance, and must return the same
+// bits as a serial call. Scans, the router, the model registry and the
+// HTTP service all share a single fitted detector; none of them clones
+// or locks. Fit itself is not concurrent with anything.
 type Detector interface {
 	// Name identifies the detector in reports.
 	Name() string
@@ -41,17 +45,10 @@ type Detector interface {
 	Threshold() float64
 }
 
-// Cloner is implemented by detectors whose Score is not concurrency-safe;
-// each goroutine must use its own clone.
-type Cloner interface {
-	CloneDetector() Detector
-}
-
 // BatchScorer is implemented by detectors with a vectorized scoring path.
 // ScoreBatch returns one score per clip, in input order, identical to
-// what Score would return for each clip alone. Implementations must be
-// safe for concurrent use after Fit — even when the detector is also a
-// Cloner — so servers can batch across requests without cloning.
+// what Score would return for each clip alone, under the same
+// concurrency contract as Detector.Score.
 type BatchScorer interface {
 	ScoreBatch(clips []layout.Clip) ([]float64, error)
 }
@@ -385,7 +382,6 @@ type NeuralDetector struct {
 }
 
 var _ Detector = (*NeuralDetector)(nil)
-var _ Cloner = (*NeuralDetector)(nil)
 var _ BatchScorer = (*NeuralDetector)(nil)
 
 // Name implements Detector.
@@ -471,7 +467,7 @@ func (d *NeuralDetector) Network() *nn.Network { return d.net }
 
 // Score implements Detector. It does not mutate the detector: the
 // forward pass runs on a pooled arena (nn.Score), so concurrent calls on
-// one un-cloned detector are safe.
+// one detector are safe.
 func (d *NeuralDetector) Score(clip layout.Clip) (float64, error) {
 	if d.net == nil {
 		return 0, errNotFitted
@@ -487,7 +483,7 @@ func (d *NeuralDetector) Score(clip layout.Clip) (float64, error) {
 // engine: feature extraction per clip, then one parallel arena-backed
 // forward pass. Scores are bit-identical to per-clip Score calls, and
 // the path is read-only on the network, so it is safe for concurrent
-// use without cloning.
+// use.
 func (d *NeuralDetector) ScoreBatch(clips []layout.Clip) ([]float64, error) {
 	return d.ScoreBatchCtx(context.Background(), clips)
 }
@@ -500,12 +496,10 @@ func (d *NeuralDetector) Threshold() float64 {
 	return d.Thr
 }
 
-// CloneDetector implements Cloner. Scoring no longer needs it: Score,
-// ScoreCtx and ScoreBatch read the network and write only pooled
-// scratch, so one detector serves any number of goroutines. It stays
-// because callers that still follow the Cloner contract (the router, the
-// serve scorer, the benchmark) call it, and a clone is what isolates a
-// caller that goes on to train.
+// CloneDetector returns a deep copy of the detector and its network.
+// Nothing needs one to score (see Detector's concurrency contract); its
+// only caller is bench/, which is frozen and still copies the CNN
+// before each use.
 func (d *NeuralDetector) CloneDetector() Detector {
 	out := *d
 	if d.net != nil {

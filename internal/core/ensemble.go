@@ -21,7 +21,6 @@ type Ensemble struct {
 }
 
 var _ Detector = (*Ensemble)(nil)
-var _ Cloner = (*Ensemble)(nil)
 
 // NewEnsemble builds a majority-voting ensemble.
 func NewEnsemble(members ...Detector) *Ensemble { return &Ensemble{Members: members} }
@@ -73,19 +72,4 @@ func (e *Ensemble) Threshold() float64 {
 		return 0.5
 	}
 	return e.Vote
-}
-
-// CloneDetector implements Cloner: members that are themselves Cloners
-// get cloned; immutable members are shared.
-func (e *Ensemble) CloneDetector() Detector {
-	out := &Ensemble{Vote: e.Vote, fitted: e.fitted}
-	out.Members = make([]Detector, len(e.Members))
-	for i, m := range e.Members {
-		if c, ok := m.(Cloner); ok {
-			out.Members[i] = c.CloneDetector()
-		} else {
-			out.Members[i] = m
-		}
-	}
-	return out
 }

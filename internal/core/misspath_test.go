@@ -245,3 +245,27 @@ func TestScoreBatchReportsLowestFailingClip(t *testing.T) {
 		}
 	}
 }
+
+// TestCloneDetectorIsDeepCopy: the copy bench/ takes answers the same
+// bits through its own network, so training or reloading one side never
+// reaches the other.
+func TestCloneDetectorIsDeepCopy(t *testing.T) {
+	det, clips := fitSharedCNN(t)
+	clone := det.CloneDetector().(*NeuralDetector)
+	if clone == det || clone.Network() == det.Network() {
+		t.Fatal("CloneDetector shares the detector or its network")
+	}
+	for i, c := range clips {
+		want, err := det.Score(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := clone.Score(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("clip %d: clone %v, original %v", i, got, want)
+		}
+	}
+}

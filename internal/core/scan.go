@@ -7,12 +7,10 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/golitho/hsd/internal/faultinject"
 	"github.com/golitho/hsd/internal/geom"
 	"github.com/golitho/hsd/internal/layout"
-	"github.com/golitho/hsd/internal/telemetry"
 	"github.com/golitho/hsd/internal/trace"
 )
 
@@ -20,52 +18,108 @@ import (
 // score, for chaos-testing scan error handling.
 const ScanScoreSite = "core.scan.score"
 
-// ScanConfig controls full-chip scanning.
-type ScanConfig struct {
+// Grid is the window-center grid of a full-chip scan: which windows a
+// scan of Bounds visits, and in what order. It is a pure function of
+// the chip bounds and the window geometry, and it is the only place
+// that decision is made: ScanCtx enumerates through it and
+// scanfarm.Plan embeds it, so both schedulers agree on every center.
+//
+// Centers are anchored so the first core starts at Bounds.Min: the
+// cores (not the windows) must tile the die, otherwise geometry in the
+// border margin of width (ClipNM-core)/2 is never scored inside a core.
+// Windows overhang the die edge instead, which is harmless.
+type Grid struct {
+	// Bounds is the chip bounding box the grid covers.
+	Bounds geom.Rect
 	// ClipNM is the detection window edge (default 1024).
 	ClipNM int
 	// CoreFrac is the scored core fraction (default 0.5).
 	CoreFrac float64
-	// StrideNM is the window step; it defaults to the core size so cores
-	// tile the chip without gaps.
+	// StrideNM is the window step. It defaults to the core edge exactly
+	// as layout.ClipAt rounds it, so cores tile the chip without
+	// hairline gaps when ClipNM*CoreFrac is odd.
+	StrideNM int
+	// Cols, Rows are the dimensions of the window-center grid; both are
+	// zero for empty bounds.
+	Cols, Rows int
+
+	coreHalf int
+}
+
+// NewGrid builds the grid over bounds, filling the geometry defaults
+// for non-positive (or, for coreFrac, out-of-range) arguments. A
+// geometry whose core half-edge rounds to zero has no cores to tile the
+// die with and is refused.
+func NewGrid(bounds geom.Rect, clipNM int, coreFrac float64, strideNM int) (Grid, error) {
+	g := Grid{Bounds: bounds, ClipNM: clipNM, CoreFrac: coreFrac, StrideNM: strideNM}
+	if g.ClipNM <= 0 {
+		g.ClipNM = 1024
+	}
+	if g.CoreFrac <= 0 || g.CoreFrac > 1 {
+		g.CoreFrac = 0.5
+	}
+	// The half-edge of the scored core, matching layout.ClipAt's rounding.
+	g.coreHalf = int(float64(g.ClipNM) * g.CoreFrac / 2)
+	if g.coreHalf <= 0 {
+		return Grid{}, fmt.Errorf("core: scan geometry ClipNM=%d CoreFrac=%v has an empty core (ClipNM*CoreFrac must be at least 2)",
+			g.ClipNM, g.CoreFrac)
+	}
+	if g.StrideNM <= 0 {
+		g.StrideNM = g.CoreNM()
+	}
+	if !bounds.Empty() {
+		g.Cols = ceilDiv(bounds.Dx(), g.StrideNM)
+		g.Rows = ceilDiv(bounds.Dy(), g.StrideNM)
+	}
+	return g, nil
+}
+
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
+
+// CoreNM is the edge of the scored core region of every window.
+func (g Grid) CoreNM() int { return 2 * g.coreHalf }
+
+// Windows returns the number of windows in the grid.
+func (g Grid) Windows() int { return g.Cols * g.Rows }
+
+// Center returns the window center at grid position (col, row).
+// Enumeration order is row-major: window i is Center(i%Cols, i/Cols).
+func (g Grid) Center(col, row int) geom.Point {
+	return geom.Pt(
+		g.Bounds.Min.X+g.coreHalf+col*g.StrideNM,
+		g.Bounds.Min.Y+g.coreHalf+row*g.StrideNM,
+	)
+}
+
+// ScoreWindow scores one window with panic isolation: a panicking
+// detector (or a panic fault armed at site, the caller's faultinject
+// hook) fails the window with an error instead of crashing the scan.
+// The caller attaches the window's coordinates when it propagates the
+// error, so a poison window is identifiable from the failure alone.
+func ScoreWindow(ctx context.Context, site string, d Detector, clip layout.Clip) (score float64, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("detector panic: %v", r)
+		}
+	}()
+	if err := faultinject.Hit(site); err != nil {
+		return 0, err
+	}
+	return ScoreClipCtx(ctx, d, clip)
+}
+
+// ScanConfig controls full-chip scanning.
+type ScanConfig struct {
+	// ClipNM, CoreFrac and StrideNM are the window geometry; zero values
+	// take Grid's defaults (1024, 0.5, the core edge).
+	ClipNM   int
+	CoreFrac float64
 	StrideNM int
 	// Workers bounds concurrency; 0 means GOMAXPROCS.
 	Workers int
 	// SkipEmpty skips windows with no geometry (always sound: empty
 	// windows cannot print defects).
 	SkipEmpty bool
-	// Progress, when non-nil, is called after each window completes with
-	// the number of windows done so far and the total enumerated.
-	// Invocations are serialized; the callback must not block for long or
-	// it stalls the worker pool.
-	Progress func(done, total int)
-	// Metrics, when non-nil, receives scan telemetry under the scan_*
-	// namespace (see scanMetrics for the series emitted). The same
-	// registry may be reused across scans; counters accumulate.
-	Metrics *telemetry.Registry
-}
-
-func (c *ScanConfig) normalize() {
-	if c.ClipNM <= 0 {
-		c.ClipNM = 1024
-	}
-	if c.CoreFrac <= 0 || c.CoreFrac > 1 {
-		c.CoreFrac = 0.5
-	}
-	if c.StrideNM <= 0 {
-		// Exactly the core edge as ClipAt computes it (2 * coreHalf), so
-		// cores tile without hairline gaps when ClipNM*CoreFrac is odd.
-		c.StrideNM = 2 * c.coreHalf()
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-}
-
-// coreHalf is the half-edge of the scored core region, matching
-// layout.ClipAt's rounding.
-func (c *ScanConfig) coreHalf() int {
-	return int(float64(c.ClipNM) * c.CoreFrac / 2)
 }
 
 // Finding is one flagged window of a full-chip scan.
@@ -74,81 +128,6 @@ type Finding struct {
 	Center geom.Point
 	// Score is the detector output for the window.
 	Score float64
-}
-
-// scanMetrics bundles the telemetry series of one scan. A nil receiver
-// disables every method, so the hot path stays branch-light when no
-// registry is supplied.
-type scanMetrics struct {
-	enumerated *telemetry.Counter   // scan_windows_total
-	scanned    *telemetry.Counter   // scan_windows_scanned_total
-	skipped    *telemetry.Counter   // scan_windows_skipped_total
-	flagged    *telemetry.Counter   // scan_windows_flagged_total
-	errored    *telemetry.Counter   // scan_errors_total
-	latency    *telemetry.Histogram // scan_score_seconds
-	workers    *telemetry.Gauge     // scan_workers
-	busy       *telemetry.Counter   // scan_worker_busy_seconds_total
-	wall       *telemetry.Counter   // scan_wall_seconds_total
-}
-
-func newScanMetrics(reg *telemetry.Registry) *scanMetrics {
-	if reg == nil {
-		return nil
-	}
-	reg.SetHelp("scan_windows_total", "Windows enumerated by the sliding-window scan.")
-	reg.SetHelp("scan_windows_scanned_total", "Windows actually scored by the detector.")
-	reg.SetHelp("scan_windows_skipped_total", "Empty windows skipped under SkipEmpty.")
-	reg.SetHelp("scan_windows_flagged_total", "Windows whose score reached the threshold.")
-	reg.SetHelp("scan_errors_total", "Windows that failed to clip or score.")
-	reg.SetHelp("scan_score_seconds", "Per-window detector latency.")
-	reg.SetHelp("scan_workers", "Worker goroutines of the most recent scan.")
-	reg.SetHelp("scan_worker_busy_seconds_total", "Cumulative worker busy time; divide by scan_workers * scan_wall_seconds_total for utilization.")
-	reg.SetHelp("scan_wall_seconds_total", "Cumulative scan wall-clock time.")
-	return &scanMetrics{
-		enumerated: reg.Counter("scan_windows_total"),
-		scanned:    reg.Counter("scan_windows_scanned_total"),
-		skipped:    reg.Counter("scan_windows_skipped_total"),
-		flagged:    reg.Counter("scan_windows_flagged_total"),
-		errored:    reg.Counter("scan_errors_total"),
-		latency:    reg.Histogram("scan_score_seconds", nil),
-		workers:    reg.Gauge("scan_workers"),
-		busy:       reg.Counter("scan_worker_busy_seconds_total"),
-		wall:       reg.Counter("scan_wall_seconds_total"),
-	}
-}
-
-func (m *scanMetrics) start(windows, workers int) {
-	if m == nil {
-		return
-	}
-	m.enumerated.Add(float64(windows))
-	m.workers.Set(float64(workers))
-}
-
-func (m *scanMetrics) window(scoreTime time.Duration, scored, skipped, flagged, errored bool) {
-	if m == nil {
-		return
-	}
-	switch {
-	case errored:
-		m.errored.Inc()
-	case skipped:
-		m.skipped.Inc()
-	case scored:
-		m.scanned.Inc()
-		m.latency.ObserveDuration(scoreTime)
-		if flagged {
-			m.flagged.Inc()
-		}
-	}
-}
-
-func (m *scanMetrics) finish(busy, wall time.Duration) {
-	if m == nil {
-		return
-	}
-	m.busy.AddDuration(busy)
-	m.wall.AddDuration(wall)
 }
 
 // ScanResult is the outcome of a context-aware scan.
@@ -173,12 +152,8 @@ type ScanResult struct {
 
 // Scan slides a detection window across the chip and returns the flagged
 // windows ordered by descending score. Cores tile the die (given the
-// default stride), so every location is scored exactly once.
-//
-// When det implements Cloner, windows are scored in parallel with one
-// detector clone per worker; otherwise det.Score is assumed safe for
-// concurrent use (true for the fitted PM/SVM/AdaBoost detectors, whose
-// models are immutable after Fit).
+// default stride), so every location is scored exactly once. Windows
+// are scored in parallel on the one det (see Detector's contract).
 func Scan(chip *layout.Layout, det Detector, cfg ScanConfig) ([]Finding, error) {
 	res, err := ScanCtx(context.Background(), chip, det, cfg)
 	if err != nil {
@@ -197,23 +172,6 @@ func Scan(chip *layout.Layout, det Detector, cfg ScanConfig) ([]Finding, error) 
 	return out, nil
 }
 
-// scoreWindowSafe scores one window with panic isolation: a panicking
-// detector (or an armed ScanScoreSite panic fault) fails the window
-// with an error instead of crashing the whole scan. The caller attaches
-// the window index and center when it propagates the error, so a poison
-// window is identifiable from the failure alone.
-func scoreWindowSafe(ctx context.Context, d Detector, clip layout.Clip) (score float64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("detector panic: %v", r)
-		}
-	}()
-	if err := faultinject.Hit(ScanScoreSite); err != nil {
-		return 0, err
-	}
-	return ScoreClipCtx(ctx, d, clip)
-}
-
 // ScanCtx is the context-aware Scan: it honors cancellation and
 // deadlines, returning the partial findings gathered so far with an
 // explicit Interrupted marker instead of an error. Findings are in
@@ -225,119 +183,80 @@ func scoreWindowSafe(ctx context.Context, d Detector, clip layout.Clip) (score f
 // (matching Scan); errors beyond the prefix of an interrupted scan are
 // unreported, since their windows are not part of the result.
 func ScanCtx(ctx context.Context, chip *layout.Layout, det Detector, cfg ScanConfig) (ScanResult, error) {
-	cfg.normalize()
-	bounds := chip.Bounds()
-	if bounds.Empty() {
+	grid, err := NewGrid(chip.Bounds(), cfg.ClipNM, cfg.CoreFrac, cfg.StrideNM)
+	if err != nil {
+		return ScanResult{}, err
+	}
+	n := grid.Windows()
+	if n == 0 {
 		return ScanResult{}, nil
 	}
-	// Anchor window centers so the first core starts at bounds.Min: the
-	// cores (not the windows) must tile the die, otherwise geometry in
-	// the border margin of width (ClipNM-core)/2 is never scored inside
-	// a core. Windows overhang the die edge instead, which is harmless.
-	coreHalf := cfg.coreHalf()
-	if coreHalf <= 0 {
-		coreHalf = cfg.ClipNM / 2
-	}
-	var centers []geom.Point
-	for cy := bounds.Min.Y + coreHalf; cy-coreHalf < bounds.Max.Y; cy += cfg.StrideNM {
-		for cx := bounds.Min.X + coreHalf; cx-coreHalf < bounds.Max.X; cx += cfg.StrideNM {
-			centers = append(centers, geom.Pt(cx, cy))
-		}
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 
-	mets := newScanMetrics(cfg.Metrics)
-	mets.start(len(centers), cfg.Workers)
-	scanStart := time.Now()
-
-	var done atomic.Int64
-	var progressMu sync.Mutex
-	report := func() {
-		n := int(done.Add(1))
-		if cfg.Progress != nil {
-			progressMu.Lock()
-			cfg.Progress(n, len(centers))
-			progressMu.Unlock()
-		}
-	}
-
-	var busyNanos atomic.Int64
-	findings := make([]*Finding, len(centers))
-	errs := make([]error, len(centers))
-	processed := make([]atomic.Bool, len(centers))
+	findings := make([]*Finding, n)
+	errs := make([]error, n)
+	processed := make([]atomic.Bool, n)
 	// Resolve the tracer once: with tracing off, the per-window loop must
 	// not pay even the context lookups (the scan hot path is the
 	// zero-cost-when-disabled acceptance surface; see
 	// BenchmarkScanTracedVsUntraced).
 	traced := !trace.Disabled(ctx)
+	center := func(i int) geom.Point { return grid.Center(i%grid.Cols, i/grid.Cols) }
+	// scanWindow processes window i; the caller marks it processed.
+	scanWindow := func(i int) {
+		wctx, wsp := ctx, (*trace.Span)(nil)
+		if traced {
+			wctx, wsp = trace.Start(ctx, "scan.window")
+			wsp.SetAttrInt("index", i)
+		}
+		defer wsp.End()
+		clip, err := chip.ClipAt(center(i), grid.ClipNM, grid.CoreFrac)
+		if err != nil {
+			errs[i] = err
+			wsp.SetError(err)
+			return
+		}
+		if cfg.SkipEmpty && len(clip.Shapes) == 0 {
+			wsp.SetAttr("skipped", "empty")
+			return
+		}
+		score, err := ScoreWindow(wctx, ScanScoreSite, det, clip)
+		if err != nil {
+			errs[i] = err
+			wsp.SetError(err)
+			return
+		}
+		if score >= det.Threshold() {
+			findings[i] = &Finding{Center: center(i), Score: score}
+			wsp.SetAttr("flagged", "true")
+		}
+	}
+
 	var wg sync.WaitGroup
 	jobs := make(chan int)
-	for w := 0; w < cfg.Workers; w++ {
-		d := det
-		if c, ok := det.(Cloner); ok {
-			d = c.CloneDetector()
-		}
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(d Detector) {
+		go func() {
 			defer wg.Done()
 			for {
-				var i int
 				select {
 				case <-ctx.Done():
 					return
-				case j, ok := <-jobs:
+				case i, ok := <-jobs:
 					if !ok {
 						return
 					}
-					i = j
-				}
-				jobStart := time.Now()
-				wctx, wsp := ctx, (*trace.Span)(nil)
-				if traced {
-					wctx, wsp = trace.Start(ctx, "scan.window")
-					wsp.SetAttrInt("index", i)
-				}
-				done := func() {
-					wsp.End()
+					scanWindow(i)
 					processed[i].Store(true)
-					busyNanos.Add(int64(time.Since(jobStart)))
-					report()
 				}
-				clip, err := chip.ClipAt(centers[i], cfg.ClipNM, cfg.CoreFrac)
-				if err != nil {
-					errs[i] = err
-					wsp.SetError(err)
-					mets.window(0, false, false, false, true)
-					done()
-					continue
-				}
-				if cfg.SkipEmpty && len(clip.Shapes) == 0 {
-					wsp.SetAttr("skipped", "empty")
-					mets.window(0, false, true, false, false)
-					done()
-					continue
-				}
-				scoreStart := time.Now()
-				score, err := scoreWindowSafe(wctx, d, clip)
-				scoreTime := time.Since(scoreStart)
-				if err != nil {
-					errs[i] = err
-					wsp.SetError(err)
-					mets.window(0, false, false, false, true)
-					done()
-					continue
-				}
-				flagged := score >= d.Threshold()
-				if flagged {
-					findings[i] = &Finding{Center: centers[i], Score: score}
-					wsp.SetAttr("flagged", "true")
-				}
-				mets.window(scoreTime, true, false, flagged, false)
-				done()
 			}
-		}(d)
+		}()
 	}
 dispatch:
-	for i := range centers {
+	for i := 0; i < n; i++ {
 		select {
 		case jobs <- i:
 		case <-ctx.Done():
@@ -346,23 +265,22 @@ dispatch:
 	}
 	close(jobs)
 	wg.Wait()
-	mets.finish(time.Duration(busyNanos.Load()), time.Since(scanStart))
 
-	res := ScanResult{Windows: len(centers)}
+	res := ScanResult{Windows: n}
 	// Completed is the maximal contiguous prefix of processed windows:
 	// the portion of the deterministic enumeration the scan fully
 	// covered before cancellation (workers finish out of order, so
 	// isolated later windows may also be done; they are not reported).
-	for res.Completed < len(centers) && processed[res.Completed].Load() {
+	for res.Completed < n && processed[res.Completed].Load() {
 		res.Completed++
 	}
-	if err := ctx.Err(); err != nil && res.Completed < len(centers) {
+	if err := ctx.Err(); err != nil && res.Completed < n {
 		res.Interrupted = true
 		res.Cause = err
 	}
 	for i := 0; i < res.Completed; i++ {
 		if errs[i] != nil {
-			return ScanResult{}, fmt.Errorf("core: scan window %d at %v: %w", i, centers[i], errs[i])
+			return ScanResult{}, fmt.Errorf("core: scan window %d at %v: %w", i, center(i), errs[i])
 		}
 	}
 	for _, f := range findings[:res.Completed] {

@@ -45,6 +45,22 @@ func scanChip(t *testing.T) *layout.Layout {
 	return l
 }
 
+// cancellingDetector cancels the scan's context once cut windows have
+// been scored.
+type cancellingDetector struct {
+	densityDetector
+	scored atomic.Int64
+	cut    int64
+	cancel context.CancelFunc
+}
+
+func (d *cancellingDetector) Score(c layout.Clip) (float64, error) {
+	if d.scored.Add(1) >= d.cut {
+		d.cancel()
+	}
+	return d.densityDetector.Score(c)
+}
+
 // TestChaosScanCancelPrefix asserts the core interruption contract: a
 // cancelled ScanCtx returns partial findings that are exactly a prefix
 // of the uncancelled deterministic result.
@@ -64,17 +80,13 @@ func TestChaosScanCancelPrefix(t *testing.T) {
 		t.Fatal("test chip produced no findings; scan test is vacuous")
 	}
 
-	// Cancel mid-scan via the serialized progress callback, at several
-	// cut points to exercise different prefix lengths.
+	// Cancel mid-scan from inside the detector (every window is scored:
+	// no SkipEmpty), at several cut points to exercise different prefix
+	// lengths.
 	for _, cut := range []int{1, full.Windows / 4, full.Windows / 2} {
 		ctx, cancel := context.WithCancel(context.Background())
-		cutCfg := cfg
-		cutCfg.Progress = func(done, total int) {
-			if done >= cut {
-				cancel()
-			}
-		}
-		partial, err := ScanCtx(ctx, chip, det, cutCfg)
+		cutDet := &cancellingDetector{densityDetector: det, cut: int64(cut), cancel: cancel}
+		partial, err := ScanCtx(ctx, chip, cutDet, cfg)
 		cancel()
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
@@ -133,8 +145,6 @@ func (d *slowDetector) Score(c layout.Clip) (float64, error) {
 	time.Sleep(d.delay)
 	return c.Density(), nil
 }
-
-func (d *slowDetector) CloneDetector() Detector { return d } // share the counter
 
 func TestScanCtxDeadline(t *testing.T) {
 	det := &slowDetector{densityDetector: densityDetector{thr: 0.5}, delay: 5 * time.Millisecond}

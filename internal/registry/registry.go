@@ -167,9 +167,6 @@ func gateScores(det core.Detector, clips []core.LabeledClip) (scores []float64, 
 			scores, err = nil, fmt.Errorf("scoring panicked: %v", rec)
 		}
 	}()
-	if c, ok := det.(core.Cloner); ok {
-		det = c.CloneDetector()
-	}
 	raw := make([]float64, len(clips))
 	for i, s := range clips {
 		v, serr := det.Score(s.Clip)

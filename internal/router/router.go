@@ -17,9 +17,9 @@
 //     predictions reduce exactly to the final (deep) detector's — same
 //     confusion matrix on any evaluation set.
 //
-// The router is a first-class core.Detector: it clones per scan worker
-// (members that mutate caches clone with it), batch-scores stage-wise
-// over the still-active subset, and its Score is a deterministic pure
+// The router is a first-class core.Detector: scan workers share the
+// one fitted instance, it batch-scores stage-wise over the
+// still-active subset, and its Score is a deterministic pure
 // function of the clip — so scanfarm journals, the clip cache, and
 // kill-resume scans behave exactly as they do for any other detector.
 package router
@@ -105,27 +105,15 @@ type StageStats struct {
 // Answered is the total clips this stage answered.
 func (s StageStats) Answered() int64 { return s.AnsweredHot + s.AnsweredCold }
 
-// stageCounters are the live atomic counters behind StageStats. They
-// are shared across clones (one routing history per router, however
-// many scan workers), and they never feed back into scores, so routed
-// scans stay byte-deterministic.
+// stageCounters are the live atomic counters behind StageStats: one
+// routing history per router, however many goroutines score through
+// it. They never feed back into scores, so routed scans stay
+// byte-deterministic.
 type stageCounters struct {
 	answeredHot  atomic.Int64
 	answeredCold atomic.Int64
 	escalated    atomic.Int64
 	nanos        atomic.Int64
-}
-
-// routerStats is the state shared by every clone of one router: the
-// live counters plus the telemetry binding. mets is an atomic pointer
-// because hsdserve binds telemetry after serve.New has already cloned
-// the detector — clones must observe a late BindMetrics, and binding
-// can race with a clone that is mid-score.
-type routerStats struct {
-	stages []stageCounters
-	mets   atomic.Pointer[[]stageMetrics]
-	tap    atomic.Pointer[QualityTap]
-	escTap atomic.Pointer[QualityTap]
 }
 
 // QualityTap observes one answered routing decision: the answering
@@ -140,18 +128,22 @@ type stageMetrics struct {
 	sec            *telemetry.Histogram
 }
 
-// Router routes clips through the staged cascade. Fit before scoring.
-// Score mutates member caches when members do, so the Router is a
-// core.Cloner: scans and servers give each goroutine its own clone.
-// ScoreBatch is concurrent-safe regardless (members that are cloners
-// but not batch scorers are cloned per call).
+// Router routes clips through the staged cascade. Fit before scoring;
+// after Fit it follows core.Detector's concurrency contract like its
+// members, so scans and servers share the one instance. The telemetry
+// binding and the taps are atomic pointers because hsdserve binds them
+// while requests may already be scoring.
 type Router struct {
 	name   string
 	stages []Stage
 	cfg    Config
 	cals   []Calibration
 	fitted bool
-	stats  *routerStats
+
+	counters []stageCounters
+	mets     atomic.Pointer[[]stageMetrics]
+	tap      atomic.Pointer[QualityTap]
+	escTap   atomic.Pointer[QualityTap]
 }
 
 // New builds an unfitted router over stages (cheapest first; the final
@@ -162,16 +154,15 @@ func New(name string, stages []Stage, cfg Config) *Router {
 		name = "Router"
 	}
 	return &Router{
-		name:   name,
-		stages: stages,
-		cfg:    cfg,
-		stats:  &routerStats{stages: make([]stageCounters, len(stages))},
+		name:     name,
+		stages:   stages,
+		cfg:      cfg,
+		counters: make([]stageCounters, len(stages)),
 	}
 }
 
 var (
 	_ core.Detector       = (*Router)(nil)
-	_ core.Cloner         = (*Router)(nil)
 	_ core.BatchScorer    = (*Router)(nil)
 	_ core.CtxScorer      = (*Router)(nil)
 	_ core.CtxBatchScorer = (*Router)(nil)
@@ -316,10 +307,10 @@ func encode(p float64, hot bool) float64 {
 	return math.Nextafter(0.5, 0)
 }
 
-// note records one routing outcome into the shared counters and the
-// bound telemetry, attributing dt of scoring time to stage i.
+// note records one routing outcome into the counters and the bound
+// telemetry, attributing dt of scoring time to stage i.
 func (r *Router) note(i int, hot, answered bool, dt time.Duration) {
-	c := &r.stats.stages[i]
+	c := &r.counters[i]
 	c.nanos.Add(int64(dt))
 	switch {
 	case !answered:
@@ -329,7 +320,7 @@ func (r *Router) note(i int, hot, answered bool, dt time.Duration) {
 	default:
 		c.answeredCold.Add(1)
 	}
-	if mp := r.stats.mets.Load(); mp != nil && i < len(*mp) {
+	if mp := r.mets.Load(); mp != nil && i < len(*mp) {
 		m := (*mp)[i]
 		switch {
 		case !answered:
@@ -370,11 +361,11 @@ func (r *Router) RouteCtx(ctx context.Context, clip layout.Clip) (Decision, erro
 		hot, answered := decide(i == len(r.stages)-1, p, verdict, r.cals[i].Band)
 		r.note(i, hot, answered, dt)
 		if answered {
-			if tp := r.stats.tap.Load(); tp != nil {
+			if tp := r.tap.Load(); tp != nil {
 				(*tp)(st.Name, p, clip)
 			}
 			if i == len(r.stages)-1 {
-				if tp := r.stats.escTap.Load(); tp != nil {
+				if tp := r.escTap.Load(); tp != nil {
 					(*tp)(st.Name, p, clip)
 				}
 			}
@@ -403,9 +394,7 @@ func (r *Router) ScoreCtx(ctx context.Context, clip layout.Clip) (float64, error
 }
 
 // ScoreBatch implements core.BatchScorer: stage-wise batching over the
-// still-active subset, bit-identical per clip to Score. Safe for
-// concurrent use: members that clone-for-safety but lack a batch path
-// are cloned per call.
+// still-active subset, bit-identical per clip to Score.
 func (r *Router) ScoreBatch(clips []layout.Clip) ([]float64, error) {
 	return r.ScoreBatchCtx(context.Background(), clips)
 }
@@ -429,14 +418,8 @@ func (r *Router) ScoreBatchCtx(ctx context.Context, clips []layout.Clip) ([]floa
 		for k, idx := range active {
 			sub[k] = clips[idx]
 		}
-		det := st.Detector
-		if _, batch := det.(core.BatchScorer); !batch {
-			if c, ok := det.(core.Cloner); ok {
-				det = c.CloneDetector()
-			}
-		}
 		t0 := time.Now()
-		s, err := core.ScoreClipsCtx(ctx, det, sub)
+		s, err := core.ScoreClipsCtx(ctx, st.Detector, sub)
 		dt := time.Since(t0)
 		if err != nil {
 			return nil, fmt.Errorf("router: stage %d (%s): %w", i, st.Name, err)
@@ -457,11 +440,11 @@ func (r *Router) ScoreBatchCtx(ctx context.Context, clips []layout.Clip) ([]floa
 			hot, answered := decide(last, p, verdict, r.cals[i].Band)
 			r.note(i, hot, answered, dt)
 			if answered {
-				if tp := r.stats.tap.Load(); tp != nil {
+				if tp := r.tap.Load(); tp != nil {
 					(*tp)(st.Name, p, clips[idx])
 				}
 				if last {
-					if tp := r.stats.escTap.Load(); tp != nil {
+					if tp := r.escTap.Load(); tp != nil {
 						(*tp)(st.Name, p, clips[idx])
 					}
 				}
@@ -475,27 +458,11 @@ func (r *Router) ScoreBatchCtx(ctx context.Context, clips []layout.Clip) ([]floa
 	return out, nil
 }
 
-// CloneDetector implements core.Cloner: member detectors that are
-// themselves cloners get private clones (their Score mutates caches);
-// calibrations are shared read-only; routing counters and telemetry
-// stay shared so the stats describe the whole router, not one worker.
-func (r *Router) CloneDetector() core.Detector {
-	cl := *r
-	cl.stages = make([]Stage, len(r.stages))
-	copy(cl.stages, r.stages)
-	for i := range cl.stages {
-		if c, ok := cl.stages[i].Detector.(core.Cloner); ok {
-			cl.stages[i].Detector = c.CloneDetector()
-		}
-	}
-	return &cl
-}
-
 // Stats snapshots the per-stage routing counters.
 func (r *Router) Stats() []StageStats {
 	out := make([]StageStats, len(r.stages))
 	for i, st := range r.stages {
-		c := &r.stats.stages[i]
+		c := &r.counters[i]
 		out[i] = StageStats{
 			Name:         st.Name,
 			AnsweredHot:  c.answeredHot.Load(),
@@ -510,8 +477,8 @@ func (r *Router) Stats() []StageStats {
 // ResetStats zeroes the routing counters (telemetry series, being
 // monotone, are left alone).
 func (r *Router) ResetStats() {
-	for i := range r.stats.stages {
-		c := &r.stats.stages[i]
+	for i := range r.counters {
+		c := &r.counters[i]
 		c.answeredHot.Store(0)
 		c.answeredCold.Store(0)
 		c.escalated.Store(0)
@@ -530,10 +497,6 @@ var stageSecondsBuckets = []float64{
 //	hotspot_router_stage_total{stage,outcome}  — clips per stage by
 //	    outcome (answered_hot / answered_cold / escalated)
 //	router_stage_seconds{stage}                — scoring latency
-//
-// The binding lands in the state shared by every clone, so binding
-// after clones exist (hsdserve binds after serve.New has cloned the
-// scorer) still routes their outcomes onto the series.
 func (r *Router) BindMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -552,19 +515,17 @@ func (r *Router) BindMetrics(reg *telemetry.Registry) {
 			sec:  reg.Histogram("router_stage_seconds", stageSecondsBuckets, stage),
 		}
 	}
-	r.stats.mets.Store(&mets)
+	r.mets.Store(&mets)
 }
 
-// BindQualityTap installs (or, with nil, removes) the quality tap. Like
-// BindMetrics, the tap lands in the shared stats, so binding after
-// clones exist reaches every clone, and a clone mid-score observes it
-// on its next answered decision.
+// BindQualityTap installs (or, with nil, removes) the quality tap; a
+// goroutine mid-score observes it on its next answered decision.
 func (r *Router) BindQualityTap(tap QualityTap) {
 	if tap == nil {
-		r.stats.tap.Store(nil)
+		r.tap.Store(nil)
 		return
 	}
-	r.stats.tap.Store(&tap)
+	r.tap.Store(&tap)
 }
 
 // BindEscalationTap installs (or, with nil, removes) a tap over the
@@ -572,12 +533,12 @@ func (r *Router) BindQualityTap(tap QualityTap) {
 // stage — the ones every cheaper stage's uncertainty band escalated.
 // These clips are where the calibrated cascade was least sure, which
 // makes them the router's feed into the active-learning data engine
-// (internal/datengine). Same sharing semantics as BindQualityTap; same
+// (internal/datengine). Same binding semantics as BindQualityTap; same
 // determinism contract (the tap never feeds back into scores).
 func (r *Router) BindEscalationTap(tap QualityTap) {
 	if tap == nil {
-		r.stats.escTap.Store(nil)
+		r.escTap.Store(nil)
 		return
 	}
-	r.stats.escTap.Store(&tap)
+	r.escTap.Store(&tap)
 }

@@ -300,7 +300,7 @@ func routerSplits(t *testing.T) (train, test []core.LabeledClip) {
 
 // realStages is a miniature version of the production cascade: pattern
 // matcher, boosted stumps, and a small MLP (a NeuralDetector, so the
-// Cloner and BatchScorer member paths are exercised).
+// BatchScorer member path is exercised).
 func realStages() []Stage {
 	shallow := features.NewConcat(
 		&features.GeomStats{},
@@ -438,30 +438,6 @@ func TestRouterScanDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRouterCloneSharesStats: clones route independently but report
-// into the same counters, and calibration state is shared, not copied.
-func TestRouterCloneSharesStats(t *testing.T) {
-	clips := testClips(t)
-	r := mustRouter(t, Band{Lo: 0.3, Hi: 0.7}, AlwaysEscalate)
-	cl, ok := core.Detector(r).(core.Cloner)
-	if !ok {
-		t.Fatal("router is not a Cloner")
-	}
-	clone := cl.CloneDetector()
-	for _, clip := range clips[:10] {
-		if _, err := clone.Score(clip); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var total int64
-	for _, s := range r.Stats() {
-		total += s.Answered()
-	}
-	if total != 10 {
-		t.Fatalf("parent sees %d answered clips from clone, want 10", total)
-	}
-}
-
 // TestRouterTelemetry: bound metrics mirror the routing counters.
 func TestRouterTelemetry(t *testing.T) {
 	clips := testClips(t)
@@ -507,36 +483,6 @@ func TestRouterTelemetry(t *testing.T) {
 	}
 }
 
-// TestRouterTelemetryBindsAfterClone: hsdserve clones the detector into
-// its scorer before main binds telemetry, so a clone made *before*
-// BindMetrics must still land its outcomes on the bound series.
-func TestRouterTelemetryBindsAfterClone(t *testing.T) {
-	clips := testClips(t)
-	r := mustRouter(t, Band{Lo: 0.3, Hi: 0.7}, Band{Lo: 0.35, Hi: 0.65})
-	clone := r.CloneDetector()
-	reg := telemetry.NewRegistry()
-	r.BindMetrics(reg)
-	for _, clip := range clips {
-		if _, err := clone.Score(clip); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var answered float64
-	for _, s := range reg.Snapshot() {
-		if s.Name != "hotspot_router_stage_total" {
-			continue
-		}
-		for _, lb := range s.Labels {
-			if lb.Key == "outcome" && lb.Value != "escalated" {
-				answered += s.Value
-			}
-		}
-	}
-	if answered != float64(len(clips)) {
-		t.Fatalf("pre-bind clone routed %v clips onto telemetry, want %d", answered, len(clips))
-	}
-}
-
 // TestRouterErrors: unfitted use, empty cascades, and member failures
 // surface as errors with stage attribution, never panics.
 func TestRouterErrors(t *testing.T) {
@@ -579,8 +525,7 @@ func boostConfig() boost.Config { return boost.Config{Rounds: 40, ClassBalance: 
 
 // TestRouterEscalationTap: the escalation tap observes exactly the
 // clips answered by the final stage — the cascade's uncertainty band —
-// in both the single-clip and batch paths, reaches clones through the
-// shared stats, and unbinds cleanly with nil.
+// in both the single-clip and batch paths, and unbinds cleanly with nil.
 func TestRouterEscalationTap(t *testing.T) {
 	clips := testClips(t)
 	r := mustRouter(t, Band{Lo: 0.3, Hi: 0.7}, Band{Lo: 0.35, Hi: 0.65})
@@ -638,28 +583,12 @@ func TestRouterEscalationTap(t *testing.T) {
 	}
 	mu.Unlock()
 
-	// Clones report into the same shared tap; nil unbinds for everyone.
-	var cloneHits int
-	r.BindEscalationTap(func(stage string, p float64, clip layout.Clip) {
-		mu.Lock()
-		defer mu.Unlock()
-		cloneHits++
-	})
-	clone := r.CloneDetector()
-	if _, err := clone.(*Router).ScoreBatch(clips); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	if cloneHits != total {
-		t.Fatalf("clone escalations = %d, want %d", cloneHits, total)
-	}
-	mu.Unlock()
 	r.BindEscalationTap(nil)
-	if _, err := clone.Score(clips[0]); err != nil {
+	if _, err := r.ScoreBatch(clips); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
-	if cloneHits != total {
+	if !reflect.DeepEqual(batchSeen, seen) {
 		t.Fatal("nil unbind did not stop the escalation tap")
 	}
 	mu.Unlock()

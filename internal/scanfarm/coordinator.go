@@ -167,7 +167,10 @@ func (m *farmMetrics) cache(hit, evicted bool) {
 // eventually quarantined.
 func Run(ctx context.Context, chip *layout.Layout, det core.Detector, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
-	plan := NewPlan(chip.Bounds(), cfg)
+	plan, err := newPlan(chip.Bounds(), cfg)
+	if err != nil {
+		return Result{}, fmt.Errorf("scanfarm: %w", err)
+	}
 	res := Result{Shards: plan.NumShards, Windows: plan.Windows()}
 	if plan.NumShards == 0 {
 		return res, nil
@@ -193,6 +196,13 @@ func Run(ctx context.Context, chip *layout.Layout, det core.Detector, cfg Config
 		todo = append(todo, id)
 	}
 
+	// A journal that stops accepting records ends the run: shards scored
+	// after that could not be resumed, so scoring them is wasted work.
+	// runCtx gates dispatch only. Shards in flight finish under the
+	// caller's ctx, because the window loop polls ctx.Err and a derived
+	// context's Err takes a mutex the workers would contend on.
+	runCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	var (
 		wg         sync.WaitGroup
 		mu         sync.Mutex // records, journal order, progress
@@ -208,7 +218,9 @@ func Run(ctx context.Context, chip *layout.Layout, det core.Detector, cfg Config
 			res.Scanned += (r1 - r0) * plan.Cols
 		}
 		if cfg.Journal != nil && journalErr == nil {
-			journalErr = cfg.Journal.Append(*rec)
+			if journalErr = cfg.Journal.Append(*rec); journalErr != nil {
+				cancel()
+			}
 		}
 		done++
 		if cfg.Progress != nil {
@@ -218,16 +230,12 @@ func Run(ctx context.Context, chip *layout.Layout, det core.Detector, cfg Config
 
 	jobs := make(chan int)
 	for w := 0; w < cfg.Workers; w++ {
-		d := det
-		if c, ok := det.(core.Cloner); ok {
-			d = c.CloneDetector()
-		}
 		wg.Add(1)
-		go func(d core.Detector) {
+		go func() {
 			defer wg.Done()
 			wk := &worker{
 				chip:    chip,
-				det:     d,
+				det:     det,
 				plan:    plan,
 				cfg:     cfg,
 				breaker: resilience.NewBreaker(cfg.Breaker),
@@ -236,10 +244,10 @@ func Run(ctx context.Context, chip *layout.Layout, det core.Detector, cfg Config
 			}
 			for {
 				select {
-				case <-ctx.Done():
+				case <-runCtx.Done():
 					return
 				case id, ok := <-jobs:
-					if !ok {
+					if !ok || runCtx.Err() != nil {
 						return
 					}
 					if rec := wk.runShard(ctx, id); rec != nil {
@@ -247,13 +255,13 @@ func Run(ctx context.Context, chip *layout.Layout, det core.Detector, cfg Config
 					}
 				}
 			}
-		}(d)
+		}()
 	}
 dispatch:
 	for _, id := range todo {
 		select {
 		case jobs <- id:
-		case <-ctx.Done():
+		case <-runCtx.Done():
 			break dispatch
 		}
 	}
@@ -296,8 +304,8 @@ dispatch:
 	return res, nil
 }
 
-// worker is the per-goroutine scan state: a detector clone and a
-// circuit breaker that outlive individual shards.
+// worker is the per-goroutine scan state: the shared detector and a
+// circuit breaker that outlives individual shards.
 type worker struct {
 	chip    *layout.Layout
 	det     core.Detector
@@ -431,7 +439,7 @@ func (w *worker) scoreWindow(ctx context.Context, clip layout.Clip) (float64, er
 			return score, nil
 		}
 	}
-	score, err := safeScore(ctx, w.det, canon)
+	score, err := core.ScoreWindow(ctx, WindowScoreSite, w.det, canon)
 	if err != nil {
 		if w.cache != nil {
 			w.mets.cache(false, false)
@@ -456,19 +464,4 @@ func (w *worker) observeQuality(canon layout.Clip, score float64) {
 		Score: score, Threshold: w.det.Threshold(),
 		Clip: canon, HasClip: true,
 	})
-}
-
-// safeScore isolates detector panics (and armed WindowScoreSite
-// faults): a panicking detector fails the window instead of killing the
-// process.
-func safeScore(ctx context.Context, d core.Detector, clip layout.Clip) (score float64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("detector panic: %v", r)
-		}
-	}()
-	if err := faultinject.Hit(WindowScoreSite); err != nil {
-		return 0, err
-	}
-	return core.ScoreClipCtx(ctx, d, clip)
 }

@@ -3,13 +3,16 @@ package scanfarm
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/golitho/hsd/internal/core"
 	"github.com/golitho/hsd/internal/faultinject"
+	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/resilience"
 	"github.com/golitho/hsd/internal/telemetry"
 )
@@ -379,6 +382,47 @@ func TestFarmJournalMismatchRefused(t *testing.T) {
 	other.ShardRows = 7
 	if _, _, err := ResumeJournal(path, other.Meta(chip, det.Name())); !errors.Is(err, ErrJournalMismatch) {
 		t.Fatalf("mismatched resume error = %v, want ErrJournalMismatch", err)
+	}
+}
+
+// countingDetector counts the windows it is asked to score.
+type countingDetector struct {
+	densityDetector
+	scored atomic.Int64
+}
+
+func (d *countingDetector) Score(c layout.Clip) (float64, error) {
+	d.scored.Add(1)
+	return d.densityDetector.Score(c)
+}
+
+// TestFarmJournalFailureStopsRun: once the journal stops accepting
+// records nothing scored afterwards can be resumed, so the first failed
+// append cancels the run and Run returns that error promptly instead
+// of scoring every remaining shard first.
+func TestFarmJournalFailureStopsRun(t *testing.T) {
+	chip := testChip(t, 16)
+	det := &countingDetector{densityDetector: densityDetector{thr: 0.5}}
+	cfg := Config{Workers: 2, ShardRows: 1, Retry: fastRetry()}
+	j, err := CreateJournal(filepath.Join(t.TempDir(), "scan.journal"), cfg.Meta(chip, det.Name()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil { // every Append now fails
+		t.Fatal(err)
+	}
+	cfg.Journal = j
+
+	res, err := Run(context.Background(), chip, det, cfg)
+	if err == nil || !strings.Contains(err.Error(), "journal append") {
+		t.Fatalf("Run = %+v, %v; want the journal append error", res, err)
+	}
+	plan := NewPlan(chip.Bounds(), cfg)
+	// The failing shard plus whatever the other worker had in flight:
+	// a few rows, against the 32 the plan holds.
+	if got, limit := det.scored.Load(), int64(4*plan.Cols); got > limit {
+		t.Fatalf("scored %d of %d windows after the journal failed, want at most %d",
+			got, plan.Windows(), limit)
 	}
 }
 

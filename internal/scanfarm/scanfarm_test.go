@@ -15,9 +15,9 @@ import (
 // shipped detector, which is what the clip cache relies on.
 type densityDetector struct{ thr float64 }
 
-func (d densityDetector) Name() string            { return "density" }
+func (d densityDetector) Name() string                 { return "density" }
 func (d densityDetector) Fit([]core.LabeledClip) error { return nil }
-func (d densityDetector) Threshold() float64      { return d.thr }
+func (d densityDetector) Threshold() float64           { return d.thr }
 func (densityDetector) Score(c layout.Clip) (float64, error) {
 	return c.Density(), nil
 }
@@ -73,7 +73,6 @@ func cellChip(t testing.TB, tiles int) *layout.Layout {
 // plain single-process core.ScanCtx result in enumeration order.
 func referenceFindings(t testing.TB, chip *layout.Layout, det core.Detector, cfg Config) []core.Finding {
 	t.Helper()
-	cfg = cfg.withDefaults()
 	res, err := core.ScanCtx(context.Background(), chip, det, core.ScanConfig{
 		ClipNM:    cfg.ClipNM,
 		CoreFrac:  cfg.CoreFrac,
@@ -93,8 +92,8 @@ func referenceFindings(t testing.TB, chip *layout.Layout, det core.Detector, cfg
 // then behaves like the inner detector: the transient-fault workload
 // that retries must absorb without losing a finding.
 type flakyDetector struct {
-	inner core.Detector
-	fails *atomic.Int64
+	inner  core.Detector
+	fails  *atomic.Int64
 	panics bool
 }
 
@@ -147,6 +146,6 @@ func testChipEmpty() *layout.Layout { return layout.New("empty") }
 
 // shardOf returns the shard ID owning the window centered at c.
 func shardOf(p Plan, c geom.Point) int {
-	row := (c.Y - p.Bounds.Min.Y - p.coreHalf) / p.StrideNM
+	row := (c.Y - p.Center(0, 0).Y) / p.StrideNM
 	return row / p.ShardRows
 }

@@ -18,6 +18,7 @@ import (
 	"runtime"
 	"time"
 
+	"github.com/golitho/hsd/internal/core"
 	"github.com/golitho/hsd/internal/geom"
 	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/qualitymon"
@@ -25,62 +26,39 @@ import (
 	"github.com/golitho/hsd/internal/telemetry"
 )
 
-// Plan is the deterministic decomposition of a chip scan into shards.
-// It is a pure function of the chip bounds and the scan geometry
+// Plan is the deterministic decomposition of a chip scan into shards:
+// core.Grid's window centers, cut into bands of ShardRows grid rows. It
+// is a pure function of the chip bounds and the scan geometry
 // parameters, so every run (and every resume) of the same scan agrees
 // on shard IDs and their window sets.
 type Plan struct {
-	// Bounds is the chip bounding box the plan tiles.
-	Bounds geom.Rect
-	// ClipNM, CoreFrac, StrideNM are the window geometry (normalized).
-	ClipNM   int
-	CoreFrac float64
-	StrideNM int
-	// Cols, Rows are the dimensions of the window-center grid.
-	Cols, Rows int
+	// Grid is the window-center grid the shards partition; it supplies
+	// Bounds, ClipNM, CoreFrac, StrideNM, Cols, Rows, Windows and Center.
+	core.Grid
 	// ShardRows is the number of center-grid rows per shard.
 	ShardRows int
 	// NumShards is the shard count: ceil(Rows / ShardRows).
 	NumShards int
-
-	coreHalf int
 }
 
-// NewPlan tiles the bounds into shards. The window-center enumeration
-// is identical to core.ScanCtx: centers anchored so the first core
-// starts at Bounds.Min, stepping StrideNM, covering every point of the
-// die inside some core.
+// NewPlan tiles the bounds into shards. A geometry core.NewGrid refuses
+// yields the zero plan, which has no shards; Run reports that error.
 func NewPlan(bounds geom.Rect, cfg Config) Plan {
-	cfg = cfg.withDefaults()
-	p := Plan{
-		Bounds:    bounds,
-		ClipNM:    cfg.ClipNM,
-		CoreFrac:  cfg.CoreFrac,
-		StrideNM:  cfg.StrideNM,
-		ShardRows: cfg.ShardRows,
-		coreHalf:  cfg.coreHalf(),
-	}
-	if p.coreHalf <= 0 {
-		p.coreHalf = p.ClipNM / 2
-	}
-	if bounds.Empty() {
-		return p
-	}
-	p.Cols = ceilDiv(bounds.Dx(), p.StrideNM)
-	p.Rows = ceilDiv(bounds.Dy(), p.StrideNM)
-	p.NumShards = ceilDiv(p.Rows, p.ShardRows)
+	p, _ := newPlan(bounds, cfg)
 	return p
 }
 
-// Windows returns the total number of windows across all shards.
-func (p Plan) Windows() int { return p.Cols * p.Rows }
-
-// Center returns the window center at grid position (col, row).
-func (p Plan) Center(col, row int) geom.Point {
-	return geom.Pt(
-		p.Bounds.Min.X+p.coreHalf+col*p.StrideNM,
-		p.Bounds.Min.Y+p.coreHalf+row*p.StrideNM,
-	)
+func newPlan(bounds geom.Rect, cfg Config) (Plan, error) {
+	grid, err := core.NewGrid(bounds, cfg.ClipNM, cfg.CoreFrac, cfg.StrideNM)
+	if err != nil {
+		return Plan{}, err
+	}
+	p := Plan{Grid: grid, ShardRows: cfg.ShardRows}
+	if p.ShardRows <= 0 {
+		p.ShardRows = 2
+	}
+	p.NumShards = (p.Rows + p.ShardRows - 1) / p.ShardRows
+	return p, nil
 }
 
 // ShardRowRange returns the half-open center-grid row range of shard id.
@@ -117,21 +95,17 @@ func (p Plan) ShardBounds(id int) geom.Rect {
 		p.Bounds.Min.X,
 		p.Bounds.Min.Y+r0*p.StrideNM,
 		p.Bounds.Min.X+p.Cols*p.StrideNM,
-		p.Bounds.Min.Y+(r1-1)*p.StrideNM+2*p.coreHalf,
+		p.Bounds.Min.Y+(r1-1)*p.StrideNM+p.CoreNM(),
 	)
 }
 
-func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-// Config controls a scan-farm run. The zero value gets the same window
-// geometry defaults as core.ScanConfig plus sensible farm defaults.
+// Config controls a scan-farm run. The zero value gets core.Grid's
+// window geometry defaults plus sensible farm defaults.
 type Config struct {
-	// ClipNM is the detection window edge (default 1024).
-	ClipNM int
-	// CoreFrac is the scored core fraction (default 0.5).
+	// ClipNM, CoreFrac and StrideNM are the window geometry; zero values
+	// take core.Grid's defaults (1024, 0.5, the core edge).
+	ClipNM   int
 	CoreFrac float64
-	// StrideNM is the window step (default: the core edge, so cores
-	// tile the chip without gaps).
 	StrideNM int
 	// SkipEmpty skips windows with no geometry.
 	SkipEmpty bool
@@ -177,21 +151,11 @@ type Config struct {
 	Progress func(done, total int)
 }
 
+// withDefaults fills the farm's own defaults; the window geometry and
+// ShardRows are defaulted by NewPlan.
 func (c Config) withDefaults() Config {
-	if c.ClipNM <= 0 {
-		c.ClipNM = 1024
-	}
-	if c.CoreFrac <= 0 || c.CoreFrac > 1 {
-		c.CoreFrac = 0.5
-	}
-	if c.StrideNM <= 0 {
-		c.StrideNM = 2 * c.coreHalf()
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.ShardRows <= 0 {
-		c.ShardRows = 2
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
@@ -199,17 +163,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// coreHalf matches layout.ClipAt's rounding of the core half-edge.
-func (c Config) coreHalf() int {
-	return int(float64(c.ClipNM) * c.CoreFrac / 2)
-}
-
 // Meta derives the journal metadata binding a journal file to one
 // specific scan: chip identity, window geometry, shard layout, and
 // detector. ResumeJournal refuses to resume under a different Meta.
 func (c Config) Meta(chip *layout.Layout, detector string) Meta {
 	p := NewPlan(chip.Bounds(), c)
-	c = c.withDefaults()
 	return Meta{
 		Chip:      chip.Name,
 		Shapes:    chip.NumShapes(),

@@ -150,19 +150,19 @@ func (s *Server) batchCascade(ctx context.Context, items []*batchItem) {
 	for i, it := range items {
 		clips[i] = it.clip
 	}
-	prim := s.primary.Load()
+	prim := *s.primary.Load()
 	var primaryErr error
 	reason := ""
 	if s.breaker.Allow() {
 		var scores []float64
-		pctx, psp := trace.Start(ctx, "primary", trace.A("detector", prim.det.Name()))
+		pctx, psp := trace.Start(ctx, "primary", trace.A("detector", prim.Name()))
 		scores, primaryErr = s.scoreBatchPrimary(pctx, prim, clips)
 		psp.SetError(primaryErr)
 		psp.End()
 		s.breaker.Record(primaryErr)
 		s.reportOutcome(primaryErr)
 		if primaryErr == nil {
-			name, thr := prim.det.Name(), prim.det.Threshold()
+			name, thr := prim.Name(), prim.Threshold()
 			for i, it := range items {
 				s.quality.Observe(qualitymon.Event{
 					Detector: name, Stage: "primary",
@@ -197,11 +197,11 @@ func (s *Server) batchCascade(ctx context.Context, items []*batchItem) {
 		}
 		return
 	}
-	name, thr := s.fallback.det.Name(), s.fallback.det.Threshold()
+	name, thr := s.fallback.Name(), s.fallback.Threshold()
 	fctx, fsp := trace.Start(ctx, "fallback", trace.A("detector", name))
 	defer fsp.End()
 	for _, it := range items {
-		score, err := s.fallback.score(fctx, it.clip)
+		score, err := core.ScoreClipCtx(fctx, s.fallback, it.clip)
 		if err != nil {
 			it.done <- batchResult{err: fmt.Errorf("fallback (after primary %s): %w", reason, err)}
 			continue
@@ -224,7 +224,7 @@ func (s *Server) batchCascade(ctx context.Context, items []*batchItem) {
 // budget (the batch outlives any single request context, so only the
 // parent's values — the trace span — survive, not its cancellation),
 // converting panics to errors exactly like scorePrimary.
-func (s *Server) scoreBatchPrimary(parent context.Context, prim *scorer, clips []layout.Clip) ([]float64, error) {
+func (s *Server) scoreBatchPrimary(parent context.Context, prim core.Detector, clips []layout.Clip) ([]float64, error) {
 	ctx, cancel := resilience.WithBudget(context.WithoutCancel(parent), s.opts.DeadlineBudget)
 	defer cancel()
 	type outcome struct {
@@ -243,7 +243,7 @@ func (s *Server) scoreBatchPrimary(parent context.Context, prim *scorer, clips [
 			ch <- outcome{nil, err}
 			return
 		}
-		scores, err := prim.scoreBatch(ctx, clips)
+		scores, err := core.ScoreClipsCtx(ctx, prim, clips)
 		ch <- outcome{scores, err}
 	}()
 	select {
@@ -252,21 +252,6 @@ func (s *Server) scoreBatchPrimary(parent context.Context, prim *scorer, clips [
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-}
-
-// scoreBatch scores clips through the detector's vectorized path when
-// it has one (core.BatchScorer is concurrent-safe by contract) and the
-// serialized clone path otherwise.
-func (s *scorer) scoreBatch(ctx context.Context, clips []layout.Clip) ([]float64, error) {
-	if _, ok := s.det.(core.BatchScorer); ok {
-		return core.ScoreClipsCtx(ctx, s.det, clips)
-	}
-	if s.clone != nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return core.ScoreClipsCtx(ctx, s.clone, clips)
-	}
-	return core.ScoreClipsCtx(ctx, s.det, clips)
 }
 
 // handleBatch is POST /batch: one clip per request, scored through the

@@ -22,9 +22,10 @@
 // requests_shed_total, hotspot_breaker_state, and the per-endpoint
 // request metrics.
 //
-// The service is stateless per request and safe for concurrent use: each
-// detector is cloned once when it is not concurrency-safe, and access to
-// the clone is serialized.
+// The service is stateless per request and safe for concurrent use:
+// every request scores on the one fitted primary (or fallback) detector,
+// which core.Detector's contract makes safe to share, so concurrent
+// requests run in parallel with no lock on the scoring path.
 package serve
 
 import (
@@ -36,7 +37,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -120,31 +120,6 @@ type Options struct {
 	Quality *qualitymon.Monitor
 }
 
-// scorer wraps one detector, serializing access through a single clone
-// when the detector is not concurrency-safe.
-type scorer struct {
-	det   core.Detector
-	mu    sync.Mutex
-	clone core.Detector
-}
-
-func newScorer(det core.Detector) *scorer {
-	s := &scorer{det: det}
-	if c, ok := det.(core.Cloner); ok {
-		s.clone = c.CloneDetector()
-	}
-	return s
-}
-
-func (s *scorer) score(ctx context.Context, clip layout.Clip) (float64, error) {
-	if s.clone != nil {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return core.ScoreClipCtx(ctx, s.clone, clip)
-	}
-	return core.ScoreClipCtx(ctx, s.det, clip)
-}
-
 // Server wires the detector cascade (and optionally the oracle) into an
 // http.Handler.
 type Server struct {
@@ -152,9 +127,9 @@ type Server struct {
 	// primary is swapped atomically on validated hot reload; every
 	// request loads it exactly once so detector name, threshold, and
 	// score always describe the same generation.
-	primary  atomic.Pointer[scorer]
+	primary  atomic.Pointer[core.Detector]
 	registry *registry.Registry // nil when hot reload is disabled
-	fallback *scorer            // nil when no fallback is configured
+	fallback core.Detector      // nil when no fallback is configured
 	sim      *lithosim.Simulator
 	clipNM   int
 	coreFrac float64
@@ -162,7 +137,7 @@ type Server struct {
 	breaker *resilience.Breaker
 	shed    *resilience.Shedder // nil when shedding is disabled
 	batch   *batcher
-	tracer  *trace.Tracer      // nil when tracing is disabled
+	tracer  *trace.Tracer       // nil when tracing is disabled
 	quality *qualitymon.Monitor // nil when quality monitoring is disabled
 
 	reg          *telemetry.Registry
@@ -234,16 +209,14 @@ func NewServer(opts Options) (*Server, error) {
 	if s.quality != nil {
 		s.quality.BindMetrics(reg)
 	}
-	s.primary.Store(newScorer(opts.Primary))
+	s.primary.Store(&opts.Primary)
 	s.batch = &batcher{
 		srv:     s,
 		maxSize: opts.BatchMaxSize,
 		maxWait: opts.BatchMaxWait,
 		clock:   opts.Clock,
 	}
-	if opts.Fallback != nil {
-		s.fallback = newScorer(opts.Fallback)
-	}
+	s.fallback = opts.Fallback
 	bcfg := opts.Breaker
 	if bcfg.Clock == nil {
 		bcfg.Clock = opts.Clock
@@ -288,7 +261,7 @@ func NewServer(opts Options) (*Server, error) {
 			ProbationMaxFailures: opts.Reload.ProbationMaxFailures,
 			Logf:                 opts.Reload.Logf,
 			OnSwap: func(gen *registry.Generation) {
-				s.primary.Store(newScorer(gen.Detector))
+				s.primary.Store(&gen.Detector)
 			},
 			Quality: qualityHook(s.quality),
 		})
@@ -458,7 +431,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]string{
 		"status":   "ok",
-		"detector": s.primary.Load().det.Name(),
+		"detector": (*s.primary.Load()).Name(),
 	})
 }
 
@@ -486,11 +459,11 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	}
 	out := ReadyResponse{
 		Breaker:  s.breaker.State().String(),
-		Primary:  s.primary.Load().det.Name(),
+		Primary:  (*s.primary.Load()).Name(),
 		Shedding: s.shed != nil,
 	}
 	if s.fallback != nil {
-		out.Fallback = s.fallback.det.Name()
+		out.Fallback = s.fallback.Name()
 	}
 	if s.opts.DeadlineBudget > 0 {
 		out.DeadlineBudget = s.opts.DeadlineBudget.String()
@@ -619,26 +592,26 @@ func (s *Server) cascadeError(w http.ResponseWriter, err error) {
 // makes the tail sampler retain the trace.
 func (s *Server) cascade(ctx context.Context, clip layout.Clip) (ScoreResponse, error) {
 	sp := trace.FromContext(ctx)
-	prim := s.primary.Load()
+	prim := *s.primary.Load()
 	var primaryErr error
 	reason := ""
 	if s.breaker.Allow() {
 		var score float64
-		pctx, psp := trace.Start(ctx, "primary", trace.A("detector", prim.det.Name()))
+		pctx, psp := trace.Start(ctx, "primary", trace.A("detector", prim.Name()))
 		score, primaryErr = s.scorePrimary(pctx, prim, clip)
 		psp.SetError(primaryErr)
 		psp.End()
 		s.breaker.Record(primaryErr)
 		s.reportOutcome(primaryErr)
 		if primaryErr == nil {
-			thr := prim.det.Threshold()
+			thr := prim.Threshold()
 			s.quality.Observe(qualitymon.Event{
-				Detector: prim.det.Name(), Stage: "primary",
+				Detector: prim.Name(), Stage: "primary",
 				Score: score, Threshold: thr,
 				Clip: clip, HasClip: true,
 			})
 			return ScoreResponse{
-				Detector: prim.det.Name(), Score: score,
+				Detector: prim.Name(), Score: score,
 				Threshold: thr, Hotspot: score >= thr,
 			}, nil
 		}
@@ -654,22 +627,22 @@ func (s *Server) cascade(ctx context.Context, clip layout.Clip) (ScoreResponse, 
 	}
 	sp.AddEvent("degrade", trace.A("reason", reason))
 	sp.SetFlag(trace.FlagDegraded)
-	fctx, fsp := trace.Start(ctx, "fallback", trace.A("detector", s.fallback.det.Name()))
-	score, err := s.fallback.score(fctx, clip)
+	fctx, fsp := trace.Start(ctx, "fallback", trace.A("detector", s.fallback.Name()))
+	score, err := core.ScoreClipCtx(fctx, s.fallback, clip)
 	fsp.SetError(err)
 	fsp.End()
 	if err != nil {
 		return ScoreResponse{}, fmt.Errorf("fallback (after primary %s): %w", reason, err)
 	}
 	s.fallbacks.Inc()
-	thr := s.fallback.det.Threshold()
+	thr := s.fallback.Threshold()
 	s.quality.Observe(qualitymon.Event{
-		Detector: s.fallback.det.Name(), Stage: "fallback",
+		Detector: s.fallback.Name(), Stage: "fallback",
 		Score: score, Threshold: thr,
 		Clip: clip, HasClip: true,
 	})
 	return ScoreResponse{
-		Detector: s.fallback.det.Name(), Score: score,
+		Detector: s.fallback.Name(), Score: score,
 		Threshold: thr, Hotspot: score >= thr,
 		Degraded: true, DegradedReason: reason,
 	}, nil
@@ -715,12 +688,12 @@ func qualityHook(m *qualitymon.Monitor) registry.QualityMonitor {
 	return m
 }
 
-// scorePrimary runs prim (the primary scorer the caller loaded) under
+// scorePrimary runs prim (the primary detector the caller loaded) under
 // the request deadline, converting panics to errors. The scoring
 // goroutine cannot be killed on timeout — it finishes in the background
 // while the request degrades; the breaker stops sending traffic to a
 // persistently slow primary.
-func (s *Server) scorePrimary(ctx context.Context, prim *scorer, clip layout.Clip) (float64, error) {
+func (s *Server) scorePrimary(ctx context.Context, prim core.Detector, clip layout.Clip) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
@@ -740,7 +713,7 @@ func (s *Server) scorePrimary(ctx context.Context, prim *scorer, clip layout.Cli
 			ch <- outcome{0, err}
 			return
 		}
-		score, err := prim.score(ctx, clip)
+		score, err := core.ScoreClipCtx(ctx, prim, clip)
 		ch <- outcome{score, err}
 	}()
 	select {

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,9 +11,11 @@ import (
 	"testing"
 
 	"github.com/golitho/hsd/internal/core"
+	"github.com/golitho/hsd/internal/features"
 	"github.com/golitho/hsd/internal/geom"
 	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/lithosim"
+	"github.com/golitho/hsd/internal/nn"
 )
 
 // thresholdDetector flags clips whose drawn density exceeds 0.3.
@@ -363,42 +366,80 @@ func TestVerifyNilSimulatorOversizedAndMethods(t *testing.T) {
 	}
 }
 
-// cloningDetector is concurrency-unsafe and must be serialized through
-// the server's single clone.
-type cloningDetector struct {
-	thresholdDetector
-	calls int // mutated without synchronization: the race detector flags unserialized use
+// fitTestCNN trains a small CNN on synthetic stripes; the labels are
+// arbitrary, since only what the network answers is compared.
+func fitTestCNN(t *testing.T) *core.NeuralDetector {
+	t.Helper()
+	w := geom.R(0, 0, 1024, 1024)
+	var train []core.LabeledClip
+	for i := 0; i < 24; i++ {
+		train = append(train, core.LabeledClip{
+			Clip:    layout.Clip{Window: w, Core: w, Shapes: []geom.Rect{geom.R(0, 0, 64+32*i, 1024)}},
+			Hotspot: i%2 == 0,
+		})
+	}
+	det := core.NewCNNDetector(&features.DCT{Blocks: 8, Coefs: 8},
+		nn.CNNConfig{Conv1: 4, Conv2: 4, Hidden: 8, BatchNorm: true},
+		nn.TrainConfig{Epochs: 1, BatchSize: 8, Seed: 2}, "cnn")
+	det.NoScale = true
+	if err := det.Fit(train); err != nil {
+		t.Fatal(err)
+	}
+	return det
 }
 
-func (d *cloningDetector) Score(clip layout.Clip) (float64, error) {
-	d.calls++
-	return clip.Density(), nil
-}
-
-func (d *cloningDetector) CloneDetector() core.Detector { return &cloningDetector{} }
-
-// TestConcurrentScoreCloner exercises the clone-serialization path under
-// -race: the shared clone's unsynchronized counter must only ever be
-// touched under the server mutex.
-func TestConcurrentScoreCloner(t *testing.T) {
-	s, err := New(&cloningDetector{}, nil, 1024, 0.5)
+// TestConcurrentScoreSharedCNN: the server scores every request on the
+// one primary detector with no lock, so 16 concurrent POST /score
+// against a shared CNN must return exactly the verdicts the same
+// requests get one at a time. Meaningful under -race.
+func TestConcurrentScoreSharedCNN(t *testing.T) {
+	s, err := New(fitTestCNN(t), nil, 1024, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 
+	const n = 16
+	post := func(i int) (ScoreResponse, error) {
+		var out ScoreResponse
+		resp, err := http.Post(ts.URL+"/score", "text/plain",
+			gltBody(t, geom.R(0, 0, 48+40*i, 1024)))
+		if err != nil {
+			return out, err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return out, fmt.Errorf("status %d", resp.StatusCode)
+		}
+		return out, json.NewDecoder(resp.Body).Decode(&out)
+	}
+	want := make([]ScoreResponse, n)
+	distinct := map[float64]bool{}
+	for i := range want {
+		if want[i], err = post(i); err != nil {
+			t.Fatalf("serial request %d: %v", i, err)
+		}
+		distinct[want[i].Score] = true
+	}
+	if len(distinct) < n/2 {
+		t.Fatalf("only %d distinct scores over %d clips: the fixture is degenerate", len(distinct), n)
+	}
+
 	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/score", "text/plain",
-				gltBody(t, geom.R(0, 0, 256, 1024)))
-			if err == nil {
-				resp.Body.Close()
+			got, err := post(i)
+			if err != nil {
+				t.Errorf("concurrent request %d: %v", i, err)
+				return
 			}
-		}()
+			if got != want[i] {
+				t.Errorf("concurrent request %d: %+v, serial %+v", i, got, want[i])
+			}
+		}(i)
 	}
 	wg.Wait()
 }

@@ -2,16 +2,20 @@ package hsd
 
 import (
 	"bytes"
+	"context"
 	"math"
+	"sync"
 	"testing"
 
+	"github.com/golitho/hsd/internal/core"
 	"github.com/golitho/hsd/internal/nn"
 )
 
 // reduceEpochs shrinks neural training to a couple of epochs so the
 // whole zoo trains within test time; accuracy is not under test here,
 // only that every spec's construct/fit/score/persist cycle works. The
-// router is recursed so its CNN stage is shrunk too.
+// router and the ensemble are recursed so their CNN members are shrunk
+// too.
 func reduceEpochs(det Detector) {
 	switch d := det.(type) {
 	case *NeuralDetector:
@@ -19,6 +23,10 @@ func reduceEpochs(det Detector) {
 	case *RouterDetector:
 		for _, s := range d.Stages() {
 			reduceEpochs(s.Detector)
+		}
+	case *Ensemble:
+		for _, m := range d.Members {
+			reduceEpochs(m)
 		}
 	}
 }
@@ -79,6 +87,79 @@ func TestZooSpecTrainRoundTrip(t *testing.T) {
 					t.Fatalf("clip %d: reloaded score %v != original %v", i, s, scores[i])
 				}
 			}
+		})
+	}
+}
+
+// TestSharedInstanceConcurrentScore holds the whole line-up to the
+// Detector concurrency contract: every zoo spec (the Router cascades
+// into a CNN member) plus an Ensemble over a CNN is fitted once, and
+// the one instance, scored from 8 goroutines through Score, ScoreClipCtx
+// and the batch path, answers the bits it answers serially. Meaningful
+// under -race. The fit skips augmentation: what is scored matters here,
+// not how well.
+func TestSharedInstanceConcurrentScore(t *testing.T) {
+	b := facadeBenchmark(t)
+	train := FromSamples(b.Train.Samples)
+	clips := make([]Clip, 8)
+	for i := range clips {
+		clips[i] = b.Test.Samples[i].Clip
+	}
+	specs := append(SurveyZoo(5), DetectorSpec{Name: "Ensemble", New: func() Detector {
+		return NewEnsemble(StandardAdaBoost(), StandardFuzzyPM(), StandardCNN(5, 0, "ens-cnn"))
+	}})
+	for _, spec := range specs {
+		spec := spec
+		t.Run(spec.Name, func(t *testing.T) {
+			det := spec.New()
+			reduceEpochs(det)
+			if err := det.Fit(train); err != nil {
+				t.Fatalf("fit: %v", err)
+			}
+			want := make([]float64, len(clips))
+			for i, c := range clips {
+				s, err := det.Score(c)
+				if err != nil {
+					t.Fatalf("score clip %d: %v", i, err)
+				}
+				want[i] = s
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					got := make([]float64, len(clips))
+					var err error
+					switch g % 3 {
+					case 0:
+						for i, c := range clips {
+							if got[i], err = det.Score(c); err != nil {
+								break
+							}
+						}
+					case 1:
+						for i, c := range clips {
+							if got[i], err = core.ScoreClipCtx(context.Background(), det, c); err != nil {
+								break
+							}
+						}
+					default:
+						got, err = core.ScoreClipsCtx(context.Background(), det, clips)
+					}
+					if err != nil {
+						t.Errorf("goroutine %d: %v", g, err)
+						return
+					}
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Errorf("goroutine %d clip %d: %v, serial %v", g, i, got[i], want[i])
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
 		})
 	}
 }
