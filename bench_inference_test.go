@@ -1,8 +1,7 @@
 // Inference-engine benchmarks: the batched/parallel scoring path of
 // internal/nn and the blocked/parallel matmul kernel of internal/tensor,
-// measured against their serial baselines. run_bench.sh appends one
-// JSONL record per benchmark to BENCH_inference.json so the trajectory
-// of ns/op and allocs/op is tracked across commits, and ci.sh runs
+// measured against their serial baselines (`go test -bench
+// 'PredictBatch|ParallelMatMul|MatMulKernels' -benchmem .`); ci.sh runs
 // TestParallelInferenceSmoke as a cheap throughput-regression gate.
 package hsd_test
 

@@ -1,9 +1,11 @@
 #!/usr/bin/env sh
 # ci.sh — the repo's verification gate. Mirrors what a reviewer runs:
 #
-#   vet, build, unit + property tests under the race detector, a smoke
-#   pass over the fuzz seed corpora, 10 s of real fuzzing on the frame
-#   reader, and a quick pass of the repo benchmark's four workloads.
+#   vet, build, unit + property tests under the race detector, the
+#   chaos and kill-resume suites, the end-to-end smoke scripts, a check
+#   that no binary's flag set moved, a smoke pass over the fuzz seed
+#   corpora, 10 s of real fuzzing on the frame reader, and a quick pass
+#   of the repo benchmark's four workloads.
 #
 # Usage: ./ci.sh [-short]
 #   -short  pass -short to go test (skips the slower property tests)
@@ -28,11 +30,14 @@ echo "== chaos smoke =="
 # The chaos tests inject faults (latency, errors, panics) into the
 # primary detector and the scan loop, asserting the serving cascade
 # degrades instead of failing; -race because degradation is concurrent.
-# The shared-instance tests ride along: every caller scores on the one
-# fitted detector with no clone and no lock, so the zoo, the CNN behind
-# concurrent POST /score and the un-cloned scan detector must each
-# answer their serial bits from many goroutines under the detector.
-go test -run 'Chaos|TestSharedInstanceConcurrentScore|TestSharedDetectorConcurrentScore|TestConcurrentScoreSharedCNN' -race . ./internal/serve/ ./internal/core/
+# The cascade parity tests ride along: /score and /batch run one
+# degradation ladder, so the same fault must give the same status,
+# verdict provenance, counters and trace flags through either. So do the
+# shared-instance tests: every caller scores on the one fitted detector
+# with no clone and no lock, so the zoo, the CNN behind concurrent POST
+# /score and the un-cloned scan detector must each answer their serial
+# bits from many goroutines under the detector.
+go test -run 'Chaos|TestCascade|TestSharedInstanceConcurrentScore|TestSharedDetectorConcurrentScore|TestConcurrentScoreSharedCNN' -race . ./internal/serve/ ./internal/core/
 
 echo "== inference smoke =="
 # The batched inference engine must not fall behind the serial
@@ -40,15 +45,6 @@ echo "== inference smoke =="
 # not fall behind the serial kernel (best-of-3, 25% grace margin; see
 # TestParallelInferenceSmoke / TestParallelMatMulSmoke for reasoning).
 HSD_INFER_SMOKE=1 go test -run 'TestParallelInferenceSmoke|TestParallelMatMulSmoke' .
-
-echo "== bench regression gate =="
-# Ratio-normalized gate on the batch path: nn.Score and PredictBatch
-# share one arena-backed forward pass, so their committed ratio is near
-# 1.0, and the batch path may not fall more than 10% behind the
-# per-sample path relative to it (compares against the last entries in
-# BENCH_inference.json; machine-independent because both sides run on
-# the same box).
-./scripts/bench_gate.sh
 
 echo "== kill-resume chaos =="
 # Training is killed at several injected fault points and resumed from
@@ -80,6 +76,11 @@ echo "== router smoke =="
 # benchmark; router recall must hold against both the boost-only and
 # the deep rows while the deep stage sees only the escalated band.
 ./scripts/router_smoke.sh
+
+echo "== flags smoke =="
+# The five detector binaries' flag names are a committed list: a flag
+# cannot appear, vanish or be renamed without the diff showing it.
+./scripts/flags_smoke.sh
 
 echo "== scan smoke =="
 # End to end: hsdscan is SIGKILLed mid-scan with a journal attached,

@@ -24,8 +24,8 @@ import (
 	"time"
 
 	hsd "github.com/golitho/hsd"
+	"github.com/golitho/hsd/internal/cli"
 	"github.com/golitho/hsd/internal/experiments"
-	"github.com/golitho/hsd/internal/telemetry"
 	"github.com/golitho/hsd/internal/trace"
 )
 
@@ -44,15 +44,13 @@ func run() error {
 	figBench := flag.String("bench", "", "benchmark for figures (default: first)")
 	noODST := flag.Bool("no-odst", false, "skip lithography verification of flagged clips")
 	traceOut := flag.String("trace", "", "write per-evaluation Chrome trace_event JSON to this file (about:tracing / ui.perfetto.dev)")
-	routerLo := flag.Float64("router-lo", -1, "router: force the low confidence cut (with -router-hi)")
-	routerHi := flag.Float64("router-hi", -1, "router: force the high confidence cut (with -router-lo)")
-	routerEps := flag.Float64("router-eps", 0, "router: per-stage answered-error budget for band fitting (0 = default)")
+	var routerFlags cli.RouterFlags
+	routerFlags.Register(flag.CommandLine)
 	version := flag.Bool("version", false, "print build info (the hotspot_build_info fields) and exit")
 	flag.Parse()
 
 	if *version {
-		goVersion, revision := telemetry.BuildInfo()
-		fmt.Printf("hsdeval go_version=%s revision=%s\n", goVersion, revision)
+		fmt.Println(cli.Version("hsdeval"))
 		return nil
 	}
 
@@ -71,27 +69,21 @@ func run() error {
 	}
 
 	zoo := hsd.SurveyZoo(*seed)
-	if (*routerLo >= 0) != (*routerHi >= 0) {
-		return fmt.Errorf("-router-lo and -router-hi must be set together")
-	}
-	if *routerLo >= 0 || *routerEps > 0 {
-		// The zoo's Router spec picks up the forced band / error budget
-		// at construction.
-		lo, hi, eps := *routerLo, *routerHi, *routerEps
-		for i := range zoo {
-			inner := zoo[i].New
-			zoo[i].New = func() hsd.Detector {
-				det := inner()
-				if rt, ok := det.(*hsd.RouterDetector); ok {
-					if eps > 0 {
-						rt.SetMaxStageError(eps)
-					}
-					if lo >= 0 {
-						rt.ForceBand(hsd.RouterBand{Lo: lo, Hi: hi})
-					}
-				}
-				return det
-			}
+	// The flags configure the zoo's Router row; the other rows ignore
+	// them.
+	for i := range zoo {
+		inner := zoo[i].New
+		probe := inner()
+		if _, ok := probe.(*hsd.RouterDetector); !ok {
+			continue
+		}
+		if err := routerFlags.Apply(probe); err != nil {
+			return err
+		}
+		zoo[i].New = func() hsd.Detector {
+			det := inner()
+			_ = routerFlags.Apply(det) // refused above if it can fail
+			return det
 		}
 	}
 	ctx := context.Background()
@@ -168,12 +160,8 @@ func run() error {
 
 func loadOrGenerate(path string, seed int64, small bool) (*hsd.Suite, error) {
 	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return hsd.LoadSuite(f)
+		suite, _, err := cli.LoadBenchmark(path, "")
+		return suite, err
 	}
 	cfg := hsd.DefaultSuiteConfig(seed)
 	if small {

@@ -33,10 +33,10 @@ import (
 	"time"
 
 	hsd "github.com/golitho/hsd"
+	"github.com/golitho/hsd/internal/cli"
 	"github.com/golitho/hsd/internal/core"
 	"github.com/golitho/hsd/internal/datengine"
 	"github.com/golitho/hsd/internal/layout"
-	"github.com/golitho/hsd/internal/nn"
 	"github.com/golitho/hsd/internal/registry"
 	"github.com/golitho/hsd/internal/telemetry"
 )
@@ -69,8 +69,7 @@ func run() error {
 	flag.Parse()
 
 	if *version {
-		goVersion, revision := telemetry.BuildInfo()
-		fmt.Printf("hsdlearn go_version=%s revision=%s\n", goVersion, revision)
+		fmt.Println(cli.Version("hsdlearn"))
 		return nil
 	}
 
@@ -83,55 +82,31 @@ func run() error {
 		return fmt.Errorf("WAL %s already exists; pass -resume to continue it, or remove it for a fresh run", *walPath)
 	}
 
-	f, err := os.Open(*suitePath)
+	_, bench, err := cli.LoadBenchmark(*suitePath, *benchName)
 	if err != nil {
 		return err
 	}
-	suite, err := hsd.LoadSuite(f)
-	f.Close()
+	spec, err := cli.Spec(*seed, *detName)
 	if err != nil {
 		return err
-	}
-	var bench *hsd.Benchmark
-	for i := range suite.Benchmarks {
-		if *benchName == "" || suite.Benchmarks[i].Name == *benchName {
-			bench = &suite.Benchmarks[i]
-			break
-		}
-	}
-	if bench == nil {
-		return fmt.Errorf("benchmark %q not found", *benchName)
-	}
-
-	var spec *hsd.DetectorSpec
-	var names []string
-	for _, s := range hsd.SurveyZoo(*seed) {
-		names = append(names, s.Name)
-		if strings.EqualFold(s.Name, *detName) {
-			sc := s
-			spec = &sc
-			break
-		}
-	}
-	if spec == nil {
-		return fmt.Errorf("detector %q not in zoo (have: %s)", *detName, strings.Join(names, ", "))
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
 	// Base model: the live generation the retrained candidates must beat.
-	base := spec.New()
-	nd, ok := base.(*hsd.NeuralDetector)
-	if !ok {
-		return fmt.Errorf("detector %s is not a neural detector; retraining needs a saveable model", spec.Name)
-	}
-	t0 := time.Now()
-	baseTrain := hsd.FromSamples(bench.Train.Samples)
-	if err := base.Fit(hsd.AugmentMinority(baseTrain, spec.Augment)); err != nil {
+	base, took, err := cli.Train(spec, bench, func(det core.Detector) error {
+		if _, ok := det.(*hsd.NeuralDetector); !ok {
+			return fmt.Errorf("detector %s is not a neural detector; retraining needs a saveable model", spec.Name)
+		}
+		return nil
+	})
+	if err != nil {
 		return err
 	}
-	fmt.Printf("base model  %s on %s in %v\n", base.Name(), bench.Name, time.Since(t0).Round(time.Millisecond))
+	nd := base.(*hsd.NeuralDetector) // anything else was refused before the fit
+	baseTrain := hsd.FromSamples(bench.Train.Samples)
+	fmt.Printf("base model  %s on %s in %v\n", base.Name(), bench.Name, took.Round(time.Millisecond))
 
 	sim, err := hsd.NewSimulator(hsd.DefaultSimConfig())
 	if err != nil {
@@ -144,19 +119,12 @@ func run() error {
 	// Ship path: the identical registry gate hsdserve runs on hot
 	// reload — golden subset of the test split, recall/FAR tolerance,
 	// loader through the base detector's feature pipeline.
-	golden := goldenSet(bench, *goldenN)
 	reg := registry.New(base, registry.Config{
-		Golden:            golden,
+		Golden:            cli.GoldenSet(bench, *goldenN),
 		MaxRecallDrop:     *maxRecallDrop,
 		MaxFalseAlarmRise: *maxFARRise,
-		Loader: func(path string) (core.Detector, error) {
-			net, err := nn.LoadFile(path)
-			if err != nil {
-				return nil, err
-			}
-			return nd.WithNetwork(net)
-		},
-		Logf: log.Printf,
+		Loader:            cli.NetworkLoader(nd),
+		Logf:              log.Printf,
 	})
 
 	metrics := telemetry.NewRegistry()
@@ -297,32 +265,4 @@ func labelSuffix(labels []telemetry.Label) string {
 		parts[i] = l.Key + "=" + l.Value
 	}
 	return "{" + strings.Join(parts, ",") + "}"
-}
-
-// goldenSet picks up to n clips from the benchmark's test split for the
-// ship gate, keeping both classes represented so recall and
-// false-alarm deltas are both measurable.
-func goldenSet(bench *hsd.Benchmark, n int) []hsd.LabeledClip {
-	if n <= 0 {
-		return nil
-	}
-	all := hsd.FromSamples(bench.Test.Samples)
-	var hot, cold []hsd.LabeledClip
-	for _, s := range all {
-		if s.Hotspot {
-			hot = append(hot, s)
-		} else {
-			cold = append(cold, s)
-		}
-	}
-	out := make([]hsd.LabeledClip, 0, n)
-	for i := 0; len(out) < n && (i < len(hot) || i < len(cold)); i++ {
-		if i < len(hot) {
-			out = append(out, hot[i])
-		}
-		if len(out) < n && i < len(cold) {
-			out = append(out, cold[i])
-		}
-	}
-	return out
 }

@@ -35,8 +35,8 @@ import (
 	"time"
 
 	hsd "github.com/golitho/hsd"
+	"github.com/golitho/hsd/internal/cli"
 	"github.com/golitho/hsd/internal/qualitymon"
-	"github.com/golitho/hsd/internal/telemetry"
 	"github.com/golitho/hsd/internal/trace"
 )
 
@@ -65,16 +65,14 @@ func run() error {
 	resume := flag.Bool("resume", false, "resume from -journal, skipping shards it records")
 	cacheSize := flag.Int("cache-size", 4096, "content-addressed clip cache capacity in entries (0 disables)")
 	findingsOut := flag.String("findings", "", "write findings deterministically, one per line, to this file")
-	routerLo := flag.Float64("router-lo", -1, "router: force the low confidence cut (with -router-hi; -detector Router)")
-	routerHi := flag.Float64("router-hi", -1, "router: force the high confidence cut (with -router-lo; -detector Router)")
-	routerEps := flag.Float64("router-eps", 0, "router: per-stage answered-error budget for band fitting (0 = default)")
+	var routerFlags cli.RouterFlags
+	routerFlags.Register(flag.CommandLine)
 	qualityBaseline := flag.String("quality-baseline", "", "training-score baseline (from hsdtrain -quality-baseline); prints a drift report over the scanned windows")
 	version := flag.Bool("version", false, "print build info (the hotspot_build_info fields) and exit")
 	flag.Parse()
 
 	if *version {
-		goVersion, revision := telemetry.BuildInfo()
-		fmt.Printf("hsdscan go_version=%s revision=%s\n", goVersion, revision)
+		fmt.Println(cli.Version("hsdscan"))
 		return nil
 	}
 
@@ -88,36 +86,13 @@ func run() error {
 		return fmt.Errorf("journal %s already exists; pass -resume to continue it, or remove it for a fresh run", *journalPath)
 	}
 
-	f, err := os.Open(*suitePath)
+	_, bench, err := cli.LoadBenchmark(*suitePath, *benchName)
 	if err != nil {
 		return err
 	}
-	suite, err := hsd.LoadSuite(f)
-	f.Close()
+	spec, err := cli.Spec(*seed, *detName)
 	if err != nil {
 		return err
-	}
-	var bench *hsd.Benchmark
-	for i := range suite.Benchmarks {
-		if *benchName == "" || suite.Benchmarks[i].Name == *benchName {
-			bench = &suite.Benchmarks[i]
-			break
-		}
-	}
-	if bench == nil {
-		return fmt.Errorf("benchmark %q not found", *benchName)
-	}
-
-	var spec *hsd.DetectorSpec
-	for _, s := range hsd.SurveyZoo(*seed) {
-		if strings.EqualFold(s.Name, *detName) {
-			sc := s
-			spec = &sc
-			break
-		}
-	}
-	if spec == nil {
-		return fmt.Errorf("detector %q not in zoo", *detName)
 	}
 
 	var chip *hsd.Layout
@@ -144,28 +119,12 @@ func run() error {
 			*genEdge, *genEdge, chip.NumShapes())
 	}
 
-	det := spec.New()
-	rt, isRouter := det.(*hsd.RouterDetector)
-	if !isRouter && (*routerLo >= 0 || *routerHi >= 0 || *routerEps > 0) {
-		return fmt.Errorf("-router-* flags need -detector Router (got %s)", det.Name())
-	}
-	if isRouter {
-		if *routerEps > 0 {
-			rt.SetMaxStageError(*routerEps)
-		}
-		if (*routerLo >= 0) != (*routerHi >= 0) {
-			return fmt.Errorf("-router-lo and -router-hi must be set together")
-		}
-		if *routerLo >= 0 {
-			rt.ForceBand(hsd.RouterBand{Lo: *routerLo, Hi: *routerHi})
-		}
-	}
-	t0 := time.Now()
-	train := hsd.AugmentMinority(hsd.FromSamples(bench.Train.Samples), spec.Augment)
-	if err := det.Fit(train); err != nil {
+	det, fitTook, err := cli.Train(spec, bench, routerFlags.Apply)
+	if err != nil {
 		return err
 	}
-	fmt.Printf("trained %s on %s in %v\n", det.Name(), bench.Name, time.Since(t0).Round(time.Millisecond))
+	rt, isRouter := det.(*hsd.RouterDetector)
+	fmt.Printf("trained %s on %s in %v\n", det.Name(), bench.Name, fitTook.Round(time.Millisecond))
 
 	var reg *hsd.MetricsRegistry
 	if *metrics {

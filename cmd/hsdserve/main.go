@@ -71,14 +71,13 @@ import (
 	"time"
 
 	hsd "github.com/golitho/hsd"
+	"github.com/golitho/hsd/internal/cli"
 	"github.com/golitho/hsd/internal/core"
 	"github.com/golitho/hsd/internal/datengine"
 	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/lithosim"
-	"github.com/golitho/hsd/internal/nn"
 	"github.com/golitho/hsd/internal/qualitymon"
 	"github.com/golitho/hsd/internal/serve"
-	"github.com/golitho/hsd/internal/telemetry"
 	"github.com/golitho/hsd/internal/tensor"
 	"github.com/golitho/hsd/internal/trace"
 )
@@ -88,64 +87,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hsdserve:", err)
 		os.Exit(1)
 	}
-}
-
-// trainDetector trains one zoo detector by name on the benchmark. A
-// non-nil configure hook runs on the freshly built detector before Fit
-// (the router threshold flags apply through it).
-func trainDetector(name string, seed int64, bench *hsd.Benchmark, configure func(core.Detector) error) (core.Detector, error) {
-	var spec *hsd.DetectorSpec
-	for _, s := range hsd.SurveyZoo(seed) {
-		if strings.EqualFold(s.Name, name) {
-			sc := s
-			spec = &sc
-			break
-		}
-	}
-	if spec == nil {
-		return nil, fmt.Errorf("detector %q not in zoo", name)
-	}
-	det := spec.New()
-	if configure != nil {
-		if err := configure(det); err != nil {
-			return nil, err
-		}
-	}
-	t0 := time.Now()
-	train := hsd.AugmentMinority(hsd.FromSamples(bench.Train.Samples), spec.Augment)
-	if err := det.Fit(train); err != nil {
-		return nil, err
-	}
-	log.Printf("trained %s on %s in %v", det.Name(), bench.Name, time.Since(t0).Round(time.Millisecond))
-	return det, nil
-}
-
-// goldenSet picks up to n clips from the benchmark's test split for the
-// reload gate, keeping both classes represented so recall and
-// false-alarm deltas are both measurable.
-func goldenSet(bench *hsd.Benchmark, n int) []hsd.LabeledClip {
-	if n <= 0 {
-		return nil
-	}
-	all := hsd.FromSamples(bench.Test.Samples)
-	var hot, cold []hsd.LabeledClip
-	for _, s := range all {
-		if s.Hotspot {
-			hot = append(hot, s)
-		} else {
-			cold = append(cold, s)
-		}
-	}
-	out := make([]hsd.LabeledClip, 0, n)
-	for i := 0; len(out) < n && (i < len(hot) || i < len(cold)); i++ {
-		if i < len(hot) {
-			out = append(out, hot[i])
-		}
-		if len(out) < n && i < len(cold) {
-			out = append(out, cold[i])
-		}
-	}
-	return out
 }
 
 func run() error {
@@ -171,9 +112,8 @@ func run() error {
 	probation := flag.Int("probation", 200, "post-swap primary outcomes watched for automatic rollback (0: off)")
 	probationMaxFail := flag.Int("probation-max-failures", 5, "primary failures tolerated inside the probation window")
 	kernelWorkers := flag.Int("kernel-workers", 0, "total kernel-pool parallelism for batched inference and matmuls (0: GOMAXPROCS)")
-	routerLo := flag.Float64("router-lo", -1, "router: force the low confidence cut (with -router-hi; -detector Router)")
-	routerHi := flag.Float64("router-hi", -1, "router: force the high confidence cut (with -router-lo; -detector Router)")
-	routerEps := flag.Float64("router-eps", 0, "router: per-stage answered-error budget for band fitting (0 = default)")
+	var routerFlags cli.RouterFlags
+	routerFlags.Register(flag.CommandLine)
 	readTimeout := flag.Duration("read-timeout", 15*time.Second, "max time to read a request")
 	writeTimeout := flag.Duration("write-timeout", 60*time.Second, "max time to write a response (covers /verify simulation)")
 	idleTimeout := flag.Duration("idle-timeout", 120*time.Second, "keep-alive idle connection timeout")
@@ -190,8 +130,7 @@ func run() error {
 	flag.Parse()
 
 	if *version {
-		goVersion, revision := telemetry.BuildInfo()
-		fmt.Printf("hsdserve go_version=%s revision=%s\n", goVersion, revision)
+		fmt.Println(cli.Version("hsdserve"))
 		return nil
 	}
 
@@ -199,46 +138,23 @@ func run() error {
 		tensor.SetDefaultWorkers(*kernelWorkers)
 	}
 
-	f, err := os.Open(*suitePath)
+	suite, bench, err := cli.LoadBenchmark(*suitePath, *benchName)
 	if err != nil {
 		return err
 	}
-	suite, err := hsd.LoadSuite(f)
-	f.Close()
-	if err != nil {
-		return err
+	train := func(name string, configure func(core.Detector) error) (core.Detector, error) {
+		spec, err := cli.Spec(*seed, name)
+		if err != nil {
+			return nil, err
+		}
+		det, took, err := cli.Train(spec, bench, configure)
+		if err != nil {
+			return nil, err
+		}
+		log.Printf("trained %s on %s in %v", det.Name(), bench.Name, took.Round(time.Millisecond))
+		return det, nil
 	}
-	var bench *hsd.Benchmark
-	for i := range suite.Benchmarks {
-		if *benchName == "" || suite.Benchmarks[i].Name == *benchName {
-			bench = &suite.Benchmarks[i]
-			break
-		}
-	}
-	if bench == nil {
-		return fmt.Errorf("benchmark %q not found", *benchName)
-	}
-
-	configureRouter := func(d core.Detector) error {
-		rt, ok := d.(*hsd.RouterDetector)
-		if !ok {
-			if *routerLo >= 0 || *routerHi >= 0 || *routerEps > 0 {
-				return fmt.Errorf("-router-* flags need -detector Router (got %s)", d.Name())
-			}
-			return nil
-		}
-		if *routerEps > 0 {
-			rt.SetMaxStageError(*routerEps)
-		}
-		if (*routerLo >= 0) != (*routerHi >= 0) {
-			return fmt.Errorf("-router-lo and -router-hi must be set together")
-		}
-		if *routerLo >= 0 {
-			rt.ForceBand(hsd.RouterBand{Lo: *routerLo, Hi: *routerHi})
-		}
-		return nil
-	}
-	det, err := trainDetector(*detName, *seed, bench, configureRouter)
+	det, err := train(*detName, routerFlags.Apply)
 	if err != nil {
 		return err
 	}
@@ -247,13 +163,11 @@ func run() error {
 		if strings.EqualFold(*fallbackName, *detName) {
 			return fmt.Errorf("fallback %q is the primary detector; pick a different (shallower) one", *fallbackName)
 		}
-		fallback, err = trainDetector(*fallbackName, *seed, bench, nil)
+		fallback, err = train(*fallbackName, nil)
 		if err != nil {
 			return fmt.Errorf("fallback: %w", err)
 		}
 	}
-
-	golden := goldenSet(bench, *goldenN)
 
 	// Hot reload: a neural primary can be swapped for a new network saved
 	// by hsdtrain. The registry gates each candidate on a golden subset
@@ -261,15 +175,9 @@ func run() error {
 	var reload *serve.ReloadOptions
 	if nd, ok := det.(*hsd.NeuralDetector); ok {
 		reload = &serve.ReloadOptions{
-			Loader: func(path string) (core.Detector, error) {
-				net, err := nn.LoadFile(path)
-				if err != nil {
-					return nil, err
-				}
-				return nd.WithNetwork(net)
-			},
+			Loader:               cli.NetworkLoader(nd),
 			DefaultPath:          *modelWatch,
-			Golden:               golden,
+			Golden:               cli.GoldenSet(bench, *goldenN),
 			MaxRecallDrop:        *maxRecallDrop,
 			MaxFalseAlarmRise:    *maxFARRise,
 			ProbationRequests:    *probation,

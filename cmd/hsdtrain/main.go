@@ -28,11 +28,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	hsd "github.com/golitho/hsd"
+	"github.com/golitho/hsd/internal/cli"
 	"github.com/golitho/hsd/internal/core"
 	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/nn"
@@ -57,17 +57,15 @@ func run() error {
 	ckptEvery := flag.Int("checkpoint-every", 1, "epochs between checkpoints (with -checkpoint-dir)")
 	ckptKeep := flag.Int("checkpoint-keep", 2, "checkpoint files retained in -checkpoint-dir")
 	resume := flag.Bool("resume", false, "resume from the newest good checkpoint in -checkpoint-dir")
-	routerLo := flag.Float64("router-lo", -1, "router: force the low confidence cut (with -router-hi; -detector Router)")
-	routerHi := flag.Float64("router-hi", -1, "router: force the high confidence cut (with -router-lo; -detector Router)")
-	routerEps := flag.Float64("router-eps", 0, "router: per-stage answered-error budget for band fitting (0 = default)")
+	var routerFlags cli.RouterFlags
+	routerFlags.Register(flag.CommandLine)
 	qualityBaseline := flag.String("quality-baseline", "", "write a training-score drift baseline here; \"auto\" with -save writes the <save>.qb sidecar the server's hot reload picks up")
 	qualityBins := flag.Int("quality-bins", 20, "histogram bins per series in the -quality-baseline")
 	version := flag.Bool("version", false, "print build info (the hotspot_build_info fields) and exit")
 	flag.Parse()
 
 	if *version {
-		goVersion, revision := telemetry.BuildInfo()
-		fmt.Printf("hsdtrain go_version=%s revision=%s\n", goVersion, revision)
+		fmt.Println(cli.Version("hsdtrain"))
 		return nil
 	}
 
@@ -79,39 +77,13 @@ func run() error {
 		baselinePath = qualitymon.SidecarPath(*save)
 	}
 
-	f, err := os.Open(*suitePath)
+	_, bench, err := cli.LoadBenchmark(*suitePath, *benchName)
 	if err != nil {
 		return err
 	}
-	suite, err := hsd.LoadSuite(f)
-	f.Close()
+	spec, err := cli.Spec(*seed, *detName)
 	if err != nil {
 		return err
-	}
-
-	var bench *hsd.Benchmark
-	for i := range suite.Benchmarks {
-		if *benchName == "" || suite.Benchmarks[i].Name == *benchName {
-			bench = &suite.Benchmarks[i]
-			break
-		}
-	}
-	if bench == nil {
-		return fmt.Errorf("benchmark %q not found", *benchName)
-	}
-
-	var spec *hsd.DetectorSpec
-	var names []string
-	for _, s := range hsd.SurveyZoo(*seed) {
-		names = append(names, s.Name)
-		if strings.EqualFold(s.Name, *detName) {
-			sc := s
-			spec = &sc
-			break
-		}
-	}
-	if spec == nil {
-		return fmt.Errorf("detector %q not in zoo (have: %s)", *detName, strings.Join(names, ", "))
 	}
 
 	sim, err := hsd.NewSimulator(hsd.DefaultSimConfig())
@@ -119,7 +91,7 @@ func run() error {
 		return err
 	}
 	det := spec.New()
-	if err := applyRouterFlags(det, *routerLo, *routerHi, *routerEps); err != nil {
+	if err := routerFlags.Apply(det); err != nil {
 		return err
 	}
 
@@ -271,28 +243,6 @@ func writeQualityBaseline(path string, det hsd.Detector, train []hsd.LabeledClip
 		return 0, err
 	}
 	return len(b.Entries), nil
-}
-
-// applyRouterFlags forwards the -router-* threshold flags onto a Router
-// detector; setting them for any other detector is an error.
-func applyRouterFlags(det hsd.Detector, lo, hi, eps float64) error {
-	rt, ok := det.(*hsd.RouterDetector)
-	if !ok {
-		if lo >= 0 || hi >= 0 || eps > 0 {
-			return fmt.Errorf("-router-* flags need -detector Router (got %s)", det.Name())
-		}
-		return nil
-	}
-	if eps > 0 {
-		rt.SetMaxStageError(eps)
-	}
-	if (lo >= 0) != (hi >= 0) {
-		return fmt.Errorf("-router-lo and -router-hi must be set together")
-	}
-	if lo >= 0 {
-		rt.ForceBand(hsd.RouterBand{Lo: lo, Hi: hi})
-	}
-	return nil
 }
 
 // printRouterStats prints the per-stage routing breakdown when the

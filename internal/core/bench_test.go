@@ -33,8 +33,8 @@ func BenchmarkScan4225Windows(b *testing.B) {
 // the scan hot path. "untraced" is a context with no tracer at all;
 // "disabled" carries a toggled-off tracer, exercising the nil-span fast
 // path every window takes in production when tracing is off — it must
-// stay within ~2% of untraced (the acceptance bound; see
-// BENCH_trace.json for the recorded runs). "enabled" records a span per
+// stay within ~2% of untraced (the acceptance bound; DESIGN.md §12 has
+// the recorded runs). "enabled" records a span per
 // window and shows the full price of turning tracing on.
 func BenchmarkScanTracedVsUntraced(b *testing.B) {
 	chip := layout.NewWithGrid("bench", 2048)

@@ -52,8 +52,8 @@ const (
 	ShipSite    = "datengine.ship"
 )
 
-// ErrNoCandidates is returned by RunCycle when fewer than MinBatch
-// unconsumed candidates are queued.
+// ErrNoCandidates is returned by RunCycle when no unconsumed candidate
+// is queued.
 var ErrNoCandidates = errors.New("datengine: not enough candidates for a batch")
 
 // ErrShipRejected is the sentinel a Ship func returns (wrapped) when
@@ -70,14 +70,7 @@ type Config struct {
 	Detector string
 
 	// BatchSize is the k of the k-center selection (default 8).
-	// MinBatch is the fewest queued candidates worth a cycle (default 1).
 	BatchSize int
-	MinBatch  int
-
-	// Features embeds candidates for the diversity selection. Nil
-	// defaults to a coarse density grid — selection only needs relative
-	// geometry, not the serving model's own features.
-	Features features.Extractor
 
 	// Oracle labels one clip (ground truth, e.g. lithosim.LabelCtx).
 	// Panics are recovered into errors and count as attempt failures.
@@ -118,12 +111,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 8
-	}
-	if c.MinBatch <= 0 {
-		c.MinBatch = 1
-	}
-	if c.Features == nil {
-		c.Features = &features.Density{Grid: 8}
 	}
 	if c.OracleDeadline <= 0 {
 		c.OracleDeadline = 2 * time.Second
@@ -425,26 +412,29 @@ func (e *Engine) selectBatch(ctx context.Context, rep *CycleReport) (*BatchState
 	avail := e.state.Available()
 	nextID := e.state.NextBatchID
 	e.mu.Unlock()
-	if len(avail) < e.cfg.MinBatch {
-		return nil, fmt.Errorf("%w: have %d, need %d", ErrNoCandidates, len(avail), e.cfg.MinBatch)
+	if len(avail) == 0 {
+		return nil, fmt.Errorf("%w: none queued", ErrNoCandidates)
 	}
 
-	// Embed each candidate; a clip its extractor rejects is excluded
-	// from this selection (it stays queued and is retried next cycle —
-	// in practice extraction is total over valid clips).
+	// Embed each candidate on a coarse density grid — selection only
+	// needs relative geometry, not the serving model's own features. A
+	// clip the extractor rejects is excluded from this selection (it
+	// stays queued and is retried next cycle — in practice extraction is
+	// total over valid clips).
+	embed := &features.Density{Grid: 8}
 	pts := make([][]float64, 0, len(avail))
 	kept := make([]Candidate, 0, len(avail))
 	for _, c := range avail {
-		v, err := e.cfg.Features.Extract(c.Clip)
+		v, err := embed.Extract(c.Clip)
 		if err != nil {
-			e.logf("datengine: features %s on %x: %v (excluded from selection)", e.cfg.Features.Name(), c.FP[:4], err)
+			e.logf("datengine: features %s on %x: %v (excluded from selection)", embed.Name(), c.FP[:4], err)
 			continue
 		}
 		pts = append(pts, v)
 		kept = append(kept, c)
 	}
-	if len(kept) < e.cfg.MinBatch {
-		return nil, fmt.Errorf("%w: have %d embeddable, need %d", ErrNoCandidates, len(kept), e.cfg.MinBatch)
+	if len(kept) == 0 {
+		return nil, fmt.Errorf("%w: none of %d embeddable", ErrNoCandidates, len(avail))
 	}
 
 	k := e.cfg.BatchSize

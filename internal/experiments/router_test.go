@@ -20,9 +20,9 @@ func TestRouterFrontierUnknownBench(t *testing.T) {
 // frontier claim — the router's recall is no worse than the boost-only
 // row AND no worse than the deep CNN row, while the deep stage only
 // sees the escalated band. Training is seeded, so these quantities are
-// identical run to run; wall-clock ODST dominance is recorded
-// separately by run_bench.sh chunk G (BENCH_router.json), because
-// asserting wall time here would make CI flaky on loaded boxes.
+// identical run to run; wall-clock ODST dominance is reported
+// separately by BenchmarkRouterFrontier, because asserting wall time
+// here would make CI flaky on loaded boxes.
 //
 // Gated behind HSD_ROUTER_SMOKE=1 because it trains two CNNs (tens of
 // seconds, minutes under -race) on every `go test ./...`.

@@ -4,8 +4,7 @@ import (
 	"testing"
 )
 
-// The monitor-overhead pair behind run_bench.sh chunk H
-// (BENCH_monitor.json): the per-event cost of a live monitor vs the
+// The monitor-overhead pair: the per-event cost of a live monitor vs the
 // nil-monitor fast path every tap point ships with. The disabled cost
 // is what every request pays when quality monitoring is off, so it must
 // stay negligible (the ci gate holds the scan-path regression at 2%).

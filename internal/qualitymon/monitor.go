@@ -69,13 +69,10 @@ type Options struct {
 	// "significant shift" PSI cut.
 	DriftThreshold float64
 
-	// SLOTarget is the good-event fraction objective (e.g. 0.99);
-	// PageBurn is the fast-window burn-rate multiple that pages
-	// (default 2: burning error budget at twice the sustainable rate).
-	// Slow-window burn >= 1 raises warning. Values outside (0, 1)
-	// disable burn alerting.
+	// SLOTarget is the good-event fraction objective (e.g. 0.99).
+	// Fast-window burn >= pageBurn pages, slow-window burn >= 1 raises
+	// warning. Values outside (0, 1) disable burn alerting.
 	SLOTarget float64
-	PageBurn  float64
 
 	// ClearHold is how long the alert inputs must stay below a level
 	// before the state steps down (hysteresis; default 2*SubWindow).
@@ -86,11 +83,8 @@ type Options struct {
 	// (0 disables). Oracle is the ground-truth scorer (lithosim).
 	SpotCheckRate float64
 	Oracle        func(layout.Clip) (bool, error)
-	// SpotQueue bounds the async spot-check backlog (default 256);
-	// overflow increments a drop counter instead of blocking the
-	// scoring path. SyncSpotChecks runs checks inline for
-	// deterministic tests and CLI scans.
-	SpotQueue      int
+	// SyncSpotChecks runs checks inline for deterministic tests and
+	// CLI scans; otherwise they queue behind one background worker.
 	SyncSpotChecks bool
 
 	// LowConfMargin enables the low-confidence tap for scores within
@@ -203,14 +197,8 @@ func New(opts Options) *Monitor {
 	if opts.DriftThreshold <= 0 {
 		opts.DriftThreshold = 0.25
 	}
-	if opts.PageBurn <= 0 {
-		opts.PageBurn = 2
-	}
 	if opts.ClearHold <= 0 {
 		opts.ClearHold = 2 * opts.SubWindow
-	}
-	if opts.SpotQueue <= 0 {
-		opts.SpotQueue = 256
 	}
 	m := &Monitor{
 		opts:     opts,
@@ -220,7 +208,7 @@ func New(opts Options) *Monitor {
 		slo:      newWindowRing(opts.SubWindow, opts.SlowSubs, sloWidth),
 	}
 	if opts.Oracle != nil && opts.SpotCheckRate > 0 && !opts.SyncSpotChecks {
-		m.spotq = make(chan spotJob, opts.SpotQueue)
+		m.spotq = make(chan spotJob, spotQueue)
 		m.wg.Add(1)
 		go m.spotWorker()
 	}

@@ -1,7 +1,7 @@
 // SLO burn-rate math and the alert state machine, following the
 // multi-window burn-rate pattern: with target T, the error budget is
 // 1-T; the burn rate of a window is (bad fraction) / (1-T) — 1 means
-// the budget exactly runs out over the SLO period, PageBurn (default 2)
+// the budget exactly runs out over the SLO period, pageBurn (2)
 // over the fast window pages, slow-window burn >= 1 warns. Drift joins
 // the same machine: PSI >= DriftThreshold pages, >= half warns.
 // Upgrades are immediate; downgrades wait out ClearHold below the
@@ -22,6 +22,10 @@ import (
 
 	"github.com/golitho/hsd/internal/trace"
 )
+
+// pageBurn is the fast-window burn-rate multiple that pages: error
+// budget burning at twice the sustainable rate.
+const pageBurn = 2
 
 // SketchSnapshot is one (detector, stage) series in a quality snapshot.
 type SketchSnapshot struct {
@@ -218,7 +222,7 @@ func (m *Monitor) Snapshot() Snapshot {
 	if maxPSI >= m.opts.DriftThreshold/2 || snap.SLO.BurnSlow >= 1 {
 		desired = AlertWarning
 	}
-	if maxPSI >= m.opts.DriftThreshold || snap.SLO.BurnFast >= m.opts.PageBurn {
+	if maxPSI >= m.opts.DriftThreshold || snap.SLO.BurnFast >= pageBurn {
 		desired = AlertPage
 	}
 	switch {

@@ -41,6 +41,10 @@ func sampleFingerprint(fp layout.Fingerprint, rate float64) bool {
 	return float64(u) < rate*float64(1<<64)
 }
 
+// spotQueue bounds the async spot-check backlog; overflow increments a
+// drop counter instead of blocking the scoring path.
+const spotQueue = 256
+
 // enqueueSpot hands a job to the checker: inline in sync mode, through
 // the bounded queue otherwise. A full queue drops the job (counted) —
 // spot checking is sampling, and blocking the scoring path on the

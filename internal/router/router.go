@@ -46,11 +46,12 @@ type Stage struct {
 	Detector core.Detector
 }
 
+// calibFraction of the training set is held out (deterministic
+// stratified split) to fit the stackers and bands.
+const calibFraction = 0.25
+
 // Config parameterizes router fitting.
 type Config struct {
-	// CalibFraction of the training set is held out (deterministic
-	// stratified split) to fit the stackers and bands (default 0.25).
-	CalibFraction float64
 	// MaxStageError is the answered-error budget per stage: each band
 	// is the widest pair of cut points whose answered clips stay at or
 	// below this empirical error rate on the calibration split
@@ -68,9 +69,6 @@ type Config struct {
 }
 
 func (c *Config) normalize() {
-	if c.CalibFraction <= 0 || c.CalibFraction >= 1 {
-		c.CalibFraction = 0.25
-	}
 	if c.MaxStageError <= 0 {
 		c.MaxStageError = 0.02
 	}
@@ -222,7 +220,7 @@ func (r *Router) FitCtx(ctx context.Context, train []core.LabeledClip) error {
 	if len(train) == 0 {
 		return errors.New("router: empty training set")
 	}
-	fitSet, calibSet := stratifiedSplit(train, r.cfg.CalibFraction)
+	fitSet, calibSet := stratifiedSplit(train, calibFraction)
 	if len(fitSet) == 0 {
 		fitSet = train
 	}

@@ -10,9 +10,9 @@ import (
 	"github.com/golitho/hsd/internal/raster"
 )
 
-// The scan-throughput benchmark pair behind run_bench.sh chunk F
-// (BENCH_scan.json): the same repeated-standard-cell chip scanned cold
-// (no cache: every window runs the detector) and warm (content
+// The scan-throughput benchmark pair (`go test -bench ScanFarm
+// ./internal/scanfarm/`): the same repeated-standard-cell chip scanned
+// cold (no cache: every window runs the detector) and warm (content
 // addressed cache: repeated geometry answered by hash lookup). The
 // ratio is the cache's compute-bound → hash-bound win on repetitive
 // layouts.
@@ -55,10 +55,10 @@ func BenchmarkScanFarmColdCache(b *testing.B) { benchScan(b, 0, nil) }
 
 func BenchmarkScanFarmWarmCache(b *testing.B) { benchScan(b, 1<<16, nil) }
 
-// The quality-monitor overhead pair behind run_bench.sh chunk H
-// (BENCH_monitor.json): QualityOff is the everyone-pays cost of the nil
-// tap in scoreWindow (must stay within 2% of the cold-cache baseline
-// above); QualityOn adds live sketch updates per window.
+// The quality-monitor overhead pair: QualityOff is the everyone-pays
+// cost of the nil tap in scoreWindow (must stay within 2% of the
+// cold-cache baseline above); QualityOn adds live sketch updates per
+// window.
 func BenchmarkScanFarmQualityOff(b *testing.B) { benchScan(b, 0, nil) }
 
 func BenchmarkScanFarmQualityOn(b *testing.B) {

@@ -88,13 +88,15 @@ func runKillResume(t *testing.T, det core.Detector) {
 	meta := base.Meta(chip, det.Name())
 	path := filepath.Join(t.TempDir(), "scan.journal")
 
-	// Kill after 2 shards, then after 5 more, then run to completion:
-	// three generations over one journal, like a flaky batch box.
+	// Kill 70 scored windows in (of 388: three to four 20-window shards
+	// done, three in flight), then 120 into the rest, then run to
+	// completion: three generations over one journal, like a flaky
+	// batch box.
 	j, err := CreateJournal(path, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kills := []int{2, 5}
+	kills := []int64{70, 120}
 	completedSoFar := 0
 	for gen := 0; gen <= len(kills); gen++ {
 		cfg := base
@@ -111,18 +113,12 @@ func runKillResume(t *testing.T, det core.Detector) {
 			cfg.Completed = completed
 		}
 		cfg.Journal = j
-		ctx := context.Background()
-		var cancel context.CancelFunc = func() {}
+		ctx, cancel := context.WithCancel(context.Background())
+		genDet := det
 		if gen < len(kills) {
-			killAfter := len(completed) + kills[gen]
-			ctx, cancel = context.WithCancel(ctx)
-			cfg.Progress = func(done, total int) {
-				if done >= killAfter {
-					cancel()
-				}
-			}
+			genDet = &cancelAfter{Detector: det, cut: kills[gen], cancel: cancel}
 		}
-		res, err := Run(ctx, chip, det, cfg)
+		res, err := Run(ctx, chip, genDet, cfg)
 		cancel()
 		j.Close()
 		if err != nil {

@@ -205,8 +205,7 @@ func Run(ctx context.Context, chip *layout.Layout, det core.Detector, cfg Config
 	defer cancel()
 	var (
 		wg         sync.WaitGroup
-		mu         sync.Mutex // records, journal order, progress
-		done       = res.Resumed
+		mu         sync.Mutex // records, journal order
 		journalErr error
 	)
 	finish := func(rec *ShardRecord) {
@@ -221,10 +220,6 @@ func Run(ctx context.Context, chip *layout.Layout, det core.Detector, cfg Config
 			if journalErr = cfg.Journal.Append(*rec); journalErr != nil {
 				cancel()
 			}
-		}
-		done++
-		if cfg.Progress != nil {
-			cfg.Progress(done, plan.NumShards)
 		}
 	}
 

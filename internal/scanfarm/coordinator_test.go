@@ -317,21 +317,14 @@ func TestFarmCancelIsResumable(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cfg.Journal = j
-	cfg.Progress = func(done, total int) {
-		if done >= total/3 {
-			cancel()
-		}
-	}
-	res, err := Run(ctx, chip, det, cfg)
+	res, err := Run(ctx, chip, &cancelAfter{Detector: det, cut: 130, cancel: cancel}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
-	if !res.Interrupted {
-		t.Skip("scan finished before the cancel landed; nothing to resume")
-	}
-	if res.Completed == 0 {
-		t.Fatal("cancelled before any shard completed; Progress contract broken")
+	if !res.Interrupted || res.Completed == 0 {
+		t.Fatalf("cancel after 130 scored clips left %d shards done, interrupted=%v; want a scan cut mid-run",
+			res.Completed, res.Interrupted)
 	}
 
 	j2, completed, err := ResumeJournal(path, meta)
@@ -343,7 +336,6 @@ func TestFarmCancelIsResumable(t *testing.T) {
 		t.Fatalf("journal has %d records, run completed %d", len(completed), res.Completed)
 	}
 	cfg.Journal = j2
-	cfg.Progress = nil
 	cfg.Completed = completed
 	res2, err := Run(context.Background(), chip, det, cfg)
 	if err != nil {

@@ -22,6 +22,23 @@ func (densityDetector) Score(c layout.Clip) (float64, error) {
 	return c.Density(), nil
 }
 
+// cancelAfter wraps a detector and cancels the scan's context from
+// inside the worker that scores the cut-th clip, so the cancel lands
+// mid-shard like a real kill.
+type cancelAfter struct {
+	core.Detector
+	scored atomic.Int64
+	cut    int64
+	cancel context.CancelFunc
+}
+
+func (d *cancelAfter) Score(c layout.Clip) (float64, error) {
+	if d.scored.Add(1) == d.cut {
+		d.cancel()
+	}
+	return d.Detector.Score(c)
+}
+
 // testChip builds a chip with a deterministic mix of dense and sparse
 // tiles so a density scan flags a scattered subset of windows.
 func testChip(t testing.TB, tiles int) *layout.Layout {

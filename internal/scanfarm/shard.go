@@ -146,9 +146,6 @@ type Config struct {
 	// observed too: drift is a property of the traffic, not of which
 	// windows happened to miss.
 	Quality *qualitymon.Monitor
-	// Progress, when non-nil, is called after each shard completes with
-	// (shards done, total shards). Serialized.
-	Progress func(done, total int)
 }
 
 // withDefaults fills the farm's own defaults; the window geometry and

@@ -4,39 +4,30 @@
 // The first request of a window becomes the batch leader; followers
 // append themselves and wait. The leader flushes when the batch reaches
 // Options.BatchMaxSize or Options.BatchMaxWait elapses, whichever comes
-// first, scoring every collected clip in a single BatchScorer call
-// behind the same breaker/deadline/fallback cascade as /score. Scores
-// are identical to /score (the batched inference path is bit-equal to
-// the serial one), so batching changes latency, never verdicts.
+// first, and hands every collected clip to Server.cascade — the ladder
+// /score runs with one clip — so the batch shares one breaker decision
+// and one vectorized primary pass. Scores are identical to /score (the
+// batched inference path is bit-equal to the serial one), so batching
+// changes latency, never verdicts.
 
 package serve
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"sync"
 	"time"
 
-	"github.com/golitho/hsd/internal/core"
-	"github.com/golitho/hsd/internal/faultinject"
 	"github.com/golitho/hsd/internal/layout"
-	"github.com/golitho/hsd/internal/qualitymon"
 	"github.com/golitho/hsd/internal/resilience"
 	"github.com/golitho/hsd/internal/trace"
 )
-
-// batchResult is one request's outcome, delivered on its done channel.
-type batchResult struct {
-	resp ScoreResponse
-	err  error
-}
 
 // batchItem is one request waiting in a pending batch.
 type batchItem struct {
 	clip layout.Clip
 	ctx  context.Context
-	done chan batchResult // buffered; flush never blocks on delivery
+	done chan scoreResult // buffered; flush never blocks on delivery
 }
 
 // pendingBatch collects items until it is flushed by its leader.
@@ -62,7 +53,7 @@ type batcher struct {
 // is done. Cancelled submissions stop waiting immediately; the flusher
 // later skips them without scoring.
 func (b *batcher) submit(ctx context.Context, clip layout.Clip) (ScoreResponse, error) {
-	item := &batchItem{clip: clip, ctx: ctx, done: make(chan batchResult, 1)}
+	item := &batchItem{clip: clip, ctx: ctx, done: make(chan scoreResult, 1)}
 	b.mu.Lock()
 	leader := b.cur == nil
 	if leader {
@@ -114,19 +105,24 @@ func (b *batcher) detach(pb *pendingBatch) {
 	b.mu.Unlock()
 }
 
-// flush scores a detached batch and delivers per-item results. Items
-// whose context is already done are answered with that error and
-// excluded from the scoring pass. The pass runs under a "batch.flush"
-// span on the leader's trace; follower traces record their membership
-// via the batch-follower event instead.
+// flush scores a detached batch through the cascade and delivers
+// per-item results. Items whose context is already done are answered
+// with that error and excluded from the scoring pass. The pass runs
+// under a "batch.flush" span on the leader's trace, and under a fresh
+// deadline budget: the batch outlives any single request context, so
+// only the leader's values — the trace span — survive, not its
+// cancellation. Follower traces record their membership via the
+// batch-follower event instead.
 func (b *batcher) flush(ctx context.Context, pb *pendingBatch) {
 	live := make([]*batchItem, 0, len(pb.items))
+	items := make([]scoreItem, 0, len(pb.items))
 	for _, it := range pb.items {
 		if err := it.ctx.Err(); err != nil {
-			it.done <- batchResult{err: err}
+			it.done <- scoreResult{err: err}
 			continue
 		}
 		live = append(live, it)
+		items = append(items, scoreItem{clip: it.clip, span: trace.FromContext(it.ctx)})
 	}
 	if len(live) == 0 {
 		return
@@ -134,124 +130,14 @@ func (b *batcher) flush(ctx context.Context, pb *pendingBatch) {
 	fctx, fsp := trace.Start(ctx, "batch.flush")
 	fsp.SetAttrInt("size", len(live))
 	b.srv.batchSize.Observe(float64(len(live)))
+	bctx, cancel := resilience.WithBudget(context.WithoutCancel(fctx), b.srv.opts.DeadlineBudget)
+	defer cancel()
 	start := b.clock.Now()
-	b.srv.batchCascade(fctx, live)
+	for i, res := range b.srv.cascade(bctx, items) {
+		live[i].done <- res
+	}
 	b.srv.batchLatency.ObserveDuration(b.clock.Now().Sub(start))
 	fsp.End()
-}
-
-// batchCascade is the /score degradation ladder applied to a whole
-// batch: primary (vectorized, behind breaker + budget + panic capture),
-// then per-item fallback. One primary failure degrades every request in
-// the batch — the requests shared the failed pass — but never 5xxes
-// them while a fallback exists.
-func (s *Server) batchCascade(ctx context.Context, items []*batchItem) {
-	clips := make([]layout.Clip, len(items))
-	for i, it := range items {
-		clips[i] = it.clip
-	}
-	prim := *s.primary.Load()
-	var primaryErr error
-	reason := ""
-	if s.breaker.Allow() {
-		var scores []float64
-		pctx, psp := trace.Start(ctx, "primary", trace.A("detector", prim.Name()))
-		scores, primaryErr = s.scoreBatchPrimary(pctx, prim, clips)
-		psp.SetError(primaryErr)
-		psp.End()
-		s.breaker.Record(primaryErr)
-		s.reportOutcome(primaryErr)
-		if primaryErr == nil {
-			name, thr := prim.Name(), prim.Threshold()
-			for i, it := range items {
-				s.quality.Observe(qualitymon.Event{
-					Detector: name, Stage: "primary",
-					Score: scores[i], Threshold: thr,
-					Clip: it.clip, HasClip: true,
-				})
-				it.done <- batchResult{resp: ScoreResponse{
-					Detector: name, Score: scores[i],
-					Threshold: thr, Hotspot: scores[i] >= thr,
-				}}
-			}
-			return
-		}
-		s.primaryErrs.Inc()
-		reason = degradedReason(primaryErr)
-	} else {
-		primaryErr = resilience.ErrOpen
-		reason = "breaker-open"
-		trace.FromContext(ctx).AddEvent("breaker-open")
-	}
-	// The whole batch degrades together: mark every member's own trace,
-	// not just the leader's, so each request's record explains itself.
-	for _, it := range items {
-		if sp := trace.FromContext(it.ctx); sp != nil {
-			sp.AddEvent("degrade", trace.A("reason", reason))
-			sp.SetFlag(trace.FlagDegraded)
-		}
-	}
-	if s.fallback == nil {
-		for _, it := range items {
-			it.done <- batchResult{err: primaryErr}
-		}
-		return
-	}
-	name, thr := s.fallback.Name(), s.fallback.Threshold()
-	fctx, fsp := trace.Start(ctx, "fallback", trace.A("detector", name))
-	defer fsp.End()
-	for _, it := range items {
-		score, err := core.ScoreClipCtx(fctx, s.fallback, it.clip)
-		if err != nil {
-			it.done <- batchResult{err: fmt.Errorf("fallback (after primary %s): %w", reason, err)}
-			continue
-		}
-		s.fallbacks.Inc()
-		s.quality.Observe(qualitymon.Event{
-			Detector: name, Stage: "fallback",
-			Score: score, Threshold: thr,
-			Clip: it.clip, HasClip: true,
-		})
-		it.done <- batchResult{resp: ScoreResponse{
-			Detector: name, Score: score,
-			Threshold: thr, Hotspot: score >= thr,
-			Degraded: true, DegradedReason: reason,
-		}}
-	}
-}
-
-// scoreBatchPrimary runs prim's batch path under a fresh deadline
-// budget (the batch outlives any single request context, so only the
-// parent's values — the trace span — survive, not its cancellation),
-// converting panics to errors exactly like scorePrimary.
-func (s *Server) scoreBatchPrimary(parent context.Context, prim core.Detector, clips []layout.Clip) ([]float64, error) {
-	ctx, cancel := resilience.WithBudget(context.WithoutCancel(parent), s.opts.DeadlineBudget)
-	defer cancel()
-	type outcome struct {
-		scores []float64
-		err    error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer func() {
-			if p := recover(); p != nil {
-				s.panics.Inc()
-				ch <- outcome{nil, &panicError{val: p}}
-			}
-		}()
-		if err := faultinject.Hit(PrimarySite); err != nil {
-			ch <- outcome{nil, err}
-			return
-		}
-		scores, err := core.ScoreClipsCtx(ctx, prim, clips)
-		ch <- outcome{scores, err}
-	}()
-	select {
-	case out := <-ch:
-		return out.scores, out.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
 }
 
 // handleBatch is POST /batch: one clip per request, scored through the

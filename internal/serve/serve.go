@@ -149,13 +149,6 @@ type Server struct {
 	batchLatency *telemetry.Histogram
 }
 
-// New constructs a Server with no fallback, deadline, or shedding —
-// the pre-cascade behaviour. det must already be fitted; sim may be nil
-// to disable /verify.
-func New(det core.Detector, sim *lithosim.Simulator, clipNM int, coreFrac float64) (*Server, error) {
-	return NewServer(Options{Primary: det, Sim: sim, ClipNM: clipNM, CoreFrac: coreFrac})
-}
-
 // NewServer constructs a Server from Options. Options.Primary must be a
 // fitted detector.
 func NewServer(opts Options) (*Server, error) {
@@ -560,12 +553,12 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := resilience.WithBudget(r.Context(), s.opts.DeadlineBudget)
 	defer cancel()
-	resp, err := s.cascade(ctx, clip)
-	if err != nil {
-		s.cascadeError(w, err)
+	res := s.cascade(ctx, []scoreItem{{clip: clip, span: trace.FromContext(ctx)}})[0]
+	if res.err != nil {
+		s.cascadeError(w, res.err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, res.resp)
 }
 
 // cascadeError maps a cascade failure (no fallback available, or the
@@ -584,68 +577,92 @@ func (s *Server) cascadeError(w http.ResponseWriter, err error) {
 	}
 }
 
-// cascade scores the clip through the degradation ladder: primary
-// behind the breaker and deadline, then fallback. A degraded response
-// is a success; the returned error means nothing could answer. Every
-// decision lands on the request trace: a "primary" span (with error),
-// "breaker-open" and "degrade" events, and the degraded flag that
-// makes the tail sampler retain the trace.
-func (s *Server) cascade(ctx context.Context, clip layout.Clip) (ScoreResponse, error) {
-	sp := trace.FromContext(ctx)
+// scoreItem is one clip on the degradation ladder with the span of the
+// request that owns it (nil when tracing is off).
+type scoreItem struct {
+	clip layout.Clip
+	span *trace.Span
+}
+
+// scoreResult is one item's outcome. A degraded response is a success;
+// err means nothing could answer.
+type scoreResult struct {
+	resp ScoreResponse
+	err  error
+}
+
+// cascade is the one degradation ladder: the items share one pass
+// through the primary behind the breaker and ctx's budget, and when that
+// pass fails (or the breaker is open) each is re-scored by the fallback.
+// One primary failure degrades every item, because they shared the
+// failed pass, but never 5xxes them while a fallback exists. /score
+// calls it with one item under the request's budgeted context; the
+// micro-batcher's flush calls it with a batch under a budget detached
+// from any one request. Spans ("primary", "fallback") hang off ctx; the
+// "breaker-open" and "degrade" events and the degraded flag that makes
+// the tail sampler keep a trace land on each item's own request span.
+func (s *Server) cascade(ctx context.Context, items []scoreItem) []scoreResult {
+	out := make([]scoreResult, len(items))
+	verdict := func(i int, det core.Detector, stage string, score float64, reason string) {
+		thr := det.Threshold()
+		s.quality.Observe(qualitymon.Event{
+			Detector: det.Name(), Stage: stage,
+			Score: score, Threshold: thr,
+			Clip: items[i].clip, HasClip: true,
+		})
+		out[i].resp = ScoreResponse{
+			Detector: det.Name(), Score: score,
+			Threshold: thr, Hotspot: score >= thr,
+			Degraded: reason != "", DegradedReason: reason,
+		}
+	}
 	prim := *s.primary.Load()
 	var primaryErr error
-	reason := ""
+	var reason string
 	if s.breaker.Allow() {
-		var score float64
+		var scores []float64
 		pctx, psp := trace.Start(ctx, "primary", trace.A("detector", prim.Name()))
-		score, primaryErr = s.scorePrimary(pctx, prim, clip)
+		scores, primaryErr = s.scorePrimary(pctx, prim, items)
 		psp.SetError(primaryErr)
 		psp.End()
 		s.breaker.Record(primaryErr)
 		s.reportOutcome(primaryErr)
 		if primaryErr == nil {
-			thr := prim.Threshold()
-			s.quality.Observe(qualitymon.Event{
-				Detector: prim.Name(), Stage: "primary",
-				Score: score, Threshold: thr,
-				Clip: clip, HasClip: true,
-			})
-			return ScoreResponse{
-				Detector: prim.Name(), Score: score,
-				Threshold: thr, Hotspot: score >= thr,
-			}, nil
+			for i := range items {
+				verdict(i, prim, "primary", scores[i], "")
+			}
+			return out
 		}
 		s.primaryErrs.Inc()
 		reason = degradedReason(primaryErr)
 	} else {
 		primaryErr = resilience.ErrOpen
 		reason = "breaker-open"
-		sp.AddEvent("breaker-open")
+		for _, it := range items {
+			it.span.AddEvent("breaker-open")
+		}
 	}
 	if s.fallback == nil {
-		return ScoreResponse{}, primaryErr
+		for i := range out {
+			out[i].err = primaryErr
+		}
+		return out
 	}
-	sp.AddEvent("degrade", trace.A("reason", reason))
-	sp.SetFlag(trace.FlagDegraded)
-	fctx, fsp := trace.Start(ctx, "fallback", trace.A("detector", s.fallback.Name()))
-	score, err := core.ScoreClipCtx(fctx, s.fallback, clip)
-	fsp.SetError(err)
-	fsp.End()
-	if err != nil {
-		return ScoreResponse{}, fmt.Errorf("fallback (after primary %s): %w", reason, err)
+	for i, it := range items {
+		it.span.AddEvent("degrade", trace.A("reason", reason))
+		it.span.SetFlag(trace.FlagDegraded)
+		fctx, fsp := trace.Start(ctx, "fallback", trace.A("detector", s.fallback.Name()))
+		score, err := core.ScoreClipCtx(fctx, s.fallback, it.clip)
+		fsp.SetError(err)
+		fsp.End()
+		if err != nil {
+			out[i].err = fmt.Errorf("fallback (after primary %s): %w", reason, err)
+			continue
+		}
+		s.fallbacks.Inc()
+		verdict(i, s.fallback, "fallback", score, reason)
 	}
-	s.fallbacks.Inc()
-	thr := s.fallback.Threshold()
-	s.quality.Observe(qualitymon.Event{
-		Detector: s.fallback.Name(), Stage: "fallback",
-		Score: score, Threshold: thr,
-		Clip: clip, HasClip: true,
-	})
-	return ScoreResponse{
-		Detector: s.fallback.Name(), Score: score,
-		Threshold: thr, Hotspot: score >= thr,
-		Degraded: true, DegradedReason: reason,
-	}, nil
+	return out
 }
 
 func degradedReason(err error) string {
@@ -688,39 +705,50 @@ func qualityHook(m *qualitymon.Monitor) registry.QualityMonitor {
 	return m
 }
 
-// scorePrimary runs prim (the primary detector the caller loaded) under
-// the request deadline, converting panics to errors. The scoring
-// goroutine cannot be killed on timeout — it finishes in the background
-// while the request degrades; the breaker stops sending traffic to a
-// persistently slow primary.
-func (s *Server) scorePrimary(ctx context.Context, prim core.Detector, clip layout.Clip) (float64, error) {
+// scorePrimary runs prim (the primary detector the caller loaded) over
+// the items under ctx's deadline, converting panics to errors. One item
+// scores through the per-clip path, which is what hangs the
+// raster/features/inference spans under /score's "primary" span; more
+// take the vectorized pass. The scoring goroutine cannot be killed on
+// timeout — it finishes in the background while the items degrade; the
+// breaker stops sending traffic to a persistently slow primary.
+func (s *Server) scorePrimary(ctx context.Context, prim core.Detector, items []scoreItem) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
-		return 0, err
+		return nil, err
 	}
 	type outcome struct {
-		score float64
-		err   error
+		scores []float64
+		err    error
 	}
 	ch := make(chan outcome, 1)
 	go func() {
 		defer func() {
 			if p := recover(); p != nil {
 				s.panics.Inc()
-				ch <- outcome{0, &panicError{val: p}}
+				ch <- outcome{nil, &panicError{val: p}}
 			}
 		}()
 		if err := faultinject.Hit(PrimarySite); err != nil {
-			ch <- outcome{0, err}
+			ch <- outcome{nil, err}
 			return
 		}
-		score, err := core.ScoreClipCtx(ctx, prim, clip)
-		ch <- outcome{score, err}
+		if len(items) == 1 {
+			score, err := core.ScoreClipCtx(ctx, prim, items[0].clip)
+			ch <- outcome{[]float64{score}, err}
+			return
+		}
+		clips := make([]layout.Clip, len(items))
+		for i, it := range items {
+			clips[i] = it.clip
+		}
+		scores, err := core.ScoreClipsCtx(ctx, prim, clips)
+		ch <- outcome{scores, err}
 	}()
 	select {
 	case out := <-ch:
-		return out.score, out.err
+		return out.scores, out.err
 	case <-ctx.Done():
-		return 0, ctx.Err()
+		return nil, ctx.Err()
 	}
 }
 

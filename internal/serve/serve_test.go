@@ -53,7 +53,7 @@ func newTestServer(t *testing.T, withSim bool) *httptest.Server {
 			t.Fatal(err)
 		}
 	}
-	s, err := New(thresholdDetector{}, sim, 1024, 0.5)
+	s, err := NewServer(Options{Primary: thresholdDetector{}, Sim: sim})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestConcurrentScoring(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, nil, 0, 0); err == nil {
+	if _, err := NewServer(Options{}); err == nil {
 		t.Fatal("nil detector accepted")
 	}
 }
@@ -246,7 +246,7 @@ type panicDetector struct{ thresholdDetector }
 func (panicDetector) Score(layout.Clip) (float64, error) { panic("scoring bug") }
 
 func TestPanicRecovery(t *testing.T) {
-	s, err := New(panicDetector{}, nil, 1024, 0.5)
+	s, err := NewServer(Options{Primary: panicDetector{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func fitTestCNN(t *testing.T) *core.NeuralDetector {
 // against a shared CNN must return exactly the verdicts the same
 // requests get one at a time. Meaningful under -race.
 func TestConcurrentScoreSharedCNN(t *testing.T) {
-	s, err := New(fitTestCNN(t), nil, 1024, 0.5)
+	s, err := NewServer(Options{Primary: fitTestCNN(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Persistent worker pool for row-sharded kernels.
 //
 // The first parallel kernels spawned goroutines per call, and
-// BENCH_inference.json showed the spawn + schedule cost eating the whole
-// parallelism win (parallel matmul measured *slower* than serial). The
+// BenchmarkParallelMatMul showed the spawn + schedule cost eating the
+// whole parallelism win (parallel matmul measured *slower* than serial). The
 // pool below keeps a fixed set of workers alive for the process lifetime
 // and hands them coarse contiguous shards over a channel, so the
 // per-call cost is a few channel operations instead of goroutine
