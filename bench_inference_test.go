@@ -1,8 +1,9 @@
-// Inference-engine benchmarks: the batched/parallel scoring path of
-// internal/nn and the blocked/parallel matmul kernel of internal/tensor,
-// measured against their serial baselines (`go test -bench
-// 'PredictBatch|ParallelMatMul|MatMulKernels' -benchmem .`); ci.sh runs
-// TestParallelInferenceSmoke as a cheap throughput-regression gate.
+// Inference-engine benchmark: the batched/parallel scoring path of
+// internal/nn against the serial per-sample loop (`go test -bench
+// PredictBatch -benchmem .`); ci.sh runs TestParallelInferenceSmoke and
+// TestParallelMatMulSmoke as cheap throughput-regression gates. The
+// matmul benchmarks (kernel against kernel, sharded against serial) live
+// beside the kernels, in internal/tensor/bench_test.go.
 package hsd_test
 
 import (
@@ -76,75 +77,6 @@ func BenchmarkPredictBatch(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkParallelMatMul compares the blocked serial kernel with the
-// row-sharded parallel one on a square matmul sized well above the
-// parallel threshold.
-func BenchmarkParallelMatMul(b *testing.B) {
-	const n = 192
-	rng := rand.New(rand.NewSource(9))
-	ma := tensor.NewMatrix(n, n)
-	ma.Randomize(rng, 1)
-	mb := tensor.NewMatrix(n, n)
-	mb.Randomize(rng, 1)
-	dst := tensor.NewMatrix(n, n)
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tensor.MatMulInto(dst, ma, mb)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tensor.ParallelMatMulInto(dst, ma, mb)
-		}
-	})
-}
-
-// BenchmarkMatMulTransB measures the A·Bᵀ kernel on conv1's weight-
-// gradient shape (one sample: OutC x positions times the klen x
-// positions column matrix) against what it replaced, a fresh Transpose
-// followed by the blocked kernel.
-func BenchmarkMatMulTransB(b *testing.B) {
-	const outC, positions, klen = 16, 256, 144
-	rng := rand.New(rand.NewSource(11))
-	grad := tensor.NewMatrix(outC, positions)
-	grad.Randomize(rng, 1)
-	cols := tensor.NewMatrix(klen, positions)
-	cols.Randomize(rng, 1)
-	dst := tensor.NewMatrix(outC, klen)
-	b.Run("transb", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tensor.MatMulTransBInto(dst, grad, cols)
-		}
-	})
-	b.Run("transpose+matmul", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tensor.MatMulInto(dst, grad, cols.Transpose())
-		}
-	})
-}
-
-// BenchmarkMatMulKernels measures the blocked kernel on the Dense
-// hot-path shape (batch x hidden x hidden).
-func BenchmarkMatMulKernels(b *testing.B) {
-	const m, k, n = 64, 512, 512
-	rng := rand.New(rand.NewSource(10))
-	ma := tensor.NewMatrix(m, k)
-	ma.Randomize(rng, 1)
-	mb := tensor.NewMatrix(k, n)
-	mb.Randomize(rng, 1)
-	b.Run("float64", func(b *testing.B) {
-		dst := tensor.NewMatrix(m, n)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tensor.MatMulInto(dst, ma, mb)
-		}
-	})
 }
 
 // TestParallelMatMulSmoke is the kernel-level half of the ci.sh

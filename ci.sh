@@ -1,8 +1,10 @@
 #!/usr/bin/env sh
 # ci.sh — the repo's verification gate. Mirrors what a reviewer runs:
 #
-#   vet, build, unit + property tests under the race detector, the
-#   chaos and kill-resume suites, the end-to-end smoke scripts, a check
+#   vet (the assembly kernel's declarations included), build, a
+#   cross-build of the portable path, unit + property tests under the
+#   race detector and again on the portable matmul kernel, the chaos and
+#   kill-resume suites, the end-to-end smoke scripts, a check
 #   that no binary's flag set moved, a smoke pass over the fuzz seed
 #   corpora, 10 s of real fuzzing on the frame reader, and a quick pass
 #   of the repo benchmark's four workloads.
@@ -23,8 +25,24 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== portable cross-build =="
+# internal/tensor's assembly kernel exists for amd64 only. Building and
+# vetting for another architecture (works offline, runs nothing) is what
+# catches a symbol that only the amd64 files define.
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./internal/tensor/ ./internal/nn/
+
 echo "== go test -race =="
 go test -race $short ./...
+
+echo "== portable kernel =="
+# -tags purego compiles the assembly out (its build constraint is
+# amd64 && !purego), so the kernel property tests, the fused-conv
+# equivalence and both byte goldens (trainstep_golden.json,
+# misspath_golden.json) are proven on the Go kernel too on every run: a
+# model trained or a window scored on a machine without AVX2 gives the
+# same bytes.
+go test -tags purego $short ./internal/tensor/ ./internal/nn/ ./internal/core/
 
 echo "== chaos smoke =="
 # The chaos tests inject faults (latency, errors, panics) into the
@@ -91,8 +109,9 @@ echo "== scan smoke =="
 echo "== fuzz seed smoke =="
 # -run=Fuzz executes every fuzz target once per seed corpus entry,
 # without the fuzzing engine; crashes here mean a regressed parser,
-# model loader, or frame reader.
-go test -run=Fuzz ./internal/layout/ ./internal/gdsii/ ./internal/nn/ ./internal/framelog/
+# model loader or frame reader, or a matmul kernel that disagrees with
+# the portable one on a seed shape.
+go test -run=Fuzz ./internal/layout/ ./internal/gdsii/ ./internal/nn/ ./internal/framelog/ ./internal/tensor/
 
 echo "== frame reader fuzz =="
 # A bounded budget of real fuzzing on the one frame reader every

@@ -22,8 +22,11 @@ type Arena struct {
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{} }
 
-// get returns a zeroed r x c matrix, reusing the buffer at the cursor
-// when its capacity suffices and replacing it otherwise.
+// get returns an r x c matrix, reusing the buffer at the cursor when its
+// capacity suffices and replacing it otherwise. Its contents are
+// unspecified (a reused buffer holds the last pass's numbers): every
+// forwardInfer writes every cell of what it asks for, so nothing is
+// cleared here.
 func (a *Arena) get(r, c int) *tensor.Matrix {
 	need := r * c
 	if a.next < len(a.bufs) && cap(a.bufs[a.next].Data) >= need {
@@ -31,9 +34,6 @@ func (a *Arena) get(r, c int) *tensor.Matrix {
 		a.next++
 		m.Rows, m.Cols = r, c
 		m.Data = m.Data[:need]
-		for i := range m.Data {
-			m.Data[i] = 0
-		}
 		return m
 	}
 	m := tensor.NewMatrix(r, c)

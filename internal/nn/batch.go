@@ -162,6 +162,8 @@ func (r *ReLU) forwardInfer(x *tensor.Matrix, ar *Arena) *tensor.Matrix {
 	for i, v := range x.Data {
 		if v > 0 {
 			out.Data[i] = v
+		} else {
+			out.Data[i] = 0
 		}
 	}
 	return out

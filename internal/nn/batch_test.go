@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -179,7 +180,9 @@ func TestPredictBatchConcurrentSharedNet(t *testing.T) {
 }
 
 // TestArenaReuse: the cursor discipline reuses buffers of sufficient
-// capacity, grows undersized slots, and zeroes everything it returns.
+// capacity and grows undersized slots. A reused buffer comes back as the
+// last pass left it: contents are unspecified and callers write every
+// cell (TestForwardBatchIgnoresArenaContents holds the layers to that).
 func TestArenaReuse(t *testing.T) {
 	ar := NewArena()
 	a := ar.get(4, 8)
@@ -190,8 +193,8 @@ func TestArenaReuse(t *testing.T) {
 	if &a2.Data[0] != &a.Data[0] {
 		t.Fatal("equal-size buffer was not reused after Reset")
 	}
-	if a2.Data[0] != 0 {
-		t.Fatal("reused buffer not zeroed")
+	if a2.Data[0] != 7 {
+		t.Fatal("reused buffer was cleared: get must not pay for a memclr nobody reads")
 	}
 	// Smaller request reuses the same backing array.
 	ar.Reset()
@@ -207,5 +210,35 @@ func TestArenaReuse(t *testing.T) {
 	}
 	if len(big.Data) != 100 {
 		t.Fatalf("big buffer len = %d", len(big.Data))
+	}
+}
+
+// TestForwardBatchIgnoresArenaContents: Arena.get clears nothing, so every
+// forwardInfer must write every cell of every buffer it takes. A pass
+// over an arena whose buffers were all filled with NaN has to return the
+// bits of a pass over a fresh one, for each architecture.
+func TestForwardBatchIgnoresArenaContents(t *testing.T) {
+	for name, net := range testNetworks(t, 23) {
+		rng := rand.New(rand.NewSource(24))
+		dim := inDim(net)
+		// Normal inputs: about half of every ReLU's cells take the zero
+		// branch, the one value a cleared buffer used to supply.
+		x := tensor.NewMatrix(3, dim)
+		x.Randomize(rng, 1)
+		ar := NewArena()
+		want := net.ForwardBatch(x, ar).Clone()
+		for _, buf := range ar.bufs {
+			buf.Data = buf.Data[:cap(buf.Data)]
+			for i := range buf.Data {
+				buf.Data[i] = math.NaN()
+			}
+		}
+		ar.Reset()
+		got := net.ForwardBatch(x, ar)
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("%s: logit %d = %v over a poisoned arena, %v over a fresh one", name, i, got.Data[i], want.Data[i])
+			}
+		}
 	}
 }

@@ -42,6 +42,9 @@ type convScratch struct {
 	// band holds, per pool goroutine, a K*K x positions slice of
 	// Wᵀ·grad: one input channel at a time on its way through col2im.
 	band []float64
+	// tb holds, per pool goroutine, the transposes grad_i · cols_iᵀ
+	// goes through (tensor.MatMulTransBInto).
+	tb [][]float64
 }
 
 var _ Layer = (*Conv2D)(nil)
@@ -177,6 +180,9 @@ func (c *Conv2D) backward(grad *tensor.Matrix, needDX bool) *tensor.Matrix {
 	s.gwSlot = grow(s.gwSlot, rows*wsz)
 	s.gbSlot = grow(s.gbSlot, rows*c.OutC)
 	ex := executors()
+	if len(s.tb) < ex {
+		s.tb = make([][]float64, ex)
+	}
 	kk := c.K * c.K
 	var dx *tensor.Matrix
 	if needDX {
@@ -198,7 +204,7 @@ func (c *Conv2D) backward(grad *tensor.Matrix, needDX bool) *tensor.Matrix {
 		// dW partial = grad_i · cols_iᵀ
 		cols := tensor.Matrix{Rows: klen, Cols: positions, Data: s.cols[i*csz : (i+1)*csz]}
 		slot := tensor.Matrix{Rows: c.OutC, Cols: klen, Data: s.gwSlot[i*wsz : (i+1)*wsz]}
-		tensor.MatMulTransBInto(&slot, &gm, &cols)
+		s.tb[w] = tensor.MatMulTransBInto(&slot, &gm, &cols, s.tb[w])
 		if !needDX {
 			return
 		}

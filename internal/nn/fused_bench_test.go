@@ -41,8 +41,8 @@ func (c *Conv2D) forwardInferIm2col(x *tensor.Matrix, ar *Arena) *tensor.Matrix 
 	cols := ar.get(c.InC*c.K*c.K, oh*ow)
 	prod := ar.get(c.OutC, oh*ow)
 	for i := 0; i < x.Rows; i++ {
-		if i > 0 && c.Pad > 0 {
-			cols.Zero()
+		if c.Pad > 0 {
+			cols.Zero() // the gather below skips the padding cells
 		}
 		c.im2colIntoBench(x.Row(i), cols)
 		tensor.MatMulInto(prod, c.W, cols)

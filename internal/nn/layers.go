@@ -21,10 +21,12 @@ type Dense struct {
 
 // denseScratch is a Dense layer's training scratch (see scratch.go). x
 // is the last training Forward's input, borrowed from the caller; xT
-// and gw are its transpose and this batch's xᵀ·grad.
+// and gw are its transpose and this batch's xᵀ·grad; tb is where
+// grad·Wᵀ keeps its transpose (tensor.MatMulTransBInto).
 type denseScratch struct {
 	x               *tensor.Matrix
 	out, dx, xT, gw *tensor.Matrix
+	tb              []float64
 }
 
 var _ Layer = (*Dense)(nil)
@@ -107,7 +109,7 @@ func (d *Dense) backward(grad *tensor.Matrix, needDX bool) *tensor.Matrix {
 	}
 	// dX = grad * W^T
 	s.dx = sized(s.dx, grad.Rows, d.In)
-	tensor.MatMulTransBInto(s.dx, grad, d.W)
+	s.tb = tensor.MatMulTransBInto(s.dx, grad, d.W, s.tb)
 	return s.dx
 }
 

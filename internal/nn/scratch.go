@@ -45,11 +45,7 @@ func sized(m *tensor.Matrix, r, c int) *tensor.Matrix {
 // transposeInto writes srcᵀ into dst (resized as by sized).
 func transposeInto(dst, src *tensor.Matrix) *tensor.Matrix {
 	dst = sized(dst, src.Cols, src.Rows)
-	for i := 0; i < src.Rows; i++ {
-		for j, v := range src.Row(i) {
-			dst.Data[j*src.Rows+i] = v
-		}
-	}
+	src.TransposeInto(dst.Data)
 	return dst
 }
 

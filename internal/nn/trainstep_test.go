@@ -376,3 +376,45 @@ func TestFitEmitsEpochSpans(t *testing.T) {
 		t.Fatalf("%d train.epoch spans, want 3", epoch)
 	}
 }
+
+// TestTrainStepAllocations pins what one steady-state training step
+// allocates, case by case, at the counts of the commit before the
+// assembly kernel: the first step sizes every layer's scratch (column
+// caches, gradient slots, the A·Bᵀ transposes), and from then on a step
+// allocates only what it did when A·Bᵀ needed no scratch at all. The
+// pool is narrowed to the caller so that the count does not depend on
+// which shards a worker happened to take.
+func TestTrainStepAllocations(t *testing.T) {
+	tensor.SetDefaultWorkers(1)
+	defer tensor.SetDefaultWorkers(0)
+	want := map[string]float64{"zoo-cnn": 50, "zoo-cnn-bn": 50, "zoo-mlp": 8}
+	for _, c := range trainStepCases() {
+		net, err := c.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := c.cfg()
+		cfg.normalize()
+		rng := rand.New(rand.NewSource(1616))
+		net.Init(rng)
+		x := tensor.NewMatrix(cfg.BatchSize, inDim(net))
+		x.Randomize(rng, 1)
+		y := make([]int, x.Rows)
+		for i := range y {
+			y[i] = rng.Intn(2)
+		}
+		params := net.Params()
+		step := func() {
+			_, grad, _ := cfg.Loss.Loss(net.Forward(x, true), y)
+			for _, p := range params {
+				p.G.Zero()
+			}
+			net.Backward(grad)
+			cfg.Optimizer.Step(params)
+		}
+		step() // sizes the scratch
+		if got := testing.AllocsPerRun(5, step); got > want[c.name] {
+			t.Errorf("%s: a steady-state step allocates %v objects, want <= %v", c.name, got, want[c.name])
+		}
+	}
+}

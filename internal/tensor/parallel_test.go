@@ -95,11 +95,13 @@ func TestParallelMatMulEquivalence(t *testing.T) {
 // zero-row edge.
 func TestParallelMatMulDefaultEntry(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	a := randMat(rng, 48, 96)
-	b := randMat(rng, 96, 80)
-	want := NewMatrix(48, 80)
+	// 128*160*128 multiply-adds is past parallelMinWork, so the default
+	// entry really shards.
+	a := randMat(rng, 128, 160)
+	b := randMat(rng, 160, 128)
+	want := NewMatrix(128, 128)
 	MatMulInto(want, a, b)
-	got := NewMatrix(48, 80)
+	got := NewMatrix(128, 128)
 	ParallelMatMulInto(got, a, b)
 	for i := range want.Data {
 		if got.Data[i] != want.Data[i] {
@@ -107,8 +109,8 @@ func TestParallelMatMulDefaultEntry(t *testing.T) {
 		}
 	}
 
-	empty := NewMatrix(0, 80)
-	ParallelMatMulInto(empty, NewMatrix(0, 96), b) // must not panic
+	empty := NewMatrix(0, 128)
+	ParallelMatMulInto(empty, NewMatrix(0, 160), b) // must not panic
 }
 
 // TestParallelMatMulShapePanic: shape mismatches panic exactly like the

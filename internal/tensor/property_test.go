@@ -1,8 +1,11 @@
-// Property-based kernel equivalence tests: every matmul variant —
-// blocked/unrolled serial and pool-sharded parallel — against a naive
-// reference, over randomized and adversarial shapes. The kernels must
-// match the reference BIT FOR BIT (the blocked and unrolled loops
-// preserve the plain i-k-j accumulation order per element).
+// Property-based kernel equivalence tests: every matmul entry point —
+// serial, pool-sharded parallel and A·Bᵀ — against a naive reference,
+// and the assembly kernel against the portable one, over randomized and
+// adversarial shapes and values. The kernels must match BIT FOR BIT
+// (vector lanes, register tiles, k tiles and the k unroll all preserve
+// the plain i-k-j accumulation order per element). Under -tags purego,
+// and on machines without AVX2, both sides of the kernel comparison are
+// the portable loop; ci.sh runs this file both ways.
 
 package tensor
 
@@ -48,7 +51,9 @@ func randomMatrix(rng *rand.Rand, r, c int) *Matrix {
 // propertyShapes mixes random shapes with adversarial ones: empty and
 // single-element matrices, shapes straddling the blocking tiles
 // (mmBlockK=64, mmBlockJ=512), unroll remainders (k % 4 != 0), and rows
-// around the parallel shard grain.
+// around the parallel shard grain. Subtests are named after these
+// shapes, so the list and the rng draws behind it are fixed; new shapes
+// go in kernelEdgeShapes.
 func propertyShapes(rng *rand.Rand) [][3]int {
 	shapes := [][3]int{
 		{0, 0, 0}, {0, 3, 2}, {1, 0, 4}, {3, 2, 0},
@@ -89,12 +94,13 @@ func TestMatMulVariantsBitIdenticalToNaive(t *testing.T) {
 	}
 }
 
-// TestMatMulTransBMatchesTransposeThenMatMul: the A·Bᵀ kernel must equal
-// MatMulInto on a materialized transpose bit for bit, over the same
-// degenerate and odd shapes (b.Rows % 4 != 0 reaches the single-sum
-// tail), into a NaN-poisoned destination.
+// TestMatMulTransBMatchesTransposeThenMatMul: A·Bᵀ must equal MatMulInto
+// on a materialized transpose bit for bit, over the same degenerate and
+// odd shapes (which take both the transpose-b and the transpose-a
+// route), into a NaN-poisoned destination.
 func TestMatMulTransBMatchesTransposeThenMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
+	var scratch []float64 // carried across shapes, as a fit carries it
 	for _, sh := range propertyShapes(rng) {
 		m, k, n := sh[0], sh[1], sh[2]
 		t.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(t *testing.T) {
@@ -107,7 +113,7 @@ func TestMatMulTransBMatchesTransposeThenMatMul(t *testing.T) {
 			for i := range got.Data {
 				got.Data[i] = math.NaN()
 			}
-			MatMulTransBInto(got, a, b)
+			scratch = MatMulTransBInto(got, a, b, scratch)
 			assertBitsEqual(t, "MatMulTransBInto", want.Data, got.Data)
 		})
 	}
@@ -116,7 +122,7 @@ func TestMatMulTransBMatchesTransposeThenMatMul(t *testing.T) {
 			t.Fatal("mismatched shapes did not panic")
 		}
 	}()
-	MatMulTransBInto(NewMatrix(2, 3), NewMatrix(2, 4), NewMatrix(3, 5))
+	MatMulTransBInto(NewMatrix(2, 3), NewMatrix(2, 4), NewMatrix(3, 5), nil)
 }
 
 func assertBitsEqual(t *testing.T, name string, want, got []float64) {
@@ -130,4 +136,152 @@ func assertBitsEqual(t *testing.T, name string, want, got []float64) {
 				name, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
+}
+
+// kernelEdgeShapes straddle the assembly kernel's tile: every n from 1
+// to 17 and the panel edges beyond (vector width 4, panel width 8), odd
+// and sub-tile m (row groups of 4), and k around the unroll and the k
+// tile.
+func kernelEdgeShapes() [][3]int {
+	var shapes [][3]int
+	for n := 1; n <= 17; n++ {
+		shapes = append(shapes, [3]int{5, 7, n}, [3]int{1, 66, n})
+	}
+	for _, n := range []int{31, 33, 255, 257} {
+		shapes = append(shapes, [3]int{3, 5, n}, [3]int{7, 130, n})
+	}
+	for _, m := range []int{1, 2, 3, 4, 5, 8, 9, 11} {
+		shapes = append(shapes, [3]int{m, 1, 8}, [3]int{m, 67, 24}, [3]int{m, 129, 19})
+	}
+	return shapes
+}
+
+// oddValues are the inputs where a kernel that reassociated, fused or
+// skipped anything would show: signed zeros, denormals, values whose
+// products overflow or cancel, infinities and NaN.
+var oddValues = []float64{
+	0, math.Copysign(0, -1), 5e-324, -5e-324, 2.2250738585072014e-308,
+	1e308, -1e308, 1e-308, 1 + 1e-15, -(1 + 1e-15), 3, -3,
+	math.Inf(1), math.Inf(-1), math.NaN(),
+}
+
+// oddMatrix is an r x c view starting off elements into its backing
+// array, so that it is never 32-byte aligned when off is odd; about one
+// element in five is drawn from oddValues[:nOdd].
+func oddMatrix(rng *rand.Rand, r, c, off, nOdd int) *Matrix {
+	buf := make([]float64, off+r*c)
+	m := &Matrix{Rows: r, Cols: c, Data: buf[off:]}
+	for i := range m.Data {
+		if nOdd > 0 && rng.Intn(5) == 0 {
+			m.Data[i] = oddValues[rng.Intn(nOdd)]
+		} else {
+			m.Data[i] = rng.NormFloat64()
+		}
+	}
+	return m
+}
+
+// assertKernelsAgree runs the shipped kernel (matMulRows: assembly
+// panels plus portable edge) and the portable kernel alone over the same
+// operands into NaN-poisoned destinations at an odd offset, and compares
+// every element by its bits; where the portable kernel gives NaN the
+// other must too, with any payload.
+func assertKernelsAgree(t *testing.T, a, b *Matrix) {
+	t.Helper()
+	m, k, n := a.Rows, a.Cols, b.Cols
+	poisoned := func() *Matrix {
+		buf := make([]float64, 1+m*n)
+		for i := range buf {
+			buf[i] = math.NaN()
+		}
+		return &Matrix{Rows: m, Cols: n, Data: buf[1:]}
+	}
+	want, got := poisoned(), poisoned()
+	matMulPortable(want.Data, a.Data, b.Data, m, k, n, 0)
+	matMulRows(got, a, b, 0, m)
+	for i, w := range want.Data {
+		g := got.Data[i]
+		if math.IsNaN(w) && math.IsNaN(g) {
+			continue
+		}
+		if math.Float64bits(w) != math.Float64bits(g) {
+			t.Fatalf("%dx%dx%d element %d: kernel %v (bits %x), portable %v (bits %x)",
+				m, k, n, i, g, math.Float64bits(g), w, math.Float64bits(w))
+		}
+	}
+}
+
+// TestKernelMatchesPortable calls the two kernels directly. Finite
+// inputs first (the signed zeros, denormals and near-overflow values,
+// where every bit is compared), then with infinities and NaN mixed in.
+func TestKernelMatchesPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	finite := len(oddValues) - 3
+	for _, sh := range append(propertyShapes(rng), kernelEdgeShapes()...) {
+		m, k, n := sh[0], sh[1], sh[2]
+		for _, nOdd := range []int{0, finite, len(oddValues)} {
+			assertKernelsAgree(t, oddMatrix(rng, m, k, 1, nOdd), oddMatrix(rng, k, n, 3, nOdd))
+		}
+	}
+}
+
+// TestMatMulShortDataPanicsBeforeStore: a Matrix whose Data is shorter
+// than Rows x Cols is refused in Go, by the slicing in matMulRows, before
+// either kernel has stored anything; the assembly is never handed it.
+func TestMatMulShortDataPanicsBeforeStore(t *testing.T) {
+	const m, k, n = 6, 9, 16
+	rng := rand.New(rand.NewSource(19))
+	for _, short := range []string{"dst", "a", "b"} {
+		a, b := oddMatrix(rng, m, k, 0, 0), oddMatrix(rng, k, n, 0, 0)
+		bT := b.Transpose()
+		backing := make([]float64, m*n)
+		for i := range backing {
+			backing[i] = math.NaN()
+		}
+		dst := &Matrix{Rows: m, Cols: n, Data: backing}
+		switch short {
+		case "dst":
+			dst.Data = dst.Data[:m*n-1]
+		case "a":
+			a.Data = a.Data[:m*k-1]
+		case "b":
+			b.Data, bT.Data = b.Data[:k*n-1], bT.Data[:k*n-1]
+		}
+		for name, mul := range map[string]func(){
+			"MatMulInto":       func() { MatMulInto(dst, a, b) },
+			"MatMulTransBInto": func() { MatMulTransBInto(dst, a, bT, nil) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: short %s did not panic", name, short)
+					}
+				}()
+				mul()
+			}()
+			for i, v := range backing {
+				if !math.IsNaN(v) {
+					t.Fatalf("%s: short %s: dst element %d was stored before the panic", name, short, i)
+				}
+			}
+		}
+	}
+}
+
+// FuzzMatMulKernel lets the fuzzer pick the shape, the operand offsets
+// and the value mix; the property is TestKernelMatchesPortable's.
+func FuzzMatMulKernel(f *testing.F) {
+	f.Add(uint8(4), uint8(64), uint8(8), uint8(0), int64(1))
+	f.Add(uint8(5), uint8(65), uint8(9), uint8(1), int64(2))
+	f.Add(uint8(1), uint8(3), uint8(17), uint8(2), int64(3))
+	f.Add(uint8(9), uint8(130), uint8(31), uint8(3), int64(4))
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(1), int64(5))
+	f.Add(uint8(3), uint8(0), uint8(8), uint8(2), int64(6))
+	f.Fuzz(func(t *testing.T, m, k, n, mix uint8, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		nOdd := []int{0, len(oddValues) - 3, len(oddValues), 2}[mix%4]
+		a := oddMatrix(rng, int(m%40), int(k), int((mix>>2)%4), nOdd)
+		b := oddMatrix(rng, int(k), int(n%70), int((mix>>4)%4), nOdd)
+		assertKernelsAgree(t, a, b)
+	})
 }

@@ -2,9 +2,15 @@
 // the machine-learning detectors: row-major float64 matrices with the
 // operations training needs (matmul, transpose, axpy, softmax rows).
 //
-// The implementation favours clarity and cache-friendly loops over
-// assembly-level tuning; sizes in hotspot detection are modest (feature
-// dimensions in the thousands, batches in the hundreds).
+// Every matrix product in the repository, inference or training, goes
+// through one entry (matMulRows) and one summation order. On amd64 with
+// AVX2 the product runs in a hand-written assembly micro-kernel whose
+// vector lanes lie across output columns; elsewhere, and under -tags
+// purego, in the portable Go loop that is also the tests' oracle. The two
+// agree to the bit, so scores and trained bytes do not depend on which
+// one ran. The rest of the package is plain loops: sizes in hotspot
+// detection are modest (feature dimensions in the thousands, batches in
+// the hundreds).
 package tensor
 
 import (
@@ -76,19 +82,23 @@ func MatMul(a, b *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
-// Cache-blocking tile sizes for MatMulInto. The k tile keeps a band of b
-// rows resident while each dst row accumulates; the j tile keeps the
-// dst-row segment in L1 across the band. Per-element accumulation order
-// stays ascending in k (tiles are visited in order), so blocked results
-// are bit-identical to the plain i-k-j loop.
+// mmBlockK and mmBlockJ are the cache-blocking tile sizes of both
+// kernels. A k tile bounds the band of b rows one pass over dst touches:
+// 64 rows is one page of b per row at most, within the data TLB's reach
+// even when a row of b is a page long (64x512x512 runs 2.5x faster with
+// it than with all of k in one pass, and no measured shape runs slower).
+// The j tile is the portable kernel's alone: it keeps the dst-row segment
+// in L1 across the band. Tiles are visited in ascending k, so every dst
+// element still takes its terms in ascending k.
 const (
 	mmBlockK = 64
 	mmBlockJ = 512
 )
 
 // MatMulInto computes dst = a * b; dst must be pre-sized a.Rows x b.Cols.
-// The i-k-j loop order keeps the inner loop contiguous in both b and dst,
-// and the k/j tiles keep the working set cache-resident for large shapes.
+// Every dst element is accumulated from zero, one product and one add at
+// a time in ascending k, whichever kernel runs (see matMulRows), so the
+// result is bit-identical to the plain i-k-j loop.
 func MatMulInto(dst, a, b *Matrix) {
 	checkMatMulShapes(dst, a, b)
 	matMulRows(dst, a, b, 0, a.Rows)
@@ -101,37 +111,65 @@ func checkMatMulShapes(dst, a, b *Matrix) {
 	}
 }
 
-// matMulRows computes rows [r0, r1) of dst = a * b, zeroing exactly the
-// rows it owns. Each dst row is produced independently, which is what
-// lets ParallelMatMulInto shard rows across workers without changing any
-// result bit.
+// matMulRows computes rows [r0, r1) of dst = a * b and writes every cell
+// of the rows it owns. Each dst row is produced independently, which is
+// what lets ParallelMatMulInto shard rows across workers without changing
+// any result bit.
 //
-// The inner kernel is unrolled four deep in k with explicitly
+// There are two kernels and one association. matMulPanels is the AVX2
+// assembly (matmul_amd64.s), which takes whole panelCols-column panels
+// where the machine has it; matMulPortable is the Go loop, which takes
+// the ragged right edge, and every column on other machines or under
+// -tags purego. Both give each dst element its own accumulator, started
+// at zero and fed one rounded product at a time in ascending k, so which
+// kernel computed a column cannot be read off its bits.
+//
+// Each operand is sliced to the extent the product needs before either
+// kernel runs: a Matrix whose Data is shorter than Rows x Cols panics
+// here, before any store, and the assembly is handed only pointers into
+// slices already proven long enough.
+func matMulRows(dst, a, b *Matrix, r0, r1 int) {
+	m, k, n := r1-r0, a.Cols, b.Cols
+	d := within(dst.Data, r0*n, r1*n)
+	av := within(a.Data, r0*k, r1*k)
+	bv := within(b.Data, 0, k*n)
+	if j := matMulPanels(d, av, bv, m, k, n); j < n {
+		matMulPortable(d, av, bv, m, k, n, j)
+	}
+}
+
+// within is data[lo:hi] checked against data's length: a plain slice
+// expression would let hi run on into spare capacity.
+func within(data []float64, lo, hi int) []float64 {
+	return data[:len(data):len(data)][lo:hi]
+}
+
+// matMulPortable computes columns [jLo, n) of the m x n product d of the
+// m x k rows av and the k x n matrix bv, all row-major and contiguous.
+//
+// The inner loop is unrolled four deep in k with explicitly
 // left-associated adds: each dst element accumulates its terms in
 // strictly ascending k order, one at a time, exactly like the plain
 // i-k-j loop — so the unroll changes no result bit while amortizing the
 // dst load/store (the serial bottleneck) over four multiply-adds.
-func matMulRows(dst, a, b *Matrix, r0, r1 int) {
-	n := b.Cols
-	for i := r0; i < r1; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for j := range drow {
-			drow[j] = 0
-		}
-		for k0 := 0; k0 < a.Cols; k0 += mmBlockK {
-			k1 := min(k0+mmBlockK, a.Cols)
-			for j0 := 0; j0 < n; j0 += mmBlockJ {
+func matMulPortable(d, av, bv []float64, m, k, n, jLo int) {
+	for i := 0; i < m; i++ {
+		arow := av[i*k : (i+1)*k]
+		drow := d[i*n : (i+1)*n]
+		clear(drow[jLo:])
+		for k0 := 0; k0 < k; k0 += mmBlockK {
+			k1 := min(k0+mmBlockK, k)
+			for j0 := jLo; j0 < n; j0 += mmBlockJ {
 				j1 := min(j0+mmBlockJ, n)
 				dseg := drow[j0:j1]
 				w := len(dseg)
-				k := k0
-				for ; k+4 <= k1; k += 4 {
-					av0, av1, av2, av3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-					b0 := b.Data[k*n+j0 : k*n+j1][:w]
-					b1 := b.Data[(k+1)*n+j0 : (k+1)*n+j1][:w]
-					b2 := b.Data[(k+2)*n+j0 : (k+2)*n+j1][:w]
-					b3 := b.Data[(k+3)*n+j0 : (k+3)*n+j1][:w]
+				kk := k0
+				for ; kk+4 <= k1; kk += 4 {
+					av0, av1, av2, av3 := arow[kk], arow[kk+1], arow[kk+2], arow[kk+3]
+					b0 := bv[kk*n+j0 : kk*n+j1][:w]
+					b1 := bv[(kk+1)*n+j0 : (kk+1)*n+j1][:w]
+					b2 := bv[(kk+2)*n+j0 : (kk+2)*n+j1][:w]
+					b3 := bv[(kk+3)*n+j0 : (kk+3)*n+j1][:w]
 					for j := range dseg {
 						s := dseg[j]
 						s += av0 * b0[j]
@@ -141,11 +179,11 @@ func matMulRows(dst, a, b *Matrix, r0, r1 int) {
 						dseg[j] = s
 					}
 				}
-				for ; k < k1; k++ {
-					av := arow[k]
-					bseg := b.Data[k*n+j0 : k*n+j1][:w]
-					for j, bv := range bseg {
-						dseg[j] += av * bv
+				for ; kk < k1; kk++ {
+					a0 := arow[kk]
+					bseg := bv[kk*n+j0 : kk*n+j1][:w]
+					for j, bval := range bseg {
+						dseg[j] += a0 * bval
 					}
 				}
 			}
@@ -153,48 +191,57 @@ func matMulRows(dst, a, b *Matrix, r0, r1 int) {
 	}
 }
 
-// MatMulTransBInto computes dst = a * bᵀ without forming the transpose:
-// dst[i][j] is row i of a dotted with row j of b, so a and b share their
-// column count and dst must be pre-sized a.Rows x b.Rows. Both operands
-// are read along their rows, which is what backpropagation has in hand
+// MatMulTransBInto computes dst = a * bᵀ: dst[i][j] is row i of a dotted
+// with row j of b, so a and b share their column count and dst must be
+// pre-sized a.Rows x b.Rows. It is what backpropagation has in hand
 // (grad · colsᵀ for weight gradients, grad · Wᵀ for input gradients).
 //
-// Every sum starts from zero and takes its terms one at a time in
-// ascending k, the association matMulRows gives each dst element, so
-// the result equals MatMulInto(dst, a, b.Transpose()) bit for bit. Four
-// sums over four rows of b run interleaved: a single sum is bound by the
-// latency of its adds, four independent ones keep the adder busy.
-func MatMulTransBInto(dst, a, b *Matrix) {
+// The product runs on the one matmul kernel, whose lanes lie along the
+// rows of its right operand, so one operand is transposed first,
+// whichever costs fewer element moves: bᵀ, then a · bᵀ as written; or aᵀ,
+// then dstᵀ = b · aᵀ, transposed back into dst. Either way every sum
+// starts from zero and takes its products one at a time in ascending k,
+// and a product does not depend on the order of its factors, so the
+// result equals MatMulInto(dst, a, b.Transpose()) bit for bit.
+//
+// The transposes live in scratch, which is grown when too short and
+// returned for the next call, as append returns its slice; its contents
+// mean nothing between calls. A caller that keeps it allocates nothing
+// once the largest product has been through.
+func MatMulTransBInto(dst, a, b *Matrix, scratch []float64) []float64 {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul shapes %dx%d * (%dx%d)ᵀ -> %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	k, n := a.Cols, b.Rows
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		drow := dst.Data[i*n : (i+1)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			b0 := b.Data[j*k : (j+1)*k][:len(arow)]
-			b1 := b.Data[(j+1)*k : (j+2)*k][:len(arow)]
-			b2 := b.Data[(j+2)*k : (j+3)*k][:len(arow)]
-			b3 := b.Data[(j+3)*k : (j+4)*k][:len(arow)]
-			var s0, s1, s2, s3 float64
-			for t, av := range arow {
-				s0 += av * b0[t]
-				s1 += av * b1[t]
-				s2 += av * b2[t]
-				s3 += av * b3[t]
-			}
-			drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
+	m, k, n := a.Rows, a.Cols, b.Rows
+	if n*k <= m*k+m*n {
+		if len(scratch) < k*n {
+			scratch = make([]float64, k*n)
 		}
-		for ; j < n; j++ {
-			brow := b.Data[j*k : (j+1)*k][:len(arow)]
-			var s float64
-			for t, av := range arow {
-				s += av * brow[t]
-			}
-			drow[j] = s
+		bT := Matrix{Rows: k, Cols: n, Data: scratch[:k*n]}
+		b.TransposeInto(bT.Data)
+		matMulRows(dst, a, &bT, 0, m)
+		return scratch
+	}
+	if len(scratch) < k*m+n*m {
+		scratch = make([]float64, k*m+n*m)
+	}
+	aT := Matrix{Rows: k, Cols: m, Data: scratch[:k*m]}
+	dT := Matrix{Rows: n, Cols: m, Data: scratch[k*m : k*m+n*m]}
+	a.TransposeInto(aT.Data)
+	matMulRows(&dT, b, &aT, 0, n)
+	dT.TransposeInto(dst.Data)
+	return scratch
+}
+
+// TransposeInto writes mᵀ, row-major, over the first Rows*Cols elements
+// of out, which must not overlap m.
+func (m *Matrix) TransposeInto(out []float64) {
+	src := within(m.Data, 0, m.Rows*m.Cols)
+	out = within(out, 0, len(src))
+	for i := 0; i < m.Rows; i++ {
+		for j, v := range src[i*m.Cols : (i+1)*m.Cols] {
+			out[j*m.Rows+i] = v
 		}
 	}
 }
@@ -202,12 +249,7 @@ func MatMulTransBInto(dst, a, b *Matrix) {
 // Transpose returns a new matrix that is m transposed.
 func (m *Matrix) Transpose() *Matrix {
 	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.Data[j*m.Rows+i] = v
-		}
-	}
+	m.TransposeInto(out.Data)
 	return out
 }
 
