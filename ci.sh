@@ -4,10 +4,10 @@
 #   vet (the assembly kernel's declarations included), build, a
 #   cross-build of the portable path, unit + property tests under the
 #   race detector and again on the portable matmul kernel, the chaos and
-#   kill-resume suites, the end-to-end smoke scripts, a check
-#   that no binary's flag set moved, a smoke pass over the fuzz seed
-#   corpora, 10 s of real fuzzing on the frame reader, and a quick pass
-#   of the repo benchmark's four workloads.
+#   kill-resume suites, the end-to-end smoke scripts, a check that no
+#   binary's flag set and no facade name moved, a smoke pass over the
+#   fuzz seed corpora, 10 s of real fuzzing on the frame reader, and a
+#   quick pass of the repo benchmark's four workloads.
 #
 # Usage: ./ci.sh [-short]
 #   -short  pass -short to go test (skips the slower property tests)
@@ -99,6 +99,11 @@ echo "== flags smoke =="
 # The five detector binaries' flag names are a committed list: a flag
 # cannot appear, vanish or be renamed without the diff showing it.
 ./scripts/flags_smoke.sh
+
+echo "== api smoke =="
+# Package hsd's exported names are a committed list too: the facade
+# cannot grow or shrink without the diff showing it.
+./scripts/api_smoke.sh
 
 echo "== scan smoke =="
 # End to end: hsdscan is SIGKILLed mid-scan with a journal attached,

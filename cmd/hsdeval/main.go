@@ -1,6 +1,7 @@
 // Command hsdeval runs the survey's detector zoo across a benchmark suite
-// and prints the reconstructed evaluation tables (Tables I-IV and the
-// figure data; see DESIGN.md §3).
+// and prints the reconstructed evaluation tables (Tables I-IV; with
+// -figures also Figs 2-6, the two ablations and the router frontier; see
+// DESIGN.md §3). It is the one producer of those artifacts.
 //
 // Usage:
 //
@@ -154,6 +155,24 @@ func run() error {
 			return err
 		}
 		fmt.Println(odst)
+		feat, err := experiments.FeatureAblation(suite, bench)
+		if err != nil {
+			return err
+		}
+		fmt.Println(feat)
+		coefs, err := experiments.DCTCoefAblation(suite, bench, *seed, []int{8, 16, 32})
+		if err != nil {
+			return err
+		}
+		fmt.Println(coefs)
+		// Detection-only ODST (no simulator): verification costs the same
+		// per flagged clip on every row, so the FA column carries it.
+		frontier, stages, err := experiments.RouterFrontier(suite, bench, *seed, nil, true)
+		if err != nil {
+			return err
+		}
+		fmt.Println(frontier)
+		cli.PrintRouterStats(stages)
 	}
 	return nil
 }

@@ -222,10 +222,7 @@ func run() error {
 		fmt.Printf("scan interrupted (%v); journaled shards can be resumed with -resume\n", res.Cause)
 	}
 	if isRouter {
-		for _, s := range rt.Stats() {
-			fmt.Printf("router stage %-10s answered %6d (hot %5d, cold %6d)  escalated %6d  %8.3fs\n",
-				s.Name, s.Answered(), s.AnsweredHot, s.AnsweredCold, s.Escalated, s.Seconds)
-		}
+		cli.PrintRouterStats(rt.Stats())
 	}
 	if qm != nil {
 		snap := qm.Snapshot()

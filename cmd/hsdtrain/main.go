@@ -178,7 +178,9 @@ func run() error {
 	if n := ckptTotal.Value(); n > 0 {
 		fmt.Printf("checkpoints %.0f written to %s (hotspot_checkpoints_total)\n", n, *ckptDir)
 	}
-	printRouterStats(det)
+	if rt, ok := det.(*hsd.RouterDetector); ok {
+		cli.PrintRouterStats(rt.Stats())
+	}
 	fmt.Printf("total %v\n", time.Since(t0).Round(time.Millisecond))
 
 	if *save != "" {
@@ -243,17 +245,4 @@ func writeQualityBaseline(path string, det hsd.Detector, train []hsd.LabeledClip
 		return 0, err
 	}
 	return len(b.Entries), nil
-}
-
-// printRouterStats prints the per-stage routing breakdown when the
-// trained detector is a router.
-func printRouterStats(det hsd.Detector) {
-	rt, ok := det.(*hsd.RouterDetector)
-	if !ok {
-		return
-	}
-	for _, s := range rt.Stats() {
-		fmt.Printf("stage %-10s answered %5d (hot %4d, cold %4d)  escalated %5d  %8.3fs\n",
-			s.Name, s.Answered(), s.AnsweredHot, s.AnsweredCold, s.Escalated, s.Seconds)
-	}
 }

@@ -26,7 +26,6 @@ import (
 
 	"github.com/golitho/hsd/internal/boost"
 	"github.com/golitho/hsd/internal/core"
-	"github.com/golitho/hsd/internal/datengine"
 	"github.com/golitho/hsd/internal/dtree"
 	"github.com/golitho/hsd/internal/features"
 	"github.com/golitho/hsd/internal/gdsii"
@@ -204,8 +203,6 @@ type (
 	ScanConfig = core.ScanConfig
 	// Finding is one flagged scan window.
 	Finding = core.Finding
-	// ScanResult is a ctx-aware scan outcome with partial-result markers.
-	ScanResult = core.ScanResult
 	// Ensemble combines detectors by voting.
 	Ensemble = core.Ensemble
 
@@ -291,18 +288,11 @@ type (
 	RouterStageStats = router.StageStats
 )
 
-// RouterAlwaysEscalate is the band that forwards every clip to the
-// final stage — it reduces the router to its deep detector.
-var RouterAlwaysEscalate = router.AlwaysEscalate
-
 // NewRouterDetector builds an unfitted routing cascade over stages
 // (cheapest first; the final stage always answers).
 func NewRouterDetector(name string, stages []RouterStage, cfg RouterConfig) *RouterDetector {
 	return router.New(name, stages, cfg)
 }
-
-// Predict applies a detector's threshold to one clip.
-func Predict(d Detector, clip Clip) (bool, error) { return core.Predict(d, clip) }
 
 // FromSamples converts generator samples into evaluation clips.
 func FromSamples(samples []Sample) []LabeledClip { return core.FromSamples(samples) }
@@ -336,15 +326,6 @@ func Scan(chip *Layout, det Detector, cfg ScanConfig) ([]Finding, error) {
 	return core.Scan(chip, det, cfg)
 }
 
-// ScanContext is the cancellable Scan: when ctx is cancelled or its
-// deadline expires mid-scan, the returned result carries the findings
-// completed so far (an exact prefix of the uncancelled deterministic
-// result, in window-enumeration order) with Interrupted set and Cause
-// recording why.
-func ScanContext(ctx context.Context, chip *Layout, det Detector, cfg ScanConfig) (ScanResult, error) {
-	return core.ScanCtx(ctx, chip, det, cfg)
-}
-
 // Fault-tolerant distributed scanning (internal/scanfarm): the shard
 // coordinator behind `hsdscan -workers/-journal/-resume/-cache-size`.
 type (
@@ -376,7 +357,7 @@ type (
 // deterministic findings regardless of schedule, poison shards
 // quarantined instead of failing the run, resumable via the journal,
 // and repeated geometry answered from the clip cache. Use it instead of
-// Scan/ScanContext when a partial failure must not discard the run.
+// Scan when a partial failure must not discard the run.
 func ScanFarm(ctx context.Context, chip *Layout, det Detector, cfg ScanFarmConfig) (ScanFarmResult, error) {
 	return scanfarm.Run(ctx, chip, det, cfg)
 }
@@ -444,34 +425,3 @@ var errNotFitted = errNotFittedError{}
 type errNotFittedError struct{}
 
 func (errNotFittedError) Error() string { return "hsd: detector is not fitted" }
-
-// Crash-tolerant active learning (internal/datengine): the WAL-backed
-// mine -> select -> label -> retrain -> ship loop behind `hsdlearn` and
-// `hsdserve -learn-wal`.
-type (
-	// LearnConfig wires the data engine's stages: batch sizing,
-	// selection features, the labeling oracle with its retry/breaker
-	// policy, the trainer, and the ship gate.
-	LearnConfig = datengine.Config
-	// LearnEngine is the durable active-learning loop head. Every stage
-	// outcome is journaled before the next stage runs, so a killed loop
-	// resumes to a byte-identical shipped model.
-	LearnEngine = datengine.Engine
-	// LearnCycleReport summarizes one mine->ship cycle.
-	LearnCycleReport = datengine.CycleReport
-	// LearnCandidate is one mined, not-yet-consumed clip.
-	LearnCandidate = datengine.Candidate
-)
-
-// ErrLearnNoCandidates reports a cycle with too few unconsumed
-// candidates to form a batch.
-var ErrLearnNoCandidates = datengine.ErrNoCandidates
-
-// ErrLearnShipRejected marks a terminal gate rejection: the batch is
-// consumed and the loop moves on instead of retrying forever.
-var ErrLearnShipRejected = datengine.ErrShipRejected
-
-// OpenLearnEngine opens (or resumes) the active-learning WAL at path.
-func OpenLearnEngine(path string, cfg LearnConfig) (*LearnEngine, error) {
-	return datengine.Open(path, cfg)
-}

@@ -147,3 +147,11 @@ func NetworkLoader(nd *hsd.NeuralDetector) func(path string) (hsd.Detector, erro
 		return nd.WithNetwork(net)
 	}
 }
+
+// PrintRouterStats prints a router's per-stage routing breakdown.
+func PrintRouterStats(stats []hsd.RouterStageStats) {
+	for _, s := range stats {
+		fmt.Printf("router stage %-10s answered %6d (hot %5d, cold %6d)  escalated %6d  %8.3fs\n",
+			s.Name, s.Answered(), s.AnsweredHot, s.AnsweredCold, s.Escalated, s.Seconds)
+	}
+}

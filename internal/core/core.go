@@ -29,11 +29,11 @@ type LabeledClip struct {
 // Detector is a trainable hotspot classifier over layout clips.
 //
 // Concurrency contract: once Fit has returned, Score (and the optional
-// ScoreCtx, ScoreBatch and ScoreBatchCtx) must be safe to call from any
-// number of goroutines on the one instance, and must return the same
-// bits as a serial call. Scans, the router, the model registry and the
-// HTTP service all share a single fitted detector; none of them clones
-// or locks. Fit itself is not concurrent with anything.
+// ScoreCtx and ScoreBatchCtx) must be safe to call from any number of
+// goroutines on the one instance, and must return the same bits as a
+// serial call. Scans, the router, the model registry and the HTTP
+// service all share a single fitted detector; none of them clones or
+// locks. Fit itself is not concurrent with anything.
 type Detector interface {
 	// Name identifies the detector in reports.
 	Name() string
@@ -43,31 +43,6 @@ type Detector interface {
 	Score(clip layout.Clip) (float64, error)
 	// Threshold is the decision cut: Score >= Threshold flags a hotspot.
 	Threshold() float64
-}
-
-// BatchScorer is implemented by detectors with a vectorized scoring path.
-// ScoreBatch returns one score per clip, in input order, identical to
-// what Score would return for each clip alone, under the same
-// concurrency contract as Detector.Score.
-type BatchScorer interface {
-	ScoreBatch(clips []layout.Clip) ([]float64, error)
-}
-
-// ScoreClips scores every clip through the detector's fastest safe path:
-// the vectorized BatchScorer when available, otherwise sequential Score.
-func ScoreClips(d Detector, clips []layout.Clip) ([]float64, error) {
-	if bs, ok := d.(BatchScorer); ok {
-		return bs.ScoreBatch(clips)
-	}
-	out := make([]float64, len(clips))
-	for i, clip := range clips {
-		s, err := d.Score(clip)
-		if err != nil {
-			return nil, fmt.Errorf("core: score clip %d: %w", i, err)
-		}
-		out[i] = s
-	}
-	return out, nil
 }
 
 // Predict applies the detector's threshold to a clip.
@@ -262,103 +237,89 @@ func (d *PMDetector) Score(clip layout.Clip) (float64, error) {
 // Threshold implements Detector.
 func (d *PMDetector) Threshold() float64 { return d.thr }
 
-// SVMDetector is a kernel SVM over a feature extractor.
-type SVMDetector struct {
-	Ex  features.Extractor
-	Cfg svm.Config
+// FeatureDetector is a classical learner over a feature extractor, the
+// survey's shallow recipe: features, standardization fitted on the
+// training split, one fitted decision function and a fixed cut. Its
+// constructors supply the learner; nothing else differs between them.
+type FeatureDetector struct {
+	Ex features.Extractor
 
-	scale *scaler
-	model *svm.Model
+	label string // leads Name
+	thr   float64
+	// train fits the learner on standardized features and returns its
+	// decision function.
+	train func(x [][]float64, y []int) (func(v []float64) float64, error)
+
+	scale  *scaler
+	decide func(v []float64) float64 // nil before Fit
 }
 
-var _ Detector = (*SVMDetector)(nil)
+var _ Detector = (*FeatureDetector)(nil)
 
-// NewSVMDetector constructs an SVM detector over the extractor.
-func NewSVMDetector(ex features.Extractor, cfg svm.Config) *SVMDetector {
-	return &SVMDetector{Ex: ex, Cfg: cfg}
+// newFeatureDetector binds a learner package's Train function and its
+// model's scoring method; kind names the learner in Fit's errors.
+func newFeatureDetector[C, M any](label, kind string, thr float64, ex features.Extractor, cfg C,
+	train func([][]float64, []int, C) (M, error), decide func(M, []float64) float64) *FeatureDetector {
+	return &FeatureDetector{Ex: ex, label: label, thr: thr,
+		train: func(x [][]float64, y []int) (func([]float64) float64, error) {
+			m, err := train(x, y, cfg)
+			if err != nil {
+				return nil, fmt.Errorf("core: %s fit: %w", kind, err)
+			}
+			return func(v []float64) float64 { return decide(m, v) }, nil
+		}}
+}
+
+// NewSVMDetector constructs a kernel SVM over the extractor; its score
+// is the signed margin.
+func NewSVMDetector(ex features.Extractor, cfg svm.Config) *FeatureDetector {
+	return newFeatureDetector("svm", "svm", 0, ex, cfg, svm.Train, (*svm.Model).Decision)
+}
+
+// NewBoostDetector constructs AdaBoost over the extractor; its score is
+// the normalized ensemble margin in [-1, 1].
+func NewBoostDetector(ex features.Extractor, cfg boost.Config) *FeatureDetector {
+	return newFeatureDetector("adaboost", "boost", 0, ex, cfg, boost.Train, (*boost.Model).Score)
+}
+
+// NewForestDetector constructs a bagged random forest over the
+// extractor; its score is the mean tree probability.
+func NewForestDetector(ex features.Extractor, cfg dtree.ForestConfig) *FeatureDetector {
+	return newFeatureDetector("rforest", "forest", 0.5, ex, cfg, dtree.TrainForest, (*dtree.Forest).Prob)
+}
+
+// NewLogRegDetector constructs L2-regularized logistic regression over
+// the extractor, the probabilistic shallow baseline; its score is the
+// hotspot probability.
+func NewLogRegDetector(ex features.Extractor, cfg logreg.Config) *FeatureDetector {
+	return newFeatureDetector("logreg", "logreg", 0.5, ex, cfg, logreg.Train, (*logreg.Model).Prob)
 }
 
 // Name implements Detector.
-func (d *SVMDetector) Name() string { return "svm+" + d.Ex.Name() }
+func (d *FeatureDetector) Name() string { return d.label + "+" + d.Ex.Name() }
 
 // Fit implements Detector.
-func (d *SVMDetector) Fit(train []LabeledClip) error {
+func (d *FeatureDetector) Fit(train []LabeledClip) error {
 	x, y, err := extract(d.Ex, train)
 	if err != nil {
 		return err
 	}
-	d.scale = fitScaler(x)
-	m, err := svm.Train(d.scale.applyAll(x), y, d.Cfg)
-	if err != nil {
-		return fmt.Errorf("core: svm fit: %w", err)
-	}
-	d.model = m
-	return nil
-}
-
-// Score implements Detector: the signed SVM margin.
-func (d *SVMDetector) Score(clip layout.Clip) (float64, error) {
-	if d.model == nil {
-		return 0, errNotFitted
-	}
-	v, err := d.Ex.Extract(clip)
-	if err != nil {
-		return 0, err
-	}
-	return d.model.Decision(d.scale.apply(v)), nil
-}
-
-// Threshold implements Detector.
-func (d *SVMDetector) Threshold() float64 { return 0 }
-
-// BoostDetector is AdaBoost over a feature extractor.
-type BoostDetector struct {
-	Ex  features.Extractor
-	Cfg boost.Config
-
-	scale *scaler
-	model *boost.Model
-}
-
-var _ Detector = (*BoostDetector)(nil)
-
-// NewBoostDetector constructs an AdaBoost detector over the extractor.
-func NewBoostDetector(ex features.Extractor, cfg boost.Config) *BoostDetector {
-	return &BoostDetector{Ex: ex, Cfg: cfg}
-}
-
-// Name implements Detector.
-func (d *BoostDetector) Name() string { return "adaboost+" + d.Ex.Name() }
-
-// Fit implements Detector.
-func (d *BoostDetector) Fit(train []LabeledClip) error {
-	x, y, err := extract(d.Ex, train)
+	scale := fitScaler(x)
+	decide, err := d.train(scale.applyAll(x), y)
 	if err != nil {
 		return err
 	}
-	d.scale = fitScaler(x)
-	m, err := boost.Train(d.scale.applyAll(x), y, d.Cfg)
-	if err != nil {
-		return fmt.Errorf("core: boost fit: %w", err)
-	}
-	d.model = m
+	d.scale, d.decide = scale, decide
 	return nil
 }
 
-// Score implements Detector: the normalized ensemble margin in [-1, 1].
-func (d *BoostDetector) Score(clip layout.Clip) (float64, error) {
-	if d.model == nil {
-		return 0, errNotFitted
-	}
-	v, err := d.Ex.Extract(clip)
-	if err != nil {
-		return 0, err
-	}
-	return d.model.Score(d.scale.apply(v)), nil
+// Score implements Detector.
+func (d *FeatureDetector) Score(clip layout.Clip) (float64, error) {
+	return d.ScoreCtx(context.Background(), clip)
 }
 
 // Threshold implements Detector.
-func (d *BoostDetector) Threshold() float64 { return 0 }
+func (d *FeatureDetector) Threshold() float64 { return d.thr }
 
 // NeuralDetector wraps an MLP or CNN; Score is the hotspot probability.
 type NeuralDetector struct {
@@ -382,7 +343,6 @@ type NeuralDetector struct {
 }
 
 var _ Detector = (*NeuralDetector)(nil)
-var _ BatchScorer = (*NeuralDetector)(nil)
 
 // Name implements Detector.
 func (d *NeuralDetector) Name() string { return d.Label + "+" + d.Ex.Name() }
@@ -465,25 +425,12 @@ func (d *NeuralDetector) History() []nn.EpochStats { return d.hist }
 // Network returns the trained network (nil before Fit).
 func (d *NeuralDetector) Network() *nn.Network { return d.net }
 
-// Score implements Detector. It does not mutate the detector: the
-// forward pass runs on a pooled arena (nn.Score), so concurrent calls on
-// one detector are safe.
+// Score implements Detector.
 func (d *NeuralDetector) Score(clip layout.Clip) (float64, error) {
-	if d.net == nil {
-		return 0, errNotFitted
-	}
-	v, err := d.Ex.Extract(clip)
-	if err != nil {
-		return 0, err
-	}
-	return nn.Score(d.net, d.scale.apply(v)), nil
+	return d.ScoreCtx(context.Background(), clip)
 }
 
-// ScoreBatch implements BatchScorer through the nn batched inference
-// engine: feature extraction per clip, then one parallel arena-backed
-// forward pass. Scores are bit-identical to per-clip Score calls, and
-// the path is read-only on the network, so it is safe for concurrent
-// use.
+// ScoreBatch is ScoreBatchCtx without a trace.
 func (d *NeuralDetector) ScoreBatch(clips []layout.Clip) ([]float64, error) {
 	return d.ScoreBatchCtx(context.Background(), clips)
 }
@@ -535,102 +482,3 @@ func NewCNNDetector(ex *features.DCT, cnn nn.CNNConfig, cfg nn.TrainConfig, labe
 		Cfg:   cfg,
 	}
 }
-
-// ForestDetector is a bagged random forest over a feature extractor.
-type ForestDetector struct {
-	Ex  features.Extractor
-	Cfg dtree.ForestConfig
-
-	scale *scaler
-	model *dtree.Forest
-}
-
-var _ Detector = (*ForestDetector)(nil)
-
-// NewForestDetector constructs a random-forest detector over the extractor.
-func NewForestDetector(ex features.Extractor, cfg dtree.ForestConfig) *ForestDetector {
-	return &ForestDetector{Ex: ex, Cfg: cfg}
-}
-
-// Name implements Detector.
-func (d *ForestDetector) Name() string { return "rforest+" + d.Ex.Name() }
-
-// Fit implements Detector.
-func (d *ForestDetector) Fit(train []LabeledClip) error {
-	x, y, err := extract(d.Ex, train)
-	if err != nil {
-		return err
-	}
-	d.scale = fitScaler(x)
-	m, err := dtree.TrainForest(d.scale.applyAll(x), y, d.Cfg)
-	if err != nil {
-		return fmt.Errorf("core: forest fit: %w", err)
-	}
-	d.model = m
-	return nil
-}
-
-// Score implements Detector: the mean tree probability.
-func (d *ForestDetector) Score(clip layout.Clip) (float64, error) {
-	if d.model == nil {
-		return 0, errNotFitted
-	}
-	v, err := d.Ex.Extract(clip)
-	if err != nil {
-		return 0, err
-	}
-	return d.model.Prob(d.scale.apply(v)), nil
-}
-
-// Threshold implements Detector.
-func (d *ForestDetector) Threshold() float64 { return 0.5 }
-
-// LogRegDetector is L2-regularized logistic regression over a feature
-// extractor: the probabilistic shallow baseline.
-type LogRegDetector struct {
-	Ex  features.Extractor
-	Cfg logreg.Config
-
-	scale *scaler
-	model *logreg.Model
-}
-
-var _ Detector = (*LogRegDetector)(nil)
-
-// NewLogRegDetector constructs a logistic-regression detector.
-func NewLogRegDetector(ex features.Extractor, cfg logreg.Config) *LogRegDetector {
-	return &LogRegDetector{Ex: ex, Cfg: cfg}
-}
-
-// Name implements Detector.
-func (d *LogRegDetector) Name() string { return "logreg+" + d.Ex.Name() }
-
-// Fit implements Detector.
-func (d *LogRegDetector) Fit(train []LabeledClip) error {
-	x, y, err := extract(d.Ex, train)
-	if err != nil {
-		return err
-	}
-	d.scale = fitScaler(x)
-	m, err := logreg.Train(d.scale.applyAll(x), y, d.Cfg)
-	if err != nil {
-		return fmt.Errorf("core: logreg fit: %w", err)
-	}
-	d.model = m
-	return nil
-}
-
-// Score implements Detector: the hotspot probability.
-func (d *LogRegDetector) Score(clip layout.Clip) (float64, error) {
-	if d.model == nil {
-		return 0, errNotFitted
-	}
-	v, err := d.Ex.Extract(clip)
-	if err != nil {
-		return 0, err
-	}
-	return d.model.Prob(d.scale.apply(v)), nil
-}
-
-// Threshold implements Detector.
-func (d *LogRegDetector) Threshold() float64 { return 0.5 }

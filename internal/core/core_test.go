@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -17,6 +18,7 @@ import (
 	"github.com/golitho/hsd/internal/nn"
 	"github.com/golitho/hsd/internal/pm"
 	"github.com/golitho/hsd/internal/svm"
+	"github.com/golitho/hsd/internal/trace"
 )
 
 // tinySuite is generated once and shared by the package tests.
@@ -389,6 +391,52 @@ func TestEnsembleVoting(t *testing.T) {
 		if s < 0 || s > 1 {
 			t.Fatalf("ensemble score %v outside [0,1]", s)
 		}
+	}
+}
+
+// spanNames runs score under a fresh recording trace and returns the
+// names of the spans it ended, in End order.
+func spanNames(t *testing.T, score func(ctx context.Context) (float64, error)) []string {
+	t.Helper()
+	tr := trace.New(trace.Config{Capacity: 1, Shards: 1})
+	ctx, root := trace.Start(trace.WithTracer(context.Background(), tr), "root")
+	if _, err := score(ctx); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	var names []string
+	for _, sp := range tr.Traces(1)[0].Spans {
+		if sp.Name != "root" {
+			names = append(names, sp.Name)
+		}
+	}
+	return names
+}
+
+// TestEnsembleScoreCarriesMemberSpans: a traced ensemble score shows
+// its members' stages, one "inference" span per feature-based member
+// (the pattern matcher has none).
+func TestEnsembleScoreCarriesMemberSpans(t *testing.T) {
+	train, test := tinySplits(t)
+	ens := NewEnsemble(
+		NewBoostDetector(&features.Density{Grid: 16}, boost.Config{Rounds: 30}),
+		NewLogRegDetector(&features.CCAS{Rings: 6, Sectors: 8}, logreg.Config{Epochs: 20, Seed: 1}),
+		NewPMDetector(pm.Config{GridPx: 32, Tol: 20}),
+	)
+	if err := ens.Fit(train); err != nil {
+		t.Fatal(err)
+	}
+	names := spanNames(t, func(ctx context.Context) (float64, error) {
+		return ScoreClipCtx(ctx, ens, test[0].Clip)
+	})
+	inference := 0
+	for _, n := range names {
+		if n == "inference" {
+			inference++
+		}
+	}
+	if inference != 2 {
+		t.Fatalf("traced ensemble score has %d inference spans, want 2: %v", inference, names)
 	}
 }
 

@@ -1,11 +1,11 @@
-// Context-aware scoring: the span-attributing twins of Score and
-// ScoreClips. Feature-based detectors decompose a scored clip into
-// "raster" + "features" spans (via features.ExtractCtx) followed by an
-// "inference" span, which is exactly the per-stage ODST breakdown the
-// tracer exports as hotspot_stage_seconds.
-//
-// Plain Score/ScoreBatch delegate here with context.Background(), so
-// untraced callers pay only the nil-span fast path.
+// Context-aware scoring: the one body behind every score. A detector
+// that scores through features implements ScoreCtx, which decomposes a
+// scored clip into "raster" + "features" spans (via features.ExtractCtx)
+// followed by an "inference" span, exactly the per-stage ODST breakdown
+// the tracer exports as hotspot_stage_seconds. Its plain Score, like
+// every other plain method with a Ctx twin (ScoreBatch, Fit), is the
+// twin under context.Background(): untraced callers run the same code
+// and pay only the nil-span fast path.
 
 package core
 
@@ -27,9 +27,11 @@ type CtxScorer interface {
 	ScoreCtx(ctx context.Context, clip layout.Clip) (float64, error)
 }
 
-// CtxBatchScorer is the span-attributing twin of BatchScorer.
+// CtxBatchScorer is implemented by detectors with a vectorized scoring
+// path. ScoreBatchCtx returns one score per clip, in input order,
+// identical to what Score would return for each clip alone, under the
+// same concurrency contract as Detector.Score.
 type CtxBatchScorer interface {
-	// ScoreBatchCtx is ScoreBatch with stage spans on the context's trace.
 	ScoreBatchCtx(ctx context.Context, clips []layout.Clip) ([]float64, error)
 }
 
@@ -59,37 +61,29 @@ func ScoreClipCtx(ctx context.Context, d Detector, clip layout.Clip) (float64, e
 	return d.Score(clip)
 }
 
-// ScoreClipsCtx is ScoreClips with span attribution: the vectorized
-// CtxBatchScorer when available, then per-clip CtxScorer, then the
-// plain paths.
+// ScoreClipsCtx scores every clip, in order: through the vectorized
+// CtxBatchScorer when the detector has one, else clip by clip.
 func ScoreClipsCtx(ctx context.Context, d Detector, clips []layout.Clip) ([]float64, error) {
 	if cbs, ok := d.(CtxBatchScorer); ok {
 		return cbs.ScoreBatchCtx(ctx, clips)
 	}
-	if trace.Disabled(ctx) {
-		return ScoreClips(d, clips)
-	}
-	if cs, ok := d.(CtxScorer); ok {
-		if _, isBatch := d.(BatchScorer); !isBatch {
-			out := make([]float64, len(clips))
-			for i, clip := range clips {
-				s, err := cs.ScoreCtx(ctx, clip)
-				if err != nil {
-					return nil, fmt.Errorf("core: score clip %d: %w", i, err)
-				}
-				out[i] = s
-			}
-			return out, nil
+	out := make([]float64, len(clips))
+	for i, clip := range clips {
+		s, err := ScoreClipCtx(ctx, d, clip)
+		if err != nil {
+			return nil, fmt.Errorf("core: score clip %d: %w", i, err)
 		}
+		out[i] = s
 	}
-	return ScoreClips(d, clips)
+	return out, nil
 }
 
-// scoreFeatures is the shared span path of the feature-based detectors:
-// extraction under ExtractCtx (one "raster" + "features" span pair per
-// extractor), then the fitted model under an "inference" span.
-func scoreFeatures(ctx context.Context, d Detector, ex features.Extractor,
-	clip layout.Clip, model func(v []float64) float64) (float64, error) {
+// scoreFeatures is how a feature-based detector turns a clip into a
+// score: extraction under ExtractCtx (one "raster" + "features" span
+// pair per extractor), then standardization and the fitted decision
+// function under an "inference" span.
+func scoreFeatures(ctx context.Context, d Detector, ex features.Extractor, scale *scaler,
+	clip layout.Clip, decide func(v []float64) float64) (float64, error) {
 	v, err := features.ExtractCtx(ctx, ex, clip)
 	if err != nil {
 		return 0, err
@@ -98,76 +92,44 @@ func scoreFeatures(ctx context.Context, d Detector, ex features.Extractor,
 	if sp != nil { // the name is built only for a recording trace
 		sp.SetAttr("detector", d.Name())
 	}
-	s := model(v)
+	s := decide(scale.apply(v))
 	sp.End()
 	return s, nil
 }
 
 var (
-	_ CtxScorer      = (*SVMDetector)(nil)
-	_ CtxScorer      = (*BoostDetector)(nil)
-	_ CtxScorer      = (*ForestDetector)(nil)
-	_ CtxScorer      = (*LogRegDetector)(nil)
+	_ CtxScorer      = (*FeatureDetector)(nil)
 	_ CtxScorer      = (*NeuralDetector)(nil)
+	_ CtxScorer      = (*Ensemble)(nil)
 	_ CtxBatchScorer = (*NeuralDetector)(nil)
 	_ CtxFitter      = (*NeuralDetector)(nil)
 )
 
 // ScoreCtx implements CtxScorer.
-func (d *SVMDetector) ScoreCtx(ctx context.Context, clip layout.Clip) (float64, error) {
-	if d.model == nil {
+func (d *FeatureDetector) ScoreCtx(ctx context.Context, clip layout.Clip) (float64, error) {
+	if d.decide == nil {
 		return 0, errNotFitted
 	}
-	return scoreFeatures(ctx, d, d.Ex, clip, func(v []float64) float64 {
-		return d.model.Decision(d.scale.apply(v))
-	})
+	return scoreFeatures(ctx, d, d.Ex, d.scale, clip, d.decide)
 }
 
-// ScoreCtx implements CtxScorer.
-func (d *BoostDetector) ScoreCtx(ctx context.Context, clip layout.Clip) (float64, error) {
-	if d.model == nil {
-		return 0, errNotFitted
-	}
-	return scoreFeatures(ctx, d, d.Ex, clip, func(v []float64) float64 {
-		return d.model.Score(d.scale.apply(v))
-	})
-}
-
-// ScoreCtx implements CtxScorer.
-func (d *ForestDetector) ScoreCtx(ctx context.Context, clip layout.Clip) (float64, error) {
-	if d.model == nil {
-		return 0, errNotFitted
-	}
-	return scoreFeatures(ctx, d, d.Ex, clip, func(v []float64) float64 {
-		return d.model.Prob(d.scale.apply(v))
-	})
-}
-
-// ScoreCtx implements CtxScorer.
-func (d *LogRegDetector) ScoreCtx(ctx context.Context, clip layout.Clip) (float64, error) {
-	if d.model == nil {
-		return 0, errNotFitted
-	}
-	return scoreFeatures(ctx, d, d.Ex, clip, func(v []float64) float64 {
-		return d.model.Prob(d.scale.apply(v))
-	})
-}
-
-// ScoreCtx implements CtxScorer. Like Score, it is read-only on the
-// detector and safe for concurrent use.
+// ScoreCtx implements CtxScorer. It does not mutate the detector: the
+// forward pass runs on a pooled arena (nn.Score), so concurrent calls on
+// one detector are safe.
 func (d *NeuralDetector) ScoreCtx(ctx context.Context, clip layout.Clip) (float64, error) {
 	if d.net == nil {
 		return 0, errNotFitted
 	}
-	return scoreFeatures(ctx, d, d.Ex, clip, func(v []float64) float64 {
-		return nn.Score(d.net, d.scale.apply(v))
+	return scoreFeatures(ctx, d, d.Ex, d.scale, clip, func(v []float64) float64 {
+		return nn.Score(d.net, v)
 	})
 }
 
 // ScoreBatchCtx implements CtxBatchScorer: per-clip extraction spans,
 // then the batched forward pass under nn.PredictBatchCtx (arena and
-// matmul stage spans), both sharded over tensor.Default. Safe for
-// concurrent use like ScoreBatch.
+// matmul stage spans), both sharded over tensor.Default. Scores are
+// bit-identical to per-clip ScoreCtx calls, and the path is read-only
+// on the network, so it is safe for concurrent use.
 func (d *NeuralDetector) ScoreBatchCtx(ctx context.Context, clips []layout.Clip) ([]float64, error) {
 	if d.net == nil {
 		return nil, errNotFitted

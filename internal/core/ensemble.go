@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -50,12 +51,19 @@ func (e *Ensemble) Fit(train []LabeledClip) error {
 
 // Score implements Detector: the fraction of members voting hotspot.
 func (e *Ensemble) Score(clip layout.Clip) (float64, error) {
+	return e.ScoreCtx(context.Background(), clip)
+}
+
+// ScoreCtx implements CtxScorer: each member scores through its own
+// span-attributing path, so a traced ensemble shows every member's
+// stages.
+func (e *Ensemble) ScoreCtx(ctx context.Context, clip layout.Clip) (float64, error) {
 	if !e.fitted {
 		return 0, errNotFitted
 	}
 	votes := 0
 	for _, m := range e.Members {
-		s, err := m.Score(clip)
+		s, err := ScoreClipCtx(ctx, m, clip)
 		if err != nil {
 			return 0, err
 		}

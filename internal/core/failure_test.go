@@ -196,9 +196,10 @@ func TestScanPanicAttributionDeterministic(t *testing.T) {
 }
 
 // panicBatchDetector is the batch-capable twin of panicDetector: it
-// implements BatchScorer and CtxScorer like the neural detectors and
-// the router, so the scan's ScoreClipCtx dispatch takes the ctx-scoring
-// path rather than plain Score. Panic isolation must hold there too.
+// implements CtxScorer and CtxBatchScorer like the neural detectors and
+// the router, with Score delegating to ScoreCtx as theirs does, so the
+// scan's ScoreClipCtx dispatch takes the ctx-scoring path. Panic
+// isolation must hold there too.
 type panicBatchDetector struct {
 	Bad geom.Rect
 }
@@ -207,10 +208,7 @@ func (p *panicBatchDetector) Name() string            { return "panic-batch" }
 func (p *panicBatchDetector) Fit([]LabeledClip) error { return nil }
 func (p *panicBatchDetector) Threshold() float64      { return 0.5 }
 func (p *panicBatchDetector) Score(clip layout.Clip) (float64, error) {
-	if clip.Window.Overlaps(p.Bad) {
-		panic("poison window (score)")
-	}
-	return 0, nil
+	return p.ScoreCtx(context.Background(), clip)
 }
 func (p *panicBatchDetector) ScoreCtx(_ context.Context, clip layout.Clip) (float64, error) {
 	if clip.Window.Overlaps(p.Bad) {
@@ -218,24 +216,22 @@ func (p *panicBatchDetector) ScoreCtx(_ context.Context, clip layout.Clip) (floa
 	}
 	return 0, nil
 }
-func (p *panicBatchDetector) ScoreBatch(clips []layout.Clip) ([]float64, error) {
-	out := make([]float64, len(clips))
-	for i, clip := range clips {
+func (p *panicBatchDetector) ScoreBatchCtx(_ context.Context, clips []layout.Clip) ([]float64, error) {
+	for _, clip := range clips {
 		if clip.Window.Overlaps(p.Bad) {
 			panic("poison window (batch)")
 		}
-		out[i] = 0
 	}
-	return out, nil
+	return make([]float64, len(clips)), nil
 }
 
 var (
-	_ BatchScorer = (*panicBatchDetector)(nil)
-	_ CtxScorer   = (*panicBatchDetector)(nil)
+	_ CtxScorer      = (*panicBatchDetector)(nil)
+	_ CtxBatchScorer = (*panicBatchDetector)(nil)
 )
 
 // TestScanIsolatesBatchDetectorPanic: the parallel scan isolates panics
-// raised on the batch-capable dispatch path (CtxScorer/BatchScorer
+// raised on the batch-capable dispatch path (CtxScorer/CtxBatchScorer
 // detectors) exactly like plain-Score panics, with identical
 // window attribution across worker counts.
 func TestScanIsolatesBatchDetectorPanic(t *testing.T) {
@@ -263,7 +259,7 @@ func TestScanIsolatesBatchDetectorPanic(t *testing.T) {
 				workers, err, want)
 		}
 	}
-	// ScoreClips (the eval/serve batch path) has no isolation contract —
+	// ScoreClipsCtx (the serve batch path) has no isolation contract —
 	// but Evaluate and the scan must never share a poison process. The
 	// scan's recovery is the boundary; verify the panic really came
 	// through the ctx path, proving the dispatch under test.

@@ -1,7 +1,6 @@
 // Package experiments regenerates every table and figure of the
-// reconstructed evaluation plan (see DESIGN.md §3). The root benchmark
-// harness (bench_test.go) and cmd/hsdeval both drive these functions, so
-// the printed artifacts are identical either way.
+// reconstructed evaluation plan (see DESIGN.md §3). cmd/hsdeval prints
+// them; the tests here check their shape.
 package experiments
 
 import (

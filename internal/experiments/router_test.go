@@ -21,7 +21,7 @@ func TestRouterFrontierUnknownBench(t *testing.T) {
 // row AND no worse than the deep CNN row, while the deep stage only
 // sees the escalated band. Training is seeded, so these quantities are
 // identical run to run; wall-clock ODST dominance is reported
-// separately by BenchmarkRouterFrontier, because asserting wall time
+// separately by `hsdeval -figures`, because asserting wall time
 // here would make CI flaky on loaded boxes.
 //
 // Gated behind HSD_ROUTER_SMOKE=1 because it trains two CNNs (tens of

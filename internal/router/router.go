@@ -161,7 +161,6 @@ func New(name string, stages []Stage, cfg Config) *Router {
 
 var (
 	_ core.Detector       = (*Router)(nil)
-	_ core.BatchScorer    = (*Router)(nil)
 	_ core.CtxScorer      = (*Router)(nil)
 	_ core.CtxBatchScorer = (*Router)(nil)
 	_ core.CtxFitter      = (*Router)(nil)
@@ -334,13 +333,40 @@ func (r *Router) note(i int, hot, answered bool, dt time.Duration) {
 	}
 }
 
-// Route scores one clip through the cascade and returns the full
-// routing decision.
-func (r *Router) Route(clip layout.Clip) (Decision, error) {
-	return r.RouteCtx(context.Background(), clip)
+// settle applies stage i's routing rule to one clip, given the clip's
+// stage scores so far (the last is stage i's own) and the scoring time
+// dt to charge: calibrate, decide, count, and on an answer fire the
+// taps and encode the decision. It is the one per-clip step of single
+// and batch routing alike.
+func (r *Router) settle(i int, scores []float64, clip layout.Clip, dt time.Duration) (Decision, bool) {
+	st := r.stages[i]
+	last := i == len(r.stages)-1
+	p := r.cals[i].prob(scores)
+	verdict := scores[len(scores)-1] >= st.Detector.Threshold()
+	hot, answered := decide(last, p, verdict, r.cals[i].Band)
+	r.note(i, hot, answered, dt)
+	if !answered {
+		return Decision{}, false
+	}
+	if tp := r.tap.Load(); tp != nil {
+		(*tp)(st.Name, p, clip)
+	}
+	if last {
+		if tp := r.escTap.Load(); tp != nil {
+			(*tp)(st.Name, p, clip)
+		}
+	}
+	return Decision{
+		Stage:      i,
+		StageName:  st.Name,
+		Hotspot:    hot,
+		Confidence: p,
+		Score:      encode(p, hot),
+	}, true
 }
 
-// RouteCtx is Route with stage spans on the context's trace.
+// RouteCtx scores one clip through the cascade, with stage spans on the
+// context's trace, and returns the full routing decision.
 func (r *Router) RouteCtx(ctx context.Context, clip layout.Clip) (Decision, error) {
 	if !r.fitted {
 		return Decision{}, errNotFitted
@@ -354,26 +380,8 @@ func (r *Router) RouteCtx(ctx context.Context, clip layout.Clip) (Decision, erro
 			return Decision{}, fmt.Errorf("router: stage %d (%s): %w", i, st.Name, err)
 		}
 		scores = append(scores, s)
-		p := r.cals[i].prob(scores)
-		verdict := s >= st.Detector.Threshold()
-		hot, answered := decide(i == len(r.stages)-1, p, verdict, r.cals[i].Band)
-		r.note(i, hot, answered, dt)
-		if answered {
-			if tp := r.tap.Load(); tp != nil {
-				(*tp)(st.Name, p, clip)
-			}
-			if i == len(r.stages)-1 {
-				if tp := r.escTap.Load(); tp != nil {
-					(*tp)(st.Name, p, clip)
-				}
-			}
-			return Decision{
-				Stage:      i,
-				StageName:  st.Name,
-				Hotspot:    hot,
-				Confidence: p,
-				Score:      encode(p, hot),
-			}, nil
+		if d, answered := r.settle(i, scores, clip, dt); answered {
+			return d, nil
 		}
 	}
 	return Decision{}, errors.New("router: no stage answered")
@@ -381,8 +389,7 @@ func (r *Router) RouteCtx(ctx context.Context, clip layout.Clip) (Decision, erro
 
 // Score implements core.Detector.
 func (r *Router) Score(clip layout.Clip) (float64, error) {
-	d, err := r.Route(clip)
-	return d.Score, err
+	return r.ScoreCtx(context.Background(), clip)
 }
 
 // ScoreCtx implements core.CtxScorer.
@@ -391,13 +398,8 @@ func (r *Router) ScoreCtx(ctx context.Context, clip layout.Clip) (float64, error
 	return d.Score, err
 }
 
-// ScoreBatch implements core.BatchScorer: stage-wise batching over the
-// still-active subset, bit-identical per clip to Score.
-func (r *Router) ScoreBatch(clips []layout.Clip) ([]float64, error) {
-	return r.ScoreBatchCtx(context.Background(), clips)
-}
-
-// ScoreBatchCtx implements core.CtxBatchScorer.
+// ScoreBatchCtx implements core.CtxBatchScorer: stage-wise batching
+// over the still-active subset, bit-identical per clip to Score.
 func (r *Router) ScoreBatchCtx(ctx context.Context, clips []layout.Clip) ([]float64, error) {
 	if !r.fitted {
 		return nil, errNotFitted
@@ -418,35 +420,17 @@ func (r *Router) ScoreBatchCtx(ctx context.Context, clips []layout.Clip) ([]floa
 		}
 		t0 := time.Now()
 		s, err := core.ScoreClipsCtx(ctx, st.Detector, sub)
-		dt := time.Since(t0)
+		// Per-clip time attribution inside a batch is not observable;
+		// charge each clip an equal share of the batch's stage time.
+		dt := time.Since(t0) / time.Duration(len(active))
 		if err != nil {
 			return nil, fmt.Errorf("router: stage %d (%s): %w", i, st.Name, err)
 		}
-		// Per-clip time attribution inside a batch is not observable;
-		// charge the batch's stage time once and split counters per
-		// clip.
-		if len(active) > 0 {
-			dt /= time.Duration(len(active))
-		}
-		last := i == len(r.stages)-1
-		thr := st.Detector.Threshold()
 		var next []int
 		for k, idx := range active {
 			scores[idx] = append(scores[idx], s[k])
-			p := r.cals[i].prob(scores[idx])
-			verdict := s[k] >= thr
-			hot, answered := decide(last, p, verdict, r.cals[i].Band)
-			r.note(i, hot, answered, dt)
-			if answered {
-				if tp := r.tap.Load(); tp != nil {
-					(*tp)(st.Name, p, clips[idx])
-				}
-				if last {
-					if tp := r.escTap.Load(); tp != nil {
-						(*tp)(st.Name, p, clips[idx])
-					}
-				}
-				out[idx] = encode(p, hot)
+			if d, answered := r.settle(i, scores[idx], clips[idx], dt); answered {
+				out[idx] = d.Score
 			} else {
 				next = append(next, idx)
 			}

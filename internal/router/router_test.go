@@ -166,7 +166,7 @@ func TestRouterEquivalenceProperty(t *testing.T) {
 		r := mustRouter(t, randBand(), randBand())
 		final := r.Stages()[len(r.Stages())-1].Detector
 		for ci, clip := range clips {
-			d, err := r.Route(clip)
+			d, err := r.RouteCtx(context.Background(), clip)
 			if err != nil {
 				t.Fatalf("trial %d clip %d: %v", trial, ci, err)
 			}
@@ -196,7 +196,7 @@ func TestRouterEquivalenceProperty(t *testing.T) {
 			// 4. The whole decision matches an independent replay.
 			stage, hot, p := routeByHand(r, clip)
 			if stage != d.Stage || hot != d.Hotspot || p != d.Confidence {
-				t.Fatalf("trial %d clip %d: Route = (%d,%v,%v), replay = (%d,%v,%v)",
+				t.Fatalf("trial %d clip %d: RouteCtx = (%d,%v,%v), replay = (%d,%v,%v)",
 					trial, ci, d.Stage, d.Hotspot, d.Confidence, stage, hot, p)
 			}
 		}
@@ -300,7 +300,7 @@ func routerSplits(t *testing.T) (train, test []core.LabeledClip) {
 
 // realStages is a miniature version of the production cascade: pattern
 // matcher, boosted stumps, and a small MLP (a NeuralDetector, so the
-// BatchScorer member path is exercised).
+// CtxBatchScorer member path is exercised).
 func realStages() []Stage {
 	shallow := features.NewConcat(
 		&features.GeomStats{},
@@ -348,7 +348,7 @@ func TestRouterTrainedRoutesAndAnswers(t *testing.T) {
 	t.Logf("routing: %+v, confusion: %+v", st, conf)
 }
 
-// TestRouterBatchBitIdentical: ScoreBatch must return exactly the bits
+// TestRouterBatchBitIdentical: ScoreBatchCtx must return exactly the bits
 // Score returns clip-by-clip, for arbitrary band settings.
 func TestRouterBatchBitIdentical(t *testing.T) {
 	clips := testClips(t)
@@ -359,7 +359,7 @@ func TestRouterBatchBitIdentical(t *testing.T) {
 		lo = rng.Float64() * 0.7
 		b1 := Band{Lo: lo, Hi: lo + rng.Float64()*(1-lo)}
 		r := mustRouter(t, b0, b1)
-		batch, err := r.ScoreBatch(clips)
+		batch, err := r.ScoreBatchCtx(context.Background(), clips)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,8 +369,76 @@ func TestRouterBatchBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if math.Float64bits(s) != math.Float64bits(batch[i]) {
-				t.Fatalf("trial %d clip %d: Score %v != ScoreBatch %v", trial, i, s, batch[i])
+				t.Fatalf("trial %d clip %d: Score %v != ScoreBatchCtx %v", trial, i, s, batch[i])
 			}
+		}
+	}
+}
+
+// tapCall is one observed tap invocation.
+type tapCall struct {
+	tap, stage string
+	p          uint64
+	clip       layout.Fingerprint
+}
+
+// recordTaps binds both taps to one multiset of calls.
+func recordTaps(r *Router) map[tapCall]int {
+	var mu sync.Mutex
+	calls := map[tapCall]int{}
+	bind := func(name string) QualityTap {
+		return func(stage string, p float64, clip layout.Clip) {
+			mu.Lock()
+			defer mu.Unlock()
+			calls[tapCall{name, stage, math.Float64bits(p), clip.Fingerprint()}]++
+		}
+	}
+	r.BindQualityTap(bind("quality"))
+	r.BindEscalationTap(bind("escalation"))
+	return calls
+}
+
+// TestRouterSingleBatchParity: single and batch routing run one settle
+// step, so for the same clips and bands they give equal scores, equal
+// routing counters and the same multiset of tap calls.
+func TestRouterSingleBatchParity(t *testing.T) {
+	clips := testClips(t)
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 20; trial++ {
+		band := func() Band {
+			if trial%5 == 0 {
+				return AlwaysEscalate
+			}
+			lo := rng.Float64() * 0.7
+			return Band{Lo: lo, Hi: lo + rng.Float64()*(1-lo)}
+		}
+		b0, b1 := band(), band()
+		single, batch := mustRouter(t, b0, b1), mustRouter(t, b0, b1)
+		singleTaps, batchTaps := recordTaps(single), recordTaps(batch)
+
+		got, err := batch.ScoreBatchCtx(context.Background(), clips)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, clip := range clips {
+			d, err := single.RouteCtx(context.Background(), clip)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(d.Score) != math.Float64bits(got[i]) {
+				t.Fatalf("trial %d clip %d: single %v, batch %v", trial, i, d.Score, got[i])
+			}
+		}
+		ss, bs := single.Stats(), batch.Stats()
+		for i := range ss {
+			ss[i].Seconds, bs[i].Seconds = 0, 0 // wall time, not a routing outcome
+		}
+		if !reflect.DeepEqual(ss, bs) {
+			t.Fatalf("trial %d: counters differ:\nsingle %+v\nbatch  %+v", trial, ss, bs)
+		}
+		if len(singleTaps) == 0 || !reflect.DeepEqual(singleTaps, batchTaps) {
+			t.Fatalf("trial %d: tap calls differ: single %d distinct, batch %d distinct",
+				trial, len(singleTaps), len(batchTaps))
 		}
 	}
 }
@@ -388,7 +456,7 @@ func TestRouterTrainedBatchBitIdentical(t *testing.T) {
 	for i, s := range test {
 		clips[i] = s.Clip
 	}
-	batch, err := r.ScoreBatch(clips)
+	batch, err := r.ScoreBatchCtx(context.Background(), clips)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +466,7 @@ func TestRouterTrainedBatchBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if math.Float64bits(s) != math.Float64bits(batch[i]) {
-			t.Fatalf("clip %d: Score %v != ScoreBatch %v", i, s, batch[i])
+			t.Fatalf("clip %d: Score %v != ScoreBatchCtx %v", i, s, batch[i])
 		}
 	}
 }
@@ -490,8 +558,8 @@ func TestRouterErrors(t *testing.T) {
 	if _, err := r.Score(layout.Clip{}); !errors.Is(err, errNotFitted) {
 		t.Fatalf("unfitted Score err = %v, want errNotFitted", err)
 	}
-	if _, err := r.ScoreBatch(nil); !errors.Is(err, errNotFitted) {
-		t.Fatalf("unfitted ScoreBatch err = %v, want errNotFitted", err)
+	if _, err := r.ScoreBatchCtx(context.Background(), nil); !errors.Is(err, errNotFitted) {
+		t.Fatalf("unfitted ScoreBatchCtx err = %v, want errNotFitted", err)
 	}
 	if err := New("Router", nil, Config{}).Fit(nil); err == nil {
 		t.Fatal("no stages: want error")
@@ -515,7 +583,7 @@ func TestRouterErrors(t *testing.T) {
 	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "mid") {
 		t.Fatalf("member failure err = %v, want wrapped with stage name", err)
 	}
-	if _, err := r.ScoreBatch(clips[:3]); !errors.Is(err, boom) {
+	if _, err := r.ScoreBatchCtx(context.Background(), clips[:3]); !errors.Is(err, boom) {
 		t.Fatalf("batch member failure err = %v, want wrapped", err)
 	}
 }
@@ -573,7 +641,7 @@ func TestRouterEscalationTap(t *testing.T) {
 		defer mu.Unlock()
 		batchSeen[clip.Fingerprint()]++
 	})
-	if _, err := r.ScoreBatch(clips); err != nil {
+	if _, err := r.ScoreBatchCtx(context.Background(), clips); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -584,7 +652,7 @@ func TestRouterEscalationTap(t *testing.T) {
 	mu.Unlock()
 
 	r.BindEscalationTap(nil)
-	if _, err := r.ScoreBatch(clips); err != nil {
+	if _, err := r.ScoreBatchCtx(context.Background(), clips); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()

@@ -8,8 +8,8 @@
 # stage seeing only the escalated band. Runs under -race so the routed
 # scoring paths are exercised under the detector.
 #
-# Wall-clock ODST dominance is reported by `go test -bench RouterFrontier
-# -benchtime 1x .`, not asserted here (CI boxes are loaded).
+# Wall-clock ODST dominance is reported by `go run ./cmd/hsdeval
+# -figures`, not asserted here (CI boxes are loaded).
 set -eu
 cd "$(dirname "$0")/.."
 

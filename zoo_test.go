@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
 	"github.com/golitho/hsd/internal/core"
 	"github.com/golitho/hsd/internal/nn"
+	"github.com/golitho/hsd/internal/trace"
 )
 
 // reduceEpochs shrinks neural training to a couple of epochs so the
@@ -160,6 +162,81 @@ func TestSharedInstanceConcurrentScore(t *testing.T) {
 				}(g)
 			}
 			wg.Wait()
+		})
+	}
+}
+
+// recordSpans runs score under a fresh recording trace and returns its
+// result with the names of the spans it ended, in End order.
+func recordSpans(t *testing.T, score func(ctx context.Context) (float64, error)) (float64, []string) {
+	t.Helper()
+	tr := trace.New(trace.Config{Capacity: 1, Shards: 1})
+	ctx, root := trace.Start(trace.WithTracer(context.Background(), tr), "root")
+	s, err := score(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	var names []string
+	for _, sp := range tr.Traces(1)[0].Spans {
+		if sp.Name != "root" {
+			names = append(names, sp.Name)
+		}
+	}
+	return s, names
+}
+
+// TestZooSpanShape: every zoo spec has one scoring body. Score cannot
+// carry a trace, so the body behind it (the detector's ScoreCtx, where
+// it has one) is run under a recording context beside the
+// core.ScoreClipCtx dispatch the scan and the server use: both must end
+// the same spans in the same order and return the bits plain Score
+// returns, and every detector that scores through features must end on
+// an "inference" span.
+func TestZooSpanShape(t *testing.T) {
+	b := facadeBenchmark(t)
+	train := FromSamples(b.Train.Samples)
+	clips := b.Test.Samples[:4]
+	for _, spec := range SurveyZoo(5) {
+		spec := spec
+		t.Run(spec.Name, func(t *testing.T) {
+			det := spec.New()
+			reduceEpochs(det)
+			if err := det.Fit(train); err != nil {
+				t.Fatalf("fit: %v", err)
+			}
+			for i, sample := range clips {
+				clip := sample.Clip
+				plain, err := det.Score(clip)
+				if err != nil {
+					t.Fatalf("clip %d: %v", i, err)
+				}
+				dispatched, want := recordSpans(t, func(ctx context.Context) (float64, error) {
+					return core.ScoreClipCtx(ctx, det, clip)
+				})
+				if math.Float64bits(dispatched) != math.Float64bits(plain) {
+					t.Fatalf("clip %d: ScoreClipCtx %v, Score %v", i, dispatched, plain)
+				}
+				cs, ok := det.(core.CtxScorer)
+				if !ok {
+					if len(want) != 0 {
+						t.Fatalf("clip %d: a detector without ScoreCtx recorded spans %v", i, want)
+					}
+					continue
+				}
+				direct, got := recordSpans(t, func(ctx context.Context) (float64, error) {
+					return cs.ScoreCtx(ctx, clip)
+				})
+				if math.Float64bits(direct) != math.Float64bits(plain) {
+					t.Fatalf("clip %d: ScoreCtx %v, Score %v", i, direct, plain)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("clip %d: ScoreCtx spans %v, ScoreClipCtx spans %v", i, got, want)
+				}
+				if _, routed := det.(*RouterDetector); !routed && (len(got) == 0 || got[len(got)-1] != "inference") {
+					t.Fatalf("clip %d: spans %v do not end on inference", i, got)
+				}
+			}
 		})
 	}
 }
