@@ -5,7 +5,8 @@
 #   cross-build of the portable path, unit + property tests under the
 #   race detector and again on the portable matmul kernel, the chaos and
 #   kill-resume suites, the end-to-end smoke scripts, a check that no
-#   binary's flag set and no facade name moved, a smoke pass over the
+#   binary's flag set, no facade name and no /metrics series moved and
+#   that nothing is bound after construction, a smoke pass over the
 #   fuzz seed corpora, 10 s of real fuzzing on the frame reader, and a
 #   quick pass of the repo benchmark's four workloads.
 #
@@ -104,6 +105,25 @@ echo "== api smoke =="
 # Package hsd's exported names are a committed list too: the facade
 # cannot grow or shrink without the diff showing it.
 ./scripts/api_smoke.sh
+
+echo "== metrics smoke =="
+# So is what GET /metrics exposes: every HELP and TYPE line and every
+# series name with its label keys, from a Router and a CNN hsdserve.
+./scripts/metrics_smoke.sh
+
+echo "== baseline smoke =="
+# hsdtrain -quality-baseline on the Router row writes the per-stage
+# series it always wrote, byte for byte.
+./scripts/baseline_smoke.sh
+
+echo "== one observer idiom =="
+# An optional observer (metrics registry, tracer, hook) is handed over
+# in the component's config and may be nil; nothing is bound to a value
+# after it is constructed (DESIGN §9).
+if grep -rnE 'func \(.*\) Bind[A-Z]' --include='*.go' . | grep -v _test.go; then
+	echo "ci: a Bind* method is back; pass the observer in the config instead" >&2
+	exit 1
+fi
 
 echo "== scan smoke =="
 # End to end: hsdscan is SIGKILLed mid-scan with a journal attached,

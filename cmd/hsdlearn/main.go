@@ -213,14 +213,6 @@ func run() error {
 // content fingerprint, so mining after -resume re-offers only what the
 // WAL has not seen.
 func mine(ctx context.Context, eng *datengine.Engine, det core.Detector, bench *hsd.Benchmark, margin float64) error {
-	// A router primary additionally feeds its escalation band — the
-	// clips every cheap stage's calibration refused to answer.
-	if rt, ok := det.(*hsd.RouterDetector); ok {
-		rt.BindEscalationTap(func(stage string, p float64, clip layout.Clip) {
-			eng.Ingest(clip, p, stage, "escalation")
-		})
-		defer rt.BindEscalationTap(nil)
-	}
 	thr := det.Threshold()
 	scored, mined := 0, 0
 	for _, s := range bench.Test.Samples {

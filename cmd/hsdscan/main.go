@@ -37,6 +37,7 @@ import (
 	hsd "github.com/golitho/hsd"
 	"github.com/golitho/hsd/internal/cli"
 	"github.com/golitho/hsd/internal/qualitymon"
+	"github.com/golitho/hsd/internal/router"
 	"github.com/golitho/hsd/internal/trace"
 )
 
@@ -119,20 +120,22 @@ func run() error {
 			*genEdge, *genEdge, chip.NumShapes())
 	}
 
-	det, fitTook, err := cli.Train(spec, bench, routerFlags.Apply)
+	// nil without -metrics: the farm and the router then count nothing.
+	var reg *hsd.MetricsRegistry
+	if *metrics {
+		reg = hsd.NewMetricsRegistry()
+	}
+	det, fitTook, err := cli.Train(spec, bench, func(det hsd.Detector) error {
+		if rt, ok := det.(*hsd.RouterDetector); ok {
+			rt.SetHooks(router.Hooks{Metrics: reg})
+		}
+		return routerFlags.Apply(det)
+	})
 	if err != nil {
 		return err
 	}
 	rt, isRouter := det.(*hsd.RouterDetector)
 	fmt.Printf("trained %s on %s in %v\n", det.Name(), bench.Name, fitTook.Round(time.Millisecond))
-
-	var reg *hsd.MetricsRegistry
-	if *metrics {
-		reg = hsd.NewMetricsRegistry()
-		if isRouter {
-			rt.BindMetrics(reg)
-		}
-	}
 	ctx := context.Background()
 	var tracer *trace.Tracer
 	var root *trace.Span

@@ -66,7 +66,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -77,7 +76,10 @@ import (
 	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/lithosim"
 	"github.com/golitho/hsd/internal/qualitymon"
+	"github.com/golitho/hsd/internal/registry"
+	"github.com/golitho/hsd/internal/router"
 	"github.com/golitho/hsd/internal/serve"
+	"github.com/golitho/hsd/internal/telemetry"
 	"github.com/golitho/hsd/internal/tensor"
 	"github.com/golitho/hsd/internal/trace"
 )
@@ -142,53 +144,25 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	train := func(name string, configure func(core.Detector) error) (core.Detector, error) {
-		spec, err := cli.Spec(*seed, name)
-		if err != nil {
-			return nil, err
-		}
-		det, took, err := cli.Train(spec, bench, configure)
-		if err != nil {
-			return nil, err
-		}
-		log.Printf("trained %s on %s in %v", det.Name(), bench.Name, took.Round(time.Millisecond))
-		return det, nil
-	}
-	det, err := train(*detName, routerFlags.Apply)
+	// Looked up before anything is opened: a mistyped -detector must not
+	// leave a -learn-wal keyed to it behind.
+	spec, err := cli.Spec(*seed, *detName)
 	if err != nil {
 		return err
 	}
-	var fallback core.Detector
-	if *fallbackName != "" {
-		if strings.EqualFold(*fallbackName, *detName) {
-			return fmt.Errorf("fallback %q is the primary detector; pick a different (shallower) one", *fallbackName)
-		}
-		fallback, err = train(*fallbackName, nil)
-		if err != nil {
-			return fmt.Errorf("fallback: %w", err)
-		}
-	}
 
-	// Hot reload: a neural primary can be swapped for a new network saved
-	// by hsdtrain. The registry gates each candidate on a golden subset
-	// of the benchmark's test split before it may serve.
-	var reload *serve.ReloadOptions
-	if nd, ok := det.(*hsd.NeuralDetector); ok {
-		reload = &serve.ReloadOptions{
-			Loader:               cli.NetworkLoader(nd),
-			DefaultPath:          *modelWatch,
-			Golden:               cli.GoldenSet(bench, *goldenN),
-			MaxRecallDrop:        *maxRecallDrop,
-			MaxFalseAlarmRise:    *maxFARRise,
-			ProbationRequests:    *probation,
-			ProbationMaxFailures: *probationMaxFail,
-			Logf:                 log.Printf,
-		}
-	}
-	if *modelWatch != "" && reload == nil {
-		return fmt.Errorf("-model-watch needs a neural primary; %s cannot hot-reload", det.Name())
-	}
-
+	// Everything below is built top to bottom, each value handed to what
+	// follows in its config and never bound afterwards: one registry
+	// behind GET /metrics, the tracer that times spans into it, the
+	// oracle, the data engine, the quality monitor, the detectors, and
+	// last the server.
+	reg := telemetry.NewRegistry()
+	tracer := trace.New(trace.Config{
+		Capacity:      *traceCapacity,
+		SampleRate:    *traceSample,
+		SlowThreshold: *traceSlow,
+		Metrics:       reg,
+	})
 	sim, err := lithosim.New(lithosim.DefaultConfig())
 	if err != nil {
 		return err
@@ -196,15 +170,26 @@ func run() error {
 
 	// Active-learning mining: with -learn-wal, uncertain and
 	// wrongly-answered clips flow into the data engine's candidate WAL
-	// for hsdlearn to drain. The engine is opened after the server (it
-	// registers learn_* metrics on the serving registry), so the taps
-	// installed below load it through an atomic pointer.
-	var learnEng atomic.Pointer[datengine.Engine]
-	learnIngest := func(clip layout.Clip, score float64, stage, source string) {
-		eng := learnEng.Load()
-		if eng == nil {
-			return
+	// for hsdlearn to drain. Ingest-only: labeling, retraining, and
+	// shipping happen in hsdlearn against the same WAL. The -detector
+	// name keys the WAL meta, so mixing detectors across processes fails
+	// loudly (and before any training) instead of polluting the queue.
+	var eng *datengine.Engine
+	if *learnWAL != "" {
+		eng, err = datengine.Open(*learnWAL, datengine.Config{
+			Detector: *detName,
+			Metrics:  reg,
+			Logf:     log.Printf,
+		})
+		if err != nil {
+			return fmt.Errorf("-learn-wal: %w", err)
 		}
+		defer eng.Close()
+		log.Printf("mining active-learning candidates into %s (margin %.2f, %d pending)",
+			*learnWAL, *learnMargin, eng.PendingCandidates())
+	}
+	// learnIngest is only reached through taps installed when eng is set.
+	learnIngest := func(clip layout.Clip, score float64, stage, source string) {
 		if _, err := eng.Ingest(clip, score, stage, source); err != nil {
 			log.Printf("learn-wal ingest: %v", err)
 		}
@@ -213,16 +198,18 @@ func run() error {
 	// Model-quality monitoring: score sketches + drift vs. the training
 	// baseline, oracle spot-checks, SLO burn rate, /debug/quality.
 	var qm *qualitymon.Monitor
-	if *quality || *qualityBaseline != "" || *spotCheckRate > 0 || *learnWAL != "" {
+	if *quality || *qualityBaseline != "" || *spotCheckRate > 0 || eng != nil {
 		qopts := qualitymon.Options{
 			SubWindow:      *qualityWindow,
 			DriftThreshold: *driftThreshold,
 			SLOTarget:      *sloTarget,
 			SpotCheckRate:  *spotCheckRate,
 			Oracle:         sim.Label,
+			Metrics:        reg,
+			Tracer:         tracer,
 			Logf:           log.Printf,
 		}
-		if *learnWAL != "" {
+		if eng != nil {
 			qopts.LowConfMargin = *learnMargin
 			qopts.LowConfidenceTap = func(fp layout.Fingerprint, clip layout.Clip, score float64, stage string) {
 				learnIngest(clip, score, stage, "lowconf")
@@ -247,6 +234,75 @@ func run() error {
 		}
 	}
 
+	train := func(spec hsd.DetectorSpec, configure func(core.Detector) error) (core.Detector, error) {
+		det, took, err := cli.Train(spec, bench, configure)
+		if err != nil {
+			return nil, err
+		}
+		log.Printf("trained %s on %s in %v", det.Name(), bench.Name, took.Round(time.Millisecond))
+		return det, nil
+	}
+	det, err := train(spec, func(det core.Detector) error {
+		if rt, ok := det.(*hsd.RouterDetector); ok {
+			// Per-stage routing counters land on the same /metrics page
+			// as the serving cascade's. Every answered decision feeds the
+			// monitor's per-stage sketch (the calibrated confidence, so
+			// drift is visible per cascade stage, not just on the encoded
+			// score), and the escalation band, clips every cheap stage
+			// refused to answer, is the router's feed into the data engine.
+			final := len(rt.Stages()) - 1
+			rt.SetHooks(router.Hooks{Metrics: reg, OnDecision: func(d hsd.RouterDecision, clip layout.Clip) {
+				qm.Observe(qualitymon.Event{
+					Detector: rt.Name(), Stage: d.StageName,
+					Score: d.Confidence, Threshold: 0.5,
+					Clip: clip, HasClip: true,
+				})
+				if eng != nil && d.Stage == final {
+					learnIngest(clip, d.Confidence, d.StageName, "escalation")
+				}
+			}})
+		}
+		return routerFlags.Apply(det)
+	})
+	if err != nil {
+		return err
+	}
+	var fallback core.Detector
+	if *fallbackName != "" {
+		if strings.EqualFold(*fallbackName, *detName) {
+			return fmt.Errorf("fallback %q is the primary detector; pick a different (shallower) one", *fallbackName)
+		}
+		fbSpec, err := cli.Spec(*seed, *fallbackName)
+		if err == nil {
+			fallback, err = train(fbSpec, nil)
+		}
+		if err != nil {
+			return fmt.Errorf("fallback: %w", err)
+		}
+	}
+
+	// Hot reload: a neural primary can be swapped for a new network saved
+	// by hsdtrain. The registry gates each candidate on a golden subset
+	// of the benchmark's test split before it may serve.
+	var reload *serve.ReloadOptions
+	if nd, ok := det.(*hsd.NeuralDetector); ok {
+		reload = &serve.ReloadOptions{
+			Config: registry.Config{
+				Loader:               cli.NetworkLoader(nd),
+				Golden:               cli.GoldenSet(bench, *goldenN),
+				MaxRecallDrop:        *maxRecallDrop,
+				MaxFalseAlarmRise:    *maxFARRise,
+				ProbationRequests:    *probation,
+				ProbationMaxFailures: *probationMaxFail,
+				Logf:                 log.Printf,
+			},
+			DefaultPath: *modelWatch,
+		}
+	}
+	if *modelWatch != "" && reload == nil {
+		return fmt.Errorf("-model-watch needs a neural primary; %s cannot hot-reload", det.Name())
+	}
+
 	srv, err := serve.NewServer(serve.Options{
 		Primary:        det,
 		Fallback:       fallback,
@@ -257,58 +313,13 @@ func run() error {
 		ShedRate:       *shedRate,
 		BatchMaxSize:   *batchSize,
 		BatchMaxWait:   *batchWait,
-		Trace: &trace.Config{
-			Capacity:      *traceCapacity,
-			SampleRate:    *traceSample,
-			SlowThreshold: *traceSlow,
-		},
-		Reload:  reload,
-		Quality: qm,
+		Metrics:        reg,
+		Tracer:         tracer,
+		Reload:         reload,
+		Quality:        qm,
 	})
 	if err != nil {
 		return err
-	}
-	if *learnWAL != "" {
-		// Ingest-only engine: hsdserve only mines candidates; labeling,
-		// retraining, and shipping happen in hsdlearn against the same
-		// WAL. The -detector name keys the WAL meta, so mixing detectors
-		// across processes fails loudly instead of polluting the queue.
-		eng, err := datengine.Open(*learnWAL, datengine.Config{
-			Detector: *detName,
-			Metrics:  srv.Metrics(),
-			Logf:     log.Printf,
-		})
-		if err != nil {
-			return fmt.Errorf("-learn-wal: %w", err)
-		}
-		defer eng.Close()
-		learnEng.Store(eng)
-		log.Printf("mining active-learning candidates into %s (margin %.2f, %d pending)",
-			*learnWAL, *learnMargin, eng.PendingCandidates())
-	}
-	if rt, ok := det.(*hsd.RouterDetector); ok {
-		// Per-stage routing counters land on the same /metrics page as
-		// the serving cascade's.
-		rt.BindMetrics(srv.Metrics())
-		if *learnWAL != "" {
-			// The escalation band — clips every cheap stage refused to
-			// answer — is the router's feed into the data engine.
-			rt.BindEscalationTap(func(stage string, p float64, clip layout.Clip) {
-				learnIngest(clip, p, stage, "escalation")
-			})
-		}
-		if qm != nil {
-			// Per-stage score sketches: the tap observes the calibrated
-			// confidence of every answered routing decision, so drift is
-			// visible per cascade stage, not just on the encoded score.
-			rt.BindQualityTap(func(stage string, p float64, clip layout.Clip) {
-				qm.Observe(qualitymon.Event{
-					Detector: rt.Name(), Stage: stage,
-					Score: p, Threshold: 0.5,
-					Clip: clip, HasClip: true,
-				})
-			})
-		}
 	}
 	httpServer := &http.Server{
 		Addr:              *addr,
@@ -337,7 +348,7 @@ func run() error {
 	if *modelWatch != "" {
 		// model.reload spans from watcher-triggered reloads land in the
 		// same trace store as request traces.
-		wctx := trace.WithTracer(ctx, srv.Tracer())
+		wctx := trace.WithTracer(ctx, tracer)
 		log.Printf("watching %s for model reloads every %v", *modelWatch, *watchInterval)
 		go srv.Registry().Watch(wctx, *modelWatch, *watchInterval)
 	}

@@ -216,19 +216,24 @@ func run() error {
 // detector and persists the per-series score histograms hsdserve's
 // drift monitor compares live traffic against. A router additionally
 // contributes one series per cascade stage — the calibrated confidence
-// of the answering stage, captured through the quality tap — so stage
+// of the answering stage, read off each routing decision — so stage
 // drift is attributable even when the blended score looks stable.
 func writeQualityBaseline(path string, det hsd.Detector, train []hsd.LabeledClip, bins int) (int, error) {
+	ctx := context.Background()
 	stageScores := map[string][]float64{}
+	score := func(clip layout.Clip) (float64, error) { return core.ScoreClipCtx(ctx, det, clip) }
 	if rt, ok := det.(*hsd.RouterDetector); ok {
-		rt.BindQualityTap(func(stage string, p float64, _ layout.Clip) {
-			stageScores[stage] = append(stageScores[stage], p)
-		})
-		defer rt.BindQualityTap(nil)
+		score = func(clip layout.Clip) (float64, error) {
+			d, err := rt.RouteCtx(ctx, clip)
+			if err == nil {
+				stageScores[d.StageName] = append(stageScores[d.StageName], d.Confidence)
+			}
+			return d.Score, err
+		}
 	}
 	scores := make([]float64, 0, len(train))
 	for _, s := range train {
-		sc, err := core.ScoreClipCtx(context.Background(), det, s.Clip)
+		sc, err := score(s.Clip)
 		if err != nil {
 			return 0, fmt.Errorf("baseline scoring: %w", err)
 		}

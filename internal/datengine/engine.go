@@ -12,14 +12,12 @@
 // set in selection order) — so an interrupted loop, resumed, ships a
 // byte-identical model to an uninterrupted one.
 //
-// Oracle containment mirrors the scan farm's worker discipline: a
-// shared circuit breaker pauses labeling (instead of burning sample
-// attempts) when the oracle looks sick; each sample retries with
-// jittered exponential backoff seeded from its own fingerprint (so
-// retry storms decorrelate but stay deterministic); every attempt runs
-// under a deadline budget; and a sample that exhausts its attempts —
-// oracle error, panic, or timeout — is quarantined, not fatal: one
-// poison clip costs itself, never the loop.
+// Oracle containment is the scan farm's worker discipline, the same
+// function (resilience.Supervise): a shared circuit breaker pauses
+// labeling when the oracle looks sick, each sample retries with backoff
+// seeded from its own fingerprint under a per-attempt deadline budget,
+// and a sample that exhausts its attempts — oracle error, panic, or
+// timeout — is quarantined, not fatal.
 
 package datengine
 
@@ -98,10 +96,6 @@ type Config struct {
 	// resume).
 	Ship func(ctx context.Context, batchID int, modelPath string) error
 
-	// Clock drives breaker cool-down waits (default wall clock); retry
-	// backoff uses OracleRetry.Clock.
-	Clock resilience.Clock
-
 	// Metrics receives the learn_* series; nil disables.
 	Metrics *telemetry.Registry
 
@@ -118,13 +112,11 @@ func (c Config) withDefaults() Config {
 	if c.OracleAttempts <= 0 {
 		c.OracleAttempts = 3
 	}
-	if c.Clock == nil {
-		c.Clock = resilience.Real
-	}
 	return c
 }
 
-// learnMetrics bundles the engine's telemetry; nil disables it.
+// learnMetrics bundles the engine's telemetry (nil handles when
+// Config.Metrics is nil).
 type learnMetrics struct {
 	reg           *telemetry.Registry
 	dedup         *telemetry.Counter
@@ -135,9 +127,6 @@ type learnMetrics struct {
 }
 
 func newLearnMetrics(reg *telemetry.Registry) *learnMetrics {
-	if reg == nil {
-		return nil
-	}
 	reg.SetHelp("learn_candidates_total", "Mined candidates accepted into the queue, by mining source.")
 	reg.SetHelp("learn_candidates_deduped_total", "Mined clips dropped because their fingerprint was already queued.")
 	reg.SetHelp("learn_batches_total", "Batches by terminal outcome (shipped, rejected).")
@@ -209,7 +198,9 @@ func Open(path string, cfg Config) (*Engine, error) {
 		mets:    newLearnMetrics(cfg.Metrics),
 		state:   Replay(records),
 	}
-	e.updatePending()
+	// Pull-style like the rest of the telemetry stack: the queue depth is
+	// counted when a scrape asks, not on every ingest.
+	cfg.Metrics.OnCollect(func() { e.mets.pending.Set(float64(e.PendingCandidates())) })
 	if t := wal.Tail(); t.Discarded > 0 {
 		e.logf("datengine: WAL %s: discarded %d bytes after offset %d; the work they recorded is redone", path, t.Discarded, t.Offset)
 	}
@@ -225,21 +216,6 @@ func (e *Engine) logf(format string, args ...any) {
 	}
 }
 
-// updatePending refreshes the queue-depth gauge. Callers hold e.mu or
-// have exclusive access.
-func (e *Engine) updatePending() {
-	if e.mets == nil {
-		return
-	}
-	n := 0
-	for fp := range e.state.Candidates {
-		if _, ok := e.state.Consumed[fp]; !ok {
-			n++
-		}
-	}
-	e.mets.pending.Set(float64(n))
-}
-
 // Ingest queues one mined clip. The clip is canonicalized (origin
 // translated) and deduplicated by content fingerprint; the journal
 // write is durable before Ingest returns true. Returns false without
@@ -250,9 +226,7 @@ func (e *Engine) Ingest(clip layout.Clip, score float64, stage, source string) (
 	e.mu.Lock()
 	if _, ok := e.state.Candidates[fp]; ok {
 		e.mu.Unlock()
-		if e.mets != nil {
-			e.mets.dedup.Inc()
-		}
+		e.mets.dedup.Inc()
 		return false, nil
 	}
 	// Reserve the slot before the journal write so concurrent miners of
@@ -271,12 +245,7 @@ func (e *Engine) Ingest(clip layout.Clip, score float64, stage, source string) (
 		e.mu.Unlock()
 		return false, err
 	}
-	if e.mets != nil {
-		e.mets.reg.Counter("learn_candidates_total", telemetry.L("source", source)).Inc()
-	}
-	e.mu.Lock()
-	e.updatePending()
-	e.mu.Unlock()
+	e.mets.reg.Counter("learn_candidates_total", telemetry.L("source", source)).Inc()
 	return true, nil
 }
 
@@ -458,7 +427,6 @@ func (e *Engine) selectBatch(ctx context.Context, rep *CycleReport) (*BatchState
 		e.state.Consumed[fp] = nextID
 	}
 	e.state.NextBatchID = nextID + 1
-	e.updatePending()
 	e.mu.Unlock()
 	e.logf("datengine: batch %d selected %d of %d candidates", nextID, len(fps), len(kept))
 	return batch, nil
@@ -511,75 +479,42 @@ func (e *Engine) labelBatch(ctx context.Context, batch *BatchState, rep *CycleRe
 			return err
 		}
 		batch.Labels[fp] = verdict
-		if e.mets != nil {
-			v := "cold"
-			if verdict {
-				v = "hot"
-			}
-			e.mets.reg.Counter("learn_labels_total", telemetry.L("verdict", v)).Inc()
+		v := "cold"
+		if verdict {
+			v = "hot"
 		}
+		e.mets.reg.Counter("learn_labels_total", telemetry.L("verdict", v)).Inc()
 	}
 	return nil
 }
 
-// labelSample runs one member through breaker + per-sample-seeded retry
-// + deadline budget, with oracle panics recovered into attempt
-// failures. Returns the verdict, the attempts burned, and the final
-// error when the attempt budget is exhausted.
+// labelSample runs one member through the supervised-attempt loop, with
+// oracle panics recovered into attempt failures. Returns the verdict,
+// the attempts burned, and the final error when the attempt budget is
+// exhausted.
 func (e *Engine) labelSample(ctx context.Context, cand Candidate) (bool, int, error) {
 	rcfg := e.cfg.OracleRetry
 	rcfg.MaxAttempts = e.cfg.OracleAttempts
 	// Decorrelate jitter across samples while staying deterministic for
 	// a fixed candidate set: the fingerprint is the seed material.
 	rcfg.Seed = rcfg.Seed*31 + int64(binary.BigEndian.Uint64(cand.FP[:8])>>1) + 1
-	clock := rcfg.Clock
-	if clock == nil {
-		clock = e.cfg.Clock
-	}
 
 	octx, ospan := trace.Start(ctx, "learn.oracle")
 	ospan.SetAttr("fp", fmt.Sprintf("%x", cand.FP[:8]))
 	defer ospan.End()
 
 	var verdict bool
-	attempts := 0
-	err := resilience.Retry(octx, rcfg, func(ctx context.Context) error {
-		// A tripped breaker pauses the loop for the cool-down instead
-		// of failing the sample: breaker rejections are an oracle-health
-		// signal, not evidence the sample is poison.
-		for !e.breaker.Allow() {
-			wait := e.breaker.RetryAfter()
-			if wait <= 0 {
-				wait = 10 * time.Millisecond
+	attempts, err := resilience.Supervise(octx, rcfg, e.breaker, e.cfg.OracleDeadline,
+		func(ctx context.Context, n int) (err error) {
+			if n > 1 {
+				e.mets.oracleRetries.Inc()
 			}
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-clock.After(wait):
-			}
-		}
-		attempts++
-		if attempts > 1 && e.mets != nil {
-			e.mets.oracleRetries.Inc()
-		}
-		start := time.Now()
-		actx, cancel := resilience.WithBudget(ctx, e.cfg.OracleDeadline)
-		v, err := safeOracle(actx, e.cfg.Oracle, cand.Clip)
-		cancel()
-		if err == nil {
-			verdict = v
-			if e.mets != nil {
+			start := time.Now()
+			if verdict, err = safeOracle(ctx, e.cfg.Oracle, cand.Clip); err == nil {
 				e.mets.oracleSeconds.ObserveDuration(time.Since(start))
 			}
-		} else if ctx.Err() != nil {
-			// The loop itself was cancelled mid-attempt: don't charge
-			// the breaker or keep retrying.
-			e.breaker.Record(nil)
-			return ctx.Err()
-		}
-		e.breaker.Record(err)
-		return err
-	})
+			return err
+		})
 	if err != nil {
 		ospan.SetError(err)
 		return false, attempts, err
@@ -609,9 +544,7 @@ func (e *Engine) quarantine(batch *BatchState, fp layout.Fingerprint, attempts i
 		return err
 	}
 	batch.Quarantined[fp] = QuarantineInfo{Attempts: attempts, Err: msg}
-	if e.mets != nil {
-		e.mets.quarantined.Inc()
-	}
+	e.mets.quarantined.Inc()
 	e.logf("datengine: batch %d quarantined %x after %d attempts: %s", batch.ID, fp[:4], attempts, msg)
 	return nil
 }
@@ -658,9 +591,7 @@ func (e *Engine) finishBatch(batch *BatchState, rep *CycleReport, outcome, model
 		e.state.Rejected++
 	}
 	e.mu.Unlock()
-	if e.mets != nil {
-		e.mets.reg.Counter("learn_batches_total", telemetry.L("outcome", outcome)).Inc()
-	}
+	e.mets.reg.Counter("learn_batches_total", telemetry.L("outcome", outcome)).Inc()
 	e.logf("datengine: batch %d %s%s", batch.ID, outcome, reasonSuffix(reason))
 	return nil
 }

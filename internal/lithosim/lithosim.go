@@ -117,11 +117,6 @@ type Config struct {
 	// MinCheckWidthNM: drawn features narrower than this are skipped by
 	// the neck check (sub-resolution assist features would false-fire).
 	MinCheckWidthNM int
-	// CornerWorkers bounds the goroutines SimulateCtx uses to evaluate
-	// process corners concurrently. 0 picks min(NumCPU, len(Corners));
-	// 1 forces the serial path. The verdict, defect list, and PV-band
-	// area are identical for every setting.
-	CornerWorkers int
 }
 
 // DefaultConfig models an aggressive ArF immersion process (193 nm, NA
@@ -171,9 +166,6 @@ func (c Config) Validate() error {
 		if k.SigmaScale <= 0 || k.ThresholdScale <= 0 {
 			return fmt.Errorf("lithosim: corner %q has nonpositive scales", k.Name)
 		}
-	}
-	if c.CornerWorkers < 0 {
-		return fmt.Errorf("lithosim: CornerWorkers must be >= 0, got %d", c.CornerWorkers)
 	}
 	return nil
 }

@@ -51,10 +51,11 @@ func (s *Simulator) Label(clip layout.Clip) (bool, error) {
 }
 
 // SimulateCtx is the context-aware Simulate: cancellation and deadline
-// are checked between process corners (the unit of work — one blur +
-// three geometric checks — so a cancelled verification stops within one
-// corner's latency). An interrupted simulation returns the wrapped
-// context error; partial defect lists are never returned.
+// are checked at unit-of-work boundaries (one blur, or one corner's
+// threshold and three geometric checks), so a cancelled verification
+// stops within one unit's latency. An interrupted simulation returns the
+// wrapped context error and flags its span; partial defect lists are
+// never returned.
 func (s *Simulator) SimulateCtx(ctx context.Context, clip layout.Clip) (Result, error) {
 	if clip.Window.Empty() {
 		return Result{}, fmt.Errorf("lithosim: empty clip window")
@@ -82,54 +83,9 @@ func (s *Simulator) SimulateCtx(ctx context.Context, clip layout.Clip) (Result, 
 	if err != nil {
 		return Result{}, fmt.Errorf("lithosim: rasterize clip: %w", err)
 	}
-
-	// target is the drawn pattern at raster resolution, shared by every
-	// corner's geometric checks.
-	target := mask.Threshold(0.5)
-	if w := s.cornerWorkers(); w > 1 {
-		return s.simulateParallel(sctx, clip, mask, target, w)
-	}
-
-	// Aerial images are shared between corners with equal sigma.
-	aerialBySigma := make(map[float64]*raster.Image, 2)
-	var res Result
-	var pvOr, pvAnd *raster.Mask
-
-	for i, corner := range s.cfg.Corners {
-		if err := ctx.Err(); err != nil {
-			err = fmt.Errorf("lithosim: simulation interrupted at corner %q: %w", corner.Name, err)
-			ssp.SetError(err)
-			return Result{}, err
-		}
-		_, csp := trace.Start(sctx, "corner", trace.A("corner", corner.Name))
-		aer := aerialBySigma[corner.SigmaScale]
-		if aer == nil {
-			aer = blurSeparable(mask, s.kernels[i])
-			aerialBySigma[corner.SigmaScale] = aer
-		}
-		printed := aer.Threshold(s.cfg.Threshold * corner.ThresholdScale)
-		cornerDefects := s.checkCorner(clip, target, printed, corner.Name)
-		csp.SetAttrInt("defects", len(cornerDefects))
-		csp.End()
-		res.Defects = append(res.Defects, cornerDefects...)
-
-		if pvOr == nil {
-			pvOr = clonemask(printed)
-			pvAnd = clonemask(printed)
-		} else {
-			for j := range printed.Pix {
-				if printed.Pix[j] != 0 {
-					pvOr.Pix[j] = 1
-				} else {
-					pvAnd.Pix[j] = 0
-				}
-			}
-		}
-	}
-	res.Hotspot = len(res.Defects) > 0
-	pxArea := float64(s.cfg.PixelNM) * float64(s.cfg.PixelNM)
-	res.PVBandArea = float64(pvOr.Count()-pvAnd.Count()) * pxArea
-	return res, nil
+	res, err := s.simulateCorners(sctx, clip, mask)
+	ssp.SetError(err)
+	return res, err
 }
 
 func clonemask(m *raster.Mask) *raster.Mask {

@@ -1,18 +1,18 @@
-// Concurrent process-corner evaluation for SimulateCtx.
+// Process-corner evaluation for SimulateCtx.
 //
-// The parallel path splits one simulation into independent units — first
-// the unique-sigma aerial images (the expensive blurs), then the
-// per-corner threshold + geometric checks — and fans them over a bounded
-// worker pool. Defect lists and the PV-band fold are assembled serially
-// in corner order afterwards, so the Result is identical to the serial
-// path for any worker count.
+// One simulation splits into independent units — first the unique-sigma
+// aerial images (the expensive blurs), then the per-corner threshold +
+// geometric checks — fanned over the process-wide kernel pool. Defect
+// lists and the PV-band fold are assembled serially in corner order
+// afterwards, so the Result is identical at any pool width (pinned by
+// testdata/simulate_golden.json, written by the serial loop this
+// replaced).
 
 package lithosim
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strconv"
 
 	"github.com/golitho/hsd/internal/layout"
@@ -21,33 +21,13 @@ import (
 	"github.com/golitho/hsd/internal/trace"
 )
 
-// cornerWorkers resolves the configured worker count: 0 means
-// min(NumCPU, corners), anything else is clamped to the corner count.
-func (s *Simulator) cornerWorkers() int {
-	w := s.cfg.CornerWorkers
-	if w == 0 {
-		w = runtime.NumCPU()
-	}
-	if w > len(s.cfg.Corners) {
-		w = len(s.cfg.Corners)
-	}
-	return w
-}
-
-// runIndexed fans fn(0..n-1) over the persistent kernel pool
-// (tensor.Default) with at most `workers` concurrent shards and waits
-// for all of them. fn must confine itself to index-owned state.
-func runIndexed(workers, n int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	tensor.Default().Run(n, workers, func(lo, hi int) {
+// runIndexed runs fn(0..n-1) on the persistent kernel pool
+// (tensor.Default) and waits for all of them: at most one executor per
+// index and no more than the pool's width (its workers plus the
+// caller), so a single-core box runs the indices inline. fn must
+// confine itself to index-owned state.
+func runIndexed(n int, fn func(i int)) {
+	tensor.Default().Run(n, 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			fn(i)
 		}
@@ -65,12 +45,13 @@ func firstErr(errs []error) error {
 	return nil
 }
 
-// simulateParallel evaluates all process corners concurrently. The
-// context contract matches the serial path: cancellation is observed at
-// unit-of-work boundaries, an interrupted simulation returns the wrapped
-// context error, and partial defect lists are never returned.
-func (s *Simulator) simulateParallel(ctx context.Context, clip layout.Clip, mask *raster.Image, target *raster.Mask, workers int) (Result, error) {
+// simulateCorners evaluates every process corner of a rasterized clip.
+// Cancellation is observed before each unit of work.
+func (s *Simulator) simulateCorners(ctx context.Context, clip layout.Clip, mask *raster.Image) (Result, error) {
 	corners := s.cfg.Corners
+	// target is the drawn pattern at raster resolution, shared by every
+	// corner's geometric checks.
+	target := mask.Threshold(0.5)
 	interrupted := func(i int) error {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("lithosim: simulation interrupted at corner %q: %w", corners[i].Name, err)
@@ -79,7 +60,7 @@ func (s *Simulator) simulateParallel(ctx context.Context, clip layout.Clip, mask
 	}
 
 	// Phase 1: one aerial image per unique sigma (corners sharing a
-	// SigmaScale share the blur, as in the serial path).
+	// SigmaScale share the blur).
 	kernelIdx := make(map[float64]int, 2)
 	var sigmas []float64
 	for i, c := range corners {
@@ -90,7 +71,7 @@ func (s *Simulator) simulateParallel(ctx context.Context, clip layout.Clip, mask
 	}
 	aerials := make([]*raster.Image, len(sigmas))
 	errs := make([]error, len(corners))
-	runIndexed(workers, len(sigmas), func(j int) {
+	runIndexed(len(sigmas), func(j int) {
 		ki := kernelIdx[sigmas[j]]
 		if err := interrupted(ki); err != nil {
 			errs[ki] = err
@@ -113,7 +94,7 @@ func (s *Simulator) simulateParallel(ctx context.Context, clip layout.Clip, mask
 	// its own slot.
 	printed := make([]*raster.Mask, len(corners))
 	defects := make([][]Defect, len(corners))
-	runIndexed(workers, len(corners), func(i int) {
+	runIndexed(len(corners), func(i int) {
 		if err := interrupted(i); err != nil {
 			errs[i] = err
 			return
@@ -130,7 +111,8 @@ func (s *Simulator) simulateParallel(ctx context.Context, clip layout.Clip, mask
 		return Result{}, err
 	}
 
-	// Serial fold in corner order: byte-for-byte the serial Result.
+	// Serial fold in corner order, so the Result does not depend on
+	// which executor finished first.
 	var res Result
 	var pvOr, pvAnd *raster.Mask
 	for i := range corners {

@@ -3,7 +3,9 @@
 // burn rates, and the alert state machine come out — through the
 // telemetry registry, the /debug/quality JSON endpoint, and trace-store
 // drift events. A nil *Monitor is a valid disabled monitor: every
-// method no-ops, so call sites thread it unconditionally.
+// method no-ops, so call sites thread it unconditionally. Its own
+// observers follow the same idiom one level down: Options.Metrics and
+// Options.Tracer are handed over at construction and may be nil.
 
 package qualitymon
 
@@ -95,6 +97,13 @@ type Options struct {
 	// an Oracle and SpotCheckRate > 0 to ever fire).
 	SpotMissTap SpotMissTap
 
+	// Metrics exports the monitor's gauges and counters (see
+	// exportMetrics for the series; nil: not exported).
+	Metrics *telemetry.Registry
+	// Tracer receives drift events as "quality.drift" root spans flagged
+	// degraded, so tail sampling always retains them (nil: none).
+	Tracer *trace.Tracer
+
 	Logf func(format string, args ...any) // nil = silent
 }
 
@@ -120,9 +129,8 @@ func alertName(s int) string {
 	}
 }
 
-// qmMetrics are the event-time counter handles, bound once by
-// BindMetrics and read through an atomic pointer so late binding (after
-// traffic started) is safe.
+// qmMetrics are the event-time counter handles, resolved once in New
+// (nil handles when Options.Metrics is nil).
 type qmMetrics struct {
 	spotChecks     *telemetry.Counter
 	spotMismatches *telemetry.Counter
@@ -134,10 +142,9 @@ type qmMetrics struct {
 // Monitor aggregates quality signals. All exported methods are safe for
 // concurrent use; a nil receiver disables everything.
 type Monitor struct {
-	opts   Options
-	clock  Clock
-	tracer atomic.Pointer[trace.Tracer]
-	mets   atomic.Pointer[qmMetrics]
+	opts  Options
+	clock Clock
+	mets  qmMetrics
 
 	mu       sync.Mutex
 	sketches map[seriesKey]*sketch
@@ -148,8 +155,8 @@ type Monitor struct {
 	alertState int
 	belowSince time.Time // zero = inputs currently at/above alertState
 
-	// cumulative spot-check counters (also exported as telemetry
-	// counters when bound).
+	// cumulative spot-check counters (mirrored by the telemetry
+	// counters in mets).
 	spotSampled, spotDropped, spotErrors, spotMismatch atomic.Int64
 
 	spotq   chan spotJob
@@ -207,6 +214,7 @@ func New(opts Options) *Monitor {
 		conf:     newWindowRing(opts.SubWindow, opts.SlowSubs, confWidth),
 		slo:      newWindowRing(opts.SubWindow, opts.SlowSubs, sloWidth),
 	}
+	m.exportMetrics(opts.Metrics)
 	if opts.Oracle != nil && opts.SpotCheckRate > 0 && !opts.SyncSpotChecks {
 		m.spotq = make(chan spotJob, spotQueue)
 		m.wg.Add(1)
@@ -230,16 +238,6 @@ func (m *Monitor) logf(format string, args ...any) {
 	if m.opts.Logf != nil {
 		m.opts.Logf(format, args...)
 	}
-}
-
-// BindTracer routes drift events into tr's trace store (as "quality.
-// drift" root spans flagged degraded, so tail sampling always retains
-// them). Safe to call after traffic started.
-func (m *Monitor) BindTracer(tr *trace.Tracer) {
-	if m == nil || tr == nil {
-		return
-	}
-	m.tracer.Store(tr)
 }
 
 // Observe records one scored clip: bins the score into the (detector,
@@ -383,7 +381,7 @@ func equalEdges(a, b []float64) bool {
 	return true
 }
 
-// BindMetrics exports the monitor through reg:
+// exportMetrics exports the monitor through reg:
 //
 //	hotspot_drift_score{detector,stage}      gauge  PSI, fast window vs baseline
 //	hotspot_drift_max_bin_kl{detector,stage} gauge  worst single-bin KL term
@@ -399,10 +397,7 @@ func equalEdges(a, b []float64) bool {
 //
 // Gauges refresh on every scrape via OnCollect (which also advances the
 // alert state machine), so alerting needs no background poller.
-func (m *Monitor) BindMetrics(reg *telemetry.Registry) {
-	if m == nil || reg == nil {
-		return
-	}
+func (m *Monitor) exportMetrics(reg *telemetry.Registry) {
 	reg.SetHelp("hotspot_drift_score", "Population Stability Index of the live score distribution vs the training baseline, per detector and stage (fast window).")
 	reg.SetHelp("hotspot_drift_max_bin_kl", "Largest single-bin KL contribution of live vs baseline score distribution.")
 	reg.SetHelp("hotspot_online_recall", "Shadow-oracle spot-check recall over the slow window (0 when no checks).")
@@ -414,13 +409,13 @@ func (m *Monitor) BindMetrics(reg *telemetry.Registry) {
 	reg.SetHelp("hotspot_spot_checks_dropped_total", "Spot checks dropped because the queue was full.")
 	reg.SetHelp("hotspot_spot_check_errors_total", "Spot checks whose oracle simulation failed.")
 	reg.SetHelp("hotspot_quality_drift_events_total", "Rising-edge drift threshold crossings (each also emits a quality.drift trace).")
-	m.mets.Store(&qmMetrics{
+	m.mets = qmMetrics{
 		spotChecks:     reg.Counter("hotspot_spot_checks_total"),
 		spotMismatches: reg.Counter("hotspot_spot_check_mismatches_total"),
 		spotErrors:     reg.Counter("hotspot_spot_check_errors_total"),
 		spotDropped:    reg.Counter("hotspot_spot_checks_dropped_total"),
 		driftEvents:    reg.Counter("hotspot_quality_drift_events_total"),
-	})
+	}
 	reg.OnCollect(func() {
 		snap := m.Snapshot()
 		for _, sk := range snap.Sketches {

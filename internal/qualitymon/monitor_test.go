@@ -46,8 +46,6 @@ func TestNilMonitorNoOps(t *testing.T) {
 	m.Reset()
 	m.InstallBaseline(testBaseline())
 	m.InstallBaselineSidecar("nope.gob")
-	m.BindMetrics(telemetry.NewRegistry())
-	m.BindTracer(nil)
 	m.Close()
 	snap := m.Snapshot()
 	if snap.Alert.Name != "ok" {
@@ -144,13 +142,12 @@ func TestDriftAlertAndClear(t *testing.T) {
 
 func TestDriftEventEmission(t *testing.T) {
 	clk := newFakeClock()
+	reg := telemetry.NewRegistry()
+	tr := trace.New(trace.Config{Capacity: 8, Shards: 1})
 	opts := testMonitorOpts(clk)
+	opts.Metrics, opts.Tracer = reg, tr
 	m := New(opts)
 	defer m.Close()
-	reg := telemetry.NewRegistry()
-	m.BindMetrics(reg)
-	tr := trace.New(trace.Config{Capacity: 8, Shards: 1})
-	m.BindTracer(tr)
 
 	m.InstallBaseline(&Baseline{Entries: []BaselineEntry{
 		NewBaselineEntry("MLP", "primary", []float64{0.1, 0.3, 0.5, 0.7, 0.9}, 5),

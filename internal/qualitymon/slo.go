@@ -254,15 +254,9 @@ func (m *Monitor) Snapshot() Snapshot {
 // sampling always retains it) and bumps the drift-event counter — the
 // link from a paged alert to the traces around the shift.
 func (m *Monitor) emitDriftEvent(detector, stage string, psi float64) {
-	if mets := m.mets.Load(); mets != nil {
-		mets.driftEvents.Inc()
-	}
+	m.mets.driftEvents.Inc()
 	m.logf("qualitymon: drift detected: detector=%s stage=%s psi=%.4f", detector, stage, psi)
-	tr := m.tracer.Load()
-	if tr == nil {
-		return
-	}
-	ctx := trace.WithTracer(context.Background(), tr)
+	ctx := trace.WithTracer(context.Background(), m.opts.Tracer)
 	_, sp := trace.Start(ctx, "quality.drift",
 		trace.A("detector", detector),
 		trace.A("stage", stage))

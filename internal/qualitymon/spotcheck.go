@@ -11,7 +11,6 @@ package qualitymon
 
 import (
 	"encoding/binary"
-
 	"time"
 
 	"github.com/golitho/hsd/internal/layout"
@@ -51,9 +50,7 @@ const spotQueue = 256
 // oracle would invert the cost model the cascade exists to protect.
 func (m *Monitor) enqueueSpot(j spotJob) {
 	m.spotSampled.Add(1)
-	if mets := m.mets.Load(); mets != nil {
-		mets.spotChecks.Inc()
-	}
+	m.mets.spotChecks.Inc()
 	if m.opts.SyncSpotChecks || m.spotq == nil {
 		m.pending.Add(1)
 		m.runSpotJob(j)
@@ -65,9 +62,7 @@ func (m *Monitor) enqueueSpot(j spotJob) {
 	default:
 		m.pending.Add(-1)
 		m.spotDropped.Add(1)
-		if mets := m.mets.Load(); mets != nil {
-			mets.spotDropped.Inc()
-		}
+		m.mets.spotDropped.Inc()
 	}
 }
 
@@ -83,9 +78,7 @@ func (m *Monitor) runSpotJob(j spotJob) {
 	actual, err := m.opts.Oracle(j.clip)
 	if err != nil {
 		m.spotErrors.Add(1)
-		if mets := m.mets.Load(); mets != nil {
-			mets.spotErrors.Inc()
-		}
+		m.mets.spotErrors.Inc()
 		m.logf("qualitymon: spot-check oracle: %v", err)
 		return
 	}
@@ -101,9 +94,7 @@ func (m *Monitor) runSpotJob(j spotJob) {
 	match := actual == j.predicted
 	if !match {
 		m.spotMismatch.Add(1)
-		if mets := m.mets.Load(); mets != nil {
-			mets.spotMismatches.Inc()
-		}
+		m.mets.spotMismatches.Inc()
 		if tap := m.opts.SpotMissTap; tap != nil {
 			tap(j.clip, j.predicted, actual)
 		}

@@ -90,6 +90,11 @@ type Config struct {
 	// against the new one) and the incoming generation's baseline
 	// sidecar is installed as the new drift reference.
 	Quality QualityMonitor
+	// Metrics receives hotspot_model_generation and
+	// hotspot_reloads_total{outcome} (nil: not exported). Read in New, so
+	// the gauge reads 1 before the first scrape and the first Reload is
+	// counted.
+	Metrics *telemetry.Registry
 	// Logf receives watcher and rollback notices (default: discard).
 	Logf func(format string, args ...any)
 }
@@ -118,7 +123,7 @@ type Registry struct {
 	probLeft     int
 	probFailures int
 
-	metrics *telemetry.Registry
+	generation *telemetry.Gauge
 }
 
 // New builds a registry serving initial as generation 1.
@@ -126,33 +131,24 @@ func New(initial core.Detector, cfg Config) *Registry {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	r := &Registry{cfg: cfg, nextID: 1}
-	gen := &Generation{ID: 1, Source: "boot", Detector: initial, LoadedAt: time.Now()}
-	r.live.Store(gen)
+	m := cfg.Metrics
+	m.SetHelp("hotspot_model_generation", "Generation number of the live model (drops back on rollback).")
+	m.SetHelp("hotspot_reloads_total", "Model reload attempts by outcome (swapped, load_failed, rejected, rolled_back).")
+	r := &Registry{cfg: cfg, nextID: 1, generation: m.Gauge("hotspot_model_generation")}
+	r.goLive(&Generation{ID: 1, Source: "boot", Detector: initial, LoadedAt: time.Now()})
 	return r
 }
 
-// BindMetrics registers the registry's gauges and counters. Call before
-// serving; reloads before binding are simply not counted.
-func (r *Registry) BindMetrics(m *telemetry.Registry) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.metrics = m
-	m.SetHelp("hotspot_model_generation", "Generation number of the live model (drops back on rollback).")
-	m.SetHelp("hotspot_reloads_total", "Model reload attempts by outcome (swapped, load_failed, rejected, rolled_back).")
-	m.Gauge("hotspot_model_generation").Set(float64(r.live.Load().ID))
+// goLive makes gen the serving generation and the gauge's value.
+func (r *Registry) goLive(gen *Generation) {
+	r.live.Store(gen)
+	r.generation.Set(float64(gen.ID))
 }
 
+// countReload counts one reload decision; an outcome's series appears
+// with its first occurrence.
 func (r *Registry) countReload(outcome string) {
-	if r.metrics != nil {
-		r.metrics.Counter("hotspot_reloads_total", telemetry.L("outcome", outcome)).Inc()
-	}
-}
-
-func (r *Registry) setGenerationGauge(id int64) {
-	if r.metrics != nil {
-		r.metrics.Gauge("hotspot_model_generation").Set(float64(id))
-	}
+	r.cfg.Metrics.Counter("hotspot_reloads_total", telemetry.L("outcome", outcome)).Inc()
 }
 
 // Live returns the serving generation. Lock-free; call per request.
@@ -304,14 +300,13 @@ func (r *Registry) Reload(ctx context.Context, path string) (*Generation, Verdic
 	r.nextID++
 	gen := &Generation{ID: r.nextID, Source: path, Detector: cand, LoadedAt: time.Now()}
 	r.prev = live
-	r.live.Store(gen)
+	r.goLive(gen)
 	if r.cfg.ProbationRequests > 0 {
 		r.probLeft = r.cfg.ProbationRequests
 		r.probFailures = 0
 		r.probActive.Store(true)
 	}
 	r.countReload("swapped")
-	r.setGenerationGauge(gen.ID)
 	sp.SetAttrInt("generation", int(gen.ID))
 	if r.cfg.OnSwap != nil {
 		r.cfg.OnSwap(gen)
@@ -363,9 +358,8 @@ func (r *Registry) rollbackLocked(reason string) {
 	bad := r.live.Load()
 	restored := r.prev
 	r.prev = nil
-	r.live.Store(restored)
+	r.goLive(restored)
 	r.countReload("rolled_back")
-	r.setGenerationGauge(restored.ID)
 	if r.cfg.OnSwap != nil {
 		r.cfg.OnSwap(restored)
 	}

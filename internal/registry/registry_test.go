@@ -73,11 +73,38 @@ func newTestRegistry(t *testing.T, cand core.Detector, cfg Config) (*Registry, *
 	if cfg.Loader == nil {
 		cfg.Loader = func(path string) (core.Detector, error) { return cand, nil }
 	}
+	m := telemetry.NewRegistry()
+	cfg.Metrics = m
 	// Live model: perfect on the 4-clip golden set (2 hot, 2 cold).
 	r := New(det("live", 0.5, 0.9, 0.9, 0.1, 0.1), cfg)
-	m := telemetry.NewRegistry()
-	r.BindMetrics(m)
 	return r, m, &swaps
+}
+
+// TestRegistryCountsFirstReload: a registry built with Config.Metrics
+// counts from generation 1. The gauge reads 1 and the first reload is
+// counted with no further call, where a registry bound to its metrics
+// after construction lost whatever happened in between.
+func TestRegistryCountsFirstReload(t *testing.T) {
+	m := telemetry.NewRegistry()
+	r := New(det("live", 0.5, 0.9, 0.9, 0.1, 0.1), Config{
+		Metrics: m,
+		Golden:  golden(4, 2),
+		Loader: func(string) (core.Detector, error) {
+			return det("worse", 0.5, 0.1, 0.1, 0.1, 0.1), nil
+		},
+	})
+	if got := m.Gauge("hotspot_model_generation").Value(); got != 1 {
+		t.Fatalf("generation gauge = %v before any reload, want 1", got)
+	}
+	if _, _, err := r.Reload(context.Background(), "m"); !errors.Is(err, ErrRejected) {
+		t.Fatalf("err = %v, want ErrRejected", err)
+	}
+	if got := counter(m, "rejected"); got != 1 {
+		t.Fatalf("rejected counter = %v, want 1", got)
+	}
+	if got := m.Gauge("hotspot_model_generation").Value(); got != 1 {
+		t.Fatalf("generation gauge = %v after a rejected reload, want 1", got)
+	}
 }
 
 func TestReloadSwapsGoodCandidate(t *testing.T) {

@@ -6,8 +6,8 @@ import (
 )
 
 // Deadline budgets are wall-clock by necessity: context deadlines are
-// enforced by the runtime against real time, so these helpers do not
-// take a Clock.
+// enforced by the runtime against real time, so WithBudget does not take
+// a Clock.
 
 // WithBudget derives a context that expires budget from now, unless the
 // parent already expires sooner. A non-positive budget returns the
@@ -20,31 +20,4 @@ func WithBudget(ctx context.Context, budget time.Duration) (context.Context, con
 		return ctx, func() {}
 	}
 	return context.WithTimeout(ctx, budget)
-}
-
-// Remaining returns the time left before ctx's deadline, and whether a
-// deadline is set. An expired deadline reports zero.
-func Remaining(ctx context.Context) (time.Duration, bool) {
-	dl, ok := ctx.Deadline()
-	if !ok {
-		return 0, false
-	}
-	rem := time.Until(dl)
-	if rem < 0 {
-		rem = 0
-	}
-	return rem, true
-}
-
-// SpendFraction derives a context whose deadline budget is frac of the
-// parent's remaining budget, for splitting one request deadline across
-// pipeline stages (e.g. give the primary detector 80% and keep the rest
-// for the fallback). Without a parent deadline the parent is returned
-// unchanged.
-func SpendFraction(ctx context.Context, frac float64) (context.Context, context.CancelFunc) {
-	rem, ok := Remaining(ctx)
-	if !ok || frac <= 0 || frac >= 1 {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, time.Duration(float64(rem)*frac))
 }

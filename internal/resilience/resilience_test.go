@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -302,12 +303,93 @@ func TestRetryHonorsCancellation(t *testing.T) {
 	}
 }
 
+// askClock is a FakeClock that reports every After call, so a test can
+// wait for the code under test to start waiting instead of sleeping.
+type askClock struct {
+	*FakeClock
+	asked chan time.Duration
+}
+
+func (c askClock) After(d time.Duration) <-chan time.Time {
+	ch := c.FakeClock.After(d)
+	c.asked <- d
+	return ch
+}
+
+// TestSupervise pins the three rules of the supervised-attempt loop: a
+// tripped breaker pauses the unit for the cool-down on the breaker's
+// own clock instead of failing it, every attempt gets its number and a
+// budgeted context, and a caller that cancels mid-attempt neither
+// charges the breaker nor retries.
+func TestSupervise(t *testing.T) {
+	clk := askClock{NewFakeClock(time.Unix(0, 0)), make(chan time.Duration)}
+	br := NewBreaker(BreakerConfig{FailureThreshold: 1, OpenTimeout: time.Second, Clock: clk})
+	rcfg := RetryConfig{MaxAttempts: 3, Clock: &recordClock{}}
+	var seen []int
+	type outcome struct {
+		attempts int
+		err      error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		n, err := Supervise(context.Background(), rcfg, br, time.Minute, func(ctx context.Context, n int) error {
+			seen = append(seen, n)
+			if _, ok := ctx.Deadline(); !ok {
+				return errors.New("attempt context has no budget")
+			}
+			if n == 1 {
+				return errBoom
+			}
+			return nil
+		})
+		done <- outcome{n, err}
+	}()
+	// The first failure trips the breaker; the second attempt waits out
+	// the whole cool-down before it runs.
+	if wait := <-clk.asked; wait != time.Second {
+		t.Fatalf("breaker pause = %v, want the 1s cool-down", wait)
+	}
+	select {
+	case out := <-done:
+		t.Fatalf("unit finished (%+v) while the breaker was open", out)
+	default:
+	}
+	clk.Advance(time.Second)
+	if out := <-done; out.err != nil || out.attempts != 2 || !reflect.DeepEqual(seen, []int{1, 2}) {
+		t.Fatalf("attempts = %d (%v), err = %v; want 2 attempts numbered 1, 2", out.attempts, seen, out.err)
+	}
+	if br.State() != StateClosed {
+		t.Fatalf("breaker %v after the successful probe, want closed", br.State())
+	}
+
+	// Exhaustion: every attempt fails, the error wraps the last one.
+	br = NewBreaker(BreakerConfig{FailureThreshold: 10})
+	n, err := Supervise(context.Background(), rcfg, br, 0, func(context.Context, int) error { return errBoom })
+	if n != 3 || !errors.Is(err, errBoom) {
+		t.Fatalf("exhaustion: attempts = %d, err = %v; want 3 and wrapped errBoom", n, err)
+	}
+
+	// Caller cancelled mid-attempt: Record(nil) and stop.
+	br = NewBreaker(BreakerConfig{FailureThreshold: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	n, err = Supervise(ctx, rcfg, br, 0, func(context.Context, int) error {
+		cancel()
+		return errBoom
+	})
+	if n != 1 || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled: attempts = %d, err = %v; want 1 and context.Canceled", n, err)
+	}
+	if br.State() != StateClosed {
+		t.Fatalf("cancellation charged the breaker: %v", br.State())
+	}
+}
+
 func TestWithBudget(t *testing.T) {
 	// No parent deadline: budget becomes the deadline.
 	ctx, cancel := WithBudget(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	rem, ok := Remaining(ctx)
-	if !ok || rem <= 0 || rem > 50*time.Millisecond {
+	dl, ok := ctx.Deadline()
+	if rem := time.Until(dl); !ok || rem <= 0 || rem > 50*time.Millisecond {
 		t.Fatalf("remaining = %v ok=%v, want (0, 50ms]", rem, ok)
 	}
 	// Tighter parent deadline wins.
@@ -323,25 +405,6 @@ func TestWithBudget(t *testing.T) {
 	defer scancel()
 	if same != parent {
 		t.Fatal("zero budget should return the parent context")
-	}
-	if _, ok := Remaining(context.Background()); ok {
-		t.Fatal("Remaining reported a deadline on a deadline-free context")
-	}
-}
-
-func TestSpendFraction(t *testing.T) {
-	parent, pcancel := context.WithTimeout(context.Background(), time.Second)
-	defer pcancel()
-	child, cancel := SpendFraction(parent, 0.5)
-	defer cancel()
-	rem, ok := Remaining(child)
-	if !ok || rem > 510*time.Millisecond {
-		t.Fatalf("child remaining = %v ok=%v, want about half the parent's", rem, ok)
-	}
-	// No parent deadline: unchanged.
-	if ctx, c := SpendFraction(context.Background(), 0.5); ctx != context.Background() {
-		c()
-		t.Fatal("SpendFraction invented a deadline")
 	}
 }
 

@@ -86,6 +86,11 @@ func Retry(ctx context.Context, cfg RetryConfig, fn func(context.Context) error)
 			select {
 			case <-cfg.Clock.After(BackoffDelay(cfg, attempt-1, rng)):
 			case <-ctx.Done():
+			}
+			// Checked after the select, not in it: when the backoff has
+			// also elapsed the select may pick either case, and a cancelled
+			// caller must never see another attempt.
+			if ctx.Err() != nil {
 				return fmt.Errorf("resilience: retry cancelled after %d attempts (last: %v): %w",
 					attempt, err, ctx.Err())
 			}
@@ -95,4 +100,48 @@ func Retry(ctx context.Context, cfg RetryConfig, fn func(context.Context) error)
 		}
 	}
 	return fmt.Errorf("resilience: %d attempts failed: %w", cfg.MaxAttempts, err)
+}
+
+// Supervise drives one unit of work (a scan shard, one oracle labeling)
+// to success or to the end of its attempt budget, and returns how many
+// attempts ran. It is Retry with the worker discipline the scan farm
+// and the data engine share: the caller seeds cfg per unit, so retry
+// storms decorrelate but stay deterministic; every attempt runs under
+// its own deadline budget (see WithBudget) and is told its 1-based
+// number; and br sees every outcome. On exhaustion the error wraps the
+// last attempt's, and the caller quarantines the unit: one poison unit
+// costs itself, never the run.
+func Supervise(ctx context.Context, cfg RetryConfig, br *Breaker, budget time.Duration,
+	attempt func(ctx context.Context, n int) error) (attempts int, err error) {
+	err = Retry(ctx, cfg, func(ctx context.Context) error {
+		// A tripped breaker pauses for the cool-down instead of failing
+		// the unit: breaker rejections are a health signal about the
+		// worker or the oracle, not evidence the unit is poison, and
+		// waiting keeps a sick dependency from burning healthy units'
+		// attempts.
+		for !br.Allow() {
+			wait := br.RetryAfter()
+			if wait <= 0 {
+				wait = 10 * time.Millisecond
+			}
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-br.cfg.Clock.After(wait):
+			}
+		}
+		attempts++
+		actx, cancel := WithBudget(ctx, budget)
+		err := attempt(actx, attempts)
+		cancel()
+		if err != nil && ctx.Err() != nil {
+			// The caller cancelled mid-attempt: don't charge the breaker
+			// or keep retrying.
+			br.Record(nil)
+			return ctx.Err()
+		}
+		br.Record(err)
+		return err
+	})
+	return attempts, err
 }

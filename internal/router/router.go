@@ -114,23 +114,38 @@ type stageCounters struct {
 	nanos        atomic.Int64
 }
 
-// QualityTap observes one answered routing decision: the answering
-// stage's name, the calibrated confidence, and the clip. Installed with
-// BindQualityTap; used by quality monitoring to keep per-stage score
-// sketches without the router importing the monitor.
-type QualityTap func(stage string, p float64, clip layout.Clip)
+// Hooks are the router's optional observers. Both may be nil, neither
+// feeds back into a score (routed scans stay byte-deterministic), and
+// both run on whatever goroutine is scoring, so OnDecision must be
+// concurrency-safe and fast.
+type Hooks struct {
+	// Metrics receives the per-stage series:
+	//
+	//	hotspot_router_stage_total{stage,outcome}  clips per stage by
+	//	    outcome (answered_hot / answered_cold / escalated)
+	//	router_stage_seconds{stage}                scoring latency
+	Metrics *telemetry.Registry
+	// OnDecision observes every answered routing decision with the clip
+	// it answered, exactly once per scored clip. Quality monitoring keeps
+	// per-stage sketches of d.Confidence under d.StageName. The decisions
+	// whose d.Stage is the final stage are the escalation band: clips
+	// every cheaper stage's uncertainty band refused to answer, which is
+	// where the calibrated cascade was least sure and what the
+	// active-learning data engine (internal/datengine) mines.
+	OnDecision func(d Decision, clip layout.Clip)
+}
 
-// stageMetrics are the optional telemetry series per stage.
+// stageMetrics are one stage's telemetry series (nil handles without
+// Hooks.Metrics).
 type stageMetrics struct {
 	hot, cold, esc *telemetry.Counter
 	sec            *telemetry.Histogram
 }
 
-// Router routes clips through the staged cascade. Fit before scoring;
-// after Fit it follows core.Detector's concurrency contract like its
-// members, so scans and servers share the one instance. The telemetry
-// binding and the taps are atomic pointers because hsdserve binds them
-// while requests may already be scoring.
+// Router routes clips through the staged cascade. Configure (ForceBand,
+// SetMaxStageError, SetHooks) and Fit before scoring; after Fit it
+// follows core.Detector's concurrency contract like its members, so
+// scans and servers share the one instance and nothing is set again.
 type Router struct {
 	name   string
 	stages []Stage
@@ -139,9 +154,8 @@ type Router struct {
 	fitted bool
 
 	counters []stageCounters
-	mets     atomic.Pointer[[]stageMetrics]
-	tap      atomic.Pointer[QualityTap]
-	escTap   atomic.Pointer[QualityTap]
+	mets     []stageMetrics
+	hooks    Hooks
 }
 
 // New builds an unfitted router over stages (cheapest first; the final
@@ -156,6 +170,7 @@ func New(name string, stages []Stage, cfg Config) *Router {
 		stages:   stages,
 		cfg:      cfg,
 		counters: make([]stageCounters, len(stages)),
+		mets:     make([]stageMetrics, len(stages)),
 	}
 }
 
@@ -185,6 +200,26 @@ func (r *Router) ForceBand(b Band) { r.cfg.ForceBand = &b }
 func (r *Router) SetMaxStageError(eps float64) {
 	if eps > 0 {
 		r.cfg.MaxStageError = eps
+	}
+}
+
+// SetHooks installs the router's observers. Call before Fit, or at
+// least before the router is shared: the hooks are plain fields.
+func (r *Router) SetHooks(h Hooks) {
+	r.hooks = h
+	reg := h.Metrics
+	reg.SetHelp("hotspot_router_stage_total",
+		"Clips routed per cascade stage, by outcome (answered_hot, answered_cold, escalated).")
+	reg.SetHelp("router_stage_seconds",
+		"Wall-clock scoring latency per cascade stage.")
+	for i, st := range r.stages {
+		stage := telemetry.L("stage", st.Name)
+		r.mets[i] = stageMetrics{
+			hot:  reg.Counter("hotspot_router_stage_total", stage, telemetry.L("outcome", "answered_hot")),
+			cold: reg.Counter("hotspot_router_stage_total", stage, telemetry.L("outcome", "answered_cold")),
+			esc:  reg.Counter("hotspot_router_stage_total", stage, telemetry.L("outcome", "escalated")),
+			sec:  reg.Histogram("router_stage_seconds", stageSecondsBuckets, stage),
+		}
 	}
 }
 
@@ -304,40 +339,32 @@ func encode(p float64, hot bool) float64 {
 	return math.Nextafter(0.5, 0)
 }
 
-// note records one routing outcome into the counters and the bound
+// note records one routing outcome into the counters and the stage's
 // telemetry, attributing dt of scoring time to stage i.
 func (r *Router) note(i int, hot, answered bool, dt time.Duration) {
-	c := &r.counters[i]
+	c, m := &r.counters[i], &r.mets[i]
 	c.nanos.Add(int64(dt))
 	switch {
 	case !answered:
 		c.escalated.Add(1)
+		m.esc.Inc()
 	case hot:
 		c.answeredHot.Add(1)
+		m.hot.Inc()
 	default:
 		c.answeredCold.Add(1)
+		m.cold.Inc()
 	}
-	if mp := r.mets.Load(); mp != nil && i < len(*mp) {
-		m := (*mp)[i]
-		switch {
-		case !answered:
-			m.esc.Inc()
-		case hot:
-			m.hot.Inc()
-		default:
-			m.cold.Inc()
-		}
-		if dt > 0 {
-			m.sec.ObserveDuration(dt)
-		}
+	if dt > 0 {
+		m.sec.ObserveDuration(dt)
 	}
 }
 
 // settle applies stage i's routing rule to one clip, given the clip's
 // stage scores so far (the last is stage i's own) and the scoring time
-// dt to charge: calibrate, decide, count, and on an answer fire the
-// taps and encode the decision. It is the one per-clip step of single
-// and batch routing alike.
+// dt to charge: calibrate, decide, count, and on an answer encode the
+// decision and show it to the hook. It is the one per-clip step of
+// single and batch routing alike.
 func (r *Router) settle(i int, scores []float64, clip layout.Clip, dt time.Duration) (Decision, bool) {
 	st := r.stages[i]
 	last := i == len(r.stages)-1
@@ -348,21 +375,17 @@ func (r *Router) settle(i int, scores []float64, clip layout.Clip, dt time.Durat
 	if !answered {
 		return Decision{}, false
 	}
-	if tp := r.tap.Load(); tp != nil {
-		(*tp)(st.Name, p, clip)
-	}
-	if last {
-		if tp := r.escTap.Load(); tp != nil {
-			(*tp)(st.Name, p, clip)
-		}
-	}
-	return Decision{
+	d := Decision{
 		Stage:      i,
 		StageName:  st.Name,
 		Hotspot:    hot,
 		Confidence: p,
 		Score:      encode(p, hot),
-	}, true
+	}
+	if r.hooks.OnDecision != nil {
+		r.hooks.OnDecision(d, clip)
+	}
+	return d, true
 }
 
 // RouteCtx scores one clip through the cascade, with stage spans on the
@@ -472,55 +495,4 @@ func (r *Router) ResetStats() {
 // scale CNN escalations.
 var stageSecondsBuckets = []float64{
 	1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1, 10,
-}
-
-// BindMetrics registers the router's telemetry on reg:
-//
-//	hotspot_router_stage_total{stage,outcome}  — clips per stage by
-//	    outcome (answered_hot / answered_cold / escalated)
-//	router_stage_seconds{stage}                — scoring latency
-func (r *Router) BindMetrics(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.SetHelp("hotspot_router_stage_total",
-		"Clips routed per cascade stage, by outcome (answered_hot, answered_cold, escalated).")
-	reg.SetHelp("router_stage_seconds",
-		"Wall-clock scoring latency per cascade stage.")
-	mets := make([]stageMetrics, len(r.stages))
-	for i, st := range r.stages {
-		stage := telemetry.L("stage", st.Name)
-		mets[i] = stageMetrics{
-			hot:  reg.Counter("hotspot_router_stage_total", stage, telemetry.L("outcome", "answered_hot")),
-			cold: reg.Counter("hotspot_router_stage_total", stage, telemetry.L("outcome", "answered_cold")),
-			esc:  reg.Counter("hotspot_router_stage_total", stage, telemetry.L("outcome", "escalated")),
-			sec:  reg.Histogram("router_stage_seconds", stageSecondsBuckets, stage),
-		}
-	}
-	r.mets.Store(&mets)
-}
-
-// BindQualityTap installs (or, with nil, removes) the quality tap; a
-// goroutine mid-score observes it on its next answered decision.
-func (r *Router) BindQualityTap(tap QualityTap) {
-	if tap == nil {
-		r.tap.Store(nil)
-		return
-	}
-	r.tap.Store(&tap)
-}
-
-// BindEscalationTap installs (or, with nil, removes) a tap over the
-// escalation band: it fires for exactly the clips answered by the FINAL
-// stage — the ones every cheaper stage's uncertainty band escalated.
-// These clips are where the calibrated cascade was least sure, which
-// makes them the router's feed into the active-learning data engine
-// (internal/datengine). Same binding semantics as BindQualityTap; same
-// determinism contract (the tap never feeds back into scores).
-func (r *Router) BindEscalationTap(tap QualityTap) {
-	if tap == nil {
-		r.escTap.Store(nil)
-		return
-	}
-	r.escTap.Store(&tap)
 }

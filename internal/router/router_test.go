@@ -375,32 +375,41 @@ func TestRouterBatchBitIdentical(t *testing.T) {
 	}
 }
 
-// tapCall is one observed tap invocation.
-type tapCall struct {
-	tap, stage string
-	p          uint64
-	clip       layout.Fingerprint
+// observed is one decision the OnDecision hook saw.
+type observed struct {
+	d    Decision
+	clip layout.Fingerprint
 }
 
-// recordTaps binds both taps to one multiset of calls.
-func recordTaps(r *Router) map[tapCall]int {
+// recordDecisions hooks r (its metrics onto reg, which may be nil) and
+// returns the multiset of decisions it shows the hook; read it only
+// once scoring has finished.
+func recordDecisions(r *Router, reg *telemetry.Registry) map[observed]int {
 	var mu sync.Mutex
-	calls := map[tapCall]int{}
-	bind := func(name string) QualityTap {
-		return func(stage string, p float64, clip layout.Clip) {
-			mu.Lock()
-			defer mu.Unlock()
-			calls[tapCall{name, stage, math.Float64bits(p), clip.Fingerprint()}]++
+	calls := map[observed]int{}
+	r.SetHooks(Hooks{Metrics: reg, OnDecision: func(d Decision, clip layout.Clip) {
+		mu.Lock()
+		defer mu.Unlock()
+		calls[observed{d, clip.Fingerprint()}]++
+	}})
+	return calls
+}
+
+// escalated is the final-stage subset of a decision multiset, by clip:
+// what the escalation band hands the data engine.
+func escalated(r *Router, calls map[observed]int) map[layout.Fingerprint]int {
+	out := map[layout.Fingerprint]int{}
+	for o, n := range calls {
+		if o.d.Stage == len(r.Stages())-1 {
+			out[o.clip] += n
 		}
 	}
-	r.BindQualityTap(bind("quality"))
-	r.BindEscalationTap(bind("escalation"))
-	return calls
+	return out
 }
 
 // TestRouterSingleBatchParity: single and batch routing run one settle
 // step, so for the same clips and bands they give equal scores, equal
-// routing counters and the same multiset of tap calls.
+// routing counters and the same multiset of hooked decisions.
 func TestRouterSingleBatchParity(t *testing.T) {
 	clips := testClips(t)
 	rng := rand.New(rand.NewSource(11))
@@ -414,7 +423,7 @@ func TestRouterSingleBatchParity(t *testing.T) {
 		}
 		b0, b1 := band(), band()
 		single, batch := mustRouter(t, b0, b1), mustRouter(t, b0, b1)
-		singleTaps, batchTaps := recordTaps(single), recordTaps(batch)
+		singleTaps, batchTaps := recordDecisions(single, nil), recordDecisions(batch, nil)
 
 		got, err := batch.ScoreBatchCtx(context.Background(), clips)
 		if err != nil {
@@ -437,7 +446,7 @@ func TestRouterSingleBatchParity(t *testing.T) {
 			t.Fatalf("trial %d: counters differ:\nsingle %+v\nbatch  %+v", trial, ss, bs)
 		}
 		if len(singleTaps) == 0 || !reflect.DeepEqual(singleTaps, batchTaps) {
-			t.Fatalf("trial %d: tap calls differ: single %d distinct, batch %d distinct",
+			t.Fatalf("trial %d: hooked decisions differ: single %d distinct, batch %d distinct",
 				trial, len(singleTaps), len(batchTaps))
 		}
 	}
@@ -506,12 +515,12 @@ func TestRouterScanDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRouterTelemetry: bound metrics mirror the routing counters.
+// TestRouterTelemetry: the hooked metrics mirror the routing counters.
 func TestRouterTelemetry(t *testing.T) {
 	clips := testClips(t)
 	reg := telemetry.NewRegistry()
 	r := mustRouter(t, Band{Lo: 0.3, Hi: 0.7}, Band{Lo: 0.35, Hi: 0.65})
-	r.BindMetrics(reg)
+	r.SetHooks(Hooks{Metrics: reg})
 	for _, clip := range clips {
 		if _, err := r.Score(clip); err != nil {
 			t.Fatal(err)
@@ -591,73 +600,115 @@ func TestRouterErrors(t *testing.T) {
 func pmConfig() pm.Config       { return pm.Config{GridPx: 32, Tol: 36, Mirror: true} }
 func boostConfig() boost.Config { return boost.Config{Rounds: 40, ClassBalance: true} }
 
-// TestRouterEscalationTap: the escalation tap observes exactly the
-// clips answered by the final stage — the cascade's uncertainty band —
-// in both the single-clip and batch paths, and unbinds cleanly with nil.
+// TestRouterEscalationTap: the decisions whose Stage is the final stage
+// are exactly the clips the final stage answered (the cascade's
+// uncertainty band), once each, through the single-clip and the batch
+// path alike.
 func TestRouterEscalationTap(t *testing.T) {
 	clips := testClips(t)
-	r := mustRouter(t, Band{Lo: 0.3, Hi: 0.7}, Band{Lo: 0.35, Hi: 0.65})
-
-	var mu sync.Mutex
-	seen := map[layout.Fingerprint]int{}
-	stages := map[string]int{}
-	r.BindEscalationTap(func(stage string, p float64, clip layout.Clip) {
-		mu.Lock()
-		defer mu.Unlock()
-		seen[clip.Fingerprint()]++
-		stages[stage]++
-	})
+	b0, b1 := Band{Lo: 0.3, Hi: 0.7}, Band{Lo: 0.35, Hi: 0.65}
+	single, batch := mustRouter(t, b0, b1), mustRouter(t, b0, b1)
+	singleCalls, batchCalls := recordDecisions(single, nil), recordDecisions(batch, nil)
 
 	for _, clip := range clips {
-		if _, err := r.Score(clip); err != nil {
+		if _, err := single.Score(clip); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := r.Stats()
+	if _, err := batch.ScoreBatchCtx(context.Background(), clips); err != nil {
+		t.Fatal(err)
+	}
+	st := single.Stats()
 	finalAnswered := st[len(st)-1].Answered()
-	mu.Lock()
+	if finalAnswered == 0 || finalAnswered == int64(len(clips)) {
+		t.Fatalf("degenerate routing (final answered %d of %d); bands give the hook nothing to distinguish",
+			finalAnswered, len(clips))
+	}
+	seen := escalated(single, singleCalls)
 	total := 0
 	for _, n := range seen {
 		total += n
 	}
-	mu.Unlock()
-	if finalAnswered == 0 || finalAnswered == int64(len(clips)) {
-		t.Fatalf("degenerate routing (final answered %d of %d); bands give the tap nothing to distinguish",
-			finalAnswered, len(clips))
-	}
 	if int64(total) != finalAnswered {
-		t.Fatalf("escalation tap fired %d times, final stage answered %d", total, finalAnswered)
+		t.Fatalf("hook saw %d final-stage decisions, final stage answered %d", total, finalAnswered)
 	}
-	for name, n := range stages {
-		if name != "deep" {
-			t.Fatalf("escalation tap saw stage %q (%d times), want only the final stage", name, n)
+	for o := range singleCalls {
+		if (o.d.StageName == "deep") != (o.d.Stage == len(single.Stages())-1) {
+			t.Fatalf("decision %+v: stage index and name disagree", o.d)
 		}
 	}
-
-	// The batch path must surface the identical escalation set.
-	batchSeen := map[layout.Fingerprint]int{}
-	r.BindEscalationTap(func(stage string, p float64, clip layout.Clip) {
-		mu.Lock()
-		defer mu.Unlock()
-		batchSeen[clip.Fingerprint()]++
-	})
-	if _, err := r.ScoreBatchCtx(context.Background(), clips); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	if !reflect.DeepEqual(batchSeen, seen) {
+	if batchSeen := escalated(batch, batchCalls); !reflect.DeepEqual(batchSeen, seen) {
 		t.Fatalf("batch escalation set differs from single-clip set: %d vs %d clips",
 			len(batchSeen), len(seen))
 	}
-	mu.Unlock()
+}
 
-	r.BindEscalationTap(nil)
-	if _, err := r.ScoreBatchCtx(context.Background(), clips); err != nil {
-		t.Fatal(err)
+// TestRouterHookConcurrent: one hooked router scored from 8 goroutines
+// (half per clip, half in batches) shows the hook every decision exactly
+// once, each equal to the routing rule worked by hand, and the
+// final-stage subset is the escalation band. Run under -race: the hooks
+// are plain fields written once before the router is shared.
+func TestRouterHookConcurrent(t *testing.T) {
+	clips := testClips(t)
+	r := mustRouter(t, Band{Lo: 0.3, Hi: 0.7}, Band{Lo: 0.35, Hi: 0.65})
+	reg := telemetry.NewRegistry()
+	calls := recordDecisions(r, reg)
+
+	const goroutines = 8
+	var wg sync.WaitGroup
+	errs := make([]error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g%2 == 0 {
+				_, errs[g] = r.ScoreBatchCtx(context.Background(), clips)
+				return
+			}
+			for _, clip := range clips {
+				if _, err := r.Score(clip); err != nil {
+					errs[g] = err
+					return
+				}
+			}
+		}(g)
 	}
-	mu.Lock()
-	if !reflect.DeepEqual(batchSeen, seen) {
-		t.Fatal("nil unbind did not stop the escalation tap")
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("goroutine %d: %v", g, err)
+		}
 	}
-	mu.Unlock()
+
+	want := map[observed]int{}
+	wantEsc := map[layout.Fingerprint]int{}
+	for _, clip := range clips {
+		stage, hot, p := routeByHand(r, clip)
+		d := Decision{Stage: stage, StageName: r.Stages()[stage].Name,
+			Hotspot: hot, Confidence: p, Score: encode(p, hot)}
+		want[observed{d, clip.Fingerprint()}] += goroutines
+		if stage == len(r.Stages())-1 {
+			wantEsc[clip.Fingerprint()] += goroutines
+		}
+	}
+	if !reflect.DeepEqual(calls, want) {
+		t.Fatalf("hook saw %d distinct decisions, want %d, each %d times", len(calls), len(want), goroutines)
+	}
+	if got := escalated(r, calls); len(wantEsc) == 0 || !reflect.DeepEqual(got, wantEsc) {
+		t.Fatalf("escalation band: hook saw %d clips, final stage answered %d", len(got), len(wantEsc))
+	}
+	answered := 0.0
+	for _, s := range reg.Snapshot() {
+		if s.Name != "hotspot_router_stage_total" {
+			continue
+		}
+		for _, lb := range s.Labels {
+			if lb.Key == "outcome" && lb.Value != "escalated" {
+				answered += s.Value
+			}
+		}
+	}
+	if answered != float64(goroutines*len(clips)) {
+		t.Fatalf("hooked metrics count %v answers, want %d", answered, goroutines*len(clips))
+	}
 }

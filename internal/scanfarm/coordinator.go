@@ -85,7 +85,8 @@ type Result struct {
 	Cache CacheStats
 }
 
-// farmMetrics bundles the coordinator's telemetry; nil disables it.
+// farmMetrics bundles the coordinator's telemetry (nil handles, each
+// call one nil check, when Config.Metrics is nil).
 type farmMetrics struct {
 	shardsDone        *telemetry.Counter // scan_shards_total{state="done"}
 	shardsQuarantined *telemetry.Counter // scan_shards_total{state="quarantined"}
@@ -100,9 +101,6 @@ type farmMetrics struct {
 }
 
 func newFarmMetrics(reg *telemetry.Registry) *farmMetrics {
-	if reg == nil {
-		return nil
-	}
 	reg.SetHelp("scan_shards_total", "Shards by terminal state (done, quarantined, resumed).")
 	reg.SetHelp("scan_shard_attempts_total", "Shard scan attempts, including retries.")
 	reg.SetHelp("scan_shard_retries_total", "Shard attempts beyond each shard's first.")
@@ -126,9 +124,6 @@ func newFarmMetrics(reg *telemetry.Registry) *farmMetrics {
 }
 
 func (m *farmMetrics) shard(state ShardState) {
-	if m == nil {
-		return
-	}
 	if state == ShardQuarantined {
 		m.shardsQuarantined.Inc()
 	} else {
@@ -137,9 +132,6 @@ func (m *farmMetrics) shard(state ShardState) {
 }
 
 func (m *farmMetrics) attempt(n int) {
-	if m == nil {
-		return
-	}
 	m.attempts.Inc()
 	if n > 1 {
 		m.retries.Inc()
@@ -147,9 +139,6 @@ func (m *farmMetrics) attempt(n int) {
 }
 
 func (m *farmMetrics) cache(hit, evicted bool) {
-	if m == nil {
-		return
-	}
 	if hit {
 		m.cacheHits.Inc()
 	} else {
@@ -188,9 +177,7 @@ func Run(ctx context.Context, chip *layout.Layout, det core.Detector, cfg Config
 			r := rec
 			records[id] = &r
 			res.Resumed++
-			if mets != nil {
-				mets.shardsResumed.Inc()
-			}
+			mets.shardsResumed.Inc()
 			continue
 		}
 		todo = append(todo, id)
@@ -283,12 +270,10 @@ dispatch:
 			res.Findings = append(res.Findings, rec.Findings...)
 		}
 	}
-	if mets != nil {
-		// Gauge, not counter: the CLI report's quarantine count for THIS
-		// scan, resumed quarantine records included, readable from any
-		// metrics scrape instead of only the process stdout.
-		mets.quarantined.Set(float64(len(res.Quarantined)))
-	}
+	// Gauge, not counter: the CLI report's quarantine count for THIS
+	// scan, resumed quarantine records included, readable from any
+	// metrics scrape instead of only the process stdout.
+	mets.quarantined.Set(float64(len(res.Quarantined)))
 	if err := ctx.Err(); err != nil && res.Completed < plan.NumShards {
 		res.Interrupted = true
 		res.Cause = err
@@ -311,54 +296,25 @@ type worker struct {
 	mets    *farmMetrics
 }
 
-// runShard drives one shard to a terminal state: done after a
-// successful attempt, quarantined after MaxAttempts failures. A nil
-// return means the run was cancelled before the shard finished (the
-// shard stays unrecorded and is rescanned on resume).
+// runShard drives one shard to a terminal state under the supervised-
+// attempt loop: done after a successful attempt, quarantined after
+// MaxAttempts failures. A nil return means the run was cancelled before
+// the shard finished (the shard stays unrecorded and is rescanned on
+// resume).
 func (w *worker) runShard(ctx context.Context, id int) *ShardRecord {
 	rcfg := w.cfg.Retry
 	rcfg.MaxAttempts = w.cfg.MaxAttempts
 	// Decorrelate jitter across shards while staying deterministic for
 	// a fixed config.
 	rcfg.Seed = rcfg.Seed*31 + int64(id) + 1
-	clock := rcfg.Clock
-	if clock == nil {
-		clock = resilience.Real
-	}
 
-	attempts := 0
 	var findings []core.Finding
-	err := resilience.Retry(ctx, rcfg, func(ctx context.Context) error {
-		// A tripped breaker pauses this worker for the cool-down
-		// instead of failing the shard: breaker rejections are a
-		// worker-health signal, not evidence the shard is poison.
-		for !w.breaker.Allow() {
-			wait := w.breaker.RetryAfter()
-			if wait <= 0 {
-				wait = 10 * time.Millisecond
-			}
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-clock.After(wait):
-			}
-		}
-		attempts++
-		w.mets.attempt(attempts)
-		actx, cancel := resilience.WithBudget(ctx, w.cfg.ShardBudget)
-		fs, err := w.scanShard(actx, id, attempts)
-		cancel()
-		if err == nil {
-			findings = fs
-		} else if ctx.Err() != nil {
-			// The run itself was cancelled mid-attempt: don't charge
-			// the breaker or keep retrying.
-			w.breaker.Record(nil)
-			return ctx.Err()
-		}
-		w.breaker.Record(err)
-		return err
-	})
+	attempts, err := resilience.Supervise(ctx, rcfg, w.breaker, w.cfg.ShardBudget,
+		func(ctx context.Context, n int) (err error) {
+			w.mets.attempt(n)
+			findings, err = w.scanShard(ctx, id, n)
+			return err
+		})
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil
@@ -411,9 +367,7 @@ func (w *worker) scanShard(ctx context.Context, id, attempt int) ([]core.Finding
 			findings = append(findings, core.Finding{Center: center, Score: score})
 		}
 	}
-	if w.mets != nil {
-		w.mets.shardSeconds.ObserveDuration(time.Since(start))
-	}
+	w.mets.shardSeconds.ObserveDuration(time.Since(start))
 	return findings, nil
 }
 

@@ -79,13 +79,14 @@ func TestCascadeParityScoreBatch(t *testing.T) {
 		if prime > 0 {
 			threshold = 1
 		}
+		tr := trace.New(trace.Config{Capacity: 8, Shards: 1, SampleRate: 1})
 		s, err := NewServer(Options{
 			Primary:        thresholdDetector{},
 			Fallback:       fb,
 			DeadlineBudget: deadline,
 			Breaker:        resilience.BreakerConfig{FailureThreshold: threshold, OpenTimeout: time.Hour},
 			BatchMaxWait:   time.Millisecond,
-			Trace:          &trace.Config{Capacity: 8, Shards: 1, SampleRate: 1},
+			Tracer:         tr,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -108,7 +109,7 @@ func TestCascadeParityScoreBatch(t *testing.T) {
 			fallbacks:    fell.Value() - fell0,
 			primaryFails: failed.Value() - failed0,
 		}
-		traces := s.Tracer().Traces(1)
+		traces := tr.Traces(1)
 		if len(traces) != 1 || traces[0].Root != "http "+endpoint {
 			t.Fatalf("%s: newest trace = %+v, want the request's", endpoint, traces)
 		}
@@ -161,17 +162,18 @@ func TestCascadeParityScoreBatch(t *testing.T) {
 func TestCascadeBatchFallbackSpans(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
+	tr := trace.New(trace.Config{Capacity: 8, Shards: 1, SampleRate: 1})
 	s, err := NewServer(Options{
 		Primary:  thresholdDetector{},
 		Fallback: brokenFallback{},
 		Breaker:  resilience.BreakerConfig{FailureThreshold: 100},
-		Trace:    &trace.Config{Capacity: 8, Shards: 1, SampleRate: 1},
+		Tracer:   tr,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	faultinject.Set(PrimarySite, faultinject.Fault{Err: errors.New("chaos error")})
-	ctx := trace.WithTracer(context.Background(), s.Tracer())
+	ctx := trace.WithTracer(context.Background(), tr)
 	ctx, root := trace.Start(ctx, "leader")
 	clip := testBatchClip(t)
 	items := []scoreItem{{clip: clip, span: root}, {clip: clip, span: root}}
@@ -181,7 +183,7 @@ func TestCascadeBatchFallbackSpans(t *testing.T) {
 		}
 	}
 	root.End()
-	rec := s.Tracer().Traces(1)[0]
+	rec := tr.Traces(1)[0]
 	failed, degrades := 0, 0
 	for _, sp := range rec.Spans {
 		if sp.Name == "fallback" && sp.Error != "" {

@@ -21,31 +21,18 @@ import (
 	"net/http"
 	"time"
 
-	"github.com/golitho/hsd/internal/core"
 	"github.com/golitho/hsd/internal/registry"
 )
 
 // ReloadOptions enables and configures validated hot model reload.
 type ReloadOptions struct {
-	// Loader builds a candidate detector from a model path (required).
-	Loader func(path string) (core.Detector, error)
+	// Config is the model registry's: Loader is required; Golden, the two
+	// regression bounds, the probation window and Logf are the caller's.
+	// OnSwap, Quality and Metrics are the server's own and overwritten.
+	registry.Config
 	// DefaultPath is reloaded when POST /admin/reload names no path —
 	// typically the watched model file.
 	DefaultPath string
-	// Golden is the validation set both live and candidate models are
-	// scored on; empty reduces the gate to finiteness/panic checks.
-	Golden []core.LabeledClip
-	// MaxRecallDrop / MaxFalseAlarmRise bound how much worse the
-	// candidate may do on the golden set (defaults 0: no regression).
-	MaxRecallDrop     float64
-	MaxFalseAlarmRise float64
-	// ProbationRequests post-swap primary outcomes are watched; more
-	// than ProbationMaxFailures failures inside the window rolls the
-	// swap back automatically. Zero disables probation.
-	ProbationRequests    int
-	ProbationMaxFailures int
-	// Logf receives registry notices (default: discard).
-	Logf func(format string, args ...any)
 }
 
 // VerdictJSON is the gate verdict in admin replies. Rates are omitted

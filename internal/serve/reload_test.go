@@ -12,6 +12,7 @@ import (
 	"github.com/golitho/hsd/internal/core"
 	"github.com/golitho/hsd/internal/geom"
 	"github.com/golitho/hsd/internal/layout"
+	"github.com/golitho/hsd/internal/registry"
 	"github.com/golitho/hsd/internal/telemetry"
 )
 
@@ -111,7 +112,7 @@ func TestAdminReloadSwapsPrimary(t *testing.T) {
 func TestAdminReloadRejectedKeepsLiveModel(t *testing.T) {
 	golden := []core.LabeledClip{{Hotspot: true}, {Hotspot: false}}
 	cand := namedDet{name: "nan-model", score: math.NaN(), thr: 0.5}
-	s, ts := reloadServer(t, cand, ReloadOptions{Golden: golden})
+	s, ts := reloadServer(t, cand, ReloadOptions{Config: registry.Config{Golden: golden}})
 
 	resp := postReload(t, ts, `{"path":"broken.hsdnn"}`)
 	if resp.StatusCode != http.StatusUnprocessableEntity {
@@ -222,10 +223,10 @@ func TestAdminModelAndRollback(t *testing.T) {
 // rolls the serving path back to the previous generation.
 func TestProbationRollbackRestoresServing(t *testing.T) {
 	bad := namedDet{name: "flaky", thr: 0.5, err: errors.New("tensor shape mismatch")}
-	s, ts := reloadServer(t, bad, ReloadOptions{
+	s, ts := reloadServer(t, bad, ReloadOptions{Config: registry.Config{
 		ProbationRequests:    10,
 		ProbationMaxFailures: 1,
-	})
+	}})
 	if resp := postReload(t, ts, `{"path":"flaky.hsdnn"}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("reload status = %d", resp.StatusCode)
 	}

@@ -97,13 +97,18 @@ type Options struct {
 	BatchMaxWait time.Duration
 	// Clock drives breaker and shedder timing (default the wall clock).
 	Clock resilience.Clock
-	// Trace, when non-nil, enables request tracing: every request runs
+	// Metrics is the registry the server's series land in and GET
+	// /metrics renders. A process that wants one page hands the same
+	// registry to the tracer, the quality monitor, the router's hooks and
+	// the data engine when it builds them, then to the server; nil means a
+	// private registry, reachable through Server.Metrics.
+	Metrics *telemetry.Registry
+	// Tracer, when non-nil, enables request tracing: every request runs
 	// under a root span whose children attribute time to pipeline stages,
-	// retained under the config's tail-sampling policy and served by
-	// GET /debug/traces. The config's Metrics registry defaults to the
-	// server's own (so hotspot_stage_seconds lands in /metrics) and its
-	// Clock defaults to Options.Clock.
-	Trace *trace.Config
+	// retained under the tracer's tail-sampling policy and served by
+	// GET /debug/traces. Built with Metrics above, its
+	// hotspot_stage_seconds histograms land in /metrics.
+	Tracer *trace.Tracer
 	// Reload, when non-nil, puts the primary detector behind a versioned
 	// model registry with validated hot reload: POST /admin/reload loads
 	// a candidate, gates it on the golden set against the live model, and
@@ -112,9 +117,10 @@ type Options struct {
 	Reload *ReloadOptions
 	// Quality, when non-nil, enables model-quality monitoring: every
 	// cascade answer feeds the monitor's score sketches (stage "primary"
-	// or "fallback"), primary outcomes feed its SLO window, its gauges
-	// land in /metrics, drift events land in the trace store, and
-	// GET /debug/quality serves its snapshot. With hot reload enabled
+	// or "fallback"), primary outcomes feed its SLO window, and
+	// GET /debug/quality serves its snapshot; its gauges and drift events
+	// go where its own Options.Metrics and Options.Tracer say. With hot
+	// reload enabled
 	// the registry resets the monitor and installs baseline sidecars on
 	// every generation change.
 	Quality *qualitymon.Monitor
@@ -164,7 +170,10 @@ func NewServer(opts Options) (*Server, error) {
 	if opts.Clock == nil {
 		opts.Clock = resilience.Real
 	}
-	reg := telemetry.NewRegistry()
+	reg := opts.Metrics
+	if reg == nil {
+		reg = telemetry.NewRegistry()
+	}
 	reg.SetHelp("http_requests_total", "Requests by endpoint and status code.")
 	reg.SetHelp("http_errors_total", "Responses with status >= 400 by endpoint.")
 	reg.SetHelp("http_request_seconds", "Request latency by endpoint.")
@@ -197,10 +206,8 @@ func NewServer(opts Options) (*Server, error) {
 		primaryErrs:  reg.Counter("hotspot_primary_failures_total"),
 		batchSize:    reg.Histogram("batch_size", []float64{1, 2, 4, 8, 16, 32, 64}),
 		batchLatency: reg.Histogram("batch_latency_seconds", nil),
+		tracer:       opts.Tracer,
 		quality:      opts.Quality,
-	}
-	if s.quality != nil {
-		s.quality.BindMetrics(reg)
 	}
 	s.primary.Store(&opts.Primary)
 	s.batch = &batcher{
@@ -228,37 +235,17 @@ func NewServer(opts Options) (*Server, error) {
 			Rate: opts.ShedRate, Burst: opts.ShedBurst, Clock: opts.Clock,
 		})
 	}
-	if opts.Trace != nil {
-		tcfg := *opts.Trace
-		if tcfg.Clock == nil {
-			tcfg.Clock = opts.Clock
-		}
-		if tcfg.Metrics == nil {
-			tcfg.Metrics = reg
-		}
-		s.tracer = trace.New(tcfg)
-		if s.quality != nil {
-			s.quality.BindTracer(s.tracer)
-		}
-	}
 	if opts.Reload != nil {
-		if opts.Reload.Loader == nil {
+		rcfg := opts.Reload.Config
+		if rcfg.Loader == nil {
 			return nil, fmt.Errorf("serve: Reload options need a Loader")
 		}
-		s.registry = registry.New(opts.Primary, registry.Config{
-			Loader:               opts.Reload.Loader,
-			Golden:               opts.Reload.Golden,
-			MaxRecallDrop:        opts.Reload.MaxRecallDrop,
-			MaxFalseAlarmRise:    opts.Reload.MaxFalseAlarmRise,
-			ProbationRequests:    opts.Reload.ProbationRequests,
-			ProbationMaxFailures: opts.Reload.ProbationMaxFailures,
-			Logf:                 opts.Reload.Logf,
-			OnSwap: func(gen *registry.Generation) {
-				s.primary.Store(&gen.Detector)
-			},
-			Quality: qualityHook(s.quality),
-		})
-		s.registry.BindMetrics(reg)
+		rcfg.OnSwap = func(gen *registry.Generation) {
+			s.primary.Store(&gen.Detector)
+		}
+		rcfg.Quality = qualityHook(s.quality)
+		rcfg.Metrics = reg
+		s.registry = registry.New(opts.Primary, rcfg)
 	}
 	return s, nil
 }
@@ -267,11 +254,9 @@ func NewServer(opts Options) (*Server, error) {
 // disabled. Callers use it to start a Watch goroutine on a model path.
 func (s *Server) Registry() *registry.Registry { return s.registry }
 
-// Tracer returns the request tracer, or nil when tracing is disabled.
-func (s *Server) Tracer() *trace.Tracer { return s.tracer }
-
-// Metrics returns the server's telemetry registry, for embedding the
-// serving metrics into a wider exposition or reading them in tests.
+// Metrics returns the server's telemetry registry (Options.Metrics, or
+// the private one), for reading the serving metrics in tests and
+// benchmarks.
 func (s *Server) Metrics() *telemetry.Registry { return s.reg }
 
 // Handler returns the routed HTTP handler with instrumentation and panic

@@ -9,6 +9,13 @@
 // training layers report where that time goes. All metric types are safe
 // for concurrent use and allocation-free on the hot path (a histogram
 // observation is two atomic adds plus a branch-free bucket search).
+//
+// Telemetry is optional everywhere it is threaded, and the option is a
+// nil pointer: every method of a nil *Registry, *Counter, *Gauge and
+// *Histogram is a no-op (readers return zero), and a nil registry hands
+// out nil instruments. A component therefore takes a *Registry in its
+// config, resolves its instruments once at construction, and calls them
+// unconditionally; an unobserved call costs one nil check.
 package telemetry
 
 import (
@@ -45,15 +52,19 @@ func (f *atomicFloat) Store(v float64) { f.bits.Store(math.Float64bits(v)) }
 func (f *atomicFloat) Load() float64   { return math.Float64frombits(f.bits.Load()) }
 
 // Counter is a monotonically increasing value. The zero value is ready to
-// use.
+// use; a nil *Counter discards.
 type Counter struct{ v atomicFloat }
 
 // Inc adds 1.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() {
+	if c != nil {
+		c.v.Add(1)
+	}
+}
 
 // Add adds v; negative deltas are ignored to preserve monotonicity.
 func (c *Counter) Add(v float64) {
-	if v > 0 {
+	if c != nil && v > 0 {
 		c.v.Add(v)
 	}
 }
@@ -62,29 +73,48 @@ func (c *Counter) Add(v float64) {
 func (c *Counter) AddDuration(d time.Duration) { c.Add(d.Seconds()) }
 
 // Value returns the current count.
-func (c *Counter) Value() float64 { return c.v.Load() }
+func (c *Counter) Value() float64 {
+	if c == nil {
+		return 0
+	}
+	return c.v.Load()
+}
 
 // Gauge is a value that can go up and down. The zero value is ready to
-// use.
+// use; a nil *Gauge discards.
 type Gauge struct{ v atomicFloat }
 
 // Set replaces the value.
-func (g *Gauge) Set(v float64) { g.v.Store(v) }
+func (g *Gauge) Set(v float64) {
+	if g != nil {
+		g.v.Store(v)
+	}
+}
 
 // Add adds v (may be negative).
-func (g *Gauge) Add(v float64) { g.v.Add(v) }
+func (g *Gauge) Add(v float64) {
+	if g != nil {
+		g.v.Add(v)
+	}
+}
 
 // Inc adds 1.
-func (g *Gauge) Inc() { g.v.Add(1) }
+func (g *Gauge) Inc() { g.Add(1) }
 
 // Dec subtracts 1.
-func (g *Gauge) Dec() { g.v.Add(-1) }
+func (g *Gauge) Dec() { g.Add(-1) }
 
 // Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v.Load() }
+func (g *Gauge) Value() float64 {
+	if g == nil {
+		return 0
+	}
+	return g.v.Load()
+}
 
 // Histogram counts observations into fixed cumulative buckets. Construct
-// through Registry.Histogram; the zero value is not usable.
+// through Registry.Histogram; the zero value is not usable, a nil
+// *Histogram discards.
 type Histogram struct {
 	bounds []float64      // sorted upper bounds, exclusive of +Inf
 	counts []atomic.Int64 // len(bounds)+1; last is the +Inf bucket
@@ -100,6 +130,9 @@ func newHistogram(buckets []float64) *Histogram {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
 	h.counts[i].Add(1)
 	h.sum.Add(v)
@@ -110,6 +143,9 @@ func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 
 // Count returns the total number of observations.
 func (h *Histogram) Count() int64 {
+	if h == nil {
+		return 0
+	}
 	var n int64
 	for i := range h.counts {
 		n += h.counts[i].Load()
@@ -118,7 +154,12 @@ func (h *Histogram) Count() int64 {
 }
 
 // Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 { return h.sum.Load() }
+func (h *Histogram) Sum() float64 {
+	if h == nil {
+		return 0
+	}
+	return h.sum.Load()
+}
 
 // HistogramSnapshot is a consistent-enough point-in-time view of a
 // histogram (buckets are read individually; under concurrent writes the
@@ -135,6 +176,9 @@ type HistogramSnapshot struct {
 
 // Snapshot captures cumulative bucket counts.
 func (h *Histogram) Snapshot() HistogramSnapshot {
+	if h == nil {
+		return HistogramSnapshot{}
+	}
 	s := HistogramSnapshot{
 		UpperBounds: append([]float64(nil), h.bounds...),
 		Counts:      make([]int64, len(h.bounds)),
@@ -191,7 +235,8 @@ type series struct {
 // Registry holds named metrics. Metric constructors are get-or-create:
 // requesting the same name and label set twice returns the same
 // instance, so packages can re-derive handles instead of threading them.
-// The zero value is not usable; use NewRegistry.
+// The zero value is not usable; use NewRegistry. A nil *Registry is the
+// disabled registry: it records nothing and hands out nil instruments.
 type Registry struct {
 	mu    sync.Mutex
 	byKey map[string]*series
@@ -214,6 +259,9 @@ func NewRegistry() *Registry {
 
 // SetHelp attaches a HELP line to every series of the named metric.
 func (r *Registry) SetHelp(name, help string) {
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.help[name] = help
@@ -236,6 +284,9 @@ func (r *Registry) SetHelp(name, help string) {
 // WritePrometheus, and OnCollect itself would self-deadlock and must
 // not be called.
 func (r *Registry) OnCollect(fn func()) {
+	if r == nil {
+		return
+	}
 	r.collectMu.Lock()
 	defer r.collectMu.Unlock()
 	r.collect = append(r.collect, fn)
@@ -301,6 +352,9 @@ func (r *Registry) getOrCreate(name string, kind metricKind, labels []Label, mak
 
 // Counter returns the counter for name and labels, creating it if needed.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
+	if r == nil {
+		return nil
+	}
 	s := r.getOrCreate(name, kindCounter, labels, func() *series {
 		return &series{counter: &Counter{}}
 	})
@@ -309,6 +363,9 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 
 // Gauge returns the gauge for name and labels, creating it if needed.
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
+	if r == nil {
+		return nil
+	}
 	s := r.getOrCreate(name, kindGauge, labels, func() *series {
 		return &series{gauge: &Gauge{}}
 	})
@@ -319,6 +376,9 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 // the given bucket bounds if needed (nil buckets means DefBuckets).
 // Bucket bounds are fixed by the first registration.
 func (r *Registry) Histogram(name string, buckets []float64, labels ...Label) *Histogram {
+	if r == nil {
+		return nil
+	}
 	if buckets == nil {
 		buckets = DefBuckets
 	}
@@ -342,6 +402,9 @@ type SeriesSnapshot struct {
 // Snapshot returns every registered series in registration order,
 // after refreshing any OnCollect collectors.
 func (r *Registry) Snapshot() []SeriesSnapshot {
+	if r == nil {
+		return nil
+	}
 	r.runCollectors()
 	r.mu.Lock()
 	order := append([]*series(nil), r.order...)
@@ -395,6 +458,9 @@ func labelString(labels []Label, extra ...Label) string {
 // registry: metrics appear in first-registration order, series sorted by
 // label string within a metric.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	if r == nil {
+		return nil
+	}
 	r.runCollectors()
 	r.mu.Lock()
 	order := append([]*series(nil), r.order...)

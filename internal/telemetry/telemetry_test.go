@@ -267,3 +267,51 @@ func collectGauges(reg *Registry, name string) map[string]float64 {
 	}
 	return out
 }
+
+// TestNilRegistryAndInstrumentsAreNoOps: telemetry is switched off by
+// handing over a nil registry. Every method of a nil *Registry and of
+// the nil instruments it hands out is a no-op whose readers return
+// zero, and none of it changes what a real registry renders.
+func TestNilRegistryAndInstrumentsAreNoOps(t *testing.T) {
+	var r *Registry
+	r.SetHelp("x_total", "help")
+	r.OnCollect(func() { t.Error("collector ran on a nil registry") })
+	RegisterRuntimeMetrics(r)
+	c, g, h := r.Counter("x_total", L("k", "v")), r.Gauge("x"), r.Histogram("x_seconds", nil)
+	if c != nil || g != nil || h != nil {
+		t.Fatalf("nil registry handed out instruments: %v %v %v", c, g, h)
+	}
+	c.Inc()
+	c.Add(2)
+	c.AddDuration(time.Second)
+	g.Set(3)
+	g.Add(1)
+	g.Inc()
+	g.Dec()
+	h.Observe(1)
+	h.ObserveDuration(time.Second)
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+		t.Fatalf("nil instruments read %v %v %v %v, want zeros", c.Value(), g.Value(), h.Count(), h.Sum())
+	}
+	if s := h.Snapshot(); s.Count != 0 || len(s.Counts) != 0 {
+		t.Fatalf("nil histogram snapshot = %+v, want empty", s)
+	}
+	if snap := r.Snapshot(); snap != nil {
+		t.Fatalf("nil registry snapshot = %v, want nil", snap)
+	}
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil || sb.Len() != 0 {
+		t.Fatalf("nil registry rendered %q, err %v", sb.String(), err)
+	}
+
+	real := NewRegistry()
+	real.SetHelp("x_total", "help")
+	real.Counter("x_total", L("k", "v")).Inc()
+	sb.Reset()
+	if err := real.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if want := "# HELP x_total help\n# TYPE x_total counter\nx_total{k=\"v\"} 1\n"; sb.String() != want {
+		t.Fatalf("real registry rendered\n%s\nwant\n%s", sb.String(), want)
+	}
+}

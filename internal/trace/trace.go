@@ -291,9 +291,9 @@ type Config struct {
 	// Rand is the sampling coin ([0,1) variate); injectable so tail
 	// sampling is deterministic in tests. Default math/rand.
 	Rand func() float64
-	// Metrics, when non-nil, receives a per-stage span-duration
-	// histogram hotspot_stage_seconds{stage=<span name>} so ODST
-	// decomposes directly in /metrics.
+	// Metrics receives a per-stage span-duration histogram
+	// hotspot_stage_seconds{stage=<span name>}, so ODST decomposes
+	// directly in /metrics, and the sampler's two counters (nil: none).
 	Metrics *telemetry.Registry
 }
 
@@ -356,12 +356,10 @@ func New(cfg Config) *Tracer {
 	}
 	t.nextID.Store(uint64(cfg.Clock.Now().UnixNano()))
 	t.enabled.Store(true)
-	if cfg.Metrics != nil {
-		cfg.Metrics.SetHelp("hotspot_stage_seconds",
-			"Span durations per pipeline stage: the ODST decomposition.")
-		cfg.Metrics.SetHelp("traces_retained_total", "Traces kept by the tail sampler.")
-		cfg.Metrics.SetHelp("traces_sampled_out_total", "Unflagged traces dropped by probabilistic sampling.")
-	}
+	cfg.Metrics.SetHelp("hotspot_stage_seconds",
+		"Span durations per pipeline stage: the ODST decomposition.")
+	cfg.Metrics.SetHelp("traces_retained_total", "Traces kept by the tail sampler.")
+	cfg.Metrics.SetHelp("traces_sampled_out_total", "Unflagged traces dropped by probabilistic sampling.")
 	return t
 }
 
@@ -410,7 +408,7 @@ func (t *Tracer) newID() uint64 {
 // one mutex-guarded map read plus the histogram's atomic adds.
 func (t *Tracer) observeStage(stage string, d time.Duration) {
 	if t.cfg.Metrics == nil {
-		return
+		return // not left to the nil histogram: every span end would take stageMu
 	}
 	t.stageMu.Lock()
 	h, ok := t.stages[stage]
@@ -433,9 +431,7 @@ func (t *Tracer) finish(id TraceID, root SpanRecord, spans []SpanRecord, flags F
 	}
 	if flags == 0 && t.cfg.Rand() >= t.cfg.SampleRate {
 		t.sampled.Add(1)
-		if t.cfg.Metrics != nil {
-			t.cfg.Metrics.Counter("traces_sampled_out_total").Inc()
-		}
+		t.cfg.Metrics.Counter("traces_sampled_out_total").Inc()
 		return
 	}
 	rec := &TraceRecord{
@@ -447,8 +443,6 @@ func (t *Tracer) finish(id TraceID, root SpanRecord, spans []SpanRecord, flags F
 		Spans:    spans,
 	}
 	t.kept.Add(1)
-	if t.cfg.Metrics != nil {
-		t.cfg.Metrics.Counter("traces_retained_total").Inc()
-	}
+	t.cfg.Metrics.Counter("traces_retained_total").Inc()
 	t.store(uint64(id), rec)
 }
