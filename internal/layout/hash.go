@@ -11,10 +11,11 @@
 package layout
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"sort"
+	"slices"
 
 	"github.com/golitho/hsd/internal/geom"
 )
@@ -30,7 +31,7 @@ func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 
 // fingerprintMagic versions the canonical encoding; bump it if the
 // encoding changes so persisted caches cannot mix schemes.
-var fingerprintMagic = []byte("HSDCFP1\n")
+const fingerprintMagic = "HSDCFP1\n"
 
 // Fingerprint returns the translation-invariant content hash of the
 // clip: shapes are translated so Window.Min becomes the origin, sorted
@@ -41,46 +42,50 @@ var fingerprintMagic = []byte("HSDCFP1\n")
 // clips extracted from layouts that drew the same geometry in different
 // order still match.
 func (c Clip) Fingerprint() Fingerprint {
+	// Stack-backed for a typical clip; append moves a larger one to the
+	// heap.
+	var shapeBuf [64]geom.Rect
+	var encBuf [len(fingerprintMagic) + 8 + 32*(2+len(shapeBuf))]byte
 	d := geom.Pt(-c.Window.Min.X, -c.Window.Min.Y)
-	shapes := make([]geom.Rect, len(c.Shapes))
-	for i, s := range c.Shapes {
-		shapes[i] = s.Translate(d)
+	shapes := shapeBuf[:0]
+	for _, s := range c.Shapes {
+		shapes = append(shapes, s.Translate(d))
 	}
-	sort.Slice(shapes, func(i, j int) bool { return rectLess(shapes[i], shapes[j]) })
+	slices.SortFunc(shapes, rectCompare)
 
-	h := sha256.New()
-	h.Write(fingerprintMagic)
-	var buf [8 * 4]byte
-	putRect := func(r geom.Rect) {
-		binary.LittleEndian.PutUint64(buf[0:], uint64(int64(r.Min.X)))
-		binary.LittleEndian.PutUint64(buf[8:], uint64(int64(r.Min.Y)))
-		binary.LittleEndian.PutUint64(buf[16:], uint64(int64(r.Max.X)))
-		binary.LittleEndian.PutUint64(buf[24:], uint64(int64(r.Max.Y)))
-		h.Write(buf[:])
-	}
-	putRect(c.Window.Translate(d))
-	putRect(c.Core.Translate(d))
-	binary.LittleEndian.PutUint64(buf[:8], uint64(len(shapes)))
-	h.Write(buf[:8])
+	enc := append(encBuf[:0], fingerprintMagic...)
+	enc = appendRect(enc, c.Window.Translate(d))
+	enc = appendRect(enc, c.Core.Translate(d))
+	enc = binary.LittleEndian.AppendUint64(enc, uint64(len(shapes)))
 	for _, s := range shapes {
-		putRect(s)
+		enc = appendRect(enc, s)
 	}
+	sum := sha256.Sum256(enc)
 	var out Fingerprint
-	copy(out[:], h.Sum(nil))
+	copy(out[:], sum[:])
 	return out
 }
 
-// rectLess orders rectangles lexicographically by (MinY, MinX, MaxY,
+// appendRect appends the canonical encoding of r: its four coordinates
+// as little-endian int64.
+func appendRect(b []byte, r geom.Rect) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(int64(r.Min.X)))
+	b = binary.LittleEndian.AppendUint64(b, uint64(int64(r.Min.Y)))
+	b = binary.LittleEndian.AppendUint64(b, uint64(int64(r.Max.X)))
+	return binary.LittleEndian.AppendUint64(b, uint64(int64(r.Max.Y)))
+}
+
+// rectCompare orders rectangles lexicographically by (MinY, MinX, MaxY,
 // MaxX), the canonical shape order of the fingerprint encoding.
-func rectLess(a, b geom.Rect) bool {
-	if a.Min.Y != b.Min.Y {
-		return a.Min.Y < b.Min.Y
+func rectCompare(a, b geom.Rect) int {
+	if c := cmp.Compare(a.Min.Y, b.Min.Y); c != 0 {
+		return c
 	}
-	if a.Min.X != b.Min.X {
-		return a.Min.X < b.Min.X
+	if c := cmp.Compare(a.Min.X, b.Min.X); c != 0 {
+		return c
 	}
-	if a.Max.Y != b.Max.Y {
-		return a.Max.Y < b.Max.Y
+	if c := cmp.Compare(a.Max.Y, b.Max.Y); c != 0 {
+		return c
 	}
-	return a.Max.X < b.Max.X
+	return cmp.Compare(a.Max.X, b.Max.X)
 }

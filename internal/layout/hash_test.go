@@ -145,7 +145,7 @@ func canonicalKey(c Clip) string {
 	shapes := append([]geom.Rect(nil), t.Shapes...)
 	for i := range shapes {
 		for j := i + 1; j < len(shapes); j++ {
-			if rectLess(shapes[j], shapes[i]) {
+			if rectCompare(shapes[j], shapes[i]) < 0 {
 				shapes[i], shapes[j] = shapes[j], shapes[i]
 			}
 		}

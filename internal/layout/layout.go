@@ -9,7 +9,7 @@ package layout
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/golitho/hsd/internal/geom"
 )
@@ -86,8 +86,12 @@ func (l *Layout) AddRect(r geom.Rect) error {
 		l.large = append(l.large, idx)
 		return nil
 	}
-	for _, k := range l.cellsOf(r) {
-		l.cells[k] = append(l.cells[k], idx)
+	cx0, cy0, cx1, cy1 := l.cellRange(r)
+	for cy := cy0; cy <= cy1; cy++ {
+		for cx := cx0; cx <= cx1; cx++ {
+			k := cellKey{cx: cx, cy: cy}
+			l.cells[k] = append(l.cells[k], idx)
+		}
 	}
 	return nil
 }
@@ -107,18 +111,56 @@ func (l *Layout) AddPolygon(p geom.Polygon) error {
 	return nil
 }
 
-func (l *Layout) cellsOf(r geom.Rect) []cellKey {
-	cx0 := floorDiv(r.Min.X, l.gridNM)
-	cy0 := floorDiv(r.Min.Y, l.gridNM)
-	cx1 := floorDiv(r.Max.X-1, l.gridNM)
-	cy1 := floorDiv(r.Max.Y-1, l.gridNM)
-	keys := make([]cellKey, 0, (cx1-cx0+1)*(cy1-cy0+1))
+// cellRange returns the inclusive index-cell range r covers.
+func (l *Layout) cellRange(r geom.Rect) (cx0, cy0, cx1, cy1 int) {
+	return floorDiv(r.Min.X, l.gridNM), floorDiv(r.Min.Y, l.gridNM),
+		floorDiv(r.Max.X-1, l.gridNM), floorDiv(r.Max.Y-1, l.gridNM)
+}
+
+// gatherStack is how many shape ids a query collects before its buffer
+// moves to the heap: the caller's array is this long, so a typical clip
+// window gathers without allocating.
+const gatherStack = 128
+
+// gather appends to ids the index of every shape overlapping the
+// canonical window, ascending (insertion order) and without duplicates.
+// It is the one implementation under Query and ClipAt and reads the
+// layout only, so concurrent queries stay safe.
+func (l *Layout) gather(window geom.Rect, ids []int32) []int32 {
+	// Shapes only exist inside bounds, so probing the intersection keeps
+	// the cell walk proportional to the layout, not the window.
+	probe := window.Intersect(l.bounds)
+	if probe.Empty() {
+		return ids
+	}
+	if l.cellSpan(probe) > maxIndexCells {
+		// Degenerate extent: scan every shape instead of the cell map.
+		for id := range l.shapes {
+			if l.shapes[id].Overlaps(window) {
+				ids = append(ids, int32(id))
+			}
+		}
+		return ids
+	}
+	cx0, cy0, cx1, cy1 := l.cellRange(probe)
 	for cy := cy0; cy <= cy1; cy++ {
 		for cx := cx0; cx <= cx1; cx++ {
-			keys = append(keys, cellKey{cx: cx, cy: cy})
+			for _, id := range l.cells[cellKey{cx: cx, cy: cy}] {
+				if l.shapes[id].Overlaps(window) {
+					ids = append(ids, id)
+				}
+			}
 		}
 	}
-	return keys
+	// A shape is on the large list or in the cell map, never both, but
+	// one spanning several probed cells was appended once per cell.
+	for _, id := range l.large {
+		if l.shapes[id].Overlaps(window) {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // Query returns all rectangles overlapping the window, in insertion order,
@@ -129,42 +171,8 @@ func (l *Layout) Query(window geom.Rect) []geom.Rect {
 	if window.Empty() {
 		return nil
 	}
-	seen := make(map[int32]bool)
-	var ids []int32
-	// Shapes only exist inside bounds, so probing the intersection keeps
-	// the cell walk proportional to the layout, not the window.
-	probe := window.Intersect(l.bounds)
-	if probe.Empty() {
-		return nil
-	}
-	if l.cellSpan(probe) > maxIndexCells {
-		// Degenerate extent: scan every shape instead of the cell map.
-		for id := range l.shapes {
-			if l.shapes[id].Overlaps(window) {
-				ids = append(ids, int32(id))
-			}
-		}
-		out := make([]geom.Rect, len(ids))
-		for i, id := range ids {
-			out[i] = l.shapes[id]
-		}
-		return out
-	}
-	for _, k := range l.cellsOf(probe) {
-		for _, id := range l.cells[k] {
-			if !seen[id] && l.shapes[id].Overlaps(window) {
-				seen[id] = true
-				ids = append(ids, id)
-			}
-		}
-	}
-	for _, id := range l.large {
-		if !seen[id] && l.shapes[id].Overlaps(window) {
-			seen[id] = true
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	var buf [gatherStack]int32
+	ids := l.gather(window, buf[:0])
 	out := make([]geom.Rect, len(ids))
 	for i, id := range ids {
 		out[i] = l.shapes[id]
@@ -197,12 +205,12 @@ func (l *Layout) ClipAt(c geom.Point, size int, coreFrac float64) (Clip, error) 
 	win := geom.R(c.X-half, c.Y-half, c.X-half+size, c.Y-half+size)
 	coreHalf := int(float64(size) * coreFrac / 2)
 	core := geom.R(c.X-coreHalf, c.Y-coreHalf, c.X+coreHalf, c.Y+coreHalf)
-	shapes := l.Query(win)
-	clipped := make([]geom.Rect, 0, len(shapes))
-	for _, s := range shapes {
-		if i := s.Intersect(win); !i.Empty() {
-			clipped = append(clipped, i)
-		}
+	var buf [gatherStack]int32
+	ids := l.gather(win, buf[:0])
+	clipped := make([]geom.Rect, len(ids))
+	for i, id := range ids {
+		// Non-empty: gather kept only shapes overlapping win.
+		clipped[i] = l.shapes[id].Intersect(win)
 	}
 	return Clip{Window: win, Core: core, Shapes: clipped}, nil
 }
@@ -238,8 +246,8 @@ func (c Clip) Density() float64 {
 // cellSpan returns the number of index cells r covers, saturating at
 // maxIndexCells+1 so callers can compare without integer overflow.
 func (l *Layout) cellSpan(r geom.Rect) int {
-	w := int64(floorDiv(r.Max.X-1, l.gridNM)) - int64(floorDiv(r.Min.X, l.gridNM)) + 1
-	h := int64(floorDiv(r.Max.Y-1, l.gridNM)) - int64(floorDiv(r.Min.Y, l.gridNM)) + 1
+	cx0, cy0, cx1, cy1 := l.cellRange(r)
+	w, h := int64(cx1)-int64(cx0)+1, int64(cy1)-int64(cy0)+1
 	if w > maxIndexCells || h > maxIndexCells {
 		return maxIndexCells + 1
 	}

@@ -210,6 +210,9 @@ func Run(ctx context.Context, chip *layout.Layout, det core.Detector, cfg Config
 		}
 	}
 
+	// Resolved here, not per window: most detectors format their name on
+	// every call, and a cache hit must not pay for that.
+	name, thr := det.Name(), det.Threshold()
 	jobs := make(chan int)
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
@@ -218,6 +221,8 @@ func Run(ctx context.Context, chip *layout.Layout, det core.Detector, cfg Config
 			wk := &worker{
 				chip:    chip,
 				det:     det,
+				name:    name,
+				thr:     thr,
 				plan:    plan,
 				cfg:     cfg,
 				breaker: resilience.NewBreaker(cfg.Breaker),
@@ -284,11 +289,14 @@ dispatch:
 	return res, nil
 }
 
-// worker is the per-goroutine scan state: the shared detector and a
-// circuit breaker that outlives individual shards.
+// worker is the per-goroutine scan state: the shared detector with its
+// name and threshold, and a circuit breaker that outlives individual
+// shards.
 type worker struct {
 	chip    *layout.Layout
 	det     core.Detector
+	name    string
+	thr     float64
 	plan    Plan
 	cfg     Config
 	breaker *resilience.Breaker
@@ -345,26 +353,30 @@ func (w *worker) scanShard(ctx context.Context, id, attempt int) ([]core.Finding
 	defer sp.End()
 
 	var findings []core.Finding
-	for _, center := range w.plan.ShardWindows(id) {
-		if err := ctx.Err(); err != nil {
-			sp.SetError(err)
-			return nil, fmt.Errorf("scanfarm: shard %d window at %v: %w", id, center, err)
-		}
-		clip, err := w.chip.ClipAt(center, w.plan.ClipNM, w.plan.CoreFrac)
-		if err != nil {
-			sp.SetError(err)
-			return nil, fmt.Errorf("scanfarm: shard %d window at %v: %w", id, center, err)
-		}
-		if w.cfg.SkipEmpty && len(clip.Shapes) == 0 {
-			continue
-		}
-		score, err := w.scoreWindow(ctx, clip)
-		if err != nil {
-			sp.SetError(err)
-			return nil, fmt.Errorf("scanfarm: shard %d window at %v: %w", id, center, err)
-		}
-		if score >= w.det.Threshold() {
-			findings = append(findings, core.Finding{Center: center, Score: score})
+	r0, r1 := w.plan.ShardRowRange(id)
+	for row := r0; row < r1; row++ {
+		for col := 0; col < w.plan.Cols; col++ {
+			center := w.plan.Center(col, row)
+			if err := ctx.Err(); err != nil {
+				sp.SetError(err)
+				return nil, fmt.Errorf("scanfarm: shard %d window at %v: %w", id, center, err)
+			}
+			clip, err := w.chip.ClipAt(center, w.plan.ClipNM, w.plan.CoreFrac)
+			if err != nil {
+				sp.SetError(err)
+				return nil, fmt.Errorf("scanfarm: shard %d window at %v: %w", id, center, err)
+			}
+			if w.cfg.SkipEmpty && len(clip.Shapes) == 0 {
+				continue
+			}
+			score, err := w.scoreWindow(ctx, clip)
+			if err != nil {
+				sp.SetError(err)
+				return nil, fmt.Errorf("scanfarm: shard %d window at %v: %w", id, center, err)
+			}
+			if score >= w.thr {
+				findings = append(findings, core.Finding{Center: center, Score: score})
+			}
 		}
 	}
 	w.mets.shardSeconds.ObserveDuration(time.Since(start))
@@ -377,8 +389,16 @@ func (w *worker) scanShard(ctx context.Context, id, attempt int) ([]core.Finding
 // and hit/miss paths are identical by construction. The shipped
 // detectors are translation-invariant (rasterization and features are
 // window-relative), so this matches scoring the clip in place.
+//
+// clip.Shapes must be the caller's own (ClipAt builds it per call): it
+// is canonicalised in place, where Clip.Translate would make a third
+// copy of the window's shapes.
 func (w *worker) scoreWindow(ctx context.Context, clip layout.Clip) (float64, error) {
-	canon := clip.Translate()
+	d := geom.Pt(-clip.Window.Min.X, -clip.Window.Min.Y)
+	canon := layout.Clip{Window: clip.Window.Translate(d), Core: clip.Core.Translate(d), Shapes: clip.Shapes}
+	for i, s := range canon.Shapes {
+		canon.Shapes[i] = s.Translate(d)
+	}
 	var key layout.Fingerprint
 	if w.cache != nil {
 		key = canon.Fingerprint()
@@ -409,8 +429,8 @@ func (w *worker) scoreWindow(ctx context.Context, clip layout.Clip) (float64, er
 // canonical clip keeps spot-check sampling content-keyed.
 func (w *worker) observeQuality(canon layout.Clip, score float64) {
 	w.cfg.Quality.Observe(qualitymon.Event{
-		Detector: w.det.Name(), Stage: "scan",
-		Score: score, Threshold: w.det.Threshold(),
+		Detector: w.name, Stage: "scan",
+		Score: score, Threshold: w.thr,
 		Clip: canon, HasClip: true,
 	})
 }

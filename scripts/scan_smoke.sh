@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # scan_smoke.sh — end-to-end kill-resume gate for the scan farm.
 #
-# Runs hsdscan four times over the same deterministic chip:
+# Runs hsdscan five times over the same deterministic chip:
 #
-#   1. an uninterrupted reference scan writing full.txt;
+#   1. an uninterrupted reference scan writing full.txt, and the same
+#      scan at -workers 8, which must write the same bytes;
 #   2. a journaled scan that is SIGKILLed as soon as the journal shows
 #      at least one completed shard (a real crash: no cleanup, no
 #      flush, the journal is whatever fsync made durable);
@@ -43,6 +44,17 @@ echo "scan smoke: uninterrupted reference scan"
 # shellcheck disable=SC2086
 "$WORK/hsdscan" -suite "$WORK/suite.gob" $SCAN_ARGS \
 	-findings "$WORK/full.txt" >"$WORK/ref.log" 2>&1
+
+echo "scan smoke: the same scan on 8 workers"
+# Worker count, completion order and whose cache entry answered a window
+# must not show in the findings. A later -workers wins over SCAN_ARGS'.
+# shellcheck disable=SC2086
+"$WORK/hsdscan" -suite "$WORK/suite.gob" $SCAN_ARGS -workers 8 \
+	-findings "$WORK/full8.txt" >"$WORK/ref8.log" 2>&1
+if ! cmp "$WORK/full.txt" "$WORK/full8.txt"; then
+	echo "scan smoke: findings at -workers 8 differ from -workers 1" >&2
+	exit 1
+fi
 
 echo "scan smoke: journaled scan, killing mid-flight"
 # shellcheck disable=SC2086
