@@ -31,19 +31,19 @@ echo "== portable cross-build =="
 # vetting for another architecture (works offline, runs nothing) is what
 # catches a symbol that only the amd64 files define.
 GOARCH=arm64 go build ./...
-GOARCH=arm64 go vet ./internal/tensor/ ./internal/nn/
+GOARCH=arm64 go vet ./internal/tensor/ ./internal/nn/ ./internal/fft/ ./internal/features/
 
 echo "== go test -race =="
 go test -race $short ./...
 
 echo "== portable kernel =="
 # -tags purego compiles the assembly out (its build constraint is
-# amd64 && !purego), so the kernel property tests, the fused-conv
-# equivalence and both byte goldens (trainstep_golden.json,
-# misspath_golden.json) are proven on the Go kernel too on every run: a
+# amd64 && !purego), so the kernel property tests, the conv and block-DCT
+# equivalences and the byte goldens (trainstep_golden.json and both
+# misspath goldens) are proven on the Go kernel too on every run: a
 # model trained or a window scored on a machine without AVX2 gives the
 # same bytes.
-go test -tags purego $short ./internal/tensor/ ./internal/nn/ ./internal/core/
+go test -tags purego $short ./internal/tensor/ ./internal/nn/ ./internal/core/ ./internal/fft/ ./internal/features/
 
 echo "== chaos smoke =="
 # The chaos tests inject faults (latency, errors, panics) into the

@@ -20,13 +20,14 @@ import (
 	"github.com/golitho/hsd/internal/tensor"
 )
 
-// updateGolden rewrites testdata/misspath_golden.json from the running
-// code. The committed file was written at the commit before the DCT plan
-// and the arena-backed nn.Score landed; regenerating it on a later commit
-// defeats its purpose, which is to pin scores across that boundary.
-var updateGolden = flag.Bool("update-misspath-golden", false, "rewrite the miss-path golden (see comment)")
-
-const goldenPath = "testdata/misspath_golden.json"
+// updateGolden rewrites the miss-path goldens from the running code.
+// testdata/misspath_golden.json was written at the commit before the DCT
+// plan and the arena-backed nn.Score landed, and
+// testdata/misspath_zoo_golden.json at the commit before the block DCT
+// and the convolutions moved onto the matmul kernel; regenerating either
+// on a later commit defeats its purpose, which is to pin scores across
+// that boundary.
+var updateGolden = flag.Bool("update-misspath-golden", false, "rewrite the miss-path goldens (see comment)")
 
 // seededClip draws a 1024 nm clip of 1..14 random rectangles.
 func seededClip(t testing.TB, rng *rand.Rand) layout.Clip {
@@ -46,20 +47,50 @@ func seededClip(t testing.TB, rng *rand.Rand) layout.Clip {
 }
 
 // TestMissPathGolden replays a window's whole miss path (raster, the
-// zoo's DCT{16,16} tensor, an untrained fixed-seed CNN with BatchNorm and
-// Dropout) on 32 seeded clips and demands the exact score bits the
-// parent commit produced. The other equivalence tests compare this
-// commit with itself; this one is the cross-commit anchor.
+// zoo's DCT{16,16} tensor, an untrained fixed-seed CNN) on 32 seeded
+// clips and demands the exact score bits the parent commit produced. The
+// other equivalence tests compare this commit with itself; this one is
+// the cross-commit anchor. Two networks: one with BatchNorm after each
+// conv, and the zoo's topology, whose conv -> ReLU -> pool runs are the
+// ones ForwardBatch folds into one pass, with non-zero biases so the
+// fold's bias add is in the pinned bits.
 func TestMissPathGolden(t *testing.T) {
+	for _, fx := range []struct {
+		name, path string
+		batchNorm  bool
+	}{
+		{"batchnorm", "testdata/misspath_golden.json", true},
+		{"zoo", "testdata/misspath_zoo_golden.json", false},
+	} {
+		t.Run(fx.name, func(t *testing.T) { missPathGolden(t, fx.path, fx.batchNorm) })
+	}
+}
+
+func missPathGolden(t *testing.T, goldenPath string, batchNorm bool) {
 	ex := &features.DCT{Blocks: 16, Coefs: 16}
 	net, err := nn.BuildCNN(nn.CNNConfig{
 		InC: 16, InH: 16, InW: 16,
-		Conv1: 16, Conv2: 24, Hidden: 48, DropoutP: 0.1, BatchNorm: true, Seed: 5,
+		Conv1: 16, Conv2: 24, Hidden: 48, DropoutP: 0.1, BatchNorm: batchNorm, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	net.Init(rand.New(rand.NewSource(77)))
+	if !batchNorm {
+		brng := rand.New(rand.NewSource(78))
+		for _, l := range net.Layers {
+			switch l := l.(type) {
+			case *nn.Conv2D:
+				for i := range l.B {
+					l.B[i] = 0.2 * brng.NormFloat64()
+				}
+			case *nn.Dense:
+				for i := range l.B {
+					l.B[i] = 0.2 * brng.NormFloat64()
+				}
+			}
+		}
+	}
 	rng := rand.New(rand.NewSource(1414))
 	got := make([]string, 32)
 	for i := range got {

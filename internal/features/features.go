@@ -56,7 +56,7 @@ func ExtractCtx(ctx context.Context, ex Extractor, clip layout.Clip) ([]float64,
 }
 
 // scratch is what one extraction needs and no caller ever sees: the
-// clip's raster and the DCT kernel's working buffer. Extractors borrow
+// clip's raster and the block DCT's two products. Extractors borrow
 // one from scratchPool for the length of an Extract call, so the raster
 // of a window (131 KB at the zoo's pitch) is reused instead of allocated.
 // Nothing the extractors return may alias it.
@@ -286,23 +286,11 @@ func (d *DCT) fromImage(sc *scratch) ([]float64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("features: dct block: %w", err)
 	}
-	// Each block is transformed where it lies in the raster, and only
+	// Every block is transformed where it lies in the raster, and only
 	// the zigzag prefix that is kept is computed.
-	want := fft.Zigzag(bs)[:d.Coefs]
-	if need := d.Coefs + bs*bs; cap(sc.dct) < need {
-		sc.dct = make([]float64, need)
-	}
-	coef, tmp := sc.dct[:d.Coefs], sc.dct[d.Coefs:d.Coefs+bs*bs]
 	out := make([]float64, d.Dim())
-	for by := 0; by < d.Blocks; by++ {
-		for bx := 0; bx < d.Blocks; bx++ {
-			if err := plan.Forward(coef, im.Pix[by*bs*im.W+bx*bs:], im.W, want, tmp); err != nil {
-				return nil, fmt.Errorf("features: dct block: %w", err)
-			}
-			for k, v := range coef {
-				out[(k*d.Blocks+by)*d.Blocks+bx] = v
-			}
-		}
+	if sc.dct, err = plan.ForwardBlocks(out, im.Pix, im.W, im.H, d.Coefs, sc.dct); err != nil {
+		return nil, fmt.Errorf("features: dct block: %w", err)
 	}
 	return out, nil
 }

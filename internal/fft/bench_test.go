@@ -74,11 +74,11 @@ func benchDCT2D(b *testing.B, n int) {
 	}
 }
 
-// BenchmarkDCTPlanZigzag16of64 is the feature tensor's per-block call: an
-// 8x8 block read in place from a 128-wide raster, 16 zigzag coefficients.
-func BenchmarkDCTPlanZigzag16of64(b *testing.B) {
+// BenchmarkDCTForwardBlocks16of64 is the feature tensor's transform: the
+// 256 8x8 blocks of a 128 x 128 raster, 16 zigzag coefficients of each.
+func BenchmarkDCTForwardBlocks16of64(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	img := make([]float64, 8*128)
+	img := make([]float64, 128*128)
 	for i := range img {
 		img[i] = rng.Float64()
 	}
@@ -86,12 +86,12 @@ func BenchmarkDCTPlanZigzag16of64(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	want := Zigzag(8)[:16]
-	dst, scratch := make([]float64, 16), make([]float64, 64)
+	out := make([]float64, 16*256)
+	var scratch []float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := p.Forward(dst, img[40:], 128, want, scratch); err != nil {
+		if scratch, err = p.ForwardBlocks(out, img, 128, 128, 16, scratch); err != nil {
 			b.Fatal(err)
 		}
 	}

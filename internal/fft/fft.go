@@ -2,8 +2,9 @@
 // and feature extractors rely on: an iterative radix-2 complex FFT, 2-D
 // transforms, FFT-based 2-D convolution, and an orthonormal 2-D DCT-II.
 //
-// All transforms are pure Go on the standard library, sized for the small
-// images (<= 512 x 512) used in hotspot detection.
+// The FFTs are pure Go on the standard library; the DCT's products run on
+// internal/tensor's matmul kernel. All are sized for the small images
+// (<= 512 x 512) used in hotspot detection.
 package fft
 
 import (
@@ -12,6 +13,8 @@ import (
 	"math/bits"
 	"math/cmplx"
 	"sync"
+
+	"github.com/golitho/hsd/internal/tensor"
 )
 
 // IsPow2 reports whether n is a positive power of two.
@@ -164,22 +167,22 @@ func ConvolveSame(img []float64, w, h int, kernel []float64, kw, kh int) ([]floa
 // once per n per process (PlanDCT memoises it), is immutable afterwards,
 // and is therefore safe for any number of concurrent transforms.
 //
-// The forward and inverse transforms (the inverse runs the same kernel on
-// the transposed basis) keep one association and one summation order:
-// the row pass tmp = B*X, then out = tmp*B^T, every dot product accumulated
-// from zero in ascending k. A pruned call computes the same sums as a
-// full one, so a coefficient's bits never depend on which others were
-// asked for. Callers (the feature tensor, the golden scores downstream
-// of it) rely on that; do not reorder the loops.
+// Every transform is two products on the matmul kernel (internal/tensor)
+// with one association and one summation order: the row pass tmp = B*X,
+// then out = tmp*B^T, every dot product accumulated from zero in
+// ascending k, one rounded multiply and one add at a time. A coefficient
+// is the same sum whichever others are computed beside it and whichever
+// kernel runs, so its bits depend on neither. Callers (the feature
+// tensor, the golden scores downstream of it) rely on that.
 type DCTPlan struct {
 	n int
 	// fwd is the basis C row-major (fwd[i*n+k] = C[i][k]); inv is its
 	// transpose, the basis of the inverse transform.
 	fwd, inv []float64
-	// row[w] and col[w] are the offsets i*n and j*n of coefficient
-	// w = i*n+j into a row-major n x n grid, tabulated so the kernel
-	// divides nothing per output.
-	row, col []int
+	// zigRow[k] and zigCol[k] are the row and column of the k-th
+	// coefficient in zigzag order, tabulated so a prefix transform
+	// rebuilds no order and divides nothing per block.
+	zigRow, zigCol []int
 }
 
 // dctPlans memoises one *DCTPlan per block size.
@@ -196,7 +199,7 @@ func PlanDCT(n int) (*DCTPlan, error) {
 	}
 	p := &DCTPlan{
 		n: n, fwd: make([]float64, n*n), inv: make([]float64, n*n),
-		row: make([]int, n*n), col: make([]int, n*n),
+		zigRow: make([]int, n*n), zigCol: make([]int, n*n),
 	}
 	a0 := math.Sqrt(1 / float64(n))
 	a := math.Sqrt(2 / float64(n))
@@ -209,104 +212,68 @@ func PlanDCT(n int) (*DCTPlan, error) {
 			v := scale * math.Cos(math.Pi*float64(i)*(2*float64(j)+1)/(2*float64(n)))
 			p.fwd[i*n+j] = v
 			p.inv[j*n+i] = v
-			p.row[i*n+j], p.col[i*n+j] = i*n, j*n
 		}
+	}
+	for k, w := range Zigzag(n) {
+		p.zigRow[k], p.zigCol[k] = w/n, w%n
 	}
 	got, _ := dctPlans.LoadOrStore(n, p)
 	return got.(*DCTPlan), nil
 }
 
-// Forward computes DCT-II coefficients of the n x n block whose row y
-// starts at src[y*stride], so a block can be transformed in place inside
-// a larger row-major image. want lists the coefficients to compute as
-// row-major indices i*n+j (nil means all n*n, in row-major order);
-// coefficient want[k] is written to dst[k]. Only basis rows up to the
-// highest row in want enter the row pass, which for a zigzag prefix is
-// exactly the rows the prefix touches. scratch must hold n*n values and
-// is overwritten; Forward allocates nothing.
-func (p *DCTPlan) Forward(dst, src []float64, stride int, want []int, scratch []float64) error {
-	return p.apply(p.fwd, dst, src, stride, want, scratch)
+// mul is dst (m x n) = a (m x k) * b (k x n) on the matmul kernel.
+func mul(dst, a, b []float64, m, k, n int) {
+	tensor.MatMulInto(&tensor.Matrix{Rows: m, Cols: n, Data: dst},
+		&tensor.Matrix{Rows: m, Cols: k, Data: a}, &tensor.Matrix{Rows: k, Cols: n, Data: b})
 }
 
-// apply is the one DCT kernel: dst[k] = (B * X * B^T)[want[k]].
-func (p *DCTPlan) apply(basis, dst, src []float64, stride int, want []int, scratch []float64) error {
+// ForwardBlocks transforms every n x n block of the row-major w x h image
+// pix where it lies and keeps the first coefs coefficients of each in
+// zigzag order, coefficient-major: with bw = w/n and bh = h/n blocks per
+// side, coefficient k of block (by, bx) is written to
+// out[(k*bh+by)*bw+bx], the (C, H, W) layout convolutional networks
+// consume.
+//
+// A band of n image rows already is a row-major n x w matrix, so the row
+// pass of all its blocks is one product, B[:rows] * band, where rows is
+// one past the highest basis row the prefix touches; and that product,
+// read as a rows*bw x n matrix (one row per basis row and block), times
+// B^T gives every column frequency of every block in the band, of which
+// the prefix picks its own. Those are the per-block transform's sums in
+// its order.
+//
+// scratch holds both products; it is grown when too short and returned
+// for the next call, as append returns its slice, and its contents mean
+// nothing between calls.
+func (p *DCTPlan) ForwardBlocks(out, pix []float64, w, h, coefs int, scratch []float64) ([]float64, error) {
 	n := p.n
-	nout, rows := n*n, n
-	if want != nil {
-		last := 0 // offset of the highest wanted row
-		for _, w := range want {
-			if w < 0 || w >= n*n {
-				return fmt.Errorf("fft: dct coefficient index %d outside %dx%d block", w, n, n)
+	if w <= 0 || h <= 0 || w%n != 0 || h%n != 0 || len(pix) != w*h {
+		return scratch, fmt.Errorf("fft: dct image length %d, %dx%d is not a whole number of %dx%d blocks", len(pix), w, h, n, n)
+	}
+	bw, bh := w/n, h/n
+	if coefs <= 0 || coefs > n*n || len(out) < coefs*bw*bh {
+		return scratch, fmt.Errorf("fft: dct cannot keep %d of %d coefficients of %d blocks in %d outputs", coefs, n*n, bw*bh, len(out))
+	}
+	rows := 0
+	for _, i := range p.zigRow[:coefs] {
+		rows = max(rows, i+1)
+	}
+	if len(scratch) < 2*rows*w {
+		scratch = make([]float64, 2*rows*w)
+	}
+	tmp, freq := scratch[:rows*w], scratch[rows*w:2*rows*w]
+	for by := 0; by < bh; by++ {
+		mul(tmp, p.fwd[:rows*n], pix[by*n*w:(by+1)*n*w], rows, n, w)
+		mul(freq, tmp, p.inv, rows*bw, n, n)
+		for k := 0; k < coefs; k++ {
+			src := freq[p.zigRow[k]*w+p.zigCol[k]:]
+			dst := out[(k*bh+by)*bw:][:bw]
+			for bx := range dst {
+				dst[bx] = src[bx*n]
 			}
-			last = max(last, p.row[w])
-		}
-		nout, rows = len(want), last/n+1
-	}
-	if stride < n || len(src) < (n-1)*stride+n {
-		return fmt.Errorf("fft: dct source length %d, stride %d cannot hold a %dx%d block", len(src), stride, n, n)
-	}
-	if len(dst) < nout || len(scratch) < n*n {
-		return fmt.Errorf("fft: dct needs %d outputs and %d scratch, got %d and %d", nout, n*n, len(dst), len(scratch))
-	}
-	// Row pass: tmp[i][j] = sum_k B[i][k] * X[k][j].
-	// Four columns advance together so the adds of independent sums
-	// overlap; each sum still accumulates alone, in ascending k.
-	for i := 0; i < rows; i++ {
-		bi, ti := basis[i*n:(i+1)*n], scratch[i*n:(i+1)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			var s0, s1, s2, s3 float64
-			for k, b := range bi {
-				x := src[k*stride+j : k*stride+j+4]
-				s0 += b * x[0]
-				s1 += b * x[1]
-				s2 += b * x[2]
-				s3 += b * x[3]
-			}
-			ti[j], ti[j+1], ti[j+2], ti[j+3] = s0, s1, s2, s3
-		}
-		for ; j < n; j++ {
-			var s float64
-			for k, b := range bi {
-				s += b * src[k*stride+j]
-			}
-			ti[j] = s
 		}
 	}
-	// Column pass: out[i][j] = sum_k tmp[i][k] * B[j][k], four outputs
-	// at a time for the same reason.
-	at := func(k int) (ti, bj []float64) {
-		w := k
-		if want != nil {
-			w = want[k]
-		}
-		i, j := p.row[w], p.col[w]
-		return scratch[i : i+n], basis[j : j+n]
-	}
-	k := 0
-	for ; k+4 <= nout; k += 4 {
-		t0, b0 := at(k)
-		t1, b1 := at(k + 1)
-		t2, b2 := at(k + 2)
-		t3, b3 := at(k + 3)
-		var s0, s1, s2, s3 float64
-		for q := range t0 {
-			s0 += t0[q] * b0[q]
-			s1 += t1[q] * b1[q]
-			s2 += t2[q] * b2[q]
-			s3 += t3[q] * b3[q]
-		}
-		dst[k], dst[k+1], dst[k+2], dst[k+3] = s0, s1, s2, s3
-	}
-	for ; k < nout; k++ {
-		t, b := at(k)
-		var s float64
-		for q, v := range t {
-			s += v * b[q]
-		}
-		dst[k] = s
-	}
-	return nil
+	return scratch, nil
 }
 
 // DCT2D computes the orthonormal 2-D DCT-II of a row-major n x n block and
@@ -319,7 +286,7 @@ func DCT2D(block []float64, n int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.full(p.fwd, block)
+	return p.full(p.fwd, p.inv, block), nil
 }
 
 // IDCT2D inverts DCT2D (orthonormal, so the inverse is the transpose pair).
@@ -331,21 +298,22 @@ func IDCT2D(coef []float64, n int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.full(p.inv, coef)
+	return p.full(p.inv, p.fwd, coef), nil
 }
 
-// full transforms one contiguous block into a fresh coefficient grid.
-func (p *DCTPlan) full(basis, block []float64) ([]float64, error) {
-	var stack [256]float64 // row-pass scratch for blocks up to 16 x 16
-	scratch := stack[:]
-	if p.n*p.n > len(stack) {
-		scratch = make([]float64, p.n*p.n)
+// full transforms one contiguous block into a fresh coefficient grid:
+// basis * block * basisT.
+func (p *DCTPlan) full(basis, basisT, block []float64) []float64 {
+	n := p.n
+	var stack [256]float64 // row-pass product for blocks up to 16 x 16
+	tmp := stack[:]
+	if n*n > len(stack) {
+		tmp = make([]float64, n*n)
 	}
-	out := make([]float64, p.n*p.n)
-	if err := p.apply(basis, out, block, p.n, nil, scratch); err != nil {
-		return nil, err
-	}
-	return out, nil
+	out := make([]float64, n*n)
+	mul(tmp[:n*n], basis, block, n, n, n)
+	mul(out, tmp[:n*n], basisT, n, n, n)
+	return out
 }
 
 // Zigzag returns the zigzag scan order for an n x n block: a permutation

@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -407,9 +408,12 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// TestDCTPlanBitIdenticalToNaive pins the plan to the reference for full
-// and pruned coefficient sets, power-of-two and other n, and blocks read
-// in place out of a wider image.
+// TestDCTPlanBitIdenticalToNaive pins the plan to the reference: every
+// block of an image transformed where it lies, for full and prefix
+// coefficient sets, power-of-two and other n (a ragged n never reaches
+// the assembly kernel), square and oblong images, with scratch that
+// starts too short and is then handed back full of NaN; and DCT2D and
+// IDCT2D on single blocks.
 func TestDCTPlanBitIdenticalToNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, n := range []int{4, 8, 16, 6} {
@@ -418,71 +422,55 @@ func TestDCTPlanBitIdenticalToNaive(t *testing.T) {
 			t.Fatal(err)
 		}
 		zig := Zigzag(n)
-		wants := map[string][]int{
-			"all":        nil,
-			"zigzag":     zig,
-			"zigzag/4":   zig[:n*n/4],
-			"zigzag/one": zig[:1],
-			"last":       {n*n - 1},
-			"scattered":  {n + 1, 0, n*n - n, 2},
-		}
+		var scratch []float64
 		for trial := 0; trial < 8; trial++ {
-			// The block sits at (ox, oy) inside a stride-wide image.
-			stride := n + rng.Intn(3*n)
-			ox, oy := rng.Intn(stride-n+1), rng.Intn(4)
-			img := make([]float64, (oy+n)*stride)
+			bw, bh := 1+rng.Intn(5), 1+rng.Intn(5)
+			if trial == 1 {
+				bw, bh = 16, 16 // the zoo's raster when n is 8
+			}
+			w, h := bw*n, bh*n
+			img := make([]float64, w*h)
 			for i := range img {
 				img[i] = rng.NormFloat64()
-			}
-			if trial == 0 { // a raster-like block: exact zeros and ones
-				for i := range img {
+				if trial == 0 { // raster-like: exact zeros and ones
 					img[i] = float64(rng.Intn(2))
 				}
 			}
+			full := make([][]float64, bw*bh) // naive coefficients, per block
 			block := make([]float64, n*n)
-			for y := 0; y < n; y++ {
-				copy(block[y*n:(y+1)*n], img[(oy+y)*stride+ox:])
+			for by := 0; by < bh; by++ {
+				for bx := 0; bx < bw; bx++ {
+					for y := 0; y < n; y++ {
+						copy(block[y*n:(y+1)*n], img[(by*n+y)*w+bx*n:])
+					}
+					full[by*bw+bx] = naiveDCT2D(block, n)
+				}
 			}
-			strided := img[oy*stride+ox:]
-			fwd, inv := naiveDCT2D(block, n), naiveIDCT2D(block, n)
-			scratch := make([]float64, n*n)
-			for name, want := range wants {
-				ref := func(full []float64) []float64 {
-					if want == nil {
-						return full
+			for _, coefs := range []int{n * n, n * n / 4, 1, 1 + rng.Intn(n*n)} {
+				want := make([]float64, coefs*bw*bh)
+				for k := 0; k < coefs; k++ {
+					for blk, f := range full {
+						want[k*bw*bh+blk] = f[zig[k]]
 					}
-					out := make([]float64, len(want))
-					for k, w := range want {
-						out[k] = full[w]
-					}
-					return out
 				}
-				dst := make([]float64, n*n)
-				nout := n * n
-				if want != nil {
-					nout = len(want)
-				}
+				got := make([]float64, len(want))
 				for i := range scratch {
 					scratch[i] = math.NaN() // stale scratch must not leak
 				}
-				if err := p.Forward(dst, strided, stride, want, scratch); err != nil {
+				if scratch, err = p.ForwardBlocks(got, img, w, h, coefs, scratch); err != nil {
 					t.Fatal(err)
 				}
-				sameBits(t, name+" strided forward", dst[:nout], ref(fwd))
-				if err := p.Forward(dst, block, n, want, scratch); err != nil {
-					t.Fatal(err)
-				}
-				sameBits(t, name+" contiguous forward", dst[:nout], ref(fwd))
+				sameBits(t, fmt.Sprintf("n=%d %dx%d blocks, %d coefs", n, bw, bh, coefs), got, want)
 			}
 			got, err := DCT2D(block, n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameBits(t, "DCT2D", got, fwd)
+			sameBits(t, "DCT2D", got, full[len(full)-1])
 			if got, err = IDCT2D(block, n); err != nil {
 				t.Fatal(err)
 			}
-			sameBits(t, "IDCT2D", got, inv)
+			sameBits(t, "IDCT2D", got, naiveIDCT2D(block, n))
 		}
 	}
 }
@@ -519,22 +507,28 @@ func TestDCTPlanValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, dst, scratch := make([]float64, 16), make([]float64, 16), make([]float64, 16)
+	pix, out := make([]float64, 8*12), make([]float64, 16*6)
 	for name, call := range map[string]func() error{
-		"index past block": func() error { return p.Forward(dst, src, 4, []int{16}, scratch) },
-		"negative index":   func() error { return p.Forward(dst, src, 4, []int{-1}, scratch) },
-		"stride < n":       func() error { return p.Forward(dst, src, 3, nil, scratch) },
-		"short source":     func() error { return p.Forward(dst, src[:15], 4, nil, scratch) },
-		"short strided":    func() error { return p.Forward(dst, src, 5, nil, scratch) },
-		"short dst":        func() error { return p.Forward(dst[:2], src, 4, []int{0, 1, 2}, scratch) },
-		"short scratch":    func() error { return p.Forward(dst, src, 4, nil, scratch[:15]) },
+		"width off the block":  func() error { _, err := p.ForwardBlocks(out, pix[:7*12], 7, 12, 4, nil); return err },
+		"height off the block": func() error { _, err := p.ForwardBlocks(out, pix[:8*10], 8, 10, 4, nil); return err },
+		"empty image":          func() error { _, err := p.ForwardBlocks(out, nil, 0, 0, 4, nil); return err },
+		"short image":          func() error { _, err := p.ForwardBlocks(out, pix[:95], 8, 12, 4, nil); return err },
+		"long image":           func() error { _, err := p.ForwardBlocks(out, append(pix, 0), 8, 12, 4, nil); return err },
+		"no coefficients":      func() error { _, err := p.ForwardBlocks(out, pix, 8, 12, 0, nil); return err },
+		"too many":             func() error { _, err := p.ForwardBlocks(out, pix, 8, 12, 17, nil); return err },
+		"short out":            func() error { _, err := p.ForwardBlocks(out[:6*3-1], pix, 8, 12, 3, nil); return err },
 	} {
 		if err := call(); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
-	// The last row of a strided block needs only n values, not a full stride.
-	if err := p.Forward(dst, make([]float64, 3*6+4), 6, nil, scratch); err != nil {
-		t.Fatalf("tight strided source refused: %v", err)
+	// An out with room to spare is fine, and a refused call hands the
+	// caller's scratch back.
+	scratch, err := p.ForwardBlocks(out, pix, 8, 12, 16, nil)
+	if err != nil {
+		t.Fatalf("whole image refused: %v", err)
+	}
+	if back, err := p.ForwardBlocks(out, pix, 8, 12, 17, scratch); err == nil || len(back) != len(scratch) {
+		t.Fatalf("refused call returned scratch of %d (err %v), want the caller's %d", len(back), err, len(scratch))
 	}
 }

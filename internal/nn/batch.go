@@ -41,8 +41,12 @@ func (n *Network) ForwardBatch(x *tensor.Matrix, ar *Arena) *tensor.Matrix {
 	if ar == nil {
 		ar = NewArena()
 	}
-	for _, l := range n.Layers {
-		if inf, ok := l.(inferencer); ok {
+	for i := 0; i < len(n.Layers); i++ {
+		l := n.Layers[i]
+		if c := n.convReLUPoolAt(i); c != nil {
+			x = c.forwardInferReLUPool(x, ar)
+			i += 2
+		} else if inf, ok := l.(inferencer); ok {
 			x = inf.forwardInfer(x, ar)
 		} else {
 			x = l.Forward(x, false)
@@ -159,13 +163,7 @@ func (d *Dense) forwardInfer(x *tensor.Matrix, ar *Arena) *tensor.Matrix {
 func (r *ReLU) forwardInfer(x *tensor.Matrix, ar *Arena) *tensor.Matrix {
 	checkCols(r, r.Dim, x.Cols)
 	out := ar.get(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = 0
-		}
-	}
+	reluInto(out.Data, x.Data)
 	return out
 }
 
@@ -184,42 +182,6 @@ func (b *BatchNorm) forwardInfer(x *tensor.Matrix, ar *Arena) *tensor.Matrix {
 		for j := range src {
 			xhat := (src[j] - b.RunMean[j]) / math.Sqrt(b.RunVar[j]+b.Eps)
 			dst[j] = b.Gamma[j]*xhat + b.Beta[j]
-		}
-	}
-	return out
-}
-
-// forwardInfer implements inferencer via the tiled fused im2col+matmul
-// kernel (see fused.go): bands of output rows are gathered into a
-// bounded column tile and multiplied with the blocked kernel, so the
-// result is bit-identical to Forward's full-materialization im2col +
-// matmul while the scratch stays cache-sized.
-func (c *Conv2D) forwardInfer(x *tensor.Matrix, ar *Arena) *tensor.Matrix {
-	checkCols(c, c.InC*c.InH*c.InW, x.Cols)
-	g := c.geom()
-	out := ar.get(x.Rows, c.OutDim())
-	klen := g.inC * g.k * g.k
-	rowsPer := convTileRows(g)
-	tpMax := rowsPer * g.ow
-	colsBuf := ar.get(klen, tpMax)
-	prodBuf := ar.get(g.outC, tpMax)
-	positions := g.oh * g.ow
-	for i := 0; i < x.Rows; i++ {
-		sample, dst := x.Row(i), out.Row(i)
-		for oyA := 0; oyA < g.oh; oyA += rowsPer {
-			oyB := min(oyA+rowsPer, g.oh)
-			tp := (oyB - oyA) * g.ow
-			cols := tensor.Matrix{Rows: klen, Cols: tp, Data: colsBuf.Data[:klen*tp]}
-			prod := tensor.Matrix{Rows: g.outC, Cols: tp, Data: prodBuf.Data[:g.outC*tp]}
-			im2colTile(g, sample, oyA, oyB, cols.Data)
-			tensor.MatMulInto(&prod, c.W, &cols)
-			for oc := 0; oc < g.outC; oc++ {
-				bias := c.B[oc]
-				base := oc*positions + oyA*g.ow
-				for p, v := range prod.Row(oc) {
-					dst[base+p] = v + bias
-				}
-			}
 		}
 	}
 	return out

@@ -12,7 +12,12 @@ import (
 
 // testNetworks builds one of each supported architecture, initialized
 // and (for batchnorm) warmed with a training step so running statistics
-// are non-trivial.
+// are non-trivial. The last three are conv -> ReLU -> pool -> dense heads
+// off the zoo's geometry: a 5x5 kernel under pad 2 on a non-square input
+// whose output width is not a multiple of the kernel's panel, a stride-2
+// conv (the gathered fallback, still followed by the one-pass tail), and
+// a pointwise conv under a 4x4 pool (the tail runs layer by layer). Every
+// bias is non-zero.
 func testNetworks(t *testing.T, seed int64) map[string]*Network {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -36,7 +41,31 @@ func testNetworks(t *testing.T, seed int64) map[string]*Network {
 	warm.Randomize(rng, 1)
 	bn.Forward(warm, true)
 
-	return map[string]*Network{"mlp": mlp, "cnn-dropout": cnn, "cnn-batchnorm": bn}
+	nets := map[string]*Network{
+		"mlp": mlp, "cnn-dropout": cnn, "cnn-batchnorm": bn,
+		"cnn-k5-ragged": NewNetwork(NewConv2D(2, 6, 22, 5, 5, 1, 2), NewReLU(5*6*22), NewMaxPool2D(5, 6, 22, 2), NewDense(5*3*11, 2)),
+		"cnn-stride2":   NewNetwork(NewConv2D(2, 8, 12, 3, 3, 2, 1), NewReLU(3*4*6), NewMaxPool2D(3, 4, 6, 2), NewDense(3*2*3, 2)),
+		"cnn-k1-pool4":  NewNetwork(NewConv2D(3, 8, 8, 4, 1, 1, 0), NewReLU(4*8*8), NewMaxPool2D(4, 8, 8, 4), NewDense(4*2*2, 2)),
+	}
+	// Fixed order: the draws, and so the tests, are the same every run.
+	for _, name := range []string{"cnn-k5-ragged", "cnn-stride2", "cnn-k1-pool4"} {
+		nets[name].Init(rng)
+	}
+	for _, name := range []string{"mlp", "cnn-dropout", "cnn-batchnorm", "cnn-k5-ragged", "cnn-stride2", "cnn-k1-pool4"} {
+		for _, l := range nets[name].Layers {
+			switch l := l.(type) {
+			case *Conv2D:
+				for i := range l.B {
+					l.B[i] = 0.3 * rng.NormFloat64()
+				}
+			case *Dense:
+				for i := range l.B {
+					l.B[i] = 0.3 * rng.NormFloat64()
+				}
+			}
+		}
+	}
+	return nets
 }
 
 func randRows(rng *rand.Rand, n, dim int) [][]float64 {
@@ -77,7 +106,7 @@ func TestForwardBatchMatchesForward(t *testing.T) {
 				t.Fatalf("%s rows=%d: shape %dx%d, want %dx%d", name, rows, got.Rows, got.Cols, want.Rows, want.Cols)
 			}
 			for i := range want.Data {
-				if got.Data[i] != want.Data[i] {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
 					t.Fatalf("%s rows=%d: logit %d = %v, want %v", name, rows, i, got.Data[i], want.Data[i])
 				}
 			}

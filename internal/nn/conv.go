@@ -20,6 +20,10 @@ type Conv2D struct {
 	gw *tensor.Matrix
 	gb []float64
 	tr *convScratch
+	// taps addresses the inference product's right-hand rows (see
+	// fused.go); built once here, read-only, shared by concurrent
+	// scorers. Empty when Stride != 1.
+	taps tensor.RowTable
 }
 
 // convScratch is what one training step of a Conv2D keeps between
@@ -63,6 +67,9 @@ func NewConv2D(inC, inH, inW, outC, k, stride, pad int) *Conv2D {
 	if c.OutH() <= 0 || c.OutW() <= 0 {
 		panic(fmt.Sprintf("nn: conv %dx%dx%d k=%d s=%d p=%d yields empty output",
 			inC, inH, inW, k, stride, pad))
+	}
+	if stride == 1 {
+		c.taps = c.geom().tapTable()
 	}
 	return c
 }
@@ -121,8 +128,7 @@ func col2imChannel(g convGeom, ch int, band, dst []float64) {
 func (c *Conv2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	checkCols(c, c.InC*c.InH*c.InW, x.Cols)
 	g := c.geom()
-	klen, positions := c.W.Cols, g.oh*g.ow
-	csz := klen * positions
+	csz := c.W.Cols * g.oh * g.ow
 	ex := executors()
 	// Column matrices: one per sample, kept for Backward, when training;
 	// one per pool goroutine otherwise.
@@ -145,16 +151,8 @@ func (c *Conv2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 		if train {
 			at = i
 		}
-		cols := tensor.Matrix{Rows: klen, Cols: positions, Data: cache[at*csz : (at+1)*csz]}
-		im2colTile(g, x.Row(i), 0, g.oh, cols.Data)
-		prod := tensor.Matrix{Rows: c.OutC, Cols: positions, Data: out.Row(i)}
-		tensor.MatMulInto(&prod, c.W, &cols)
-		for oc, bias := range c.B {
-			seg := prod.Row(oc)
-			for p := range seg {
-				seg[p] += bias
-			}
-		}
+		c.im2colSums(g, x.Row(i), cache[at*csz:(at+1)*csz], out.Row(i))
+		c.addBias(out.Row(i))
 	})
 	return out
 }

@@ -7,11 +7,12 @@ import (
 	"github.com/golitho/hsd/internal/tensor"
 )
 
-// Benchmarks comparing the tiled fused conv kernel against the
-// full-materialization im2col+matmul on the bench CNN's two conv
-// shapes. The "fused" sub-benchmark must stay at or below "im2col" —
-// this pair is how the direct-stencil formulation was caught being
-// ~2x slower before it was replaced (see the fused.go file comment).
+// Benchmarks comparing the inference convolution as it ships (fused.go:
+// one addressed product per output row over the zero-bordered sample)
+// with the gather it replaced, a materialised im2col matrix and one
+// matmul, on two conv shapes at batch 32. "shipped" must stay at or below
+// "im2col": the pair is what would catch a formulation that multiplies
+// in place but loses to the copy it saves.
 func benchConvLayer(b *testing.B, conv *Conv2D) {
 	rng := rand.New(rand.NewSource(41))
 	net := NewNetwork(conv)
@@ -19,7 +20,7 @@ func benchConvLayer(b *testing.B, conv *Conv2D) {
 	x := tensor.NewMatrix(32, conv.InC*conv.InH*conv.InW)
 	x.Randomize(rng, 1)
 	ar := NewArena()
-	b.Run("fused", func(b *testing.B) {
+	b.Run("shipped", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ar.Reset()
 			conv.forwardInfer(x, ar)
@@ -33,8 +34,10 @@ func benchConvLayer(b *testing.B, conv *Conv2D) {
 	})
 }
 
-// forwardInferIm2col is the pre-fusion inference path, kept in the
-// bench suite as the comparison baseline.
+// forwardInferIm2col is inference by materialised im2col, kept here as
+// the benchmarks' baseline and, because its gather is written
+// independently (zeroed matrix, padded taps skipped), as the oracle of
+// TestConvForwardMatchesSparseGather.
 func (c *Conv2D) forwardInferIm2col(x *tensor.Matrix, ar *Arena) *tensor.Matrix {
 	oh, ow := c.OutH(), c.OutW()
 	out := ar.get(x.Rows, c.OutDim())

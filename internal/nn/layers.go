@@ -154,16 +154,28 @@ func (r *ReLU) OutDim() int { return r.Dim }
 
 func (r *ReLU) dropScratch() { r.tr = nil }
 
+// reluInto writes the inference ReLU of src over dst: v when v > 0, else
+// +0, so NaN and -0 come out as +0 like everything negative. It is the
+// one rule of every pass that is not training (eval-mode Forward,
+// forwardInfer, forwardInferReLUPool), which is what keeps Score
+// bit-identical to Forward(x, false) on any input. The training pass
+// below has its own, !(v < 0): it decides which gradients pass at
+// pre-activations of exactly zero, and the trained-bytes goldens pin it.
+func reluInto(dst, src []float64) {
+	for i, v := range src {
+		if !(v > 0) {
+			v = 0
+		}
+		dst[i] = v
+	}
+}
+
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	checkCols(r, r.Dim, x.Cols)
 	if !train {
-		out := x.Clone()
-		for i, v := range out.Data {
-			if v < 0 {
-				out.Data[i] = 0
-			}
-		}
+		out := tensor.NewMatrix(x.Rows, x.Cols)
+		reluInto(out.Data, x.Data)
 		return out
 	}
 	if r.tr == nil {

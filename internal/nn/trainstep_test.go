@@ -252,7 +252,7 @@ func TestNetworkBackwardSkipsOnlyInputGrad(t *testing.T) {
 }
 
 // TestConvForwardMatchesSparseGather: the training path gathers with
-// im2colTile over the full height; on every odd geometry it must equal
+// im2col; on every odd geometry it must equal
 // the independent gather kept with the benchmarks (zeroed matrix, padded
 // taps skipped).
 func TestConvForwardMatchesSparseGather(t *testing.T) {

@@ -38,28 +38,74 @@ func benchKernels(b *testing.B, m, k, n int) {
 		rate(b)
 	})
 	b.Run("portable", func(b *testing.B) {
+		plain := make([]int, k)
+		for t := range plain {
+			plain[t] = t * n
+		}
 		for i := 0; i < b.N; i++ {
-			matMulPortable(dst.Data, ma.Data, mb.Data, m, k, n, 0)
+			portableTiles(dst.Data, n, ma.Data, mb.Data, plain, m, k, n)
+		}
+		rate(b)
+	})
+}
+
+// benchAddressed times one output row of a stride-1 convolution as
+// Conv2D.forwardInfer multiplies it: outC x (inC*kk*kk) weights over the
+// ow-wide runs of a zero-bordered (inC, ow+kk-1, ow+kk-1) input, written
+// at the sample's row stride.
+func benchAddressed(b *testing.B, outC, inC, kk, ow int) {
+	rng := rand.New(rand.NewSource(12))
+	pw := ow + kk - 1
+	var off []int
+	for ch := 0; ch < inC; ch++ {
+		for ky := 0; ky < kk; ky++ {
+			for kx := 0; kx < kk; kx++ {
+				off = append(off, (ch*pw+ky)*pw+kx)
+			}
+		}
+	}
+	rows, k := NewRowTable(off), len(off)
+	w, in, dst := NewMatrix(outC, k), NewMatrix(inC, pw*pw), NewMatrix(outC, ow*ow)
+	w.Randomize(rng, 1)
+	in.Randomize(rng, 1)
+	rate := func(b *testing.B) {
+		b.ReportMetric(float64(outC*k*ow)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "MAC/ns")
+	}
+	b.Run("shipped", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			MatMulAddressedInto(dst.Data, ow*ow, w.Data, outC, in.Data, rows, ow)
+		}
+		rate(b)
+	})
+	b.Run("portable", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			portableTiles(dst.Data, ow*ow, w.Data, in.Data, off, outC, k, ow)
 		}
 		rate(b)
 	})
 }
 
 // BenchmarkMatMulKernels runs both kernels over the shapes the system
-// multiplies: the fused conv's column tile and the training forward's
-// full column matrix for each conv stage, the swapped weight-gradient
-// product, a dX band, the dense layer at batch 1 and 32, and two shapes
-// far past L1 (the repo benchmark's 192 cube, and a b with page-long
-// rows).
+// multiplies: a 16-wide column tile and the training forward's full
+// column matrix for each conv stage, the swapped weight-gradient
+// product, a dX band, the dense layer at batch 1 and 32, the block DCT's
+// row pass over one band of the raster and its column pass over one
+// basis row, and two shapes far past L1 (the repo benchmark's 192 cube,
+// and a b with page-long rows); then one output row of each conv stage
+// as inference multiplies it, addressed. The small ones put the per-call
+// overhead on record.
 func BenchmarkMatMulKernels(b *testing.B) {
 	for _, sh := range [][3]int{
 		{16, 144, 16}, {16, 144, 256}, {24, 144, 64}, {144, 256, 16},
-		{9, 24, 64}, {1, 96, 48}, {32, 96, 48}, {192, 192, 192}, {64, 512, 512},
+		{9, 24, 64}, {1, 96, 48}, {32, 96, 48}, {5, 8, 128}, {16, 8, 8},
+		{192, 192, 192}, {64, 512, 512},
 	} {
 		b.Run(fmt.Sprintf("%dx%dx%d", sh[0], sh[1], sh[2]), func(b *testing.B) {
 			benchKernels(b, sh[0], sh[1], sh[2])
 		})
 	}
+	b.Run("conv1row/16x144x16", func(b *testing.B) { benchAddressed(b, 16, 16, 3, 16) })
+	b.Run("conv2row/24x144x8", func(b *testing.B) { benchAddressed(b, 24, 16, 3, 8) })
 }
 
 // BenchmarkMatMulTransB measures A·Bᵀ as it ships (one operand
@@ -87,7 +133,7 @@ func BenchmarkMatMulTransB(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				matMulPortable(dst.Data, grad.Data, colsT.Data, outC, positions, klen, 0)
+				portableTiles(dst.Data, klen, grad.Data, colsT.Data, nil, outC, positions, klen)
 			}
 		})
 	}

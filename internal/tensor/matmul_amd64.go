@@ -15,30 +15,23 @@ func cpuHasAVX2() bool
 // matmulPanelsAVX2 computes, for every row i < m and every column
 // j < panels*8,
 //
-//	dst[i*ldn+j] = (acc ? dst[i*ldn+j] : 0) + Σ a[i*lda+t] * b[t*ldn+j]
+//	dst[i*ldd+j] = (acc ? dst[i*ldd+j] : 0) + Σ a[i*lda+t] * b[off[t]+j]
 //
 // over t < k in ascending t, each product rounded before its add. It
 // reads and writes exactly those elements; m, k and panels must be
 // positive.
 //
 //go:noescape
-func matmulPanelsAVX2(dst, a, b *float64, m, k, panels, lda, ldn int, acc bool)
+func matmulPanelsAVX2(dst, a, b *float64, off *int, m, k, panels, lda, ldd int, acc bool)
 
-// matMulPanels computes the leading whole panels of the m x n product d
-// of av (m x k) and bv (k x n) with the assembly kernel and returns how
-// many columns that was; 0 when the machine lacks AVX2. The slices have
-// been cut to exactly m*n, m*k and k*n elements by matMulRows, which is
-// what keeps every address the kernel forms inside them.
-//
-// The kernel holds a tile's sums in registers for a whole k tile and
-// revisits dst once per tile (acc), in ascending k.
-func matMulPanels(d, av, bv []float64, m, k, n int) int {
+// matMulPanels runs the assembly kernel over the leading whole panels of
+// one k tile of a product (see matMulTiles, whose arguments these are) and
+// returns how many columns that was; 0 when the machine lacks AVX2.
+func matMulPanels(d []float64, ldd int, av []float64, lda int, bv []float64, off []int, m, n int, acc bool) int {
 	panels := n / panelCols
-	if !haveAVX2 || m == 0 || k == 0 || panels == 0 {
+	if !haveAVX2 || m == 0 || len(off) == 0 || panels == 0 {
 		return 0
 	}
-	for k0 := 0; k0 < k; k0 += mmBlockK {
-		matmulPanelsAVX2(&d[0], &av[k0], &bv[k0*n], m, min(mmBlockK, k-k0), panels, k, n, k0 > 0)
-	}
+	matmulPanelsAVX2(&d[0], &av[0], &bv[0], &off[0], m, len(off), panels, lda, ldd, acc)
 	return panels * panelCols
 }

@@ -31,28 +31,30 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 done:
 	RET
 
-// func matmulPanelsAVX2(dst, a, b *float64, m, k, panels, lda, ldn int, acc bool)
+// func matmulPanelsAVX2(dst, a, b *float64, off *int, m, k, panels, lda, ldd int, acc bool)
 //
 // The register tile is four dst rows by two four-lane vectors: Y0..Y7
-// hold the 4x8 sums for a whole k tile. One step of k loads the two
-// vectors of a b row once, broadcasts one element of each a row, and
-// gives every sum one VMULPD and one VADDPD. The multiply is rounded
-// before the add (no FMA anywhere in this file), and lane j of a vector
-// only ever meets column j of b, so each dst element is the scalar sum
-// of its products in ascending k, to the bit. Rows left over after the
-// last group of four go through the same step one row at a time.
+// hold the 4x8 sums for a whole k tile. One step of k reads where its b
+// row starts from the off table, loads the row's two vectors once,
+// broadcasts one element of each a row, and gives every sum one VMULPD
+// and one VADDPD. The multiply is rounded before the add (no FMA
+// anywhere in this file), and lane j of a vector only ever meets column
+// j of a b row, so each dst element is the scalar sum of its products in
+// ascending k, to the bit. Rows left over after the last group of four
+// go through the same step one row at a time.
 //
 // Panels are the outer loop and row groups the inner one, so the 64-byte
 // b rows of one panel are reused by every row group while they are hot.
 //
 //	R10  byte offset of the panel in a dst or b row      R13  its end
-//	R11  lda in bytes        R12  ldn in bytes           R8   rows left
-//	DI   dst, SI a: first row of the group               DX   b: panel, row 0
-//	AX, BX  a cursors (rows 0-1, rows 2-3)   R9  b cursor   CX  k countdown
-TEXT ·matmulPanelsAVX2(SB), NOSPLIT, $0-65
-	MOVQ lda+48(FP), R11
-	MOVQ ldn+56(FP), R12
-	MOVQ panels+40(FP), R13
+//	R11  lda in bytes        R12  ldd in bytes           R8   rows left
+//	DI   dst, SI a: first row of the group               DX   b: panel, offset 0
+//	AX, BX  a cursors (rows 0-1, rows 2-3)   CX  k countdown
+//	R14  off cursor          R9   the step's b row offset, in elements
+TEXT ·matmulPanelsAVX2(SB), NOSPLIT, $0-73
+	MOVQ lda+56(FP), R11
+	MOVQ ldd+64(FP), R12
+	MOVQ panels+48(FP), R13
 	SHLQ $3, R11
 	SHLQ $3, R12
 	SHLQ $6, R13
@@ -64,13 +66,13 @@ panel:
 	MOVQ b+16(FP), DX
 	ADDQ R10, DI
 	ADDQ R10, DX
-	MOVQ m+24(FP), R8
+	MOVQ m+32(FP), R8
 	CMPQ R8, $4
 	JLT  tail
 
 rows4:
 	LEAQ (DI)(R12*2), AX
-	CMPB acc+64(FP), $0
+	CMPB acc+72(FP), $0
 	JNE  load4
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
@@ -95,12 +97,13 @@ load4:
 init4:
 	MOVQ SI, AX
 	LEAQ (SI)(R11*2), BX
-	MOVQ DX, R9
-	MOVQ k+32(FP), CX
+	MOVQ off+24(FP), R14
+	MOVQ k+40(FP), CX
 
 step4:
-	VMOVUPD      (R9), Y8
-	VMOVUPD      32(R9), Y9
+	MOVQ         (R14), R9
+	VMOVUPD      (DX)(R9*8), Y8
+	VMOVUPD      32(DX)(R9*8), Y9
 	VBROADCASTSD (AX), Y10
 	VMULPD       Y8, Y10, Y12
 	VADDPD       Y12, Y0, Y0
@@ -123,7 +126,7 @@ step4:
 	VADDPD       Y15, Y7, Y7
 	ADDQ         $8, AX
 	ADDQ         $8, BX
-	ADDQ         R12, R9
+	ADDQ         $8, R14
 	DECQ         CX
 	JNZ          step4
 
@@ -147,7 +150,7 @@ tail:
 	JZ    next
 
 row1:
-	CMPB acc+64(FP), $0
+	CMPB acc+72(FP), $0
 	JNE  load1
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
@@ -159,17 +162,18 @@ load1:
 
 init1:
 	MOVQ SI, AX
-	MOVQ DX, R9
-	MOVQ k+32(FP), CX
+	MOVQ off+24(FP), R14
+	MOVQ k+40(FP), CX
 
 step1:
+	MOVQ         (R14), R9
 	VBROADCASTSD (AX), Y10
-	VMULPD       (R9), Y10, Y12
+	VMULPD       (DX)(R9*8), Y10, Y12
 	VADDPD       Y12, Y0, Y0
-	VMULPD       32(R9), Y10, Y13
+	VMULPD       32(DX)(R9*8), Y10, Y13
 	VADDPD       Y13, Y1, Y1
 	ADDQ         $8, AX
-	ADDQ         R12, R9
+	ADDQ         $8, R14
 	DECQ         CX
 	JNZ          step1
 

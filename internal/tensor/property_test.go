@@ -181,6 +181,21 @@ func oddMatrix(rng *rand.Rand, r, c, off, nOdd int) *Matrix {
 	return m
 }
 
+// portableTiles is matMulTiles with the assembly left out: the portable
+// kernel over every column, k tile by k tile. It is the oracle of the
+// kernel comparisons and the portable side of the kernel benchmarks.
+func portableTiles(d []float64, ldd int, av, bv []float64, off []int, m, k, n int) {
+	if off == nil {
+		off = make([]int, k)
+		for t := range off {
+			off[t] = t * n
+		}
+	}
+	for k0 := 0; m > 0 && (k0 == 0 || k0 < k); k0 += mmBlockK {
+		matMulPortable(d, ldd, av[k0:], k, bv, off[k0:min(k0+mmBlockK, k)], m, n, 0, k0 > 0)
+	}
+}
+
 // assertKernelsAgree runs the shipped kernel (matMulRows: assembly
 // panels plus portable edge) and the portable kernel alone over the same
 // operands into NaN-poisoned destinations at an odd offset, and compares
@@ -197,16 +212,23 @@ func assertKernelsAgree(t *testing.T, a, b *Matrix) {
 		return &Matrix{Rows: m, Cols: n, Data: buf[1:]}
 	}
 	want, got := poisoned(), poisoned()
-	matMulPortable(want.Data, a.Data, b.Data, m, k, n, 0)
+	portableTiles(want.Data, n, a.Data, b.Data, nil, m, k, n)
 	matMulRows(got, a, b, 0, m)
-	for i, w := range want.Data {
-		g := got.Data[i]
+	assertBitsOrBothNaN(t, fmt.Sprintf("%dx%dx%d", m, k, n), want.Data, got.Data)
+}
+
+// assertBitsOrBothNaN compares element by element by the bits; where
+// want is NaN, got must be NaN too, with any payload.
+func assertBitsOrBothNaN(t *testing.T, name string, want, got []float64) {
+	t.Helper()
+	for i, w := range want {
+		g := got[i]
 		if math.IsNaN(w) && math.IsNaN(g) {
 			continue
 		}
 		if math.Float64bits(w) != math.Float64bits(g) {
-			t.Fatalf("%dx%dx%d element %d: kernel %v (bits %x), portable %v (bits %x)",
-				m, k, n, i, g, math.Float64bits(g), w, math.Float64bits(w))
+			t.Fatalf("%s element %d: kernel %v (bits %x), oracle %v (bits %x)",
+				name, i, g, math.Float64bits(g), w, math.Float64bits(w))
 		}
 	}
 }
@@ -283,5 +305,133 @@ func FuzzMatMulKernel(f *testing.F) {
 		a := oddMatrix(rng, int(m%40), int(k), int((mix>>2)%4), nOdd)
 		b := oddMatrix(rng, int(k), int(n%70), int((mix>>4)%4), nOdd)
 		assertKernelsAgree(t, a, b)
+	})
+}
+
+// addressedCase is one addressed product: a at an odd element offset, a
+// b just long enough for its table, offsets drawn so that rows overlap
+// and repeat, and a dst stride with a gap after each row.
+type addressedCase struct {
+	m, k, n, ldd int
+	a, b         []float64
+	rows         RowTable
+}
+
+func newAddressedCase(rng *rand.Rand, m, k, n, nOdd int) addressedCase {
+	c := addressedCase{m: m, k: k, n: n, ldd: n + rng.Intn(3)}
+	c.a = oddMatrix(rng, m, k, 1, nOdd).Data
+	// A short b makes most rows overlap; every third row repeats an
+	// earlier one outright.
+	span := rng.Intn(2*k + 2)
+	c.b = oddMatrix(rng, 1, span+n, 3, nOdd).Data
+	off := make([]int, k)
+	for t := range off {
+		if t > 0 && t%3 == 0 {
+			off[t] = off[rng.Intn(t)]
+		} else {
+			off[t] = rng.Intn(span + 1)
+		}
+	}
+	c.rows = NewRowTable(off)
+	return c
+}
+
+// poisonedDst is a NaN-filled destination for c, at an odd offset.
+func (c addressedCase) poisonedDst() []float64 {
+	buf := make([]float64, 1+max(0, (c.m-1)*c.ldd+c.n))
+	for i := range buf {
+		buf[i] = math.NaN()
+	}
+	return buf[1:]
+}
+
+// assertAddressedAgrees holds MatMulAddressedInto (assembly panels plus
+// portable edge) to the portable kernel alone, and both to the
+// definition: gather the addressed rows into a k x n matrix and run the
+// naive loop. The gaps between dst rows must keep their poison.
+func assertAddressedAgrees(t *testing.T, c addressedCase) {
+	t.Helper()
+	name := fmt.Sprintf("addressed %dx%dx%d ldd %d", c.m, c.k, c.n, c.ldd)
+	want, got := c.poisonedDst(), c.poisonedDst()
+	portableTiles(want, c.ldd, c.a, c.b, c.rows.off, c.m, c.k, c.n)
+	MatMulAddressedInto(got, c.ldd, c.a, c.m, c.b, c.rows, c.n)
+	assertBitsOrBothNaN(t, name, want, got)
+	gathered := NewMatrix(c.k, c.n)
+	for r, o := range c.rows.off {
+		copy(gathered.Row(r), c.b[o:o+c.n])
+	}
+	spec := specMatMul(&Matrix{Rows: c.m, Cols: c.k, Data: c.a}, gathered)
+	for i := 0; i < c.m; i++ {
+		row := got[i*c.ldd:]
+		assertBitsOrBothNaN(t, name+" against the gathered product", spec.Row(i), row[:c.n])
+		for j := c.n; j < c.ldd && i < c.m-1; j++ {
+			if !math.IsNaN(row[j]) {
+				t.Fatalf("%s: gap element %d of row %d was written", name, j, i)
+			}
+		}
+	}
+}
+
+// TestAddressedMatchesPortable is TestKernelMatchesPortable for the
+// addressed product, over the same shapes and value mixes.
+func TestAddressedMatchesPortable(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	finite := len(oddValues) - 3
+	for _, sh := range append(propertyShapes(rng), kernelEdgeShapes()...) {
+		for _, nOdd := range []int{0, finite, len(oddValues)} {
+			assertAddressedAgrees(t, newAddressedCase(rng, sh[0], sh[1], sh[2], nOdd))
+		}
+	}
+}
+
+// TestAddressedShortDataPanicsBeforeStore: an operand too short for the
+// product, or an offset outside b, is refused in Go before either kernel
+// has stored anything; a negative offset never becomes a table.
+func TestAddressedShortDataPanicsBeforeStore(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	c := newAddressedCase(rng, 6, 70, 16, 0)
+	far := append([]int(nil), c.rows.off...)
+	far[len(far)-1] = len(c.b) - c.n + 1
+	for name, mul := range map[string]func(dst []float64){
+		"short dst":  func(dst []float64) { MatMulAddressedInto(dst[:len(dst)-1], c.ldd, c.a, c.m, c.b, c.rows, c.n) },
+		"short a":    func(dst []float64) { MatMulAddressedInto(dst, c.ldd, c.a[:len(c.a)-1], c.m, c.b, c.rows, c.n) },
+		"short b":    func(dst []float64) { MatMulAddressedInto(dst, c.ldd, c.a, c.m, c.b[:c.rows.span+c.n-1], c.rows, c.n) },
+		"far offset": func(dst []float64) { MatMulAddressedInto(dst, c.ldd, c.a, c.m, c.b, NewRowTable(far), c.n) },
+		"negative offset": func(dst []float64) {
+			MatMulAddressedInto(dst, c.ldd, c.a, c.m, c.b, NewRowTable([]int{0, -1}), c.n)
+		},
+		"narrow dst stride": func(dst []float64) { MatMulAddressedInto(dst, c.n-1, c.a, c.m, c.b, c.rows, c.n) },
+	} {
+		dst := c.poisonedDst()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			mul(dst)
+		}()
+		for i, v := range dst {
+			if !math.IsNaN(v) {
+				t.Fatalf("%s: dst element %d was stored before the panic", name, i)
+			}
+		}
+	}
+}
+
+// FuzzAddressedKernel lets the fuzzer pick the shape and the value mix;
+// the seed draws the offsets. The property is
+// TestAddressedMatchesPortable's.
+func FuzzAddressedKernel(f *testing.F) {
+	f.Add(uint8(16), uint8(144), uint8(16), uint8(0), int64(1))
+	f.Add(uint8(24), uint8(144), uint8(8), uint8(1), int64(2))
+	f.Add(uint8(5), uint8(65), uint8(9), uint8(2), int64(3))
+	f.Add(uint8(1), uint8(3), uint8(17), uint8(3), int64(4))
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(1), int64(5))
+	f.Add(uint8(3), uint8(0), uint8(8), uint8(2), int64(6))
+	f.Fuzz(func(t *testing.T, m, k, n, mix uint8, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		nOdd := []int{0, len(oddValues) - 3, len(oddValues), 2}[mix%4]
+		assertAddressedAgrees(t, newAddressedCase(rng, int(m%40), int(k), int(n%70), nOdd))
 	})
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Matrix is a dense row-major matrix.
@@ -116,14 +117,6 @@ func checkMatMulShapes(dst, a, b *Matrix) {
 // what lets ParallelMatMulInto shard rows across workers without changing
 // any result bit.
 //
-// There are two kernels and one association. matMulPanels is the AVX2
-// assembly (matmul_amd64.s), which takes whole panelCols-column panels
-// where the machine has it; matMulPortable is the Go loop, which takes
-// the ragged right edge, and every column on other machines or under
-// -tags purego. Both give each dst element its own accumulator, started
-// at zero and fed one rounded product at a time in ascending k, so which
-// kernel computed a column cannot be read off its bits.
-//
 // Each operand is sliced to the extent the product needs before either
 // kernel runs: a Matrix whose Data is shorter than Rows x Cols panics
 // here, before any store, and the assembly is handed only pointers into
@@ -133,9 +126,7 @@ func matMulRows(dst, a, b *Matrix, r0, r1 int) {
 	d := within(dst.Data, r0*n, r1*n)
 	av := within(a.Data, r0*k, r1*k)
 	bv := within(b.Data, 0, k*n)
-	if j := matMulPanels(d, av, bv, m, k, n); j < n {
-		matMulPortable(d, av, bv, m, k, n, j)
-	}
+	matMulTiles(d, n, av, bv, nil, m, k, n)
 }
 
 // within is data[lo:hi] checked against data's length: a plain slice
@@ -144,47 +135,142 @@ func within(data []float64, lo, hi int) []float64 {
 	return data[:len(data):len(data)][lo:hi]
 }
 
-// matMulPortable computes columns [jLo, n) of the m x n product d of the
-// m x k rows av and the k x n matrix bv, all row-major and contiguous.
+// RowTable says where the rows of a product's right operand start: row t
+// begins at element off[t] of the slice MatMulAddressedInto is handed. Rows may overlap or repeat, which is what lets a convolution
+// multiply the shifted views of its input where they lie instead of
+// copying them into a column matrix. A table is validated once, where it
+// is built, is immutable afterwards and may be shared by any number of
+// concurrent products.
+type RowTable struct {
+	off  []int
+	span int // the largest offset: one comparison per product bounds every row
+}
+
+// NewRowTable copies off into a table; a negative offset panics.
+func NewRowTable(off []int) RowTable {
+	t := RowTable{off: slices.Clone(off)}
+	for _, o := range off {
+		if o < 0 {
+			panic(fmt.Sprintf("tensor: negative row offset %d", o))
+		}
+		t.span = max(t.span, o)
+	}
+	return t
+}
+
+// MatMulAddressedInto computes, for i < m and j < n,
+//
+//	dst[i*ldd+j] = Σ_t a[i*k+t] * b[rows.off[t]+j]
+//
+// over the k rows of the table: MatMulInto with dst given its own row
+// stride and the rows of the right operand addressed, not strided. The
+// sums are matMulTiles's (from zero, ascending t, one rounded product and
+// one add at a time), so the result is bit-identical to gathering the
+// rows into a k x n matrix and calling MatMulInto. Like matMulRows it
+// proves every operand long enough before either kernel stores anything.
+func MatMulAddressedInto(dst []float64, ldd int, a []float64, m int, b []float64, rows RowTable, n int) {
+	k := len(rows.off)
+	if m < 0 || n < 0 || ldd < n {
+		panic(fmt.Sprintf("tensor: addressed matmul %dx%dx%d with dst stride %d", m, k, n, ldd))
+	}
+	if m == 0 || n == 0 {
+		return
+	}
+	d := within(dst, 0, (m-1)*ldd+n)
+	av := within(a, 0, m*k)
+	if k > 0 {
+		b = within(b, 0, rows.span+n)
+	}
+	matMulTiles(d, ldd, av, b, rows.off, m, k, n)
+}
+
+// matMulTiles is the one product under every entry above: for i < m and
+// j < n, d[i*ldd+j] = Σ_t av[i*k+t] * bv[off[t]+j], where a nil off means
+// the rows of a plain row-major matrix, off[t] = t*n. The callers have
+// proven d, av and bv long enough for every index that names.
+//
+// There are two kernels and one association. matMulPanels is the AVX2
+// assembly (matmul_amd64.s), which takes whole panelCols-column panels
+// where the machine has it; matMulPortable is the Go loop, which takes
+// the ragged right edge, and every column on other machines or under
+// -tags purego. Both give each dst element its own accumulator, started
+// at zero and fed one rounded product at a time in ascending t, so which
+// kernel computed a column cannot be read off its bits. The sums are
+// carried through d from one k tile to the next.
+func matMulTiles(d []float64, ldd int, av, bv []float64, off []int, m, k, n int) {
+	if m == 0 || n == 0 {
+		return
+	}
+	if k == 0 {
+		for i := 0; i < m; i++ {
+			clear(d[i*ldd:][:n])
+		}
+		return
+	}
+	// A plain product's k tiles all read rows 0, n, 2n, ... of a b that
+	// starts further down each time, so its table is filled once.
+	var plain [mmBlockK]int
+	if off == nil {
+		for t, o := 0, 0; t < min(k, mmBlockK); t, o = t+1, o+n {
+			plain[t] = o
+		}
+	}
+	for k0 := 0; k0 < k; k0 += mmBlockK {
+		k1 := min(k0+mmBlockK, k)
+		tile, bt := plain[:k1-k0], bv
+		if off != nil {
+			tile = off[k0:k1]
+		} else {
+			bt = bv[k0*n:]
+		}
+		if j := matMulPanels(d, ldd, av[k0:], k, bt, tile, m, n, k0 > 0); j < n {
+			matMulPortable(d, ldd, av[k0:], k, bt, tile, m, n, j, k0 > 0)
+		}
+	}
+}
+
+// matMulPortable adds one k tile's terms to columns [jLo, n) of d: for
+// i < m, d[i*ldd+j] (taken as zero unless acc) += Σ_t av[i*lda+t] *
+// bv[off[t]+j] over the tile's len(off) rows.
 //
 // The inner loop is unrolled four deep in k with explicitly
 // left-associated adds: each dst element accumulates its terms in
 // strictly ascending k order, one at a time, exactly like the plain
 // i-k-j loop — so the unroll changes no result bit while amortizing the
 // dst load/store (the serial bottleneck) over four multiply-adds.
-func matMulPortable(d, av, bv []float64, m, k, n, jLo int) {
+func matMulPortable(d []float64, ldd int, av []float64, lda int, bv []float64, off []int, m, n, jLo int, acc bool) {
+	k := len(off)
 	for i := 0; i < m; i++ {
-		arow := av[i*k : (i+1)*k]
-		drow := d[i*n : (i+1)*n]
-		clear(drow[jLo:])
-		for k0 := 0; k0 < k; k0 += mmBlockK {
-			k1 := min(k0+mmBlockK, k)
-			for j0 := jLo; j0 < n; j0 += mmBlockJ {
-				j1 := min(j0+mmBlockJ, n)
-				dseg := drow[j0:j1]
-				w := len(dseg)
-				kk := k0
-				for ; kk+4 <= k1; kk += 4 {
-					av0, av1, av2, av3 := arow[kk], arow[kk+1], arow[kk+2], arow[kk+3]
-					b0 := bv[kk*n+j0 : kk*n+j1][:w]
-					b1 := bv[(kk+1)*n+j0 : (kk+1)*n+j1][:w]
-					b2 := bv[(kk+2)*n+j0 : (kk+2)*n+j1][:w]
-					b3 := bv[(kk+3)*n+j0 : (kk+3)*n+j1][:w]
-					for j := range dseg {
-						s := dseg[j]
-						s += av0 * b0[j]
-						s += av1 * b1[j]
-						s += av2 * b2[j]
-						s += av3 * b3[j]
-						dseg[j] = s
-					}
+		arow := av[i*lda:][:k]
+		drow := d[i*ldd:][:n]
+		if !acc {
+			clear(drow[jLo:])
+		}
+		for j0 := jLo; j0 < n; j0 += mmBlockJ {
+			j1 := min(j0+mmBlockJ, n)
+			dseg := drow[j0:j1]
+			w := len(dseg)
+			kk := 0
+			for ; kk+4 <= k; kk += 4 {
+				av0, av1, av2, av3 := arow[kk], arow[kk+1], arow[kk+2], arow[kk+3]
+				o := off[kk : kk+4 : kk+4]
+				b0 := bv[o[0]+j0 : o[0]+j1][:w]
+				b1 := bv[o[1]+j0 : o[1]+j1][:w]
+				b2 := bv[o[2]+j0 : o[2]+j1][:w]
+				b3 := bv[o[3]+j0 : o[3]+j1][:w]
+				for j := range dseg {
+					s := dseg[j]
+					s += av0 * b0[j]
+					s += av1 * b1[j]
+					s += av2 * b2[j]
+					s += av3 * b3[j]
+					dseg[j] = s
 				}
-				for ; kk < k1; kk++ {
-					a0 := arow[kk]
-					bseg := bv[kk*n+j0 : kk*n+j1][:w]
-					for j, bval := range bseg {
-						dseg[j] += a0 * bval
-					}
+			}
+			for ; kk < k; kk++ {
+				a0 := arow[kk]
+				for j, bval := range bv[off[kk]+j0 : off[kk]+j1][:w] {
+					dseg[j] += a0 * bval
 				}
 			}
 		}
