@@ -7,8 +7,9 @@
 #   kill-resume suites, the end-to-end smoke scripts, a check that no
 #   binary's flag set, no facade name and no /metrics series moved and
 #   that nothing is bound after construction, a smoke pass over the
-#   fuzz seed corpora, 10 s of real fuzzing on the frame reader, and a
-#   quick pass of the repo benchmark's four workloads.
+#   fuzz seed corpora, 10 s of real fuzzing each on the frame reader and
+#   the addressed matmul, and a quick pass of the repo benchmark's four
+#   workloads.
 #
 # Usage: ./ci.sh [-short]
 #   -short  pass -short to go test (skips the slower property tests)
@@ -39,11 +40,12 @@ go test -race $short ./...
 echo "== portable kernel =="
 # -tags purego compiles the assembly out (its build constraint is
 # amd64 && !purego), so the kernel property tests, the conv and block-DCT
-# equivalences and the byte goldens (trainstep_golden.json and both
-# misspath goldens) are proven on the Go kernel too on every run: a
-# model trained or a window scored on a machine without AVX2 gives the
+# equivalences and the byte goldens (trainstep_golden.json, both
+# misspath goldens, the oracle's aerial_golden.json and the small suite's
+# digest) are proven on the Go kernel too on every run: a model trained,
+# a window scored or a clip labelled on a machine without AVX2 gives the
 # same bytes.
-go test -tags purego $short ./internal/tensor/ ./internal/nn/ ./internal/core/ ./internal/fft/ ./internal/features/
+go test -tags purego $short ./internal/tensor/ ./internal/nn/ ./internal/core/ ./internal/fft/ ./internal/features/ ./internal/lithosim/ ./internal/iccad/
 
 echo "== chaos smoke =="
 # The chaos tests inject faults (latency, errors, panics) into the
@@ -143,6 +145,13 @@ echo "== frame reader fuzz =="
 # durable file (model, checkpoint, journal, WAL, baseline) is read
 # through: it must fail with a documented error or round-trip.
 go test -run='^$' -fuzz=FuzzReadFrame -fuzztime=10s ./internal/framelog/
+
+echo "== addressed kernel fuzz =="
+# And 10 s on the addressed matmul: the convolutions, the block DCT and
+# now the oracle's blur all index its right operand through a row table
+# they built themselves, so both kernels must agree with the plain loop
+# on whatever shape and offsets the engine finds.
+go test -run='^$' -fuzz=FuzzAddressedKernel -fuzztime=10s ./internal/tensor/
 
 echo "== trace store race =="
 # The trace store and tail sampler are hit from every request

@@ -21,6 +21,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/lithosim"
@@ -230,36 +231,85 @@ func GenerateSuite(cfg SuiteConfig) (*Suite, error) {
 	return suite, nil
 }
 
-// generateSplit produces labelled candidates in deterministic order until
-// both class quotas are met.
+// labelAhead is how many candidates per worker may be claimed for
+// labelling beyond the last one generateSplit has consumed. The window it
+// gives, labelAhead x Workers, is the oracle work a split can throw away
+// when it stops at quota; two keeps a worker busy while the consumer
+// waits for a slower neighbour's candidate.
+const labelAhead = 2
+
+// labelled is one candidate's trip through the oracle.
+type labelled struct {
+	sample Sample
+	err    error
+}
+
+// generateSplit consumes labelled candidates in index order until both
+// class quotas are met. cfg.Workers goroutines claim candidate indices
+// in ascending order and label them; a claim needs one of the window's
+// tokens, returned when generateSplit has consumed that candidate, so the
+// split stops at quota with at most a window of simulations to spare, and
+// is the same whatever the worker count.
 func generateSplit(cfg SuiteConfig, sim *lithosim.Simulator, spec Spec, split string, wantHS, wantNHS int) (Split, error) {
 	total := wantHS + wantNHS
 	if total == 0 {
 		return Split{}, nil
 	}
 	maxAttempts := cfg.MaxAttemptsFactor * total
+
+	// Candidate i is delivered on ring[i%window]: the tokens keep the
+	// claimed indices within one window, so a slot holds one at a time and
+	// a worker's send never blocks.
+	window := labelAhead * cfg.Workers
+	ring := make([]chan labelled, window)
+	for i := range ring {
+		ring[i] = make(chan labelled, 1)
+	}
+	tokens := make(chan struct{}, window)
+	stop := make(chan struct{})
+	var claimed atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < cfg.Workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case tokens <- struct{}{}:
+				case <-stop:
+					return
+				}
+				i := int(claimed.Add(1)) - 1
+				if i >= maxAttempts {
+					return
+				}
+				var l labelled
+				l.sample, l.err = labelCandidate(cfg, sim, spec, split, i)
+				ring[i%window] <- l
+			}
+		}()
+	}
+	defer wg.Wait()
+	defer func() {
+		claimed.Store(int64(maxAttempts)) // a worker that wins a token now finds nothing to claim
+		close(stop)
+	}()
+
 	out := Split{Samples: make([]Sample, 0, total)}
 	gotHS, gotNHS := 0, 0
-
-	const batch = 256
-	for attempt := 0; attempt < maxAttempts && (gotHS < wantHS || gotNHS < wantNHS); attempt += batch {
-		n := batch
-		if attempt+n > maxAttempts {
-			n = maxAttempts - attempt
+	for i := 0; i < maxAttempts && (gotHS < wantHS || gotNHS < wantNHS); i++ {
+		l := <-ring[i%window]
+		<-tokens
+		if l.err != nil {
+			return Split{}, l.err
 		}
-		samples, err := labelBatch(cfg, sim, spec, split, attempt, n)
-		if err != nil {
-			return Split{}, err
-		}
-		for _, s := range samples {
-			switch {
-			case s.Hotspot && gotHS < wantHS:
-				out.Samples = append(out.Samples, s)
-				gotHS++
-			case !s.Hotspot && gotNHS < wantNHS:
-				out.Samples = append(out.Samples, s)
-				gotNHS++
-			}
+		switch {
+		case l.sample.Hotspot && gotHS < wantHS:
+			out.Samples = append(out.Samples, l.sample)
+			gotHS++
+		case !l.sample.Hotspot && gotNHS < wantNHS:
+			out.Samples = append(out.Samples, l.sample)
+			gotNHS++
 		}
 	}
 	if gotHS < wantHS || gotNHS < wantNHS {
@@ -270,45 +320,19 @@ func generateSplit(cfg SuiteConfig, sim *lithosim.Simulator, spec Spec, split st
 	return out, nil
 }
 
-// labelBatch generates and labels candidates [first, first+n) in parallel.
-func labelBatch(cfg SuiteConfig, sim *lithosim.Simulator, spec Spec, split string, first, n int) ([]Sample, error) {
-	samples := make([]Sample, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Workers)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			seed := candidateSeed(cfg.Seed, spec.Name, split, first+i)
-			rng := rand.New(rand.NewSource(seed))
-			clip, family, err := synthesizeClip(rng, cfg, spec.Style)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			res, err := sim.Simulate(clip)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			samples[i] = Sample{
-				Clip:       clip,
-				Hotspot:    res.Hotspot,
-				Family:     family,
-				PVBandArea: res.PVBandArea,
-			}
-		}(i)
+// labelCandidate synthesizes candidate idx of a split from its own seed
+// and labels it.
+func labelCandidate(cfg SuiteConfig, sim *lithosim.Simulator, spec Spec, split string, idx int) (Sample, error) {
+	rng := rand.New(rand.NewSource(candidateSeed(cfg.Seed, spec.Name, split, idx)))
+	clip, family, err := synthesizeClip(rng, cfg, spec.Style)
+	if err != nil {
+		return Sample{}, fmt.Errorf("candidate %d: %w", idx, err)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	res, err := sim.Simulate(clip)
+	if err != nil {
+		return Sample{}, fmt.Errorf("candidate %d: %w", idx, err)
 	}
-	return samples, nil
+	return Sample{Clip: clip, Hotspot: res.Hotspot, Family: family, PVBandArea: res.PVBandArea}, nil
 }
 
 // candidateSeed derives a stable per-candidate seed.

@@ -103,7 +103,7 @@ func TestBlurMatchesFFTConvolution(t *testing.T) {
 	}
 	got := s.AerialImage(im)
 
-	k1 := s.kernels[0]
+	k1 := s.kernels[0].taps
 	n := len(k1)
 	k2 := make([]float64, n*n)
 	for i := 0; i < n; i++ {
@@ -317,40 +317,6 @@ func TestPVBandMonotonicity(t *testing.T) {
 	if rn.PVBandArea <= rw.PVBandArea {
 		t.Fatalf("narrow-line PV band (%v) should exceed wide-line PV band (%v)",
 			rn.PVBandArea, rw.PVBandArea)
-	}
-}
-
-func TestLabelComponents(t *testing.T) {
-	m := raster.NewMask(5, 3)
-	// Two components: left 2x2 block and right column.
-	for _, p := range [][2]int{{0, 0}, {1, 0}, {0, 1}, {1, 1}, {4, 0}, {4, 1}, {4, 2}} {
-		m.Set(p[0], p[1], 1)
-	}
-	labels, n := labelComponents(m)
-	if n != 2 {
-		t.Fatalf("components = %d, want 2", n)
-	}
-	if labels[0] == 0 || labels[4] == 0 {
-		t.Fatal("set pixels unlabelled")
-	}
-	if labels[0] == labels[4] {
-		t.Fatal("distinct components share a label")
-	}
-	if labels[0] != labels[1*5+1] {
-		t.Fatal("connected pixels have different labels")
-	}
-	if labels[2] != 0 {
-		t.Fatal("background pixel labelled")
-	}
-}
-
-func TestLabelComponentsDiagonalNotConnected(t *testing.T) {
-	m := raster.NewMask(2, 2)
-	m.Set(0, 0, 1)
-	m.Set(1, 1, 1)
-	_, n := labelComponents(m)
-	if n != 2 {
-		t.Fatalf("diagonal pixels merged: %d components", n)
 	}
 }
 

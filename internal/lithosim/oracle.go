@@ -3,6 +3,7 @@ package lithosim
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/golitho/hsd/internal/faultinject"
@@ -76,22 +77,20 @@ func (s *Simulator) SimulateCtx(ctx context.Context, clip layout.Clip) (Result, 
 		s.simCount.Add(1)
 		s.simNanos.Add(int64(time.Since(start)))
 	}()
-	_, rsp := trace.Start(sctx, "raster", trace.A("stage", "mask"))
-	mask, err := raster.Rasterize(raster.Config{Window: clip.Window, PixelNM: s.cfg.PixelNM}, clip.Shapes)
+	sc := s.getScratch()
+	_, rsp := trace.Start(sctx, "raster")
+	rsp.SetAttr("stage", "mask")
+	err := raster.RasterizeInto(&sc.mask, raster.Config{Window: clip.Window, PixelNM: s.cfg.PixelNM}, clip.Shapes)
 	rsp.SetError(err)
 	rsp.End()
 	if err != nil {
 		return Result{}, fmt.Errorf("lithosim: rasterize clip: %w", err)
 	}
-	res, err := s.simulateCorners(sctx, clip, mask)
+	sc.fit(s, sc.mask.W, sc.mask.H)
+	res, err := s.simulateCorners(sctx, clip, sc)
+	s.scratch.Put(sc)
 	ssp.SetError(err)
 	return res, err
-}
-
-func clonemask(m *raster.Mask) *raster.Mask {
-	out := raster.NewMask(m.W, m.H)
-	copy(out.Pix, m.Pix)
-	return out
 }
 
 // pxRect converts a layout-space rect to pixel space relative to the window.
@@ -103,49 +102,15 @@ func (s *Simulator) pxRect(window, r geom.Rect) geom.Rect {
 	)
 }
 
-// checkCorner runs bridge, neck/open, and EPE checks on one printed mask.
-// target is the drawn pattern at raster resolution.
-func (s *Simulator) checkCorner(clip layout.Clip, target, printed *raster.Mask, corner string) []Defect {
-	var defects []Defect
+// checkCorner runs bridge, neck/open, and EPE checks on corner i's printed
+// mask and appends what they find to defects.
+func (s *Simulator) checkCorner(defects []Defect, clip layout.Clip, sc *scratch, i int) []Defect {
+	corner, printed := s.cfg.Corners[i].Name, &sc.printed[i]
 	corePx := s.pxRect(clip.Window, clip.Core.Intersect(clip.Window))
 
-	defects = append(defects, s.checkBridges(clip, printed, corePx, corner)...)
-	defects = append(defects, s.checkWidths(clip, printed, corePx, corner)...)
-	defects = append(defects, s.checkEPE(clip, target, printed, corePx, corner)...)
-	return defects
-}
-
-// labelComponents labels 4-connected components of set pixels. Label 0
-// means background; labels start at 1. Returns the label grid and count.
-func labelComponents(m *raster.Mask) ([]int32, int) {
-	labels := make([]int32, len(m.Pix))
-	var next int32
-	queue := make([]int, 0, 256)
-	for start, v := range m.Pix {
-		if v == 0 || labels[start] != 0 {
-			continue
-		}
-		next++
-		labels[start] = next
-		queue = append(queue[:0], start)
-		for len(queue) > 0 {
-			idx := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			x, y := idx%m.W, idx/m.W
-			for _, n := range [4][2]int{{x - 1, y}, {x + 1, y}, {x, y - 1}, {x, y + 1}} {
-				nx, ny := n[0], n[1]
-				if nx < 0 || ny < 0 || nx >= m.W || ny >= m.H {
-					continue
-				}
-				ni := ny*m.W + nx
-				if m.Pix[ni] != 0 && labels[ni] == 0 {
-					labels[ni] = next
-					queue = append(queue, ni)
-				}
-			}
-		}
-	}
-	return labels, int(next)
+	defects = s.checkBridges(defects, clip, sc, printed, corePx, corner)
+	defects = s.checkWidths(defects, clip, printed, corner)
+	return s.checkEPE(defects, clip, &sc.target, printed, corePx, corner)
 }
 
 // bridgeReachNM is how close a stray printed pixel must be to each of two
@@ -162,54 +127,30 @@ const bridgeReachNM = 48
 // rectangles belong to one net, e.g. the arms of a decomposed polygon).
 // A printed pixel outside every (dilated) drawn shape that sits within
 // bridgeReachNM of two different nets is bridge evidence.
-func (s *Simulator) checkBridges(clip layout.Clip, printed *raster.Mask, corePx geom.Rect, corner string) []Defect {
+func (s *Simulator) checkBridges(defects []Defect, clip layout.Clip, sc *scratch, printed *raster.Mask, corePx geom.Rect, corner string) []Defect {
 	if len(clip.Shapes) < 2 {
-		return nil
+		return defects
 	}
-	nets := drawnNets(clip.Shapes)
-
-	// Mask of pixels inside any dilated drawn shape.
-	inShape := raster.NewMask(printed.W, printed.H)
-	for _, r := range clip.Shapes {
-		pr := s.pxRect(clip.Window, r).Expand(1)
-		for y := max(pr.Min.Y, 0); y < min(pr.Max.Y, printed.H); y++ {
-			for x := max(pr.Min.X, 0); x < min(pr.Max.X, printed.W); x++ {
-				inShape.Pix[y*printed.W+x] = 1
-			}
-		}
-	}
-
-	var defects []Defect
-	reported := make(map[[2]int]bool) // unordered net pair, smaller first
+	sc.pairs = sc.pairs[:0] // unordered net pairs already reported, smaller first
 	for y := max(corePx.Min.Y, 0); y < min(corePx.Max.Y, printed.H); y++ {
 		for x := max(corePx.Min.X, 0); x < min(corePx.Max.X, printed.W); x++ {
 			i := y*printed.W + x
-			if printed.Pix[i] == 0 || inShape.Pix[i] != 0 {
+			if printed.Pix[i] == 0 || sc.inShape.Pix[i] != 0 {
 				continue
 			}
 			at := s.toLayoutPt(clip.Window, x, y)
 			// Nets within reach of this stray pixel.
-			var near []int
+			sc.near = sc.near[:0]
 			for si, r := range clip.Shapes {
-				if pointRectDistSq(at, r) <= bridgeReachNM*bridgeReachNM {
-					net := nets[si]
-					dup := false
-					for _, n := range near {
-						if n == net {
-							dup = true
-							break
-						}
-					}
-					if !dup {
-						near = append(near, net)
-					}
+				if pointRectDistSq(at, r) <= bridgeReachNM*bridgeReachNM && !slices.Contains(sc.near, sc.nets[si]) {
+					sc.near = append(sc.near, sc.nets[si])
 				}
 			}
-			for a := 0; a < len(near); a++ {
-				for b := a + 1; b < len(near); b++ {
-					key := [2]int{min(near[a], near[b]), max(near[a], near[b])}
-					if !reported[key] {
-						reported[key] = true
+			for a := 0; a < len(sc.near); a++ {
+				for b := a + 1; b < len(sc.near); b++ {
+					key := [2]int{min(sc.near[a], sc.near[b]), max(sc.near[a], sc.near[b])}
+					if !slices.Contains(sc.pairs, key) {
+						sc.pairs = append(sc.pairs, key)
 						defects = append(defects, Defect{Type: DefectBridge, Corner: corner, At: at})
 					}
 				}
@@ -219,18 +160,36 @@ func (s *Simulator) checkBridges(clip layout.Clip, printed *raster.Mask, corePx 
 	return defects
 }
 
-// drawnNets assigns a net id to every shape via union-find: shapes that
-// touch or overlap share a net.
-func drawnNets(shapes []geom.Rect) []int {
-	parent := make([]int, len(shapes))
-	for i := range parent {
-		parent[i] = i
+// drawn fills what the bridge check needs of the drawn pattern, which is
+// the same at every corner: each shape's net, and the mask of pixels
+// inside any drawn shape dilated by one pixel.
+func (sc *scratch) drawn(s *Simulator, clip layout.Clip) {
+	if len(clip.Shapes) < 2 {
+		return
 	}
-	var find func(int) int
-	find = func(i int) int {
-		for parent[i] != i {
-			parent[i] = parent[parent[i]]
-			i = parent[i]
+	sc.nets = drawnNets(sc.nets[:0], clip.Shapes)
+	clear(sc.inShape.Pix)
+	for _, r := range clip.Shapes {
+		pr := s.pxRect(clip.Window, r).Expand(1)
+		for y := max(pr.Min.Y, 0); y < min(pr.Max.Y, sc.h); y++ {
+			for x := max(pr.Min.X, 0); x < min(pr.Max.X, sc.w); x++ {
+				sc.inShape.Pix[y*sc.w+x] = 1
+			}
+		}
+	}
+}
+
+// drawnNets appends a net id for every shape to nets: shapes that touch
+// or overlap share a net. The ids are union-find roots, shape indices.
+func drawnNets(nets []int, shapes []geom.Rect) []int {
+	for i := range shapes {
+		nets = append(nets, i)
+	}
+	// nets is the parent array until the last loop flattens it.
+	find := func(i int) int {
+		for nets[i] != i {
+			nets[i] = nets[nets[i]]
+			i = nets[i]
 		}
 		return i
 	}
@@ -239,12 +198,11 @@ func drawnNets(shapes []geom.Rect) []int {
 			if shapes[i].DistanceSq(shapes[j]) == 0 {
 				ri, rj := find(i), find(j)
 				if ri != rj {
-					parent[ri] = rj
+					nets[ri] = rj
 				}
 			}
 		}
 	}
-	nets := make([]int, len(shapes))
 	for i := range shapes {
 		nets[i] = find(i)
 	}
@@ -271,8 +229,7 @@ func pointRectDistSq(p geom.Point, r geom.Rect) int64 {
 
 // checkWidths flags necking (printed width below NeckFrac of drawn) and
 // opens (feature fails to print) at sampled cross-sections inside the core.
-func (s *Simulator) checkWidths(clip layout.Clip, printed *raster.Mask, corePx geom.Rect, corner string) []Defect {
-	var defects []Defect
+func (s *Simulator) checkWidths(defects []Defect, clip layout.Clip, printed *raster.Mask, corner string) []Defect {
 	for _, r := range clip.Shapes {
 		drawnW := min(r.Dx(), r.Dy())
 		if drawnW < s.cfg.MinCheckWidthNM {
@@ -351,10 +308,9 @@ func runWidth(m *raster.Mask, x, y int, vertical bool) int {
 // checkEPE samples drawn edges inside the core and flags edge-placement
 // deviations beyond EPETolNM. Catches line-end pullback and corner
 // rounding that the width checks miss.
-func (s *Simulator) checkEPE(clip layout.Clip, target, printed *raster.Mask, corePx geom.Rect, corner string) []Defect {
+func (s *Simulator) checkEPE(defects []Defect, clip layout.Clip, target, printed *raster.Mask, corePx geom.Rect, corner string) []Defect {
 	tolPx := float64(s.cfg.EPETolNM) / float64(s.cfg.PixelNM)
 	maxT := int(2*tolPx) + 2
-	var defects []Defect
 	p := s.cfg.PixelNM
 	for ri, r := range clip.Shapes {
 		if min(r.Dx(), r.Dy()) < s.cfg.MinCheckWidthNM {
@@ -384,14 +340,11 @@ func (s *Simulator) checkEPE(clip layout.Clip, target, printed *raster.Mask, cor
 			// the edge endpoints: corner rounding is expected behaviour,
 			// not an EPE violation. Short edges (line tips) are sampled at
 			// their centre only, which measures line-end pullback.
-			var samples []int
-			for k := 3; k <= n-4; k += 3 {
-				samples = append(samples, k)
+			first, last := 3, n-4
+			if first > last {
+				first, last = n/2, n/2
 			}
-			if len(samples) == 0 {
-				samples = append(samples, n/2)
-			}
-			for _, k := range samples {
+			for k := first; k <= last; k += 3 {
 				x := e.x0 + k*stepX
 				y := e.y0 + k*stepY
 				if !geom.Pt(x, y).In(corePx) {

@@ -60,13 +60,27 @@ func (im *Image) Sum() float64 {
 
 // Threshold returns the binary mask of pixels with value >= t.
 func (im *Image) Threshold(t float64) *Mask {
-	m := NewMask(im.W, im.H)
-	for i, v := range im.Pix {
-		if v >= t {
-			m.Pix[i] = 1
-		}
-	}
+	m := new(Mask)
+	im.ThresholdInto(m, t)
 	return m
+}
+
+// ThresholdInto is Threshold into a caller-owned mask: m is resized to
+// the image (its pixel buffer is reused when large enough) and every
+// pixel is written.
+func (im *Image) ThresholdInto(m *Mask, t float64) {
+	if cap(m.Pix) < len(im.Pix) {
+		m.Pix = make([]uint8, len(im.Pix))
+	}
+	pix := m.Pix[:len(im.Pix)]
+	m.W, m.H, m.Pix = im.W, im.H, pix
+	for i, v := range im.Pix {
+		var bit uint8
+		if v >= t {
+			bit = 1
+		}
+		pix[i] = bit
+	}
 }
 
 // MirrorX returns im reflected horizontally (left-right flip).

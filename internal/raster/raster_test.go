@@ -154,6 +154,16 @@ func TestThresholdAndMask(t *testing.T) {
 	if m.Count() != 2 {
 		t.Fatalf("Count = %d, want 2", m.Count())
 	}
+
+	// ThresholdInto reuses a larger mask's buffer and leaves nothing of
+	// what it held.
+	reused := &Mask{W: 3, H: 3, Pix: []uint8{1, 1, 1, 1, 1, 1, 1, 1, 1}}
+	buf := &reused.Pix[0]
+	im.ThresholdInto(reused, 0.5)
+	if reused.W != 2 || reused.H != 2 || string(reused.Pix) != string(want) || &reused.Pix[0] != buf {
+		t.Fatalf("ThresholdInto over a used mask = %dx%d %v (reallocated: %v), want 2x2 %v in place",
+			reused.W, reused.H, reused.Pix, &reused.Pix[0] != buf, want)
+	}
 }
 
 func TestMaskHamming(t *testing.T) {

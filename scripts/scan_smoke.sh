@@ -3,6 +3,8 @@
 #
 # Runs hsdscan five times over the same deterministic chip:
 #
+#   0. (not a scan) benchgen -small -seed 1 at -workers 1, 2 and 8 must
+#      hash to scripts/suite_small_seed1.sha256;
 #   1. an uninterrupted reference scan writing full.txt, and the same
 #      scan at -workers 8, which must write the same bytes;
 #   2. a journaled scan that is SIGKILLed as soon as the journal shows
@@ -35,7 +37,22 @@ SCAN_ARGS="-detector AdaBoost -seed 1 -gen-seed 42 -gen-edge $EDGE \
 	-workers 1 -shard-rows 1 -top 0"
 
 echo "scan smoke: generating suite"
-go run ./cmd/benchgen -small -seed 7 -out "$WORK/suite.gob" >/dev/null
+go build -o "$WORK/benchgen" ./cmd/benchgen
+"$WORK/benchgen" -small -seed 7 -out "$WORK/suite.gob" >/dev/null
+
+echo "scan smoke: the seed-1 small suite against its committed digests"
+# The suite every smoke script and the repo benchmark start from is a
+# committed list of bytes: one digest per -workers value, because the
+# file records it. They were written before the oracle's blur moved onto
+# the matmul kernel and labelling learned to stop at its quota.
+while read -r w want; do
+	"$WORK/benchgen" -small -seed 1 -workers "$w" -out "$WORK/seed1.gob" >/dev/null
+	got=$(sha256sum "$WORK/seed1.gob" | cut -d' ' -f1)
+	if [ "$got" != "$want" ]; then
+		echo "scan smoke: benchgen -small -seed 1 -workers $w hashes to $got, want $want" >&2
+		exit 1
+	fi
+done <scripts/suite_small_seed1.sha256
 
 echo "scan smoke: building hsdscan"
 go build -o "$WORK/hsdscan" ./cmd/hsdscan
