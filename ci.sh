@@ -7,9 +7,9 @@
 #   kill-resume suites, the end-to-end smoke scripts, a check that no
 #   binary's flag set, no facade name and no /metrics series moved and
 #   that nothing is bound after construction, a smoke pass over the
-#   fuzz seed corpora, 10 s of real fuzzing each on the frame reader and
-#   the addressed matmul, and a quick pass of the repo benchmark's four
-#   workloads.
+#   fuzz seed corpora, 10 s of real fuzzing each on the frame reader, the
+#   plain matmul and the addressed matmul, and a quick pass of the repo
+#   benchmark's four workloads.
 #
 # Usage: ./ci.sh [-short]
 #   -short  pass -short to go test (skips the slower property tests)
@@ -39,10 +39,10 @@ go test -race $short ./...
 
 echo "== portable kernel =="
 # -tags purego compiles the assembly out (its build constraint is
-# amd64 && !purego), so the kernel property tests, the conv and block-DCT
-# equivalences and the byte goldens (trainstep_golden.json, both
-# misspath goldens, the oracle's aerial_golden.json and the small suite's
-# digest) are proven on the Go kernel too on every run: a model trained,
+# amd64 && !purego), so the kernel property tests, the conv (scoring and
+# training) and block-DCT equivalences and the byte goldens
+# (trainstep_golden.json, both misspath goldens, the oracle's
+# aerial_golden.json and the small suite's digest) are proven on the Go kernel too on every run: a model trained,
 # a window scored or a clip labelled on a machine without AVX2 gives the
 # same bytes.
 go test -tags purego $short ./internal/tensor/ ./internal/nn/ ./internal/core/ ./internal/fft/ ./internal/features/ ./internal/lithosim/ ./internal/iccad/
@@ -59,13 +59,6 @@ echo "== chaos smoke =="
 # /score and the un-cloned scan detector must each answer their serial
 # bits from many goroutines under the detector.
 go test -run 'Chaos|TestCascade|TestSharedInstanceConcurrentScore|TestSharedDetectorConcurrentScore|TestConcurrentScoreSharedCNN' -race . ./internal/serve/ ./internal/core/
-
-echo "== inference smoke =="
-# The batched inference engine must not fall behind the serial
-# per-sample scoring loop, and the pool-sharded parallel matmul must
-# not fall behind the serial kernel (best-of-3, 25% grace margin; see
-# TestParallelInferenceSmoke / TestParallelMatMulSmoke for reasoning).
-HSD_INFER_SMOKE=1 go test -run 'TestParallelInferenceSmoke|TestParallelMatMulSmoke' .
 
 echo "== kill-resume chaos =="
 # Training is killed at several injected fault points and resumed from
@@ -146,11 +139,15 @@ echo "== frame reader fuzz =="
 # through: it must fail with a documented error or round-trip.
 go test -run='^$' -fuzz=FuzzReadFrame -fuzztime=10s ./internal/framelog/
 
-echo "== addressed kernel fuzz =="
-# And 10 s on the addressed matmul: the convolutions, the block DCT and
-# now the oracle's blur all index its right operand through a row table
-# they built themselves, so both kernels must agree with the plain loop
-# on whatever shape and offsets the engine finds.
+echo "== matmul kernel fuzz =="
+# And 10 s each on the two faces of the hand-written matmul kernel. The
+# plain product is under every dense layer and every A·Bᵀ. The addressed
+# one is under the convolutions forward and backward, the block DCT and
+# the oracle's blur, which index its right operand through a row table
+# they built themselves, stride its left operand and carry sums on from
+# one call to the next: both kernels must agree with the scalar loop on
+# whatever shape, strides, offsets and starting sums the engine finds.
+go test -run='^$' -fuzz=FuzzMatMulKernel -fuzztime=10s ./internal/tensor/
 go test -run='^$' -fuzz=FuzzAddressedKernel -fuzztime=10s ./internal/tensor/
 
 echo "== trace store race =="

@@ -1,22 +1,26 @@
-// Inference convolution.
+// Column-free convolution.
 //
-// A stride-1 convolution multiplies its input where it lies. The sample
-// is copied once into a zero-bordered (C, H+2p, W+2p) buffer; tap
-// t = (ch, ky, kx) of output row oy is then the contiguous run of OutW
-// elements starting at ((ch*PH + oy + ky)*PW + kx), so one addressed
-// product per output row (tensor.MatMulAddressedInto: OutC x InC*K*K
-// weights over rows found through the layer's tap table) writes the
-// sample's output directly. No column matrix is gathered and no product
-// is copied out of a scratch tile.
+// A stride-1 convolution multiplies its input where it lies, scoring and
+// training alike. The sample is copied once into a zero-bordered
+// (C, H+2p, W+2p) buffer; tap t = (ch, ky, kx) of output row oy is then
+// the contiguous run of OutW elements starting at
+// ((ch*PH + oy + ky)*PW + kx), so one addressed product per output row
+// (tensor.MatMulAddressedInto: OutC x InC*K*K weights over rows found
+// through the layer's tap table) writes the sample's output directly. No
+// column matrix is gathered and no product is copied out of a scratch
+// tile. The weight gradient reads the same runs from the other side
+// (paddedWeightGrad), which is why training keeps the bordered copy and
+// not the columns.
 //
-// Bit-identity with Conv2D.Forward (im2col + matmul) holds exactly, not
+// Bit-identity with the gathered formulation (im2col + matmul: the eval
+// Forward, and the training pass at other strides) holds exactly, not
 // approximately. Row t of the im2col matrix, restricted to output row
 // oy, is that same run: the in-image cells are the sample's and the
 // cells im2col writes as explicit zeros are the border's zeros, in the
 // same places of each sum. Both formulations then contract the full k
 // range on the one kernel, in ascending (ch, ky, kx), one rounded
 // product and one add at a time from zero. Strides other than 1 (no
-// shipped network has one) take Forward's own formulation, im2colSums.
+// shipped network has one) take the gathered formulation, im2colSums.
 
 package nn
 
@@ -54,6 +58,20 @@ func (g convGeom) tapTable() tensor.RowTable {
 	return tensor.NewRowTable(off)
 }
 
+// gradRowTable is where the OutW rows of one output row's slice of a
+// sample's transposed gradient (positions x OutC) start: the right
+// operand of paddedWeightGrad's products.
+func (g convGeom) gradRowTable() tensor.RowTable {
+	off := make([]int, g.ow)
+	for ox := range off {
+		off[ox] = ox * g.outC
+	}
+	return tensor.NewRowTable(off)
+}
+
+// paddedLen is the length of one zero-bordered sample.
+func (g convGeom) paddedLen() int { return g.inC * (g.inH + 2*g.pad) * (g.inW + 2*g.pad) }
+
 // padSample copies one flattened (C, H, W) sample into the middle of
 // dst, a (C, H+2p, W+2p) buffer, and zeroes the border. Every cell of
 // dst is written: it comes from an arena, whose contents are unspecified.
@@ -82,16 +100,47 @@ func (c *Conv2D) inferSums(x *tensor.Matrix, ar *Arena) *tensor.Matrix {
 		}
 		return out
 	}
-	pw := g.inW + 2*g.pad
-	padded := ar.get(g.inC, (g.inH+2*g.pad)*pw).Data
+	padded := ar.get(1, g.paddedLen()).Data
 	for i := 0; i < x.Rows; i++ {
 		padSample(g, x.Row(i), padded)
-		dst := out.Row(i)
-		for oy := 0; oy < g.oh; oy++ {
-			tensor.MatMulAddressedInto(dst[oy*g.ow:], positions, c.W.Data, c.OutC, padded[oy*pw:], c.taps, g.ow)
-		}
+		c.paddedSums(g, padded, out.Row(i))
 	}
 	return out
+}
+
+// paddedSums computes one sample's sums, bias not yet added, from its
+// zero-bordered copy: one addressed product per output row. Stride 1 only.
+func (c *Conv2D) paddedSums(g convGeom, padded, dst []float64) {
+	pw, positions := g.inW+2*g.pad, g.oh*g.ow
+	for oy := 0; oy < g.oh; oy++ {
+		tensor.MatMulAddressedInto(dst[oy*g.ow:], positions, c.W.Data, c.OutC, padded[oy*pw:], c.taps, g.ow)
+	}
+}
+
+// paddedWeightGrad computes one sample's weight-gradient partial,
+// transposed: dwT (InC*K*K x OutC) = cols · gradT, where gradT is the
+// sample's dL/dSums transposed (positions x OutC) and cols is the column
+// matrix im2col would gather, read where it lies in the zero-bordered
+// copy. Row t = (ch, ky, kx) of cols, restricted to output row oy, is
+// the run of OutW cells at padded[(ch*PH + oy + ky)*PW + kx]: for one tap
+// the InC channel rows are a left operand of row stride PH*PW, the right
+// operand is the OutW rows of gradT for that oy, and the product lands
+// in rows ch*K*K + tap of dwT, carried on down oy. Each sum therefore
+// starts at zero and takes its products in ascending position, one
+// rounded product and one add at a time: the bits of cols · gradT on the
+// gathered matrix. Stride 1 only.
+func (c *Conv2D) paddedWeightGrad(g convGeom, padded, gradT, dwT []float64) {
+	ph, pw := g.inH+2*g.pad, g.inW+2*g.pad
+	kk := g.k * g.k
+	for oy := 0; oy < g.oh; oy++ {
+		rows := gradT[oy*g.ow*g.outC:]
+		for ky := 0; ky < g.k; ky++ {
+			for kx := 0; kx < g.k; kx++ {
+				tensor.MatMulStridedInto(dwT[(ky*g.k+kx)*g.outC:], kk*g.outC,
+					padded[(oy+ky)*pw+kx:], ph*pw, g.inC, rows, c.gradRows, g.outC, oy > 0)
+			}
+		}
+	}
 }
 
 // forwardInfer implements inferencer.
@@ -155,9 +204,9 @@ func (c *Conv2D) biasReLUPool(sums *tensor.Matrix, ar *Arena) *tensor.Matrix {
 
 // convReLUPoolAt returns layer i when it is a Conv2D directly followed
 // by a ReLU and a 2x2 MaxPool2D over exactly its output, the run
-// forwardInferReLUPool replaces; nil otherwise.
+// forwardInferReLUPool and forwardTrainReLUPool replace; nil otherwise.
 func (n *Network) convReLUPoolAt(i int) *Conv2D {
-	if i+2 >= len(n.Layers) {
+	if i < 0 || i+2 >= len(n.Layers) {
 		return nil
 	}
 	c, isConv := n.Layers[i].(*Conv2D)
@@ -197,7 +246,6 @@ func validRange(outN, stride, k, pad, size int) (int, int) {
 // row r = (ch*K+ky)*K+kx, column oy*OutW+ox, row-major. Every cell is
 // written, out-of-image taps as explicit zeros, so the buffer needs no
 // per-sample reset. Stride-1 interiors reduce to contiguous copies.
-// Training keeps the matrix for Backward.
 func im2col(g convGeom, sample, cols []float64) {
 	positions := g.oh * g.ow
 	rowIdx := 0

@@ -1,6 +1,7 @@
 // Kernel equivalence tests for the inference path: the addressed-product
-// conv and the conv -> ReLU -> pool pass against the training-path
-// Forward and the separate layers (bit-identical).
+// conv and the conv -> ReLU -> pool pass against the eval-mode Forward
+// (im2col + matmul) and the separate layers (bit-identical). The training
+// pass's own are beside its golden, in trainstep_test.go.
 
 package nn
 
@@ -42,7 +43,7 @@ func convGeometries() []*Conv2D {
 }
 
 // TestFusedConvMatchesForward: the inference conv is bit-identical to
-// the training-path Forward (im2col + matmul) for every geometry and
+// the eval-mode Forward (im2col + matmul) for every geometry and
 // batch size, with non-zero biases: both accumulate each output element
 // over ascending (ch, ky, kx) from zero on the one kernel, and the zero
 // border stands where im2col writes its zeros.

@@ -9,7 +9,10 @@
 //
 // Layers carry per-batch scratch for backpropagation (see scratch.go),
 // so Forward(x, true) and Backward are NOT safe for concurrent use;
-// Clone one network per training goroutine. The inference entry points
+// Clone one network per training goroutine. A training pass through a
+// Network pairs Network.Forward with Network.Backward: the two take some
+// runs of layers in one step (see Forward), so a layer's own Backward
+// only follows that layer's own Forward. The inference entry points
 // (Score, PredictBatch, ForwardBatch) only read the network and may
 // share one. Nothing in the program scores through the eval-mode
 // Forward(x, false): it is the plain per-layer reference the kernel-
@@ -64,28 +67,36 @@ func (n *Network) OutDim() int {
 	return n.Layers[len(n.Layers)-1].OutDim()
 }
 
-// Forward runs the whole stack.
+// Forward runs the whole stack. A training pass takes a Conv2D with the
+// ReLU and 2x2 MaxPool2D behind it (convReLUPoolAt) in one step, as
+// ForwardBatch does; those two layers then hold no scratch of their own,
+// and the matching Backward is Network.Backward, not theirs.
 func (n *Network) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	for _, l := range n.Layers {
-		x = l.Forward(x, train)
+	for i := 0; i < len(n.Layers); i++ {
+		if c := n.convReLUPoolAt(i); c != nil && train {
+			x = c.forwardTrainReLUPool(x)
+			i += 2
+		} else {
+			x = n.Layers[i].Forward(x, train)
+		}
 	}
 	return x
 }
 
-// Backward runs backpropagation from the loss gradient. Nothing reads
-// the first layer's dL/dInput, so a first layer that can skip it (see
+// Backward runs backpropagation from the loss gradient of the last
+// training Forward, through the same steps in reverse. Nothing reads the
+// first layer's dL/dInput, so a first layer that can skip it (see
 // paramGrader) is asked for its parameter gradients only.
 func (n *Network) Backward(grad *tensor.Matrix) {
-	for i := len(n.Layers) - 1; i > 0; i-- {
-		grad = n.Layers[i].Backward(grad)
-	}
-	if len(n.Layers) == 0 {
-		return
-	}
-	if pg, ok := n.Layers[0].(paramGrader); ok {
-		pg.backwardParams(grad)
-	} else {
-		n.Layers[0].Backward(grad)
+	for i := len(n.Layers) - 1; i >= 0; i-- {
+		if c := n.convReLUPoolAt(i - 2); c != nil {
+			i -= 2
+			grad = c.backwardReLUPool(grad, i > 0)
+		} else if pg, ok := n.Layers[i].(paramGrader); ok && i == 0 {
+			pg.backwardParams(grad)
+		} else {
+			grad = n.Layers[i].Backward(grad)
+		}
 	}
 }
 

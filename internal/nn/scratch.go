@@ -1,14 +1,21 @@
 // Training scratch.
 //
 // A training step needs buffers that outlive one call: Forward(x, true)
-// leaves behind what Backward reads (column matrices, masks, argmax),
-// and both return a matrix the neighbouring layer consumes. Each layer
-// keeps all of that in one struct behind a pointer (convScratch,
-// denseScratch, ...), created by its first training Forward and from
-// then on resized in place, so a step allocates nothing once the first
-// full batch has gone through. FitCtx drops every layer's struct when
-// it returns: the scratch lives exactly as long as the fit that filled
-// it, and a trained network, a Clone and a loaded model hold none.
+// leaves behind what Backward reads, and both return a matrix the
+// neighbouring layer consumes. What is kept is the smallest thing the
+// gradient can be formed from, not a copy of what Forward computed: a
+// stride-1 Conv2D keeps each sample's zero-bordered input (no column
+// matrix: the weight gradient multiplies the bordered copy where it
+// lies); with a ReLU and a 2x2 pool behind it, taken in the same step, it
+// keeps one int32 per pooled cell, and those two layers keep nothing (no
+// full-size activation, mask or argmax); on their own a ReLU keeps its
+// mask and a pool its argmax. Each layer holds its scratch in one struct
+// behind a pointer (convScratch, denseScratch, ...), created by its first
+// training Forward and from then on resized in place, so a step
+// allocates nothing once the first full batch has gone through. FitCtx
+// drops every layer's struct when it returns: the scratch lives exactly
+// as long as the fit that filled it, and a trained network, a Clone and
+// a loaded model hold none.
 //
 // Two consequences for callers. A matrix returned by a training Forward
 // or by Backward is valid until that layer's next training Forward or

@@ -43,7 +43,7 @@ func benchKernels(b *testing.B, m, k, n int) {
 			plain[t] = t * n
 		}
 		for i := 0; i < b.N; i++ {
-			portableTiles(dst.Data, n, ma.Data, mb.Data, plain, m, k, n)
+			portableTiles(dst.Data, n, ma.Data, k, mb.Data, plain, m, k, n, false)
 		}
 		rate(b)
 	})
@@ -79,7 +79,7 @@ func benchAddressed(b *testing.B, outC, inC, kk, ow int) {
 	})
 	b.Run("portable", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			portableTiles(dst.Data, ow*ow, w.Data, in.Data, off, outC, k, ow)
+			portableTiles(dst.Data, ow*ow, w.Data, k, in.Data, off, outC, k, ow, false)
 		}
 		rate(b)
 	})
@@ -133,7 +133,7 @@ func BenchmarkMatMulTransB(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				portableTiles(dst.Data, klen, grad.Data, colsT.Data, nil, outC, positions, klen)
+				portableTiles(dst.Data, klen, grad.Data, positions, colsT.Data, nil, outC, positions, klen, false)
 			}
 		})
 	}

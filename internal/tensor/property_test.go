@@ -184,7 +184,7 @@ func oddMatrix(rng *rand.Rand, r, c, off, nOdd int) *Matrix {
 // portableTiles is matMulTiles with the assembly left out: the portable
 // kernel over every column, k tile by k tile. It is the oracle of the
 // kernel comparisons and the portable side of the kernel benchmarks.
-func portableTiles(d []float64, ldd int, av, bv []float64, off []int, m, k, n int) {
+func portableTiles(d []float64, ldd int, av []float64, lda int, bv []float64, off []int, m, k, n int, acc bool) {
 	if off == nil {
 		off = make([]int, k)
 		for t := range off {
@@ -192,7 +192,7 @@ func portableTiles(d []float64, ldd int, av, bv []float64, off []int, m, k, n in
 		}
 	}
 	for k0 := 0; m > 0 && (k0 == 0 || k0 < k); k0 += mmBlockK {
-		matMulPortable(d, ldd, av[k0:], k, bv, off[k0:min(k0+mmBlockK, k)], m, n, 0, k0 > 0)
+		matMulPortable(d, ldd, av[k0:], lda, bv, off[k0:min(k0+mmBlockK, k)], m, n, 0, acc || k0 > 0)
 	}
 }
 
@@ -212,7 +212,7 @@ func assertKernelsAgree(t *testing.T, a, b *Matrix) {
 		return &Matrix{Rows: m, Cols: n, Data: buf[1:]}
 	}
 	want, got := poisoned(), poisoned()
-	portableTiles(want.Data, n, a.Data, b.Data, nil, m, k, n)
+	portableTiles(want.Data, n, a.Data, k, b.Data, nil, m, k, n, false)
 	matMulRows(got, a, b, 0, m)
 	assertBitsOrBothNaN(t, fmt.Sprintf("%dx%dx%d", m, k, n), want.Data, got.Data)
 }
@@ -308,18 +308,22 @@ func FuzzMatMulKernel(f *testing.F) {
 	})
 }
 
-// addressedCase is one addressed product: a at an odd element offset, a
-// b just long enough for its table, offsets drawn so that rows overlap
-// and repeat, and a dst stride with a gap after each row.
+// addressedCase is one addressed product: a at an odd element offset with
+// its own row stride (rows overlapping when lda < k), a b just long
+// enough for its table, offsets drawn so that rows overlap and repeat,
+// and a dst stride with a gap after each row. init is dst as the product
+// is handed it: NaN everywhere, except that under acc the cells the
+// product owns hold the sums it is to carry on.
 type addressedCase struct {
-	m, k, n, ldd int
-	a, b         []float64
-	rows         RowTable
+	m, k, n, lda, ldd int
+	acc               bool
+	a, b, init        []float64
+	rows              RowTable
 }
 
-func newAddressedCase(rng *rand.Rand, m, k, n, nOdd int) addressedCase {
-	c := addressedCase{m: m, k: k, n: n, ldd: n + rng.Intn(3)}
-	c.a = oddMatrix(rng, m, k, 1, nOdd).Data
+func newAddressedCase(rng *rand.Rand, m, k, n, lda int, acc bool, nOdd int) addressedCase {
+	c := addressedCase{m: m, k: k, n: n, lda: lda, ldd: n + rng.Intn(3), acc: acc}
+	c.a = oddMatrix(rng, 1, max(0, (m-1)*lda+k), 1, nOdd).Data
 	// A short b makes most rows overlap; every third row repeats an
 	// earlier one outright.
 	span := rng.Intn(2*k + 2)
@@ -333,53 +337,62 @@ func newAddressedCase(rng *rand.Rand, m, k, n, nOdd int) addressedCase {
 		}
 	}
 	c.rows = NewRowTable(off)
+	c.init = make([]float64, max(0, (m-1)*c.ldd+n))
+	for i := range c.init {
+		c.init[i] = math.NaN()
+	}
+	for i := 0; acc && i < m; i++ {
+		copy(c.init[i*c.ldd:][:n], oddMatrix(rng, 1, n, 0, nOdd).Data)
+	}
 	return c
 }
 
-// poisonedDst is a NaN-filled destination for c, at an odd offset.
-func (c addressedCase) poisonedDst() []float64 {
-	buf := make([]float64, 1+max(0, (c.m-1)*c.ldd+c.n))
-	for i := range buf {
-		buf[i] = math.NaN()
-	}
+// dst is a fresh copy of c.init, at an odd offset.
+func (c addressedCase) dst() []float64 {
+	buf := make([]float64, 1+len(c.init))
+	copy(buf[1:], c.init)
 	return buf[1:]
 }
 
-// assertAddressedAgrees holds MatMulAddressedInto (assembly panels plus
+// assertAddressedAgrees holds MatMulStridedInto (assembly panels plus
 // portable edge) to the portable kernel alone, and both to the
-// definition: gather the addressed rows into a k x n matrix and run the
-// naive loop. The gaps between dst rows must keep their poison.
+// definition: the scalar loop over the addressed operands, each sum
+// starting from zero, or under acc from what dst held. The gaps between
+// dst rows must keep their poison.
 func assertAddressedAgrees(t *testing.T, c addressedCase) {
 	t.Helper()
-	name := fmt.Sprintf("addressed %dx%dx%d ldd %d", c.m, c.k, c.n, c.ldd)
-	want, got := c.poisonedDst(), c.poisonedDst()
-	portableTiles(want, c.ldd, c.a, c.b, c.rows.off, c.m, c.k, c.n)
-	MatMulAddressedInto(got, c.ldd, c.a, c.m, c.b, c.rows, c.n)
+	name := fmt.Sprintf("addressed %dx%dx%d lda %d ldd %d acc %v", c.m, c.k, c.n, c.lda, c.ldd, c.acc)
+	want, got, spec := c.dst(), c.dst(), c.dst()
+	portableTiles(want, c.ldd, c.a, c.lda, c.b, c.rows.off, c.m, c.k, c.n, c.acc)
+	MatMulStridedInto(got, c.ldd, c.a, c.lda, c.m, c.b, c.rows, c.n, c.acc)
 	assertBitsOrBothNaN(t, name, want, got)
-	gathered := NewMatrix(c.k, c.n)
-	for r, o := range c.rows.off {
-		copy(gathered.Row(r), c.b[o:o+c.n])
-	}
-	spec := specMatMul(&Matrix{Rows: c.m, Cols: c.k, Data: c.a}, gathered)
-	for i := 0; i < c.m; i++ {
-		row := got[i*c.ldd:]
-		assertBitsOrBothNaN(t, name+" against the gathered product", spec.Row(i), row[:c.n])
-		for j := c.n; j < c.ldd && i < c.m-1; j++ {
-			if !math.IsNaN(row[j]) {
-				t.Fatalf("%s: gap element %d of row %d was written", name, j, i)
+	for i := 0; i < c.m && c.n > 0; i++ {
+		row := spec[i*c.ldd:][:c.n]
+		if !c.acc {
+			clear(row)
+		}
+		for r, o := range c.rows.off {
+			av := c.a[i*c.lda+r]
+			for j := range row {
+				row[j] += av * c.b[o+j]
 			}
 		}
 	}
+	assertBitsOrBothNaN(t, name+" against the scalar loop", spec, got)
 }
 
 // TestAddressedMatchesPortable is TestKernelMatchesPortable for the
-// addressed product, over the same shapes and value mixes.
+// addressed product, over the same shapes and value mixes, with a's rows
+// packed, spread and overlapping, from zero and carried on.
 func TestAddressedMatchesPortable(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	finite := len(oddValues) - 3
 	for _, sh := range append(propertyShapes(rng), kernelEdgeShapes()...) {
+		m, k, n := sh[0], sh[1], sh[2]
 		for _, nOdd := range []int{0, finite, len(oddValues)} {
-			assertAddressedAgrees(t, newAddressedCase(rng, sh[0], sh[1], sh[2], nOdd))
+			for _, lda := range []int{k, k + 1 + rng.Intn(3), rng.Intn(k + 1)} {
+				assertAddressedAgrees(t, newAddressedCase(rng, m, k, n, lda, rng.Intn(2) == 1, nOdd))
+			}
 		}
 	}
 }
@@ -389,7 +402,7 @@ func TestAddressedMatchesPortable(t *testing.T) {
 // has stored anything; a negative offset never becomes a table.
 func TestAddressedShortDataPanicsBeforeStore(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	c := newAddressedCase(rng, 6, 70, 16, 0)
+	c := newAddressedCase(rng, 6, 70, 16, 70, false, 0)
 	far := append([]int(nil), c.rows.off...)
 	far[len(far)-1] = len(c.b) - c.n + 1
 	for name, mul := range map[string]func(dst []float64){
@@ -401,8 +414,10 @@ func TestAddressedShortDataPanicsBeforeStore(t *testing.T) {
 			MatMulAddressedInto(dst, c.ldd, c.a, c.m, c.b, NewRowTable([]int{0, -1}), c.n)
 		},
 		"narrow dst stride": func(dst []float64) { MatMulAddressedInto(dst, c.n-1, c.a, c.m, c.b, c.rows, c.n) },
+		"a stride past a":   func(dst []float64) { MatMulStridedInto(dst, c.ldd, c.a, c.k+1, c.m, c.b, c.rows, c.n, false) },
+		"negative a stride": func(dst []float64) { MatMulStridedInto(dst, c.ldd, c.a, -1, c.m, c.b, c.rows, c.n, true) },
 	} {
-		dst := c.poisonedDst()
+		dst := c.dst()
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -419,19 +434,21 @@ func TestAddressedShortDataPanicsBeforeStore(t *testing.T) {
 	}
 }
 
-// FuzzAddressedKernel lets the fuzzer pick the shape and the value mix;
-// the seed draws the offsets. The property is
-// TestAddressedMatchesPortable's.
+// FuzzAddressedKernel lets the fuzzer pick the shape, a's row stride
+// (from 0, every row the same one, through overlapping to spread), whether
+// the sums start at zero or are carried on, and the value mix; the seed
+// draws the offsets. The property is TestAddressedMatchesPortable's.
 func FuzzAddressedKernel(f *testing.F) {
-	f.Add(uint8(16), uint8(144), uint8(16), uint8(0), int64(1))
-	f.Add(uint8(24), uint8(144), uint8(8), uint8(1), int64(2))
-	f.Add(uint8(5), uint8(65), uint8(9), uint8(2), int64(3))
-	f.Add(uint8(1), uint8(3), uint8(17), uint8(3), int64(4))
-	f.Add(uint8(0), uint8(0), uint8(0), uint8(1), int64(5))
-	f.Add(uint8(3), uint8(0), uint8(8), uint8(2), int64(6))
-	f.Fuzz(func(t *testing.T, m, k, n, mix uint8, seed int64) {
+	f.Add(uint8(16), uint8(144), uint8(16), uint8(144), false, uint8(0), int64(1))
+	f.Add(uint8(24), uint8(144), uint8(8), uint8(144), false, uint8(1), int64(2))
+	f.Add(uint8(16), uint8(16), uint8(16), uint8(255), true, uint8(0), int64(7)) // conv1's weight gradient, lda past k
+	f.Add(uint8(5), uint8(65), uint8(9), uint8(3), true, uint8(2), int64(3))     // overlapping rows
+	f.Add(uint8(1), uint8(3), uint8(17), uint8(0), false, uint8(3), int64(4))
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), true, uint8(1), int64(5))
+	f.Add(uint8(3), uint8(0), uint8(8), uint8(2), true, uint8(2), int64(6))
+	f.Fuzz(func(t *testing.T, m, k, n, lda uint8, acc bool, mix uint8, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		nOdd := []int{0, len(oddValues) - 3, len(oddValues), 2}[mix%4]
-		assertAddressedAgrees(t, newAddressedCase(rng, int(m%40), int(k), int(n%70), nOdd))
+		assertAddressedAgrees(t, newAddressedCase(rng, int(m%40), int(k), int(n%70), int(lda), acc, nOdd))
 	})
 }

@@ -126,7 +126,7 @@ func matMulRows(dst, a, b *Matrix, r0, r1 int) {
 	d := within(dst.Data, r0*n, r1*n)
 	av := within(a.Data, r0*k, r1*k)
 	bv := within(b.Data, 0, k*n)
-	matMulTiles(d, n, av, bv, nil, m, k, n)
+	matMulTiles(d, n, av, k, bv, nil, m, k, n, false)
 }
 
 // within is data[lo:hi] checked against data's length: a plain slice
@@ -136,9 +136,10 @@ func within(data []float64, lo, hi int) []float64 {
 }
 
 // RowTable says where the rows of a product's right operand start: row t
-// begins at element off[t] of the slice MatMulAddressedInto is handed. Rows may overlap or repeat, which is what lets a convolution
-// multiply the shifted views of its input where they lie instead of
-// copying them into a column matrix. A table is validated once, where it
+// begins at element off[t] of the slice MatMulAddressedInto is handed.
+// Rows may overlap or repeat, which is what lets a convolution multiply
+// the shifted views of its input where they lie instead of copying them
+// into a column matrix. A table is validated once, where it
 // is built, is immutable afterwards and may be shared by any number of
 // concurrent products.
 type RowTable struct {
@@ -166,44 +167,64 @@ func NewRowTable(off []int) RowTable {
 // stride and the rows of the right operand addressed, not strided. The
 // sums are matMulTiles's (from zero, ascending t, one rounded product and
 // one add at a time), so the result is bit-identical to gathering the
-// rows into a k x n matrix and calling MatMulInto. Like matMulRows it
-// proves every operand long enough before either kernel stores anything.
+// rows into a k x n matrix and calling MatMulInto. It is the lda = k,
+// from-zero case of MatMulStridedInto.
 func MatMulAddressedInto(dst []float64, ldd int, a []float64, m int, b []float64, rows RowTable, n int) {
+	MatMulStridedInto(dst, ldd, a, len(rows.off), m, b, rows, n, false)
+}
+
+// MatMulStridedInto is MatMulAddressedInto with the left operand given a
+// row stride too, and the sums optionally carried on from what dst holds:
+//
+//	dst[i*ldd+j] = (acc ? dst[i*ldd+j] : 0) + Σ_t a[i*lda+t] * b[rows.off[t]+j]
+//
+// Rows of a may overlap (lda < k) or lie far apart, which is what lets a
+// convolution's weight gradient read the channels of its zero-bordered
+// input where they lie. A sum carried through dst takes up exactly where
+// it left off (one rounded product and one add at a time, ascending t), so
+// a contraction split into consecutive accumulating calls is bit-identical
+// to the one long product. Like matMulRows it proves every operand long
+// enough before either kernel stores anything.
+func MatMulStridedInto(dst []float64, ldd int, a []float64, lda, m int, b []float64, rows RowTable, n int, acc bool) {
 	k := len(rows.off)
-	if m < 0 || n < 0 || ldd < n {
-		panic(fmt.Sprintf("tensor: addressed matmul %dx%dx%d with dst stride %d", m, k, n, ldd))
+	if m < 0 || n < 0 || ldd < n || lda < 0 {
+		panic(fmt.Sprintf("tensor: addressed matmul %dx%dx%d with strides a %d, dst %d", m, k, n, lda, ldd))
 	}
 	if m == 0 || n == 0 {
 		return
 	}
 	d := within(dst, 0, (m-1)*ldd+n)
-	av := within(a, 0, m*k)
+	av := within(a, 0, (m-1)*lda+k)
 	if k > 0 {
 		b = within(b, 0, rows.span+n)
 	}
-	matMulTiles(d, ldd, av, b, rows.off, m, k, n)
+	matMulTiles(d, ldd, av, lda, b, rows.off, m, k, n, acc)
 }
 
 // matMulTiles is the one product under every entry above: for i < m and
-// j < n, d[i*ldd+j] = Σ_t av[i*k+t] * bv[off[t]+j], where a nil off means
-// the rows of a plain row-major matrix, off[t] = t*n. The callers have
-// proven d, av and bv long enough for every index that names.
+// j < n, d[i*ldd+j] (taken as zero unless acc) += Σ_t av[i*lda+t] *
+// bv[off[t]+j], where a nil off means the rows of a plain row-major
+// matrix, off[t] = t*n. The callers have proven d, av and bv long enough
+// for every index that names.
 //
 // There are two kernels and one association. matMulPanels is the AVX2
 // assembly (matmul_amd64.s), which takes whole panelCols-column panels
 // where the machine has it; matMulPortable is the Go loop, which takes
 // the ragged right edge, and every column on other machines or under
 // -tags purego. Both give each dst element its own accumulator, started
-// at zero and fed one rounded product at a time in ascending t, so which
-// kernel computed a column cannot be read off its bits. The sums are
-// carried through d from one k tile to the next.
-func matMulTiles(d []float64, ldd int, av, bv []float64, off []int, m, k, n int) {
+// at zero (or at what d holds, under acc) and fed one rounded product at
+// a time in ascending t, so which kernel computed a column cannot be read
+// off its bits. The sums are carried through d from one k tile to the
+// next, which is all acc is: a caller's earlier call was the tile before.
+func matMulTiles(d []float64, ldd int, av []float64, lda int, bv []float64, off []int, m, k, n int, acc bool) {
 	if m == 0 || n == 0 {
 		return
 	}
 	if k == 0 {
-		for i := 0; i < m; i++ {
-			clear(d[i*ldd:][:n])
+		if !acc {
+			for i := 0; i < m; i++ {
+				clear(d[i*ldd:][:n])
+			}
 		}
 		return
 	}
@@ -223,8 +244,8 @@ func matMulTiles(d []float64, ldd int, av, bv []float64, off []int, m, k, n int)
 		} else {
 			bt = bv[k0*n:]
 		}
-		if j := matMulPanels(d, ldd, av[k0:], k, bt, tile, m, n, k0 > 0); j < n {
-			matMulPortable(d, ldd, av[k0:], k, bt, tile, m, n, j, k0 > 0)
+		if j := matMulPanels(d, ldd, av[k0:], lda, bt, tile, m, n, acc || k0 > 0); j < n {
+			matMulPortable(d, ldd, av[k0:], lda, bt, tile, m, n, j, acc || k0 > 0)
 		}
 	}
 }
