@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # ci.sh — the repo's verification gate. Mirrors what a reviewer runs:
 #
-#   vet (the assembly kernel's declarations included), build, a
+#   gofmt, vet (the assembly kernel's declarations included), build, a
 #   cross-build of the portable path, unit + property tests under the
 #   race detector and again on the portable matmul kernel, the chaos and
 #   kill-resume suites, the end-to-end smoke scripts, a check that no
@@ -19,6 +19,15 @@ set -eu
 short=""
 if [ "${1:-}" = "-short" ]; then
 	short="-short"
+fi
+
+echo "== gofmt =="
+# Any file gofmt would rewrite fails the gate.
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "ci: gofmt -l prints:" >&2
+	echo "$unformatted" >&2
+	exit 1
 fi
 
 echo "== go vet =="
@@ -44,8 +53,10 @@ echo "== portable kernel =="
 # (trainstep_golden.json, both misspath goldens, the oracle's
 # aerial_golden.json and the small suite's digest) are proven on the Go kernel too on every run: a model trained,
 # a window scored or a clip labelled on a machine without AVX2 gives the
-# same bytes.
-go test -tags purego $short ./internal/tensor/ ./internal/nn/ ./internal/core/ ./internal/fft/ ./internal/features/ ./internal/lithosim/ ./internal/iccad/
+# same bytes. So are the feature tiles a scan shard shares: a tensor
+# assembled from them has DCT.Extract's bits (internal/features) and the
+# farm's findings are core.ScanCtx's (internal/scanfarm).
+go test -tags purego $short ./internal/tensor/ ./internal/nn/ ./internal/core/ ./internal/fft/ ./internal/features/ ./internal/lithosim/ ./internal/iccad/ ./internal/scanfarm/
 
 echo "== chaos smoke =="
 # The chaos tests inject faults (latency, errors, panics) into the

@@ -80,21 +80,26 @@ func ScoreClipsCtx(ctx context.Context, d Detector, clips []layout.Clip) ([]floa
 
 // scoreFeatures is how a feature-based detector turns a clip into a
 // score: extraction under ExtractCtx (one "raster" + "features" span
-// pair per extractor), then standardization and the fitted decision
-// function under an "inference" span.
+// pair per extractor), then scoreVector.
 func scoreFeatures(ctx context.Context, d Detector, ex features.Extractor, scale *scaler,
 	clip layout.Clip, decide func(v []float64) float64) (float64, error) {
 	v, err := features.ExtractCtx(ctx, ex, clip)
 	if err != nil {
 		return 0, err
 	}
+	return scoreVector(ctx, d, scale, v, decide), nil
+}
+
+// scoreVector is the half of a score after extraction: standardization
+// and the fitted decision function under an "inference" span.
+func scoreVector(ctx context.Context, d Detector, scale *scaler, v []float64, decide func(v []float64) float64) float64 {
 	_, sp := trace.Start(ctx, "inference")
 	if sp != nil { // the name is built only for a recording trace
 		sp.SetAttr("detector", d.Name())
 	}
 	s := decide(scale.apply(v))
 	sp.End()
-	return s, nil
+	return s
 }
 
 var (
@@ -120,10 +125,21 @@ func (d *NeuralDetector) ScoreCtx(ctx context.Context, clip layout.Clip) (float6
 	if d.net == nil {
 		return 0, errNotFitted
 	}
-	return scoreFeatures(ctx, d, d.Ex, d.scale, clip, func(v []float64) float64 {
-		return nn.Score(d.net, v)
-	})
+	return scoreFeatures(ctx, d, d.Ex, d.scale, clip, d.predict)
 }
+
+// ScoreVectorCtx is ScoreCtx for a caller that already holds the clip's
+// feature vector, d.Ex's bits for it: the scan farm, which shares the
+// overlapping parts of neighbouring windows' tensors. v is read during
+// the call and not kept.
+func (d *NeuralDetector) ScoreVectorCtx(ctx context.Context, v []float64) (float64, error) {
+	if d.net == nil {
+		return 0, errNotFitted
+	}
+	return scoreVector(ctx, d, d.scale, v, d.predict), nil
+}
+
+func (d *NeuralDetector) predict(v []float64) float64 { return nn.Score(d.net, v) }
 
 // ScoreBatchCtx implements CtxBatchScorer: per-clip extraction spans,
 // then the batched forward pass under nn.PredictBatchCtx (arena and

@@ -97,15 +97,35 @@ func (g Grid) Center(col, row int) geom.Point {
 // The caller attaches the window's coordinates when it propagates the
 // error, so a poison window is identifiable from the failure alone.
 func ScoreWindow(ctx context.Context, site string, d Detector, clip layout.Clip) (score float64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("detector panic: %v", r)
-		}
-	}()
+	defer recoverWindow(&err)
 	if err := faultinject.Hit(site); err != nil {
 		return 0, err
 	}
 	return ScoreClipCtx(ctx, d, clip)
+}
+
+// ScoreWindowVector is ScoreWindow for a caller that builds the window's
+// feature vector itself: site fires first, once, and then vector and the
+// detector's ScoreVectorCtx run under the same panic isolation.
+func ScoreWindowVector(ctx context.Context, site string, d *NeuralDetector,
+	vector func() ([]float64, error)) (score float64, err error) {
+	defer recoverWindow(&err)
+	if err := faultinject.Hit(site); err != nil {
+		return 0, err
+	}
+	v, err := vector()
+	if err != nil {
+		return 0, err
+	}
+	return d.ScoreVectorCtx(ctx, v)
+}
+
+// recoverWindow, deferred, turns a panic under one window's score into
+// that window's error.
+func recoverWindow(err *error) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("detector panic: %v", r)
+	}
 }
 
 // ScanConfig controls full-chip scanning.

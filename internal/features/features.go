@@ -91,23 +91,38 @@ type imageExtractor interface {
 // scratch to the pool. kind labels a rasterization error; pixelNM <= 0
 // means the default pitch of 8.
 func extractPooled(ctx context.Context, ex imageExtractor, kind string, clip layout.Clip, pixelNM int) ([]float64, error) {
-	if pixelNM <= 0 {
-		pixelNM = 8
-	}
 	sc := scratchPool.Get().(*scratch)
 	// RasterizeInto sizes and clears the image for whoever borrows it
 	// next, so it can go back in any state.
 	defer scratchPool.Put(sc)
+	if err := rasterize(ctx, sc, ex, kind, clip.Window, clip.Shapes, pixelNM); err != nil {
+		return nil, err
+	}
+	sp := startSpan(ctx, "features", ex)
+	defer sp.End()
+	return ex.fromImage(sc)
+}
+
+// rasterize renders the part of shapes over window into sc.im under a
+// "raster" span: a clip's whole window, or one tile of it.
+func rasterize(ctx context.Context, sc *scratch, ex Extractor, kind string, window geom.Rect, shapes []geom.Rect, pixelNM int) error {
 	sp := startSpan(ctx, "raster", ex)
-	err := raster.RasterizeInto(&sc.im, raster.Config{Window: clip.Window, PixelNM: pixelNM}, clip.Shapes)
+	err := raster.RasterizeInto(&sc.im, raster.Config{Window: window, PixelNM: pitch(pixelNM)}, shapes)
 	sp.SetError(err)
 	sp.End()
 	if err != nil {
-		return nil, fmt.Errorf("features: %s: %w", kind, err)
+		return fmt.Errorf("features: %s: %w", kind, err)
 	}
-	sp = startSpan(ctx, "features", ex)
-	defer sp.End()
-	return ex.fromImage(sc)
+	return nil
+}
+
+// pitch is an extractor's rasterization pitch: PixelNM, or the default
+// of 8 when that is unset.
+func pitch(pixelNM int) int {
+	if pixelNM <= 0 {
+		return 8
+	}
+	return pixelNM
 }
 
 // Density is the density-grid extractor: the clip is divided into
@@ -278,21 +293,30 @@ func (d *DCT) fromImage(sc *scratch) ([]float64, error) {
 	if im.W != im.H || im.W%d.Blocks != 0 {
 		return nil, fmt.Errorf("features: image %dx%d not divisible into %d blocks", im.W, im.H, d.Blocks)
 	}
-	bs := im.W / d.Blocks
+	out := make([]float64, d.Dim())
+	if err := d.blocksInto(out, sc, im.W/d.Blocks); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// blocksInto transforms every bs x bs block of sc.im where it lies in
+// the raster, computing only the zigzag prefix that is kept, and writes
+// the coefficients to out coefficient-major (fft's ForwardBlocks layout):
+// a window's tensor from its raster, or a tile's share of one from the
+// tile's.
+func (d *DCT) blocksInto(out []float64, sc *scratch, bs int) error {
 	if d.Coefs > bs*bs {
-		return nil, fmt.Errorf("features: %d coefs exceed block size %d^2", d.Coefs, bs)
+		return fmt.Errorf("features: %d coefs exceed block size %d^2", d.Coefs, bs)
 	}
 	plan, err := fft.PlanDCT(bs)
 	if err != nil {
-		return nil, fmt.Errorf("features: dct block: %w", err)
+		return fmt.Errorf("features: dct block: %w", err)
 	}
-	// Every block is transformed where it lies in the raster, and only
-	// the zigzag prefix that is kept is computed.
-	out := make([]float64, d.Dim())
-	if sc.dct, err = plan.ForwardBlocks(out, im.Pix, im.W, im.H, d.Coefs, sc.dct); err != nil {
-		return nil, fmt.Errorf("features: dct block: %w", err)
+	if sc.dct, err = plan.ForwardBlocks(out, sc.im.Pix, sc.im.W, sc.im.H, d.Coefs, sc.dct); err != nil {
+		return fmt.Errorf("features: dct block: %w", err)
 	}
-	return out, nil
+	return nil
 }
 
 // MirrorClipX reflects a clip's geometry across the vertical centre line

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/golitho/hsd/internal/core"
+	"github.com/golitho/hsd/internal/iccad"
 	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/qualitymon"
 	"github.com/golitho/hsd/internal/raster"
@@ -65,4 +66,28 @@ func BenchmarkScanFarmQualityOn(b *testing.B) {
 	qm := qualitymon.New(qualitymon.Options{})
 	defer qm.Close()
 	benchScan(b, 0, qm)
+}
+
+// BenchmarkScanFarmCNNMiss is the bench's scan_unique outside bench/:
+// the fitted CNN over a generated chip with no repeated geometry, a
+// fresh cache every scan, so every window pays raster, DCT and network.
+func BenchmarkScanFarmCNNMiss(b *testing.B) {
+	det := fittedCNN(b, false)
+	chip, err := iccad.GenerateChip(2, 16*1024, iccad.DefaultStyle())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{SkipEmpty: true, Workers: 2, CacheSize: 4096}
+	var res Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res, err = Run(context.Background(), chip, det, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if res.Cache.Hits*20 > res.Cache.Misses {
+		b.Fatalf("cache %+v: the chip repeats itself", res.Cache)
+	}
+	b.ReportMetric(float64(b.N*res.Scanned)/b.Elapsed().Seconds(), "windows/s")
 }

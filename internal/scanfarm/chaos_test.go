@@ -14,14 +14,17 @@ package scanfarm
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/golitho/hsd/internal/core"
 	"github.com/golitho/hsd/internal/faultinject"
+	"github.com/golitho/hsd/internal/geom"
 	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/resilience"
 	"github.com/golitho/hsd/internal/router"
@@ -68,35 +71,41 @@ func chaosRouter(t testing.TB) *router.Router {
 	return r
 }
 
+// TestChaosFarmKillResume runs over the doubles on the synthetic chip and
+// over the fitted CNN on a generated one, whose misses go through the
+// worker's tile memo. Every detector is handed to Run bare, as hsdscan
+// hands it over: the kill comes from the context the window loop polls.
 func TestChaosFarmKillResume(t *testing.T) {
 	cases := []struct {
 		name string
+		chip *layout.Layout
 		det  core.Detector
 	}{
-		{"density", densityDetector{thr: 0.5}},
-		{"router", chaosRouter(t)},
+		{"density", testChip(t, 10), densityDetector{thr: 0.5}},
+		{"router", testChip(t, 10), chaosRouter(t)},
+		{"cnn", cnnChip(t, 6), fittedCNN(t, false)},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) { runKillResume(t, tc.det) })
+		t.Run(tc.name, func(t *testing.T) { runKillResume(t, tc.chip, tc.det) })
 	}
 }
 
-func runKillResume(t *testing.T, det core.Detector) {
-	chip := testChip(t, 10)
+func runKillResume(t *testing.T, chip *layout.Layout, det core.Detector) {
 	base := Config{SkipEmpty: true, Workers: 3, ShardRows: 1, Retry: fastRetry()}
 	want := referenceFindings(t, chip, det, base)
 	meta := base.Meta(chip, det.Name())
 	path := filepath.Join(t.TempDir(), "scan.journal")
 
-	// Kill 70 scored windows in (of 388: three to four 20-window shards
-	// done, three in flight), then 120 into the rest, then run to
-	// completion: three generations over one journal, like a flaky
-	// batch box.
+	// Kill after 18 % of the windows were polled (on the 400-window chip:
+	// three to four 20-window shards done, three in flight), then 30 %
+	// into the rest, then run to completion: three generations over one
+	// journal, like a flaky batch box.
 	j, err := CreateJournal(path, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kills := []int64{70, 120}
+	windows := int64(NewPlan(chip.Bounds(), base).Windows())
+	kills := []int64{windows * 18 / 100, windows * 30 / 100}
 	completedSoFar := 0
 	for gen := 0; gen <= len(kills); gen++ {
 		cfg := base
@@ -113,16 +122,17 @@ func runKillResume(t *testing.T, det core.Detector) {
 			cfg.Completed = completed
 		}
 		cfg.Journal = j
-		ctx, cancel := context.WithCancel(context.Background())
-		genDet := det
+		ctx := context.Background()
 		if gen < len(kills) {
-			genDet = &cancelAfter{Detector: det, cut: kills[gen], cancel: cancel}
+			ctx = cancelAfterPolls(ctx, kills[gen])
 		}
-		res, err := Run(ctx, chip, genDet, cfg)
-		cancel()
+		res, err := Run(ctx, chip, det, cfg)
 		j.Close()
 		if err != nil {
 			t.Fatalf("generation %d: %v", gen, err)
+		}
+		if gen < len(kills) && (!res.Interrupted || res.Completed == res.Shards) {
+			t.Fatalf("generation %d was not cut: interrupted=%v, %d of %d shards", gen, res.Interrupted, res.Completed, res.Shards)
 		}
 		completedSoFar = res.Completed
 		if gen == len(kills) {
@@ -139,8 +149,12 @@ func runKillResume(t *testing.T, det core.Detector) {
 
 func TestChaosFarmFaultMatrix(t *testing.T) {
 	defer faultinject.Reset()
-	chip := testChip(t, 8)
-	det := densityDetector{thr: 0.5}
+	// The fault sites are the farm's own, so one double is enough.
+	runFaultMatrix(t, testChip(t, 8), densityDetector{thr: 0.5})
+	t.Run("cnn", func(t *testing.T) { runFaultMatrix(t, cnnChip(t, 6), fittedCNN(t, false)) })
+}
+
+func runFaultMatrix(t *testing.T, chip *layout.Layout, det core.Detector) {
 	base := Config{
 		SkipEmpty:   true,
 		Workers:     3,
@@ -193,6 +207,65 @@ func TestChaosFarmFaultMatrix(t *testing.T) {
 			t.Fatalf("attempt faults lost findings: quarantined=%d", len(res.Quarantined))
 		}
 	})
+}
+
+// TestChaosFarmCNNPoisonWindow holds the tile path to the window-score
+// site's contract. A fault armed without limit fires once per miss: not
+// per tile, and not at all on a hit. And a window that panics on every
+// attempt costs its shard: the retries answer the windows before it from
+// the cache, meet it again as their first miss, and the shard is
+// quarantined under that window's coordinates while every other shard's
+// findings equal the serial scan's.
+func TestChaosFarmCNNPoisonWindow(t *testing.T) {
+	defer faultinject.Reset()
+	chip, det := cnnChip(t, 6), fittedCNN(t, false)
+	cfg := Config{SkipEmpty: true, Workers: 3, ShardRows: 2, CacheSize: 4096, Retry: fastRetry()}
+	want := referenceFindings(t, chip, det, cfg)
+
+	faultinject.Set(WindowScoreSite, faultinject.Fault{Latency: time.Nanosecond})
+	res, err := Run(context.Background(), chip, det, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Findings, want) {
+		t.Fatal("findings diverged under a latency fault")
+	}
+	if fired := faultinject.Fired(WindowScoreSite); res.Cache.Misses == 0 || int64(fired) != res.Cache.Misses {
+		t.Fatalf("site fired %d times over %d misses (%d hits)", fired, res.Cache.Misses, res.Cache.Hits)
+	}
+
+	// One worker, so "the 40th miss" is one window: the sweep reaches it
+	// mid-shard, with tiles of its neighbours already in the memo.
+	faultinject.Reset()
+	cfg.Workers, cfg.MaxAttempts = 1, 3
+	faultinject.Set(WindowScoreSite, faultinject.Fault{Panic: "poison", Skip: 40, Count: cfg.MaxAttempts})
+	res, err = Run(context.Background(), chip, det, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Quarantined) != 1 || res.Interrupted {
+		t.Fatalf("quarantined %+v, interrupted=%v; want the one poisoned shard", res.Quarantined, res.Interrupted)
+	}
+	q := res.Quarantined[0]
+	var shard int
+	var at geom.Point
+	if _, err := fmt.Sscanf(q.Err[strings.Index(q.Err, "scanfarm: shard"):], "scanfarm: shard %d window at (%d,%d):", &shard, &at.X, &at.Y); err != nil {
+		t.Fatalf("quarantine error %q names no window: %v", q.Err, err)
+	}
+	plan := NewPlan(chip.Bounds(), cfg)
+	if shard != q.ShardID || shardOf(plan, at) != q.ShardID || !at.In(q.Bounds) ||
+		q.Attempts != cfg.MaxAttempts || !strings.Contains(q.Err, "detector panic") || !strings.Contains(q.Err, "poison") {
+		t.Fatalf("quarantine %+v does not name a window of its own shard", q)
+	}
+	var rest []core.Finding
+	for _, f := range want {
+		if shardOf(plan, f.Center) != q.ShardID {
+			rest = append(rest, f)
+		}
+	}
+	if len(rest) == len(want) || !reflect.DeepEqual(res.Findings, rest) {
+		t.Fatalf("findings outside the quarantined shard diverged:\ngot  %v\nwant %v", res.Findings, rest)
+	}
 }
 
 // TestChaosFarmConcurrentCache hammers one shared cache from many

@@ -26,6 +26,7 @@ package scanfarm
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -228,6 +229,7 @@ func Run(ctx context.Context, chip *layout.Layout, det core.Detector, cfg Config
 				breaker: resilience.NewBreaker(cfg.Breaker),
 				cache:   cache,
 				mets:    mets,
+				tiles:   newTileMemo(det, plan),
 			}
 			for {
 				select {
@@ -290,8 +292,9 @@ dispatch:
 }
 
 // worker is the per-goroutine scan state: the shared detector with its
-// name and threshold, and a circuit breaker that outlives individual
-// shards.
+// name and threshold, a circuit breaker that outlives individual
+// shards, and the buffers a shard attempt fills: its windows' scores
+// and, when the scan shares feature tiles, the tile memo (else nil).
 type worker struct {
 	chip    *layout.Layout
 	det     core.Detector
@@ -302,6 +305,8 @@ type worker struct {
 	breaker *resilience.Breaker
 	cache   *ClipCache
 	mets    *farmMetrics
+	tiles   *tileMemo
+	scores  []float64
 }
 
 // runShard drives one shard to a terminal state under the supervised-
@@ -334,10 +339,15 @@ func (w *worker) runShard(ctx context.Context, id int) *ShardRecord {
 	return &ShardRecord{ShardID: id, State: ShardDone, Attempts: attempts, Findings: findings}
 }
 
-// scanShard is one attempt over every window of the shard, in
-// enumeration order. Any window failure (error, recovered panic,
-// expired budget) aborts the attempt; cached verdicts make re-attempts
-// cheap for the windows already scored.
+// scanShard is one attempt over every window of the shard. Any window
+// failure (error, recovered panic, expired budget) aborts the attempt;
+// cached verdicts make re-attempts cheap for the windows already scored.
+//
+// The sweep is column by column, so that a feature tile is last needed
+// one column after it is first needed (see tiles.go). Scores land in the
+// worker's rows x cols buffer and the findings are read off it in
+// enumeration order, row-major, which is the order the journal, resume
+// and the merge pin.
 func (w *worker) scanShard(ctx context.Context, id, attempt int) ([]core.Finding, error) {
 	if err := faultinject.Hit(ShardAttemptSite); err != nil {
 		return nil, err
@@ -352,10 +362,16 @@ func (w *worker) scanShard(ctx context.Context, id, attempt int) ([]core.Finding
 	}
 	defer sp.End()
 
-	var findings []core.Finding
 	r0, r1 := w.plan.ShardRowRange(id)
-	for row := r0; row < r1; row++ {
-		for col := 0; col < w.plan.Cols; col++ {
+	cols := w.plan.Cols
+	n := (r1 - r0) * cols
+	if cap(w.scores) < n {
+		w.scores = make([]float64, n)
+	}
+	scores := w.scores[:n]
+	for col := 0; col < cols; col++ {
+		w.tiles.startColumn(col)
+		for row := r0; row < r1; row++ {
 			center := w.plan.Center(col, row)
 			if err := ctx.Err(); err != nil {
 				sp.SetError(err)
@@ -367,16 +383,22 @@ func (w *worker) scanShard(ctx context.Context, id, attempt int) ([]core.Finding
 				return nil, fmt.Errorf("scanfarm: shard %d window at %v: %w", id, center, err)
 			}
 			if w.cfg.SkipEmpty && len(clip.Shapes) == 0 {
+				// Not scored: a NaN is below every threshold.
+				scores[(row-r0)*cols+col] = math.NaN()
 				continue
 			}
-			score, err := w.scoreWindow(ctx, clip)
+			score, err := w.scoreWindow(ctx, clip, col, row-r0)
 			if err != nil {
 				sp.SetError(err)
 				return nil, fmt.Errorf("scanfarm: shard %d window at %v: %w", id, center, err)
 			}
-			if score >= w.thr {
-				findings = append(findings, core.Finding{Center: center, Score: score})
-			}
+			scores[(row-r0)*cols+col] = score
+		}
+	}
+	var findings []core.Finding
+	for i, score := range scores {
+		if score >= w.thr {
+			findings = append(findings, core.Finding{Center: w.plan.Center(i%cols, r0+i/cols), Score: score})
 		}
 	}
 	w.mets.shardSeconds.ObserveDuration(time.Since(start))
@@ -392,8 +414,9 @@ func (w *worker) scanShard(ctx context.Context, id, attempt int) ([]core.Finding
 //
 // clip.Shapes must be the caller's own (ClipAt builds it per call): it
 // is canonicalised in place, where Clip.Translate would make a third
-// copy of the window's shapes.
-func (w *worker) scoreWindow(ctx context.Context, clip layout.Clip) (float64, error) {
+// copy of the window's shapes. col and row place the window in the
+// shard for the tile memo, which only a miss touches.
+func (w *worker) scoreWindow(ctx context.Context, clip layout.Clip, col, row int) (float64, error) {
 	d := geom.Pt(-clip.Window.Min.X, -clip.Window.Min.Y)
 	canon := layout.Clip{Window: clip.Window.Translate(d), Core: clip.Core.Translate(d), Shapes: clip.Shapes}
 	for i, s := range canon.Shapes {
@@ -408,7 +431,17 @@ func (w *worker) scoreWindow(ctx context.Context, clip layout.Clip) (float64, er
 			return score, nil
 		}
 	}
-	score, err := core.ScoreWindow(ctx, WindowScoreSite, w.det, canon)
+	var (
+		score float64
+		err   error
+	)
+	if w.tiles != nil {
+		score, err = core.ScoreWindowVector(ctx, WindowScoreSite, w.tiles.det, func() ([]float64, error) {
+			return w.tiles.window(ctx, canon, col, row)
+		})
+	} else {
+		score, err = core.ScoreWindow(ctx, WindowScoreSite, w.det, canon)
+	}
 	if err != nil {
 		if w.cache != nil {
 			w.mets.cache(false, false)

@@ -3,10 +3,13 @@ package scanfarm
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
 	"github.com/golitho/hsd/internal/core"
+	"github.com/golitho/hsd/internal/iccad"
+	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/qualitymon"
 	"github.com/golitho/hsd/internal/resilience"
 )
@@ -61,6 +64,92 @@ func TestHitPathAllocations(t *testing.T) {
 	t.Logf("%.2f allocations per hit window (%.0f over %d windows)", perWindow, perShard, windows)
 	if perWindow > 2 {
 		t.Fatalf("%.1f allocations per hit window (%.0f over %d windows), want <= 2", perWindow, perShard, windows)
+	}
+}
+
+// TestMissPathAllocations pins what a cache-miss window may allocate when
+// the scan shares feature tiles: what a hit allocates (its clip's shapes,
+// its share of the findings) and no tensor. The 16 x 16 x 16 tensor is
+// 32 KB, which every miss used to make and drop; the tiles and the
+// assembled window live in the worker. It also pins what the worker
+// holds to the shard's height: the same bytes on a chip eight times as
+// wide.
+func TestMissPathAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items on purpose under -race")
+	}
+	det := fittedCNN(t, false)
+	newWorker := func(chip *layout.Layout) *worker {
+		cfg := Config{SkipEmpty: true, ShardRows: 2}.withDefaults()
+		plan, err := newPlan(chip.Bounds(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &worker{
+			chip: chip, det: det, name: det.Name(), thr: det.Threshold(),
+			plan: plan, cfg: cfg,
+			breaker: resilience.NewBreaker(cfg.Breaker),
+			mets:    newFarmMetrics(nil),
+			tiles:   newTileMemo(det, plan),
+		}
+		if w.tiles == nil {
+			t.Fatal("the zoo's geometry scans without tiles")
+		}
+		return w
+	}
+	w := newWorker(cnnChip(t, 6))
+	// The last shard is clear of the chip's blank block: every window is
+	// scored, and with no cache every one is a miss on every pass.
+	id := w.plan.NumShards - 1
+	ctx := context.Background()
+	want, err := w.scanShard(ctx, id, 1) // fills the pools, sizes the score buffer
+	if err != nil {
+		t.Fatal(err)
+	}
+	r0, r1 := w.plan.ShardRowRange(id)
+	windows := (r1 - r0) * w.plan.Cols
+	var m0, m1 runtime.MemStats
+	const runs = 10
+	runtime.ReadMemStats(&m0)
+	perShard := testing.AllocsPerRun(runs, func() {
+		got, err := w.scanShard(ctx, id, 1)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("repeat shard: %d findings, err %v; want %d", len(got), err, len(want))
+		}
+	})
+	runtime.ReadMemStats(&m1)
+	bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / float64((runs+1)*windows)
+	t.Logf("%.2f allocations, %.0f B per miss window (%d windows)", perShard/float64(windows), bytes, windows)
+	if perWindow := perShard / float64(windows); perWindow > 2 {
+		t.Errorf("%.1f allocations per miss window, want <= 2", perWindow)
+	}
+	if bytes > 8<<10 {
+		t.Errorf("%.0f B per miss window, want well under the tensor's 32 KB (<= 8 KB)", bytes)
+	}
+
+	wide, err := iccad.GenerateChip(7, 48*1024, iccad.DefaultStyle())
+	if err != nil {
+		t.Fatal(err)
+	}
+	strip := layout.NewWithGrid("strip", 2048)
+	for _, s := range wide.Shapes() {
+		if s.Max.Y <= 2048 {
+			if err := strip.AddRect(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ww := newWorker(strip)
+	if ww.plan.Cols < 8*w.plan.Cols {
+		t.Fatalf("strip is %d windows wide, the square chip %d", ww.plan.Cols, w.plan.Cols)
+	}
+	if _, err := ww.scanShard(ctx, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	held := func(m *tileMemo) int { return len(m.coef) + len(m.have) + len(m.tensor) }
+	if held(ww.tiles) != held(w.tiles) || len(w.tiles.coef) != 2*3*w.tiles.TileLen() {
+		t.Fatalf("tile memo holds %d values on the strip and %d on the square chip, want 2 columns of 3 tiles on both",
+			held(ww.tiles), held(w.tiles))
 	}
 }
 

@@ -81,7 +81,7 @@ func WriteChrome(w io.Writer, traces []*TraceRecord) error {
 				}
 				events = append(events, chromeEvent{
 					Name: ev.Name, Phase: "i",
-					TS: micros(ev.Time, base),
+					TS:  micros(ev.Time, base),
 					PID: pid, TID: lanes[si],
 					Args: evArgs,
 				})

@@ -1,12 +1,14 @@
 #!/usr/bin/env sh
 # scan_smoke.sh — end-to-end kill-resume gate for the scan farm.
 #
-# Runs hsdscan five times over the same deterministic chip:
+# Runs hsdscan over the same deterministic chip:
 #
 #   0. (not a scan) benchgen -small -seed 1 at -workers 1, 2 and 8 must
 #      hash to scripts/suite_small_seed1.sha256;
 #   1. an uninterrupted reference scan writing full.txt, and the same
-#      scan at -workers 8, which must write the same bytes;
+#      scan at -workers 8, which must write the same bytes; then the
+#      zoo's CNN over the same chip at -workers 1, at -workers 8 and from
+#      a -tags purego build, which must all write the same bytes too;
 #   2. a journaled scan that is SIGKILLed as soon as the journal shows
 #      at least one completed shard (a real crash: no cleanup, no
 #      flush, the journal is whatever fsync made durable);
@@ -70,6 +72,34 @@ echo "scan smoke: the same scan on 8 workers"
 	-findings "$WORK/full8.txt" >"$WORK/ref8.log" 2>&1
 if ! cmp "$WORK/full.txt" "$WORK/full8.txt"; then
 	echo "scan smoke: findings at -workers 8 differ from -workers 1" >&2
+	exit 1
+fi
+
+echo "scan smoke: the CNN's scan on 1 and 8 workers and on the portable kernel"
+# AdaBoost above never rasterises a tile: the CNN's misses take their
+# DCT tensor from tiles shared inside a shard (DESIGN §14), so which
+# windows share a worker, and which of them met a tile first, must not
+# show either. Default shard height, where a shard is three tile rows.
+# The purego build compiles the assembly matmul kernel out; the model it
+# trains and the scores it writes must be the AVX2 build's bytes.
+CNN_ARGS="-detector CNN-biased -seed 1 -gen-seed 42 -gen-edge $EDGE -top 0"
+go build -tags purego -o "$WORK/hsdscan-purego" ./cmd/hsdscan
+cnn_scan() { # binary, -workers, name of the findings file
+	# shellcheck disable=SC2086
+	"$WORK/$1" -suite "$WORK/suite.gob" $CNN_ARGS -workers "$2" \
+		-findings "$WORK/$3.txt" >"$WORK/$3.log" 2>&1
+}
+cnn_scan hsdscan 1 cnn1
+cnn_scan hsdscan 8 cnn8
+cnn_scan hsdscan-purego 2 cnn-purego
+for other in cnn8 cnn-purego; do
+	if ! cmp "$WORK/cnn1.txt" "$WORK/$other.txt"; then
+		echo "scan smoke: CNN findings in $other.txt differ from hsdscan at -workers 1" >&2
+		exit 1
+	fi
+done
+if ! [ -s "$WORK/cnn1.txt" ]; then
+	echo "scan smoke: the CNN flagged nothing; the comparison is vacuous" >&2
 	exit 1
 fi
 
