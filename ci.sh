@@ -8,9 +8,9 @@
 #   binary's flag set, no facade name and no /metrics series moved and
 #   that nothing is bound after construction, a smoke pass over the
 #   fuzz seed corpora, 10 s of real fuzzing each on the frame reader, the
-#   network and checkpoint loaders, the plain matmul and the addressed
-#   matmul, and a quick pass of the repo
-#   benchmark's four workloads.
+#   network and checkpoint loaders, the GLT and GDSII readers, the plain
+#   matmul and the addressed matmul (70 s in all), and a quick pass of
+#   the repo benchmark's four workloads.
 #
 # Usage: ./ci.sh [-short]
 #   -short  pass -short to go test (skips the slower property tests)
@@ -141,9 +141,9 @@ echo "== scan smoke =="
 echo "== fuzz seed smoke =="
 # -run=Fuzz executes every fuzz target once per seed corpus entry,
 # without the fuzzing engine; crashes here mean a regressed parser,
-# model loader or frame reader, or a matmul kernel that disagrees with
-# the portable one on a seed shape.
-go test -run=Fuzz ./internal/layout/ ./internal/gdsii/ ./internal/nn/ ./internal/framelog/ ./internal/tensor/
+# model or baseline loader or frame reader, or a matmul kernel that
+# disagrees with the portable one on a seed shape.
+go test -run=Fuzz ./internal/layout/ ./internal/gdsii/ ./internal/nn/ ./internal/qualitymon/ ./internal/framelog/ ./internal/tensor/
 
 echo "== frame reader fuzz =="
 # A bounded budget of real fuzzing on the one frame reader every
@@ -153,12 +153,19 @@ go test -run='^$' -fuzz=FuzzReadFrame -fuzztime=10s ./internal/framelog/
 
 echo "== model loader fuzz =="
 # And 10 s each on the two loaders behind it: a network or checkpoint
-# file, framed or legacy raw gob, must load or fail with an error, never
-# panic or allocate what its geometry declares. The seeds include the raw
-# gob stream and reframed hostile layers, so mutations reach the layer
-# geometry checks instead of stopping at the CRC.
+# payload must load or fail with an error, never panic or allocate what
+# its geometry declares. The targets frame their input themselves and
+# are seeded with the seed net's payload and the hostile layers, so
+# mutations reach the layer geometry checks instead of stopping at the
+# CRC.
 go test -run='^$' -fuzz=FuzzLoadNetwork -fuzztime=10s ./internal/nn/
 go test -run='^$' -fuzz=FuzzLoadCheckpoint -fuzztime=10s ./internal/nn/
+
+echo "== layout reader fuzz =="
+# And 10 s each on the two layout readers: every POST /score body is
+# GLT, and a GDSII stream is what a scan reads a chip from.
+go test -run='^$' -fuzz=FuzzParseGLT -fuzztime=10s ./internal/layout/
+go test -run='^$' -fuzz=FuzzGDSIIRead -fuzztime=10s ./internal/gdsii/
 
 echo "== matmul kernel fuzz =="
 # And 10 s each on the two faces of the hand-written matmul kernel. The

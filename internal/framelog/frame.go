@@ -1,8 +1,9 @@
 // Package framelog is the repo's one durable-record library: the frame
 // codec every on-disk format shares, the Meta-bound append-only log
-// behind the scan journal and the learn WAL, and the atomic file writer
-// behind every whole-file save. DESIGN.md "On-disk formats" lists the
-// formats built on it.
+// behind the scan journal and the learn WAL, the single-frame File behind
+// the network, checkpoint and quality-baseline files, and the atomic file
+// writer behind every whole-file save. DESIGN.md "On-disk formats" lists
+// the formats built on it.
 //
 // A frame is
 //

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -251,6 +252,42 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
 		t.Fatalf("directory has %d entries, want 1 (no temp droppings)", len(entries))
+	}
+}
+
+// TestFile: a single-frame file round-trips through Save and Load, and
+// every way it can be absent or damaged is one of the documented errors.
+func TestFile(t *testing.T) {
+	format := File[testRec]{Magic: "HSDQBv1\n"}
+	path := filepath.Join(t.TempDir(), "model.qb")
+	want := testRecs()[0]
+	if err := format.Save(path, want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := format.Load(path)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Load = %+v, %v, want %+v", got, err, want)
+	}
+	full, _ := os.ReadFile(path)
+	var buf bytes.Buffer
+	if err := format.Write(&buf, want); err != nil || !bytes.Equal(buf.Bytes(), full) {
+		t.Fatalf("Write gives other bytes than Save (%v)", err)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"empty", nil, ErrTorn},
+		{"cut", full[:len(full)-1], ErrTorn},
+		{"other magic", append([]byte("HSDNNv2\n"), full[8:]...), ErrBadMagic},
+	} {
+		if _, err := format.Read(bytes.NewReader(tc.data)); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	if _, err := format.Load(path + ".missing"); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("missing file: err = %v, want fs.ErrNotExist", err)
 	}
 }
 

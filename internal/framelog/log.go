@@ -159,6 +159,55 @@ func (l *Log[R]) Close() error {
 	return l.f.Close()
 }
 
+// File is a single-frame file format: one frame opening with Magic and
+// carrying gob(T). The payload encoding is framelog's to choose; the
+// caller keeps its own checks on the decoded value.
+type File[T any] struct{ Magic string }
+
+// Write emits v as one frame.
+func (f File[T]) Write(w io.Writer, v T) error {
+	payload, err := gobEncode(v)
+	if err != nil {
+		return err
+	}
+	return WriteFrame(w, f.Magic, payload)
+}
+
+// Read consumes one frame and decodes its payload. Input that ends
+// before the frame does is ErrTorn, even when it is empty.
+func (f File[T]) Read(r io.Reader) (T, error) {
+	var v T
+	payload, err := ReadFrame(r, f.Magic)
+	if err == io.EOF {
+		err = fmt.Errorf("%w: empty input", ErrTorn)
+	}
+	if err == nil {
+		err = gobDecode(payload, &v)
+	}
+	return v, err
+}
+
+// Save writes v to path through WriteFileAtomic.
+func (f File[T]) Save(path string, v T) error {
+	return WriteFileAtomic(path, func(w io.Writer) error { return f.Write(w, v) })
+}
+
+// Load reads the file at path. A missing file's error wraps
+// fs.ErrNotExist.
+func (f File[T]) Load(path string) (T, error) {
+	r, err := os.Open(path)
+	if err != nil {
+		var zero T
+		return zero, fmt.Errorf("framelog: %w", err)
+	}
+	defer r.Close()
+	v, err := f.Read(r)
+	if err != nil {
+		return v, fmt.Errorf("framelog: load %s: %w", path, err)
+	}
+	return v, nil
+}
+
 func gobEncode(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {

@@ -1,10 +1,8 @@
 package nn
 
 import (
-	"bytes"
-	"encoding/gob"
+	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -33,7 +31,7 @@ type Checkpoint struct {
 	opt    optState
 }
 
-// ckptFile is the gob payload of a checkpoint file.
+// ckptFile is the payload of a checkpoint file.
 type ckptFile struct {
 	Version int
 	Epoch   int
@@ -43,9 +41,8 @@ type ckptFile struct {
 	Opt     optState
 }
 
-// ckptMagic opens the framed checkpoint format (DESIGN.md "On-disk
-// formats").
-const ckptMagic = "HSDCKv1\n"
+// ckptFormat is the checkpoint file (DESIGN.md "On-disk formats").
+var ckptFormat = framelog.File[ckptFile]{Magic: "HSDCKv1\n"}
 
 const ckptVersion = 1
 
@@ -94,11 +91,9 @@ func (c *Checkpoint) apply(net *Network, cfg *TrainConfig) error {
 	return so.restoreState(c.opt, net.Params())
 }
 
-// SaveCheckpoint serializes c as one framelog frame. Like Save, it
-// never mutates the run.
-func SaveCheckpoint(w io.Writer, c *Checkpoint) error {
-	var payload bytes.Buffer
-	file := ckptFile{
+// file is c's on-disk form. Like Save, it never mutates the run.
+func (c *Checkpoint) file() ckptFile {
+	return ckptFile{
 		Version: ckptVersion,
 		Epoch:   c.Epoch,
 		Seed:    c.Seed,
@@ -106,23 +101,10 @@ func SaveCheckpoint(w io.Writer, c *Checkpoint) error {
 		Layers:  c.layers,
 		Opt:     c.opt,
 	}
-	if err := gob.NewEncoder(&payload).Encode(file); err != nil {
-		return fmt.Errorf("nn: encode checkpoint: %w", err)
-	}
-	return framelog.WriteFrame(w, ckptMagic, payload.Bytes())
 }
 
-// LoadCheckpoint reads a checkpoint written by SaveCheckpoint,
-// rejecting truncated or corrupted files with a clear error.
-func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	payload, err := framelog.ReadFrame(r, ckptMagic)
-	if err != nil {
-		return nil, fmt.Errorf("nn: checkpoint file: %w", err)
-	}
-	var file ckptFile
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&file); err != nil {
-		return nil, fmt.Errorf("nn: decode checkpoint: %w", err)
-	}
+// checkpoint checks a decoded file and returns the run state it holds.
+func (file ckptFile) checkpoint() (*Checkpoint, error) {
 	if file.Version != ckptVersion {
 		return nil, fmt.Errorf("nn: unsupported checkpoint version %d", file.Version)
 	}
@@ -149,18 +131,17 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 // file, fsync, atomic rename) — a crash mid-save leaves any previous
 // checkpoint intact.
 func SaveCheckpointFile(path string, c *Checkpoint) error {
-	return framelog.WriteFileAtomic(path, func(w io.Writer) error { return SaveCheckpoint(w, c) })
+	return ckptFormat.Save(path, c.file())
 }
 
-// LoadCheckpointFile reads a checkpoint from path with the integrity
-// checks of LoadCheckpoint.
+// LoadCheckpointFile reads a checkpoint from path, rejecting truncated
+// or corrupted files with a clear error.
 func LoadCheckpointFile(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
+	file, err := ckptFormat.Load(path)
 	if err != nil {
-		return nil, fmt.Errorf("nn: open checkpoint: %w", err)
+		return nil, fmt.Errorf("nn: %w", err)
 	}
-	defer f.Close()
-	c, err := LoadCheckpoint(f)
+	c, err := file.checkpoint()
 	if err != nil {
 		return nil, fmt.Errorf("nn: load %s: %w", path, err)
 	}
@@ -193,25 +174,14 @@ func LatestCheckpoint(dir string) (string, *Checkpoint, error) {
 			continue
 		}
 		if len(skipped) > 0 {
-			return p, c, fmt.Errorf("nn: fell back to %s: %w", p, joinErrs(skipped))
+			return p, c, fmt.Errorf("nn: fell back to %s: %w", p, errors.Join(skipped...))
 		}
 		return p, c, nil
 	}
 	if len(skipped) > 0 {
-		return "", nil, fmt.Errorf("nn: no usable checkpoint in %s: %w", dir, joinErrs(skipped))
+		return "", nil, fmt.Errorf("nn: no usable checkpoint in %s: %w", dir, errors.Join(skipped...))
 	}
 	return "", nil, nil
-}
-
-func joinErrs(errs []error) error {
-	if len(errs) == 1 {
-		return errs[0]
-	}
-	msg := errs[0].Error()
-	for _, e := range errs[1:] {
-		msg += "; " + e.Error()
-	}
-	return fmt.Errorf("%s", msg)
 }
 
 // Checkpointer receives periodic checkpoints during training.

@@ -8,9 +8,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/golitho/hsd/internal/faultinject"
+	"github.com/golitho/hsd/internal/framelog"
 )
 
 // ckptNet builds the architecture used across checkpoint tests: it
@@ -347,6 +349,42 @@ func TestCheckpointTornWriteFallback(t *testing.T) {
 	}
 }
 
+// TestCheckpointFallbackWrapsEverySkip: when two newer checkpoints are
+// torn, LatestCheckpoint falls back to the third and its error still
+// wraps framelog.ErrTorn, naming both skipped files.
+func TestCheckpointFallbackWrapsEverySkip(t *testing.T) {
+	x, y := ckptData(16)
+	dir := t.TempDir()
+	cfg := ckptConfig(&DirCheckpointer{Dir: dir, Keep: 3})
+	cfg.Epochs = 6
+	cfg.CheckpointEvery = 2
+	if _, err := Fit(ckptNet(), x, y, cfg); err != nil {
+		t.Fatalf("Fit: %v", err)
+	}
+	for _, epoch := range []int{4, 6} {
+		path := filepath.Join(dir, checkpointName(epoch))
+		full, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, full[:len(full)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path, ck, err := LatestCheckpoint(dir)
+	if ck == nil || ck.Epoch != 2 || path != filepath.Join(dir, checkpointName(2)) {
+		t.Fatalf("fell back to %s (%v), want epoch 2", path, ck)
+	}
+	if !errors.Is(err, framelog.ErrTorn) {
+		t.Fatalf("err = %v, want one wrapping ErrTorn", err)
+	}
+	for _, epoch := range []int{4, 6} {
+		if name := checkpointName(epoch); !strings.Contains(err.Error(), name) {
+			t.Errorf("err = %v, want it to name %s", err, name)
+		}
+	}
+}
+
 // TestCheckpointRoundTripPreservesDropoutState asserts the dropout RNG
 // position survives save/load: two more training epochs after a round
 // trip match two more epochs without one.
@@ -426,14 +464,7 @@ func TestSaveCheckpointDoesNotMutate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("capture: %v", err)
 	}
-	var b1, b2 bytes.Buffer
-	if err := SaveCheckpoint(&b1, c1); err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveCheckpoint(&b2, c2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
+	if !bytes.Equal(framed(ckptFormat, c1.file()), framed(ckptFormat, c2.file())) {
 		t.Error("back-to-back captures differ: capture mutates training state")
 	}
 	// And the network still saves identically after both captures.

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 
 	"github.com/golitho/hsd/internal/framelog"
@@ -23,54 +22,45 @@ func fuzzSeedNet(f *testing.F) *Network {
 	return net
 }
 
-// reframe wraps payload in a fresh, CRC-consistent frame, so the fuzzer
-// can reach the gob decoder instead of bouncing off the checksum.
+// reframe wraps payload in a fresh, CRC-consistent frame. The fuzz
+// targets frame their input themselves, so the engine's mutations reach
+// the payload decoder and restoreLayer instead of bouncing off the
+// checksum; the frame's own damage suite is FuzzReadFrame.
 func reframe(magic string, payload []byte) []byte {
 	var buf bytes.Buffer
 	_ = framelog.WriteFrame(&buf, magic, payload) // a bytes.Buffer write cannot fail
 	return buf.Bytes()
 }
 
-// FuzzLoadNetwork throws arbitrary bytes at the network loader. Load
+// FuzzLoadNetwork throws arbitrary payloads at the network loader. Load
 // must never panic; accepted inputs must re-save and re-load to the same
 // layer count and output width.
 func FuzzLoadNetwork(f *testing.F) {
-	seed := fuzzSeedNet(f)
-	var buf bytes.Buffer
-	if err := Save(&buf, seed); err != nil {
+	file, err := newNetFile(fuzzSeedNet(f))
+	if err != nil {
 		f.Fatal(err)
 	}
-	valid := buf.Bytes()
+	valid := payloadOf(netFormat, file)
 	f.Add(valid)
-	f.Add(valid[:len(valid)/2])       // torn mid-payload
-	f.Add(valid[:len(fileMagic)+4])   // torn mid-header
-	f.Add([]byte{})                   // empty
-	f.Add([]byte("HSDNNv2\n"))        // magic only
-	f.Add([]byte("not a model file")) // legacy path: raw gob attempt
-	// CRC-consistent frames with hostile payloads reach the gob layer.
-	f.Add(reframe(fileMagic, []byte("garbage gob")))
-	f.Add(reframe(fileMagic, valid[len(fileMagic)+12:len(fileMagic)+12+32]))
-	// Implausible declared size must be rejected before allocation.
-	huge := append([]byte(nil), valid[:len(fileMagic)+12]...)
-	binary.BigEndian.PutUint64(huge[len(fileMagic):], 1<<40)
-	f.Add(huge)
-	// The legacy raw-gob path has no CRC in front of restoreLayer, so the
-	// engine's mutations of these reach the geometry checks; the hostile
-	// snapshots reach them framed too.
-	var raw bytes.Buffer
-	if err := encodeNet(&raw, seed); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(raw.Bytes())
+	f.Add(valid[:len(valid)/2]) // cut mid-payload
+	f.Add(valid[:32])
+	f.Add([]byte{})
+	f.Add([]byte("garbage gob"))
+	f.Add([]byte("not a model file"))
+	f.Add(payloadOf(netFormat, netFile{Version: 99}))
+	f.Add(payloadOf(netFormat, netFile{Version: formatVersion}))
+	// A checkpoint's payload is not a network's.
+	f.Add(payloadOf(ckptFormat, ckptFile{Version: ckptVersion}))
+	f.Add(payloadOf(netFormat, netFile{Version: formatVersion, Layers: deferredDropout()}))
 	for _, c := range hostileLayers() {
-		f.Add(reframe(fileMagic, netPayload(c.s)))
+		f.Add(payloadOf(netFormat, netFile{Version: formatVersion, Layers: []snapshot{c.s}}))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
 			t.Skip("oversized input")
 		}
-		net, err := Load(bytes.NewReader(data))
+		net, err := Load(bytes.NewReader(reframe(netFormat.Magic, data)))
 		if err != nil {
 			return
 		}
@@ -103,40 +93,32 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, ck); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid := payloadOf(ckptFormat, ck.file())
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
-	f.Add(valid[:len(ckptMagic)+6])
 	f.Add([]byte{})
-	f.Add([]byte("HSDCKv1\n"))
-	f.Add(reframe(ckptMagic, []byte("garbage gob")))
-	// A network file is not a checkpoint and vice versa.
-	var netBuf bytes.Buffer
-	if err := Save(&netBuf, fuzzSeedNet(f)); err != nil {
+	f.Add([]byte("garbage gob"))
+	f.Add(payloadOf(ckptFormat, ckptFile{Version: ckptVersion, Epoch: 3}))
+	f.Add(payloadOf(ckptFormat, ckptFile{Version: ckptVersion + 1}))
+	// A network's payload is not a checkpoint's.
+	file, err := newNetFile(fuzzSeedNet(f))
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(netBuf.Bytes())
+	f.Add(payloadOf(netFormat, file))
 	for _, c := range hostileLayers() {
-		f.Add(reframe(ckptMagic, ckptPayload(c.s)))
+		f.Add(payloadOf(ckptFormat, ckptFile{Version: ckptVersion, Layers: []snapshot{c.s}}))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
 			t.Skip("oversized input")
 		}
-		c, err := LoadCheckpoint(bytes.NewReader(data))
+		c, err := readCheckpoint(reframe(ckptFormat.Magic, data))
 		if err != nil {
 			return
 		}
-		var out bytes.Buffer
-		if err := SaveCheckpoint(&out, c); err != nil {
-			t.Fatalf("accepted checkpoint fails to re-save: %v", err)
-		}
-		again, err := LoadCheckpoint(bytes.NewReader(out.Bytes()))
+		again, err := readCheckpoint(framed(ckptFormat, c.file()))
 		if err != nil {
 			t.Fatalf("re-saved checkpoint fails to re-load: %v", err)
 		}

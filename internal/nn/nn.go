@@ -1,7 +1,8 @@
 // Package nn is a from-scratch neural-network framework sized for
 // hotspot detection: dense and convolutional layers over float64
 // minibatches, softmax cross-entropy with the biased-learning variant of
-// the hotspot literature, SGD/Adam optimizers, and gob serialization.
+// the hotspot literature, SGD/Adam optimizers, and network and
+// checkpoint files declared as framelog single-frame formats.
 //
 // Batches are tensor.Matrix values with one flattened sample per row.
 // Convolutional layers interpret rows in (C, H, W) channel-major order,

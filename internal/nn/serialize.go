@@ -1,12 +1,8 @@
 package nn
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 
 	"github.com/golitho/hsd/internal/framelog"
 )
@@ -27,6 +23,11 @@ type netFile struct {
 	Layers  []snapshot
 }
 
+// netFormat is the network file (DESIGN.md "On-disk formats"): one
+// framelog frame, so Load rejects truncated or bit-flipped files instead
+// of reconstructing garbage weights.
+var netFormat = framelog.File[netFile]{Magic: "HSDNNv2\n"}
+
 // init pins the gob wire-type ids of the network file format. Gob
 // allocates type ids from a process-global counter in first-encode
 // order, so without this the exact bytes of a saved network depend on
@@ -37,24 +38,18 @@ type netFile struct {
 // byte-identical model" hold across processes with different
 // histories.
 func init() {
-	_ = gob.NewEncoder(io.Discard).Encode(netFile{Layers: []snapshot{{}}})
+	_ = netFormat.Write(io.Discard, netFile{Layers: []snapshot{{}}})
 }
 
-// fileMagic opens the framed network file format (DESIGN.md "On-disk
-// formats"). Files written before the frame existed are raw gob
-// streams; Load still accepts those.
-const fileMagic = "HSDNNv2\n"
-
-// Save serializes the network's architecture and weights as one
-// framelog frame, so Load rejects truncated or bit-flipped files
-// instead of reconstructing garbage weights. Save does not mutate the
-// network: saving the same state twice produces identical bytes.
+// Save serializes the network's architecture and weights. Save does not
+// mutate the network: saving the same state twice produces identical
+// bytes.
 func Save(w io.Writer, net *Network) error {
-	var payload bytes.Buffer
-	if err := encodeNet(&payload, net); err != nil {
+	file, err := newNetFile(net)
+	if err != nil {
 		return err
 	}
-	return framelog.WriteFrame(w, fileMagic, payload.Bytes())
+	return netFormat.Write(w, file)
 }
 
 // snapshotLayer captures one layer without mutating it; the shared
@@ -95,59 +90,47 @@ func snapshotNet(net *Network) ([]snapshot, error) {
 	return out, nil
 }
 
-func encodeNet(w io.Writer, net *Network) error {
+func newNetFile(net *Network) (netFile, error) {
 	layers, err := snapshotNet(net)
-	if err != nil {
-		return err
-	}
-	file := netFile{Version: formatVersion, Layers: layers}
-	if err := gob.NewEncoder(w).Encode(file); err != nil {
-		return fmt.Errorf("nn: encode network: %w", err)
-	}
-	return nil
+	return netFile{Version: formatVersion, Layers: layers}, err
 }
 
-// Load reconstructs a network saved with Save. Framed files are
-// integrity-checked first: a truncated or corrupted file fails with a
-// clear error instead of yielding garbage weights. Legacy raw-gob files
-// (written before the frame existed) are still accepted.
+// Load reconstructs a network saved with Save. The frame is
+// integrity-checked first: a truncated, corrupted or unframed file fails
+// with a clear error instead of yielding garbage weights.
 func Load(r io.Reader) (*Network, error) {
-	br := bufio.NewReader(r)
-	if head, err := br.Peek(len(fileMagic)); err == nil && string(head) == fileMagic {
-		payload, err := framelog.ReadFrame(br, fileMagic)
-		if err != nil {
-			return nil, fmt.Errorf("nn: network file: %w", err)
-		}
-		return decodeNet(bytes.NewReader(payload))
+	file, err := netFormat.Read(r)
+	if err != nil {
+		return nil, fmt.Errorf("nn: network file: %w", err)
 	}
-	return decodeNet(br)
+	return file.network()
 }
 
 // SaveFile writes the network to path crash-safely (temp file, fsync,
 // atomic rename).
 func SaveFile(path string, net *Network) error {
-	return framelog.WriteFileAtomic(path, func(w io.Writer) error { return Save(w, net) })
+	file, err := newNetFile(net)
+	if err != nil {
+		return err
+	}
+	return netFormat.Save(path, file)
 }
 
 // LoadFile reads a network from path with the integrity checks of Load.
 func LoadFile(path string) (*Network, error) {
-	f, err := os.Open(path)
+	file, err := netFormat.Load(path)
 	if err != nil {
-		return nil, fmt.Errorf("nn: open network file: %w", err)
+		return nil, fmt.Errorf("nn: %w", err)
 	}
-	defer f.Close()
-	net, err := Load(f)
+	net, err := file.network()
 	if err != nil {
 		return nil, fmt.Errorf("nn: load %s: %w", path, err)
 	}
 	return net, nil
 }
 
-func decodeNet(r io.Reader) (*Network, error) {
-	var file netFile
-	if err := gob.NewDecoder(r).Decode(&file); err != nil {
-		return nil, fmt.Errorf("nn: decode network: %w", err)
-	}
+// network rebuilds the network a decoded file describes.
+func (file netFile) network() (*Network, error) {
 	if file.Version != formatVersion {
 		return nil, fmt.Errorf("nn: unsupported format version %d", file.Version)
 	}

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
@@ -89,28 +88,15 @@ func TestLoadGolden(t *testing.T) {
 	}
 }
 
-// TestLoadLegacyRawGob: files written before the frame existed are raw
-// gob streams and must still load.
-func TestLoadLegacyRawGob(t *testing.T) {
-	net := testNet(t)
-	var framed bytes.Buffer
-	if err := Save(&framed, net); err != nil {
-		t.Fatal(err)
-	}
-	// Reconstruct the legacy encoding: the gob payload without frame.
-	var legacy bytes.Buffer
-	if err := encodeNet(&legacy, net); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.HasPrefix(legacy.Bytes(), []byte(fileMagic)) {
-		t.Fatal("legacy gob stream collides with the frame magic")
-	}
-	got, err := Load(&legacy)
+// TestLoadRefusesRawGob: an unframed gob stream, the form network files
+// had before the frame existed, is refused at the magic.
+func TestLoadRefusesRawGob(t *testing.T) {
+	file, err := newNetFile(testNet(t))
 	if err != nil {
-		t.Fatalf("legacy load: %v", err)
+		t.Fatal(err)
 	}
-	if len(got.Layers) != len(net.Layers) {
-		t.Fatalf("legacy layers = %d, want %d", len(got.Layers), len(net.Layers))
+	if _, err := Load(bytes.NewReader(payloadOf(netFormat, file))); !errors.Is(err, framelog.ErrBadMagic) {
+		t.Fatalf("err = %v, want ErrBadMagic", err)
 	}
 }
 
@@ -151,41 +137,52 @@ func hostileLayers() []hostileLayer {
 	}
 }
 
-// netPayload is the gob payload of a network file holding layers: a
-// legacy raw-gob file as it stands, a framed one once reframed.
-func netPayload(layers ...snapshot) []byte {
+// framed is what format writes for v.
+func framed[T any](format framelog.File[T], v T) []byte {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(netFile{Version: formatVersion, Layers: layers}); err != nil {
+	if err := format.Write(&buf, v); err != nil {
 		panic(err) // a bytes.Buffer write cannot fail
 	}
 	return buf.Bytes()
 }
 
-// ckptPayload is the gob payload of an epoch-0 checkpoint holding layers.
-func ckptPayload(layers ...snapshot) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ckptFile{Version: ckptVersion, Layers: layers}); err != nil {
+// payloadOf is the payload of the frame format writes for v: what the
+// fuzz targets frame themselves.
+func payloadOf[T any](format framelog.File[T], v T) []byte {
+	payload, err := framelog.ReadFrame(bytes.NewReader(framed(format, v)), format.Magic)
+	if err != nil {
 		panic(err)
 	}
-	return buf.Bytes()
+	return payload
+}
+
+// netBytes is a network file holding layers.
+func netBytes(layers ...snapshot) []byte {
+	return framed(netFormat, netFile{Version: formatVersion, Layers: layers})
+}
+
+// readCheckpoint is LoadCheckpointFile on bytes instead of a path.
+func readCheckpoint(data []byte) (*Checkpoint, error) {
+	file, err := ckptFormat.Read(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	return file.checkpoint()
 }
 
 // TestLoadRefusesHostileGeometry: a snapshot whose geometry no layer can
-// have is an error from Load, on the legacy raw-gob path (no CRC stands
-// in front of it) and the framed one, and from LoadCheckpoint; never a
-// panic, and never an allocation the size of what the file declares.
+// have is an error from Load and from a checkpoint load; never a panic,
+// and never an allocation the size of what the file declares.
 func TestLoadRefusesHostileGeometry(t *testing.T) {
 	for _, c := range hostileLayers() {
 		t.Run(c.name, func(t *testing.T) {
-			raw := netPayload(c.s)
 			files := map[string]func() error{
-				"Load raw gob": func() error { _, err := Load(bytes.NewReader(raw)); return err },
-				"Load framed": func() error {
-					_, err := Load(bytes.NewReader(reframe(fileMagic, raw)))
+				"Load": func() error {
+					_, err := Load(bytes.NewReader(netBytes(c.s)))
 					return err
 				},
-				"LoadCheckpoint": func() error {
-					_, err := LoadCheckpoint(bytes.NewReader(reframe(ckptMagic, ckptPayload(c.s))))
+				"checkpoint": func() error {
+					_, err := readCheckpoint(framed(ckptFormat, ckptFile{Version: ckptVersion, Layers: []snapshot{c.s}}))
 					return err
 				},
 			}
@@ -209,11 +206,7 @@ func TestLoadRefusesHostileGeometry(t *testing.T) {
 // replayed by its first training Forward, not by Load, so a file that
 // claims 2^40 draws (hours of replay) loads and scores at once.
 func TestLoadDefersDropoutReplay(t *testing.T) {
-	raw := netPayload(
-		snapshot{Kind: "dense", Ints: []int{2, 2}, Floats: [][]float64{{1, 0, 0, 1}, {0, 0}}},
-		snapshot{Kind: "dropout", Ints: []int{2}, Seeds: []int64{1, 1 << 40}, Floats: [][]float64{{0.5}}},
-	)
-	net, err := Load(bytes.NewReader(raw))
+	net, err := Load(bytes.NewReader(netBytes(deferredDropout()...)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,14 +215,19 @@ func TestLoadDefersDropoutReplay(t *testing.T) {
 	}
 }
 
+// deferredDropout is a dense layer and a dropout layer whose stream
+// claims 2^40 draws.
+func deferredDropout() []snapshot {
+	return []snapshot{
+		{Kind: "dense", Ints: []int{2, 2}, Floats: [][]float64{{1, 0, 0, 1}, {0, 0}}},
+		{Kind: "dropout", Ints: []int{2}, Seeds: []int64{1, 1 << 40}, Floats: [][]float64{{0.5}}},
+	}
+}
+
 // TestLoadRejectsWrongVersion: a framed payload with an unknown format
 // version is refused after the integrity check.
 func TestLoadRejectsWrongVersion(t *testing.T) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(netFile{Version: 99}); err != nil {
-		t.Fatal(err)
-	}
-	_, err := decodeNet(&payload)
+	_, err := Load(bytes.NewReader(framed(netFormat, netFile{Version: 99})))
 	if err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("err = %v, want unsupported version", err)
 	}

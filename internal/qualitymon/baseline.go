@@ -8,19 +8,15 @@
 package qualitymon
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math"
-	"os"
 	"sort"
 
 	"github.com/golitho/hsd/internal/framelog"
 )
 
-// baselineMagic opens the quality-baseline file format.
-const baselineMagic = "HSDQBv1\n"
+// baselineFormat is the quality-baseline file format.
+var baselineFormat = framelog.File[Baseline]{Magic: "HSDQBv1\n"}
 
 const baselineVersion = 1
 
@@ -82,6 +78,9 @@ func (b *Baseline) Sort() {
 }
 
 func (b *Baseline) validate() error {
+	if b.Version != baselineVersion {
+		return fmt.Errorf("qualitymon: unsupported baseline version %d", b.Version)
+	}
 	for _, e := range b.Entries {
 		if len(e.Counts) != len(e.Edges)+1 {
 			return fmt.Errorf("qualitymon: baseline entry %s/%s: %d counts for %d edges",
@@ -99,57 +98,28 @@ func (b *Baseline) validate() error {
 	return nil
 }
 
-// SaveBaseline writes the baseline as one framelog frame.
-func SaveBaseline(w io.Writer, b *Baseline) error {
+// SaveBaselineFile writes the baseline to path crash-safely (temp file,
+// fsync, atomic rename), entries sorted.
+func SaveBaselineFile(path string, b *Baseline) error {
 	cp := *b
 	cp.Version = baselineVersion
 	cp.Sort()
 	if err := cp.validate(); err != nil {
 		return err
 	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(cp); err != nil {
-		return fmt.Errorf("qualitymon: encode baseline: %w", err)
-	}
-	return framelog.WriteFrame(w, baselineMagic, payload.Bytes())
+	return baselineFormat.Save(path, cp)
 }
 
-// LoadBaseline reads a baseline written by SaveBaseline, rejecting
-// torn, truncated, or bit-flipped files before gob sees them.
-func LoadBaseline(r io.Reader) (*Baseline, error) {
-	payload, err := framelog.ReadFrame(r, baselineMagic)
+// LoadBaselineFile reads path, rejecting torn, truncated, or bit-flipped
+// files before their payload is decoded. A missing file's error wraps
+// fs.ErrNotExist.
+func LoadBaselineFile(path string) (*Baseline, error) {
+	b, err := baselineFormat.Load(path)
 	if err != nil {
-		return nil, fmt.Errorf("qualitymon: baseline file: %w", err)
-	}
-	var b Baseline
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&b); err != nil {
-		return nil, fmt.Errorf("qualitymon: decode baseline: %w", err)
-	}
-	if b.Version != baselineVersion {
-		return nil, fmt.Errorf("qualitymon: unsupported baseline version %d", b.Version)
+		return nil, fmt.Errorf("qualitymon: %w", err)
 	}
 	if err := b.validate(); err != nil {
-		return nil, err
-	}
-	return &b, nil
-}
-
-// SaveBaselineFile writes the baseline to path crash-safely (temp file,
-// fsync, atomic rename).
-func SaveBaselineFile(path string, b *Baseline) error {
-	return framelog.WriteFileAtomic(path, func(w io.Writer) error { return SaveBaseline(w, b) })
-}
-
-// LoadBaselineFile reads path with the integrity checks of LoadBaseline.
-func LoadBaselineFile(path string) (*Baseline, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("qualitymon: open baseline: %w", err)
-	}
-	defer f.Close()
-	b, err := LoadBaseline(f)
-	if err != nil {
 		return nil, fmt.Errorf("qualitymon: load %s: %w", path, err)
 	}
-	return b, nil
+	return &b, nil
 }

@@ -3,8 +3,11 @@ package qualitymon
 import (
 	"bytes"
 	"errors"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/golitho/hsd/internal/framelog"
@@ -55,16 +58,27 @@ func TestBaselineEntryOrderIndependent(t *testing.T) {
 	}
 }
 
+// saveBytes is the sidecar SaveBaselineFile writes for b.
+func saveBytes(t *testing.T, b *Baseline) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "model.qb")
+	if err := SaveBaselineFile(path, b); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestBaselineCorruptionDetected proves the sidecar is wired through
 // framelog's integrity check (whose exhaustive suite lives there).
 func TestBaselineCorruptionDetected(t *testing.T) {
-	var buf bytes.Buffer
-	if err := SaveBaseline(&buf, testBaseline()); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := saveBytes(t, testBaseline())
 	flipped := append([]byte(nil), raw...)
 	flipped[len(flipped)-1] ^= 0x40
+	path := filepath.Join(t.TempDir(), "model.qb")
 	for _, tc := range []struct {
 		name string
 		data []byte
@@ -72,39 +86,40 @@ func TestBaselineCorruptionDetected(t *testing.T) {
 	}{
 		{"bit flip", flipped, framelog.ErrChecksum},
 		{"torn write", raw[:len(raw)/2], framelog.ErrTorn},
+		{"empty", nil, framelog.ErrTorn},
 		{"wrong magic", append([]byte("NOTQB!!\n"), raw[8:]...), framelog.ErrBadMagic},
+		{"missing", nil, fs.ErrNotExist},
 	} {
-		if _, err := LoadBaseline(bytes.NewReader(tc.data)); !errors.Is(err, tc.want) {
+		os.Remove(path)
+		if tc.want != fs.ErrNotExist {
+			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := LoadBaselineFile(path); !errors.Is(err, tc.want) {
 			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
 }
 
 func TestBaselineSaveDeterministic(t *testing.T) {
-	var a, b bytes.Buffer
-	if err := SaveBaseline(&a, testBaseline()); err != nil {
-		t.Fatal(err)
-	}
 	// Reversed entry order must serialize identically (entries are
 	// sorted on save).
 	rev := testBaseline()
 	rev.Entries[0], rev.Entries[1] = rev.Entries[1], rev.Entries[0]
-	if err := SaveBaseline(&b, rev); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if !bytes.Equal(saveBytes(t, testBaseline()), saveBytes(t, rev)) {
 		t.Fatalf("baseline bytes depend on entry order")
 	}
 }
 
 func TestBaselineValidates(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "model.qb")
 	bad := &Baseline{Entries: []BaselineEntry{{
 		Detector: "d", Stage: "s",
 		Edges:  []float64{0.5, 0.25}, // unsorted
 		Counts: []int64{1, 1, 1},
 	}}}
-	var buf bytes.Buffer
-	if err := SaveBaseline(&buf, bad); err == nil {
+	if err := SaveBaselineFile(path, bad); err == nil {
 		t.Fatalf("unsorted edges accepted")
 	}
 	bad = &Baseline{Entries: []BaselineEntry{{
@@ -112,10 +127,86 @@ func TestBaselineValidates(t *testing.T) {
 		Edges:  []float64{0.5},
 		Counts: []int64{1}, // want len(edges)+1
 	}}}
-	buf.Reset()
-	if err := SaveBaseline(&buf, bad); err == nil {
+	if err := SaveBaselineFile(path, bad); err == nil {
 		t.Fatalf("count/edge length mismatch accepted")
 	}
+	// A version this build does not know is refused at load.
+	if err := baselineFormat.Save(path, Baseline{Version: baselineVersion + 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadBaselineFile(path); err == nil || !strings.Contains(err.Error(), "version") {
+		t.Fatalf("err = %v, want unsupported version", err)
+	}
+}
+
+// FuzzLoadBaseline throws arbitrary payloads at the baseline loader, the
+// file every /admin/reload reads next to the model. It frames its input
+// itself so the engine's mutations reach the decoder and validate, not
+// just the checksum, and reads from memory so the engine is not held to
+// the disk's pace. Accepted baselines must re-save and re-load.
+func FuzzLoadBaseline(f *testing.F) {
+	golden, err := baselineFormat.Load("testdata/golden.qb")
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid := payloadOf(golden)
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add([]byte{})
+	f.Add([]byte("garbage gob"))
+	f.Add(payloadOf(Baseline{Version: baselineVersion + 1}))
+	f.Add(payloadOf(Baseline{Version: baselineVersion, Entries: []BaselineEntry{{
+		Detector: "d", Stage: "s", Edges: []float64{0.5, 0.25}, Counts: []int64{1, 1, 1}}}}))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<20 {
+			t.Skip("oversized input")
+		}
+		b, err := readBaseline(frame(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := baselineFormat.Write(&out, *b); err != nil {
+			t.Fatalf("accepted baseline fails to re-save: %v", err)
+		}
+		again, err := readBaseline(out.Bytes())
+		if err != nil {
+			t.Fatalf("re-saved baseline fails to re-load: %v", err)
+		}
+		if len(again.Entries) != len(b.Entries) {
+			t.Fatalf("round trip changed the baseline: %d/%d entries", len(again.Entries), len(b.Entries))
+		}
+	})
+}
+
+// readBaseline is LoadBaselineFile on bytes instead of a path.
+func readBaseline(data []byte) (*Baseline, error) {
+	b, err := baselineFormat.Read(bytes.NewReader(data))
+	if err == nil {
+		err = b.validate()
+	}
+	return &b, err
+}
+
+// frame wraps payload in a CRC-consistent baseline frame.
+func frame(payload []byte) []byte {
+	var buf bytes.Buffer
+	_ = framelog.WriteFrame(&buf, baselineFormat.Magic, payload) // a bytes.Buffer write cannot fail
+	return buf.Bytes()
+}
+
+// payloadOf is the payload of the frame baselineFormat writes for b.
+func payloadOf(b Baseline) []byte {
+	var buf bytes.Buffer
+	if err := baselineFormat.Write(&buf, b); err != nil {
+		panic(err)
+	}
+	payload, err := framelog.ReadFrame(&buf, baselineFormat.Magic)
+	if err != nil {
+		panic(err)
+	}
+	return payload
 }
 
 func TestSidecarPath(t *testing.T) {

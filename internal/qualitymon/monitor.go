@@ -10,7 +10,8 @@
 package qualitymon
 
 import (
-	"os"
+	"errors"
+	"io/fs"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -356,11 +357,11 @@ func (m *Monitor) InstallBaselineSidecar(modelPath string) {
 		return
 	}
 	path := SidecarPath(modelPath)
-	if _, err := os.Stat(path); err != nil {
+	b, err := LoadBaselineFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
 		m.logf("qualitymon: no baseline sidecar at %s", path)
 		return
 	}
-	b, err := LoadBaselineFile(path)
 	if err != nil {
 		m.logf("qualitymon: %v", err)
 		return

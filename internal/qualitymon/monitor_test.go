@@ -2,6 +2,7 @@ package qualitymon
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -397,8 +398,19 @@ func TestInstallBaselineSidecar(t *testing.T) {
 	if !found {
 		t.Fatalf("sidecar baseline not installed; logs: %v; snap: %+v", logs, snap.Sketches)
 	}
-	// Missing sidecar: logged, not fatal.
+	// Missing sidecar: logged as such, not fatal.
 	m.InstallBaselineSidecar(filepath.Join(dir, "other.gob"))
+	if last := logs[len(logs)-1]; !strings.Contains(last, "no baseline sidecar") {
+		t.Fatalf("missing sidecar logged %q", last)
+	}
+	// A damaged sidecar is a load failure, not a missing one.
+	if err := os.WriteFile(SidecarPath(model), []byte("HSDQBv1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m.InstallBaselineSidecar(model)
+	if last := logs[len(logs)-1]; strings.Contains(last, "no baseline sidecar") || !strings.Contains(last, "torn") {
+		t.Fatalf("damaged sidecar logged %q", last)
+	}
 }
 
 func TestAsyncSpotCheckerDrains(t *testing.T) {
