@@ -7,10 +7,9 @@
 #   kill-resume suites, the end-to-end smoke scripts, a check that no
 #   binary's flag set, no facade name and no /metrics series moved and
 #   that nothing is bound after construction, a smoke pass over the
-#   fuzz seed corpora, 10 s of real fuzzing each on the frame reader, the
-#   network and checkpoint loaders, the GLT and GDSII readers, the plain
-#   matmul and the addressed matmul (70 s in all), and a quick pass of
-#   the repo benchmark's four workloads.
+#   fuzz seed corpora, 8 s of real fuzzing each on all ten fuzz targets
+#   (80 s in all), and a quick pass of the repo benchmark's four
+#   workloads.
 #
 # Usage: ./ci.sh [-short]
 #   -short  pass -short to go test (skips the slower property tests)
@@ -104,9 +103,15 @@ echo "== router smoke =="
 ./scripts/router_smoke.sh
 
 echo "== flags smoke =="
-# The five detector binaries' flag names are a committed list: a flag
-# cannot appear, vanish or be renamed without the diff showing it.
+# The five detector binaries' and gltconv's flag names are a committed
+# list: a flag cannot appear, vanish or be renamed without the diff
+# showing it.
 ./scripts/flags_smoke.sh
+
+echo "== gltconv smoke =="
+# GLT -> GDS -> GLT gives the bytes GLT -> GLT gives, and an -out whose
+# extension is refused leaves the file it names as it was.
+./scripts/gltconv_smoke.sh
 
 echo "== api smoke =="
 # Package hsd's exported names are a committed list too: the facade
@@ -146,37 +151,43 @@ echo "== fuzz seed smoke =="
 go test -run=Fuzz ./internal/layout/ ./internal/gdsii/ ./internal/nn/ ./internal/qualitymon/ ./internal/framelog/ ./internal/tensor/
 
 echo "== frame reader fuzz =="
-# A bounded budget of real fuzzing on the one frame reader every
-# durable file (model, checkpoint, journal, WAL, baseline) is read
-# through: it must fail with a documented error or round-trip.
-go test -run='^$' -fuzz=FuzzReadFrame -fuzztime=10s ./internal/framelog/
+# A bounded budget of real fuzzing, 8 s on each of the ten targets, first
+# on the one frame reader every durable file (model, checkpoint,
+# journal, WAL, baseline) is read through: it must fail with a
+# documented error or round-trip.
+go test -run='^$' -fuzz='^FuzzReadFrame$' -fuzztime=8s ./internal/framelog/
 
-echo "== model loader fuzz =="
-# And 10 s each on the two loaders behind it: a network or checkpoint
+echo "== model and baseline loader fuzz =="
+# The three loaders behind it: a network, checkpoint or score baseline
 # payload must load or fail with an error, never panic or allocate what
 # its geometry declares. The targets frame their input themselves and
-# are seeded with the seed net's payload and the hostile layers, so
-# mutations reach the layer geometry checks instead of stopping at the
-# CRC.
-go test -run='^$' -fuzz=FuzzLoadNetwork -fuzztime=10s ./internal/nn/
-go test -run='^$' -fuzz=FuzzLoadCheckpoint -fuzztime=10s ./internal/nn/
+# are seeded with real payloads (and the hostile layers), so mutations
+# reach the checks behind the CRC instead of stopping at it.
+go test -run='^$' -fuzz='^FuzzLoadNetwork$' -fuzztime=8s ./internal/nn/
+go test -run='^$' -fuzz='^FuzzLoadCheckpoint$' -fuzztime=8s ./internal/nn/
+go test -run='^$' -fuzz='^FuzzLoadBaseline$' -fuzztime=8s ./internal/qualitymon/
 
-echo "== layout reader fuzz =="
-# And 10 s each on the two layout readers: every POST /score body is
-# GLT, and a GDSII stream is what a scan reads a chip from.
-go test -run='^$' -fuzz=FuzzParseGLT -fuzztime=10s ./internal/layout/
-go test -run='^$' -fuzz=FuzzGDSIIRead -fuzztime=10s ./internal/gdsii/
+echo "== layout fuzz =="
+# The two layout readers (every POST /score body is GLT, and a GDSII
+# stream is what a scan reads a chip from), and what a scan does with a
+# layout once read: ClipAt must return the clips a brute-force window
+# filter returns, and a clip's fingerprint must survive any translation
+# and never collide across different canonical geometry.
+go test -run='^$' -fuzz='^FuzzParseGLT$' -fuzztime=8s ./internal/layout/
+go test -run='^$' -fuzz='^FuzzGDSIIRead$' -fuzztime=8s ./internal/gdsii/
+go test -run='^$' -fuzz='^FuzzClipAtMatchesBruteForce$' -fuzztime=8s ./internal/layout/
+go test -run='^$' -fuzz='^FuzzClipFingerprint$' -fuzztime=8s ./internal/layout/
 
 echo "== matmul kernel fuzz =="
-# And 10 s each on the two faces of the hand-written matmul kernel. The
-# plain product is under every dense layer and every A·Bᵀ. The addressed
-# one is under the convolutions forward and backward, the block DCT and
-# the oracle's blur, which index its right operand through a row table
-# they built themselves, stride its left operand and carry sums on from
-# one call to the next: both kernels must agree with the scalar loop on
-# whatever shape, strides, offsets and starting sums the engine finds.
-go test -run='^$' -fuzz=FuzzMatMulKernel -fuzztime=10s ./internal/tensor/
-go test -run='^$' -fuzz=FuzzAddressedKernel -fuzztime=10s ./internal/tensor/
+# The two faces of the hand-written matmul kernel. The plain product is
+# under every dense layer and every A·Bᵀ. The addressed one is under the
+# convolutions forward and backward, the block DCT and the oracle's
+# blur, which index its right operand through a row table they built
+# themselves, stride its left operand and carry sums on from one call to
+# the next: both kernels must agree with the scalar loop on whatever
+# shape, strides, offsets and starting sums the engine finds.
+go test -run='^$' -fuzz='^FuzzMatMulKernel$' -fuzztime=8s ./internal/tensor/
+go test -run='^$' -fuzz='^FuzzAddressedKernel$' -fuzztime=8s ./internal/tensor/
 
 echo "== trace store race =="
 # The trace store and tail sampler are hit from every request

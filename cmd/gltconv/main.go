@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -31,22 +32,33 @@ func run() error {
 	if *in == "" || *out == "" {
 		return fmt.Errorf("both -in and -out are required")
 	}
+	// Both formats are settled from the names before anything is opened,
+	// so a refused -out never truncates the file it names.
+	var read func(io.Reader) (*hsd.Layout, error)
+	switch {
+	case isGDS(*in):
+		read = hsd.ReadGDSII
+	case strings.HasSuffix(*in, ".glt"):
+		read = hsd.ReadLayout
+	default:
+		return fmt.Errorf("unknown input extension on %q (want .glt or .gds)", *in)
+	}
+	var write func(io.Writer, *hsd.Layout) error
+	switch {
+	case isGDS(*out):
+		write = hsd.WriteGDSII
+	case strings.HasSuffix(*out, ".glt"):
+		write = hsd.WriteLayout
+	default:
+		return fmt.Errorf("unknown output extension on %q (want .glt or .gds)", *out)
+	}
 
 	src, err := os.Open(*in)
 	if err != nil {
 		return err
 	}
 	defer src.Close()
-
-	var l *hsd.Layout
-	switch {
-	case strings.HasSuffix(*in, ".gds") || strings.HasSuffix(*in, ".gdsii"):
-		l, err = hsd.ReadGDSII(src)
-	case strings.HasSuffix(*in, ".glt"):
-		l, err = hsd.ReadLayout(src)
-	default:
-		return fmt.Errorf("unknown input extension on %q (want .glt or .gds)", *in)
-	}
+	l, err := read(src)
 	if err != nil {
 		return fmt.Errorf("read %s: %w", *in, err)
 	}
@@ -56,15 +68,7 @@ func run() error {
 		return err
 	}
 	defer dst.Close()
-	switch {
-	case strings.HasSuffix(*out, ".gds") || strings.HasSuffix(*out, ".gdsii"):
-		err = hsd.WriteGDSII(dst, l)
-	case strings.HasSuffix(*out, ".glt"):
-		err = hsd.WriteLayout(dst, l)
-	default:
-		return fmt.Errorf("unknown output extension on %q (want .glt or .gds)", *out)
-	}
-	if err != nil {
+	if err := write(dst, l); err != nil {
 		return fmt.Errorf("write %s: %w", *out, err)
 	}
 	if err := dst.Close(); err != nil {
@@ -72,4 +76,8 @@ func run() error {
 	}
 	fmt.Printf("converted %s (%d shapes) -> %s\n", *in, l.NumShapes(), *out)
 	return nil
+}
+
+func isGDS(name string) bool {
+	return strings.HasSuffix(name, ".gds") || strings.HasSuffix(name, ".gdsii")
 }

@@ -84,7 +84,7 @@ func TestEvaluateSuiteSmoke(t *testing.T) {
 		t.Fatalf("results = %d", len(results))
 	}
 	for _, r := range results {
-		if r.Confusion.Total() == 0 {
+		if scored(r) == 0 {
 			t.Fatal("empty confusion in suite evaluation")
 		}
 	}

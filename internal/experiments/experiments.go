@@ -99,16 +99,11 @@ type DetectorResults struct {
 	Results []hsd.EvalResult // one per benchmark, in suite order
 }
 
-// RunZoo evaluates the given detector specs across the whole suite,
-// returning results grouped by spec. Sim enables ODST measurement.
-func RunZoo(suite *hsd.Suite, specs []hsd.DetectorSpec, sim *hsd.Simulator) ([]DetectorResults, error) {
-	return RunZooCtx(context.Background(), suite, specs, sim)
-}
-
-// RunZooCtx is RunZoo with trace attribution: each evaluation becomes
-// an "eval" span (with fit/score/verify children) on the ctx tracer, so
-// a -trace run of hsdeval attributes ODST to pipeline stages per
-// detector and benchmark.
+// RunZooCtx evaluates the given detector specs across the whole suite,
+// returning results grouped by spec. Sim enables ODST measurement. Each
+// evaluation becomes an "eval" span (with fit/score/verify children) on
+// the ctx tracer, so a -trace run of hsdeval attributes ODST to pipeline
+// stages per detector and benchmark.
 func RunZooCtx(ctx context.Context, suite *hsd.Suite, specs []hsd.DetectorSpec, sim *hsd.Simulator) ([]DetectorResults, error) {
 	out := make([]DetectorResults, 0, len(specs))
 	for _, spec := range specs {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -68,7 +69,7 @@ func TestBenchStats(t *testing.T) {
 
 func TestRunZooAndDerivedTables(t *testing.T) {
 	s := testSuite(t)
-	results, err := RunZoo(s, cheapSpecs(), nil)
+	results, err := RunZooCtx(context.Background(), s, cheapSpecs(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -268,10 +268,10 @@ func TestMirrorClipInvolution(t *testing.T) {
 		mx := MirrorClipX(MirrorClipX(clip))
 		my := MirrorClipY(MirrorClipY(clip))
 		for j := range clip.Shapes {
-			if !clip.Shapes[j].Eq(mx.Shapes[j]) {
+			if clip.Shapes[j] != mx.Shapes[j] {
 				t.Fatal("MirrorClipX not an involution")
 			}
-			if !clip.Shapes[j].Eq(my.Shapes[j]) {
+			if clip.Shapes[j] != my.Shapes[j] {
 				t.Fatal("MirrorClipY not an involution")
 			}
 		}
@@ -304,7 +304,7 @@ func TestRotate90ClipFourTimes(t *testing.T) {
 		clip := randomClip(t, rng)
 		r := Rotate90Clip(Rotate90Clip(Rotate90Clip(Rotate90Clip(clip))))
 		for j := range clip.Shapes {
-			if !clip.Shapes[j].Eq(r.Shapes[j]) {
+			if clip.Shapes[j] != r.Shapes[j] {
 				t.Fatalf("four rotations differ: %v vs %v", clip.Shapes[j], r.Shapes[j])
 			}
 		}
@@ -317,7 +317,7 @@ func TestRotate90ClipPreservesArea(t *testing.T) {
 	if rot.Shapes[0].Area() != clip.Shapes[0].Area() {
 		t.Fatal("rotation changed area")
 	}
-	if !rot.Window.Eq(clip.Window) {
+	if rot.Window != clip.Window {
 		t.Fatal("rotation changed window")
 	}
 }

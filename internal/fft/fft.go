@@ -1,167 +1,16 @@
-// Package fft implements the numeric transforms the lithography simulator
-// and feature extractors rely on: an iterative radix-2 complex FFT, 2-D
-// transforms, FFT-based 2-D convolution, and an orthonormal 2-D DCT-II.
-//
-// The FFTs are pure Go on the standard library; the DCT's products run on
-// internal/tensor's matmul kernel. All are sized for the small images
+// Package fft implements the orthonormal 2-D DCT-II the feature
+// extractors rely on, with its products on internal/tensor's matmul
+// kernel. It is sized for the small blocks (<= 16 x 16) and images
 // (<= 512 x 512) used in hotspot detection.
 package fft
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
-	"math/cmplx"
 	"sync"
 
 	"github.com/golitho/hsd/internal/tensor"
 )
-
-// IsPow2 reports whether n is a positive power of two.
-func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
-
-// NextPow2 returns the smallest power of two >= n (n must be positive).
-func NextPow2(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	return 1 << bits.Len(uint(n-1))
-}
-
-// FFT computes the in-place forward discrete Fourier transform of x.
-// len(x) must be a power of two.
-func FFT(x []complex128) error { return transform(x, false) }
-
-// IFFT computes the in-place inverse DFT of x (including the 1/N scale).
-// len(x) must be a power of two.
-func IFFT(x []complex128) error { return transform(x, true) }
-
-func transform(x []complex128, inverse bool) error {
-	n := len(x)
-	if !IsPow2(n) {
-		return fmt.Errorf("fft: length %d is not a power of two", n)
-	}
-	// Bit-reversal permutation.
-	shift := 64 - uint(bits.Len(uint(n-1)))
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if j > i {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
-	// Iterative Cooley-Tukey butterflies.
-	for size := 2; size <= n; size <<= 1 {
-		ang := 2 * math.Pi / float64(size)
-		if !inverse {
-			ang = -ang
-		}
-		wStep := cmplx.Exp(complex(0, ang))
-		half := size / 2
-		for start := 0; start < n; start += size {
-			w := complex(1, 0)
-			for k := 0; k < half; k++ {
-				a := x[start+k]
-				b := x[start+k+half] * w
-				x[start+k] = a + b
-				x[start+k+half] = a - b
-				w *= wStep
-			}
-		}
-	}
-	if inverse {
-		inv := complex(1/float64(n), 0)
-		for i := range x {
-			x[i] *= inv
-		}
-	}
-	return nil
-}
-
-// FFT2D computes the in-place forward 2-D DFT of a row-major h x w grid.
-// Both dimensions must be powers of two and len(x) must equal w*h.
-func FFT2D(x []complex128, w, h int) error { return transform2D(x, w, h, false) }
-
-// IFFT2D computes the in-place inverse 2-D DFT of a row-major h x w grid.
-func IFFT2D(x []complex128, w, h int) error { return transform2D(x, w, h, true) }
-
-func transform2D(x []complex128, w, h int, inverse bool) error {
-	if len(x) != w*h {
-		return fmt.Errorf("fft: buffer length %d != %d x %d", len(x), w, h)
-	}
-	if !IsPow2(w) || !IsPow2(h) {
-		return fmt.Errorf("fft: dimensions %dx%d must be powers of two", w, h)
-	}
-	// Rows.
-	for y := 0; y < h; y++ {
-		if err := transform(x[y*w:(y+1)*w], inverse); err != nil {
-			return err
-		}
-	}
-	// Columns via a scratch buffer.
-	col := make([]complex128, h)
-	for cx := 0; cx < w; cx++ {
-		for y := 0; y < h; y++ {
-			col[y] = x[y*w+cx]
-		}
-		if err := transform(col, inverse); err != nil {
-			return err
-		}
-		for y := 0; y < h; y++ {
-			x[y*w+cx] = col[y]
-		}
-	}
-	return nil
-}
-
-// ConvolveSame computes the 2-D convolution of a w x h real image with a
-// centred kw x kh real kernel, returning a w x h result ("same" padding
-// with zeros outside the image). The kernel centre is at
-// (kw/2, kh/2). Implemented by zero-padded FFT multiplication.
-func ConvolveSame(img []float64, w, h int, kernel []float64, kw, kh int) ([]float64, error) {
-	if len(img) != w*h {
-		return nil, fmt.Errorf("fft: image length %d != %dx%d", len(img), w, h)
-	}
-	if len(kernel) != kw*kh {
-		return nil, fmt.Errorf("fft: kernel length %d != %dx%d", len(kernel), kw, kh)
-	}
-	pw := NextPow2(w + kw)
-	ph := NextPow2(h + kh)
-
-	a := make([]complex128, pw*ph)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			a[y*pw+x] = complex(img[y*w+x], 0)
-		}
-	}
-	b := make([]complex128, pw*ph)
-	for y := 0; y < kh; y++ {
-		for x := 0; x < kw; x++ {
-			b[y*pw+x] = complex(kernel[y*kw+x], 0)
-		}
-	}
-	if err := FFT2D(a, pw, ph); err != nil {
-		return nil, err
-	}
-	if err := FFT2D(b, pw, ph); err != nil {
-		return nil, err
-	}
-	for i := range a {
-		a[i] *= b[i]
-	}
-	if err := IFFT2D(a, pw, ph); err != nil {
-		return nil, err
-	}
-	// Full convolution lives at offset 0; "same" extraction starts at the
-	// kernel centre.
-	ox, oy := kw/2, kh/2
-	out := make([]float64, w*h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			out[y*w+x] = real(a[(y+oy)*pw+x+ox])
-		}
-	}
-	return out, nil
-}
 
 // DCTPlan is the orthonormal DCT-II basis for n x n blocks. It is built
 // once per n per process (PlanDCT memoises it), is immutable afterwards,
@@ -177,7 +26,7 @@ func ConvolveSame(img []float64, w, h int, kernel []float64, kw, kh int) ([]floa
 type DCTPlan struct {
 	n int
 	// fwd is the basis C row-major (fwd[i*n+k] = C[i][k]); inv is its
-	// transpose, the basis of the inverse transform.
+	// transpose, the right factor of every transform.
 	fwd, inv []float64
 	// zigRow[k] and zigCol[k] are the row and column of the k-th
 	// coefficient in zigzag order, tabulated so a prefix transform
@@ -286,34 +135,15 @@ func DCT2D(block []float64, n int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.full(p.fwd, p.inv, block), nil
-}
-
-// IDCT2D inverts DCT2D (orthonormal, so the inverse is the transpose pair).
-func IDCT2D(coef []float64, n int) ([]float64, error) {
-	if n <= 0 || len(coef) != n*n {
-		return nil, fmt.Errorf("fft: idct block length %d != %d^2", len(coef), n)
-	}
-	p, err := PlanDCT(n)
-	if err != nil {
-		return nil, err
-	}
-	return p.full(p.inv, p.fwd, coef), nil
-}
-
-// full transforms one contiguous block into a fresh coefficient grid:
-// basis * block * basisT.
-func (p *DCTPlan) full(basis, basisT, block []float64) []float64 {
-	n := p.n
 	var stack [256]float64 // row-pass product for blocks up to 16 x 16
 	tmp := stack[:]
 	if n*n > len(stack) {
 		tmp = make([]float64, n*n)
 	}
 	out := make([]float64, n*n)
-	mul(tmp[:n*n], basis, block, n, n, n)
-	mul(out, tmp[:n*n], basisT, n, n, n)
-	return out
+	mul(tmp[:n*n], p.fwd, block, n, n, n)
+	mul(out, tmp[:n*n], p.inv, n, n, n)
+	return out, nil
 }
 
 // Zigzag returns the zigzag scan order for an n x n block: a permutation

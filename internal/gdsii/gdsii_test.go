@@ -76,7 +76,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		t.Fatalf("shape count = %d, want %d", len(shapes), len(want))
 	}
 	for i := range want {
-		if !shapes[i].Eq(want[i]) {
+		if shapes[i] != want[i] {
 			t.Fatalf("shape %d = %v, want %v", i, shapes[i], want[i])
 		}
 	}
@@ -112,7 +112,7 @@ func TestReadNegativeCoordinates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumShapes() != 1 || !got.Shapes()[0].Eq(geom.R(-5000, -3000, -1000, -500)) {
+	if got.NumShapes() != 1 || got.Shapes()[0] != geom.R(-5000, -3000, -1000, -500) {
 		t.Fatalf("negative-coordinate shape mangled: %v", got.Shapes())
 	}
 }

@@ -7,10 +7,7 @@
 // semantics and makes abutting rectangles tile without overlap.
 package geom
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Point is an integer coordinate pair in database units.
 type Point struct {
@@ -140,26 +137,6 @@ func (r Rect) ContainsRect(s Rect) bool {
 		r.Min.Y <= s.Min.Y && s.Max.Y <= r.Max.Y
 }
 
-// Eq reports whether r and s describe the same point set.
-func (r Rect) Eq(s Rect) bool {
-	return r == s || (r.Empty() && s.Empty())
-}
-
-// MirrorX reflects r across the vertical line x = axis.
-func (r Rect) MirrorX(axis int) Rect {
-	return R(2*axis-r.Min.X, r.Min.Y, 2*axis-r.Max.X, r.Max.Y)
-}
-
-// MirrorY reflects r across the horizontal line y = axis.
-func (r Rect) MirrorY(axis int) Rect {
-	return R(r.Min.X, 2*axis-r.Min.Y, r.Max.X, 2*axis-r.Max.Y)
-}
-
-// Rotate90 rotates r by 90 degrees counter-clockwise about the origin.
-func (r Rect) Rotate90() Rect {
-	return R(-r.Min.Y, r.Min.X, -r.Max.Y, r.Max.X)
-}
-
 // String returns "[x0,y0 - x1,y1]".
 func (r Rect) String() string {
 	return fmt.Sprintf("[%d,%d - %d,%d]", r.Min.X, r.Min.Y, r.Max.X, r.Max.Y)
@@ -171,12 +148,6 @@ func (r Rect) DistanceSq(s Rect) int64 {
 	dx := axisGap(r.Min.X, r.Max.X, s.Min.X, s.Max.X)
 	dy := axisGap(r.Min.Y, r.Max.Y, s.Min.Y, s.Max.Y)
 	return int64(dx)*int64(dx) + int64(dy)*int64(dy)
-}
-
-// Distance returns the Euclidean distance between the closest points of r
-// and s, 0 if they overlap or touch.
-func (r Rect) Distance(s Rect) float64 {
-	return math.Sqrt(float64(r.DistanceSq(s)))
 }
 
 // axisGap returns the gap between intervals [a0,a1) and [b0,b1) on one

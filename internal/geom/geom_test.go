@@ -50,7 +50,7 @@ func TestRectEmpty(t *testing.T) {
 func TestRectIntersect(t *testing.T) {
 	a := R(0, 0, 10, 10)
 	b := R(5, 5, 15, 15)
-	if got := a.Intersect(b); !got.Eq(R(5, 5, 10, 10)) {
+	if got := a.Intersect(b); got != R(5, 5, 10, 10) {
 		t.Fatalf("Intersect = %v", got)
 	}
 	c := R(20, 20, 30, 30)
@@ -95,33 +95,11 @@ func TestRectOverlapsContains(t *testing.T) {
 
 func TestRectExpand(t *testing.T) {
 	a := R(5, 5, 10, 10)
-	if got := a.Expand(2); !got.Eq(R(3, 3, 12, 12)) {
+	if got := a.Expand(2); got != R(3, 3, 12, 12) {
 		t.Fatalf("Expand(2) = %v", got)
 	}
 	if got := a.Expand(-3); !got.Empty() {
 		t.Fatalf("over-shrink should be empty, got %v", got)
-	}
-}
-
-func TestRectMirrorRotate(t *testing.T) {
-	a := R(1, 2, 4, 6)
-	mx := a.MirrorX(0)
-	if !mx.Eq(R(-4, 2, -1, 6)) {
-		t.Fatalf("MirrorX = %v", mx)
-	}
-	if got := mx.MirrorX(0); !got.Eq(a) {
-		t.Fatalf("MirrorX involution failed: %v", got)
-	}
-	my := a.MirrorY(3)
-	if !my.Eq(R(1, 0, 4, 4)) {
-		t.Fatalf("MirrorY = %v", my)
-	}
-	r4 := a.Rotate90().Rotate90().Rotate90().Rotate90()
-	if !r4.Eq(a) {
-		t.Fatalf("four Rotate90 != identity: %v", r4)
-	}
-	if a.Rotate90().Area() != a.Area() {
-		t.Fatal("rotation must preserve area")
 	}
 }
 
@@ -165,7 +143,7 @@ func TestQuickIntersectCommutes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	f := func() bool {
 		a, b := randRect(rng), randRect(rng)
-		return a.Intersect(b).Eq(b.Intersect(a))
+		return a.Intersect(b) == b.Intersect(a)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -245,11 +223,11 @@ func TestPolygonValidate(t *testing.T) {
 }
 
 func TestPolygonAreaRect(t *testing.T) {
-	p := FromRect(R(0, 0, 10, 20))
+	p := Polygon{Pt(0, 0), Pt(10, 0), Pt(10, 20), Pt(0, 20)}
 	if p.Area() != 200 {
 		t.Fatalf("Area = %d, want 200", p.Area())
 	}
-	if !p.Bounds().Eq(R(0, 0, 10, 20)) {
+	if p.Bounds() != R(0, 0, 10, 20) {
 		t.Fatalf("Bounds = %v", p.Bounds())
 	}
 }
@@ -308,8 +286,8 @@ func TestPolygonUShapeDecomposition(t *testing.T) {
 }
 
 func TestPolygonTranslate(t *testing.T) {
-	p := FromRect(R(0, 0, 5, 5)).Translate(Pt(10, -3))
-	if !p.Bounds().Eq(R(10, -3, 15, 2)) {
+	p := Polygon{Pt(0, 0), Pt(5, 0), Pt(5, 5), Pt(0, 5)}.Translate(Pt(10, -3))
+	if p.Bounds() != R(10, -3, 15, 2) {
 		t.Fatalf("translated bounds = %v", p.Bounds())
 	}
 	if p.Area() != 25 {
@@ -324,7 +302,7 @@ func TestQuickPolygonRectRoundTrip(t *testing.T) {
 		if r.Empty() {
 			return true
 		}
-		p := FromRect(r)
+		p := Polygon{r.Min, Pt(r.Max.X, r.Min.Y), r.Max, Pt(r.Min.X, r.Max.Y)}
 		if p.Area() != r.Area() {
 			return false
 		}
@@ -332,7 +310,7 @@ func TestQuickPolygonRectRoundTrip(t *testing.T) {
 		if err != nil || len(rects) != 1 {
 			return false
 		}
-		return rects[0].Eq(r)
+		return rects[0] == r
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

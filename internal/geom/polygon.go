@@ -70,16 +70,6 @@ func (p Polygon) Translate(d Point) Polygon {
 	return out
 }
 
-// FromRect returns the 4-vertex polygon equivalent to r (counter-clockwise).
-func FromRect(r Rect) Polygon {
-	return Polygon{
-		{X: r.Min.X, Y: r.Min.Y},
-		{X: r.Max.X, Y: r.Min.Y},
-		{X: r.Max.X, Y: r.Max.Y},
-		{X: r.Min.X, Y: r.Max.Y},
-	}
-}
-
 // Rectangles decomposes a valid rectilinear polygon into non-overlapping
 // rectangles using horizontal slab decomposition. The union of the returned
 // rectangles equals the polygon interior. It returns an error if p is not a
@@ -102,8 +92,6 @@ func (p Polygon) Rectangles() ([]Rect, error) {
 	var out []Rect
 	for i := 0; i+1 < len(ys); i++ {
 		y0, y1 := ys[i], ys[i+1]
-		mid := y0 // any scanline inside the slab; use y0 since edges at y0 bound below
-		_ = mid
 		// Find vertical edges crossing the open slab (y0, y1).
 		var xs []int
 		for j := range p {

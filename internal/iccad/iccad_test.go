@@ -59,7 +59,7 @@ func TestSynthesizeClipDeterminism(t *testing.T) {
 			t.Fatalf("seed %d: nondeterministic synthesis", seed)
 		}
 		for i := range a.Shapes {
-			if !a.Shapes[i].Eq(b.Shapes[i]) {
+			if a.Shapes[i] != b.Shapes[i] {
 				t.Fatalf("seed %d: shape %d differs", seed, i)
 			}
 		}
@@ -79,7 +79,7 @@ func TestSynthesizeClipGeometry(t *testing.T) {
 			return false
 		}
 		win := geom.R(0, 0, cfg.ClipNM, cfg.ClipNM)
-		if !clip.Window.Eq(win) {
+		if clip.Window != win {
 			return false
 		}
 		for _, s := range clip.Shapes {
@@ -123,11 +123,11 @@ func TestSynthesizeClipNoFamilies(t *testing.T) {
 func TestTranspose(t *testing.T) {
 	in := []geom.Rect{geom.R(1, 2, 3, 8)}
 	out := transpose(in)
-	if !out[0].Eq(geom.R(2, 1, 8, 3)) {
+	if out[0] != geom.R(2, 1, 8, 3) {
 		t.Fatalf("transpose = %v", out[0])
 	}
 	back := transpose(out)
-	if !back[0].Eq(in[0]) {
+	if back[0] != in[0] {
 		t.Fatal("transpose is not an involution")
 	}
 }
@@ -229,7 +229,7 @@ func TestGenerateSuiteSeedsDiffer(t *testing.T) {
 			break
 		}
 		for j := range s.Clip.Shapes {
-			if !s.Clip.Shapes[j].Eq(o.Clip.Shapes[j]) {
+			if s.Clip.Shapes[j] != o.Clip.Shapes[j] {
 				same = false
 				break
 			}

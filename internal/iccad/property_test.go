@@ -99,7 +99,7 @@ func TestGenerateChipDeterministicShapes(t *testing.T) {
 		t.Fatalf("shape counts differ: %d vs %d", len(as), len(bs))
 	}
 	for i := range as {
-		if !as[i].Eq(bs[i]) {
+		if as[i] != bs[i] {
 			t.Fatalf("shape %d differs", i)
 		}
 	}

@@ -24,7 +24,7 @@ func TestBoundsGrow(t *testing.T) {
 	l := New("t")
 	mustAdd(t, l, geom.R(0, 0, 10, 10))
 	mustAdd(t, l, geom.R(100, -50, 120, 7))
-	if !l.Bounds().Eq(geom.R(0, -50, 120, 10)) {
+	if l.Bounds() != geom.R(0, -50, 120, 10) {
 		t.Fatalf("Bounds = %v", l.Bounds())
 	}
 }
@@ -36,7 +36,7 @@ func TestQueryBasic(t *testing.T) {
 	mustAdd(t, l, a)
 	mustAdd(t, l, b)
 	got := l.Query(geom.R(-5, -5, 50, 50))
-	if len(got) != 1 || !got[0].Eq(a) {
+	if len(got) != 1 || got[0] != a {
 		t.Fatalf("Query = %v, want [%v]", got, a)
 	}
 	if got := l.Query(geom.R(10, 0, 20, 10)); len(got) != 0 {
@@ -57,7 +57,7 @@ func TestQuerySpansGridCells(t *testing.T) {
 		geom.R(190, 190, 195, 195),
 	} {
 		got := l.Query(w)
-		if len(got) != 1 || !got[0].Eq(big) {
+		if len(got) != 1 || got[0] != big {
 			t.Fatalf("Query(%v) = %v", w, got)
 		}
 	}
@@ -129,13 +129,13 @@ func TestClipAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !clip.Window.Eq(geom.R(400, -75, 600, 125)) {
+	if clip.Window != geom.R(400, -75, 600, 125) {
 		t.Fatalf("Window = %v", clip.Window)
 	}
-	if !clip.Core.Eq(geom.R(450, -25, 550, 75)) {
+	if clip.Core != geom.R(450, -25, 550, 75) {
 		t.Fatalf("Core = %v", clip.Core)
 	}
-	if len(clip.Shapes) != 1 || !clip.Shapes[0].Eq(geom.R(400, 0, 600, 50)) {
+	if len(clip.Shapes) != 1 || clip.Shapes[0] != geom.R(400, 0, 600, 50) {
 		t.Fatalf("Shapes = %v", clip.Shapes)
 	}
 	// Density: 200x50 covered of 200x200.
@@ -199,11 +199,11 @@ func TestIORoundTrip(t *testing.T) {
 		t.Fatalf("shape count = %d, want %d", len(b), len(a))
 	}
 	for i := range a {
-		if !a[i].Eq(b[i]) {
+		if a[i] != b[i] {
 			t.Fatalf("shape %d = %v, want %v", i, b[i], a[i])
 		}
 	}
-	if !got.Bounds().Eq(l.Bounds()) {
+	if got.Bounds() != l.Bounds() {
 		t.Fatalf("bounds = %v, want %v", got.Bounds(), l.Bounds())
 	}
 }

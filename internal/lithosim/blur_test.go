@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/golitho/hsd/internal/raster"
@@ -123,9 +124,9 @@ func TestBlurMatchesScalarBits(t *testing.T) {
 	}
 }
 
-// TestAerialImagesAreCallerOwned: AerialImage, AerialImageAt and Print
-// return fresh images, never the pooled scratch the blur computes in, so
-// a second call cannot change what the first returned.
+// TestAerialImagesAreCallerOwned: AerialImage and AerialImageAt return
+// fresh images, never the pooled scratch the blur computes in, so a
+// second call cannot change what the first returned.
 func TestAerialImagesAreCallerOwned(t *testing.T) {
 	s := newSim(t)
 	rng := rand.New(rand.NewSource(62))
@@ -145,7 +146,7 @@ func TestAerialImagesAreCallerOwned(t *testing.T) {
 	if &first.Pix[0] == &second.Pix[0] {
 		t.Fatal("two AerialImage calls returned the same pixels")
 	}
-	if raster.MSE(first, keep) != 0 {
+	if !slices.Equal(first.Pix, keep.Pix) {
 		t.Fatal("a second AerialImage call changed the first call's image")
 	}
 
@@ -157,21 +158,8 @@ func TestAerialImagesAreCallerOwned(t *testing.T) {
 	if _, err := s.AerialImageAt(b, 1); err != nil {
 		t.Fatal(err)
 	}
-	if raster.MSE(at1, keep) != 0 {
+	if !slices.Equal(at1.Pix, keep.Pix) {
 		t.Fatal("a second AerialImageAt call changed the first call's image")
-	}
-
-	p1, err := s.Print(a, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keepMask := append([]uint8(nil), p1.Pix...)
-	p2, err := s.Print(b, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &p1.Pix[0] == &p2.Pix[0] || string(keepMask) != string(p1.Pix) {
-		t.Fatal("a second Print call aliases or changed the first call's mask")
 	}
 }
 

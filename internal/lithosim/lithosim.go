@@ -203,19 +203,13 @@ type SimStats struct {
 	Elapsed     time.Duration
 }
 
-// Stats returns the cumulative usage since construction or the last
-// ResetStats. Safe for concurrent use with Simulate.
+// Stats returns the cumulative usage since construction. Safe for
+// concurrent use with Simulate.
 func (s *Simulator) Stats() SimStats {
 	return SimStats{
 		Simulations: s.simCount.Load(),
 		Elapsed:     time.Duration(s.simNanos.Load()),
 	}
-}
-
-// ResetStats zeroes the usage counters, e.g. between benchmark runs.
-func (s *Simulator) ResetStats() {
-	s.simCount.Store(0)
-	s.simNanos.Store(0)
 }
 
 // New constructs a Simulator, validating the configuration.
@@ -417,14 +411,4 @@ func (s *Simulator) AerialImageAt(mask *raster.Image, i int) (*raster.Image, err
 		return nil, fmt.Errorf("lithosim: corner index %d out of range [0,%d)", i, len(s.blurOf))
 	}
 	return s.aerialImage(mask, i), nil
-}
-
-// Print returns the printed resist pattern of a mask raster at corner i,
-// a mask the caller owns.
-func (s *Simulator) Print(mask *raster.Image, i int) (*raster.Mask, error) {
-	aer, err := s.AerialImageAt(mask, i)
-	if err != nil {
-		return nil, err
-	}
-	return aer.Threshold(s.cfg.Threshold * s.cfg.Corners[i].ThresholdScale), nil
 }

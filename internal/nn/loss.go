@@ -51,15 +51,3 @@ func (l SoftmaxCE) Loss(logits *tensor.Matrix, y []int) (float64, *tensor.Matrix
 	}
 	return loss, grad, correct
 }
-
-// Probabilities runs softmax over logits and returns the hotspot-class
-// probability of each row.
-func Probabilities(logits *tensor.Matrix) []float64 {
-	probs := logits.Clone()
-	probs.SoftmaxRows()
-	out := make([]float64, probs.Rows)
-	for i := range out {
-		out[i] = probs.At(i, 1)
-	}
-	return out
-}

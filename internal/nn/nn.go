@@ -8,17 +8,14 @@
 // Convolutional layers interpret rows in (C, H, W) channel-major order,
 // matching the feature-tensor layout produced by the features package.
 //
-// Layers carry per-batch scratch for backpropagation (see scratch.go),
-// so Forward(x, true) and Backward are NOT safe for concurrent use;
-// Clone one network per training goroutine. A training pass through a
-// Network pairs Network.Forward with Network.Backward: the two take some
-// runs of layers in one step (see Forward), so a layer's own Backward
-// only follows that layer's own Forward. The inference entry points
-// (Score, PredictBatch, ForwardBatch) only read the network and may
-// share one. Nothing in the program scores through the eval-mode
-// Forward(x, false): it is the plain per-layer reference the kernel-
-// equivalence tests hold the inference path to, and Conv2D's is reached
-// only by them.
+// Forward is the training pass: layers keep per-batch scratch in it for
+// Backward (see scratch.go), so Forward and Backward are NOT safe for
+// concurrent use; Clone one network per training goroutine. A training
+// pass through a Network pairs Network.Forward with Network.Backward: the
+// two take some runs of layers in one step (see Forward), so a layer's
+// own Backward only follows that layer's own Forward. Inference is the
+// other pass (forwardInfer, under ForwardBatch, Score and PredictBatch):
+// it only reads the network, and any number of callers may share one.
 package nn
 
 import (
@@ -39,10 +36,9 @@ type Layer interface {
 	Name() string
 	// OutDim is the flattened output width given the configured input.
 	OutDim() int
-	// Forward consumes a batch (one sample per row) and returns the
-	// layer output. When train is true the layer caches what Backward
-	// needs.
-	Forward(x *tensor.Matrix, train bool) *tensor.Matrix
+	// Forward is the training pass: it consumes a batch (one sample per
+	// row), returns the layer output and keeps what Backward needs.
+	Forward(x *tensor.Matrix) *tensor.Matrix
 	// forwardInfer is the inference pass of ForwardBatch: it reads the
 	// layer and writes only scratch drawn from ar, so concurrent callers
 	// with their own arenas may share one layer. It is unexported, so
@@ -73,17 +69,17 @@ func (n *Network) OutDim() int {
 	return n.Layers[len(n.Layers)-1].OutDim()
 }
 
-// Forward runs the whole stack. A training pass takes a Conv2D with the
-// ReLU and 2x2 MaxPool2D behind it (convReLUPoolAt) in one step, as
-// ForwardBatch does; those two layers then hold no scratch of their own,
-// and the matching Backward is Network.Backward, not theirs.
-func (n *Network) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
+// Forward runs the training pass over the whole stack. It takes a Conv2D
+// with the ReLU and 2x2 MaxPool2D behind it (convReLUPoolAt) in one step,
+// as ForwardBatch does; those two layers then hold no scratch of their
+// own, and the matching Backward is Network.Backward, not theirs.
+func (n *Network) Forward(x *tensor.Matrix) *tensor.Matrix {
 	for i := 0; i < len(n.Layers); i++ {
-		if c := n.convReLUPoolAt(i); c != nil && train {
+		if c := n.convReLUPoolAt(i); c != nil {
 			x = c.forwardTrainReLUPool(x)
 			i += 2
 		} else {
-			x = n.Layers[i].Forward(x, train)
+			x = n.Layers[i].Forward(x)
 		}
 	}
 	return x
@@ -115,13 +111,6 @@ func (n *Network) Params() []*Param {
 	return out
 }
 
-// ZeroGrad clears all gradient accumulators.
-func (n *Network) ZeroGrad() {
-	for _, p := range n.Params() {
-		p.G.Zero()
-	}
-}
-
 // Clone returns a deep copy safe for concurrent inference.
 func (n *Network) Clone() *Network {
 	out := &Network{Layers: make([]Layer, len(n.Layers))}
@@ -129,15 +118,6 @@ func (n *Network) Clone() *Network {
 		out.Layers[i] = l.Clone()
 	}
 	return out
-}
-
-// NumParams returns the total number of trainable scalars.
-func (n *Network) NumParams() int {
-	total := 0
-	for _, p := range n.Params() {
-		total += len(p.W.Data)
-	}
-	return total
 }
 
 // Init (re)initializes all parameters with He-style scaling from rng.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/golitho/hsd/internal/tensor"
@@ -22,15 +23,17 @@ func numericalGradCheck(t *testing.T, net *Network, dim int, tol float64) {
 	loss := SoftmaxCE{}
 
 	lossAt := func() float64 {
-		logits := net.Forward(x, true)
+		logits := net.Forward(x)
 		l, _, _ := loss.Loss(logits, y)
 		return l
 	}
 
 	// Analytic gradients.
-	logits := net.Forward(x, true)
+	logits := net.Forward(x)
 	_, grad, _ := loss.Loss(logits, y)
-	net.ZeroGrad()
+	for _, p := range net.Params() {
+		p.G.Zero()
+	}
 	net.Backward(grad)
 
 	const h = 1e-5
@@ -95,7 +98,7 @@ func TestConvIdentityKernel(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = float64(i)
 	}
-	out := c.Forward(x, false)
+	out := evalForward(NewNetwork(c), x)
 	for i := range x.Data {
 		if out.Data[i] != x.Data[i] {
 			t.Fatalf("identity conv differs at %d", i)
@@ -106,7 +109,7 @@ func TestConvIdentityKernel(t *testing.T) {
 func TestMaxPoolForward(t *testing.T) {
 	p := NewMaxPool2D(1, 2, 2, 2)
 	x, _ := tensor.FromSlice(1, 4, []float64{1, 5, 3, 2})
-	out := p.Forward(x, false)
+	out := evalForward(NewNetwork(p), x)
 	if out.Cols != 1 || out.Data[0] != 5 {
 		t.Fatalf("maxpool = %v", out.Data)
 	}
@@ -115,7 +118,7 @@ func TestMaxPoolForward(t *testing.T) {
 func TestMaxPoolBackwardRoutesToArgmax(t *testing.T) {
 	p := NewMaxPool2D(1, 2, 2, 2)
 	x, _ := tensor.FromSlice(1, 4, []float64{1, 5, 3, 2})
-	p.Forward(x, true)
+	p.Forward(x)
 	g, _ := tensor.FromSlice(1, 1, []float64{7})
 	dx := p.Backward(g)
 	want := []float64{0, 7, 0, 0}
@@ -129,7 +132,7 @@ func TestMaxPoolBackwardRoutesToArgmax(t *testing.T) {
 func TestReLUForwardBackward(t *testing.T) {
 	r := NewReLU(3)
 	x, _ := tensor.FromSlice(1, 3, []float64{-1, 0, 2})
-	out := r.Forward(x, true)
+	out := r.Forward(x)
 	if out.Data[0] != 0 || out.Data[2] != 2 {
 		t.Fatalf("relu forward = %v", out.Data)
 	}
@@ -143,10 +146,10 @@ func TestReLUForwardBackward(t *testing.T) {
 func TestDropoutEvalIsIdentity(t *testing.T) {
 	d := NewDropout(4, 0.5, 1)
 	x, _ := tensor.FromSlice(1, 4, []float64{1, 2, 3, 4})
-	out := d.Forward(x, false)
+	out := evalForward(NewNetwork(d), x)
 	for i := range x.Data {
 		if out.Data[i] != x.Data[i] {
-			t.Fatal("dropout changed eval-mode values")
+			t.Fatal("dropout changed inference values")
 		}
 	}
 }
@@ -157,7 +160,7 @@ func TestDropoutTrainZeroesSome(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = 1
 	}
-	out := d.Forward(x, true)
+	out := d.Forward(x)
 	zeros := 0
 	for _, v := range out.Data {
 		if v == 0 {
@@ -319,8 +322,14 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if math.Abs(Score(net, x)-Score(got, x)) > 1e-12 {
 		t.Fatal("loaded network scores differently")
 	}
-	if got.NumParams() != net.NumParams() {
-		t.Fatal("parameter count differs after round trip")
+	want, have := net.Params(), got.Params()
+	if len(have) != len(want) {
+		t.Fatalf("%d parameters after the round trip, want %d", len(have), len(want))
+	}
+	for i := range want {
+		if !slices.Equal(have[i].W.Data, want[i].W.Data) {
+			t.Fatalf("parameter %d differs after the round trip", i)
+		}
 	}
 }
 
@@ -340,14 +349,6 @@ func TestCloneIndependence(t *testing.T) {
 	net.Params()[0].W.Data[0] += 100
 	if Score(clone, x) != before {
 		t.Fatal("clone shares weights with original")
-	}
-}
-
-func TestNetworkNumParams(t *testing.T) {
-	net := NewNetwork(NewDense(3, 4), NewReLU(4), NewDense(4, 2))
-	want := 3*4 + 4 + 4*2 + 2
-	if net.NumParams() != want {
-		t.Fatalf("NumParams = %d, want %d", net.NumParams(), want)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // Optimizer applies accumulated gradients to parameters.
 type Optimizer interface {
 	// Step updates every parameter from its gradient; gradients are not
-	// cleared (call Network.ZeroGrad afterwards).
+	// cleared (Fit zeroes each Param's G before the next Backward).
 	Step(params []*Param)
 	// Name identifies the optimizer in reports.
 	Name() string

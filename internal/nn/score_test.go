@@ -10,20 +10,21 @@ import (
 	"github.com/golitho/hsd/internal/tensor"
 )
 
-// forwardScore is the pre-arena Score: the training path's eval-mode
-// Forward, then softmax on a copy. It mutates layer caches, so callers
-// hand it a clone when the network is shared.
+// forwardScore is the reference Score is held to: the layers one by one
+// (evalForward) on a copy of x, then softmax.
 func forwardScore(t *testing.T, net *Network, x []float64) float64 {
 	t.Helper()
 	xb, err := tensor.FromSlice(1, len(x), append([]float64(nil), x...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Probabilities(net.Forward(xb, false))[0]
+	logits := evalForward(net, xb)
+	logits.SoftmaxRows()
+	return logits.At(0, 1)
 }
 
 // TestScoreMatchesForward: the arena-backed Score reproduces the
-// training-path answer bit for bit on every test network, and leaves the
+// per-layer reference bit for bit on every test network, and leaves the
 // input untouched.
 func TestScoreMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
@@ -51,7 +52,7 @@ func TestScoreAfterPanicIsClean(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	for name, net := range testNetworks(t, 63) {
 		x := randRows(rng, 1, inDim(net))[0]
-		want := forwardScore(t, net.Clone(), x)
+		want := forwardScore(t, net, x)
 		for round := 0; round < 3; round++ {
 			func() {
 				defer func() {
@@ -76,9 +77,8 @@ func TestScoreSharedNetworkConcurrent(t *testing.T) {
 	for name, net := range testNetworks(t, 64) {
 		x := randRows(rng, 24, inDim(net))
 		want := make([]float64, len(x))
-		ref := net.Clone()
 		for i := range x {
-			want[i] = forwardScore(t, ref, x[i])
+			want[i] = forwardScore(t, net, x[i])
 		}
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {

@@ -1,6 +1,6 @@
 // Training scratch.
 //
-// A training step needs buffers that outlive one call: Forward(x, true)
+// A training step needs buffers that outlive one call: Forward(x)
 // leaves behind what Backward reads, and both return a matrix the
 // neighbouring layer consumes. What is kept is the smallest thing the
 // gradient can be formed from, not a copy of what Forward computed: a
@@ -17,10 +17,10 @@
 // as long as the fit that filled it, and a trained network, a Clone and
 // a loaded model hold none.
 //
-// Two consequences for callers. A matrix returned by a training Forward
-// or by Backward is valid until that layer's next training Forward or
-// Backward, not longer. And eval-mode Forward neither reads nor writes
-// the scratch; it allocates its result.
+// Two consequences for callers. A matrix returned by Forward or by
+// Backward is valid until that layer's next Forward or Backward, not
+// longer. And inference (forwardInfer) neither reads nor writes the
+// scratch; it draws its result from the caller's arena.
 
 package nn
 

@@ -255,7 +255,7 @@ func FitCtx(ctx context.Context, net *Network, x [][]float64, y []int, cfg Train
 				copy(xb.Row(i), x[order[start+i]])
 				yb[i] = y[order[start+i]]
 			}
-			logits := net.Forward(xb, true)
+			logits := net.Forward(xb)
 			loss, grad, c := cfg.Loss.Loss(logits, yb)
 			if math.IsNaN(loss) || math.IsInf(loss, 0) {
 				return halt(span, fmt.Errorf("%w: loss=%v at epoch %d batch %d%s",
@@ -328,8 +328,7 @@ func lastGoodNote(c *Checkpoint) string {
 // through ForwardBatch on a pooled arena, softmax in place. It reads the
 // network and writes only the arena, so any number of goroutines may
 // score through one Network, and in steady state it allocates nothing.
-// The result is bit-identical to Probabilities(net.Forward(x, false))[0]
-// and to the sample's PredictBatch score.
+// The result is bit-identical to the sample's PredictBatch score.
 func Score(net *Network, x []float64) float64 {
 	ar := getArena()
 	// Deferred so that a layer panic (an input of the wrong width) hands
@@ -368,15 +367,6 @@ type CNNConfig struct {
 	DropoutP float64
 	// Seed drives dropout randomness.
 	Seed int64
-}
-
-// DefaultCNNConfig mirrors the feature-tensor CNN of the deep hotspot
-// detection literature, scaled to the 16x16x16 DCT tensor.
-func DefaultCNNConfig(inC, inH, inW int) CNNConfig {
-	return CNNConfig{
-		InC: inC, InH: inH, InW: inW,
-		Conv1: 24, Conv2: 32, Hidden: 64, DropoutP: 0.1,
-	}
 }
 
 // BuildCNN assembles conv-relu-pool x2 -> dense -> relu -> [dropout] ->

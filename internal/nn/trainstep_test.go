@@ -223,9 +223,9 @@ func TestNetworkBackwardSkipsOnlyInputGrad(t *testing.T) {
 		x := tensor.NewMatrix(5, 72)
 		x.Randomize(rng, 1)
 		y := []int{0, 1, 1, 0, 1}
-		_, ga, _ := SoftmaxCE{}.Loss(a.Forward(x, true), y)
+		_, ga, _ := SoftmaxCE{}.Loss(a.Forward(x), y)
 		a.Backward(ga)
-		_, gb, _ := SoftmaxCE{}.Loss(b.Forward(x, true), y)
+		_, gb, _ := SoftmaxCE{}.Loss(b.Forward(x), y)
 		dx := b.Layers[0].Backward(b.Layers[1].Backward(gb))
 		if dx == nil || dx.Rows != 5 || dx.Cols != 72 {
 			t.Fatalf("%s: direct Backward returned no input gradient", name)
@@ -249,11 +249,10 @@ func TestNetworkBackwardSkipsOnlyInputGrad(t *testing.T) {
 	}
 }
 
-// TestConvForwardMatchesSparseGather: the eval Forward gathers with
-// im2col and the training Forward multiplies the zero-bordered sample in
-// place; on every odd geometry both must equal
-// the independent gather kept with the benchmarks (zeroed matrix, padded
-// taps skipped).
+// TestConvForwardMatchesSparseGather: the training Forward multiplies the
+// zero-bordered sample in place; on every odd geometry it must equal the
+// independent gather kept with the benchmarks (zeroed matrix, padded taps
+// skipped).
 func TestConvForwardMatchesSparseGather(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for _, conv := range convGeometries() {
@@ -261,14 +260,7 @@ func TestConvForwardMatchesSparseGather(t *testing.T) {
 		x := tensor.NewMatrix(3, conv.InC*conv.InH*conv.InW)
 		x.Randomize(rng, 1)
 		want := conv.forwardInferIm2col(x, NewArena())
-		for _, train := range []bool{false, true} {
-			got := conv.Forward(x, train)
-			for i := range want.Data {
-				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-					t.Fatalf("%s train=%v: element %d = %v, want %v", conv.Name(), train, i, got.Data[i], want.Data[i])
-				}
-			}
-		}
+		bitsEqual(t, conv.Name(), conv.Forward(x).Data, want.Data)
 	}
 }
 
@@ -406,7 +398,7 @@ func TestTrainStepAllocations(t *testing.T) {
 		}
 		params := net.Params()
 		step := func() {
-			_, grad, _ := cfg.Loss.Loss(net.Forward(x, true), y)
+			_, grad, _ := cfg.Loss.Loss(net.Forward(x), y)
 			for _, p := range params {
 				p.G.Zero()
 			}
@@ -470,7 +462,7 @@ func TestConvTrainTailBits(t *testing.T) {
 		for i := 0; i < rows; i++ {
 			conv.addBias(biased.Row(i))
 		}
-		wantOut := pool.Forward(relu.Forward(biased, true), true)
+		wantOut := pool.Forward(relu.Forward(biased))
 		wantDY := relu.Backward(pool.Backward(grad))
 		for i := 0; i < rows; i++ {
 			out, win, dy := make([]float64, pooled), make([]int32, pooled), make([]float64, h*w)
@@ -488,7 +480,7 @@ func TestConvTrainTailBits(t *testing.T) {
 		for _, p := range append(ref.Params(), conv.Params()...) {
 			p.G.Zero()
 		}
-		wantOut = pool.Forward(relu.Forward(ref.Forward(x, true), true), true)
+		wantOut = pool.Forward(relu.Forward(ref.Forward(x)))
 		wantDX := ref.Backward(relu.Backward(pool.Backward(grad)))
 		bitsEqual(t, fmt.Sprintf("bias %v: output", bias), conv.forwardTrainReLUPool(x).Data, wantOut.Data)
 		bitsEqual(t, fmt.Sprintf("bias %v: dL/dInput", bias), conv.backwardReLUPool(grad, true).Data, wantDX.Data)
@@ -496,8 +488,10 @@ func TestConvTrainTailBits(t *testing.T) {
 		bitsEqual(t, fmt.Sprintf("bias %v: dL/db", bias), conv.gb, ref.gb)
 
 		// And as Network.Forward and Backward reach it.
-		net.ZeroGrad()
-		bitsEqual(t, fmt.Sprintf("bias %v: Network.Forward", bias), net.Forward(x, true).Data, wantOut.Data)
+		for _, p := range net.Params() {
+			p.G.Zero()
+		}
+		bitsEqual(t, fmt.Sprintf("bias %v: Network.Forward", bias), net.Forward(x).Data, wantOut.Data)
 		if r := net.Layers[1].(*ReLU); r.tr != nil {
 			t.Fatal("Network.Forward ran the ReLU on its own")
 		}
@@ -584,7 +578,7 @@ func TestConvTrainMatchesColumns(t *testing.T) {
 			for _, p := range conv.Params() {
 				p.G.Zero()
 			}
-			bitsEqual(t, what+"output", conv.Forward(x, true).Data, wantOut.Data)
+			bitsEqual(t, what+"output", conv.Forward(x).Data, wantOut.Data)
 			bitsEqual(t, what+"dL/dInput", conv.Backward(grad).Data, wantDX.Data)
 			bitsEqual(t, what+"dL/dW", conv.gw.Data, wantGW.Data)
 			bitsEqual(t, what+"dL/db", conv.gb, wantGB)
@@ -636,7 +630,7 @@ func TestTrainScratchBytes(t *testing.T) {
 	net.Init(rng)
 	x := tensor.NewMatrix(32, inDim(net))
 	x.Randomize(rng, 1)
-	_, grad, _ := SoftmaxCE{}.Loss(net.Forward(x, true), make([]int, x.Rows))
+	_, grad, _ := SoftmaxCE{}.Loss(net.Forward(x), make([]int, x.Rows))
 	net.Backward(grad)
 	total := 0
 	for _, l := range net.Layers {

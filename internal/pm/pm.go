@@ -156,12 +156,3 @@ func (l *Library) Score(clip layout.Clip) (float64, error) {
 	}
 	return 1 - float64(d)/float64(l.bitsets), nil
 }
-
-// Match reports whether the clip matches the library within tolerance.
-func (l *Library) Match(clip layout.Clip) (bool, error) {
-	d, err := l.MinDistance(clip)
-	if err != nil {
-		return false, err
-	}
-	return d <= l.cfg.Tol, nil
-}

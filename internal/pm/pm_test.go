@@ -22,6 +22,17 @@ func clipOf(t *testing.T, shapes ...geom.Rect) layout.Clip {
 	return clip
 }
 
+// matches is the detector's verdict: the clip lies within the library's
+// Hamming tolerance of a stored pattern.
+func matches(t *testing.T, l *Library, clip layout.Clip) bool {
+	t.Helper()
+	d, err := l.MinDistance(clip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d <= l.cfg.Tol
+}
+
 func TestExactMatch(t *testing.T) {
 	lib, err := New(Config{GridPx: 32})
 	if err != nil {
@@ -31,11 +42,7 @@ func TestExactMatch(t *testing.T) {
 	if err := lib.AddHotspot(hs); err != nil {
 		t.Fatal(err)
 	}
-	ok, err := lib.Match(hs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
+	if !matches(t, lib, hs) {
 		t.Fatal("library does not match its own pattern")
 	}
 	s, err := lib.Score(hs)
@@ -56,11 +63,7 @@ func TestNoMatchOnDifferentPattern(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := clipOf(t, geom.R(448, 0, 512, 1024)) // orthogonal line
-	ok, err := lib.Match(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
+	if matches(t, lib, other) {
 		t.Fatal("exact matcher matched a different pattern")
 	}
 }
@@ -83,18 +86,10 @@ func TestFuzzyTolerance(t *testing.T) {
 	}
 	// Shift the line by one 32 nm grid pixel: 32 differing pixel rows.
 	shifted := clipOf(t, geom.R(0, 480, 1024, 544))
-	okExact, err := exact.Match(shifted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	okFuzzy, err := fuzzy.Match(shifted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if okExact {
+	if matches(t, exact, shifted) {
 		t.Fatal("exact matcher matched a shifted pattern")
 	}
-	if !okFuzzy {
+	if !matches(t, fuzzy, shifted) {
 		d, _ := fuzzy.MinDistance(shifted)
 		t.Fatalf("fuzzy matcher rejected shifted pattern (distance %d)", d)
 	}
@@ -111,7 +106,7 @@ func TestMirrorAugmentation(t *testing.T) {
 	if err := plain.AddHotspot(asym); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := plain.Match(mirrored); ok {
+	if matches(t, plain, mirrored) {
 		t.Fatal("plain matcher matched mirror image")
 	}
 
@@ -125,7 +120,7 @@ func TestMirrorAugmentation(t *testing.T) {
 	if withMirror.Size() != 3 {
 		t.Fatalf("mirror library size = %d, want 3", withMirror.Size())
 	}
-	if ok, _ := withMirror.Match(mirrored); !ok {
+	if !matches(t, withMirror, mirrored) {
 		t.Fatal("mirror matcher missed mirror image")
 	}
 }

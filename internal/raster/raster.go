@@ -8,7 +8,6 @@ package raster
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/golitho/hsd/internal/geom"
 )
@@ -83,40 +82,6 @@ func (im *Image) ThresholdInto(m *Mask, t float64) {
 	}
 }
 
-// MirrorX returns im reflected horizontally (left-right flip).
-func (im *Image) MirrorX() *Image {
-	out := NewImage(im.W, im.H)
-	for y := 0; y < im.H; y++ {
-		row := y * im.W
-		for x := 0; x < im.W; x++ {
-			out.Pix[row+x] = im.Pix[row+im.W-1-x]
-		}
-	}
-	return out
-}
-
-// MirrorY returns im reflected vertically (top-bottom flip).
-func (im *Image) MirrorY() *Image {
-	out := NewImage(im.W, im.H)
-	for y := 0; y < im.H; y++ {
-		copy(out.Pix[y*im.W:(y+1)*im.W], im.Pix[(im.H-1-y)*im.W:(im.H-y)*im.W])
-	}
-	return out
-}
-
-// Rotate90 returns im rotated 90 degrees counter-clockwise. The result has
-// swapped dimensions.
-func (im *Image) Rotate90() *Image {
-	out := NewImage(im.H, im.W)
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			// (x, y) -> (y, W-1-x) in the rotated frame.
-			out.Pix[(im.W-1-x)*out.W+y] = im.Pix[y*im.W+x]
-		}
-	}
-	return out
-}
-
 // Mask is a dense binary raster; Pix values are 0 or 1.
 type Mask struct {
 	W, H int
@@ -153,32 +118,6 @@ func (m *Mask) Count() int {
 		}
 	}
 	return n
-}
-
-// Hamming returns the number of positions where m and o differ. Masks of
-// different dimensions have infinite distance, reported as m.W*m.H + o.W*o.H.
-func (m *Mask) Hamming(o *Mask) int {
-	if m.W != o.W || m.H != o.H {
-		return m.W*m.H + o.W*o.H
-	}
-	d := 0
-	for i := range m.Pix {
-		if m.Pix[i] != o.Pix[i] {
-			d++
-		}
-	}
-	return d
-}
-
-// Float converts the mask to a grayscale image with values 0 or 1.
-func (m *Mask) Float() *Image {
-	im := NewImage(m.W, m.H)
-	for i, v := range m.Pix {
-		if v != 0 {
-			im.Pix[i] = 1
-		}
-	}
-	return im
 }
 
 // Config controls rasterization of a layout window.
@@ -261,43 +200,6 @@ func RasterizeInto(im *Image, c Config, shapes []geom.Rect) error {
 		}
 	}
 	return nil
-}
-
-// Downsample reduces im by an integer factor using box averaging. The image
-// dimensions must be divisible by factor.
-func Downsample(im *Image, factor int) (*Image, error) {
-	if factor <= 0 || im.W%factor != 0 || im.H%factor != 0 {
-		return nil, fmt.Errorf("raster: cannot downsample %dx%d by %d", im.W, im.H, factor)
-	}
-	out := NewImage(im.W/factor, im.H/factor)
-	inv := 1 / float64(factor*factor)
-	for y := 0; y < out.H; y++ {
-		for x := 0; x < out.W; x++ {
-			var s float64
-			for dy := 0; dy < factor; dy++ {
-				row := (y*factor + dy) * im.W
-				for dx := 0; dx < factor; dx++ {
-					s += im.Pix[row+x*factor+dx]
-				}
-			}
-			out.Pix[y*out.W+x] = s * inv
-		}
-	}
-	return out, nil
-}
-
-// MSE returns the mean squared error between two equally sized images,
-// or +Inf if the dimensions differ.
-func MSE(a, b *Image) float64 {
-	if a.W != b.W || a.H != b.H {
-		return math.Inf(1)
-	}
-	var s float64
-	for i := range a.Pix {
-		d := a.Pix[i] - b.Pix[i]
-		s += d * d
-	}
-	return s / float64(len(a.Pix))
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

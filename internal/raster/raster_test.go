@@ -2,9 +2,7 @@ package raster
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"github.com/golitho/hsd/internal/geom"
 )
@@ -93,54 +91,6 @@ func TestRasterizeBadConfig(t *testing.T) {
 	}
 }
 
-func TestMirrorInvolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	im := NewImage(13, 9)
-	for i := range im.Pix {
-		im.Pix[i] = rng.Float64()
-	}
-	mx := im.MirrorX().MirrorX()
-	my := im.MirrorY().MirrorY()
-	for i := range im.Pix {
-		if im.Pix[i] != mx.Pix[i] || im.Pix[i] != my.Pix[i] {
-			t.Fatal("mirror twice is not identity")
-		}
-	}
-}
-
-func TestRotate90FourTimes(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	im := NewImage(7, 11)
-	for i := range im.Pix {
-		im.Pix[i] = rng.Float64()
-	}
-	r := im.Rotate90()
-	if r.W != im.H || r.H != im.W {
-		t.Fatalf("rotated dims = %dx%d", r.W, r.H)
-	}
-	r4 := r.Rotate90().Rotate90().Rotate90()
-	for i := range im.Pix {
-		if im.Pix[i] != r4.Pix[i] {
-			t.Fatal("four rotations are not identity")
-		}
-	}
-}
-
-func TestRotatePreservesSum(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	f := func() bool {
-		im := NewImage(1+rng.Intn(16), 1+rng.Intn(16))
-		for i := range im.Pix {
-			im.Pix[i] = rng.Float64()
-		}
-		return math.Abs(im.Rotate90().Sum()-im.Sum()) < 1e-9 &&
-			math.Abs(im.MirrorX().Sum()-im.Sum()) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestThresholdAndMask(t *testing.T) {
 	im := NewImage(2, 2)
 	im.Pix = []float64{0.2, 0.5, 0.7, 0.49}
@@ -166,56 +116,6 @@ func TestThresholdAndMask(t *testing.T) {
 	}
 }
 
-func TestMaskHamming(t *testing.T) {
-	a, b := NewMask(3, 3), NewMask(3, 3)
-	a.Set(0, 0, 1)
-	b.Set(2, 2, 1)
-	if d := a.Hamming(b); d != 2 {
-		t.Fatalf("Hamming = %d, want 2", d)
-	}
-	if d := a.Hamming(a); d != 0 {
-		t.Fatalf("self Hamming = %d, want 0", d)
-	}
-	c := NewMask(2, 2)
-	if d := a.Hamming(c); d != 9+4 {
-		t.Fatalf("dim-mismatch Hamming = %d, want 13", d)
-	}
-}
-
-func TestDownsample(t *testing.T) {
-	im := NewImage(4, 4)
-	for i := range im.Pix {
-		im.Pix[i] = 1
-	}
-	out, err := Downsample(im, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.W != 2 || out.H != 2 {
-		t.Fatalf("dims = %dx%d", out.W, out.H)
-	}
-	for _, v := range out.Pix {
-		if v != 1 {
-			t.Fatalf("downsampled value = %v, want 1", v)
-		}
-	}
-	if _, err := Downsample(im, 3); err == nil {
-		t.Fatal("non-divisible factor accepted")
-	}
-}
-
-func TestMSE(t *testing.T) {
-	a, b := NewImage(2, 1), NewImage(2, 1)
-	a.Pix = []float64{1, 0}
-	b.Pix = []float64{0, 0}
-	if got := MSE(a, b); got != 0.5 {
-		t.Fatalf("MSE = %v, want 0.5", got)
-	}
-	if !math.IsInf(MSE(a, NewImage(3, 1)), 1) {
-		t.Fatal("dimension mismatch should be +Inf")
-	}
-}
-
 func TestImageAtSetBounds(t *testing.T) {
 	im := NewImage(2, 2)
 	im.Set(-1, 0, 5)
@@ -228,14 +128,13 @@ func TestImageAtSetBounds(t *testing.T) {
 	}
 }
 
-func TestMaskFloatAndImageClone(t *testing.T) {
-	m := NewMask(2, 2)
-	m.Set(1, 1, 1)
-	im := m.Float()
-	if im.At(1, 1) != 1 || im.At(0, 0) != 0 {
-		t.Fatal("Float conversion wrong")
-	}
+func TestImageClone(t *testing.T) {
+	im := NewImage(2, 2)
+	im.Set(1, 1, 1)
 	c := im.Clone()
+	if c.W != 2 || c.H != 2 || c.At(1, 1) != 1 || c.At(0, 0) != 0 {
+		t.Fatalf("Clone = %+v, want a copy of %+v", c, im)
+	}
 	c.Set(0, 0, 0.7)
 	if im.At(0, 0) != 0 {
 		t.Fatal("Clone shares backing storage")

@@ -223,10 +223,6 @@ func (r *Router) SetHooks(h Hooks) {
 	}
 }
 
-// Calibrations returns the fitted per-stage calibrations (nil before
-// Fit).
-func (r *Router) Calibrations() []Calibration { return r.cals }
-
 // SetCalibrations installs externally built calibrations and marks the
 // router fitted. The member detectors must already be fitted by the
 // caller. Used by tests and by callers that persist calibration state.
@@ -477,18 +473,6 @@ func (r *Router) Stats() []StageStats {
 		}
 	}
 	return out
-}
-
-// ResetStats zeroes the routing counters (telemetry series, being
-// monotone, are left alone).
-func (r *Router) ResetStats() {
-	for i := range r.counters {
-		c := &r.counters[i]
-		c.answeredHot.Store(0)
-		c.answeredCold.Store(0)
-		c.escalated.Store(0)
-		c.nanos.Store(0)
-	}
 }
 
 // stageSecondsBuckets span microsecond pattern-match hits to second-

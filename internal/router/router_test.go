@@ -127,12 +127,12 @@ func routeByHand(r *Router, clip layout.Clip) (stage int, hot bool, p float64) {
 	for i, st := range r.Stages() {
 		s, _ := st.Detector.Score(clip)
 		scores = append(scores, s)
-		p = r.Calibrations()[i].prob(scores)
+		p = r.cals[i].prob(scores)
 		verdict := s >= st.Detector.Threshold()
 		if i == len(r.Stages())-1 {
 			return i, verdict, p
 		}
-		b := r.Calibrations()[i].Band
+		b := r.cals[i].Band
 		if p <= b.Lo && !verdict {
 			return i, false, p
 		}
@@ -325,7 +325,7 @@ func TestRouterTrainedRoutesAndAnswers(t *testing.T) {
 	if err := r.Fit(train); err != nil {
 		t.Fatal(err)
 	}
-	r.ResetStats()
+	fitted := r.Stats() // what the calibration pass routed, if anything
 	var conf metrics.Confusion
 	for _, s := range test {
 		got, err := core.Predict(r, s.Clip)
@@ -336,8 +336,11 @@ func TestRouterTrainedRoutesAndAnswers(t *testing.T) {
 	}
 	st := r.Stats()
 	var answered int64
-	for _, s := range st {
-		answered += s.Answered()
+	for i := range st {
+		st[i].AnsweredHot -= fitted[i].AnsweredHot
+		st[i].AnsweredCold -= fitted[i].AnsweredCold
+		st[i].Escalated -= fitted[i].Escalated
+		answered += st[i].Answered()
 	}
 	if answered != int64(len(test)) {
 		t.Fatalf("answered %d of %d clips: %+v", answered, len(test), st)

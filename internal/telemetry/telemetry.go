@@ -69,9 +69,6 @@ func (c *Counter) Add(v float64) {
 	}
 }
 
-// AddDuration adds d expressed in seconds.
-func (c *Counter) AddDuration(d time.Duration) { c.Add(d.Seconds()) }
-
 // Value returns the current count.
 func (c *Counter) Value() float64 {
 	if c == nil {

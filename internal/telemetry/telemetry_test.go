@@ -15,10 +15,6 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := c.Value(); got != 3.5 {
 		t.Fatalf("counter = %v, want 3.5", got)
 	}
-	c.AddDuration(500 * time.Millisecond)
-	if got := c.Value(); got != 4 {
-		t.Fatalf("counter after AddDuration = %v, want 4", got)
-	}
 
 	var g Gauge
 	g.Set(10)
@@ -283,7 +279,6 @@ func TestNilRegistryAndInstrumentsAreNoOps(t *testing.T) {
 	}
 	c.Inc()
 	c.Add(2)
-	c.AddDuration(time.Second)
 	g.Set(3)
 	g.Add(1)
 	g.Inc()

@@ -129,7 +129,7 @@ func BenchmarkMatMulTransB(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("%dx%dx%d/portable", outC, positions, klen), func(b *testing.B) {
-			colsT := cols.Transpose()
+			colsT := transposed(cols)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -16,6 +16,13 @@ import (
 	"testing"
 )
 
+// transposed returns mᵀ as a new matrix.
+func transposed(m *Matrix) *Matrix {
+	out := NewMatrix(m.Cols, m.Rows)
+	m.TransposeInto(out.Data)
+	return out
+}
+
 // specMatMul is the specification kernel: plain i-k-j, ascending k, one
 // add at a time. Everything else must reproduce it exactly.
 func specMatMul(a, b *Matrix) *Matrix {
@@ -107,7 +114,7 @@ func TestMatMulTransBMatchesTransposeThenMatMul(t *testing.T) {
 			a := randomMatrix(rng, m, k)
 			b := randomMatrix(rng, n, k)
 			want := NewMatrix(m, n)
-			MatMulInto(want, a, b.Transpose())
+			MatMulInto(want, a, transposed(b))
 
 			got := NewMatrix(m, n)
 			for i := range got.Data {
@@ -255,7 +262,7 @@ func TestMatMulShortDataPanicsBeforeStore(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, short := range []string{"dst", "a", "b"} {
 		a, b := oddMatrix(rng, m, k, 0, 0), oddMatrix(rng, k, n, 0, 0)
-		bT := b.Transpose()
+		bT := transposed(b)
 		backing := make([]float64, m*n)
 		for i := range backing {
 			backing[i] = math.NaN()

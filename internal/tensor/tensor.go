@@ -72,17 +72,6 @@ func (m *Matrix) Randomize(rng *rand.Rand, scale float64) {
 	}
 }
 
-// MatMul computes a * b into a new matrix. Panics on dimension mismatch
-// are avoided: it returns an error instead.
-func MatMul(a, b *Matrix) (*Matrix, error) {
-	if a.Cols != b.Rows {
-		return nil, fmt.Errorf("tensor: matmul %dx%d by %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	out := NewMatrix(a.Rows, b.Cols)
-	MatMulInto(out, a, b)
-	return out, nil
-}
-
 // mmBlockK and mmBlockJ are the cache-blocking tile sizes of both
 // kernels. A k tile bounds the band of b rows one pass over dst touches:
 // 64 rows is one page of b per row at most, within the data TLB's reach
@@ -309,7 +298,7 @@ func matMulPortable(d []float64, ldd int, av []float64, lda int, bv []float64, o
 // then dstᵀ = b · aᵀ, transposed back into dst. Either way every sum
 // starts from zero and takes its products one at a time in ascending k,
 // and a product does not depend on the order of its factors, so the
-// result equals MatMulInto(dst, a, b.Transpose()) bit for bit.
+// result equals MatMulInto over a materialised bᵀ bit for bit.
 //
 // The transposes live in scratch, which is grown when too short and
 // returned for the next call, as append returns its slice; its contents
@@ -353,13 +342,6 @@ func (m *Matrix) TransposeInto(out []float64) {
 	}
 }
 
-// Transpose returns a new matrix that is m transposed.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	m.TransposeInto(out.Data)
-	return out
-}
-
 // AddRowVector adds vector v to every row of m in place.
 func (m *Matrix) AddRowVector(v []float64) error {
 	if len(v) != m.Cols {
@@ -372,13 +354,6 @@ func (m *Matrix) AddRowVector(v []float64) error {
 		}
 	}
 	return nil
-}
-
-// Scale multiplies every element by s in place.
-func (m *Matrix) Scale(s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
 }
 
 // Axpy computes y += alpha * x element-wise over the raw data; the two
@@ -402,9 +377,6 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 { return math.Sqrt(Dot(v, v)) }
-
 // SoftmaxRows applies an in-place numerically stable softmax to each row.
 func (m *Matrix) SoftmaxRows() {
 	for i := 0; i < m.Rows; i++ {
@@ -426,16 +398,4 @@ func (m *Matrix) SoftmaxRows() {
 			row[j] *= inv
 		}
 	}
-}
-
-// ArgmaxRow returns the index of the maximum element in row i.
-func (m *Matrix) ArgmaxRow(i int) int {
-	row := m.Row(i)
-	best, bestV := 0, math.Inf(-1)
-	for j, v := range row {
-		if v > bestV {
-			best, bestV = j, v
-		}
-	}
-	return best
 }

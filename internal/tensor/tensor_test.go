@@ -23,18 +23,13 @@ func TestFromSlice(t *testing.T) {
 func TestMatMulKnown(t *testing.T) {
 	a, _ := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b, _ := FromSlice(3, 2, []float64{7, 8, 9, 10, 11, 12})
-	c, err := MatMul(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewMatrix(2, 2)
+	MatMulInto(c, a, b)
 	want := []float64{58, 64, 139, 154}
 	for i, v := range want {
 		if c.Data[i] != v {
 			t.Fatalf("matmul[%d] = %v, want %v", i, c.Data[i], v)
 		}
-	}
-	if _, err := MatMul(a, a); err == nil {
-		t.Fatal("mismatched matmul accepted")
 	}
 }
 
@@ -46,10 +41,8 @@ func TestMatMulIdentity(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		id.Set(i, i, 1)
 	}
-	c, err := MatMul(a, id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewMatrix(5, 5)
+	MatMulInto(c, a, id)
 	for i := range a.Data {
 		if math.Abs(c.Data[i]-a.Data[i]) > 1e-12 {
 			t.Fatal("A*I != A")
@@ -65,16 +58,12 @@ func TestMatMulAssociativeWithTranspose(t *testing.T) {
 		a.Randomize(rng, 1)
 		b := NewMatrix(k, c)
 		b.Randomize(rng, 1)
-		ab, err := MatMul(a, b)
-		if err != nil {
-			return false
-		}
+		ab := NewMatrix(r, c)
+		MatMulInto(ab, a, b)
 		// (AB)^T == B^T A^T
-		left := ab.Transpose()
-		right, err := MatMul(b.Transpose(), a.Transpose())
-		if err != nil {
-			return false
-		}
+		left := transposed(ab)
+		right := NewMatrix(c, r)
+		MatMulInto(right, transposed(b), transposed(a))
 		for i := range left.Data {
 			if math.Abs(left.Data[i]-right.Data[i]) > 1e-9 {
 				return false
@@ -91,7 +80,7 @@ func TestTransposeInvolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := NewMatrix(4, 7)
 	m.Randomize(rng, 1)
-	tt := m.Transpose().Transpose()
+	tt := transposed(transposed(m))
 	for i := range m.Data {
 		if m.Data[i] != tt.Data[i] {
 			t.Fatal("transpose twice is not identity")
@@ -99,7 +88,7 @@ func TestTransposeInvolution(t *testing.T) {
 	}
 }
 
-func TestAddRowVectorAndScale(t *testing.T) {
+func TestAddRowVector(t *testing.T) {
 	m, _ := FromSlice(2, 2, []float64{1, 2, 3, 4})
 	if err := m.AddRowVector([]float64{10, 20}); err != nil {
 		t.Fatal(err)
@@ -112,10 +101,6 @@ func TestAddRowVectorAndScale(t *testing.T) {
 	}
 	if err := m.AddRowVector([]float64{1}); err == nil {
 		t.Fatal("bad vector length accepted")
-	}
-	m.Scale(2)
-	if m.Data[0] != 22 {
-		t.Fatalf("Scale: got %v", m.Data[0])
 	}
 }
 
@@ -137,12 +122,9 @@ func TestAxpy(t *testing.T) {
 	}
 }
 
-func TestDotNorm(t *testing.T) {
+func TestDot(t *testing.T) {
 	if Dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
 		t.Fatal("dot wrong")
-	}
-	if Norm2([]float64{3, 4}) != 5 {
-		t.Fatal("norm wrong")
 	}
 }
 
@@ -169,13 +151,6 @@ func TestSoftmaxRows(t *testing.T) {
 		if math.IsNaN(v) {
 			t.Fatal("softmax NaN on large inputs")
 		}
-	}
-}
-
-func TestArgmaxRow(t *testing.T) {
-	m, _ := FromSlice(2, 3, []float64{0.1, 0.9, 0.2, -5, -2, -9})
-	if m.ArgmaxRow(0) != 1 || m.ArgmaxRow(1) != 1 {
-		t.Fatal("argmax wrong")
 	}
 }
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # flags_smoke.sh — no flag appears or vanishes unnoticed.
 #
-# Builds the five detector binaries, takes the flag names each prints
-# under -h, and diffs the sorted "<binary> <flag>" list against
+# Builds the five detector binaries and gltconv, takes the flag names
+# each prints under -h, and diffs the sorted "<binary> <flag>" list against
 # scripts/flags.golden. A deliberate flag change reruns this with
 # -update and commits the golden next to it.
 
@@ -12,7 +12,7 @@ cd "$(dirname "$0")/.."
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT INT TERM
 
-for b in hsdtrain hsdeval hsdscan hsdserve hsdlearn; do
+for b in hsdtrain hsdeval hsdscan hsdserve hsdlearn gltconv; do
 	go build -o "$WORK/$b" "./cmd/$b"
 	# package flag prints every flag as "  -name [type]" on stderr.
 	"$WORK/$b" -h 2>&1 | awk -v b="$b" '/^  -/ { print b, $1 }'
@@ -25,4 +25,4 @@ diff -u scripts/flags.golden "$WORK/flags.txt" || {
 	echo "flags smoke: a binary's flag set moved; if intended, rerun with -update and commit scripts/flags.golden" >&2
 	exit 1
 }
-echo "flags smoke: ok ($(wc -l <"$WORK/flags.txt" | tr -d ' ') flags across 5 binaries)"
+echo "flags smoke: ok ($(wc -l <"$WORK/flags.txt" | tr -d ' ') flags across 6 binaries)"
