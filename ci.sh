@@ -7,8 +7,8 @@
 #   kill-resume suites, the end-to-end smoke scripts, a check that no
 #   binary's flag set, no facade name and no /metrics series moved and
 #   that nothing is bound after construction, a smoke pass over the
-#   fuzz seed corpora, 8 s of real fuzzing each on all ten fuzz targets
-#   (80 s in all), and a quick pass of the repo benchmark's four
+#   fuzz seed corpora, 7 s of real fuzzing each on all eleven fuzz
+#   targets (77 s in all), and a quick pass of the repo benchmark's four
 #   workloads.
 #
 # Usage: ./ci.sh [-short]
@@ -146,26 +146,30 @@ echo "== scan smoke =="
 echo "== fuzz seed smoke =="
 # -run=Fuzz executes every fuzz target once per seed corpus entry,
 # without the fuzzing engine; crashes here mean a regressed parser,
-# model or baseline loader or frame reader, or a matmul kernel that
+# model or baseline loader, frame reader or payload decoder (FuzzDecode,
+# seeded with every golden file's payloads), or a matmul kernel that
 # disagrees with the portable one on a seed shape.
 go test -run=Fuzz ./internal/layout/ ./internal/gdsii/ ./internal/nn/ ./internal/qualitymon/ ./internal/framelog/ ./internal/tensor/
 
-echo "== frame reader fuzz =="
-# A bounded budget of real fuzzing, 8 s on each of the ten targets, first
-# on the one frame reader every durable file (model, checkpoint,
-# journal, WAL, baseline) is read through: it must fail with a
-# documented error or round-trip.
-go test -run='^$' -fuzz='^FuzzReadFrame$' -fuzztime=8s ./internal/framelog/
+echo "== frame reader and payload decoder fuzz =="
+# A bounded budget of real fuzzing, 7 s on each of the eleven targets,
+# first on the one frame reader and the one payload decoder every
+# durable file (model, checkpoint, journal, WAL, baseline, suite) is
+# read through: each must fail with a documented error or round-trip,
+# and a payload the decoder accepts must re-encode to its own bytes.
+go test -run='^$' -fuzz='^FuzzReadFrame$' -fuzztime=7s ./internal/framelog/
+go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=7s ./internal/framelog/
 
 echo "== model and baseline loader fuzz =="
-# The three loaders behind it: a network, checkpoint or score baseline
-# payload must load or fail with an error, never panic or allocate what
-# its geometry declares. The targets frame their input themselves and
-# are seeded with real payloads (and the hostile layers), so mutations
-# reach the checks behind the CRC instead of stopping at it.
-go test -run='^$' -fuzz='^FuzzLoadNetwork$' -fuzztime=8s ./internal/nn/
-go test -run='^$' -fuzz='^FuzzLoadCheckpoint$' -fuzztime=8s ./internal/nn/
-go test -run='^$' -fuzz='^FuzzLoadBaseline$' -fuzztime=8s ./internal/qualitymon/
+# The three loaders behind them: a network, checkpoint or score
+# baseline payload must load or fail with an error, never panic or
+# allocate what its geometry declares. The targets frame their input
+# themselves and are seeded with real payloads (the golden files' among
+# them, and the hostile layers), so mutations reach the checks behind
+# the CRC instead of stopping at it.
+go test -run='^$' -fuzz='^FuzzLoadNetwork$' -fuzztime=7s ./internal/nn/
+go test -run='^$' -fuzz='^FuzzLoadCheckpoint$' -fuzztime=7s ./internal/nn/
+go test -run='^$' -fuzz='^FuzzLoadBaseline$' -fuzztime=7s ./internal/qualitymon/
 
 echo "== layout fuzz =="
 # The two layout readers (every POST /score body is GLT, and a GDSII
@@ -173,10 +177,10 @@ echo "== layout fuzz =="
 # layout once read: ClipAt must return the clips a brute-force window
 # filter returns, and a clip's fingerprint must survive any translation
 # and never collide across different canonical geometry.
-go test -run='^$' -fuzz='^FuzzParseGLT$' -fuzztime=8s ./internal/layout/
-go test -run='^$' -fuzz='^FuzzGDSIIRead$' -fuzztime=8s ./internal/gdsii/
-go test -run='^$' -fuzz='^FuzzClipAtMatchesBruteForce$' -fuzztime=8s ./internal/layout/
-go test -run='^$' -fuzz='^FuzzClipFingerprint$' -fuzztime=8s ./internal/layout/
+go test -run='^$' -fuzz='^FuzzParseGLT$' -fuzztime=7s ./internal/layout/
+go test -run='^$' -fuzz='^FuzzGDSIIRead$' -fuzztime=7s ./internal/gdsii/
+go test -run='^$' -fuzz='^FuzzClipAtMatchesBruteForce$' -fuzztime=7s ./internal/layout/
+go test -run='^$' -fuzz='^FuzzClipFingerprint$' -fuzztime=7s ./internal/layout/
 
 echo "== matmul kernel fuzz =="
 # The two faces of the hand-written matmul kernel. The plain product is
@@ -186,8 +190,8 @@ echo "== matmul kernel fuzz =="
 # themselves, stride its left operand and carry sums on from one call to
 # the next: both kernels must agree with the scalar loop on whatever
 # shape, strides, offsets and starting sums the engine finds.
-go test -run='^$' -fuzz='^FuzzMatMulKernel$' -fuzztime=8s ./internal/tensor/
-go test -run='^$' -fuzz='^FuzzAddressedKernel$' -fuzztime=8s ./internal/tensor/
+go test -run='^$' -fuzz='^FuzzMatMulKernel$' -fuzztime=7s ./internal/tensor/
+go test -run='^$' -fuzz='^FuzzAddressedKernel$' -fuzztime=7s ./internal/tensor/
 
 echo "== trace store race =="
 # The trace store and tail sampler are hit from every request

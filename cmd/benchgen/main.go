@@ -1,5 +1,6 @@
 // Command benchgen generates a synthetic ICCAD-2012-style benchmark suite
-// and writes it to a gob file for the other tools to consume.
+// and writes it to a suite file (a framelog frame) for the other tools
+// to consume.
 //
 // Usage:
 //

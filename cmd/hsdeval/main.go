@@ -38,7 +38,7 @@ func main() {
 }
 
 func run() error {
-	suitePath := flag.String("suite", "", "suite gob file (empty = generate)")
+	suitePath := flag.String("suite", "", "suite file (empty = generate)")
 	seed := flag.Int64("seed", 1, "generation seed when -suite is empty")
 	small := flag.Bool("small", false, "generate the miniature suite")
 	figures := flag.Bool("figures", false, "also regenerate figure data (slower)")

@@ -49,7 +49,7 @@ func main() {
 }
 
 func run() error {
-	suitePath := flag.String("suite", "suite.gob", "suite gob file")
+	suitePath := flag.String("suite", "suite.gob", "suite file")
 	benchName := flag.String("bench", "", "benchmark name (default: first)")
 	detName := flag.String("detector", "MLP", "zoo detector name (must be neural: the retrained model is saved and gate-loaded)")
 	seed := flag.Int64("seed", 1, "training seed (base model and every retrain)")

@@ -49,7 +49,7 @@ func main() {
 }
 
 func run() error {
-	suitePath := flag.String("suite", "suite.gob", "suite gob file for training")
+	suitePath := flag.String("suite", "suite.gob", "suite file for training")
 	benchName := flag.String("bench", "", "training benchmark (default: first)")
 	detName := flag.String("detector", "AdaBoost", "zoo detector name")
 	chipPath := flag.String("chip", "", "chip layout in GLT format (empty = generate)")

@@ -92,7 +92,7 @@ func main() {
 }
 
 func run() error {
-	suitePath := flag.String("suite", "suite.gob", "suite gob file for training")
+	suitePath := flag.String("suite", "suite.gob", "suite file for training")
 	benchName := flag.String("bench", "", "training benchmark (default: first)")
 	detName := flag.String("detector", "AdaBoost", "zoo detector name (primary)")
 	fallbackName := flag.String("fallback", "", "zoo detector serving degraded verdicts when the primary fails (empty: no fallback)")

@@ -48,7 +48,7 @@ func main() {
 }
 
 func run() error {
-	suitePath := flag.String("suite", "suite.gob", "suite gob file")
+	suitePath := flag.String("suite", "suite.gob", "suite file")
 	benchName := flag.String("bench", "", "benchmark name (default: first)")
 	detName := flag.String("detector", "CNN-biased", "zoo detector name")
 	seed := flag.Int64("seed", 1, "training seed")
@@ -239,7 +239,7 @@ func writeQualityBaseline(path string, det hsd.Detector, train []hsd.LabeledClip
 		}
 		scores = append(scores, sc)
 	}
-	b := &qualitymon.Baseline{Version: 1, Entries: []qualitymon.BaselineEntry{
+	b := &qualitymon.Baseline{Entries: []qualitymon.BaselineEntry{
 		qualitymon.NewBaselineEntry(det.Name(), "primary", scores, bins),
 	}}
 	for stage, ss := range stageScores {

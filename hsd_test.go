@@ -2,6 +2,8 @@ package hsd
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -217,11 +219,16 @@ func TestSurveyShape(t *testing.T) {
 
 func TestSuiteSaveLoadRoundTrip(t *testing.T) {
 	b := facadeBenchmark(t)
-	var buf bytes.Buffer
-	if err := SaveSuite(&buf, facadeSuite); err != nil {
+	path := filepath.Join(t.TempDir(), "suite.gob")
+	if err := SaveSuiteFile(path, facadeSuite); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadSuite(&buf)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := LoadSuite(f)
 	if err != nil {
 		t.Fatal(err)
 	}

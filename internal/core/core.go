@@ -62,8 +62,6 @@ type AugmentConfig struct {
 	UpsampleFactor int
 	// Mirror adds X- and Y-mirrored variants of hotspot clips.
 	Mirror bool
-	// Rotate adds the 90-degree rotation of hotspot clips.
-	Rotate bool
 }
 
 // AugmentMinority expands the hotspot class of a training set. Geometry
@@ -82,9 +80,6 @@ func AugmentMinority(train []LabeledClip, cfg AugmentConfig) []LabeledClip {
 		variants := []layout.Clip{}
 		if cfg.Mirror {
 			variants = append(variants, features.MirrorClipX(s.Clip), features.MirrorClipY(s.Clip))
-		}
-		if cfg.Rotate {
-			variants = append(variants, features.Rotate90Clip(s.Clip))
 		}
 		// Duplicate the original up to the upsample factor, cycling
 		// through transformed variants for diversity when available.

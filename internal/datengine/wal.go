@@ -24,9 +24,8 @@ import (
 	"github.com/golitho/hsd/internal/layout"
 )
 
-// walFormat: the header frame carries gob(Meta), record frames
-// gob(Record).
-var walFormat = framelog.Format{Header: "HSDLWh1\n", Record: "HSDLWr1\n"}
+// walFormat: the header frame carries Meta, record frames Record.
+var walFormat = framelog.Format{Header: "HSDLWh2\n", Record: "HSDLWr2\n"}
 
 // Meta binds a WAL to one learning loop. The detector identity must
 // match for a resume to be sound: candidates mined under one detector
@@ -82,8 +81,8 @@ const (
 	OutcomeRejected = "rejected"
 )
 
-// Record is one journaled event. A single struct covers every kind so
-// the gob stream stays self-describing; unused fields are zero.
+// Record is one journaled event. A single struct covers every kind, so
+// one record frame type carries them all; unused fields are zero.
 type Record struct {
 	Kind RecordKind
 

@@ -1,6 +1,8 @@
 package datengine
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -41,7 +43,7 @@ func testRecords(n int) []Record {
 }
 
 // goldenRecords covers every record kind; testdata/golden.wal holds
-// them as written at the parent commit (before framelog).
+// them.
 func goldenRecords() []Record {
 	recs := testRecords(3)
 	return append(recs,
@@ -96,8 +98,58 @@ func TestWALRoundTrip(t *testing.T) {
 	checkWAL(t, writeTestWAL(t, meta, goldenRecords()), meta, goldenRecords())
 }
 
+// TestWALGolden: the golden WAL loads to goldenRecords, and a WAL of
+// its decoded values has its bytes. golden.wal.v1 is the same WAL in the
+// gob format the codec replaced (itself first written before framelog
+// existed); it holds the same values, floats by their bits.
 func TestWALGolden(t *testing.T) {
-	checkWAL(t, "testdata/golden.wal", Meta{Detector: "cnn"}, goldenRecords())
+	const path = "testdata/golden.wal"
+	checkWAL(t, path, Meta{Detector: "cnn"}, goldenRecords())
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, recs := loadWAL(t, path)
+	if again, _ := os.ReadFile(writeTestWAL(t, meta, recs)); !bytes.Equal(again, golden) {
+		t.Fatal("the golden WAL does not re-encode to its own bytes")
+	}
+	oldMeta, oldRecs := gobV1Log[Meta, Record](t, path+".v1", framelog.Format{Header: "HSDLWh1\n", Record: "HSDLWr1\n"})
+	if oldMeta != meta || !reflect.DeepEqual(oldRecs, recs) {
+		t.Fatal("golden.wal.v1 holds other values than golden.wal")
+	}
+	if again, _ := os.ReadFile(writeTestWAL(t, oldMeta, oldRecs)); !bytes.Equal(again, golden) {
+		t.Fatal("golden.wal.v1's values do not encode to golden.wal")
+	}
+}
+
+// gobV1Log reads a log of the gob format the codec replaced: one frame
+// under the header magic, then record frames, each payload its own gob
+// stream. Gob matches fields by name.
+func gobV1Log[M, R any](t *testing.T, path string, format framelog.Format) (M, []R) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(data)
+	decode := func(magic string, v any) {
+		payload, err := framelog.ReadFrame(r, magic)
+		if err == nil {
+			err = gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var meta M
+	decode(format.Header, &meta)
+	var recs []R
+	for r.Len() > 0 {
+		var rec R
+		decode(format.Record, &rec)
+		recs = append(recs, rec)
+	}
+	return meta, recs
 }
 
 func TestWALMetaMismatch(t *testing.T) {

@@ -344,25 +344,6 @@ func MirrorClipY(clip layout.Clip) layout.Clip {
 	return out
 }
 
-// Rotate90Clip rotates a square clip's geometry 90 degrees counter-
-// clockwise about its window centre.
-func Rotate90Clip(clip layout.Clip) layout.Clip {
-	cx2 := clip.Window.Min.X + clip.Window.Max.X
-	cy2 := clip.Window.Min.Y + clip.Window.Max.Y
-	rot := func(r geom.Rect) geom.Rect {
-		// Translate centre to origin (doubled coords), rotate, translate back.
-		x0, y0 := 2*r.Min.X-cx2, 2*r.Min.Y-cy2
-		x1, y1 := 2*r.Max.X-cx2, 2*r.Max.Y-cy2
-		return geom.R((-y0+cx2)/2, (x0+cy2)/2, (-y1+cx2)/2, (x1+cy2)/2)
-	}
-	out := layout.Clip{Window: clip.Window, Core: rot(clip.Core)}
-	out.Shapes = make([]geom.Rect, len(clip.Shapes))
-	for i, s := range clip.Shapes {
-		out.Shapes[i] = rot(s)
-	}
-	return out
-}
-
 func mirrorRectX(r geom.Rect, axisX2 int) geom.Rect {
 	return geom.R(axisX2-r.Min.X, r.Min.Y, axisX2-r.Max.X, r.Max.Y)
 }

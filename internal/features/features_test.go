@@ -145,7 +145,14 @@ func TestCCASCenterRing(t *testing.T) {
 func TestCCASRotationTolerance(t *testing.T) {
 	// CCAS ring sums should be invariant under 90-degree rotation.
 	clip := testClip(t, geom.R(100, 460, 400, 560), geom.R(600, 200, 700, 820))
-	rot := Rotate90Clip(clip)
+	// Rotate counter-clockwise about the window centre, in doubled
+	// coordinates so the centre is on the grid.
+	cx2, cy2 := clip.Window.Min.X+clip.Window.Max.X, clip.Window.Min.Y+clip.Window.Max.Y
+	rot := layout.Clip{Window: clip.Window}
+	for _, r := range clip.Shapes {
+		rot.Shapes = append(rot.Shapes, geom.R((cx2+cy2-2*r.Min.Y)/2, (cy2-cx2+2*r.Min.X)/2,
+			(cx2+cy2-2*r.Max.Y)/2, (cy2-cx2+2*r.Max.X)/2))
+	}
 	c := &CCAS{Rings: 6, Sectors: 8}
 	a, err := c.Extract(clip)
 	if err != nil {
@@ -295,30 +302,6 @@ func TestMirrorClipMatchesImageMirror(t *testing.T) {
 				t.Fatalf("mirror mismatch at (%d,%d)", gx, gy)
 			}
 		}
-	}
-}
-
-func TestRotate90ClipFourTimes(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 20; i++ {
-		clip := randomClip(t, rng)
-		r := Rotate90Clip(Rotate90Clip(Rotate90Clip(Rotate90Clip(clip))))
-		for j := range clip.Shapes {
-			if clip.Shapes[j] != r.Shapes[j] {
-				t.Fatalf("four rotations differ: %v vs %v", clip.Shapes[j], r.Shapes[j])
-			}
-		}
-	}
-}
-
-func TestRotate90ClipPreservesArea(t *testing.T) {
-	clip := testClip(t, geom.R(100, 200, 300, 260))
-	rot := Rotate90Clip(clip)
-	if rot.Shapes[0].Area() != clip.Shapes[0].Area() {
-		t.Fatal("rotation changed area")
-	}
-	if rot.Window != clip.Window {
-		t.Fatal("rotation changed window")
 	}
 }
 

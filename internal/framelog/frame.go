@@ -1,9 +1,10 @@
 // Package framelog is the repo's one durable-record library: the frame
-// codec every on-disk format shares, the Meta-bound append-only log
-// behind the scan journal and the learn WAL, the single-frame File behind
-// the network, checkpoint and quality-baseline files, and the atomic file
-// writer behind every whole-file save. DESIGN.md "On-disk formats" lists
-// the formats built on it.
+// every on-disk format shares, the one payload codec inside it
+// (codec.go), the Meta-bound append-only log behind the scan journal and
+// the learn WAL, the single-frame File behind the network, checkpoint,
+// quality-baseline and suite files, and the atomic file writer behind
+// every whole-file save. DESIGN.md "On-disk formats" lists the formats
+// built on it.
 //
 // A frame is
 //
@@ -46,22 +47,28 @@ func frameLen(magic string, payload []byte) int64 {
 	return int64(len(magic) + lenCRCLen + len(payload))
 }
 
-// WriteFrame emits one frame.
+// WriteFrame emits one frame in a single Write.
 func WriteFrame(w io.Writer, magic string, payload []byte) error {
-	if len(payload) > MaxPayload {
-		return fmt.Errorf("framelog: payload of %d bytes exceeds the %d-byte frame bound", len(payload), MaxPayload)
+	frame, err := encodeFrame(magic, payload)
+	if err != nil {
+		return err
 	}
-	header := make([]byte, len(magic)+lenCRCLen)
-	copy(header, magic)
-	binary.BigEndian.PutUint64(header[len(magic):], uint64(len(payload)))
-	binary.BigEndian.PutUint32(header[len(magic)+8:], crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(header); err != nil {
-		return fmt.Errorf("framelog: write frame header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("framelog: write frame payload: %w", err)
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("framelog: write frame: %w", err)
 	}
 	return nil
+}
+
+// encodeFrame returns the frame carrying payload under magic.
+func encodeFrame(magic string, payload []byte) ([]byte, error) {
+	if len(payload) > MaxPayload {
+		return nil, fmt.Errorf("framelog: payload of %d bytes exceeds the %d-byte frame bound", len(payload), MaxPayload)
+	}
+	dst := make([]byte, 0, frameLen(magic, payload))
+	dst = append(dst, magic...)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(len(payload)))
+	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...), nil
 }
 
 // ReadFrame consumes one frame opening with magic and returns its

@@ -14,10 +14,11 @@ import (
 	"testing"
 )
 
-// magics are the seven formats built on the codec (DESIGN.md "On-disk
-// formats"); the packages that own them are not importable from here.
+// magics are the eight frame types of the repo's formats (DESIGN.md
+// "On-disk formats"); the packages that own them are not importable
+// from here.
 var magics = []string{
-	"HSDNNv2\n", "HSDCKv1\n", "HSDSJh1\n", "HSDSJr1\n", "HSDLWh1\n", "HSDLWr1\n", "HSDQBv1\n",
+	"HSDNNv3\n", "HSDCKv2\n", "HSDSJh2\n", "HSDSJr2\n", "HSDLWh2\n", "HSDLWr2\n", "HSDQBv2\n", "HSDSTv1\n",
 }
 
 type testMeta struct {
@@ -32,7 +33,7 @@ type testRec struct {
 }
 
 var (
-	testFormat = Format{Header: "HSDSJh1\n", Record: "HSDSJr1\n"}
+	testFormat = Format{Header: "HSDSJh2\n", Record: "HSDSJr2\n"}
 	testHeader = testMeta{Run: "chip", Rows: 4}
 )
 
@@ -102,7 +103,7 @@ func TestFrameHeaderBytes(t *testing.T) {
 // TestFrameEveryTruncationAndBitFlip: no proper prefix and no single
 // bit flip of a frame ever reads back as a frame.
 func TestFrameEveryTruncationAndBitFlip(t *testing.T) {
-	const magic = "HSDNNv2\n"
+	const magic = "HSDNNv3\n"
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, magic, []byte("a payload long enough to tear")); err != nil {
 		t.Fatal(err)
@@ -135,10 +136,10 @@ func TestFrameEveryTruncationAndBitFlip(t *testing.T) {
 // TestReadFrameAllocationFollowsInput: a 20-byte frame declaring 1 GiB
 // is torn, and finding that out allocates next to nothing.
 func TestReadFrameAllocationFollowsInput(t *testing.T) {
-	frame := []byte("HSDSJr1\n\x00\x00\x00\x00\x40\x00\x00\x00\xde\xad\xbe\xef")
+	frame := []byte("HSDSJr2\n\x00\x00\x00\x00\x40\x00\x00\x00\xde\xad\xbe\xef")
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := ReadFrame(bytes.NewReader(frame), "HSDSJr1\n")
+	_, err := ReadFrame(bytes.NewReader(frame), "HSDSJr2\n")
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ErrTorn) {
 		t.Fatalf("err = %v, want ErrTorn", err)
@@ -147,7 +148,7 @@ func TestReadFrameAllocationFollowsInput(t *testing.T) {
 		t.Fatalf("allocated %d bytes reading a %d-byte input", got, len(frame))
 	}
 	frame[8] = 0x01 // 1<<56: over the bound, refused before any read
-	if _, err := ReadFrame(bytes.NewReader(frame), "HSDSJr1\n"); !errors.Is(err, ErrChecksum) {
+	if _, err := ReadFrame(bytes.NewReader(frame), "HSDSJr2\n"); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("implausible length: err = %v, want ErrChecksum", err)
 	}
 }
@@ -258,7 +259,7 @@ func TestWriteFileAtomic(t *testing.T) {
 // TestFile: a single-frame file round-trips through Save and Load, and
 // every way it can be absent or damaged is one of the documented errors.
 func TestFile(t *testing.T) {
-	format := File[testRec]{Magic: "HSDQBv1\n"}
+	format := File[testRec]{Magic: "HSDQBv2\n"}
 	path := filepath.Join(t.TempDir(), "model.qb")
 	want := testRecs()[0]
 	if err := format.Save(path, want); err != nil {
@@ -280,7 +281,7 @@ func TestFile(t *testing.T) {
 	}{
 		{"empty", nil, ErrTorn},
 		{"cut", full[:len(full)-1], ErrTorn},
-		{"other magic", append([]byte("HSDNNv2\n"), full[8:]...), ErrBadMagic},
+		{"other magic", append([]byte("HSDNNv3\n"), full[8:]...), ErrBadMagic},
 	} {
 		if _, err := format.Read(bytes.NewReader(tc.data)); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)

@@ -2,8 +2,6 @@ package framelog
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -12,7 +10,8 @@ import (
 )
 
 // Format names the two frame magics of one log file type: the header
-// frame carries gob(M), every later frame gob(R).
+// frame carries the encoding of M (codec.go), every later frame that of
+// R.
 type Format struct{ Header, Record string }
 
 // ErrMetaMismatch is returned by Resume when the file's header Meta is
@@ -29,6 +28,12 @@ type Log[R any] struct {
 	tail   Tail
 	mu     sync.Mutex
 	f      *os.File
+	// end is the offset just past the last intact frame: where the next
+	// frame goes, and where a failed append is cut back to.
+	end int64
+	// broken latches a failed append that could not be cut back; every
+	// later Append refuses with it.
+	broken error
 }
 
 // Tail describes where a loaded log's intact prefix ends.
@@ -44,7 +49,7 @@ type Tail struct {
 // header frame: the file and its directory entry are fsynced before
 // Create returns.
 func Create[M comparable, R any](path string, format Format, meta M) (*Log[R], error) {
-	payload, err := gobEncode(meta)
+	payload, err := marshal(meta)
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +66,7 @@ func Create[M comparable, R any](path string, format Format, meta M) (*Log[R], e
 		return nil, fmt.Errorf("framelog: fsync %s: %w", path, err)
 	}
 	syncDir(path)
-	return &Log[R]{path: path, record: format.Record, f: f}, nil
+	return &Log[R]{path: path, record: format.Record, f: f, end: frameLen(format.Header, payload)}, nil
 }
 
 // Load reads the log at path without modifying it. A bad header frame
@@ -82,7 +87,7 @@ func Load[M comparable, R any](path string, format Format) (M, []R, Tail, error)
 
 	payload, err := ReadFrame(br, format.Header)
 	if err == nil {
-		err = gobDecode(payload, &meta)
+		meta, err = unmarshal[M](payload)
 	}
 	if err != nil {
 		return meta, nil, Tail{}, fmt.Errorf("framelog: %s header: %w", path, err)
@@ -94,8 +99,8 @@ func Load[M comparable, R any](path string, format Format) (M, []R, Tail, error)
 		if err != nil {
 			break // clean EOF, or a bad frame: the intact prefix ends here
 		}
-		var rec R
-		if err := gobDecode(payload, &rec); err != nil {
+		rec, err := unmarshal[R](payload)
+		if err != nil {
 			break
 		}
 		records = append(records, rec)
@@ -124,29 +129,42 @@ func Resume[M comparable, R any](path string, format Format, meta M) (*Log[R], [
 		f.Close()
 		return nil, nil, fmt.Errorf("framelog: truncate %s at %d: %w", path, tail.Offset, err)
 	}
-	if _, err := f.Seek(tail.Offset, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("framelog: seek %s: %w", path, err)
-	}
-	return &Log[R]{path: path, record: format.Record, tail: tail, f: f}, records, nil
+	return &Log[R]{path: path, record: format.Record, tail: tail, f: f, end: tail.Offset}, records, nil
 }
 
-// Append durably records rec: the frame is written and fsynced before
-// Append returns, so the record survives any later crash.
+// Append durably records rec: the frame is written, in one write at the
+// end of the intact prefix, and fsynced before Append returns, so the
+// record survives any later crash. A failed write or fsync is cut back
+// off the file, so a later Append is not stranded behind a torn frame;
+// if the cut fails too, the log refuses every later Append.
 func (l *Log[R]) Append(rec R) error {
-	payload, err := gobEncode(rec)
+	payload, err := marshal(rec)
+	if err != nil {
+		return err
+	}
+	frame, err := encodeFrame(l.record, payload)
 	if err != nil {
 		return err
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := WriteFrame(l.f, l.record, payload); err != nil {
-		return err
+	if l.broken != nil {
+		return fmt.Errorf("framelog: %s refuses appends after a failed one: %w", l.path, l.broken)
 	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("framelog: fsync %s: %w", l.path, err)
+	if _, err = l.f.WriteAt(frame, l.end); err != nil {
+		err = fmt.Errorf("framelog: append to %s: %w", l.path, err)
+	} else if err = l.f.Sync(); err != nil {
+		err = fmt.Errorf("framelog: fsync %s: %w", l.path, err)
 	}
-	return nil
+	if err == nil {
+		l.end += int64(len(frame))
+		return nil
+	}
+	if terr := l.f.Truncate(l.end); terr != nil {
+		l.broken = errors.Join(err, fmt.Errorf("framelog: truncate %s at %d: %w", l.path, l.end, terr))
+		return l.broken
+	}
+	return err
 }
 
 // Tail reports what Resume truncated; zero for a log from Create.
@@ -160,13 +178,14 @@ func (l *Log[R]) Close() error {
 }
 
 // File is a single-frame file format: one frame opening with Magic and
-// carrying gob(T). The payload encoding is framelog's to choose; the
-// caller keeps its own checks on the decoded value.
+// carrying the encoding of T (codec.go). The payload encoding is
+// framelog's to choose; the caller keeps its own checks on the decoded
+// value.
 type File[T any] struct{ Magic string }
 
 // Write emits v as one frame.
 func (f File[T]) Write(w io.Writer, v T) error {
-	payload, err := gobEncode(v)
+	payload, err := marshal(v)
 	if err != nil {
 		return err
 	}
@@ -176,15 +195,15 @@ func (f File[T]) Write(w io.Writer, v T) error {
 // Read consumes one frame and decodes its payload. Input that ends
 // before the frame does is ErrTorn, even when it is empty.
 func (f File[T]) Read(r io.Reader) (T, error) {
-	var v T
 	payload, err := ReadFrame(r, f.Magic)
 	if err == io.EOF {
 		err = fmt.Errorf("%w: empty input", ErrTorn)
 	}
-	if err == nil {
-		err = gobDecode(payload, &v)
+	if err != nil {
+		var zero T
+		return zero, err
 	}
-	return v, err
+	return unmarshal[T](payload)
 }
 
 // Save writes v to path through WriteFileAtomic.
@@ -206,19 +225,4 @@ func (f File[T]) Load(path string) (T, error) {
 		return v, fmt.Errorf("framelog: load %s: %w", path, err)
 	}
 	return v, nil
-}
-
-func gobEncode(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("framelog: encode %T: %w", v, err)
-	}
-	return buf.Bytes(), nil
-}
-
-func gobDecode(payload []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
-		return fmt.Errorf("framelog: decode %T: %w", v, err)
-	}
-	return nil
 }

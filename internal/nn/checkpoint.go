@@ -33,7 +33,6 @@ type Checkpoint struct {
 
 // ckptFile is the payload of a checkpoint file.
 type ckptFile struct {
-	Version int
 	Epoch   int
 	Seed    int64
 	History []EpochStats
@@ -42,9 +41,7 @@ type ckptFile struct {
 }
 
 // ckptFormat is the checkpoint file (DESIGN.md "On-disk formats").
-var ckptFormat = framelog.File[ckptFile]{Magic: "HSDCKv1\n"}
-
-const ckptVersion = 1
+var ckptFormat = framelog.File[ckptFile]{Magic: "HSDCKv2\n"}
 
 // captureCheckpoint snapshots the run without mutating it.
 func captureCheckpoint(net *Network, cfg *TrainConfig, epoch int, history []EpochStats) (*Checkpoint, error) {
@@ -94,7 +91,6 @@ func (c *Checkpoint) apply(net *Network, cfg *TrainConfig) error {
 // file is c's on-disk form. Like Save, it never mutates the run.
 func (c *Checkpoint) file() ckptFile {
 	return ckptFile{
-		Version: ckptVersion,
 		Epoch:   c.Epoch,
 		Seed:    c.Seed,
 		History: c.History,
@@ -105,9 +101,6 @@ func (c *Checkpoint) file() ckptFile {
 
 // checkpoint checks a decoded file and returns the run state it holds.
 func (file ckptFile) checkpoint() (*Checkpoint, error) {
-	if file.Version != ckptVersion {
-		return nil, fmt.Errorf("nn: unsupported checkpoint version %d", file.Version)
-	}
 	if file.Epoch < 0 || file.Epoch != len(file.History) {
 		return nil, fmt.Errorf("nn: checkpoint epoch %d does not match history length %d", file.Epoch, len(file.History))
 	}

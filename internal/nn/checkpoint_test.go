@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -473,10 +474,27 @@ func TestSaveCheckpointDoesNotMutate(t *testing.T) {
 	}
 }
 
-// TestCheckpointGolden: a checkpoint written at the parent commit
-// (before framelog) loads to the run state it captured and restores
-// into the architecture it was taken from.
+// TestCheckpointGolden: the golden checkpoint loads to the run state it
+// captured, re-encodes to its own bytes and restores into the
+// architecture it was taken from. golden.hsdck.v1 is the same checkpoint
+// in the gob format it replaced (itself first written before framelog
+// existed), and holds the same value, floats by their bits.
 func TestCheckpointGolden(t *testing.T) {
+	golden, err := os.ReadFile("testdata/golden.hsdck")
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := ckptFormat.Load("testdata/golden.hsdck")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(framed(ckptFormat, file), golden) {
+		t.Fatal("the golden checkpoint does not re-encode to its own bytes")
+	}
+	if old := gobV1[ckptFile](t, "testdata/golden.hsdck.v1", "HSDCKv1\n"); !reflect.DeepEqual(old, file) ||
+		!bytes.Equal(framed(ckptFormat, old), golden) {
+		t.Fatal("golden.hsdck.v1 holds another checkpoint than golden.hsdck")
+	}
 	ck, err := LoadCheckpointFile("testdata/golden.hsdck")
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"os"
 	"testing"
 
 	"github.com/golitho/hsd/internal/framelog"
@@ -20,6 +21,20 @@ func fuzzSeedNet(f *testing.F) *Network {
 		f.Fatal(err)
 	}
 	return net
+}
+
+// goldenPayload is the payload of a testdata golden file under magic.
+func goldenPayload(f *testing.F, path, magic string) []byte {
+	f.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	payload, err := framelog.ReadFrame(bytes.NewReader(data), magic)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return payload
 }
 
 // reframe wraps payload in a fresh, CRC-consistent frame. The fuzz
@@ -44,16 +59,16 @@ func FuzzLoadNetwork(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2]) // cut mid-payload
 	f.Add(valid[:32])
+	f.Add(goldenPayload(f, "testdata/golden.net", netFormat.Magic))
 	f.Add([]byte{})
-	f.Add([]byte("garbage gob"))
+	f.Add([]byte("garbage"))
 	f.Add([]byte("not a model file"))
-	f.Add(payloadOf(netFormat, netFile{Version: 99}))
-	f.Add(payloadOf(netFormat, netFile{Version: formatVersion}))
+	f.Add(payloadOf(netFormat, netFile{}))
 	// A checkpoint's payload is not a network's.
-	f.Add(payloadOf(ckptFormat, ckptFile{Version: ckptVersion}))
-	f.Add(payloadOf(netFormat, netFile{Version: formatVersion, Layers: deferredDropout()}))
+	f.Add(payloadOf(ckptFormat, ckptFile{}))
+	f.Add(payloadOf(netFormat, netFile{Layers: deferredDropout()}))
 	for _, c := range hostileLayers() {
-		f.Add(payloadOf(netFormat, netFile{Version: formatVersion, Layers: []snapshot{c.s}}))
+		f.Add(payloadOf(netFormat, netFile{Layers: []snapshot{c.s}}))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -96,10 +111,10 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	valid := payloadOf(ckptFormat, ck.file())
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
+	f.Add(goldenPayload(f, "testdata/golden.hsdck", ckptFormat.Magic))
 	f.Add([]byte{})
-	f.Add([]byte("garbage gob"))
-	f.Add(payloadOf(ckptFormat, ckptFile{Version: ckptVersion, Epoch: 3}))
-	f.Add(payloadOf(ckptFormat, ckptFile{Version: ckptVersion + 1}))
+	f.Add([]byte("garbage"))
+	f.Add(payloadOf(ckptFormat, ckptFile{Epoch: 3}))
 	// A network's payload is not a checkpoint's.
 	file, err := newNetFile(fuzzSeedNet(f))
 	if err != nil {
@@ -107,7 +122,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	}
 	f.Add(payloadOf(netFormat, file))
 	for _, c := range hostileLayers() {
-		f.Add(payloadOf(ckptFormat, ckptFile{Version: ckptVersion, Layers: []snapshot{c.s}}))
+		f.Add(payloadOf(ckptFormat, ckptFile{Layers: []snapshot{c.s}}))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -2,7 +2,8 @@
 // hotspot detection: dense and convolutional layers over float64
 // minibatches, softmax cross-entropy with the biased-learning variant of
 // the hotspot literature, SGD/Adam optimizers, and network and
-// checkpoint files declared as framelog single-frame formats.
+// checkpoint files declared as framelog single-frame formats, whose
+// bytes are a function of the saved state alone.
 //
 // Batches are tensor.Matrix values with one flattened sample per row.
 // Convolutional layers interpret rows in (C, H, W) channel-major order,

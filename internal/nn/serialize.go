@@ -16,30 +16,14 @@ type snapshot struct {
 	Floats [][]float64
 }
 
-const formatVersion = 1
-
 type netFile struct {
-	Version int
-	Layers  []snapshot
+	Layers []snapshot
 }
 
 // netFormat is the network file (DESIGN.md "On-disk formats"): one
 // framelog frame, so Load rejects truncated or bit-flipped files instead
-// of reconstructing garbage weights.
-var netFormat = framelog.File[netFile]{Magic: "HSDNNv2\n"}
-
-// init pins the gob wire-type ids of the network file format. Gob
-// allocates type ids from a process-global counter in first-encode
-// order, so without this the exact bytes of a saved network depend on
-// what else the process happened to gob-encode earlier (journal
-// records, WAL replay, checkpoints). Encoding a zero netFile here
-// allocates the format's ids at a fixed point — package init, before
-// any runtime traffic — which is what makes "a resumed run ships a
-// byte-identical model" hold across processes with different
-// histories.
-func init() {
-	_ = netFormat.Write(io.Discard, netFile{Layers: []snapshot{{}}})
-}
+// of reconstructing garbage weights. The magic is the format's version.
+var netFormat = framelog.File[netFile]{Magic: "HSDNNv3\n"}
 
 // Save serializes the network's architecture and weights. Save does not
 // mutate the network: saving the same state twice produces identical
@@ -92,7 +76,7 @@ func snapshotNet(net *Network) ([]snapshot, error) {
 
 func newNetFile(net *Network) (netFile, error) {
 	layers, err := snapshotNet(net)
-	return netFile{Version: formatVersion, Layers: layers}, err
+	return netFile{Layers: layers}, err
 }
 
 // Load reconstructs a network saved with Save. The frame is
@@ -131,9 +115,6 @@ func LoadFile(path string) (*Network, error) {
 
 // network rebuilds the network a decoded file describes.
 func (file netFile) network() (*Network, error) {
-	if file.Version != formatVersion {
-		return nil, fmt.Errorf("nn: unsupported format version %d", file.Version)
-	}
 	net := &Network{}
 	for i, s := range file.Layers {
 		l, err := restoreLayer(s)

@@ -2,9 +2,11 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -37,7 +39,7 @@ func TestSaveFileAtomicRoundTrip(t *testing.T) {
 
 // TestLoadRejectsCorruption proves Load is wired through framelog's
 // integrity check (whose exhaustive suite lives there): a flipped
-// payload bit or a torn tail fails before gob sees the bytes.
+// payload bit or a torn tail fails before the decoder sees the bytes.
 func TestLoadRejectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Save(&buf, testNet(t)); err != nil {
@@ -53,10 +55,11 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestLoadGolden: a network file written at the parent commit (before
-// framelog) loads to the weights it was saved from, and saving that
-// network again reproduces the file byte for byte, which holds only
-// because init pins the format's gob type ids.
+// TestLoadGolden: the network file loads to the weights it was saved
+// from, and saving that network again reproduces the file byte for
+// byte. golden.net.v1 is the same network in the gob format it replaced
+// (itself first written before framelog existed); its value, decoded
+// by gob, is the new file's field for field, floats by their bits.
 func TestLoadGolden(t *testing.T) {
 	golden, err := os.ReadFile("testdata/golden.net")
 	if err != nil {
@@ -65,6 +68,14 @@ func TestLoadGolden(t *testing.T) {
 	net, err := LoadFile("testdata/golden.net")
 	if err != nil {
 		t.Fatal(err)
+	}
+	file, err := netFormat.Load("testdata/golden.net")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old := gobV1[netFile](t, "testdata/golden.net.v1", "HSDNNv2\n"); !reflect.DeepEqual(old, file) ||
+		!bytes.Equal(framed(netFormat, old), golden) {
+		t.Fatal("golden.net.v1 holds another network than golden.net")
 	}
 	want := ckptNet()
 	if len(net.Layers) != len(want.Layers) {
@@ -84,12 +95,33 @@ func TestLoadGolden(t *testing.T) {
 		t.Fatalf("dropout stream at (%d, %d), want (42, 256)", drop.seed, drop.draws)
 	}
 	if !bytes.Equal(saveBytes(t, net), golden) {
-		t.Fatal("re-saving the golden network does not reproduce the parent commit's bytes")
+		t.Fatal("re-saving the golden network does not reproduce its bytes")
 	}
 }
 
-// TestLoadRefusesRawGob: an unframed gob stream, the form network files
-// had before the frame existed, is refused at the magic.
+// gobV1 is the value a single-frame file of the gob format, the one
+// before the codec, holds under magic. Gob matches fields by name, so T
+// is the format's current type, without the Version field it dropped.
+func gobV1[T any](t *testing.T, path, magic string) T {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := framelog.ReadFrame(bytes.NewReader(data), magic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v T
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&v); err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// TestLoadRefusesRawGob: an unframed payload, the form network files
+// had (as a gob stream) before the frame existed, is refused at the
+// magic.
 func TestLoadRefusesRawGob(t *testing.T) {
 	file, err := newNetFile(testNet(t))
 	if err != nil {
@@ -158,7 +190,7 @@ func payloadOf[T any](format framelog.File[T], v T) []byte {
 
 // netBytes is a network file holding layers.
 func netBytes(layers ...snapshot) []byte {
-	return framed(netFormat, netFile{Version: formatVersion, Layers: layers})
+	return framed(netFormat, netFile{Layers: layers})
 }
 
 // readCheckpoint is LoadCheckpointFile on bytes instead of a path.
@@ -182,7 +214,7 @@ func TestLoadRefusesHostileGeometry(t *testing.T) {
 					return err
 				},
 				"checkpoint": func() error {
-					_, err := readCheckpoint(framed(ckptFormat, ckptFile{Version: ckptVersion, Layers: []snapshot{c.s}}))
+					_, err := readCheckpoint(framed(ckptFormat, ckptFile{Layers: []snapshot{c.s}}))
 					return err
 				},
 			}
@@ -224,11 +256,10 @@ func deferredDropout() []snapshot {
 	}
 }
 
-// TestLoadRejectsWrongVersion: a framed payload with an unknown format
-// version is refused after the integrity check.
+// TestLoadRejectsWrongVersion: the magic is the format's version, so a
+// file of the previous one is refused at it.
 func TestLoadRejectsWrongVersion(t *testing.T) {
-	_, err := Load(bytes.NewReader(framed(netFormat, netFile{Version: 99})))
-	if err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("err = %v, want unsupported version", err)
+	if _, err := LoadFile("testdata/golden.net.v1"); !errors.Is(err, framelog.ErrBadMagic) {
+		t.Fatalf("err = %v, want ErrBadMagic", err)
 	}
 }

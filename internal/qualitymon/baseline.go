@@ -16,9 +16,7 @@ import (
 )
 
 // baselineFormat is the quality-baseline file format.
-var baselineFormat = framelog.File[Baseline]{Magic: "HSDQBv1\n"}
-
-const baselineVersion = 1
+var baselineFormat = framelog.File[Baseline]{Magic: "HSDQBv2\n"}
 
 // BaselineEntry is the reference distribution for one (detector, stage)
 // series: shared bin edges plus the training-split bin counts.
@@ -31,7 +29,6 @@ type BaselineEntry struct {
 
 // Baseline is the persisted snapshot: every series the trainer scored.
 type Baseline struct {
-	Version int
 	Entries []BaselineEntry
 }
 
@@ -78,9 +75,6 @@ func (b *Baseline) Sort() {
 }
 
 func (b *Baseline) validate() error {
-	if b.Version != baselineVersion {
-		return fmt.Errorf("qualitymon: unsupported baseline version %d", b.Version)
-	}
 	for _, e := range b.Entries {
 		if len(e.Counts) != len(e.Edges)+1 {
 			return fmt.Errorf("qualitymon: baseline entry %s/%s: %d counts for %d edges",
@@ -102,7 +96,6 @@ func (b *Baseline) validate() error {
 // fsync, atomic rename), entries sorted.
 func SaveBaselineFile(path string, b *Baseline) error {
 	cp := *b
-	cp.Version = baselineVersion
 	cp.Sort()
 	if err := cp.validate(); err != nil {
 		return err

@@ -2,12 +2,12 @@ package qualitymon
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"github.com/golitho/hsd/internal/framelog"
@@ -26,9 +26,6 @@ func checkBaseline(t *testing.T, path string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Version != baselineVersion {
-		t.Fatalf("version = %d, want %d", got.Version, baselineVersion)
-	}
 	want := testBaseline()
 	want.Sort()
 	if !reflect.DeepEqual(got.Entries, want.Entries) {
@@ -44,9 +41,54 @@ func TestBaselineRoundTrip(t *testing.T) {
 	checkBaseline(t, path)
 }
 
-// TestBaselineGolden: a sidecar written at the parent commit (before
-// framelog) loads to the baseline it was saved from.
-func TestBaselineGolden(t *testing.T) { checkBaseline(t, "testdata/golden.qb") }
+// TestBaselineGolden: the golden sidecar loads to the baseline it was
+// saved from and re-encodes to its own bytes. The two .v1 files are
+// sidecars in the gob format the codec replaced, golden.qb's (itself
+// first written before framelog existed) and the Router row's that
+// scripts/baseline_smoke.sh compares hsdtrain's output with; each holds
+// the value of its replacement, floats by their bits.
+func TestBaselineGolden(t *testing.T) {
+	checkBaseline(t, "testdata/golden.qb")
+	for golden, v1 := range map[string]string{
+		"testdata/golden.qb":                   "testdata/golden.qb.v1",
+		"../../scripts/baseline_router.golden": "testdata/baseline_router.v1",
+	} {
+		data, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := readBaseline(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(framed(*b), data) {
+			t.Errorf("%s does not re-encode to its own bytes", golden)
+		}
+		if old := gobV1(t, v1); !reflect.DeepEqual(old, *b) || !bytes.Equal(framed(old), data) {
+			t.Errorf("%s holds another baseline than %s", v1, golden)
+		}
+	}
+}
+
+// gobV1 is the baseline a sidecar of the gob format, the one before the
+// codec, holds. Gob matches fields by name, so Baseline need not carry
+// the Version field it dropped.
+func gobV1(t *testing.T, path string) Baseline {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := framelog.ReadFrame(bytes.NewReader(data), "HSDQBv1\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b Baseline
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
 
 func TestBaselineEntryOrderIndependent(t *testing.T) {
 	scores := []float64{0.9, 0.1, 0.5, 0.3, 0.7}
@@ -130,12 +172,10 @@ func TestBaselineValidates(t *testing.T) {
 	if err := SaveBaselineFile(path, bad); err == nil {
 		t.Fatalf("count/edge length mismatch accepted")
 	}
-	// A version this build does not know is refused at load.
-	if err := baselineFormat.Save(path, Baseline{Version: baselineVersion + 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadBaselineFile(path); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("err = %v, want unsupported version", err)
+	// The magic is the format's version: a sidecar of the previous one
+	// is refused at it.
+	if _, err := LoadBaselineFile("testdata/golden.qb.v1"); !errors.Is(err, framelog.ErrBadMagic) {
+		t.Fatalf("err = %v, want ErrBadMagic", err)
 	}
 }
 
@@ -153,9 +193,9 @@ func FuzzLoadBaseline(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte{})
-	f.Add([]byte("garbage gob"))
-	f.Add(payloadOf(Baseline{Version: baselineVersion + 1}))
-	f.Add(payloadOf(Baseline{Version: baselineVersion, Entries: []BaselineEntry{{
+	f.Add([]byte("garbage"))
+	f.Add(payloadOf(Baseline{}))
+	f.Add(payloadOf(Baseline{Entries: []BaselineEntry{{
 		Detector: "d", Stage: "s", Edges: []float64{0.5, 0.25}, Counts: []int64{1, 1, 1}}}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -196,13 +236,18 @@ func frame(payload []byte) []byte {
 	return buf.Bytes()
 }
 
-// payloadOf is the payload of the frame baselineFormat writes for b.
-func payloadOf(b Baseline) []byte {
+// framed is the frame baselineFormat writes for b.
+func framed(b Baseline) []byte {
 	var buf bytes.Buffer
 	if err := baselineFormat.Write(&buf, b); err != nil {
-		panic(err)
+		panic(err) // a bytes.Buffer write cannot fail
 	}
-	payload, err := framelog.ReadFrame(&buf, baselineFormat.Magic)
+	return buf.Bytes()
+}
+
+// payloadOf is the payload of the frame baselineFormat writes for b.
+func payloadOf(b Baseline) []byte {
+	payload, err := framelog.ReadFrame(bytes.NewReader(framed(b)), baselineFormat.Magic)
 	if err != nil {
 		panic(err)
 	}

@@ -404,7 +404,7 @@ func TestInstallBaselineSidecar(t *testing.T) {
 		t.Fatalf("missing sidecar logged %q", last)
 	}
 	// A damaged sidecar is a load failure, not a missing one.
-	if err := os.WriteFile(SidecarPath(model), []byte("HSDQBv1\n"), 0o644); err != nil {
+	if err := os.WriteFile(SidecarPath(model), []byte("HSDQBv2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	m.InstallBaselineSidecar(model)

@@ -14,9 +14,9 @@ import (
 	"github.com/golitho/hsd/internal/geom"
 )
 
-// journalFormat: the header frame carries gob(Meta), record frames
-// gob(ShardRecord).
-var journalFormat = framelog.Format{Header: "HSDSJh1\n", Record: "HSDSJr1\n"}
+// journalFormat: the header frame carries Meta, record frames
+// ShardRecord.
+var journalFormat = framelog.Format{Header: "HSDSJh2\n", Record: "HSDSJr2\n"}
 
 // Meta binds a journal to one specific scan. Every field must match for
 // a resume to be sound: a different chip, window geometry, or shard

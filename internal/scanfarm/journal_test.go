@@ -1,6 +1,8 @@
 package scanfarm
 
 import (
+	"bytes"
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -42,13 +44,19 @@ func testRecords() []ShardRecord {
 
 func writeTestJournal(t *testing.T) (string, Meta, []ShardRecord) {
 	t.Helper()
+	meta, recs := testMeta(), testRecords()
+	return writeJournal(t, meta, recs), meta, recs
+}
+
+// writeJournal journals recs under meta in a fresh file and returns its
+// path.
+func writeJournal(t *testing.T, meta Meta, recs []ShardRecord) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "scan.journal")
-	meta := testMeta()
 	j, err := CreateJournal(path, meta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := testRecords()
 	for _, r := range recs {
 		if err := j.Append(r); err != nil {
 			t.Fatal(err)
@@ -57,7 +65,7 @@ func writeTestJournal(t *testing.T) (string, Meta, []ShardRecord) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return path, meta, recs
+	return path
 }
 
 // loadJournal reads a journal without modifying it.
@@ -95,10 +103,62 @@ func TestJournalRoundTrip(t *testing.T) {
 	checkJournal(t, path, meta, recs)
 }
 
-// TestJournalGolden: a journal written at the parent commit (before
-// framelog) loads to the values it was written from.
+// TestJournalGolden: the golden journal loads to the values it was
+// written from, and journaling its decoded values again gives its bytes.
+// golden.journal.v1 is the same journal in the gob format the codec
+// replaced (itself first written before framelog existed); it holds the
+// same values, floats by their bits.
 func TestJournalGolden(t *testing.T) {
-	checkJournal(t, "testdata/golden.journal", testMeta(), testRecords())
+	const path = "testdata/golden.journal"
+	checkJournal(t, path, testMeta(), testRecords())
+	golden, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, recs, _, err := framelog.Load[Meta, ShardRecord](path, journalFormat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := os.ReadFile(writeJournal(t, meta, recs)); !bytes.Equal(again, golden) {
+		t.Fatal("the golden journal does not re-encode to its own bytes")
+	}
+	oldMeta, oldRecs := gobV1Log[Meta, ShardRecord](t, path+".v1", framelog.Format{Header: "HSDSJh1\n", Record: "HSDSJr1\n"})
+	if oldMeta != meta || !reflect.DeepEqual(oldRecs, recs) {
+		t.Fatal("golden.journal.v1 holds other values than golden.journal")
+	}
+	if again, _ := os.ReadFile(writeJournal(t, oldMeta, oldRecs)); !bytes.Equal(again, golden) {
+		t.Fatal("golden.journal.v1's values do not encode to golden.journal")
+	}
+}
+
+// gobV1Log reads a log of the gob format the codec replaced: one frame
+// under the header magic, then record frames, each payload its own gob
+// stream. Gob matches fields by name.
+func gobV1Log[M, R any](t *testing.T, path string, format framelog.Format) (M, []R) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(data)
+	decode := func(magic string, v any) {
+		payload, err := framelog.ReadFrame(r, magic)
+		if err == nil {
+			err = gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var meta M
+	decode(format.Header, &meta)
+	var recs []R
+	for r.Len() > 0 {
+		var rec R
+		decode(format.Record, &rec)
+		recs = append(recs, rec)
+	}
+	return meta, recs
 }
 
 // TestJournalBitFlipRejected proves the journal is wired through

@@ -3,12 +3,15 @@
 #
 # hsdtrain -quality-baseline on a routed cascade writes the blended
 # "primary" series plus one series per cascade stage (the calibrated
-# confidence of each routing decision). scripts/baseline_router.golden is
-# the file hsdtrain wrote on -small -seed 1 when those per-stage scores
-# were still collected by a tap bound around the scoring loop; the file
-# written today, from the Decision RouteCtx returns, must be
-# byte-identical. It is a framed gob: regenerate it only by running the
-# hsdtrain line below on a commit whose output you trust.
+# confidence of each routing decision). scripts/baseline_router.golden
+# holds the baseline hsdtrain wrote on -small -seed 1 when those
+# per-stage scores were still collected by a tap bound around the
+# scoring loop; the file written today, from the Decision RouteCtx
+# returns, must be byte-identical. That file, in the gob format the
+# codec replaced, is internal/qualitymon/testdata/baseline_router.v1,
+# and TestBaselineGolden holds the two to one value. Regenerate the
+# golden only by running the hsdtrain line below on a commit whose
+# output you trust.
 
 set -eu
 cd "$(dirname "$0")/.."

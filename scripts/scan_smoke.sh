@@ -45,8 +45,9 @@ go build -o "$WORK/benchgen" ./cmd/benchgen
 echo "scan smoke: the seed-1 small suite against its committed digests"
 # The suite every smoke script and the repo benchmark start from is a
 # committed list of bytes: one digest per -workers value, because the
-# file records it. They were written before the oracle's blur moved onto
-# the matmul kernel and labelling learned to stop at its quota.
+# file records it. They were rewritten when the cache became a framelog
+# frame; internal/iccad's TestSmallSuiteGolden, unedited since before
+# the oracle's blur moved onto the matmul kernel, holds the values.
 while read -r w want; do
 	"$WORK/benchgen" -small -seed 1 -workers "$w" -out "$WORK/seed1.gob" >/dev/null
 	got=$(sha256sum "$WORK/seed1.gob" | cut -d' ' -f1)
@@ -110,16 +111,15 @@ echo "scan smoke: journaled scan, killing mid-flight"
 	-findings "$WORK/interrupted.txt" >"$WORK/kill.log" 2>&1 &
 SCAN_PID=$!
 
-# The journal header is written at creation (about 320 bytes, so a size
-# threshold cannot tell it from a record); kill on the first record
-# frame magic instead.
+# The journal header is written at creation (a size threshold cannot
+# tell it from a record); kill on the first record frame magic instead.
 killed=""
 i=0
 while [ $i -lt 600 ]; do
 	if ! kill -0 "$SCAN_PID" 2>/dev/null; then
 		break # scan finished before we could kill it
 	fi
-	if grep -aq 'HSDSJr1' "$WORK/scan.journal" 2>/dev/null; then
+	if grep -aq 'HSDSJr2' "$WORK/scan.journal" 2>/dev/null; then
 		kill -9 "$SCAN_PID"
 		killed=1
 		break
