@@ -74,12 +74,15 @@ go test -run 'Chaos|TestCascade|TestSharedInstanceConcurrentScore|TestSharedDete
 echo "== kill-resume chaos =="
 # Training is killed at several injected fault points and resumed from
 # the checkpoint; the resumed model must be byte-identical to the
-# uninterrupted run. -race because resume replays concurrent-safe RNG
-# and optimizer state. The TestTrainStep tests hold the sample-sharded
-# training step to the bytes the serial loop trained (a golden written
-# at the commit before it), under 1, 2 and 8 kernel workers and with
-# fits running side by side on the one pool.
-go test -run 'TestKillResume|TestStopResume|TestCheckpointTornWrite|TestTrainStep' -race ./internal/nn/
+# uninterrupted run, and -race watches the sample-sharded steps around
+# it. A resume whose seed or learning rate differs is refused; a
+# non-finite loss halts with the last good epoch persisted; a checkpoint
+# torn on disk, or whose Adam state does not fit its layers, is skipped
+# for the one before it. The TestTrainStep tests hold the training step
+# to the bytes the serial loop trained (a golden written at the commit
+# before it), under 1, 2 and 8 kernel workers and with fits running side
+# by side on the one pool.
+go test -run 'TestKillResume|TestStopResume|TestResumeRejects|TestNonFinite|TestCheckpointTornWrite|TestCheckpointFallbackOnUnrestorableOptimizer|TestTrainStep' -race ./internal/nn/
 
 echo "== scan farm chaos =="
 # The shard coordinator is hammered with injected faults (errors,

@@ -37,7 +37,6 @@ import (
 	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/nn"
 	"github.com/golitho/hsd/internal/qualitymon"
-	"github.com/golitho/hsd/internal/telemetry"
 )
 
 func main() {
@@ -96,9 +95,7 @@ func run() error {
 	}
 
 	// Checkpointing: wire the trainer's crash-tolerance into the CLI.
-	metrics := telemetry.NewRegistry()
-	metrics.SetHelp("hotspot_checkpoints_total", "Training checkpoints written this run.")
-	ckptTotal := metrics.Counter("hotspot_checkpoints_total")
+	ckptTotal := 0
 	if *resume && *ckptDir == "" {
 		return fmt.Errorf("-resume needs -checkpoint-dir")
 	}
@@ -124,7 +121,7 @@ func run() error {
 			Dir:  *ckptDir,
 			Keep: *ckptKeep,
 			OnSave: func(path string, c *nn.Checkpoint) {
-				ckptTotal.Inc()
+				ckptTotal++
 				fmt.Printf("checkpoint  epoch %d -> %s\n", c.Epoch, path)
 			},
 		}
@@ -175,8 +172,8 @@ func run() error {
 		res.TrainTime.Round(time.Millisecond), res.InferTime.Round(time.Millisecond),
 		res.ODST().Round(time.Millisecond), res.FullSimTime.Round(time.Millisecond),
 		res.Speedup())
-	if n := ckptTotal.Value(); n > 0 {
-		fmt.Printf("checkpoints %.0f written to %s (hotspot_checkpoints_total)\n", n, *ckptDir)
+	if ckptTotal > 0 {
+		fmt.Printf("checkpoints %d written to %s\n", ckptTotal, *ckptDir)
 	}
 	if rt, ok := det.(*hsd.RouterDetector); ok {
 		cli.PrintRouterStats(rt.Stats())

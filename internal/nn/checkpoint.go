@@ -11,13 +11,13 @@ import (
 )
 
 // Checkpoint captures a training run at an epoch boundary: network
-// parameters (including dropout RNG position), optimizer slots and
-// decayed learning rate, the completed-epoch count, and the history so
-// far. Together with the run's TrainConfig (same data, seed, optimizer
-// hyperparameters) it is sufficient to continue training bit-identically
-// to an uninterrupted run: the train-loop RNG is not stored because it
-// is a pure function of (Seed, Epoch) — resume replays its draw
-// sequence. See FitCtx.
+// parameters (including dropout RNG position), Adam's moments, step
+// count and learning rate, the completed-epoch count, and the history so
+// far. Together with the run's TrainConfig (same data, seed, learning
+// rate) it is sufficient to continue training bit-identically to an
+// uninterrupted run: the train-loop RNG is not stored because it is a
+// pure function of (Seed, Epoch) — resume replays its draw sequence. See
+// FitCtx.
 type Checkpoint struct {
 	// Epoch is the number of fully completed epochs.
 	Epoch int
@@ -44,48 +44,57 @@ type ckptFile struct {
 var ckptFormat = framelog.File[ckptFile]{Magic: "HSDCKv2\n"}
 
 // captureCheckpoint snapshots the run without mutating it.
-func captureCheckpoint(net *Network, cfg *TrainConfig, epoch int, history []EpochStats) (*Checkpoint, error) {
+func captureCheckpoint(net *Network, opt *adam, seed int64, epoch int, history []EpochStats) (*Checkpoint, error) {
 	layers, err := snapshotNet(net)
 	if err != nil {
 		return nil, err
 	}
-	so, ok := cfg.Optimizer.(statefulOptimizer)
-	if !ok {
-		return nil, fmt.Errorf("nn: optimizer %T does not support checkpointing", cfg.Optimizer)
-	}
 	return &Checkpoint{
 		Epoch:   epoch,
-		Seed:    cfg.Seed,
+		Seed:    seed,
 		History: append([]EpochStats(nil), history...),
 		layers:  layers,
-		opt:     so.captureState(),
+		opt:     opt.state(),
 	}, nil
 }
 
-// apply restores the captured weights into net and the optimizer slots
-// into cfg.Optimizer. The network must have the architecture the
-// checkpoint was taken from.
-func (c *Checkpoint) apply(net *Network, cfg *TrainConfig) error {
-	if len(c.layers) != len(net.Layers) {
-		return fmt.Errorf("nn: checkpoint has %d layers, network has %d", len(c.layers), len(net.Layers))
+// apply restores the captured weights into net and returns the optimizer
+// they were being trained with. The network must have the architecture,
+// and cfg the seed and learning rate, the checkpoint was taken with.
+func (c *Checkpoint) apply(net *Network, cfg *TrainConfig) (*adam, error) {
+	if c.Seed != cfg.Seed {
+		return nil, fmt.Errorf("nn: checkpoint was taken with seed %d, config has %d", c.Seed, cfg.Seed)
 	}
-	restored := make([]Layer, len(c.layers))
-	for i, s := range c.layers {
-		l, err := restoreLayer(s)
-		if err != nil {
-			return fmt.Errorf("nn: checkpoint layer %d: %w", i, err)
-		}
+	if c.opt.LR != cfg.LR {
+		return nil, fmt.Errorf("nn: checkpoint was taken with learning rate %v, config has %v", c.opt.LR, cfg.LR)
+	}
+	restored, err := restoreLayers(c.layers)
+	if err != nil {
+		return nil, err
+	}
+	if len(restored) != len(net.Layers) {
+		return nil, fmt.Errorf("nn: checkpoint has %d layers, network has %d", len(restored), len(net.Layers))
+	}
+	for i, l := range restored {
 		if got, want := l.Name(), net.Layers[i].Name(); got != want {
-			return fmt.Errorf("nn: checkpoint layer %d is %s, network has %s", i, got, want)
+			return nil, fmt.Errorf("nn: checkpoint layer %d is %s, network has %s", i, got, want)
 		}
-		restored[i] = l
 	}
 	copy(net.Layers, restored)
-	so, ok := cfg.Optimizer.(statefulOptimizer)
-	if !ok {
-		return fmt.Errorf("nn: optimizer %T does not support checkpointing", cfg.Optimizer)
+	return restoreAdam(c.opt, net.Params())
+}
+
+// restoreLayers rebuilds the layers of a checkpoint's snapshots.
+func restoreLayers(snaps []snapshot) ([]Layer, error) {
+	layers := make([]Layer, len(snaps))
+	for i, s := range snaps {
+		l, err := restoreLayer(s)
+		if err != nil {
+			return nil, fmt.Errorf("nn: checkpoint layer %d: %w", i, err)
+		}
+		layers[i] = l
 	}
-	return so.restoreState(c.opt, net.Params())
+	return layers, nil
 }
 
 // file is c's on-disk form. Like Save, it never mutates the run.
@@ -104,12 +113,15 @@ func (file ckptFile) checkpoint() (*Checkpoint, error) {
 	if file.Epoch < 0 || file.Epoch != len(file.History) {
 		return nil, fmt.Errorf("nn: checkpoint epoch %d does not match history length %d", file.Epoch, len(file.History))
 	}
-	// A layer apply could not restore is refused here, where a resume
-	// (LatestCheckpoint) can still fall back to an older file.
-	for i, s := range file.Layers {
-		if _, err := restoreLayer(s); err != nil {
-			return nil, fmt.Errorf("nn: checkpoint layer %d: %w", i, err)
-		}
+	// A layer, or optimizer state, that apply could not restore is refused
+	// here, where a resume (LatestCheckpoint) can still fall back to an
+	// older file.
+	layers, err := restoreLayers(file.Layers)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := restoreAdam(file.Opt, NewNetwork(layers...).Params()); err != nil {
+		return nil, err
 	}
 	return &Checkpoint{
 		Epoch:   file.Epoch,

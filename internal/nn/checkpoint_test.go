@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -42,21 +43,25 @@ func ckptData(n int) ([][]float64, []int) {
 	return x, y
 }
 
-// ckptConfig is the shared training config; Adam + LR step decay so
-// both optimizer slots and the decayed rate must survive the round
-// trip for equivalence to hold.
+// ckptConfig is the shared training config; Adam's moments and step
+// count must survive the round trip for equivalence to hold.
 func ckptConfig(ck Checkpointer) TrainConfig {
 	return TrainConfig{
 		Epochs:          9,
 		BatchSize:       8,
-		Optimizer:       NewAdam(5e-3),
+		LR:              5e-3,
 		Seed:            3,
-		LRStepEvery:     3,
-		LRStepFactor:    0.5,
 		Checkpointer:    ck,
 		CheckpointEvery: 2,
 	}
 }
+
+// checkpointFunc is a Checkpointer made of a function: the tests wrap a
+// DirCheckpointer in one to act on the run at an epoch boundary.
+type checkpointFunc func(c *Checkpoint) error
+
+// SaveCheckpoint implements Checkpointer.
+func (f checkpointFunc) SaveCheckpoint(c *Checkpoint) error { return f(c) }
 
 // saveBytes serializes a network in memory for byte-level comparison.
 func saveBytes(t *testing.T, net *Network) []byte {
@@ -153,17 +158,15 @@ func TestStopResumeEquivalence(t *testing.T) {
 	want := saveBytes(t, ref)
 
 	dir := t.TempDir()
-	ctx, cancel := context.WithCancel(context.Background())
-	cfg := ckptConfig(&DirCheckpointer{Dir: dir})
-	// Cancel mid-run from the verbose hook: it fires at the end of an
-	// epoch, so the next boundary check observes the cancellation.
-	cfg.Verbose = func(format string, args ...any) {
-		if len(args) > 0 {
-			if e, ok := args[0].(int); ok && e == 5 {
-				cancel()
-			}
-		}
-	}
+	disk := &DirCheckpointer{Dir: dir}
+	var saved []int
+	cfg := ckptConfig(checkpointFunc(func(c *Checkpoint) error {
+		saved = append(saved, c.Epoch)
+		return disk.SaveCheckpoint(c)
+	}))
+	// FitCtx polls Err once before each epoch, so the 6th poll cancels
+	// the run after epoch 5, which the CheckpointEvery=2 cadence skips.
+	ctx := cancelOnPoll(context.Background(), 6)
 	net1 := ckptNet()
 	hist, err := FitCtx(ctx, net1, x, y, cfg)
 	if !errors.Is(err, ErrInterrupted) {
@@ -173,8 +176,11 @@ func TestStopResumeEquivalence(t *testing.T) {
 		t.Fatalf("cancelled run returned %d epochs of history, want 5", len(hist))
 	}
 
-	// The SIGTERM-style final cut must exist even though epoch 5 is not
-	// on the CheckpointEvery=2 cadence.
+	// The SIGTERM-style final cut must persist epoch 5 even though it is
+	// not on the cadence.
+	if !slices.Equal(saved, []int{2, 4, 5}) {
+		t.Fatalf("saved epochs %v, want [2 4 5]", saved)
+	}
 	_, ck, err := LatestCheckpoint(dir)
 	if err != nil {
 		t.Fatalf("LatestCheckpoint: %v", err)
@@ -192,6 +198,26 @@ func TestStopResumeEquivalence(t *testing.T) {
 	if got := saveBytes(t, net2); !bytes.Equal(got, want) {
 		t.Error("resumed model differs from uninterrupted run after graceful stop")
 	}
+}
+
+// pollCancelCtx cancels itself on its n-th Err call, so a test can stop a
+// single-goroutine run at a chosen poll.
+type pollCancelCtx struct {
+	context.Context
+	left   int
+	cancel context.CancelFunc
+}
+
+func cancelOnPoll(parent context.Context, n int) context.Context {
+	ctx, cancel := context.WithCancel(parent)
+	return &pollCancelCtx{Context: ctx, left: n, cancel: cancel}
+}
+
+func (c *pollCancelCtx) Err() error {
+	if c.left--; c.left == 0 {
+		c.cancel()
+	}
+	return c.Context.Err()
 }
 
 // TestResumeRejectsMismatch guards the determinism contract's
@@ -232,72 +258,71 @@ func TestResumeRejectsMismatch(t *testing.T) {
 		t.Error("resume into a different architecture succeeded, want error")
 	}
 
-	sgd := ckptConfig(nil)
-	sgd.Epochs = 4
-	sgd.Optimizer = &SGD{LR: 0.1}
-	sgd.Resume = ck
-	if _, err := Fit(ckptNet(), x, y, sgd); err == nil {
-		t.Error("resume with a different optimizer kind succeeded, want error")
+	lr := ckptConfig(nil)
+	lr.Epochs = 4
+	lr.LR = 1e-3
+	lr.Resume = ck
+	if _, err := Fit(ckptNet(), x, y, lr); err == nil || !strings.Contains(err.Error(), "learning rate") {
+		t.Errorf("resume with a different learning rate: err = %v, want a learning-rate mismatch", err)
 	}
 }
 
-// TestNonFiniteHaltsAndCheckpoints blows up the learning rate mid-run
-// via step decay and asserts the NaN guard halts with the last good
-// epoch preserved on disk.
+// TestNonFiniteHaltsAndCheckpoints writes +Inf into a live weight after
+// epoch 3's save and asserts the NaN guard halts with that epoch persisted
+// again, and that it resumes to the uninterrupted run's bytes.
 func TestNonFiniteHaltsAndCheckpoints(t *testing.T) {
 	x, y := ckptData(32)
-	dir := t.TempDir()
-	cfg := TrainConfig{
-		Epochs:    8,
-		BatchSize: 8,
-		Optimizer: &SGD{LR: 1e-3},
-		Seed:      3,
-		// After epoch 3 the LR explodes; the following epochs diverge
-		// to overflow and the guard must catch it before Step.
-		LRStepEvery:     3,
-		LRStepFactor:    1e150,
-		Checkpointer:    &DirCheckpointer{Dir: dir, Keep: 10},
-		CheckpointEvery: 1,
+	ref := ckptNet()
+	refCfg := ckptConfig(nil)
+	refCfg.Epochs = 8
+	if _, err := Fit(ref, x, y, refCfg); err != nil {
+		t.Fatalf("reference Fit: %v", err)
 	}
+
+	dir := t.TempDir()
+	disk := &DirCheckpointer{Dir: dir, Keep: 10}
 	net := ckptNet()
+	var saved []int
+	cfg := ckptConfig(checkpointFunc(func(c *Checkpoint) error {
+		saved = append(saved, c.Epoch)
+		if err := disk.SaveCheckpoint(c); err != nil {
+			return err
+		}
+		if c.Epoch == 3 {
+			// The head's first weight: every logit it reaches is +Inf
+			// or NaN, so epoch 4's first loss is NaN.
+			net.Layers[3].(*Dense).W.Data[0] = math.Inf(1)
+		}
+		return nil
+	}))
+	cfg.Epochs = 8
+	cfg.CheckpointEvery = 1
 	hist, err := Fit(net, x, y, cfg)
 	if !errors.Is(err, ErrNonFinite) {
 		t.Fatalf("got err %v, want ErrNonFinite", err)
 	}
-	if len(hist) < 3 {
-		t.Fatalf("halted before the LR explosion: %d epochs", len(hist))
+	if len(hist) != 3 {
+		t.Fatalf("halted with %d epochs of history, want 3", len(hist))
 	}
-	_, ck, lerr := LatestCheckpoint(dir)
-	if lerr != nil {
-		t.Fatalf("LatestCheckpoint: %v", lerr)
+	if !slices.Equal(saved, []int{1, 2, 3, 3}) {
+		t.Fatalf("saved epochs %v, want the halt to persist epoch 3 again: [1 2 3 3]", saved)
 	}
-	if ck == nil || ck.Epoch != len(hist) {
-		t.Fatalf("last good checkpoint = %v, want epoch %d", ck, len(hist))
-	}
-	// A pre-explosion checkpoint must be finite and resumable. The last
-	// good one carries the exploded LR (captured post-decay, by design),
-	// so resume from the epoch before the decay fired.
-	pre, err := LoadCheckpointFile(filepath.Join(dir, checkpointName(2)))
+	_, ck, err := LatestCheckpoint(dir)
 	if err != nil {
-		t.Fatalf("load pre-explosion checkpoint: %v", err)
+		t.Fatalf("LatestCheckpoint: %v", err)
 	}
+	if ck == nil || ck.Epoch != 3 {
+		t.Fatalf("last good checkpoint = %v, want epoch 3", ck)
+	}
+	// The checkpoint was captured before the weight was poisoned.
 	net2 := ckptNet()
-	cfg2 := cfg
-	cfg2.Optimizer = &SGD{LR: 1e-3}
-	cfg2.LRStepFactor = 0.5
-	cfg2.Checkpointer = nil
-	cfg2.Resume = pre
+	cfg2 := refCfg
+	cfg2.Resume = ck
 	if _, err := Fit(net2, x, y, cfg2); err != nil {
-		t.Fatalf("resume from pre-NaN checkpoint: %v", err)
+		t.Fatalf("resume from the last good checkpoint: %v", err)
 	}
-	for _, l := range net2.Layers {
-		for _, p := range l.Params() {
-			for _, v := range p.W.Data {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					t.Fatal("resumed network contains non-finite weights")
-				}
-			}
-		}
+	if !bytes.Equal(saveBytes(t, net2), saveBytes(t, ref)) {
+		t.Error("resumed model differs from the uninterrupted run")
 	}
 }
 
@@ -386,6 +411,60 @@ func TestCheckpointFallbackWrapsEverySkip(t *testing.T) {
 	}
 }
 
+// TestCheckpointFallbackOnUnrestorableOptimizer: a checkpoint whose
+// optimizer state does not fit its own layers is refused at load, like a
+// torn one, so that LatestCheckpoint falls back to the one before it
+// instead of returning a checkpoint no resume can apply.
+func TestCheckpointFallbackOnUnrestorableOptimizer(t *testing.T) {
+	x, y := ckptData(16)
+	dir := t.TempDir()
+	cfg := ckptConfig(&DirCheckpointer{Dir: dir, Keep: 10})
+	cfg.Epochs = 4
+	if _, err := Fit(ckptNet(), x, y, cfg); err != nil {
+		t.Fatalf("Fit: %v", err)
+	}
+	newest := filepath.Join(dir, checkpointName(4))
+	full, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		damage func(*ckptFile)
+	}{
+		{"one-slot-group", func(f *ckptFile) { f.Opt.Slots = f.Opt.Slots[:1] }},
+		{"short-slot", func(f *ckptFile) { f.Opt.Slots[1][0] = f.Opt.Slots[1][0][:1] }},
+		{"kind-sgd", func(f *ckptFile) { f.Opt.Kind = "sgd" }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if err := os.WriteFile(newest, full, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			file, err := ckptFormat.Load(newest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.damage(&file)
+			if err := ckptFormat.Save(newest, file); err != nil {
+				t.Fatal(err)
+			}
+			path, ck, err := LatestCheckpoint(dir)
+			if ck == nil || ck.Epoch != 2 || path != filepath.Join(dir, checkpointName(2)) {
+				t.Fatalf("LatestCheckpoint = %s (err %v), want %s", path, err, checkpointName(2))
+			}
+			if err == nil || !strings.Contains(err.Error(), checkpointName(4)) {
+				t.Fatalf("err = %v, want one naming %s", err, checkpointName(4))
+			}
+			resume := ckptConfig(nil)
+			resume.Epochs = 4
+			resume.Resume = ck
+			if _, err := Fit(ckptNet(), x, y, resume); err != nil {
+				t.Fatalf("resume from the fallback: %v", err)
+			}
+		})
+	}
+}
+
 // TestCheckpointRoundTripPreservesDropoutState asserts the dropout RNG
 // position survives save/load: two more training epochs after a round
 // trip match two more epochs without one.
@@ -457,11 +536,14 @@ func TestSaveCheckpointDoesNotMutate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
-	c1, err := captureCheckpoint(net, &cfg, 2, hist)
+	// A stepped optimizer, so that its moments are not all zero.
+	opt := newAdam(cfg.LR, net.Params())
+	opt.step(net.Params())
+	c1, err := captureCheckpoint(net, opt, cfg.Seed, 2, hist)
 	if err != nil {
 		t.Fatalf("capture: %v", err)
 	}
-	c2, err := captureCheckpoint(net, &cfg, 2, hist)
+	c2, err := captureCheckpoint(net, opt, cfg.Seed, 2, hist)
 	if err != nil {
 		t.Fatalf("capture: %v", err)
 	}
@@ -506,7 +588,7 @@ func TestCheckpointGolden(t *testing.T) {
 		t.Fatalf("history[1] = %+v", h)
 	}
 	net, cfg := ckptNet(), ckptConfig(nil)
-	if err := ck.apply(net, &cfg); err != nil {
+	if _, err := ck.apply(net, &cfg); err != nil {
 		t.Fatal(err)
 	}
 	if got := net.Layers[0].(*Dense).W.Data[0]; got != 0.4142548774517474 {

@@ -95,17 +95,15 @@ func FuzzLoadNetwork(f *testing.F) {
 }
 
 // FuzzLoadCheckpoint does the same for the checkpoint loader, seeded
-// with a checkpoint from a real (tiny) training run.
+// with a checkpoint from a real (tiny) training run. A payload the loader
+// accepts must also resume: it applies to a network rebuilt from its own
+// layers under a config carrying its seed and learning rate.
 func FuzzLoadCheckpoint(f *testing.F) {
 	x, y := [][]float64{{0, 1, 0, 1, 0, 1}, {1, 0, 1, 0, 1, 0}}, []int{0, 1}
 	net := NewNetwork(NewDense(6, 4), NewReLU(4), NewDropout(4, 0.2, 5), NewDense(4, 2))
-	cfg := TrainConfig{Epochs: 2, BatchSize: 2, Seed: 1, Optimizer: NewAdam(1e-3)}
-	hist, err := Fit(net, x, y, cfg)
-	if err != nil {
-		f.Fatal(err)
-	}
-	ck, err := captureCheckpoint(net, &cfg, 2, hist)
-	if err != nil {
+	var ck *Checkpoint
+	keep := checkpointFunc(func(c *Checkpoint) error { ck = c; return nil })
+	if _, err := Fit(net, x, y, TrainConfig{Epochs: 2, BatchSize: 2, Seed: 1, Checkpointer: keep}); err != nil {
 		f.Fatal(err)
 	}
 	valid := payloadOf(ckptFormat, ck.file())
@@ -124,6 +122,10 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	for _, c := range hostileLayers() {
 		f.Add(payloadOf(ckptFormat, ckptFile{Layers: []snapshot{c.s}}))
 	}
+	// Optimizer state that does not fit the layers it comes with.
+	oneGroup := ck.file()
+	oneGroup.Opt.Slots = oneGroup.Opt.Slots[:1]
+	f.Add(payloadOf(ckptFormat, oneGroup))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
@@ -132,6 +134,14 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		c, err := readCheckpoint(reframe(ckptFormat.Magic, data))
 		if err != nil {
 			return
+		}
+		layers, err := restoreLayers(c.layers)
+		if err != nil {
+			t.Fatalf("accepted checkpoint's layers do not restore: %v", err)
+		}
+		cfg := TrainConfig{Seed: c.Seed, LR: c.opt.LR}
+		if _, err := c.apply(NewNetwork(layers...), &cfg); err != nil {
+			t.Fatalf("accepted checkpoint does not apply to its own layers: %v", err)
 		}
 		again, err := readCheckpoint(framed(ckptFormat, c.file()))
 		if err != nil {

@@ -1,7 +1,7 @@
 // Package nn is a from-scratch neural-network framework sized for
 // hotspot detection: dense and convolutional layers over float64
 // minibatches, softmax cross-entropy with the biased-learning variant of
-// the hotspot literature, SGD/Adam optimizers, and network and
+// the hotspot literature, Adam built afresh for each fit, and network and
 // checkpoint files declared as framelog single-frame formats, whose
 // bytes are a function of the saved state alone.
 //

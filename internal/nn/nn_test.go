@@ -352,57 +352,16 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestSGDMomentumConverges(t *testing.T) {
-	// Minimize (w-3)^2 via the optimizer interface.
-	w := tensor.NewMatrix(1, 1)
-	g := tensor.NewMatrix(1, 1)
-	p := []*Param{{W: w, G: g}}
-	opt := &SGD{LR: 0.1, Momentum: 0.5}
-	for i := 0; i < 100; i++ {
-		g.Data[0] = 2 * (w.Data[0] - 3)
-		opt.Step(p)
-	}
-	if math.Abs(w.Data[0]-3) > 1e-3 {
-		t.Fatalf("sgd converged to %v", w.Data[0])
-	}
-}
-
 func TestAdamConverges(t *testing.T) {
 	w := tensor.NewMatrix(1, 1)
 	g := tensor.NewMatrix(1, 1)
 	p := []*Param{{W: w, G: g}}
-	opt := NewAdam(0.1)
+	opt := newAdam(0.1, p)
 	for i := 0; i < 300; i++ {
 		g.Data[0] = 2 * (w.Data[0] - 3)
-		opt.Step(p)
+		opt.step(p)
 	}
 	if math.Abs(w.Data[0]-3) > 1e-2 {
 		t.Fatalf("adam converged to %v", w.Data[0])
-	}
-}
-
-func TestLRStepDecay(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	var x [][]float64
-	var y []int
-	for i := 0; i < 64; i++ {
-		x = append(x, []float64{rng.NormFloat64()})
-		if x[i][0] > 0 {
-			y = append(y, 1)
-		} else {
-			y = append(y, 0)
-		}
-	}
-	opt := NewAdam(1e-2)
-	net := BuildMLP(1, 4)
-	_, err := Fit(net, x, y, TrainConfig{
-		Epochs: 4, BatchSize: 16, Seed: 1,
-		Optimizer: opt, LRStepEvery: 2, LRStepFactor: 0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(opt.LR-1e-2*0.25) > 1e-12 {
-		t.Fatalf("LR after decay = %v, want %v", opt.LR, 1e-2*0.25)
 	}
 }

@@ -29,24 +29,19 @@ var ErrInterrupted = errors.New("nn: training interrupted")
 // checkpoint was persisted before returning, so no good state is lost.
 var ErrNonFinite = errors.New("nn: non-finite loss or gradient")
 
-// TrainConfig parameterizes Trainer.Fit.
+// TrainConfig parameterizes Fit. It is a plain value: each fit builds
+// its own optimizer, so any number of fits may share one config.
 type TrainConfig struct {
 	// Epochs over the training data (default 10).
 	Epochs int
 	// BatchSize per gradient step (default 32).
 	BatchSize int
-	// Optimizer defaults to Adam(1e-3).
-	Optimizer Optimizer
+	// LR is Adam's learning rate (default 1e-3).
+	LR float64
 	// Loss carries the biased-learning epsilon.
 	Loss SoftmaxCE
 	// Seed drives weight init and shuffling.
 	Seed int64
-	// LRStepEvery, when positive, multiplies the optimizer learning rate
-	// by LRStepFactor after every LRStepEvery epochs (step decay).
-	LRStepEvery  int
-	LRStepFactor float64
-	// Verbose receives one line per epoch when non-nil.
-	Verbose func(format string, args ...any)
 	// Clock drives epoch timing (default the wall clock). Injectable so
 	// timing-sensitive tests stay deterministic under parallel execution.
 	Clock resilience.Clock
@@ -60,17 +55,14 @@ type TrainConfig struct {
 	// CheckpointEvery is the persist cadence in epochs (default 1).
 	CheckpointEvery int
 	// Resume continues a run from a checkpoint instead of epoch 1. The
-	// config must match the original run (same data, seed, optimizer
-	// hyperparameters, epochs); Seed mismatches are rejected, the rest
-	// is the caller's contract. The continuation is bit-identical to an
-	// uninterrupted run: weights, optimizer slots, and the dropout RNG
-	// come from the checkpoint, and the train-loop RNG is replayed to
-	// its position at the checkpoint.
+	// config must match the original run (same data, seed, learning
+	// rate, epochs); Seed and LR mismatches are rejected, the rest is
+	// the caller's contract. The continuation is bit-identical to an
+	// uninterrupted run: weights, Adam's moments and step count, and the
+	// dropout RNG come from the checkpoint, and the train-loop RNG is
+	// replayed to its position at the checkpoint.
 	Resume *Checkpoint
 }
-
-// lrScalable is satisfied by optimizers supporting learning-rate decay.
-type lrScalable interface{ scaleLR(f float64) }
 
 func (c *TrainConfig) normalize() {
 	if c.Epochs <= 0 {
@@ -79,8 +71,8 @@ func (c *TrainConfig) normalize() {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 32
 	}
-	if c.Optimizer == nil {
-		c.Optimizer = NewAdam(1e-3)
+	if c.LR <= 0 {
+		c.LR = 1e-3
 	}
 	if c.Clock == nil {
 		c.Clock = resilience.Real
@@ -182,15 +174,14 @@ func FitCtx(ctx context.Context, net *Network, x [][]float64, y []int, cfg Train
 	// lastGood is the newest end-of-epoch snapshot; halts persist it so
 	// an interrupted or NaN-poisoned run never loses completed work.
 	var lastGood *Checkpoint
+	var opt *adam
 	if cfg.Resume != nil {
 		r := cfg.Resume
-		if r.Seed != cfg.Seed {
-			return nil, fmt.Errorf("nn: checkpoint was taken with seed %d, config has %d", r.Seed, cfg.Seed)
-		}
 		if r.Epoch > cfg.Epochs {
 			return nil, fmt.Errorf("nn: checkpoint is at epoch %d, config trains only %d", r.Epoch, cfg.Epochs)
 		}
-		if err := r.apply(net, &cfg); err != nil {
+		var err error
+		if opt, err = r.apply(net, &cfg); err != nil {
 			return nil, err
 		}
 		// Replay the train loop's RNG-dependent state to its position
@@ -205,16 +196,13 @@ func FitCtx(ctx context.Context, net *Network, x [][]float64, y []int, cfg Train
 		history = append([]EpochStats(nil), r.History...)
 		startEpoch = r.Epoch
 		lastGood = r
-	} else if so, ok := cfg.Optimizer.(statefulOptimizer); ok {
-		// A config, and with it one optimizer, may be fitted more than
-		// once (a detector refitted each learn cycle): a fit that does
-		// not resume starts from no moments, step zero and the
-		// configured learning rate, whatever an earlier fit left.
-		so.reset()
 	}
 	// Resume replaces the layers, so the parameters are collected after
 	// it; the slice and the batch buffers serve every step of the fit.
 	params := net.Params()
+	if opt == nil {
+		opt = newAdam(cfg.LR, params)
+	}
 	xb := tensor.NewMatrix(min(cfg.BatchSize, n), dim)
 	yb := make([]int, xb.Rows)
 	// halt stops the run on a non-finite value: the epoch's span carries
@@ -269,7 +257,7 @@ func FitCtx(ctx context.Context, net *Network, x [][]float64, y []int, cfg Train
 				return halt(span, fmt.Errorf("%w: gradient of param %d at epoch %d batch %d%s",
 					ErrNonFinite, pi, epoch, batches, lastGoodNote(lastGood)))
 			}
-			cfg.Optimizer.Step(params)
+			opt.step(params)
 			lossSum += loss
 			correct += c
 			batches++
@@ -289,19 +277,8 @@ func FitCtx(ctx context.Context, net *Network, x [][]float64, y []int, cfg Train
 			span.SetAttr("acc", strconv.FormatFloat(st.Acc, 'g', 6, 64))
 			span.End()
 		}
-		if cfg.Verbose != nil {
-			cfg.Verbose("epoch %d: loss=%.4f acc=%.4f time=%v",
-				st.Epoch, st.Loss, st.Acc, st.Elapsed.Round(time.Millisecond))
-		}
-		if cfg.LRStepEvery > 0 && cfg.LRStepFactor > 0 && epoch%cfg.LRStepEvery == 0 {
-			if s, ok := cfg.Optimizer.(lrScalable); ok {
-				s.scaleLR(cfg.LRStepFactor)
-			}
-		}
 		if cfg.Checkpointer != nil {
-			// Capture after the LR step so a resumed optimizer carries
-			// the decayed rate, not the pre-decay one.
-			c, err := captureCheckpoint(net, &cfg, epoch, history)
+			c, err := captureCheckpoint(net, opt, cfg.Seed, epoch, history)
 			if err != nil {
 				return history, err
 			}

@@ -47,10 +47,7 @@ type trainStepCase struct {
 }
 
 // trainStepCases are the zoo CNN (16x16x16 -> conv16 -> conv24 ->
-// dense48, dropout, Adam, biased loss), the same network under SGD with
-// momentum, weight decay and a learning-rate step (its golden was
-// written by the commit before BatchNorm was deleted), and the zoo MLP
-// widths.
+// dense48, dropout, Adam, biased loss) and the zoo MLP widths.
 func trainStepCases() []trainStepCase {
 	cnn := func() (*Network, error) {
 		return BuildCNN(CNNConfig{
@@ -60,16 +57,10 @@ func trainStepCases() []trainStepCase {
 	}
 	return []trainStepCase{
 		{"zoo-cnn", cnn, func() TrainConfig {
-			return TrainConfig{Epochs: 2, BatchSize: 32, Seed: 11,
-				Optimizer: NewAdam(1e-3), Loss: SoftmaxCE{BiasEps: 0.25}}
-		}},
-		{"zoo-cnn-sgd", cnn, func() TrainConfig {
-			return TrainConfig{Epochs: 2, BatchSize: 32, Seed: 12,
-				Optimizer:   &SGD{LR: 0.02, Momentum: 0.9, WeightDecay: 1e-4},
-				LRStepEvery: 1, LRStepFactor: 0.5}
+			return TrainConfig{Epochs: 2, BatchSize: 32, Seed: 11, LR: 1e-3, Loss: SoftmaxCE{BiasEps: 0.25}}
 		}},
 		{"zoo-mlp", func() (*Network, error) { return BuildMLP(482, 64, 32), nil }, func() TrainConfig {
-			return TrainConfig{Epochs: 2, BatchSize: 32, Seed: 13, Optimizer: NewAdam(1e-3)}
+			return TrainConfig{Epochs: 2, BatchSize: 32, Seed: 13, LR: 1e-3}
 		}},
 	}
 }
@@ -171,38 +162,25 @@ func TestTrainStepGolden(t *testing.T) {
 	}
 }
 
-// TestTrainStepRefitStartsFresh: a config, and with it one optimizer, is
-// fitted twice (a NeuralDetector refitted each learn cycle holds one
-// *Adam). The second fit must not inherit the first one's step count,
-// moments or decayed learning rate: it gives the bytes a fit on a fresh
-// config gives.
+// TestTrainStepRefitStartsFresh: one config is fitted twice (a
+// NeuralDetector refitted each learn cycle holds one). The second fit
+// must not inherit the first one's step count or moments: it gives the
+// bytes a fit on a fresh config gives.
 func TestTrainStepRefitStartsFresh(t *testing.T) {
 	x, y := ckptData(40)
-	opts := map[string]func() Optimizer{
-		"adam": func() Optimizer { return NewAdam(5e-3) },
-		"sgd":  func() Optimizer { return &SGD{LR: 0.05, Momentum: 0.9} },
+	cfg := func() TrainConfig { return TrainConfig{Epochs: 5, BatchSize: 8, Seed: 3, LR: 5e-3} }
+	fresh := ckptNet()
+	if _, err := Fit(fresh, x, y, cfg()); err != nil {
+		t.Fatal(err)
 	}
-	for name, newOpt := range opts {
-		for _, stepEvery := range []int{0, 2} {
-			cfg := func() TrainConfig {
-				return TrainConfig{Epochs: 5, BatchSize: 8, Seed: 3, Optimizer: newOpt(),
-					LRStepEvery: stepEvery, LRStepFactor: 0.5}
-			}
-			fresh := ckptNet()
-			if _, err := Fit(fresh, x, y, cfg()); err != nil {
-				t.Fatal(err)
-			}
-			shared := cfg()
-			for round := 1; round <= 2; round++ {
-				net := ckptNet()
-				if _, err := Fit(net, x, y, shared); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(saveBytes(t, net), saveBytes(t, fresh)) {
-					t.Errorf("%s LRStepEvery=%d: fit %d on a shared config differs from a fit on a fresh one",
-						name, stepEvery, round)
-				}
-			}
+	shared := cfg()
+	for round := 1; round <= 2; round++ {
+		net := ckptNet()
+		if _, err := Fit(net, x, y, shared); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(saveBytes(t, net), saveBytes(t, fresh)) {
+			t.Errorf("fit %d on a shared config differs from a fit on a fresh one", round)
 		}
 	}
 }
@@ -293,11 +271,10 @@ func TestFittedNetworkHoldsNoScratch(t *testing.T) {
 	}
 	retained := int64(heap()) - int64(before)
 	runtime.KeepAlive(net)
-	runtime.KeepAlive(cfg)
-	// Weights, gradient accumulators and Adam's two moments are four
-	// copies of 26 k parameters: under 1 MB.
+	// Weights and gradient accumulators are two copies of 26 k
+	// parameters, under 0.5 MB; Adam's moments go with the fit.
 	if retained > 2<<20 {
-		t.Fatalf("a fitted network and its optimizer retain %d bytes", retained)
+		t.Fatalf("a fitted network retains %d bytes", retained)
 	}
 }
 
@@ -374,13 +351,12 @@ func TestFitEmitsEpochSpans(t *testing.T) {
 // on a step allocates only closures and pool bookkeeping. The MLP is at
 // the count of the commit before the assembly kernel; the zoo CNN, whose
 // ReLU and pool passes are folded into its convolutions, is at 18 where
-// it was 50, under either optimizer. The pool is narrowed to the caller
-// so that the count does not depend on which shards a worker happened
-// to take.
+// it was 50. The pool is narrowed to the caller so that the count does
+// not depend on which shards a worker happened to take.
 func TestTrainStepAllocations(t *testing.T) {
 	tensor.SetDefaultWorkers(1)
 	defer tensor.SetDefaultWorkers(0)
-	want := map[string]float64{"zoo-cnn": 18, "zoo-cnn-sgd": 18, "zoo-mlp": 8}
+	want := map[string]float64{"zoo-cnn": 18, "zoo-mlp": 8}
 	for _, c := range trainStepCases() {
 		net, err := c.build()
 		if err != nil {
@@ -397,13 +373,14 @@ func TestTrainStepAllocations(t *testing.T) {
 			y[i] = rng.Intn(2)
 		}
 		params := net.Params()
+		opt := newAdam(cfg.LR, params)
 		step := func() {
 			_, grad, _ := cfg.Loss.Loss(net.Forward(x), y)
 			for _, p := range params {
 				p.G.Zero()
 			}
 			net.Backward(grad)
-			cfg.Optimizer.Step(params)
+			opt.step(params)
 		}
 		step() // sizes the scratch
 		if got := testing.AllocsPerRun(5, step); got > want[c.name] {

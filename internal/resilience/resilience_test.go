@@ -134,8 +134,8 @@ func TestBreakerConcurrent(t *testing.T) {
 // clock and refill after advancing it.
 func TestShedderBurstAndRefill(t *testing.T) {
 	clk := NewFakeClock(time.Unix(100, 0))
-	s := NewShedder(ShedderConfig{Rate: 2, Burst: 3, Clock: clk})
-	for i := 0; i < 3; i++ {
+	s := NewShedder(ShedderConfig{Rate: 2, Clock: clk})
+	for i := 0; i < 2; i++ {
 		if ok, _ := s.Allow(); !ok {
 			t.Fatalf("request %d shed within burst", i)
 		}
@@ -162,16 +162,17 @@ func TestShedderBurstAndRefill(t *testing.T) {
 		}
 		admitted++
 	}
-	if admitted != 3 {
-		t.Fatalf("admitted %d after long idle, want burst=3", admitted)
+	if admitted != 2 {
+		t.Fatalf("admitted %d after long idle, want burst=Rate=2", admitted)
 	}
 }
 
 // TestShedderConcurrent runs concurrent Allow calls on a frozen clock:
-// exactly Burst requests may be admitted, regardless of interleaving.
+// exactly the bucket's capacity, Rate, is admitted, regardless of
+// interleaving.
 func TestShedderConcurrent(t *testing.T) {
 	clk := NewFakeClock(time.Unix(0, 0))
-	s := NewShedder(ShedderConfig{Rate: 1, Burst: 100, Clock: clk})
+	s := NewShedder(ShedderConfig{Rate: 100, Clock: clk})
 	var admitted sync.WaitGroup
 	var count int64
 	var mu sync.Mutex

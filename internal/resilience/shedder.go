@@ -8,22 +8,21 @@ import (
 // ShedderConfig tunes a Shedder.
 type ShedderConfig struct {
 	// Rate is the sustained admission rate in requests per second.
-	// Must be positive.
+	// Must be positive. The bucket holds max(Rate, 1) tokens: that many
+	// requests may be admitted back-to-back after an idle period.
 	Rate float64
-	// Burst is the bucket capacity: how many requests may be admitted
-	// back-to-back after an idle period (default max(Rate, 1)).
-	Burst float64
 	// Clock drives refill accounting (default the wall clock).
 	Clock Clock
 }
 
 // Shedder is a token-bucket admission controller: each admitted request
-// spends one token, tokens refill at Rate per second up to Burst.
-// Rejections happen before any work is queued, so an overloaded server
-// spends no compute on traffic it cannot serve. Safe for concurrent
-// use.
+// spends one token, tokens refill at Rate per second up to the bucket's
+// capacity, max(Rate, 1). Rejections happen before any work is queued,
+// so an overloaded server spends no compute on traffic it cannot serve.
+// Safe for concurrent use.
 type Shedder struct {
-	cfg ShedderConfig
+	cfg   ShedderConfig
+	burst float64 // bucket capacity
 
 	mu     sync.Mutex
 	tokens float64
@@ -35,16 +34,11 @@ func NewShedder(cfg ShedderConfig) *Shedder {
 	if cfg.Rate <= 0 {
 		cfg.Rate = 1
 	}
-	if cfg.Burst <= 0 {
-		cfg.Burst = cfg.Rate
-		if cfg.Burst < 1 {
-			cfg.Burst = 1
-		}
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = Real
 	}
-	return &Shedder{cfg: cfg, tokens: cfg.Burst, last: cfg.Clock.Now()}
+	burst := max(cfg.Rate, 1)
+	return &Shedder{cfg: cfg, burst: burst, tokens: burst, last: cfg.Clock.Now()}
 }
 
 // Allow spends one token if available. When the bucket is empty it
@@ -55,10 +49,7 @@ func (s *Shedder) Allow() (ok bool, retryAfter time.Duration) {
 	defer s.mu.Unlock()
 	now := s.cfg.Clock.Now()
 	if dt := now.Sub(s.last).Seconds(); dt > 0 {
-		s.tokens += dt * s.cfg.Rate
-		if s.tokens > s.cfg.Burst {
-			s.tokens = s.cfg.Burst
-		}
+		s.tokens = min(s.tokens+dt*s.cfg.Rate, s.burst)
 	}
 	s.last = now
 	if s.tokens >= 1 {

@@ -220,10 +220,9 @@ func TestChaosBreakerRecovery(t *testing.T) {
 func TestChaosShedding(t *testing.T) {
 	clk := resilience.NewFakeClock(time.Unix(0, 0))
 	s, err := NewServer(Options{
-		Primary:   thresholdDetector{},
-		ShedRate:  1,
-		ShedBurst: 2,
-		Clock:     clk,
+		Primary:  thresholdDetector{},
+		ShedRate: 2,
+		Clock:    clk,
 	})
 	if err != nil {
 		t.Fatal(err)

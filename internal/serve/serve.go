@@ -84,11 +84,10 @@ type Options struct {
 	// 5s cool-down, 1 probe).
 	Breaker resilience.BreakerConfig
 	// ShedRate, when positive, enables token-bucket admission control
-	// at this many requests per second (ShedBurst capacity, default
-	// max(ShedRate, 1)). Shed requests get 429 with Retry-After before
-	// any parsing or scoring work happens.
-	ShedRate  float64
-	ShedBurst float64
+	// at this many requests per second (capacity max(ShedRate, 1)). Shed
+	// requests get 429 with Retry-After before any parsing or scoring
+	// work happens.
+	ShedRate float64
 	// BatchMaxSize caps how many POST /batch requests are coalesced into
 	// one scoring pass (default 32).
 	BatchMaxSize int
@@ -232,7 +231,7 @@ func NewServer(opts Options) (*Server, error) {
 	s.breaker = resilience.NewBreaker(bcfg)
 	if opts.ShedRate > 0 {
 		s.shed = resilience.NewShedder(resilience.ShedderConfig{
-			Rate: opts.ShedRate, Burst: opts.ShedBurst, Clock: opts.Clock,
+			Rate: opts.ShedRate, Clock: opts.Clock,
 		})
 	}
 	if opts.Reload != nil {

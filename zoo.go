@@ -80,7 +80,6 @@ func StandardForest(seed int64) Detector {
 func StandardMLP(seed int64) Detector {
 	return NewMLPDetector(shallowFeatures(), []int{64, 32}, TrainConfig{
 		Epochs: 40, BatchSize: 32, Seed: seed,
-		Optimizer: nn.NewAdam(1e-3),
 	})
 }
 
@@ -92,8 +91,7 @@ func StandardCNN(seed int64, biasEps float64, label string) *NeuralDetector {
 		CNNConfig{Conv1: 16, Conv2: 24, Hidden: 48, DropoutP: 0.1, Seed: seed},
 		TrainConfig{
 			Epochs: 16, BatchSize: 32, Seed: seed,
-			Optimizer: nn.NewAdam(1e-3),
-			Loss:      nn.SoftmaxCE{BiasEps: biasEps},
+			Loss: nn.SoftmaxCE{BiasEps: biasEps},
 		},
 		label)
 	// DCT tensors are already bounded; standardizing them amplifies
