@@ -5,8 +5,9 @@
 #   cross-build of the portable path, unit + property tests under the
 #   race detector and again on the portable matmul kernel, the chaos and
 #   kill-resume suites, the end-to-end smoke scripts, a check that no
-#   binary's flag set, no facade name and no /metrics series moved and
-#   that nothing is bound after construction, a smoke pass over the
+#   binary's flag set, no facade name and no /metrics series moved, that
+#   every facade name has an outside caller, and that nothing is bound
+#   after construction, a run of every example, a smoke pass over the
 #   fuzz seed corpora, 7 s of real fuzzing each on all eleven fuzz
 #   targets (77 s in all), and a quick pass of the repo benchmark's four
 #   workloads.
@@ -120,6 +121,19 @@ echo "== api smoke =="
 # Package hsd's exported names are a committed list too: the facade
 # cannot grow or shrink without the diff showing it.
 ./scripts/api_smoke.sh
+
+echo "== examples =="
+# The five examples are the facade's callers that run end to end: each
+# is built once and run, and a non-zero exit fails the gate (about 10 s
+# in all on 2 vCPUs). Compiling them is not enough to show that a
+# facade change kept them working.
+exdir=$(mktemp -d)
+trap 'rm -rf "$exdir"' EXIT INT TERM
+go build -o "$exdir/" ./examples/...
+for ex in lithosim fullchip ensemble quickstart imbalance; do
+	echo "-- examples/$ex"
+	"$exdir/$ex" >/dev/null
+done
 
 echo "== metrics smoke =="
 # So is what GET /metrics exposes: every HELP and TYPE line and every

@@ -6,6 +6,10 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"github.com/golitho/hsd/internal/core"
+	"github.com/golitho/hsd/internal/layout"
+	"github.com/golitho/hsd/internal/logreg"
 )
 
 // The facade tests share one small generated suite.
@@ -148,16 +152,19 @@ func TestFacadeLayoutIO(t *testing.T) {
 
 func TestSaveNetworkRequiresFit(t *testing.T) {
 	det := StandardCNN(1, 0, "cnn")
-	var buf bytes.Buffer
-	if err := SaveNetwork(&buf, det); err == nil {
+	path := filepath.Join(t.TempDir(), "cnn.net")
+	if err := SaveNetworkFile(path, det); err == nil {
 		t.Fatal("unfitted network saved")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("refused save left a file behind: %v", err)
 	}
 }
 
 func TestFacadeEnsemble(t *testing.T) {
 	b := facadeBenchmark(t)
 	train, test := FromSamples(b.Train.Samples), FromSamples(b.Test.Samples)
-	ens := NewEnsemble(StandardAdaBoost(), StandardSVM(3), StandardFuzzyPM())
+	ens := NewEnsemble(StandardAdaBoost(), standardSVM(3), StandardFuzzyPM())
 	res, err := Evaluate(ens, b.Name, train, test, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +285,7 @@ func TestFacadeRasterizeAndAerial(t *testing.T) {
 	if v := aer.At(64, 64); v < 0.9 {
 		t.Fatalf("interior aerial intensity = %v", v)
 	}
-	if _, err := RasterizeClip(Clip{}, 8); err == nil {
+	if _, err := RasterizeClip(layout.Clip{}, 8); err == nil {
 		t.Fatal("empty clip rasterized")
 	}
 }
@@ -288,7 +295,7 @@ func TestFacadeForestAndLogReg(t *testing.T) {
 	train, test := FromSamples(b.Train.Samples), FromSamples(b.Test.Samples)
 	for _, det := range []Detector{
 		StandardForest(5),
-		NewLogRegDetector(&GeomStats{}, LogRegConfig{Epochs: 120, LR: 0.3, PosWeight: 4, Seed: 5}),
+		core.NewLogRegDetector(&GeomStats{}, logreg.Config{Epochs: 120, LR: 0.3, PosWeight: 4, Seed: 5}),
 	} {
 		res, err := Evaluate(det, b.Name, train, test, EvalOptions{})
 		if err != nil {

@@ -10,6 +10,7 @@ import (
 
 	hsd "github.com/golitho/hsd"
 	"github.com/golitho/hsd/internal/geom"
+	"github.com/golitho/hsd/internal/iccad"
 	"github.com/golitho/hsd/internal/layout"
 )
 
@@ -39,14 +40,14 @@ func TestSpec(t *testing.T) {
 
 // sample tags a clip with its index so a test can tell which samples a
 // selection kept.
-func sample(i int, hot bool) hsd.Sample {
-	return hsd.Sample{Clip: layout.Clip{Window: geom.R(i, 0, i+1, 1)}, Hotspot: hot}
+func sample(i int, hot bool) iccad.Sample {
+	return iccad.Sample{Clip: layout.Clip{Window: geom.R(i, 0, i+1, 1)}, Hotspot: hot}
 }
 
 func TestLoadBenchmark(t *testing.T) {
 	suite := &hsd.Suite{Benchmarks: []hsd.Benchmark{
-		{Name: "B1", Train: hsd.Split{Samples: []hsd.Sample{sample(0, true)}}},
-		{Name: "B2", Train: hsd.Split{Samples: []hsd.Sample{sample(1, false), sample(2, true)}}},
+		{Name: "B1", Train: iccad.Split{Samples: []iccad.Sample{sample(0, true)}}},
+		{Name: "B2", Train: iccad.Split{Samples: []iccad.Sample{sample(1, false), sample(2, true)}}},
 	}}
 	path := filepath.Join(t.TempDir(), "suite.gob")
 	if err := hsd.SaveSuiteFile(path, suite); err != nil {
@@ -114,7 +115,7 @@ func TestRouterFlagsApply(t *testing.T) {
 
 func TestGoldenSet(t *testing.T) {
 	// Test split: hot at 0, 3; cold at 1, 2, 4, 5.
-	bench := &hsd.Benchmark{Name: "B", Test: hsd.Split{Samples: []hsd.Sample{
+	bench := &hsd.Benchmark{Name: "B", Test: iccad.Split{Samples: []iccad.Sample{
 		sample(0, true), sample(1, false), sample(2, false),
 		sample(3, true), sample(4, false), sample(5, false),
 	}}}

@@ -186,19 +186,3 @@ func EvaluateCtx(ctx context.Context, det Detector, benchName string, train, tes
 	}
 	return res, nil
 }
-
-// EvaluateSuite runs one detector factory across every benchmark of a
-// suite. The factory is invoked per benchmark so that per-benchmark
-// training state never leaks.
-func EvaluateSuite(factory func() Detector, suite *iccad.Suite, opt EvalOptions) ([]Result, error) {
-	out := make([]Result, 0, len(suite.Benchmarks))
-	for _, b := range suite.Benchmarks {
-		det := factory()
-		r, err := Evaluate(det, b.Name, FromSamples(b.Train.Samples), FromSamples(b.Test.Samples), opt)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}

@@ -72,24 +72,6 @@ func TestEnsemblePropagatesMemberFitError(t *testing.T) {
 	}
 }
 
-func TestEvaluateSuiteSmoke(t *testing.T) {
-	s := getTinySuite(t)
-	results, err := EvaluateSuite(func() Detector {
-		return &stubDetector{Target: geom.R(0, 0, 10, 10)}
-	}, s, EvalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(s.Benchmarks) {
-		t.Fatalf("results = %d", len(results))
-	}
-	for _, r := range results {
-		if scored(r) == 0 {
-			t.Fatal("empty confusion in suite evaluation")
-		}
-	}
-}
-
 func TestScanStrideCoversChip(t *testing.T) {
 	chip := layout.New("chip")
 	// A hotspot-marker shape in every corner and the centre.

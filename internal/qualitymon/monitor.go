@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"github.com/golitho/hsd/internal/layout"
+	"github.com/golitho/hsd/internal/resilience"
 	"github.com/golitho/hsd/internal/telemetry"
 	"github.com/golitho/hsd/internal/trace"
 )
@@ -54,7 +55,7 @@ type SpotMissTap func(clip layout.Clip, predicted, actual bool)
 // Options configures a Monitor. The zero value gets sane defaults from
 // New.
 type Options struct {
-	Clock Clock // nil = wall clock
+	Clock resilience.Clock // nil = resilience.Real, the wall clock
 
 	// SubWindow is the sliding-window rotation granularity; FastSubs
 	// and SlowSubs are the fast/slow window lengths in sub-windows.
@@ -144,7 +145,7 @@ type qmMetrics struct {
 // concurrent use; a nil receiver disables everything.
 type Monitor struct {
 	opts  Options
-	clock Clock
+	clock resilience.Clock
 	mets  qmMetrics
 
 	mu       sync.Mutex
@@ -185,7 +186,7 @@ const (
 // mode. Call Close to stop the worker.
 func New(opts Options) *Monitor {
 	if opts.Clock == nil {
-		opts.Clock = realClock{}
+		opts.Clock = resilience.Real
 	}
 	if opts.SubWindow <= 0 {
 		opts.SubWindow = 10 * time.Second

@@ -11,6 +11,7 @@ import (
 
 	"github.com/golitho/hsd/internal/geom"
 	"github.com/golitho/hsd/internal/layout"
+	"github.com/golitho/hsd/internal/resilience"
 	"github.com/golitho/hsd/internal/telemetry"
 	"github.com/golitho/hsd/internal/trace"
 )
@@ -29,7 +30,7 @@ func testClip(i int) layout.Clip {
 	}
 }
 
-func testMonitorOpts(clk Clock) Options {
+func testMonitorOpts(clk resilience.Clock) Options {
 	return Options{
 		Clock:     clk,
 		SubWindow: 10 * time.Second,

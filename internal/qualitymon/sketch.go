@@ -23,16 +23,6 @@ import (
 	"time"
 )
 
-// Clock abstracts time for deterministic tests; resilience.Clock and
-// serve's fake clocks satisfy it.
-type Clock interface {
-	Now() time.Time
-}
-
-type realClock struct{}
-
-func (realClock) Now() time.Time { return time.Now() }
-
 // subWindow is one rotation slot of a window ring: the counts observed
 // during one absolute epoch.
 type subWindow struct {

@@ -2,31 +2,15 @@ package qualitymon
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"time"
+
+	"github.com/golitho/hsd/internal/resilience"
 )
 
-// fakeClock is a mutex-guarded settable clock shared by the tests.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{t: time.Unix(1_700_000_000, 0)}
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
+// newFakeClock is the tests' shared starting instant on a frozen clock.
+func newFakeClock() *resilience.FakeClock {
+	return resilience.NewFakeClock(time.Unix(1_700_000_000, 0))
 }
 
 func TestWindowRingRotation(t *testing.T) {

@@ -165,6 +165,24 @@ func TestShedderBurstAndRefill(t *testing.T) {
 	if admitted != 2 {
 		t.Fatalf("admitted %d after long idle, want burst=Rate=2", admitted)
 	}
+
+	// At Rate 3 a token takes 1/3 s, which no whole number of
+	// nanoseconds equals: the hint must round up, or a client that waits
+	// exactly that long finds 0.999999999 tokens and is shed again.
+	clk = NewFakeClock(time.Unix(100, 0))
+	s = NewShedder(ShedderConfig{Rate: 3, Clock: clk})
+	for i := 0; i < 3; i++ {
+		if ok, _ := s.Allow(); !ok {
+			t.Fatalf("rate 3: request %d shed within burst", i)
+		}
+	}
+	if ok, retry = s.Allow(); ok {
+		t.Fatal("rate 3: admitted past burst on frozen clock")
+	}
+	clk.Advance(retry)
+	if ok, _ := s.Allow(); !ok {
+		t.Fatalf("rate 3: shed after the advertised retry-after %v elapsed", retry)
+	}
 }
 
 // TestShedderConcurrent runs concurrent Allow calls on a frozen clock:

@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"math"
 	"sync"
 	"time"
 )
@@ -43,7 +44,8 @@ func NewShedder(cfg ShedderConfig) *Shedder {
 
 // Allow spends one token if available. When the bucket is empty it
 // returns false and the duration until the next token accrues — the
-// Retry-After hint for a 429 response.
+// Retry-After hint for a 429 response — rounded up to a whole
+// nanosecond, so a client that waits exactly that long is admitted.
 func (s *Shedder) Allow() (ok bool, retryAfter time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -56,5 +58,5 @@ func (s *Shedder) Allow() (ok bool, retryAfter time.Duration) {
 		s.tokens--
 		return true, 0
 	}
-	return false, time.Duration((1 - s.tokens) / s.cfg.Rate * float64(time.Second))
+	return false, time.Duration(math.Ceil((1 - s.tokens) / s.cfg.Rate * float64(time.Second)))
 }

@@ -20,9 +20,9 @@
 // and every Span method is a nil-receiver no-op, so instrumented hot
 // paths need no conditional plumbing.
 //
-// Like internal/resilience, the tracer takes an injectable clock so
-// span timing and slow-trace classification are testable without
-// wall-clock sleeps.
+// The tracer takes internal/resilience's injectable clock, so span
+// timing and slow-trace classification are testable without wall-clock
+// sleeps, and one fake clock drives tracing and breakers together.
 package trace
 
 import (
@@ -33,18 +33,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/golitho/hsd/internal/resilience"
 	"github.com/golitho/hsd/internal/telemetry"
 )
-
-// Clock abstracts time for span timestamps. resilience.Clock satisfies
-// it, so tests can drive tracing and breakers from one fake clock.
-type Clock interface {
-	Now() time.Time
-}
-
-type realClock struct{}
-
-func (realClock) Now() time.Time { return time.Now() }
 
 // TraceID identifies one trace (a tree of spans).
 type TraceID uint64
@@ -286,8 +277,9 @@ type Config struct {
 	// SlowThreshold flags traces whose root span lasts at least this
 	// long. Zero disables the slow class.
 	SlowThreshold time.Duration
-	// Clock drives span timestamps (default the wall clock).
-	Clock Clock
+	// Clock drives span timestamps (default resilience.Real, the wall
+	// clock).
+	Clock resilience.Clock
 	// Rand is the sampling coin ([0,1) variate); injectable so tail
 	// sampling is deterministic in tests. Default math/rand.
 	Rand func() float64
@@ -330,7 +322,7 @@ func New(cfg Config) *Tracer {
 		cfg.SampleRate = 1
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = realClock{}
+		cfg.Clock = resilience.Real
 	}
 	if cfg.Rand == nil {
 		rng := rand.New(rand.NewSource(cfg.Clock.Now().UnixNano()))

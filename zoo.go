@@ -1,7 +1,11 @@
 package hsd
 
 import (
+	"github.com/golitho/hsd/internal/core"
+	"github.com/golitho/hsd/internal/dtree"
 	"github.com/golitho/hsd/internal/nn"
+	"github.com/golitho/hsd/internal/pm"
+	"github.com/golitho/hsd/internal/router"
 	"github.com/golitho/hsd/internal/svm"
 )
 
@@ -37,29 +41,20 @@ func shallowFeatures() FeatureExtractor {
 // zigzag DCT coefficients per block (a 16x16x16 tensor).
 func deepFeatures() *DCTFeatures { return &DCTFeatures{Blocks: 16, Coefs: 16} }
 
-// StandardPM is exact pattern matching with mirror augmentation.
-func StandardPM() Detector {
-	return NewPMDetector(PMConfig{GridPx: 32, Tol: 0, Mirror: true})
+// standardPM is exact pattern matching with mirror augmentation.
+func standardPM() Detector {
+	return core.NewPMDetector(pm.Config{GridPx: 32, Tol: 0, Mirror: true})
 }
 
 // StandardFuzzyPM is Hamming-tolerant pattern matching.
 func StandardFuzzyPM() Detector {
-	return NewPMDetector(PMConfig{GridPx: 32, Tol: 36, Mirror: true})
+	return core.NewPMDetector(pm.Config{GridPx: 32, Tol: 36, Mirror: true})
 }
 
-// StandardSVM is the linear soft-margin SVM with hotspot-weighted C.
-func StandardSVM(seed int64) Detector {
-	return NewSVMDetector(shallowFeatures(), SVMConfig{
-		Kernel: LinearKernel{}, C: 1, PosWeight: 8, Seed: seed, MaxIter: 120,
-	})
-}
-
-// StandardRBFSVM is the Gaussian-kernel SVM variant.
-func StandardRBFSVM(seed int64) Detector {
-	ex := shallowFeatures()
-	return NewSVMDetector(ex, SVMConfig{
-		Kernel: svm.RBF{Gamma: 0.1 / float64(ex.Dim())},
-		C:      10, PosWeight: 4, Seed: seed, MaxIter: 120,
+// standardSVM is the linear soft-margin SVM with hotspot-weighted C.
+func standardSVM(seed int64) Detector {
+	return core.NewSVMDetector(shallowFeatures(), svm.Config{
+		Kernel: svm.Linear{}, C: 1, PosWeight: 8, Seed: seed, MaxIter: 120,
 	})
 }
 
@@ -70,15 +65,15 @@ func StandardAdaBoost() Detector {
 
 // StandardForest is a class-balanced random forest.
 func StandardForest(seed int64) Detector {
-	return NewForestDetector(shallowFeatures(), ForestConfig{
+	return core.NewForestDetector(shallowFeatures(), dtree.ForestConfig{
 		Trees: 60, Seed: seed, ClassBalance: true,
-		Tree: TreeConfig{MaxDepth: 10},
+		Tree: dtree.TreeConfig{MaxDepth: 10},
 	})
 }
 
-// StandardMLP is the shallow neural-network baseline.
-func StandardMLP(seed int64) Detector {
-	return NewMLPDetector(shallowFeatures(), []int{64, 32}, TrainConfig{
+// standardMLP is the shallow neural-network baseline.
+func standardMLP(seed int64) Detector {
+	return core.NewMLPDetector(shallowFeatures(), []int{64, 32}, TrainConfig{
 		Epochs: 40, BatchSize: 32, Seed: seed,
 	})
 }
@@ -112,22 +107,22 @@ func StandardAugment() AugmentConfig {
 // augmentation is applied inside the router to the member-fit split
 // only, so the zoo spec carries none.
 func StandardRouter(seed int64) *RouterDetector {
-	return NewRouterDetector("Router", []RouterStage{
+	return router.New("Router", []router.Stage{
 		{Name: "pm-fuzzy", Detector: StandardFuzzyPM()},
 		{Name: "boost", Detector: StandardAdaBoost()},
 		{Name: "cnn", Detector: StandardCNN(seed, 0.25, "router-cnn")},
-	}, RouterConfig{Seed: seed, Augment: StandardAugment()})
+	}, router.Config{Seed: seed, Augment: StandardAugment()})
 }
 
 // SurveyZoo returns the survey's detector line-up, shallow to deep.
 func SurveyZoo(seed int64) []DetectorSpec {
 	return []DetectorSpec{
-		{Name: "PM-exact", New: StandardPM},
+		{Name: "PM-exact", New: standardPM},
 		{Name: "PM-fuzzy", New: StandardFuzzyPM},
-		{Name: "SVM", New: func() Detector { return StandardSVM(seed) }},
+		{Name: "SVM", New: func() Detector { return standardSVM(seed) }},
 		{Name: "AdaBoost", New: StandardAdaBoost},
 		{Name: "RForest", New: func() Detector { return StandardForest(seed) }},
-		{Name: "MLP", New: func() Detector { return StandardMLP(seed) },
+		{Name: "MLP", New: func() Detector { return standardMLP(seed) },
 			Augment: AugmentConfig{UpsampleFactor: 4, Mirror: true}},
 		{Name: "CNN", Deep: true,
 			New:     func() Detector { return StandardCNN(seed, 0, "cnn") },

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/golitho/hsd/internal/core"
+	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/nn"
 	"github.com/golitho/hsd/internal/trace"
 )
@@ -26,7 +27,7 @@ func reduceEpochs(det Detector) {
 		for _, s := range d.Stages() {
 			reduceEpochs(s.Detector)
 		}
-	case *Ensemble:
+	case *core.Ensemble:
 		for _, m := range d.Members {
 			reduceEpochs(m)
 		}
@@ -69,7 +70,7 @@ func TestZooSpecTrainRoundTrip(t *testing.T) {
 				return
 			}
 			var buf bytes.Buffer
-			if err := SaveNetwork(&buf, nd); err != nil {
+			if err := nn.Save(&buf, nd.Network()); err != nil {
 				t.Fatalf("save network: %v", err)
 			}
 			net, err := nn.Load(&buf)
@@ -103,7 +104,7 @@ func TestZooSpecTrainRoundTrip(t *testing.T) {
 func TestSharedInstanceConcurrentScore(t *testing.T) {
 	b := facadeBenchmark(t)
 	train := FromSamples(b.Train.Samples)
-	clips := make([]Clip, 8)
+	clips := make([]layout.Clip, 8)
 	for i := range clips {
 		clips[i] = b.Test.Samples[i].Clip
 	}
