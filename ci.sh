@@ -123,16 +123,17 @@ echo "== api smoke =="
 ./scripts/api_smoke.sh
 
 echo "== examples =="
-# The five examples are the facade's callers that run end to end: each
-# is built once and run, and a non-zero exit fails the gate (about 10 s
-# in all on 2 vCPUs). Compiling them is not enough to show that a
-# facade change kept them working.
+# Every example is a facade caller that runs end to end: each binary
+# the build writes is run, and a non-zero exit fails the gate (about
+# 20 s in all on 2 vCPUs). Compiling them is not enough to show that a
+# facade change kept them working, and looping over what was built, not
+# over a list, means an added or renamed example cannot be skipped.
 exdir=$(mktemp -d)
 trap 'rm -rf "$exdir"' EXIT INT TERM
 go build -o "$exdir/" ./examples/...
-for ex in lithosim fullchip ensemble quickstart imbalance; do
-	echo "-- examples/$ex"
-	"$exdir/$ex" >/dev/null
+for bin in "$exdir"/*; do
+	echo "-- examples/${bin##*/}"
+	"$bin" >/dev/null
 done
 
 echo "== metrics smoke =="

@@ -204,7 +204,7 @@ func run() error {
 			DriftThreshold: *driftThreshold,
 			SLOTarget:      *sloTarget,
 			SpotCheckRate:  *spotCheckRate,
-			Oracle:         sim.Label,
+			Oracle:         sim.LabelCtx,
 			Metrics:        reg,
 			Tracer:         tracer,
 			Logf:           log.Printf,

@@ -12,8 +12,9 @@
 //     (Simulator);
 //   - ICCAD-2012-style synthetic benchmark generation (GenerateSuite);
 //   - feature extraction (Density, CCAS, DCTFeatures);
-//   - the detector zoo: pattern matching, SVM, AdaBoost, MLP, CNN with
-//     biased learning, and voting ensembles (SurveyZoo);
+//   - the detector zoo (SurveyZoo): pattern matching, SVM, AdaBoost,
+//     MLP, CNN with biased learning, and an EPIC-style routed cascade
+//     (StandardRouter);
 //   - the contest evaluation protocol (Evaluate: accuracy, false alarms,
 //     ODST) and a parallel full-chip scanner (Scan, ScanFarm).
 //
@@ -164,9 +165,6 @@ func NewBoostDetector(ex FeatureExtractor, cfg BoostConfig) Detector {
 func NewCNNDetector(ex *DCTFeatures, cnn CNNConfig, cfg TrainConfig, label string) *NeuralDetector {
 	return core.NewCNNDetector(ex, cnn, cfg, label)
 }
-
-// NewEnsemble builds a majority-voting ensemble.
-func NewEnsemble(members ...Detector) *core.Ensemble { return core.NewEnsemble(members...) }
 
 // Routing (EPIC-style meta-classifier cascade).
 type (

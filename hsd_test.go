@@ -7,9 +7,7 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/golitho/hsd/internal/core"
 	"github.com/golitho/hsd/internal/layout"
-	"github.com/golitho/hsd/internal/logreg"
 )
 
 // The facade tests share one small generated suite.
@@ -161,19 +159,6 @@ func TestSaveNetworkRequiresFit(t *testing.T) {
 	}
 }
 
-func TestFacadeEnsemble(t *testing.T) {
-	b := facadeBenchmark(t)
-	train, test := FromSamples(b.Train.Samples), FromSamples(b.Test.Samples)
-	ens := NewEnsemble(StandardAdaBoost(), standardSVM(3), StandardFuzzyPM())
-	res, err := Evaluate(ens, b.Name, train, test, EvalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scored(res) != len(test) {
-		t.Fatal("ensemble did not score every clip")
-	}
-}
-
 // TestSurveyShape is the package's end-to-end sanity check: on a medium
 // benchmark, learned detectors must beat chance, pattern matching must
 // stay false-alarm-free, and biased learning must raise CNN recall.
@@ -287,23 +272,6 @@ func TestFacadeRasterizeAndAerial(t *testing.T) {
 	}
 	if _, err := RasterizeClip(layout.Clip{}, 8); err == nil {
 		t.Fatal("empty clip rasterized")
-	}
-}
-
-func TestFacadeForestAndLogReg(t *testing.T) {
-	b := facadeBenchmark(t)
-	train, test := FromSamples(b.Train.Samples), FromSamples(b.Test.Samples)
-	for _, det := range []Detector{
-		StandardForest(5),
-		core.NewLogRegDetector(&GeomStats{}, logreg.Config{Epochs: 120, LR: 0.3, PosWeight: 4, Seed: 5}),
-	} {
-		res, err := Evaluate(det, b.Name, train, test, EvalOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", det.Name(), err)
-		}
-		if n := scored(res); n != len(test) {
-			t.Fatalf("%s scored %d of %d", det.Name(), n, len(test))
-		}
 	}
 }
 

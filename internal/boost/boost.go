@@ -214,7 +214,7 @@ func bestStump(x [][]float64, ys, w []float64, order [][]int) (Stump, float64) {
 	return best, bestErr
 }
 
-// Score returns the ensemble margin of x; positive means hotspot. The
+// Score returns the ensemble margin of x; 0 and above means hotspot. The
 // magnitude is normalized by the total alpha mass, keeping scores in
 // [-1, 1] regardless of round count.
 func (m *Model) Score(x []float64) float64 {
@@ -228,9 +228,6 @@ func (m *Model) Score(x []float64) float64 {
 	}
 	return s / total
 }
-
-// Predict returns true when x is classified as a hotspot.
-func (m *Model) Predict(x []float64) bool { return m.Score(x) > 0 }
 
 // Rounds returns the number of weak learners in the ensemble.
 func (m *Model) Rounds() int { return len(m.Stumps) }

@@ -29,7 +29,7 @@ func TestTrainAxisAligned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range x {
-		if m.Predict(x[i]) != (y[i] == 1) {
+		if (m.Score(x[i]) >= 0) != (y[i] == 1) {
 			t.Fatalf("sample %d misclassified", i)
 		}
 	}
@@ -53,7 +53,7 @@ func TestTrainInvertedFeature(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range x {
-		if m.Predict(x[i]) != (y[i] == 1) {
+		if (m.Score(x[i]) >= 0) != (y[i] == 1) {
 			t.Fatalf("sample %d misclassified", i)
 		}
 	}
@@ -79,7 +79,7 @@ func TestTrainDiagonal(t *testing.T) {
 	}
 	correct := 0
 	for i := range x {
-		if m.Predict(x[i]) == (y[i] == 1) {
+		if (m.Score(x[i]) >= 0) == (y[i] == 1) {
 			correct++
 		}
 	}
@@ -108,7 +108,7 @@ func TestTrainingErrorDecreasesWithRounds(t *testing.T) {
 		}
 		wrong := 0
 		for i := range x {
-			if m.Predict(x[i]) != (y[i] == 1) {
+			if (m.Score(x[i]) >= 0) != (y[i] == 1) {
 				wrong++
 			}
 		}
@@ -201,7 +201,7 @@ func TestConstantFeatureIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range x {
-		if m.Predict(x[i]) != (y[i] == 1) {
+		if (m.Score(x[i]) >= 0) != (y[i] == 1) {
 			t.Fatalf("sample %d misclassified", i)
 		}
 	}
@@ -258,7 +258,7 @@ func TestClassBalanceRaisesMinorityRecall(t *testing.T) {
 		for i := range x {
 			if y[i] == 1 {
 				pos++
-				if m.Predict(x[i]) {
+				if m.Score(x[i]) >= 0 {
 					tp++
 				}
 			}

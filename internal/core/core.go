@@ -14,7 +14,6 @@ import (
 	"github.com/golitho/hsd/internal/dtree"
 	"github.com/golitho/hsd/internal/features"
 	"github.com/golitho/hsd/internal/layout"
-	"github.com/golitho/hsd/internal/logreg"
 	"github.com/golitho/hsd/internal/nn"
 	"github.com/golitho/hsd/internal/pm"
 	"github.com/golitho/hsd/internal/svm"
@@ -281,13 +280,6 @@ func NewBoostDetector(ex features.Extractor, cfg boost.Config) *FeatureDetector 
 // extractor; its score is the mean tree probability.
 func NewForestDetector(ex features.Extractor, cfg dtree.ForestConfig) *FeatureDetector {
 	return newFeatureDetector("rforest", "forest", 0.5, ex, cfg, dtree.TrainForest, (*dtree.Forest).Prob)
-}
-
-// NewLogRegDetector constructs L2-regularized logistic regression over
-// the extractor, the probabilistic shallow baseline; its score is the
-// hotspot probability.
-func NewLogRegDetector(ex features.Extractor, cfg logreg.Config) *FeatureDetector {
-	return newFeatureDetector("logreg", "logreg", 0.5, ex, cfg, logreg.Train, (*logreg.Model).Prob)
 }
 
 // Name implements Detector.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -14,11 +13,9 @@ import (
 	"github.com/golitho/hsd/internal/iccad"
 	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/lithosim"
-	"github.com/golitho/hsd/internal/logreg"
 	"github.com/golitho/hsd/internal/nn"
 	"github.com/golitho/hsd/internal/pm"
 	"github.com/golitho/hsd/internal/svm"
-	"github.com/golitho/hsd/internal/trace"
 )
 
 // tinySuite is generated once and shared by the package tests.
@@ -275,7 +272,6 @@ func TestNotFittedErrors(t *testing.T) {
 		NewSVMDetector(&features.Density{Grid: 8}, svm.Config{}),
 		NewBoostDetector(&features.Density{Grid: 8}, boost.Config{}),
 		NewMLPDetector(&features.Density{Grid: 8}, []int{4}, nn.TrainConfig{}),
-		NewEnsemble(NewPMDetector(pm.Config{})),
 	} {
 		if _, err := det.Score(clip); err == nil {
 			t.Errorf("%s scored before Fit", det.Name())
@@ -379,80 +375,6 @@ func TestScanDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-func TestEnsembleVoting(t *testing.T) {
-	train, test := tinySplits(t)
-	ens := NewEnsemble(
-		NewBoostDetector(&features.Density{Grid: 16}, boost.Config{Rounds: 30}),
-		NewBoostDetector(&features.CCAS{Rings: 6, Sectors: 8}, boost.Config{Rounds: 30}),
-		NewPMDetector(pm.Config{GridPx: 32, Tol: 20}),
-	)
-	res, err := Evaluate(ens, "T1", train, test, EvalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scored(res) != len(test) {
-		t.Fatal("ensemble did not score everything")
-	}
-	for _, s := range res.Scores {
-		if s < 0 || s > 1 {
-			t.Fatalf("ensemble score %v outside [0,1]", s)
-		}
-	}
-}
-
-// spanNames runs score under a fresh recording trace and returns the
-// names of the spans it ended, in End order.
-func spanNames(t *testing.T, score func(ctx context.Context) (float64, error)) []string {
-	t.Helper()
-	tr := trace.New(trace.Config{Capacity: 1, Shards: 1})
-	ctx, root := trace.Start(trace.WithTracer(context.Background(), tr), "root")
-	if _, err := score(ctx); err != nil {
-		t.Fatal(err)
-	}
-	root.End()
-	var names []string
-	for _, sp := range tr.Traces(1)[0].Spans {
-		if sp.Name != "root" {
-			names = append(names, sp.Name)
-		}
-	}
-	return names
-}
-
-// TestEnsembleScoreCarriesMemberSpans: a traced ensemble score shows
-// its members' stages, one "inference" span per feature-based member
-// (the pattern matcher has none).
-func TestEnsembleScoreCarriesMemberSpans(t *testing.T) {
-	train, test := tinySplits(t)
-	ens := NewEnsemble(
-		NewBoostDetector(&features.Density{Grid: 16}, boost.Config{Rounds: 30}),
-		NewLogRegDetector(&features.CCAS{Rings: 6, Sectors: 8}, logreg.Config{Epochs: 20, Seed: 1}),
-		NewPMDetector(pm.Config{GridPx: 32, Tol: 20}),
-	)
-	if err := ens.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	names := spanNames(t, func(ctx context.Context) (float64, error) {
-		return ScoreClipCtx(ctx, ens, test[0].Clip)
-	})
-	inference := 0
-	for _, n := range names {
-		if n == "inference" {
-			inference++
-		}
-	}
-	if inference != 2 {
-		t.Fatalf("traced ensemble score has %d inference spans, want 2: %v", inference, names)
-	}
-}
-
-func TestEnsembleValidation(t *testing.T) {
-	e := NewEnsemble()
-	if err := e.Fit(nil); err == nil {
-		t.Fatal("empty ensemble accepted")
-	}
-}
-
 func TestPredictUsesThreshold(t *testing.T) {
 	det := &stubDetector{Target: geom.R(0, 0, 10, 10)}
 	clip := layout.Clip{
@@ -481,21 +403,5 @@ func TestForestDetectorEvaluate(t *testing.T) {
 	}
 	if _, err := NewForestDetector(&features.Density{Grid: 8}, dtree.ForestConfig{}).Score(test[0].Clip); err == nil {
 		t.Fatal("unfitted forest scored")
-	}
-}
-
-func TestLogRegDetectorEvaluate(t *testing.T) {
-	train, test := tinySplits(t)
-	det := NewLogRegDetector(&features.GeomStats{},
-		logreg.Config{Epochs: 150, LR: 0.3, PosWeight: 4, Seed: 1})
-	res, err := Evaluate(det, "T1", train, test, EvalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AUC < 0.55 {
-		t.Fatalf("logreg AUC = %v", res.AUC)
-	}
-	if _, err := NewLogRegDetector(&features.Density{Grid: 8}, logreg.Config{}).Score(test[0].Clip); err == nil {
-		t.Fatal("unfitted logreg scored")
 	}
 }

@@ -105,7 +105,6 @@ func scoreVector(ctx context.Context, d Detector, scale *scaler, v []float64, de
 var (
 	_ CtxScorer      = (*FeatureDetector)(nil)
 	_ CtxScorer      = (*NeuralDetector)(nil)
-	_ CtxScorer      = (*Ensemble)(nil)
 	_ CtxBatchScorer = (*NeuralDetector)(nil)
 	_ CtxFitter      = (*NeuralDetector)(nil)
 )

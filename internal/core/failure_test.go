@@ -64,14 +64,6 @@ func TestEvaluatePropagatesFitErrors(t *testing.T) {
 	}
 }
 
-func TestEnsemblePropagatesMemberFitError(t *testing.T) {
-	train, _ := tinySplits(t)
-	ens := NewEnsemble(fitFailDetector{})
-	if err := ens.Fit(train); !errors.Is(err, errInjected) {
-		t.Fatalf("ensemble fit error = %v", err)
-	}
-}
-
 func TestScanStrideCoversChip(t *testing.T) {
 	chip := layout.New("chip")
 	// A hotspot-marker shape in every corner and the centre.

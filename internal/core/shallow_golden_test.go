@@ -12,7 +12,6 @@ import (
 	"github.com/golitho/hsd/internal/boost"
 	"github.com/golitho/hsd/internal/dtree"
 	"github.com/golitho/hsd/internal/features"
-	"github.com/golitho/hsd/internal/logreg"
 	"github.com/golitho/hsd/internal/svm"
 )
 
@@ -25,9 +24,8 @@ var updateShallowGolden = flag.Bool("update-shallow-golden", false, "rewrite the
 
 const shallowGoldenPath = "testdata/shallow_golden.json"
 
-// shallowZoo is the survey zoo's four classical learners (zoo.go's
-// configurations at seed 1; logistic regression is not a zoo row and
-// takes the facade test's configuration) over the zoo's shallow feature
+// shallowZoo is the survey zoo's three classical feature learners
+// (zoo.go's configurations at seed 1) over the zoo's shallow feature
 // view.
 func shallowZoo() []Detector {
 	ex := func() features.Extractor {
@@ -39,7 +37,6 @@ func shallowZoo() []Detector {
 		NewBoostDetector(ex(), boost.Config{Rounds: 150, ClassBalance: true}),
 		NewForestDetector(ex(), dtree.ForestConfig{
 			Trees: 60, Seed: 1, ClassBalance: true, Tree: dtree.TreeConfig{MaxDepth: 10}}),
-		NewLogRegDetector(ex(), logreg.Config{Epochs: 120, LR: 0.3, PosWeight: 4, Seed: 5}),
 	}
 }
 

@@ -192,27 +192,6 @@ func (t *Tree) Prob(x []float64) float64 {
 	}
 }
 
-// Predict returns the thresholded class of x.
-func (t *Tree) Predict(x []float64) bool { return t.Prob(x) > 0.5 }
-
-// Depth returns the tree height.
-func (t *Tree) Depth() int { return t.depth(0) }
-
-func (t *Tree) depth(i int32) int {
-	n := t.nodes[i]
-	if n.leaf {
-		return 0
-	}
-	l, r := t.depth(n.left), t.depth(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
-
-// NumNodes returns the node count.
-func (t *Tree) NumNodes() int { return len(t.nodes) }
-
 // ForestConfig parameterizes a random forest.
 type ForestConfig struct {
 	// Trees is the ensemble size (default 50).
@@ -299,9 +278,6 @@ func (f *Forest) Prob(x []float64) float64 {
 	}
 	return s / float64(len(f.trees))
 }
-
-// Predict returns the majority decision.
-func (f *Forest) Predict(x []float64) bool { return f.Prob(x) > 0.5 }
 
 // Size returns the number of trees.
 func (f *Forest) Size() int { return len(f.trees) }

@@ -26,13 +26,22 @@ func TestTreeAxisSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range x {
-		if tree.Predict(x[i]) != (y[i] == 1) {
+		if (tree.Prob(x[i]) >= 0.5) != (y[i] == 1) {
 			t.Fatalf("sample %d misclassified", i)
 		}
 	}
-	if tree.Depth() > 3 {
-		t.Fatalf("depth = %d exceeds cap", tree.Depth())
+	if d := depth(tree, 0); d > 3 {
+		t.Fatalf("depth = %d exceeds cap", d)
 	}
+}
+
+// depth is the height of the subtree rooted at node i.
+func depth(t *Tree, i int32) int {
+	n := t.nodes[i]
+	if n.leaf {
+		return 0
+	}
+	return 1 + max(depth(t, n.left), depth(t, n.right))
 }
 
 func TestTreeXor(t *testing.T) {
@@ -50,7 +59,7 @@ func TestTreeXor(t *testing.T) {
 	}
 	correct := 0
 	for i := range x {
-		if tree.Predict(x[i]) == (y[i] == 1) {
+		if (tree.Prob(x[i]) >= 0.5) == (y[i] == 1) {
 			correct++
 		}
 	}
@@ -67,8 +76,8 @@ func TestTreeDepthZeroStopsAtRoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	// MinLeaf 4 forbids any split of 4 samples: root leaf with prob 0.5.
-	if tree.NumNodes() != 1 {
-		t.Fatalf("nodes = %d, want 1", tree.NumNodes())
+	if len(tree.nodes) != 1 {
+		t.Fatalf("nodes = %d, want 1", len(tree.nodes))
 	}
 	if p := tree.Prob([]float64{0}); p != 0.5 {
 		t.Fatalf("root prob = %v", p)
@@ -126,10 +135,10 @@ func TestForestBeatsSingleTreeOnNoisyData(t *testing.T) {
 	}
 	xTr, yTr := gen(500)
 	xTe, yTe := gen(500)
-	acc := func(p func([]float64) bool) float64 {
+	acc := func(prob func([]float64) float64) float64 {
 		c := 0
 		for i := range xTe {
-			if p(xTe[i]) == (yTe[i] == 1) {
+			if (prob(xTe[i]) >= 0.5) == (yTe[i] == 1) {
 				c++
 			}
 		}
@@ -143,7 +152,7 @@ func TestForestBeatsSingleTreeOnNoisyData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	at, af := acc(tree.Predict), acc(forest.Predict)
+	at, af := acc(tree.Prob), acc(forest.Prob)
 	if af < at-0.02 {
 		t.Fatalf("forest (%.3f) clearly worse than single deep tree (%.3f)", af, at)
 	}
@@ -171,7 +180,7 @@ func TestForestClassBalanceRaisesRecall(t *testing.T) {
 		for i := range x {
 			if y[i] == 1 {
 				pos++
-				if f.Predict(x[i]) {
+				if f.Prob(x[i]) >= 0.5 {
 					tp++
 				}
 			}

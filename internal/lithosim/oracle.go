@@ -45,12 +45,6 @@ func (s *Simulator) LabelCtx(ctx context.Context, clip layout.Clip) (hotspot boo
 	return res.Hotspot, nil
 }
 
-// Label is LabelCtx without cancellation, matching the qualitymon
-// Oracle signature.
-func (s *Simulator) Label(clip layout.Clip) (bool, error) {
-	return s.LabelCtx(context.Background(), clip)
-}
-
 // SimulateCtx is the context-aware Simulate: cancellation and deadline
 // are checked at unit-of-work boundaries (one blur, or one corner's
 // threshold and three geometric checks), so a cancelled verification

@@ -1,6 +1,7 @@
 package lithosim
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -138,28 +139,65 @@ type errorString string
 
 func (e errorString) Error() string { return string(e) }
 
-// TestMirrorSymmetryOfOracle: optics is mirror-symmetric, so mirrored
-// clips get identical verdicts. (This is the physical justification for
-// mirror augmentation.)
+// TestMirrorSymmetryOfOracle: the oracle's verdict is a function of a
+// clip's canonical geometry. Optics is mirror-symmetric (the physical
+// justification for mirror augmentation), and the clip fingerprint that
+// keys the scan cache and the spot-check sample discards the window's
+// absolute position and the order shapes were drawn in. Under each of
+// those transforms the verdict and the PV-band area must stay bit for
+// bit what they were, and under the two the fingerprint removes so must
+// the defect count. The defect checks sample edges and cross-sections
+// at fixed pixel steps from one end, so a mirror may move a sample on
+// or off a defect without changing the verdict.
 func TestMirrorSymmetryOfOracle(t *testing.T) {
 	s := newSim(t)
-	rng := rand.New(rand.NewSource(45))
-	for trial := 0; trial < 8; trial++ {
+	rng := rand.New(rand.NewSource(46))
+	transforms := []struct {
+		name        string
+		sameDefects bool
+		apply       func(layout.Clip) layout.Clip
+	}{
+		{"mirror", false, func(c layout.Clip) layout.Clip {
+			m := layout.Clip{Window: c.Window, Core: mirrorRect(c.Core, c.Window)}
+			for _, r := range c.Shapes {
+				m.Shapes = append(m.Shapes, mirrorRect(r, c.Window))
+			}
+			return m
+		}},
+		{"translate", true, func(c layout.Clip) layout.Clip {
+			// Any offset, most of them off the simulation pixel grid.
+			d := geom.Pt(rng.Intn(20001)-10000, rng.Intn(20001)-10000)
+			m := layout.Clip{Window: c.Window.Translate(d), Core: c.Core.Translate(d)}
+			for _, r := range c.Shapes {
+				m.Shapes = append(m.Shapes, r.Translate(d))
+			}
+			return m
+		}},
+		{"permute", true, func(c layout.Clip) layout.Clip {
+			m := layout.Clip{Window: c.Window, Core: c.Core, Shapes: make([]geom.Rect, len(c.Shapes))}
+			for i, j := range rng.Perm(len(c.Shapes)) {
+				m.Shapes[i] = c.Shapes[j]
+			}
+			return m
+		}},
+	}
+	for trial := 0; trial < 40; trial++ {
 		clip := randomTestClip(t, rng)
-		mirrored := layout.Clip{Window: clip.Window, Core: mirrorRect(clip.Core, clip.Window), Shapes: nil}
-		for _, r := range clip.Shapes {
-			mirrored.Shapes = append(mirrored.Shapes, mirrorRect(r, clip.Window))
-		}
 		a, err := s.Simulate(clip)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := s.Simulate(mirrored)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Hotspot != b.Hotspot {
-			t.Fatalf("trial %d: mirror changed verdict %v -> %v", trial, a.Hotspot, b.Hotspot)
+		for _, tf := range transforms {
+			b, err := s.Simulate(tf.apply(clip))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Hotspot != b.Hotspot || tf.sameDefects && len(a.Defects) != len(b.Defects) ||
+				math.Float64bits(a.PVBandArea) != math.Float64bits(b.PVBandArea) {
+				t.Fatalf("trial %d, %s: (hotspot %v, %d defects, PV band %v) -> (%v, %d, %v)",
+					trial, tf.name, a.Hotspot, len(a.Defects), a.PVBandArea,
+					b.Hotspot, len(b.Defects), b.PVBandArea)
+			}
 		}
 	}
 }

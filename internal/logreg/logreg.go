@@ -1,7 +1,6 @@
 // Package logreg implements L2-regularized logistic regression trained
-// with mini-batch SGD — the simplest probabilistic baseline in the
-// shallow hotspot-detection family, and a useful calibration reference
-// for the margin-based models.
+// with mini-batch SGD: the stacker the router calibrates each stage's
+// confidence with.
 package logreg
 
 import (
@@ -127,6 +126,3 @@ func (m *Model) Prob(x []float64) float64 {
 	}
 	return 1 / (1 + math.Exp(-s))
 }
-
-// Predict thresholds Prob at 0.5.
-func (m *Model) Predict(x []float64) bool { return m.Prob(x) > 0.5 }

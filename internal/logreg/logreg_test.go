@@ -24,7 +24,7 @@ func TestSeparable(t *testing.T) {
 	}
 	correct := 0
 	for i := range x {
-		if m.Predict(x[i]) == (y[i] == 1) {
+		if (m.Prob(x[i]) >= 0.5) == (y[i] == 1) {
 			correct++
 		}
 	}
@@ -77,7 +77,7 @@ func TestPosWeightRaisesRecall(t *testing.T) {
 		for i := range x {
 			if y[i] == 1 {
 				pos++
-				if m.Predict(x[i]) {
+				if m.Prob(x[i]) >= 0.5 {
 					tp++
 				}
 			}

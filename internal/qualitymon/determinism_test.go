@@ -1,6 +1,7 @@
 package qualitymon
 
 import (
+	"context"
 	"encoding/json"
 
 	"github.com/golitho/hsd/internal/layout"
@@ -48,7 +49,7 @@ func runWorkers(t *testing.T, n int) []byte {
 	opts := testMonitorOpts(clk)
 	opts.SpotCheckRate = 0.5
 	opts.SyncSpotChecks = true
-	opts.Oracle = func(c layout.Clip) (bool, error) { return c.Shapes[0].Dx()%2 == 0, nil }
+	opts.Oracle = func(_ context.Context, c layout.Clip) (bool, error) { return c.Shapes[0].Dx()%2 == 0, nil }
 	m := New(opts)
 	defer m.Close()
 	m.InstallBaseline(testBaseline())
@@ -98,7 +99,7 @@ func TestSnapshotDeterministicUnderReassignment(t *testing.T) {
 	opts := testMonitorOpts(clk)
 	opts.SpotCheckRate = 0.5
 	opts.SyncSpotChecks = true
-	opts.Oracle = func(c layout.Clip) (bool, error) { return c.Shapes[0].Dx()%2 == 0, nil }
+	opts.Oracle = func(_ context.Context, c layout.Clip) (bool, error) { return c.Shapes[0].Dx()%2 == 0, nil }
 	m := New(opts)
 	defer m.Close()
 	m.InstallBaseline(testBaseline())

@@ -10,6 +10,7 @@
 package qualitymon
 
 import (
+	"context"
 	"errors"
 	"io/fs"
 	"sync"
@@ -84,9 +85,10 @@ type Options struct {
 
 	// SpotCheckRate is the fraction of scored clips rescored by the
 	// shadow oracle, selected deterministically by content fingerprint
-	// (0 disables). Oracle is the ground-truth scorer (lithosim).
+	// (0 disables). Oracle is the ground-truth scorer (lithosim's
+	// LabelCtx), the signature datengine.Config.Oracle has too.
 	SpotCheckRate float64
-	Oracle        func(layout.Clip) (bool, error)
+	Oracle        func(ctx context.Context, clip layout.Clip) (bool, error)
 	// SyncSpotChecks runs checks inline for deterministic tests and
 	// CLI scans; otherwise they queue behind one background worker.
 	SyncSpotChecks bool
@@ -165,6 +167,7 @@ type Monitor struct {
 	pending atomic.Int64 // queued + running spot checks, for Drain
 	wg      sync.WaitGroup
 	closed  atomic.Bool
+	qmu     sync.Mutex // orders each send on spotq before Close closes it
 }
 
 const (
@@ -225,13 +228,16 @@ func New(opts Options) *Monitor {
 	return m
 }
 
-// Close stops the spot-check worker and waits for in-flight checks.
+// Close stops the spot-check worker and waits for the checks already
+// queued; a clip sampled after Close counts as a dropped check.
 func (m *Monitor) Close() {
 	if m == nil || !m.closed.CompareAndSwap(false, true) {
 		return
 	}
 	if m.spotq != nil {
+		m.qmu.Lock()
 		close(m.spotq)
+		m.qmu.Unlock()
 	}
 	m.wg.Wait()
 }

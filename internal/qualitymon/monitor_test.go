@@ -1,11 +1,13 @@
 package qualitymon
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -196,7 +198,7 @@ func TestSpotCheckerConfusion(t *testing.T) {
 	opts.SyncSpotChecks = true
 	// Oracle: hot iff the clip index encoded in the first shape's width
 	// is even (deterministic, disagrees with half the predictions).
-	opts.Oracle = func(c layout.Clip) (bool, error) {
+	opts.Oracle = func(_ context.Context, c layout.Clip) (bool, error) {
 		return c.Shapes[0].Dx()%2 == 0, nil
 	}
 	m := New(opts)
@@ -251,7 +253,7 @@ func TestSpotMissTap(t *testing.T) {
 	opts := testMonitorOpts(clk)
 	opts.SpotCheckRate = 1
 	opts.SyncSpotChecks = true
-	opts.Oracle = func(c layout.Clip) (bool, error) {
+	opts.Oracle = func(_ context.Context, c layout.Clip) (bool, error) {
 		return c.Shapes[0].Dx()%2 == 0, nil
 	}
 	type miss struct{ predicted, actual bool }
@@ -417,7 +419,7 @@ func TestInstallBaselineSidecar(t *testing.T) {
 func TestAsyncSpotCheckerDrains(t *testing.T) {
 	opts := testMonitorOpts(newFakeClock())
 	opts.SpotCheckRate = 1
-	opts.Oracle = func(c layout.Clip) (bool, error) { return true, nil }
+	opts.Oracle = func(_ context.Context, c layout.Clip) (bool, error) { return true, nil }
 	m := New(opts)
 	for i := 0; i < 16; i++ {
 		m.Observe(Event{
@@ -433,4 +435,75 @@ func TestAsyncSpotCheckerDrains(t *testing.T) {
 		t.Fatalf("TP = %d, want 16", got)
 	}
 	m.Close()
+}
+
+// TestObserveAfterCloseDropsSpotCheck: a clip sampled after Close is a
+// dropped check, counted like one that finds the queue full, and is
+// never sent on the closed queue.
+func TestObserveAfterCloseDropsSpotCheck(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	opts := testMonitorOpts(newFakeClock())
+	opts.SpotCheckRate = 1
+	opts.Oracle = func(_ context.Context, c layout.Clip) (bool, error) { return true, nil }
+	opts.Metrics = reg
+	m := New(opts)
+	m.Close()
+	m.Observe(Event{
+		Detector: "MLP", Stage: "primary", Score: 1, Threshold: 0.5,
+		Clip: testClip(0), HasClip: true,
+	})
+	if sc := m.Snapshot().SpotCheck; sc.Sampled != 1 || sc.Dropped != 1 {
+		t.Fatalf("after Close: sampled %d, dropped %d, want 1 and 1", sc.Sampled, sc.Dropped)
+	}
+	if !m.DrainSpotChecks(time.Second) {
+		t.Fatal("a dropped check is still pending")
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "hotspot_spot_checks_dropped_total 1") {
+		t.Fatalf("dropped counter missing:\n%s", sb.String())
+	}
+}
+
+// TestObserveConcurrentWithClose: Close racing live Observe calls
+// neither panics nor loses a check. Every sampled clip is either run
+// by the oracle (Close drains what was queued) or counted as dropped.
+func TestObserveConcurrentWithClose(t *testing.T) {
+	opts := testMonitorOpts(newFakeClock())
+	opts.SpotCheckRate = 1
+	var calls atomic.Int64
+	opts.Oracle = func(_ context.Context, c layout.Clip) (bool, error) {
+		calls.Add(1)
+		return true, nil
+	}
+	m := New(opts)
+	const goroutines, each = 4, 200
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				m.Observe(Event{
+					Detector: "MLP", Stage: "primary", Score: 1, Threshold: 0.5,
+					Clip: testClip(g*each + i), HasClip: true,
+				})
+			}
+		}(g)
+	}
+	m.Close()
+	wg.Wait()
+	sc := m.Snapshot().SpotCheck
+	if sc.Sampled != goroutines*each {
+		t.Fatalf("sampled %d, want %d", sc.Sampled, goroutines*each)
+	}
+	if got := calls.Load() + sc.Dropped; got != sc.Sampled {
+		t.Fatalf("oracle ran %d and %d were dropped: %d of %d sampled checks accounted for",
+			calls.Load(), sc.Dropped, got, sc.Sampled)
+	}
+	if !m.DrainSpotChecks(time.Second) {
+		t.Fatal("checks still pending after Close")
+	}
 }

@@ -10,6 +10,7 @@
 package qualitymon
 
 import (
+	"context"
 	"encoding/binary"
 	"time"
 
@@ -47,7 +48,8 @@ const spotQueue = 256
 // enqueueSpot hands a job to the checker: inline in sync mode, through
 // the bounded queue otherwise. A full queue drops the job (counted) —
 // spot checking is sampling, and blocking the scoring path on the
-// oracle would invert the cost model the cascade exists to protect.
+// oracle would invert the cost model the cascade exists to protect. So
+// does a closed one: a clip sampled after Close is dropped, never sent.
 func (m *Monitor) enqueueSpot(j spotJob) {
 	m.spotSampled.Add(1)
 	m.mets.spotChecks.Inc()
@@ -56,14 +58,19 @@ func (m *Monitor) enqueueSpot(j spotJob) {
 		m.runSpotJob(j)
 		return
 	}
-	m.pending.Add(1)
-	select {
-	case m.spotq <- j:
-	default:
-		m.pending.Add(-1)
-		m.spotDropped.Add(1)
-		m.mets.spotDropped.Inc()
+	m.qmu.Lock()
+	defer m.qmu.Unlock()
+	if !m.closed.Load() {
+		m.pending.Add(1)
+		select {
+		case m.spotq <- j:
+			return
+		default:
+			m.pending.Add(-1)
+		}
 	}
+	m.spotDropped.Add(1)
+	m.mets.spotDropped.Inc()
 }
 
 func (m *Monitor) spotWorker() {
@@ -75,7 +82,7 @@ func (m *Monitor) spotWorker() {
 
 func (m *Monitor) runSpotJob(j spotJob) {
 	defer m.pending.Add(-1)
-	actual, err := m.opts.Oracle(j.clip)
+	actual, err := m.opts.Oracle(context.Background(), j.clip)
 	if err != nil {
 		m.spotErrors.Add(1)
 		m.mets.spotErrors.Inc()

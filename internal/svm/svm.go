@@ -265,10 +265,7 @@ func Train(x [][]float64, y []int, cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// NumSupport returns the number of support vectors.
-func (m *Model) NumSupport() int { return len(m.support) }
-
-// Decision returns the signed margin of x; positive means hotspot.
+// Decision returns the signed margin of x; 0 and above means hotspot.
 func (m *Model) Decision(x []float64) float64 {
 	s := m.bias
 	for i, sv := range m.support {
@@ -276,6 +273,3 @@ func (m *Model) Decision(x []float64) float64 {
 	}
 	return s
 }
-
-// Predict returns true when x is classified as a hotspot.
-func (m *Model) Predict(x []float64) bool { return m.Decision(x) > 0 }

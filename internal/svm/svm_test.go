@@ -24,11 +24,11 @@ func TestLinearSeparable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range x {
-		if got := m.Predict(x[i]); got != (y[i] == 1) {
+		if got := m.Decision(x[i]) >= 0; got != (y[i] == 1) {
 			t.Fatalf("sample %d misclassified (decision %v)", i, m.Decision(x[i]))
 		}
 	}
-	if !m.Predict([]float64{5, 5}) || m.Predict([]float64{-5, -5}) {
+	if m.Decision([]float64{5, 5}) < 0 || m.Decision([]float64{-5, -5}) >= 0 {
 		t.Fatal("generalization failed on far points")
 	}
 	if st := m.TrainStats(); st.Passes <= 0 || st.Elapsed <= 0 {
@@ -59,7 +59,7 @@ func TestRBFXor(t *testing.T) {
 	}
 	correct := 0
 	for i := range xs {
-		if m.Predict(xs[i]) == (ys[i] == 1) {
+		if (m.Decision(xs[i]) >= 0) == (ys[i] == 1) {
 			correct++
 		}
 	}
@@ -92,7 +92,7 @@ func TestPosWeightShiftsBoundary(t *testing.T) {
 		for i := range x {
 			if y[i] == 1 {
 				pos++
-				if m.Predict(x[i]) {
+				if m.Decision(x[i]) >= 0 {
 					tp++
 				}
 			}
@@ -144,7 +144,7 @@ func TestDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.NumSupport() != b.NumSupport() {
+	if len(a.support) != len(b.support) {
 		t.Fatal("support vector count differs across identical runs")
 	}
 	probe := []float64{0.3, -0.2}
@@ -221,10 +221,10 @@ func TestSupportVectorsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumSupport() > len(x) {
+	if len(m.support) > len(x) {
 		t.Fatal("more support vectors than samples")
 	}
-	if m.NumSupport() == 0 {
+	if len(m.support) == 0 {
 		t.Fatal("no support vectors")
 	}
 }

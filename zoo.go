@@ -63,8 +63,8 @@ func StandardAdaBoost() Detector {
 	return NewBoostDetector(shallowFeatures(), BoostConfig{Rounds: 150, ClassBalance: true})
 }
 
-// StandardForest is a class-balanced random forest.
-func StandardForest(seed int64) Detector {
+// standardForest is a class-balanced random forest.
+func standardForest(seed int64) Detector {
 	return core.NewForestDetector(shallowFeatures(), dtree.ForestConfig{
 		Trees: 60, Seed: seed, ClassBalance: true,
 		Tree: dtree.TreeConfig{MaxDepth: 10},
@@ -121,7 +121,7 @@ func SurveyZoo(seed int64) []DetectorSpec {
 		{Name: "PM-fuzzy", New: StandardFuzzyPM},
 		{Name: "SVM", New: func() Detector { return standardSVM(seed) }},
 		{Name: "AdaBoost", New: StandardAdaBoost},
-		{Name: "RForest", New: func() Detector { return StandardForest(seed) }},
+		{Name: "RForest", New: func() Detector { return standardForest(seed) }},
 		{Name: "MLP", New: func() Detector { return standardMLP(seed) },
 			Augment: AugmentConfig{UpsampleFactor: 4, Mirror: true}},
 		{Name: "CNN", Deep: true,

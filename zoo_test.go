@@ -17,8 +17,7 @@ import (
 // reduceEpochs shrinks neural training to a couple of epochs so the
 // whole zoo trains within test time; accuracy is not under test here,
 // only that every spec's construct/fit/score/persist cycle works. The
-// router and the ensemble are recursed so their CNN members are shrunk
-// too.
+// router is recursed so its CNN member is shrunk too.
 func reduceEpochs(det Detector) {
 	switch d := det.(type) {
 	case *NeuralDetector:
@@ -26,10 +25,6 @@ func reduceEpochs(det Detector) {
 	case *RouterDetector:
 		for _, s := range d.Stages() {
 			reduceEpochs(s.Detector)
-		}
-	case *core.Ensemble:
-		for _, m := range d.Members {
-			reduceEpochs(m)
 		}
 	}
 }
@@ -96,8 +91,7 @@ func TestZooSpecTrainRoundTrip(t *testing.T) {
 
 // TestSharedInstanceConcurrentScore holds the whole line-up to the
 // Detector concurrency contract: every zoo spec (the Router cascades
-// into a CNN member) plus an Ensemble over a CNN is fitted once, and
-// the one instance, scored from 8 goroutines through Score, ScoreClipCtx
+// into a CNN member) is fitted once, and the one instance, scored from 8 goroutines through Score, ScoreClipCtx
 // and the batch path, answers the bits it answers serially. Meaningful
 // under -race. The fit skips augmentation: what is scored matters here,
 // not how well.
@@ -108,10 +102,7 @@ func TestSharedInstanceConcurrentScore(t *testing.T) {
 	for i := range clips {
 		clips[i] = b.Test.Samples[i].Clip
 	}
-	specs := append(SurveyZoo(5), DetectorSpec{Name: "Ensemble", New: func() Detector {
-		return NewEnsemble(StandardAdaBoost(), StandardFuzzyPM(), StandardCNN(5, 0, "ens-cnn"))
-	}})
-	for _, spec := range specs {
+	for _, spec := range SurveyZoo(5) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			det := spec.New()
