@@ -15,9 +15,10 @@
 // ingests clips whose score lands within -margin of the threshold —
 // the detector's own uncertainty band. Candidates are deduplicated by
 // content fingerprint, so re-mining after a resume is idempotent.
-// A permanently failing sample (oracle panic or timeout on every
-// attempt) is quarantined after -oracle-attempts tries and the batch
-// ships without it; the loop always makes progress.
+// A permanently failing sample (oracle error, panic or timeout on
+// every attempt) is quarantined after lithosim.Verify's three tries, each
+// under a 2 s deadline, and the batch ships without it; the loop always
+// makes progress.
 package main
 
 import (
@@ -57,8 +58,6 @@ func run() error {
 	resume := flag.Bool("resume", false, "continue an existing -wal after a crash or kill")
 	batch := flag.Int("batch", 8, "labeling batch size (k-center diverse selection)")
 	margin := flag.Float64("margin", 0.15, "mining band: ingest test-split clips scored within this of the threshold")
-	oracleDeadline := flag.Duration("oracle-deadline", 2*time.Second, "per-sample labeling budget across all oracle attempts")
-	oracleAttempts := flag.Int("oracle-attempts", 3, "oracle attempts per sample before quarantine")
 	cycles := flag.Int("cycles", 1, "mine->select->label->retrain->ship cycles to run")
 	modelDir := flag.String("model-dir", "models", "directory for retrained model files (model-<batch>.gob)")
 	goldenN := flag.Int("golden", 64, "golden validation clips held out of the test split for the ship gate")
@@ -129,10 +128,8 @@ func run() error {
 
 	metrics := telemetry.NewRegistry()
 	eng, err := datengine.Open(*walPath, datengine.Config{
-		Detector:       spec.Name,
-		BatchSize:      *batch,
-		OracleDeadline: *oracleDeadline,
-		OracleAttempts: *oracleAttempts,
+		Detector:  spec.Name,
+		BatchSize: *batch,
 		Oracle: func(octx context.Context, clip layout.Clip) (bool, error) {
 			if *labelDelay > 0 {
 				select {

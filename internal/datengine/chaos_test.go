@@ -13,10 +13,13 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/golitho/hsd/internal/faultinject"
 	"github.com/golitho/hsd/internal/layout"
+	"github.com/golitho/hsd/internal/lithosim"
+	"github.com/golitho/hsd/internal/telemetry"
 )
 
 // runMined opens an engine over a fresh WAL in dir and mines the
@@ -236,5 +239,107 @@ func TestChaosCancelMidLabel(t *testing.T) {
 	got, _ := os.ReadFile(rep.ModelPath)
 	if !bytes.Equal(got, refModel) {
 		t.Fatal("model after mid-label cancellation differs from uninterrupted run")
+	}
+}
+
+// labelCfg is fastCfg with the real litho-sim oracle, so faults armed at
+// lithosim.SimulateSite reach labeling the way production meets them.
+func labelCfg(t *testing.T, dir string, reg *telemetry.Registry) Config {
+	t.Helper()
+	sim, err := lithosim.New(lithosim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fastCfg(dir)
+	cfg.Oracle = sim.LabelCtx
+	cfg.Metrics = reg
+	return cfg
+}
+
+// TestOracleFaultAbsorbed: one failed simulation costs one retry, not a
+// quarantine; every member is labeled and the batch ships.
+func TestOracleFaultAbsorbed(t *testing.T) {
+	defer faultinject.Reset()
+	dir := t.TempDir()
+	reg := telemetry.NewRegistry()
+	e, err := Open(filepath.Join(dir, "learn.wal"), labelCfg(t, dir, reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	mustIngest(t, e, 4)
+
+	faultinject.Set(lithosim.SimulateSite, faultinject.Fault{Err: errors.New("chaos: transient"), Count: 1})
+	rep, err := e.RunCycle(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Outcome != OutcomeShipped || rep.Labeled != 4 || rep.Quarantined != 0 {
+		t.Fatalf("report = %+v, want 4 labeled and shipped", rep)
+	}
+	if got := faultinject.Fired(lithosim.SimulateSite); got != 1 {
+		t.Fatalf("fault fired %d times, want 1", got)
+	}
+	if v := reg.Counter("learn_oracle_retries_total").Value(); v != 1 {
+		t.Fatalf("learn_oracle_retries_total = %v, want 1", v)
+	}
+}
+
+// TestOracleFaultPanicQuarantines: a simulation that panics on every
+// call quarantines each member after all three attempts, with its
+// fingerprint journaled; the engine survives and the next batch ships.
+func TestOracleFaultPanicQuarantines(t *testing.T) {
+	defer faultinject.Reset()
+	dir := t.TempDir()
+	cfg := labelCfg(t, dir, nil)
+	cfg.BatchSize = 3
+	walPath := filepath.Join(dir, "learn.wal")
+	e, err := Open(walPath, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	mustIngest(t, e, 3)
+
+	faultinject.Set(lithosim.SimulateSite, faultinject.Fault{Panic: "chaos: simulation exploded"})
+	rep, err := e.RunCycle(context.Background())
+	faultinject.Reset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Outcome != OutcomeRejected || rep.Quarantined != 3 {
+		t.Fatalf("report = %+v, want rejected with 3 quarantined", rep)
+	}
+	_, recs := loadWAL(t, walPath)
+	var batch []layout.Fingerprint
+	quarantined := map[layout.Fingerprint]Record{}
+	for _, r := range recs {
+		switch r.Kind {
+		case RecBatch:
+			batch = r.FPs
+		case RecQuarantine:
+			quarantined[r.FP] = r
+		}
+	}
+	if len(quarantined) != len(batch) {
+		t.Fatalf("%d quarantine records for a batch of %d", len(quarantined), len(batch))
+	}
+	for _, fp := range batch {
+		r, ok := quarantined[fp]
+		if !ok {
+			t.Fatalf("member %x has no quarantine record", fp[:4])
+		}
+		if r.Attempts != 3 || !strings.Contains(r.Err, "oracle panic") {
+			t.Fatalf("member %x quarantined after %d attempts with %q, want 3 and an oracle panic", fp[:4], r.Attempts, r.Err)
+		}
+	}
+
+	mustIngest(t, e, 6)
+	rep, err = e.RunCycle(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Outcome != OutcomeShipped || rep.BatchID != 1 || rep.Quarantined != 0 {
+		t.Fatalf("follow-up report = %+v, want batch 1 shipped", rep)
 	}
 }

@@ -12,18 +12,15 @@
 // set in selection order) — so an interrupted loop, resumed, ships a
 // byte-identical model to an uninterrupted one.
 //
-// Oracle containment is the scan farm's worker discipline, the same
-// function (resilience.Supervise): a shared circuit breaker pauses
-// labeling when the oracle looks sick, each sample retries with backoff
-// seeded from its own fingerprint under a per-attempt deadline budget,
-// and a sample that exhausts its attempts — oracle error, panic, or
-// timeout — is quarantined, not fatal.
+// Each sample is labeled through lithosim.Verify, the one oracle
+// discipline (per-attempt deadline, fingerprint-seeded retry, panic
+// containment); a sample whose every attempt fails — oracle error,
+// panic, or timeout — is quarantined, not fatal.
 
 package datengine
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -34,7 +31,7 @@ import (
 	"github.com/golitho/hsd/internal/faultinject"
 	"github.com/golitho/hsd/internal/features"
 	"github.com/golitho/hsd/internal/layout"
-	"github.com/golitho/hsd/internal/resilience"
+	"github.com/golitho/hsd/internal/lithosim"
 	"github.com/golitho/hsd/internal/telemetry"
 	"github.com/golitho/hsd/internal/trace"
 )
@@ -71,19 +68,9 @@ type Config struct {
 	BatchSize int
 
 	// Oracle labels one clip (ground truth, e.g. lithosim.LabelCtx).
-	// Panics are recovered into errors and count as attempt failures.
+	// Each sample gets lithosim.Verify's attempts; panics count as
+	// failed attempts.
 	Oracle func(ctx context.Context, clip layout.Clip) (bool, error)
-	// OracleDeadline budgets each oracle attempt (default 2s).
-	OracleDeadline time.Duration
-	// OracleAttempts is the per-sample attempt budget before quarantine
-	// (default 3).
-	OracleAttempts int
-	// OracleRetry tunes the backoff between attempts; its Seed is
-	// decorrelated per sample by the sample's fingerprint, and
-	// MaxAttempts is overridden by OracleAttempts.
-	OracleRetry resilience.RetryConfig
-	// Breaker guards the oracle across samples.
-	Breaker resilience.BreakerConfig
 
 	// Train retrains on the labeled batch (selection order) and returns
 	// the model artifact path. It MUST be deterministic over its
@@ -105,12 +92,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 8
-	}
-	if c.OracleDeadline <= 0 {
-		c.OracleDeadline = 2 * time.Second
-	}
-	if c.OracleAttempts <= 0 {
-		c.OracleAttempts = 3
 	}
 	return c
 }
@@ -163,10 +144,9 @@ type CycleReport struct {
 // concurrent use (mining taps run on scoring goroutines); RunCycle is
 // single-flight by construction (one loop per WAL).
 type Engine struct {
-	cfg     Config
-	wal     *WAL
-	breaker *resilience.Breaker
-	mets    *learnMetrics
+	cfg  Config
+	wal  *WAL
+	mets *learnMetrics
 
 	mu    sync.Mutex
 	state *State
@@ -192,11 +172,10 @@ func Open(path string, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		cfg:     cfg,
-		wal:     wal,
-		breaker: resilience.NewBreaker(cfg.Breaker),
-		mets:    newLearnMetrics(cfg.Metrics),
-		state:   Replay(records),
+		cfg:   cfg,
+		wal:   wal,
+		mets:  newLearnMetrics(cfg.Metrics),
+		state: Replay(records),
 	}
 	// Pull-style like the rest of the telemetry stack: the queue depth is
 	// counted when a scrape asks, not on every ingest.
@@ -488,50 +467,29 @@ func (e *Engine) labelBatch(ctx context.Context, batch *BatchState, rep *CycleRe
 	return nil
 }
 
-// labelSample runs one member through the supervised-attempt loop, with
-// oracle panics recovered into attempt failures. Returns the verdict,
-// the attempts burned, and the final error when the attempt budget is
-// exhausted.
+// labelSample runs one member through lithosim.Verify. Returns the
+// verdict, the attempts burned, and the final error when every attempt
+// failed.
 func (e *Engine) labelSample(ctx context.Context, cand Candidate) (bool, int, error) {
-	rcfg := e.cfg.OracleRetry
-	rcfg.MaxAttempts = e.cfg.OracleAttempts
-	// Decorrelate jitter across samples while staying deterministic for
-	// a fixed candidate set: the fingerprint is the seed material.
-	rcfg.Seed = rcfg.Seed*31 + int64(binary.BigEndian.Uint64(cand.FP[:8])>>1) + 1
-
 	octx, ospan := trace.Start(ctx, "learn.oracle")
 	ospan.SetAttr("fp", fmt.Sprintf("%x", cand.FP[:8]))
 	defer ospan.End()
 
-	var verdict bool
-	attempts, err := resilience.Supervise(octx, rcfg, e.breaker, e.cfg.OracleDeadline,
-		func(ctx context.Context, n int) (err error) {
-			if n > 1 {
-				e.mets.oracleRetries.Inc()
-			}
-			start := time.Now()
-			if verdict, err = safeOracle(ctx, e.cfg.Oracle, cand.Clip); err == nil {
-				e.mets.oracleSeconds.ObserveDuration(time.Since(start))
-			}
-			return err
-		})
+	verdict, attempts, err := lithosim.Verify(octx, func(ctx context.Context, clip layout.Clip) (bool, error) {
+		start := time.Now()
+		hot, err := e.cfg.Oracle(ctx, clip)
+		if err == nil {
+			e.mets.oracleSeconds.ObserveDuration(time.Since(start))
+		}
+		return hot, err
+	}, cand.Clip)
+	e.mets.oracleRetries.Add(float64(attempts - 1)) // every attempt after the first
 	if err != nil {
 		ospan.SetError(err)
 		return false, attempts, err
 	}
 	ospan.SetAttrInt("attempts", attempts)
 	return verdict, attempts, nil
-}
-
-// safeOracle isolates oracle panics: a panicking simulation fails the
-// attempt instead of killing the loop.
-func safeOracle(ctx context.Context, oracle func(context.Context, layout.Clip) (bool, error), clip layout.Clip) (v bool, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("oracle panic: %v", r)
-		}
-	}()
-	return oracle(ctx, clip)
 }
 
 // quarantine journals one poison member.

@@ -10,12 +10,10 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/golitho/hsd/internal/core"
 	"github.com/golitho/hsd/internal/geom"
 	"github.com/golitho/hsd/internal/layout"
-	"github.com/golitho/hsd/internal/resilience"
 	"github.com/golitho/hsd/internal/telemetry"
 )
 
@@ -45,22 +43,13 @@ func writeModel(dir string, batchID int, labeled []core.LabeledClip) (string, er
 	return path, nil
 }
 
-// fastCfg is a test Config with instant backoff and a breaker that
-// cools down in microseconds, so failure-path tests stay fast.
+// fastCfg is a test Config: a content-keyed oracle and a trainer whose
+// bytes are a function of its arguments. Failure paths run on
+// lithosim.Verify's own attempts and backoff.
 func fastCfg(dir string) Config {
 	return Config{
-		Detector:       "test",
-		BatchSize:      4,
-		OracleDeadline: time.Second,
-		OracleAttempts: 3,
-		OracleRetry: resilience.RetryConfig{
-			BaseDelay: time.Microsecond,
-			MaxDelay:  10 * time.Microsecond,
-		},
-		Breaker: resilience.BreakerConfig{
-			FailureThreshold: 1000,
-			OpenTimeout:      time.Millisecond,
-		},
+		Detector:  "test",
+		BatchSize: 4,
 		Oracle: func(ctx context.Context, clip layout.Clip) (bool, error) {
 			return fpHot(clip), nil
 		},

@@ -2,6 +2,7 @@ package lithosim
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"github.com/golitho/hsd/internal/geom"
 	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/raster"
+	"github.com/golitho/hsd/internal/resilience"
 	"github.com/golitho/hsd/internal/trace"
 )
 
@@ -24,25 +26,58 @@ func (s *Simulator) Simulate(clip layout.Clip) (Result, error) {
 	return s.SimulateCtx(context.Background(), clip)
 }
 
-// LabelCtx is the labeling-oracle entry point consumed by the
+// LabelCtx is the labeling oracle: just the hotspot verdict. The
 // active-learning data engine (internal/datengine) and the quality
-// monitor's spot-checker: just the hotspot verdict, with panic
-// containment. A panicking simulation — corrupt clip geometry, a bug in
-// a defect check — comes back as an error, never unwinds the caller,
-// so the data engine can count attempts against the sample and
-// quarantine it instead of dying.
+// monitor's spot-checker call it through Verify, which contains its
+// failures.
 func (s *Simulator) LabelCtx(ctx context.Context, clip layout.Clip) (hotspot bool, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			hotspot = false
-			err = fmt.Errorf("lithosim: oracle panic: %v", r)
-		}
-	}()
 	res, err := s.SimulateCtx(ctx, clip)
 	if err != nil {
 		return false, err
 	}
 	return res.Hotspot, nil
+}
+
+// The oracle discipline Verify applies, the same for every caller.
+const (
+	verifyAttempts = 3               // calls per clip, the first included
+	verifyBudget   = 2 * time.Second // deadline on each call
+)
+
+// Verify buys one verdict from oracle (LabelCtx, or a wrapper around
+// it): up to verifyAttempts calls through resilience.Retry, each under
+// its own verifyBudget deadline. The backoff jitter is seeded from the
+// clip's translation-invariant fingerprint, so retries of different
+// clips decorrelate while a clip's schedule is the same wherever it
+// sits and across resumes. A panicking call — corrupt clip geometry, a
+// bug in a defect check — fails its attempt instead of unwinding the
+// caller. Verify returns the verdict, the calls made, and, when every
+// attempt failed or ctx ended, the error; the caller decides what a
+// clip that cannot be verified costs (the data engine quarantines it).
+func Verify(ctx context.Context, oracle func(context.Context, layout.Clip) (bool, error), clip layout.Clip) (hot bool, attempts int, err error) {
+	fp := clip.Fingerprint()
+	rcfg := resilience.RetryConfig{
+		MaxAttempts: verifyAttempts,
+		Seed:        int64(binary.BigEndian.Uint64(fp[:8])>>1) + 1,
+	}
+	err = resilience.Retry(ctx, rcfg, func(ctx context.Context) (err error) {
+		attempts++
+		actx, cancel := resilience.WithBudget(ctx, verifyBudget)
+		defer cancel()
+		hot, err = callOracle(actx, oracle, clip)
+		return err
+	})
+	return hot, attempts, err
+}
+
+// callOracle is one Verify attempt, with a panic turned into its error.
+func callOracle(ctx context.Context, oracle func(context.Context, layout.Clip) (bool, error), clip layout.Clip) (hot bool, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			hot, err = false, fmt.Errorf("lithosim: oracle panic: %v", r)
+		}
+	}()
+	return oracle(ctx, clip)
 }
 
 // SimulateCtx is the context-aware Simulate: cancellation and deadline

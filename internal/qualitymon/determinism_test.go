@@ -48,7 +48,6 @@ func runWorkers(t *testing.T, n int) []byte {
 	clk := newFakeClock()
 	opts := testMonitorOpts(clk)
 	opts.SpotCheckRate = 0.5
-	opts.SyncSpotChecks = true
 	opts.Oracle = func(_ context.Context, c layout.Clip) (bool, error) { return c.Shapes[0].Dx()%2 == 0, nil }
 	m := New(opts)
 	defer m.Close()
@@ -71,6 +70,9 @@ func runWorkers(t *testing.T, n int) []byte {
 		}(w)
 	}
 	wg.Wait()
+	if !m.DrainSpotChecks(10 * time.Second) {
+		t.Fatal("spot checks did not drain")
+	}
 	clk.Advance(time.Second) // same snapshot instant for every n
 	snap := m.Snapshot()
 	raw, err := json.Marshal(snap)
@@ -98,7 +100,6 @@ func TestSnapshotDeterministicUnderReassignment(t *testing.T) {
 	clk := newFakeClock()
 	opts := testMonitorOpts(clk)
 	opts.SpotCheckRate = 0.5
-	opts.SyncSpotChecks = true
 	opts.Oracle = func(_ context.Context, c layout.Clip) (bool, error) { return c.Shapes[0].Dx()%2 == 0, nil }
 	m := New(opts)
 	defer m.Close()
@@ -109,6 +110,9 @@ func TestSnapshotDeterministicUnderReassignment(t *testing.T) {
 		if i%5 == 0 {
 			m.ReportServeOutcome(i%10 != 0)
 		}
+	}
+	if !m.DrainSpotChecks(10 * time.Second) {
+		t.Fatal("spot checks did not drain")
 	}
 	clk.Advance(time.Second)
 	raw, err := json.Marshal(m.Snapshot())

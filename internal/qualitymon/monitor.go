@@ -49,8 +49,8 @@ type LowConfidenceTap func(fp layout.Fingerprint, clip layout.Clip, score float6
 // SpotMissTap receives every spot-check where the shadow oracle
 // disagreed with the model — the highest-value mining signal the
 // monitor produces, since a miss is a *confirmed* labeling error, not
-// just uncertainty. Called from the spot-check worker goroutine (or
-// inline in sync mode); implementations must be concurrency-safe.
+// just uncertainty. Called from the spot-check worker goroutine;
+// implementations must be concurrency-safe.
 type SpotMissTap func(clip layout.Clip, predicted, actual bool)
 
 // Options configures a Monitor. The zero value gets sane defaults from
@@ -86,12 +86,11 @@ type Options struct {
 	// SpotCheckRate is the fraction of scored clips rescored by the
 	// shadow oracle, selected deterministically by content fingerprint
 	// (0 disables). Oracle is the ground-truth scorer (lithosim's
-	// LabelCtx), the signature datengine.Config.Oracle has too.
+	// LabelCtx), the signature datengine.Config.Oracle has too; checks
+	// queue behind one background worker, which calls it through
+	// lithosim.Verify.
 	SpotCheckRate float64
 	Oracle        func(ctx context.Context, clip layout.Clip) (bool, error)
-	// SyncSpotChecks runs checks inline for deterministic tests and
-	// CLI scans; otherwise they queue behind one background worker.
-	SyncSpotChecks bool
 
 	// LowConfMargin enables the low-confidence tap for scores within
 	// the margin of the threshold (0 disables).
@@ -185,8 +184,8 @@ const (
 )
 
 // New builds a Monitor, applying defaults for zero Options fields, and
-// starts the spot-check worker when an oracle is configured in async
-// mode. Call Close to stop the worker.
+// starts the spot-check worker when an oracle is configured. Call Close
+// to stop the worker.
 func New(opts Options) *Monitor {
 	if opts.Clock == nil {
 		opts.Clock = resilience.Real
@@ -220,7 +219,7 @@ func New(opts Options) *Monitor {
 		slo:      newWindowRing(opts.SubWindow, opts.SlowSubs, sloWidth),
 	}
 	m.exportMetrics(opts.Metrics)
-	if opts.Oracle != nil && opts.SpotCheckRate > 0 && !opts.SyncSpotChecks {
+	if opts.Oracle != nil && opts.SpotCheckRate > 0 {
 		m.spotq = make(chan spotJob, spotQueue)
 		m.wg.Add(1)
 		go m.spotWorker()

@@ -11,8 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"github.com/golitho/hsd/internal/faultinject"
 	"github.com/golitho/hsd/internal/geom"
 	"github.com/golitho/hsd/internal/layout"
+	"github.com/golitho/hsd/internal/lithosim"
 	"github.com/golitho/hsd/internal/resilience"
 	"github.com/golitho/hsd/internal/telemetry"
 	"github.com/golitho/hsd/internal/trace"
@@ -195,7 +197,6 @@ func TestSpotCheckerConfusion(t *testing.T) {
 	clk := newFakeClock()
 	opts := testMonitorOpts(clk)
 	opts.SpotCheckRate = 1
-	opts.SyncSpotChecks = true
 	// Oracle: hot iff the clip index encoded in the first shape's width
 	// is even (deterministic, disagrees with half the predictions).
 	opts.Oracle = func(_ context.Context, c layout.Clip) (bool, error) {
@@ -216,6 +217,9 @@ func TestSpotCheckerConfusion(t *testing.T) {
 			Score: score, Threshold: 0.5,
 			Clip: testClip(i), HasClip: true,
 		})
+	}
+	if !m.DrainSpotChecks(5 * time.Second) {
+		t.Fatal("spot checks did not drain")
 	}
 	snap := m.Snapshot()
 	sc := snap.SpotCheck
@@ -252,7 +256,6 @@ func TestSpotMissTap(t *testing.T) {
 	clk := newFakeClock()
 	opts := testMonitorOpts(clk)
 	opts.SpotCheckRate = 1
-	opts.SyncSpotChecks = true
 	opts.Oracle = func(_ context.Context, c layout.Clip) (bool, error) {
 		return c.Shapes[0].Dx()%2 == 0, nil
 	}
@@ -276,6 +279,9 @@ func TestSpotMissTap(t *testing.T) {
 			Score: score, Threshold: 0.5,
 			Clip: testClip(i), HasClip: true,
 		})
+	}
+	if !m.DrainSpotChecks(5 * time.Second) {
+		t.Fatal("spot checks did not drain")
 	}
 	// Same setup as TestSpotCheckerConfusion: 10 FP + 10 FN = 20 misses.
 	if len(misses) != 20 {
@@ -505,5 +511,45 @@ func TestObserveConcurrentWithClose(t *testing.T) {
 	}
 	if !m.DrainSpotChecks(time.Second) {
 		t.Fatal("checks still pending after Close")
+	}
+}
+
+// TestOracleFaultSpotChecker: a raw oracle that panics on every attempt
+// of one check costs that check (counted as an error), not the worker:
+// the next sampled clip is still checked.
+func TestOracleFaultSpotChecker(t *testing.T) {
+	defer faultinject.Reset()
+	sim, err := lithosim.New(lithosim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	opts := testMonitorOpts(newFakeClock())
+	opts.SpotCheckRate = 1
+	opts.Oracle = sim.LabelCtx
+	opts.Metrics = reg
+	m := New(opts)
+	defer m.Close()
+
+	// Three panics: every attempt of the first check.
+	faultinject.Set(lithosim.SimulateSite, faultinject.Fault{Panic: "chaos: simulation exploded", Count: 3})
+	for i := 0; i < 2; i++ {
+		m.Observe(Event{
+			Detector: "MLP", Stage: "primary", Score: 1, Threshold: 0.5,
+			Clip: testClip(i), HasClip: true,
+		})
+	}
+	if !m.DrainSpotChecks(10 * time.Second) {
+		t.Fatal("spot checks did not drain")
+	}
+	if got := faultinject.Fired(lithosim.SimulateSite); got != 3 {
+		t.Fatalf("fault fired %d times, want 3", got)
+	}
+	if v := reg.Counter("hotspot_spot_check_errors_total").Value(); v != 1 {
+		t.Fatalf("hotspot_spot_check_errors_total = %v, want 1", v)
+	}
+	w := m.Snapshot().SpotCheck.Window
+	if n := w.TP + w.FP + w.TN + w.FN; n != 1 {
+		t.Fatalf("%d checks reached the confusion window, want the second one", n)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/golitho/hsd/internal/layout"
+	"github.com/golitho/hsd/internal/lithosim"
 )
 
 // spotJob is one sampled clip awaiting oracle rescoring. at is the
@@ -45,19 +46,15 @@ func sampleFingerprint(fp layout.Fingerprint, rate float64) bool {
 // drop counter instead of blocking the scoring path.
 const spotQueue = 256
 
-// enqueueSpot hands a job to the checker: inline in sync mode, through
-// the bounded queue otherwise. A full queue drops the job (counted) —
-// spot checking is sampling, and blocking the scoring path on the
-// oracle would invert the cost model the cascade exists to protect. So
-// does a closed one: a clip sampled after Close is dropped, never sent.
+// enqueueSpot hands a job to the checker through the bounded queue,
+// which New made because this monitor samples. A full queue drops the
+// job (counted) — spot checking is sampling, and blocking the scoring
+// path on the oracle would invert the cost model the cascade exists to
+// protect. So does a closed one: a clip sampled after Close is dropped,
+// never sent.
 func (m *Monitor) enqueueSpot(j spotJob) {
 	m.spotSampled.Add(1)
 	m.mets.spotChecks.Inc()
-	if m.opts.SyncSpotChecks || m.spotq == nil {
-		m.pending.Add(1)
-		m.runSpotJob(j)
-		return
-	}
 	m.qmu.Lock()
 	defer m.qmu.Unlock()
 	if !m.closed.Load() {
@@ -80,9 +77,12 @@ func (m *Monitor) spotWorker() {
 	}
 }
 
+// runSpotJob buys the oracle's verdict on one sampled clip under
+// lithosim.Verify's deadline, retries and panic containment; a clip it
+// cannot verify counts as a spot-check error and the worker moves on.
 func (m *Monitor) runSpotJob(j spotJob) {
 	defer m.pending.Add(-1)
-	actual, err := m.opts.Oracle(context.Background(), j.clip)
+	actual, _, err := lithosim.Verify(context.Background(), m.opts.Oracle, j.clip)
 	if err != nil {
 		m.spotErrors.Add(1)
 		m.mets.spotErrors.Inc()

@@ -102,15 +102,14 @@ func Retry(ctx context.Context, cfg RetryConfig, fn func(context.Context) error)
 	return fmt.Errorf("resilience: %d attempts failed: %w", cfg.MaxAttempts, err)
 }
 
-// Supervise drives one unit of work (a scan shard, one oracle labeling)
-// to success or to the end of its attempt budget, and returns how many
-// attempts ran. It is Retry with the worker discipline the scan farm
-// and the data engine share: the caller seeds cfg per unit, so retry
-// storms decorrelate but stay deterministic; every attempt runs under
-// its own deadline budget (see WithBudget) and is told its 1-based
-// number; and br sees every outcome. On exhaustion the error wraps the
-// last attempt's, and the caller quarantines the unit: one poison unit
-// costs itself, never the run.
+// Supervise drives one unit of work (a scan shard) to success or to the
+// end of its attempt budget, and returns how many attempts ran. It is
+// Retry with the scan farm's worker discipline: the caller seeds cfg
+// per unit, so retry storms decorrelate but stay deterministic; every
+// attempt runs under its own deadline budget (see WithBudget) and is
+// told its 1-based number; and br sees every outcome. On exhaustion the
+// error wraps the last attempt's, and the caller quarantines the unit:
+// one poison unit costs itself, never the run.
 func Supervise(ctx context.Context, cfg RetryConfig, br *Breaker, budget time.Duration,
 	attempt func(ctx context.Context, n int) error) (attempts int, err error) {
 	err = Retry(ctx, cfg, func(ctx context.Context) error {
