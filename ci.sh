@@ -9,8 +9,9 @@
 #   every facade name has an outside caller, and that nothing is bound
 #   after construction, a run of every example, a smoke pass over the
 #   fuzz seed corpora, 7 s of real fuzzing each on all eleven fuzz
-#   targets (77 s in all), one pass of the window key micro-benchmarks,
-#   and a quick pass of the repo benchmark's four workloads.
+#   targets (77 s in all), one pass of the window key, conv and
+#   ragged-edge micro-benchmarks, and a quick pass of the repo
+#   benchmark's four workloads.
 #
 # Usage: ./ci.sh [-short]
 #   -short  pass -short to go test (skips the slower property tests)
@@ -56,7 +57,10 @@ echo "== portable kernel =="
 # a window scored or a clip labelled on a machine without AVX2 gives the
 # same bytes. So are the feature tiles a scan shard shares: a tensor
 # assembled from them has DCT.Extract's bits (internal/features) and the
-# farm's findings are core.ScanCtx's (internal/scanfarm).
+# farm's findings are core.ScanCtx's (internal/scanfarm). And so are the
+# first-layer sums a miss copies from its left neighbour: they equal the
+# whole window's (TestSharedColumnConv1Bits, internal/nn), and a miss
+# without them computes its own (TestFarmConv1FallbackMatchesCoreScan).
 go test -tags purego $short ./internal/tensor/ ./internal/nn/ ./internal/core/ ./internal/fft/ ./internal/features/ ./internal/lithosim/ ./internal/iccad/ ./internal/scanfarm/
 
 echo "== chaos smoke =="
@@ -208,6 +212,15 @@ echo "== window key benchmarks =="
 # the two micro-benchmarks behind the scan_repeat row compiling and
 # running. Time them with -benchtime 1s.
 go test -run='^$' -bench=Fingerprint -benchtime=1x ./internal/layout/
+
+echo "== conv and ragged-edge benchmarks =="
+# One iteration each of the zoo's two conv stages as they ship, as the
+# im2col gather and (the first stage) as a scan miss shares it with its
+# left neighbour, and of one conv1 output row at the widths a split
+# product would have: keeps the numbers behind scan_unique's miss path
+# and DESIGN §11.1 compiling and running. Time them with -benchtime 1s.
+go test -run='^$' -bench=ConvKernel -benchtime=1x ./internal/nn/
+go test -run='^$' -bench=MatMulRaggedEdge -benchtime=1x ./internal/tensor/
 
 echo "== matmul kernel fuzz =="
 # The two faces of the hand-written matmul kernel. The plain product is

@@ -140,6 +140,35 @@ func (d *NeuralDetector) ScoreVectorCtx(ctx context.Context, v []float64) (float
 
 func (d *NeuralDetector) predict(v []float64) float64 { return nn.Score(d.net, v) }
 
+// Conv1 returns the first convolution of d's network when a window can
+// be scored from that layer's sums (ScoreWindowConv1): d scores its
+// extractor's vector as it stands (NoScale, so no per-position
+// standardisation sits between the tensor and the layer), and the
+// network opens with a Conv2D, a ReLU and a 2x2 pool (nn.FirstConv). It
+// returns nil otherwise, and before Fit.
+func (d *NeuralDetector) Conv1() *nn.Conv2D {
+	if d.net == nil || d.scale == nil || d.scale.mean != nil {
+		return nil
+	}
+	return d.net.FirstConv()
+}
+
+// scoreConv1 is scoreVector for a Conv1Window: the sums it lacks, then
+// the rest of the network, under one "inference" span.
+func (d *NeuralDetector) scoreConv1(ctx context.Context, w Conv1Window) float64 {
+	_, sp := trace.Start(ctx, "inference")
+	if sp != nil {
+		sp.SetAttr("detector", d.Name())
+	}
+	c := d.net.FirstConv()
+	stride, width := c.InH+2*c.Pad, c.OutH()
+	c.SumRows(w.Sums, w.Plane, w.Taps, stride, width, 0, w.Lo)
+	c.SumRows(w.Sums, w.Plane, w.Taps, stride, width, w.Hi, c.OutW())
+	s := nn.ScoreConvSums(d.net, w.Sums)
+	sp.End()
+	return s
+}
+
 // ScoreBatchCtx implements CtxBatchScorer: per-clip extraction spans,
 // then the batched forward pass under nn.PredictBatchCtx (arena and
 // matmul stage spans), both sharded over tensor.Default. Scores are

@@ -11,6 +11,7 @@ import (
 	"github.com/golitho/hsd/internal/faultinject"
 	"github.com/golitho/hsd/internal/geom"
 	"github.com/golitho/hsd/internal/layout"
+	"github.com/golitho/hsd/internal/tensor"
 	"github.com/golitho/hsd/internal/trace"
 )
 
@@ -118,6 +119,39 @@ func ScoreWindowVector(ctx context.Context, site string, d *NeuralDetector,
 		return 0, err
 	}
 	return d.ScoreVectorCtx(ctx, v)
+}
+
+// Conv1Window is a window that ScoreWindowConv1 scores from the sums of
+// the detector's first convolution (NeuralDetector.Conv1), some of which
+// the caller already holds.
+type Conv1Window struct {
+	// Plane is the window's feature vector, zero-bordered and stored
+	// transposed, and Taps the convolution's table over it
+	// (nn.Conv2D.TransposedTaps).
+	Plane []float64
+	Taps  tensor.RowTable
+	// Sums receives the convolution's sums over Plane, bias not yet
+	// added and transposed (nn.Conv2D.SumRows): rows [Lo, Hi) hold them
+	// already, and only the others are computed.
+	Sums   []float64
+	Lo, Hi int
+}
+
+// ScoreWindowConv1 is ScoreWindowVector for a caller that holds the
+// window's first-layer sums in part: site fires first, once, and then
+// win and the rest of the score run under the same panic isolation. The
+// detector must have a Conv1.
+func ScoreWindowConv1(ctx context.Context, site string, d *NeuralDetector,
+	win func() (Conv1Window, error)) (score float64, err error) {
+	defer recoverWindow(&err)
+	if err := faultinject.Hit(site); err != nil {
+		return 0, err
+	}
+	w, err := win()
+	if err != nil {
+		return 0, err
+	}
+	return d.scoreConv1(ctx, w), nil
 }
 
 // recoverWindow, deferred, turns a panic under one window's score into

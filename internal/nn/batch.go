@@ -34,7 +34,13 @@ func (n *Network) ForwardBatch(x *tensor.Matrix, ar *Arena) *tensor.Matrix {
 	if ar == nil {
 		ar = NewArena()
 	}
-	for i := 0; i < len(n.Layers); i++ {
+	return n.forwardFrom(0, x, ar)
+}
+
+// forwardFrom is ForwardBatch over layers start onward, x being what
+// layer start-1 returned.
+func (n *Network) forwardFrom(start int, x *tensor.Matrix, ar *Arena) *tensor.Matrix {
+	for i := start; i < len(n.Layers); i++ {
 		if c := n.convReLUPoolAt(i); c != nil {
 			x = c.forwardInferReLUPool(x, ar)
 			i += 2

@@ -23,7 +23,11 @@
 
 package nn
 
-import "github.com/golitho/hsd/internal/tensor"
+import (
+	"math"
+
+	"github.com/golitho/hsd/internal/tensor"
+)
 
 // convGeom is a convolution's geometry, precomputed once per pass.
 type convGeom struct {
@@ -100,12 +104,46 @@ func (c *Conv2D) inferSums(x *tensor.Matrix, ar *Arena) *tensor.Matrix {
 }
 
 // paddedSums computes one sample's sums, bias not yet added, from its
-// zero-bordered copy: one addressed product per output row.
+// zero-bordered copy: every output row of SumRows over it.
 func (c *Conv2D) paddedSums(g convGeom, padded, dst []float64) {
-	pw, positions := g.inW+2*g.pad, g.oh*g.ow
-	for oy := 0; oy < g.oh; oy++ {
-		tensor.MatMulAddressedInto(dst[oy*g.ow:], positions, c.W.Data, c.OutC, padded[oy*pw:], c.taps, g.ow)
+	c.SumRows(dst, padded, c.taps, g.inW+2*g.pad, g.ow, 0, g.oh)
+}
+
+// SumRows computes output rows [r0, r1) of one sample's sums, bias not
+// yet added, into dst, one addressed product per row: row r of output
+// channel oc is the width cells at dst[oc*OutH*OutW + r*width:], and tap
+// t of it is the width cells at plane[r*stride + taps[t]:], the taps in
+// the weight matrix's column order. Over the zero-bordered sample with
+// the layer's own table (stride W+2p, width OutW) the rows are the
+// output's rows; over the bordered sample stored transposed, with
+// TransposedTaps (stride H+2p, width OutH), they are its columns, and
+// dst holds each channel's sums transposed. Each cell is the same sum
+// either way: the same products in the same ascending tap order, from
+// zero, so a caller may compute some rows and take the others from
+// wherever the same sums were computed before.
+func (c *Conv2D) SumRows(dst, plane []float64, taps tensor.RowTable, stride, width, r0, r1 int) {
+	positions := c.OutH() * c.OutW()
+	for r := r0; r < r1; r++ {
+		tensor.MatMulAddressedInto(dst[r*width:], positions, c.W.Data, c.OutC, plane[r*stride:], taps, width)
 	}
+}
+
+// TransposedTaps is the layer's tap table over a zero-bordered sample
+// stored transposed, (C, W+2p, H+2p): element (ch, y, x) of the sample
+// at ((ch*(W+2p) + x+p)*(H+2p) + y+p). It lists the taps in the order
+// the layer's own table does, ascending (ch, ky, kx), so SumRows over
+// it forms each sum as paddedSums does.
+func (c *Conv2D) TransposedTaps() tensor.RowTable {
+	ph, pw := c.InH+2*c.Pad, c.InW+2*c.Pad
+	off := make([]int, 0, c.InC*c.K*c.K)
+	for ch := 0; ch < c.InC; ch++ {
+		for ky := 0; ky < c.K; ky++ {
+			for kx := 0; kx < c.K; kx++ {
+				off = append(off, (ch*pw+kx)*ph+ky)
+			}
+		}
+	}
+	return tensor.NewRowTable(off)
 }
 
 // paddedWeightGrad computes one sample's weight-gradient partial,
@@ -151,10 +189,9 @@ func (c *Conv2D) forwardInfer(x *tensor.Matrix, ar *Arena) *tensor.Matrix {
 // inference ReLU (reluInto) maps NaN, -0 and everything negative to +0
 // and leaves positives alone, so the pool, whose > from -Inf never
 // selects a NaN, is handed four values that are +0 or positive and
-// returns the largest: max and this ReLU commute for every input. The
-// builtin max finds it without a branch in any window free of NaN (0 is
-// among its arguments, and max(-0, 0) is +0); it answers NaN when a
-// window holds one, and that window takes the explicit > rule.
+// returns the largest: max and this ReLU commute for every input.
+// reluPool finds it without a branch in any window free of a NaN whose
+// sign bit is clear, and such a window takes the explicit > rule.
 // TestConvReLUPoolTailBits holds the pass to the three layers on NaN,
 // both zeros, both infinities and all-negative windows.
 func (c *Conv2D) forwardInferReLUPool(x *tensor.Matrix, ar *Arena) *tensor.Matrix {
@@ -174,24 +211,74 @@ func (c *Conv2D) biasReLUPool(sums *tensor.Matrix, ar *Arena) *tensor.Matrix {
 				r1 := src[(oc*oh+2*py+1)*ow:][:ow]
 				drow := dst[(oc*ph+py)*pw:][:pw]
 				for px := range drow {
-					t0, t1 := r0[2*px]+bias, r0[2*px+1]+bias
-					t2, t3 := r1[2*px]+bias, r1[2*px+1]+bias
-					m := max(t0, t1, t2, t3, 0)
-					if m != m {
-						m = 0
-						for _, t := range [4]float64{t0, t1, t2, t3} {
-							if t > m {
-								m = t
-							}
-						}
-					}
-					drow[px] = m
+					drow[px] = reluPool(r0[2*px]+bias, r0[2*px+1]+bias, r1[2*px]+bias, r1[2*px+1]+bias)
 				}
 			}
 		}
 	}
 	return out
 }
+
+// biasReLUPoolTransposed is biasReLUPool over one sample's sums held
+// transposed (each channel OutW x OutH, as SumRows leaves them over a
+// transposed plane), writing the pooled output as it lies. A pooled cell
+// is reluPool of the same four values, met column-first instead of
+// row-first, and neither of reluPool's rules depends on the order: the
+// largest pattern is the largest whichever came first, and so is the
+// largest positive the explicit > from +0 keeps.
+func (c *Conv2D) biasReLUPoolTransposed(sumsT, dst []float64) {
+	oh, ow := c.OutH(), c.OutW()
+	ph, pw := oh/2, ow/2
+	for oc, bias := range c.B {
+		for px := 0; px < pw; px++ {
+			c0 := sumsT[(oc*ow+2*px)*oh:][:oh]
+			c1 := sumsT[(oc*ow+2*px+1)*oh:][:oh]
+			for py := 0; py < ph; py++ {
+				dst[(oc*ph+py)*pw+px] = reluPool(c0[2*py]+bias, c1[2*py]+bias, c0[2*py+1]+bias, c1[2*py+1]+bias)
+			}
+		}
+	}
+}
+
+// reluPool is one pooled cell of forwardInferReLUPool: the largest
+// positive of the four biased sums, or +0 when none is positive.
+//
+// It compares bit patterns as int64, which the compiler does with
+// conditional moves: positive floats order as their patterns do, and
+// every negative one, -0 among them, has the sign bit set and so loses
+// to 0, the pattern of +0. The patterns above +Inf's are the NaNs with
+// the sign bit clear, so a result above it means such a NaN won, and
+// then the explicit > rule decides (reluPoolNaN). Otherwise the winner is the
+// value the builtin max over the four and 0 would return, bit for bit:
+// equal positive floats have equal patterns, and a window of nothing
+// positive gives +0 either way.
+func reluPool(t0, t1, t2, t3 float64) float64 {
+	m := max(int64(math.Float64bits(t0)), int64(math.Float64bits(t1)),
+		int64(math.Float64bits(t2)), int64(math.Float64bits(t3)), 0)
+	if m <= posInfBits {
+		return math.Float64frombits(uint64(m))
+	}
+	return reluPoolNaN(t0, t1, t2, t3)
+}
+
+// posInfBits is the pattern of +Inf, as an int64.
+const posInfBits = 0x7FF0000000000000
+
+// reluPoolNaN is reluPool spelt out, for the windows that hold a NaN.
+func reluPoolNaN(t0, t1, t2, t3 float64) float64 {
+	m := 0.0
+	for _, t := range [4]float64{t0, t1, t2, t3} {
+		if t > m {
+			m = t
+		}
+	}
+	return m
+}
+
+// FirstConv returns the network's first layer when it is a Conv2D
+// followed by a ReLU and a 2x2 MaxPool2D over exactly its output, the
+// layers ScoreConvSums stands for; nil otherwise.
+func (n *Network) FirstConv() *Conv2D { return n.convReLUPoolAt(0) }
 
 // convReLUPoolAt returns layer i when it is a Conv2D directly followed
 // by a ReLU and a 2x2 MaxPool2D over exactly its output, the run

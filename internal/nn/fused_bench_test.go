@@ -10,10 +10,15 @@ import (
 // Benchmarks comparing the inference convolution as it ships (fused.go:
 // one addressed product per output row over the zero-bordered sample)
 // with the gather it replaced, a materialised im2col matrix and one
-// matmul, on two conv shapes at batch 32. "shipped" must stay at or below
-// "im2col": the pair is what would catch a formulation that multiplies
-// in place but loses to the copy it saves.
-func benchConvLayer(b *testing.B, conv *Conv2D) {
+// matmul, on the zoo's two conv stages at batch 32. "shipped" must stay
+// at or below "im2col": the pair is what would catch a formulation that
+// multiplies in place but loses to the copy it saves. The first stage
+// has a third case, "shared", the scan farm's miss window at the default
+// geometry (2 tiles a side, so s = 8): 6 columns of sums copied from the
+// window to its left and the other 10 multiplied over the transposed
+// plane (SumRows over TransposedTaps). It adds no bias, which the farm
+// adds in the pool.
+func benchConvLayer(b *testing.B, conv *Conv2D, s int) {
 	rng := rand.New(rand.NewSource(41))
 	net := NewNetwork(conv)
 	net.Init(rng)
@@ -32,6 +37,37 @@ func benchConvLayer(b *testing.B, conv *Conv2D) {
 			conv.forwardInferIm2col(x, ar)
 		}
 	})
+	if s == 0 {
+		return
+	}
+	b.Run("shared", func(b *testing.B) {
+		od, h, w := conv.OutDim(), conv.OutH(), conv.OutW()
+		taps := conv.TransposedTaps()
+		planes := make([][]float64, x.Rows)
+		for r := range planes {
+			planes[r] = transposedPlane(conv, x.Row(r))
+		}
+		left, sums := make([]float64, od), make([]float64, x.Rows*od)
+		for i := 0; i < b.N; i++ {
+			for r, plane := range planes {
+				dst := sums[r*od:][:od]
+				lo, hi := copyShared(conv, dst, left, s)
+				conv.SumRows(dst, plane, taps, conv.InH+2*conv.Pad, h, 0, lo)
+				conv.SumRows(dst, plane, taps, conv.InH+2*conv.Pad, h, hi, w)
+			}
+		}
+	})
+}
+
+// zooConvs are the two conv stages of the topology zoo.go's StandardCNN
+// builds over its DCT{16,16} tensor: 16 -> 16 channels on 16 x 16, then
+// 16 -> 24 on 8 x 8.
+func zooConvs(b *testing.B) (conv1, conv2 *Conv2D) {
+	net, err := BuildCNN(CNNConfig{InC: 16, InH: 16, InW: 16, Conv1: 16, Conv2: 24, Hidden: 48, DropoutP: 0.1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return net.Layers[0].(*Conv2D), net.Layers[3].(*Conv2D)
 }
 
 // forwardInferIm2col is inference by materialised im2col: the
@@ -92,9 +128,11 @@ func (c *Conv2D) im2colIntoBench(sample []float64, cols *tensor.Matrix) {
 }
 
 func BenchmarkConvKernel1(b *testing.B) {
-	benchConvLayer(b, NewConv2D(16, 16, 16, 24, 3, 1))
+	conv1, _ := zooConvs(b)
+	benchConvLayer(b, conv1, conv1.InW/2)
 }
 
 func BenchmarkConvKernel2(b *testing.B) {
-	benchConvLayer(b, NewConv2D(24, 8, 8, 32, 3, 1))
+	_, conv2 := zooConvs(b)
+	benchConvLayer(b, conv2, 0)
 }

@@ -318,6 +318,23 @@ func Score(net *Network, x []float64) float64 {
 	return logits.At(0, 1)
 }
 
+// ScoreConvSums is Score for a caller that holds the sums of net's first
+// convolution (FirstConv) over the sample, bias not yet added and each
+// channel transposed, as SumRows leaves them over a transposed plane. It
+// runs the bias + ReLU + pool pass over them and the network from layer
+// 3, so given the sums Score forms, it returns Score's bits. It panics
+// when net does not open with a FirstConv.
+func ScoreConvSums(net *Network, sumsT []float64) float64 {
+	c := net.FirstConv()
+	ar := getArena()
+	defer putArena(ar)
+	pooled := ar.get(1, c.OutDim()/4)
+	c.biasReLUPoolTransposed(sumsT[:c.OutDim()], pooled.Data)
+	logits := net.forwardFrom(3, pooled, ar)
+	logits.SoftmaxRows()
+	return logits.At(0, 1)
+}
+
 // BuildMLP assembles in -> hidden... -> 2 with ReLU activations, the
 // shallow artificial-neural-network baseline.
 func BuildMLP(in int, hidden ...int) *Network {

@@ -108,6 +108,19 @@ func BenchmarkMatMulKernels(b *testing.B) {
 	b.Run("conv2row/24x144x8", func(b *testing.B) { benchAddressed(b, 24, 16, 3, 8) })
 }
 
+// BenchmarkMatMulRaggedEdge prices a split product before anyone splits
+// one: one output row of the zoo's first convolution (16 x 144 weights
+// over N-wide runs) at N = 16, 8, 9 and 12. The assembly takes whole
+// 8-column panels, and any N that is not a multiple of 8 runs its last
+// N%8 columns on the portable loop, so a row cut into widths that are
+// not multiples of 8 costs far more than its share of the multiply-adds
+// (DESIGN §11.1).
+func BenchmarkMatMulRaggedEdge(b *testing.B) {
+	for _, n := range []int{16, 8, 9, 12} {
+		b.Run(fmt.Sprintf("16x144x%d", n), func(b *testing.B) { benchAddressed(b, 16, 16, 3, n) })
+	}
+}
+
 // BenchmarkMatMulTransB measures A·Bᵀ as it ships (one operand
 // transposed into kept scratch, then the shipped kernel) on the two
 // conv weight-gradient shapes, one sample each: grad (OutC x positions)
