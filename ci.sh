@@ -208,10 +208,12 @@ go test -run='^$' -fuzz='^FuzzClipFingerprint$' -fuzztime=7s ./internal/layout/
 
 echo "== window key benchmarks =="
 # One iteration each of keying a repeated-cell window by building its
-# clip (a cache miss) and straight from the index (a cache hit): keeps
-# the two micro-benchmarks behind the scan_repeat row compiling and
-# running. Time them with -benchtime 1s.
-go test -run='^$' -bench=Fingerprint -benchtime=1x ./internal/layout/
+# clip (a cache miss) and straight from the index (a cache hit), and of
+# a layout built for one clip (a served request, a generated suite
+# clip), which pays for building the index it queries once: keeps the
+# micro-benchmarks behind the scan_repeat row and the one-shot guard
+# compiling and running. Time them with -benchtime 1s.
+go test -run='^$' -bench='Fingerprint|OneShot' -benchtime=1x ./internal/layout/
 
 echo "== conv and ragged-edge benchmarks =="
 # One iteration each of the zoo's two conv stages as they ship, as the

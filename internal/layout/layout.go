@@ -10,54 +10,67 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"github.com/golitho/hsd/internal/geom"
 )
 
-// DefaultGridNM is the spatial-index cell edge used by New.
-const DefaultGridNM = 2048
+// DefaultGridNM is the spatial-index cell edge used by New: one clip
+// edge. The built index may use a coarser one (see buildIndex).
+const DefaultGridNM = 1024
 
 // ErrEmptyShape is returned when an empty rectangle is inserted.
 var ErrEmptyShape = errors.New("layout: empty shape")
 
 // Layout is a single-layer mask layout. It is not safe for concurrent
 // mutation; concurrent reads are safe once construction is complete.
+// The first query after the last insertion builds the spatial index,
+// so a Layout holds a lock and must not be copied (go vet's copylocks
+// check says so).
 type Layout struct {
 	Name string
 
 	shapes []geom.Rect
 	bounds geom.Rect
 	gridNM int
-	// cells maps grid cell -> indices into shapes overlapping that cell.
-	cells map[cellKey][]int32
-	// large holds indices of shapes spanning more than maxIndexCells grid
-	// cells; they are scanned linearly by every query instead of being
-	// fanned out into the cell map, which bounds index memory even for
+	// large holds indices of shapes spanning more than maxIndexCells
+	// cells of edge gridNM; they are scanned linearly by every query
+	// instead of being indexed, which bounds index memory even for
 	// degenerate inputs (e.g. a parsed rectangle with near-int32 extents).
 	large []int32
+
+	// index is the cell index over shapes, nil until the first query
+	// after the last AddRect; mu serialises building it.
+	mu    sync.Mutex
+	index atomic.Pointer[cellIndex]
 }
 
-// maxIndexCells bounds how many grid cells a single shape may fan out to
-// in the cell map, and how many cells a query enumerates before falling
-// back to a linear scan.
+// maxIndexCells bounds how many cells of edge gridNM a shape may cover
+// and stay off the large list, and a query's window may cover before
+// the query falls back to a linear scan.
 const maxIndexCells = 1 << 12
 
-type cellKey struct{ cx, cy int }
+// indexFactor bounds the built index: it has at most indexFactor cells
+// and indexFactor entries a shape (or 17 x 17, whichever is more), so its
+// memory is linear in the shape count whatever the shapes are.
+const indexFactor = 4
+
+// maxIndexEdge is where buildIndex stops coarsening the grid: cells this
+// large cover any bounds in at most 17 x 17 of them.
+const maxIndexEdge = 1 << 60
 
 // New returns an empty layout with the default index granularity.
 func New(name string) *Layout { return NewWithGrid(name, DefaultGridNM) }
 
-// NewWithGrid returns an empty layout whose spatial index uses cells of the
-// given edge length in database units. gridNM must be positive.
+// NewWithGrid returns an empty layout whose spatial index uses cells of
+// the given edge length in database units, or coarser ones where that
+// would bound the index's memory. gridNM must be positive.
 func NewWithGrid(name string, gridNM int) *Layout {
 	if gridNM <= 0 {
 		gridNM = DefaultGridNM
 	}
-	return &Layout{
-		Name:   name,
-		gridNM: gridNM,
-		cells:  make(map[cellKey][]int32),
-	}
+	return &Layout{Name: name, gridNM: gridNM}
 }
 
 // NumShapes returns the number of stored rectangles.
@@ -79,19 +92,13 @@ func (l *Layout) AddRect(r geom.Rect) error {
 	if r.Empty() {
 		return fmt.Errorf("%w: %v", ErrEmptyShape, r)
 	}
-	idx := int32(len(l.shapes))
+	if l.cellSpan(r) > maxIndexCells {
+		l.large = append(l.large, int32(len(l.shapes)))
+	}
 	l.shapes = append(l.shapes, r)
 	l.bounds = l.bounds.Union(r)
-	if l.cellSpan(r) > maxIndexCells {
-		l.large = append(l.large, idx)
-		return nil
-	}
-	cx0, cy0, cx1, cy1 := l.cellRange(r)
-	for cy := cy0; cy <= cy1; cy++ {
-		for cx := cx0; cx <= cx1; cx++ {
-			k := cellKey{cx: cx, cy: cy}
-			l.cells[k] = append(l.cells[k], idx)
-		}
+	if l.index.Load() != nil {
+		l.index.Store(nil)
 	}
 	return nil
 }
@@ -111,10 +118,120 @@ func (l *Layout) AddPolygon(p geom.Polygon) error {
 	return nil
 }
 
-// cellRange returns the inclusive index-cell range r covers.
-func (l *Layout) cellRange(r geom.Rect) (cx0, cy0, cx1, cy1 int) {
-	return floorDiv(r.Min.X, l.gridNM), floorDiv(r.Min.Y, l.gridNM),
-		floorDiv(r.Max.X-1, l.gridNM), floorDiv(r.Max.Y-1, l.gridNM)
+// cellIndex is the spatial index: a dense grid of square cells over the
+// layout's bounds in compressed sparse rows. The shapes overlapping the
+// grid's i-th cell (row-major) are rects[off[i]:off[i+1]], in insertion
+// order, with their indices into Layout.shapes alongside in ids. Shapes
+// on the large list are not in it. Cells are aligned to multiples of
+// edge, so cell (cx, cy) covers [cx*edge, (cx+1)*edge) x [cy*edge, ...).
+type cellIndex struct {
+	edge     int
+	cx0, cy0 int // the grid's first cell
+	nx, ny   int // cells a row, rows
+	off      []int32
+	rects    []geom.Rect
+	ids      []int32
+}
+
+// loadIndex returns the layout's index, building it on the first call
+// after the last AddRect. Concurrent callers share one build.
+func (l *Layout) loadIndex() *cellIndex {
+	if ix := l.index.Load(); ix != nil {
+		return ix
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ix := l.index.Load()
+	if ix == nil {
+		ix = l.buildIndex()
+		l.index.Store(ix)
+	}
+	return ix
+}
+
+// buildIndex indexes every shape off the large list. The cell edge starts
+// at gridNM and doubles until the grid has at most indexFactor cells a
+// shape and the shapes cover at most indexFactor cells each on average
+// (or the edge reaches maxIndexEdge).
+func (l *Layout) buildIndex() *cellIndex {
+	limit := max(indexFactor*len(l.shapes), 17*17)
+	ix := &cellIndex{edge: l.gridNM}
+	for ; ; ix.edge *= 2 {
+		var ok bool
+		if ix.cx0, ix.cy0, ix.nx, ix.ny, ok = cellGrid(l.bounds, ix.edge, limit); !ok {
+			continue
+		}
+		// off[c+2] counts cell c's entries, so that after the prefix sum
+		// off[c+1] is where cell c's entries start.
+		ix.off = make([]int32, ix.nx*ix.ny+2)
+		l.eachIndexed(func(_ int32, r geom.Rect) {
+			cx0, cy0, cx1, cy1 := cellRange(r, ix.edge)
+			for cy := cy0; cy <= cy1; cy++ {
+				row := ix.cell(0, cy) + 2
+				for cx := cx0; cx <= cx1; cx++ {
+					ix.off[row+cx]++
+				}
+			}
+		})
+		for i := 2; i < len(ix.off); i++ {
+			ix.off[i] += ix.off[i-1]
+		}
+		if int(ix.off[len(ix.off)-1]) <= limit || ix.edge >= maxIndexEdge {
+			break
+		}
+	}
+	n := ix.off[len(ix.off)-1]
+	ix.rects = make([]geom.Rect, n)
+	ix.ids = make([]int32, n)
+	// Each entry goes to its cell's cursor off[c+1], which ends at the
+	// next cell's start.
+	l.eachIndexed(func(id int32, r geom.Rect) {
+		cx0, cy0, cx1, cy1 := cellRange(r, ix.edge)
+		for cy := cy0; cy <= cy1; cy++ {
+			row := ix.cell(0, cy) + 1
+			for cx := cx0; cx <= cx1; cx++ {
+				at := ix.off[row+cx]
+				ix.off[row+cx]++
+				ix.rects[at], ix.ids[at] = r, id
+			}
+		}
+	})
+	ix.off = ix.off[:len(ix.off)-1]
+	return ix
+}
+
+// eachIndexed calls f with every shape off the large list, in insertion
+// order.
+func (l *Layout) eachIndexed(f func(id int32, r geom.Rect)) {
+	large := l.large
+	for id, r := range l.shapes {
+		if len(large) > 0 && large[0] == int32(id) {
+			large = large[1:]
+			continue
+		}
+		f(int32(id), r)
+	}
+}
+
+// cellGrid returns the first of the edge-e cells r covers and how many
+// it covers across and down, or false when that is more than limit
+// cells.
+func cellGrid(r geom.Rect, e, limit int) (cx0, cy0, nx, ny int, ok bool) {
+	cx0, cy0, cx1, cy1 := cellRange(r, e)
+	// The differences are taken unsigned: they cannot exceed 2^64-1.
+	w, h := uint64(cx1-cx0), uint64(cy1-cy0)
+	if w >= uint64(limit) || h >= uint64(limit) || (w+1)*(h+1) > uint64(limit) {
+		return 0, 0, 0, 0, false
+	}
+	return cx0, cy0, int(w) + 1, int(h) + 1, true
+}
+
+// cell returns the row-major position of cell (cx, cy) in the grid.
+func (ix *cellIndex) cell(cx, cy int) int { return (cy-ix.cy0)*ix.nx + cx - ix.cx0 }
+
+// cellRange returns the inclusive range of edge-e cells r covers.
+func cellRange(r geom.Rect, e int) (cx0, cy0, cx1, cy1 int) {
+	return floorDiv(r.Min.X, e), floorDiv(r.Min.Y, e), floorDiv(r.Max.X-1, e), floorDiv(r.Max.Y-1, e)
 }
 
 // gatherStack is how many shape ids a query collects before its buffer
@@ -122,19 +239,33 @@ func (l *Layout) cellRange(r geom.Rect) (cx0, cy0, cx1, cy1 int) {
 // window gathers without allocating.
 const gatherStack = 128
 
+// probe returns the index and the inclusive range of its cells a query
+// of the canonical window walks, an empty range when the window misses
+// the layout's bounds. linear is true instead when the window covers
+// more than maxIndexCells cells of edge gridNM: the query then tests
+// every shape.
+func (l *Layout) probe(window geom.Rect) (ix *cellIndex, cx0, cy0, cx1, cy1 int, linear bool) {
+	// Shapes only exist inside bounds, so probing the intersection keeps
+	// the cell walk proportional to the layout, not the window.
+	p := window.Intersect(l.bounds)
+	if p.Empty() {
+		return nil, 0, 0, -1, -1, false
+	}
+	if l.cellSpan(p) > maxIndexCells {
+		return nil, 0, 0, -1, -1, true
+	}
+	ix = l.loadIndex()
+	cx0, cy0, cx1, cy1 = cellRange(p, ix.edge)
+	return ix, cx0, cy0, cx1, cy1, false
+}
+
 // gather appends to ids the index of every shape overlapping the
 // canonical window, ascending (insertion order) and without duplicates.
 // It is the one implementation under Query and ClipAt and reads the
 // layout only, so concurrent queries stay safe.
 func (l *Layout) gather(window geom.Rect, ids []int32) []int32 {
-	// Shapes only exist inside bounds, so probing the intersection keeps
-	// the cell walk proportional to the layout, not the window.
-	probe := window.Intersect(l.bounds)
-	if probe.Empty() {
-		return ids
-	}
-	if l.cellSpan(probe) > maxIndexCells {
-		// Degenerate extent: scan every shape instead of the cell map.
+	ix, cx0, cy0, cx1, cy1, linear := l.probe(window)
+	if linear {
 		for id := range l.shapes {
 			if l.shapes[id].Overlaps(window) {
 				ids = append(ids, int32(id))
@@ -142,25 +273,30 @@ func (l *Layout) gather(window geom.Rect, ids []int32) []int32 {
 		}
 		return ids
 	}
-	cx0, cy0, cx1, cy1 := l.cellRange(probe)
+	// A shape covering several probed cells is taken only from the
+	// first: the cell holding its Min corner, or the probe's first
+	// column or row where it starts left of or below the probe.
 	for cy := cy0; cy <= cy1; cy++ {
+		minY, row := cy*ix.edge, ix.cell(0, cy)
 		for cx := cx0; cx <= cx1; cx++ {
-			for _, id := range l.cells[cellKey{cx: cx, cy: cy}] {
-				if l.shapes[id].Overlaps(window) {
-					ids = append(ids, id)
+			minX, c := cx*ix.edge, row+cx
+			for i := ix.off[c]; i < ix.off[c+1]; i++ {
+				s := ix.rects[i]
+				if s.Overlaps(window) && (s.Min.X >= minX || cx == cx0) && (s.Min.Y >= minY || cy == cy0) {
+					ids = append(ids, ix.ids[i])
 				}
 			}
 		}
 	}
-	// A shape is on the large list or in the cell map, never both, but
-	// one spanning several probed cells was appended once per cell.
 	for _, id := range l.large {
 		if l.shapes[id].Overlaps(window) {
 			ids = append(ids, id)
 		}
 	}
+	// Cells interleave their shapes' ids; the tile bits downstream rely
+	// on insertion order (DESIGN §8).
 	slices.Sort(ids)
-	return slices.Compact(ids)
+	return ids
 }
 
 // Query returns all rectangles overlapping the window, in insertion order,
@@ -227,21 +363,43 @@ func (l *Layout) ClipAt(c geom.Point, size int, coreFrac float64) (Clip, error) 
 
 // FingerprintAt returns ClipAt(c, size, coreFrac).Fingerprint() and the
 // clip's shape count without building the clip: each shape the index
-// gathers is clipped, moved to the origin and hashed where it lies, so
-// keying a window allocates nothing.
+// holds is clipped, moved to the origin and hashed where it lies, in
+// whatever order the cells hold them (the hash is a sum), so keying a
+// window allocates nothing and sorts nothing.
 func (l *Layout) FingerprintAt(c geom.Point, size int, coreFrac float64) (Fingerprint, int, error) {
 	win, core, err := clipFrame(c, size, coreFrac)
 	if err != nil {
 		return Fingerprint{}, 0, err
 	}
-	var buf [gatherStack]int32
-	ids := l.gather(win, buf[:0])
 	d := geom.Pt(-win.Min.X, -win.Min.Y)
 	var h shapeSum
-	for _, id := range ids {
-		h.add(l.shapes[id].Intersect(win).Translate(d))
+	ix, cx0, cy0, cx1, cy1, linear := l.probe(win)
+	if linear {
+		for _, s := range l.shapes {
+			if s.Overlaps(win) {
+				h.add(s.Intersect(win).Translate(d))
+			}
+		}
+		return h.fingerprint(win.Translate(d), core.Translate(d)), int(h.n), nil
 	}
-	return h.fingerprint(win.Translate(d), core.Translate(d)), len(ids), nil
+	// gather's owner rule: each shape once, from its first probed cell.
+	for cy := cy0; cy <= cy1; cy++ {
+		minY, row := cy*ix.edge, ix.cell(0, cy)
+		for cx := cx0; cx <= cx1; cx++ {
+			minX, c := cx*ix.edge, row+cx
+			for _, s := range ix.rects[ix.off[c]:ix.off[c+1]] {
+				if s.Overlaps(win) && (s.Min.X >= minX || cx == cx0) && (s.Min.Y >= minY || cy == cy0) {
+					h.add(s.Intersect(win).Translate(d))
+				}
+			}
+		}
+	}
+	for _, id := range l.large {
+		if s := l.shapes[id]; s.Overlaps(win) {
+			h.add(s.Intersect(win).Translate(d))
+		}
+	}
+	return h.fingerprint(win.Translate(d), core.Translate(d)), int(h.n), nil
 }
 
 // Translate returns a copy of the clip moved so that Window.Min becomes the
@@ -272,18 +430,14 @@ func (c Clip) Density() float64 {
 	return float64(covered) / float64(c.Window.Area())
 }
 
-// cellSpan returns the number of index cells r covers, saturating at
+// cellSpan returns the number of gridNM cells r covers, saturating at
 // maxIndexCells+1 so callers can compare without integer overflow.
 func (l *Layout) cellSpan(r geom.Rect) int {
-	cx0, cy0, cx1, cy1 := l.cellRange(r)
-	w, h := int64(cx1)-int64(cx0)+1, int64(cy1)-int64(cy0)+1
-	if w > maxIndexCells || h > maxIndexCells {
+	_, _, nx, ny, ok := cellGrid(r, l.gridNM, maxIndexCells)
+	if !ok {
 		return maxIndexCells + 1
 	}
-	if n := w * h; n <= maxIndexCells {
-		return int(n)
-	}
-	return maxIndexCells + 1
+	return nx * ny
 }
 
 func floorDiv(a, b int) int {
