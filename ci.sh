@@ -55,12 +55,13 @@ echo "== portable kernel =="
 # (trainstep_golden.json, the misspath golden, the oracle's
 # aerial_golden.json and the small suite's digest) are proven on the Go kernel too on every run: a model trained,
 # a window scored or a clip labelled on a machine without AVX2 gives the
-# same bytes. So are the feature tiles a scan shard shares: a tensor
-# assembled from them has DCT.Extract's bits (internal/features) and the
-# farm's findings are core.ScanCtx's (internal/scanfarm). And so are the
-# first-layer sums a miss copies from its left neighbour: they equal the
-# whole window's (TestSharedColumnConv1Bits, internal/nn), and a miss
-# without them computes its own (TestFarmConv1FallbackMatchesCoreScan).
+# same bytes. So are the feature tiles a scan shard shares: tiles placed
+# where they lie in a window have DCT.Extract's bits (internal/features)
+# and the farm's findings are core.ScanCtx's (internal/scanfarm). And so
+# are the first-layer sums a miss copies from its left neighbour: they
+# equal the whole window's (TestSharedColumnConv1Bits, internal/nn), and
+# a miss without them computes its own
+# (TestFarmConv1FallbackMatchesCoreScan).
 go test -tags purego $short ./internal/tensor/ ./internal/nn/ ./internal/core/ ./internal/fft/ ./internal/features/ ./internal/lithosim/ ./internal/iccad/ ./internal/scanfarm/
 
 echo "== chaos smoke =="
@@ -223,6 +224,13 @@ echo "== conv and ragged-edge benchmarks =="
 # and DESIGN §11.1 compiling and running. Time them with -benchtime 1s.
 go test -run='^$' -bench=ConvKernel -benchtime=1x ./internal/nn/
 go test -run='^$' -bench=MatMulRaggedEdge -benchtime=1x ./internal/tensor/
+
+echo "== scan miss benchmark =="
+# One scan of a chip with no repeated geometry by the fitted CNN, every
+# window a miss on the one tiled path (shared tiles and conv1 columns):
+# keeps the profile benchmark behind scan_unique compiling and running.
+# Time it with -benchtime 1s.
+go test -run='^$' -bench=ScanFarmCNNMiss -benchtime=1x ./internal/scanfarm/
 
 echo "== matmul kernel fuzz =="
 # The two faces of the hand-written matmul kernel. The plain product is

@@ -127,30 +127,26 @@ func (d *NeuralDetector) ScoreCtx(ctx context.Context, clip layout.Clip) (float6
 	return scoreFeatures(ctx, d, d.Ex, d.scale, clip, d.predict)
 }
 
-// ScoreVectorCtx is ScoreCtx for a caller that already holds the clip's
-// feature vector, d.Ex's bits for it: the scan farm, which shares the
-// overlapping parts of neighbouring windows' tensors. v is read during
-// the call and not kept.
-func (d *NeuralDetector) ScoreVectorCtx(ctx context.Context, v []float64) (float64, error) {
-	if d.net == nil {
-		return 0, errNotFitted
-	}
-	return scoreVector(ctx, d, d.scale, v, d.predict), nil
-}
-
 func (d *NeuralDetector) predict(v []float64) float64 { return nn.Score(d.net, v) }
 
 // Conv1 returns the first convolution of d's network when a window can
-// be scored from that layer's sums (ScoreWindowConv1): d scores its
-// extractor's vector as it stands (NoScale, so no per-position
-// standardisation sits between the tensor and the layer), and the
-// network opens with a Conv2D, a ReLU and a 2x2 pool (nn.FirstConv). It
-// returns nil otherwise, and before Fit.
+// be scored from that layer's sums (ScoreWindowConv1): d scores its DCT
+// tensor as it stands (NoScale, so no per-position standardisation sits
+// between the tensor and the layer), and the network opens with a
+// Conv2D, a ReLU and a 2x2 pool (nn.FirstConv) whose conv is same-padded
+// over the whole tensor, one input channel a coefficient and one
+// position a block. It returns nil otherwise, and before Fit.
 func (d *NeuralDetector) Conv1() *nn.Conv2D {
-	if d.net == nil || d.scale == nil || d.scale.mean != nil {
+	ex, ok := d.Ex.(*features.DCT)
+	if !ok || d.net == nil || d.scale == nil || d.scale.mean != nil {
 		return nil
 	}
-	return d.net.FirstConv()
+	c := d.net.FirstConv()
+	if c == nil || c.InC != ex.Coefs || c.InH != ex.Blocks || c.InW != ex.Blocks ||
+		c.OutH() != c.InH || c.OutW() != c.InW {
+		return nil
+	}
+	return c
 }
 
 // scoreConv1 is scoreVector for a Conv1Window: the sums it lacks, then

@@ -105,22 +105,6 @@ func ScoreWindow(ctx context.Context, site string, d Detector, clip layout.Clip)
 	return ScoreClipCtx(ctx, d, clip)
 }
 
-// ScoreWindowVector is ScoreWindow for a caller that builds the window's
-// feature vector itself: site fires first, once, and then vector and the
-// detector's ScoreVectorCtx run under the same panic isolation.
-func ScoreWindowVector(ctx context.Context, site string, d *NeuralDetector,
-	vector func() ([]float64, error)) (score float64, err error) {
-	defer recoverWindow(&err)
-	if err := faultinject.Hit(site); err != nil {
-		return 0, err
-	}
-	v, err := vector()
-	if err != nil {
-		return 0, err
-	}
-	return d.ScoreVectorCtx(ctx, v)
-}
-
 // Conv1Window is a window that ScoreWindowConv1 scores from the sums of
 // the detector's first convolution (NeuralDetector.Conv1), some of which
 // the caller already holds.
@@ -137,10 +121,11 @@ type Conv1Window struct {
 	Lo, Hi int
 }
 
-// ScoreWindowConv1 is ScoreWindowVector for a caller that holds the
-// window's first-layer sums in part: site fires first, once, and then
-// win and the rest of the score run under the same panic isolation. The
-// detector must have a Conv1.
+// ScoreWindowConv1 is ScoreWindow for a caller that holds the window's
+// feature tensor and, in part, its first-layer sums: site fires first,
+// once, and then win and the rest of the score run under the same panic
+// isolation. The detector must have a Conv1; its score has the bits
+// ScoreWindow gives the clip the window was built from.
 func ScoreWindowConv1(ctx context.Context, site string, d *NeuralDetector,
 	win func() (Conv1Window, error)) (score float64, err error) {
 	defer recoverWindow(&err)

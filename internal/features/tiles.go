@@ -79,13 +79,3 @@ func (t Tiling) ExtractTile(ctx context.Context, dst []float64, clip layout.Clip
 	defer sp.End()
 	return t.d.blocksInto(dst, sc, t.bs)
 }
-
-// Place copies tile (tx, ty) to where it lies in the clip's tensor.
-func (t Tiling) Place(tensor, tile []float64, tx, ty int) {
-	b, n := t.blocks, t.d.Blocks
-	for k := 0; k < t.d.Coefs; k++ {
-		for by := 0; by < b; by++ {
-			copy(tensor[(k*n+ty*b+by)*n+tx*b:][:b], tile[(k*b+by)*b:][:b])
-		}
-	}
-}

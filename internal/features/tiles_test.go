@@ -125,7 +125,13 @@ func TestTilesCarryExtractBits(t *testing.T) {
 								}
 								tiles[key] = tile
 							}
-							tl.Place(got, tile, tx, ty)
+							// Where the tile lies in the clip's tensor.
+							b, nb := tl.blocks, g.d.Blocks
+							for k := 0; k < g.d.Coefs; k++ {
+								for by := 0; by < b; by++ {
+									copy(got[(k*nb+ty*b+by)*nb+tx*b:][:b], tile[(k*b+by)*b:][:b])
+								}
+							}
 						}
 					}
 					sameBits(t, fmt.Sprintf("window (%d,%d) backwards=%v", col, row, backwards), got, want[w])

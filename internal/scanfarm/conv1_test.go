@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/golitho/hsd/internal/faultinject"
+	"github.com/golitho/hsd/internal/features"
 	"github.com/golitho/hsd/internal/geom"
 	"github.com/golitho/hsd/internal/layout"
 )
@@ -128,19 +129,35 @@ func TestFarmConv1FallbackMatchesCoreScan(t *testing.T) {
 	}
 }
 
-// TestConv1SkipsOtherDetectors: a standardised detector keeps the tile
-// path, and so does any geometry whose tiles do not cover the window.
+// TestConv1SkipsOtherDetectors: a standardised detector, a network whose
+// first conv does not read the tensor one channel a coefficient and one
+// position a block, and any geometry whose tiles do not cover the window
+// score window by window.
 func TestConv1SkipsOtherDetectors(t *testing.T) {
 	plain, scaled := fittedCNN(t, false), fittedCNN(t, true)
 	plan := NewPlan(geom.R(0, 0, 8192, 8192), Config{})
 	if m := newTileMemo(plain, plan); m == nil || m.conv == nil {
 		t.Fatal("the zoo's CNN at the default geometry does not share its first layer")
 	}
-	if m := newTileMemo(scaled, plan); m == nil || m.conv != nil {
-		t.Fatal("a standardised CNN shares its first layer")
+	if m := newTileMemo(scaled, plan); m != nil {
+		t.Fatal("a standardised CNN shares its tiles")
 	}
 	if scaled.Conv1() != nil {
 		t.Fatal("a standardised CNN offers its Conv1")
+	}
+	// The same 4 096 features as 8 x 8 blocks of 64 coefficients: the
+	// network accepts the width, but its conv reads 16 channels of 16 x 16.
+	reshaped := *plain
+	reshaped.Ex = &features.DCT{Blocks: 8, Coefs: 64}
+	other, err := reshaped.WithNetwork(plain.Network())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.Conv1() != nil {
+		t.Fatal("a conv over 16 channels of 16 x 16 is offered for 64 channels of 8 x 8")
+	}
+	if m := newTileMemo(other, plan); m != nil {
+		t.Fatal("a CNN whose conv does not match its tensor shares its tiles")
 	}
 	if m := newTileMemo(plain, NewPlan(geom.R(0, 0, 8192, 8192), Config{StrideNM: 500})); m != nil {
 		t.Fatal("a 500 nm stride split the window into tiles")

@@ -448,16 +448,11 @@ func (w *worker) scoreWindow(ctx context.Context, center geom.Point, col, row in
 		return math.NaN(), nil
 	}
 	var score float64
-	switch {
-	case w.tiles == nil:
+	if w.tiles == nil {
 		score, err = core.ScoreWindow(ctx, WindowScoreSite, w.det, canon)
-	case w.tiles.conv != nil:
+	} else {
 		score, err = core.ScoreWindowConv1(ctx, WindowScoreSite, w.tiles.det, func() (core.Conv1Window, error) {
 			return w.tiles.conv1Window(ctx, canon, col, row)
-		})
-	default:
-		score, err = core.ScoreWindowVector(ctx, WindowScoreSite, w.tiles.det, func() ([]float64, error) {
-			return w.tiles.window(ctx, canon, col, row)
 		})
 	}
 	if err != nil {

@@ -151,7 +151,9 @@ func TestMissPathAllocations(t *testing.T) {
 	if _, err := ww.scanShard(ctx, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	held := func(m *tileMemo) int { return len(m.coef) + len(m.have) + len(m.tensor) }
+	held := func(m *tileMemo) int {
+		return len(m.coef) + len(m.have) + len(m.tile) + len(m.win.Plane) + len(m.sums)
+	}
 	if held(ww.tiles) != held(w.tiles) || len(w.tiles.coef) != 2*3*w.tiles.TileLen() {
 		t.Fatalf("tile memo holds %d values on the strip and %d on the square chip, want 2 columns of 3 tiles on both",
 			held(ww.tiles), held(w.tiles))

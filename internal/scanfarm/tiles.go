@@ -12,12 +12,12 @@
 // memo is a ring of that many columns, ShardRows+PerSide-1 tiles each,
 // whatever the chip's width.
 //
-// When the detector's first layer is a same-padded convolution over the
-// whole tensor (core.NeuralDetector.Conv1), two horizontal neighbours
-// share most of that layer's sums too. The window at column col reads
-// the tensor's cells s columns to the right of where its left neighbour
-// read them, s being the DCT blocks a tile spans, so its output column x
-// is its neighbour's x+s wherever neither reaches into the zero border
+// The detector's first layer is a same-padded convolution over the whole
+// tensor (core.NeuralDetector.Conv1), so two horizontal neighbours share
+// most of that layer's sums too. The window at column col reads the
+// tensor's cells s columns to the right of where its left neighbour read
+// them, s being the DCT blocks a tile spans, so its output column x is
+// its neighbour's x+s wherever neither reaches into the zero border
 // beside its own window: for x in [p, W-p-s) at pad p and tensor width
 // W. Both windows have the same rows, and so the same zero border above
 // and below, and each such cell is the same products summed in the same
@@ -42,65 +42,52 @@ import (
 )
 
 // tileMemo is one worker's tiles and what it assembles from them: the
-// window's tensor, or, with a conv, the window's transposed plane and
-// first-layer sums. It belongs to the worker's goroutine alone.
+// window's transposed plane and first-layer sums. It belongs to the
+// worker's goroutine alone.
 type tileMemo struct {
 	features.Tiling
-	det    *core.NeuralDetector
-	rows   int       // tile rows a shard spans
-	coef   []float64 // PerSide columns x rows tiles of TileLen coefficients
-	have   []bool    // which of them this attempt has computed
-	tensor []float64 // the window in hand; the network reads it, nobody keeps it
-
-	// conv is the detector's Conv1, or nil when the windows share only
-	// their tiles; then none of what follows is set, and coef holds the
-	// tiles as ExtractTile writes them rather than transposed.
-	conv    *nn.Conv2D
+	det     *core.NeuralDetector
+	conv    *nn.Conv2D // the detector's Conv1
+	rows    int        // tile rows a shard spans
+	blocks  int        // DCT blocks along a tile's edge: the s above
+	coef    []float64  // PerSide columns x rows transposed tiles of TileLen coefficients
+	have    []bool     // which of them this attempt has computed
+	tile    []float64  // ExtractTile's output, on its way into coef
 	win     core.Conv1Window
-	blocks  int       // DCT blocks along a tile's edge: the s above
-	tile    []float64 // ExtractTile's output, on its way into coef
 	sums    []float64 // per shard row, two windows' sums, by column parity
 	sumsCol []int     // per shard row, the column of its latest sums; -1 none
 }
 
 // newTileMemo returns the memo for a scan, or nil when the scan scores
-// window by window: the detector is not one DCT tensor and a network
-// (only then is "the window's features" one vector that tiles can
-// assemble), or the geometry does not split into tiles.
+// window by window: the detector has no Conv1, or the geometry does not
+// split into tiles.
 func newTileMemo(det core.Detector, plan Plan) *tileMemo {
 	nd, ok := det.(*core.NeuralDetector)
 	if !ok {
 		return nil
 	}
-	ex, ok := nd.Ex.(*features.DCT)
-	if !ok {
+	c := nd.Conv1()
+	if c == nil {
 		return nil
 	}
+	ex := nd.Ex.(*features.DCT) // Conv1 is only ever a DCT tensor's
 	tl, ok := ex.Tiling(plan.ClipNM, plan.StrideNM)
 	if !ok {
 		return nil
 	}
 	rows := plan.ShardRows + tl.PerSide() - 1
-	m := &tileMemo{
-		Tiling: tl, det: nd, rows: rows,
+	return &tileMemo{
+		Tiling: tl, det: nd, conv: c, rows: rows, blocks: ex.Blocks / tl.PerSide(),
 		coef: make([]float64, tl.PerSide()*rows*tl.TileLen()),
 		have: make([]bool, tl.PerSide()*rows),
+		tile: make([]float64, tl.TileLen()),
+		win: core.Conv1Window{
+			Plane: make([]float64, c.InC*(c.InW+2*c.Pad)*(c.InH+2*c.Pad)),
+			Taps:  c.TransposedTaps(),
+		},
+		sums:    make([]float64, 2*plan.ShardRows*c.OutDim()),
+		sumsCol: make([]int, plan.ShardRows),
 	}
-	c := nd.Conv1()
-	if c == nil || c.InC != ex.Coefs || c.InH != ex.Blocks || c.InW != ex.Blocks ||
-		c.OutH() != c.InH || c.OutW() != c.InW {
-		m.tensor = make([]float64, ex.Dim())
-		return m
-	}
-	m.conv, m.blocks = c, ex.Blocks/tl.PerSide()
-	m.win = core.Conv1Window{
-		Plane: make([]float64, c.InC*(c.InW+2*c.Pad)*(c.InH+2*c.Pad)),
-		Taps:  c.TransposedTaps(),
-	}
-	m.tile = make([]float64, tl.TileLen())
-	m.sums = make([]float64, 2*plan.ShardRows*c.OutDim())
-	m.sumsCol = make([]int, plan.ShardRows)
-	return m
 }
 
 // startColumn moves the attempt's sweep to window column col. Column 0
@@ -132,23 +119,17 @@ func (m *tileMemo) tileAt(ctx context.Context, canon layout.Clip, col, row, tx, 
 	if m.have[i] {
 		return tile, nil
 	}
-	if m.conv == nil {
-		if err := m.ExtractTile(ctx, tile, canon, tx, ty); err != nil {
-			return nil, err
-		}
-	} else {
-		// Coefficient-major like the tensor, each coefficient's b x b
-		// blocks transposed: block (by, bx) at tile[(k*b+bx)*b+by].
-		if err := m.ExtractTile(ctx, m.tile, canon, tx, ty); err != nil {
-			return nil, err
-		}
-		b := m.blocks
-		for k := 0; k < m.conv.InC; k++ {
-			src, dst := m.tile[k*b*b:][:b*b], tile[k*b*b:][:b*b]
-			for by := 0; by < b; by++ {
-				for bx := 0; bx < b; bx++ {
-					dst[bx*b+by] = src[by*b+bx]
-				}
+	// Coefficient-major like the tensor, each coefficient's b x b blocks
+	// transposed: block (by, bx) at tile[(k*b+bx)*b+by].
+	if err := m.ExtractTile(ctx, m.tile, canon, tx, ty); err != nil {
+		return nil, err
+	}
+	b := m.blocks
+	for k := 0; k < m.conv.InC; k++ {
+		src, dst := m.tile[k*b*b:][:b*b], tile[k*b*b:][:b*b]
+		for by := 0; by < b; by++ {
+			for bx := 0; bx < b; bx++ {
+				dst[bx*b+by] = src[by*b+bx]
 			}
 		}
 	}
@@ -156,26 +137,11 @@ func (m *tileMemo) tileAt(ctx context.Context, canon layout.Clip, col, row, tx, 
 	return tile, nil
 }
 
-// window assembles the tensor of the window at grid column col and
-// shard-relative row from its tiles.
-func (m *tileMemo) window(ctx context.Context, canon layout.Clip, col, row int) ([]float64, error) {
-	n := m.PerSide()
-	for ty := 0; ty < n; ty++ {
-		for tx := 0; tx < n; tx++ {
-			tile, err := m.tileAt(ctx, canon, col, row, tx, ty)
-			if err != nil {
-				return nil, err
-			}
-			m.Place(m.tensor, tile, tx, ty)
-		}
-	}
-	return m.tensor, nil
-}
-
-// conv1Window is window for a memo with a conv: it places the window's
-// transposed tiles inside the plane's zero border, which nothing ever
-// writes, and hands core the buffer the window's sums go into with the
-// columns it shares with its left neighbour already copied there.
+// conv1Window assembles the window at grid column col and shard-relative
+// row from its tiles: it places the window's transposed tiles inside the
+// plane's zero border, which nothing ever writes, and hands core the
+// buffer the window's sums go into with the columns it shares with its
+// left neighbour already copied there.
 func (m *tileMemo) conv1Window(ctx context.Context, canon layout.Clip, col, row int) (core.Conv1Window, error) {
 	c, n, b := m.conv, m.PerSide(), m.blocks
 	pw, ph := c.InW+2*c.Pad, c.InH+2*c.Pad
