@@ -9,9 +9,10 @@
 #   every facade name has an outside caller, and that nothing is bound
 #   after construction, a run of every example, a smoke pass over the
 #   fuzz seed corpora, 7 s of real fuzzing each on all eleven fuzz
-#   targets (77 s in all), one pass of the window key, conv and
-#   ragged-edge micro-benchmarks, and a quick pass of the repo
-#   benchmark's four workloads.
+#   targets (77 s in all), one pass of the window key, conv, ragged-edge
+#   and matmul kernel micro-benchmarks, and a quick pass of the repo
+#   benchmark's four workloads. The matmul kernel tier the run used is
+#   logged near the top.
 #
 # Usage: ./ci.sh [-short]
 #   -short  pass -short to go test (skips the slower property tests)
@@ -44,6 +45,13 @@ echo "== portable cross-build =="
 # catches a symbol that only the amd64 files define.
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/tensor/ ./internal/nn/ ./internal/fft/ ./internal/features/
+
+echo "== matmul kernel tier =="
+# The tier every product below runs on (AVX-512, AVX2 or portable, read
+# once from the CPU), logged so that this log shows which kernel the
+# goldens were held to; the test also fails if the selection is not the
+# widest tier the CPU has, or names AVX-512 without AVX2.
+go test -v -run='^TestKernelTier$' ./internal/tensor/
 
 echo "== go test -race =="
 go test -race $short ./...
@@ -216,14 +224,17 @@ echo "== window key benchmarks =="
 # compiling and running. Time them with -benchtime 1s.
 go test -run='^$' -bench='Fingerprint|OneShot' -benchtime=1x ./internal/layout/
 
-echo "== conv and ragged-edge benchmarks =="
+echo "== conv, ragged-edge and kernel benchmarks =="
 # One iteration each of the zoo's two conv stages as they ship, as the
 # im2col gather and (the first stage) as a scan miss shares it with its
-# left neighbour, and of one conv1 output row at the widths a split
-# product would have: keeps the numbers behind scan_unique's miss path
-# and DESIGN §11.1 compiling and running. Time them with -benchtime 1s.
+# left neighbour, of one conv1 output row at the widths a split product
+# would have, and of the selected kernel tier and the portable loop on
+# every shape the system multiplies: keeps the numbers behind
+# scan_unique's miss path and DESIGN §11.1 compiling and running. Time
+# them with -benchtime 1s.
 go test -run='^$' -bench=ConvKernel -benchtime=1x ./internal/nn/
 go test -run='^$' -bench=MatMulRaggedEdge -benchtime=1x ./internal/tensor/
+go test -run='^$' -bench=MatMulKernels -benchtime=1x ./internal/tensor/
 
 echo "== scan miss benchmark =="
 # One scan of a chip with no repeated geometry by the fitted CNN, every
@@ -238,8 +249,9 @@ echo "== matmul kernel fuzz =="
 # convolutions forward and backward, the block DCT and the oracle's
 # blur, which index its right operand through a row table they built
 # themselves, stride its left operand and carry sums on from one call to
-# the next: both kernels must agree with the scalar loop on whatever
-# shape, strides, offsets and starting sums the engine finds.
+# the next: every kernel tier the CPU has, and the portable loop, must
+# agree with the scalar loop on whatever shape, strides, offsets and
+# starting sums the engine finds.
 go test -run='^$' -fuzz='^FuzzMatMulKernel$' -fuzztime=7s ./internal/tensor/
 go test -run='^$' -fuzz='^FuzzAddressedKernel$' -fuzztime=7s ./internal/tensor/
 

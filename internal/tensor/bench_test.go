@@ -93,7 +93,10 @@ func benchAddressed(b *testing.B, outC, inC, kk, ow int) {
 // basis row, and two shapes far past L1 (the repo benchmark's 192 cube,
 // and a b with page-long rows); then one output row of each conv stage
 // as inference multiplies it, addressed. The small ones put the per-call
-// overhead on record.
+// overhead on record. "shipped" is the tier the process selected, which
+// TestKernelTier logs: the AVX-512 kernel on CPUs that have it, the AVX2
+// one on those that have only that, and the portable loop elsewhere and
+// under -tags purego; "portable" is the Go loop alone on every machine.
 func BenchmarkMatMulKernels(b *testing.B) {
 	for _, sh := range [][3]int{
 		{16, 144, 16}, {16, 144, 256}, {24, 144, 64}, {144, 256, 16},

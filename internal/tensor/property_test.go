@@ -1,11 +1,11 @@
 // Property-based kernel equivalence tests: every matmul entry point —
 // serial, pool-sharded parallel and A·Bᵀ — against a naive reference,
-// and the assembly kernel against the portable one, over randomized and
-// adversarial shapes and values. The kernels must match BIT FOR BIT
-// (vector lanes, register tiles, k tiles and the k unroll all preserve
-// the plain i-k-j accumulation order per element). Under -tags purego,
-// and on machines without AVX2, both sides of the kernel comparison are
-// the portable loop; ci.sh runs this file both ways.
+// and every assembly kernel the CPU has against the portable one, over
+// randomized and adversarial shapes and values. The kernels must match
+// BIT FOR BIT (vector lanes, register tiles, k tiles and the k unroll
+// all preserve the plain i-k-j accumulation order per element). Under
+// -tags purego, and on machines without AVX2, both sides of the kernel
+// comparison are the portable loop; ci.sh runs this file both ways.
 
 package tensor
 
@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -145,12 +146,21 @@ func assertBitsEqual(t *testing.T, name string, want, got []float64) {
 	}
 }
 
-// kernelEdgeShapes straddle the assembly kernel's tile: every n from 1
-// to 17 and the panel edges beyond (vector width 4, panel width 8), odd
-// and sub-tile m (row groups of 4), and k around the unroll and the k
-// tile.
+// kernelEdgeShapes straddle the assembly kernels' tiles: every n from 1
+// to 17 and the panel edges beyond (vector width 4 or 8, panel width 8,
+// AVX-512 tile width 16), odd and sub-tile m (row groups of 4), and k
+// around the unroll and the k tile. n = 8, 24 and 40 end on a lone
+// panel after zero, one and two pairs, each at every m to 9 and k either
+// side of the 64-step k tile.
 func kernelEdgeShapes() [][3]int {
 	var shapes [][3]int
+	for _, n := range []int{8, 24, 40} {
+		for m := 1; m <= 9; m++ {
+			for _, k := range []int{1, 63, 64, 65, 130} {
+				shapes = append(shapes, [3]int{m, k, n})
+			}
+		}
+	}
 	for n := 1; n <= 17; n++ {
 		shapes = append(shapes, [3]int{5, 7, n}, [3]int{1, 66, n})
 	}
@@ -203,11 +213,40 @@ func portableTiles(d []float64, ldd int, av []float64, lda int, bv []float64, of
 	}
 }
 
+func (tr tier) String() string {
+	return [...]string{tierPortable: "portable", tierAVX2: "AVX2", tierAVX512: "AVX-512"}[tr]
+}
+
+// onEachTier runs check once with each tier the CPU has as kernelTier,
+// and puts the selected tier back after. No test in this package runs in
+// parallel, so no product sees the tier change under it.
+func onEachTier(check func(tier)) {
+	defer func(selected tier) { kernelTier = selected }(kernelTier)
+	for _, tr := range cpuTiers() {
+		kernelTier = tr
+		check(tr)
+	}
+}
+
+// TestKernelTier logs the tier this process multiplies on, so that a CI
+// log shows which kernel its goldens ran on, and holds the selection to
+// the CPU: the widest tier it has, and AVX-512 only beside AVX2.
+func TestKernelTier(t *testing.T) {
+	tiers := cpuTiers()
+	t.Logf("matmul kernel: %v (this CPU has %v)", kernelTier, tiers)
+	if widest := tiers[len(tiers)-1]; kernelTier != widest {
+		t.Errorf("selected tier %v, but the widest this CPU has is %v", kernelTier, widest)
+	}
+	if slices.Contains(tiers, tierAVX512) && !slices.Contains(tiers, tierAVX2) {
+		t.Errorf("tiers %v: AVX-512 without AVX2", tiers)
+	}
+}
+
 // assertKernelsAgree runs the shipped kernel (matMulRows: assembly
-// panels plus portable edge) and the portable kernel alone over the same
-// operands into NaN-poisoned destinations at an odd offset, and compares
-// every element by its bits; where the portable kernel gives NaN the
-// other must too, with any payload.
+// panels plus portable edge) on each tier the CPU has, and the portable
+// kernel alone, over the same operands into NaN-poisoned destinations at
+// an odd offset, and compares every element by its bits; where the
+// portable kernel gives NaN the others must too, with any payload.
 func assertKernelsAgree(t *testing.T, a, b *Matrix) {
 	t.Helper()
 	m, k, n := a.Rows, a.Cols, b.Cols
@@ -218,10 +257,13 @@ func assertKernelsAgree(t *testing.T, a, b *Matrix) {
 		}
 		return &Matrix{Rows: m, Cols: n, Data: buf[1:]}
 	}
-	want, got := poisoned(), poisoned()
+	want := poisoned()
 	portableTiles(want.Data, n, a.Data, k, b.Data, nil, m, k, n, false)
-	matMulRows(got, a, b, 0, m)
-	assertBitsOrBothNaN(t, fmt.Sprintf("%dx%dx%d", m, k, n), want.Data, got.Data)
+	onEachTier(func(tr tier) {
+		got := poisoned()
+		matMulRows(got, a, b, 0, m)
+		assertBitsOrBothNaN(t, fmt.Sprintf("%v %dx%dx%d", tr, m, k, n), want.Data, got.Data)
+	})
 }
 
 // assertBitsOrBothNaN compares element by element by the bits; where
@@ -240,9 +282,10 @@ func assertBitsOrBothNaN(t *testing.T, name string, want, got []float64) {
 	}
 }
 
-// TestKernelMatchesPortable calls the two kernels directly. Finite
-// inputs first (the signed zeros, denormals and near-overflow values,
-// where every bit is compared), then with infinities and NaN mixed in.
+// TestKernelMatchesPortable calls each tier the CPU has and the portable
+// oracle directly. Finite inputs first (the signed zeros, denormals and
+// near-overflow values, where every bit is compared), then with
+// infinities and NaN mixed in.
 func TestKernelMatchesPortable(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	finite := len(oddValues) - 3
@@ -362,17 +405,15 @@ func (c addressedCase) dst() []float64 {
 }
 
 // assertAddressedAgrees holds MatMulStridedInto (assembly panels plus
-// portable edge) to the portable kernel alone, and both to the
-// definition: the scalar loop over the addressed operands, each sum
-// starting from zero, or under acc from what dst held. The gaps between
-// dst rows must keep their poison.
+// portable edge) on each tier the CPU has to the portable kernel alone,
+// and all of them to the definition: the scalar loop over the addressed
+// operands, each sum starting from zero, or under acc from what dst
+// held. The gaps between dst rows must keep their poison.
 func assertAddressedAgrees(t *testing.T, c addressedCase) {
 	t.Helper()
 	name := fmt.Sprintf("addressed %dx%dx%d lda %d ldd %d acc %v", c.m, c.k, c.n, c.lda, c.ldd, c.acc)
-	want, got, spec := c.dst(), c.dst(), c.dst()
+	want, spec := c.dst(), c.dst()
 	portableTiles(want, c.ldd, c.a, c.lda, c.b, c.rows.off, c.m, c.k, c.n, c.acc)
-	MatMulStridedInto(got, c.ldd, c.a, c.lda, c.m, c.b, c.rows, c.n, c.acc)
-	assertBitsOrBothNaN(t, name, want, got)
 	for i := 0; i < c.m && c.n > 0; i++ {
 		row := spec[i*c.ldd:][:c.n]
 		if !c.acc {
@@ -385,12 +426,17 @@ func assertAddressedAgrees(t *testing.T, c addressedCase) {
 			}
 		}
 	}
-	assertBitsOrBothNaN(t, name+" against the scalar loop", spec, got)
+	assertBitsOrBothNaN(t, name+" portable against the scalar loop", spec, want)
+	onEachTier(func(tr tier) {
+		got := c.dst()
+		MatMulStridedInto(got, c.ldd, c.a, c.lda, c.m, c.b, c.rows, c.n, c.acc)
+		assertBitsOrBothNaN(t, fmt.Sprintf("%v %s", tr, name), want, got)
+	})
 }
 
 // TestAddressedMatchesPortable is TestKernelMatchesPortable for the
 // addressed product, over the same shapes and value mixes, with a's rows
-// packed, spread and overlapping, from zero and carried on.
+// packed, spread and overlapping, each from zero and carried on.
 func TestAddressedMatchesPortable(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	finite := len(oddValues) - 3
@@ -398,7 +444,9 @@ func TestAddressedMatchesPortable(t *testing.T) {
 		m, k, n := sh[0], sh[1], sh[2]
 		for _, nOdd := range []int{0, finite, len(oddValues)} {
 			for _, lda := range []int{k, k + 1 + rng.Intn(3), rng.Intn(k + 1)} {
-				assertAddressedAgrees(t, newAddressedCase(rng, m, k, n, lda, rng.Intn(2) == 1, nOdd))
+				for _, acc := range []bool{false, true} {
+					assertAddressedAgrees(t, newAddressedCase(rng, m, k, n, lda, acc, nOdd))
+				}
 			}
 		}
 	}
@@ -453,6 +501,7 @@ func FuzzAddressedKernel(f *testing.F) {
 	f.Add(uint8(1), uint8(3), uint8(17), uint8(0), false, uint8(3), int64(4))
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), true, uint8(1), int64(5))
 	f.Add(uint8(3), uint8(0), uint8(8), uint8(2), true, uint8(2), int64(6))
+	f.Add(uint8(5), uint8(70), uint8(24), uint8(70), true, uint8(0), int64(8)) // a pair of panels, a lone one, a row past the groups of four
 	f.Fuzz(func(t *testing.T, m, k, n, lda uint8, acc bool, mix uint8, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		nOdd := []int{0, len(oddValues) - 3, len(oddValues), 2}[mix%4]

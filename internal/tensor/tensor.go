@@ -3,12 +3,13 @@
 // operations training needs (matmul, transpose, axpy, softmax rows).
 //
 // Every matrix product in the repository, inference or training, goes
-// through one entry (matMulRows) and one summation order. On amd64 with
-// AVX2 the product runs in a hand-written assembly micro-kernel whose
-// vector lanes lie across output columns; elsewhere, and under -tags
-// purego, in the portable Go loop that is also the tests' oracle. The two
-// agree to the bit, so scores and trained bytes do not depend on which
-// one ran. The rest of the package is plain loops: sizes in hotspot
+// through one entry (matMulTiles) and one summation order. On amd64 the
+// product runs in a hand-written assembly micro-kernel whose vector lanes
+// lie across output columns, on 512-bit registers where the CPU has
+// AVX-512 and on 256-bit ones where it has AVX2; elsewhere, and under
+// -tags purego, in the portable Go loop that is also the tests' oracle.
+// All three agree to the bit, so scores and trained bytes do not depend
+// on which one ran. The rest of the package is plain loops: sizes in hotspot
 // detection are modest (feature dimensions in the thousands, batches in
 // the hundreds).
 package tensor
@@ -190,21 +191,34 @@ func MatMulStridedInto(dst []float64, ldd int, a []float64, lda, m int, b []floa
 	matMulTiles(d, ldd, av, lda, b, rows.off, m, k, n, acc)
 }
 
+// A tier is one of the kernels under matMulTiles: the portable Go loop
+// alone, or behind it one of the two assembly kernels of
+// matmul_amd64.s, on 256- or 512-bit registers. kernelTier, read once
+// from the CPU, is the one a process runs.
+type tier uint8
+
+const (
+	tierPortable tier = iota
+	tierAVX2
+	tierAVX512
+)
+
 // matMulTiles is the one product under every entry above: for i < m and
 // j < n, d[i*ldd+j] (taken as zero unless acc) += Σ_t av[i*lda+t] *
 // bv[off[t]+j], where a nil off means the rows of a plain row-major
 // matrix, off[t] = t*n. The callers have proven d, av and bv long enough
 // for every index that names.
 //
-// There are two kernels and one association. matMulPanels is the AVX2
-// assembly (matmul_amd64.s), which takes whole panelCols-column panels
-// where the machine has it; matMulPortable is the Go loop, which takes
-// the ragged right edge, and every column on other machines or under
-// -tags purego. Both give each dst element its own accumulator, started
-// at zero (or at what d holds, under acc) and fed one rounded product at
-// a time in ascending t, so which kernel computed a column cannot be read
-// off its bits. The sums are carried through d from one k tile to the
-// next, which is all acc is: a caller's earlier call was the tile before.
+// There are three kernels and one association. matMulPanels takes whole
+// panelCols-column panels on the assembly of kernelTier, where the
+// machine has one: AVX-512 on CPUs that have it, AVX2 on those that have
+// only that. matMulPortable is the Go loop, which takes the ragged right
+// edge, and every column on other machines or under -tags purego. All
+// three give each dst element its own accumulator, started at zero (or
+// at what d holds, under acc) and fed one rounded product at a time in
+// ascending t, so which kernel computed a column cannot be read off its
+// bits. The sums are carried through d from one k tile to the next,
+// which is all acc is: a caller's earlier call was the tile before.
 func matMulTiles(d []float64, ldd int, av []float64, lda int, bv []float64, off []int, m, k, n int, acc bool) {
 	if m == 0 || n == 0 {
 		return
