@@ -9,9 +9,9 @@
 #   every facade name has an outside caller, and that nothing is bound
 #   after construction, a run of every example, a smoke pass over the
 #   fuzz seed corpora, 7 s of real fuzzing each on all eleven fuzz
-#   targets (77 s in all), one pass of the window key, conv, ragged-edge
-#   and matmul kernel micro-benchmarks, and a quick pass of the repo
-#   benchmark's four workloads. The matmul kernel tier the run used is
+#   targets (77 s in all), one pass of the window key, conv, ragged-edge,
+#   matmul kernel, scan miss and serve score cache micro-benchmarks, and
+#   a quick pass of the repo benchmark's four workloads. The matmul kernel tier the run used is
 #   logged near the top.
 #
 # Usage: ./ci.sh [-short]
@@ -82,7 +82,9 @@ echo "== chaos smoke =="
 # shared-instance tests: every caller scores on the one fitted detector
 # with no clone and no lock, so the zoo, the CNN behind concurrent POST
 # /score and the un-cloned scan detector must each answer their serial
-# bits from many goroutines under the detector.
+# bits from many goroutines under the detector. The score cache's chaos
+# tests (TestChaosCache*) hold a hit to running nothing: no serve.primary
+# fault, no breaker probe, no probation outcome.
 go test -run 'Chaos|TestCascade|TestSharedInstanceConcurrentScore|TestSharedDetectorConcurrentScore|TestConcurrentScoreSharedCNN' -race . ./internal/serve/ ./internal/core/
 
 echo "== kill-resume chaos =="
@@ -242,6 +244,13 @@ echo "== scan miss benchmark =="
 # keeps the profile benchmark behind scan_unique compiling and running.
 # Time it with -benchtime 1s.
 go test -run='^$' -bench=ScanFarmCNNMiss -benchtime=1x ./internal/scanfarm/
+
+echo "== serve score cache benchmark =="
+# One POST /score through the handler on a CNN of the zoo's shape, as a
+# score-cache hit and as a miss on a clip never seen before (the miss
+# pays the lookup on top of raster, DCT and network): keeps the numbers
+# behind serve_closed compiling and running. Time it with -benchtime 1s.
+go test -run='^$' -bench=ServeScoreCache -benchtime=1x ./internal/serve/
 
 echo "== matmul kernel fuzz =="
 # The two faces of the hand-written matmul kernel. The plain product is

@@ -47,7 +47,9 @@ func Write(w io.Writer, l *Layout) error {
 // Read parses a GLT stream into a layout.
 func Read(r io.Reader) (*Layout, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	// The buffer starts at the scanner's default size and grows only for
+	// long lines: a served clip is a few hundred bytes.
+	sc.Buffer(nil, 16*1024*1024)
 	lineNo := 0
 	next := func() (string, bool) {
 		for sc.Scan() {

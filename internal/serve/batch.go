@@ -5,10 +5,10 @@
 // append themselves and wait. The leader flushes when the batch reaches
 // Options.BatchMaxSize or Options.BatchMaxWait elapses, whichever comes
 // first, and hands every collected clip to Server.cascade — the ladder
-// /score runs with one clip — so the batch shares one breaker decision
-// and one vectorized primary pass. Scores are identical to /score (the
-// batched inference path is bit-equal to the serial one), so batching
-// changes latency, never verdicts.
+// /score runs with one clip — so the batch's score-cache misses share
+// one breaker decision and one vectorized primary pass. Scores are
+// identical to /score (the batched inference path is bit-equal to the
+// serial one), so batching changes latency, never verdicts.
 
 package serve
 

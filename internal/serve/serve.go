@@ -12,20 +12,25 @@
 //	GET  /metrics -> Prometheus text exposition of serving telemetry
 //
 // Serving is a graceful-degradation cascade over the paper's
-// shallow-to-deep detector spectrum: the primary (deep, accurate,
+// shallow-to-deep detector spectrum. Its first rung is a score cache:
+// a clip the live primary has already scored is answered with the
+// stored score and runs nothing. The primary (deep, accurate,
 // expensive) detector is guarded by a per-request deadline budget and a
 // circuit breaker; when it times out, errors, panics, or the breaker is
 // open, the request is re-scored by the shallow fallback detector and
 // answered with "degraded": true instead of an error. A token-bucket
 // load shedder rejects excess traffic with 429 + Retry-After before any
-// work is queued. Every stage is observable: hotspot_fallbacks_total,
-// requests_shed_total, hotspot_breaker_state, and the per-endpoint
-// request metrics.
+// work is queued. Every stage is observable: hotspot_score_cache_*,
+// hotspot_fallbacks_total, requests_shed_total, hotspot_breaker_state,
+// and the per-endpoint request metrics.
 //
-// The service is stateless per request and safe for concurrent use:
-// every request scores on the one fitted primary (or fallback) detector,
-// which core.Detector's contract makes safe to share, so concurrent
-// requests run in parallel with no lock on the scoring path.
+// The service is safe for concurrent use. Requests are not independent:
+// one request's primary score answers a later request for the same clip
+// from the cache, which is bounded, belongs to the live model generation
+// and is replaced with it. Scoring itself takes no lock: every miss
+// scores on the one fitted primary (or fallback) detector, which
+// core.Detector's contract makes safe to share, so concurrent requests
+// run in parallel.
 package serve
 
 import (
@@ -129,10 +134,11 @@ type Options struct {
 // http.Handler.
 type Server struct {
 	opts Options
-	// primary is swapped atomically on validated hot reload; every
-	// request loads it exactly once so detector name, threshold, and
-	// score always describe the same generation.
-	primary  atomic.Pointer[core.Detector]
+	// live is swapped atomically on validated hot reload and rollback;
+	// every request loads it exactly once so detector name, threshold,
+	// score and the cache a hit is answered from always describe the same
+	// generation.
+	live     atomic.Pointer[liveGen]
 	registry *registry.Registry // nil when hot reload is disabled
 	fallback core.Detector      // nil when no fallback is configured
 	sim      *lithosim.Simulator
@@ -150,6 +156,9 @@ type Server struct {
 	fallbacks    *telemetry.Counter
 	shedTotal    *telemetry.Counter
 	primaryErrs  *telemetry.Counter
+	cacheHits    *telemetry.Counter
+	cacheMisses  *telemetry.Counter
+	cacheEvicted *telemetry.Counter
 	batchSize    *telemetry.Histogram
 	batchLatency *telemetry.Histogram
 }
@@ -185,6 +194,9 @@ func NewServer(opts Options) (*Server, error) {
 	reg.SetHelp("batch_size", "Requests coalesced per /batch scoring pass.")
 	reg.SetHelp("batch_latency_seconds", "Latency of one /batch scoring pass (flush to results).")
 	reg.SetHelp("hotspot_inflight_requests", "Requests in flight, counted before admission control so shed traffic is visible.")
+	reg.SetHelp("hotspot_score_cache_hits_total", "Clips answered from the live generation's score cache, with no detector run.")
+	reg.SetHelp("hotspot_score_cache_misses_total", "Clips not in the live generation's score cache, sent down the degradation ladder.")
+	reg.SetHelp("hotspot_score_cache_evictions_total", "Score cache entries evicted to keep the cache within its rectangle budget.")
 	telemetry.RegisterRuntimeMetrics(reg)
 
 	if opts.BatchMaxSize <= 0 {
@@ -203,12 +215,15 @@ func NewServer(opts Options) (*Server, error) {
 		fallbacks:    reg.Counter("hotspot_fallbacks_total"),
 		shedTotal:    reg.Counter("requests_shed_total"),
 		primaryErrs:  reg.Counter("hotspot_primary_failures_total"),
+		cacheHits:    reg.Counter("hotspot_score_cache_hits_total"),
+		cacheMisses:  reg.Counter("hotspot_score_cache_misses_total"),
+		cacheEvicted: reg.Counter("hotspot_score_cache_evictions_total"),
 		batchSize:    reg.Histogram("batch_size", []float64{1, 2, 4, 8, 16, 32, 64}),
 		batchLatency: reg.Histogram("batch_latency_seconds", nil),
 		tracer:       opts.Tracer,
 		quality:      opts.Quality,
 	}
-	s.primary.Store(&opts.Primary)
+	s.live.Store(newLiveGen(opts.Primary))
 	s.batch = &batcher{
 		srv:     s,
 		maxSize: opts.BatchMaxSize,
@@ -240,7 +255,7 @@ func NewServer(opts Options) (*Server, error) {
 			return nil, fmt.Errorf("serve: Reload options need a Loader")
 		}
 		rcfg.OnSwap = func(gen *registry.Generation) {
-			s.primary.Store(&gen.Detector)
+			s.live.Store(newLiveGen(gen.Detector))
 		}
 		rcfg.Quality = qualityHook(s.quality)
 		rcfg.Metrics = reg
@@ -408,7 +423,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]string{
 		"status":   "ok",
-		"detector": (*s.primary.Load()).Name(),
+		"detector": s.live.Load().det.Name(),
 	})
 }
 
@@ -436,7 +451,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	}
 	out := ReadyResponse{
 		Breaker:  s.breaker.State().String(),
-		Primary:  (*s.primary.Load()).Name(),
+		Primary:  s.live.Load().det.Name(),
 		Shedding: s.shed != nil,
 	}
 	if s.fallback != nil {
@@ -562,10 +577,11 @@ func (s *Server) cascadeError(w http.ResponseWriter, err error) {
 }
 
 // scoreItem is one clip on the degradation ladder with the span of the
-// request that owns it (nil when tracing is off).
+// request that owns it (nil when tracing is off), and its cache key.
 type scoreItem struct {
 	clip layout.Clip
 	span *trace.Span
+	key  cacheKey
 }
 
 // scoreResult is one item's outcome. A degraded response is a success;
@@ -575,32 +591,73 @@ type scoreResult struct {
 	err  error
 }
 
-// cascade is the one degradation ladder: the items share one pass
-// through the primary behind the breaker and ctx's budget, and when that
-// pass fails (or the breaker is open) each is re-scored by the fallback.
-// One primary failure degrades every item, because they shared the
-// failed pass, but never 5xxes them while a fallback exists. /score
-// calls it with one item under the request's budgeted context; the
+// cascade answers the items: first from the live generation's score
+// cache, then the misses down the degradation ladder. A hit gets the
+// primary's verdict with the score the primary stored, and since it ran
+// nothing it touches nothing that counts runs: no goroutine, no breaker
+// call, no probation or SLO outcome, no serve.primary fault site. It
+// only feeds the quality monitor and adds a "score-cache-hit" event to
+// its request span. A miss that the primary answered within ctx's
+// deadline is stored; a fallback score never is. /score calls cascade
+// with one item under the request's budgeted context; the
 // micro-batcher's flush calls it with a batch under a budget detached
-// from any one request. Spans ("primary", "fallback") hang off ctx; the
-// "breaker-open" and "degrade" events and the degraded flag that makes
-// the tail sampler keep a trace land on each item's own request span.
+// from any one request.
 func (s *Server) cascade(ctx context.Context, items []scoreItem) []scoreResult {
+	gen := s.live.Load()
 	out := make([]scoreResult, len(items))
-	verdict := func(i int, det core.Detector, stage string, score float64, reason string) {
-		thr := det.Threshold()
-		s.quality.Observe(qualitymon.Event{
-			Detector: det.Name(), Stage: stage,
-			Score: score, Threshold: thr,
-			Clip: items[i].clip, HasClip: true,
-		})
-		out[i].resp = ScoreResponse{
-			Detector: det.Name(), Score: score,
-			Threshold: thr, Hotspot: score >= thr,
-			Degraded: reason != "", DegradedReason: reason,
+	var miss []scoreItem
+	var missAt []int
+	for i, it := range items {
+		it.key = keyOf(it.clip)
+		if score, ok := gen.cache.get(it.key, it.clip); ok {
+			s.cacheHits.Inc()
+			it.span.AddEvent("score-cache-hit")
+			out[i].resp = s.answer(gen.det, "primary", it.clip, score, "")
+			continue
 		}
+		s.cacheMisses.Inc()
+		miss, missAt = append(miss, it), append(missAt, i)
 	}
-	prim := *s.primary.Load()
+	if len(miss) == 0 {
+		return out
+	}
+	for j, res := range s.ladder(ctx, gen.det, miss) {
+		// Only the primary answers undegraded.
+		if res.err == nil && !res.resp.Degraded && ctx.Err() == nil {
+			s.cacheEvicted.Add(float64(gen.cache.put(miss[j].key, miss[j].clip, res.resp.Score)))
+		}
+		out[missAt[j]] = res
+	}
+	return out
+}
+
+// answer is the verdict det gives a clip it scored (or stored) as
+// score, fed to the quality monitor under stage; a non-empty reason
+// marks it degraded.
+func (s *Server) answer(det core.Detector, stage string, clip layout.Clip, score float64, reason string) ScoreResponse {
+	thr := det.Threshold()
+	s.quality.Observe(qualitymon.Event{
+		Detector: det.Name(), Stage: stage,
+		Score: score, Threshold: thr,
+		Clip: clip, HasClip: true,
+	})
+	return ScoreResponse{
+		Detector: det.Name(), Score: score,
+		Threshold: thr, Hotspot: score >= thr,
+		Degraded: reason != "", DegradedReason: reason,
+	}
+}
+
+// ladder is the one degradation ladder: the items share one pass
+// through prim behind the breaker and ctx's budget, and when that pass
+// fails (or the breaker is open) each is re-scored by the fallback. One
+// primary failure degrades every item, because they shared the failed
+// pass, but never 5xxes them while a fallback exists. Spans ("primary",
+// "fallback") hang off ctx; the "breaker-open" and "degrade" events and
+// the degraded flag that makes the tail sampler keep a trace land on
+// each item's own request span.
+func (s *Server) ladder(ctx context.Context, prim core.Detector, items []scoreItem) []scoreResult {
+	out := make([]scoreResult, len(items))
 	var primaryErr error
 	var reason string
 	if s.breaker.Allow() {
@@ -612,8 +669,8 @@ func (s *Server) cascade(ctx context.Context, items []scoreItem) []scoreResult {
 		s.breaker.Record(primaryErr)
 		s.reportOutcome(primaryErr)
 		if primaryErr == nil {
-			for i := range items {
-				verdict(i, prim, "primary", scores[i], "")
+			for i, it := range items {
+				out[i].resp = s.answer(prim, "primary", it.clip, scores[i], "")
 			}
 			return out
 		}
@@ -644,7 +701,7 @@ func (s *Server) cascade(ctx context.Context, items []scoreItem) []scoreResult {
 			continue
 		}
 		s.fallbacks.Inc()
-		verdict(i, s.fallback, "fallback", score, reason)
+		out[i].resp = s.answer(s.fallback, "fallback", it.clip, score, reason)
 	}
 	return out
 }
