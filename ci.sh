@@ -107,20 +107,6 @@ echo "== scan farm chaos =="
 # and the shared clip cache must hold under -race.
 go test -run 'TestChaosFarm' -race ./internal/scanfarm/
 
-echo "== router equivalence =="
-# The routing-equivalence property layer: for any band setting the
-# router's verdicts must be bit-identical to the answering stage's raw
-# verdict, and always-escalate mode must reproduce the final detector's
-# confusion matrix. -race because scan workers and batch calls share the
-# one router, its members and its atomic routing counters.
-go test -run 'TestRouter|TestFitBand|TestCalibrat|TestGate.*Router' -race ./internal/router/ ./internal/registry/
-
-echo "== router smoke =="
-# End to end: train the routed cascade and its members on a fixed-seed
-# benchmark; router recall must hold against both the boost-only and
-# the deep rows while the deep stage sees only the escalated band.
-./scripts/router_smoke.sh
-
 echo "== flags smoke =="
 # The five detector binaries' and gltconv's flag names are a committed
 # list: a flag cannot appear, vanish or be renamed without the diff
@@ -153,12 +139,13 @@ done
 
 echo "== metrics smoke =="
 # So is what GET /metrics exposes: every HELP and TYPE line and every
-# series name with its label keys, from a Router and a CNN hsdserve.
+# series name with its label keys, from a shallow (RForest, with a
+# fallback, the quality monitor and the learn WAL) and a CNN hsdserve.
 ./scripts/metrics_smoke.sh
 
 echo "== baseline smoke =="
-# hsdtrain -quality-baseline on the Router row writes the per-stage
-# series it always wrote, byte for byte.
+# hsdtrain -quality-baseline on the CNN-biased row writes the score
+# baseline it always wrote, byte for byte.
 ./scripts/baseline_smoke.sh
 
 echo "== one observer idiom =="

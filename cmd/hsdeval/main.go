@@ -1,7 +1,7 @@
 // Command hsdeval runs the survey's detector zoo across a benchmark suite
 // and prints the reconstructed evaluation tables (Tables I-IV; with
-// -figures also Figs 2-6, the two ablations and the router frontier; see
-// DESIGN.md §3). It is the one producer of those artifacts.
+// -figures also Figs 2-6 and the two ablations; see DESIGN.md §3). It is
+// the one producer of those artifacts.
 //
 // Usage:
 //
@@ -45,8 +45,6 @@ func run() error {
 	figBench := flag.String("bench", "", "benchmark for figures (default: first)")
 	noODST := flag.Bool("no-odst", false, "skip lithography verification of flagged clips")
 	traceOut := flag.String("trace", "", "write per-evaluation Chrome trace_event JSON to this file (about:tracing / ui.perfetto.dev)")
-	var routerFlags cli.RouterFlags
-	routerFlags.Register(flag.CommandLine)
 	version := flag.Bool("version", false, "print build info (the hotspot_build_info fields) and exit")
 	flag.Parse()
 
@@ -70,23 +68,6 @@ func run() error {
 	}
 
 	zoo := hsd.SurveyZoo(*seed)
-	// The flags configure the zoo's Router row; the other rows ignore
-	// them.
-	for i := range zoo {
-		inner := zoo[i].New
-		probe := inner()
-		if _, ok := probe.(*hsd.RouterDetector); !ok {
-			continue
-		}
-		if err := routerFlags.Apply(probe); err != nil {
-			return err
-		}
-		zoo[i].New = func() hsd.Detector {
-			det := inner()
-			_ = routerFlags.Apply(det) // refused above if it can fail
-			return det
-		}
-	}
 	ctx := context.Background()
 	var tracer *trace.Tracer
 	if *traceOut != "" {
@@ -165,14 +146,6 @@ func run() error {
 			return err
 		}
 		fmt.Println(coefs)
-		// Detection-only ODST (no simulator): verification costs the same
-		// per flagged clip on every row, so the FA column carries it.
-		frontier, stages, err := experiments.RouterFrontier(suite, bench, *seed, nil, true)
-		if err != nil {
-			return err
-		}
-		fmt.Println(frontier)
-		cli.PrintRouterStats(stages)
 	}
 	return nil
 }

@@ -37,7 +37,6 @@ import (
 	hsd "github.com/golitho/hsd"
 	"github.com/golitho/hsd/internal/cli"
 	"github.com/golitho/hsd/internal/qualitymon"
-	"github.com/golitho/hsd/internal/router"
 	"github.com/golitho/hsd/internal/trace"
 )
 
@@ -66,8 +65,6 @@ func run() error {
 	resume := flag.Bool("resume", false, "resume from -journal, skipping shards it records")
 	cacheSize := flag.Int("cache-size", 4096, "content-addressed clip cache capacity in entries (0 disables)")
 	findingsOut := flag.String("findings", "", "write findings deterministically, one per line, to this file")
-	var routerFlags cli.RouterFlags
-	routerFlags.Register(flag.CommandLine)
 	qualityBaseline := flag.String("quality-baseline", "", "training-score baseline (from hsdtrain -quality-baseline); prints a drift report over the scanned windows")
 	version := flag.Bool("version", false, "print build info (the hotspot_build_info fields) and exit")
 	flag.Parse()
@@ -120,21 +117,15 @@ func run() error {
 			*genEdge, *genEdge, chip.NumShapes())
 	}
 
-	// nil without -metrics: the farm and the router then count nothing.
+	// nil without -metrics: the farm then counts nothing.
 	var reg *hsd.MetricsRegistry
 	if *metrics {
 		reg = hsd.NewMetricsRegistry()
 	}
-	det, fitTook, err := cli.Train(spec, bench, func(det hsd.Detector) error {
-		if rt, ok := det.(*hsd.RouterDetector); ok {
-			rt.SetHooks(router.Hooks{Metrics: reg})
-		}
-		return routerFlags.Apply(det)
-	})
+	det, fitTook, err := cli.Train(spec, bench, nil)
 	if err != nil {
 		return err
 	}
-	rt, isRouter := det.(*hsd.RouterDetector)
 	fmt.Printf("trained %s on %s in %v\n", det.Name(), bench.Name, fitTook.Round(time.Millisecond))
 	ctx := context.Background()
 	var tracer *trace.Tracer
@@ -223,9 +214,6 @@ func run() error {
 	}
 	if res.Interrupted {
 		fmt.Printf("scan interrupted (%v); journaled shards can be resumed with -resume\n", res.Cause)
-	}
-	if isRouter {
-		cli.PrintRouterStats(rt.Stats())
 	}
 	if qm != nil {
 		snap := qm.Snapshot()

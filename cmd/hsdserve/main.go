@@ -77,7 +77,6 @@ import (
 	"github.com/golitho/hsd/internal/lithosim"
 	"github.com/golitho/hsd/internal/qualitymon"
 	"github.com/golitho/hsd/internal/registry"
-	"github.com/golitho/hsd/internal/router"
 	"github.com/golitho/hsd/internal/serve"
 	"github.com/golitho/hsd/internal/telemetry"
 	"github.com/golitho/hsd/internal/tensor"
@@ -114,8 +113,6 @@ func run() error {
 	probation := flag.Int("probation", 200, "post-swap primary outcomes watched for automatic rollback (0: off)")
 	probationMaxFail := flag.Int("probation-max-failures", 5, "primary failures tolerated inside the probation window")
 	kernelWorkers := flag.Int("kernel-workers", 0, "total kernel-pool parallelism for batched inference and matmuls (0: GOMAXPROCS)")
-	var routerFlags cli.RouterFlags
-	routerFlags.Register(flag.CommandLine)
 	readTimeout := flag.Duration("read-timeout", 15*time.Second, "max time to read a request")
 	writeTimeout := flag.Duration("write-timeout", 60*time.Second, "max time to write a response (covers /verify simulation)")
 	idleTimeout := flag.Duration("idle-timeout", 120*time.Second, "keep-alive idle connection timeout")
@@ -126,7 +123,7 @@ func run() error {
 	sloTarget := flag.Float64("slo-target", 0.99, "served-without-primary-failure SLO objective for burn-rate alerting")
 	driftThreshold := flag.Float64("drift-threshold", 0.25, "PSI above which a series is drifting (pages the alert; warning at half)")
 	qualityWindow := flag.Duration("quality-window", 10*time.Second, "quality-monitor sub-window; fast alert window is 3 of these, slow is 18")
-	learnWAL := flag.String("learn-wal", "", "active-learning candidate WAL (see hsdlearn): low-confidence scores, spot-check misses, and router escalations are mined into it; use the same -detector name when draining it with hsdlearn")
+	learnWAL := flag.String("learn-wal", "", "active-learning candidate WAL (see hsdlearn): low-confidence scores and spot-check misses are mined into it; use the same -detector name when draining it with hsdlearn")
 	learnMargin := flag.Float64("learn-margin", 0.1, "with -learn-wal: mine scores within this of the threshold as low-confidence candidates")
 	version := flag.Bool("version", false, "print build info (the hotspot_build_info fields) and exit")
 	flag.Parse()
@@ -234,36 +231,15 @@ func run() error {
 		}
 	}
 
-	train := func(spec hsd.DetectorSpec, configure func(core.Detector) error) (core.Detector, error) {
-		det, took, err := cli.Train(spec, bench, configure)
+	train := func(spec hsd.DetectorSpec) (core.Detector, error) {
+		det, took, err := cli.Train(spec, bench, nil)
 		if err != nil {
 			return nil, err
 		}
 		log.Printf("trained %s on %s in %v", det.Name(), bench.Name, took.Round(time.Millisecond))
 		return det, nil
 	}
-	det, err := train(spec, func(det core.Detector) error {
-		if rt, ok := det.(*hsd.RouterDetector); ok {
-			// Per-stage routing counters land on the same /metrics page
-			// as the serving cascade's. Every answered decision feeds the
-			// monitor's per-stage sketch (the calibrated confidence, so
-			// drift is visible per cascade stage, not just on the encoded
-			// score), and the escalation band, clips every cheap stage
-			// refused to answer, is the router's feed into the data engine.
-			final := len(rt.Stages()) - 1
-			rt.SetHooks(router.Hooks{Metrics: reg, OnDecision: func(d hsd.RouterDecision, clip layout.Clip) {
-				qm.Observe(qualitymon.Event{
-					Detector: rt.Name(), Stage: d.StageName,
-					Score: d.Confidence, Threshold: 0.5,
-					Clip: clip, HasClip: true,
-				})
-				if eng != nil && d.Stage == final {
-					learnIngest(clip, d.Confidence, d.StageName, "escalation")
-				}
-			}})
-		}
-		return routerFlags.Apply(det)
-	})
+	det, err := train(spec)
 	if err != nil {
 		return err
 	}
@@ -274,7 +250,7 @@ func run() error {
 		}
 		fbSpec, err := cli.Spec(*seed, *fallbackName)
 		if err == nil {
-			fallback, err = train(fbSpec, nil)
+			fallback, err = train(fbSpec)
 		}
 		if err != nil {
 			return fmt.Errorf("fallback: %w", err)

@@ -34,7 +34,6 @@ import (
 	hsd "github.com/golitho/hsd"
 	"github.com/golitho/hsd/internal/cli"
 	"github.com/golitho/hsd/internal/core"
-	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/nn"
 	"github.com/golitho/hsd/internal/qualitymon"
 )
@@ -56,8 +55,6 @@ func run() error {
 	ckptEvery := flag.Int("checkpoint-every", 1, "epochs between checkpoints (with -checkpoint-dir)")
 	ckptKeep := flag.Int("checkpoint-keep", 2, "checkpoint files retained in -checkpoint-dir")
 	resume := flag.Bool("resume", false, "resume from the newest good checkpoint in -checkpoint-dir")
-	var routerFlags cli.RouterFlags
-	routerFlags.Register(flag.CommandLine)
 	qualityBaseline := flag.String("quality-baseline", "", "write a training-score drift baseline here; \"auto\" with -save writes the <save>.qb sidecar the server's hot reload picks up")
 	qualityBins := flag.Int("quality-bins", 20, "histogram bins per series in the -quality-baseline")
 	version := flag.Bool("version", false, "print build info (the hotspot_build_info fields) and exit")
@@ -90,9 +87,6 @@ func run() error {
 		return err
 	}
 	det := spec.New()
-	if err := routerFlags.Apply(det); err != nil {
-		return err
-	}
 
 	// Checkpointing: wire the trainer's crash-tolerance into the CLI.
 	ckptTotal := 0
@@ -175,9 +169,6 @@ func run() error {
 	if ckptTotal > 0 {
 		fmt.Printf("checkpoints %d written to %s\n", ckptTotal, *ckptDir)
 	}
-	if rt, ok := det.(*hsd.RouterDetector); ok {
-		cli.PrintRouterStats(rt.Stats())
-	}
 	fmt.Printf("total %v\n", time.Since(t0).Round(time.Millisecond))
 
 	if *save != "" {
@@ -211,26 +202,12 @@ func run() error {
 
 // writeQualityBaseline scores the training split through the trained
 // detector and persists the per-series score histograms hsdserve's
-// drift monitor compares live traffic against. A router additionally
-// contributes one series per cascade stage — the calibrated confidence
-// of the answering stage, read off each routing decision — so stage
-// drift is attributable even when the blended score looks stable.
+// drift monitor compares live traffic against.
 func writeQualityBaseline(path string, det hsd.Detector, train []hsd.LabeledClip, bins int) (int, error) {
 	ctx := context.Background()
-	stageScores := map[string][]float64{}
-	score := func(clip layout.Clip) (float64, error) { return core.ScoreClipCtx(ctx, det, clip) }
-	if rt, ok := det.(*hsd.RouterDetector); ok {
-		score = func(clip layout.Clip) (float64, error) {
-			d, err := rt.RouteCtx(ctx, clip)
-			if err == nil {
-				stageScores[d.StageName] = append(stageScores[d.StageName], d.Confidence)
-			}
-			return d.Score, err
-		}
-	}
 	scores := make([]float64, 0, len(train))
 	for _, s := range train {
-		sc, err := score(s.Clip)
+		sc, err := core.ScoreClipCtx(ctx, det, s.Clip)
 		if err != nil {
 			return 0, fmt.Errorf("baseline scoring: %w", err)
 		}
@@ -239,10 +216,6 @@ func writeQualityBaseline(path string, det hsd.Detector, train []hsd.LabeledClip
 	b := &qualitymon.Baseline{Entries: []qualitymon.BaselineEntry{
 		qualitymon.NewBaselineEntry(det.Name(), "primary", scores, bins),
 	}}
-	for stage, ss := range stageScores {
-		b.Entries = append(b.Entries, qualitymon.NewBaselineEntry(det.Name(), stage, ss, bins))
-	}
-	b.Sort()
 	if err := qualitymon.SaveBaselineFile(path, b); err != nil {
 		return 0, err
 	}

@@ -1,5 +1,5 @@
 // Fullchip: train a detector on benchmark clips, then sweep it across an
-// entire synthetic chip with the parallel scanner and verify the flagged
+// entire synthetic chip with the scan farm and verify the flagged
 // windows with lithography simulation — the deployment workflow the
 // hotspot literature targets.
 //
@@ -9,8 +9,10 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"sort"
 	"time"
 
 	hsd "github.com/golitho/hsd"
@@ -42,11 +44,18 @@ func main() {
 		chip.NumShapes(), float64(edge)/1000, float64(edge)/1000)
 
 	t0 := time.Now()
-	findings, err := hsd.Scan(chip, det, hsd.ScanConfig{SkipEmpty: true})
+	res, err := hsd.ScanFarm(context.Background(), chip, det, hsd.ScanFarmConfig{SkipEmpty: true})
 	if err != nil {
 		log.Fatal(err)
 	}
+	if len(res.Quarantined) > 0 {
+		log.Fatalf("scan quarantined shard %d: %s", res.Quarantined[0].ShardID, res.Quarantined[0].Err)
+	}
 	scanTime := time.Since(t0)
+	// The farm returns findings in row-major window order; the strongest
+	// come first here, row-major among equal scores.
+	findings := res.Findings
+	sort.SliceStable(findings, func(i, j int) bool { return findings[i].Score > findings[j].Score })
 	windows := (edge/512 + 1) * (edge/512 + 1)
 	fmt.Printf("scanned ~%d windows in %v, flagged %d\n\n", windows, scanTime.Round(time.Millisecond), len(findings))
 

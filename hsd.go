@@ -13,10 +13,9 @@
 //   - ICCAD-2012-style synthetic benchmark generation (GenerateSuite);
 //   - feature extraction (Density, CCAS, DCTFeatures);
 //   - the detector zoo (SurveyZoo): pattern matching, SVM, AdaBoost,
-//     MLP, CNN with biased learning, and an EPIC-style routed cascade
-//     (StandardRouter);
+//     random forest, MLP, and CNN with biased learning;
 //   - the contest evaluation protocol (Evaluate: accuracy, false alarms,
-//     ODST) and a parallel full-chip scanner (Scan, ScanFarm).
+//     ODST) and a fault-tolerant full-chip scanner (ScanFarm).
 //
 // See examples/ for runnable end-to-end programs and DESIGN.md for the
 // system inventory.
@@ -38,7 +37,6 @@ import (
 	"github.com/golitho/hsd/internal/metrics"
 	"github.com/golitho/hsd/internal/nn"
 	"github.com/golitho/hsd/internal/raster"
-	"github.com/golitho/hsd/internal/router"
 	"github.com/golitho/hsd/internal/scanfarm"
 	"github.com/golitho/hsd/internal/telemetry"
 )
@@ -141,8 +139,6 @@ type (
 	EvalOptions = core.EvalOptions
 	// EvalResult is one detector-on-benchmark outcome.
 	EvalResult = core.Result
-	// ScanConfig controls full-chip scanning.
-	ScanConfig = core.ScanConfig
 	// Finding is one flagged scan window.
 	Finding = core.Finding
 
@@ -166,19 +162,6 @@ func NewCNNDetector(ex *DCTFeatures, cnn CNNConfig, cfg TrainConfig, label strin
 	return core.NewCNNDetector(ex, cnn, cfg, label)
 }
 
-// Routing (EPIC-style meta-classifier cascade).
-type (
-	// RouterDetector routes clips through a cheap→expensive detector
-	// cascade by calibrated confidence.
-	RouterDetector = router.Router
-	// RouterBand is the uncertainty band on a stage's confidence.
-	RouterBand = router.Band
-	// RouterDecision is the full routing outcome for one clip.
-	RouterDecision = router.Decision
-	// RouterStageStats snapshots one stage's routing counters.
-	RouterStageStats = router.StageStats
-)
-
 // FromSamples converts generator samples into evaluation clips.
 func FromSamples(samples []iccad.Sample) []LabeledClip { return core.FromSamples(samples) }
 
@@ -201,11 +184,6 @@ func EvaluateCtx(ctx context.Context, det Detector, bench string, train, test []
 	return core.EvaluateCtx(ctx, det, bench, train, test, opt)
 }
 
-// Scan slides a detector across a chip and returns flagged windows.
-func Scan(chip *Layout, det Detector, cfg ScanConfig) ([]Finding, error) {
-	return core.Scan(chip, det, cfg)
-}
-
 // Fault-tolerant distributed scanning (internal/scanfarm): the shard
 // coordinator behind `hsdscan -workers/-journal/-resume/-cache-size`.
 type (
@@ -223,8 +201,7 @@ type (
 // ScanFarm scans the chip through the fault-tolerant shard coordinator:
 // deterministic findings regardless of schedule, poison shards
 // quarantined instead of failing the run, resumable via the journal,
-// and repeated geometry answered from the clip cache. Use it instead of
-// Scan when a partial failure must not discard the run.
+// and repeated geometry answered from the clip cache.
 func ScanFarm(ctx context.Context, chip *Layout, det Detector, cfg ScanFarmConfig) (scanfarm.Result, error) {
 	return scanfarm.Run(ctx, chip, det, cfg)
 }

@@ -2,6 +2,7 @@ package hsd
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"sync"
@@ -111,7 +112,7 @@ func TestZooSpecs(t *testing.T) {
 
 func TestFacadeScan(t *testing.T) {
 	b := facadeBenchmark(t)
-	det := StandardFuzzyPM()
+	det := standardFuzzyPM()
 	if err := det.Fit(FromSamples(b.Train.Samples)); err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +120,14 @@ func TestFacadeScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := Scan(chip, det, ScanConfig{Workers: 4, SkipEmpty: true})
+	res, err := ScanFarm(context.Background(), chip, det, ScanFarmConfig{Workers: 4, SkipEmpty: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range findings {
+	if len(res.Quarantined) > 0 {
+		t.Fatalf("quarantined shards: %+v", res.Quarantined)
+	}
+	for _, f := range res.Findings {
 		if !f.Center.In(R(-1024, -1024, 8192+1024, 8192+1024)) {
 			t.Fatalf("finding outside chip: %v", f.Center)
 		}

@@ -1,12 +1,11 @@
 // Package cli is the one place a binary turns -suite/-bench/-detector/
-// -seed/-router-* into a fitted detector. hsdtrain, hsdeval, hsdscan,
-// hsdserve and hsdlearn register their own flags (names, defaults and
-// help text are theirs) and call in here for every decision those flags
-// imply, so a typo is refused with the same message everywhere.
+// -seed into a fitted detector. hsdtrain, hsdeval, hsdscan, hsdserve
+// and hsdlearn register their own flags (names, defaults and help text
+// are theirs) and call in here for every decision those flags imply, so
+// a typo is refused with the same message everywhere.
 package cli
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"strings"
@@ -54,40 +53,6 @@ func Spec(seed int64, name string) (hsd.DetectorSpec, error) {
 		names[i] = s.Name
 	}
 	return hsd.DetectorSpec{}, fmt.Errorf("detector %q not in zoo (have: %s)", name, strings.Join(names, ", "))
-}
-
-// RouterFlags are the -router-lo/-hi/-eps threshold overrides of the
-// routed cascade.
-type RouterFlags struct{ lo, hi, eps float64 }
-
-// Register adds the three flags to fs.
-func (r *RouterFlags) Register(fs *flag.FlagSet) {
-	fs.Float64Var(&r.lo, "router-lo", -1, "router: force the low confidence cut (with -router-hi; Router detector only)")
-	fs.Float64Var(&r.hi, "router-hi", -1, "router: force the high confidence cut (with -router-lo; Router detector only)")
-	fs.Float64Var(&r.eps, "router-eps", 0, "router: per-stage answered-error budget for band fitting (0 = default)")
-}
-
-// Apply forwards the flags onto an unfitted detector. A half-set band is
-// refused first, then any flag on a detector that is not a Router; with
-// no flag set every detector passes.
-func (r *RouterFlags) Apply(det hsd.Detector) error {
-	if (r.lo >= 0) != (r.hi >= 0) {
-		return fmt.Errorf("-router-lo and -router-hi must be set together")
-	}
-	if r.lo < 0 && r.eps <= 0 {
-		return nil
-	}
-	rt, ok := det.(*hsd.RouterDetector)
-	if !ok {
-		return fmt.Errorf("-router-* flags need -detector Router (got %s)", det.Name())
-	}
-	if r.eps > 0 {
-		rt.SetMaxStageError(r.eps)
-	}
-	if r.lo >= 0 {
-		rt.ForceBand(hsd.RouterBand{Lo: r.lo, Hi: r.hi})
-	}
-	return nil
 }
 
 // Train builds spec's detector, runs configure on it before Fit (nil
@@ -145,13 +110,5 @@ func NetworkLoader(nd *hsd.NeuralDetector) func(path string) (hsd.Detector, erro
 			return nil, err
 		}
 		return nd.WithNetwork(net)
-	}
-}
-
-// PrintRouterStats prints a router's per-stage routing breakdown.
-func PrintRouterStats(stats []hsd.RouterStageStats) {
-	for _, s := range stats {
-		fmt.Printf("router stage %-10s answered %6d (hot %5d, cold %6d)  escalated %6d  %8.3fs\n",
-			s.Name, s.Answered(), s.AnsweredHot, s.AnsweredCold, s.Escalated, s.Seconds)
 	}
 }

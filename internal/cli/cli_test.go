@@ -1,8 +1,6 @@
 package cli
 
 import (
-	"flag"
-	"io"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -15,7 +13,7 @@ import (
 )
 
 func TestSpec(t *testing.T) {
-	for _, name := range []string{"CNN-biased", "cnn-BIASED", "router", "AdaBoost"} {
+	for _, name := range []string{"CNN-biased", "cnn-BIASED", "AdaBoost"} {
 		spec, err := Spec(1, name)
 		if err != nil {
 			t.Fatalf("Spec(%q): %v", name, err)
@@ -68,48 +66,6 @@ func TestLoadBenchmark(t *testing.T) {
 	}
 	if _, _, err := LoadBenchmark(filepath.Join(t.TempDir(), "absent.gob"), ""); err == nil {
 		t.Fatal("missing suite file accepted")
-	}
-}
-
-func TestRouterFlagsApply(t *testing.T) {
-	const (
-		pair   = "-router-lo and -router-hi must be set together"
-		router = "-router-* flags need -detector Router (got "
-	)
-	cases := []struct {
-		name              string
-		args              []string
-		onRouter, onBoost string // error substring; "" accepts
-	}{
-		{"none", nil, "", ""},
-		{"lo-only", []string{"-router-lo", "0.2"}, pair, pair},
-		{"hi-only", []string{"-router-hi", "0.9"}, pair, pair},
-		{"band", []string{"-router-lo", "0.2", "-router-hi", "0.9"}, "", router},
-		{"eps", []string{"-router-eps", "0.05"}, "", router},
-	}
-	for _, tc := range cases {
-		fs := flag.NewFlagSet(tc.name, flag.ContinueOnError)
-		fs.SetOutput(io.Discard)
-		var rf RouterFlags
-		rf.Register(fs)
-		if err := fs.Parse(tc.args); err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range []struct {
-			det  hsd.Detector
-			want string
-		}{
-			{hsd.StandardRouter(1), tc.onRouter},
-			{hsd.StandardAdaBoost(), tc.onBoost},
-		} {
-			err := rf.Apply(d.det)
-			switch {
-			case d.want == "" && err != nil:
-				t.Errorf("%s on %s: refused: %v", tc.name, d.det.Name(), err)
-			case d.want != "" && (err == nil || !strings.Contains(err.Error(), d.want)):
-				t.Errorf("%s on %s: err = %v, want %q", tc.name, d.det.Name(), err, d.want)
-			}
-		}
 	}
 }
 

@@ -23,7 +23,7 @@ func BenchmarkScan4225Windows(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Scan(chip, det, ScanConfig{SkipEmpty: true}); err != nil {
+		if _, err := scanAll(chip, det, ScanConfig{SkipEmpty: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

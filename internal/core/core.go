@@ -30,9 +30,9 @@ type LabeledClip struct {
 // Concurrency contract: once Fit has returned, Score (and the optional
 // ScoreCtx and ScoreBatchCtx) must be safe to call from any number of
 // goroutines on the one instance, and must return the same bits as a
-// serial call. Scans, the router, the model registry and the HTTP
-// service all share a single fitted detector; none of them clones or
-// locks. Fit itself is not concurrent with anything.
+// serial call. Scans, the model registry and the HTTP service all
+// share a single fitted detector; none of them clones or locks. Fit
+// itself is not concurrent with anything.
 type Detector interface {
 	// Name identifies the detector in reports.
 	Name() string

@@ -309,7 +309,7 @@ func TestScanFindsTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	det := &stubDetector{Target: target}
-	findings, err := Scan(chip, det, ScanConfig{ClipNM: 1024, CoreFrac: 0.5, Workers: 4})
+	findings, err := scanAll(chip, det, ScanConfig{ClipNM: 1024, CoreFrac: 0.5, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,18 +329,18 @@ func TestScanFindsTarget(t *testing.T) {
 	if !found {
 		t.Fatal("no finding near the target region")
 	}
-	// Deterministic ordering: descending score, then Y, then X.
+	// Deterministic ordering: window enumeration, row-major (Y, then X).
 	for i := 1; i < len(findings); i++ {
-		a, b := findings[i-1], findings[i]
-		if a.Score < b.Score {
-			t.Fatal("findings not sorted by score")
+		a, b := findings[i-1].Center, findings[i].Center
+		if a.Y > b.Y || (a.Y == b.Y && a.X >= b.X) {
+			t.Fatal("findings not in row-major window order")
 		}
 	}
 }
 
 func TestScanEmptyChip(t *testing.T) {
 	chip := layout.New("empty")
-	findings, err := Scan(chip, &stubDetector{}, ScanConfig{})
+	findings, err := scanAll(chip, &stubDetector{}, ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,11 +357,11 @@ func TestScanDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 	}
 	det := &stubDetector{Target: geom.R(1000, 1000, 1200, 1200)}
-	a, err := Scan(chip, det, ScanConfig{Workers: 1})
+	a, err := scanAll(chip, det, ScanConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Scan(chip, det, ScanConfig{Workers: 8})
+	b, err := scanAll(chip, det, ScanConfig{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

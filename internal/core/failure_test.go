@@ -33,7 +33,7 @@ func TestScanPropagatesDetectorErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	det := &errDetector{Bad: geom.R(2000, 0, 2100, 100)}
-	_, err := Scan(chip, det, ScanConfig{Workers: 3})
+	_, err := scanAll(chip, det, ScanConfig{Workers: 3})
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("scan error = %v, want injected failure", err)
 	}
@@ -82,7 +82,7 @@ func TestScanStrideCoversChip(t *testing.T) {
 	// A detector that flags any window with geometry: every mark must be
 	// covered by at least one flagged window.
 	det := &stubDetector{Target: geom.R(0, 0, 4096, 4096)}
-	findings, err := Scan(chip, det, ScanConfig{})
+	findings, err := scanAll(chip, det, ScanConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestScanIsolatesDetectorPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	det := &panicDetector{Bad: geom.R(2000, 0, 2100, 100)}
-	_, err := Scan(chip, det, ScanConfig{Workers: 3})
+	_, err := scanAll(chip, det, ScanConfig{Workers: 3})
 	if err == nil {
 		t.Fatal("scan swallowed a detector panic")
 	}
@@ -154,7 +154,7 @@ func TestScanPanicAttributionDeterministic(t *testing.T) {
 	det := &panicDetector{Bad: geom.R(2000, 0, 2100, 100)}
 	var want string
 	for workers := 1; workers <= 8; workers++ {
-		_, err := Scan(chip, det, ScanConfig{Workers: workers})
+		_, err := scanAll(chip, det, ScanConfig{Workers: workers})
 		if err == nil {
 			t.Fatalf("workers=%d: scan swallowed the panic", workers)
 		}
@@ -170,8 +170,8 @@ func TestScanPanicAttributionDeterministic(t *testing.T) {
 }
 
 // panicBatchDetector is the batch-capable twin of panicDetector: it
-// implements CtxScorer and CtxBatchScorer like the neural detectors and
-// the router, with Score delegating to ScoreCtx as theirs does, so the
+// implements CtxScorer and CtxBatchScorer like the neural detectors,
+// with Score delegating to ScoreCtx as theirs does, so the
 // scan's ScoreClipCtx dispatch takes the ctx-scoring path. Panic
 // isolation must hold there too.
 type panicBatchDetector struct {
@@ -216,7 +216,7 @@ func TestScanIsolatesBatchDetectorPanic(t *testing.T) {
 	det := &panicBatchDetector{Bad: geom.R(2000, 0, 2100, 100)}
 	var want string
 	for workers := 1; workers <= 8; workers++ {
-		_, err := Scan(chip, det, ScanConfig{Workers: workers})
+		_, err := scanAll(chip, det, ScanConfig{Workers: workers})
 		if err == nil {
 			t.Fatalf("workers=%d: scan swallowed a batch-path panic", workers)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -189,38 +188,19 @@ type ScanResult struct {
 	Cause error
 }
 
-// Scan slides a detection window across the chip and returns the flagged
-// windows ordered by descending score. Cores tile the die (given the
-// default stride), so every location is scored exactly once. Windows
-// are scored in parallel on the one det (see Detector's contract).
-func Scan(chip *layout.Layout, det Detector, cfg ScanConfig) ([]Finding, error) {
-	res, err := ScanCtx(context.Background(), chip, det, cfg)
-	if err != nil {
-		return nil, err
-	}
-	out := res.Findings
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		if out[i].Center.Y != out[j].Center.Y {
-			return out[i].Center.Y < out[j].Center.Y
-		}
-		return out[i].Center.X < out[j].Center.X
-	})
-	return out, nil
-}
-
-// ScanCtx is the context-aware Scan: it honors cancellation and
+// ScanCtx slides a detection window across the chip and returns the
+// flagged windows. Cores tile the die (given the default stride), so
+// every location is scored exactly once. Windows are scored in parallel
+// on the one det (see Detector's contract). It honors cancellation and
 // deadlines, returning the partial findings gathered so far with an
 // explicit Interrupted marker instead of an error. Findings are in
 // window-enumeration order and cover exactly the contiguous prefix of
 // completed windows, so a cancelled scan's findings are a prefix of the
 // deterministic uncancelled result — resumable and comparable.
 //
-// Window errors inside the completed prefix still abort with an error
-// (matching Scan); errors beyond the prefix of an interrupted scan are
-// unreported, since their windows are not part of the result.
+// Window errors inside the completed prefix still abort with an error;
+// errors beyond the prefix of an interrupted scan are unreported, since
+// their windows are not part of the result.
 func ScanCtx(ctx context.Context, chip *layout.Layout, det Detector, cfg ScanConfig) (ScanResult, error) {
 	grid, err := NewGrid(chip.Bounds(), cfg.ClipNM, cfg.CoreFrac, cfg.StrideNM)
 	if err != nil {

@@ -23,6 +23,13 @@ func (densityDetector) Score(c layout.Clip) (float64, error) {
 	return c.Density(), nil
 }
 
+// scanAll runs ScanCtx to completion under a background context and
+// returns its findings, in window-enumeration order.
+func scanAll(chip *layout.Layout, det Detector, cfg ScanConfig) ([]Finding, error) {
+	res, err := ScanCtx(context.Background(), chip, det, cfg)
+	return res.Findings, err
+}
+
 // scanChip builds a chip with a deterministic mix of dense and sparse
 // regions so a density scan flags a scattered subset of windows.
 func scanChip(t *testing.T) *layout.Layout {
@@ -169,7 +176,7 @@ func TestScanFaultInjection(t *testing.T) {
 	t.Cleanup(faultinject.Reset)
 	injected := errors.New("injected scan fault")
 	faultinject.Set(ScanScoreSite, faultinject.Fault{Err: injected, Count: 1})
-	_, err := Scan(scanChip(t), densityDetector{thr: 0.5}, ScanConfig{ClipNM: 1024, Workers: 2})
+	_, err := scanAll(scanChip(t), densityDetector{thr: 0.5}, ScanConfig{ClipNM: 1024, Workers: 2})
 	if err == nil || !errors.Is(err, injected) {
 		t.Fatalf("err = %v, want injected fault", err)
 	}

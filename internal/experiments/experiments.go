@@ -323,10 +323,14 @@ func ODSTScaling(suite *hsd.Suite, seed int64, edgesNM []int) (Table, error) {
 			return Table{}, err
 		}
 		t0 := time.Now()
-		findings, err := hsd.Scan(chip, det, hsd.ScanConfig{SkipEmpty: true})
+		res, err := hsd.ScanFarm(context.Background(), chip, det, hsd.ScanFarmConfig{SkipEmpty: true})
 		if err != nil {
 			return Table{}, err
 		}
+		if len(res.Quarantined) > 0 {
+			return Table{}, fmt.Errorf("experiments: scan quarantined shard %d: %s", res.Quarantined[0].ShardID, res.Quarantined[0].Err)
+		}
+		findings := res.Findings
 		scanTime := time.Since(t0)
 
 		// Verify flagged windows with the simulator.
@@ -398,113 +402,6 @@ func Convergence(suite *hsd.Suite, benchName string, seed int64) (Table, error) 
 		t.Rows = append(t.Rows, []string{fmt.Sprint(e.Epoch), fmt.Sprintf("%.4f", e.Loss), f3(e.Acc)})
 	}
 	return t, nil
-}
-
-// FrontierRow is one accuracy-vs-ODST operating point of the router
-// frontier. DeepFrac is the fraction of test clips the deep stage
-// answered (-1 for non-router rows).
-type FrontierRow struct {
-	Name        string
-	Recall      float64
-	FalseAlarms int
-	AUC         float64
-	ODST        time.Duration
-	DeepFrac    float64
-}
-
-// RouterFrontierRows evaluates each cascade member alone on one
-// benchmark against the Router that unifies them (EPIC-style
-// meta-classification; DESIGN.md §15). The frontier claim is dominance:
-// the router holds the deep detector's recall while the deep stage only
-// sees the uncertain band, so its ODST lands below the member it
-// matches. The returned stage stats are the default router's test-split
-// routing breakdown (one entry per stage).
-//
-// With extended=true two more operating points join the sweep: the
-// unbiased CNN zoo row, and the router re-fit at a looser per-stage
-// error budget (eps=0.05), which trades a slice of the escalated band
-// for ODST and is the point that strictly dominates the unbiased CNN
-// row on B1 (better recall at lower ODST).
-func RouterFrontierRows(suite *hsd.Suite, benchName string, seed int64, sim *hsd.Simulator, extended bool) ([]FrontierRow, []hsd.RouterStageStats, error) {
-	b, err := findBench(suite, benchName)
-	if err != nil {
-		return nil, nil, err
-	}
-	train, test := hsd.FromSamples(b.Train.Samples), hsd.FromSamples(b.Test.Samples)
-	type frontierCase struct {
-		name string
-		det  hsd.Detector
-		aug  hsd.AugmentConfig
-	}
-	cases := []frontierCase{
-		{"PM-fuzzy", hsd.StandardFuzzyPM(), hsd.AugmentConfig{}},
-		{"AdaBoost", hsd.StandardAdaBoost(), hsd.AugmentConfig{}},
-		{"CNN-biased", hsd.StandardCNN(seed, 0.25, "cnn-biased"), hsd.StandardAugment()},
-		// The router augments its member-fit split internally, so the
-		// evaluation augment stays empty (bands calibrate on real balance).
-		{"Router", hsd.StandardRouter(seed), hsd.AugmentConfig{}},
-	}
-	if extended {
-		loose := hsd.StandardRouter(seed)
-		loose.SetMaxStageError(0.05)
-		cases = append(cases,
-			frontierCase{"CNN", hsd.StandardCNN(seed, 0, "cnn"), hsd.StandardAugment()},
-			frontierCase{"Router eps=.05", loose, hsd.AugmentConfig{}},
-		)
-	}
-	var rows []FrontierRow
-	var stats []hsd.RouterStageStats
-	for _, c := range cases {
-		res, err := hsd.Evaluate(c.det, b.Name, train, test,
-			hsd.EvalOptions{Sim: sim, Augment: c.aug})
-		if err != nil {
-			return nil, nil, fmt.Errorf("experiments: frontier %s: %w", c.name, err)
-		}
-		row := FrontierRow{
-			Name: c.name, Recall: res.Accuracy(), FalseAlarms: res.FalseAlarms(),
-			AUC: res.AUC, ODST: res.ODST(), DeepFrac: -1,
-		}
-		if rt, ok := c.det.(*hsd.RouterDetector); ok {
-			rs := rt.Stats()
-			if last := rs[len(rs)-1]; len(test) > 0 {
-				row.DeepFrac = float64(last.Answered()) / float64(len(test))
-			}
-			if c.name == "Router" {
-				stats = rs
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows, stats, nil
-}
-
-// RouterFrontier renders RouterFrontierRows as a printable table.
-func RouterFrontier(suite *hsd.Suite, benchName string, seed int64, sim *hsd.Simulator, extended bool) (Table, []hsd.RouterStageStats, error) {
-	rows, stats, err := RouterFrontierRows(suite, benchName, seed, sim, extended)
-	if err != nil {
-		return Table{}, nil, err
-	}
-	return RenderFrontier(benchName, rows), stats, nil
-}
-
-// RenderFrontier renders already-evaluated frontier rows, so callers
-// holding RouterFrontierRows output need not re-train the cascade.
-func RenderFrontier(benchName string, rows []FrontierRow) Table {
-	t := Table{
-		Title:  fmt.Sprintf("Router frontier on %s (recall vs ODST)", benchName),
-		Header: []string{"detector", "recall", "FA", "AUC", "ODST", "deep-stage clips"},
-	}
-	for _, r := range rows {
-		deepCol := "-"
-		if r.DeepFrac >= 0 {
-			deepCol = pct(r.DeepFrac)
-		}
-		t.Rows = append(t.Rows, []string{
-			r.Name, pct(r.Recall), fmt.Sprint(r.FalseAlarms),
-			f3(r.AUC), dur(r.ODST), deepCol,
-		})
-	}
-	return t
 }
 
 func findBench(suite *hsd.Suite, name string) (hsd.Benchmark, error) {

@@ -44,14 +44,15 @@ func TestBaselineRoundTrip(t *testing.T) {
 // TestBaselineGolden: the golden sidecar loads to the baseline it was
 // saved from and re-encodes to its own bytes. The two .v1 files are
 // sidecars in the gob format the codec replaced, golden.qb's (itself
-// first written before framelog existed) and the Router row's that
-// scripts/baseline_smoke.sh compares hsdtrain's output with; each holds
-// the value of its replacement, floats by their bits.
+// first written before framelog existed) and baseline_router.qb's, a
+// four-series baseline (one blended series plus one per cascade stage)
+// that a routed detector once shipped; each holds the value of its
+// replacement, floats by their bits.
 func TestBaselineGolden(t *testing.T) {
 	checkBaseline(t, "testdata/golden.qb")
 	for golden, v1 := range map[string]string{
-		"testdata/golden.qb":                   "testdata/golden.qb.v1",
-		"../../scripts/baseline_router.golden": "testdata/baseline_router.v1",
+		"testdata/golden.qb":          "testdata/golden.qb.v1",
+		"testdata/baseline_router.qb": "testdata/baseline_router.v1",
 	} {
 		data, err := os.ReadFile(golden)
 		if err != nil {

@@ -10,9 +10,9 @@ import (
 	"time"
 )
 
-// The worker-count determinism property (mirroring the router
-// equivalence layer): feeding an identical event multiset through 1..8
-// concurrent workers must produce byte-identical /debug/quality JSON.
+// The worker-count determinism property: feeding an identical event
+// multiset through 1..8 concurrent workers must produce byte-identical
+// /debug/quality JSON.
 // This is the property that makes the monitor trustworthy under the
 // scanfarm and the batched serve path, where arrival order is whatever
 // the scheduler felt like. It holds because sketches are commutative

@@ -1,6 +1,6 @@
-// Monitor is the live aggregation point: serve, scanfarm, and the
-// router feed scored events in; drift scores, online confusion, SLO
-// burn rates, and the alert state machine come out — through the
+// Monitor is the live aggregation point: serve and scanfarm feed
+// scored events in; drift scores, online confusion, SLO burn rates,
+// and the alert state machine come out — through the
 // telemetry registry, the /debug/quality JSON endpoint, and trace-store
 // drift events. A nil *Monitor is a valid disabled monitor: every
 // method no-ops, so call sites thread it unconditionally. Its own
@@ -26,7 +26,7 @@ import (
 // Event is one scored clip as seen by a tap point.
 type Event struct {
 	Detector  string
-	Stage     string // "primary", "fallback", "scan", router stage names
+	Stage     string // "primary", "fallback", "scan"
 	Score     float64
 	Threshold float64 // the detector's hot cut, for verdict + low-confidence margin
 	// Clip is the scored geometry (canonical form preferred); HasClip

@@ -6,8 +6,7 @@
 // free, exports through the telemetry registry, and is built so that
 // every output is a pure function of the observed event multiset — not
 // of arrival order — which is what makes /debug/quality byte-identical
-// across worker counts (the same property the router equivalence layer
-// pins for verdicts).
+// across worker counts.
 //
 // The core data structure is a fixed-bin histogram over a ring of
 // sub-windows keyed by absolute epoch (time / sub-window duration).

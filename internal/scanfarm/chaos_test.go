@@ -15,7 +15,6 @@ package scanfarm
 import (
 	"context"
 	"fmt"
-	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -27,53 +26,11 @@ import (
 	"github.com/golitho/hsd/internal/geom"
 	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/resilience"
-	"github.com/golitho/hsd/internal/router"
 )
 
-// fnDetector is a pure-function detector for router cascades in chaos
-// tests; like densityDetector it is deterministic and translation-
-// invariant, which the journal and clip cache rely on.
-type fnDetector struct {
-	name string
-	thr  float64
-	fn   func(layout.Clip) float64
-}
-
-func (d fnDetector) Name() string                         { return d.name }
-func (d fnDetector) Fit([]core.LabeledClip) error         { return nil }
-func (d fnDetector) Threshold() float64                   { return d.thr }
-func (d fnDetector) Score(c layout.Clip) (float64, error) { return d.fn(c), nil }
-
-// chaosRouter builds a fitted two-stage router whose bands split the
-// test chip's windows between the stages: dense windows answer at the
-// cheap stage, sparse ones escalate — so kill-resume covers the routed
-// scan path end to end.
-func chaosRouter(t testing.TB) *router.Router {
-	t.Helper()
-	r := router.New("router", []router.Stage{
-		{Name: "cheap", Detector: fnDetector{name: "cheap", thr: 0.5, fn: func(c layout.Clip) float64 {
-			d := c.Density()
-			return d + 0.1*math.Sin(53*d)
-		}}},
-		{Name: "deep", Detector: fnDetector{name: "deep", thr: 0.5, fn: func(c layout.Clip) float64 {
-			return c.Density()
-		}}},
-	}, router.Config{})
-	err := r.SetCalibrations([]router.Calibration{
-		{Weights: []float64{4}, Mean: []float64{0.5}, InvStd: []float64{1},
-			Band: router.Band{Lo: 0.05, Hi: 0.7}},
-		{Weights: []float64{2, 2}, Mean: []float64{0.5, 0.5}, InvStd: []float64{1, 1},
-			Band: router.AlwaysEscalate},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
-}
-
-// TestChaosFarmKillResume runs over the doubles on the synthetic chip and
-// over the fitted CNN on a generated one, whose misses go through the
-// worker's tile memo. Every detector is handed to Run bare, as hsdscan
+// TestChaosFarmKillResume runs over the density double on the synthetic
+// chip and over the fitted CNN on a generated one, whose misses go
+// through the worker's tile memo. Every detector is handed to Run bare, as hsdscan
 // hands it over: the kill comes from the context the window loop polls.
 func TestChaosFarmKillResume(t *testing.T) {
 	cases := []struct {
@@ -82,7 +39,6 @@ func TestChaosFarmKillResume(t *testing.T) {
 		det  core.Detector
 	}{
 		{"density", testChip(t, 10), densityDetector{thr: 0.5}},
-		{"router", testChip(t, 10), chaosRouter(t)},
 		{"cnn", cnnChip(t, 6), fittedCNN(t, false)},
 	}
 	for _, tc := range cases {

@@ -152,7 +152,7 @@ func (m *farmMetrics) cache(hit, evicted bool) {
 
 // Run scans the chip through the shard coordinator and returns the
 // deterministically merged findings. See the package comment for the
-// failure-containment contract. Unlike core.Scan, a failing window
+// failure-containment contract. Unlike core.ScanCtx, a failing window
 // never aborts the run: it fails its shard, which retries and is
 // eventually quarantined.
 func Run(ctx context.Context, chip *layout.Layout, det core.Detector, cfg Config) (Result, error) {

@@ -103,9 +103,9 @@ type Options struct {
 	Clock resilience.Clock
 	// Metrics is the registry the server's series land in and GET
 	// /metrics renders. A process that wants one page hands the same
-	// registry to the tracer, the quality monitor, the router's hooks and
-	// the data engine when it builds them, then to the server; nil means a
-	// private registry, reachable through Server.Metrics.
+	// registry to the tracer, the quality monitor and the data engine
+	// when it builds them, then to the server; nil means a private
+	// registry, reachable through Server.Metrics.
 	Metrics *telemetry.Registry
 	// Tracer, when non-nil, enables request tracing: every request runs
 	// under a root span whose children attribute time to pipeline stages,

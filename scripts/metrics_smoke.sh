@@ -8,12 +8,14 @@
 # of series names with their label keys (label values and sample values
 # stripped, so counts and timings do not matter).
 #
-#   router: a Router primary with -fallback AdaBoost -quality -learn-wal
-#           -shed-rate 100, after one POST /score and one POST /batch:
-#           the serving cascade, the tracer, the router's per-stage
-#           series, the quality monitor and the data engine on one page;
-#   cnn:    a CNN-biased primary (a neural primary is the only kind
-#           that mounts the model registry) after one GET /admin/model.
+#   shallow: an RForest primary with -fallback AdaBoost -quality
+#            -learn-wal -shed-rate 100, after one POST /score and one
+#            POST /batch: the serving cascade, the tracer, the quality
+#            monitor and the data engine on one page (-learn-margin 1
+#            mines every scored clip, so the labelled
+#            learn_candidates_total series exists);
+#   cnn:     a CNN-biased primary (a neural primary is the only kind
+#            that mounts the model registry) after one GET /admin/model.
 #
 # Same idea as flags_smoke.sh and api_smoke.sh. A deliberate change to
 # the exposition reruns this with -update and commits the golden.
@@ -65,11 +67,11 @@ scrape() {
 	SERVER_PID=""
 }
 
-boot router -detector Router -fallback AdaBoost -quality \
-	-learn-wal "$WORK/learn.wal" -shed-rate 100
+boot shallow -detector RForest -fallback AdaBoost -quality \
+	-learn-wal "$WORK/learn.wal" -learn-margin 1 -shed-rate 100
 curl -fsS --data-binary @"$WORK/clip.glt" "http://$ADDR/score" >/dev/null
 curl -fsS --data-binary @"$WORK/clip.glt" "http://$ADDR/batch" >/dev/null
-scrape router
+scrape shallow
 
 boot cnn -detector CNN-biased
 curl -fsS "http://$ADDR/admin/model" >/dev/null

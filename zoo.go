@@ -5,7 +5,6 @@ import (
 	"github.com/golitho/hsd/internal/dtree"
 	"github.com/golitho/hsd/internal/nn"
 	"github.com/golitho/hsd/internal/pm"
-	"github.com/golitho/hsd/internal/router"
 	"github.com/golitho/hsd/internal/svm"
 )
 
@@ -46,8 +45,8 @@ func standardPM() Detector {
 	return core.NewPMDetector(pm.Config{GridPx: 32, Tol: 0, Mirror: true})
 }
 
-// StandardFuzzyPM is Hamming-tolerant pattern matching.
-func StandardFuzzyPM() Detector {
+// standardFuzzyPM is Hamming-tolerant pattern matching.
+func standardFuzzyPM() Detector {
 	return core.NewPMDetector(pm.Config{GridPx: 32, Tol: 36, Mirror: true})
 }
 
@@ -101,24 +100,11 @@ func StandardAugment() AugmentConfig {
 	return AugmentConfig{UpsampleFactor: 4, Mirror: true}
 }
 
-// StandardRouter is the EPIC-style meta-classifier cascade over the
-// zoo: fuzzy pattern matching answers the repeats, AdaBoost the easy
-// geometry, and the biased CNN anchors the uncertain band. The member
-// augmentation is applied inside the router to the member-fit split
-// only, so the zoo spec carries none.
-func StandardRouter(seed int64) *RouterDetector {
-	return router.New("Router", []router.Stage{
-		{Name: "pm-fuzzy", Detector: StandardFuzzyPM()},
-		{Name: "boost", Detector: StandardAdaBoost()},
-		{Name: "cnn", Detector: StandardCNN(seed, 0.25, "router-cnn")},
-	}, router.Config{Seed: seed, Augment: StandardAugment()})
-}
-
 // SurveyZoo returns the survey's detector line-up, shallow to deep.
 func SurveyZoo(seed int64) []DetectorSpec {
 	return []DetectorSpec{
 		{Name: "PM-exact", New: standardPM},
-		{Name: "PM-fuzzy", New: StandardFuzzyPM},
+		{Name: "PM-fuzzy", New: standardFuzzyPM},
 		{Name: "SVM", New: func() Detector { return standardSVM(seed) }},
 		{Name: "AdaBoost", New: StandardAdaBoost},
 		{Name: "RForest", New: func() Detector { return standardForest(seed) }},
@@ -132,7 +118,5 @@ func SurveyZoo(seed int64) []DetectorSpec {
 			Augment: StandardAugment()},
 		{Name: "CNN-plain", Deep: true,
 			New: func() Detector { return StandardCNN(seed, 0, "cnn-plain") }},
-		{Name: "Router", Deep: true,
-			New: func() Detector { return StandardRouter(seed) }},
 	}
 }

@@ -16,16 +16,10 @@ import (
 
 // reduceEpochs shrinks neural training to a couple of epochs so the
 // whole zoo trains within test time; accuracy is not under test here,
-// only that every spec's construct/fit/score/persist cycle works. The
-// router is recursed so its CNN member is shrunk too.
+// only that every spec's construct/fit/score/persist cycle works.
 func reduceEpochs(det Detector) {
-	switch d := det.(type) {
-	case *NeuralDetector:
+	if d, ok := det.(*NeuralDetector); ok {
 		d.Cfg.Epochs = 2
-	case *RouterDetector:
-		for _, s := range d.Stages() {
-			reduceEpochs(s.Detector)
-		}
 	}
 }
 
@@ -90,8 +84,8 @@ func TestZooSpecTrainRoundTrip(t *testing.T) {
 }
 
 // TestSharedInstanceConcurrentScore holds the whole line-up to the
-// Detector concurrency contract: every zoo spec (the Router cascades
-// into a CNN member) is fitted once, and the one instance, scored from 8 goroutines through Score, ScoreClipCtx
+// Detector concurrency contract: every zoo spec is fitted once, and the
+// one instance, scored from 8 goroutines through Score, ScoreClipCtx
 // and the batch path, answers the bits it answers serially. Meaningful
 // under -race. The fit skips augmentation: what is scored matters here,
 // not how well.
@@ -225,7 +219,7 @@ func TestZooSpanShape(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("clip %d: ScoreCtx spans %v, ScoreClipCtx spans %v", i, got, want)
 				}
-				if _, routed := det.(*RouterDetector); !routed && (len(got) == 0 || got[len(got)-1] != "inference") {
+				if len(got) == 0 || got[len(got)-1] != "inference" {
 					t.Fatalf("clip %d: spans %v do not end on inference", i, got)
 				}
 			}
