@@ -6,8 +6,9 @@
 #   race detector and again on the portable matmul kernel, the chaos and
 #   kill-resume suites, the end-to-end smoke scripts, a check that no
 #   binary's flag set, no facade name and no /metrics series moved, that
-#   every facade name has an outside caller, and that nothing is bound
-#   after construction, a run of every example, a smoke pass over the
+#   every facade name has an outside caller, that nothing is bound
+#   after construction and that no circuit breaker is built outside
+#   serving, a run of every example, a smoke pass over the
 #   fuzz seed corpora, 7 s of real fuzzing each on all eleven fuzz
 #   targets (77 s in all), one pass of the window key, conv, ragged-edge,
 #   matmul kernel, scan miss and serve score cache micro-benchmarks, and
@@ -154,6 +155,19 @@ echo "== one observer idiom =="
 # after it is constructed (DESIGN §9).
 if grep -rnE 'func \(.*\) Bind[A-Z]' --include='*.go' . | grep -v _test.go; then
 	echo "ci: a Bind* method is back; pass the observer in the config instead" >&2
+	exit 1
+fi
+
+echo "== breakers only where calls are concurrent =="
+# A scan shard is retried the way a clip is verified: resilience.Retry
+# with a deadline on each attempt, and no circuit breaker. A worker runs
+# one shard at a time, so a breaker over its attempts saw only what the
+# retry loop sees, and its one effect was a 5 s cool-down stall per trip
+# (ROADMAP Decided, DESIGN §14). Serving, where concurrent requests share
+# one breaker, is the only caller left.
+if grep -rn 'resilience\.NewBreaker' --include='*.go' . | grep -v '_test\.go:' |
+	grep -v -e '^\./internal/serve/' -e '^\./internal/resilience/'; then
+	echo "ci: resilience.NewBreaker is back outside internal/serve; the scan farm's per-worker breaker was deleted because a one-caller breaker only stalls (ROADMAP Decided), retry with resilience.Retry instead" >&2
 	exit 1
 fi
 

@@ -15,8 +15,9 @@ const (
 	// StateClosed admits every call; consecutive failures trip the
 	// breaker.
 	StateClosed BreakerState = iota
-	// StateHalfOpen admits a bounded number of probe calls after the
-	// cool-down; one failure re-opens, enough successes close.
+	// StateHalfOpen has admitted the one probe call after the
+	// cool-down and refuses the rest; the probe's failure re-opens,
+	// its success closes.
 	StateHalfOpen
 	// StateOpen rejects every call until the cool-down elapses.
 	StateOpen
@@ -42,13 +43,9 @@ type BreakerConfig struct {
 	// FailureThreshold is the number of consecutive failures in the
 	// closed state that trips the breaker (default 5).
 	FailureThreshold int
-	// OpenTimeout is the cool-down after tripping before probe calls
-	// are admitted (default 5s).
+	// OpenTimeout is the cool-down after tripping before the probe
+	// call is admitted (default 5s).
 	OpenTimeout time.Duration
-	// HalfOpenProbes is the number of probe calls admitted — and the
-	// number of successes required — in the half-open state before the
-	// breaker closes (default 1).
-	HalfOpenProbes int
 	// Clock drives the cool-down timer (default the wall clock).
 	Clock Clock
 	// OnStateChange, when non-nil, is called synchronously on every
@@ -65,9 +62,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.OpenTimeout <= 0 {
 		c.OpenTimeout = 5 * time.Second
 	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 1
-	}
 	if c.Clock == nil {
 		c.Clock = Real
 	}
@@ -83,8 +77,6 @@ type Breaker struct {
 	mu       sync.Mutex
 	state    BreakerState
 	fails    int // consecutive failures while closed
-	probes   int // probes admitted while half-open
-	probeOK  int // probe successes while half-open
 	openedAt time.Time
 }
 
@@ -117,8 +109,9 @@ func (b *Breaker) trip() {
 
 // Allow reports whether a call may proceed. In the open state it
 // returns false until OpenTimeout has elapsed, then moves to half-open
-// and admits up to HalfOpenProbes probes. Every admitted call must be
-// followed by exactly one Record.
+// and admits that one call as the probe; half-open refuses every other
+// call until the probe's outcome is recorded. Every admitted call must
+// be followed by exactly one Record.
 func (b *Breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -130,14 +123,9 @@ func (b *Breaker) Allow() bool {
 			return false
 		}
 		b.setState(StateHalfOpen)
-		b.probes, b.probeOK = 0, 0
-		fallthrough
-	default: // StateHalfOpen
-		if b.probes >= b.cfg.HalfOpenProbes {
-			return false
-		}
-		b.probes++
 		return true
+	default: // StateHalfOpen: the probe is out
+		return false
 	}
 }
 
@@ -151,11 +139,7 @@ func (b *Breaker) Record(err error) {
 		case StateClosed:
 			b.fails = 0
 		case StateHalfOpen:
-			b.probeOK++
-			if b.probeOK >= b.cfg.HalfOpenProbes {
-				b.setState(StateClosed)
-				b.fails = 0
-			}
+			b.setState(StateClosed) // fails is 0 since the trip
 		}
 		return
 	}

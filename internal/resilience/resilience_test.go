@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -20,7 +19,6 @@ func TestBreakerStateTable(t *testing.T) {
 	b := NewBreaker(BreakerConfig{
 		FailureThreshold: 3,
 		OpenTimeout:      10 * time.Second,
-		HalfOpenProbes:   2,
 		Clock:            clk,
 		OnStateChange:    func(s BreakerState) { transitions = append(transitions, s) },
 	})
@@ -51,21 +49,15 @@ func TestBreakerStateTable(t *testing.T) {
 		{"cool-down elapses, probe admitted", func() {
 			clk.Advance(time.Second)
 			if !b.Allow() {
-				t.Error("half-open breaker rejected first probe")
+				t.Error("half-open breaker rejected the first probe")
 			}
 		}, StateHalfOpen},
-		{"second probe admitted", func() {
-			if !b.Allow() {
-				t.Error("half-open breaker rejected second probe")
-			}
-		}, StateHalfOpen},
-		{"probe overflow rejected", func() {
+		{"second probe rejected", func() {
 			if b.Allow() {
-				t.Error("half-open breaker over-admitted probes")
+				t.Error("half-open breaker admitted a second probe")
 			}
 		}, StateHalfOpen},
-		{"one probe success not enough", func() { b.Record(nil) }, StateHalfOpen},
-		{"second probe success closes", func() { b.Record(nil) }, StateClosed},
+		{"probe success closes", func() { b.Record(nil) }, StateClosed},
 	}
 	for _, s := range steps {
 		s.op()
@@ -233,18 +225,11 @@ func (c *recordClock) After(d time.Duration) <-chan time.Time {
 }
 
 // TestRetryBackoffBounds asserts every delay Retry schedules lies in
-// the documented jitter envelope, with no wall-clock sleeps involved.
+// the jitter envelope around the shared backoff shape (10 ms doubling,
+// ±20 %), with no wall-clock sleeps involved.
 func TestRetryBackoffBounds(t *testing.T) {
 	clk := &recordClock{}
-	cfg := RetryConfig{
-		MaxAttempts: 6,
-		BaseDelay:   10 * time.Millisecond,
-		MaxDelay:    200 * time.Millisecond,
-		Multiplier:  2,
-		Jitter:      0.25,
-		Seed:        42,
-		Clock:       clk,
-	}
+	cfg := RetryConfig{MaxAttempts: 6, Seed: 42, Clock: clk}
 	calls := 0
 	err := Retry(context.Background(), cfg, func(context.Context) error {
 		calls++
@@ -264,8 +249,8 @@ func TestRetryBackoffBounds(t *testing.T) {
 		80 * time.Millisecond, 160 * time.Millisecond,
 	}
 	for i, d := range clk.delays {
-		lo := time.Duration(float64(nominal[i]) * (1 - cfg.Jitter))
-		hi := time.Duration(float64(nominal[i]) * (1 + cfg.Jitter))
+		lo := time.Duration(float64(nominal[i]) * (1 - jitter))
+		hi := time.Duration(float64(nominal[i]) * (1 + jitter))
 		if d < lo || d > hi {
 			t.Errorf("delay %d = %v outside [%v, %v]", i, d, lo, hi)
 		}
@@ -274,13 +259,13 @@ func TestRetryBackoffBounds(t *testing.T) {
 	rng1 := rand.New(rand.NewSource(7))
 	rng2 := rand.New(rand.NewSource(7))
 	for a := 0; a < 8; a++ {
-		if d1, d2 := BackoffDelay(cfg, a, rng1), BackoffDelay(cfg, a, rng2); d1 != d2 {
+		if d1, d2 := backoffDelay(a, rng1), backoffDelay(a, rng2); d1 != d2 {
 			t.Fatalf("attempt %d: same seed gave %v and %v", a, d1, d2)
 		}
 	}
-	// MaxDelay caps the nominal delay even for huge attempt numbers.
-	if d := BackoffDelay(cfg, 50, nil); d != cfg.MaxDelay {
-		t.Fatalf("un-jittered capped delay = %v, want %v", d, cfg.MaxDelay)
+	// maxDelay caps the nominal delay even for huge attempt numbers.
+	if d := backoffDelay(50, nil); d != time.Second {
+		t.Fatalf("un-jittered capped delay = %v, want 1s", d)
 	}
 }
 
@@ -319,87 +304,6 @@ func TestRetryHonorsCancellation(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Retry did not return after cancellation")
-	}
-}
-
-// askClock is a FakeClock that reports every After call, so a test can
-// wait for the code under test to start waiting instead of sleeping.
-type askClock struct {
-	*FakeClock
-	asked chan time.Duration
-}
-
-func (c askClock) After(d time.Duration) <-chan time.Time {
-	ch := c.FakeClock.After(d)
-	c.asked <- d
-	return ch
-}
-
-// TestSupervise pins the three rules of the supervised-attempt loop: a
-// tripped breaker pauses the unit for the cool-down on the breaker's
-// own clock instead of failing it, every attempt gets its number and a
-// budgeted context, and a caller that cancels mid-attempt neither
-// charges the breaker nor retries.
-func TestSupervise(t *testing.T) {
-	clk := askClock{NewFakeClock(time.Unix(0, 0)), make(chan time.Duration)}
-	br := NewBreaker(BreakerConfig{FailureThreshold: 1, OpenTimeout: time.Second, Clock: clk})
-	rcfg := RetryConfig{MaxAttempts: 3, Clock: &recordClock{}}
-	var seen []int
-	type outcome struct {
-		attempts int
-		err      error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		n, err := Supervise(context.Background(), rcfg, br, time.Minute, func(ctx context.Context, n int) error {
-			seen = append(seen, n)
-			if _, ok := ctx.Deadline(); !ok {
-				return errors.New("attempt context has no budget")
-			}
-			if n == 1 {
-				return errBoom
-			}
-			return nil
-		})
-		done <- outcome{n, err}
-	}()
-	// The first failure trips the breaker; the second attempt waits out
-	// the whole cool-down before it runs.
-	if wait := <-clk.asked; wait != time.Second {
-		t.Fatalf("breaker pause = %v, want the 1s cool-down", wait)
-	}
-	select {
-	case out := <-done:
-		t.Fatalf("unit finished (%+v) while the breaker was open", out)
-	default:
-	}
-	clk.Advance(time.Second)
-	if out := <-done; out.err != nil || out.attempts != 2 || !reflect.DeepEqual(seen, []int{1, 2}) {
-		t.Fatalf("attempts = %d (%v), err = %v; want 2 attempts numbered 1, 2", out.attempts, seen, out.err)
-	}
-	if br.State() != StateClosed {
-		t.Fatalf("breaker %v after the successful probe, want closed", br.State())
-	}
-
-	// Exhaustion: every attempt fails, the error wraps the last one.
-	br = NewBreaker(BreakerConfig{FailureThreshold: 10})
-	n, err := Supervise(context.Background(), rcfg, br, 0, func(context.Context, int) error { return errBoom })
-	if n != 3 || !errors.Is(err, errBoom) {
-		t.Fatalf("exhaustion: attempts = %d, err = %v; want 3 and wrapped errBoom", n, err)
-	}
-
-	// Caller cancelled mid-attempt: Record(nil) and stop.
-	br = NewBreaker(BreakerConfig{FailureThreshold: 1})
-	ctx, cancel := context.WithCancel(context.Background())
-	n, err = Supervise(ctx, rcfg, br, 0, func(context.Context, int) error {
-		cancel()
-		return errBoom
-	})
-	if n != 1 || !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled: attempts = %d, err = %v; want 1 and context.Canceled", n, err)
-	}
-	if br.State() != StateClosed {
-		t.Fatalf("cancellation charged the breaker: %v", br.State())
 	}
 }
 

@@ -7,6 +7,9 @@
 //   - TestChaosFarmFaultMatrix: injected worker faults — errors,
 //     panics, latency — at the window-score site produce retries or
 //     quarantines, never a crash, a lost finding, or a duplicate.
+//   - TestChaosFarmAdjacentPoisonShards: poison shards in a row on one
+//     worker cost their own attempts and nothing else — no cool-down
+//     stalls the worker or the healthy shard after them.
 //
 // These are the scan-path twins of the nn kill-resume training gates.
 
@@ -25,7 +28,6 @@ import (
 	"github.com/golitho/hsd/internal/faultinject"
 	"github.com/golitho/hsd/internal/geom"
 	"github.com/golitho/hsd/internal/layout"
-	"github.com/golitho/hsd/internal/resilience"
 )
 
 // TestChaosFarmKillResume runs over the density double on the synthetic
@@ -47,7 +49,7 @@ func TestChaosFarmKillResume(t *testing.T) {
 }
 
 func runKillResume(t *testing.T, chip *layout.Layout, det core.Detector) {
-	base := Config{SkipEmpty: true, Workers: 3, ShardRows: 1, Retry: fastRetry()}
+	base := Config{SkipEmpty: true, Workers: 3, ShardRows: 1}
 	want := referenceFindings(t, chip, det, base)
 	meta := base.Meta(chip, det.Name())
 	path := filepath.Join(t.TempDir(), "scan.journal")
@@ -116,8 +118,6 @@ func runFaultMatrix(t *testing.T, chip *layout.Layout, det core.Detector) {
 		Workers:     3,
 		ShardRows:   1,
 		MaxAttempts: 25,
-		Retry:       fastRetry(),
-		Breaker:     resilience.BreakerConfig{FailureThreshold: 1000},
 	}
 	want := referenceFindings(t, chip, det, base)
 
@@ -165,6 +165,55 @@ func runFaultMatrix(t *testing.T, chip *layout.Layout, det core.Detector) {
 	})
 }
 
+// TestChaosFarmAdjacentPoisonShards runs three poison shards in a row
+// on one worker with the farm's defaults (real backoff, no tuning). Each
+// costs its three attempts and is quarantined; every other shard's
+// findings survive; and the run takes well under a second. The time
+// bound is what catches a pause between attempts beyond the backoff: a
+// breaker over a worker's attempts trips on the fifth consecutive
+// failure and stalls the next poison shard, and the healthy shard after
+// the last one, for its 5 s cool-down each (DESIGN §14).
+func TestChaosFarmAdjacentPoisonShards(t *testing.T) {
+	chip := testChip(t, 8)
+	for p := 0; p < 3; p++ {
+		if err := chip.AddRect(poisonRect(1*1024+50, 1024+50+p*512)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inner := densityDetector{thr: 0.5}
+	cfg := Config{SkipEmpty: true, Workers: 1, ShardRows: 1}
+	start := time.Now()
+	res, err := Run(context.Background(), chip, &poisonDetector{inner: inner}, cfg)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Quarantined) != 3 || res.Interrupted || res.Completed != res.Shards {
+		t.Fatalf("quarantined %+v, interrupted=%v, %d of %d shards; want the three poison shards",
+			res.Quarantined, res.Interrupted, res.Completed, res.Shards)
+	}
+	quarantined := map[int]bool{}
+	for _, q := range res.Quarantined {
+		quarantined[q.ShardID] = true
+		if q.Attempts != 3 {
+			t.Fatalf("shard %d quarantined after %d attempts, want 3", q.ShardID, q.Attempts)
+		}
+	}
+	plan := NewPlan(chip.Bounds(), cfg)
+	var want []core.Finding
+	for _, f := range referenceFindings(t, chip, inner, cfg) {
+		if !quarantined[shardOf(plan, f.Center)] {
+			want = append(want, f)
+		}
+	}
+	if !reflect.DeepEqual(res.Findings, want) {
+		t.Fatalf("findings outside the quarantined shards diverged:\ngot  %v\nwant %v", res.Findings, want)
+	}
+	if elapsed >= 2*time.Second {
+		t.Fatalf("three adjacent poison shards took %v on one worker, want under 2s", elapsed)
+	}
+}
+
 // TestChaosFarmCNNPoisonWindow holds the tile path to the window-score
 // site's contract. A fault armed without limit fires once per miss: not
 // per tile, and not at all on a hit. And a window that panics on every
@@ -175,7 +224,7 @@ func runFaultMatrix(t *testing.T, chip *layout.Layout, det core.Detector) {
 func TestChaosFarmCNNPoisonWindow(t *testing.T) {
 	defer faultinject.Reset()
 	chip, det := cnnChip(t, 6), fittedCNN(t, false)
-	cfg := Config{SkipEmpty: true, Workers: 3, ShardRows: 2, CacheSize: 4096, Retry: fastRetry()}
+	cfg := Config{SkipEmpty: true, Workers: 3, ShardRows: 2, CacheSize: 4096}
 	want := referenceFindings(t, chip, det, cfg)
 
 	faultinject.Set(WindowScoreSite, faultinject.Fault{Latency: time.Nanosecond})
@@ -240,7 +289,6 @@ func TestChaosFarmConcurrentCache(t *testing.T) {
 		// so the LRU eviction path is exercised under contention.
 		CacheSize:   8,
 		MaxAttempts: 25,
-		Retry:       fastRetry(),
 	}
 	res, err := Run(context.Background(), chip, det, cfg)
 	if err != nil {

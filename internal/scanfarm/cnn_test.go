@@ -149,7 +149,7 @@ func requireMixedFindings(t *testing.T, chip *layout.Layout, cfg Config, want []
 func TestFarmCNNMatchesCoreScan(t *testing.T) {
 	det := fittedCNN(t, false)
 	chip := cnnChip(t, 6)
-	base := Config{SkipEmpty: true, Retry: fastRetry()}
+	base := Config{SkipEmpty: true}
 	want := referenceFindings(t, chip, det, base)
 	requireMixedFindings(t, chip, base, want)
 

@@ -61,7 +61,7 @@ func TestFarmConv1FallbackMatchesCoreScan(t *testing.T) {
 		t.Fatal("the zoo's CNN does not share its first layer")
 	}
 	chip := fallbackChip(t, 4)
-	base := Config{SkipEmpty: true, Workers: 1, ShardRows: 1, MaxAttempts: 10, Retry: fastRetry()}
+	base := Config{SkipEmpty: true, Workers: 1, ShardRows: 1, MaxAttempts: 10}
 	want := referenceFindings(t, chip, &det, base)
 
 	// The fixture must hold what it is for: misses, in the sweep's order,

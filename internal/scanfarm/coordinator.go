@@ -3,19 +3,16 @@
 // journal — worker panics, failing detectors, stuck windows (deadline
 // budget), and process death (resume).
 //
-// Failure containment is layered per worker and per shard:
+// Failure containment is layered per window and per shard:
 //
 //   - panic isolation: a detector panic is recovered at the window
 //     boundary and surfaces as that window's error;
-//   - retry: a failed shard attempt is retried with jittered
-//     exponential backoff up to MaxAttempts;
+//   - retry: a failed shard attempt (an error, a recovered panic, or an
+//     expired ShardBudget) is retried with jittered exponential backoff
+//     up to MaxAttempts;
 //   - quarantine: a shard that exhausts its attempts is recorded as
 //     quarantined — with its bounds and last error — and the scan
-//     continues, so one poison window costs its shard, not the run;
-//   - breaker: each worker carries a circuit breaker over its attempt
-//     outcomes; a worker seeing consecutive failures pauses for the
-//     cool-down instead of hammering (and instead of burning healthy
-//     shards' attempts while sick).
+//     continues, so one poison window costs its shard, not the run.
 //
 // Run cancellation (ctx) is not a failure: in-flight shards stop, the
 // journal keeps every durable record, and a later Run with Completed
@@ -220,16 +217,15 @@ func Run(ctx context.Context, chip *layout.Layout, det core.Detector, cfg Config
 		go func() {
 			defer wg.Done()
 			wk := &worker{
-				chip:    chip,
-				det:     det,
-				name:    name,
-				thr:     thr,
-				plan:    plan,
-				cfg:     cfg,
-				breaker: resilience.NewBreaker(cfg.Breaker),
-				cache:   cache,
-				mets:    mets,
-				tiles:   newTileMemo(det, plan),
+				chip:  chip,
+				det:   det,
+				name:  name,
+				thr:   thr,
+				plan:  plan,
+				cfg:   cfg,
+				cache: cache,
+				mets:  mets,
+				tiles: newTileMemo(det, plan),
 			}
 			for {
 				select {
@@ -292,42 +288,45 @@ dispatch:
 }
 
 // worker is the per-goroutine scan state: the shared detector with its
-// name and threshold, a circuit breaker that outlives individual
-// shards, and the buffers a shard attempt fills: its windows' scores
-// and, when the scan shares feature tiles, the tile memo (else nil).
+// name and threshold, and the buffers a shard attempt fills: its
+// windows' scores and, when the scan shares feature tiles, the tile
+// memo (else nil).
 type worker struct {
-	chip    *layout.Layout
-	det     core.Detector
-	name    string
-	thr     float64
-	plan    Plan
-	cfg     Config
-	breaker *resilience.Breaker
-	cache   *ClipCache
-	mets    *farmMetrics
-	tiles   *tileMemo
-	scores  []float64
+	chip   *layout.Layout
+	det    core.Detector
+	name   string
+	thr    float64
+	plan   Plan
+	cfg    Config
+	cache  *ClipCache
+	mets   *farmMetrics
+	tiles  *tileMemo
+	scores []float64
 }
 
-// runShard drives one shard to a terminal state under the supervised-
-// attempt loop: done after a successful attempt, quarantined after
-// MaxAttempts failures. A nil return means the run was cancelled before
-// the shard finished (the shard stays unrecorded and is rescanned on
-// resume).
+// runShard drives one shard to a terminal state: up to MaxAttempts
+// attempts through resilience.Retry, each under its own ShardBudget
+// deadline, as lithosim.Verify buys an oracle verdict. It returns done
+// after a successful attempt and quarantined after MaxAttempts failures.
+// The backoff jitter is seeded by shard ID, so retries of different
+// shards decorrelate while a shard's schedule is the same on every run.
+// A nil return means the run was cancelled before the shard finished
+// (the shard stays unrecorded and is rescanned on resume); Retry starts
+// no attempt after a cancellation.
 func (w *worker) runShard(ctx context.Context, id int) *ShardRecord {
-	rcfg := w.cfg.Retry
-	rcfg.MaxAttempts = w.cfg.MaxAttempts
-	// Decorrelate jitter across shards while staying deterministic for
-	// a fixed config.
-	rcfg.Seed = rcfg.Seed*31 + int64(id) + 1
-
-	var findings []core.Finding
-	attempts, err := resilience.Supervise(ctx, rcfg, w.breaker, w.cfg.ShardBudget,
-		func(ctx context.Context, n int) (err error) {
-			w.mets.attempt(n)
-			findings, err = w.scanShard(ctx, id, n)
-			return err
-		})
+	rcfg := resilience.RetryConfig{MaxAttempts: w.cfg.MaxAttempts, Seed: int64(id) + 1}
+	var (
+		findings []core.Finding
+		attempts int
+	)
+	err := resilience.Retry(ctx, rcfg, func(ctx context.Context) (err error) {
+		attempts++
+		w.mets.attempt(attempts)
+		actx, cancel := resilience.WithBudget(ctx, w.cfg.ShardBudget)
+		defer cancel()
+		findings, err = w.scanShard(actx, id, attempts)
+		return err
+	})
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil

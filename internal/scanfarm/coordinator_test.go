@@ -13,16 +13,10 @@ import (
 	"github.com/golitho/hsd/internal/core"
 	"github.com/golitho/hsd/internal/faultinject"
 	"github.com/golitho/hsd/internal/layout"
-	"github.com/golitho/hsd/internal/resilience"
 	"github.com/golitho/hsd/internal/telemetry"
 )
 
 var errTransient = errors.New("transient worker failure")
-
-// fastRetry removes real backoff sleeps from tests.
-func fastRetry() resilience.RetryConfig {
-	return resilience.RetryConfig{BaseDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond}
-}
 
 // TestFarmMatchesCoreScan pins the farm's most load-bearing property:
 // the sharded, pooled, cached scan produces exactly the findings of the
@@ -31,7 +25,7 @@ func fastRetry() resilience.RetryConfig {
 func TestFarmMatchesCoreScan(t *testing.T) {
 	chip := testChip(t, 8)
 	det := densityDetector{thr: 0.5}
-	cfg := Config{SkipEmpty: true, Workers: 4, ShardRows: 2, Retry: fastRetry()}
+	cfg := Config{SkipEmpty: true, Workers: 4, ShardRows: 2}
 	want := referenceFindings(t, chip, det, cfg)
 	if len(want) == 0 {
 		t.Fatal("reference scan flagged nothing; test chip is broken")
@@ -63,7 +57,7 @@ func TestFarmDeterministicMerge(t *testing.T) {
 	defer faultinject.Reset()
 	chip := testChip(t, 10)
 	det := densityDetector{thr: 0.5}
-	base := Config{SkipEmpty: true, Retry: fastRetry()}
+	base := Config{SkipEmpty: true}
 	want := referenceFindings(t, chip, det, base)
 
 	cases := []struct {
@@ -125,8 +119,6 @@ func TestFarmQuarantinesPoisonShard(t *testing.T) {
 		Workers:     4,
 		ShardRows:   1,
 		MaxAttempts: 2,
-		Retry:       fastRetry(),
-		Breaker:     resilience.BreakerConfig{FailureThreshold: 100},
 	}
 	reg := telemetry.NewRegistry()
 	cfg.Metrics = reg
@@ -220,8 +212,6 @@ func TestFarmTransientPanicsLoseNothing(t *testing.T) {
 		Workers:     3,
 		ShardRows:   1,
 		MaxAttempts: 30,
-		Retry:       fastRetry(),
-		Breaker:     resilience.BreakerConfig{FailureThreshold: 1000},
 	}
 	res, err := Run(context.Background(), chip, det, cfg)
 	if err != nil {
@@ -249,7 +239,6 @@ func TestFarmShardBudget(t *testing.T) {
 		ShardRows:   2,
 		MaxAttempts: 2,
 		ShardBudget: 30 * time.Millisecond,
-		Retry:       fastRetry(),
 	}
 	start := time.Now()
 	res, err := Run(context.Background(), chip, densityDetector{thr: 0.5}, cfg)
@@ -272,7 +261,7 @@ func TestFarmShardBudget(t *testing.T) {
 func TestFarmCacheHitsOnRepeatedCells(t *testing.T) {
 	chip := cellChip(t, 10)
 	det := densityDetector{thr: 0.1}
-	cfg := Config{SkipEmpty: true, Workers: 1, ShardRows: 2, Retry: fastRetry()}
+	cfg := Config{SkipEmpty: true, Workers: 1, ShardRows: 2}
 
 	uncached, err := Run(context.Background(), chip, det, cfg)
 	if err != nil {
@@ -302,11 +291,13 @@ func TestFarmCacheHitsOnRepeatedCells(t *testing.T) {
 
 // TestFarmCancelIsResumable: cancelling mid-run is not an error, leaves
 // the journal with only terminal records, and resuming completes the
-// scan with findings identical to an uninterrupted run.
+// scan with findings identical to an uninterrupted run. An attempt the
+// cancellation cuts short is neither retried nor quarantined: the shard
+// is left for the resume.
 func TestFarmCancelIsResumable(t *testing.T) {
 	chip := testChip(t, 10)
 	det := densityDetector{thr: 0.5}
-	cfg := Config{SkipEmpty: true, Workers: 2, ShardRows: 1, Retry: fastRetry()}
+	cfg := Config{SkipEmpty: true, Workers: 2, ShardRows: 1}
 	want := referenceFindings(t, chip, det, cfg)
 	meta := cfg.Meta(chip, det.Name())
 
@@ -317,7 +308,10 @@ func TestFarmCancelIsResumable(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cfg.Journal = j
-	res, err := Run(ctx, chip, &cancelAfter{Detector: det, cut: 130, cancel: cancel}, cfg)
+	reg := telemetry.NewRegistry()
+	cut := cfg
+	cut.Metrics = reg
+	res, err := Run(ctx, chip, &cancelAfter{Detector: det, cut: 130, cancel: cancel}, cut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,6 +319,9 @@ func TestFarmCancelIsResumable(t *testing.T) {
 	if !res.Interrupted || res.Completed == 0 {
 		t.Fatalf("cancel after 130 scored clips left %d shards done, interrupted=%v; want a scan cut mid-run",
 			res.Completed, res.Interrupted)
+	}
+	if got := counterValue(t, reg, "scan_shard_retries_total"); got != 0 || len(res.Quarantined) != 0 {
+		t.Fatalf("the cut run retried %v attempts and quarantined %+v; want neither", got, res.Quarantined)
 	}
 
 	j2, completed, err := ResumeJournal(path, meta)
@@ -395,7 +392,7 @@ func (d *countingDetector) Score(c layout.Clip) (float64, error) {
 func TestFarmJournalFailureStopsRun(t *testing.T) {
 	chip := testChip(t, 16)
 	det := &countingDetector{densityDetector: densityDetector{thr: 0.5}}
-	cfg := Config{Workers: 2, ShardRows: 1, Retry: fastRetry()}
+	cfg := Config{Workers: 2, ShardRows: 1}
 	j, err := CreateJournal(filepath.Join(t.TempDir(), "scan.journal"), cfg.Meta(chip, det.Name()))
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,6 @@ import (
 	"github.com/golitho/hsd/internal/iccad"
 	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/qualitymon"
-	"github.com/golitho/hsd/internal/resilience"
 )
 
 // TestHitPathAllocations pins what a cache-hit window may allocate: its
@@ -37,9 +36,8 @@ func TestHitPathAllocations(t *testing.T) {
 	w := &worker{
 		chip: chip, det: det, name: det.Name(), thr: det.Threshold(),
 		plan: plan, cfg: cfg,
-		breaker: resilience.NewBreaker(cfg.Breaker),
-		cache:   NewClipCache(cfg.CacheSize),
-		mets:    newFarmMetrics(nil),
+		cache: NewClipCache(cfg.CacheSize),
+		mets:  newFarmMetrics(nil),
 	}
 	// An interior shard: every window has geometry, and after one pass
 	// every one of them is in the cache.
@@ -93,9 +91,8 @@ func TestMissPathAllocations(t *testing.T) {
 		w := &worker{
 			chip: chip, det: det, name: det.Name(), thr: det.Threshold(),
 			plan: plan, cfg: cfg,
-			breaker: resilience.NewBreaker(cfg.Breaker),
-			mets:    newFarmMetrics(nil),
-			tiles:   newTileMemo(det, plan),
+			mets:  newFarmMetrics(nil),
+			tiles: newTileMemo(det, plan),
 		}
 		if w.tiles == nil {
 			t.Fatal("the zoo's geometry scans without tiles")

@@ -1,12 +1,11 @@
 // Package scanfarm is the fault-tolerant distributed full-chip scan: a
 // shard coordinator that tiles the chip's window grid into deterministic
-// work units, fans them out to a pool of in-process workers — each
-// wrapped in a circuit breaker, jittered-backoff retry, a per-attempt
-// deadline budget, and panic isolation — quarantines poison shards
-// instead of failing the run, journals completed shards crash-safely so
-// a killed scan resumes where it left off, and answers repeated
-// standard-cell geometry from a content-addressed clip cache before any
-// detector runs.
+// work units, fans them out to a pool of in-process workers — each shard
+// attempt under panic isolation and a deadline budget, a failed attempt
+// retried with jittered backoff — quarantines poison shards instead of
+// failing the run, journals completed shards crash-safely so a killed
+// scan resumes where it left off, and answers repeated standard-cell
+// geometry from a content-addressed clip cache before any detector runs.
 //
 // The merged findings are deterministic: shards are row bands of the
 // window-center grid, a shard's findings are in window-enumeration
@@ -22,7 +21,6 @@ import (
 	"github.com/golitho/hsd/internal/geom"
 	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/qualitymon"
-	"github.com/golitho/hsd/internal/resilience"
 	"github.com/golitho/hsd/internal/telemetry"
 )
 
@@ -122,12 +120,6 @@ type Config struct {
 	// attempt that exceeds it fails (and counts toward quarantine)
 	// without cancelling the run.
 	ShardBudget time.Duration
-	// Retry tunes the backoff between shard attempts. MaxAttempts
-	// above wins over Retry.MaxAttempts.
-	Retry resilience.RetryConfig
-	// Breaker tunes the per-worker circuit breaker. A worker whose
-	// breaker opens pauses (cool-down) instead of failing shards.
-	Breaker resilience.BreakerConfig
 	// CacheSize bounds the content-addressed clip cache in entries;
 	// 0 disables the cache.
 	CacheSize int
