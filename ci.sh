@@ -271,9 +271,11 @@ echo "== trace store race =="
 go test -run 'TestConcurrentAppendRead|TestChaosTailSampling' -race ./internal/trace/
 
 echo "== trace smoke =="
-# End to end: boot hsdserve with tracing and a debug listener, score
-# one clip, and assert /debug/traces returns that request's trace with
-# non-empty child spans (raster/features/inference under the root).
+# End to end: boot hsdserve with tracing, -trace-capacity 8 and a debug
+# listener, score one clip, and assert /debug/traces returns that
+# request's trace with non-empty child spans (raster/features/inference
+# under the root), and that after more requests than the capacity it
+# lists exactly 8 traces, the latest.
 ./scripts/trace_smoke.sh
 
 echo "== reload smoke =="

@@ -71,10 +71,9 @@ func run() error {
 	ctx := context.Background()
 	var tracer *trace.Tracer
 	if *traceOut != "" {
-		// One trace per (detector, benchmark) evaluation; a single shard
-		// makes the store an exact FIFO ring so none are evicted early by
-		// uneven trace-ID hashing (the writer is one goroutine anyway).
-		tracer = trace.New(trace.Config{Capacity: len(zoo)*len(suite.Benchmarks) + 1, Shards: 1})
+		// One trace per (detector, benchmark) evaluation, and room for
+		// all of them.
+		tracer = trace.New(trace.Config{Capacity: len(zoo)*len(suite.Benchmarks) + 1})
 		ctx = trace.WithTracer(ctx, tracer)
 	}
 	t0 := time.Now()

@@ -131,7 +131,7 @@ func run() error {
 	var tracer *trace.Tracer
 	var root *trace.Span
 	if *traceOut != "" {
-		tracer = trace.New(trace.Config{Capacity: 4, Shards: 1})
+		tracer = trace.New(trace.Config{Capacity: 4})
 		ctx = trace.WithTracer(ctx, tracer)
 		ctx, root = trace.Start(ctx, "hsdscan",
 			trace.A("detector", det.Name()), trace.A("chip", chip.Name))

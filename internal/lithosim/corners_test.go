@@ -119,7 +119,7 @@ func TestSimulateParallelConcurrentUse(t *testing.T) {
 func TestSimulateCtxCancelledParallel(t *testing.T) {
 	s := newSim(t)
 	clip := randomTestClip(t, rand.New(rand.NewSource(53)))
-	tr := trace.New(trace.Config{Capacity: 1, Shards: 1})
+	tr := trace.New(trace.Config{Capacity: 1})
 	ctx, cancel := context.WithCancel(trace.WithTracer(context.Background(), tr))
 	cancel()
 	ctx, root := trace.Start(ctx, "root")

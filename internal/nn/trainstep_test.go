@@ -309,7 +309,7 @@ func TestTrainStepConcurrentFits(t *testing.T) {
 // train.epoch span carrying the epoch's statistics.
 func TestFitEmitsEpochSpans(t *testing.T) {
 	x, y := ckptData(20)
-	tr := trace.New(trace.Config{Shards: 1})
+	tr := trace.New(trace.Config{})
 	ctx, root := trace.Start(trace.WithTracer(context.Background(), tr), "fit")
 	hist, err := FitCtx(ctx, ckptNet(), x, y, TrainConfig{Epochs: 3, BatchSize: 8, Seed: 3})
 	root.End()

@@ -58,16 +58,10 @@ type SpotMissTap func(clip layout.Clip, predicted, actual bool)
 type Options struct {
 	Clock resilience.Clock // nil = resilience.Real, the wall clock
 
-	// SubWindow is the sliding-window rotation granularity; FastSubs
-	// and SlowSubs are the fast/slow window lengths in sub-windows.
-	// Defaults: 10s sub-windows, fast = 3 (30s), slow = 18 (3m).
+	// SubWindow is the sliding-window rotation granularity (default
+	// 10s): the fast window is fastSubs of them (30s at the default),
+	// the slow one slowSubs (3m).
 	SubWindow time.Duration
-	FastSubs  int
-	SlowSubs  int
-
-	// Bins is the sketch resolution for series without a baseline
-	// (baseline entries carry their own edges). Default 20.
-	Bins int
 
 	// DriftThreshold is the PSI at which a series is drifting hard
 	// enough to page (warning at half). Default 0.25, the conventional
@@ -78,10 +72,6 @@ type Options struct {
 	// Fast-window burn >= pageBurn pages, slow-window burn >= 1 raises
 	// warning. Values outside (0, 1) disable burn alerting.
 	SLOTarget float64
-
-	// ClearHold is how long the alert inputs must stay below a level
-	// before the state steps down (hysteresis; default 2*SubWindow).
-	ClearHold time.Duration
 
 	// SpotCheckRate is the fraction of scored clips rescored by the
 	// shadow oracle, selected deterministically by content fingerprint
@@ -109,6 +99,19 @@ type Options struct {
 
 	Logf func(format string, args ...any) // nil = silent
 }
+
+// Window lengths in sub-windows, sketch resolution and alert
+// hysteresis.
+const (
+	fastSubs = 3
+	slowSubs = 18
+	// sketchBins is the sketch resolution for series without a baseline
+	// (baseline entries carry their own edges).
+	sketchBins = 20
+	// clearHoldSubs is how many sub-windows the alert inputs must stay
+	// below a level before the state steps down.
+	clearHoldSubs = 2
+)
 
 // seriesKey identifies one (detector, stage) sketch.
 type seriesKey struct{ detector, stage string }
@@ -154,7 +157,7 @@ type Monitor struct {
 	conf     *windowRing // confusion counters: tp, fp, tn, fn
 	slo      *windowRing // slo counters: good, bad
 	// alert state machine: upgrades are immediate, downgrades wait out
-	// ClearHold below the current level.
+	// clearHoldSubs sub-windows below the current level.
 	alertState int
 	belowSince time.Time // zero = inputs currently at/above alertState
 
@@ -193,30 +196,15 @@ func New(opts Options) *Monitor {
 	if opts.SubWindow <= 0 {
 		opts.SubWindow = 10 * time.Second
 	}
-	if opts.FastSubs <= 0 {
-		opts.FastSubs = 3
-	}
-	if opts.SlowSubs <= 0 {
-		opts.SlowSubs = 18
-	}
-	if opts.SlowSubs < opts.FastSubs {
-		opts.SlowSubs = opts.FastSubs
-	}
-	if opts.Bins <= 0 {
-		opts.Bins = 20
-	}
 	if opts.DriftThreshold <= 0 {
 		opts.DriftThreshold = 0.25
-	}
-	if opts.ClearHold <= 0 {
-		opts.ClearHold = 2 * opts.SubWindow
 	}
 	m := &Monitor{
 		opts:     opts,
 		clock:    opts.Clock,
 		sketches: make(map[seriesKey]*sketch),
-		conf:     newWindowRing(opts.SubWindow, opts.SlowSubs, confWidth),
-		slo:      newWindowRing(opts.SubWindow, opts.SlowSubs, sloWidth),
+		conf:     newWindowRing(opts.SubWindow, slowSubs, confWidth),
+		slo:      newWindowRing(opts.SubWindow, slowSubs, sloWidth),
 	}
 	m.exportMetrics(opts.Metrics)
 	if opts.Oracle != nil && opts.SpotCheckRate > 0 {
@@ -260,7 +248,7 @@ func (m *Monitor) Observe(ev Event) {
 	m.mu.Lock()
 	sk, ok := m.sketches[k]
 	if !ok {
-		sk = newSketch(defaultEdges(m.opts.Bins), m.opts.SubWindow, m.opts.SlowSubs)
+		sk = newSketch(defaultEdges(sketchBins), m.opts.SubWindow, slowSubs)
 		m.sketches[k] = sk
 	}
 	sk.observe(ev.Score, at, sk.ring.epochOf(at))
@@ -308,13 +296,13 @@ func (m *Monitor) addSLO(at time.Time, good bool) {
 	m.mu.Unlock()
 }
 
-// Reset clears all live windows — called by the registry when a new
+// Reset clears all live windows — called by the server when a new
 // model generation swaps in (or is rolled back), so the old model's
 // traffic never counts against the new one. Installed baselines and
 // cumulative counters survive; InstallBaseline replaces the reference
 // when the new generation ships its own sidecar. The alert state is
 // deliberately NOT zeroed: it steps down through the state machine's
-// ClearHold hysteresis once the inputs actually look healthy, so a
+// clear-hold hysteresis once the inputs actually look healthy, so a
 // rollback clears a page only by demonstrating clean traffic.
 func (m *Monitor) Reset() {
 	if m == nil {
@@ -347,7 +335,7 @@ func (m *Monitor) InstallBaseline(b *Baseline) {
 		k := seriesKey{e.Detector, e.Stage}
 		sk, ok := m.sketches[k]
 		if !ok || !equalEdges(sk.edges, e.Edges) {
-			sk = newSketch(e.Edges, m.opts.SubWindow, m.opts.SlowSubs)
+			sk = newSketch(e.Edges, m.opts.SubWindow, slowSubs)
 			m.sketches[k] = sk
 		}
 		sk.baseline = append([]int64(nil), e.Counts...)

@@ -38,9 +38,6 @@ func testMonitorOpts(clk resilience.Clock) Options {
 	return Options{
 		Clock:     clk,
 		SubWindow: 10 * time.Second,
-		FastSubs:  3,
-		SlowSubs:  6,
-		Bins:      10,
 		SLOTarget: 0.9,
 	}
 }
@@ -84,7 +81,7 @@ func TestObserveAndSnapshotCounts(t *testing.T) {
 		t.Fatalf("p50 = %v, want interior", sk.P50)
 	}
 	// Events age out of the fast window but stay in the slow one.
-	clk.Advance(40 * time.Second) // 4 sub-windows: outside fast (3), inside slow (6)
+	clk.Advance((fastSubs + 1) * 10 * time.Second) // outside fast, inside slow
 	snap = m.Snapshot()
 	sk = snap.Sketches[0]
 	if sk.Fast != 0 || sk.Slow != 50 {
@@ -95,7 +92,6 @@ func TestObserveAndSnapshotCounts(t *testing.T) {
 func TestDriftAlertAndClear(t *testing.T) {
 	clk := newFakeClock()
 	opts := testMonitorOpts(clk)
-	opts.ClearHold = 15 * time.Second
 	m := New(opts)
 	defer m.Close()
 
@@ -133,13 +129,18 @@ func TestDriftAlertAndClear(t *testing.T) {
 	}
 
 	// Rollback: Reset clears the windows; the page holds through
-	// ClearHold, then steps down.
+	// clearHoldSubs sub-windows, then steps down.
 	m.Reset()
 	snap = m.Snapshot()
 	if snap.Alert.State != AlertPage {
-		t.Fatalf("alert cleared instantly, want ClearHold hysteresis")
+		t.Fatalf("alert cleared instantly, want clear-hold hysteresis")
 	}
-	clk.Advance(20 * time.Second) // > ClearHold
+	hold := clearHoldSubs * opts.SubWindow
+	clk.Advance(hold - time.Second)
+	if snap = m.Snapshot(); snap.Alert.State != AlertPage {
+		t.Fatalf("alert %s a second before the %v hold ran out, want page", snap.Alert.Name, hold)
+	}
+	clk.Advance(time.Second)
 	snap = m.Snapshot()
 	if snap.Alert.State != AlertOK {
 		t.Fatalf("alert after hold = %s, want ok", snap.Alert.Name)
@@ -149,7 +150,7 @@ func TestDriftAlertAndClear(t *testing.T) {
 func TestDriftEventEmission(t *testing.T) {
 	clk := newFakeClock()
 	reg := telemetry.NewRegistry()
-	tr := trace.New(trace.Config{Capacity: 8, Shards: 1})
+	tr := trace.New(trace.Config{Capacity: 8})
 	opts := testMonitorOpts(clk)
 	opts.Metrics, opts.Tracer = reg, tr
 	m := New(opts)

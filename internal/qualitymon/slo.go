@@ -4,8 +4,8 @@
 // the budget exactly runs out over the SLO period, pageBurn (2)
 // over the fast window pages, slow-window burn >= 1 warns. Drift joins
 // the same machine: PSI >= DriftThreshold pages, >= half warns.
-// Upgrades are immediate; downgrades wait out ClearHold below the
-// current level, so a flapping signal cannot strobe the pager.
+// Upgrades are immediate; downgrades wait out clearHoldSubs sub-windows
+// below the current level, so a flapping signal cannot strobe the pager.
 //
 // The machine advances inside Snapshot (and therefore on every metrics
 // scrape via OnCollect) rather than on a timer — the same pull-style
@@ -155,8 +155,8 @@ func (m *Monitor) Snapshot() Snapshot {
 	maxPSI, maxPSIBy := 0.0, ""
 	for _, k := range keys {
 		sk := m.sketches[k]
-		fast := sk.ring.merged(epoch, m.opts.FastSubs)
-		slow := sk.ring.merged(epoch, m.opts.SlowSubs)
+		fast := sk.ring.merged(epoch, fastSubs)
+		slow := sk.ring.merged(epoch, slowSubs)
 		ss := SketchSnapshot{
 			Detector: k.detector,
 			Stage:    k.stage,
@@ -192,7 +192,7 @@ func (m *Monitor) Snapshot() Snapshot {
 		snap.Sketches = append(snap.Sketches, ss)
 	}
 
-	conf := m.conf.merged(epoch, m.opts.SlowSubs)
+	conf := m.conf.merged(epoch, slowSubs)
 	snap.SpotCheck = SpotCheckSnapshot{
 		Sampled:    m.spotSampled.Load(),
 		Mismatches: m.spotMismatch.Load(),
@@ -207,8 +207,8 @@ func (m *Monitor) Snapshot() Snapshot {
 	snap.SpotCheck.Recall = snap.SpotCheck.Window.Recall
 	snap.SpotCheck.FalseAlarm = snap.SpotCheck.Window.FalseAlarm
 
-	fastSLO := m.slo.merged(epoch, m.opts.FastSubs)
-	slowSLO := m.slo.merged(epoch, m.opts.SlowSubs)
+	fastSLO := m.slo.merged(epoch, fastSubs)
+	slowSLO := m.slo.merged(epoch, slowSubs)
 	snap.SLO = SLOSnapshot{
 		Target:   m.opts.SLOTarget,
 		FastGood: fastSLO[sloGood], FastBad: fastSLO[sloBad],
@@ -231,7 +231,7 @@ func (m *Monitor) Snapshot() Snapshot {
 		m.belowSince = time.Time{}
 	case m.belowSince.IsZero():
 		m.belowSince = now
-	case now.Sub(m.belowSince) >= m.opts.ClearHold:
+	case now.Sub(m.belowSince) >= clearHoldSubs*m.opts.SubWindow:
 		m.alertState = desired
 		m.belowSince = time.Time{}
 	}

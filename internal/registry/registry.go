@@ -83,13 +83,9 @@ type Config struct {
 	// tolerated before automatic rollback.
 	ProbationMaxFailures int
 	// OnSwap is called with the new live generation after every swap
-	// and rollback; servers use it to repoint their serving path.
+	// and rollback, under the registry's lock; servers use it to repoint
+	// their serving path and reset what was measured on the old model.
 	OnSwap func(gen *Generation)
-	// Quality, when set, is notified on every generation change: live
-	// quality windows are reset (the old model's traffic must not count
-	// against the new one) and the incoming generation's baseline
-	// sidecar is installed as the new drift reference.
-	Quality QualityMonitor
 	// Metrics receives hotspot_model_generation and
 	// hotspot_reloads_total{outcome} (nil: not exported). Read in New, so
 	// the gauge reads 1 before the first scrape and the first Reload is
@@ -97,16 +93,6 @@ type Config struct {
 	Metrics *telemetry.Registry
 	// Logf receives watcher and rollback notices (default: discard).
 	Logf func(format string, args ...any)
-}
-
-// QualityMonitor is the registry's view of the model-quality monitor
-// (internal/qualitymon.Monitor satisfies it). Reset clears live drift /
-// confusion / SLO windows; InstallBaselineSidecar loads the quality
-// baseline persisted next to a model file (a missing sidecar is not an
-// error — the monitor keeps the previous reference).
-type QualityMonitor interface {
-	Reset()
-	InstallBaselineSidecar(modelPath string)
 }
 
 // Registry is the versioned model store. Safe for concurrent use.
@@ -311,10 +297,6 @@ func (r *Registry) Reload(ctx context.Context, path string) (*Generation, Verdic
 	if r.cfg.OnSwap != nil {
 		r.cfg.OnSwap(gen)
 	}
-	if r.cfg.Quality != nil {
-		r.cfg.Quality.Reset()
-		r.cfg.Quality.InstallBaselineSidecar(path)
-	}
 	r.cfg.Logf("registry: swapped in generation %d from %s (%s)", gen.ID, path, verdict)
 	return gen, verdict, nil
 }
@@ -362,14 +344,6 @@ func (r *Registry) rollbackLocked(reason string) {
 	r.countReload("rolled_back")
 	if r.cfg.OnSwap != nil {
 		r.cfg.OnSwap(restored)
-	}
-	if r.cfg.Quality != nil {
-		r.cfg.Quality.Reset()
-		// The boot generation has no model file to find a sidecar next
-		// to; its baseline (installed at startup) is still in place.
-		if restored.Source != "boot" {
-			r.cfg.Quality.InstallBaselineSidecar(restored.Source)
-		}
 	}
 	r.cfg.Logf("registry: rolled back generation %d -> %d: %s", bad.ID, restored.ID, reason)
 }

@@ -3,8 +3,10 @@ package registry
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -356,7 +358,9 @@ func waitGeneration(t *testing.T, r *Registry, want int64) {
 // generation cleanly even when that generation's quality sidecar is
 // missing or corrupt — the monitor keeps its prior baseline (logged,
 // not fatal) and the model swap still lands. A real qualitymon.Monitor
-// sits behind Config.Quality so the sidecar load path actually runs.
+// is reset and handed each new generation's sidecar from OnSwap, as the
+// server wires it, so the sidecar load path actually runs under the
+// registry's lock.
 func TestRollbackWithBadSidecar(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -376,7 +380,10 @@ func TestRollbackWithBadSidecar(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			qm := qualitymon.New(qualitymon.Options{Logf: t.Logf})
+			var logs []string // OnSwap runs on this goroutine
+			qm := qualitymon.New(qualitymon.Options{Logf: func(format string, args ...any) {
+				logs = append(logs, fmt.Sprintf(format, args...))
+			}})
 			defer qm.Close()
 
 			cand := det("cand", 0.5, 0.8, 0.8, 0.2, 0.2)
@@ -384,7 +391,10 @@ func TestRollbackWithBadSidecar(t *testing.T) {
 				Golden:               golden(4, 2),
 				ProbationRequests:    2,
 				ProbationMaxFailures: 0,
-				Quality:              qm,
+				OnSwap: func(gen *Generation) {
+					qm.Reset()
+					qm.InstallBaselineSidecar(gen.Source)
+				},
 			})
 			// Generation 2: the future rollback target, sitting next to the
 			// bad sidecar. Survive its probation so it becomes the floor.
@@ -405,6 +415,10 @@ func TestRollbackWithBadSidecar(t *testing.T) {
 			}
 			if got := counter(m, "rolled_back"); got != 1 {
 				t.Fatalf("rolled_back counter = %v, want 1", got)
+			}
+			// The rollback's sidecar load ran and failed softly.
+			if last := logs[len(logs)-1]; !strings.Contains(last, qualitymon.SidecarPath(goodPath)) {
+				t.Fatalf("last monitor log %q, want the restored generation's sidecar", last)
 			}
 		})
 	}

@@ -426,7 +426,7 @@ var (
 // without firing serve.primary, and its trace shows the hit and no
 // primary span.
 func TestChaosCacheHitSkipsPrimary(t *testing.T) {
-	tr := trace.New(trace.Config{Capacity: 8, Shards: 1, SampleRate: 1})
+	tr := trace.New(trace.Config{Capacity: 8, SampleRate: 1})
 	s, ts := cachedServer(t, Options{Tracer: tr}, cachedBody)
 	faultinject.Set(PrimarySite, faultinject.Fault{Panic: "chaos: primary bug"})
 	for i := 0; i < 5; i++ {

@@ -6,8 +6,8 @@
 //                             format, loadable in about:tracing and
 //                             https://ui.perfetto.dev (?limit=N, ?id=)
 //
-// The trace endpoints are registered on the main handler when tracing
-// is enabled. DebugMux additionally wires net/http/pprof; it is meant
+// The trace endpoints are registered on the main handler when the
+// server has a tracer. DebugMux additionally wires net/http/pprof; it is meant
 // for a separate, non-public listener (hsdserve -debug-addr), since
 // profiles and traces expose internals no tenant should see.
 
@@ -23,8 +23,6 @@ import (
 
 // tracesResponse is the GET /debug/traces list reply.
 type tracesResponse struct {
-	// Enabled is false when the tracer was toggled off at runtime.
-	Enabled bool `json:"enabled"`
 	// Kept and SampledOut are cumulative tail-sampling counters.
 	Kept       int64 `json:"kept"`
 	SampledOut int64 `json:"sampledOut"`
@@ -78,7 +76,6 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	}
 	st := s.tracer.Stats()
 	writeJSON(w, http.StatusOK, tracesResponse{
-		Enabled:    !s.tracer.Disabled(),
 		Kept:       st.Kept,
 		SampledOut: st.SampledOut,
 		Traces:     traces,

@@ -79,7 +79,7 @@ func TestCascadeParityScoreBatch(t *testing.T) {
 		if prime > 0 {
 			threshold = 1
 		}
-		tr := trace.New(trace.Config{Capacity: 8, Shards: 1, SampleRate: 1})
+		tr := trace.New(trace.Config{Capacity: 8, SampleRate: 1})
 		s, err := NewServer(Options{
 			Primary:        thresholdDetector{},
 			Fallback:       fb,
@@ -162,7 +162,7 @@ func TestCascadeParityScoreBatch(t *testing.T) {
 func TestCascadeBatchFallbackSpans(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
-	tr := trace.New(trace.Config{Capacity: 8, Shards: 1, SampleRate: 1})
+	tr := trace.New(trace.Config{Capacity: 8, SampleRate: 1})
 	s, err := NewServer(Options{
 		Primary:  thresholdDetector{},
 		Fallback: brokenFallback{},

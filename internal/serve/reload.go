@@ -28,7 +28,8 @@ import (
 type ReloadOptions struct {
 	// Config is the model registry's: Loader is required; Golden, the two
 	// regression bounds, the probation window and Logf are the caller's.
-	// OnSwap, Quality and Metrics are the server's own and overwritten.
+	// OnSwap and Metrics are the server's own and overwritten: OnSwap
+	// repoints the serving path and resets the quality monitor.
 	registry.Config
 	// DefaultPath is reloaded when POST /admin/reload names no path —
 	// typically the watched model file.

@@ -4,14 +4,19 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"github.com/golitho/hsd/internal/core"
 	"github.com/golitho/hsd/internal/geom"
 	"github.com/golitho/hsd/internal/layout"
+	"github.com/golitho/hsd/internal/qualitymon"
 	"github.com/golitho/hsd/internal/registry"
 	"github.com/golitho/hsd/internal/telemetry"
 )
@@ -289,4 +294,84 @@ func TestReloadMidTrafficIsConsistent(t *testing.T) {
 		}
 	}
 	<-done
+}
+
+// TestSwapResetsQualityMonitor: every generation change resets the
+// quality monitor's windows and installs the incoming generation's
+// baseline sidecar. A rollback to the boot generation resets too, but
+// looks for no sidecar: boot has no model file.
+func TestSwapResetsQualityMonitor(t *testing.T) {
+	model := filepath.Join(t.TempDir(), "cnn-v2.hsdnn")
+	if err := qualitymon.SaveBaselineFile(qualitymon.SidecarPath(model), &qualitymon.Baseline{
+		Entries: []qualitymon.BaselineEntry{qualitymon.NewBaselineEntry("cnn-v2", "primary", []float64{0.1, 0.5, 0.9}, 4)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var logs []string
+	qm := qualitymon.New(qualitymon.Options{Logf: func(format string, args ...any) {
+		mu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}})
+	defer qm.Close()
+	cand := namedDet{name: "cnn-v2", score: 0.9, thr: 0.7}
+	ro := &ReloadOptions{}
+	ro.Loader = func(string) (core.Detector, error) { return cand, nil }
+	s, err := NewServer(Options{Primary: thresholdDetector{}, Reload: ro, Quality: qm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// observed returns the monitor's series by detector name.
+	observed := func() map[string]qualitymon.SketchSnapshot {
+		out := map[string]qualitymon.SketchSnapshot{}
+		for _, sk := range qm.Snapshot().Sketches {
+			out[sk.Detector] = sk
+		}
+		return out
+	}
+	if code, _ := scoreOnce(t, ts); code != http.StatusOK {
+		t.Fatalf("boot score status = %d", code)
+	}
+	if got := observed()["density-threshold"].Slow; got != 1 {
+		t.Fatalf("boot series holds %d scores, want 1", got)
+	}
+
+	if resp := postReload(t, ts, fmt.Sprintf(`{"path":%q}`, model)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("reload status = %d", resp.StatusCode)
+	}
+	if sk := observed()["density-threshold"]; sk.Slow != 0 {
+		t.Fatalf("after reload the boot series holds %d scores, want 0 (reset)", sk.Slow)
+	}
+	if sk := observed()["cnn-v2"]; !sk.Baseline {
+		t.Fatalf("reloaded generation's sidecar not installed: %+v", sk)
+	}
+	if code, _ := scoreOnce(t, ts); code != http.StatusOK {
+		t.Fatalf("post-reload score status = %d", code)
+	}
+
+	resp, err := http.Post(ts.URL+"/admin/rollback", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || s.Registry().Live().ID != 1 {
+		t.Fatalf("rollback status = %d, live generation %d", resp.StatusCode, s.Registry().Live().ID)
+	}
+	if sk := observed()["cnn-v2"]; sk.Slow != 0 || !sk.Baseline {
+		t.Fatalf("after rollback the cnn-v2 series = %+v, want reset with its baseline kept", sk)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, l := range logs {
+		if strings.Contains(l, "boot") {
+			t.Fatalf("rollback to boot looked for a sidecar: %q", l)
+		}
+	}
+	if len(logs) != 1 || !strings.Contains(logs[0], "installed baseline") {
+		t.Fatalf("monitor logs = %q, want the one sidecar install", logs)
+	}
 }

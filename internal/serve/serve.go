@@ -124,9 +124,8 @@ type Options struct {
 	// or "fallback"), primary outcomes feed its SLO window, and
 	// GET /debug/quality serves its snapshot; its gauges and drift events
 	// go where its own Options.Metrics and Options.Tracer say. With hot
-	// reload enabled
-	// the registry resets the monitor and installs baseline sidecars on
-	// every generation change.
+	// reload enabled the server resets the monitor and installs the new
+	// generation's baseline sidecar on every generation change.
 	Quality *qualitymon.Monitor
 }
 
@@ -256,8 +255,16 @@ func NewServer(opts Options) (*Server, error) {
 		}
 		rcfg.OnSwap = func(gen *registry.Generation) {
 			s.live.Store(newLiveGen(gen.Detector))
+			// The old model's traffic must not count against the new
+			// one; the incoming generation's baseline sidecar is the new
+			// drift reference. The boot generation has no model file to
+			// find a sidecar next to; its baseline, installed at startup,
+			// stays.
+			s.quality.Reset()
+			if gen.Source != "boot" {
+				s.quality.InstallBaselineSidecar(gen.Source)
+			}
 		}
-		rcfg.Quality = qualityHook(s.quality)
 		rcfg.Metrics = reg
 		s.registry = registry.New(opts.Primary, rcfg)
 	}
@@ -734,16 +741,6 @@ func (s *Server) reportOutcome(primaryErr error) {
 		s.registry.ReportOutcome(primaryErr == nil)
 	}
 	s.quality.ReportServeOutcome(primaryErr == nil)
-}
-
-// qualityHook adapts the monitor for the registry's quality hook while
-// keeping a disabled monitor a nil interface (so the registry skips the
-// calls entirely instead of invoking no-op methods on a typed nil).
-func qualityHook(m *qualitymon.Monitor) registry.QualityMonitor {
-	if m == nil {
-		return nil
-	}
-	return m
 }
 
 // scorePrimary runs prim (the primary detector the caller loaded) over

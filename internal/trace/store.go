@@ -1,14 +1,15 @@
-// The trace store: a lock-sharded ring buffer of finished traces.
+// The trace store: one mutex-guarded ring of finished traces.
 //
-// Sharding by trace id keeps concurrent request completions from
-// contending on one mutex; the per-shard ring keeps memory strictly
-// bounded (Config.Capacity traces total) with oldest-first eviction.
+// The ring holds exactly Config.Capacity traces and evicts the oldest
+// first, so memory is strictly bounded and a tracer of capacity N keeps
+// the last N traces it retained, whatever their number of spans. Its
+// lock is taken once per retained trace, where a tracer with Metrics
+// already takes stageMu once per span.
 
 package trace
 
 import (
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -38,18 +39,11 @@ type TraceRecord struct {
 	Spans []SpanRecord `json:"spans"`
 }
 
-type storeShard struct {
-	mu   sync.Mutex
-	ring []*TraceRecord
-	next int // ring write cursor
-}
-
-func (t *Tracer) store(id uint64, rec *TraceRecord) {
-	sh := &t.shards[id&t.shardMask]
-	sh.mu.Lock()
-	sh.ring[sh.next] = rec
-	sh.next = (sh.next + 1) % len(sh.ring)
-	sh.mu.Unlock()
+func (t *Tracer) store(rec *TraceRecord) {
+	t.mu.Lock()
+	t.ring[t.next] = rec
+	t.next = (t.next + 1) % len(t.ring)
+	t.mu.Unlock()
 }
 
 // Traces returns the retained traces, most recent first, up to limit
@@ -59,17 +53,16 @@ func (t *Tracer) Traces(limit int) []*TraceRecord {
 		return nil
 	}
 	var out []*TraceRecord
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for _, rec := range sh.ring {
-			if rec != nil {
-				out = append(out, rec)
-			}
+	t.mu.Lock()
+	// Newest stored first, so traces that started at the same instant
+	// keep that order through the stable sort.
+	for i := range t.ring {
+		if rec := t.ring[(t.next-1-i+len(t.ring))%len(t.ring)]; rec != nil {
+			out = append(out, rec)
 		}
-		sh.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start.After(out[j].Start) })
+	t.mu.Unlock()
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Start.After(out[j].Start) })
 	if limit > 0 && len(out) > limit {
 		out = out[:limit]
 	}
@@ -81,11 +74,10 @@ func (t *Tracer) Get(id TraceID) *TraceRecord {
 	if t == nil {
 		return nil
 	}
-	sh := &t.shards[uint64(id)&t.shardMask]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	want := id.String()
-	for _, rec := range sh.ring {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, rec := range t.ring {
 		if rec != nil && rec.TraceID == want {
 			return rec
 		}

@@ -8,17 +8,17 @@
 // Spans are carried through context.Context. A request (or scan window,
 // or benchmark run) starts a root span; downstream stages start child
 // spans from the same context. When the root span ends, the completed
-// trace is handed to a lock-sharded ring-buffer store under a tail
-// sampling policy: traces flagged slow, errored, degraded, shed, or
-// panicked are always retained, the rest are sampled at a configured
-// rate. Tail sampling — deciding after the trace is complete — is what
-// guarantees the interesting 0.1% is never lost while normal traffic
-// stays cheap to keep.
+// trace is handed to a ring-buffer store under a tail sampling
+// policy: traces flagged slow, errored, degraded, shed, or panicked are
+// always retained, the rest are sampled at a configured rate. Tail
+// sampling — deciding after the trace is complete — is what guarantees
+// the interesting 0.1% is never lost while normal traffic stays cheap
+// to keep.
 //
-// Tracing is zero-cost when disabled: Start on a context without an
-// enabled tracer performs two context lookups and returns a nil span,
-// and every Span method is a nil-receiver no-op, so instrumented hot
-// paths need no conditional plumbing.
+// A nil tracer is the only "off": Start on a context without a tracer
+// performs two context lookups and returns a nil span, and every Span
+// method is a nil-receiver no-op, so instrumented hot paths need no
+// conditional plumbing.
 //
 // The tracer takes internal/resilience's injectable clock, so span
 // timing and slow-trace classification are testable without wall-clock
@@ -265,11 +265,8 @@ func (d *traceData) endSpan(s *Span, end time.Time) {
 // default capacity, wall clock.
 type Config struct {
 	// Capacity is how many finished traces the ring store retains
-	// (default 256). Oldest traces are evicted per shard.
+	// (default 256). The oldest trace is evicted first.
 	Capacity int
-	// Shards is the number of store shards (default 8, rounded up to a
-	// power of two).
-	Shards int
 	// SampleRate is the probability an unflagged trace is retained
 	// ((0, 1], out-of-range values mean 1). Flagged traces are always
 	// retained regardless of the rate.
@@ -292,12 +289,12 @@ type Config struct {
 // Tracer creates spans and retains finished traces. Safe for concurrent
 // use.
 type Tracer struct {
-	cfg     Config
-	enabled atomic.Bool
-	nextID  atomic.Uint64
+	cfg    Config
+	nextID atomic.Uint64
 
-	shards    []storeShard
-	shardMask uint64
+	mu   sync.Mutex // guards ring and next
+	ring []*TraceRecord
+	next int // ring write cursor
 
 	kept    atomic.Int64
 	sampled atomic.Int64 // unflagged traces dropped by the sampler
@@ -306,17 +303,10 @@ type Tracer struct {
 	stages  map[string]*telemetry.Histogram
 }
 
-// New constructs an enabled Tracer.
+// New constructs a Tracer.
 func New(cfg Config) *Tracer {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 256
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 8
-	}
-	shards := 1
-	for shards < cfg.Shards {
-		shards <<= 1
 	}
 	if cfg.SampleRate <= 0 || cfg.SampleRate > 1 {
 		cfg.SampleRate = 1
@@ -333,40 +323,17 @@ func New(cfg Config) *Tracer {
 			return rng.Float64()
 		}
 	}
-	per := (cfg.Capacity + shards - 1) / shards
-	if per < 1 {
-		per = 1
-	}
 	t := &Tracer{
-		cfg:       cfg,
-		shards:    make([]storeShard, shards),
-		shardMask: uint64(shards - 1),
-		stages:    make(map[string]*telemetry.Histogram),
-	}
-	for i := range t.shards {
-		t.shards[i].ring = make([]*TraceRecord, per)
+		cfg:    cfg,
+		ring:   make([]*TraceRecord, cfg.Capacity),
+		stages: make(map[string]*telemetry.Histogram),
 	}
 	t.nextID.Store(uint64(cfg.Clock.Now().UnixNano()))
-	t.enabled.Store(true)
 	cfg.Metrics.SetHelp("hotspot_stage_seconds",
 		"Span durations per pipeline stage: the ODST decomposition.")
 	cfg.Metrics.SetHelp("traces_retained_total", "Traces kept by the tail sampler.")
 	cfg.Metrics.SetHelp("traces_sampled_out_total", "Unflagged traces dropped by probabilistic sampling.")
 	return t
-}
-
-// SetEnabled toggles the tracer at runtime. While disabled, Start
-// returns nil spans and running traces are abandoned on completion.
-func (t *Tracer) SetEnabled(v bool) {
-	if t != nil {
-		t.enabled.Store(v)
-	}
-}
-
-// Disabled reports whether the tracer is off (or nil): one atomic load,
-// no allocations — the fast path guarding every instrumentation site.
-func (t *Tracer) Disabled() bool {
-	return t == nil || !t.enabled.Load()
 }
 
 // Stats reports tail-sampling outcomes since construction.
@@ -415,9 +382,6 @@ func (t *Tracer) observeStage(stage string, d time.Duration) {
 // finish applies tail sampling to a completed trace and stores it when
 // retained.
 func (t *Tracer) finish(id TraceID, root SpanRecord, spans []SpanRecord, flags Flag) {
-	if t.Disabled() {
-		return
-	}
 	if t.cfg.SlowThreshold > 0 && root.Duration >= t.cfg.SlowThreshold {
 		flags |= FlagSlow
 	}
@@ -436,5 +400,5 @@ func (t *Tracer) finish(id TraceID, root SpanRecord, spans []SpanRecord, flags F
 	}
 	t.kept.Add(1)
 	t.cfg.Metrics.Counter("traces_retained_total").Inc()
-	t.store(uint64(id), rec)
+	t.store(rec)
 }

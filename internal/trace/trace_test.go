@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -93,22 +94,18 @@ func TestDisabledIsNilAndFree(t *testing.T) {
 	sp.SetFlag(FlagPanic)
 	sp.End()
 
-	// Tracer toggled off: same behaviour.
-	tr, _ := testTracer(t, Config{})
-	tr.SetEnabled(false)
-	ctx = WithTracer(context.Background(), tr)
-	if !Disabled(ctx) {
-		t.Fatal("Disabled(ctx with disabled tracer) = false")
-	}
-	if _, sp := Start(ctx, "x"); sp != nil {
-		t.Fatal("Start on disabled tracer returned a span")
-	}
 	allocs := testing.AllocsPerRun(100, func() {
+		_ = Disabled(ctx)
 		_, s := Start(ctx, "x")
 		s.End()
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled Start allocates %v/op, want 0", allocs)
+	}
+	// A tracer in the context is the one thing that turns tracing on.
+	tr, _ := testTracer(t, Config{})
+	if Disabled(WithTracer(ctx, tr)) {
+		t.Fatal("Disabled(ctx with tracer) = true")
 	}
 }
 
@@ -183,26 +180,41 @@ func TestSampleRateHonored(t *testing.T) {
 	}
 }
 
+// TestRingEviction: a tracer of capacity 8 keeps exactly the last 8
+// traces, most recent first, whatever the number of spans per trace
+// (trace and span ids share one counter, so the shape sets the stride
+// between trace ids).
 func TestRingEviction(t *testing.T) {
-	tr, clk := testTracer(t, Config{Capacity: 8, Shards: 2})
-	ctx := WithTracer(context.Background(), tr)
-	for j := 0; j < 100; j++ {
-		_, sp := Start(ctx, "t")
-		clk.Advance(time.Microsecond)
-		sp.End()
-	}
-	got := tr.Traces(0)
-	if len(got) > 8 {
-		t.Fatalf("store holds %d traces, capacity 8", len(got))
-	}
-	if len(got) == 0 {
-		t.Fatal("store empty after 100 traces")
-	}
-	// Most recent first.
-	for i := 1; i < len(got); i++ {
-		if got[i].Start.After(got[i-1].Start) {
-			t.Fatal("Traces() not sorted most recent first")
-		}
+	for _, children := range []int{0, 1, 6} {
+		t.Run(fmt.Sprintf("children=%d", children), func(t *testing.T) {
+			tr, clk := testTracer(t, Config{Capacity: 8})
+			ctx := WithTracer(context.Background(), tr)
+			const n = 100
+			for j := 0; j < n; j++ {
+				rctx, sp := Start(ctx, fmt.Sprintf("t%d", j))
+				for c := 0; c < children; c++ {
+					_, ch := Start(rctx, "child")
+					ch.End()
+				}
+				clk.Advance(time.Microsecond)
+				sp.End()
+			}
+			got := tr.Traces(0)
+			if len(got) != 8 {
+				t.Fatalf("store holds %d traces, want its capacity 8", len(got))
+			}
+			for i, rec := range got {
+				if want := fmt.Sprintf("t%d", n-1-i); rec.Root != want {
+					t.Fatalf("Traces()[%d] = %s, want %s (the last 8, most recent first)", i, rec.Root, want)
+				}
+				if len(rec.Spans) != children+1 {
+					t.Fatalf("trace %s has %d spans, want %d", rec.Root, len(rec.Spans), children+1)
+				}
+			}
+			if got := tr.Traces(3); len(got) != 3 || got[0].Root != fmt.Sprintf("t%d", n-1) {
+				t.Fatalf("Traces(3) = %d traces, first %v", len(got), got)
+			}
+		})
 	}
 }
 

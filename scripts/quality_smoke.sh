@@ -7,7 +7,7 @@
 #      <model>.qb score-distribution sidecar;
 #   2. hsdserve boots with -quality; /debug/quality answers with alert
 #      state ok and no baseline;
-#   3. POST /admin/reload swaps the trained model in and the registry
+#   3. POST /admin/reload swaps the trained model in and the server
 #      installs the sidecar baseline (has_baseline flips true);
 #   4. an injected covariate shift (repeatedly scoring one pathological
 #      clip far from the training distribution) pushes PSI over the
@@ -15,7 +15,8 @@
 #      drift gauge and event counter land on /metrics, and the trace
 #      store retains a quality.drift trace;
 #   5. POST /admin/rollback resets the monitor's windows; with clean
-#      (empty) windows the alert clears to ok after ClearHold.
+#      (empty) windows the alert clears to ok after the clear hold of
+#      two sub-windows.
 #
 # Sub-windows are shrunk to 1s so the page and the hysteresis clear both
 # happen within seconds.
@@ -122,7 +123,7 @@ grep -Eq 'hotspot_quality_drift_events_total [1-9]' "$WORK/metrics.txt"
 curl -fsS "http://$ADDR/debug/traces" | grep -q 'quality.drift'
 
 # Rollback resets the monitor's windows; with the shifted traffic gone
-# the alert steps down to ok after the ClearHold hysteresis (2s at this
+# the alert steps down to ok after the clear-hold hysteresis (2s at this
 # window size), never instantly.
 curl -fsS -X POST "http://$ADDR/admin/rollback" >"$WORK/rollback.json"
 cleared=""

@@ -1,14 +1,16 @@
 #!/usr/bin/env sh
 # trace_smoke.sh — end-to-end tracing gate.
 #
-# Boots hsdserve with tracing and a private debug listener, scores one
-# GLT clip, and asserts:
+# Boots hsdserve with tracing, a trace store of CAPACITY traces and a
+# private debug listener, scores one GLT clip, and asserts:
 #
 #   1. /debug/traces returns the /score trace with non-empty child
 #      spans (raster, features, inference under the http root);
 #   2. /debug/traces/chrome emits parseable trace_event JSON;
 #   3. /metrics exposes the hotspot_stage_seconds decomposition;
-#   4. the pprof index answers on the debug listener.
+#   4. the pprof index answers on the debug listener;
+#   5. after more traced requests than CAPACITY, /debug/traces?limit=0
+#      lists exactly CAPACITY traces, all of them the latest requests'.
 #
 # AdaBoost is the detector: it trains in seconds and its scoring path
 # exercises the full raster -> features -> inference pipeline.
@@ -17,6 +19,7 @@ set -eu
 
 ADDR=127.0.0.1:18080
 DEBUG_ADDR=127.0.0.1:18081
+CAPACITY=8
 WORK=$(mktemp -d)
 SERVER_PID=""
 cleanup() {
@@ -31,7 +34,8 @@ go run ./cmd/benchgen -small -seed 7 -out "$WORK/suite.gob" >/dev/null
 echo "trace smoke: booting hsdserve"
 go build -o "$WORK/hsdserve" ./cmd/hsdserve
 "$WORK/hsdserve" -suite "$WORK/suite.gob" -detector AdaBoost \
-	-addr "$ADDR" -debug-addr "$DEBUG_ADDR" >"$WORK/serve.log" 2>&1 &
+	-addr "$ADDR" -debug-addr "$DEBUG_ADDR" -trace-capacity "$CAPACITY" \
+	>"$WORK/serve.log" 2>&1 &
 SERVER_PID=$!
 
 ready=""
@@ -79,6 +83,22 @@ curl -fsS "http://$DEBUG_ADDR/debug/pprof/" >"$WORK/pprof.html"
 grep -qi pprof "$WORK/pprof.html"
 if curl -fsS "http://$ADDR/debug/pprof/" >/dev/null 2>&1; then
 	echo "trace smoke: pprof leaked onto the public listener" >&2
+	exit 1
+fi
+
+# Retention: the store keeps exactly the last CAPACITY traces. The
+# readiness polls, the /score and /metrics requests above are traced
+# too; the last 2*CAPACITY are /healthz, each a one-span trace.
+i=0
+while [ $i -lt $((2 * CAPACITY)) ]; do
+	curl -fsS "http://$ADDR/healthz" >/dev/null
+	i=$((i + 1))
+done
+curl -fsS "http://$ADDR/debug/traces?limit=0" >"$WORK/all.json"
+kept=$(grep -o '"traceId"' "$WORK/all.json" | wc -l)
+healthz=$(grep -o '"root":"http /healthz"' "$WORK/all.json" | wc -l)
+if [ "$kept" -ne "$CAPACITY" ] || [ "$healthz" -ne "$CAPACITY" ]; then
+	echo "trace smoke: /debug/traces?limit=0 lists $kept traces ($healthz /healthz) after $((2 * CAPACITY)) /healthz requests, want $CAPACITY (all /healthz)" >&2
 	exit 1
 fi
 

@@ -156,7 +156,7 @@ func TestSharedInstanceConcurrentScore(t *testing.T) {
 // result with the names of the spans it ended, in End order.
 func recordSpans(t *testing.T, score func(ctx context.Context) (float64, error)) (float64, []string) {
 	t.Helper()
-	tr := trace.New(trace.Config{Capacity: 1, Shards: 1})
+	tr := trace.New(trace.Config{Capacity: 1})
 	ctx, root := trace.Start(trace.WithTracer(context.Background(), tr), "root")
 	s, err := score(ctx)
 	if err != nil {
