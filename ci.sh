@@ -11,9 +11,10 @@
 #   serving, a run of every example, a smoke pass over the
 #   fuzz seed corpora, 7 s of real fuzzing each on all eleven fuzz
 #   targets (77 s in all), one pass of the window key, conv, ragged-edge,
-#   matmul kernel, scan miss and serve score cache micro-benchmarks, and
-#   a quick pass of the repo benchmark's four workloads. The matmul kernel tier the run used is
-#   logged near the top.
+#   matmul kernel, shallow fit, scan miss and serve score cache
+#   micro-benchmarks, and a quick pass of the repo benchmark's four
+#   workloads. The matmul kernel tier the run used is logged near the
+#   top.
 #
 # Usage: ./ci.sh [-short]
 #   -short  pass -short to go test (skips the slower property tests)
@@ -238,6 +239,15 @@ echo "== conv, ragged-edge and kernel benchmarks =="
 go test -run='^$' -bench=ConvKernel -benchtime=1x ./internal/nn/
 go test -run='^$' -bench=MatMulRaggedEdge -benchtime=1x ./internal/tensor/
 go test -run='^$' -bench=MatMulKernels -benchtime=1x ./internal/tensor/
+
+echo "== shallow fit benchmarks =="
+# One fit of the zoo's AdaBoost on the small suite's 100-clip train split
+# (the serve bench's set-up and hsdserve -fallback AdaBoost pay it), and
+# one CCAS extraction off its pixel-to-bin table: keeps the numbers
+# behind serve_closed's setup_s compiling and running. Time them with
+# -benchtime 1s.
+go test -run='^$' -bench=FitZooAdaBoost -benchtime=1x .
+go test -run='^$' -bench=CCAS8x12 -benchtime=1x ./internal/features/
 
 echo "== scan miss benchmark =="
 # One scan of a chip with no repeated geometry by the fitted CNN, every

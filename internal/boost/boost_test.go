@@ -3,7 +3,10 @@ package boost
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"github.com/golitho/hsd/internal/tensor"
 )
 
 func TestStumpEval(t *testing.T) {
@@ -35,12 +38,6 @@ func TestTrainAxisAligned(t *testing.T) {
 	}
 	if m.Rounds() > 2 {
 		t.Fatalf("separable data used %d rounds", m.Rounds())
-	}
-	if len(m.RoundTimes) != m.Rounds() {
-		t.Fatalf("RoundTimes has %d entries for %d rounds", len(m.RoundTimes), m.Rounds())
-	}
-	if m.TrainTime <= 0 {
-		t.Fatalf("TrainTime not recorded: %v", m.TrainTime)
 	}
 }
 
@@ -267,5 +264,142 @@ func TestClassBalanceRaisesMinorityRecall(t *testing.T) {
 	}
 	if recall(true) < recall(false) {
 		t.Fatalf("class balance lowered recall: %v vs %v", recall(true), recall(false))
+	}
+}
+
+// serialBestStump is the stump search as a plain serial scan, kept as
+// the reference the sharded search must match: every feature's running
+// error rebuilt from the negatives' weights, the label branch on every
+// sample and the thresholds derived on the fly.
+func serialBestStump(x [][]float64, ys, w []float64, order [][]int) (Stump, float64) {
+	n := len(x)
+	best := Stump{Polarity: 1}
+	bestErr := math.Inf(1)
+	for f := range order {
+		idx := order[f]
+		errPlus := 0.0
+		for i := 0; i < n; i++ {
+			if ys[i] < 0 {
+				errPlus += w[i]
+			}
+		}
+		consider := func(e float64, thr float64) {
+			if e < bestErr {
+				bestErr = e
+				best = Stump{Feature: f, Threshold: thr, Polarity: 1}
+			}
+			if 1-e < bestErr {
+				bestErr = 1 - e
+				best = Stump{Feature: f, Threshold: thr, Polarity: -1}
+			}
+		}
+		consider(errPlus, x[idx[0]][f]-1)
+		for k := 0; k < n; k++ {
+			i := idx[k]
+			if ys[i] > 0 {
+				errPlus += w[i]
+			} else {
+				errPlus -= w[i]
+			}
+			if k+1 < n && x[idx[k+1]][f] == x[i][f] {
+				continue
+			}
+			thr := x[i][f]
+			if k+1 < n {
+				thr = (x[i][f] + x[idx[k+1]][f]) / 2
+			} else {
+				thr = x[i][f] + 1
+			}
+			consider(errPlus, thr)
+		}
+	}
+	return best, bestErr
+}
+
+// TestBestStumpMatchesSerial runs boosting rounds with the sharded search
+// and checks every round's pick against the serial scan by Float64bits,
+// at several pool sizes: ties broken the same way (the first candidate
+// in feature order wins), thresholds and errors to the bit.
+func TestBestStumpMatchesSerial(t *testing.T) {
+	type set struct {
+		name string
+		x    [][]float64
+		y    []int
+	}
+	rng := rand.New(rand.NewSource(30))
+	gen := func(n, dim int, val func(i, f int) float64) ([][]float64, []int) {
+		x := make([][]float64, n)
+		y := make([]int, n)
+		for i := range x {
+			x[i] = make([]float64, dim)
+			for f := range x[i] {
+				x[i][f] = val(i, f)
+			}
+			y[i] = rng.Intn(2)
+		}
+		y[0], y[n-1] = 0, 1 // both classes, when there are two samples
+		return x, y
+	}
+	var sets []set
+	add := func(name string, n, dim int, val func(i, f int) float64) {
+		x, y := gen(n, dim, val)
+		sets = append(sets, set{name, x, y})
+	}
+	add("random", 120, 37, func(int, int) float64 { return rng.NormFloat64() })
+	add("heavy ties", 90, 23, func(int, int) float64 { return float64(rng.Intn(3)) })
+	add("constant feature", 60, 9, func(_, f int) float64 {
+		if f == 4 {
+			return 5
+		}
+		return rng.Float64()
+	})
+	// Every feature is the one before it or a fresh one, in runs of up to
+	// four, so equal-error candidates sit on both sides of any shard
+	// boundary the pool can draw.
+	dup := make([][]float64, 17)
+	for f := range dup {
+		if f%4 == 0 {
+			dup[f] = make([]float64, 80)
+			for i := range dup[f] {
+				dup[f][i] = float64(rng.Intn(5))
+			}
+		} else {
+			dup[f] = dup[f-1]
+		}
+	}
+	add("duplicated features", 80, len(dup), func(i, f int) float64 { return dup[f][i] })
+	add("identical features", 50, 11, func(i, _ int) float64 { return float64(i % 7) })
+	add("n = 1", 1, 5, func(int, int) float64 { return rng.NormFloat64() })
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	defer tensor.SetDefaultWorkers(0)
+	for _, procs := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(procs)
+		tensor.SetDefaultWorkers(procs)
+		for _, d := range sets {
+			ys := make([]float64, len(d.y))
+			for i, v := range d.y {
+				ys[i] = float64(2*v - 1)
+			}
+			order := presort(d.x)
+			s := newSearch(d.x, order)
+			for _, balance := range []bool{false, true} {
+				w := initialWeights(ys, balance)
+				for round := 0; round < 40; round++ {
+					got, gotErr := s.best(ys, w)
+					want, wantErr := serialBestStump(d.x, ys, w, order)
+					if got.Feature != want.Feature || got.Polarity != want.Polarity ||
+						math.Float64bits(got.Threshold) != math.Float64bits(want.Threshold) ||
+						math.Float64bits(gotErr) != math.Float64bits(wantErr) {
+						t.Fatalf("procs %d, %s, balance %v, round %d: got %+v err %v, serial %+v err %v",
+							procs, d.name, balance, round, got, gotErr, want, wantErr)
+					}
+					if wantErr >= 0.5 || wantErr < 1e-10 {
+						break
+					}
+					reweight(w, d.x, ys, want, 0.5*math.Log((1-wantErr)/wantErr))
+				}
+			}
+		}
 	}
 }

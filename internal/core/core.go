@@ -17,6 +17,7 @@ import (
 	"github.com/golitho/hsd/internal/nn"
 	"github.com/golitho/hsd/internal/pm"
 	"github.com/golitho/hsd/internal/svm"
+	"github.com/golitho/hsd/internal/tensor"
 )
 
 // LabeledClip is one training or evaluation sample.
@@ -156,18 +157,31 @@ func (s *scaler) applyAll(x [][]float64) [][]float64 {
 	return out
 }
 
-// extract computes features for every clip, in order.
+// extract computes features for every clip, x[i] from clips[i]. The
+// clips are sharded over the kernel pool, as ScoreBatchCtx shards them:
+// each writes its own slot, and a shard stops at its first failure, so
+// the lowest failing index overall is always reached and reported, as a
+// serial loop would report it.
 func extract(ex features.Extractor, clips []LabeledClip) ([][]float64, []int, error) {
 	x := make([][]float64, len(clips))
 	y := make([]int, len(clips))
-	for i, s := range clips {
-		v, err := ex.Extract(s.Clip)
+	errs := make([]error, len(clips))
+	tensor.Default().Run(len(clips), 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			v, err := ex.Extract(clips[i].Clip)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			x[i] = v
+			if clips[i].Hotspot {
+				y[i] = 1
+			}
+		}
+	})
+	for i, err := range errs {
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: extract sample %d: %w", i, err)
-		}
-		x[i] = v
-		if s.Hotspot {
-			y[i] = 1
 		}
 	}
 	return x, y, nil

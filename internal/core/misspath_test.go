@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -260,6 +261,51 @@ func TestScoreBatchReportsLowestFailingClip(t *testing.T) {
 		_, err := bad.ScoreBatch(clips)
 		if !errors.Is(err, errMarked) || !strings.Contains(err.Error(), "clip 7:") {
 			t.Fatalf("workers=%d: err = %v, want the marked error at clip 7", workers, err)
+		}
+	}
+}
+
+// TestExtractIsDeterministic: a fit's extraction is sharded over the
+// kernel pool, yet x[i] is always clips[i]'s vector, and a failure always
+// names the lowest failing sample, whichever shard met its failure first.
+func TestExtractIsDeterministic(t *testing.T) {
+	clips := make([]LabeledClip, 12)
+	for i := range clips {
+		w := geom.R(0, 0, 1024, 1024)
+		clips[i] = LabeledClip{
+			Clip:    layout.Clip{Window: w, Core: w, Shapes: []geom.Rect{geom.R(i*8, 0, i*8+64+i, 64)}},
+			Hotspot: i%3 == 0,
+		}
+	}
+	ex := &features.Density{Grid: 4}
+	bad := failAt{Extractor: ex, bad: map[int]bool{3 * 8: true, 7 * 8: true}}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	defer tensor.SetDefaultWorkers(0)
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		tensor.SetDefaultWorkers(procs)
+		for run := 0; run < 20; run++ {
+			if _, _, err := extract(bad, clips); !errors.Is(err, errMarked) || !strings.Contains(err.Error(), "extract sample 3:") {
+				t.Fatalf("procs %d run %d: err = %v, want the marked error at sample 3", procs, run, err)
+			}
+		}
+		x, y, err := extract(ex, clips)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range clips {
+			want, err := ex.Extract(c.Clip)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(x[i]) != len(want) || (y[i] == 1) != c.Hotspot {
+				t.Fatalf("procs %d sample %d: %d features label %d, want %d label %v", procs, i, len(x[i]), y[i], len(want), c.Hotspot)
+			}
+			for j := range want {
+				if math.Float64bits(x[i][j]) != math.Float64bits(want[j]) {
+					t.Fatalf("procs %d sample %d feature %d: %v, want %v", procs, i, j, x[i][j], want[j])
+				}
+			}
 		}
 	}
 }

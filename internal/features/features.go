@@ -27,6 +27,8 @@ import (
 )
 
 // Extractor turns a layout clip into a fixed-length feature vector.
+// Extract may run on several goroutines at once: a fit extracts its
+// training clips, and a batched score its clips, on the kernel pool.
 type Extractor interface {
 	// Name identifies the extractor in reports.
 	Name() string
@@ -213,39 +215,77 @@ func (c *CCAS) ExtractCtx(ctx context.Context, clip layout.Clip) ([]float64, err
 
 func (c *CCAS) fromImage(sc *scratch) ([]float64, error) {
 	im := &sc.im
-	cx, cy := float64(im.W)/2, float64(im.H)/2
+	tab := ccasTableFor(ccasKey{im.W, im.H, c.Rings, c.Sectors})
+	// Row-major, as the pixels lie: every bin meets its pixels in the
+	// order the formula's loop visits them.
+	out := make([]float64, c.Rings*c.Sectors)
+	pix := im.Pix[:len(tab.bin)]
+	for p, b := range tab.bin {
+		if b >= 0 {
+			out[b] += pix[p]
+		}
+	}
+	for i, n := range tab.count {
+		if n > 0 {
+			out[i] /= float64(n)
+		}
+	}
+	return out, nil
+}
+
+// ccasKey is the geometry a CCAS bin table is built for: the image's
+// size in pixels and the extractor's rings and sectors.
+type ccasKey struct{ w, h, rings, sectors int }
+
+// ccasTable is the pixel → bin map of one CCAS geometry: bin[y·w+x] is
+// the pixel's ring·sectors+sector, or -1 outside the largest circle, and
+// count[b] is how many pixels bin b holds.
+type ccasTable struct {
+	bin   []int32
+	count []int
+}
+
+// ccasTables memoises one *ccasTable per ccasKey. A process sees a
+// handful of geometries (one per clip size and extractor), so the map
+// stays small; the zoo's 128 x 128-pixel window costs 64 KB.
+var ccasTables sync.Map
+
+// ccasTableFor returns the process-wide table for k, building it on the
+// first call for k (callers racing to a new k may each build one; all
+// get the one stored). The table is read-only once stored, so any number
+// of extractions may share it.
+func ccasTableFor(k ccasKey) *ccasTable {
+	if t, ok := ccasTables.Load(k); ok {
+		return t.(*ccasTable)
+	}
+	t := &ccasTable{bin: make([]int32, k.w*k.h), count: make([]int, k.rings*k.sectors)}
+	cx, cy := float64(k.w)/2, float64(k.h)/2
 	maxR := math.Min(cx, cy)
-	sums := make([]float64, c.Rings*c.Sectors)
-	counts := make([]int, c.Rings*c.Sectors)
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
+	for y := 0; y < k.h; y++ {
+		for x := 0; x < k.w; x++ {
+			t.bin[y*k.w+x] = -1
 			dx := float64(x) + 0.5 - cx
 			dy := float64(y) + 0.5 - cy
 			r := math.Sqrt(dx*dx + dy*dy)
 			if r >= maxR {
 				continue
 			}
-			ring := int(r / maxR * float64(c.Rings))
-			if ring >= c.Rings {
-				ring = c.Rings - 1
+			ring := int(r / maxR * float64(k.rings))
+			if ring >= k.rings {
+				ring = k.rings - 1
 			}
 			ang := math.Atan2(dy, dx) + math.Pi // [0, 2pi]
-			sector := int(ang / (2 * math.Pi) * float64(c.Sectors))
-			if sector >= c.Sectors {
-				sector = c.Sectors - 1
+			sector := int(ang / (2 * math.Pi) * float64(k.sectors))
+			if sector >= k.sectors {
+				sector = k.sectors - 1
 			}
-			idx := ring*c.Sectors + sector
-			sums[idx] += im.Pix[y*im.W+x]
-			counts[idx]++
+			b := ring*k.sectors + sector
+			t.bin[y*k.w+x] = int32(b)
+			t.count[b]++
 		}
 	}
-	out := make([]float64, len(sums))
-	for i := range sums {
-		if counts[i] > 0 {
-			out[i] = sums[i] / float64(counts[i])
-		}
-	}
-	return out, nil
+	got, _ := ccasTables.LoadOrStore(k, t)
+	return got.(*ccasTable)
 }
 
 // DCT is the feature-tensor extractor: the clip image is divided into

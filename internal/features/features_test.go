@@ -1,9 +1,11 @@
 package features
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -554,5 +556,98 @@ func TestExtractAllocations(t *testing.T) {
 	}
 	if per := (m1.TotalAlloc - m0.TotalAlloc) / (runs + 1); per > 40<<10 {
 		t.Errorf("DCT.Extract allocates %d B per call, want <= 40 KB", per)
+	}
+}
+
+// ccasFormula is CCAS as a per-pixel loop over the ring/sector formula,
+// the reference for the table fromImage reads.
+func ccasFormula(c *CCAS, im *raster.Image) []float64 {
+	cx, cy := float64(im.W)/2, float64(im.H)/2
+	maxR := math.Min(cx, cy)
+	sums := make([]float64, c.Rings*c.Sectors)
+	counts := make([]int, c.Rings*c.Sectors)
+	for y := 0; y < im.H; y++ {
+		for x := 0; x < im.W; x++ {
+			dx := float64(x) + 0.5 - cx
+			dy := float64(y) + 0.5 - cy
+			r := math.Sqrt(dx*dx + dy*dy)
+			if r >= maxR {
+				continue
+			}
+			ring := int(r / maxR * float64(c.Rings))
+			if ring >= c.Rings {
+				ring = c.Rings - 1
+			}
+			ang := math.Atan2(dy, dx) + math.Pi
+			sector := int(ang / (2 * math.Pi) * float64(c.Sectors))
+			if sector >= c.Sectors {
+				sector = c.Sectors - 1
+			}
+			idx := ring*c.Sectors + sector
+			sums[idx] += im.Pix[y*im.W+x]
+			counts[idx]++
+		}
+	}
+	out := make([]float64, len(sums))
+	for i := range sums {
+		if counts[i] > 0 {
+			out[i] = sums[i] / float64(counts[i])
+		}
+	}
+	return out
+}
+
+// TestCCASTableMatchesFormula pins the table-driven CCAS to the per-pixel
+// Sqrt/Atan2 loop by Float64bits, on square, non-square and odd-sized
+// images and on rings and sectors that divide neither the radius nor 2π
+// evenly, and has 8 goroutines make the first use of a fresh geometry at
+// once (run it under -race).
+func TestCCASTableMatchesFormula(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	image := func(w, h int) *raster.Image {
+		im := raster.NewImage(w, h)
+		for i := range im.Pix {
+			im.Pix[i] = rng.Float64()
+		}
+		return im
+	}
+	check := func(c *CCAS, im *raster.Image) error {
+		got, err := c.fromImage(&scratch{im: *im})
+		if err != nil {
+			return err
+		}
+		want := ccasFormula(c, im)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				return fmt.Errorf("%dx%d %s bin %d: table %v, formula %v", im.W, im.H, c.Name(), i, got[i], want[i])
+			}
+		}
+		return nil
+	}
+	for _, sz := range [][2]int{{128, 128}, {64, 64}, {96, 40}, {33, 71}, {1, 1}, {2, 3}, {17, 17}} {
+		for _, rs := range [][2]int{{8, 12}, {1, 1}, {3, 7}, {5, 11}, {7, 5}, {13, 17}} {
+			if err := check(&CCAS{Rings: rs[0], Sectors: rs[1]}, image(sz[0], sz[1])); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	c := &CCAS{Rings: 6, Sectors: 13}
+	im := image(45, 77)
+	ccasTables.Delete(ccasKey{im.W, im.H, c.Rings, c.Sectors})
+	errs := make(chan error, 8)
+	var start sync.WaitGroup
+	start.Add(1)
+	for g := 0; g < cap(errs); g++ {
+		go func() {
+			start.Wait()
+			errs <- check(c, im)
+		}()
+	}
+	start.Done()
+	for g := 0; g < cap(errs); g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -226,3 +226,26 @@ func TestZooSpanShape(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkFitZooAdaBoost measures one whole fit of the zoo's AdaBoost
+// as the serve bench's set-up and hsdserve -fallback AdaBoost run it
+// (StandardAdaBoost on the small suite's 100-clip S1 train split): the
+// shallow view's extraction of every clip, standardization and 150
+// boosting rounds. It is the shallow counterpart of internal/nn's
+// BenchmarkFitZooCNN.
+func BenchmarkFitZooAdaBoost(b *testing.B) {
+	cfg := SmallSuiteConfig(1)
+	cfg.Specs = cfg.Specs[:1]
+	suite, err := GenerateSuite(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	train := FromSamples(suite.Benchmarks[0].Train.Samples)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := StandardAdaBoost().Fit(train); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
