@@ -307,12 +307,14 @@ echo "== data engine chaos =="
 # across every stage boundary (post-select, mid-label, post-train,
 # pre-ship); each resume must replay the WAL to the same state and the
 # finally-shipped model must be byte-identical to the uninterrupted
-# cycle. Faults armed inside the litho-sim oracle must be absorbed by
-# lithosim.Verify's retries or quarantined, in the data engine and in
-# the quality monitor's spot-checker. -race because mining taps ingest
-# from scoring goroutines and spot checks run on a background worker,
-# while labeling itself is one serial loop over the WAL.
-go test -run 'TestChaosLearn|TestOracleFault' -race ./internal/datengine/ ./internal/qualitymon/
+# cycle, and a cycle cancelled mid-label must journal nothing for the
+# member it interrupted. Faults armed inside the litho-sim oracle must
+# be absorbed by lithosim.Verify's retries or quarantined, in the data
+# engine and in the quality monitor's spot-checker. -race because
+# mining taps ingest from scoring goroutines and spot checks run on a
+# background worker, while labeling itself is one serial loop over the
+# WAL.
+go test -run 'TestChaos|TestOracleFault' -race ./internal/datengine/ ./internal/qualitymon/
 
 echo "== learn smoke =="
 # End to end: hsdlearn mines the base model's uncertainty band, runs a

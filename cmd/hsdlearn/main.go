@@ -1,5 +1,5 @@
 // Command hsdlearn runs the crash-tolerant active-learning loop: mine
-// uncertain clips from a trained detector, select a diverse batch,
+// uncertain clips from a trained detector, select a batch,
 // label it with the lithography-simulation oracle, retrain, and ship
 // the retrained model through the same golden-set gate that guards
 // hsdserve's hot reloads. Every stage outcome is journaled to a WAL
@@ -56,7 +56,7 @@ func run() error {
 	seed := flag.Int64("seed", 1, "training seed (base model and every retrain)")
 	walPath := flag.String("wal", "learn.wal", "active-learning journal; every stage outcome lands here before the next stage runs")
 	resume := flag.Bool("resume", false, "continue an existing -wal after a crash or kill")
-	batch := flag.Int("batch", 8, "labeling batch size (k-center diverse selection)")
+	batch := flag.Int("batch", 8, "labeling batch size: the first N queued candidates in fingerprint order")
 	margin := flag.Float64("margin", 0.15, "mining band: ingest test-split clips scored within this of the threshold")
 	cycles := flag.Int("cycles", 1, "mine->select->label->retrain->ship cycles to run")
 	modelDir := flag.String("model-dir", "models", "directory for retrained model files (model-<batch>.gob)")

@@ -56,7 +56,6 @@ func run() error {
 	ckptKeep := flag.Int("checkpoint-keep", 2, "checkpoint files retained in -checkpoint-dir")
 	resume := flag.Bool("resume", false, "resume from the newest good checkpoint in -checkpoint-dir")
 	qualityBaseline := flag.String("quality-baseline", "", "write a training-score drift baseline here; \"auto\" with -save writes the <save>.qb sidecar the server's hot reload picks up")
-	qualityBins := flag.Int("quality-bins", 20, "histogram bins per series in the -quality-baseline")
 	version := flag.Bool("version", false, "print build info (the hotspot_build_info fields) and exit")
 	flag.Parse()
 
@@ -187,8 +186,7 @@ func run() error {
 		// The baseline describes whatever model is being shipped — for an
 		// interrupted run that is the partial model the -save block just
 		// wrote, so the sidecar stays consistent with it.
-		n, err := writeQualityBaseline(baselinePath, det,
-			hsd.FromSamples(bench.Train.Samples), *qualityBins)
+		n, err := writeQualityBaseline(baselinePath, det, hsd.FromSamples(bench.Train.Samples))
 		if err != nil {
 			return err
 		}
@@ -203,7 +201,7 @@ func run() error {
 // writeQualityBaseline scores the training split through the trained
 // detector and persists the per-series score histograms hsdserve's
 // drift monitor compares live traffic against.
-func writeQualityBaseline(path string, det hsd.Detector, train []hsd.LabeledClip, bins int) (int, error) {
+func writeQualityBaseline(path string, det hsd.Detector, train []hsd.LabeledClip) (int, error) {
 	ctx := context.Background()
 	scores := make([]float64, 0, len(train))
 	for _, s := range train {
@@ -214,7 +212,7 @@ func writeQualityBaseline(path string, det hsd.Detector, train []hsd.LabeledClip
 		scores = append(scores, sc)
 	}
 	b := &qualitymon.Baseline{Entries: []qualitymon.BaselineEntry{
-		qualitymon.NewBaselineEntry(det.Name(), "primary", scores, bins),
+		qualitymon.NewBaselineEntry(det.Name(), "primary", scores, qualitymon.SketchBins),
 	}}
 	if err := qualitymon.SaveBaselineFile(path, b); err != nil {
 		return 0, err

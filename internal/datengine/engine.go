@@ -29,7 +29,6 @@ import (
 
 	"github.com/golitho/hsd/internal/core"
 	"github.com/golitho/hsd/internal/faultinject"
-	"github.com/golitho/hsd/internal/features"
 	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/lithosim"
 	"github.com/golitho/hsd/internal/telemetry"
@@ -64,7 +63,8 @@ type Config struct {
 	// Detector binds the WAL to one detector identity (Meta).
 	Detector string
 
-	// BatchSize is the k of the k-center selection (default 8).
+	// BatchSize is how many candidates a batch takes: the first
+	// BatchSize unconsumed ones in fingerprint order (default 8).
 	BatchSize int
 
 	// Oracle labels one clip (ground truth, e.g. lithosim.LabelCtx).
@@ -273,7 +273,7 @@ func (e *Engine) RunCycle(ctx context.Context) (*CycleReport, error) {
 	e.mu.Unlock()
 	if batch == nil {
 		var err error
-		if batch, err = e.selectBatch(ctx, rep); err != nil {
+		if batch, err = e.selectBatch(ctx); err != nil {
 			cycleSpan.SetError(err)
 			return nil, err
 		}
@@ -347,9 +347,11 @@ func (e *Engine) RunCycle(ctx context.Context) (*CycleReport, error) {
 	}
 }
 
-// selectBatch runs the deterministic k-center selection and journals
-// the chosen batch. Caller has no pending batch.
-func (e *Engine) selectBatch(ctx context.Context, rep *CycleReport) (*BatchState, error) {
+// selectBatch journals the first BatchSize available candidates, which
+// State.Available returns in fingerprint order, as the next batch. The
+// choice is a pure function of the candidate set. Caller has no pending
+// batch.
+func (e *Engine) selectBatch(ctx context.Context) (*BatchState, error) {
 	if err := faultinject.Hit(SelectSite); err != nil {
 		return nil, fmt.Errorf("datengine: select: %w", err)
 	}
@@ -364,36 +366,11 @@ func (e *Engine) selectBatch(ctx context.Context, rep *CycleReport) (*BatchState
 		return nil, fmt.Errorf("%w: none queued", ErrNoCandidates)
 	}
 
-	// Embed each candidate on a coarse density grid — selection only
-	// needs relative geometry, not the serving model's own features. A
-	// clip the extractor rejects is excluded from this selection (it
-	// stays queued and is retried next cycle — in practice extraction is
-	// total over valid clips).
-	embed := &features.Density{Grid: 8}
-	pts := make([][]float64, 0, len(avail))
-	kept := make([]Candidate, 0, len(avail))
-	for _, c := range avail {
-		v, err := embed.Extract(c.Clip)
-		if err != nil {
-			e.logf("datengine: features %s on %x: %v (excluded from selection)", embed.Name(), c.FP[:4], err)
-			continue
-		}
-		pts = append(pts, v)
-		kept = append(kept, c)
+	fps := make([]layout.Fingerprint, min(e.cfg.BatchSize, len(avail)))
+	for i := range fps {
+		fps[i] = avail[i].FP
 	}
-	if len(kept) == 0 {
-		return nil, fmt.Errorf("%w: none of %d embeddable", ErrNoCandidates, len(avail))
-	}
-
-	k := e.cfg.BatchSize
-	if k > len(kept) {
-		k = len(kept)
-	}
-	fps := make([]layout.Fingerprint, 0, k)
-	for _, i := range SelectKCenter(pts, k) {
-		fps = append(fps, kept[i].FP)
-	}
-	span.SetAttrInt("candidates", len(kept))
+	span.SetAttrInt("candidates", len(avail))
 	span.SetAttrInt("selected", len(fps))
 
 	if err := e.wal.Append(Record{Kind: RecBatch, BatchID: nextID, FPs: fps}); err != nil {
@@ -407,7 +384,7 @@ func (e *Engine) selectBatch(ctx context.Context, rep *CycleReport) (*BatchState
 	}
 	e.state.NextBatchID = nextID + 1
 	e.mu.Unlock()
-	e.logf("datengine: batch %d selected %d of %d candidates", nextID, len(fps), len(kept))
+	e.logf("datengine: batch %d selected %d of %d candidates", nextID, len(fps), len(avail))
 	return batch, nil
 }
 

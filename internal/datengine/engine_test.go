@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -212,8 +213,8 @@ func TestQuarantinePoisonSample(t *testing.T) {
 	cfg := fastCfg(dir)
 	cfg.BatchSize = 6
 	var poison layout.Fingerprint
-	// Poison the fingerprint-smallest candidate so it is deterministic
-	// regardless of which members k-center picks.
+	// Poison the fingerprint-smallest candidate: the batch's first
+	// member, since a batch is the candidates in fingerprint order.
 	cfg.Oracle = func(ctx context.Context, clip layout.Clip) (bool, error) {
 		if clip.Translate().Fingerprint() == poison {
 			return false, errors.New("injected permanent failure")
@@ -251,6 +252,52 @@ func TestQuarantinePoisonSample(t *testing.T) {
 	for _, lc := range trained {
 		if lc.Clip.Translate().Fingerprint() == poison {
 			t.Fatal("quarantined sample leaked into the training set")
+		}
+	}
+}
+
+// TestSelectFirstFingerprints: a batch is the BatchSize smallest
+// unconsumed fingerprints, in fingerprint order, whatever order the
+// candidates were ingested in; the next cycle skips the consumed ones.
+func TestSelectFirstFingerprints(t *testing.T) {
+	const n = 10
+	var want []layout.Fingerprint
+	for i := 0; i < n; i++ {
+		want = append(want, testClip(i).Translate().Fingerprint())
+	}
+	slices.SortFunc(want, func(a, b layout.Fingerprint) int { return bytes.Compare(a[:], b[:]) })
+
+	ctx := context.Background()
+	for _, reverse := range []bool{false, true} {
+		dir := t.TempDir()
+		cfg := fastCfg(dir)
+		e, err := Open(filepath.Join(dir, "learn.wal"), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { e.Close() })
+		for i := 0; i < n; i++ {
+			j := i
+			if reverse {
+				j = n - 1 - i
+			}
+			if _, err := e.Ingest(testClip(j), 0.5, "scan", "low-conf"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for c := 0; c < 2; c++ {
+			batch, err := e.selectBatch(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := cfg.BatchSize
+			if !slices.Equal(batch.FPs, want[c*k:(c+1)*k]) {
+				t.Fatalf("reverse=%v cycle %d selected %v, want fingerprints %d..%d in order",
+					reverse, c, batch.FPs, c*k, (c+1)*k-1)
+			}
+			if _, err := e.RunCycle(ctx); err != nil { // finishes the pending batch
+				t.Fatal(err)
+			}
 		}
 	}
 }

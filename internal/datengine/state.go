@@ -139,11 +139,11 @@ func Replay(records []Record) *State {
 	return s
 }
 
-// Available returns the unconsumed candidates sorted by fingerprint —
-// the deterministic selection input. Sorting by content hash makes the
-// selector a function of the candidate *set*: concurrent mining can
-// append candidates in any order without perturbing which batch a
-// resume selects.
+// Available returns the unconsumed candidates sorted by fingerprint; a
+// batch is its first Config.BatchSize entries. Sorting by content hash
+// makes the selection a function of the candidate *set*: concurrent
+// mining can append candidates in any order without perturbing which
+// batch a resume selects.
 func (s *State) Available() []Candidate {
 	out := make([]Candidate, 0, len(s.Candidates))
 	for fp, c := range s.Candidates {

@@ -41,7 +41,7 @@ func SidecarPath(modelPath string) string { return modelPath + ".qb" }
 // binning so the entry is independent of input order.
 func NewBaselineEntry(detector, stage string, scores []float64, bins int) BaselineEntry {
 	if bins < 2 {
-		bins = 20
+		bins = SketchBins
 	}
 	sorted := append([]float64(nil), scores...)
 	sort.Float64s(sorted)

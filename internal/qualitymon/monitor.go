@@ -105,9 +105,10 @@ type Options struct {
 const (
 	fastSubs = 3
 	slowSubs = 18
-	// sketchBins is the sketch resolution for series without a baseline
-	// (baseline entries carry their own edges).
-	sketchBins = 20
+	// SketchBins is the sketch resolution for series without a baseline
+	// (baseline entries carry their own edges), and the resolution
+	// hsdtrain writes baselines at.
+	SketchBins = 20
 	// clearHoldSubs is how many sub-windows the alert inputs must stay
 	// below a level before the state steps down.
 	clearHoldSubs = 2
@@ -248,7 +249,7 @@ func (m *Monitor) Observe(ev Event) {
 	m.mu.Lock()
 	sk, ok := m.sketches[k]
 	if !ok {
-		sk = newSketch(defaultEdges(sketchBins), m.opts.SubWindow, slowSubs)
+		sk = newSketch(defaultEdges(SketchBins), m.opts.SubWindow, slowSubs)
 		m.sketches[k] = sk
 	}
 	sk.observe(ev.Score, at, sk.ring.epochOf(at))

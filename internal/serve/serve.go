@@ -184,7 +184,7 @@ func NewServer(opts Options) (*Server, error) {
 	reg.SetHelp("http_requests_total", "Requests by endpoint and status code.")
 	reg.SetHelp("http_errors_total", "Responses with status >= 400 by endpoint.")
 	reg.SetHelp("http_request_seconds", "Request latency by endpoint.")
-	reg.SetHelp("http_inflight_requests", "Requests currently being served.")
+	reg.SetHelp("http_inflight_requests", "Requests currently being served, counted before admission control so shed traffic is visible.")
 	reg.SetHelp("http_panics_total", "Panics recovered during request handling.")
 	reg.SetHelp("hotspot_fallbacks_total", "Requests answered by the fallback detector (degraded verdicts).")
 	reg.SetHelp("requests_shed_total", "Requests rejected 429 by the admission token bucket.")
@@ -192,7 +192,6 @@ func NewServer(opts Options) (*Server, error) {
 	reg.SetHelp("hotspot_primary_failures_total", "Primary detector failures (errors, panics, deadline overruns).")
 	reg.SetHelp("batch_size", "Requests coalesced per /batch scoring pass.")
 	reg.SetHelp("batch_latency_seconds", "Latency of one /batch scoring pass (flush to results).")
-	reg.SetHelp("hotspot_inflight_requests", "Requests in flight, counted before admission control so shed traffic is visible.")
 	reg.SetHelp("hotspot_score_cache_hits_total", "Clips answered from the live generation's score cache, with no detector run.")
 	reg.SetHelp("hotspot_score_cache_misses_total", "Clips not in the live generation's score cache, sent down the degradation ladder.")
 	reg.SetHelp("hotspot_score_cache_evictions_total", "Score cache entries evicted to keep the cache within its rectangle budget.")
@@ -347,15 +346,12 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 	}
 	errCount := s.reg.Counter("http_errors_total", telemetry.L("endpoint", endpoint))
 	latency := s.reg.Histogram("http_request_seconds", nil, telemetry.L("endpoint", endpoint))
+	// Incremented before admission control runs (admit happens inside
+	// h), so a saturated server's shed traffic still registers as load.
 	inflight := s.reg.Gauge("http_inflight_requests")
-	// hotspot_inflight_requests is incremented before admission control
-	// runs (admit happens inside h), so a saturated server's shed traffic
-	// still registers as load.
-	hotspotInflight := s.reg.Gauge("hotspot_inflight_requests")
 
 	return func(w http.ResponseWriter, r *http.Request) {
 		inflight.Inc()
-		hotspotInflight.Inc()
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w}
 		ctx, root := trace.Start(trace.WithTracer(r.Context(), s.tracer),
@@ -386,7 +382,6 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 			}
 			root.End()
 			inflight.Dec()
-			hotspotInflight.Dec()
 		}()
 		h(rec, r)
 	}
