@@ -141,7 +141,7 @@ done
 
 echo "== metrics smoke =="
 # So is what GET /metrics exposes: every HELP and TYPE line and every
-# series name with its label keys, from a shallow (RForest, with a
+# series name with its label keys, from a shallow (SVM, with a
 # fallback, the quality monitor and the learn WAL) and a CNN hsdserve.
 ./scripts/metrics_smoke.sh
 

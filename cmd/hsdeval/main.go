@@ -97,9 +97,7 @@ func run() error {
 		fmt.Printf("wrote %d evaluation traces to %s (load in about:tracing or ui.perfetto.dev)\n",
 			len(traces), *traceOut)
 	}
-	shallowSpecs, deepSpecs := experiments.SplitZoo(zoo)
-	shallow := results[:len(shallowSpecs)]
-	deep := results[len(shallowSpecs) : len(shallowSpecs)+len(deepSpecs)]
+	shallow, deep := experiments.SplitZoo(results)
 	fmt.Println(experiments.DetectorTable("Table II: shallow detectors", suite, shallow))
 	fmt.Println(experiments.DetectorTable("Table III: deep detectors", suite, deep))
 	fmt.Println(experiments.Summary(results))

@@ -13,7 +13,7 @@
 //   - ICCAD-2012-style synthetic benchmark generation (GenerateSuite);
 //   - feature extraction (Density, CCAS, DCTFeatures);
 //   - the detector zoo (SurveyZoo): pattern matching, SVM, AdaBoost,
-//     random forest, MLP, and CNN with biased learning;
+//     MLP, and CNN with biased learning;
 //   - the contest evaluation protocol (Evaluate: accuracy, false alarms,
 //     ODST) and a fault-tolerant full-chip scanner (ScanFarm).
 //

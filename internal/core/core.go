@@ -11,7 +11,6 @@ import (
 	"math"
 
 	"github.com/golitho/hsd/internal/boost"
-	"github.com/golitho/hsd/internal/dtree"
 	"github.com/golitho/hsd/internal/features"
 	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/nn"
@@ -253,7 +252,6 @@ type FeatureDetector struct {
 	Ex features.Extractor
 
 	label string // leads Name
-	thr   float64
 	// train fits the learner on standardized features and returns its
 	// decision function.
 	train func(x [][]float64, y []int) (func(v []float64) float64, error)
@@ -266,9 +264,9 @@ var _ Detector = (*FeatureDetector)(nil)
 
 // newFeatureDetector binds a learner package's Train function and its
 // model's scoring method; kind names the learner in Fit's errors.
-func newFeatureDetector[C, M any](label, kind string, thr float64, ex features.Extractor, cfg C,
+func newFeatureDetector[C, M any](label, kind string, ex features.Extractor, cfg C,
 	train func([][]float64, []int, C) (M, error), decide func(M, []float64) float64) *FeatureDetector {
-	return &FeatureDetector{Ex: ex, label: label, thr: thr,
+	return &FeatureDetector{Ex: ex, label: label,
 		train: func(x [][]float64, y []int) (func([]float64) float64, error) {
 			m, err := train(x, y, cfg)
 			if err != nil {
@@ -281,19 +279,13 @@ func newFeatureDetector[C, M any](label, kind string, thr float64, ex features.E
 // NewSVMDetector constructs a kernel SVM over the extractor; its score
 // is the signed margin.
 func NewSVMDetector(ex features.Extractor, cfg svm.Config) *FeatureDetector {
-	return newFeatureDetector("svm", "svm", 0, ex, cfg, svm.Train, (*svm.Model).Decision)
+	return newFeatureDetector("svm", "svm", ex, cfg, svm.Train, (*svm.Model).Decision)
 }
 
 // NewBoostDetector constructs AdaBoost over the extractor; its score is
 // the normalized ensemble margin in [-1, 1].
 func NewBoostDetector(ex features.Extractor, cfg boost.Config) *FeatureDetector {
-	return newFeatureDetector("adaboost", "boost", 0, ex, cfg, boost.Train, (*boost.Model).Score)
-}
-
-// NewForestDetector constructs a bagged random forest over the
-// extractor; its score is the mean tree probability.
-func NewForestDetector(ex features.Extractor, cfg dtree.ForestConfig) *FeatureDetector {
-	return newFeatureDetector("rforest", "forest", 0.5, ex, cfg, dtree.TrainForest, (*dtree.Forest).Prob)
+	return newFeatureDetector("adaboost", "boost", ex, cfg, boost.Train, (*boost.Model).Score)
 }
 
 // Name implements Detector.
@@ -319,8 +311,9 @@ func (d *FeatureDetector) Score(clip layout.Clip) (float64, error) {
 	return d.ScoreCtx(context.Background(), clip)
 }
 
-// Threshold implements Detector.
-func (d *FeatureDetector) Threshold() float64 { return d.thr }
+// Threshold implements Detector. It is 0 for every learner: each scores
+// a signed margin, positive on the hotspot side.
+func (d *FeatureDetector) Threshold() float64 { return 0 }
 
 // NeuralDetector wraps an MLP or CNN; Score is the hotspot probability.
 type NeuralDetector struct {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/golitho/hsd/internal/boost"
-	"github.com/golitho/hsd/internal/dtree"
 	"github.com/golitho/hsd/internal/features"
 	"github.com/golitho/hsd/internal/geom"
 	"github.com/golitho/hsd/internal/iccad"
@@ -387,21 +386,5 @@ func TestPredictUsesThreshold(t *testing.T) {
 	}
 	if !got {
 		t.Fatal("expected positive prediction")
-	}
-}
-
-func TestForestDetectorEvaluate(t *testing.T) {
-	train, test := tinySplits(t)
-	det := NewForestDetector(&features.GeomStats{},
-		dtree.ForestConfig{Trees: 25, Seed: 1, ClassBalance: true})
-	res, err := Evaluate(det, "T1", train, test, EvalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AUC < 0.55 {
-		t.Fatalf("forest AUC = %v", res.AUC)
-	}
-	if _, err := NewForestDetector(&features.Density{Grid: 8}, dtree.ForestConfig{}).Score(test[0].Clip); err == nil {
-		t.Fatal("unfitted forest scored")
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"github.com/golitho/hsd/internal/boost"
-	"github.com/golitho/hsd/internal/dtree"
 	"github.com/golitho/hsd/internal/features"
 	"github.com/golitho/hsd/internal/svm"
 )
@@ -24,7 +23,7 @@ var updateShallowGolden = flag.Bool("update-shallow-golden", false, "rewrite the
 
 const shallowGoldenPath = "testdata/shallow_golden.json"
 
-// shallowZoo is the survey zoo's three classical feature learners
+// shallowZoo is the survey zoo's two classical feature learners
 // (zoo.go's configurations at seed 1) over the zoo's shallow feature
 // view.
 func shallowZoo() []Detector {
@@ -35,8 +34,6 @@ func shallowZoo() []Detector {
 	return []Detector{
 		NewSVMDetector(ex(), svm.Config{Kernel: svm.Linear{}, C: 1, PosWeight: 8, Seed: 1, MaxIter: 120}),
 		NewBoostDetector(ex(), boost.Config{Rounds: 150, ClassBalance: true}),
-		NewForestDetector(ex(), dtree.ForestConfig{
-			Trees: 60, Seed: 1, ClassBalance: true, Tree: dtree.TreeConfig{MaxDepth: 10}}),
 	}
 }
 

@@ -413,14 +413,15 @@ func findBench(suite *hsd.Suite, name string) (hsd.Benchmark, error) {
 	return hsd.Benchmark{}, fmt.Errorf("experiments: benchmark %q not in suite", name)
 }
 
-// SplitZoo partitions specs into the shallow (Table II) and deep
-// (Table III) groups.
-func SplitZoo(specs []hsd.DetectorSpec) (shallow, deep []hsd.DetectorSpec) {
-	for _, s := range specs {
-		if s.Deep {
-			deep = append(deep, s)
+// SplitZoo partitions zoo results into the shallow (Table II) and deep
+// (Table III) groups by each row's Spec.Deep, keeping zoo order within
+// each group.
+func SplitZoo(results []DetectorResults) (shallow, deep []DetectorResults) {
+	for _, dr := range results {
+		if dr.Spec.Deep {
+			deep = append(deep, dr)
 		} else {
-			shallow = append(shallow, s)
+			shallow = append(shallow, dr)
 		}
 	}
 	return shallow, deep

@@ -105,9 +105,16 @@ func TestRunZooAndDerivedTables(t *testing.T) {
 }
 
 func TestSplitZoo(t *testing.T) {
-	shallow, deep := SplitZoo(cheapSpecs())
-	if len(shallow) != 1 || len(deep) != 1 {
+	specs := cheapSpecs()
+	// A deep row ahead of a shallow one: the split follows Spec.Deep,
+	// not zoo position.
+	results := []DetectorResults{{Spec: specs[1]}, {Spec: specs[0]}, {Spec: specs[1]}}
+	shallow, deep := SplitZoo(results)
+	if len(shallow) != 1 || len(deep) != 2 {
 		t.Fatalf("split = %d/%d", len(shallow), len(deep))
+	}
+	if shallow[0].Spec.Name != "PM" || deep[0].Spec.Name != "Boost" || deep[1].Spec.Name != "Boost" {
+		t.Fatalf("split = %s / %s, %s", shallow[0].Spec.Name, deep[0].Spec.Name, deep[1].Spec.Name)
 	}
 }
 

@@ -8,12 +8,12 @@
 # of series names with their label keys (label values and sample values
 # stripped, so counts and timings do not matter).
 #
-#   shallow: an RForest primary with -fallback AdaBoost -quality
+#   shallow: an SVM primary with -fallback AdaBoost -quality
 #            -learn-wal -shed-rate 100, after one POST /score and one
 #            POST /batch: the serving cascade, the tracer, the quality
 #            monitor and the data engine on one page (-learn-margin 1
-#            mines every scored clip, so the labelled
-#            learn_candidates_total series exists);
+#            puts the posted clip's SVM margin inside the mining band,
+#            so the labelled learn_candidates_total series exists);
 #   cnn:     a CNN-biased primary (a neural primary is the only kind
 #            that mounts the model registry) after one GET /admin/model.
 #
@@ -67,7 +67,7 @@ scrape() {
 	SERVER_PID=""
 }
 
-boot shallow -detector RForest -fallback AdaBoost -quality \
+boot shallow -detector SVM -fallback AdaBoost -quality \
 	-learn-wal "$WORK/learn.wal" -learn-margin 1 -shed-rate 100
 curl -fsS --data-binary @"$WORK/clip.glt" "http://$ADDR/score" >/dev/null
 curl -fsS --data-binary @"$WORK/clip.glt" "http://$ADDR/batch" >/dev/null

@@ -2,7 +2,6 @@ package hsd
 
 import (
 	"github.com/golitho/hsd/internal/core"
-	"github.com/golitho/hsd/internal/dtree"
 	"github.com/golitho/hsd/internal/nn"
 	"github.com/golitho/hsd/internal/pm"
 	"github.com/golitho/hsd/internal/svm"
@@ -62,14 +61,6 @@ func StandardAdaBoost() Detector {
 	return NewBoostDetector(shallowFeatures(), BoostConfig{Rounds: 150, ClassBalance: true})
 }
 
-// standardForest is a class-balanced random forest.
-func standardForest(seed int64) Detector {
-	return core.NewForestDetector(shallowFeatures(), dtree.ForestConfig{
-		Trees: 60, Seed: seed, ClassBalance: true,
-		Tree: dtree.TreeConfig{MaxDepth: 10},
-	})
-}
-
 // standardMLP is the shallow neural-network baseline.
 func standardMLP(seed int64) Detector {
 	return core.NewMLPDetector(shallowFeatures(), []int{64, 32}, TrainConfig{
@@ -107,7 +98,6 @@ func SurveyZoo(seed int64) []DetectorSpec {
 		{Name: "PM-fuzzy", New: standardFuzzyPM},
 		{Name: "SVM", New: func() Detector { return standardSVM(seed) }},
 		{Name: "AdaBoost", New: StandardAdaBoost},
-		{Name: "RForest", New: func() Detector { return standardForest(seed) }},
 		{Name: "MLP", New: func() Detector { return standardMLP(seed) },
 			Augment: AugmentConfig{UpsampleFactor: 4, Mirror: true}},
 		{Name: "CNN", Deep: true,
