@@ -9,8 +9,8 @@
 #   every facade name has an outside caller, that nothing is bound
 #   after construction and that no circuit breaker is built outside
 #   serving, a run of every example, a smoke pass over the
-#   fuzz seed corpora, 7 s of real fuzzing each on all eleven fuzz
-#   targets (77 s in all), one pass of the window key, conv, ragged-edge,
+#   fuzz seed corpora, 7 s of real fuzzing each on all ten fuzz
+#   targets (70 s in all), one pass of the window key, conv, ragged-edge,
 #   matmul kernel, shallow fit, scan miss and serve score cache
 #   micro-benchmarks, and a quick pass of the repo benchmark's four
 #   workloads. The matmul kernel tier the run used is logged near the
@@ -145,10 +145,10 @@ echo "== metrics smoke =="
 # fallback, the quality monitor and the learn WAL) and a CNN hsdserve.
 ./scripts/metrics_smoke.sh
 
-echo "== baseline smoke =="
-# hsdtrain -quality-baseline on the CNN-biased row writes the score
-# baseline it always wrote, byte for byte.
-./scripts/baseline_smoke.sh
+echo "== train smoke =="
+# hsdtrain -save on the CNN-biased row writes the network it always
+# wrote: its SHA-256 is the committed one.
+./scripts/train_smoke.sh
 
 echo "== one observer idiom =="
 # An optional observer (metrics registry, tracer, hook) is handed over
@@ -181,30 +181,29 @@ echo "== scan smoke =="
 echo "== fuzz seed smoke =="
 # -run=Fuzz executes every fuzz target once per seed corpus entry,
 # without the fuzzing engine; crashes here mean a regressed parser,
-# model or baseline loader, frame reader or payload decoder (FuzzDecode,
+# model loader, frame reader or payload decoder (FuzzDecode,
 # seeded with every golden file's payloads), or a matmul kernel that
 # disagrees with the portable one on a seed shape.
-go test -run=Fuzz ./internal/layout/ ./internal/gdsii/ ./internal/nn/ ./internal/qualitymon/ ./internal/framelog/ ./internal/tensor/
+go test -run=Fuzz ./internal/layout/ ./internal/gdsii/ ./internal/nn/ ./internal/framelog/ ./internal/tensor/
 
 echo "== frame reader and payload decoder fuzz =="
-# A bounded budget of real fuzzing, 7 s on each of the eleven targets,
+# A bounded budget of real fuzzing, 7 s on each of the ten targets,
 # first on the one frame reader and the one payload decoder every
-# durable file (model, checkpoint, journal, WAL, baseline, suite) is
+# durable file (model, checkpoint, journal, WAL, suite) is
 # read through: each must fail with a documented error or round-trip,
 # and a payload the decoder accepts must re-encode to its own bytes.
 go test -run='^$' -fuzz='^FuzzReadFrame$' -fuzztime=7s ./internal/framelog/
 go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=7s ./internal/framelog/
 
-echo "== model and baseline loader fuzz =="
-# The three loaders behind them: a network, checkpoint or score
-# baseline payload must load or fail with an error, never panic or
-# allocate what its geometry declares. The targets frame their input
+echo "== model loader fuzz =="
+# The two loaders behind them: a network or checkpoint payload must
+# load or fail with an error, never panic or allocate what its geometry
+# declares. The targets frame their input
 # themselves and are seeded with real payloads (the golden files' among
 # them, and the hostile layers), so mutations reach the checks behind
 # the CRC instead of stopping at it.
 go test -run='^$' -fuzz='^FuzzLoadNetwork$' -fuzztime=7s ./internal/nn/
 go test -run='^$' -fuzz='^FuzzLoadCheckpoint$' -fuzztime=7s ./internal/nn/
-go test -run='^$' -fuzz='^FuzzLoadBaseline$' -fuzztime=7s ./internal/qualitymon/
 
 echo "== layout fuzz =="
 # The two layout readers (every POST /score body is GLT, and a GDSII
@@ -324,10 +323,11 @@ echo "== learn smoke =="
 ./scripts/learn_smoke.sh
 
 echo "== quality smoke =="
-# End to end: hsdtrain writes a score-distribution baseline sidecar,
-# hot reload installs it, an injected covariate shift pages
-# hotspot_quality_alert_state within the fast window, and rollback
-# clears the alert through the ClearHold hysteresis.
+# End to end: with the oracle spot-checking every clip, traffic it
+# agrees with never pages, however narrow its scores; clips it
+# contradicts burn the error budget and page
+# hotspot_quality_alert_state within the fast window; rollback clears
+# the alert through the clear-hold hysteresis.
 ./scripts/quality_smoke.sh
 
 echo "== benchmark smoke =="

@@ -36,7 +36,6 @@ import (
 
 	hsd "github.com/golitho/hsd"
 	"github.com/golitho/hsd/internal/cli"
-	"github.com/golitho/hsd/internal/qualitymon"
 	"github.com/golitho/hsd/internal/trace"
 )
 
@@ -65,7 +64,6 @@ func run() error {
 	resume := flag.Bool("resume", false, "resume from -journal, skipping shards it records")
 	cacheSize := flag.Int("cache-size", 4096, "content-addressed clip cache capacity in entries (0 disables)")
 	findingsOut := flag.String("findings", "", "write findings deterministically, one per line, to this file")
-	qualityBaseline := flag.String("quality-baseline", "", "training-score baseline (from hsdtrain -quality-baseline); prints a drift report over the scanned windows")
 	version := flag.Bool("version", false, "print build info (the hotspot_build_info fields) and exit")
 	flag.Parse()
 
@@ -136,35 +134,12 @@ func run() error {
 		ctx, root = trace.Start(ctx, "hsdscan",
 			trace.A("detector", det.Name()), trace.A("chip", chip.Name))
 	}
-	// Drift report: every scanned window lands in a quality monitor
-	// whose baseline is the training-score histogram. One giant
-	// sub-window keeps the whole scan inside the sketch ring regardless
-	// of how long it runs.
-	var qm *qualitymon.Monitor
-	if *qualityBaseline != "" {
-		b, err := qualitymon.LoadBaselineFile(*qualityBaseline)
-		if err != nil {
-			return fmt.Errorf("-quality-baseline: %w", err)
-		}
-		// The scanfarm taps stage "scan"; the training baseline records
-		// stage "primary" for the same detector. Rekey so they compare.
-		for i := range b.Entries {
-			if b.Entries[i].Stage == "primary" {
-				b.Entries[i].Stage = "scan"
-			}
-		}
-		b.Sort()
-		qm = qualitymon.New(qualitymon.Options{SubWindow: 24 * time.Hour})
-		defer qm.Close()
-		qm.InstallBaseline(b)
-	}
 	farmCfg := hsd.ScanFarmConfig{
 		SkipEmpty: true,
 		Workers:   *workers,
 		ShardRows: *shardRows,
 		CacheSize: *cacheSize,
 		Metrics:   reg,
-		Quality:   qm,
 	}
 	if *journalPath != "" {
 		meta := farmCfg.Meta(chip, det.Name())
@@ -214,18 +189,6 @@ func run() error {
 	}
 	if res.Interrupted {
 		fmt.Printf("scan interrupted (%v); journaled shards can be resumed with -resume\n", res.Cause)
-	}
-	if qm != nil {
-		snap := qm.Snapshot()
-		for _, sk := range snap.Sketches {
-			if !sk.Baseline {
-				continue
-			}
-			fmt.Printf("drift %s/%s: psi=%.4f max_bin_kl=%.4f over %d windows (p50=%.3f p90=%.3f p99=%.3f)\n",
-				sk.Detector, sk.Stage, sk.PSI, sk.MaxBinKL, sk.Slow, sk.P50, sk.P90, sk.P99)
-		}
-		fmt.Printf("quality alert: %s (max psi %.4f on %s)\n",
-			snap.Alert.Name, snap.Alert.MaxPSI, snap.Alert.MaxPSIBy)
 	}
 	if *findingsOut != "" {
 		if err := writeFindings(*findingsOut, findings); err != nil {

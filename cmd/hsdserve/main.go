@@ -117,11 +117,9 @@ func run() error {
 	writeTimeout := flag.Duration("write-timeout", 60*time.Second, "max time to write a response (covers /verify simulation)")
 	idleTimeout := flag.Duration("idle-timeout", 120*time.Second, "keep-alive idle connection timeout")
 	shutdownGrace := flag.Duration("shutdown-grace", 10*time.Second, "graceful shutdown deadline after SIGINT/SIGTERM")
-	quality := flag.Bool("quality", false, "enable model-quality monitoring (score sketches, drift, SLO burn rate, GET /debug/quality); implied by the other -quality-*/-spot-check/-slo flags")
-	qualityBaseline := flag.String("quality-baseline", "", "training-time score-distribution baseline (written by hsdtrain -quality-baseline) for drift scoring")
+	quality := flag.Bool("quality", false, "enable model-quality monitoring (score sketches, oracle spot checks, SLO burn rate, GET /debug/quality); also on with -spot-check-rate > 0 or -learn-wal")
 	spotCheckRate := flag.Float64("spot-check-rate", 0, "fraction of scored clips re-checked against the lithography oracle in the background (content-keyed, deterministic)")
 	sloTarget := flag.Float64("slo-target", 0.99, "served-without-primary-failure SLO objective for burn-rate alerting")
-	driftThreshold := flag.Float64("drift-threshold", 0.25, "PSI above which a series is drifting (pages the alert; warning at half)")
 	qualityWindow := flag.Duration("quality-window", 10*time.Second, "quality-monitor sub-window; fast alert window is 3 of these, slow is 18")
 	learnWAL := flag.String("learn-wal", "", "active-learning candidate WAL (see hsdlearn): low-confidence scores and spot-check misses are mined into it; use the same -detector name when draining it with hsdlearn")
 	learnMargin := flag.Float64("learn-margin", 0.1, "with -learn-wal: mine scores within this of the threshold as low-confidence candidates")
@@ -192,19 +190,17 @@ func run() error {
 		}
 	}
 
-	// Model-quality monitoring: score sketches + drift vs. the training
-	// baseline, oracle spot-checks, SLO burn rate, /debug/quality.
+	// Model-quality monitoring: score sketches, oracle spot-checks, SLO
+	// burn rate, /debug/quality.
 	var qm *qualitymon.Monitor
-	if *quality || *qualityBaseline != "" || *spotCheckRate > 0 || eng != nil {
+	if *quality || *spotCheckRate > 0 || eng != nil {
 		qopts := qualitymon.Options{
-			SubWindow:      *qualityWindow,
-			DriftThreshold: *driftThreshold,
-			SLOTarget:      *sloTarget,
-			SpotCheckRate:  *spotCheckRate,
-			Oracle:         sim.LabelCtx,
-			Metrics:        reg,
-			Tracer:         tracer,
-			Logf:           log.Printf,
+			SubWindow:     *qualityWindow,
+			SLOTarget:     *sloTarget,
+			SpotCheckRate: *spotCheckRate,
+			Oracle:        sim.LabelCtx,
+			Metrics:       reg,
+			Logf:          log.Printf,
 		}
 		if eng != nil {
 			qopts.LowConfMargin = *learnMargin
@@ -221,14 +217,6 @@ func run() error {
 		}
 		qm = qualitymon.New(qopts)
 		defer qm.Close()
-		if *qualityBaseline != "" {
-			b, err := qualitymon.LoadBaselineFile(*qualityBaseline)
-			if err != nil {
-				return fmt.Errorf("-quality-baseline: %w", err)
-			}
-			qm.InstallBaseline(b)
-			log.Printf("quality baseline installed from %s (%d series)", *qualityBaseline, len(b.Entries))
-		}
 	}
 
 	train := func(spec hsd.DetectorSpec) (core.Detector, error) {

@@ -33,9 +33,7 @@ import (
 
 	hsd "github.com/golitho/hsd"
 	"github.com/golitho/hsd/internal/cli"
-	"github.com/golitho/hsd/internal/core"
 	"github.com/golitho/hsd/internal/nn"
-	"github.com/golitho/hsd/internal/qualitymon"
 )
 
 func main() {
@@ -55,21 +53,12 @@ func run() error {
 	ckptEvery := flag.Int("checkpoint-every", 1, "epochs between checkpoints (with -checkpoint-dir)")
 	ckptKeep := flag.Int("checkpoint-keep", 2, "checkpoint files retained in -checkpoint-dir")
 	resume := flag.Bool("resume", false, "resume from the newest good checkpoint in -checkpoint-dir")
-	qualityBaseline := flag.String("quality-baseline", "", "write a training-score drift baseline here; \"auto\" with -save writes the <save>.qb sidecar the server's hot reload picks up")
 	version := flag.Bool("version", false, "print build info (the hotspot_build_info fields) and exit")
 	flag.Parse()
 
 	if *version {
 		fmt.Println(cli.Version("hsdtrain"))
 		return nil
-	}
-
-	baselinePath := *qualityBaseline
-	if baselinePath == "auto" {
-		if *save == "" {
-			return fmt.Errorf("-quality-baseline auto needs -save")
-		}
-		baselinePath = qualitymon.SidecarPath(*save)
 	}
 
 	_, bench, err := cli.LoadBenchmark(*suitePath, *benchName)
@@ -182,40 +171,8 @@ func run() error {
 		}
 		fmt.Printf("saved network to %s\n", *save)
 	}
-	if baselinePath != "" {
-		// The baseline describes whatever model is being shipped — for an
-		// interrupted run that is the partial model the -save block just
-		// wrote, so the sidecar stays consistent with it.
-		n, err := writeQualityBaseline(baselinePath, det, hsd.FromSamples(bench.Train.Samples))
-		if err != nil {
-			return err
-		}
-		fmt.Printf("quality baseline (%d series) written to %s\n", n, baselinePath)
-	}
 	if interrupted {
 		return err
 	}
 	return nil
-}
-
-// writeQualityBaseline scores the training split through the trained
-// detector and persists the per-series score histograms hsdserve's
-// drift monitor compares live traffic against.
-func writeQualityBaseline(path string, det hsd.Detector, train []hsd.LabeledClip) (int, error) {
-	ctx := context.Background()
-	scores := make([]float64, 0, len(train))
-	for _, s := range train {
-		sc, err := core.ScoreClipCtx(ctx, det, s.Clip)
-		if err != nil {
-			return 0, fmt.Errorf("baseline scoring: %w", err)
-		}
-		scores = append(scores, sc)
-	}
-	b := &qualitymon.Baseline{Entries: []qualitymon.BaselineEntry{
-		qualitymon.NewBaselineEntry(det.Name(), "primary", scores, qualitymon.SketchBins),
-	}}
-	if err := qualitymon.SaveBaselineFile(path, b); err != nil {
-		return 0, err
-	}
-	return len(b.Entries), nil
 }

@@ -14,11 +14,11 @@ import (
 	"testing"
 )
 
-// magics are the eight frame types of the repo's formats (DESIGN.md
+// magics are the seven frame types of the repo's formats (DESIGN.md
 // "On-disk formats"); the packages that own them are not importable
 // from here.
 var magics = []string{
-	"HSDNNv3\n", "HSDCKv2\n", "HSDSJh2\n", "HSDSJr2\n", "HSDLWh3\n", "HSDLWr3\n", "HSDQBv2\n", "HSDSTv1\n",
+	"HSDNNv3\n", "HSDCKv2\n", "HSDSJh2\n", "HSDSJr2\n", "HSDLWh3\n", "HSDLWr3\n", "HSDSTv1\n",
 }
 
 type testMeta struct {
@@ -259,8 +259,8 @@ func TestWriteFileAtomic(t *testing.T) {
 // TestFile: a single-frame file round-trips through Save and Load, and
 // every way it can be absent or damaged is one of the documented errors.
 func TestFile(t *testing.T) {
-	format := File[testRec]{Magic: "HSDQBv2\n"}
-	path := filepath.Join(t.TempDir(), "model.qb")
+	format := File[testRec]{Magic: "HSDSTv1\n"}
+	path := filepath.Join(t.TempDir(), "suite.gob")
 	want := testRecs()[0]
 	if err := format.Save(path, want); err != nil {
 		t.Fatal(err)

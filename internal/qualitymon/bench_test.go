@@ -33,7 +33,6 @@ func BenchmarkMonitorObserveDisabled(b *testing.B) {
 func BenchmarkMonitorSnapshot(b *testing.B) {
 	m := New(Options{Clock: newFakeClock()})
 	defer m.Close()
-	m.InstallBaseline(testBaseline())
 	for i := 0; i < 1000; i++ {
 		m.Observe(Event{Detector: "MLP", Stage: "primary", Score: float64(i%100) / 100})
 	}

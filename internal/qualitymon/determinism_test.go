@@ -17,7 +17,7 @@ import (
 // scanfarm and the batched serve path, where arrival order is whatever
 // the scheduler felt like. It holds because sketches are commutative
 // integer bins keyed by (content, timestamp) — never by arrival order —
-// and quantiles/drift are pure functions of the merged bins.
+// and quantiles are pure functions of the merged bins.
 
 // buildEvents is the shared deterministic workload: three series, a
 // spread of scores, clips for the spot-check path.
@@ -51,7 +51,6 @@ func runWorkers(t *testing.T, n int) []byte {
 	opts.Oracle = func(_ context.Context, c layout.Clip) (bool, error) { return c.Shapes[0].Dx()%2 == 0, nil }
 	m := New(opts)
 	defer m.Close()
-	m.InstallBaseline(testBaseline())
 
 	evs := buildEvents()
 	var wg sync.WaitGroup
@@ -103,7 +102,6 @@ func TestSnapshotDeterministicUnderReassignment(t *testing.T) {
 	opts.Oracle = func(_ context.Context, c layout.Clip) (bool, error) { return c.Shapes[0].Dx()%2 == 0, nil }
 	m := New(opts)
 	defer m.Close()
-	m.InstallBaseline(testBaseline())
 	evs := buildEvents()
 	for i := len(evs) - 1; i >= 0; i-- {
 		m.Observe(evs[i])

@@ -1,18 +1,16 @@
-// Monitor is the live aggregation point: serve and scanfarm feed
-// scored events in; drift scores, online confusion, SLO burn rates,
-// and the alert state machine come out — through the
-// telemetry registry, the /debug/quality JSON endpoint, and trace-store
-// drift events. A nil *Monitor is a valid disabled monitor: every
-// method no-ops, so call sites thread it unconditionally. Its own
-// observers follow the same idiom one level down: Options.Metrics and
-// Options.Tracer are handed over at construction and may be nil.
+// Monitor is the live aggregation point: the server feeds scored events
+// in; score sketches, online confusion, SLO burn rates, and the alert
+// state machine come out — through the telemetry registry and the
+// /debug/quality JSON endpoint. A nil *Monitor is a valid disabled
+// monitor: every method no-ops, so call sites thread it
+// unconditionally. Its own observer follows the same idiom one level
+// down: Options.Metrics is handed over at construction and may be nil.
 
 package qualitymon
 
 import (
 	"context"
-	"errors"
-	"io/fs"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,7 +18,6 @@ import (
 	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/resilience"
 	"github.com/golitho/hsd/internal/telemetry"
-	"github.com/golitho/hsd/internal/trace"
 )
 
 // Event is one scored clip as seen by a tap point.
@@ -63,14 +60,10 @@ type Options struct {
 	// the slow one slowSubs (3m).
 	SubWindow time.Duration
 
-	// DriftThreshold is the PSI at which a series is drifting hard
-	// enough to page (warning at half). Default 0.25, the conventional
-	// "significant shift" PSI cut.
-	DriftThreshold float64
-
-	// SLOTarget is the good-event fraction objective (e.g. 0.99).
-	// Fast-window burn >= pageBurn pages, slow-window burn >= 1 raises
-	// warning. Values outside (0, 1) disable burn alerting.
+	// SLOTarget is the good-event fraction objective (e.g. 0.99). Serve
+	// outcomes and spot checks are its events; a spot-check mismatch is
+	// a bad one. Fast-window burn >= pageBurn pages, slow-window burn
+	// >= 1 raises warning. Values outside (0, 1) disable alerting.
 	SLOTarget float64
 
 	// SpotCheckRate is the fraction of scored clips rescored by the
@@ -93,28 +86,20 @@ type Options struct {
 	// Metrics exports the monitor's gauges and counters (see
 	// exportMetrics for the series; nil: not exported).
 	Metrics *telemetry.Registry
-	// Tracer receives drift events as "quality.drift" root spans flagged
-	// degraded, so tail sampling always retains them (nil: none).
-	Tracer *trace.Tracer
 
 	Logf func(format string, args ...any) // nil = silent
 }
 
-// Window lengths in sub-windows, sketch resolution and alert
-// hysteresis.
+// Window lengths in sub-windows and alert hysteresis.
 const (
 	fastSubs = 3
 	slowSubs = 18
-	// SketchBins is the sketch resolution for series without a baseline
-	// (baseline entries carry their own edges), and the resolution
-	// hsdtrain writes baselines at.
-	SketchBins = 20
 	// clearHoldSubs is how many sub-windows the alert inputs must stay
 	// below a level before the state steps down.
 	clearHoldSubs = 2
 )
 
-// seriesKey identifies one (detector, stage) sketch.
+// seriesKey identifies one (detector, stage) score sketch.
 type seriesKey struct{ detector, stage string }
 
 // alert state machine levels, exported through
@@ -143,7 +128,6 @@ type qmMetrics struct {
 	spotMismatches *telemetry.Counter
 	spotErrors     *telemetry.Counter
 	spotDropped    *telemetry.Counter
-	driftEvents    *telemetry.Counter
 }
 
 // Monitor aggregates quality signals. All exported methods are safe for
@@ -153,8 +137,9 @@ type Monitor struct {
 	clock resilience.Clock
 	mets  qmMetrics
 
-	mu       sync.Mutex
-	sketches map[seriesKey]*sketch
+	mu sync.Mutex
+	// sketches are the score histograms per series, binned on scoreEdges.
+	sketches map[seriesKey]*windowRing
 	conf     *windowRing // confusion counters: tp, fp, tn, fn
 	slo      *windowRing // slo counters: good, bad
 	// alert state machine: upgrades are immediate, downgrades wait out
@@ -197,13 +182,10 @@ func New(opts Options) *Monitor {
 	if opts.SubWindow <= 0 {
 		opts.SubWindow = 10 * time.Second
 	}
-	if opts.DriftThreshold <= 0 {
-		opts.DriftThreshold = 0.25
-	}
 	m := &Monitor{
 		opts:     opts,
 		clock:    opts.Clock,
-		sketches: make(map[seriesKey]*sketch),
+		sketches: make(map[seriesKey]*windowRing),
 		conf:     newWindowRing(opts.SubWindow, slowSubs, confWidth),
 		slo:      newWindowRing(opts.SubWindow, slowSubs, sloWidth),
 	}
@@ -249,10 +231,10 @@ func (m *Monitor) Observe(ev Event) {
 	m.mu.Lock()
 	sk, ok := m.sketches[k]
 	if !ok {
-		sk = newSketch(defaultEdges(SketchBins), m.opts.SubWindow, slowSubs)
+		sk = newWindowRing(m.opts.SubWindow, slowSubs, len(scoreEdges)+1)
 		m.sketches[k] = sk
 	}
-	sk.observe(ev.Score, at, sk.ring.epochOf(at))
+	sk.add(at, sk.epochOf(at), sort.SearchFloat64s(scoreEdges, ev.Score), 1)
 	m.mu.Unlock()
 
 	if !ev.HasClip {
@@ -299,9 +281,8 @@ func (m *Monitor) addSLO(at time.Time, good bool) {
 
 // Reset clears all live windows — called by the server when a new
 // model generation swaps in (or is rolled back), so the old model's
-// traffic never counts against the new one. Installed baselines and
-// cumulative counters survive; InstallBaseline replaces the reference
-// when the new generation ships its own sidecar. The alert state is
+// traffic never counts against the new one. Cumulative counters
+// survive. The alert state is
 // deliberately NOT zeroed: it steps down through the state machine's
 // clear-hold hysteresis once the inputs actually look healthy, so a
 // rollback clears a page only by demonstrating clean traffic.
@@ -312,75 +293,14 @@ func (m *Monitor) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, sk := range m.sketches {
-		sk.ring.reset()
-		sk.over = false
+		sk.reset()
 	}
 	m.conf.reset()
 	m.slo.reset()
 }
 
-// InstallBaseline makes b the drift reference: existing baselines are
-// dropped, and any series whose bin edges differ from its entry is
-// rebuilt on the entry's edges (resetting its window, which is what a
-// model change means anyway).
-func (m *Monitor) InstallBaseline(b *Baseline) {
-	if m == nil || b == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, sk := range m.sketches {
-		sk.baseline = nil
-	}
-	for _, e := range b.Entries {
-		k := seriesKey{e.Detector, e.Stage}
-		sk, ok := m.sketches[k]
-		if !ok || !equalEdges(sk.edges, e.Edges) {
-			sk = newSketch(e.Edges, m.opts.SubWindow, slowSubs)
-			m.sketches[k] = sk
-		}
-		sk.baseline = append([]int64(nil), e.Counts...)
-	}
-}
-
-// InstallBaselineSidecar loads the quality baseline persisted next to
-// modelPath (see SidecarPath) and installs it. A missing sidecar is
-// normal (logged, not an error): the model predates quality baselines
-// or the trainer skipped -quality-baseline.
-func (m *Monitor) InstallBaselineSidecar(modelPath string) {
-	if m == nil {
-		return
-	}
-	path := SidecarPath(modelPath)
-	b, err := LoadBaselineFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		m.logf("qualitymon: no baseline sidecar at %s", path)
-		return
-	}
-	if err != nil {
-		m.logf("qualitymon: %v", err)
-		return
-	}
-	m.InstallBaseline(b)
-	m.logf("qualitymon: installed baseline %s (%d series)", path, len(b.Entries))
-}
-
-func equalEdges(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // exportMetrics exports the monitor through reg:
 //
-//	hotspot_drift_score{detector,stage}      gauge  PSI, fast window vs baseline
-//	hotspot_drift_max_bin_kl{detector,stage} gauge  worst single-bin KL term
 //	hotspot_online_recall                    gauge  spot-check recall, slow window
 //	hotspot_online_false_alarm               gauge  spot-check false-alarm rate
 //	hotspot_slo_burn_rate{window}            gauge  fast/slow burn multiple
@@ -389,13 +309,10 @@ func equalEdges(a, b []float64) bool {
 //	hotspot_spot_check_mismatches_total      counter oracle disagreed with the model
 //	hotspot_spot_checks_dropped_total        counter queue-full drops
 //	hotspot_spot_check_errors_total          counter oracle failures
-//	hotspot_quality_drift_events_total       counter drift threshold crossings
 //
 // Gauges refresh on every scrape via OnCollect (which also advances the
 // alert state machine), so alerting needs no background poller.
 func (m *Monitor) exportMetrics(reg *telemetry.Registry) {
-	reg.SetHelp("hotspot_drift_score", "Population Stability Index of the live score distribution vs the training baseline, per detector and stage (fast window).")
-	reg.SetHelp("hotspot_drift_max_bin_kl", "Largest single-bin KL contribution of live vs baseline score distribution.")
 	reg.SetHelp("hotspot_online_recall", "Shadow-oracle spot-check recall over the slow window (0 when no checks).")
 	reg.SetHelp("hotspot_online_false_alarm", "Shadow-oracle spot-check false-alarm rate over the slow window.")
 	reg.SetHelp("hotspot_slo_burn_rate", "Error-budget burn-rate multiple per alert window (1 = burning exactly the budget).")
@@ -404,21 +321,14 @@ func (m *Monitor) exportMetrics(reg *telemetry.Registry) {
 	reg.SetHelp("hotspot_spot_check_mismatches_total", "Spot checks where the oracle verdict disagreed with the model's.")
 	reg.SetHelp("hotspot_spot_checks_dropped_total", "Spot checks dropped because the queue was full.")
 	reg.SetHelp("hotspot_spot_check_errors_total", "Spot checks whose oracle simulation failed.")
-	reg.SetHelp("hotspot_quality_drift_events_total", "Rising-edge drift threshold crossings (each also emits a quality.drift trace).")
 	m.mets = qmMetrics{
 		spotChecks:     reg.Counter("hotspot_spot_checks_total"),
 		spotMismatches: reg.Counter("hotspot_spot_check_mismatches_total"),
 		spotErrors:     reg.Counter("hotspot_spot_check_errors_total"),
 		spotDropped:    reg.Counter("hotspot_spot_checks_dropped_total"),
-		driftEvents:    reg.Counter("hotspot_quality_drift_events_total"),
 	}
 	reg.OnCollect(func() {
 		snap := m.Snapshot()
-		for _, sk := range snap.Sketches {
-			ls := []telemetry.Label{telemetry.L("detector", sk.Detector), telemetry.L("stage", sk.Stage)}
-			reg.Gauge("hotspot_drift_score", ls...).Set(sk.PSI)
-			reg.Gauge("hotspot_drift_max_bin_kl", ls...).Set(sk.MaxBinKL)
-		}
 		reg.Gauge("hotspot_online_recall").Set(snap.SpotCheck.Recall)
 		reg.Gauge("hotspot_online_false_alarm").Set(snap.SpotCheck.FalseAlarm)
 		reg.Gauge("hotspot_slo_burn_rate", telemetry.L("window", "fast")).Set(snap.SLO.BurnFast)

@@ -2,9 +2,6 @@ package qualitymon
 
 import (
 	"context"
-	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,7 +14,6 @@ import (
 	"github.com/golitho/hsd/internal/lithosim"
 	"github.com/golitho/hsd/internal/resilience"
 	"github.com/golitho/hsd/internal/telemetry"
-	"github.com/golitho/hsd/internal/trace"
 )
 
 // testClip builds a clip whose geometry (and therefore fingerprint) is
@@ -47,8 +43,6 @@ func TestNilMonitorNoOps(t *testing.T) {
 	m.Observe(Event{Detector: "d", Stage: "s", Score: 0.5})
 	m.ReportServeOutcome(true)
 	m.Reset()
-	m.InstallBaseline(testBaseline())
-	m.InstallBaselineSidecar("nope.gob")
 	m.Close()
 	snap := m.Snapshot()
 	if snap.Alert.Name != "ok" {
@@ -74,9 +68,6 @@ func TestObserveAndSnapshotCounts(t *testing.T) {
 	if sk.Fast != 50 || sk.Slow != 50 {
 		t.Fatalf("fast/slow = %d/%d, want 50/50", sk.Fast, sk.Slow)
 	}
-	if sk.PSI != 0 || sk.Baseline {
-		t.Fatalf("no baseline installed but PSI=%v baseline=%v", sk.PSI, sk.Baseline)
-	}
 	if sk.P50 <= 0 || sk.P50 >= 1 {
 		t.Fatalf("p50 = %v, want interior", sk.P50)
 	}
@@ -89,108 +80,64 @@ func TestObserveAndSnapshotCounts(t *testing.T) {
 	}
 }
 
-func TestDriftAlertAndClear(t *testing.T) {
+// TestBurnAlertAndClear: score shape alone never pages; a fast burn
+// pages and shows on /metrics; Reset keeps the page through the clear
+// hold and only then steps it down.
+func TestBurnAlertAndClear(t *testing.T) {
 	clk := newFakeClock()
+	reg := telemetry.NewRegistry()
 	opts := testMonitorOpts(clk)
+	opts.Metrics = reg
 	m := New(opts)
 	defer m.Close()
-
-	// Baseline: scores spread uniformly over [0,1].
-	var scores []float64
-	for i := 0; i < 100; i++ {
-		scores = append(scores, float64(i)/100)
-	}
-	m.InstallBaseline(&Baseline{Entries: []BaselineEntry{
-		NewBaselineEntry("MLP", "primary", scores, 10),
-	}})
-
-	// In-distribution traffic: no alert.
-	for i := 0; i < 100; i++ {
-		m.Observe(Event{Detector: "MLP", Stage: "primary", Score: float64(i) / 100})
-	}
-	snap := m.Snapshot()
-	if snap.Alert.State != AlertOK {
-		t.Fatalf("in-distribution alert = %s (psi %v)", snap.Alert.Name, snap.Alert.MaxPSI)
-	}
-	if !snap.Sketches[0].Baseline {
-		t.Fatalf("baseline not installed on sketch")
+	scrape := func() string {
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
 	}
 
-	// Covariate shift: all mass collapses into one bin.
+	// Clean traffic whose scores all land in one bin: no alert.
 	for i := 0; i < 200; i++ {
 		m.Observe(Event{Detector: "MLP", Stage: "primary", Score: 0.01})
+		m.ReportServeOutcome(true)
 	}
-	snap = m.Snapshot()
-	if snap.Alert.State != AlertPage {
-		t.Fatalf("shifted alert = %s (psi %v), want page", snap.Alert.Name, snap.Alert.MaxPSI)
+	if snap := m.Snapshot(); snap.Alert.State != AlertOK || snap.Sketches[0].FastBins[0] != 200 {
+		t.Fatalf("bunched clean traffic: alert %s, bins %v; want ok with all 200 in bin 0",
+			snap.Alert.Name, snap.Sketches[0].FastBins)
 	}
-	if snap.Sketches[0].MaxBinKL <= 0 {
-		t.Fatalf("MaxBinKL = %v, want > 0 under shift", snap.Sketches[0].MaxBinKL)
+
+	// A fast burn: 100 bad events against 200 good is a third of the
+	// fast window bad, 3.3x the 10% budget.
+	for i := 0; i < 100; i++ {
+		m.ReportServeOutcome(false)
+	}
+	if snap := m.Snapshot(); snap.Alert.State != AlertPage {
+		t.Fatalf("fast burn %v: alert %s, want page", snap.SLO.BurnFast, snap.Alert.Name)
+	}
+	if out := scrape(); !strings.Contains(out, "hotspot_quality_alert_state 2") ||
+		!strings.Contains(out, `hotspot_slo_burn_rate{window="fast"} 3.33`) {
+		t.Fatalf("page or fast burn missing from /metrics:\n%s", out)
 	}
 
 	// Rollback: Reset clears the windows; the page holds through
 	// clearHoldSubs sub-windows, then steps down.
 	m.Reset()
-	snap = m.Snapshot()
-	if snap.Alert.State != AlertPage {
+	if snap := m.Snapshot(); snap.Alert.State != AlertPage {
 		t.Fatalf("alert cleared instantly, want clear-hold hysteresis")
 	}
 	hold := clearHoldSubs * opts.SubWindow
 	clk.Advance(hold - time.Second)
-	if snap = m.Snapshot(); snap.Alert.State != AlertPage {
+	if snap := m.Snapshot(); snap.Alert.State != AlertPage {
 		t.Fatalf("alert %s a second before the %v hold ran out, want page", snap.Alert.Name, hold)
 	}
 	clk.Advance(time.Second)
-	snap = m.Snapshot()
-	if snap.Alert.State != AlertOK {
+	if snap := m.Snapshot(); snap.Alert.State != AlertOK {
 		t.Fatalf("alert after hold = %s, want ok", snap.Alert.Name)
 	}
-}
-
-func TestDriftEventEmission(t *testing.T) {
-	clk := newFakeClock()
-	reg := telemetry.NewRegistry()
-	tr := trace.New(trace.Config{Capacity: 8})
-	opts := testMonitorOpts(clk)
-	opts.Metrics, opts.Tracer = reg, tr
-	m := New(opts)
-	defer m.Close()
-
-	m.InstallBaseline(&Baseline{Entries: []BaselineEntry{
-		NewBaselineEntry("MLP", "primary", []float64{0.1, 0.3, 0.5, 0.7, 0.9}, 5),
-	}})
-	for i := 0; i < 100; i++ {
-		m.Observe(Event{Detector: "MLP", Stage: "primary", Score: 0.05})
-	}
-	// Two snapshots: the rising edge fires exactly once (latched).
-	m.Snapshot()
-	m.Snapshot()
-
-	traces := tr.Traces(0)
-	drift := 0
-	for _, rec := range traces {
-		if rec.Root == "quality.drift" {
-			drift++
-			if len(rec.Flags) == 0 {
-				t.Fatalf("drift trace has no retention flag")
-			}
-		}
-	}
-	if drift != 1 {
-		t.Fatalf("drift traces = %d, want exactly 1 (latched rising edge)", drift)
-	}
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "hotspot_quality_drift_events_total 1") {
-		t.Fatalf("drift event counter missing:\n%s", sb.String())
-	}
-	if !strings.Contains(sb.String(), `hotspot_drift_score{detector="MLP",stage="primary"}`) {
-		t.Fatalf("drift score gauge missing:\n%s", sb.String())
-	}
-	if !strings.Contains(sb.String(), "hotspot_quality_alert_state 2") {
-		t.Fatalf("alert state gauge missing or not paging:\n%s", sb.String())
+	if out := scrape(); !strings.Contains(out, "hotspot_quality_alert_state 0") {
+		t.Fatalf("cleared alert not exported:\n%s", out)
 	}
 }
 
@@ -381,45 +328,6 @@ func TestLowConfidenceTap(t *testing.T) {
 		if s < 0.4 || s > 0.6 {
 			t.Fatalf("tap leaked out-of-margin score %v (fp %v)", s, fp)
 		}
-	}
-}
-
-func TestInstallBaselineSidecar(t *testing.T) {
-	dir := t.TempDir()
-	model := filepath.Join(dir, "mlp.gob")
-	if err := SaveBaselineFile(SidecarPath(model), testBaseline()); err != nil {
-		t.Fatal(err)
-	}
-	var logs []string
-	clk := newFakeClock()
-	opts := testMonitorOpts(clk)
-	opts.Logf = func(f string, a ...any) { logs = append(logs, fmt.Sprintf(f, a...)) }
-	m := New(opts)
-	defer m.Close()
-	m.InstallBaselineSidecar(model)
-	m.Observe(Event{Detector: "MLP", Stage: "primary", Score: 0.2})
-	snap := m.Snapshot()
-	found := false
-	for _, sk := range snap.Sketches {
-		if sk.Detector == "MLP" && sk.Stage == "primary" && sk.Baseline {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("sidecar baseline not installed; logs: %v; snap: %+v", logs, snap.Sketches)
-	}
-	// Missing sidecar: logged as such, not fatal.
-	m.InstallBaselineSidecar(filepath.Join(dir, "other.gob"))
-	if last := logs[len(logs)-1]; !strings.Contains(last, "no baseline sidecar") {
-		t.Fatalf("missing sidecar logged %q", last)
-	}
-	// A damaged sidecar is a load failure, not a missing one.
-	if err := os.WriteFile(SidecarPath(model), []byte("HSDQBv2\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m.InstallBaselineSidecar(model)
-	if last := logs[len(logs)-1]; strings.Contains(last, "no baseline sidecar") || !strings.Contains(last, "torn") {
-		t.Fatalf("damaged sidecar logged %q", last)
 	}
 }
 

@@ -1,6 +1,5 @@
 // Package qualitymon is the model-quality observability layer: streaming
-// score-distribution sketches per (detector, stage), drift scoring
-// against a training-time baseline (PSI and max-bin KL), a deterministic
+// score-distribution sketches per (detector, stage), a deterministic
 // shadow-oracle spot-checker maintaining online confusion estimates, and
 // a multi-window SLO burn-rate alert state machine. It is dependency
 // free, exports through the telemetry registry, and is built so that
@@ -18,7 +17,6 @@ package qualitymon
 
 import (
 	"math"
-	"sort"
 	"time"
 )
 
@@ -33,7 +31,7 @@ type subWindow struct {
 // vector. Events land in the slot for their timestamp's epoch; slots
 // whose epoch has rotated out are lazily cleared. Merging the most
 // recent F slots yields the fast window, all S the slow window. Not
-// safe for concurrent use — callers hold the owning sketch's mutex.
+// safe for concurrent use — callers hold the owning Monitor's mutex.
 type windowRing struct {
 	subDur int64 // sub-window duration in nanoseconds
 	width  int   // counters per sub-window
@@ -110,43 +108,21 @@ func (r *windowRing) merged(now int64, n int) []int64 {
 	return out
 }
 
-// sketch is the per-(detector, stage) score-distribution state: bin
-// edges shared with the baseline (when installed) and a window ring of
-// per-bin counts. Owned by Monitor; guarded by Monitor.mu.
-type sketch struct {
-	// edges are sorted upper bounds; bin i counts scores v with
-	// edges[i-1] < v <= edges[i], bin len(edges) is the overflow bin, so
-	// there are len(edges)+1 bins.
-	edges    []float64
-	ring     *windowRing
-	baseline []int64 // len(edges)+1 reference counts; nil = no baseline
-	over     bool    // drift above threshold (edge-triggered event latch)
-}
+// sketchBins is the score sketches' resolution.
+const sketchBins = 20
 
-func newSketch(edges []float64, subDur time.Duration, slots int) *sketch {
-	return &sketch{
-		edges: append([]float64(nil), edges...),
-		ring:  newWindowRing(subDur, slots, len(edges)+1),
-	}
-}
-
-func (s *sketch) observe(v float64, at time.Time, now int64) {
-	s.ring.add(at, now, sort.SearchFloat64s(s.edges, v), 1)
-}
-
-// defaultEdges spans [0,1] — where calibrated probabilities and the
-// neural detectors' scores live — with bins-1 interior cuts. Raw scores
-// outside [0,1] pile into the open end bins, which PSI still sees.
-func defaultEdges(bins int) []float64 {
-	if bins < 2 {
-		bins = 2
-	}
-	edges := make([]float64, bins-1)
+// scoreEdges are the bin upper bounds every score sketch shares: bin i
+// counts scores v with scoreEdges[i-1] < v <= scoreEdges[i], and bin
+// len(scoreEdges) is the overflow bin. They span [0,1], where calibrated
+// probabilities and the neural detectors' scores live; raw scores
+// outside it pile into the open end bins.
+var scoreEdges = func() []float64 {
+	edges := make([]float64, sketchBins-1)
 	for i := range edges {
-		edges[i] = float64(i+1) / float64(bins)
+		edges[i] = float64(i+1) / sketchBins
 	}
 	return edges
-}
+}()
 
 // quantile interpolates the q-quantile (0..1) from binned counts,
 // assuming mass is uniform within a bin. The open end bins borrow the

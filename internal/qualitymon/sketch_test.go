@@ -72,32 +72,3 @@ func TestQuantileInterpolation(t *testing.T) {
 		t.Fatalf("single-bin p50 = %v, want in (0.5, 0.75]", q)
 	}
 }
-
-func TestPSIAndMaxBinKL(t *testing.T) {
-	base := []int64{25, 25, 25, 25}
-	if psi := PSI(base, base); math.Abs(psi) > 1e-12 {
-		t.Fatalf("PSI(self) = %v, want 0", psi)
-	}
-	if kl := MaxBinKL(base, base); math.Abs(kl) > 1e-12 {
-		t.Fatalf("MaxBinKL(self) = %v, want 0", kl)
-	}
-	shifted := []int64{97, 1, 1, 1}
-	if psi := PSI(shifted, base); psi < 0.25 {
-		t.Fatalf("PSI(concentrated vs uniform) = %v, want >= 0.25", psi)
-	}
-	if kl := MaxBinKL(shifted, base); kl <= 0 {
-		t.Fatalf("MaxBinKL(concentrated vs uniform) = %v, want > 0", kl)
-	}
-	// No data on either side means "no drift", not a spurious score.
-	if psi := PSI(nil, base); psi != 0 {
-		t.Fatalf("PSI(no live data) = %v, want 0", psi)
-	}
-	if psi := PSI([]int64{0, 0, 0, 0}, base); psi != 0 {
-		t.Fatalf("PSI(zero live counts) = %v, want 0", psi)
-	}
-	// Mild shift scores below a hard one.
-	mild := []int64{30, 25, 25, 20}
-	if PSI(mild, base) >= PSI(shifted, base) {
-		t.Fatalf("PSI ordering violated: mild %v >= hard %v", PSI(mild, base), PSI(shifted, base))
-	}
-}

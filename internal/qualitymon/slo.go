@@ -2,10 +2,11 @@
 // multi-window burn-rate pattern: with target T, the error budget is
 // 1-T; the burn rate of a window is (bad fraction) / (1-T) — 1 means
 // the budget exactly runs out over the SLO period, pageBurn (2)
-// over the fast window pages, slow-window burn >= 1 warns. Drift joins
-// the same machine: PSI >= DriftThreshold pages, >= half warns.
-// Upgrades are immediate; downgrades wait out clearHoldSubs sub-windows
-// below the current level, so a flapping signal cannot strobe the pager.
+// over the fast window pages, slow-window burn >= 1 warns. Its events
+// are serve outcomes and oracle spot checks; a spot-check mismatch is a
+// bad event, so a confirmed labelling error spends budget. Upgrades are
+// immediate; downgrades wait out clearHoldSubs sub-windows below the
+// current level, so a flapping signal cannot strobe the pager.
 //
 // The machine advances inside Snapshot (and therefore on every metrics
 // scrape via OnCollect) rather than on a timer — the same pull-style
@@ -14,13 +15,9 @@
 package qualitymon
 
 import (
-	"context"
 	"math"
 	"sort"
-	"strconv"
 	"time"
-
-	"github.com/golitho/hsd/internal/trace"
 )
 
 // pageBurn is the fast-window burn-rate multiple that pages: error
@@ -33,14 +30,10 @@ type SketchSnapshot struct {
 	Stage    string  `json:"stage"`
 	Fast     int64   `json:"fast_count"`
 	Slow     int64   `json:"slow_count"`
-	Baseline bool    `json:"has_baseline"`
-	PSI      float64 `json:"psi"`
-	MaxBinKL float64 `json:"max_bin_kl"`
 	P50      float64 `json:"p50"`
 	P90      float64 `json:"p90"`
 	P99      float64 `json:"p99"`
-	// FastBins are the fast-window bin counts (the live side of PSI);
-	// Edges their upper bounds.
+	// FastBins are the fast-window bin counts; Edges their upper bounds.
 	Edges    []float64 `json:"edges"`
 	FastBins []int64   `json:"fast_bins"`
 }
@@ -81,10 +74,8 @@ type SLOSnapshot struct {
 
 // AlertSnapshot is the state machine's output.
 type AlertSnapshot struct {
-	State    int     `json:"state"` // 0 ok, 1 warning, 2 page
-	Name     string  `json:"name"`
-	MaxPSI   float64 `json:"max_psi"`
-	MaxPSIBy string  `json:"max_psi_series,omitempty"`
+	State int    `json:"state"` // 0 ok, 1 warning, 2 page
+	Name  string `json:"name"`
 }
 
 // Snapshot is the full /debug/quality document. With a fake clock and
@@ -124,21 +115,16 @@ func burnRate(good, bad int64, target float64) float64 {
 	return (float64(bad) / float64(good+bad)) / (1 - target)
 }
 
-// Snapshot evaluates drift, confusion, and burn rates at the current
-// clock reading, advances the alert state machine, emits drift events
-// for rising-edge threshold crossings, and returns the full document.
+// Snapshot evaluates the sketches, confusion, and burn rates at the
+// current clock reading, advances the alert state machine, and returns
+// the full document.
 func (m *Monitor) Snapshot() Snapshot {
 	if m == nil {
 		return Snapshot{Alert: AlertSnapshot{Name: alertName(AlertOK)}}
 	}
 	now := m.clock.Now()
-	type driftEvent struct {
-		detector, stage string
-		psi             float64
-	}
-	var events []driftEvent
-
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	epoch := m.conf.epochOf(now)
 	keys := make([]seriesKey, 0, len(m.sketches))
 	for k := range m.sketches {
@@ -152,42 +138,24 @@ func (m *Monitor) Snapshot() Snapshot {
 	})
 
 	snap := Snapshot{At: now}
-	maxPSI, maxPSIBy := 0.0, ""
 	for _, k := range keys {
 		sk := m.sketches[k]
-		fast := sk.ring.merged(epoch, fastSubs)
-		slow := sk.ring.merged(epoch, slowSubs)
+		fast := sk.merged(epoch, fastSubs)
+		slow := sk.merged(epoch, slowSubs)
 		ss := SketchSnapshot{
 			Detector: k.detector,
 			Stage:    k.stage,
-			Baseline: sk.baseline != nil,
-			Edges:    append([]float64(nil), sk.edges...),
+			Edges:    append([]float64(nil), scoreEdges...),
 			FastBins: fast,
-			P50:      finite(quantile(sk.edges, fast, 0.50)),
-			P90:      finite(quantile(sk.edges, fast, 0.90)),
-			P99:      finite(quantile(sk.edges, fast, 0.99)),
+			P50:      finite(quantile(scoreEdges, fast, 0.50)),
+			P90:      finite(quantile(scoreEdges, fast, 0.90)),
+			P99:      finite(quantile(scoreEdges, fast, 0.99)),
 		}
 		for _, c := range fast {
 			ss.Fast += c
 		}
 		for _, c := range slow {
 			ss.Slow += c
-		}
-		if sk.baseline != nil {
-			ss.PSI = PSI(fast, sk.baseline)
-			ss.MaxBinKL = MaxBinKL(fast, sk.baseline)
-		}
-		if ss.PSI > maxPSI {
-			maxPSI, maxPSIBy = ss.PSI, k.detector+"/"+k.stage
-		}
-		// Rising-edge drift latch: one event per excursion above the
-		// threshold, re-armed only after PSI falls to 80% of it.
-		thr := m.opts.DriftThreshold
-		if ss.PSI >= thr && !sk.over {
-			sk.over = true
-			events = append(events, driftEvent{k.detector, k.stage, ss.PSI})
-		} else if sk.over && ss.PSI < 0.8*thr {
-			sk.over = false
 		}
 		snap.Sketches = append(snap.Sketches, ss)
 	}
@@ -219,10 +187,10 @@ func (m *Monitor) Snapshot() Snapshot {
 
 	// Desired level from the raw inputs, then hysteresis.
 	desired := AlertOK
-	if maxPSI >= m.opts.DriftThreshold/2 || snap.SLO.BurnSlow >= 1 {
+	if snap.SLO.BurnSlow >= 1 {
 		desired = AlertWarning
 	}
-	if maxPSI >= m.opts.DriftThreshold || snap.SLO.BurnFast >= pageBurn {
+	if snap.SLO.BurnFast >= pageBurn {
 		desired = AlertPage
 	}
 	switch {
@@ -235,33 +203,6 @@ func (m *Monitor) Snapshot() Snapshot {
 		m.alertState = desired
 		m.belowSince = time.Time{}
 	}
-	snap.Alert = AlertSnapshot{
-		State:    m.alertState,
-		Name:     alertName(m.alertState),
-		MaxPSI:   maxPSI,
-		MaxPSIBy: maxPSIBy,
-	}
-	m.mu.Unlock()
-
-	for _, e := range events {
-		m.emitDriftEvent(e.detector, e.stage, e.psi)
-	}
+	snap.Alert = AlertSnapshot{State: m.alertState, Name: alertName(m.alertState)}
 	return snap
-}
-
-// emitDriftEvent records a threshold crossing in the trace store as a
-// synthetic "quality.drift" root span (flagged degraded, so tail
-// sampling always retains it) and bumps the drift-event counter — the
-// link from a paged alert to the traces around the shift.
-func (m *Monitor) emitDriftEvent(detector, stage string, psi float64) {
-	m.mets.driftEvents.Inc()
-	m.logf("qualitymon: drift detected: detector=%s stage=%s psi=%.4f", detector, stage, psi)
-	ctx := trace.WithTracer(context.Background(), m.opts.Tracer)
-	_, sp := trace.Start(ctx, "quality.drift",
-		trace.A("detector", detector),
-		trace.A("stage", stage))
-	sp.SetAttr("psi", strconv.FormatFloat(psi, 'g', 6, 64))
-	sp.SetFlag(trace.FlagDegraded)
-	sp.AddEvent("drift.threshold.crossed", trace.A("detector", detector), trace.A("stage", stage))
-	sp.End()
 }

@@ -3,17 +3,14 @@ package registry
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"os"
-	"strings"
 	"testing"
 	"time"
 
 	"github.com/golitho/hsd/internal/core"
 	"github.com/golitho/hsd/internal/geom"
 	"github.com/golitho/hsd/internal/layout"
-	"github.com/golitho/hsd/internal/qualitymon"
 	"github.com/golitho/hsd/internal/telemetry"
 )
 
@@ -352,74 +349,4 @@ func waitGeneration(t *testing.T, r *Registry, want int64) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("generation = %d, want %d", r.Live().ID, want)
-}
-
-// TestRollbackWithBadSidecar: probation rollback restores the previous
-// generation cleanly even when that generation's quality sidecar is
-// missing or corrupt — the monitor keeps its prior baseline (logged,
-// not fatal) and the model swap still lands. A real qualitymon.Monitor
-// is reset and handed each new generation's sidecar from OnSwap, as the
-// server wires it, so the sidecar load path actually runs under the
-// registry's lock.
-func TestRollbackWithBadSidecar(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		sidecar []byte // nil: no sidecar file at all
-	}{
-		{"missing-sidecar", nil},
-		{"corrupt-sidecar", []byte("not a baseline\x00\xff\x01garbage")},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			goodPath := dir + "/good.gob"
-			if err := os.WriteFile(goodPath, []byte("model bytes"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if tc.sidecar != nil {
-				if err := os.WriteFile(qualitymon.SidecarPath(goodPath), tc.sidecar, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var logs []string // OnSwap runs on this goroutine
-			qm := qualitymon.New(qualitymon.Options{Logf: func(format string, args ...any) {
-				logs = append(logs, fmt.Sprintf(format, args...))
-			}})
-			defer qm.Close()
-
-			cand := det("cand", 0.5, 0.8, 0.8, 0.2, 0.2)
-			r, m, _ := newTestRegistry(t, cand, Config{
-				Golden:               golden(4, 2),
-				ProbationRequests:    2,
-				ProbationMaxFailures: 0,
-				OnSwap: func(gen *Generation) {
-					qm.Reset()
-					qm.InstallBaselineSidecar(gen.Source)
-				},
-			})
-			// Generation 2: the future rollback target, sitting next to the
-			// bad sidecar. Survive its probation so it becomes the floor.
-			if _, _, err := r.Reload(context.Background(), goodPath); err != nil {
-				t.Fatalf("Reload rollback target: %v", err)
-			}
-			r.ReportOutcome(true)
-			r.ReportOutcome(true)
-			// Generation 3 fails probation: rollback must reinstall
-			// generation 2 — and with it the missing/corrupt sidecar.
-			if _, _, err := r.Reload(context.Background(), dir+"/bad.gob"); err != nil {
-				t.Fatalf("Reload failing candidate: %v", err)
-			}
-			r.ReportOutcome(false)
-			if live := r.Live(); live.ID != 2 || live.Source != goodPath {
-				t.Fatalf("live = ID %d source %s, want generation 2 from %s restored",
-					live.ID, live.Source, goodPath)
-			}
-			if got := counter(m, "rolled_back"); got != 1 {
-				t.Fatalf("rolled_back counter = %v, want 1", got)
-			}
-			// The rollback's sidecar load ran and failed softly.
-			if last := logs[len(logs)-1]; !strings.Contains(last, qualitymon.SidecarPath(goodPath)) {
-				t.Fatalf("last monitor log %q, want the restored generation's sidecar", last)
-			}
-		})
-	}
 }

@@ -7,7 +7,6 @@ import (
 	"github.com/golitho/hsd/internal/core"
 	"github.com/golitho/hsd/internal/iccad"
 	"github.com/golitho/hsd/internal/layout"
-	"github.com/golitho/hsd/internal/qualitymon"
 	"github.com/golitho/hsd/internal/raster"
 )
 
@@ -36,10 +35,10 @@ func (d rasterDetector) Score(c layout.Clip) (float64, error) {
 	return im.Sum() / float64(im.W*im.H), nil
 }
 
-func benchScan(b *testing.B, cacheSize int, qm *qualitymon.Monitor) {
+func benchScan(b *testing.B, cacheSize int) {
 	chip := benchChip(b)
 	det := rasterDetector{thr: 0.1}
-	cfg := Config{SkipEmpty: true, Workers: 2, ShardRows: 2, CacheSize: cacheSize, Quality: qm}
+	cfg := Config{SkipEmpty: true, Workers: 2, ShardRows: 2, CacheSize: cacheSize}
 	var findings []core.Finding
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -52,21 +51,9 @@ func benchScan(b *testing.B, cacheSize int, qm *qualitymon.Monitor) {
 	_ = findings
 }
 
-func BenchmarkScanFarmColdCache(b *testing.B) { benchScan(b, 0, nil) }
+func BenchmarkScanFarmColdCache(b *testing.B) { benchScan(b, 0) }
 
-func BenchmarkScanFarmWarmCache(b *testing.B) { benchScan(b, 1<<16, nil) }
-
-// The quality-monitor overhead pair: QualityOff is the everyone-pays
-// cost of the nil tap in scoreWindow (must stay within 2% of the
-// cold-cache baseline above); QualityOn adds live sketch updates per
-// window.
-func BenchmarkScanFarmQualityOff(b *testing.B) { benchScan(b, 0, nil) }
-
-func BenchmarkScanFarmQualityOn(b *testing.B) {
-	qm := qualitymon.New(qualitymon.Options{})
-	defer qm.Close()
-	benchScan(b, 0, qm)
-}
+func BenchmarkScanFarmWarmCache(b *testing.B) { benchScan(b, 1<<16) }
 
 // BenchmarkScanFarmCNNMiss is the bench's scan_unique outside bench/:
 // the fitted CNN over a generated chip with no repeated geometry, a

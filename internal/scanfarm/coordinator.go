@@ -31,7 +31,6 @@ import (
 	"github.com/golitho/hsd/internal/faultinject"
 	"github.com/golitho/hsd/internal/geom"
 	"github.com/golitho/hsd/internal/layout"
-	"github.com/golitho/hsd/internal/qualitymon"
 	"github.com/golitho/hsd/internal/resilience"
 	"github.com/golitho/hsd/internal/telemetry"
 	"github.com/golitho/hsd/internal/trace"
@@ -208,9 +207,7 @@ func Run(ctx context.Context, chip *layout.Layout, det core.Detector, cfg Config
 		}
 	}
 
-	// Resolved here, not per window: most detectors format their name on
-	// every call, and a cache hit must not pay for that.
-	name, thr := det.Name(), det.Threshold()
+	thr := det.Threshold()
 	jobs := make(chan int)
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
@@ -219,7 +216,6 @@ func Run(ctx context.Context, chip *layout.Layout, det core.Detector, cfg Config
 			wk := &worker{
 				chip:  chip,
 				det:   det,
-				name:  name,
 				thr:   thr,
 				plan:  plan,
 				cfg:   cfg,
@@ -288,13 +284,11 @@ dispatch:
 }
 
 // worker is the per-goroutine scan state: the shared detector with its
-// name and threshold, and the buffers a shard attempt fills: its
-// windows' scores and, when the scan shares feature tiles, the tile
-// memo (else nil).
+// threshold, and the buffers a shard attempt fills: its windows' scores
+// and, when the scan shares feature tiles, the tile memo (else nil).
 type worker struct {
 	chip   *layout.Layout
 	det    core.Detector
-	name   string
 	thr    float64
 	plan   Plan
 	cfg    Config
@@ -409,10 +403,9 @@ func (w *worker) scanShard(ctx context.Context, id, attempt int) ([]core.Finding
 // threshold, for a window SkipEmpty leaves unscored.
 //
 // The cache key comes straight from the spatial index (FingerprintAt),
-// so a hit builds no clip unless the quality monitor needs one. The
-// detector always scores the canonical (origin translated) clip, so a
-// verdict is a pure function of the cache key and hit/miss paths are
-// identical by construction. The shipped detectors are translation-
+// so a hit builds no clip. The detector always scores the canonical
+// (origin translated) clip, so a verdict is a pure function of the cache
+// key and hit/miss paths are identical by construction. The shipped detectors are translation-
 // invariant (rasterization and features are window-relative), so this
 // matches scoring the clip in place. col and row place the window in the
 // shard for the tile memo, which only a miss touches.
@@ -429,13 +422,6 @@ func (w *worker) scoreWindow(ctx context.Context, center geom.Point, col, row in
 		key = fp
 		if score, ok := w.cache.Get(key); ok {
 			w.mets.cache(true, false)
-			if w.cfg.Quality != nil {
-				canon, err := w.canonClip(center)
-				if err != nil {
-					return 0, err
-				}
-				w.observeQuality(canon, score)
-			}
 			return score, nil
 		}
 	}
@@ -464,7 +450,6 @@ func (w *worker) scoreWindow(ctx context.Context, center geom.Point, col, row in
 		evicted := w.cache.Put(key, score)
 		w.mets.cache(false, evicted)
 	}
-	w.observeQuality(canon, score)
 	return score, nil
 }
 
@@ -481,16 +466,4 @@ func (w *worker) canonClip(center geom.Point) (layout.Clip, error) {
 		clip.Shapes[i] = s.Translate(d)
 	}
 	return layout.Clip{Window: clip.Window.Translate(d), Core: clip.Core.Translate(d), Shapes: clip.Shapes}, nil
-}
-
-// observeQuality feeds one scored window into the quality monitor as
-// stage "scan". Cache hits are observed too — drift is a property of
-// the scanned traffic, not of which windows happened to miss — and the
-// canonical clip keeps spot-check sampling content-keyed.
-func (w *worker) observeQuality(canon layout.Clip, score float64) {
-	w.cfg.Quality.Observe(qualitymon.Event{
-		Detector: w.name, Stage: "scan",
-		Score: score, Threshold: w.thr,
-		Clip: canon, HasClip: true,
-	})
 }

@@ -4,14 +4,10 @@ import (
 	"context"
 	"reflect"
 	"runtime"
-	"sync/atomic"
 	"testing"
 
-	"github.com/golitho/hsd/internal/core"
-	"github.com/golitho/hsd/internal/geom"
 	"github.com/golitho/hsd/internal/iccad"
 	"github.com/golitho/hsd/internal/layout"
-	"github.com/golitho/hsd/internal/qualitymon"
 )
 
 // TestHitPathAllocations pins what a cache-hit window may allocate: its
@@ -34,7 +30,7 @@ func TestHitPathAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := &worker{
-		chip: chip, det: det, name: det.Name(), thr: det.Threshold(),
+		chip: chip, det: det, thr: det.Threshold(),
 		plan: plan, cfg: cfg,
 		cache: NewClipCache(cfg.CacheSize),
 		mets:  newFarmMetrics(nil),
@@ -89,7 +85,7 @@ func TestMissPathAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := &worker{
-			chip: chip, det: det, name: det.Name(), thr: det.Threshold(),
+			chip: chip, det: det, thr: det.Threshold(),
 			plan: plan, cfg: cfg,
 			mets:  newFarmMetrics(nil),
 			tiles: newTileMemo(det, plan),
@@ -154,84 +150,5 @@ func TestMissPathAllocations(t *testing.T) {
 	if held(ww.tiles) != held(w.tiles) || len(w.tiles.coef) != 2*3*w.tiles.TileLen() {
 		t.Fatalf("tile memo holds %d values on the strip and %d on the square chip, want 2 columns of 3 tiles on both",
 			held(ww.tiles), held(w.tiles))
-	}
-}
-
-// namedDetector counts Name calls: most shipped detectors format their
-// name on every call ("dct%dx%dx%d"), so the farm must not ask per
-// window.
-type namedDetector struct {
-	countingDetector
-	named atomic.Int64
-}
-
-func (d *namedDetector) Name() string {
-	d.named.Add(1)
-	return "named"
-}
-
-// TestWorkerResolvesDetectorNameOnce: a scan asks the detector its name
-// at most once per worker, with or without a quality monitor attached (the event used
-// to be built, name and all, for a nil monitor too), and the monitor
-// still sees every scored window under that name. A hit builds no clip
-// unless the monitor is attached, so the monitored scan also checks
-// that the low-confidence tap gets a canonical clip (window at the
-// origin, keyed as the tap is told) for every scored window, hits
-// included.
-func TestWorkerResolvesDetectorNameOnce(t *testing.T) {
-	chip := cellChip(t, 8)
-	const workers = 3
-	cfg := Config{SkipEmpty: true, Workers: workers, ShardRows: 2, CacheSize: 1 << 16}
-	var findings [][]core.Finding
-	for _, monitored := range []bool{false, true} {
-		det := &namedDetector{countingDetector: countingDetector{densityDetector: densityDetector{thr: 0.1}}}
-		var qm *qualitymon.Monitor
-		var tapped atomic.Int64
-		if monitored {
-			qm = qualitymon.New(qualitymon.Options{
-				// Every density is within 1 of the threshold: every scored
-				// window is low-confidence.
-				LowConfMargin: 1,
-				LowConfidenceTap: func(fp layout.Fingerprint, clip layout.Clip, score float64, stage string) {
-					tapped.Add(1)
-					if clip.Window.Min != (geom.Point{}) || len(clip.Shapes) == 0 || clip.Fingerprint() != fp {
-						t.Errorf("tap got clip %+v keyed %v: want a non-empty clip at the origin, keyed by its fingerprint", clip, fp)
-					}
-				},
-			})
-			defer qm.Close()
-		}
-		cfg.Quality = qm
-		res, err := Run(context.Background(), chip, det, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := det.named.Load(); n < 1 || n > workers {
-			t.Fatalf("monitor %v: Name called %d times over %d windows, want at most once per worker (%d)",
-				monitored, n, res.Windows, workers)
-		}
-		findings = append(findings, res.Findings)
-		if !monitored {
-			continue
-		}
-		// Every non-empty window is scored (hit or miss) and observed.
-		scored := res.Cache.Hits + res.Cache.Misses
-		if scored == 0 || res.Cache.Hits == 0 {
-			t.Fatalf("cache stats %+v: test layout is broken", res.Cache)
-		}
-		sketches := qm.Snapshot().Sketches
-		if len(sketches) != 1 || sketches[0].Detector != "named" || sketches[0].Stage != "scan" {
-			t.Fatalf("monitor series %+v, want one (named, scan)", sketches)
-		}
-		if sketches[0].Slow != scored {
-			t.Fatalf("monitor saw %d events, want one per scored window (%d)", sketches[0].Slow, scored)
-		}
-		if n := tapped.Load(); n != scored {
-			t.Fatalf("low-confidence tap fired %d times, want once per scored window (%d: %d hits, %d misses)",
-				n, scored, res.Cache.Hits, res.Cache.Misses)
-		}
-	}
-	if !reflect.DeepEqual(findings[0], findings[1]) {
-		t.Fatal("attaching a monitor changed the findings")
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"github.com/golitho/hsd/internal/core"
 	"github.com/golitho/hsd/internal/geom"
 	"github.com/golitho/hsd/internal/layout"
-	"github.com/golitho/hsd/internal/qualitymon"
 	"github.com/golitho/hsd/internal/telemetry"
 )
 
@@ -133,11 +132,6 @@ type Config struct {
 	// Metrics, when non-nil, receives scan_shards_total{state},
 	// scan_shard_attempts_total, and scan_cache_* series.
 	Metrics *telemetry.Registry
-	// Quality, when non-nil, receives every scored window (stage
-	// "scan") for drift sketches and spot-checking. Cache hits are
-	// observed too: drift is a property of the traffic, not of which
-	// windows happened to miss.
-	Quality *qualitymon.Monitor
 }
 
 // withDefaults fills the farm's own defaults; the window geometry and

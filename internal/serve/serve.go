@@ -122,10 +122,9 @@ type Options struct {
 	// Quality, when non-nil, enables model-quality monitoring: every
 	// cascade answer feeds the monitor's score sketches (stage "primary"
 	// or "fallback"), primary outcomes feed its SLO window, and
-	// GET /debug/quality serves its snapshot; its gauges and drift events
-	// go where its own Options.Metrics and Options.Tracer say. With hot
-	// reload enabled the server resets the monitor and installs the new
-	// generation's baseline sidecar on every generation change.
+	// GET /debug/quality serves its snapshot; its gauges go where its own
+	// Options.Metrics says. With hot reload enabled the server resets the
+	// monitor on every generation change.
 	Quality *qualitymon.Monitor
 }
 
@@ -254,15 +253,8 @@ func NewServer(opts Options) (*Server, error) {
 		}
 		rcfg.OnSwap = func(gen *registry.Generation) {
 			s.live.Store(newLiveGen(gen.Detector))
-			// The old model's traffic must not count against the new
-			// one; the incoming generation's baseline sidecar is the new
-			// drift reference. The boot generation has no model file to
-			// find a sidecar next to; its baseline, installed at startup,
-			// stays.
+			// The old model's traffic must not count against the new one.
 			s.quality.Reset()
-			if gen.Source != "boot" {
-				s.quality.InstallBaselineSidecar(gen.Source)
-			}
 		}
 		rcfg.Metrics = reg
 		s.registry = registry.New(opts.Primary, rcfg)
@@ -308,9 +300,8 @@ func (s *Server) Handler() http.Handler {
 }
 
 // handleQuality serves the quality monitor's full snapshot: per-series
-// score sketches with drift scores against the training baseline,
-// spot-check confusion, SLO burn rates, and the alert state. Taking the
-// snapshot also advances the alert state machine.
+// score sketches, spot-check confusion, SLO burn rates, and the alert
+// state. Taking the snapshot also advances the alert state machine.
 func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
