@@ -4,7 +4,8 @@
 #   gofmt, vet (the assembly kernel's declarations included), build, a
 #   cross-build of the portable path, unit + property tests under the
 #   race detector and again on the portable matmul kernel, the chaos and
-#   kill-resume suites, the end-to-end smoke scripts, a check that no
+#   kill-resume suites (each name they select must still match a test),
+#   the end-to-end smoke scripts, a check that no
 #   binary's flag set, no facade name and no /metrics series moved, that
 #   every facade name has an outside caller, that nothing is bound
 #   after construction and that no circuit breaker is built outside
@@ -25,6 +26,29 @@ short=""
 if [ "${1:-}" = "-short" ]; then
 	short="-short"
 fi
+
+# run_named PATTERN PKG... runs the tests PATTERN selects in PKG...
+# under the race detector. It first checks that each |-separated name in
+# PATTERN matches at least one test that go test -list finds there, so
+# a test renamed or deleted out from under a step fails the step
+# instead of silently dropping out of it.
+run_named() {
+	pattern=$1
+	shift
+	pkgs="$*"
+	listed=$(go test -race -list "$pattern" "$@")
+	oldifs=$IFS
+	IFS='|'
+	for name in $pattern; do
+		if ! printf '%s\n' "$listed" | grep -E '^(Test|Benchmark|Fuzz|Example)' | grep -Eq -- "$name"; then
+			IFS=$oldifs
+			echo "ci: -run '$pattern' in $pkgs: '$name' matches no test" >&2
+			exit 1
+		fi
+	done
+	IFS=$oldifs
+	go test -run "$pattern" -race "$@"
+}
 
 echo "== gofmt =="
 # Any file gofmt would rewrite fails the gate.
@@ -87,7 +111,7 @@ echo "== chaos smoke =="
 # bits from many goroutines under the detector. The score cache's chaos
 # tests (TestChaosCache*) hold a hit to running nothing: no serve.primary
 # fault, no breaker probe, no probation outcome.
-go test -run 'Chaos|TestCascade|TestSharedInstanceConcurrentScore|TestSharedDetectorConcurrentScore|TestConcurrentScoreSharedCNN' -race . ./internal/serve/ ./internal/core/
+run_named 'Chaos|TestCascade|TestSharedInstanceConcurrentScore|TestSharedDetectorConcurrentScore|TestConcurrentScoreSharedCNN' . ./internal/serve/ ./internal/core/
 
 echo "== kill-resume chaos =="
 # Training is killed at several injected fault points and resumed from
@@ -100,14 +124,14 @@ echo "== kill-resume chaos =="
 # to the bytes the serial loop trained (a golden written at the commit
 # before it), under 1, 2 and 8 kernel workers and with fits running side
 # by side on the one pool.
-go test -run 'TestKillResume|TestStopResume|TestResumeRejects|TestNonFinite|TestCheckpointTornWrite|TestCheckpointFallbackOnUnrestorableOptimizer|TestTrainStep' -race ./internal/nn/
+run_named 'TestKillResume|TestStopResume|TestResumeRejects|TestNonFinite|TestCheckpointTornWrite|TestCheckpointFallbackOnUnrestorableOptimizer|TestTrainStep' ./internal/nn/
 
 echo "== scan farm chaos =="
 # The shard coordinator is hammered with injected faults (errors,
 # panics, latency) and repeated kill-resume cycles over one journal;
 # findings must stay byte-identical to an uninterrupted serial scan
 # and the shared clip cache must hold under -race.
-go test -run 'TestChaosFarm' -race ./internal/scanfarm/
+run_named 'TestChaosFarm' ./internal/scanfarm/
 
 echo "== flags smoke =="
 # The five detector binaries' and gltconv's flag names are a committed
@@ -277,7 +301,7 @@ go test -run='^$' -fuzz='^FuzzAddressedKernel$' -fuzztime=7s ./internal/tensor/
 echo "== trace store race =="
 # The trace store and tail sampler are hit from every request
 # goroutine; their concurrency tests must hold under the detector.
-go test -run 'TestConcurrentAppendRead|TestChaosTailSampling' -race ./internal/trace/
+run_named 'TestConcurrentAppendRead|TestChaosTailSampling' ./internal/trace/
 
 echo "== trace smoke =="
 # End to end: boot hsdserve with tracing, -trace-capacity 8 and a debug
@@ -295,11 +319,11 @@ echo "== reload smoke =="
 ./scripts/reload_smoke.sh
 
 echo "== quality monitor determinism =="
-# The sketch/confusion snapshots must be byte-identical for the same
-# event multiset under any worker count, and the OnCollect contract
+# The quality snapshot (spot-check confusion, SLO counts, alert) must be
+# byte-identical for the same event multiset under any worker count, and the OnCollect contract
 # must hold while hooks register mid-scrape; both only mean anything
 # under the race detector.
-go test -run 'TestSnapshotDeterministic|TestOnCollectConcurrent' -race ./internal/qualitymon/ ./internal/telemetry/
+run_named 'TestSnapshotDeterministic|TestOnCollectConcurrent' ./internal/qualitymon/ ./internal/telemetry/
 
 echo "== data engine chaos =="
 # The active-learning engine is kill-resumed at injected fault points
@@ -313,7 +337,7 @@ echo "== data engine chaos =="
 # mining taps ingest from scoring goroutines and spot checks run on a
 # background worker, while labeling itself is one serial loop over the
 # WAL.
-go test -run 'TestChaos|TestOracleFault' -race ./internal/datengine/ ./internal/qualitymon/
+run_named 'TestChaos|TestOracleFault' ./internal/datengine/ ./internal/qualitymon/
 
 echo "== learn smoke =="
 # End to end: hsdlearn mines the base model's uncertainty band, runs a

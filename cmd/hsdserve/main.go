@@ -101,7 +101,7 @@ func run() error {
 	batchWait := flag.Duration("batch-wait", 2*time.Millisecond, "max time a /batch request waits for the batch to fill")
 	seed := flag.Int64("seed", 1, "training seed")
 	addr := flag.String("addr", ":8080", "listen address")
-	debugAddr := flag.String("debug-addr", "", "private listen address for /debug/pprof/ and the trace endpoints (empty: no debug listener)")
+	debugAddr := flag.String("debug-addr", "", "private listen address for /debug/pprof/ (empty: no debug listener)")
 	traceSample := flag.Float64("trace-sample", 1, "fraction of unflagged traces the tail sampler retains; slow/errored/degraded/shed traces are always kept")
 	traceCapacity := flag.Int("trace-capacity", 256, "finished traces retained for /debug/traces (oldest evicted)")
 	traceSlow := flag.Duration("trace-slow", 0, "flag traces at least this slow so the sampler always keeps them (0: off)")
@@ -117,7 +117,7 @@ func run() error {
 	writeTimeout := flag.Duration("write-timeout", 60*time.Second, "max time to write a response (covers /verify simulation)")
 	idleTimeout := flag.Duration("idle-timeout", 120*time.Second, "keep-alive idle connection timeout")
 	shutdownGrace := flag.Duration("shutdown-grace", 10*time.Second, "graceful shutdown deadline after SIGINT/SIGTERM")
-	quality := flag.Bool("quality", false, "enable model-quality monitoring (score sketches, oracle spot checks, SLO burn rate, GET /debug/quality); also on with -spot-check-rate > 0 or -learn-wal")
+	quality := flag.Bool("quality", false, "enable model-quality monitoring (oracle spot checks, SLO burn rate, GET /debug/quality); also on with -spot-check-rate > 0 or -learn-wal")
 	spotCheckRate := flag.Float64("spot-check-rate", 0, "fraction of scored clips re-checked against the lithography oracle in the background (content-keyed, deterministic)")
 	sloTarget := flag.Float64("slo-target", 0.99, "served-without-primary-failure SLO objective for burn-rate alerting")
 	qualityWindow := flag.Duration("quality-window", 10*time.Second, "quality-monitor sub-window; fast alert window is 3 of these, slow is 18")
@@ -190,8 +190,8 @@ func run() error {
 		}
 	}
 
-	// Model-quality monitoring: score sketches, oracle spot-checks, SLO
-	// burn rate, /debug/quality.
+	// Model-quality monitoring: oracle spot-checks, SLO burn rate,
+	// /debug/quality.
 	var qm *qualitymon.Monitor
 	if *quality || *spotCheckRate > 0 || eng != nil {
 		qopts := qualitymon.Options{
@@ -204,7 +204,7 @@ func run() error {
 		}
 		if eng != nil {
 			qopts.LowConfMargin = *learnMargin
-			qopts.LowConfidenceTap = func(fp layout.Fingerprint, clip layout.Clip, score float64, stage string) {
+			qopts.LowConfidenceTap = func(clip layout.Clip, score float64, stage string) {
 				learnIngest(clip, score, stage, "lowconf")
 			}
 			qopts.SpotMissTap = func(clip layout.Clip, predicted, actual bool) {
@@ -323,7 +323,7 @@ func run() error {
 	}()
 	if debugServer != nil {
 		go func() {
-			log.Printf("debug listener on %s (/debug/pprof/, /debug/traces)", *debugAddr)
+			log.Printf("debug listener on %s (/debug/pprof/)", *debugAddr)
 			if err := debugServer.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				log.Printf("debug listener: %v", err)
 			}

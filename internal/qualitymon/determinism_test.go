@@ -3,38 +3,34 @@ package qualitymon
 import (
 	"context"
 	"encoding/json"
-
-	"github.com/golitho/hsd/internal/layout"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/golitho/hsd/internal/layout"
 )
 
 // The worker-count determinism property: feeding an identical event
 // multiset through 1..8 concurrent workers must produce byte-identical
 // /debug/quality JSON.
 // This is the property that makes the monitor trustworthy under the
-// scanfarm and the batched serve path, where arrival order is whatever
-// the scheduler felt like. It holds because sketches are commutative
-// integer bins keyed by (content, timestamp) — never by arrival order —
-// and quantiles are pure functions of the merged bins.
+// batched serve path, where arrival order is whatever the scheduler
+// felt like. It holds because the spot-checker samples clips by content
+// fingerprint, never by arrival order, and the window ring's counters
+// are commutative integers keyed by event timestamp.
 
-// buildEvents is the shared deterministic workload: three series, a
+// buildEvents is the shared deterministic workload: both stages, a
 // spread of scores, clips for the spot-check path.
 func buildEvents() []Event {
 	var evs []Event
 	for i := 0; i < 400; i++ {
-		score := float64(i%97) / 97
 		ev := Event{
-			Detector: "MLP", Stage: "primary",
-			Score: score, Threshold: 0.5,
-			Clip: testClip(i), HasClip: true,
+			Stage: "primary",
+			Score: float64(i%97) / 97, Threshold: 0.5,
+			Clip: testClip(i),
 		}
-		switch i % 3 {
-		case 1:
-			ev.Detector, ev.Stage = "MLP", "scan"
-		case 2:
-			ev.Detector, ev.Stage = "SVM", "fallback"
+		if i%3 == 2 {
+			ev.Stage = "fallback"
 		}
 		evs = append(evs, ev)
 	}

@@ -1,5 +1,5 @@
 // Monitor is the live aggregation point: the server feeds scored events
-// in; score sketches, online confusion, SLO burn rates, and the alert
+// and serve outcomes in; online confusion, SLO burn rates, and the alert
 // state machine come out — through the telemetry registry and the
 // /debug/quality JSON endpoint. A nil *Monitor is a valid disabled
 // monitor: every method no-ops, so call sites thread it
@@ -10,7 +10,6 @@ package qualitymon
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,26 +21,24 @@ import (
 
 // Event is one scored clip as seen by a tap point.
 type Event struct {
-	Detector  string
-	Stage     string // "primary", "fallback", "scan"
+	Stage     string // "primary" or "fallback"
 	Score     float64
 	Threshold float64 // the detector's hot cut, for verdict + low-confidence margin
-	// Clip is the scored geometry (canonical form preferred); HasClip
-	// gates the spot-checker and low-confidence tap, which both need it.
-	Clip    layout.Clip
-	HasClip bool
+	// Clip is the scored geometry (canonical form preferred), which the
+	// spot-checker and the low-confidence tap both need.
+	Clip layout.Clip
 }
 
-// LowConfidenceTap receives (fingerprint, clip, score, stage) for
-// every observed event whose score lands within LowConfMargin of the
-// detector's threshold — the sensor feed the active-learning data
-// engine (internal/datengine) mines. The clip is the event's geometry
-// so the tap can journal a labelable candidate, not just a key. It is
-// called synchronously from Observe on whatever goroutine scored the
-// clip, so implementations must be concurrency-safe and fast; sampling
-// decisions should key on the fingerprint (content-addressed,
+// LowConfidenceTap receives (clip, score, stage) for every observed
+// event whose score lands within LowConfMargin of the detector's
+// threshold — the sensor feed the active-learning data engine
+// (internal/datengine) mines. The clip is the event's geometry so the
+// tap can journal a labelable candidate, not just a key. It is called
+// synchronously from Observe on whatever goroutine scored the clip, so
+// implementations must be concurrency-safe and fast; sampling decisions
+// should key on the clip's fingerprint (content-addressed,
 // order-independent), never on arrival order.
-type LowConfidenceTap func(fp layout.Fingerprint, clip layout.Clip, score float64, stage string)
+type LowConfidenceTap func(clip layout.Clip, score float64, stage string)
 
 // SpotMissTap receives every spot-check where the shadow oracle
 // disagreed with the model — the highest-value mining signal the
@@ -99,9 +96,6 @@ const (
 	clearHoldSubs = 2
 )
 
-// seriesKey identifies one (detector, stage) score sketch.
-type seriesKey struct{ detector, stage string }
-
 // alert state machine levels, exported through
 // hotspot_quality_alert_state and /debug/quality.
 const (
@@ -137,11 +131,8 @@ type Monitor struct {
 	clock resilience.Clock
 	mets  qmMetrics
 
-	mu sync.Mutex
-	// sketches are the score histograms per series, binned on scoreEdges.
-	sketches map[seriesKey]*windowRing
-	conf     *windowRing // confusion counters: tp, fp, tn, fn
-	slo      *windowRing // slo counters: good, bad
+	mu  sync.Mutex
+	win *windowRing // spot-check confusion and SLO events
 	// alert state machine: upgrades are immediate, downgrades wait out
 	// clearHoldSubs sub-windows below the current level.
 	alertState int
@@ -151,26 +142,12 @@ type Monitor struct {
 	// counters in mets).
 	spotSampled, spotDropped, spotErrors, spotMismatch atomic.Int64
 
-	spotq   chan spotJob
+	spotq   chan spotJob // nil unless this monitor samples spot checks
 	pending atomic.Int64 // queued + running spot checks, for Drain
 	wg      sync.WaitGroup
 	closed  atomic.Bool
 	qmu     sync.Mutex // orders each send on spotq before Close closes it
 }
-
-const (
-	confTP = iota
-	confFP
-	confTN
-	confFN
-	confWidth
-)
-
-const (
-	sloGood = iota
-	sloBad
-	sloWidth
-)
 
 // New builds a Monitor, applying defaults for zero Options fields, and
 // starts the spot-check worker when an oracle is configured. Call Close
@@ -183,11 +160,9 @@ func New(opts Options) *Monitor {
 		opts.SubWindow = 10 * time.Second
 	}
 	m := &Monitor{
-		opts:     opts,
-		clock:    opts.Clock,
-		sketches: make(map[seriesKey]*windowRing),
-		conf:     newWindowRing(opts.SubWindow, slowSubs, confWidth),
-		slo:      newWindowRing(opts.SubWindow, slowSubs, sloWidth),
+		opts:  opts,
+		clock: opts.Clock,
+		win:   newWindowRing(opts.SubWindow, slowSubs),
 	}
 	m.exportMetrics(opts.Metrics)
 	if opts.Oracle != nil && opts.SpotCheckRate > 0 {
@@ -218,44 +193,20 @@ func (m *Monitor) logf(format string, args ...any) {
 	}
 }
 
-// Observe records one scored clip: bins the score into the (detector,
-// stage) sketch, hands low-confidence events to the tap, and samples
-// the spot-checker. The hot-path cost with all extras disabled is one
-// mutex plus one binary search and an integer add.
+// Observe records one scored clip: hands a low-confidence event to the
+// tap and samples the spot-checker. With both off it returns at once,
+// taking no lock.
 func (m *Monitor) Observe(ev Event) {
 	if m == nil {
 		return
 	}
-	at := m.clock.Now()
-	k := seriesKey{ev.Detector, ev.Stage}
-	m.mu.Lock()
-	sk, ok := m.sketches[k]
-	if !ok {
-		sk = newWindowRing(m.opts.SubWindow, slowSubs, len(scoreEdges)+1)
-		m.sketches[k] = sk
-	}
-	sk.add(at, sk.epochOf(at), sort.SearchFloat64s(scoreEdges, ev.Score), 1)
-	m.mu.Unlock()
-
-	if !ev.HasClip {
-		return
-	}
-	var fp layout.Fingerprint
-	haveFP := false
 	if tap := m.opts.LowConfidenceTap; tap != nil && m.opts.LowConfMargin > 0 {
 		if d := ev.Score - ev.Threshold; d <= m.opts.LowConfMargin && d >= -m.opts.LowConfMargin {
-			fp = ev.Clip.Fingerprint()
-			haveFP = true
-			tap(fp, ev.Clip, ev.Score, ev.Stage)
+			tap(ev.Clip, ev.Score, ev.Stage)
 		}
 	}
-	if m.opts.Oracle != nil && m.opts.SpotCheckRate > 0 {
-		if !haveFP {
-			fp = ev.Clip.Fingerprint()
-		}
-		if sampleFingerprint(fp, m.opts.SpotCheckRate) {
-			m.enqueueSpot(spotJob{clip: ev.Clip, predicted: ev.Score >= ev.Threshold, at: at})
-		}
+	if m.spotq != nil && sampleFingerprint(ev.Clip.Fingerprint(), m.opts.SpotCheckRate) {
+		m.enqueueSpot(spotJob{clip: ev.Clip, predicted: ev.Score >= ev.Threshold, at: m.clock.Now()})
 	}
 }
 
@@ -266,16 +217,13 @@ func (m *Monitor) ReportServeOutcome(ok bool) {
 	if m == nil {
 		return
 	}
-	m.addSLO(m.clock.Now(), ok)
-}
-
-func (m *Monitor) addSLO(at time.Time, good bool) {
 	idx := sloBad
-	if good {
+	if ok {
 		idx = sloGood
 	}
+	at := m.clock.Now()
 	m.mu.Lock()
-	m.slo.add(at, m.slo.epochOf(m.clock.Now()), idx, 1)
+	m.win.add(at, m.win.epochOf(at), idx)
 	m.mu.Unlock()
 }
 
@@ -291,12 +239,8 @@ func (m *Monitor) Reset() {
 		return
 	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, sk := range m.sketches {
-		sk.reset()
-	}
-	m.conf.reset()
-	m.slo.reset()
+	m.win.reset()
+	m.mu.Unlock()
 }
 
 // exportMetrics exports the monitor through reg:

@@ -40,7 +40,7 @@ func testMonitorOpts(clk resilience.Clock) Options {
 
 func TestNilMonitorNoOps(t *testing.T) {
 	var m *Monitor
-	m.Observe(Event{Detector: "d", Stage: "s", Score: 0.5})
+	m.Observe(Event{Stage: "primary", Score: 0.5})
 	m.ReportServeOutcome(true)
 	m.Reset()
 	m.Close()
@@ -50,33 +50,52 @@ func TestNilMonitorNoOps(t *testing.T) {
 	}
 }
 
+// TestObserveAndSnapshotCounts: with spot checks off, observed scores
+// leave the windows empty; serve outcomes age out of the fast window
+// but stay in the slow one.
 func TestObserveAndSnapshotCounts(t *testing.T) {
 	clk := newFakeClock()
 	m := New(testMonitorOpts(clk))
 	defer m.Close()
 	for i := 0; i < 50; i++ {
-		m.Observe(Event{Detector: "MLP", Stage: "primary", Score: float64(i) / 50})
+		m.Observe(Event{Stage: "primary", Score: float64(i) / 50, Clip: testClip(i)})
 	}
-	snap := m.Snapshot()
-	if len(snap.Sketches) != 1 {
-		t.Fatalf("sketch count = %d, want 1", len(snap.Sketches))
+	if snap := m.Snapshot(); snap.SLO != (SLOSnapshot{Target: 0.9}) || snap.SpotCheck != (SpotCheckSnapshot{}) {
+		t.Fatalf("50 observed scores counted: slo %+v, spot check %+v", snap.SLO, snap.SpotCheck)
 	}
-	sk := snap.Sketches[0]
-	if sk.Detector != "MLP" || sk.Stage != "primary" {
-		t.Fatalf("series = %s/%s", sk.Detector, sk.Stage)
+	for i := 0; i < 50; i++ {
+		m.ReportServeOutcome(i%5 != 0)
 	}
-	if sk.Fast != 50 || sk.Slow != 50 {
-		t.Fatalf("fast/slow = %d/%d, want 50/50", sk.Fast, sk.Slow)
+	slo := m.Snapshot().SLO
+	if slo.FastGood != 40 || slo.FastBad != 10 || slo.SlowGood != 40 || slo.SlowBad != 10 {
+		t.Fatalf("fast good/bad %d/%d, slow %d/%d, want 40/10 in both",
+			slo.FastGood, slo.FastBad, slo.SlowGood, slo.SlowBad)
 	}
-	if sk.P50 <= 0 || sk.P50 >= 1 {
-		t.Fatalf("p50 = %v, want interior", sk.P50)
-	}
-	// Events age out of the fast window but stay in the slow one.
+	// Outcomes age out of the fast window but stay in the slow one.
 	clk.Advance((fastSubs + 1) * 10 * time.Second) // outside fast, inside slow
-	snap = m.Snapshot()
-	sk = snap.Sketches[0]
-	if sk.Fast != 0 || sk.Slow != 50 {
-		t.Fatalf("after aging: fast/slow = %d/%d, want 0/50", sk.Fast, sk.Slow)
+	slo = m.Snapshot().SLO
+	if slo.FastGood != 0 || slo.FastBad != 0 || slo.SlowGood != 40 || slo.SlowBad != 10 {
+		t.Fatalf("after aging: fast good/bad %d/%d, slow %d/%d, want 0/0 and 40/10",
+			slo.FastGood, slo.FastBad, slo.SlowGood, slo.SlowBad)
+	}
+}
+
+// TestObserveTakesNoLock: with spot checks and the tap off, Observe
+// returns while another goroutine holds the monitor's mutex.
+func TestObserveTakesNoLock(t *testing.T) {
+	m := New(testMonitorOpts(newFakeClock()))
+	defer m.Close()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	done := make(chan struct{})
+	go func() {
+		m.Observe(Event{Stage: "primary", Score: 0.42, Threshold: 0.5, Clip: testClip(0)})
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("Observe blocked on the monitor's mutex")
 	}
 }
 
@@ -98,14 +117,14 @@ func TestBurnAlertAndClear(t *testing.T) {
 		return sb.String()
 	}
 
-	// Clean traffic whose scores all land in one bin: no alert.
+	// Clean traffic whose scores all bunch at one value: no alert.
 	for i := 0; i < 200; i++ {
-		m.Observe(Event{Detector: "MLP", Stage: "primary", Score: 0.01})
+		m.Observe(Event{Stage: "primary", Score: 0.01})
 		m.ReportServeOutcome(true)
 	}
-	if snap := m.Snapshot(); snap.Alert.State != AlertOK || snap.Sketches[0].FastBins[0] != 200 {
-		t.Fatalf("bunched clean traffic: alert %s, bins %v; want ok with all 200 in bin 0",
-			snap.Alert.Name, snap.Sketches[0].FastBins)
+	if snap := m.Snapshot(); snap.Alert.State != AlertOK || snap.SLO.FastGood != 200 {
+		t.Fatalf("bunched clean traffic: alert %s, %d good in the fast window; want ok with 200",
+			snap.Alert.Name, snap.SLO.FastGood)
 	}
 
 	// A fast burn: 100 bad events against 200 good is a third of the
@@ -161,9 +180,9 @@ func TestSpotCheckerConfusion(t *testing.T) {
 			score = 1.0
 		}
 		m.Observe(Event{
-			Detector: "MLP", Stage: "primary",
+			Stage: "primary",
 			Score: score, Threshold: 0.5,
-			Clip: testClip(i), HasClip: true,
+			Clip: testClip(i),
 		})
 	}
 	if !m.DrainSpotChecks(5 * time.Second) {
@@ -223,9 +242,9 @@ func TestSpotMissTap(t *testing.T) {
 			score = 1.0
 		}
 		m.Observe(Event{
-			Detector: "MLP", Stage: "primary",
+			Stage: "primary",
 			Score: score, Threshold: 0.5,
-			Clip: testClip(i), HasClip: true,
+			Clip: testClip(i),
 		})
 	}
 	if !m.DrainSpotChecks(5 * time.Second) {
@@ -299,15 +318,12 @@ func TestLowConfidenceTap(t *testing.T) {
 	opts.LowConfMargin = 0.1
 	var mu sync.Mutex
 	got := make(map[layout.Fingerprint]float64)
-	opts.LowConfidenceTap = func(fp layout.Fingerprint, clip layout.Clip, score float64, stage string) {
+	opts.LowConfidenceTap = func(clip layout.Clip, score float64, stage string) {
 		if stage != "primary" {
 			t.Errorf("tap stage = %q", stage)
 		}
-		if got := clip.Fingerprint(); got != fp {
-			t.Errorf("tap clip fingerprint %x != fp %x", got[:4], fp[:4])
-		}
 		mu.Lock()
-		got[fp] = score
+		got[clip.Fingerprint()] = score
 		mu.Unlock()
 	}
 	m := New(opts)
@@ -315,9 +331,9 @@ func TestLowConfidenceTap(t *testing.T) {
 	scores := []float64{0.1, 0.45, 0.5, 0.55, 0.9, 0.61}
 	for i, s := range scores {
 		m.Observe(Event{
-			Detector: "MLP", Stage: "primary",
+			Stage: "primary",
 			Score: s, Threshold: 0.5,
-			Clip: testClip(i), HasClip: true,
+			Clip: testClip(i),
 		})
 	}
 	// Only |score-0.5| <= 0.1 qualifies: 0.45, 0.5, 0.55.
@@ -338,8 +354,8 @@ func TestAsyncSpotCheckerDrains(t *testing.T) {
 	m := New(opts)
 	for i := 0; i < 16; i++ {
 		m.Observe(Event{
-			Detector: "MLP", Stage: "primary", Score: 1, Threshold: 0.5,
-			Clip: testClip(i), HasClip: true,
+			Stage: "primary", Score: 1, Threshold: 0.5,
+			Clip: testClip(i),
 		})
 	}
 	if !m.DrainSpotChecks(5 * time.Second) {
@@ -364,8 +380,8 @@ func TestObserveAfterCloseDropsSpotCheck(t *testing.T) {
 	m := New(opts)
 	m.Close()
 	m.Observe(Event{
-		Detector: "MLP", Stage: "primary", Score: 1, Threshold: 0.5,
-		Clip: testClip(0), HasClip: true,
+		Stage: "primary", Score: 1, Threshold: 0.5,
+		Clip: testClip(0),
 	})
 	if sc := m.Snapshot().SpotCheck; sc.Sampled != 1 || sc.Dropped != 1 {
 		t.Fatalf("after Close: sampled %d, dropped %d, want 1 and 1", sc.Sampled, sc.Dropped)
@@ -402,8 +418,8 @@ func TestObserveConcurrentWithClose(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				m.Observe(Event{
-					Detector: "MLP", Stage: "primary", Score: 1, Threshold: 0.5,
-					Clip: testClip(g*each + i), HasClip: true,
+					Stage: "primary", Score: 1, Threshold: 0.5,
+					Clip: testClip(g*each + i),
 				})
 			}
 		}(g)
@@ -444,8 +460,8 @@ func TestOracleFaultSpotChecker(t *testing.T) {
 	faultinject.Set(lithosim.SimulateSite, faultinject.Fault{Panic: "chaos: simulation exploded", Count: 3})
 	for i := 0; i < 2; i++ {
 		m.Observe(Event{
-			Detector: "MLP", Stage: "primary", Score: 1, Threshold: 0.5,
-			Clip: testClip(i), HasClip: true,
+			Stage: "primary", Score: 1, Threshold: 0.5,
+			Clip: testClip(i),
 		})
 	}
 	if !m.DrainSpotChecks(10 * time.Second) {

@@ -14,29 +14,11 @@
 
 package qualitymon
 
-import (
-	"math"
-	"sort"
-	"time"
-)
+import "time"
 
 // pageBurn is the fast-window burn-rate multiple that pages: error
 // budget burning at twice the sustainable rate.
 const pageBurn = 2
-
-// SketchSnapshot is one (detector, stage) series in a quality snapshot.
-type SketchSnapshot struct {
-	Detector string  `json:"detector"`
-	Stage    string  `json:"stage"`
-	Fast     int64   `json:"fast_count"`
-	Slow     int64   `json:"slow_count"`
-	P50      float64 `json:"p50"`
-	P90      float64 `json:"p90"`
-	P99      float64 `json:"p99"`
-	// FastBins are the fast-window bin counts; Edges their upper bounds.
-	Edges    []float64 `json:"edges"`
-	FastBins []int64   `json:"fast_bins"`
-}
 
 // ConfusionSnapshot is the slow-window spot-check confusion state.
 type ConfusionSnapshot struct {
@@ -83,7 +65,6 @@ type AlertSnapshot struct {
 // count or arrival order.
 type Snapshot struct {
 	At        time.Time         `json:"at"`
-	Sketches  []SketchSnapshot  `json:"sketches"`
 	SpotCheck SpotCheckSnapshot `json:"spot_check"`
 	SLO       SLOSnapshot       `json:"slo"`
 	Alert     AlertSnapshot     `json:"alert"`
@@ -98,14 +79,6 @@ func ratio(a, b int64) float64 {
 	return float64(a) / float64(a+b)
 }
 
-// finite maps NaN/Inf (empty-window quantiles) to 0 for JSON.
-func finite(v float64) float64 {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0
-	}
-	return v
-}
-
 // burnRate is the burn multiple of a window: bad fraction over error
 // budget. Disabled (or empty) inputs burn nothing.
 func burnRate(good, bad int64, target float64) float64 {
@@ -115,9 +88,9 @@ func burnRate(good, bad int64, target float64) float64 {
 	return (float64(bad) / float64(good+bad)) / (1 - target)
 }
 
-// Snapshot evaluates the sketches, confusion, and burn rates at the
-// current clock reading, advances the alert state machine, and returns
-// the full document.
+// Snapshot evaluates confusion and burn rates at the current clock
+// reading, advances the alert state machine, and returns the full
+// document.
 func (m *Monitor) Snapshot() Snapshot {
 	if m == nil {
 		return Snapshot{Alert: AlertSnapshot{Name: alertName(AlertOK)}}
@@ -125,64 +98,31 @@ func (m *Monitor) Snapshot() Snapshot {
 	now := m.clock.Now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	epoch := m.conf.epochOf(now)
-	keys := make([]seriesKey, 0, len(m.sketches))
-	for k := range m.sketches {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].detector != keys[j].detector {
-			return keys[i].detector < keys[j].detector
-		}
-		return keys[i].stage < keys[j].stage
-	})
+	epoch := m.win.epochOf(now)
+	fast := m.win.merged(epoch, fastSubs)
+	slow := m.win.merged(epoch, slowSubs)
 
 	snap := Snapshot{At: now}
-	for _, k := range keys {
-		sk := m.sketches[k]
-		fast := sk.merged(epoch, fastSubs)
-		slow := sk.merged(epoch, slowSubs)
-		ss := SketchSnapshot{
-			Detector: k.detector,
-			Stage:    k.stage,
-			Edges:    append([]float64(nil), scoreEdges...),
-			FastBins: fast,
-			P50:      finite(quantile(scoreEdges, fast, 0.50)),
-			P90:      finite(quantile(scoreEdges, fast, 0.90)),
-			P99:      finite(quantile(scoreEdges, fast, 0.99)),
-		}
-		for _, c := range fast {
-			ss.Fast += c
-		}
-		for _, c := range slow {
-			ss.Slow += c
-		}
-		snap.Sketches = append(snap.Sketches, ss)
-	}
-
-	conf := m.conf.merged(epoch, slowSubs)
 	snap.SpotCheck = SpotCheckSnapshot{
 		Sampled:    m.spotSampled.Load(),
 		Mismatches: m.spotMismatch.Load(),
 		Dropped:    m.spotDropped.Load(),
 		Errors:     m.spotErrors.Load(),
 		Window: ConfusionSnapshot{
-			TP: conf[confTP], FP: conf[confFP], TN: conf[confTN], FN: conf[confFN],
-			Recall:     ratio(conf[confTP], conf[confFN]),
-			FalseAlarm: ratio(conf[confFP], conf[confTN]),
+			TP: slow[confTP], FP: slow[confFP], TN: slow[confTN], FN: slow[confFN],
+			Recall:     ratio(slow[confTP], slow[confFN]),
+			FalseAlarm: ratio(slow[confFP], slow[confTN]),
 		},
 	}
 	snap.SpotCheck.Recall = snap.SpotCheck.Window.Recall
 	snap.SpotCheck.FalseAlarm = snap.SpotCheck.Window.FalseAlarm
 
-	fastSLO := m.slo.merged(epoch, fastSubs)
-	slowSLO := m.slo.merged(epoch, slowSubs)
 	snap.SLO = SLOSnapshot{
 		Target:   m.opts.SLOTarget,
-		FastGood: fastSLO[sloGood], FastBad: fastSLO[sloBad],
-		SlowGood: slowSLO[sloGood], SlowBad: slowSLO[sloBad],
-		BurnFast: burnRate(fastSLO[sloGood], fastSLO[sloBad], m.opts.SLOTarget),
-		BurnSlow: burnRate(slowSLO[sloGood], slowSLO[sloBad], m.opts.SLOTarget),
+		FastGood: fast[sloGood], FastBad: fast[sloBad],
+		SlowGood: slow[sloGood], SlowBad: slow[sloBad],
+		BurnFast: burnRate(fast[sloGood], fast[sloBad], m.opts.SLOTarget),
+		BurnSlow: burnRate(slow[sloGood], slow[sloBad], m.opts.SLOTarget),
 	}
 
 	// Desired level from the raw inputs, then hysteresis.

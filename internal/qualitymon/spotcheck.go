@@ -106,20 +106,20 @@ func (m *Monitor) runSpotJob(j spotJob) {
 			tap(j.clip, j.predicted, actual)
 		}
 	}
-	m.mu.Lock()
-	now := m.conf.epochOf(m.clock.Now())
-	m.conf.add(j.at, now, idx, 1)
 	sloIdx := sloBad
 	if match {
 		sloIdx = sloGood
 	}
-	m.slo.add(j.at, now, sloIdx, 1)
+	m.mu.Lock()
+	now := m.win.epochOf(m.clock.Now())
+	m.win.add(j.at, now, idx)
+	m.win.add(j.at, now, sloIdx)
 	m.mu.Unlock()
 }
 
 // DrainSpotChecks blocks until every enqueued spot check has been
-// processed (or the timeout passes); for tests and end-of-scan
-// summaries. Returns false on timeout.
+// processed (or the timeout passes); a test seam. Returns false on
+// timeout.
 func (m *Monitor) DrainSpotChecks(timeout time.Duration) bool {
 	if m == nil {
 		return true

@@ -1,7 +1,6 @@
 package qualitymon
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -15,13 +14,13 @@ func newFakeClock() *resilience.FakeClock {
 
 func TestWindowRingRotation(t *testing.T) {
 	sub := 10 * time.Second
-	r := newWindowRing(sub, 3, 1)
+	r := newWindowRing(sub, 3)
 	base := time.Unix(1000, 0)
 	ep := func(at time.Time) int64 { return r.epochOf(at) }
 
-	r.add(base, ep(base), 0, 1)
-	r.add(base.Add(sub), ep(base.Add(sub)), 0, 1)
-	r.add(base.Add(2*sub), ep(base.Add(2*sub)), 0, 1)
+	r.add(base, ep(base), 0)
+	r.add(base.Add(sub), ep(base.Add(sub)), 0)
+	r.add(base.Add(2*sub), ep(base.Add(2*sub)), 0)
 	if got := r.merged(ep(base.Add(2*sub)), 3)[0]; got != 3 {
 		t.Fatalf("3 sub-windows merged: got %d, want 3", got)
 	}
@@ -30,45 +29,26 @@ func TestWindowRingRotation(t *testing.T) {
 	}
 	// Advancing one more sub-window drops the oldest slot when written.
 	at := base.Add(3 * sub)
-	r.add(at, ep(at), 0, 5)
+	for i := 0; i < 5; i++ {
+		r.add(at, ep(at), 0)
+	}
 	if got := r.merged(ep(at), 3)[0]; got != 7 {
 		t.Fatalf("after rotation: got %d, want 7 (1+1+5)", got)
 	}
 	// A timestamp older than the ring's span is discarded, not counted
 	// into a recycled slot.
-	r.add(base.Add(-10*sub), ep(at), 0, 100)
+	r.add(base.Add(-10*sub), ep(at), 0)
 	if got := r.merged(ep(at), 3)[0]; got != 7 {
 		t.Fatalf("stale event leaked into ring: got %d, want 7", got)
 	}
 }
 
 func TestWindowRingFutureEpochExcluded(t *testing.T) {
-	r := newWindowRing(time.Second, 4, 1)
+	r := newWindowRing(time.Second, 4)
 	base := time.Unix(2000, 0)
-	r.add(base.Add(2*time.Second), r.epochOf(base.Add(2*time.Second)), 0, 1)
+	r.add(base.Add(2*time.Second), r.epochOf(base.Add(2*time.Second)), 0)
 	// Merging "as of" base must not see the future slot.
 	if got := r.merged(r.epochOf(base), 4)[0]; got != 0 {
 		t.Fatalf("future slot visible in past merge: got %d", got)
-	}
-}
-
-func TestQuantileInterpolation(t *testing.T) {
-	edges := []float64{0.25, 0.5, 0.75} // 4 bins over ~[0,1]
-	counts := []int64{10, 10, 10, 10}
-	p50 := quantile(edges, counts, 0.5)
-	if math.Abs(p50-0.5) > 1e-9 {
-		t.Fatalf("uniform p50 = %v, want 0.5", p50)
-	}
-	p99 := quantile(edges, counts, 0.99)
-	if p99 <= 0.75 || p99 > 1.0 {
-		t.Fatalf("uniform p99 = %v, want in (0.75, 1]", p99)
-	}
-	if !math.IsNaN(quantile(edges, []int64{0, 0, 0, 0}, 0.5)) {
-		t.Fatalf("empty counts should produce NaN")
-	}
-	// All mass in one bin: every quantile lands inside that bin.
-	q := quantile(edges, []int64{0, 0, 42, 0}, 0.5)
-	if q <= 0.5 || q > 0.75 {
-		t.Fatalf("single-bin p50 = %v, want in (0.5, 0.75]", q)
 	}
 }

@@ -1,15 +1,20 @@
-// Debug surfaces: retained-trace inspection and profiling.
+// Debug surfaces: retained-trace inspection, the quality snapshot and
+// profiling. Each lives on exactly one mux.
+//
+// On the serving mux (Handler), uninstrumented:
 //
 // GET /debug/traces        -> JSON list of retained traces (?limit=N),
-//                             or one full trace with ?id=<hex trace id>
+//                             or one full trace with ?id=<hex trace id>;
+//                             mounted when the server has a tracer
 // GET /debug/traces/chrome -> the same traces in Chrome trace_event
 //                             format, loadable in about:tracing and
 //                             https://ui.perfetto.dev (?limit=N, ?id=)
+// GET /debug/quality       -> the quality monitor's snapshot; mounted
+//                             when the server has a monitor
 //
-// The trace endpoints are registered on the main handler when the
-// server has a tracer. DebugMux additionally wires net/http/pprof; it is meant
-// for a separate, non-public listener (hsdserve -debug-addr), since
-// profiles and traces expose internals no tenant should see.
+// On DebugMux only: net/http/pprof under /debug/pprof/. It is meant for
+// a separate, non-public listener (hsdserve -debug-addr), since a CPU
+// profile or heap dump can stall the process.
 
 package serve
 
@@ -95,9 +100,9 @@ func (s *Server) handleTracesChrome(w http.ResponseWriter, r *http.Request) {
 }
 
 // DebugMux returns the handler for a private debug listener: pprof
-// under /debug/pprof/ plus the trace endpoints. Profiling endpoints can
-// stall the process (heap dumps, CPU profiles), so they are never
-// mounted on the serving mux.
+// under /debug/pprof/, and nothing else. Profiling endpoints can stall
+// the process (heap dumps, CPU profiles), so they are never mounted on
+// the serving mux.
 func (s *Server) DebugMux() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -105,10 +110,5 @@ func (s *Server) DebugMux() http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/debug/traces", s.handleTraces)
-	mux.HandleFunc("/debug/traces/chrome", s.handleTracesChrome)
-	if s.quality != nil {
-		mux.HandleFunc("/debug/quality", s.handleQuality)
-	}
 	return mux
 }

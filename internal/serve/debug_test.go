@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
+	"github.com/golitho/hsd/internal/qualitymon"
 	"github.com/golitho/hsd/internal/trace"
 )
 
@@ -54,5 +56,67 @@ func TestDebugTracesRetainsCapacity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDebugQualityKeys: GET /debug/quality on the serving mux answers
+// with exactly the spot-check, SLO and alert sections and the snapshot
+// instant, after a scored clip fed the monitor.
+func TestDebugQualityKeys(t *testing.T) {
+	qm := qualitymon.New(qualitymon.Options{})
+	defer qm.Close()
+	s, err := NewServer(Options{Primary: thresholdDetector{}, Quality: qm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if code, _ := scoreOnce(t, ts); code != http.StatusOK {
+		t.Fatalf("score status = %d", code)
+	}
+	resp, err := http.Get(ts.URL + "/debug/quality")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range doc {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	if want := []string{"alert", "at", "slo", "spot_check"}; !slices.Equal(keys, want) {
+		t.Fatalf("/debug/quality keys = %v, want %v", keys, want)
+	}
+}
+
+// TestDebugMuxServesPprofOnly: the private debug listener serves
+// profiles and nothing the serving mux already does.
+func TestDebugMuxServesPprofOnly(t *testing.T) {
+	qm := qualitymon.New(qualitymon.Options{})
+	defer qm.Close()
+	s, err := NewServer(Options{Primary: thresholdDetector{}, Tracer: trace.New(trace.Config{}), Quality: qm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.DebugMux())
+	defer ts.Close()
+	for path, want := range map[string]int{
+		"/debug/pprof/":        http.StatusOK,
+		"/debug/traces":        http.StatusNotFound,
+		"/debug/traces/chrome": http.StatusNotFound,
+		"/debug/quality":       http.StatusNotFound,
+	} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("debug mux GET %s = %d, want %d", path, resp.StatusCode, want)
+		}
 	}
 }

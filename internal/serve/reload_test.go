@@ -310,33 +310,30 @@ func TestSwapResetsQualityMonitor(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// observed returns the monitor's series by detector name.
-	observed := func() map[string]qualitymon.SketchSnapshot {
-		out := map[string]qualitymon.SketchSnapshot{}
-		for _, sk := range qm.Snapshot().Sketches {
-			out[sk.Detector] = sk
-		}
-		return out
+	// outcomes is the number of primary outcomes in the SLO's slow window.
+	outcomes := func() int64 {
+		slo := qm.Snapshot().SLO
+		return slo.SlowGood + slo.SlowBad
 	}
 	if code, _ := scoreOnce(t, ts); code != http.StatusOK {
 		t.Fatalf("boot score status = %d", code)
 	}
-	if got := observed()["density-threshold"].Slow; got != 1 {
-		t.Fatalf("boot series holds %d scores, want 1", got)
+	if got := outcomes(); got != 1 {
+		t.Fatalf("boot generation left %d primary outcomes, want 1", got)
 	}
 
 	model := filepath.Join(t.TempDir(), "cnn-v2.hsdnn")
 	if resp := postReload(t, ts, fmt.Sprintf(`{"path":%q}`, model)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("reload status = %d", resp.StatusCode)
 	}
-	if sk := observed()["density-threshold"]; sk.Slow != 0 {
-		t.Fatalf("after reload the boot series holds %d scores, want 0 (reset)", sk.Slow)
+	if got := outcomes(); got != 0 {
+		t.Fatalf("after reload the window holds %d primary outcomes, want 0 (reset)", got)
 	}
 	if code, _ := scoreOnce(t, ts); code != http.StatusOK {
 		t.Fatalf("post-reload score status = %d", code)
 	}
-	if got := observed()["cnn-v2"].Slow; got != 1 {
-		t.Fatalf("reloaded series holds %d scores, want 1", got)
+	if got := outcomes(); got != 1 {
+		t.Fatalf("reloaded generation left %d primary outcomes, want 1", got)
 	}
 
 	resp, err := http.Post(ts.URL+"/admin/rollback", "application/json", nil)
@@ -347,7 +344,7 @@ func TestSwapResetsQualityMonitor(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || s.Registry().Live().ID != 1 {
 		t.Fatalf("rollback status = %d, live generation %d", resp.StatusCode, s.Registry().Live().ID)
 	}
-	if sk := observed()["cnn-v2"]; sk.Slow != 0 {
-		t.Fatalf("after rollback the cnn-v2 series holds %d scores, want 0 (reset)", sk.Slow)
+	if got := outcomes(); got != 0 {
+		t.Fatalf("after rollback the window holds %d primary outcomes, want 0 (reset)", got)
 	}
 }

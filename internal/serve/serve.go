@@ -86,7 +86,9 @@ type Options struct {
 	DeadlineBudget time.Duration
 	// Breaker tunes the primary-detector circuit breaker; the zero
 	// value gets the resilience defaults (5 consecutive failures trip,
-	// 5s cool-down, 1 probe).
+	// 5s cool-down, 1 probe). Its OnStateChange is the server's own:
+	// NewServer overwrites it with the hook that sets the
+	// hotspot_breaker_state gauge.
 	Breaker resilience.BreakerConfig
 	// ShedRate, when positive, enables token-bucket admission control
 	// at this many requests per second (capacity max(ShedRate, 1)). Shed
@@ -120,11 +122,11 @@ type Options struct {
 	// that rolls back automatically when errors spike.
 	Reload *ReloadOptions
 	// Quality, when non-nil, enables model-quality monitoring: every
-	// cascade answer feeds the monitor's score sketches (stage "primary"
-	// or "fallback"), primary outcomes feed its SLO window, and
-	// GET /debug/quality serves its snapshot; its gauges go where its own
-	// Options.Metrics says. With hot reload enabled the server resets the
-	// monitor on every generation change.
+	// cascade answer is observed (stage "primary" or "fallback") for the
+	// monitor's spot checks and low-confidence tap, primary outcomes feed
+	// its SLO window, and GET /debug/quality serves its snapshot; its
+	// gauges go where its own Options.Metrics says. With hot reload
+	// enabled the server resets the monitor on every generation change.
 	Quality *qualitymon.Monitor
 }
 
@@ -233,13 +235,7 @@ func NewServer(opts Options) (*Server, error) {
 		bcfg.Clock = opts.Clock
 	}
 	stateGauge := reg.Gauge("hotspot_breaker_state")
-	userOnState := bcfg.OnStateChange
-	bcfg.OnStateChange = func(st resilience.BreakerState) {
-		stateGauge.Set(float64(st))
-		if userOnState != nil {
-			userOnState(st)
-		}
-	}
+	bcfg.OnStateChange = func(st resilience.BreakerState) { stateGauge.Set(float64(st)) }
 	s.breaker = resilience.NewBreaker(bcfg)
 	if opts.ShedRate > 0 {
 		s.shed = resilience.NewShedder(resilience.ShedderConfig{
@@ -299,9 +295,9 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// handleQuality serves the quality monitor's full snapshot: per-series
-// score sketches, spot-check confusion, SLO burn rates, and the alert
-// state. Taking the snapshot also advances the alert state machine.
+// handleQuality serves the quality monitor's full snapshot: spot-check
+// totals and confusion, SLO burn rates, and the alert state. Taking the
+// snapshot also advances the alert state machine.
 func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -629,11 +625,7 @@ func (s *Server) cascade(ctx context.Context, items []scoreItem) []scoreResult {
 // marks it degraded.
 func (s *Server) answer(det core.Detector, stage string, clip layout.Clip, score float64, reason string) ScoreResponse {
 	thr := det.Threshold()
-	s.quality.Observe(qualitymon.Event{
-		Detector: det.Name(), Stage: stage,
-		Score: score, Threshold: thr,
-		Clip: clip, HasClip: true,
-	})
+	s.quality.Observe(qualitymon.Event{Stage: stage, Score: score, Threshold: thr, Clip: clip})
 	return ScoreResponse{
 		Detector: det.Name(), Score: score,
 		Threshold: thr, Hotspot: score >= thr,

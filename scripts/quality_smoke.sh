@@ -68,7 +68,7 @@ if [ -z "$ready" ]; then
 	exit 1
 fi
 
-# Fresh monitor: no sketches yet, alert ok.
+# Fresh monitor: nothing observed yet, alert ok.
 curl -fsS "http://$ADDR/debug/quality" >"$WORK/q0.json"
 grep -q '"state":0' "$WORK/q0.json"
 
