@@ -82,20 +82,12 @@ func run() error {
 		return err
 	}
 	if tracer != nil {
-		traces := tracer.Traces(0)
-		f, err := os.Create(*traceOut)
+		n, err := cli.WriteChromeTrace(*traceOut, tracer)
 		if err != nil {
 			return err
 		}
-		if err := trace.WriteChrome(f, traces); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
 		fmt.Printf("wrote %d evaluation traces to %s (load in about:tracing or ui.perfetto.dev)\n",
-			len(traces), *traceOut)
+			n, *traceOut)
 	}
 	shallow, deep := experiments.SplitZoo(results)
 	fmt.Println(experiments.DetectorTable("Table II: shallow detectors", suite, shallow))

@@ -82,7 +82,7 @@ func run() error {
 		return fmt.Errorf("journal %s already exists; pass -resume to continue it, or remove it for a fresh run", *journalPath)
 	}
 
-	_, bench, err := cli.LoadBenchmark(*suitePath, *benchName)
+	suite, bench, err := cli.LoadBenchmark(*suitePath, *benchName)
 	if err != nil {
 		return err
 	}
@@ -134,7 +134,11 @@ func run() error {
 		ctx, root = trace.Start(ctx, "hsdscan",
 			trace.A("detector", det.Name()), trace.A("chip", chip.Name))
 	}
+	// The windows are the suite's, the geometry the detector was trained
+	// at.
 	farmCfg := hsd.ScanFarmConfig{
+		ClipNM:    suite.Config.ClipNM,
+		CoreFrac:  suite.Config.CoreFrac,
 		SkipEmpty: true,
 		Workers:   *workers,
 		ShardRows: *shardRows,
@@ -197,7 +201,7 @@ func run() error {
 		fmt.Printf("wrote %d findings to %s\n", len(findings), *findingsOut)
 	}
 	if tracer != nil {
-		if err := writeChromeTrace(*traceOut, tracer); err != nil {
+		if _, err := cli.WriteChromeTrace(*traceOut, tracer); err != nil {
 			return err
 		}
 		fmt.Printf("wrote scan trace to %s (load in about:tracing or ui.perfetto.dev)\n", *traceOut)
@@ -218,7 +222,7 @@ func run() error {
 		}
 		line := fmt.Sprintf("%3d. center=%v score=%.3f", i+1, fd.Center, fd.Score)
 		if sim != nil {
-			clip, err := chip.ClipAt(fd.Center, 1024, 0.5)
+			clip, err := chip.ClipAt(fd.Center, suite.Config.ClipNM, suite.Config.CoreFrac)
 			if err != nil {
 				return err
 			}
@@ -268,20 +272,6 @@ func writeFindings(path string, findings []hsd.Finding) error {
 			strconv.FormatFloat(fd.Score, 'g', -1, 64))
 	}
 	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeChromeTrace dumps every trace the tracer retained as one Chrome
-// trace_event JSON file.
-func writeChromeTrace(path string, tracer *trace.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.WriteChrome(f, tracer.Traces(0)); err != nil {
 		f.Close()
 		return err
 	}

@@ -35,14 +35,14 @@ func (s Stump) Eval(x []float64) float64 {
 	return -1
 }
 
+// minWeightedError stops training early when the best stump's error
+// exceeds 0.5 - minWeightedError (no better than chance).
+const minWeightedError = 1e-6
+
 // Config parameterizes training.
 type Config struct {
 	// Rounds is the number of boosting rounds (default 100).
 	Rounds int
-	// MinWeightedError stops training early when the best stump's error
-	// exceeds 0.5 - MinWeightedError (no better than chance).
-	// Default 1e-6.
-	MinWeightedError float64
 	// ClassBalance starts each class with equal total weight, the
 	// imbalance-aware variant used for minority hotspot classes.
 	ClassBalance bool
@@ -51,9 +51,6 @@ type Config struct {
 func (c *Config) normalize() {
 	if c.Rounds <= 0 {
 		c.Rounds = 100
-	}
-	if c.MinWeightedError <= 0 {
-		c.MinWeightedError = 1e-6
 	}
 }
 
@@ -97,7 +94,7 @@ func Train(x [][]float64, y []int, cfg Config) (*Model, error) {
 	m := &Model{}
 	for round := 0; round < cfg.Rounds; round++ {
 		best, bestErr := s.best(ys, w)
-		if bestErr >= 0.5-cfg.MinWeightedError {
+		if bestErr >= 0.5-minWeightedError {
 			break // weak learner no better than chance
 		}
 		if bestErr < 1e-12 {

@@ -2,7 +2,8 @@
 // -seed into a fitted detector. hsdtrain, hsdeval, hsdscan, hsdserve
 // and hsdlearn register their own flags (names, defaults and help text
 // are theirs) and call in here for every decision those flags imply, so
-// a typo is refused with the same message everywhere.
+// a typo is refused with the same message everywhere. It also writes
+// the -trace file of hsdscan and hsdeval.
 package cli
 
 import (
@@ -14,6 +15,7 @@ import (
 	hsd "github.com/golitho/hsd"
 	"github.com/golitho/hsd/internal/nn"
 	"github.com/golitho/hsd/internal/telemetry"
+	"github.com/golitho/hsd/internal/trace"
 )
 
 // Version is the line -version prints: the hotspot_build_info fields.
@@ -111,4 +113,19 @@ func NetworkLoader(nd *hsd.NeuralDetector) func(path string) (hsd.Detector, erro
 		}
 		return nd.WithNetwork(net)
 	}
+}
+
+// WriteChromeTrace writes every trace tracer retained to path as one
+// Chrome trace_event JSON file, and returns how many it wrote.
+func WriteChromeTrace(path string, tracer *trace.Tracer) (int, error) {
+	traces := tracer.Traces(0)
+	f, err := os.Create(path)
+	if err != nil {
+		return 0, err
+	}
+	if err := trace.WriteChrome(f, traces); err != nil {
+		f.Close()
+		return 0, err
+	}
+	return len(traces), f.Close()
 }

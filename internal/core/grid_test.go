@@ -24,7 +24,7 @@ func TestScanDefaultStrideTilesExactlyOnce(t *testing.T) {
 		{"rect-chip", 1024, 0.25, 2048, 1024},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			grid, err := NewGrid(geom.R(0, 0, tc.edgeX, tc.edgeY), tc.clipNM, tc.coreFrac, 0)
+			grid, err := NewGrid(geom.R(0, 0, tc.edgeX, tc.edgeY), tc.clipNM, tc.coreFrac)
 			if err != nil {
 				t.Fatal(err)
 			}

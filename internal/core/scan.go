@@ -35,9 +35,9 @@ type Grid struct {
 	ClipNM int
 	// CoreFrac is the scored core fraction (default 0.5).
 	CoreFrac float64
-	// StrideNM is the window step. It defaults to the core edge exactly
-	// as layout.ClipAt rounds it, so cores tile the chip without
-	// hairline gaps when ClipNM*CoreFrac is odd.
+	// StrideNM is the window step, derived: the core edge exactly as
+	// layout.ClipAt rounds it, so cores tile the chip without hairline
+	// gaps when ClipNM*CoreFrac is odd.
 	StrideNM int
 	// Cols, Rows are the dimensions of the window-center grid; both are
 	// zero for empty bounds.
@@ -50,8 +50,8 @@ type Grid struct {
 // for non-positive (or, for coreFrac, out-of-range) arguments. A
 // geometry whose core half-edge rounds to zero has no cores to tile the
 // die with and is refused.
-func NewGrid(bounds geom.Rect, clipNM int, coreFrac float64, strideNM int) (Grid, error) {
-	g := Grid{Bounds: bounds, ClipNM: clipNM, CoreFrac: coreFrac, StrideNM: strideNM}
+func NewGrid(bounds geom.Rect, clipNM int, coreFrac float64) (Grid, error) {
+	g := Grid{Bounds: bounds, ClipNM: clipNM, CoreFrac: coreFrac}
 	if g.ClipNM <= 0 {
 		g.ClipNM = 1024
 	}
@@ -64,9 +64,7 @@ func NewGrid(bounds geom.Rect, clipNM int, coreFrac float64, strideNM int) (Grid
 		return Grid{}, fmt.Errorf("core: scan geometry ClipNM=%d CoreFrac=%v has an empty core (ClipNM*CoreFrac must be at least 2)",
 			g.ClipNM, g.CoreFrac)
 	}
-	if g.StrideNM <= 0 {
-		g.StrideNM = g.CoreNM()
-	}
+	g.StrideNM = g.CoreNM()
 	if !bounds.Empty() {
 		g.Cols = ceilDiv(bounds.Dx(), g.StrideNM)
 		g.Rows = ceilDiv(bounds.Dy(), g.StrideNM)
@@ -148,11 +146,10 @@ func recoverWindow(err *error) {
 
 // ScanConfig controls full-chip scanning.
 type ScanConfig struct {
-	// ClipNM, CoreFrac and StrideNM are the window geometry; zero values
-	// take Grid's defaults (1024, 0.5, the core edge).
+	// ClipNM and CoreFrac are the window geometry; zero values take
+	// Grid's defaults (1024, 0.5). The window steps by the core edge.
 	ClipNM   int
 	CoreFrac float64
-	StrideNM int
 	// Workers bounds concurrency; 0 means GOMAXPROCS.
 	Workers int
 	// SkipEmpty skips windows with no geometry (always sound: empty
@@ -189,9 +186,9 @@ type ScanResult struct {
 }
 
 // ScanCtx slides a detection window across the chip and returns the
-// flagged windows. Cores tile the die (given the default stride), so
-// every location is scored exactly once. Windows are scored in parallel
-// on the one det (see Detector's contract). It honors cancellation and
+// flagged windows. Cores tile the die, so every location is scored
+// exactly once. Windows are scored in parallel on the one det (see
+// Detector's contract). It honors cancellation and
 // deadlines, returning the partial findings gathered so far with an
 // explicit Interrupted marker instead of an error. Findings are in
 // window-enumeration order and cover exactly the contiguous prefix of
@@ -202,7 +199,7 @@ type ScanResult struct {
 // errors beyond the prefix of an interrupted scan are unreported, since
 // their windows are not part of the result.
 func ScanCtx(ctx context.Context, chip *layout.Layout, det Detector, cfg ScanConfig) (ScanResult, error) {
-	grid, err := NewGrid(chip.Bounds(), cfg.ClipNM, cfg.CoreFrac, cfg.StrideNM)
+	grid, err := NewGrid(chip.Bounds(), cfg.ClipNM, cfg.CoreFrac)
 	if err != nil {
 		return ScanResult{}, err
 	}

@@ -81,7 +81,8 @@ type Options struct {
 	SpotMissTap SpotMissTap
 
 	// Metrics exports the monitor's gauges and counters (see
-	// exportMetrics for the series; nil: not exported).
+	// exportMetrics for the series); nil means a private registry, so
+	// the spot-check counters that Snapshot reports always have a home.
 	Metrics *telemetry.Registry
 
 	Logf func(format string, args ...any) // nil = silent
@@ -115,8 +116,8 @@ func alertName(s int) string {
 	}
 }
 
-// qmMetrics are the event-time counter handles, resolved once in New
-// (nil handles when Options.Metrics is nil).
+// qmMetrics are the event-time counter handles, resolved once in New:
+// the one home of the cumulative spot-check totals.
 type qmMetrics struct {
 	spotChecks     *telemetry.Counter
 	spotMismatches *telemetry.Counter
@@ -138,10 +139,6 @@ type Monitor struct {
 	alertState int
 	belowSince time.Time // zero = inputs currently at/above alertState
 
-	// cumulative spot-check counters (mirrored by the telemetry
-	// counters in mets).
-	spotSampled, spotDropped, spotErrors, spotMismatch atomic.Int64
-
 	spotq   chan spotJob // nil unless this monitor samples spot checks
 	pending atomic.Int64 // queued + running spot checks, for Drain
 	wg      sync.WaitGroup
@@ -158,6 +155,9 @@ func New(opts Options) *Monitor {
 	}
 	if opts.SubWindow <= 0 {
 		opts.SubWindow = 10 * time.Second
+	}
+	if opts.Metrics == nil {
+		opts.Metrics = telemetry.NewRegistry()
 	}
 	m := &Monitor{
 		opts:  opts,
@@ -273,8 +273,8 @@ func (m *Monitor) exportMetrics(reg *telemetry.Registry) {
 	}
 	reg.OnCollect(func() {
 		snap := m.Snapshot()
-		reg.Gauge("hotspot_online_recall").Set(snap.SpotCheck.Recall)
-		reg.Gauge("hotspot_online_false_alarm").Set(snap.SpotCheck.FalseAlarm)
+		reg.Gauge("hotspot_online_recall").Set(snap.SpotCheck.Window.Recall)
+		reg.Gauge("hotspot_online_false_alarm").Set(snap.SpotCheck.Window.FalseAlarm)
 		reg.Gauge("hotspot_slo_burn_rate", telemetry.L("window", "fast")).Set(snap.SLO.BurnFast)
 		reg.Gauge("hotspot_slo_burn_rate", telemetry.L("window", "slow")).Set(snap.SLO.BurnSlow)
 		reg.Gauge("hotspot_quality_alert_state").Set(float64(snap.Alert.State))

@@ -2,6 +2,7 @@ package qualitymon
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -214,6 +215,37 @@ func TestSpotCheckerConfusion(t *testing.T) {
 	}
 	if snap.Alert.State != AlertPage {
 		t.Fatalf("alert = %s, want page on burn", snap.Alert.Name)
+	}
+}
+
+// TestSpotTotalsWithoutMetrics: the spot-check totals live in the
+// monitor's counters, so a Monitor built without Options.Metrics still
+// reports every one of them in Snapshot.
+func TestSpotTotalsWithoutMetrics(t *testing.T) {
+	opts := testMonitorOpts(newFakeClock())
+	opts.SpotCheckRate = 1
+	errOracle := errors.New("oracle down")
+	bad := testClip(0).Fingerprint()
+	opts.Oracle = func(_ context.Context, c layout.Clip) (bool, error) {
+		if c.Fingerprint() == bad {
+			return false, errOracle
+		}
+		return true, nil
+	}
+	m := New(opts)
+	// Clip 0 fails every oracle attempt; clip 1 is hot as predicted;
+	// clip 2 is hot against a cold prediction.
+	for i, score := range []float64{1, 1, 0} {
+		m.Observe(Event{Stage: "primary", Score: score, Threshold: 0.5, Clip: testClip(i)})
+	}
+	if !m.DrainSpotChecks(10 * time.Second) {
+		t.Fatal("spot checks did not drain")
+	}
+	m.Close()
+	m.Observe(Event{Stage: "primary", Score: 1, Threshold: 0.5, Clip: testClip(3)})
+	sc := m.Snapshot().SpotCheck
+	if sc.Sampled != 4 || sc.Errors != 1 || sc.Mismatches != 1 || sc.Dropped != 1 {
+		t.Fatalf("spot-check totals %+v, want 4 sampled, 1 error, 1 mismatch, 1 dropped", sc)
 	}
 }
 

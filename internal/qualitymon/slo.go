@@ -32,15 +32,14 @@ type ConfusionSnapshot struct {
 	FalseAlarm float64 `json:"false_alarm"`
 }
 
-// SpotCheckSnapshot covers the shadow-oracle pipeline.
+// SpotCheckSnapshot covers the shadow-oracle pipeline: the cumulative
+// totals, and the slow window's confusion with its one rate pair.
 type SpotCheckSnapshot struct {
 	Sampled    int64             `json:"sampled_total"`
 	Mismatches int64             `json:"mismatches_total"`
 	Dropped    int64             `json:"dropped_total"`
 	Errors     int64             `json:"errors_total"`
 	Window     ConfusionSnapshot `json:"window"`
-	Recall     float64           `json:"recall"`
-	FalseAlarm float64           `json:"false_alarm"`
 }
 
 // SLOSnapshot is the burn-rate state.
@@ -104,18 +103,16 @@ func (m *Monitor) Snapshot() Snapshot {
 
 	snap := Snapshot{At: now}
 	snap.SpotCheck = SpotCheckSnapshot{
-		Sampled:    m.spotSampled.Load(),
-		Mismatches: m.spotMismatch.Load(),
-		Dropped:    m.spotDropped.Load(),
-		Errors:     m.spotErrors.Load(),
+		Sampled:    int64(m.mets.spotChecks.Value()),
+		Mismatches: int64(m.mets.spotMismatches.Value()),
+		Dropped:    int64(m.mets.spotDropped.Value()),
+		Errors:     int64(m.mets.spotErrors.Value()),
 		Window: ConfusionSnapshot{
 			TP: slow[confTP], FP: slow[confFP], TN: slow[confTN], FN: slow[confFN],
 			Recall:     ratio(slow[confTP], slow[confFN]),
 			FalseAlarm: ratio(slow[confFP], slow[confTN]),
 		},
 	}
-	snap.SpotCheck.Recall = snap.SpotCheck.Window.Recall
-	snap.SpotCheck.FalseAlarm = snap.SpotCheck.Window.FalseAlarm
 
 	snap.SLO = SLOSnapshot{
 		Target:   m.opts.SLOTarget,

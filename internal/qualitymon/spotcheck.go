@@ -53,7 +53,6 @@ const spotQueue = 256
 // protect. So does a closed one: a clip sampled after Close is dropped,
 // never sent.
 func (m *Monitor) enqueueSpot(j spotJob) {
-	m.spotSampled.Add(1)
 	m.mets.spotChecks.Inc()
 	m.qmu.Lock()
 	defer m.qmu.Unlock()
@@ -66,7 +65,6 @@ func (m *Monitor) enqueueSpot(j spotJob) {
 			m.pending.Add(-1)
 		}
 	}
-	m.spotDropped.Add(1)
 	m.mets.spotDropped.Inc()
 }
 
@@ -84,7 +82,6 @@ func (m *Monitor) runSpotJob(j spotJob) {
 	defer m.pending.Add(-1)
 	actual, _, err := lithosim.Verify(context.Background(), m.opts.Oracle, j.clip)
 	if err != nil {
-		m.spotErrors.Add(1)
 		m.mets.spotErrors.Inc()
 		m.logf("qualitymon: spot-check oracle: %v", err)
 		return
@@ -100,7 +97,6 @@ func (m *Monitor) runSpotJob(j spotJob) {
 	}
 	match := actual == j.predicted
 	if !match {
-		m.spotMismatch.Add(1)
 		m.mets.spotMismatches.Inc()
 		if tap := m.opts.SpotMissTap; tap != nil {
 			tap(j.clip, j.predicted, actual)

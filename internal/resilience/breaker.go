@@ -48,11 +48,6 @@ type BreakerConfig struct {
 	OpenTimeout time.Duration
 	// Clock drives the cool-down timer (default the wall clock).
 	Clock Clock
-	// OnStateChange, when non-nil, is called synchronously on every
-	// transition (and once with the initial state at construction). It
-	// runs with the breaker lock held and must not call back into the
-	// breaker; setting a telemetry gauge is the intended use.
-	OnStateChange func(BreakerState)
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
@@ -80,29 +75,15 @@ type Breaker struct {
 	openedAt time.Time
 }
 
-// NewBreaker constructs a Breaker in the closed state.
+// NewBreaker constructs a Breaker in the closed state. A telemetry
+// gauge of its state is pulled through State at scrape time.
 func NewBreaker(cfg BreakerConfig) *Breaker {
-	b := &Breaker{cfg: cfg.withDefaults()}
-	if b.cfg.OnStateChange != nil {
-		b.cfg.OnStateChange(StateClosed)
-	}
-	return b
-}
-
-// setState transitions and notifies. Callers hold b.mu.
-func (b *Breaker) setState(s BreakerState) {
-	if b.state == s {
-		return
-	}
-	b.state = s
-	if b.cfg.OnStateChange != nil {
-		b.cfg.OnStateChange(s)
-	}
+	return &Breaker{cfg: cfg.withDefaults()}
 }
 
 // trip opens the breaker. Callers hold b.mu.
 func (b *Breaker) trip() {
-	b.setState(StateOpen)
+	b.state = StateOpen
 	b.openedAt = b.cfg.Clock.Now()
 	b.fails = 0
 }
@@ -122,7 +103,7 @@ func (b *Breaker) Allow() bool {
 		if b.cfg.Clock.Now().Sub(b.openedAt) < b.cfg.OpenTimeout {
 			return false
 		}
-		b.setState(StateHalfOpen)
+		b.state = StateHalfOpen
 		return true
 	default: // StateHalfOpen: the probe is out
 		return false
@@ -139,7 +120,7 @@ func (b *Breaker) Record(err error) {
 		case StateClosed:
 			b.fails = 0
 		case StateHalfOpen:
-			b.setState(StateClosed) // fails is 0 since the trip
+			b.state = StateClosed // fails is 0 since the trip
 		}
 		return
 	}

@@ -68,26 +68,24 @@ func (c *ClipCache) Get(key layout.Fingerprint) (float64, bool) {
 }
 
 // Put stores the score for key, evicting the least recently used entry
-// when full. It reports whether an eviction happened. Concurrent
-// workers may race to Put the same key; the scores are identical (pure
-// function of the key), so last-write-wins is harmless.
-func (c *ClipCache) Put(key layout.Fingerprint, score float64) (evicted bool) {
+// when full. Concurrent workers may race to Put the same key; the
+// scores are identical (pure function of the key), so last-write-wins is
+// harmless.
+func (c *ClipCache) Put(key layout.Fingerprint, score float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		el.Value.(*cacheEntry).score = score
 		c.ll.MoveToFront(el)
-		return false
+		return
 	}
 	if c.ll.Len() >= c.max {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
 		delete(c.items, oldest.Value.(*cacheEntry).key)
 		c.evictions++
-		evicted = true
 	}
 	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, score: score})
-	return evicted
 }
 
 // Len returns the current entry count.

@@ -177,24 +177,25 @@ func TestFarmCNNMatchesCoreScan(t *testing.T) {
 	}
 
 	// Other geometries and a standardized detector, each against its own
-	// serial scan. At a stride of 256 a window is 4 x 4 strides; at 500
-	// and 96 the clip is not a whole number of strides.
+	// serial scan. The window steps by its core edge: at a 256 nm core a
+	// window is 4 x 4 strides; at 500 and 96 the clip is not a whole
+	// number of strides, so the tile memo stands aside.
 	small := cnnChip(t, 4)
 	variants := []struct {
-		name   string
-		chip   *layout.Layout
-		det    core.Detector
-		stride int
+		name     string
+		chip     *layout.Layout
+		det      core.Detector
+		coreFrac float64
 	}{
-		{"stride256", small, det, 256},
-		{"stride500", chip, det, 500},
-		{"stride96", cnnChip(t, 3), det, 96},
+		{"stride256", small, det, 0.25},
+		{"stride500", chip, det, 500.0 / 1024},
+		{"stride96", cnnChip(t, 3), det, 96.0 / 1024},
 		{"scaled", chip, fittedCNN(t, true), 0},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			cfg := base
-			cfg.StrideNM, cfg.Workers, cfg.ShardRows, cfg.CacheSize = v.stride, 2, 2, 4096
+			cfg.CoreFrac, cfg.Workers, cfg.ShardRows, cfg.CacheSize = v.coreFrac, 2, 2, 4096
 			want := referenceFindings(t, v.chip, v.det, cfg)
 			requireMixedFindings(t, v.chip, cfg, want)
 			res, err := Run(context.Background(), v.chip, v.det, cfg)

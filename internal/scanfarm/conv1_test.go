@@ -159,7 +159,7 @@ func TestConv1SkipsOtherDetectors(t *testing.T) {
 	if m := newTileMemo(other, plan); m != nil {
 		t.Fatal("a CNN whose conv does not match its tensor shares its tiles")
 	}
-	if m := newTileMemo(plain, NewPlan(geom.R(0, 0, 8192, 8192), Config{StrideNM: 500})); m != nil {
-		t.Fatal("a 500 nm stride split the window into tiles")
+	if m := newTileMemo(plain, NewPlan(geom.R(0, 0, 8192, 8192), Config{CoreFrac: 500.0 / 1024})); m != nil {
+		t.Fatal("a 500 nm core split the window into tiles")
 	}
 }

@@ -135,15 +135,12 @@ func (m *farmMetrics) attempt(n int) {
 	}
 }
 
-func (m *farmMetrics) cache(hit, evicted bool) {
-	if hit {
-		m.cacheHits.Inc()
-	} else {
-		m.cacheMisses.Inc()
-	}
-	if evicted {
-		m.cacheEvictions.Inc()
-	}
+// cache adds one run's clip-cache counts: the cache is the counts'
+// home, and the series get them once per run.
+func (m *farmMetrics) cache(st CacheStats) {
+	m.cacheHits.Add(float64(st.Hits))
+	m.cacheMisses.Add(float64(st.Misses))
+	m.cacheEvictions.Add(float64(st.Evictions))
 }
 
 // Run scans the chip through the shard coordinator and returns the
@@ -151,13 +148,13 @@ func (m *farmMetrics) cache(hit, evicted bool) {
 // failure-containment contract. Unlike core.ScanCtx, a failing window
 // never aborts the run: it fails its shard, which retries and is
 // eventually quarantined.
-func Run(ctx context.Context, chip *layout.Layout, det core.Detector, cfg Config) (Result, error) {
+func Run(ctx context.Context, chip *layout.Layout, det core.Detector, cfg Config) (res Result, err error) {
 	cfg = cfg.withDefaults()
 	plan, err := newPlan(chip.Bounds(), cfg)
 	if err != nil {
 		return Result{}, fmt.Errorf("scanfarm: %w", err)
 	}
-	res := Result{Shards: plan.NumShards, Windows: plan.Windows()}
+	res = Result{Shards: plan.NumShards, Windows: plan.Windows()}
 	if plan.NumShards == 0 {
 		return res, nil
 	}
@@ -165,6 +162,12 @@ func Run(ctx context.Context, chip *layout.Layout, det core.Detector, cfg Config
 	var cache *ClipCache
 	if cfg.CacheSize > 0 {
 		cache = NewClipCache(cfg.CacheSize)
+		// However Run returns, the result and the series get the run's
+		// counts, once.
+		defer func() {
+			res.Cache = cache.Stats()
+			mets.cache(res.Cache)
+		}()
 	}
 
 	records := make([]*ShardRecord, plan.NumShards)
@@ -276,9 +279,6 @@ dispatch:
 	if err := ctx.Err(); err != nil && res.Completed < plan.NumShards {
 		res.Interrupted = true
 		res.Cause = err
-	}
-	if cache != nil {
-		res.Cache = cache.Stats()
 	}
 	return res, nil
 }
@@ -421,7 +421,6 @@ func (w *worker) scoreWindow(ctx context.Context, center geom.Point, col, row in
 		}
 		key = fp
 		if score, ok := w.cache.Get(key); ok {
-			w.mets.cache(true, false)
 			return score, nil
 		}
 	}
@@ -441,14 +440,10 @@ func (w *worker) scoreWindow(ctx context.Context, center geom.Point, col, row in
 		})
 	}
 	if err != nil {
-		if w.cache != nil {
-			w.mets.cache(false, false)
-		}
 		return 0, err
 	}
 	if w.cache != nil {
-		evicted := w.cache.Put(key, score)
-		w.mets.cache(false, evicted)
+		w.cache.Put(key, score)
 	}
 	return score, nil
 }

@@ -3,6 +3,7 @@ package scanfarm
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -286,6 +287,82 @@ func TestFarmCacheHitsOnRepeatedCells(t *testing.T) {
 	}
 	if got := counterValue(t, reg, "scan_cache_hits_total"); got != float64(cached.Cache.Hits) {
 		t.Fatalf("scan_cache_hits_total = %v, stats %d", got, cached.Cache.Hits)
+	}
+}
+
+// TestFarmCacheSeriesMatchResult: the clip cache is the one home of a
+// run's hit, miss and eviction counts, and Run adds them to the
+// scan_cache_*_total series once, however it returns. So the series move
+// by exactly Result.Cache after a completed run, a cancelled run and a
+// run whose journal append fails.
+func TestFarmCacheSeriesMatchResult(t *testing.T) {
+	chip := cellChip(t, 10)
+	det := densityDetector{thr: 0.1}
+	reg := telemetry.NewRegistry()
+	// Fewer entries than the chip has distinct windows, so it evicts.
+	cfg := Config{SkipEmpty: true, Workers: 2, ShardRows: 1, CacheSize: 8, Metrics: reg}
+	closed, err := CreateJournal(filepath.Join(t.TempDir(), "scan.journal"), cfg.Meta(chip, det.Name()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := closed.Close(); err != nil { // every Append now fails
+		t.Fatal(err)
+	}
+	series := func() CacheStats {
+		return CacheStats{
+			Hits:      int64(reg.Counter("scan_cache_hits_total").Value()),
+			Misses:    int64(reg.Counter("scan_cache_misses_total").Value()),
+			Evictions: int64(reg.Counter("scan_cache_evictions_total").Value()),
+		}
+	}
+	windows := int64(NewPlan(chip.Bounds(), cfg).Windows())
+	for _, tc := range []struct {
+		name    string
+		ctx     context.Context
+		journal *Journal
+		check   func(Result, error) error
+	}{
+		{"completed", context.Background(), nil, func(res Result, err error) error {
+			if err != nil || res.Completed != res.Shards {
+				return fmt.Errorf("completed %d of %d shards, err %v", res.Completed, res.Shards, err)
+			}
+			if res.Cache.Hits == 0 || res.Cache.Misses == 0 || res.Cache.Evictions == 0 {
+				return fmt.Errorf("cache stats %+v: want hits, misses and evictions", res.Cache)
+			}
+			return nil
+		}},
+		{"cancelled", cancelAfterPolls(context.Background(), windows/3), nil, func(res Result, err error) error {
+			if err != nil || !res.Interrupted {
+				return fmt.Errorf("interrupted %v, err %v; want an interrupted run", res.Interrupted, err)
+			}
+			return nil
+		}},
+		{"journal-append-fails", context.Background(), closed, func(_ Result, err error) error {
+			if err == nil || !strings.Contains(err.Error(), "journal append") {
+				return fmt.Errorf("err %v, want the journal append error", err)
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := series()
+			run := cfg
+			run.Journal = tc.journal
+			res, err := Run(tc.ctx, chip, det, run)
+			if err := tc.check(res, err); err != nil {
+				t.Fatal(err)
+			}
+			after := series()
+			got := CacheStats{
+				Hits:      after.Hits - before.Hits,
+				Misses:    after.Misses - before.Misses,
+				Evictions: after.Evictions - before.Evictions,
+			}
+			want := CacheStats{Hits: res.Cache.Hits, Misses: res.Cache.Misses, Evictions: res.Cache.Evictions}
+			if got != want || want.Misses == 0 {
+				t.Fatalf("series moved by %+v, Result.Cache holds %+v", got, want)
+			}
+		})
 	}
 }
 

@@ -44,10 +44,6 @@ func TestGridPinnedCenters(t *testing.T) {
 			{X: -125, Y: 725}, {X: 225, Y: 725}, {X: 575, Y: 725}, {X: 925, Y: 725},
 			{X: -125, Y: 1075}, {X: 225, Y: 1075}, {X: 575, Y: 1075}, {X: 925, Y: 1075},
 		}, geom.R(-300, 200, 1100, 900)},
-		{"explicit-stride", Config{ClipNM: 1000, CoreFrac: 0.35, StrideNM: 500}, 500, []geom.Point{
-			{X: -125, Y: 375}, {X: 375, Y: 375}, {X: 875, Y: 375},
-			{X: -125, Y: 875}, {X: 375, Y: 875}, {X: 875, Y: 875},
-		}, geom.R(-300, 200, 1200, 1050)},
 		{"defaults", Config{}, 512, []geom.Point{
 			{X: -44, Y: 456}, {X: 468, Y: 456}, {X: 980, Y: 456},
 			{X: -44, Y: 968}, {X: 468, Y: 968}, {X: 980, Y: 968},
@@ -73,7 +69,7 @@ func TestGridPinnedCenters(t *testing.T) {
 			// A detector that flags everything turns the serial scan's
 			// findings into its enumeration.
 			res, err := core.ScanCtx(context.Background(), chip, densityDetector{thr: -1}, core.ScanConfig{
-				ClipNM: tc.cfg.ClipNM, CoreFrac: tc.cfg.CoreFrac, StrideNM: tc.cfg.StrideNM})
+				ClipNM: tc.cfg.ClipNM, CoreFrac: tc.cfg.CoreFrac})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,21 +95,19 @@ func TestEmptyCoreGeometryRefused(t *testing.T) {
 		name     string
 		clipNM   int
 		coreFrac float64
-		strideNM int
 	}{
-		{"tiny-clip", 2, 0, 0},
-		{"tiny-core", 0, 0.001, 0},
-		{"tiny-core-explicit-stride", 0, 0.001, 256},
+		{"tiny-clip", 2, 0},
+		{"tiny-core", 0, 0.001},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			errs := make(chan error, 2)
 			go func() {
 				_, err := core.ScanCtx(context.Background(), chip, det,
-					core.ScanConfig{ClipNM: tc.clipNM, CoreFrac: tc.coreFrac, StrideNM: tc.strideNM})
+					core.ScanConfig{ClipNM: tc.clipNM, CoreFrac: tc.coreFrac})
 				errs <- err
 			}()
 			go func() {
-				cfg := Config{ClipNM: tc.clipNM, CoreFrac: tc.coreFrac, StrideNM: tc.strideNM}
+				cfg := Config{ClipNM: tc.clipNM, CoreFrac: tc.coreFrac}
 				if p := NewPlan(chip.Bounds(), cfg); p.NumShards != 0 || p.Windows() != 0 {
 					t.Errorf("NewPlan = %+v, want a plan with no shards", p)
 				}

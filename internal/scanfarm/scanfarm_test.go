@@ -93,7 +93,6 @@ func referenceFindings(t testing.TB, chip *layout.Layout, det core.Detector, cfg
 	res, err := core.ScanCtx(context.Background(), chip, det, core.ScanConfig{
 		ClipNM:    cfg.ClipNM,
 		CoreFrac:  cfg.CoreFrac,
-		StrideNM:  cfg.StrideNM,
 		SkipEmpty: cfg.SkipEmpty,
 	})
 	if err != nil {

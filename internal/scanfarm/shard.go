@@ -46,7 +46,7 @@ func NewPlan(bounds geom.Rect, cfg Config) Plan {
 }
 
 func newPlan(bounds geom.Rect, cfg Config) (Plan, error) {
-	grid, err := core.NewGrid(bounds, cfg.ClipNM, cfg.CoreFrac, cfg.StrideNM)
+	grid, err := core.NewGrid(bounds, cfg.ClipNM, cfg.CoreFrac)
 	if err != nil {
 		return Plan{}, err
 	}
@@ -99,11 +99,11 @@ func (p Plan) ShardBounds(id int) geom.Rect {
 // Config controls a scan-farm run. The zero value gets core.Grid's
 // window geometry defaults plus sensible farm defaults.
 type Config struct {
-	// ClipNM, CoreFrac and StrideNM are the window geometry; zero values
-	// take core.Grid's defaults (1024, 0.5, the core edge).
+	// ClipNM and CoreFrac are the window geometry; zero values take
+	// core.Grid's defaults (1024, 0.5). The window steps by the core
+	// edge, so the cores tile the chip.
 	ClipNM   int
 	CoreFrac float64
-	StrideNM int
 	// SkipEmpty skips windows with no geometry.
 	SkipEmpty bool
 	// Workers is the scan worker pool size (default GOMAXPROCS).

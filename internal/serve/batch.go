@@ -16,7 +16,6 @@ import (
 	"context"
 	"net/http"
 	"sync"
-	"time"
 
 	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/resilience"
@@ -33,17 +32,15 @@ type batchItem struct {
 // pendingBatch collects items until it is flushed by its leader.
 type pendingBatch struct {
 	items []*batchItem
-	full  chan struct{} // closed when the batch reaches maxSize
+	full  chan struct{} // closed when the batch reaches BatchMaxSize
 }
 
 // batcher coalesces submissions into pending batches. There is no
 // background goroutine: the leader request drives the flush, so the
-// batcher needs no lifecycle management.
+// batcher needs no lifecycle management. Its size cap, wait and clock
+// are the server's Options.
 type batcher struct {
-	srv     *Server
-	maxSize int
-	maxWait time.Duration
-	clock   resilience.Clock
+	srv *Server
 
 	mu  sync.Mutex
 	cur *pendingBatch
@@ -61,7 +58,7 @@ func (b *batcher) submit(ctx context.Context, clip layout.Clip) (ScoreResponse, 
 	}
 	pb := b.cur
 	pb.items = append(pb.items, item)
-	if len(pb.items) >= b.maxSize {
+	if len(pb.items) >= b.srv.opts.BatchMaxSize {
 		// Full: detach so the next submission opens a fresh batch, and
 		// wake the leader without waiting out the batch window.
 		b.cur = nil
@@ -79,7 +76,7 @@ func (b *batcher) submit(ctx context.Context, clip layout.Clip) (ScoreResponse, 
 	if leader {
 		select {
 		case <-pb.full:
-		case <-b.clock.After(b.maxWait):
+		case <-b.srv.opts.Clock.After(b.srv.opts.BatchMaxWait):
 			b.detach(pb)
 		case <-ctx.Done():
 			// A cancelled leader still owes its followers a flush.
@@ -132,11 +129,11 @@ func (b *batcher) flush(ctx context.Context, pb *pendingBatch) {
 	b.srv.batchSize.Observe(float64(len(live)))
 	bctx, cancel := resilience.WithBudget(context.WithoutCancel(fctx), b.srv.opts.DeadlineBudget)
 	defer cancel()
-	start := b.clock.Now()
+	start := b.srv.opts.Clock.Now()
 	for i, res := range b.srv.cascade(bctx, items) {
 		live[i].done <- res
 	}
-	b.srv.batchLatency.ObserveDuration(b.clock.Now().Sub(start))
+	b.srv.batchLatency.ObserveDuration(b.srv.opts.Clock.Now().Sub(start))
 	fsp.End()
 }
 

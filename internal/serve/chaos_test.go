@@ -13,6 +13,7 @@ import (
 
 	"github.com/golitho/hsd/internal/faultinject"
 	"github.com/golitho/hsd/internal/geom"
+	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/resilience"
 )
 
@@ -212,6 +213,86 @@ func TestChaosBreakerRecovery(t *testing.T) {
 	if r := readyStatus(); r.Status != "ready" || r.Breaker != "closed" {
 		t.Fatalf("recovered readyz = %+v, want ready/closed", r)
 	}
+}
+
+// heldDetector is thresholdDetector whose Score announces itself on
+// entered and then waits for release: a probe the test holds in flight.
+type heldDetector struct {
+	thresholdDetector
+	entered, release chan struct{}
+}
+
+func (d heldDetector) Score(clip layout.Clip) (float64, error) {
+	d.entered <- struct{}{}
+	<-d.release
+	return d.thresholdDetector.Score(clip)
+}
+
+// TestChaosBreakerGaugeFollowsState: hotspot_breaker_state is read from
+// the breaker at scrape time, so a scrape shows every state the breaker
+// passes through: closed, open after the trip, half-open while the probe
+// is in flight, and closed once the probe succeeds.
+func TestChaosBreakerGaugeFollowsState(t *testing.T) {
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	clk := resilience.NewFakeClock(time.Unix(0, 0))
+	det := heldDetector{entered: make(chan struct{}), release: make(chan struct{})}
+	s, err := NewServer(Options{
+		Primary:  det,
+		Fallback: fallbackDetector{},
+		Breaker:  resilience.BreakerConfig{FailureThreshold: 2, OpenTimeout: 30 * time.Second},
+		Clock:    clk,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	gauge := func(want resilience.BreakerState) {
+		t.Helper()
+		line := fmt.Sprintf("\nhotspot_breaker_state %d\n", want)
+		if text := metricsText(t, ts.URL); !strings.Contains(text, line) {
+			t.Fatalf("breaker %v: metrics lack %q\n---\n%s", want, line[1:len(line)-1], text)
+		}
+	}
+
+	gauge(resilience.StateClosed)
+	// The faults fire before the detector runs, so the trip never
+	// reaches heldDetector.Score.
+	faultinject.Set(PrimarySite, faultinject.Fault{Err: fmt.Errorf("chaos error"), Count: 2})
+	for i := 0; i < 2; i++ {
+		if _, out := postScore(t, ts.URL); out.DegradedReason != "error" {
+			t.Fatalf("request %d: %+v, want degraded error verdict", i, out)
+		}
+	}
+	gauge(resilience.StateOpen)
+
+	clk.Advance(31 * time.Second)
+	body := gltBody(t, geom.R(0, 0, 1024, 1024))
+	probe := make(chan ScoreResponse)
+	go func() {
+		resp, err := http.Post(ts.URL+"/score", "text/plain", body)
+		var out ScoreResponse
+		if err == nil {
+			err = json.NewDecoder(resp.Body).Decode(&out)
+			resp.Body.Close()
+		}
+		if err != nil {
+			t.Error(err)
+		}
+		probe <- out
+	}()
+	select {
+	case <-det.entered:
+	case out := <-probe:
+		t.Fatalf("probe answered %+v without reaching the primary", out)
+	}
+	gauge(resilience.StateHalfOpen)
+	close(det.release)
+	if out := <-probe; out.Degraded {
+		t.Fatalf("probe verdict = %+v, want the primary's", out)
+	}
+	gauge(resilience.StateClosed)
 }
 
 // TestChaosShedding fills the admission bucket on a frozen clock: the

@@ -44,7 +44,7 @@ func (s *Server) debugTraces(w http.ResponseWriter, r *http.Request) ([]*trace.T
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return nil, false
 	}
-	if s.tracer == nil {
+	if s.opts.Tracer == nil {
 		http.Error(w, "tracing disabled", http.StatusNotFound)
 		return nil, false
 	}
@@ -54,7 +54,7 @@ func (s *Server) debugTraces(w http.ResponseWriter, r *http.Request) ([]*trace.T
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return nil, false
 		}
-		rec := s.tracer.Get(id)
+		rec := s.opts.Tracer.Get(id)
 		if rec == nil {
 			http.Error(w, "trace not found (evicted or sampled out)", http.StatusNotFound)
 			return nil, false
@@ -70,7 +70,7 @@ func (s *Server) debugTraces(w http.ResponseWriter, r *http.Request) ([]*trace.T
 		}
 		limit = n
 	}
-	return s.tracer.Traces(limit), true
+	return s.opts.Tracer.Traces(limit), true
 }
 
 // handleTraces is GET /debug/traces.
@@ -79,7 +79,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	st := s.tracer.Stats()
+	st := s.opts.Tracer.Stats()
 	writeJSON(w, http.StatusOK, tracesResponse{
 		Kept:       st.Kept,
 		SampledOut: st.SampledOut,

@@ -93,6 +93,45 @@ func TestDebugQualityKeys(t *testing.T) {
 	}
 }
 
+// TestDebugQualityOneRatePair: /debug/quality serves spot-check recall
+// and false-alarm rate once, in spot_check.window beside the confusion
+// counts they are computed from, and not again at spot_check's top level.
+func TestDebugQualityOneRatePair(t *testing.T) {
+	qm := qualitymon.New(qualitymon.Options{})
+	defer qm.Close()
+	s, err := NewServer(Options{Primary: thresholdDetector{}, Quality: qm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/debug/quality")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc struct {
+		SpotCheck map[string]json.RawMessage `json:"spot_check"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"recall", "false_alarm"} {
+		if _, ok := doc.SpotCheck[k]; ok {
+			t.Errorf("spot_check carries a top-level %q; the rate pair lives in spot_check.window", k)
+		}
+	}
+	var window map[string]json.RawMessage
+	if err := json.Unmarshal(doc.SpotCheck["window"], &window); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"tp", "fp", "tn", "fn", "recall", "false_alarm"} {
+		if _, ok := window[k]; !ok {
+			t.Errorf("spot_check.window lacks %q", k)
+		}
+	}
+}
+
 // TestDebugMuxServesPprofOnly: the private debug listener serves
 // profiles and nothing the serving mux already does.
 func TestDebugMuxServesPprofOnly(t *testing.T) {

@@ -86,9 +86,8 @@ type Options struct {
 	DeadlineBudget time.Duration
 	// Breaker tunes the primary-detector circuit breaker; the zero
 	// value gets the resilience defaults (5 consecutive failures trip,
-	// 5s cool-down, 1 probe). Its OnStateChange is the server's own:
-	// NewServer overwrites it with the hook that sets the
-	// hotspot_breaker_state gauge.
+	// 5s cool-down, 1 probe). The hotspot_breaker_state gauge reads its
+	// state at every scrape.
 	Breaker resilience.BreakerConfig
 	// ShedRate, when positive, enables token-bucket admission control
 	// at this many requests per second (capacity max(ShedRate, 1)). Shed
@@ -133,6 +132,9 @@ type Options struct {
 // Server wires the detector cascade (and optionally the oracle) into an
 // http.Handler.
 type Server struct {
+	// opts is the Options NewServer was given, defaults filled in: the
+	// one home of the fallback, simulator, window geometry, registry,
+	// tracer and quality monitor.
 	opts Options
 	// live is swapped atomically on validated hot reload and rollback;
 	// every request loads it exactly once so detector name, threshold,
@@ -140,18 +142,11 @@ type Server struct {
 	// generation.
 	live     atomic.Pointer[liveGen]
 	registry *registry.Registry // nil when hot reload is disabled
-	fallback core.Detector      // nil when no fallback is configured
-	sim      *lithosim.Simulator
-	clipNM   int
-	coreFrac float64
 
 	breaker *resilience.Breaker
 	shed    *resilience.Shedder // nil when shedding is disabled
 	batch   *batcher
-	tracer  *trace.Tracer       // nil when tracing is disabled
-	quality *qualitymon.Monitor // nil when quality monitoring is disabled
 
-	reg          *telemetry.Registry
 	panics       *telemetry.Counter
 	fallbacks    *telemetry.Counter
 	shedTotal    *telemetry.Counter
@@ -178,10 +173,10 @@ func NewServer(opts Options) (*Server, error) {
 	if opts.Clock == nil {
 		opts.Clock = resilience.Real
 	}
-	reg := opts.Metrics
-	if reg == nil {
-		reg = telemetry.NewRegistry()
+	if opts.Metrics == nil {
+		opts.Metrics = telemetry.NewRegistry()
 	}
+	reg := opts.Metrics
 	reg.SetHelp("http_requests_total", "Requests by endpoint and status code.")
 	reg.SetHelp("http_errors_total", "Responses with status >= 400 by endpoint.")
 	reg.SetHelp("http_request_seconds", "Request latency by endpoint.")
@@ -206,10 +201,6 @@ func NewServer(opts Options) (*Server, error) {
 	}
 	s := &Server{
 		opts:         opts,
-		sim:          opts.Sim,
-		clipNM:       opts.ClipNM,
-		coreFrac:     opts.CoreFrac,
-		reg:          reg,
 		panics:       reg.Counter("http_panics_total"),
 		fallbacks:    reg.Counter("hotspot_fallbacks_total"),
 		shedTotal:    reg.Counter("requests_shed_total"),
@@ -219,24 +210,16 @@ func NewServer(opts Options) (*Server, error) {
 		cacheEvicted: reg.Counter("hotspot_score_cache_evictions_total"),
 		batchSize:    reg.Histogram("batch_size", []float64{1, 2, 4, 8, 16, 32, 64}),
 		batchLatency: reg.Histogram("batch_latency_seconds", nil),
-		tracer:       opts.Tracer,
-		quality:      opts.Quality,
 	}
 	s.live.Store(newLiveGen(opts.Primary))
-	s.batch = &batcher{
-		srv:     s,
-		maxSize: opts.BatchMaxSize,
-		maxWait: opts.BatchMaxWait,
-		clock:   opts.Clock,
-	}
-	s.fallback = opts.Fallback
+	s.batch = &batcher{srv: s}
 	bcfg := opts.Breaker
 	if bcfg.Clock == nil {
 		bcfg.Clock = opts.Clock
 	}
-	stateGauge := reg.Gauge("hotspot_breaker_state")
-	bcfg.OnStateChange = func(st resilience.BreakerState) { stateGauge.Set(float64(st)) }
 	s.breaker = resilience.NewBreaker(bcfg)
+	stateGauge := reg.Gauge("hotspot_breaker_state")
+	reg.OnCollect(func() { stateGauge.Set(float64(s.breaker.State())) })
 	if opts.ShedRate > 0 {
 		s.shed = resilience.NewShedder(resilience.ShedderConfig{
 			Rate: opts.ShedRate, Clock: opts.Clock,
@@ -250,7 +233,7 @@ func NewServer(opts Options) (*Server, error) {
 		rcfg.OnSwap = func(gen *registry.Generation) {
 			s.live.Store(newLiveGen(gen.Detector))
 			// The old model's traffic must not count against the new one.
-			s.quality.Reset()
+			s.opts.Quality.Reset()
 		}
 		rcfg.Metrics = reg
 		s.registry = registry.New(opts.Primary, rcfg)
@@ -265,7 +248,7 @@ func (s *Server) Registry() *registry.Registry { return s.registry }
 // Metrics returns the server's telemetry registry (Options.Metrics, or
 // the private one), for reading the serving metrics in tests and
 // benchmarks.
-func (s *Server) Metrics() *telemetry.Registry { return s.reg }
+func (s *Server) Metrics() *telemetry.Registry { return s.opts.Metrics }
 
 // Handler returns the routed HTTP handler with instrumentation and panic
 // recovery applied to every endpoint.
@@ -282,13 +265,13 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("/admin/rollback", s.instrument("/admin/rollback", s.handleRollback))
 		mux.HandleFunc("/admin/model", s.instrument("/admin/model", s.handleModel))
 	}
-	if s.tracer != nil {
+	if s.opts.Tracer != nil {
 		// Uninstrumented on purpose: trace inspection must not perturb
 		// the request metrics or generate traces of its own.
 		mux.HandleFunc("/debug/traces", s.handleTraces)
 		mux.HandleFunc("/debug/traces/chrome", s.handleTracesChrome)
 	}
-	if s.quality != nil {
+	if s.opts.Quality != nil {
 		// Uninstrumented for the same reason as /debug/traces.
 		mux.HandleFunc("/debug/quality", s.handleQuality)
 	}
@@ -303,7 +286,7 @@ func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.quality.Snapshot())
+	writeJSON(w, http.StatusOK, s.opts.Quality.Snapshot())
 }
 
 // statusRecorder captures the response status for instrumentation.
@@ -328,20 +311,20 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 // recovery.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	requests := func(code int) *telemetry.Counter {
-		return s.reg.Counter("http_requests_total",
+		return s.opts.Metrics.Counter("http_requests_total",
 			telemetry.L("endpoint", endpoint), telemetry.L("code", fmt.Sprint(code)))
 	}
-	errCount := s.reg.Counter("http_errors_total", telemetry.L("endpoint", endpoint))
-	latency := s.reg.Histogram("http_request_seconds", nil, telemetry.L("endpoint", endpoint))
+	errCount := s.opts.Metrics.Counter("http_errors_total", telemetry.L("endpoint", endpoint))
+	latency := s.opts.Metrics.Histogram("http_request_seconds", nil, telemetry.L("endpoint", endpoint))
 	// Incremented before admission control runs (admit happens inside
 	// h), so a saturated server's shed traffic still registers as load.
-	inflight := s.reg.Gauge("http_inflight_requests")
+	inflight := s.opts.Metrics.Gauge("http_inflight_requests")
 
 	return func(w http.ResponseWriter, r *http.Request) {
 		inflight.Inc()
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w}
-		ctx, root := trace.Start(trace.WithTracer(r.Context(), s.tracer),
+		ctx, root := trace.Start(trace.WithTracer(r.Context(), s.opts.Tracer),
 			"http "+endpoint, trace.A("method", r.Method))
 		if root != nil {
 			r = r.WithContext(ctx)
@@ -443,8 +426,8 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 		Primary:  s.live.Load().det.Name(),
 		Shedding: s.shed != nil,
 	}
-	if s.fallback != nil {
-		out.Fallback = s.fallback.Name()
+	if s.opts.Fallback != nil {
+		out.Fallback = s.opts.Fallback.Name()
 	}
 	if s.opts.DeadlineBudget > 0 {
 		out.DeadlineBudget = s.opts.DeadlineBudget.String()
@@ -453,7 +436,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case s.breaker.State() != resilience.StateOpen:
 		out.Status = "ready"
-	case s.fallback != nil:
+	case s.opts.Fallback != nil:
 		out.Status = "degraded"
 	default:
 		out.Status = "unavailable"
@@ -468,7 +451,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.reg.WritePrometheus(w)
+	_ = s.opts.Metrics.WritePrometheus(w)
 }
 
 // admit applies load shedding before any request work is done. It
@@ -512,7 +495,7 @@ func (s *Server) readClip(w http.ResponseWriter, r *http.Request) (layout.Clip, 
 		return layout.Clip{}, fmt.Errorf("layout has no shapes")
 	}
 	c := b.Center()
-	return l.ClipAt(geom.Pt(c.X, c.Y), s.clipNM, s.coreFrac)
+	return l.ClipAt(geom.Pt(c.X, c.Y), s.opts.ClipNM, s.opts.CoreFrac)
 }
 
 // clipError maps a readClip failure to its HTTP status: oversized bodies
@@ -625,7 +608,7 @@ func (s *Server) cascade(ctx context.Context, items []scoreItem) []scoreResult {
 // marks it degraded.
 func (s *Server) answer(det core.Detector, stage string, clip layout.Clip, score float64, reason string) ScoreResponse {
 	thr := det.Threshold()
-	s.quality.Observe(qualitymon.Event{Stage: stage, Score: score, Threshold: thr, Clip: clip})
+	s.opts.Quality.Observe(qualitymon.Event{Stage: stage, Score: score, Threshold: thr, Clip: clip})
 	return ScoreResponse{
 		Detector: det.Name(), Score: score,
 		Threshold: thr, Hotspot: score >= thr,
@@ -668,7 +651,8 @@ func (s *Server) ladder(ctx context.Context, prim core.Detector, items []scoreIt
 			it.span.AddEvent("breaker-open")
 		}
 	}
-	if s.fallback == nil {
+	fallback := s.opts.Fallback
+	if fallback == nil {
 		for i := range out {
 			out[i].err = primaryErr
 		}
@@ -677,8 +661,8 @@ func (s *Server) ladder(ctx context.Context, prim core.Detector, items []scoreIt
 	for i, it := range items {
 		it.span.AddEvent("degrade", trace.A("reason", reason))
 		it.span.SetFlag(trace.FlagDegraded)
-		fctx, fsp := trace.Start(ctx, "fallback", trace.A("detector", s.fallback.Name()))
-		score, err := core.ScoreClipCtx(fctx, s.fallback, it.clip)
+		fctx, fsp := trace.Start(ctx, "fallback", trace.A("detector", fallback.Name()))
+		score, err := core.ScoreClipCtx(fctx, fallback, it.clip)
 		fsp.SetError(err)
 		fsp.End()
 		if err != nil {
@@ -686,7 +670,7 @@ func (s *Server) ladder(ctx context.Context, prim core.Detector, items []scoreIt
 			continue
 		}
 		s.fallbacks.Inc()
-		out[i].resp = s.answer(s.fallback, "fallback", it.clip, score, reason)
+		out[i].resp = s.answer(fallback, "fallback", it.clip, score, reason)
 	}
 	return out
 }
@@ -718,7 +702,7 @@ func (s *Server) reportOutcome(primaryErr error) {
 	if s.registry != nil {
 		s.registry.ReportOutcome(primaryErr == nil)
 	}
-	s.quality.ReportServeOutcome(primaryErr == nil)
+	s.opts.Quality.ReportServeOutcome(primaryErr == nil)
 }
 
 // scorePrimary runs prim (the primary detector the caller loaded) over
@@ -773,7 +757,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	if s.sim == nil {
+	if s.opts.Sim == nil {
 		http.Error(w, "verification disabled", http.StatusNotImplemented)
 		return
 	}
@@ -787,7 +771,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := resilience.WithBudget(r.Context(), s.opts.DeadlineBudget)
 	defer cancel()
-	res, err := s.sim.SimulateCtx(ctx, clip)
+	res, err := s.opts.Sim.SimulateCtx(ctx, clip)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			http.Error(w, err.Error(), http.StatusServiceUnavailable)

@@ -56,6 +56,13 @@ func (k RBF) Eval(a, b []float64) float64 {
 // Name implements Kernel.
 func (k RBF) Name() string { return fmt.Sprintf("rbf(g=%.3g)", k.Gamma) }
 
+// kktTol is the KKT violation tolerance, and maxPasses the number of
+// consecutive passes without any alpha update that declares convergence.
+const (
+	kktTol    = 1e-3
+	maxPasses = 5
+)
+
 // Config parameterizes training.
 type Config struct {
 	// Kernel defaults to RBF with gamma 1/dim.
@@ -65,11 +72,6 @@ type Config struct {
 	// PosWeight scales C for positive (hotspot) samples; > 1 penalizes
 	// missed hotspots harder (default 1).
 	PosWeight float64
-	// Tol is the KKT violation tolerance (default 1e-3).
-	Tol float64
-	// MaxPasses is the number of consecutive passes without any alpha
-	// update required to declare convergence (default 5).
-	MaxPasses int
 	// MaxIter caps total passes over the data (default 200).
 	MaxIter int
 	// Seed drives the randomized working-set selection.
@@ -85,12 +87,6 @@ func (c *Config) normalize(dim int) {
 	}
 	if c.PosWeight <= 0 {
 		c.PosWeight = 1
-	}
-	if c.Tol <= 0 {
-		c.Tol = 1e-3
-	}
-	if c.MaxPasses <= 0 {
-		c.MaxPasses = 5
 	}
 	if c.MaxIter <= 0 {
 		c.MaxIter = 200
@@ -185,11 +181,11 @@ func Train(x [][]float64, y []int, cfg Config) (*Model, error) {
 
 	trainStart := time.Now()
 	passes, iter := 0, 0
-	for passes < cfg.MaxPasses && iter < cfg.MaxIter {
+	for passes < maxPasses && iter < cfg.MaxIter {
 		changed := 0
 		for i := 0; i < n; i++ {
 			ei := decision(i) - ys[i]
-			if !((ys[i]*ei < -cfg.Tol && alpha[i] < ci(i)) || (ys[i]*ei > cfg.Tol && alpha[i] > 0)) {
+			if !((ys[i]*ei < -kktTol && alpha[i] < ci(i)) || (ys[i]*ei > kktTol && alpha[i] > 0)) {
 				continue
 			}
 			j := rng.Intn(n - 1)

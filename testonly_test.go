@@ -30,18 +30,9 @@ func TestTestOnlyGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(testOnlyGoldenPath)
-	if err != nil && !(*updateTestOnly && os.IsNotExist(err)) {
+	header, listed, err := readGolden(testOnlyGoldenPath, *updateTestOnly)
+	if err != nil {
 		t.Fatal(err)
-	}
-	var header []string
-	listed := map[string]string{} // name -> its golden line
-	for _, line := range strings.Split(string(raw), "\n") {
-		if strings.HasPrefix(line, "#") {
-			header = append(header, line)
-		} else if f := strings.Fields(line); len(f) > 0 {
-			listed[f[0]] = line
-		}
 	}
 	alone := map[string]bool{}
 	for _, name := range prog.unreached(nil) {
@@ -63,15 +54,7 @@ func TestTestOnlyGolden(t *testing.T) {
 		}
 		names = append(names, unlisted...)
 		sort.Strings(names)
-		out := header
-		for _, name := range names {
-			if line, ok := listed[name]; ok {
-				out = append(out, line)
-			} else {
-				out = append(out, name)
-			}
-		}
-		if err := os.WriteFile(testOnlyGoldenPath, []byte(strings.Join(out, "\n")+"\n"), 0o644); err != nil {
+		if err := writeGolden(testOnlyGoldenPath, header, listed, names); err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("rewrote %s (%d functions)", testOnlyGoldenPath, len(names))
@@ -80,6 +63,39 @@ func TestTestOnlyGolden(t *testing.T) {
 	for _, name := range unlisted {
 		t.Errorf("%s: no program file reaches it; delete it, or list it in %s with the reason it stays", name, testOnlyGoldenPath)
 	}
+}
+
+// readGolden reads a golden list: its leading "#" comment lines, and
+// each other line keyed by its first field, the name it lists. A file
+// that is not there reads as empty when it is about to be rewritten.
+func readGolden(path string, update bool) (header []string, listed map[string]string, err error) {
+	raw, err := os.ReadFile(path)
+	if err != nil && !(update && os.IsNotExist(err)) {
+		return nil, nil, err
+	}
+	listed = map[string]string{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if strings.HasPrefix(line, "#") {
+			header = append(header, line)
+		} else if f := strings.Fields(line); len(f) > 0 {
+			listed[f[0]] = line
+		}
+	}
+	return header, listed, nil
+}
+
+// writeGolden rewrites a golden list: header, then one line per name,
+// keeping the listed line (and so its reason) of a name that stays.
+func writeGolden(path string, header []string, listed map[string]string, names []string) error {
+	out := header
+	for _, name := range names {
+		if line, ok := listed[name]; ok {
+			out = append(out, line)
+		} else {
+			out = append(out, name)
+		}
+	}
+	return os.WriteFile(path, []byte(strings.Join(out, "\n")+"\n"), 0o644)
 }
 
 // program is what unreached needs of the non-test Go files outside
@@ -202,8 +218,8 @@ func identsIn(n ast.Node, self *ast.Ident, key func(string) string) []string {
 	return out
 }
 
-// recvName is a method receiver's type name, without pointer or type
-// parameters.
+// recvName is a method receiver's (or an embedded field's) type name,
+// without pointer, package or type parameters.
 func recvName(e ast.Expr) string {
 	switch e := e.(type) {
 	case *ast.StarExpr:
@@ -212,6 +228,8 @@ func recvName(e ast.Expr) string {
 		return recvName(e.X)
 	case *ast.IndexListExpr:
 		return recvName(e.X)
+	case *ast.SelectorExpr:
+		return e.Sel.Name
 	case *ast.Ident:
 		return e.Name
 	}
