@@ -35,10 +35,6 @@ type Grid struct {
 	ClipNM int
 	// CoreFrac is the scored core fraction (default 0.5).
 	CoreFrac float64
-	// StrideNM is the window step, derived: the core edge exactly as
-	// layout.ClipAt rounds it, so cores tile the chip without hairline
-	// gaps when ClipNM*CoreFrac is odd.
-	StrideNM int
 	// Cols, Rows are the dimensions of the window-center grid; both are
 	// zero for empty bounds.
 	Cols, Rows int
@@ -64,17 +60,18 @@ func NewGrid(bounds geom.Rect, clipNM int, coreFrac float64) (Grid, error) {
 		return Grid{}, fmt.Errorf("core: scan geometry ClipNM=%d CoreFrac=%v has an empty core (ClipNM*CoreFrac must be at least 2)",
 			g.ClipNM, g.CoreFrac)
 	}
-	g.StrideNM = g.CoreNM()
 	if !bounds.Empty() {
-		g.Cols = ceilDiv(bounds.Dx(), g.StrideNM)
-		g.Rows = ceilDiv(bounds.Dy(), g.StrideNM)
+		g.Cols = ceilDiv(bounds.Dx(), g.CoreNM())
+		g.Rows = ceilDiv(bounds.Dy(), g.CoreNM())
 	}
 	return g, nil
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
-// CoreNM is the edge of the scored core region of every window.
+// CoreNM is the edge of the scored core region of every window, and the
+// window step: the core edge exactly as layout.ClipAt rounds it, so
+// cores tile the chip without hairline gaps when ClipNM*CoreFrac is odd.
 func (g Grid) CoreNM() int { return 2 * g.coreHalf }
 
 // Windows returns the number of windows in the grid.
@@ -84,8 +81,8 @@ func (g Grid) Windows() int { return g.Cols * g.Rows }
 // Enumeration order is row-major: window i is Center(i%Cols, i/Cols).
 func (g Grid) Center(col, row int) geom.Point {
 	return geom.Pt(
-		g.Bounds.Min.X+g.coreHalf+col*g.StrideNM,
-		g.Bounds.Min.Y+g.coreHalf+row*g.StrideNM,
+		g.Bounds.Min.X+g.coreHalf+col*g.CoreNM(),
+		g.Bounds.Min.Y+g.coreHalf+row*g.CoreNM(),
 	)
 }
 

@@ -40,9 +40,10 @@ func randomLayout(t testing.TB, seed int64, gridNM, n int) *Layout {
 
 // checkClipAt holds ClipAt and Query to their definitions, computed
 // without the index: every shape in insertion order that overlaps the
-// window, clipped to it (ClipAt) or whole (Query). FingerprintAt must
-// key the window as ClipAt's clip, count its shapes, and refuse what
-// ClipAt refuses with ClipAt's error.
+// window, clipped to it (ClipAt) or whole (Query). CutClip, which is
+// that definition, must cut ClipAt's clip; it and FingerprintAt, which
+// must key the window as ClipAt's clip and count its shapes, refuse
+// what ClipAt refuses with ClipAt's error.
 func checkClipAt(t *testing.T, l *Layout, c geom.Point, size int) {
 	t.Helper()
 	clip, err := l.ClipAt(c, size, 0.5)
@@ -62,6 +63,10 @@ func checkClipAt(t *testing.T, l *Layout, c geom.Point, size int) {
 	if clip.Shapes == nil {
 		t.Fatalf("ClipAt(%v, %d): nil Shapes; an empty window's were always non-nil", c, size)
 	}
+	if cut, err := CutClip(l.Shapes(), c, size, 0.5); err != nil || cut.Window != clip.Window ||
+		cut.Core != clip.Core || !slices.Equal(cut.Shapes, clip.Shapes) || cut.Shapes == nil {
+		t.Fatalf("CutClip(%v, %d) = %v, %v; ClipAt's clip: %v", c, size, cut, err, clip)
+	}
 	if got := l.Query(clip.Window); !slices.Equal(got, wantWhole) {
 		t.Fatalf("Query(%v) on grid %d:\n got %v\nwant %v", clip.Window, l.gridNM, got, wantWhole)
 	}
@@ -78,6 +83,9 @@ func checkClipAt(t *testing.T, l *Layout, c geom.Point, size int) {
 		_, _, got := l.FingerprintAt(c, bad.size, bad.coreFrac)
 		if want == nil || got == nil || got.Error() != want.Error() {
 			t.Fatalf("FingerprintAt(%v, %d, %v): err %v; ClipAt's: %v", c, bad.size, bad.coreFrac, got, want)
+		}
+		if _, got := CutClip(l.Shapes(), c, bad.size, bad.coreFrac); got == nil || got.Error() != want.Error() {
+			t.Fatalf("CutClip(%v, %d, %v): err %v; ClipAt's: %v", c, bad.size, bad.coreFrac, got, want)
 		}
 	}
 }

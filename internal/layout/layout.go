@@ -88,10 +88,25 @@ func (l *Layout) Shapes() []geom.Rect {
 
 // AddRect inserts one rectangle. Empty rectangles are rejected.
 func (l *Layout) AddRect(r geom.Rect) error {
+	r, err := checkRect(r)
+	if err != nil {
+		return err
+	}
+	l.add(r)
+	return nil
+}
+
+// checkRect returns r canonical, or an error when it is empty.
+func checkRect(r geom.Rect) (geom.Rect, error) {
 	r = r.Canon()
 	if r.Empty() {
-		return fmt.Errorf("%w: %v", ErrEmptyShape, r)
+		return r, fmt.Errorf("%w: %v", ErrEmptyShape, r)
 	}
+	return r, nil
+}
+
+// add inserts a canonical, non-empty rectangle.
+func (l *Layout) add(r geom.Rect) {
 	if l.cellSpan(r) > maxIndexCells {
 		l.large = append(l.large, int32(len(l.shapes)))
 	}
@@ -100,7 +115,6 @@ func (l *Layout) AddRect(r geom.Rect) error {
 	if l.index.Load() != nil {
 		l.index.Store(nil)
 	}
-	return nil
 }
 
 // AddPolygon decomposes a rectilinear polygon into rectangles and inserts
@@ -357,6 +371,24 @@ func (l *Layout) ClipAt(c geom.Point, size int, coreFrac float64) (Clip, error) 
 	for i, id := range ids {
 		// Non-empty: gather kept only shapes overlapping win.
 		clipped[i] = l.shapes[id].Intersect(win)
+	}
+	return Clip{Window: win, Core: core, Shapes: clipped}, nil
+}
+
+// CutClip is ClipAt on shapes held in a slice: every shape overlapping
+// the size x size window centred at c, in slice order, clipped to it. It
+// builds no index, which is the cheaper way to clip shapes that are
+// queried once, such as a served request's (see ReadShapes).
+func CutClip(shapes []geom.Rect, c geom.Point, size int, coreFrac float64) (Clip, error) {
+	win, core, err := clipFrame(c, size, coreFrac)
+	if err != nil {
+		return Clip{}, err
+	}
+	clipped := make([]geom.Rect, 0, len(shapes))
+	for _, s := range shapes {
+		if s.Overlaps(win) {
+			clipped = append(clipped, s.Intersect(win))
+		}
 	}
 	return Clip{Window: win, Core: core, Shapes: clipped}, nil
 }

@@ -141,8 +141,8 @@ func requireMixedFindings(t *testing.T, chip *layout.Layout, cfg Config, want []
 		t.Fatalf("fixture is degenerate: %d windows, %d empty, %d flagged", plan.Windows(), empty, len(want))
 	}
 	b := chip.Bounds()
-	if b.Dx()%plan.StrideNM == 0 || b.Dy()%plan.StrideNM == 0 {
-		t.Fatalf("bounds %v are a whole number of %d nm strides: no window overhangs", b, plan.StrideNM)
+	if b.Dx()%plan.CoreNM() == 0 || b.Dy()%plan.CoreNM() == 0 {
+		t.Fatalf("bounds %v are a whole number of %d nm strides: no window overhangs", b, plan.CoreNM())
 	}
 }
 

@@ -51,9 +51,9 @@ func TestGridPinnedCenters(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			plan := NewPlan(chip.Bounds(), tc.cfg)
-			if plan.Windows() != len(tc.centers) || plan.StrideNM != tc.stride {
+			if plan.Windows() != len(tc.centers) || plan.CoreNM() != tc.stride {
 				t.Fatalf("plan has %d windows at stride %d, want %d at %d",
-					plan.Windows(), plan.StrideNM, len(tc.centers), tc.stride)
+					plan.Windows(), plan.CoreNM(), len(tc.centers), tc.stride)
 			}
 			var got []geom.Point
 			for id := 0; id < plan.NumShards; id++ {

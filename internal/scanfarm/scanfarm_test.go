@@ -162,6 +162,6 @@ func testChipEmpty() *layout.Layout { return layout.New("empty") }
 
 // shardOf returns the shard ID owning the window centered at c.
 func shardOf(p Plan, c geom.Point) int {
-	row := (c.Y - p.Center(0, 0).Y) / p.StrideNM
+	row := (c.Y - p.Center(0, 0).Y) / p.CoreNM()
 	return row / p.ShardRows
 }

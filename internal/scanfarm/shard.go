@@ -30,7 +30,8 @@ import (
 // on shard IDs and their window sets.
 type Plan struct {
 	// Grid is the window-center grid the shards partition; it supplies
-	// Bounds, ClipNM, CoreFrac, StrideNM, Cols, Rows, Windows and Center.
+	// Bounds, ClipNM, CoreFrac, CoreNM (the step), Cols, Rows, Windows
+	// and Center.
 	core.Grid
 	// ShardRows is the number of center-grid rows per shard.
 	ShardRows int
@@ -90,9 +91,9 @@ func (p Plan) ShardBounds(id int) geom.Rect {
 	}
 	return geom.R(
 		p.Bounds.Min.X,
-		p.Bounds.Min.Y+r0*p.StrideNM,
-		p.Bounds.Min.X+p.Cols*p.StrideNM,
-		p.Bounds.Min.Y+(r1-1)*p.StrideNM+p.CoreNM(),
+		p.Bounds.Min.Y+r0*p.CoreNM(),
+		p.Bounds.Min.X+p.Cols*p.CoreNM(),
+		p.Bounds.Min.Y+r1*p.CoreNM(),
 	)
 }
 
@@ -157,7 +158,7 @@ func (c Config) Meta(chip *layout.Layout, detector string) Meta {
 		Bounds:    chip.Bounds(),
 		ClipNM:    p.ClipNM,
 		CoreFrac:  p.CoreFrac,
-		StrideNM:  p.StrideNM,
+		StrideNM:  p.CoreNM(),
 		ShardRows: p.ShardRows,
 		NumShards: p.NumShards,
 		SkipEmpty: c.SkipEmpty,

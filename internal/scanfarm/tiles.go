@@ -1,7 +1,7 @@
 // Feature tiles and first-layer sums: what the windows of one shard
 // share on the miss path.
 //
-// The grid steps by StrideNM, so when the clip is a whole number of
+// The grid steps by the core edge (CoreNM), so when the clip is a whole number of
 // strides a window is PerSide x PerSide stride-square tiles and each
 // tile lies in up to PerSide² windows (four at the default geometry).
 // A worker rasterises and block-DCTs a tile once per shard attempt, from
@@ -71,7 +71,7 @@ func newTileMemo(det core.Detector, plan Plan) *tileMemo {
 		return nil
 	}
 	ex := nd.Ex.(*features.DCT) // Conv1 is only ever a DCT tensor's
-	tl, ok := ex.Tiling(plan.ClipNM, plan.StrideNM)
+	tl, ok := ex.Tiling(plan.ClipNM, plan.CoreNM())
 	if !ok {
 		return nil
 	}

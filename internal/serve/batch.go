@@ -1,5 +1,7 @@
 // POST /batch micro-batching: concurrent score requests are coalesced
-// into one vectorized pass through the primary detector.
+// into one vectorized pass through the primary detector. A request
+// whose clip the live score cache holds is answered before it joins a
+// batch, so only misses wait for company.
 //
 // The first request of a window becomes the batch leader; followers
 // append themselves and wait. The leader flushes when the batch reaches
@@ -137,7 +139,8 @@ func (b *batcher) flush(ctx context.Context, pb *pendingBatch) {
 	fsp.End()
 }
 
-// handleBatch is POST /batch: one clip per request, scored through the
+// handleBatch is POST /batch: one clip per request, answered from the
+// score cache when it holds the clip and otherwise scored through the
 // micro-batcher. The response schema matches /score.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -150,6 +153,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	clip, err := s.readClip(w, r)
 	if err != nil {
 		clipError(w, err)
+		return
+	}
+	// A hit is answered as cascade answers it, without waiting for
+	// company.
+	if resp, ok := s.lookup(s.live.Load(), &scoreItem{clip: clip, span: trace.FromContext(r.Context())}); ok {
+		writeJSON(w, http.StatusOK, resp)
 		return
 	}
 	resp, err := s.batch.submit(r.Context(), clip)

@@ -17,8 +17,13 @@ import (
 
 func postBatch(t *testing.T, url string) (*http.Response, ScoreResponse) {
 	t.Helper()
-	resp, err := http.Post(url+"/batch", "text/plain",
-		gltBody(t, geom.R(0, 0, 1024, 1024)))
+	return postBatchRect(t, url, geom.R(0, 0, 1024, 1024))
+}
+
+// postBatchRect posts a clip of the one rectangle r to /batch.
+func postBatchRect(t *testing.T, url string, r geom.Rect) (*http.Response, ScoreResponse) {
+	t.Helper()
+	resp, err := http.Post(url+"/batch", "text/plain", gltBody(t, r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +118,9 @@ func TestBatchCoalescing(t *testing.T) {
 // TestBatchOverlapping floods the endpoint so multiple batches are in
 // flight at once (full flushes racing window flushes); every request
 // must still get a correct, non-degraded verdict. Run with -race this is
-// the overlapping-batch data-race gate.
+// the overlapping-batch data-race gate. Each request posts its own
+// translated copy of the dense square, so none is a score-cache hit and
+// every one is scored in a batch.
 func TestBatchOverlapping(t *testing.T) {
 	s, err := NewServer(Options{
 		Primary:      thresholdDetector{},
@@ -133,7 +140,7 @@ func TestBatchOverlapping(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, out := postBatch(t, ts.URL)
+			resp, out := postBatchRect(t, ts.URL, geom.R(i, 0, i+1024, 1024))
 			if resp.StatusCode != http.StatusOK {
 				errs <- "non-200 under overlap"
 				return

@@ -30,16 +30,19 @@ import (
 const scoreCacheRects = 1 << 20
 
 // liveGen is what a request loads in one atomic step: the live
-// generation's primary and the score cache that belongs to it. A reload
-// or rollback installs a new one, so a score is only ever answered from
-// the cache of the model that computed it.
+// generation's primary, its name and the score cache that belongs to
+// it. A reload or rollback installs a new one, so a score is only ever
+// answered from the cache of the model that computed it.
 type liveGen struct {
-	det   core.Detector
+	det core.Detector
+	// name is det.Name(), taken once: some detectors build it on every
+	// call.
+	name  string
 	cache *scoreCache
 }
 
 func newLiveGen(det core.Detector) *liveGen {
-	return &liveGen{det: det, cache: newScoreCache(scoreCacheRects)}
+	return &liveGen{det: det, name: det.Name(), cache: newScoreCache(scoreCacheRects)}
 }
 
 // cacheKey is a clip's translation-invariant content hash plus its

@@ -41,7 +41,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -137,7 +139,7 @@ type Server struct {
 	// tracer and quality monitor.
 	opts Options
 	// live is swapped atomically on validated hot reload and rollback;
-	// every request loads it exactly once so detector name, threshold,
+	// every answer comes from one load, so detector name, threshold,
 	// score and the cache a hit is answered from always describe the same
 	// generation.
 	live     atomic.Pointer[liveGen]
@@ -310,10 +312,20 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 // instrument wraps a handler with the per-endpoint metrics and panic
 // recovery.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+	// A code's series is resolved by the first request answered with it,
+	// so none shows before its code is served; racing first requests get
+	// the same counter from the registry.
+	var codes sync.Map // status code -> *telemetry.Counter
 	requests := func(code int) *telemetry.Counter {
-		return s.opts.Metrics.Counter("http_requests_total",
-			telemetry.L("endpoint", endpoint), telemetry.L("code", fmt.Sprint(code)))
+		if c, ok := codes.Load(code); ok {
+			return c.(*telemetry.Counter)
+		}
+		c := s.opts.Metrics.Counter("http_requests_total",
+			telemetry.L("endpoint", endpoint), telemetry.L("code", strconv.Itoa(code)))
+		codes.Store(code, c)
+		return c
 	}
+	spanName := "http " + endpoint
 	errCount := s.opts.Metrics.Counter("http_errors_total", telemetry.L("endpoint", endpoint))
 	latency := s.opts.Metrics.Histogram("http_request_seconds", nil, telemetry.L("endpoint", endpoint))
 	// Incremented before admission control runs (admit happens inside
@@ -325,7 +337,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w}
 		ctx, root := trace.Start(trace.WithTracer(r.Context(), s.opts.Tracer),
-			"http "+endpoint, trace.A("method", r.Method))
+			spanName, trace.A("method", r.Method))
 		if root != nil {
 			r = r.WithContext(ctx)
 		}
@@ -395,7 +407,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]string{
 		"status":   "ok",
-		"detector": s.live.Load().det.Name(),
+		"detector": s.live.Load().name,
 	})
 }
 
@@ -423,7 +435,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	}
 	out := ReadyResponse{
 		Breaker:  s.breaker.State().String(),
-		Primary:  s.live.Load().det.Name(),
+		Primary:  s.live.Load().name,
 		Shedding: s.shed != nil,
 	}
 	if s.opts.Fallback != nil {
@@ -480,22 +492,47 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 // readClip parses the request body (GLT layout) into a centred clip.
 // The body is buffered first so an over-limit body surfaces as
 // *http.MaxBytesError (413) rather than as a parse error on the
-// truncated tail.
+// truncated tail. The clip is cut from the parsed shapes directly: a
+// request's layout is clipped once, so an index would cost more than
+// it saves.
 func (s *Server) readClip(w http.ResponseWriter, r *http.Request) (layout.Clip, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := readBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
 	if err != nil {
 		return layout.Clip{}, fmt.Errorf("read body: %w", err)
 	}
-	l, err := layout.Read(bytes.NewReader(body))
+	shapes, err := layout.ReadShapes(bytes.NewReader(body))
 	if err != nil {
 		return layout.Clip{}, fmt.Errorf("parse layout: %w", err)
 	}
-	b := l.Bounds()
+	var b geom.Rect
+	for _, sh := range shapes {
+		b = b.Union(sh)
+	}
 	if b.Empty() {
 		return layout.Clip{}, fmt.Errorf("layout has no shapes")
 	}
-	c := b.Center()
-	return l.ClipAt(geom.Pt(c.X, c.Y), s.opts.ClipNM, s.opts.CoreFrac)
+	return layout.CutClip(shapes, b.Center(), s.opts.ClipNM, s.opts.CoreFrac)
+}
+
+// readBody reads r to EOF into one buffer with room for size bytes (the
+// request's Content-Length, -1 when unknown), growing it only when r
+// holds more.
+func readBody(r io.Reader, size int64) ([]byte, error) {
+	// The spare byte lets the read that meets EOF land without growing.
+	buf := make([]byte, 0, min(max(size, 0), maxBodyBytes)+1)
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, 512)
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
 }
 
 // clipError maps a readClip failure to its HTTP status: oversized bodies
@@ -522,9 +559,15 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		clipError(w, err)
 		return
 	}
+	it := scoreItem{clip: clip, span: trace.FromContext(r.Context())}
+	// A hit runs nothing, so it is answered before a budget is armed.
+	if resp, ok := s.lookup(s.live.Load(), &it); ok {
+		writeJSON(w, http.StatusOK, resp)
+		return
+	}
 	ctx, cancel := resilience.WithBudget(r.Context(), s.opts.DeadlineBudget)
 	defer cancel()
-	res := s.cascade(ctx, []scoreItem{{clip: clip, span: trace.FromContext(ctx)}})[0]
+	res := s.cascade(ctx, []scoreItem{it})[0]
 	if res.err != nil {
 		s.cascadeError(w, res.err)
 		return
@@ -571,20 +614,17 @@ type scoreResult struct {
 // only feeds the quality monitor and adds a "score-cache-hit" event to
 // its request span. A miss that the primary answered within ctx's
 // deadline is stored; a fallback score never is. /score calls cascade
-// with one item under the request's budgeted context; the
-// micro-batcher's flush calls it with a batch under a budget detached
-// from any one request.
+// with a request whose lookup missed, as one item under the request's
+// budgeted context; the micro-batcher's flush calls it with a batch of
+// them under a budget detached from any one request.
 func (s *Server) cascade(ctx context.Context, items []scoreItem) []scoreResult {
 	gen := s.live.Load()
 	out := make([]scoreResult, len(items))
 	var miss []scoreItem
 	var missAt []int
 	for i, it := range items {
-		it.key = keyOf(it.clip)
-		if score, ok := gen.cache.get(it.key, it.clip); ok {
-			s.cacheHits.Inc()
-			it.span.AddEvent("score-cache-hit")
-			out[i].resp = s.answer(gen.det, "primary", it.clip, score, "")
+		if resp, ok := s.lookup(gen, &it); ok {
+			out[i].resp = resp
 			continue
 		}
 		s.cacheMisses.Inc()
@@ -593,7 +633,7 @@ func (s *Server) cascade(ctx context.Context, items []scoreItem) []scoreResult {
 	if len(miss) == 0 {
 		return out
 	}
-	for j, res := range s.ladder(ctx, gen.det, miss) {
+	for j, res := range s.ladder(ctx, gen, miss) {
 		// Only the primary answers undegraded.
 		if res.err == nil && !res.resp.Degraded && ctx.Err() == nil {
 			s.cacheEvicted.Add(float64(gen.cache.put(miss[j].key, miss[j].clip, res.resp.Score)))
@@ -603,42 +643,59 @@ func (s *Server) cascade(ctx context.Context, items []scoreItem) []scoreResult {
 	return out
 }
 
-// answer is the verdict det gives a clip it scored (or stored) as
-// score, fed to the quality monitor under stage; a non-empty reason
-// marks it degraded.
-func (s *Server) answer(det core.Detector, stage string, clip layout.Clip, score float64, reason string) ScoreResponse {
+// lookup is the cascade's first rung: it sets the item's key and, when
+// gen's cache holds its clip, answers with the stored score, counting
+// the hit and adding the "score-cache-hit" event to the item's span. A miss is left
+// for cascade to count. /score and /batch look a request up before any
+// deadline or batch machinery; cascade looks every item up again, since
+// a miss may have been stored meanwhile.
+func (s *Server) lookup(gen *liveGen, it *scoreItem) (ScoreResponse, bool) {
+	it.key = keyOf(it.clip)
+	score, ok := gen.cache.get(it.key, it.clip)
+	if !ok {
+		return ScoreResponse{}, false
+	}
+	s.cacheHits.Inc()
+	it.span.AddEvent("score-cache-hit")
+	return s.answer(gen.det, gen.name, "primary", it.clip, score, ""), true
+}
+
+// answer is the verdict det, named name, gives a clip it scored (or
+// stored) as score, fed to the quality monitor under stage; a non-empty
+// reason marks it degraded.
+func (s *Server) answer(det core.Detector, name, stage string, clip layout.Clip, score float64, reason string) ScoreResponse {
 	thr := det.Threshold()
 	s.opts.Quality.Observe(qualitymon.Event{Stage: stage, Score: score, Threshold: thr, Clip: clip})
 	return ScoreResponse{
-		Detector: det.Name(), Score: score,
+		Detector: name, Score: score,
 		Threshold: thr, Hotspot: score >= thr,
 		Degraded: reason != "", DegradedReason: reason,
 	}
 }
 
 // ladder is the one degradation ladder: the items share one pass
-// through prim behind the breaker and ctx's budget, and when that pass
-// fails (or the breaker is open) each is re-scored by the fallback. One
-// primary failure degrades every item, because they shared the failed
-// pass, but never 5xxes them while a fallback exists. Spans ("primary",
-// "fallback") hang off ctx; the "breaker-open" and "degrade" events and
-// the degraded flag that makes the tail sampler keep a trace land on
-// each item's own request span.
-func (s *Server) ladder(ctx context.Context, prim core.Detector, items []scoreItem) []scoreResult {
+// through gen's primary behind the breaker and ctx's budget, and when
+// that pass fails (or the breaker is open) each is re-scored by the
+// fallback. One primary failure degrades every item, because they
+// shared the failed pass, but never 5xxes them while a fallback exists.
+// Spans ("primary", "fallback") hang off ctx; the "breaker-open" and
+// "degrade" events and the degraded flag that makes the tail sampler
+// keep a trace land on each item's own request span.
+func (s *Server) ladder(ctx context.Context, gen *liveGen, items []scoreItem) []scoreResult {
 	out := make([]scoreResult, len(items))
 	var primaryErr error
 	var reason string
 	if s.breaker.Allow() {
 		var scores []float64
-		pctx, psp := trace.Start(ctx, "primary", trace.A("detector", prim.Name()))
-		scores, primaryErr = s.scorePrimary(pctx, prim, items)
+		pctx, psp := trace.Start(ctx, "primary", trace.A("detector", gen.name))
+		scores, primaryErr = s.scorePrimary(pctx, gen.det, items)
 		psp.SetError(primaryErr)
 		psp.End()
 		s.breaker.Record(primaryErr)
 		s.reportOutcome(primaryErr)
 		if primaryErr == nil {
 			for i, it := range items {
-				out[i].resp = s.answer(prim, "primary", it.clip, scores[i], "")
+				out[i].resp = s.answer(gen.det, gen.name, "primary", it.clip, scores[i], "")
 			}
 			return out
 		}
@@ -670,7 +727,7 @@ func (s *Server) ladder(ctx context.Context, prim core.Detector, items []scoreIt
 			continue
 		}
 		s.fallbacks.Inc()
-		out[i].resp = s.answer(fallback, "fallback", it.clip, score, reason)
+		out[i].resp = s.answer(fallback, fallback.Name(), "fallback", it.clip, score, reason)
 	}
 	return out
 }
