@@ -3,17 +3,17 @@
 #
 #   gofmt, vet (the assembly kernel's declarations included), build, a
 #   cross-build of the portable path, unit + property tests under the
-#   race detector and again on the portable matmul kernel, the chaos and
-#   kill-resume suites (each name they select must still match a test),
-#   the end-to-end smoke scripts, a check that no
+#   race detector and again on the portable matmul kernel, the chaos,
+#   kill-resume and training-guard suites (each name they select must
+#   still match a test), the end-to-end smoke scripts, a check that no
 #   binary's flag set, no facade name and no /metrics series moved, that
 #   every facade name has an outside caller, that nothing is bound
 #   after construction and that no circuit breaker is built outside
 #   serving, a run of every example, a smoke pass over the
-#   fuzz seed corpora, 7 s of real fuzzing each on all ten fuzz
-#   targets (70 s in all), one pass of the window key, conv, ragged-edge,
-#   matmul kernel, shallow fit, scan miss and serve score cache
-#   micro-benchmarks, and a quick pass of the repo benchmark's four
+#   fuzz seed corpora, 7 s of real fuzzing each on all nine fuzz
+#   targets (63 s in all), one pass of the window key, conv, ragged-edge,
+#   matmul kernel, shallow fit, scan miss, serve score cache and serve
+#   batch miss micro-benchmarks, and a quick pass of the repo benchmark's four
 #   workloads. The matmul kernel tier the run used is logged near the
 #   top.
 #
@@ -113,18 +113,14 @@ echo "== chaos smoke =="
 # fault, no breaker probe, no probation outcome.
 run_named 'Chaos|TestCascade|TestSharedInstanceConcurrentScore|TestSharedDetectorConcurrentScore|TestConcurrentScoreSharedCNN' . ./internal/serve/ ./internal/core/
 
-echo "== kill-resume chaos =="
-# Training is killed at several injected fault points and resumed from
-# the checkpoint; the resumed model must be byte-identical to the
-# uninterrupted run, and -race watches the sample-sharded steps around
-# it. A resume whose seed or learning rate differs is refused; a
-# non-finite loss halts with the last good epoch persisted; a checkpoint
-# torn on disk, or whose Adam state does not fit its layers, is skipped
-# for the one before it. The TestTrainStep tests hold the training step
-# to the bytes the serial loop trained (a golden written at the commit
-# before it), under 1, 2 and 8 kernel workers and with fits running side
-# by side on the one pool.
-run_named 'TestKillResume|TestStopResume|TestResumeRejects|TestNonFinite|TestCheckpointTornWrite|TestCheckpointFallbackOnUnrestorableOptimizer|TestTrainStep' ./internal/nn/
+echo "== training guard =="
+# A fit is not resumed, it is re-run: the TestTrainStep tests hold the
+# training step to the bytes the serial loop trained (a golden written
+# at the commit before it), under 1, 2 and 8 kernel workers, with fits
+# running side by side on the one pool and a refit starting fresh, and
+# -race watches the sample-sharded steps. A non-finite loss or gradient
+# halts the fit before the poisoned step is applied (TestNonFinite).
+run_named 'TestNonFinite|TestTrainStep' ./internal/nn/
 
 echo "== scan farm chaos =="
 # The shard coordinator is hammered with injected faults (errors,
@@ -211,23 +207,21 @@ echo "== fuzz seed smoke =="
 go test -run=Fuzz ./internal/layout/ ./internal/gdsii/ ./internal/nn/ ./internal/framelog/ ./internal/tensor/
 
 echo "== frame reader and payload decoder fuzz =="
-# A bounded budget of real fuzzing, 7 s on each of the ten targets,
+# A bounded budget of real fuzzing, 7 s on each of the nine targets,
 # first on the one frame reader and the one payload decoder every
-# durable file (model, checkpoint, journal, WAL, suite) is
+# durable file (model, journal, WAL, suite) is
 # read through: each must fail with a documented error or round-trip,
 # and a payload the decoder accepts must re-encode to its own bytes.
 go test -run='^$' -fuzz='^FuzzReadFrame$' -fuzztime=7s ./internal/framelog/
 go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=7s ./internal/framelog/
 
 echo "== model loader fuzz =="
-# The two loaders behind them: a network or checkpoint payload must
-# load or fail with an error, never panic or allocate what its geometry
-# declares. The targets frame their input
-# themselves and are seeded with real payloads (the golden files' among
-# them, and the hostile layers), so mutations reach the checks behind
-# the CRC instead of stopping at it.
+# The loader behind them: a network payload must load or fail with an
+# error, never panic or allocate what its geometry declares. The target
+# frames its input itself and is seeded with real payloads (the golden
+# file's among them, and the hostile layers), so mutations reach the
+# checks behind the CRC instead of stopping at it.
 go test -run='^$' -fuzz='^FuzzLoadNetwork$' -fuzztime=7s ./internal/nn/
-go test -run='^$' -fuzz='^FuzzLoadCheckpoint$' -fuzztime=7s ./internal/nn/
 
 echo "== layout fuzz =="
 # The two layout readers (every POST /score body is GLT, and a GDSII
@@ -283,8 +277,13 @@ echo "== serve score cache benchmark =="
 # One POST /score through the handler on a CNN of the zoo's shape, as a
 # score-cache hit and as a miss on a clip never seen before (the miss
 # pays the lookup on top of raster, DCT and network): keeps the numbers
-# behind serve_closed compiling and running. Time it with -benchtime 1s.
+# behind serve_closed compiling and running. Then clips never seen
+# before, posted by concurrent clients to /batch and the same way to
+# /score: the one measurement of a batched miss, which the repo
+# benchmark's traffic (all cache hits) never forms; it fails on any
+# cache hit and reports clips per batch. Time them with -benchtime 1s.
 go test -run='^$' -bench=ServeScoreCache -benchtime=1x ./internal/serve/
+go test -run='^$' -bench=ServeBatchMiss -benchtime=1x ./internal/serve/
 
 echo "== matmul kernel fuzz =="
 # The two faces of the hand-written matmul kernel. The plain product is

@@ -346,33 +346,26 @@ func (d *NeuralDetector) Fit(train []LabeledClip) error {
 	return d.FitCtx(context.Background(), train)
 }
 
-// FitCtx implements CtxFitter. A run halted by cancellation keeps the
-// partially trained network and history alongside the returned
-// nn.ErrInterrupted, so callers can still score and report metrics for
-// the epochs that completed.
+// FitCtx implements CtxFitter. A fit that fails, cancelled or halted by
+// a non-finite value, leaves the detector as it was.
 func (d *NeuralDetector) FitCtx(ctx context.Context, train []LabeledClip) error {
 	x, y, err := extract(d.Ex, train)
 	if err != nil {
 		return err
 	}
-	if d.NoScale {
-		d.scale = &scaler{}
-	} else {
-		d.scale = fitScaler(x)
+	scale := &scaler{}
+	if !d.NoScale {
+		scale = fitScaler(x)
 	}
 	net, err := d.Build()
 	if err != nil {
 		return fmt.Errorf("core: build network: %w", err)
 	}
-	hist, ferr := nn.FitCtx(ctx, net, d.scale.applyAll(x), y, d.Cfg)
-	if ferr != nil && !errors.Is(ferr, nn.ErrInterrupted) {
-		return fmt.Errorf("core: nn fit: %w", ferr)
+	hist, err := nn.FitCtx(ctx, net, scale.applyAll(x), y, d.Cfg)
+	if err != nil {
+		return fmt.Errorf("core: nn fit: %w", err)
 	}
-	d.net = net
-	d.hist = hist
-	if ferr != nil {
-		return fmt.Errorf("core: nn fit: %w", ferr)
-	}
+	d.scale, d.net, d.hist = scale, net, hist
 	return nil
 }
 

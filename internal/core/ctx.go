@@ -36,10 +36,11 @@ type CtxBatchScorer interface {
 }
 
 // CtxFitter is implemented by detectors whose training observes context
-// cancellation (halting with nn.ErrInterrupted after cutting a final
-// checkpoint) and attributes checkpoint work to train.checkpoint spans.
+// cancellation and attributes each epoch to a train.epoch span. A
+// cancelled fit returns an error wrapping ctx.Err() and leaves no model:
+// re-running the fit, which is deterministic, is how it is finished.
 type CtxFitter interface {
-	// FitCtx is Fit with cooperative interruption.
+	// FitCtx is Fit with cooperative cancellation.
 	FitCtx(ctx context.Context, train []LabeledClip) error
 }
 

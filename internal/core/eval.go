@@ -2,14 +2,12 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
 	"github.com/golitho/hsd/internal/iccad"
 	"github.com/golitho/hsd/internal/lithosim"
 	"github.com/golitho/hsd/internal/metrics"
-	"github.com/golitho/hsd/internal/nn"
 	"github.com/golitho/hsd/internal/trace"
 )
 
@@ -99,20 +97,8 @@ func EvaluateCtx(ctx context.Context, det Detector, benchName string, train, tes
 	err := FitClipsCtx(fctx, det, fitSet)
 	fitSp.SetError(err)
 	fitSp.End()
-	// An interrupted fit (SIGTERM mid-training) leaves a usable partial
-	// model: score it and report metrics for the completed epochs,
-	// returning the partial Result alongside the interruption error.
-	interrupted := err != nil && errors.Is(err, nn.ErrInterrupted)
-	if err != nil && !interrupted {
+	if err != nil {
 		return Result{}, fmt.Errorf("core: fit %s on %s: %w", det.Name(), benchName, err)
-	}
-	fitErr := err
-	if interrupted {
-		// The context that interrupted the fit is cancelled, but the
-		// partial model must still be measured — scoring and
-		// verification below run to completion so the interrupted run
-		// reports its contest metrics. Trace values survive.
-		ectx = context.WithoutCancel(ectx)
 	}
 	res.TrainTime = time.Since(t0)
 
@@ -180,9 +166,6 @@ func EvaluateCtx(ctx context.Context, det Detector, benchName string, train, tes
 			}
 			res.FullSimTime = time.Since(t3) / time.Duration(n) * time.Duration(len(test))
 		}
-	}
-	if interrupted {
-		return res, fmt.Errorf("core: fit %s on %s: %w", det.Name(), benchName, fitErr)
 	}
 	return res, nil
 }

@@ -6,8 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/golitho/hsd/internal/features"
 	"github.com/golitho/hsd/internal/geom"
 	"github.com/golitho/hsd/internal/layout"
+	"github.com/golitho/hsd/internal/nn"
 )
 
 // errDetector fails on clips overlapping Bad.
@@ -61,6 +63,24 @@ func TestEvaluatePropagatesFitErrors(t *testing.T) {
 	_, err := Evaluate(fitFailDetector{}, "T1", train, test, EvalOptions{})
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("evaluate error = %v, want injected failure", err)
+	}
+}
+
+// TestEvaluateCancelledFitLeavesNoModel: a fit cancelled before its
+// first epoch fails Evaluate with an error wrapping context.Canceled, and
+// the detector keeps no partial network: Score still says it is not
+// fitted.
+func TestEvaluateCancelledFitLeavesNoModel(t *testing.T) {
+	train, test := tinySplits(t)
+	det := NewMLPDetector(&features.CCAS{Rings: 8, Sectors: 12}, []int{8},
+		nn.TrainConfig{Epochs: 4, BatchSize: 16, Seed: 3})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := EvaluateCtx(ctx, det, "T1", train, test, EvalOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("evaluate error = %v, want one wrapping context.Canceled", err)
+	}
+	if _, err := det.Score(test[0].Clip); !errors.Is(err, errNotFitted) {
+		t.Fatalf("Score after a cancelled fit: err = %v, want errNotFitted", err)
 	}
 }
 

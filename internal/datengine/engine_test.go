@@ -28,7 +28,7 @@ func fpHot(clip layout.Clip) bool {
 // writeModel is the deterministic test trainer artifact: gob of the
 // batch ID and the labeled set, so identical training inputs produce
 // identical bytes — the same contract the real trainer meets via
-// seeded, checkpointed training.
+// seeded, deterministic training.
 func writeModel(dir string, batchID int, labeled []core.LabeledClip) (string, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(struct {

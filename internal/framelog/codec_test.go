@@ -209,7 +209,6 @@ func goldenPayloads(f *testing.F) [][]byte {
 	var out [][]byte
 	for _, g := range []struct{ path, header, record string }{
 		{"../nn/testdata/golden.net", "HSDNNv3\n", ""},
-		{"../nn/testdata/golden.hsdck", "HSDCKv2\n", ""},
 		{"../scanfarm/testdata/golden.journal", "HSDSJh2\n", "HSDSJr2\n"},
 		{"../datengine/testdata/golden.wal", "HSDLWh3\n", "HSDLWr3\n"},
 	} {

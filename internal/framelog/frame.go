@@ -1,8 +1,8 @@
 // Package framelog is the repo's one durable-record library: the frame
 // every on-disk format shares, the one payload codec inside it
 // (codec.go), the Meta-bound append-only log behind the scan journal and
-// the learn WAL, the single-frame File behind the network, checkpoint
-// and suite files, and the atomic file writer behind
+// the learn WAL, the single-frame File behind the network and suite
+// files, and the atomic file writer behind
 // every whole-file save. DESIGN.md "On-disk formats" lists the formats
 // built on it.
 //

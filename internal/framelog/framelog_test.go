@@ -14,11 +14,11 @@ import (
 	"testing"
 )
 
-// magics are the seven frame types of the repo's formats (DESIGN.md
+// magics are the six frame types of the repo's formats (DESIGN.md
 // "On-disk formats"); the packages that own them are not importable
 // from here.
 var magics = []string{
-	"HSDNNv3\n", "HSDCKv2\n", "HSDSJh2\n", "HSDSJr2\n", "HSDLWh3\n", "HSDLWr3\n", "HSDSTv1\n",
+	"HSDNNv3\n", "HSDSJh2\n", "HSDSJr2\n", "HSDLWh3\n", "HSDLWr3\n", "HSDSTv1\n",
 }
 
 type testMeta struct {

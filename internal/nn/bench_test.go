@@ -44,7 +44,7 @@ func BenchmarkCNNTrainStep(b *testing.B) {
 	for i := range y {
 		y[i] = rng.Intn(2)
 	}
-	opt := newAdam(1e-3, net.Params())
+	opt := newAdam(net.Params())
 	loss := SoftmaxCE{}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -98,7 +98,7 @@ func BenchmarkFitZooCNN(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg := TrainConfig{Epochs: 16, BatchSize: 32, Seed: 1, LR: 1e-3, Loss: SoftmaxCE{BiasEps: 0.25}}
+		cfg := TrainConfig{Epochs: 16, BatchSize: 32, Seed: 1, Loss: SoftmaxCE{BiasEps: 0.25}}
 		if _, err := Fit(net, x, y, cfg); err != nil {
 			b.Fatal(err)
 		}

@@ -221,8 +221,8 @@ type Dropout struct {
 
 	// seed and draws make the RNG state capturable without mutating it:
 	// the stream is fully determined by the construction seed and the
-	// number of Float64 draws consumed, so a checkpoint records (seed,
-	// draws) and a restored layer replays the discarded prefix. The
+	// number of Float64 draws consumed, so a saved network records (seed,
+	// draws) and a loaded layer replays the discarded prefix. The
 	// replay is exact (math/rand is deterministic) and waits for the
 	// first training Forward, which builds rng: a layer that is loaded
 	// only to score never pays for it.

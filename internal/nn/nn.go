@@ -1,9 +1,9 @@
 // Package nn is a from-scratch neural-network framework sized for
 // hotspot detection: dense and convolutional layers over float64
 // minibatches, softmax cross-entropy with the biased-learning variant of
-// the hotspot literature, Adam built afresh for each fit, and network and
-// checkpoint files declared as framelog single-frame formats, whose
-// bytes are a function of the saved state alone.
+// the hotspot literature, Adam built afresh for each fit, and a network
+// file declared as a framelog single-frame format, whose bytes are a
+// function of the saved state alone.
 //
 // Batches are tensor.Matrix values with one flattened sample per row.
 // Convolutional layers interpret rows in (C, H, W) channel-major order,

@@ -356,8 +356,10 @@ func TestAdamConverges(t *testing.T) {
 	w := tensor.NewMatrix(1, 1)
 	g := tensor.NewMatrix(1, 1)
 	p := []*Param{{W: w, G: g}}
-	opt := newAdam(0.1, p)
-	for i := 0; i < 300; i++ {
+	opt := newAdam(p)
+	// At the fixed rate of 1e-3 a step moves w by about 1e-3, so the
+	// walk from 0 to 3 takes thousands of steps.
+	for i := 0; i < 10000; i++ {
 		g.Data[0] = 2 * (w.Data[0] - 3)
 		opt.step(p)
 	}

@@ -36,8 +36,7 @@ func Save(w io.Writer, net *Network) error {
 	return netFormat.Write(w, file)
 }
 
-// snapshotLayer captures one layer without mutating it; the shared
-// serialization of the network and checkpoint formats.
+// snapshotLayer captures one layer without mutating it.
 func snapshotLayer(l Layer) (snapshot, error) {
 	switch v := l.(type) {
 	case *Dense:
@@ -62,21 +61,16 @@ func snapshotLayer(l Layer) (snapshot, error) {
 	}
 }
 
-func snapshotNet(net *Network) ([]snapshot, error) {
-	out := make([]snapshot, 0, len(net.Layers))
+func newNetFile(net *Network) (netFile, error) {
+	layers := make([]snapshot, 0, len(net.Layers))
 	for _, l := range net.Layers {
 		s, err := snapshotLayer(l)
 		if err != nil {
-			return nil, err
+			return netFile{}, err
 		}
-		out = append(out, s)
+		layers = append(layers, s)
 	}
-	return out, nil
-}
-
-func newNetFile(net *Network) (netFile, error) {
-	layers, err := snapshotNet(net)
-	return netFile{Layers: layers}, err
+	return netFile{Layers: layers}, nil
 }
 
 // Load reconstructs a network saved with Save. The frame is
@@ -187,7 +181,7 @@ func restoreLayer(s snapshot) (Layer, error) {
 		return NewReLU(s.Ints[0]), nil
 	case "dropout":
 		// One seed is the legacy form (a fresh stream); two is
-		// (seed, draws), the exact RNG state for resumable training.
+		// (seed, draws), the exact RNG state of the saved layer.
 		if len(s.Ints) != 1 || len(s.Seeds) < 1 || len(s.Seeds) > 2 ||
 			len(s.Floats) != 1 || len(s.Floats[0]) != 1 {
 			return nil, fmt.Errorf("malformed dropout snapshot")

@@ -77,7 +77,7 @@ func TestLoadGolden(t *testing.T) {
 		!bytes.Equal(framed(netFormat, old), golden) {
 		t.Fatal("golden.net.v1 holds another network than golden.net")
 	}
-	want := ckptNet()
+	want := smallNet()
 	if len(net.Layers) != len(want.Layers) {
 		t.Fatalf("%d layers, want %d", len(net.Layers), len(want.Layers))
 	}
@@ -193,42 +193,21 @@ func netBytes(layers ...snapshot) []byte {
 	return framed(netFormat, netFile{Layers: layers})
 }
 
-// readCheckpoint is LoadCheckpointFile on bytes instead of a path.
-func readCheckpoint(data []byte) (*Checkpoint, error) {
-	file, err := ckptFormat.Read(bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	return file.checkpoint()
-}
-
 // TestLoadRefusesHostileGeometry: a snapshot whose geometry no layer can
-// have is an error from Load and from a checkpoint load; never a panic,
-// and never an allocation the size of what the file declares.
+// have is an error from Load; never a panic, and never an allocation the
+// size of what the file declares.
 func TestLoadRefusesHostileGeometry(t *testing.T) {
 	for _, c := range hostileLayers() {
 		t.Run(c.name, func(t *testing.T) {
-			files := map[string]func() error{
-				"Load": func() error {
-					_, err := Load(bytes.NewReader(netBytes(c.s)))
-					return err
-				},
-				"checkpoint": func() error {
-					_, err := readCheckpoint(framed(ckptFormat, ckptFile{Layers: []snapshot{c.s}}))
-					return err
-				},
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Load(bytes.NewReader(netBytes(c.s)))
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("err = %v, want one saying %q", err, c.want)
 			}
-			for path, load := range files {
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				err := load()
-				runtime.ReadMemStats(&after)
-				if err == nil || !strings.Contains(err.Error(), c.want) {
-					t.Errorf("%s: err = %v, want one saying %q", path, err, c.want)
-				}
-				if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
-					t.Errorf("%s: allocated %d bytes refusing it", path, grew)
-				}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+				t.Errorf("allocated %d bytes refusing it", grew)
 			}
 		})
 	}

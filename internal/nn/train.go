@@ -9,24 +9,14 @@ import (
 	"strconv"
 	"time"
 
-	"github.com/golitho/hsd/internal/faultinject"
 	"github.com/golitho/hsd/internal/resilience"
 	"github.com/golitho/hsd/internal/tensor"
 	"github.com/golitho/hsd/internal/trace"
 )
 
-// TrainEpochSite is the fault-injection site hit at the top of every
-// training epoch, so chaos tests can kill a run at a chosen epoch.
-const TrainEpochSite = "nn.train.epoch"
-
-// ErrInterrupted marks a run halted by context cancellation (SIGTERM,
-// deadline). The returned history is valid up to the halt, and a final
-// checkpoint has been cut when a Checkpointer is configured.
-var ErrInterrupted = errors.New("nn: training interrupted")
-
-// ErrNonFinite marks a run halted by a NaN or Inf loss or gradient.
-// The in-memory network is poisoned, but the last end-of-epoch
-// checkpoint was persisted before returning, so no good state is lost.
+// ErrNonFinite marks a run halted by a NaN or Inf loss or gradient. The
+// halt comes before the poisoned optimizer step, so the network holds
+// the weights of the last finite step.
 var ErrNonFinite = errors.New("nn: non-finite loss or gradient")
 
 // TrainConfig parameterizes Fit. It is a plain value: each fit builds
@@ -36,8 +26,6 @@ type TrainConfig struct {
 	Epochs int
 	// BatchSize per gradient step (default 32).
 	BatchSize int
-	// LR is Adam's learning rate (default 1e-3).
-	LR float64
 	// Loss carries the biased-learning epsilon.
 	Loss SoftmaxCE
 	// Seed drives weight init and shuffling.
@@ -45,23 +33,6 @@ type TrainConfig struct {
 	// Clock drives epoch timing (default the wall clock). Injectable so
 	// timing-sensitive tests stay deterministic under parallel execution.
 	Clock resilience.Clock
-
-	// Checkpointer, when non-nil, persists a checkpoint every
-	// CheckpointEvery epochs, after the final epoch, and on any halt
-	// (cancellation or non-finite guard). A checkpoint save error halts
-	// training: a run that silently cannot checkpoint is not
-	// crash-tolerant.
-	Checkpointer Checkpointer
-	// CheckpointEvery is the persist cadence in epochs (default 1).
-	CheckpointEvery int
-	// Resume continues a run from a checkpoint instead of epoch 1. The
-	// config must match the original run (same data, seed, learning
-	// rate, epochs); Seed and LR mismatches are rejected, the rest is
-	// the caller's contract. The continuation is bit-identical to an
-	// uninterrupted run: weights, Adam's moments and step count, and the
-	// dropout RNG come from the checkpoint, and the train-loop RNG is
-	// replayed to its position at the checkpoint.
-	Resume *Checkpoint
 }
 
 func (c *TrainConfig) normalize() {
@@ -71,14 +42,8 @@ func (c *TrainConfig) normalize() {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 32
 	}
-	if c.LR <= 0 {
-		c.LR = 1e-3
-	}
 	if c.Clock == nil {
 		c.Clock = resilience.Real
-	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 1
 	}
 }
 
@@ -98,25 +63,6 @@ func Fit(net *Network, x [][]float64, y []int, cfg TrainConfig) ([]EpochStats, e
 	return FitCtx(context.Background(), net, x, y, cfg)
 }
 
-// persistCheckpoint writes c through the configured Checkpointer under
-// a train.checkpoint span.
-func persistCheckpoint(ctx context.Context, cfg *TrainConfig, c *Checkpoint) error {
-	if cfg.Checkpointer == nil || c == nil {
-		return nil
-	}
-	_, sp := trace.Start(ctx, "train.checkpoint")
-	sp.SetAttrInt("epoch", c.Epoch)
-	err := cfg.Checkpointer.SaveCheckpoint(c)
-	if err != nil {
-		sp.SetError(err)
-	}
-	sp.End()
-	if err != nil {
-		return fmt.Errorf("nn: checkpoint at epoch %d: %w", c.Epoch, err)
-	}
-	return nil
-}
-
 // nonFiniteGrad reports the first parameter holding a NaN or Inf
 // gradient, if any.
 func nonFiniteGrad(params []*Param) (int, bool) {
@@ -130,13 +76,12 @@ func nonFiniteGrad(params []*Param) (int, bool) {
 	return 0, false
 }
 
-// FitCtx is Fit with cooperative interruption, crash tolerance, and
-// resume. Cancellation is observed at epoch boundaries: the run cuts a
-// final checkpoint and returns the history so far with ErrInterrupted.
-// Non-finite losses or gradients halt the run before the poisoned
-// optimizer step, persist the last good end-of-epoch checkpoint, and
-// return ErrNonFinite. A run resumed from any of those checkpoints via
-// cfg.Resume continues bit-identically to an uninterrupted run.
+// FitCtx is Fit with cooperative cancellation, observed at epoch
+// boundaries: a cancelled run returns the history of the epochs it
+// completed and an error wrapping ctx.Err(). A non-finite loss or
+// gradient halts the run before the poisoned optimizer step and returns
+// ErrNonFinite. A fit is a pure function of its inputs and config, so
+// the way to finish an interrupted one is to run it again.
 func FitCtx(ctx context.Context, net *Network, x [][]float64, y []int, cfg TrainConfig) ([]EpochStats, error) {
 	n := len(x)
 	if n == 0 || len(y) != n {
@@ -165,71 +110,26 @@ func FitCtx(ctx context.Context, net *Network, x [][]float64, y []int, cfg Train
 	for i := range order {
 		order[i] = i
 	}
-	shuffle := func() {
-		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
-	}
-
-	startEpoch := 0
-	var history []EpochStats
-	// lastGood is the newest end-of-epoch snapshot; halts persist it so
-	// an interrupted or NaN-poisoned run never loses completed work.
-	var lastGood *Checkpoint
-	var opt *adam
-	if cfg.Resume != nil {
-		r := cfg.Resume
-		if r.Epoch > cfg.Epochs {
-			return nil, fmt.Errorf("nn: checkpoint is at epoch %d, config trains only %d", r.Epoch, cfg.Epochs)
-		}
-		var err error
-		if opt, err = r.apply(net, &cfg); err != nil {
-			return nil, err
-		}
-		// Replay the train loop's RNG-dependent state to its position
-		// at the checkpoint. Init above consumed the same draws as the
-		// original run's Init; replaying the per-epoch shuffles (whose
-		// permutations compose across epochs) restores both the RNG
-		// stream position and the order slice, so neither needs to be
-		// stored in the checkpoint.
-		for e := 0; e < r.Epoch; e++ {
-			shuffle()
-		}
-		history = append([]EpochStats(nil), r.History...)
-		startEpoch = r.Epoch
-		lastGood = r
-	}
-	// Resume replaces the layers, so the parameters are collected after
-	// it; the slice and the batch buffers serve every step of the fit.
+	// The parameter slice and the batch buffers serve every step.
 	params := net.Params()
-	if opt == nil {
-		opt = newAdam(cfg.LR, params)
-	}
+	opt := newAdam(params)
 	xb := tensor.NewMatrix(min(cfg.BatchSize, n), dim)
 	yb := make([]int, xb.Rows)
-	// halt stops the run on a non-finite value: the epoch's span carries
-	// err, the last good checkpoint is persisted, err is returned.
+	var history []EpochStats
+	// halt stops the run on a non-finite value: the epoch's span
+	// carries err, and err is returned.
 	halt := func(span *trace.Span, err error) ([]EpochStats, error) {
 		span.SetError(err)
 		span.End()
-		if perr := persistCheckpoint(ctx, &cfg, lastGood); perr != nil {
-			return history, perr
-		}
 		return history, err
 	}
-	for epoch := startEpoch + 1; epoch <= cfg.Epochs; epoch++ {
-		if cerr := ctx.Err(); cerr != nil {
-			if err := persistCheckpoint(ctx, &cfg, lastGood); err != nil {
-				return history, err
-			}
-			return history, fmt.Errorf("%w before epoch %d: %v", ErrInterrupted, epoch, cerr)
-		}
-		if err := faultinject.Hit(TrainEpochSite); err != nil {
-			// Simulated crash: return immediately with no final
-			// checkpoint, exactly what a kill -9 leaves behind.
-			return history, err
+	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
+		if err := ctx.Err(); err != nil {
+			return history, fmt.Errorf("nn: training cancelled before epoch %d: %w", epoch, err)
 		}
 		epochStart := cfg.Clock.Now()
 		_, span := trace.Start(ctx, "train.epoch")
-		shuffle()
+		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
 		var lossSum float64
 		correct, batches := 0, 0
 		for start := 0; start < n; start += cfg.BatchSize {
@@ -246,16 +146,16 @@ func FitCtx(ctx context.Context, net *Network, x [][]float64, y []int, cfg Train
 			logits := net.Forward(xb)
 			loss, grad, c := cfg.Loss.Loss(logits, yb)
 			if math.IsNaN(loss) || math.IsInf(loss, 0) {
-				return halt(span, fmt.Errorf("%w: loss=%v at epoch %d batch %d%s",
-					ErrNonFinite, loss, epoch, batches, lastGoodNote(lastGood)))
+				return halt(span, fmt.Errorf("%w: loss=%v at epoch %d batch %d",
+					ErrNonFinite, loss, epoch, batches))
 			}
 			for _, p := range params {
 				p.G.Zero()
 			}
 			net.Backward(grad)
 			if pi, bad := nonFiniteGrad(params); bad {
-				return halt(span, fmt.Errorf("%w: gradient of param %d at epoch %d batch %d%s",
-					ErrNonFinite, pi, epoch, batches, lastGoodNote(lastGood)))
+				return halt(span, fmt.Errorf("%w: gradient of param %d at epoch %d batch %d",
+					ErrNonFinite, pi, epoch, batches))
 			}
 			opt.step(params)
 			lossSum += loss
@@ -277,28 +177,8 @@ func FitCtx(ctx context.Context, net *Network, x [][]float64, y []int, cfg Train
 			span.SetAttr("acc", strconv.FormatFloat(st.Acc, 'g', 6, 64))
 			span.End()
 		}
-		if cfg.Checkpointer != nil {
-			c, err := captureCheckpoint(net, opt, cfg.Seed, epoch, history)
-			if err != nil {
-				return history, err
-			}
-			lastGood = c
-			if epoch%cfg.CheckpointEvery == 0 || epoch == cfg.Epochs {
-				if err := persistCheckpoint(ctx, &cfg, c); err != nil {
-					return history, err
-				}
-			}
-		}
 	}
 	return history, nil
-}
-
-// lastGoodNote describes the preserved checkpoint in halt errors.
-func lastGoodNote(c *Checkpoint) string {
-	if c == nil {
-		return " (no checkpoint configured)"
-	}
-	return fmt.Sprintf(" (last good checkpoint: epoch %d)", c.Epoch)
 }
 
 // Score returns the hotspot probability of a single sample: one row

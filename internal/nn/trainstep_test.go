@@ -57,10 +57,10 @@ func trainStepCases() []trainStepCase {
 	}
 	return []trainStepCase{
 		{"zoo-cnn", cnn, func() TrainConfig {
-			return TrainConfig{Epochs: 2, BatchSize: 32, Seed: 11, LR: 1e-3, Loss: SoftmaxCE{BiasEps: 0.25}}
+			return TrainConfig{Epochs: 2, BatchSize: 32, Seed: 11, Loss: SoftmaxCE{BiasEps: 0.25}}
 		}},
 		{"zoo-mlp", func() (*Network, error) { return BuildMLP(482, 64, 32), nil }, func() TrainConfig {
-			return TrainConfig{Epochs: 2, BatchSize: 32, Seed: 13, LR: 1e-3}
+			return TrainConfig{Epochs: 2, BatchSize: 32, Seed: 13}
 		}},
 	}
 }
@@ -167,15 +167,15 @@ func TestTrainStepGolden(t *testing.T) {
 // must not inherit the first one's step count or moments: it gives the
 // bytes a fit on a fresh config gives.
 func TestTrainStepRefitStartsFresh(t *testing.T) {
-	x, y := ckptData(40)
-	cfg := func() TrainConfig { return TrainConfig{Epochs: 5, BatchSize: 8, Seed: 3, LR: 5e-3} }
-	fresh := ckptNet()
+	x, y := blobData(40)
+	cfg := func() TrainConfig { return TrainConfig{Epochs: 5, BatchSize: 8, Seed: 3} }
+	fresh := smallNet()
 	if _, err := Fit(fresh, x, y, cfg()); err != nil {
 		t.Fatal(err)
 	}
 	shared := cfg()
 	for round := 1; round <= 2; round++ {
-		net := ckptNet()
+		net := smallNet()
 		if _, err := Fit(net, x, y, shared); err != nil {
 			t.Fatal(err)
 		}
@@ -308,10 +308,10 @@ func TestTrainStepConcurrentFits(t *testing.T) {
 // TestFitEmitsEpochSpans: under a recording tracer every epoch is one
 // train.epoch span carrying the epoch's statistics.
 func TestFitEmitsEpochSpans(t *testing.T) {
-	x, y := ckptData(20)
+	x, y := blobData(20)
 	tr := trace.New(trace.Config{})
 	ctx, root := trace.Start(trace.WithTracer(context.Background(), tr), "fit")
-	hist, err := FitCtx(ctx, ckptNet(), x, y, TrainConfig{Epochs: 3, BatchSize: 8, Seed: 3})
+	hist, err := FitCtx(ctx, smallNet(), x, y, TrainConfig{Epochs: 3, BatchSize: 8, Seed: 3})
 	root.End()
 	if err != nil {
 		t.Fatal(err)
@@ -373,7 +373,7 @@ func TestTrainStepAllocations(t *testing.T) {
 			y[i] = rng.Intn(2)
 		}
 		params := net.Params()
-		opt := newAdam(cfg.LR, params)
+		opt := newAdam(params)
 		step := func() {
 			_, grad, _ := cfg.Loss.Loss(net.Forward(x), y)
 			for _, p := range params {

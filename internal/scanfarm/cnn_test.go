@@ -54,7 +54,7 @@ func fittedCNN(t testing.TB, scaled bool) *core.NeuralDetector {
 		for _, noScale := range []bool{true, false} {
 			det := core.NewCNNDetector(&features.DCT{Blocks: 16, Coefs: 16},
 				nn.CNNConfig{Conv1: 16, Conv2: 24, Hidden: 48, DropoutP: 0.1, Seed: 1},
-				nn.TrainConfig{Epochs: 4, BatchSize: 32, Seed: 1, LR: 1e-3}, "cnn")
+				nn.TrainConfig{Epochs: 4, BatchSize: 32, Seed: 1}, "cnn")
 			det.NoScale = noScale
 			if fx.err = det.Fit(train); fx.err != nil {
 				return

@@ -578,6 +578,18 @@ func TestChaosCacheLateScoreNotStored(t *testing.T) {
 	}
 }
 
+// missBodies returns n bodies no server has seen: each is a suite clip
+// with one extra square, placed where no earlier body put it.
+func missBodies(b *testing.B, bodies [][]byte, n int) [][]byte {
+	unique := make([][]byte, n)
+	for i := range unique {
+		clip := servedClip(b, bodies[i%len(bodies)])
+		at := clip.Window.Min.Add(geom.Pt(8*(i%128), 8*(i/128%128)))
+		unique[i] = clipBody(b, append(clip.Shapes, geom.Rect{Min: at, Max: at.Add(geom.Pt(4, 4))}))
+	}
+	return unique
+}
+
 // BenchmarkServeScoreCache is /score through the handler, without the
 // network, on a CNN of the zoo's shape: "hit" posts one clip the cache
 // already holds; "miss" posts a clip never seen before every iteration,
@@ -610,14 +622,7 @@ func BenchmarkServeScoreCache(b *testing.B) {
 		}
 	})
 	b.Run("miss", func(b *testing.B) {
-		// Each body is a suite clip with one extra square, placed where no
-		// earlier iteration put it.
-		unique := make([][]byte, b.N)
-		for i := range unique {
-			clip := servedClip(b, bodies[i%len(bodies)])
-			at := clip.Window.Min.Add(geom.Pt(8*(i%128), 8*(i/128%128)))
-			unique[i] = clipBody(b, append(clip.Shapes, geom.Rect{Min: at, Max: at.Add(geom.Pt(4, 4))}))
-		}
+		unique := missBodies(b, bodies, b.N)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -627,4 +632,44 @@ func BenchmarkServeScoreCache(b *testing.B) {
 			b.Fatalf("%v hits: the miss bodies repeat", hits)
 		}
 	})
+}
+
+// BenchmarkServeBatchMiss posts clips no server has seen from concurrent
+// clients: to /batch, where they coalesce into vectorized passes, and the
+// same clips one at a time to /score. Every request must be a score-cache
+// miss; the batch run reports the mean number of clips a pass scored.
+func BenchmarkServeBatchMiss(b *testing.B) {
+	det, bodies := smallSuiteCNN(b, 16, 16, 24, 48)
+	for _, path := range []string{"/batch", "/score"} {
+		b.Run(path[1:], func(b *testing.B) {
+			srv, err := NewServer(Options{Primary: det, DeadlineBudget: 500 * time.Millisecond})
+			if err != nil {
+				b.Fatal(err)
+			}
+			h := srv.Handler()
+			unique := missBodies(b, bodies, b.N)
+			var next atomic.Int64
+			b.SetParallelism(8)
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					rec := httptest.NewRecorder()
+					body := unique[next.Add(1)-1]
+					h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+					if rec.Code != http.StatusOK {
+						b.Errorf("status %d: %s", rec.Code, rec.Body)
+						return
+					}
+				}
+			})
+			b.StopTimer()
+			if hits := srv.cacheHits.Value(); hits != 0 {
+				b.Fatalf("%v hits: the miss bodies repeat", hits)
+			}
+			if n := srv.batchSize.Count(); n > 0 {
+				b.ReportMetric(srv.batchSize.Sum()/float64(n), "clips/batch")
+			}
+		})
+	}
 }
