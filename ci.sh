@@ -12,8 +12,8 @@
 #   serving, a run of every example, a smoke pass over the
 #   fuzz seed corpora, 7 s of real fuzzing each on all nine fuzz
 #   targets (63 s in all), one pass of the window key, conv, ragged-edge,
-#   matmul kernel, shallow fit, scan miss, serve score cache and serve
-#   batch miss micro-benchmarks, and a quick pass of the repo benchmark's four
+#   matmul kernel, shallow fit, scan miss and serve score cache
+#   micro-benchmarks, and a quick pass of the repo benchmark's four
 #   workloads. The matmul kernel tier the run used is logged near the
 #   top.
 #
@@ -102,9 +102,9 @@ echo "== chaos smoke =="
 # The chaos tests inject faults (latency, errors, panics) into the
 # primary detector and the scan loop, asserting the serving cascade
 # degrades instead of failing; -race because degradation is concurrent.
-# The cascade parity tests ride along: /score and /batch run one
-# degradation ladder, so the same fault must give the same status,
-# verdict provenance, counters and trace flags through either. So do the
+# The cascade parity tests ride along: /batch is a second route to the
+# /score handler, so the same fault must give the same status, verdict
+# provenance, counters and trace flags through either. So do the
 # shared-instance tests: every caller scores on the one fitted detector
 # with no clone and no lock, so the zoo, the CNN behind concurrent POST
 # /score and the un-cloned scan detector must each answer their serial
@@ -277,13 +277,8 @@ echo "== serve score cache benchmark =="
 # One POST /score through the handler on a CNN of the zoo's shape, as a
 # score-cache hit and as a miss on a clip never seen before (the miss
 # pays the lookup on top of raster, DCT and network): keeps the numbers
-# behind serve_closed compiling and running. Then clips never seen
-# before, posted by concurrent clients to /batch and the same way to
-# /score: the one measurement of a batched miss, which the repo
-# benchmark's traffic (all cache hits) never forms; it fails on any
-# cache hit and reports clips per batch. Time them with -benchtime 1s.
+# behind serve_closed compiling and running. Time it with -benchtime 1s.
 go test -run='^$' -bench=ServeScoreCache -benchtime=1x ./internal/serve/
-go test -run='^$' -bench=ServeBatchMiss -benchtime=1x ./internal/serve/
 
 echo "== matmul kernel fuzz =="
 # The two faces of the hand-written matmul kernel. The plain product is

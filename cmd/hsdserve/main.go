@@ -22,12 +22,11 @@
 // Clients that care about verdict provenance must check that field; the
 // HTTP status stays 200. Without a fallback those failures surface as
 // 5xx. When -shed-rate is set, excess traffic is rejected up front with
-// 429 + Retry-After. POST /batch is /score with micro-batching:
-// concurrent requests are coalesced (up to -batch-size per pass, waiting
-// at most -batch-wait) into one vectorized pass through the primary;
-// verdicts are identical to /score. GET /readyz reports readiness: "ready" (primary
-// healthy), "degraded" (breaker open, fallback answering, still 200), or
-// "unavailable" (breaker open, no fallback, 503). GET /metrics exposes
+// 429 + Retry-After. POST /batch is /score, kept for existing clients;
+// its requests are counted under their own endpoint label. GET /readyz
+// reports readiness: "ready" (primary healthy), "degraded" (breaker
+// open, fallback answering, still 200), or "unavailable" (breaker open,
+// no fallback, 503). GET /metrics exposes
 // hotspot_fallbacks_total, requests_shed_total, the breaker state
 // gauge (hotspot_breaker_state: 0 closed, 1 half-open, 2 open), Go
 // runtime stats, and the per-stage hotspot_stage_seconds histograms.
@@ -97,8 +96,6 @@ func run() error {
 	fallbackName := flag.String("fallback", "", "zoo detector serving degraded verdicts when the primary fails (empty: no fallback)")
 	deadline := flag.Duration("deadline", 0, "per-request compute budget for /score and /verify (0: unlimited)")
 	shedRate := flag.Float64("shed-rate", 0, "admission-control rate in requests/sec; excess gets 429 (0: no shedding)")
-	batchSize := flag.Int("batch-size", 32, "max POST /batch requests coalesced into one scoring pass")
-	batchWait := flag.Duration("batch-wait", 2*time.Millisecond, "max time a /batch request waits for the batch to fill")
 	seed := flag.Int64("seed", 1, "training seed")
 	addr := flag.String("addr", ":8080", "listen address")
 	debugAddr := flag.String("debug-addr", "", "private listen address for /debug/pprof/ (empty: no debug listener)")
@@ -112,7 +109,7 @@ func run() error {
 	maxFARRise := flag.Float64("max-far-rise", 0.05, "max golden-set false-alarm rate a reload candidate may add")
 	probation := flag.Int("probation", 200, "post-swap primary outcomes watched for automatic rollback (0: off)")
 	probationMaxFail := flag.Int("probation-max-failures", 5, "primary failures tolerated inside the probation window")
-	kernelWorkers := flag.Int("kernel-workers", 0, "total kernel-pool parallelism for batched inference and matmuls (0: GOMAXPROCS)")
+	kernelWorkers := flag.Int("kernel-workers", 0, "total kernel-pool parallelism for training and matmuls (0: GOMAXPROCS)")
 	readTimeout := flag.Duration("read-timeout", 15*time.Second, "max time to read a request")
 	writeTimeout := flag.Duration("write-timeout", 60*time.Second, "max time to write a response (covers /verify simulation)")
 	idleTimeout := flag.Duration("idle-timeout", 120*time.Second, "keep-alive idle connection timeout")
@@ -275,8 +272,6 @@ func run() error {
 		CoreFrac:       suite.Config.CoreFrac,
 		DeadlineBudget: *deadline,
 		ShedRate:       *shedRate,
-		BatchMaxSize:   *batchSize,
-		BatchMaxWait:   *batchWait,
 		Metrics:        reg,
 		Tracer:         tracer,
 		Reload:         reload,

@@ -28,7 +28,7 @@ type LabeledClip struct {
 // Detector is a trainable hotspot classifier over layout clips.
 //
 // Concurrency contract: once Fit has returned, Score (and the optional
-// ScoreCtx and ScoreBatchCtx) must be safe to call from any number of
+// ScoreCtx and ScoreBatch) must be safe to call from any number of
 // goroutines on the one instance, and must return the same bits as a
 // serial call. Scans, the model registry and the HTTP service all
 // share a single fitted detector; none of them clones or locks. Fit
@@ -157,7 +157,7 @@ func (s *scaler) applyAll(x [][]float64) [][]float64 {
 }
 
 // extract computes features for every clip, x[i] from clips[i]. The
-// clips are sharded over the kernel pool, as ScoreBatchCtx shards them:
+// clips are sharded over the kernel pool, as ScoreBatch shards them:
 // each writes its own slot, and a shard stops at its first failure, so
 // the lowest failing index overall is always reached and reported, as a
 // serial loop would report it.
@@ -417,9 +417,35 @@ func (d *NeuralDetector) Score(clip layout.Clip) (float64, error) {
 	return d.ScoreCtx(context.Background(), clip)
 }
 
-// ScoreBatch is ScoreBatchCtx without a trace.
+// ScoreBatch scores clips in one vectorized pass: per-clip extraction,
+// then nn.PredictBatch, both sharded over tensor.Default. Scores are
+// bit-identical to per-clip Score calls, in input order, and the path is
+// read-only on the network, so it is safe for concurrent use.
 func (d *NeuralDetector) ScoreBatch(clips []layout.Clip) ([]float64, error) {
-	return d.ScoreBatchCtx(context.Background(), clips)
+	if d.net == nil {
+		return nil, errNotFitted
+	}
+	// Extractors share nothing but pooled scratch, and every clip writes
+	// its own slot. A shard stops at its first failure, so the lowest
+	// failing index overall is always reached and reported.
+	xs := make([][]float64, len(clips))
+	errs := make([]error, len(clips))
+	tensor.Default().Run(len(clips), 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			v, err := d.Ex.Extract(clips[i])
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			xs[i] = d.scale.apply(v)
+		}
+	})
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("core: extract clip %d: %w", i, err)
+		}
+	}
+	return nn.PredictBatch(d.net, xs, 0)
 }
 
 // Threshold implements Detector.

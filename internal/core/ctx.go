@@ -3,20 +3,18 @@
 // scored clip into "raster" + "features" spans (via features.ExtractCtx)
 // followed by an "inference" span, exactly the per-stage ODST breakdown
 // the tracer exports as hotspot_stage_seconds. Its plain Score, like
-// every other plain method with a Ctx twin (ScoreBatch, Fit), is the
-// twin under context.Background(): untraced callers run the same code
-// and pay only the nil-span fast path.
+// every other plain method with a Ctx twin (Fit), is the twin under
+// context.Background(): untraced callers run the same code and pay only
+// the nil-span fast path.
 
 package core
 
 import (
 	"context"
-	"fmt"
 
 	"github.com/golitho/hsd/internal/features"
 	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/nn"
-	"github.com/golitho/hsd/internal/tensor"
 	"github.com/golitho/hsd/internal/trace"
 )
 
@@ -25,14 +23,6 @@ import (
 type CtxScorer interface {
 	// ScoreCtx is Score with stage spans on the context's trace.
 	ScoreCtx(ctx context.Context, clip layout.Clip) (float64, error)
-}
-
-// CtxBatchScorer is implemented by detectors with a vectorized scoring
-// path. ScoreBatchCtx returns one score per clip, in input order,
-// identical to what Score would return for each clip alone, under the
-// same concurrency contract as Detector.Score.
-type CtxBatchScorer interface {
-	ScoreBatchCtx(ctx context.Context, clips []layout.Clip) ([]float64, error)
 }
 
 // CtxFitter is implemented by detectors whose training observes context
@@ -62,23 +52,6 @@ func ScoreClipCtx(ctx context.Context, d Detector, clip layout.Clip) (float64, e
 	return d.Score(clip)
 }
 
-// ScoreClipsCtx scores every clip, in order: through the vectorized
-// CtxBatchScorer when the detector has one, else clip by clip.
-func ScoreClipsCtx(ctx context.Context, d Detector, clips []layout.Clip) ([]float64, error) {
-	if cbs, ok := d.(CtxBatchScorer); ok {
-		return cbs.ScoreBatchCtx(ctx, clips)
-	}
-	out := make([]float64, len(clips))
-	for i, clip := range clips {
-		s, err := ScoreClipCtx(ctx, d, clip)
-		if err != nil {
-			return nil, fmt.Errorf("core: score clip %d: %w", i, err)
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
 // scoreFeatures is how a feature-based detector turns a clip into a
 // score: extraction under ExtractCtx (one "raster" + "features" span
 // pair per extractor), then scoreVector.
@@ -104,10 +77,9 @@ func scoreVector(ctx context.Context, d Detector, scale *scaler, v []float64, de
 }
 
 var (
-	_ CtxScorer      = (*FeatureDetector)(nil)
-	_ CtxScorer      = (*NeuralDetector)(nil)
-	_ CtxBatchScorer = (*NeuralDetector)(nil)
-	_ CtxFitter      = (*NeuralDetector)(nil)
+	_ CtxScorer = (*FeatureDetector)(nil)
+	_ CtxScorer = (*NeuralDetector)(nil)
+	_ CtxFitter = (*NeuralDetector)(nil)
 )
 
 // ScoreCtx implements CtxScorer.
@@ -164,39 +136,4 @@ func (d *NeuralDetector) scoreConv1(ctx context.Context, w Conv1Window) float64 
 	s := nn.ScoreConvSums(d.net, w.Sums)
 	sp.End()
 	return s
-}
-
-// ScoreBatchCtx implements CtxBatchScorer: per-clip extraction spans,
-// then the batched forward pass under nn.PredictBatchCtx (arena and
-// matmul stage spans), both sharded over tensor.Default. Scores are
-// bit-identical to per-clip ScoreCtx calls, and the path is read-only
-// on the network, so it is safe for concurrent use.
-func (d *NeuralDetector) ScoreBatchCtx(ctx context.Context, clips []layout.Clip) ([]float64, error) {
-	if d.net == nil {
-		return nil, errNotFitted
-	}
-	// Extraction is sharded over the kernel pool like the forward pass
-	// after it: extractors share nothing but pooled scratch, and every
-	// clip writes its own slot. A shard stops at its first failure, so
-	// the lowest failing index overall is always reached and reported.
-	xs := make([][]float64, len(clips))
-	errs := make([]error, len(clips))
-	if err := tensor.Default().RunCtx(ctx, len(clips), 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v, err := features.ExtractCtx(ctx, d.Ex, clips[i])
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			xs[i] = d.scale.apply(v)
-		}
-	}); err != nil {
-		return nil, err
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: extract clip %d: %w", i, err)
-		}
-	}
-	return nn.PredictBatchCtx(ctx, d.net, xs, 0)
 }

@@ -189,56 +189,45 @@ func TestScanPanicAttributionDeterministic(t *testing.T) {
 	}
 }
 
-// panicBatchDetector is the batch-capable twin of panicDetector: it
-// implements CtxScorer and CtxBatchScorer like the neural detectors,
-// with Score delegating to ScoreCtx as theirs does, so the
-// scan's ScoreClipCtx dispatch takes the ctx-scoring path. Panic
-// isolation must hold there too.
-type panicBatchDetector struct {
+// panicCtxDetector is the span-attributing twin of panicDetector: it
+// implements CtxScorer like the feature and neural detectors, with Score
+// delegating to ScoreCtx as theirs does, so the scan's ScoreClipCtx
+// dispatch takes the ctx-scoring path. Panic isolation must hold there
+// too.
+type panicCtxDetector struct {
 	Bad geom.Rect
 }
 
-func (p *panicBatchDetector) Name() string            { return "panic-batch" }
-func (p *panicBatchDetector) Fit([]LabeledClip) error { return nil }
-func (p *panicBatchDetector) Threshold() float64      { return 0.5 }
-func (p *panicBatchDetector) Score(clip layout.Clip) (float64, error) {
+func (p *panicCtxDetector) Name() string            { return "panic-ctx" }
+func (p *panicCtxDetector) Fit([]LabeledClip) error { return nil }
+func (p *panicCtxDetector) Threshold() float64      { return 0.5 }
+func (p *panicCtxDetector) Score(clip layout.Clip) (float64, error) {
 	return p.ScoreCtx(context.Background(), clip)
 }
-func (p *panicBatchDetector) ScoreCtx(_ context.Context, clip layout.Clip) (float64, error) {
+func (p *panicCtxDetector) ScoreCtx(_ context.Context, clip layout.Clip) (float64, error) {
 	if clip.Window.Overlaps(p.Bad) {
 		panic("poison window (ctx)")
 	}
 	return 0, nil
 }
-func (p *panicBatchDetector) ScoreBatchCtx(_ context.Context, clips []layout.Clip) ([]float64, error) {
-	for _, clip := range clips {
-		if clip.Window.Overlaps(p.Bad) {
-			panic("poison window (batch)")
-		}
-	}
-	return make([]float64, len(clips)), nil
-}
 
-var (
-	_ CtxScorer      = (*panicBatchDetector)(nil)
-	_ CtxBatchScorer = (*panicBatchDetector)(nil)
-)
+var _ CtxScorer = (*panicCtxDetector)(nil)
 
-// TestScanIsolatesBatchDetectorPanic: the parallel scan isolates panics
-// raised on the batch-capable dispatch path (CtxScorer/CtxBatchScorer
-// detectors) exactly like plain-Score panics, with identical
-// window attribution across worker counts.
-func TestScanIsolatesBatchDetectorPanic(t *testing.T) {
+// TestScanIsolatesCtxScorerPanic: the parallel scan isolates panics
+// raised on the ctx-scoring dispatch path (CtxScorer detectors) exactly
+// like plain-Score panics, with identical window attribution across
+// worker counts.
+func TestScanIsolatesCtxScorerPanic(t *testing.T) {
 	chip := layout.New("chip")
 	if err := chip.AddRect(geom.R(0, 0, 4096, 96)); err != nil {
 		t.Fatal(err)
 	}
-	det := &panicBatchDetector{Bad: geom.R(2000, 0, 2100, 100)}
+	det := &panicCtxDetector{Bad: geom.R(2000, 0, 2100, 100)}
 	var want string
 	for workers := 1; workers <= 8; workers++ {
 		_, err := scanAll(chip, det, ScanConfig{Workers: workers})
 		if err == nil {
-			t.Fatalf("workers=%d: scan swallowed a batch-path panic", workers)
+			t.Fatalf("workers=%d: scan swallowed a ctx-path panic", workers)
 		}
 		if !strings.Contains(err.Error(), "detector panic") ||
 			!strings.Contains(err.Error(), "at (") {
@@ -249,14 +238,12 @@ func TestScanIsolatesBatchDetectorPanic(t *testing.T) {
 			continue
 		}
 		if err.Error() != want {
-			t.Fatalf("workers=%d: batch-path attribution drifted:\ngot  %s\nwant %s",
+			t.Fatalf("workers=%d: ctx-path attribution drifted:\ngot  %s\nwant %s",
 				workers, err, want)
 		}
 	}
-	// ScoreClipsCtx (the serve batch path) has no isolation contract —
-	// but Evaluate and the scan must never share a poison process. The
-	// scan's recovery is the boundary; verify the panic really came
-	// through the ctx path, proving the dispatch under test.
+	// The panic must have come through the ctx path, proving the
+	// dispatch under test.
 	if !strings.Contains(want, "poison window (ctx)") {
 		t.Fatalf("panic did not route through the ctx-scoring path: %s", want)
 	}

@@ -197,7 +197,7 @@ func TestSharedDetectorConcurrentScore(t *testing.T) {
 }
 
 // TestScoreBatchEqualsScore pins the parallel extraction in
-// ScoreBatchCtx: at 1 and N kernel workers the batch equals per-clip
+// ScoreBatch: at 1 and N kernel workers the batch equals per-clip
 // Score bit for bit, in input order.
 func TestScoreBatchEqualsScore(t *testing.T) {
 	det, clips := fitSharedCNN(t)

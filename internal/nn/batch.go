@@ -15,12 +15,10 @@
 package nn
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"github.com/golitho/hsd/internal/tensor"
-	"github.com/golitho/hsd/internal/trace"
 )
 
 // ForwardBatch runs an inference-only forward pass over a batch (one
@@ -66,22 +64,6 @@ const predictChunk = 32
 // Output is deterministic: identical inputs yield bit-identical scores
 // for any worker count, and identical to the serial Score path.
 func PredictBatch(net *Network, x [][]float64, workers int) ([]float64, error) {
-	return PredictBatchCtx(context.Background(), net, x, workers)
-}
-
-// PredictBatchCtx is PredictBatch with cancellation and trace
-// attribution: the whole pass runs under an "nn.batch" span, and each
-// micro-batch emits an "nn.arena" span (scratch reset + input staging)
-// and an "nn.matmul" span (the layer forward passes + softmax).
-// Concurrent chunk spans parent to the batch span and render as
-// parallel lanes in the Chrome export. With tracing disabled the added
-// cost is nil-span no-ops.
-//
-// Cancellation is observed at chunk boundaries: once ctx is done,
-// unstarted chunks are skipped and PredictBatchCtx returns ctx's error
-// with a nil result. In-flight chunks always finish first, so no
-// goroutine writes the output slice after return.
-func PredictBatchCtx(ctx context.Context, net *Network, x [][]float64, workers int) ([]float64, error) {
 	if len(x) == 0 {
 		return nil, nil
 	}
@@ -94,52 +76,29 @@ func PredictBatchCtx(ctx context.Context, net *Network, x [][]float64, workers i
 	if net.OutDim() != 2 {
 		return nil, fmt.Errorf("nn: PredictBatch needs a 2-logit head, got %d", net.OutDim())
 	}
-	pool := tensor.Default()
-	if workers <= 0 {
-		workers = pool.Workers() + 1
-	}
 	nchunks := (len(x) + predictChunk - 1) / predictChunk
-	if workers > nchunks {
-		workers = nchunks
-	}
-	bctx, bsp := trace.Start(ctx, "nn.batch")
-	bsp.SetAttrInt("samples", len(x))
-	bsp.SetAttrInt("workers", workers)
-	defer bsp.End()
 	out := make([]float64, len(x))
-	scoreChunk := func(ar *Arena, start int) {
-		end := min(start+predictChunk, len(x))
-		_, asp := trace.Start(bctx, "nn.arena")
-		ar.Reset()
-		xb := ar.get(end-start, dim)
-		for i := start; i < end; i++ {
-			copy(xb.Row(i-start), x[i])
-		}
-		asp.End()
-		_, msp := trace.Start(bctx, "nn.matmul")
-		msp.SetAttrInt("rows", end-start)
-		logits := net.ForwardBatch(xb, ar)
-		logits.SoftmaxRows()
-		msp.End()
-		for i := 0; i < logits.Rows; i++ {
-			out[start+i] = logits.At(i, 1)
-		}
-	}
 	// One pool shard covers a contiguous run of chunks; each shard
 	// borrows a scratch arena for its lifetime. The pool's caller
 	// participation means workers==1 runs entirely inline here.
-	if err := pool.RunCtx(ctx, nchunks, workers, func(lo, hi int) {
+	tensor.Default().Run(nchunks, workers, func(lo, hi int) {
 		ar := getArena()
 		defer putArena(ar)
 		for ci := lo; ci < hi; ci++ {
-			if ctx.Err() != nil {
-				return
+			start := ci * predictChunk
+			end := min(start+predictChunk, len(x))
+			ar.Reset()
+			xb := ar.get(end-start, dim)
+			for i := start; i < end; i++ {
+				copy(xb.Row(i-start), x[i])
 			}
-			scoreChunk(ar, ci*predictChunk)
+			logits := net.ForwardBatch(xb, ar)
+			logits.SoftmaxRows()
+			for i := 0; i < logits.Rows; i++ {
+				out[start+i] = logits.At(i, 1)
+			}
 		}
-	}); err != nil {
-		return nil, err
-	}
+	})
 	return out, nil
 }
 

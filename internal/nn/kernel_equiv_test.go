@@ -6,7 +6,6 @@
 package nn
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -204,21 +203,5 @@ func TestReLUInferenceRuleAgrees(t *testing.T) {
 		if pass := !(in[i] < 0); (g == 1) != pass {
 			t.Errorf("training gradient at %v = %v, want pass=%v", in[i], g, pass)
 		}
-	}
-}
-
-// TestPredictBatchCtxCancellation: a cancelled context surfaces as an
-// error with no partial result.
-func TestPredictBatchCtxCancellation(t *testing.T) {
-	net := testNetworks(t, 38)["mlp"]
-	x := randRows(rand.New(rand.NewSource(38)), 300, inDim(net))
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	got, err := PredictBatchCtx(ctx, net, x, 2)
-	if err == nil {
-		t.Fatal("cancelled context returned nil error")
-	}
-	if got != nil {
-		t.Fatal("cancelled context returned a partial result")
 	}
 }

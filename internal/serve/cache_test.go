@@ -90,6 +90,20 @@ func cacheState(s *Server) (entries, held int) {
 	return len(c.entries), c.held
 }
 
+// denseClip is the clip of one rectangle filling the default window.
+func denseClip(t *testing.T) layout.Clip {
+	t.Helper()
+	l := layout.New("dense")
+	if err := l.AddRect(geom.R(0, 0, 1024, 1024)); err != nil {
+		t.Fatal(err)
+	}
+	clip, err := l.ClipAt(geom.Pt(512, 512), 1024, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return clip
+}
+
 // smallSuiteCNN fits a small CNN on the small suite's first training
 // split and returns it with every test clip of the suite as a body.
 func smallSuiteCNN(t testing.TB, blocks, conv1, conv2, hidden int) (*core.NeuralDetector, [][]byte) {
@@ -115,9 +129,8 @@ func smallSuiteCNN(t testing.TB, blocks, conv1, conv2, hidden int) (*core.Neural
 }
 
 // TestScoreCacheSmallSuiteBits posts every test clip of the small suite
-// twice, through /score and through /batch (concurrently, so batches
-// coalesce): the miss and the hit both carry core.ScoreClipCtx's bits on
-// the served clip.
+// to /score twice: the miss and the hit both carry core.ScoreClipCtx's
+// bits on the served clip.
 func TestScoreCacheSmallSuiteBits(t *testing.T) {
 	det, bodies := smallSuiteCNN(t, 8, 4, 4, 8)
 	want := make([]float64, len(bodies))
@@ -127,48 +140,30 @@ func TestScoreCacheSmallSuiteBits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, path := range []string{"/score", "/batch"} {
-		t.Run(path, func(t *testing.T) {
-			s, err := NewServer(Options{Primary: det, BatchMaxSize: 8, BatchMaxWait: 5 * time.Millisecond})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts := httptest.NewServer(s.Handler())
-			t.Cleanup(ts.Close)
-			for round := 0; round < 2; round++ {
-				hits0, _, _ := cacheCounts(s)
-				got := make([]ScoreResponse, len(bodies))
-				var wg sync.WaitGroup
-				sem := make(chan struct{}, 8)
-				for i, body := range bodies {
-					if path == "/score" {
-						got[i] = postBody(t, ts.URL, path, body)
-						continue
-					}
-					wg.Add(1)
-					sem <- struct{}{}
-					go func(i int, body []byte) {
-						defer wg.Done()
-						got[i] = postBody(t, ts.URL, path, body)
-						<-sem
-					}(i, body)
-				}
-				wg.Wait()
-				for i := range bodies {
-					if math.Float64bits(got[i].Score) != math.Float64bits(want[i]) || got[i].Degraded {
-						t.Fatalf("round %d clip %d: %+v, want score %v", round, i, got[i], want[i])
-					}
-				}
-				hits, misses, _ := cacheCounts(s)
-				if round == 0 && hits+misses != float64(len(bodies)) {
-					t.Fatalf("round 0: %v hits + %v misses, want %d lookups", hits, misses, len(bodies))
-				}
-				if round == 1 && hits-hits0 != float64(len(bodies)) {
-					t.Fatalf("round 1: %v hits, want every one of %d clips", hits-hits0, len(bodies))
+	t.Run("/score", func(t *testing.T) {
+		s, err := NewServer(Options{Primary: det})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		for round := 0; round < 2; round++ {
+			hits0, _, _ := cacheCounts(s)
+			for i, body := range bodies {
+				got := postBody(t, ts.URL, "/score", body)
+				if math.Float64bits(got.Score) != math.Float64bits(want[i]) || got.Degraded {
+					t.Fatalf("round %d clip %d: %+v, want score %v", round, i, got, want[i])
 				}
 			}
-		})
-	}
+			hits, misses, _ := cacheCounts(s)
+			if round == 0 && hits+misses != float64(len(bodies)) {
+				t.Fatalf("round 0: %v hits + %v misses, want %d lookups", hits, misses, len(bodies))
+			}
+			if round == 1 && hits-hits0 != float64(len(bodies)) {
+				t.Fatalf("round 1: %v hits, want every one of %d clips", hits-hits0, len(bodies))
+			}
+		}
+	})
 }
 
 // TestScoreCacheFollowsGeneration: the cache belongs to the live
@@ -181,7 +176,7 @@ func TestScoreCacheFollowsGeneration(t *testing.T) {
 		nn.TrainConfig{Epochs: 1, BatchSize: 8, Seed: 7}, "cnn-v2")
 	cand.NoScale = true
 	if err := cand.Fit([]core.LabeledClip{
-		{Clip: testBatchClip(t), Hotspot: true},
+		{Clip: denseClip(t), Hotspot: true},
 		{Clip: layout.Clip{Window: geom.R(0, 0, 1024, 1024), Core: geom.R(256, 256, 768, 768)}},
 	}); err != nil {
 		t.Fatal(err)
@@ -504,30 +499,29 @@ func TestChaosCacheHitsSkipProbation(t *testing.T) {
 	}
 }
 
-// TestChaosCacheMixedBatchDegradesMisses: a batch whose shared primary
-// pass panics degrades its misses only; its hit keeps the stored
-// primary verdict, and the degraded scores are not stored.
+// TestChaosCacheMixedBatchDegradesMisses: under a primary that panics
+// on every run, a batch of requests mixing misses and a hit degrades its
+// misses only; the hit keeps the stored primary verdict, and the
+// degraded scores are not stored.
 func TestChaosCacheMixedBatchDegradesMisses(t *testing.T) {
 	s, ts := cachedServer(t, Options{Breaker: resilience.BreakerConfig{FailureThreshold: 100}}, cachedBody)
-	faultinject.Set(PrimarySite, faultinject.Fault{Panic: "chaos: batch bug", Count: 1})
-	items := []scoreItem{
-		{clip: servedClip(t, otherBody)},
-		{clip: servedClip(t, cachedBody)},
-		{clip: servedClip(t, thirdBody)},
-	}
-	res := s.cascade(context.Background(), items)
-	for i, r := range res {
-		wantDegraded := i != 1
-		if r.err != nil || r.resp.Degraded != wantDegraded {
-			t.Fatalf("item %d: %+v, %v; want degraded=%v", i, r.resp, r.err, wantDegraded)
+	faultinject.Set(PrimarySite, faultinject.Fault{Panic: "chaos: primary bug"})
+	for i, body := range [][]byte{otherBody, cachedBody, thirdBody} {
+		got := postBody(t, ts.URL, "/score", body)
+		if hit := i == 1; got.Degraded == hit {
+			t.Fatalf("request %d: %+v; want degraded=%v", i, got, !hit)
+		}
+		if i == 1 && got.Detector != "density-threshold" {
+			t.Fatalf("hit %+v: want the primary's verdict", got)
+		}
+		if i != 1 && got.DegradedReason != "panic" {
+			t.Fatalf("miss %d %+v: want a panic-degraded verdict", i, got)
 		}
 	}
-	if res[1].resp.Detector != "density-threshold" || res[0].resp.DegradedReason != "panic" {
-		t.Fatalf("hit %+v, miss %+v: want the primary's and a panic-degraded verdict", res[1].resp, res[0].resp)
-	}
 	if n, _ := cacheState(s); n != 1 {
-		t.Fatalf("%d entries after a failed pass, want only the primed one", n)
+		t.Fatalf("%d entries after failed passes, want only the primed one", n)
 	}
+	faultinject.Reset()
 	if got := postBody(t, ts.URL, "/score", otherBody); got.Degraded {
 		t.Fatalf("retried miss after the fault: %+v, want the primary", got)
 	}
@@ -632,44 +626,4 @@ func BenchmarkServeScoreCache(b *testing.B) {
 			b.Fatalf("%v hits: the miss bodies repeat", hits)
 		}
 	})
-}
-
-// BenchmarkServeBatchMiss posts clips no server has seen from concurrent
-// clients: to /batch, where they coalesce into vectorized passes, and the
-// same clips one at a time to /score. Every request must be a score-cache
-// miss; the batch run reports the mean number of clips a pass scored.
-func BenchmarkServeBatchMiss(b *testing.B) {
-	det, bodies := smallSuiteCNN(b, 16, 16, 24, 48)
-	for _, path := range []string{"/batch", "/score"} {
-		b.Run(path[1:], func(b *testing.B) {
-			srv, err := NewServer(Options{Primary: det, DeadlineBudget: 500 * time.Millisecond})
-			if err != nil {
-				b.Fatal(err)
-			}
-			h := srv.Handler()
-			unique := missBodies(b, bodies, b.N)
-			var next atomic.Int64
-			b.SetParallelism(8)
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					rec := httptest.NewRecorder()
-					body := unique[next.Add(1)-1]
-					h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-					if rec.Code != http.StatusOK {
-						b.Errorf("status %d: %s", rec.Code, rec.Body)
-						return
-					}
-				}
-			})
-			b.StopTimer()
-			if hits := srv.cacheHits.Value(); hits != 0 {
-				b.Fatalf("%v hits: the miss bodies repeat", hits)
-			}
-			if n := srv.batchSize.Count(); n > 0 {
-				b.ReportMetric(srv.batchSize.Sum()/float64(n), "clips/batch")
-			}
-		})
-	}
 }

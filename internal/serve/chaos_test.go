@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -25,7 +24,14 @@ func (fallbackDetector) Name() string { return "shallow-fallback" }
 
 func postScore(t *testing.T, url string) (*http.Response, ScoreResponse) {
 	t.Helper()
-	resp, err := http.Post(url+"/score", "text/plain",
+	return postDense(t, url, "/score")
+}
+
+// postDense posts the clip of one rectangle filling the window to path
+// and decodes a 200 verdict.
+func postDense(t *testing.T, url, path string) (*http.Response, ScoreResponse) {
+	t.Helper()
+	resp, err := http.Post(url+path, "text/plain",
 		gltBody(t, geom.R(0, 0, 1024, 1024)))
 	if err != nil {
 		t.Fatal(err)
@@ -369,111 +375,6 @@ func TestChaosNoFallback(t *testing.T) {
 	defer readyResp.Body.Close()
 	if readyResp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("readyz status = %d, want 503", readyResp.StatusCode)
-	}
-}
-
-// TestChaosBatchPanicDegrades: a panic inside a coalesced batch's
-// primary pass degrades every request of that batch to the fallback —
-// all 200 with degraded:true, zero 5xx — and the batch after the fault
-// clears is served healthy by the primary.
-func TestChaosBatchPanicDegrades(t *testing.T) {
-	faultinject.Reset()
-	t.Cleanup(faultinject.Reset)
-	s, err := NewServer(Options{
-		Primary:      thresholdDetector{},
-		Fallback:     fallbackDetector{},
-		Breaker:      resilience.BreakerConfig{FailureThreshold: 100},
-		BatchMaxSize: 3,
-		BatchMaxWait: 30 * time.Second, // flush only when full
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-
-	// One panic: exactly the first batch's shared primary pass fails.
-	faultinject.Set(PrimarySite, faultinject.Fault{Panic: "chaos: batch scoring bug", Count: 1})
-
-	runBatch := func() []ScoreResponse {
-		var wg sync.WaitGroup
-		outs := make([]ScoreResponse, 3)
-		for i := 0; i < 3; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				resp, out := postBatch(t, ts.URL)
-				if resp.StatusCode != http.StatusOK {
-					outs[i] = ScoreResponse{Detector: fmt.Sprintf("status=%d", resp.StatusCode)}
-					return
-				}
-				outs[i] = out
-			}(i)
-		}
-		wg.Wait()
-		return outs
-	}
-
-	for i, out := range runBatch() {
-		if !out.Degraded || out.DegradedReason != "panic" || out.Detector != "shallow-fallback" {
-			t.Fatalf("faulted batch request %d: %+v, want degraded panic verdict", i, out)
-		}
-		if !out.Hotspot {
-			t.Fatalf("faulted batch request %d lost the hotspot: %+v", i, out)
-		}
-	}
-	for i, out := range runBatch() {
-		if out.Degraded || out.Detector != "density-threshold" {
-			t.Fatalf("post-chaos batch request %d: %+v, want healthy primary verdict", i, out)
-		}
-	}
-	text := metricsText(t, ts.URL)
-	for _, reject := range []string{`code="500"`, `code="502"`, `code="503"`} {
-		if strings.Contains(text, reject) {
-			t.Errorf("metrics contain a 5xx (%s) under batch chaos with a fallback\n---\n%s", reject, text)
-		}
-	}
-}
-
-// TestChaosBatchBreakerOpen: batches arriving while the breaker is open
-// skip the primary entirely and degrade with reason "breaker-open".
-func TestChaosBatchBreakerOpen(t *testing.T) {
-	faultinject.Reset()
-	t.Cleanup(faultinject.Reset)
-	s, err := NewServer(Options{
-		Primary:      thresholdDetector{},
-		Fallback:     fallbackDetector{},
-		Breaker:      resilience.BreakerConfig{FailureThreshold: 1, OpenTimeout: time.Hour},
-		BatchMaxSize: 2,
-		BatchMaxWait: 30 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-
-	faultinject.Set(PrimarySite, faultinject.Fault{Err: fmt.Errorf("chaos error")})
-
-	runBatch := func(wantReason string) {
-		var wg sync.WaitGroup
-		for i := 0; i < 2; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				resp, out := postBatch(t, ts.URL)
-				if resp.StatusCode != http.StatusOK || !out.Degraded || out.DegradedReason != wantReason {
-					t.Errorf("request %d: status=%d %+v, want degraded %q", i, resp.StatusCode, out, wantReason)
-				}
-			}(i)
-		}
-		wg.Wait()
-	}
-	runBatch("error")        // trips the one-failure breaker
-	runBatch("breaker-open") // breaker now bypasses the primary
-	// The second batch never reached the primary.
-	if got := faultinject.Fired(PrimarySite); got != 1 {
-		t.Fatalf("primary fired %d times, want 1", got)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"github.com/golitho/hsd/internal/geom"
 	"github.com/golitho/hsd/internal/iccad"
 	"github.com/golitho/hsd/internal/layout"
-	"github.com/golitho/hsd/internal/resilience"
 )
 
 // TestServedClipMatchesClipAt holds readClip, which cuts the clip from
@@ -58,33 +57,6 @@ func TestServedClipMatchesClipAt(t *testing.T) {
 	}
 	if len(bodies) < 100 {
 		t.Fatalf("only %d small-suite bodies", len(bodies))
-	}
-}
-
-// TestBatchHitDoesNotWait: a /batch request whose clip the cache holds
-// is answered at once, as /score answers it, with no batch formed and
-// without the clock moving; only a miss waits for company.
-func TestBatchHitDoesNotWait(t *testing.T) {
-	clk := resilience.NewFakeClock(time.Unix(0, 0))
-	s, ts := cachedServer(t, Options{Clock: clk, BatchMaxSize: 2, BatchMaxWait: time.Hour}, cachedBody)
-	want := postBody(t, ts.URL, "/score", cachedBody)
-	done := make(chan ScoreResponse, 1)
-	go func() { done <- postBody(t, ts.URL, "/batch", cachedBody) }()
-	select {
-	case got := <-done:
-		if got != want {
-			t.Fatalf("/batch hit: %+v, want /score's %+v", got, want)
-		}
-	case <-time.After(10 * time.Second):
-		clk.Advance(time.Hour) // release the waiting request
-		<-done
-		t.Fatal("a /batch hit waited for the batch window")
-	}
-	if n := s.batchSize.Count(); n != 0 {
-		t.Fatalf("%d batches flushed for a hit, want none", n)
-	}
-	if hits, misses, _ := cacheCounts(s); hits != 2 || misses != 1 {
-		t.Fatalf("%v hits, %v misses, want 2 and 1", hits, misses)
 	}
 }
 

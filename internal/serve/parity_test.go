@@ -1,11 +1,12 @@
 package serve
 
 import (
-	"context"
+	"bytes"
 	"errors"
-	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -22,6 +23,12 @@ type brokenFallback struct{ fallbackDetector }
 
 func (brokenFallback) Score(layout.Clip) (float64, error) {
 	return 0, errors.New("fallback boom")
+}
+
+// postBatch posts the clip postScore posts, to /batch.
+func postBatch(t *testing.T, url string) (*http.Response, ScoreResponse) {
+	t.Helper()
+	return postDense(t, url, "/batch")
 }
 
 // cascadeOutcome is everything a client, an operator's dashboard and
@@ -85,7 +92,6 @@ func TestCascadeParityScoreBatch(t *testing.T) {
 			Fallback:       fb,
 			DeadlineBudget: deadline,
 			Breaker:        resilience.BreakerConfig{FailureThreshold: threshold, OpenTimeout: time.Hour},
-			BatchMaxWait:   time.Millisecond,
 			Tracer:         tr,
 		})
 		if err != nil {
@@ -155,48 +161,82 @@ func TestCascadeParityScoreBatch(t *testing.T) {
 	}
 }
 
-// TestCascadeBatchFallbackSpans: a coalesced batch that degrades gives
-// every member its own "degrade" event and its own "fallback" span
-// under the leader's batch.flush, and a member whose fallback fails has
-// the error on that span.
-func TestCascadeBatchFallbackSpans(t *testing.T) {
-	faultinject.Reset()
-	t.Cleanup(faultinject.Reset)
-	tr := trace.New(trace.Config{Capacity: 8, SampleRate: 1})
-	s, err := NewServer(Options{
-		Primary:  thresholdDetector{},
-		Fallback: brokenFallback{},
-		Breaker:  resilience.BreakerConfig{FailureThreshold: 100},
-		Tracer:   tr,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestBatchRouteIsScore: /batch is /score under its own request series.
+// The same requests — a miss, the hit that follows it, an over-limit
+// body, a parse error and a GET — get the same status and body bytes
+// from each route, each route on a server of its own. The /batch
+// server counts every request under endpoint="/batch", and neither
+// server renders a batch_ series.
+func TestBatchRouteIsScore(t *testing.T) {
+	requests := []struct {
+		name, method string
+		body         []byte
+		status       int
+	}{
+		{"miss", http.MethodPost, cachedBody, http.StatusOK},
+		{"hit", http.MethodPost, cachedBody, http.StatusOK},
+		{"over-limit", http.MethodPost, bytes.Repeat([]byte("x"), maxBodyBytes+1), http.StatusRequestEntityTooLarge},
+		{"parse-error", http.MethodPost, []byte("not a layout"), http.StatusBadRequest},
+		{"get", http.MethodGet, nil, http.StatusMethodNotAllowed},
 	}
-	faultinject.Set(PrimarySite, faultinject.Fault{Err: errors.New("chaos error")})
-	ctx := trace.WithTracer(context.Background(), tr)
-	ctx, root := trace.Start(ctx, "leader")
-	clip := testBatchClip(t)
-	items := []scoreItem{{clip: clip, span: root}, {clip: clip, span: root}}
-	for i, res := range s.cascade(ctx, items) {
-		if res.err == nil || !strings.Contains(res.err.Error(), "fallback (after primary error)") {
-			t.Errorf("item %d: err = %v, want the wrapped fallback failure", i, res.err)
-		}
+	type reply struct {
+		status int
+		body   string
 	}
-	root.End()
-	rec := tr.Traces(1)[0]
-	failed, degrades := 0, 0
-	for _, sp := range rec.Spans {
-		if sp.Name == "fallback" && sp.Error != "" {
-			failed++
+	replies := map[string][]reply{}
+	for _, path := range []string{"/score", "/batch"} {
+		s, err := NewServer(Options{Primary: thresholdDetector{}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, ev := range sp.Events {
-			if ev.Name == "degrade" {
-				degrades++
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		for _, rq := range requests {
+			req, err := http.NewRequest(rq.method, ts.URL+path, bytes.NewReader(rq.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != rq.status {
+				t.Errorf("%s %s: status %d, want %d", rq.name, path, resp.StatusCode, rq.status)
+			}
+			replies[path] = append(replies[path], reply{resp.StatusCode, string(body)})
+		}
+		if hits, misses, _ := cacheCounts(s); hits != 1 || misses != 1 {
+			t.Errorf("%s: %v hits, %v misses, want 1 and 1", path, hits, misses)
+		}
+		counted := 0.0
+		for _, line := range strings.Split(metricsText(t, ts.URL), "\n") {
+			name := strings.TrimPrefix(strings.TrimPrefix(line, "# HELP "), "# TYPE ")
+			if strings.HasPrefix(name, "batch_") {
+				t.Errorf("%s: /metrics renders a batch series: %s", path, line)
+			}
+			if strings.HasPrefix(line, "http_requests_total{") {
+				if !strings.Contains(line, `endpoint="`+path+`"`) {
+					t.Errorf("%s: a request counted under another endpoint: %s", path, line)
+				}
+				v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				counted += v
 			}
 		}
+		if counted != float64(len(requests)) {
+			t.Errorf("%s: http_requests_total counts %v requests, want %d", path, counted, len(requests))
+		}
 	}
-	if failed != 2 || degrades != 2 {
-		t.Fatalf("trace has %d failed fallback spans and %d degrade events, want 2 and 2:\n%s",
-			failed, degrades, fmt.Sprintf("%+v", rec.Spans))
+	for i, rq := range requests {
+		if score, batch := replies["/score"][i], replies["/batch"][i]; score != batch {
+			t.Errorf("%s: /score answered %+v, /batch %+v", rq.name, score, batch)
+		}
 	}
 }

@@ -5,7 +5,7 @@
 // Endpoints:
 //
 //	POST /score   body: GLT layout of one clip window -> {"score":..,"hotspot":..}
-//	POST /batch   same body; concurrent requests coalesce into one scoring pass
+//	POST /batch   the same handler as /score, kept for existing clients
 //	POST /verify  same body -> full oracle verdict with defects
 //	GET  /healthz -> {"status":"ok","detector":"..."}  (liveness)
 //	GET  /readyz  -> breaker state + fallback availability (readiness)
@@ -96,12 +96,6 @@ type Options struct {
 	// requests get 429 with Retry-After before any parsing or scoring
 	// work happens.
 	ShedRate float64
-	// BatchMaxSize caps how many POST /batch requests are coalesced into
-	// one scoring pass (default 32).
-	BatchMaxSize int
-	// BatchMaxWait is how long the first request of a batch waits for
-	// company before flushing a partial batch (default 2ms).
-	BatchMaxWait time.Duration
 	// Clock drives breaker and shedder timing (default the wall clock).
 	Clock resilience.Clock
 	// Metrics is the registry the server's series land in and GET
@@ -147,7 +141,6 @@ type Server struct {
 
 	breaker *resilience.Breaker
 	shed    *resilience.Shedder // nil when shedding is disabled
-	batch   *batcher
 
 	panics       *telemetry.Counter
 	fallbacks    *telemetry.Counter
@@ -156,8 +149,6 @@ type Server struct {
 	cacheHits    *telemetry.Counter
 	cacheMisses  *telemetry.Counter
 	cacheEvicted *telemetry.Counter
-	batchSize    *telemetry.Histogram
-	batchLatency *telemetry.Histogram
 }
 
 // NewServer constructs a Server from Options. Options.Primary must be a
@@ -188,19 +179,11 @@ func NewServer(opts Options) (*Server, error) {
 	reg.SetHelp("requests_shed_total", "Requests rejected 429 by the admission token bucket.")
 	reg.SetHelp("hotspot_breaker_state", "Primary-detector circuit breaker state: 0=closed, 1=half-open, 2=open.")
 	reg.SetHelp("hotspot_primary_failures_total", "Primary detector failures (errors, panics, deadline overruns).")
-	reg.SetHelp("batch_size", "Requests coalesced per /batch scoring pass.")
-	reg.SetHelp("batch_latency_seconds", "Latency of one /batch scoring pass (flush to results).")
 	reg.SetHelp("hotspot_score_cache_hits_total", "Clips answered from the live generation's score cache, with no detector run.")
 	reg.SetHelp("hotspot_score_cache_misses_total", "Clips not in the live generation's score cache, sent down the degradation ladder.")
 	reg.SetHelp("hotspot_score_cache_evictions_total", "Score cache entries evicted to keep the cache within its rectangle budget.")
 	telemetry.RegisterRuntimeMetrics(reg)
 
-	if opts.BatchMaxSize <= 0 {
-		opts.BatchMaxSize = 32
-	}
-	if opts.BatchMaxWait <= 0 {
-		opts.BatchMaxWait = 2 * time.Millisecond
-	}
 	s := &Server{
 		opts:         opts,
 		panics:       reg.Counter("http_panics_total"),
@@ -210,11 +193,8 @@ func NewServer(opts Options) (*Server, error) {
 		cacheHits:    reg.Counter("hotspot_score_cache_hits_total"),
 		cacheMisses:  reg.Counter("hotspot_score_cache_misses_total"),
 		cacheEvicted: reg.Counter("hotspot_score_cache_evictions_total"),
-		batchSize:    reg.Histogram("batch_size", []float64{1, 2, 4, 8, 16, 32, 64}),
-		batchLatency: reg.Histogram("batch_latency_seconds", nil),
 	}
 	s.live.Store(newLiveGen(opts.Primary))
-	s.batch = &batcher{srv: s}
 	bcfg := opts.Breaker
 	if bcfg.Clock == nil {
 		bcfg.Clock = opts.Clock
@@ -259,7 +239,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/healthz", s.instrument("/healthz", s.handleHealth))
 	mux.HandleFunc("/readyz", s.instrument("/readyz", s.handleReady))
 	mux.HandleFunc("/score", s.instrument("/score", s.handleScore))
-	mux.HandleFunc("/batch", s.instrument("/batch", s.handleBatch))
+	// /batch is /score under its own request series, kept for the
+	// clients that post to it.
+	mux.HandleFunc("/batch", s.instrument("/batch", s.handleScore))
 	mux.HandleFunc("/verify", s.instrument("/verify", s.handleVerify))
 	mux.HandleFunc("/metrics", s.instrument("/metrics", s.handleMetrics))
 	if s.registry != nil {
@@ -559,20 +541,12 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		clipError(w, err)
 		return
 	}
-	it := scoreItem{clip: clip, span: trace.FromContext(r.Context())}
-	// A hit runs nothing, so it is answered before a budget is armed.
-	if resp, ok := s.lookup(s.live.Load(), &it); ok {
-		writeJSON(w, http.StatusOK, resp)
+	resp, err := s.cascade(r.Context(), clip)
+	if err != nil {
+		s.cascadeError(w, err)
 		return
 	}
-	ctx, cancel := resilience.WithBudget(r.Context(), s.opts.DeadlineBudget)
-	defer cancel()
-	res := s.cascade(ctx, []scoreItem{it})[0]
-	if res.err != nil {
-		s.cascadeError(w, res.err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res.resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // cascadeError maps a cascade failure (no fallback available, or the
@@ -591,73 +565,33 @@ func (s *Server) cascadeError(w http.ResponseWriter, err error) {
 	}
 }
 
-// scoreItem is one clip on the degradation ladder with the span of the
-// request that owns it (nil when tracing is off), and its cache key.
-type scoreItem struct {
-	clip layout.Clip
-	span *trace.Span
-	key  cacheKey
-}
-
-// scoreResult is one item's outcome. A degraded response is a success;
-// err means nothing could answer.
-type scoreResult struct {
-	resp ScoreResponse
-	err  error
-}
-
-// cascade answers the items: first from the live generation's score
-// cache, then the misses down the degradation ladder. A hit gets the
-// primary's verdict with the score the primary stored, and since it ran
-// nothing it touches nothing that counts runs: no goroutine, no breaker
-// call, no probation or SLO outcome, no serve.primary fault site. It
-// only feeds the quality monitor and adds a "score-cache-hit" event to
-// its request span. A miss that the primary answered within ctx's
-// deadline is stored; a fallback score never is. /score calls cascade
-// with a request whose lookup missed, as one item under the request's
-// budgeted context; the micro-batcher's flush calls it with a batch of
-// them under a budget detached from any one request.
-func (s *Server) cascade(ctx context.Context, items []scoreItem) []scoreResult {
+// cascade answers one clip: first from the live generation's score
+// cache, then down the degradation ladder under the request's deadline
+// budget. A hit gets the primary's verdict with the score the primary
+// stored, and since it runs nothing it touches nothing that counts runs:
+// no budget, no goroutine, no breaker call, no probation or SLO outcome,
+// no serve.primary fault site. It only feeds the quality monitor and
+// adds a "score-cache-hit" event to the request span. A miss that the
+// primary answered within the deadline is stored; a fallback score
+// never is. A degraded response is a success; an error means nothing
+// could answer.
+func (s *Server) cascade(ctx context.Context, clip layout.Clip) (ScoreResponse, error) {
 	gen := s.live.Load()
-	out := make([]scoreResult, len(items))
-	var miss []scoreItem
-	var missAt []int
-	for i, it := range items {
-		if resp, ok := s.lookup(gen, &it); ok {
-			out[i].resp = resp
-			continue
-		}
-		s.cacheMisses.Inc()
-		miss, missAt = append(miss, it), append(missAt, i)
+	key := keyOf(clip)
+	if score, ok := gen.cache.get(key, clip); ok {
+		s.cacheHits.Inc()
+		trace.FromContext(ctx).AddEvent("score-cache-hit")
+		return s.answer(gen.det, gen.name, "primary", clip, score, ""), nil
 	}
-	if len(miss) == 0 {
-		return out
+	s.cacheMisses.Inc()
+	ctx, cancel := resilience.WithBudget(ctx, s.opts.DeadlineBudget)
+	defer cancel()
+	resp, err := s.ladder(ctx, gen, clip)
+	// Only the primary answers undegraded.
+	if err == nil && !resp.Degraded && ctx.Err() == nil {
+		s.cacheEvicted.Add(float64(gen.cache.put(key, clip, resp.Score)))
 	}
-	for j, res := range s.ladder(ctx, gen, miss) {
-		// Only the primary answers undegraded.
-		if res.err == nil && !res.resp.Degraded && ctx.Err() == nil {
-			s.cacheEvicted.Add(float64(gen.cache.put(miss[j].key, miss[j].clip, res.resp.Score)))
-		}
-		out[missAt[j]] = res
-	}
-	return out
-}
-
-// lookup is the cascade's first rung: it sets the item's key and, when
-// gen's cache holds its clip, answers with the stored score, counting
-// the hit and adding the "score-cache-hit" event to the item's span. A miss is left
-// for cascade to count. /score and /batch look a request up before any
-// deadline or batch machinery; cascade looks every item up again, since
-// a miss may have been stored meanwhile.
-func (s *Server) lookup(gen *liveGen, it *scoreItem) (ScoreResponse, bool) {
-	it.key = keyOf(it.clip)
-	score, ok := gen.cache.get(it.key, it.clip)
-	if !ok {
-		return ScoreResponse{}, false
-	}
-	s.cacheHits.Inc()
-	it.span.AddEvent("score-cache-hit")
-	return s.answer(gen.det, gen.name, "primary", it.clip, score, ""), true
+	return resp, err
 }
 
 // answer is the verdict det, named name, gives a clip it scored (or
@@ -673,63 +607,49 @@ func (s *Server) answer(det core.Detector, name, stage string, clip layout.Clip,
 	}
 }
 
-// ladder is the one degradation ladder: the items share one pass
-// through gen's primary behind the breaker and ctx's budget, and when
-// that pass fails (or the breaker is open) each is re-scored by the
-// fallback. One primary failure degrades every item, because they
-// shared the failed pass, but never 5xxes them while a fallback exists.
-// Spans ("primary", "fallback") hang off ctx; the "breaker-open" and
-// "degrade" events and the degraded flag that makes the tail sampler
-// keep a trace land on each item's own request span.
-func (s *Server) ladder(ctx context.Context, gen *liveGen, items []scoreItem) []scoreResult {
-	out := make([]scoreResult, len(items))
+// ladder is the degradation ladder: the clip is scored by gen's primary
+// behind the breaker and ctx's budget, and when that fails (or the
+// breaker is open) it is re-scored by the fallback, never 5xxed while a
+// fallback exists. Spans ("primary", "fallback") hang off ctx; the
+// "breaker-open" and "degrade" events and the degraded flag that makes
+// the tail sampler keep a trace land on the request span.
+func (s *Server) ladder(ctx context.Context, gen *liveGen, clip layout.Clip) (ScoreResponse, error) {
+	span := trace.FromContext(ctx)
 	var primaryErr error
 	var reason string
 	if s.breaker.Allow() {
-		var scores []float64
 		pctx, psp := trace.Start(ctx, "primary", trace.A("detector", gen.name))
-		scores, primaryErr = s.scorePrimary(pctx, gen.det, items)
+		var score float64
+		score, primaryErr = s.scorePrimary(pctx, gen.det, clip)
 		psp.SetError(primaryErr)
 		psp.End()
 		s.breaker.Record(primaryErr)
 		s.reportOutcome(primaryErr)
 		if primaryErr == nil {
-			for i, it := range items {
-				out[i].resp = s.answer(gen.det, gen.name, "primary", it.clip, scores[i], "")
-			}
-			return out
+			return s.answer(gen.det, gen.name, "primary", clip, score, ""), nil
 		}
 		s.primaryErrs.Inc()
 		reason = degradedReason(primaryErr)
 	} else {
 		primaryErr = resilience.ErrOpen
 		reason = "breaker-open"
-		for _, it := range items {
-			it.span.AddEvent("breaker-open")
-		}
+		span.AddEvent("breaker-open")
 	}
 	fallback := s.opts.Fallback
 	if fallback == nil {
-		for i := range out {
-			out[i].err = primaryErr
-		}
-		return out
+		return ScoreResponse{}, primaryErr
 	}
-	for i, it := range items {
-		it.span.AddEvent("degrade", trace.A("reason", reason))
-		it.span.SetFlag(trace.FlagDegraded)
-		fctx, fsp := trace.Start(ctx, "fallback", trace.A("detector", fallback.Name()))
-		score, err := core.ScoreClipCtx(fctx, fallback, it.clip)
-		fsp.SetError(err)
-		fsp.End()
-		if err != nil {
-			out[i].err = fmt.Errorf("fallback (after primary %s): %w", reason, err)
-			continue
-		}
-		s.fallbacks.Inc()
-		out[i].resp = s.answer(fallback, fallback.Name(), "fallback", it.clip, score, reason)
+	span.AddEvent("degrade", trace.A("reason", reason))
+	span.SetFlag(trace.FlagDegraded)
+	fctx, fsp := trace.Start(ctx, "fallback", trace.A("detector", fallback.Name()))
+	score, err := core.ScoreClipCtx(fctx, fallback, clip)
+	fsp.SetError(err)
+	fsp.End()
+	if err != nil {
+		return ScoreResponse{}, fmt.Errorf("fallback (after primary %s): %w", reason, err)
 	}
-	return out
+	s.fallbacks.Inc()
+	return s.answer(fallback, fallback.Name(), "fallback", clip, score, reason), nil
 }
 
 func degradedReason(err error) string {
@@ -762,50 +682,41 @@ func (s *Server) reportOutcome(primaryErr error) {
 	s.opts.Quality.ReportServeOutcome(primaryErr == nil)
 }
 
-// scorePrimary runs prim (the primary detector the caller loaded) over
-// the items under ctx's deadline, converting panics to errors. One item
-// scores through the per-clip path, which is what hangs the
-// raster/features/inference spans under /score's "primary" span; more
-// take the vectorized pass. The scoring goroutine cannot be killed on
-// timeout — it finishes in the background while the items degrade; the
-// breaker stops sending traffic to a persistently slow primary.
-func (s *Server) scorePrimary(ctx context.Context, prim core.Detector, items []scoreItem) ([]float64, error) {
+// scorePrimary runs prim (the primary detector the caller loaded) on
+// the clip under ctx's deadline, converting panics to errors. It scores
+// through the per-clip path, which hangs the raster/features/inference
+// spans under the "primary" span. The scoring goroutine cannot be
+// killed on timeout — it finishes in the background while the request
+// degrades; the breaker stops sending traffic to a persistently slow
+// primary.
+func (s *Server) scorePrimary(ctx context.Context, prim core.Detector, clip layout.Clip) (float64, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return 0, err
 	}
 	type outcome struct {
-		scores []float64
-		err    error
+		score float64
+		err   error
 	}
 	ch := make(chan outcome, 1)
 	go func() {
 		defer func() {
 			if p := recover(); p != nil {
 				s.panics.Inc()
-				ch <- outcome{nil, &panicError{val: p}}
+				ch <- outcome{0, &panicError{val: p}}
 			}
 		}()
 		if err := faultinject.Hit(PrimarySite); err != nil {
-			ch <- outcome{nil, err}
+			ch <- outcome{0, err}
 			return
 		}
-		if len(items) == 1 {
-			score, err := core.ScoreClipCtx(ctx, prim, items[0].clip)
-			ch <- outcome{[]float64{score}, err}
-			return
-		}
-		clips := make([]layout.Clip, len(items))
-		for i, it := range items {
-			clips[i] = it.clip
-		}
-		scores, err := core.ScoreClipsCtx(ctx, prim, clips)
-		ch <- outcome{scores, err}
+		score, err := core.ScoreClipCtx(ctx, prim, clip)
+		ch <- outcome{score, err}
 	}()
 	select {
 	case out := <-ch:
-		return out.scores, out.err
+		return out.score, out.err
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return 0, ctx.Err()
 	}
 }
 

@@ -26,7 +26,6 @@
 package tensor
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -102,23 +101,6 @@ func (p *Pool) Workers() int { return p.workers }
 // Workers()+1. Run never fails: on a closed pool (or one with no
 // workers) it executes every shard inline.
 func (p *Pool) Run(n, maxShards int, fn func(lo, hi int)) {
-	p.run(nil, n, maxShards, fn)
-}
-
-// RunCtx is Run with cooperative cancellation observed at shard
-// boundaries: once ctx is cancelled, shards that have not started are
-// skipped and RunCtx returns ctx.Err(). Shards already running finish
-// normally — fn is never interrupted mid-range, so the caller's output
-// buffers are quiescent when RunCtx returns.
-func (p *Pool) RunCtx(ctx context.Context, n, maxShards int, fn func(lo, hi int)) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	p.run(ctx, n, maxShards, fn)
-	return ctx.Err()
-}
-
-func (p *Pool) run(ctx context.Context, n, maxShards int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
@@ -128,17 +110,8 @@ func (p *Pool) run(ctx context.Context, n, maxShards int, fn func(lo, hi int)) {
 	if maxShards > n {
 		maxShards = n
 	}
-	body := fn
-	if ctx != nil {
-		body = func(lo, hi int) {
-			if ctx.Err() != nil {
-				return // cancelled: skip shards that have not started
-			}
-			fn(lo, hi)
-		}
-	}
 	if maxShards <= 1 || p.workers == 0 || p.closed.Load() {
-		body(0, n)
+		fn(0, n)
 		return
 	}
 	chunk := (n + maxShards - 1) / maxShards
@@ -152,7 +125,7 @@ func (p *Pool) run(ctx context.Context, n, maxShards int, fn func(lo, hi int)) {
 	var inline []poolTask
 	for lo := chunk; lo < n; lo += chunk {
 		hi := min(lo+chunk, n)
-		t := poolTask{fn: body, lo: lo, hi: hi, call: cs}
+		t := poolTask{fn: fn, lo: lo, hi: hi, call: cs}
 		if closed {
 			inline = append(inline, t)
 			continue
@@ -164,7 +137,7 @@ func (p *Pool) run(ctx context.Context, n, maxShards int, fn func(lo, hi int)) {
 		}
 	}
 	p.lifecycle.RUnlock()
-	poolTask{fn: body, lo: 0, hi: min(chunk, n), call: cs}.run()
+	poolTask{fn: fn, lo: 0, hi: min(chunk, n), call: cs}.run()
 	for _, t := range inline {
 		t.run()
 	}

@@ -10,7 +10,8 @@
 #
 #   shallow: an SVM primary with -fallback AdaBoost -quality
 #            -learn-wal -shed-rate 100, after one POST /score and one
-#            POST /batch: the serving cascade, the tracer, the quality
+#            POST /batch (the /score handler under its own endpoint
+#            label): the serving cascade, the tracer, the quality
 #            monitor and the data engine on one page (-learn-margin 1
 #            puts the posted clip's SVM margin inside the mining band,
 #            so the labelled learn_candidates_total series exists);

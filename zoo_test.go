@@ -86,7 +86,7 @@ func TestZooSpecTrainRoundTrip(t *testing.T) {
 // TestSharedInstanceConcurrentScore holds the whole line-up to the
 // Detector concurrency contract: every zoo spec is fitted once, and the
 // one instance, scored from 8 goroutines through Score, ScoreClipCtx
-// and the batch path, answers the bits it answers serially. Meaningful
+// and, on a neural row, ScoreBatch, answers the bits it answers serially. Meaningful
 // under -race. The fit skips augmentation: what is scored matters here,
 // not how well.
 func TestSharedInstanceConcurrentScore(t *testing.T) {
@@ -119,7 +119,12 @@ func TestSharedInstanceConcurrentScore(t *testing.T) {
 					defer wg.Done()
 					got := make([]float64, len(clips))
 					var err error
-					switch g % 3 {
+					mode := g % 3
+					nd, neural := det.(*NeuralDetector)
+					if !neural && mode == 2 {
+						mode = 0 // only a neural row has a batch path
+					}
+					switch mode {
 					case 0:
 						for i, c := range clips {
 							if got[i], err = det.Score(c); err != nil {
@@ -133,7 +138,7 @@ func TestSharedInstanceConcurrentScore(t *testing.T) {
 							}
 						}
 					default:
-						got, err = core.ScoreClipsCtx(context.Background(), det, clips)
+						got, err = nd.ScoreBatch(clips)
 					}
 					if err != nil {
 						t.Errorf("goroutine %d: %v", g, err)
