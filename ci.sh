@@ -12,10 +12,10 @@
 #   serving, a run of every example, a smoke pass over the
 #   fuzz seed corpora, 7 s of real fuzzing each on all nine fuzz
 #   targets (63 s in all), one pass of the window key, conv, ragged-edge,
-#   matmul kernel, shallow fit, scan miss and serve score cache
-#   micro-benchmarks, and a quick pass of the repo benchmark's four
-#   workloads. The matmul kernel tier the run used is logged near the
-#   top.
+#   matmul kernel, shallow fit, scan miss, journaled scan and serve
+#   score cache micro-benchmarks, and a quick pass of the repo
+#   benchmark's four workloads. The matmul kernel tier the run used is
+#   logged near the top.
 #
 # Usage: ./ci.sh [-short]
 #   -short  pass -short to go test (skips the slower property tests)
@@ -266,12 +266,15 @@ echo "== shallow fit benchmarks =="
 go test -run='^$' -bench=FitZooAdaBoost -benchtime=1x .
 go test -run='^$' -bench=CCAS8x12 -benchtime=1x ./internal/features/
 
-echo "== scan miss benchmark =="
-# One scan of a chip with no repeated geometry by the fitted CNN, every
-# window a miss on the one tiled path (shared tiles and conv1 columns):
-# keeps the profile benchmark behind scan_unique compiling and running.
-# Time it with -benchtime 1s.
-go test -run='^$' -bench=ScanFarmCNNMiss -benchtime=1x ./internal/scanfarm/
+echo "== scan benchmarks =="
+# One scan each by the fitted CNN: of a chip with no repeated geometry,
+# every window a miss on the one tiled path (shared tiles and conv1
+# columns), in ScanFarmCNNMiss; and of a repeated-cell chip with the
+# cache on and a fresh fsynced journal, almost every window a hit and
+# the finished shards committed in groups, in ScanFarmJournaled. Keeps
+# the profile benchmarks behind scan_unique and scan_repeat compiling
+# and running. Time them with -benchtime 1s.
+go test -run='^$' -bench='ScanFarmCNNMiss|ScanFarmJournaled' -benchtime=1x ./internal/scanfarm/
 
 echo "== serve score cache benchmark =="
 # One POST /score through the handler on a CNN of the zoo's shape, as a

@@ -156,34 +156,48 @@ func (s *scaler) applyAll(x [][]float64) [][]float64 {
 	return out
 }
 
-// extract computes features for every clip, x[i] from clips[i]. The
-// clips are sharded over the kernel pool, as ScoreBatch shards them:
-// each writes its own slot, and a shard stops at its first failure, so
-// the lowest failing index overall is always reached and reported, as a
-// serial loop would report it.
+// extract computes features for every clip, x[i] from clips[i], over
+// the kernel pool through extractEach, as ScoreBatch does, so the
+// failure it reports is the lowest-indexed one, as a serial loop would
+// report it.
 func extract(ex features.Extractor, clips []LabeledClip) ([][]float64, []int, error) {
 	x := make([][]float64, len(clips))
 	y := make([]int, len(clips))
-	errs := make([]error, len(clips))
-	tensor.Default().Run(len(clips), 0, func(lo, hi int) {
+	if i, err := extractEach(len(clips), func(i int) error {
+		v, err := ex.Extract(clips[i].Clip)
+		if err != nil {
+			return err
+		}
+		x[i] = v
+		if clips[i].Hotspot {
+			y[i] = 1
+		}
+		return nil
+	}); err != nil {
+		return nil, nil, fmt.Errorf("core: extract sample %d: %w", i, err)
+	}
+	return x, y, nil
+}
+
+// extractEach runs fn(i) for every i in [0, n) on the tensor pool, each
+// index writing only its own slot, and returns the lowest index whose
+// call failed, with its error. A shard stops at its first failure, so
+// the lowest failing index overall is always reached.
+func extractEach(n int, fn func(i int) error) (int, error) {
+	errs := make([]error, n)
+	tensor.Default().Run(n, 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			v, err := ex.Extract(clips[i].Clip)
-			if err != nil {
-				errs[i] = err
+			if errs[i] = fn(i); errs[i] != nil {
 				return
-			}
-			x[i] = v
-			if clips[i].Hotspot {
-				y[i] = 1
 			}
 		}
 	})
 	for i, err := range errs {
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: extract sample %d: %w", i, err)
+			return i, err
 		}
 	}
-	return x, y, nil
+	return -1, nil
 }
 
 // errNotFitted is returned by Score before Fit.
@@ -425,25 +439,17 @@ func (d *NeuralDetector) ScoreBatch(clips []layout.Clip) ([]float64, error) {
 	if d.net == nil {
 		return nil, errNotFitted
 	}
-	// Extractors share nothing but pooled scratch, and every clip writes
-	// its own slot. A shard stops at its first failure, so the lowest
-	// failing index overall is always reached and reported.
+	// Extractors share nothing but pooled scratch.
 	xs := make([][]float64, len(clips))
-	errs := make([]error, len(clips))
-	tensor.Default().Run(len(clips), 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v, err := d.Ex.Extract(clips[i])
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			xs[i] = d.scale.apply(v)
-		}
-	})
-	for i, err := range errs {
+	if i, err := extractEach(len(clips), func(i int) error {
+		v, err := d.Ex.Extract(clips[i])
 		if err != nil {
-			return nil, fmt.Errorf("core: extract clip %d: %w", i, err)
+			return err
 		}
+		xs[i] = d.scale.apply(v)
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("core: extract clip %d: %w", i, err)
 	}
 	return nn.PredictBatch(d.net, xs, 0)
 }

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // MaxPayload bounds a frame's payload, on write and on read.
@@ -49,7 +50,7 @@ func frameLen(magic string, payload []byte) int64 {
 
 // WriteFrame emits one frame in a single Write.
 func WriteFrame(w io.Writer, magic string, payload []byte) error {
-	frame, err := encodeFrame(magic, payload)
+	frame, err := appendFrame(nil, magic, payload)
 	if err != nil {
 		return err
 	}
@@ -59,12 +60,12 @@ func WriteFrame(w io.Writer, magic string, payload []byte) error {
 	return nil
 }
 
-// encodeFrame returns the frame carrying payload under magic.
-func encodeFrame(magic string, payload []byte) ([]byte, error) {
+// appendFrame appends the frame carrying payload under magic to dst.
+func appendFrame(dst []byte, magic string, payload []byte) ([]byte, error) {
 	if len(payload) > MaxPayload {
 		return nil, fmt.Errorf("framelog: payload of %d bytes exceeds the %d-byte frame bound", len(payload), MaxPayload)
 	}
-	dst := make([]byte, 0, frameLen(magic, payload))
+	dst = slices.Grow(dst, int(frameLen(magic, payload)))
 	dst = append(dst, magic...)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(len(payload)))
 	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))

@@ -217,6 +217,35 @@ func TestLogEveryTruncationAndBitFlip(t *testing.T) {
 	}
 }
 
+// TestGroupAppendBytes: one Append of several records writes the bytes
+// that appending them one at a time writes, so a group changes only
+// how many fsyncs the records cost.
+func TestGroupAppendBytes(t *testing.T) {
+	dir := t.TempDir()
+	singles, _ := writeTestLog(t, filepath.Join(dir, "singles.log"))
+	path := filepath.Join(dir, "group.log")
+	l, err := Create[testMeta, testRec](path, testFormat, testHeader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := testRecs()
+	if err := l.Append(recs[:1]...); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(recs[1:]...); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if group, err := os.ReadFile(path); err != nil || !bytes.Equal(group, singles) {
+		t.Fatalf("grouped appends wrote %d bytes (%v) unlike the %d of single appends", len(group), err, len(singles))
+	}
+}
+
 func TestResumeRefusesOtherMeta(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.log")
 	full, _ := writeTestLog(t, path)

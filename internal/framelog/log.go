@@ -19,9 +19,10 @@ type Format struct{ Header, Record string }
 // its records into this one would be unsound.
 var ErrMetaMismatch = errors.New("framelog: log belongs to a different run")
 
-// Log is an open append-only log of R records. Records are appended and fsynced one at a time, so the file's crash
-// mode is a torn tail, which Load detects and Resume truncates.
-// Append is safe for concurrent use.
+// Log is an open append-only log of R records. An Append writes its
+// records in one write and makes them durable with one fsync, so the
+// file's crash mode is a torn tail, which Load detects and Resume
+// truncates. Append is safe for concurrent use.
 type Log[R any] struct {
 	path   string
 	record string
@@ -132,32 +133,40 @@ func Resume[M comparable, R any](path string, format Format, meta M) (*Log[R], [
 	return &Log[R]{path: path, record: format.Record, tail: tail, f: f, end: tail.Offset}, records, nil
 }
 
-// Append durably records rec: the frame is written, in one write at the
-// end of the intact prefix, and fsynced before Append returns, so the
-// record survives any later crash. A failed write or fsync is cut back
-// off the file, so a later Append is not stranded behind a torn frame;
-// if the cut fails too, the log refuses every later Append.
-func (l *Log[R]) Append(rec R) error {
-	payload, err := marshal(rec)
-	if err != nil {
-		return err
+// Append durably records recs, all or nothing: their frames are
+// written in append order, in one write at the end of the intact
+// prefix, and fsynced once before Append returns, so every record
+// survives any later crash. A failed write or fsync is cut back off the
+// file, so no record of the call survives it and a later Append is not
+// stranded behind a torn frame; if the cut fails too, the log refuses
+// every later Append. An Append of no records does nothing.
+func (l *Log[R]) Append(recs ...R) error {
+	if len(recs) == 0 {
+		return nil
 	}
-	frame, err := encodeFrame(l.record, payload)
-	if err != nil {
-		return err
+	var frames []byte
+	for _, rec := range recs {
+		payload, err := marshal(rec)
+		if err != nil {
+			return err
+		}
+		if frames, err = appendFrame(frames, l.record, payload); err != nil {
+			return err
+		}
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.broken != nil {
 		return fmt.Errorf("framelog: %s refuses appends after a failed one: %w", l.path, l.broken)
 	}
-	if _, err = l.f.WriteAt(frame, l.end); err != nil {
+	var err error
+	if _, err = l.f.WriteAt(frames, l.end); err != nil {
 		err = fmt.Errorf("framelog: append to %s: %w", l.path, err)
 	} else if err = l.f.Sync(); err != nil {
 		err = fmt.Errorf("framelog: fsync %s: %w", l.path, err)
 	}
 	if err == nil {
-		l.end += int64(len(frame))
+		l.end += int64(len(frames))
 		return nil
 	}
 	if terr := l.f.Truncate(l.end); terr != nil {

@@ -139,7 +139,7 @@ func FuzzParseGLT(f *testing.F) {
 		if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
 			t.Fatalf("Read: %v; reference: %v", err, refErr)
 		}
-		shapes, shapesErr := ReadShapes(bytes.NewReader(data))
+		shapes, shapesErr := ReadShapes(data)
 		if (shapesErr == nil) != (err == nil) || shapesErr != nil && shapesErr.Error() != err.Error() {
 			t.Fatalf("ReadShapes: %v; Read: %v", shapesErr, err)
 		}

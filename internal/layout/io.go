@@ -58,12 +58,15 @@ func Read(r io.Reader) (*Layout, error) {
 	return l, nil
 }
 
-// ReadShapes parses a GLT stream as Read does and returns its shapes in
+// ReadShapes parses a GLT body as Read does and returns its shapes in
 // file order, each canonical and non-empty, without building a Layout:
-// for a layout read to be clipped once (see CutClip).
-func ReadShapes(r io.Reader) ([]geom.Rect, error) {
-	var shapes []geom.Rect
-	err := parse(r, func([]byte) {}, func(s geom.Rect) { shapes = append(shapes, s) })
+// for a layout read to be clipped once (see CutClip). The result is
+// sized once, for a RECT record on every line of body that is long
+// enough to hold one.
+func ReadShapes(body []byte) ([]geom.Rect, error) {
+	lines := bytes.Count(body, []byte{'\n'}) + 1
+	shapes := make([]geom.Rect, 0, min(lines, len(body)/len("RECT 0 0 1 1")))
+	err := parse(bytes.NewReader(body), func([]byte) {}, func(s geom.Rect) { shapes = append(shapes, s) })
 	if err != nil {
 		return nil, err
 	}

@@ -273,6 +273,37 @@ func TestRetrySucceedsEarly(t *testing.T) {
 	}
 }
 
+// TestRetrySeedsOnlyToBack: a call that succeeds first time builds no
+// jitter source (every scan shard and oracle verdict is one), and a
+// call that retries draws its delays from a source seeded by Seed, as
+// when the source was built up front.
+func TestRetrySeedsOnlyToBack(t *testing.T) {
+	ctx := context.Background()
+	cfg := RetryConfig{Seed: 9}
+	ok := func(context.Context) error { return nil }
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := Retry(ctx, cfg, ok); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a first-try success allocates %v times, want 0", allocs)
+	}
+	clk := &recordClock{}
+	cfg = RetryConfig{MaxAttempts: 4, Seed: 9, Clock: clk}
+	if err := Retry(ctx, cfg, func(context.Context) error { return errBoom }); !errors.Is(err, errBoom) {
+		t.Fatalf("err = %v, want wrapped errBoom", err)
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	for i, d := range clk.delays {
+		if want := backoffDelay(i, rng); d != want {
+			t.Fatalf("delay %d = %v, want %v from a source seeded %d", i, d, want, cfg.Seed)
+		}
+	}
+	if len(clk.delays) != 3 {
+		t.Fatalf("delays scheduled = %d, want 3", len(clk.delays))
+	}
+}
+
 func TestRetryHonorsCancellation(t *testing.T) {
 	clk := NewFakeClock(time.Unix(0, 0)) // never advanced: backoff blocks
 	ctx, cancel := context.WithCancel(context.Background())

@@ -63,10 +63,15 @@ func backoffDelay(attempt int, rng *rand.Rand) time.Duration {
 // the context's when cancelled mid-backoff).
 func Retry(ctx context.Context, cfg RetryConfig, fn func(context.Context) error) error {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	var err error
+	var (
+		rng *rand.Rand // seeded before the first backoff: a first-try success pays for no source
+		err error
+	)
 	for attempt := 0; attempt < cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
+			if rng == nil {
+				rng = rand.New(rand.NewSource(cfg.Seed))
+			}
 			select {
 			case <-cfg.Clock.After(backoffDelay(attempt-1, rng)):
 			case <-ctx.Done():

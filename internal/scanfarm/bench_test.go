@@ -2,6 +2,9 @@ package scanfarm
 
 import (
 	"context"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/golitho/hsd/internal/core"
@@ -75,6 +78,48 @@ func BenchmarkScanFarmCNNMiss(b *testing.B) {
 	}
 	if res.Cache.Hits*20 > res.Cache.Misses {
 		b.Fatalf("cache %+v: the chip repeats itself", res.Cache)
+	}
+	b.ReportMetric(float64(b.N*res.Scanned)/b.Elapsed().Seconds(), "windows/s")
+}
+
+// BenchmarkScanFarmJournaled is the bench's scan_repeat outside bench/:
+// the fitted CNN over a repeated-cell chip with the cache on, so almost
+// every window is a hit keyed from the index, and a fresh fsynced
+// journal for each scan, so the journal's group commits are what is
+// left of the time.
+func BenchmarkScanFarmJournaled(b *testing.B) {
+	det := fittedCNN(b, false)
+	chip := cellChip(b, 128)
+	cfg := Config{SkipEmpty: true, Workers: 2, CacheSize: 4096}
+	meta := cfg.Meta(chip, det.Name())
+	dir := b.TempDir()
+	var res Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		path := filepath.Join(dir, fmt.Sprintf("scan-%d.journal", i))
+		j, err := CreateJournal(path, meta)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg.Journal = j
+		b.StartTimer()
+		res, err = Run(context.Background(), chip, det, cfg)
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.Remove(path); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	if rate := res.Cache.HitRate(); rate < 0.995 {
+		b.Fatalf("cache hit rate %.4f: the chip does not repeat itself", rate)
 	}
 	b.ReportMetric(float64(b.N*res.Scanned)/b.Elapsed().Seconds(), "windows/s")
 }

@@ -191,23 +191,19 @@ func Run(ctx context.Context, chip *layout.Layout, det core.Detector, cfg Config
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
-		wg         sync.WaitGroup
-		mu         sync.Mutex // records, journal order
-		journalErr error
+		wg sync.WaitGroup
+		mu sync.Mutex // records, res.Scanned
 	)
+	commits := startCommitter(cfg.Journal, cancel)
 	finish := func(rec *ShardRecord) {
 		mu.Lock()
-		defer mu.Unlock()
 		records[rec.ShardID] = rec
 		if rec.State == ShardDone {
 			r0, r1 := plan.ShardRowRange(rec.ShardID)
 			res.Scanned += (r1 - r0) * plan.Cols
 		}
-		if cfg.Journal != nil && journalErr == nil {
-			if journalErr = cfg.Journal.Append(*rec); journalErr != nil {
-				cancel()
-			}
-		}
+		mu.Unlock()
+		commits.add(*rec)
 	}
 
 	thr := det.Threshold()
@@ -252,8 +248,10 @@ dispatch:
 	close(jobs)
 	wg.Wait()
 
-	if journalErr != nil {
-		return Result{}, fmt.Errorf("scanfarm: journal append: %w", journalErr)
+	// Every finish has run: once the committer stops, every shard
+	// counted below is durable.
+	if err := commits.close(); err != nil {
+		return Result{}, fmt.Errorf("scanfarm: journal append: %w", err)
 	}
 	for id, rec := range records {
 		if rec == nil {
@@ -281,6 +279,91 @@ dispatch:
 		res.Cause = err
 	}
 	return res, nil
+}
+
+// committer appends finished shards' records to the journal in groups,
+// on its own goroutine. A worker hands its record over and takes its
+// next shard at once; the committer takes every record pending and
+// appends them as one group, in one write and one fsync, while the
+// workers scan on. The committer runs when the scheduler gives it a CPU,
+// which with a worker on every CPU can be many shards later: that is
+// what makes the groups large and the fsyncs few. It is also why a
+// worker that hands a record over before the run's first group has been
+// tried waits for that try, so that a journal that takes no records
+// ends the run after a shard or two rather than after the shards the
+// committer's first wait let through. A journal that fails later ends
+// the run when the committer next runs. A nil committer (no journal)
+// takes nothing.
+type committer struct {
+	journal *Journal
+	stop    context.CancelFunc // called on the first failed append
+	mu      sync.Mutex         // pending
+	pending []ShardRecord
+	// wake holds at most one token. A record put in pending is followed
+	// by a token, or by a committer that has yet to take pending.
+	wake  chan struct{}
+	tried chan struct{} // closed once the first group has been tried
+	done  chan struct{}
+	err   error // the first failed append; read after done closes
+}
+
+func startCommitter(j *Journal, stop context.CancelFunc) *committer {
+	if j == nil {
+		return nil
+	}
+	c := &committer{journal: j, stop: stop,
+		wake: make(chan struct{}, 1), tried: make(chan struct{}), done: make(chan struct{})}
+	go c.run()
+	return c
+}
+
+func (c *committer) run() {
+	defer close(c.done)
+	var group []ShardRecord
+	tried := false
+	for range c.wake {
+		c.mu.Lock()
+		group, c.pending = c.pending, group[:0]
+		c.mu.Unlock()
+		if len(group) == 0 || c.err != nil {
+			continue
+		}
+		if c.err = c.journal.Append(group...); c.err != nil {
+			c.stop()
+		}
+		if !tried {
+			tried = true
+			close(c.tried)
+		}
+	}
+}
+
+// add queues rec for the next group; before the first group has been
+// tried, it waits for that.
+func (c *committer) add(rec ShardRecord) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.pending = append(c.pending, rec)
+	c.mu.Unlock()
+	select {
+	case c.wake <- struct{}{}:
+	default:
+	}
+	<-c.tried
+}
+
+// close commits what is pending, once every add has returned, and
+// returns the first failed append's error: with a nil error, every
+// record added is durable.
+func (c *committer) close() error {
+	if c == nil {
+		return nil
+	}
+	close(c.wake)
+	<-c.done
+	return c.err
 }
 
 // worker is the per-goroutine scan state: the shared detector with its

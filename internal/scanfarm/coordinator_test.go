@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,7 @@ import (
 
 	"github.com/golitho/hsd/internal/core"
 	"github.com/golitho/hsd/internal/faultinject"
+	"github.com/golitho/hsd/internal/framelog"
 	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/telemetry"
 )
@@ -428,6 +430,60 @@ func TestFarmCancelIsResumable(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res2.Findings, want) {
 		t.Fatalf("resumed findings diverge:\ngot  %v\nwant %v", res2.Findings, want)
+	}
+}
+
+// TestFarmCancelJournalsEveryCompletedShard: the committer appends in
+// groups behind the workers, and a Run cut mid-scan still returns only
+// once every shard it counted as completed is in the journal, exactly
+// once, with the findings the Result merged from it.
+func TestFarmCancelJournalsEveryCompletedShard(t *testing.T) {
+	chip := testChip(t, 16)
+	det := densityDetector{thr: 0.5}
+	for _, workers := range []int{1, 2, 3} {
+		for _, cut := range []int64{100, 400, 700} {
+			cfg := Config{SkipEmpty: true, Workers: workers, ShardRows: 1}
+			path := filepath.Join(t.TempDir(), "scan.journal")
+			meta := cfg.Meta(chip, det.Name())
+			j, err := CreateJournal(path, meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Journal = j
+			ctx, cancel := context.WithCancel(context.Background())
+			res, err := Run(ctx, chip, &cancelAfter{Detector: det, cut: cut, cancel: cancel}, cfg)
+			cancel()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !res.Interrupted || res.Completed == 0 || res.Completed == res.Shards {
+				t.Fatalf("workers %d, cut %d: %d of %d shards completed, interrupted=%v; want a scan cut mid-run",
+					workers, cut, res.Completed, res.Shards, res.Interrupted)
+			}
+			_, recs, tail, err := framelog.Load[Meta, ShardRecord](path, journalFormat)
+			if err != nil || tail.Discarded != 0 {
+				t.Fatalf("load: tail %+v, err %v", tail, err)
+			}
+			if len(recs) != res.Completed {
+				t.Fatalf("workers %d, cut %d: the journal holds %d records, Run completed %d shards",
+					workers, cut, len(recs), res.Completed)
+			}
+			sort.Slice(recs, func(a, b int) bool { return recs[a].ShardID < recs[b].ShardID })
+			var findings []core.Finding
+			for i, rec := range recs {
+				if i > 0 && recs[i-1].ShardID == rec.ShardID {
+					t.Fatalf("workers %d, cut %d: shard %d journaled twice", workers, cut, rec.ShardID)
+				}
+				findings = append(findings, rec.Findings...)
+			}
+			if !reflect.DeepEqual(findings, res.Findings) {
+				t.Fatalf("workers %d, cut %d: journaled findings diverge from the Result's:\ngot  %v\nwant %v",
+					workers, cut, findings, res.Findings)
+			}
+		}
 	}
 }
 

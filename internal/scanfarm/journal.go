@@ -1,8 +1,10 @@
 // The scan journal: an append-only framelog of completed and quarantined
-// shards, the persistence layer behind `hsdscan -resume`. Records are
-// appended and fsynced one at a time, so a SIGKILLed scan resumes from
-// the last durable shard; DESIGN.md "On-disk formats" has the layout
-// and the crash mode.
+// shards, the persistence layer behind `hsdscan -resume`. Run's
+// committer appends finished shards' records in groups, each group in
+// one write and one fsync, and Run returns only once every shard it
+// counted as completed is durable. A SIGKILLed scan resumes from the
+// last durable group; a shard that finished after it is rescanned.
+// DESIGN.md "On-disk formats" has the layout and the crash mode.
 
 package scanfarm
 
@@ -74,7 +76,8 @@ type ShardRecord struct {
 var ErrJournalMismatch = framelog.ErrMetaMismatch
 
 // Journal is an open, appendable scan journal. Append is safe for
-// concurrent use and returns only after the record is fsynced.
+// concurrent use and returns only after every record it was given is
+// fsynced.
 type Journal = framelog.Log[ShardRecord]
 
 // CreateJournal creates (truncating) a journal at path and durably

@@ -61,13 +61,14 @@ func TestServedClipMatchesClipAt(t *testing.T) {
 }
 
 // hitAllocs bounds the allocations of one /score hit through the
-// handler, without the network: the 14 measured when the bound was set
-// (77 before the hit path was trimmed) plus two. They are the body
-// buffer, its reader and size limit, the parsed shapes' growth, the
-// clipped shapes, the status recorder, the Content-Type header, the JSON
-// encoder and the boxed verdict. A hit that builds a Layout, an index or
-// a deadline, or allocates per line, goes past it.
-const hitAllocs = 14 + 2
+// handler, without the network: the 9 measured when the bound was set
+// (14 while the parsed shapes grew by doubling, 77 before the hit path
+// was trimmed) plus two. They are the body buffer, its reader and size
+// limit, the parsed shapes (sized once from the body), the clipped
+// shapes, the status recorder, the Content-Type header, the JSON encoder
+// and the boxed verdict. A hit that builds a Layout, an index or a
+// deadline, or allocates per line or per shape, goes past it.
+const hitAllocs = 9 + 2
 
 // TestServeHitAllocations pins hitAllocs.
 func TestServeHitAllocations(t *testing.T) {

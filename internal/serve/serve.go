@@ -34,7 +34,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -482,7 +481,7 @@ func (s *Server) readClip(w http.ResponseWriter, r *http.Request) (layout.Clip, 
 	if err != nil {
 		return layout.Clip{}, fmt.Errorf("read body: %w", err)
 	}
-	shapes, err := layout.ReadShapes(bytes.NewReader(body))
+	shapes, err := layout.ReadShapes(body)
 	if err != nil {
 		return layout.Clip{}, fmt.Errorf("parse layout: %w", err)
 	}
