@@ -5,7 +5,9 @@
 #   cross-build of the portable path, unit + property tests under the
 #   race detector and again on the portable matmul kernel, the chaos,
 #   kill-resume and training-guard suites (each name they select must
-#   still match a test), the end-to-end smoke scripts, a check that no
+#   still match a test), the end-to-end smoke scripts (hot reload among
+#   them, through its one trigger: an empty POST /admin/reload of the
+#   file hsdserve was started with), a check that no
 #   binary's flag set, no facade name and no /metrics series moved, that
 #   every facade name has an outside caller, that nothing is bound
 #   after construction and that no circuit breaker is built outside
@@ -273,8 +275,10 @@ echo "== scan benchmarks =="
 # cache on and a fresh fsynced journal, almost every window a hit and
 # the finished shards committed in groups, in ScanFarmJournaled. Keeps
 # the profile benchmarks behind scan_unique and scan_repeat compiling
-# and running. Time them with -benchtime 1s.
-go test -run='^$' -bench='ScanFarmCNNMiss|ScanFarmJournaled' -benchtime=1x ./internal/scanfarm/
+# and running, and -benchmem prints their allocations a scan (the
+# findings merge and the journal's frames among them) in every log.
+# Time them with -benchtime 1s.
+go test -run='^$' -bench='ScanFarmCNNMiss|ScanFarmJournaled' -benchtime=1x -benchmem ./internal/scanfarm/
 
 echo "== serve score cache benchmark =="
 # One POST /score through the handler on a CNN of the zoo's shape, as a
@@ -309,10 +313,11 @@ echo "== trace smoke =="
 ./scripts/trace_smoke.sh
 
 echo "== reload smoke =="
-# End to end: boot hsdserve with a watched model path, hot-reload a
-# freshly trained model via /admin/reload and via the watcher, and
-# assert the generation gauge and reload counters move while a corrupt
-# model is refused.
+# End to end: boot hsdserve with -model M, the one file it reloads;
+# a reload request that names a path must get 400 and load nothing;
+# hsdtrain -save M and an empty POST /admin/reload must swap in
+# generation 2 and move the gauge and reload counters; a corrupt file
+# at M must be refused while the live generation keeps serving.
 ./scripts/reload_smoke.sh
 
 echo "== quality monitor determinism =="

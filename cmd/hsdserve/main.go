@@ -40,10 +40,17 @@
 // -debug-addr a second, private listener additionally serves
 // /debug/pprof/ — keep it off the public interface.
 //
-// Hot model reload (neural primaries): -model-watch polls a saved
-// network file (written by hsdtrain -save) and reloads it whenever it
-// changes; POST /admin/reload triggers the same on demand. Every
-// candidate passes a validation gate first — it is scored on a golden
+// Hot model reload (neural primaries): -model names the one file the
+// server ever reloads, a network saved by hsdtrain -save. POST
+// /admin/reload with an empty body loads it and answers with the gate's
+// verdict, so with -model cnn.hsdnn a redeploy is
+//
+//	hsdtrain -suite suite.gob -detector CNN -save cnn.hsdnn &&
+//	    curl -X POST localhost:8080/admin/reload
+//
+// A reload request that carries a body or a query (it cannot name a
+// file) gets 400, as does a reload of a server started without -model.
+// Every candidate passes a validation gate first — it is scored on a golden
 // set held out from the benchmark's test split, and swapped in only if
 // its hotspot recall and false-alarm rate stay within -max-recall-drop
 // / -max-far-rise of the live model and every score is finite. After a
@@ -102,8 +109,7 @@ func run() error {
 	traceSample := flag.Float64("trace-sample", 1, "fraction of unflagged traces the tail sampler retains; slow/errored/degraded/shed traces are always kept")
 	traceCapacity := flag.Int("trace-capacity", 256, "finished traces retained for /debug/traces (oldest evicted)")
 	traceSlow := flag.Duration("trace-slow", 0, "flag traces at least this slow so the sampler always keeps them (0: off)")
-	modelWatch := flag.String("model-watch", "", "saved network file to poll for hot reload (neural primaries only)")
-	watchInterval := flag.Duration("model-watch-interval", 5*time.Second, "poll interval for -model-watch")
+	modelPath := flag.String("model", "", "saved network file POST /admin/reload loads, the one file ever reloaded (neural primaries only)")
 	goldenN := flag.Int("golden", 64, "golden validation clips held out of the test split for the reload gate")
 	maxRecallDrop := flag.Float64("max-recall-drop", 0.05, "max golden-set recall a reload candidate may lose vs. the live model")
 	maxFARRise := flag.Float64("max-far-rise", 0.05, "max golden-set false-alarm rate a reload candidate may add")
@@ -118,7 +124,7 @@ func run() error {
 	spotCheckRate := flag.Float64("spot-check-rate", 0, "fraction of scored clips re-checked against the lithography oracle in the background (content-keyed, deterministic)")
 	sloTarget := flag.Float64("slo-target", 0.99, "served-without-primary-failure SLO objective for burn-rate alerting")
 	qualityWindow := flag.Duration("quality-window", 10*time.Second, "quality-monitor sub-window; fast alert window is 3 of these, slow is 18")
-	learnWAL := flag.String("learn-wal", "", "active-learning candidate WAL (see hsdlearn): low-confidence scores and spot-check misses are mined into it; use the same -detector name when draining it with hsdlearn")
+	learnWAL := flag.String("learn-wal", "", "active-learning candidate WAL (see hsdlearn): low-confidence scores and spot-check misses are mined into it, keyed by the zoo name of -detector; drain it with hsdlearn -detector naming the same zoo row")
 	learnMargin := flag.Float64("learn-margin", 0.1, "with -learn-wal: mine scores within this of the threshold as low-confidence candidates")
 	version := flag.Bool("version", false, "print build info (the hotspot_build_info fields) and exit")
 	flag.Parse()
@@ -163,13 +169,15 @@ func run() error {
 	// Active-learning mining: with -learn-wal, uncertain and
 	// wrongly-answered clips flow into the data engine's candidate WAL
 	// for hsdlearn to drain. Ingest-only: labeling, retraining, and
-	// shipping happen in hsdlearn against the same WAL. The -detector
-	// name keys the WAL meta, so mixing detectors across processes fails
-	// loudly (and before any training) instead of polluting the queue.
+	// shipping happen in hsdlearn against the same WAL. The zoo's name
+	// for -detector keys the WAL meta, as hsdlearn's does, so however
+	// the flag is cased the two programs agree, and mixing detectors
+	// across processes fails loudly (and before any training) instead
+	// of polluting the queue.
 	var eng *datengine.Engine
 	if *learnWAL != "" {
 		eng, err = datengine.Open(*learnWAL, datengine.Config{
-			Detector: *detName,
+			Detector: spec.Name,
 			Metrics:  reg,
 			Logf:     log.Printf,
 		})
@@ -242,9 +250,9 @@ func run() error {
 		}
 	}
 
-	// Hot reload: a neural primary can be swapped for a new network saved
-	// by hsdtrain. The registry gates each candidate on a golden subset
-	// of the benchmark's test split before it may serve.
+	// Hot reload: a neural primary can be swapped for the network saved
+	// at -model. The registry gates each candidate on a golden subset of
+	// the benchmark's test split before it may serve.
 	var reload *serve.ReloadOptions
 	if nd, ok := det.(*hsd.NeuralDetector); ok {
 		reload = &serve.ReloadOptions{
@@ -257,11 +265,11 @@ func run() error {
 				ProbationMaxFailures: *probationMaxFail,
 				Logf:                 log.Printf,
 			},
-			DefaultPath: *modelWatch,
+			Path: *modelPath,
 		}
 	}
-	if *modelWatch != "" && reload == nil {
-		return fmt.Errorf("-model-watch needs a neural primary; %s cannot hot-reload", det.Name())
+	if *modelPath != "" && reload == nil {
+		return fmt.Errorf("-model needs a neural primary; %s cannot hot-reload", det.Name())
 	}
 
 	srv, err := serve.NewServer(serve.Options{
@@ -304,13 +312,6 @@ func run() error {
 	// Serve until SIGINT/SIGTERM, then drain in-flight requests.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if *modelWatch != "" {
-		// model.reload spans from watcher-triggered reloads land in the
-		// same trace store as request traces.
-		wctx := trace.WithTracer(ctx, tracer)
-		log.Printf("watching %s for model reloads every %v", *modelWatch, *watchInterval)
-		go srv.Registry().Watch(wctx, *modelWatch, *watchInterval)
-	}
 	errCh := make(chan error, 1)
 	go func() {
 		log.Printf("serving hotspot detection on %s (POST /score, POST /verify, GET /readyz, GET /metrics, GET /debug/traces)", *addr)

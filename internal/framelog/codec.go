@@ -60,15 +60,6 @@ func walkType(t reflect.Type, depth int) error {
 	return fmt.Errorf("framelog: the codec cannot carry %v (kind %v)", t, t.Kind())
 }
 
-// marshal encodes v.
-func marshal[T any](v T) ([]byte, error) {
-	rv := reflect.ValueOf(&v).Elem()
-	if err := walkType(rv.Type(), 0); err != nil {
-		return nil, err
-	}
-	return appendValue(nil, rv), nil
-}
-
 // unmarshal decodes payload, which must hold exactly one T.
 func unmarshal[T any](payload []byte) (v T, err error) {
 	rv := reflect.ValueOf(&v).Elem()

@@ -21,7 +21,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"slices"
+	"reflect"
 )
 
 // MaxPayload bounds a frame's payload, on write and on read.
@@ -48,28 +48,34 @@ func frameLen(magic string, payload []byte) int64 {
 	return int64(len(magic) + lenCRCLen + len(payload))
 }
 
-// WriteFrame emits one frame in a single Write.
-func WriteFrame(w io.Writer, magic string, payload []byte) error {
-	frame, err := appendFrame(nil, magic, payload)
-	if err != nil {
-		return err
+// appendFrame appends to dst the frame carrying v's encoding under
+// magic. The length and CRC are reserved ahead of the payload, which is
+// encoded in place and sealed after, so a frame is built in the buffer
+// it is written from. On error dst comes back as it was.
+func appendFrame[T any](dst []byte, magic string, v T) ([]byte, error) {
+	rv := reflect.ValueOf(&v).Elem()
+	if err := walkType(rv.Type(), 0); err != nil {
+		return dst, err
 	}
-	if _, err := w.Write(frame); err != nil {
-		return fmt.Errorf("framelog: write frame: %w", err)
+	start := len(dst)
+	dst = append(dst, magic...)
+	head := len(dst)
+	dst = appendValue(append(dst, make([]byte, lenCRCLen)...), rv)
+	if err := sealFrame(dst[head:head+lenCRCLen], dst[head+lenCRCLen:]); err != nil {
+		return dst[:start], err
 	}
-	return nil
+	return dst, nil
 }
 
-// appendFrame appends the frame carrying payload under magic to dst.
-func appendFrame(dst []byte, magic string, payload []byte) ([]byte, error) {
+// sealFrame fills in header, the length and CRC reserved ahead of
+// payload, or refuses a payload over MaxPayload.
+func sealFrame(header, payload []byte) error {
 	if len(payload) > MaxPayload {
-		return nil, fmt.Errorf("framelog: payload of %d bytes exceeds the %d-byte frame bound", len(payload), MaxPayload)
+		return fmt.Errorf("framelog: payload of %d bytes exceeds the %d-byte frame bound", len(payload), MaxPayload)
 	}
-	dst = slices.Grow(dst, int(frameLen(magic, payload)))
-	dst = append(dst, magic...)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(len(payload)))
-	dst = binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...), nil
+	binary.BigEndian.PutUint64(header, uint64(len(payload)))
+	binary.BigEndian.PutUint32(header[8:], crc32.ChecksumIEEE(payload))
+	return nil
 }
 
 // ReadFrame consumes one frame opening with magic and returns its

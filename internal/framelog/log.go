@@ -50,7 +50,7 @@ type Tail struct {
 // header frame: the file and its directory entry are fsynced before
 // Create returns.
 func Create[M comparable, R any](path string, format Format, meta M) (*Log[R], error) {
-	payload, err := marshal(meta)
+	frame, err := appendFrame(nil, format.Header, meta)
 	if err != nil {
 		return nil, err
 	}
@@ -58,16 +58,16 @@ func Create[M comparable, R any](path string, format Format, meta M) (*Log[R], e
 	if err != nil {
 		return nil, fmt.Errorf("framelog: create log: %w", err)
 	}
-	if err := WriteFrame(f, format.Header, payload); err != nil {
+	if _, err := f.Write(frame); err != nil {
 		f.Close()
-		return nil, err
+		return nil, fmt.Errorf("framelog: write frame: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("framelog: fsync %s: %w", path, err)
 	}
 	syncDir(path)
-	return &Log[R]{path: path, record: format.Record, f: f, end: frameLen(format.Header, payload)}, nil
+	return &Log[R]{path: path, record: format.Record, f: f, end: int64(len(frame))}, nil
 }
 
 // Load reads the log at path without modifying it. A bad header frame
@@ -139,18 +139,16 @@ func Resume[M comparable, R any](path string, format Format, meta M) (*Log[R], [
 // survives any later crash. A failed write or fsync is cut back off the
 // file, so no record of the call survives it and a later Append is not
 // stranded behind a torn frame; if the cut fails too, the log refuses
-// every later Append. An Append of no records does nothing.
+// every later Append. An Append of no records does nothing. Each
+// record is encoded straight into the group's one buffer.
 func (l *Log[R]) Append(recs ...R) error {
 	if len(recs) == 0 {
 		return nil
 	}
 	var frames []byte
 	for _, rec := range recs {
-		payload, err := marshal(rec)
-		if err != nil {
-			return err
-		}
-		if frames, err = appendFrame(frames, l.record, payload); err != nil {
+		var err error
+		if frames, err = appendFrame(frames, l.record, rec); err != nil {
 			return err
 		}
 	}
@@ -192,13 +190,16 @@ func (l *Log[R]) Close() error {
 // value.
 type File[T any] struct{ Magic string }
 
-// Write emits v as one frame.
+// Write emits v as one frame, in one Write.
 func (f File[T]) Write(w io.Writer, v T) error {
-	payload, err := marshal(v)
+	frame, err := appendFrame(nil, f.Magic, v)
 	if err != nil {
 		return err
 	}
-	return WriteFrame(w, f.Magic, payload)
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("framelog: write frame: %w", err)
+	}
+	return nil
 }
 
 // Read consumes one frame and decodes its payload. Input that ends

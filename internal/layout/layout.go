@@ -330,6 +330,13 @@ func (l *Layout) Query(window geom.Rect) []geom.Rect {
 	return out
 }
 
+// MaxClipShapes bounds the shapes a served clip may hold. Rasterising
+// a clip costs its shapes times the pixels each covers, so without a
+// bound the request chooses its own CPU time. It sits far above the
+// busiest window generated here: 36 shapes over DefaultSuiteConfig
+// seeds 1-3 and SmallSuiteConfig, 23 over the benchmark chips.
+const MaxClipShapes = 1024
+
 // Clip is a square window of a layout together with the shapes overlapping
 // it, clipped to the window. Clips are the unit of hotspot classification.
 type Clip struct {

@@ -2,6 +2,8 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"testing"
 
@@ -42,9 +44,9 @@ func goldenPayload(f *testing.F, path, magic string) []byte {
 // the payload decoder and restoreLayer instead of bouncing off the
 // checksum; the frame's own damage suite is FuzzReadFrame.
 func reframe(magic string, payload []byte) []byte {
-	var buf bytes.Buffer
-	_ = framelog.WriteFrame(&buf, magic, payload) // a bytes.Buffer write cannot fail
-	return buf.Bytes()
+	frame := binary.BigEndian.AppendUint64([]byte(magic), uint64(len(payload)))
+	frame = binary.BigEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	return append(frame, payload...)
 }
 
 // FuzzLoadNetwork throws arbitrary payloads at the network loader. Load

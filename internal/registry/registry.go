@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,7 +90,7 @@ type Config struct {
 	// the gauge reads 1 before the first scrape and the first Reload is
 	// counted.
 	Metrics *telemetry.Registry
-	// Logf receives watcher and rollback notices (default: discard).
+	// Logf receives swap and rollback notices (default: discard).
 	Logf func(format string, args ...any)
 }
 
@@ -355,40 +354,4 @@ func (r *Registry) Rollback(reason string) bool {
 	had := r.prev != nil
 	r.rollbackLocked(reason)
 	return had
-}
-
-// Watch polls path until ctx is done, reloading whenever the file's
-// modification time or size changes. The first observation establishes
-// the baseline (no reload for the boot model). Reload failures are
-// logged and do not stop the watch.
-func (r *Registry) Watch(ctx context.Context, path string, interval time.Duration) {
-	if interval <= 0 {
-		interval = 5 * time.Second
-	}
-	var lastMod time.Time
-	var lastSize int64
-	seeded := false
-	if st, err := os.Stat(path); err == nil {
-		lastMod, lastSize, seeded = st.ModTime(), st.Size(), true
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-		st, err := os.Stat(path)
-		if err != nil {
-			continue // absent or unreadable: keep serving, keep watching
-		}
-		if seeded && st.ModTime().Equal(lastMod) && st.Size() == lastSize {
-			continue
-		}
-		lastMod, lastSize, seeded = st.ModTime(), st.Size(), true
-		if _, _, err := r.Reload(ctx, path); err != nil {
-			r.cfg.Logf("registry: watch reload of %s failed: %v", path, err)
-		}
-	}
 }

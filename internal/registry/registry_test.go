@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
-	"os"
 	"testing"
-	"time"
 
 	"github.com/golitho/hsd/internal/core"
 	"github.com/golitho/hsd/internal/geom"
@@ -278,75 +276,4 @@ func TestEmptyGoldenGatesOnSanityOnly(t *testing.T) {
 	if _, _, err := r.Reload(context.Background(), "m"); err != nil {
 		t.Fatalf("Reload with empty golden set: %v", err)
 	}
-}
-
-func TestWatchReloadsOnChange(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/model.hsdnn"
-	cand := det("cand", 0.5, 0.8, 0.8, 0.2, 0.2)
-	loads := make(chan string, 4)
-	r, _, _ := newTestRegistry(t, nil, Config{
-		Golden: golden(4, 2),
-		Loader: func(p string) (core.Detector, error) {
-			select {
-			case loads <- p:
-			default:
-			}
-			return cand, nil
-		},
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		r.Watch(ctx, path, 5*time.Millisecond)
-	}()
-
-	// The watcher's baseline stat races with this goroutine, so a single
-	// write could be absorbed as the baseline. Keep growing the file —
-	// every write changes its size — until a reload lands.
-	writeUntilGeneration := func(want int64) {
-		t.Helper()
-		content := "model"
-		deadline := time.Now().Add(10 * time.Second)
-		for r.Live().ID < want {
-			if time.Now().After(deadline) {
-				t.Fatalf("generation = %d, want %d", r.Live().ID, want)
-			}
-			content += "+"
-			if err := writeFile(path, content); err != nil {
-				t.Fatal(err)
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-	}
-	writeUntilGeneration(2)
-	writeUntilGeneration(3)
-	select {
-	case p := <-loads:
-		if p != path {
-			t.Fatalf("loaded %s, want %s", p, path)
-		}
-	default:
-		t.Fatal("no load recorded despite generation bumps")
-	}
-	cancel()
-	<-done
-}
-
-func writeFile(path, content string) error {
-	return os.WriteFile(path, []byte(content), 0o644)
-}
-
-func waitGeneration(t *testing.T, r *Registry, want int64) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if r.Live().ID == want {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("generation = %d, want %d", r.Live().ID, want)
 }

@@ -253,6 +253,16 @@ dispatch:
 	if err := commits.close(); err != nil {
 		return Result{}, fmt.Errorf("scanfarm: journal append: %w", err)
 	}
+	// The findings are counted first, so the merge allocates once.
+	found := 0
+	for _, rec := range records {
+		if rec != nil && rec.State != ShardQuarantined {
+			found += len(rec.Findings)
+		}
+	}
+	if found > 0 {
+		res.Findings = make([]core.Finding, 0, found)
+	}
 	for id, rec := range records {
 		if rec == nil {
 			continue // unprocessed: run was cancelled

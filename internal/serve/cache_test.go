@@ -181,7 +181,7 @@ func TestScoreCacheFollowsGeneration(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewServer(Options{Primary: old, Reload: &ReloadOptions{Config: registry.Config{
+	s, err := NewServer(Options{Primary: old, Reload: &ReloadOptions{Path: "v2", Config: registry.Config{
 		Loader: func(string) (core.Detector, error) { return cand, nil },
 	}}})
 	if err != nil {
@@ -214,13 +214,13 @@ func TestScoreCacheFollowsGeneration(t *testing.T) {
 	}
 	check("boot miss", wantOld, 0, 1)
 	check("boot hit", wantOld, 1, 1)
-	if resp := postReload(t, ts, `{"path":"v2"}`); resp.StatusCode != http.StatusOK {
+	if resp := postReload(t, ts, ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("reload status %d", resp.StatusCode)
 	}
 	check("reloaded miss", wantNew, 1, 2)
 	check("reloaded hit", wantNew, 2, 2)
-	if !s.Registry().Rollback("test") {
-		t.Fatal("no generation to roll back to")
+	if code := postRollback(t, ts); code != http.StatusOK {
+		t.Fatalf("rollback status %d", code)
 	}
 	check("rolled-back miss", wantOld, 2, 3)
 	check("rolled-back hit", wantOld, 3, 3)
@@ -282,12 +282,13 @@ func TestScoreCacheTranslatedCopyIsMiss(t *testing.T) {
 	}
 }
 
-// TestScoreCacheHostileBodiesBounded posts maximal bodies of distinct
-// tiny rectangles, more rectangles in all than the budget: the cache
-// evicts and never holds more than the budget.
+// TestScoreCacheHostileBodiesBounded posts distinct clips of
+// layout.MaxClipShapes tiny rectangles each, the most a served clip may
+// hold, more rectangles in all than the budget: the cache evicts and
+// never holds more than the budget.
 func TestScoreCacheHostileBodiesBounded(t *testing.T) {
 	if testing.Short() || raceEnabled {
-		t.Skip("parses 1.26 million rectangles")
+		t.Skip("posts over a thousand clips at the shape bound")
 	}
 	s, err := NewServer(Options{Primary: thresholdDetector{}})
 	if err != nil {
@@ -295,27 +296,29 @@ func TestScoreCacheHostileBodiesBounded(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	const perBody, bodies = 180_000, 7
-	var line []byte
+	// Each clip is the frame, a marker and tiny rectangles: MaxClipShapes
+	// shapes, stored with its window.
+	const tiny = layout.MaxClipShapes - 2
+	bodies := scoreCacheRects/(layout.MaxClipShapes+1) + 16
+	var buf bytes.Buffer
+	buf.WriteString("GLT 1\nLAYOUT hostile\n")
+	for i := 0; i < tiny; i++ {
+		x, y := i%100*10, i/100*10
+		fmt.Fprintf(&buf, "RECT %d %d %d %d\n", x, y, x+1, y+1)
+	}
+	// The frame fixes the window; the marker makes each body distinct.
+	buf.WriteString("RECT 0 1023 1024 1024\n")
+	head := buf.Len()
 	for b := 0; b < bodies; b++ {
-		var buf bytes.Buffer
-		buf.WriteString("GLT 1\nLAYOUT hostile\n")
-		for i := 0; i < perBody; i++ {
-			x, y := i%1000, i/1000*5
-			line = fmt.Appendf(line[:0], "RECT %d %d %d %d\n", x, y, x+1, y+1)
-			buf.Write(line)
-		}
-		// The frame fixes the window; the marker makes each body distinct.
-		fmt.Fprintf(&buf, "RECT 0 1023 1024 1024\nRECT %d 1000 %d 1001\nEND\n", 10*b, 10*b+1)
-		if buf.Len() > maxBodyBytes {
-			t.Fatalf("body %d is %d bytes, over the %d limit", b, buf.Len(), maxBodyBytes)
-		}
+		buf.Truncate(head)
+		x, y := b%1000, 1000+b/1000*2
+		fmt.Fprintf(&buf, "RECT %d %d %d %d\nEND\n", x, y, x+1, y+1)
 		postBody(t, ts.URL, "/score", buf.Bytes())
 		if _, held := cacheState(s); held > scoreCacheRects {
 			t.Fatalf("after body %d the cache holds %d rectangles, over the %d budget", b, held, scoreCacheRects)
 		}
 	}
-	if _, misses, evictions := cacheCounts(s); misses != bodies || evictions == 0 {
+	if _, misses, evictions := cacheCounts(s); misses != float64(bodies) || evictions == 0 {
 		t.Fatalf("%v misses, %v evictions: want %d misses and some evictions", misses, evictions, bodies)
 	}
 }
@@ -485,7 +488,7 @@ func TestChaosCacheHitsSkipProbation(t *testing.T) {
 	s, ts := reloadServer(t, cand, ReloadOptions{Config: registry.Config{
 		ProbationRequests: 3,
 	}})
-	if resp := postReload(t, ts, `{"path":"v2"}`); resp.StatusCode != http.StatusOK {
+	if resp := postReload(t, ts, ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("reload status %d", resp.StatusCode)
 	}
 	for i := 0; i < 10; i++ {
@@ -494,8 +497,8 @@ func TestChaosCacheHitsSkipProbation(t *testing.T) {
 	if hits, misses, _ := cacheCounts(s); hits != 9 || misses != 1 {
 		t.Fatalf("%v hits, %v misses, want 9 and 1", hits, misses)
 	}
-	if !s.Registry().Rollback("test") {
-		t.Fatal("probation ended: hits were counted as probation outcomes")
+	if code := postRollback(t, ts); code != http.StatusOK {
+		t.Fatalf("rollback status %d: probation ended, so hits were counted as probation outcomes", code)
 	}
 }
 

@@ -1,21 +1,23 @@
 // Validated hot model reload: the admin surface over the model
 // registry.
 //
-//	POST /admin/reload   {"path":"..."} -> load, gate, swap (200) or
+//	POST /admin/reload   -> load ReloadOptions.Path, gate, swap (200);
 //	                     422 when the validation gate rejects the
-//	                     candidate, 500 when it cannot be loaded
+//	                     candidate, 500 when it cannot be loaded, 400
+//	                     when the request has a body or a query (it
+//	                     cannot name the file) or no Path is configured
 //	POST /admin/rollback -> restore the previous generation (409 when
 //	                     there is none)
 //	GET  /admin/model    -> live generation, source, detector, probation
 //
-// The endpoints exist only when Options.Reload is set; everything they
-// do is also reachable programmatically via Server.Registry().
+// The endpoints exist only when Options.Reload is set. A reload is
+// the one way a new model reaches the server, and the file it loads is
+// the one the server was configured with: no request chooses what is
+// opened.
 package serve
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -31,9 +33,10 @@ type ReloadOptions struct {
 	// OnSwap and Metrics are the server's own and overwritten: OnSwap
 	// repoints the serving path and resets the quality monitor.
 	registry.Config
-	// DefaultPath is reloaded when POST /admin/reload names no path —
-	// typically the watched model file.
-	DefaultPath string
+	// Path is the model file POST /admin/reload loads, the one file the
+	// server ever reloads (hsdserve's -model). Empty, a reload answers
+	// 400.
+	Path string
 }
 
 // VerdictJSON is the gate verdict in admin replies. Rates are omitted
@@ -83,39 +86,22 @@ func modelResponse(gen *registry.Generation) ModelResponse {
 	}
 }
 
-// reloadRequest is the POST /admin/reload body.
-type reloadRequest struct {
-	Path string `json:"path"`
-}
-
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	var req reloadRequest
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<16))
-	if err != nil {
-		clipError(w, err)
+	// Refused before the loader runs: a request cannot name a file.
+	var b [1]byte
+	if n, _ := io.ReadFull(r.Body, b[:]); n > 0 || r.URL.RawQuery != "" {
+		http.Error(w, "reload takes no body and no query: it loads the configured model file", http.StatusBadRequest)
 		return
 	}
-	if len(body) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
-			http.Error(w, fmt.Sprintf("parse body: %v", err), http.StatusBadRequest)
-			return
-		}
-	}
-	if req.Path == "" {
-		req.Path = r.URL.Query().Get("path")
-	}
-	if req.Path == "" {
-		req.Path = s.opts.Reload.DefaultPath
-	}
-	if req.Path == "" {
-		http.Error(w, "no model path: set {\"path\":...} or configure a default", http.StatusBadRequest)
+	if s.opts.Reload.Path == "" {
+		http.Error(w, "no model path: the server was started without a model file to reload", http.StatusBadRequest)
 		return
 	}
-	gen, verdict, err := s.registry.Reload(r.Context(), req.Path)
+	gen, verdict, err := s.registry.Reload(r.Context(), s.opts.Reload.Path)
 	vj := verdictJSON(verdict)
 	switch {
 	case err == nil:

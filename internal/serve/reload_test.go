@@ -4,11 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/golitho/hsd/internal/core"
@@ -35,9 +36,13 @@ func (d namedDet) Score(layout.Clip) (float64, error) {
 	return d.score, d.err
 }
 
-// reloadServer builds a server whose Loader returns cand for any path.
+// reloadServer builds a server whose Loader returns cand for any path;
+// ro.Path defaults to "model.hsdnn".
 func reloadServer(t *testing.T, cand core.Detector, ro ReloadOptions) (*Server, *httptest.Server) {
 	t.Helper()
+	if ro.Path == "" {
+		ro.Path = "model.hsdnn"
+	}
 	ro.Loader = func(path string) (core.Detector, error) {
 		if cand == nil {
 			return nil, errors.New("no such model")
@@ -63,6 +68,32 @@ func postReload(t *testing.T, ts *httptest.Server, body string) *http.Response {
 	return resp
 }
 
+// liveGeneration is the generation GET /admin/model reports.
+func liveGeneration(t *testing.T, ts *httptest.Server) int64 {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/admin/model")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var mr ModelResponse
+	if err := json.NewDecoder(resp.Body).Decode(&mr); err != nil {
+		t.Fatal(err)
+	}
+	return mr.Generation
+}
+
+// postRollback is POST /admin/rollback's status.
+func postRollback(t *testing.T, ts *httptest.Server) int {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/admin/rollback", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
 func scoreOnce(t *testing.T, ts *httptest.Server) (int, ScoreResponse) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/score", "application/octet-stream",
@@ -82,9 +113,9 @@ func reloadCounter(s *Server, outcome string) float64 {
 
 func TestAdminReloadSwapsPrimary(t *testing.T) {
 	cand := namedDet{name: "cnn-v2", score: 0.9, thr: 0.7}
-	s, ts := reloadServer(t, cand, ReloadOptions{})
+	s, ts := reloadServer(t, cand, ReloadOptions{Path: "model-v2.hsdnn"})
 
-	resp := postReload(t, ts, `{"path":"model-v2.hsdnn"}`)
+	resp := postReload(t, ts, "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("reload status = %d", resp.StatusCode)
 	}
@@ -117,7 +148,7 @@ func TestAdminReloadRejectedKeepsLiveModel(t *testing.T) {
 	cand := namedDet{name: "nan-model", score: math.NaN(), thr: 0.5}
 	s, ts := reloadServer(t, cand, ReloadOptions{Config: registry.Config{Golden: golden}})
 
-	resp := postReload(t, ts, `{"path":"broken.hsdnn"}`)
+	resp := postReload(t, ts, "")
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("reload status = %d, want 422", resp.StatusCode)
 	}
@@ -142,7 +173,7 @@ func TestAdminReloadRejectedKeepsLiveModel(t *testing.T) {
 
 func TestAdminReloadLoadFailure(t *testing.T) {
 	s, ts := reloadServer(t, nil, ReloadOptions{})
-	resp := postReload(t, ts, `{"path":"missing.hsdnn"}`)
+	resp := postReload(t, ts, "")
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("reload status = %d, want 500", resp.StatusCode)
 	}
@@ -151,26 +182,65 @@ func TestAdminReloadLoadFailure(t *testing.T) {
 	}
 }
 
+// TestAdminReloadNeedsPath: a server configured without a model file
+// has nothing to reload.
 func TestAdminReloadNeedsPath(t *testing.T) {
-	_, ts := reloadServer(t, namedDet{name: "x"}, ReloadOptions{})
+	ro := &ReloadOptions{}
+	ro.Loader = func(string) (core.Detector, error) { return namedDet{name: "x"}, nil }
+	s, err := NewServer(Options{Primary: thresholdDetector{}, Reload: ro})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 	if resp := postReload(t, ts, ""); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("pathless reload status = %d, want 400", resp.StatusCode)
 	}
 }
 
-func TestAdminReloadDefaultPath(t *testing.T) {
-	cand := namedDet{name: "watched", score: 0.9, thr: 0.5}
-	_, ts := reloadServer(t, cand, ReloadOptions{DefaultPath: "watched.hsdnn"})
-	resp := postReload(t, ts, "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("default-path reload status = %d", resp.StatusCode)
+// TestAdminReloadRefusesRequestPath: a reload that names a file, in a
+// JSON body or a ?path= query, is refused 400 before the loader runs:
+// nothing is counted and the boot generation keeps serving.
+func TestAdminReloadRefusesRequestPath(t *testing.T) {
+	var loads atomic.Int32
+	ro := &ReloadOptions{Path: "model.hsdnn"}
+	ro.Loader = func(string) (core.Detector, error) {
+		loads.Add(1)
+		return namedDet{name: "cnn-v2", score: 0.9, thr: 0.5}, nil
 	}
-	var mr ModelResponse
-	if err := json.NewDecoder(resp.Body).Decode(&mr); err != nil {
+	s, err := NewServer(Options{Primary: thresholdDetector{}, Reload: ro})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if mr.Source != "watched.hsdnn" {
-		t.Fatalf("source = %q, want the configured default path", mr.Source)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, req := range []struct{ query, body string }{
+		{"", `{"path":"/etc/passwd"}`},
+		{"?path=/etc/passwd", ""},
+		{"?path=model.hsdnn", `{"path":"model.hsdnn"}`},
+	} {
+		resp, err := http.Post(ts.URL+"/admin/reload"+req.query, "application/json", strings.NewReader(req.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("reload %q %q: status %d, want 400", req.query, req.body, resp.StatusCode)
+		}
+	}
+	if n := loads.Load(); n != 0 {
+		t.Fatalf("the loader ran %d times for refused requests", n)
+	}
+	for _, outcome := range []string{"swapped", "load_failed", "rejected"} {
+		if got := reloadCounter(s, outcome); got != 0 {
+			t.Fatalf("%s counter = %v, want 0", outcome, got)
+		}
+	}
+	if gen := liveGeneration(t, ts); gen != 1 {
+		t.Fatalf("live generation = %d, want the boot generation", gen)
+	}
+	if code, sr := scoreOnce(t, ts); code != http.StatusOK || sr.Detector != "density-threshold" {
+		t.Fatalf("score after refusals = %d %+v, want the boot detector", code, sr)
 	}
 }
 
@@ -194,7 +264,7 @@ func TestAdminModelAndRollback(t *testing.T) {
 	if mr := get(); mr.Generation != 1 || mr.Source != "boot" {
 		t.Fatalf("boot model = %+v", mr)
 	}
-	postReload(t, ts, `{"path":"m"}`)
+	postReload(t, ts, "")
 	if mr := get(); mr.Generation != 2 {
 		t.Fatalf("post-reload model = %+v", mr)
 	}
@@ -230,7 +300,7 @@ func TestProbationRollbackRestoresServing(t *testing.T) {
 		ProbationRequests:    10,
 		ProbationMaxFailures: 1,
 	}})
-	if resp := postReload(t, ts, `{"path":"flaky.hsdnn"}`); resp.StatusCode != http.StatusOK {
+	if resp := postReload(t, ts, ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("reload status = %d", resp.StatusCode)
 	}
 
@@ -241,7 +311,7 @@ func TestProbationRollbackRestoresServing(t *testing.T) {
 			t.Fatalf("flaky score %d status = %d, want 500", i, code)
 		}
 	}
-	if got := s.Registry().Live().ID; got != 1 {
+	if got := liveGeneration(t, ts); got != 1 {
 		t.Fatalf("live generation = %d, want 1 after automatic rollback", got)
 	}
 	if got := reloadCounter(s, "rolled_back"); got != 1 {
@@ -270,7 +340,7 @@ func TestReloadMidTrafficIsConsistent(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 20; i++ {
-			postReload(t, ts, `{"path":"m"}`)
+			postReload(t, ts, "")
 		}
 	}()
 	for i := 0; i < 50; i++ {
@@ -301,7 +371,7 @@ func TestSwapResetsQualityMonitor(t *testing.T) {
 	qm := qualitymon.New(qualitymon.Options{})
 	defer qm.Close()
 	cand := namedDet{name: "cnn-v2", score: 0.9, thr: 0.7}
-	ro := &ReloadOptions{}
+	ro := &ReloadOptions{Path: filepath.Join(t.TempDir(), "cnn-v2.hsdnn")}
 	ro.Loader = func(string) (core.Detector, error) { return cand, nil }
 	s, err := NewServer(Options{Primary: thresholdDetector{}, Reload: ro, Quality: qm})
 	if err != nil {
@@ -322,8 +392,7 @@ func TestSwapResetsQualityMonitor(t *testing.T) {
 		t.Fatalf("boot generation left %d primary outcomes, want 1", got)
 	}
 
-	model := filepath.Join(t.TempDir(), "cnn-v2.hsdnn")
-	if resp := postReload(t, ts, fmt.Sprintf(`{"path":%q}`, model)); resp.StatusCode != http.StatusOK {
+	if resp := postReload(t, ts, ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("reload status = %d", resp.StatusCode)
 	}
 	if got := outcomes(); got != 0 {
@@ -336,13 +405,8 @@ func TestSwapResetsQualityMonitor(t *testing.T) {
 		t.Fatalf("reloaded generation left %d primary outcomes, want 1", got)
 	}
 
-	resp, err := http.Post(ts.URL+"/admin/rollback", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || s.Registry().Live().ID != 1 {
-		t.Fatalf("rollback status = %d, live generation %d", resp.StatusCode, s.Registry().Live().ID)
+	if code, gen := postRollback(t, ts), liveGeneration(t, ts); code != http.StatusOK || gen != 1 {
+		t.Fatalf("rollback status = %d, live generation %d", code, gen)
 	}
 	if got := outcomes(); got != 0 {
 		t.Fatalf("after rollback the window holds %d primary outcomes, want 0 (reset)", got)

@@ -61,6 +61,10 @@ import (
 // maxBodyBytes bounds accepted request bodies (a clip is a few KiB).
 const maxBodyBytes = 4 << 20
 
+// errTooManyShapes is readClip's refusal of a clip over
+// layout.MaxClipShapes (413).
+var errTooManyShapes = fmt.Errorf("clip holds more than %d shapes", layout.MaxClipShapes)
+
 // PrimarySite is the faultinject hook name fired inside primary-detector
 // scoring, for chaos-testing the degradation cascade.
 const PrimarySite = "serve.primary"
@@ -111,9 +115,10 @@ type Options struct {
 	Tracer *trace.Tracer
 	// Reload, when non-nil, puts the primary detector behind a versioned
 	// model registry with validated hot reload: POST /admin/reload loads
-	// a candidate, gates it on the golden set against the live model, and
-	// swaps atomically; post-swap primary outcomes feed a probation window
-	// that rolls back automatically when errors spike.
+	// the file at Reload.Path, gates it on the golden set against the
+	// live model, and swaps atomically; post-swap primary outcomes feed
+	// a probation window that rolls back automatically when errors
+	// spike.
 	Reload *ReloadOptions
 	// Quality, when non-nil, enables model-quality monitoring: every
 	// cascade answer is observed (stage "primary" or "fallback") for the
@@ -148,6 +153,7 @@ type Server struct {
 	cacheHits    *telemetry.Counter
 	cacheMisses  *telemetry.Counter
 	cacheEvicted *telemetry.Counter
+	clipsRefused *telemetry.Counter
 }
 
 // NewServer constructs a Server from Options. Options.Primary must be a
@@ -181,6 +187,7 @@ func NewServer(opts Options) (*Server, error) {
 	reg.SetHelp("hotspot_score_cache_hits_total", "Clips answered from the live generation's score cache, with no detector run.")
 	reg.SetHelp("hotspot_score_cache_misses_total", "Clips not in the live generation's score cache, sent down the degradation ladder.")
 	reg.SetHelp("hotspot_score_cache_evictions_total", "Score cache entries evicted to keep the cache within its rectangle budget.")
+	reg.SetHelp("hotspot_clips_refused_total", "Clips refused 413 for holding more than layout.MaxClipShapes shapes, before any detector or the oracle ran.")
 	telemetry.RegisterRuntimeMetrics(reg)
 
 	s := &Server{
@@ -192,6 +199,7 @@ func NewServer(opts Options) (*Server, error) {
 		cacheHits:    reg.Counter("hotspot_score_cache_hits_total"),
 		cacheMisses:  reg.Counter("hotspot_score_cache_misses_total"),
 		cacheEvicted: reg.Counter("hotspot_score_cache_evictions_total"),
+		clipsRefused: reg.Counter("hotspot_clips_refused_total"),
 	}
 	s.live.Store(newLiveGen(opts.Primary))
 	bcfg := opts.Breaker
@@ -221,10 +229,6 @@ func NewServer(opts Options) (*Server, error) {
 	}
 	return s, nil
 }
-
-// Registry returns the model registry, or nil when hot reload is
-// disabled. Callers use it to start a Watch goroutine on a model path.
-func (s *Server) Registry() *registry.Registry { return s.registry }
 
 // Metrics returns the server's telemetry registry (Options.Metrics, or
 // the private one), for reading the serving metrics in tests and
@@ -475,7 +479,8 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 // *http.MaxBytesError (413) rather than as a parse error on the
 // truncated tail. The clip is cut from the parsed shapes directly: a
 // request's layout is clipped once, so an index would cost more than
-// it saves.
+// it saves. A clip over layout.MaxClipShapes is refused and counted
+// here, before any detector or the oracle sees it.
 func (s *Server) readClip(w http.ResponseWriter, r *http.Request) (layout.Clip, error) {
 	body, err := readBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
 	if err != nil {
@@ -492,7 +497,12 @@ func (s *Server) readClip(w http.ResponseWriter, r *http.Request) (layout.Clip, 
 	if b.Empty() {
 		return layout.Clip{}, fmt.Errorf("layout has no shapes")
 	}
-	return layout.CutClip(shapes, b.Center(), s.opts.ClipNM, s.opts.CoreFrac)
+	clip, err := layout.CutClip(shapes, b.Center(), s.opts.ClipNM, s.opts.CoreFrac)
+	if err == nil && len(clip.Shapes) > layout.MaxClipShapes {
+		s.clipsRefused.Inc()
+		return layout.Clip{}, fmt.Errorf("%w: %d", errTooManyShapes, len(clip.Shapes))
+	}
+	return clip, err
 }
 
 // readBody reads r to EOF into one buffer with room for size bytes (the
@@ -517,11 +527,15 @@ func readBody(r io.Reader, size int64) ([]byte, error) {
 }
 
 // clipError maps a readClip failure to its HTTP status: oversized bodies
-// are 413, everything else is a client parse error.
+// and clips are 413, everything else is a client parse error.
 func clipError(w http.ResponseWriter, err error) {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
 		http.Error(w, fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit), http.StatusRequestEntityTooLarge)
+		return
+	}
+	if errors.Is(err, errTooManyShapes) {
+		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
 		return
 	}
 	http.Error(w, err.Error(), http.StatusBadRequest)

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/golitho/hsd/internal/core"
+	"github.com/golitho/hsd/internal/faultinject"
 	"github.com/golitho/hsd/internal/features"
 	"github.com/golitho/hsd/internal/geom"
 	"github.com/golitho/hsd/internal/layout"
@@ -237,6 +238,61 @@ func TestOversizedBodyRejected(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status = %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestClipOverShapeBoundRefused: a body within the byte limit whose
+// clip holds more than layout.MaxClipShapes shapes (≈ 220 000
+// full-window rectangles) is refused 413 on every clip endpoint and
+// counted, and no detector runs for it: the armed primary site never
+// fires until a clip under the bound arrives.
+func TestClipOverShapeBoundRefused(t *testing.T) {
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	sim, err := lithosim.New(lithosim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewServer(Options{Primary: thresholdDetector{}, Sim: sim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	faultinject.Set(PrimarySite, faultinject.Fault{Err: fmt.Errorf("chaos: primary ran")})
+
+	const line = "RECT 0 0 1024 1024\n"
+	var buf bytes.Buffer
+	buf.WriteString("GLT 1\nLAYOUT stack\n")
+	for buf.Len()+len(line)+len("END\n") <= maxBodyBytes {
+		buf.WriteString(line)
+	}
+	buf.WriteString("END\n")
+	endpoints := []string{"/score", "/batch", "/verify"}
+	for _, ep := range endpoints {
+		resp, err := http.Post(ts.URL+ep, "text/plain", bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d, want 413", ep, resp.StatusCode)
+		}
+	}
+	if n := faultinject.Fired(PrimarySite); n != 0 {
+		t.Fatalf("the primary ran %d times for refused clips", n)
+	}
+	if got := s.Metrics().Counter("hotspot_clips_refused_total").Value(); got != float64(len(endpoints)) {
+		t.Fatalf("hotspot_clips_refused_total = %v, want %d", got, len(endpoints))
+	}
+	// The site is armed: a clip under the bound reaches the primary.
+	resp, err := http.Post(ts.URL+"/score", "text/plain", gltBody(t, geom.R(0, 0, 200, 200)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if n := faultinject.Fired(PrimarySite); n != 1 {
+		t.Fatalf("primary site fired %d times for one clip under the bound, want 1", n)
 	}
 }
 

@@ -12,6 +12,10 @@
 #   3. hsdlearn -resume over the torn WAL, which must pick up the
 #      durable labels instead of redoing them and ship the batch.
 #
+# First, a WAL written by hsdserve -learn-wal under a lower-case
+# -detector must be one hsdlearn resumes: both key it by the zoo's name
+# for the detector, not by the flag as typed.
+#
 # The gate: the resumed run must report resumed labels >= 1 (otherwise
 # the kill landed outside the labeling window and the pass would be
 # vacuous), its shipped model must pass the same golden-set gate, and
@@ -21,10 +25,13 @@
 
 set -eu
 
+ADDR=127.0.0.1:18096
 WORK=$(mktemp -d)
 LEARN_PID=""
+SERVER_PID=""
 cleanup() {
 	[ -n "$LEARN_PID" ] && kill -9 "$LEARN_PID" 2>/dev/null || true
+	[ -n "$SERVER_PID" ] && kill "$SERVER_PID" 2>/dev/null || true
 	rm -rf "$WORK"
 }
 trap cleanup EXIT INT TERM
@@ -34,8 +41,38 @@ LEARN_ARGS="-detector MLP -seed 1 -batch 5 -cycles 1"
 echo "learn smoke: generating suite"
 go run ./cmd/benchgen -small -seed 7 -out "$WORK/suite.gob" >/dev/null
 
-echo "learn smoke: building hsdlearn"
+echo "learn smoke: building hsdlearn + hsdserve"
 go build -o "$WORK/hsdlearn" ./cmd/hsdlearn
+go build -o "$WORK/hsdserve" ./cmd/hsdserve
+
+echo "learn smoke: hsdserve -detector mlp -learn-wal, then hsdlearn -detector MLP -resume"
+"$WORK/hsdserve" -suite "$WORK/suite.gob" -detector mlp -seed 1 \
+	-learn-wal "$WORK/served.wal" -addr "$ADDR" >"$WORK/serve.log" 2>&1 &
+SERVER_PID=$!
+ready=""
+i=0
+while [ $i -lt 120 ]; do
+	if curl -fsS "http://$ADDR/readyz" >/dev/null 2>&1; then
+		ready=1
+		break
+	fi
+	sleep 0.5
+	i=$((i + 1))
+done
+kill -TERM "$SERVER_PID"
+wait "$SERVER_PID" || true
+SERVER_PID=""
+if [ -z "$ready" ]; then
+	echo "learn smoke: hsdserve never became ready" >&2
+	cat "$WORK/serve.log" >&2
+	exit 1
+fi
+if ! "$WORK/hsdlearn" -suite "$WORK/suite.gob" -detector MLP -seed 1 -cycles 0 \
+	-wal "$WORK/served.wal" -model-dir "$WORK/served" -resume >"$WORK/served.log" 2>&1; then
+	echo "learn smoke: hsdlearn refused the WAL hsdserve -detector mlp wrote" >&2
+	cat "$WORK/served.log" >&2
+	exit 1
+fi
 
 echo "learn smoke: uninterrupted reference cycle"
 # shellcheck disable=SC2086

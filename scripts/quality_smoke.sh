@@ -5,9 +5,9 @@
 # Every scored clip is spot-checked by the lithography oracle
 # (-spot-check-rate 1), and a mismatch is a bad SLO event:
 #
-#   1. hsdtrain -save writes a model; hsdserve boots with the oracle
-#      spot-checking every clip; /debug/quality answers with alert
-#      state ok;
+#   1. hsdtrain -save writes a model; hsdserve boots with it as -model
+#      and the oracle spot-checking every clip; /debug/quality answers
+#      with alert state ok;
 #   2. POST /admin/reload swaps the trained model in;
 #   3. clean traffic: for at least 4 s the server scores a clip that
 #      the model and the oracle both call a hotspot. Every spot check
@@ -48,6 +48,7 @@ echo "quality smoke: training model"
 
 echo "quality smoke: booting hsdserve with -spot-check-rate 1"
 "$WORK/hsdserve" -suite "$WORK/suite.gob" -detector MLP -seed 1 \
+	-model "$WORK/candidate.hsdnn" \
 	-spot-check-rate 1 -quality-window 1s -slo-target 0.9 \
 	-addr "$ADDR" >"$WORK/serve.log" 2>&1 &
 SERVER_PID=$!
@@ -72,8 +73,7 @@ fi
 curl -fsS "http://$ADDR/debug/quality" >"$WORK/q0.json"
 grep -q '"state":0' "$WORK/q0.json"
 
-curl -fsS -X POST -d "{\"path\":\"$WORK/candidate.hsdnn\"}" \
-	"http://$ADDR/admin/reload" >"$WORK/reload.json"
+curl -fsS -X POST "http://$ADDR/admin/reload" >"$WORK/reload.json"
 grep -q '"ok":true' "$WORK/reload.json"
 
 # Clean traffic for at least 4 s (more than the 3 s fast window): one
