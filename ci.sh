@@ -102,8 +102,9 @@ go test -tags purego $short ./internal/tensor/ ./internal/nn/ ./internal/core/ .
 
 echo "== chaos smoke =="
 # The chaos tests inject faults (latency, errors, panics) into the
-# primary detector and the scan loop, asserting the serving cascade
-# degrades instead of failing; -race because degradation is concurrent.
+# primary detector, asserting the serving cascade degrades instead of
+# failing; -race because degradation is concurrent. (The scan's faults
+# are the farm's, in the scan farm chaos step below.)
 # The cascade parity tests ride along: /batch is a second route to the
 # /score handler, so the same fault must give the same status, verdict
 # provenance, counters and trace flags through either. So do the
@@ -128,7 +129,9 @@ echo "== scan farm chaos =="
 # The shard coordinator is hammered with injected faults (errors,
 # panics, latency) and repeated kill-resume cycles over one journal;
 # findings must stay byte-identical to an uninterrupted serial scan
-# and the shared clip cache must hold under -race.
+# and the shared clip cache must hold under -race. A panicking
+# CtxScorer and a window over layout.MaxClipShapes each cost only
+# their shard.
 run_named 'TestChaosFarm' ./internal/scanfarm/
 
 echo "== flags smoke =="

@@ -15,6 +15,7 @@ import (
 	"github.com/golitho/hsd/internal/features"
 	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/nn"
+	"github.com/golitho/hsd/internal/tensor"
 	"github.com/golitho/hsd/internal/trace"
 )
 
@@ -103,7 +104,7 @@ func (d *NeuralDetector) ScoreCtx(ctx context.Context, clip layout.Clip) (float6
 func (d *NeuralDetector) predict(v []float64) float64 { return nn.Score(d.net, v) }
 
 // Conv1 returns the first convolution of d's network when a window can
-// be scored from that layer's sums (ScoreWindowConv1): d scores its DCT
+// be scored from that layer's sums (ScoreConv1): d scores its DCT
 // tensor as it stands (NoScale, so no per-position standardisation sits
 // between the tensor and the layer), and the network opens with a
 // Conv2D, a ReLU and a 2x2 pool (nn.FirstConv) whose conv is same-padded
@@ -122,9 +123,28 @@ func (d *NeuralDetector) Conv1() *nn.Conv2D {
 	return c
 }
 
-// scoreConv1 is scoreVector for a Conv1Window: the sums it lacks, then
-// the rest of the network, under one "inference" span.
-func (d *NeuralDetector) scoreConv1(ctx context.Context, w Conv1Window) float64 {
+// Conv1Window is a window that ScoreConv1 scores from the sums of the
+// detector's first convolution (Conv1), some of which the caller
+// already holds.
+type Conv1Window struct {
+	// Plane is the window's feature vector, zero-bordered and stored
+	// transposed, and Taps the convolution's table over it
+	// (nn.Conv2D.TransposedTaps).
+	Plane []float64
+	Taps  tensor.RowTable
+	// Sums receives the convolution's sums over Plane, bias not yet
+	// added and transposed (nn.Conv2D.SumRows): rows [Lo, Hi) hold them
+	// already, and only the others are computed.
+	Sums   []float64
+	Lo, Hi int
+}
+
+// ScoreConv1 is ScoreCtx for a caller that holds the window's feature
+// tensor and, in part, its first-layer sums: the sums w lacks, then the
+// rest of the network, under one "inference" span. d must have a Conv1;
+// the score has the bits ScoreCtx gives the clip the window was built
+// from.
+func (d *NeuralDetector) ScoreConv1(ctx context.Context, w Conv1Window) float64 {
 	_, sp := trace.Start(ctx, "inference")
 	if sp != nil {
 		sp.SetAttr("detector", d.Name())

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 
 	"github.com/golitho/hsd/internal/features"
@@ -118,133 +117,5 @@ func TestScanStrideCoversChip(t *testing.T) {
 		if !hit {
 			t.Fatalf("mark %v not covered by any flagged window", m)
 		}
-	}
-}
-
-// panicDetector panics on clips overlapping Bad, the worst-case failure
-// mode of a buggy detector: without window-boundary recovery it would
-// kill the whole scan process.
-type panicDetector struct {
-	Bad geom.Rect
-}
-
-func (p *panicDetector) Name() string                  { return "panic" }
-func (p *panicDetector) Fit(train []LabeledClip) error { return nil }
-func (p *panicDetector) Threshold() float64            { return 0.5 }
-func (p *panicDetector) Score(clip layout.Clip) (float64, error) {
-	if clip.Window.Overlaps(p.Bad) {
-		panic("poison window")
-	}
-	return 0, nil
-}
-
-func TestScanIsolatesDetectorPanic(t *testing.T) {
-	chip := layout.New("chip")
-	if err := chip.AddRect(geom.R(0, 0, 4096, 96)); err != nil {
-		t.Fatal(err)
-	}
-	det := &panicDetector{Bad: geom.R(2000, 0, 2100, 100)}
-	_, err := scanAll(chip, det, ScanConfig{Workers: 3})
-	if err == nil {
-		t.Fatal("scan swallowed a detector panic")
-	}
-	if !strings.Contains(err.Error(), "detector panic") {
-		t.Fatalf("error %v does not identify the panic", err)
-	}
-	// The offending window must be identifiable from the error alone:
-	// the panicking window's center coordinates are attached.
-	if !strings.Contains(err.Error(), "at (") {
-		t.Fatalf("error %v lacks window coordinates", err)
-	}
-}
-
-// TestScanPanicAttributionDeterministic: with several poison windows
-// and racing workers, the reported window must not depend on which
-// worker hit its poison first — the scan always attributes the
-// lowest-index failing window, so the error string is identical from
-// serial to 8-way parallel.
-func TestScanPanicAttributionDeterministic(t *testing.T) {
-	chip := layout.New("chip")
-	if err := chip.AddRect(geom.R(0, 0, 4096, 96)); err != nil {
-		t.Fatal(err)
-	}
-	// The poison region overlaps two adjacent windows, so with parallel
-	// workers either may fail first; attribution must still pick the
-	// lower-index one.
-	det := &panicDetector{Bad: geom.R(2000, 0, 2100, 100)}
-	var want string
-	for workers := 1; workers <= 8; workers++ {
-		_, err := scanAll(chip, det, ScanConfig{Workers: workers})
-		if err == nil {
-			t.Fatalf("workers=%d: scan swallowed the panic", workers)
-		}
-		if workers == 1 {
-			want = err.Error()
-			continue
-		}
-		if err.Error() != want {
-			t.Fatalf("workers=%d: attribution drifted:\ngot  %s\nwant %s",
-				workers, err, want)
-		}
-	}
-}
-
-// panicCtxDetector is the span-attributing twin of panicDetector: it
-// implements CtxScorer like the feature and neural detectors, with Score
-// delegating to ScoreCtx as theirs does, so the scan's ScoreClipCtx
-// dispatch takes the ctx-scoring path. Panic isolation must hold there
-// too.
-type panicCtxDetector struct {
-	Bad geom.Rect
-}
-
-func (p *panicCtxDetector) Name() string            { return "panic-ctx" }
-func (p *panicCtxDetector) Fit([]LabeledClip) error { return nil }
-func (p *panicCtxDetector) Threshold() float64      { return 0.5 }
-func (p *panicCtxDetector) Score(clip layout.Clip) (float64, error) {
-	return p.ScoreCtx(context.Background(), clip)
-}
-func (p *panicCtxDetector) ScoreCtx(_ context.Context, clip layout.Clip) (float64, error) {
-	if clip.Window.Overlaps(p.Bad) {
-		panic("poison window (ctx)")
-	}
-	return 0, nil
-}
-
-var _ CtxScorer = (*panicCtxDetector)(nil)
-
-// TestScanIsolatesCtxScorerPanic: the parallel scan isolates panics
-// raised on the ctx-scoring dispatch path (CtxScorer detectors) exactly
-// like plain-Score panics, with identical window attribution across
-// worker counts.
-func TestScanIsolatesCtxScorerPanic(t *testing.T) {
-	chip := layout.New("chip")
-	if err := chip.AddRect(geom.R(0, 0, 4096, 96)); err != nil {
-		t.Fatal(err)
-	}
-	det := &panicCtxDetector{Bad: geom.R(2000, 0, 2100, 100)}
-	var want string
-	for workers := 1; workers <= 8; workers++ {
-		_, err := scanAll(chip, det, ScanConfig{Workers: workers})
-		if err == nil {
-			t.Fatalf("workers=%d: scan swallowed a ctx-path panic", workers)
-		}
-		if !strings.Contains(err.Error(), "detector panic") ||
-			!strings.Contains(err.Error(), "at (") {
-			t.Fatalf("workers=%d: error %v lacks panic attribution", workers, err)
-		}
-		if workers == 1 {
-			want = err.Error()
-			continue
-		}
-		if err.Error() != want {
-			t.Fatalf("workers=%d: ctx-path attribution drifted:\ngot  %s\nwant %s",
-				workers, err, want)
-		}
-	}
-	// The panic must have come through the ctx path, proving the
-	// dispatch under test.
-	if !strings.Contains(want, "poison window (ctx)") {
-		t.Fatalf("panic did not route through the ctx-scoring path: %s", want)
 	}
 }

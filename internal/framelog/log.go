@@ -35,6 +35,9 @@ type Log[R any] struct {
 	// broken latches a failed append that could not be cut back; every
 	// later Append refuses with it.
 	broken error
+	// frames is the group buffer every Append encodes into, kept across
+	// appends so that it grows once to the largest group.
+	frames []byte
 }
 
 // Tail describes where a loaded log's intact prefix ends.
@@ -140,23 +143,25 @@ func Resume[M comparable, R any](path string, format Format, meta M) (*Log[R], [
 // file, so no record of the call survives it and a later Append is not
 // stranded behind a torn frame; if the cut fails too, the log refuses
 // every later Append. An Append of no records does nothing. Each
-// record is encoded straight into the group's one buffer.
+// record is encoded straight into the log's one group buffer, under the
+// mutex that serializes appends.
 func (l *Log[R]) Append(recs ...R) error {
 	if len(recs) == 0 {
 		return nil
-	}
-	var frames []byte
-	for _, rec := range recs {
-		var err error
-		if frames, err = appendFrame(frames, l.record, rec); err != nil {
-			return err
-		}
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.broken != nil {
 		return fmt.Errorf("framelog: %s refuses appends after a failed one: %w", l.path, l.broken)
 	}
+	frames := l.frames[:0]
+	for _, rec := range recs {
+		var err error
+		if frames, err = appendFrame(frames, l.record, rec); err != nil {
+			return err
+		}
+	}
+	l.frames = frames
 	var err error
 	if _, err = l.f.WriteAt(frames, l.end); err != nil {
 		err = fmt.Errorf("framelog: append to %s: %w", l.path, err)

@@ -2,6 +2,7 @@ package layout
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -40,18 +41,16 @@ func TestIndexMemoryIsLinear(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The window holds every shape, over MaxClipShapes: ClipAt and
+		// FingerprintAt refuse it with one error, and Query, which has no
+		// bound, counts them.
 		c := geom.Pt(edge/2, edge/2)
-		clip, err := l.ClipAt(c, 1024, 0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fp, n, err := l.FingerprintAt(c, 1024, 0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, errClip := l.ClipAt(c, 1024, 0.5)
+		_, _, errKey := l.FingerprintAt(c, 1024, 0.5)
+		n := len(l.Query(geom.R(c.X-512, c.Y-512, c.X+512, c.Y+512)))
 		runtime.ReadMemStats(&after)
-		if n != 2000 || len(clip.Shapes) != 2000 || fp != clip.Fingerprint() {
-			t.Fatalf("edge %d: FingerprintAt %d shapes, ClipAt %d; keys equal %v", edge, n, len(clip.Shapes), fp == clip.Fingerprint())
+		if n != 2000 || !errors.Is(errClip, ErrTooManyShapes) || errKey == nil || errKey.Error() != errClip.Error() {
+			t.Fatalf("edge %d: Query %d shapes; ClipAt err %v, FingerprintAt err %v", edge, n, errClip, errKey)
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<20 {
 			t.Errorf("edge %d: a %d-byte body allocated %d bytes", edge, len(body), got)

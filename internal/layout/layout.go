@@ -330,12 +330,22 @@ func (l *Layout) Query(window geom.Rect) []geom.Rect {
 	return out
 }
 
-// MaxClipShapes bounds the shapes a served clip may hold. Rasterising
-// a clip costs its shapes times the pixels each covers, so without a
-// bound the request chooses its own CPU time. It sits far above the
-// busiest window generated here: 36 shapes over DefaultSuiteConfig
-// seeds 1-3 and SmallSuiteConfig, 23 over the benchmark chips.
+// MaxClipShapes bounds the shapes a clip may hold: ClipAt, CutClip and
+// FingerprintAt refuse a window over it with ErrTooManyShapes.
+// Rasterising a clip costs its shapes times the pixels each covers, so
+// without a bound a served request or a scanned layout chooses its own
+// CPU time. It sits far above the busiest window generated here: 36
+// shapes over DefaultSuiteConfig seeds 1-3 and SmallSuiteConfig, 23
+// over the benchmark chips.
 const MaxClipShapes = 1024
+
+// ErrTooManyShapes is wrapped by the error for a window over
+// MaxClipShapes, which names the window's centre and its shape count.
+var ErrTooManyShapes = fmt.Errorf("clip holds more than %d shapes", MaxClipShapes)
+
+func tooManyShapes(c geom.Point, n int) error {
+	return fmt.Errorf("layout: clip at %v: %w: %d", c, ErrTooManyShapes, n)
+}
 
 // Clip is a square window of a layout together with the shapes overlapping
 // it, clipped to the window. Clips are the unit of hotspot classification.
@@ -367,6 +377,7 @@ func clipFrame(c geom.Point, size int, coreFrac float64) (win, core geom.Rect, e
 
 // ClipAt extracts a size x size clip centred at c. coreFrac in (0, 1]
 // determines the side length of the core region relative to the window.
+// A window over MaxClipShapes is refused before its clip is built.
 func (l *Layout) ClipAt(c geom.Point, size int, coreFrac float64) (Clip, error) {
 	win, core, err := clipFrame(c, size, coreFrac)
 	if err != nil {
@@ -374,6 +385,9 @@ func (l *Layout) ClipAt(c geom.Point, size int, coreFrac float64) (Clip, error) 
 	}
 	var buf [gatherStack]int32
 	ids := l.gather(win, buf[:0])
+	if len(ids) > MaxClipShapes {
+		return Clip{}, tooManyShapes(c, len(ids))
+	}
 	clipped := make([]geom.Rect, len(ids))
 	for i, id := range ids {
 		// Non-empty: gather kept only shapes overlapping win.
@@ -383,7 +397,8 @@ func (l *Layout) ClipAt(c geom.Point, size int, coreFrac float64) (Clip, error) 
 }
 
 // CutClip is ClipAt on shapes held in a slice: every shape overlapping
-// the size x size window centred at c, in slice order, clipped to it. It
+// the size x size window centred at c, in slice order, clipped to it,
+// under the same MaxClipShapes bound. It
 // builds no index, which is the cheaper way to clip shapes that are
 // queried once, such as a served request's (see ReadShapes).
 func CutClip(shapes []geom.Rect, c geom.Point, size int, coreFrac float64) (Clip, error) {
@@ -397,11 +412,14 @@ func CutClip(shapes []geom.Rect, c geom.Point, size int, coreFrac float64) (Clip
 			clipped = append(clipped, s.Intersect(win))
 		}
 	}
+	if len(clipped) > MaxClipShapes {
+		return Clip{}, tooManyShapes(c, len(clipped))
+	}
 	return Clip{Window: win, Core: core, Shapes: clipped}, nil
 }
 
 // FingerprintAt returns ClipAt(c, size, coreFrac).Fingerprint() and the
-// clip's shape count without building the clip: each shape the index
+// clip's shape count, or ClipAt's refusal, without building the clip: each shape the index
 // holds is clipped, moved to the origin and hashed where it lies, in
 // whatever order the cells hold them (the hash is a sum), so keying a
 // window allocates nothing and sorts nothing.
@@ -419,24 +437,27 @@ func (l *Layout) FingerprintAt(c geom.Point, size int, coreFrac float64) (Finger
 				h.add(s.Intersect(win).Translate(d))
 			}
 		}
-		return h.fingerprint(win.Translate(d), core.Translate(d)), int(h.n), nil
-	}
-	// gather's owner rule: each shape once, from its first probed cell.
-	for cy := cy0; cy <= cy1; cy++ {
-		minY, row := cy*ix.edge, ix.cell(0, cy)
-		for cx := cx0; cx <= cx1; cx++ {
-			minX, c := cx*ix.edge, row+cx
-			for _, s := range ix.rects[ix.off[c]:ix.off[c+1]] {
-				if s.Overlaps(win) && (s.Min.X >= minX || cx == cx0) && (s.Min.Y >= minY || cy == cy0) {
-					h.add(s.Intersect(win).Translate(d))
+	} else {
+		// gather's owner rule: each shape once, from its first probed cell.
+		for cy := cy0; cy <= cy1; cy++ {
+			minY, row := cy*ix.edge, ix.cell(0, cy)
+			for cx := cx0; cx <= cx1; cx++ {
+				minX, c := cx*ix.edge, row+cx
+				for _, s := range ix.rects[ix.off[c]:ix.off[c+1]] {
+					if s.Overlaps(win) && (s.Min.X >= minX || cx == cx0) && (s.Min.Y >= minY || cy == cy0) {
+						h.add(s.Intersect(win).Translate(d))
+					}
 				}
 			}
 		}
-	}
-	for _, id := range l.large {
-		if s := l.shapes[id]; s.Overlaps(win) {
-			h.add(s.Intersect(win).Translate(d))
+		for _, id := range l.large {
+			if s := l.shapes[id]; s.Overlaps(win) {
+				h.add(s.Intersect(win).Translate(d))
+			}
 		}
+	}
+	if h.n > MaxClipShapes {
+		return Fingerprint{}, 0, tooManyShapes(c, int(h.n))
 	}
 	return h.fingerprint(win.Translate(d), core.Translate(d)), int(h.n), nil
 }

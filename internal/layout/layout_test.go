@@ -2,6 +2,7 @@ package layout
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -154,6 +155,35 @@ func TestClipAtValidation(t *testing.T) {
 	}
 	if _, err := l.ClipAt(geom.Pt(0, 0), 100, 1.5); err == nil {
 		t.Fatal("coreFrac > 1 accepted")
+	}
+}
+
+// TestClipShapeBound: a window of MaxClipShapes shapes is clipped and
+// keyed; one more shape and ClipAt, CutClip and FingerprintAt each
+// refuse it with one error that wraps ErrTooManyShapes and names the
+// window's centre and its count.
+func TestClipShapeBound(t *testing.T) {
+	l := New("t")
+	for k := 0; k < MaxClipShapes; k++ {
+		x, y := k%32*12, k/32*12
+		mustAdd(t, l, geom.R(x, y, x+4, y+4))
+	}
+	c := geom.Pt(200, 200)
+	if clip, err := l.ClipAt(c, 1024, 0.5); err != nil || len(clip.Shapes) != MaxClipShapes {
+		t.Fatalf("ClipAt at the bound: %d shapes, %v", len(clip.Shapes), err)
+	}
+	if _, n, err := l.FingerprintAt(c, 1024, 0.5); err != nil || n != MaxClipShapes {
+		t.Fatalf("FingerprintAt at the bound: %d shapes, %v", n, err)
+	}
+	mustAdd(t, l, geom.R(500, 500, 504, 504))
+	_, errClip := l.ClipAt(c, 1024, 0.5)
+	_, errCut := CutClip(l.Shapes(), c, 1024, 0.5)
+	_, _, errKey := l.FingerprintAt(c, 1024, 0.5)
+	for _, err := range []error{errClip, errCut, errKey} {
+		if !errors.Is(err, ErrTooManyShapes) || err.Error() != errClip.Error() ||
+			!strings.Contains(err.Error(), "(200,200)") || !strings.HasSuffix(err.Error(), ": 1025") {
+			t.Fatalf("over the bound: ClipAt %v, CutClip %v, FingerprintAt %v", errClip, errCut, errKey)
+		}
 	}
 }
 

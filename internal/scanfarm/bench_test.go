@@ -11,6 +11,7 @@ import (
 	"github.com/golitho/hsd/internal/iccad"
 	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/raster"
+	"github.com/golitho/hsd/internal/trace"
 )
 
 // The scan-throughput benchmark pair (`go test -bench ScanFarm
@@ -122,4 +123,35 @@ func BenchmarkScanFarmJournaled(b *testing.B) {
 		b.Fatalf("cache hit rate %.4f: the chip does not repeat itself", rate)
 	}
 	b.ReportMetric(float64(b.N*res.Scanned)/b.Elapsed().Seconds(), "windows/s")
+}
+
+// BenchmarkScanTracedVsUntraced pins the cost of the tracing hooks on
+// the loop programs run: Run with the fitted CNN over a generated chip
+// and hsdscan's default cache. "untraced" is a context with no tracer,
+// the nil-span path a scan takes with tracing off; "enabled" records
+// every span the scan opens (one scan.shard per shard attempt and the
+// stage spans under each miss), the full price of turning tracing on
+// (DESIGN §12 has the recorded runs).
+func BenchmarkScanTracedVsUntraced(b *testing.B) {
+	det := fittedCNN(b, false)
+	chip, err := iccad.GenerateChip(2, 8*1024, iccad.DefaultStyle())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{SkipEmpty: true, Workers: 2, CacheSize: 4096}
+	run := func(b *testing.B, ctx context.Context) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sctx, root := trace.Start(ctx, "scan")
+			if _, err := Run(sctx, chip, det, cfg); err != nil {
+				b.Fatal(err)
+			}
+			root.End()
+		}
+	}
+	b.Run("untraced", func(b *testing.B) { run(b, context.Background()) })
+	b.Run("enabled", func(b *testing.B) {
+		run(b, trace.WithTracer(context.Background(), trace.New(trace.Config{Capacity: 4})))
+	})
 }

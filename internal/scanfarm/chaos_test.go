@@ -10,6 +10,9 @@
 //   - TestChaosFarmAdjacentPoisonShards: poison shards in a row on one
 //     worker cost their own attempts and nothing else — no cool-down
 //     stalls the worker or the healthy shard after them.
+//   - TestChaosFarmCtxScorerPanic and TestChaosFarmOverBoundWindowQuarantined:
+//     a panicking CtxScorer and a window over layout.MaxClipShapes each
+//     cost their shard, named in its quarantine, and nothing else.
 //
 // These are the scan-path twins of the nn kill-resume training gates.
 
@@ -307,5 +310,150 @@ func TestChaosFarmConcurrentCache(t *testing.T) {
 	}
 	if res.Cache.Evictions == 0 {
 		t.Fatalf("tiny cache never evicted: %+v", res.Cache)
+	}
+}
+
+// panicCtxDetector is poisonDetector on the CtxScorer path the feature
+// and neural detectors take: ScoreCtx panics on the poison marker, and
+// Score delegates to it as theirs does.
+type panicCtxDetector struct{ inner core.Detector }
+
+func (d *panicCtxDetector) Name() string                 { return "poison-ctx" }
+func (d *panicCtxDetector) Fit([]core.LabeledClip) error { return nil }
+func (d *panicCtxDetector) Threshold() float64           { return d.inner.Threshold() }
+func (d *panicCtxDetector) Score(c layout.Clip) (float64, error) {
+	return d.ScoreCtx(context.Background(), c)
+}
+func (d *panicCtxDetector) ScoreCtx(_ context.Context, c layout.Clip) (float64, error) {
+	for _, s := range c.Shapes {
+		if s.Dx() == poisonMarker.X && s.Dy() == poisonMarker.Y {
+			panic("poison window (ctx)")
+		}
+	}
+	return d.inner.Score(c)
+}
+
+var _ core.CtxScorer = (*panicCtxDetector)(nil)
+
+// TestChaosFarmCtxScorerPanic: a panic raised on the CtxScorer dispatch
+// path costs its shard as a plain Score panic does, and the quarantine
+// is the same whatever the worker count, because an attempt meets its
+// shard's windows in one fixed order and the first poison window fails
+// it. Every other shard's findings are the reference scan's.
+func TestChaosFarmCtxScorerPanic(t *testing.T) {
+	chip := testChip(t, 8)
+	if err := chip.AddRect(poisonRect(3*1024+50, 5*1024+50)); err != nil {
+		t.Fatal(err)
+	}
+	inner := densityDetector{thr: 0.5}
+	var want []Quarantine
+	for _, workers := range []int{1, 3, 8} {
+		cfg := Config{SkipEmpty: true, Workers: workers, ShardRows: 1, MaxAttempts: 2}
+		res, err := Run(context.Background(), chip, &panicCtxDetector{inner: inner}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Quarantined) == 0 || res.Interrupted || res.Completed != res.Shards {
+			t.Fatalf("workers=%d: quarantined %+v, interrupted=%v, %d of %d shards; want the poison shards",
+				workers, res.Quarantined, res.Interrupted, res.Completed, res.Shards)
+		}
+		quarantined := map[int]bool{}
+		for _, q := range res.Quarantined {
+			quarantined[q.ShardID] = true
+			if !strings.Contains(q.Err, "detector panic: poison window (ctx)") || !strings.Contains(q.Err, "window at (") {
+				t.Fatalf("workers=%d: quarantine error %q names no panicking window", workers, q.Err)
+			}
+		}
+		plan := NewPlan(chip.Bounds(), cfg)
+		var rest []core.Finding
+		for _, f := range referenceFindings(t, chip, inner, cfg) {
+			if !quarantined[shardOf(plan, f.Center)] {
+				rest = append(rest, f)
+			}
+		}
+		if !reflect.DeepEqual(res.Findings, rest) {
+			t.Fatalf("workers=%d: findings outside the quarantined shards diverged:\ngot  %v\nwant %v", workers, res.Findings, rest)
+		}
+		if workers == 1 {
+			want = res.Quarantined
+		} else if !reflect.DeepEqual(res.Quarantined, want) {
+			t.Fatalf("workers=%d: quarantine drifted:\ngot  %+v\nwant %+v", workers, res.Quarantined, want)
+		}
+	}
+}
+
+// TestChaosFarmOverBoundWindowQuarantined: a window over
+// layout.MaxClipShapes costs its shard, whether the cache keys it
+// (FingerprintAt refuses it) or the detector needs its clip (ClipAt
+// does). A generated chip gets 1025 small squares inside the core of
+// one window whose shard holds every window that overlaps them. Only
+// the shards holding an over-bound window are quarantined, each naming
+// an over-bound centre, and every other shard's findings are the
+// reference scan's on the chip without the squares.
+func TestChaosFarmOverBoundWindowQuarantined(t *testing.T) {
+	det := fittedCNN(t, false)
+	bare, chip := cnnChip(t, 6), cnnChip(t, 6)
+	base := Config{SkipEmpty: true, Workers: 3, ShardRows: 3, MaxAttempts: 2}
+	want := referenceFindings(t, bare, det, base)
+	plan := NewPlan(chip.Bounds(), base)
+	// Row 4's core is overlapped only by windows of rows 3-5: shard 1.
+	c := plan.Center(8, 4)
+	for k := 0; k <= layout.MaxClipShapes; k++ {
+		x, y := c.X-200+k%33*12, c.Y-200+k/33*12
+		if err := chip.AddRect(geom.R(x, y, x+4, y+4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if chip.Bounds() != bare.Bounds() {
+		t.Fatal("the squares moved the chip's bounds, and with them the plan")
+	}
+	// The over-bound windows, counted by Query, which has no bound.
+	over, overShards := map[geom.Point]bool{}, map[int]bool{}
+	half := plan.ClipNM / 2
+	for row := 0; row < plan.Rows; row++ {
+		for col := 0; col < plan.Cols; col++ {
+			p := plan.Center(col, row)
+			if len(chip.Query(geom.R(p.X-half, p.Y-half, p.X+half, p.Y+half))) > layout.MaxClipShapes {
+				over[p] = true
+				overShards[shardOf(plan, p)] = true
+			}
+		}
+	}
+	if !over[c] || len(overShards) != 1 {
+		t.Fatalf("fixture: over-bound windows %v in shards %v", over, overShards)
+	}
+	for _, cacheSize := range []int{0, 4096} {
+		cfg := base
+		cfg.CacheSize = cacheSize
+		res, err := Run(context.Background(), chip, det, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Interrupted || res.Completed != res.Shards || len(res.Quarantined) != len(overShards) {
+			t.Fatalf("cache %d: quarantined %+v, interrupted=%v; want shards %v", cacheSize, res.Quarantined, res.Interrupted, overShards)
+		}
+		for _, q := range res.Quarantined {
+			var shard int
+			var at geom.Point
+			i := strings.Index(q.Err, "scanfarm: shard")
+			if i < 0 {
+				t.Fatalf("cache %d: quarantine error %q names no window", cacheSize, q.Err)
+			}
+			if _, err := fmt.Sscanf(q.Err[i:], "scanfarm: shard %d window at (%d,%d):", &shard, &at.X, &at.Y); err != nil {
+				t.Fatalf("cache %d: quarantine error %q names no window: %v", cacheSize, q.Err, err)
+			}
+			if !overShards[q.ShardID] || shard != q.ShardID || !over[at] || !strings.Contains(q.Err, layout.ErrTooManyShapes.Error()) {
+				t.Fatalf("cache %d: quarantine %+v does not name an over-bound window of its shard", cacheSize, q)
+			}
+		}
+		var rest []core.Finding
+		for _, f := range want {
+			if !overShards[shardOf(plan, f.Center)] {
+				rest = append(rest, f)
+			}
+		}
+		if len(rest) == 0 || !reflect.DeepEqual(res.Findings, rest) {
+			t.Fatalf("cache %d: findings outside the quarantined shard diverged:\ngot  %v\nwant %v", cacheSize, res.Findings, rest)
+		}
 	}
 }

@@ -145,8 +145,8 @@ func (m *farmMetrics) cache(st CacheStats) {
 
 // Run scans the chip through the shard coordinator and returns the
 // deterministically merged findings. See the package comment for the
-// failure-containment contract. Unlike core.ScanCtx, a failing window
-// never aborts the run: it fails its shard, which retries and is
+// failure-containment contract, the only one in the tree: a failing
+// window never aborts the run, it fails its shard, which retries and is
 // eventually quarantined.
 func Run(ctx context.Context, chip *layout.Layout, det core.Detector, cfg Config) (res Result, err error) {
 	cfg = cfg.withDefaults()
@@ -524,14 +524,7 @@ func (w *worker) scoreWindow(ctx context.Context, center geom.Point, col, row in
 	if w.cfg.SkipEmpty && len(canon.Shapes) == 0 {
 		return math.NaN(), nil
 	}
-	var score float64
-	if w.tiles == nil {
-		score, err = core.ScoreWindow(ctx, WindowScoreSite, w.det, canon)
-	} else {
-		score, err = core.ScoreWindowConv1(ctx, WindowScoreSite, w.tiles.det, func() (core.Conv1Window, error) {
-			return w.tiles.conv1Window(ctx, canon, col, row)
-		})
-	}
+	score, err := w.scoreMiss(ctx, canon, col, row)
 	if err != nil {
 		return 0, err
 	}
@@ -539,6 +532,31 @@ func (w *worker) scoreWindow(ctx context.Context, center geom.Point, col, row in
 		w.cache.Put(key, score)
 	}
 	return score, nil
+}
+
+// scoreMiss runs the detector on a window the cache could not answer:
+// WindowScoreSite fires first, once, and then the score runs, from the
+// tile memo when the worker has one and from the clip otherwise. A
+// panic under any of it, the site's, the detector's or the memo's,
+// fails the window with an error instead of the run, so a poison
+// window costs its shard (see runShard).
+func (w *worker) scoreMiss(ctx context.Context, canon layout.Clip, col, row int) (score float64, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("detector panic: %v", r)
+		}
+	}()
+	if err := faultinject.Hit(WindowScoreSite); err != nil {
+		return 0, err
+	}
+	if w.tiles == nil {
+		return core.ScoreClipCtx(ctx, w.det, canon)
+	}
+	win, err := w.tiles.conv1Window(ctx, canon, col, row)
+	if err != nil {
+		return 0, err
+	}
+	return w.tiles.det.ScoreConv1(ctx, win), nil
 }
 
 // canonClip is the window centred at center moved to the origin. ClipAt

@@ -98,9 +98,6 @@ func referenceFindings(t testing.TB, chip *layout.Layout, det core.Detector, cfg
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Interrupted {
-		t.Fatal("reference scan interrupted")
-	}
 	return res.Findings
 }
 

@@ -61,10 +61,6 @@ import (
 // maxBodyBytes bounds accepted request bodies (a clip is a few KiB).
 const maxBodyBytes = 4 << 20
 
-// errTooManyShapes is readClip's refusal of a clip over
-// layout.MaxClipShapes (413).
-var errTooManyShapes = fmt.Errorf("clip holds more than %d shapes", layout.MaxClipShapes)
-
 // PrimarySite is the faultinject hook name fired inside primary-detector
 // scoring, for chaos-testing the degradation cascade.
 const PrimarySite = "serve.primary"
@@ -479,8 +475,8 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 // *http.MaxBytesError (413) rather than as a parse error on the
 // truncated tail. The clip is cut from the parsed shapes directly: a
 // request's layout is clipped once, so an index would cost more than
-// it saves. A clip over layout.MaxClipShapes is refused and counted
-// here, before any detector or the oracle sees it.
+// it saves. A clip over layout.MaxClipShapes, which CutClip refuses,
+// is counted here, before any detector or the oracle sees it.
 func (s *Server) readClip(w http.ResponseWriter, r *http.Request) (layout.Clip, error) {
 	body, err := readBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
 	if err != nil {
@@ -498,9 +494,8 @@ func (s *Server) readClip(w http.ResponseWriter, r *http.Request) (layout.Clip, 
 		return layout.Clip{}, fmt.Errorf("layout has no shapes")
 	}
 	clip, err := layout.CutClip(shapes, b.Center(), s.opts.ClipNM, s.opts.CoreFrac)
-	if err == nil && len(clip.Shapes) > layout.MaxClipShapes {
+	if errors.Is(err, layout.ErrTooManyShapes) {
 		s.clipsRefused.Inc()
-		return layout.Clip{}, fmt.Errorf("%w: %d", errTooManyShapes, len(clip.Shapes))
 	}
 	return clip, err
 }
@@ -534,7 +529,7 @@ func clipError(w http.ResponseWriter, err error) {
 		http.Error(w, fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit), http.StatusRequestEntityTooLarge)
 		return
 	}
-	if errors.Is(err, errTooManyShapes) {
+	if errors.Is(err, layout.ErrTooManyShapes) {
 		http.Error(w, err.Error(), http.StatusRequestEntityTooLarge)
 		return
 	}
