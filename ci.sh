@@ -14,8 +14,8 @@
 #   serving, a run of every example, a smoke pass over the
 #   fuzz seed corpora, 7 s of real fuzzing each on all nine fuzz
 #   targets (63 s in all), one pass of the window key, conv, ragged-edge,
-#   matmul kernel, shallow fit, scan miss, journaled scan and serve
-#   score cache micro-benchmarks, and a quick pass of the repo
+#   matmul kernel, shallow fit, CNN fit, scan miss, journaled scan and
+#   serve score cache micro-benchmarks, and a quick pass of the repo
 #   benchmark's four workloads. The matmul kernel tier the run used is
 #   logged near the top.
 #
@@ -119,11 +119,13 @@ run_named 'Chaos|TestCascade|TestSharedInstanceConcurrentScore|TestSharedDetecto
 echo "== training guard =="
 # A fit is not resumed, it is re-run: the TestTrainStep tests hold the
 # training step to the bytes the serial loop trained (a golden written
-# at the commit before it), under 1, 2 and 8 kernel workers, with fits
-# running side by side on the one pool and a refit starting fresh, and
-# -race watches the sample-sharded steps. A non-finite loss or gradient
-# halts the fit before the poisoned step is applied (TestNonFinite).
-run_named 'TestNonFinite|TestTrainStep' ./internal/nn/
+# at the commit before it), under 1, 2, 3 and 8 kernel workers, with
+# fits running side by side on the one pool and a refit starting fresh,
+# and -race watches the sample-sharded steps; TestConvChain holds a chain
+# of three conv-ReLU-pool runs, at and off layer 0, to its layers one by
+# one. A non-finite loss or gradient halts the fit before the poisoned
+# step is applied (TestNonFinite).
+run_named 'TestNonFinite|TestTrainStep|TestConvChain' ./internal/nn/
 
 echo "== scan farm chaos =="
 # The shard coordinator is hammered with injected faults (errors,
@@ -270,6 +272,12 @@ echo "== shallow fit benchmarks =="
 # -benchtime 1s.
 go test -run='^$' -bench=FitZooAdaBoost -benchtime=1x .
 go test -run='^$' -bench=CCAS8x12 -benchtime=1x ./internal/features/
+
+echo "== CNN fit benchmark =="
+# One fit of the zoo CNN, the fit behind every bench workload's setup_s
+# and every learn_cycle; the -cpu 1,2 pair prints its two-core speed-up
+# in every log. Not gated.
+go test -run='^$' -bench=FitZooCNN -benchtime=1x -cpu 1,2 ./internal/nn/
 
 echo "== scan benchmarks =="
 # One scan each by the fitted CNN: of a chip with no repeated geometry,

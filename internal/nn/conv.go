@@ -30,15 +30,15 @@ type Conv2D struct {
 // convScratch is what one training step of a Conv2D keeps between
 // Forward and Backward and hands to its neighbours (see scratch.go).
 type convScratch struct {
-	// x is the last training Forward's input, borrowed from the caller.
-	// padded holds sample i's zero-bordered copy at [i*InC*PH*PW:], the
-	// operand Forward's sums and Backward's weight gradient both
-	// multiply where it lies.
-	x      *tensor.Matrix
+	// x views the last training Forward's input, one row per sample,
+	// borrowed from the caller. padded holds sample i's zero-bordered
+	// copy at [i*InC*PH*PW:], the operand Forward's sums and Backward's
+	// weight gradient both multiply where it lies.
+	x      [][]float64
 	padded []float64
 	out    *tensor.Matrix
 
-	// The one-pass tail (forwardTrainReLUPool). win holds, per sample and
+	// A run of a convChain. win holds, per sample and
 	// pooled cell, the index in the sample's OutC x positions plane of the
 	// cell its gradient goes to, or -1 when it goes nowhere. plane is one
 	// such plane per pool goroutine: a sample's sums on the way forward,
@@ -49,12 +49,15 @@ type convScratch struct {
 	// gwSlot and gbSlot hold sample i's weight- and bias-gradient
 	// partials at [i*klen*OutC:] and [i*OutC:], the first transposed
 	// (klen x OutC, as the kernel produces it). Pool goroutines fill
-	// them concurrently; sumSlots then adds them into gw and gb in
-	// ascending sample order, the order the serial loop summed in, so
-	// the gradients do not depend on which goroutine took which sample.
-	// gwT is gw transposed while the slots are added to it.
+	// them concurrently; addWeightSlots and addBiasSlots then add them
+	// into gw and gb in ascending sample order, the order the serial
+	// loop summed in, so the gradients do not depend on which goroutine
+	// took which sample. pending is how many samples' slots are still to
+	// be added by the network's gradient pass (Network.finishGrads): a
+	// convChain's backward leaves them there, the layer's own Backward
+	// adds them itself.
 	gwSlot, gbSlot []float64
-	gwT            *tensor.Matrix
+	pending        int
 
 	dx *tensor.Matrix
 	wT *tensor.Matrix
@@ -136,9 +139,8 @@ func col2imChannel(g convGeom, ch int, band, dst []float64) {
 // kernel pool. Samples are independent, so the output does not depend on
 // who computed which.
 func (c *Conv2D) Forward(x *tensor.Matrix) *tensor.Matrix {
-	checkCols(c, c.InC*c.InH*c.InW, x.Cols)
 	g := c.geom()
-	s := c.beginTrain(g, x)
+	s := c.beginTrain(g, x, nil)
 	s.out = sized(s.out, x.Rows, c.OutDim())
 	forSamples(x.Rows, executors(), func(_, i int) {
 		c.trainSums(g, s, i, s.out.Row(i))
@@ -147,14 +149,26 @@ func (c *Conv2D) Forward(x *tensor.Matrix) *tensor.Matrix {
 	return s.out
 }
 
-// beginTrain sizes what a training Forward over x keeps for Backward.
-func (c *Conv2D) beginTrain(g convGeom, x *tensor.Matrix) *convScratch {
+// beginTrain sizes what a training Forward keeps for Backward over the
+// batch whose sample i is x.Row(i) or, when rows is not nil, rows[i].
+func (c *Conv2D) beginTrain(g convGeom, x *tensor.Matrix, rows [][]float64) *convScratch {
 	if c.tr == nil {
 		c.tr = &convScratch{}
 	}
 	s := c.tr
-	s.x = x
-	s.padded = grow(s.padded, x.Rows*g.paddedLen())
+	if rows == nil {
+		checkCols(c, c.InC*c.InH*c.InW, x.Cols)
+		s.x = grow(s.x, x.Rows)
+		for i := range s.x {
+			s.x[i] = x.Row(i)
+		}
+	} else {
+		if len(rows) > 0 {
+			checkCols(c, c.InC*c.InH*c.InW, len(rows[0]))
+		}
+		s.x = append(s.x[:0], rows...)
+	}
+	s.padded = grow(s.padded, len(s.x)*g.paddedLen())
 	return s
 }
 
@@ -164,7 +178,7 @@ func (c *Conv2D) beginTrain(g convGeom, x *tensor.Matrix) *convScratch {
 func (c *Conv2D) trainSums(g convGeom, s *convScratch, i int, dst []float64) {
 	psz := g.paddedLen()
 	padded := s.padded[i*psz : (i+1)*psz]
-	padSample(g, s.x.Row(i), padded)
+	padSample(g, s.x[i], padded)
 	c.paddedSums(g, padded, dst)
 }
 
@@ -177,38 +191,42 @@ func (c *Conv2D) backwardParams(grad *tensor.Matrix) { c.backward(grad, false) }
 // backward accumulates dL/dW and dL/db and, when needDX, returns
 // dL/dInput, given dL/dOutput of the last training Forward.
 func (c *Conv2D) backward(grad *tensor.Matrix, needDX bool) *tensor.Matrix {
-	s, g, ex := c.beginBackward(grad, needDX)
+	ex := executors()
+	dx := c.beginBackward(grad, needDX, ex)
+	s, g := c.tr, c.geom()
 	forSamples(grad.Rows, ex, func(w, i int) {
 		gm := tensor.Matrix{Rows: c.OutC, Cols: g.oh * g.ow, Data: grad.Row(i)}
 		gm.TransposeInto(s.gradTOf(w, len(gm.Data)))
 		c.backwardSample(g, s, w, i, gm.Data, needDX)
 	})
-	return c.sumSlots(s, grad.Rows, needDX)
+	c.addWeightSlots(grad.Rows, 0, len(c.gw.Data))
+	c.addBiasSlots(grad.Rows, 0, c.OutC)
+	return dx
 }
 
 // gradTOf is pool goroutine w's n-element stretch of s.gradT.
 func (s *convScratch) gradTOf(w, n int) []float64 { return s.gradT[w*n : (w+1)*n] }
 
 // beginBackward checks that grad is the gradient of what the last
-// training Forward returned and sizes Backward's scratch.
-func (c *Conv2D) beginBackward(grad *tensor.Matrix, needDX bool) (*convScratch, convGeom, int) {
+// training Forward returned and sizes Backward's scratch for ex pool
+// goroutines. It returns dL/dInput, to be filled, or nil unless needDX.
+func (c *Conv2D) beginBackward(grad *tensor.Matrix, needDX bool, ex int) *tensor.Matrix {
 	s := c.tr
 	if s == nil || s.out.Rows != grad.Rows || s.out.Cols != grad.Cols {
 		panic("nn: Conv2D.Backward without training Forward")
 	}
-	rows, ex := grad.Rows, executors()
-	g := c.geom()
+	rows, g := grad.Rows, c.geom()
 	klen, positions := c.W.Cols, g.oh*g.ow
 	s.gwSlot = grow(s.gwSlot, rows*c.OutC*klen)
 	s.gbSlot = grow(s.gbSlot, rows*c.OutC)
 	s.gradT = grow(s.gradT, ex*positions*c.OutC)
 	if needDX {
 		s.dx = sized(s.dx, rows, c.InC*c.InH*c.InW)
-		s.dx.Zero() // col2im accumulates
 		s.wT = transposeInto(s.wT, c.W)
 		s.band = grow(s.band, ex*c.K*c.K*positions)
+		return s.dx
 	}
-	return s, g, ex
+	return nil
 }
 
 // backwardSample turns dL/dSums of sample i into the sample's gradient
@@ -236,9 +254,11 @@ func (c *Conv2D) backwardSample(g convGeom, s *convScratch, w, i int, gm []float
 		return
 	}
 	// dCols = Wᵀ · grad_i, one input channel's rows at a time,
-	// scattered back while the band is cache-hot.
+	// scattered back while the band is cache-hot into the sample's row,
+	// cleared first: col2im accumulates.
 	gradM := tensor.Matrix{Rows: c.OutC, Cols: positions, Data: gm}
 	band := tensor.Matrix{Rows: kk, Cols: positions, Data: s.band[w*kk*positions:][:kk*positions]}
+	clear(s.dx.Row(i))
 	for ch := 0; ch < c.InC; ch++ {
 		wTch := tensor.Matrix{Rows: kk, Cols: c.OutC, Data: s.wT.Data[ch*kk*c.OutC : (ch+1)*kk*c.OutC]}
 		tensor.MatMulInto(&band, &wTch, &gradM)
@@ -246,55 +266,115 @@ func (c *Conv2D) backwardSample(g convGeom, s *convScratch, w, i int, gm []float
 	}
 }
 
-// sumSlots adds the samples' gradient slots into gb and gw in ascending
-// sample order and returns dL/dInput, nil unless needDX. The weight slots
-// are transposed, so gw takes them through its own transpose: each
-// element meets the same addends in the same order, and the batch pays
-// two transposes where every sample paid one.
-func (c *Conv2D) sumSlots(s *convScratch, rows int, needDX bool) *tensor.Matrix {
-	wsz := c.OutC * c.W.Cols
-	s.gwT = transposeInto(s.gwT, c.gw)
-	for i := 0; i < rows; i++ {
-		for oc := range c.gb {
-			c.gb[oc] += s.gbSlot[i*c.OutC+oc]
+// addWeightSlots adds elements [lo, hi) of the first rows samples'
+// weight slots into gw, element j of gwᵀ (t·OutC + oc, as the slots lie)
+// being gw[oc·klen + t], so no transpose is formed. Each element takes
+// its samples in ascending order, from its current value: the order the
+// serial loop summed in. A block of elements at a time is gathered from
+// gw into a local buffer, takes every sample's run of the block there,
+// and goes back checked. It reports whether every sum it formed is
+// finite.
+func (c *Conv2D) addWeightSlots(rows, lo, hi int) bool {
+	klen, wsz := c.W.Cols, c.OutC*c.W.Cols
+	gw, finite := c.gw.Data, true
+	var buf [64]float64
+	for b := lo; b < hi; b += len(buf) {
+		acc := buf[:min(len(buf), hi-b)]
+		t, oc := b/c.OutC, b%c.OutC
+		for k := range acc {
+			acc[k] = gw[oc*klen+t]
+			if oc++; oc == c.OutC {
+				t, oc = t+1, 0
+			}
 		}
-		for j, v := range s.gwSlot[i*wsz : (i+1)*wsz] {
-			s.gwT.Data[j] += v
+		for i := 0; i < rows; i++ {
+			for k, v := range c.tr.gwSlot[i*wsz+b:][:len(acc)] {
+				acc[k] += v
+			}
+		}
+		t, oc = b/c.OutC, b%c.OutC
+		for _, v := range acc {
+			finite = finite && isFinite(v)
+			gw[oc*klen+t] = v
+			if oc++; oc == c.OutC {
+				t, oc = t+1, 0
+			}
 		}
 	}
-	s.gwT.TransposeInto(c.gw.Data)
-	if !needDX {
-		return nil
-	}
-	return s.dx
+	return finite
 }
 
-// forwardTrainReLUPool is the training Forward of c, the ReLU and the
-// 2x2 MaxPool2D behind it (Network.convReLUPoolAt) in one pass: each
-// sample's sums go through bias, ReLU and pool in the goroutine that
-// formed them, while they are cache-hot, and what is kept for Backward is
-// one index per pooled cell (convScratch.win). The full-size activation,
-// the ReLU's mask, the pool's argmax and its input gradient are not
-// materialised. Outputs and gradients are those of the three layers run
-// one after another, to the bit (TestConvTrainTailBits).
-func (c *Conv2D) forwardTrainReLUPool(x *tensor.Matrix) *tensor.Matrix {
-	checkCols(c, c.InC*c.InH*c.InW, x.Cols)
-	g := c.geom()
+// addBiasSlots is addWeightSlots for elements [lo, hi) of gb.
+func (c *Conv2D) addBiasSlots(rows, lo, hi int) bool {
+	gb := c.gb[lo:hi]
+	for i := 0; i < rows; i++ {
+		for k, v := range c.tr.gbSlot[i*c.OutC+lo : i*c.OutC+hi] {
+			gb[k] += v
+		}
+	}
+	return allFinite(gb)
+}
+
+// convChain is k ≥ 1 conv-ReLU-pool runs (Network.convReLUPoolAt) back to
+// back, as they lie in a network's layers: run j's convolution is layer
+// 3j. The training pass takes a chain in one pass over the batch each
+// way. Within a run, each sample's sums go through bias, ReLU and pool in
+// the goroutine that formed them, while they are cache-hot, and what is
+// kept for Backward is one index per pooled cell (convScratch.win): the
+// full-size activation, the ReLU's mask, the pool's argmax and its input
+// gradient are not materialised. Across runs, the goroutine that pooled
+// a sample goes on to the next run's sums over the row it just wrote, so
+// the pool waits for its slowest sample once a chain, not once a run.
+// Outputs and gradients are those of the layers run one after another,
+// to the bit (TestConvTrainTailBits, TestConvChainMatchesLayers).
+type convChain []Layer
+
+// runs is k, the chain's number of runs.
+func (ch convChain) runs() int { return len(ch) / 3 }
+
+// conv is run j's convolution.
+func (ch convChain) conv(j int) *Conv2D { return ch[3*j].(*Conv2D) }
+
+// forward is the chain's training Forward over the batch whose sample i
+// is x.Row(i) or, when rows is not nil, rows[i]. Each run's convolution
+// keeps its own scratch.
+func (ch convChain) forward(x *tensor.Matrix, rows [][]float64) *tensor.Matrix {
 	ex := executors()
-	od, pooled := c.OutDim(), c.OutDim()/4
-	s := c.beginTrain(g, x)
-	s.out = sized(s.out, x.Rows, pooled)
-	s.win = grow(s.win, x.Rows*pooled)
-	s.plane = grow(s.plane, ex*od)
-	forSamples(x.Rows, ex, func(w, i int) {
-		sums := s.plane[w*od : (w+1)*od]
-		c.trainSums(g, s, i, sums)
-		c.biasReLUPoolTrain(sums, s.out.Row(i), s.win[i*pooled:(i+1)*pooled])
+	for j := 0; j < ch.runs(); j++ {
+		x, rows = ch.conv(j).beginTrainReLUPool(x, rows, ex), nil
+	}
+	forSamples(len(ch.conv(0).tr.x), ex, func(w, i int) {
+		for j := 0; j < ch.runs(); j++ {
+			ch.conv(j).trainReLUPoolSample(w, i)
+		}
 	})
+	return x
+}
+
+// beginTrainReLUPool sizes what a run's Forward keeps for Backward (the
+// batch as for beginTrain) and its sums planes for ex pool goroutines,
+// and returns the run's output, to be filled by trainReLUPoolSample.
+func (c *Conv2D) beginTrainReLUPool(x *tensor.Matrix, rows [][]float64, ex int) *tensor.Matrix {
+	od := c.OutDim()
+	s := c.beginTrain(c.geom(), x, rows)
+	s.out = sized(s.out, len(s.x), od/4)
+	s.win = grow(s.win, len(s.x)*(od/4))
+	s.plane = grow(s.plane, ex*od)
 	return s.out
 }
 
-// biasReLUPoolTrain is forwardTrainReLUPool's pass over one sample's
+// trainReLUPoolSample is a run's Forward of sample i, on pool goroutine
+// w: the sums into w's plane, then bias, ReLU and pool while they are
+// cache-hot.
+func (c *Conv2D) trainReLUPoolSample(w, i int) {
+	s, od := c.tr, c.OutDim()
+	pooled := s.out.Cols
+	sums := s.plane[w*od : (w+1)*od]
+	c.trainSums(c.geom(), s, i, sums)
+	c.biasReLUPoolTrain(sums, s.out.Row(i), s.win[i*pooled:(i+1)*pooled])
+}
+
+// biasReLUPoolTrain is a run's pass over one sample's
 // sums. Per 2x2 window of t = v + bias it applies, in this order, the
 // rules of the layers it stands for:
 //
@@ -372,40 +452,64 @@ func reluPoolWindow(t [4]float64, at [4]int) (float64, int32) {
 	return best, winner
 }
 
-// backwardReLUPool is Backward for forwardTrainReLUPool: grad is
-// dL/d(pooled output). Each sample's dL/dSums is rebuilt in its
-// goroutine's scratch, cleared and then given its winners' gradients
-// with the pool's own +=, which is what turns a -0 gradient into +0 in
-// the separate layers: transposed for the weight gradient and, when
-// needDX, also as it lies for the input gradient.
-func (c *Conv2D) backwardReLUPool(grad *tensor.Matrix, needDX bool) *tensor.Matrix {
-	s, g, ex := c.beginBackward(grad, needDX)
-	od, positions := c.OutDim(), g.oh*g.ow
-	perCh := grad.Cols / c.OutC
-	forSamples(grad.Rows, ex, func(w, i int) {
-		gradT := s.gradTOf(w, od)
-		clear(gradT)
-		var dy []float64
-		if needDX {
-			dy = s.plane[w*od : (w+1)*od]
-			clear(dy)
-		}
-		gi, win := grad.Row(i), s.win[i*grad.Cols:(i+1)*grad.Cols]
-		for oc := 0; oc < c.OutC; oc++ {
-			for o := oc * perCh; o < (oc+1)*perCh; o++ {
-				at := int(win[o])
-				if at < 0 {
-					continue
-				}
-				gradT[(at-oc*positions)*c.OutC+oc] += gi[o]
-				if needDX {
-					dy[at] += gi[o]
-				}
+// backward is Backward for forward, in one pass, grad being dL/d(the
+// last run's output): for each sample, the last run's backward, which
+// writes the sample's row of its convolution's dL/dInput, then the run
+// before's from that row, down to the first, whose convolution forms its
+// dL/dInput only under needDX. Every run's slots are left pending: the
+// network's gradient pass (Network.finishGrads) adds them in.
+func (ch convChain) backward(grad *tensor.Matrix, needDX bool) *tensor.Matrix {
+	top, ex := grad, executors()
+	for j := ch.runs() - 1; j >= 0; j-- {
+		grad = ch.conv(j).beginBackward(grad, j > 0 || needDX, ex)
+	}
+	forSamples(top.Rows, ex, func(w, i int) {
+		gi := top.Row(i)
+		for j := ch.runs() - 1; j >= 0; j-- {
+			c := ch.conv(j)
+			c.backwardReLUPoolSample(w, i, gi, j > 0 || needDX)
+			if j > 0 {
+				gi = c.tr.dx.Row(i)
 			}
 		}
-		c.backwardSample(g, s, w, i, dy, needDX)
 	})
-	return c.sumSlots(s, grad.Rows, needDX)
+	for j := 0; j < ch.runs(); j++ {
+		ch.conv(j).tr.pending = top.Rows
+	}
+	return grad
+}
+
+// backwardReLUPoolSample is a run's Backward of sample i, on pool
+// goroutine w, given gi, the sample's dL/d(pooled output). The sample's
+// dL/dSums is rebuilt in w's scratch, cleared and then given its winners'
+// gradients with the pool's own +=, which is what turns a -0 gradient
+// into +0 in the separate layers: transposed for the weight gradient
+// and, when needDX, also as it lies for the input gradient.
+func (c *Conv2D) backwardReLUPoolSample(w, i int, gi []float64, needDX bool) {
+	s, g := c.tr, c.geom()
+	od, positions := c.OutDim(), g.oh*g.ow
+	perCh := len(gi) / c.OutC
+	gradT := s.gradTOf(w, od)
+	clear(gradT)
+	var dy []float64
+	if needDX {
+		dy = s.plane[w*od : (w+1)*od]
+		clear(dy)
+	}
+	win := s.win[i*len(gi) : (i+1)*len(gi)]
+	for oc := 0; oc < c.OutC; oc++ {
+		for o := oc * perCh; o < (oc+1)*perCh; o++ {
+			at := int(win[o])
+			if at < 0 {
+				continue
+			}
+			gradT[(at-oc*positions)*c.OutC+oc] += gi[o]
+			if needDX {
+				dy[at] += gi[o]
+			}
+		}
+	}
+	c.backwardSample(g, s, w, i, dy, needDX)
 }
 
 // Params implements Layer.

@@ -282,7 +282,7 @@ func (n *Network) FirstConv() *Conv2D { return n.convReLUPoolAt(0) }
 
 // convReLUPoolAt returns layer i when it is a Conv2D directly followed
 // by a ReLU and a 2x2 MaxPool2D over exactly its output, the run
-// forwardInferReLUPool and forwardTrainReLUPool replace; nil otherwise.
+// forwardInferReLUPool and a convChain replace; nil otherwise.
 func (n *Network) convReLUPoolAt(i int) *Conv2D {
 	if i < 0 || i+2 >= len(n.Layers) {
 		return nil

@@ -57,6 +57,13 @@ type Layer interface {
 // Network is a sequential stack of layers.
 type Network struct {
 	Layers []Layer
+
+	// grads is the gradient pass over the layers' parameters
+	// (finishGrads), built when it first runs, and batch the buffer
+	// forwardRows copies a batch into when it must; both are dropped
+	// with the layers' training scratch.
+	grads *gradPass
+	batch *tensor.Matrix
 }
 
 // NewNetwork builds a sequential network.
@@ -72,35 +79,100 @@ func (n *Network) OutDim() int {
 
 // Forward runs the training pass over the whole stack. It takes a Conv2D
 // with the ReLU and 2x2 MaxPool2D behind it (convReLUPoolAt) in one step,
-// as ForwardBatch does; those two layers then hold no scratch of their
+// as ForwardBatch does, and such runs back to back (chainAt) in one pass
+// over the batch; those ReLUs and pools then hold no scratch of their
 // own, and the matching Backward is Network.Backward, not theirs.
-func (n *Network) Forward(x *tensor.Matrix) *tensor.Matrix {
-	for i := 0; i < len(n.Layers); i++ {
-		if c := n.convReLUPoolAt(i); c != nil {
-			x = c.forwardTrainReLUPool(x)
-			i += 2
+func (n *Network) Forward(x *tensor.Matrix) *tensor.Matrix { return n.trainFrom(0, x) }
+
+// forwardRows is Forward over the batch whose sample i is rows[i]. A
+// chain at layer 0 borders each sample straight from its row; any other
+// network has the rows copied into a batch buffer first.
+func (n *Network) forwardRows(rows [][]float64) *tensor.Matrix {
+	if ch := n.chainAt(0); ch != nil {
+		return n.trainFrom(len(ch), ch.forward(nil, rows))
+	}
+	n.batch = sized(n.batch, len(rows), len(rows[0]))
+	for i, row := range rows {
+		copy(n.batch.Row(i), row)
+	}
+	return n.trainFrom(0, n.batch)
+}
+
+// trainFrom is Forward from layer i on, x being its input.
+func (n *Network) trainFrom(i int, x *tensor.Matrix) *tensor.Matrix {
+	for i < len(n.Layers) {
+		if ch := n.chainAt(i); ch != nil {
+			x, i = ch.forward(x, nil), i+len(ch)
 		} else {
-			x = n.Layers[i].Forward(x)
+			x, i = n.Layers[i].Forward(x), i+1
 		}
 	}
 	return x
 }
 
+// chainAt returns the conv-ReLU-pool runs (convReLUPoolAt) that follow
+// one another from layer i on, as a convChain; nil when none opens at
+// i. Runs that do not fit together panic on the first Forward, as their
+// layers would one by one.
+func (n *Network) chainAt(i int) convChain {
+	end := i
+	for n.convReLUPoolAt(end) != nil {
+		end += 3
+	}
+	if end == i {
+		return nil
+	}
+	return convChain(n.Layers[i:end])
+}
+
+// chainBefore is chainAt for the runs that end at layer end, exclusive:
+// the same chains, found from their last layer.
+func (n *Network) chainBefore(end int) convChain {
+	i := end
+	for n.convReLUPoolAt(i-3) != nil {
+		i -= 3
+	}
+	if i == end {
+		return nil
+	}
+	return convChain(n.Layers[i:end])
+}
+
 // Backward runs backpropagation from the loss gradient of the last
-// training Forward, through the same steps in reverse. Nothing reads the
-// first layer's dL/dInput, so a first layer that can skip it (see
-// paramGrader) is asked for its parameter gradients only.
+// training Forward, through the same steps in reverse, and then the
+// gradient pass (finishGrads). Nothing reads the first layer's
+// dL/dInput, so a first layer that can skip it (see paramGrader) is
+// asked for its parameter gradients only.
 func (n *Network) Backward(grad *tensor.Matrix) {
+	n.backwardLayers(grad)
+	n.finishGrads()
+}
+
+// backwardLayers is Backward without the gradient pass: the weight and
+// bias gradients of a chain's convolutions are left in their slots.
+func (n *Network) backwardLayers(grad *tensor.Matrix) {
 	for i := len(n.Layers) - 1; i >= 0; i-- {
-		if c := n.convReLUPoolAt(i - 2); c != nil {
-			i -= 2
-			grad = c.backwardReLUPool(grad, i > 0)
+		if ch := n.chainBefore(i + 1); ch != nil {
+			i -= len(ch) - 1
+			grad = ch.backward(grad, i > 0)
 		} else if pg, ok := n.Layers[i].(paramGrader); ok && i == 0 {
 			pg.backwardParams(grad)
 		} else {
 			grad = n.Layers[i].Backward(grad)
 		}
 	}
+}
+
+// finishGrads is the gradient pass of a step, on every executor of the
+// kernel pool: it adds the slots a chain left pending (convChain.backward)
+// into their gradients and checks every gradient for a NaN or Inf. It
+// reports the lowest index, in Params order, of a parameter whose
+// gradient is not finite.
+func (n *Network) finishGrads() (int, bool) {
+	if n.grads == nil {
+		n.grads = newGradPass(n)
+	}
+	return n.grads.finish()
 }
 
 // Params collects every trainable parameter in the stack.

@@ -67,16 +67,37 @@ func executors() int { return tensor.Default().Workers() + 1 }
 // costs one sample's wait, not a fixed share of the batch. fn must
 // write only what belongs to sample i or to w: what it computes for a
 // sample may not depend on w or on the order of the calls.
-func forSamples(n, ex int, fn func(w, i int)) {
-	var next atomic.Int64
-	ex = min(ex, n)
-	tensor.Default().Run(ex, ex, func(lo, hi int) {
-		for w := lo; w < hi; w++ {
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				fn(w, i)
-			}
+func forSamples(n, ex int, fn func(w, i int)) { new(sampleLoop).forSamples(n, ex, fn) }
+
+// sampleLoop is forSamples' hand-out. An owner that forks every step
+// keeps one, so that its forks allocate neither the counter nor the
+// function handed to the pool, which is bound on first use.
+type sampleLoop struct {
+	next atomic.Int64
+	n    int
+	fn   func(w, i int)
+	run  func(lo, hi int)
+}
+
+// forSamples is the package's forSamples over l. l serves one call at a
+// time.
+func (l *sampleLoop) forSamples(n, ex int, fn func(w, i int)) {
+	if l.run == nil {
+		l.run = l.goroutines
+	}
+	l.next.Store(0)
+	l.n, l.fn = n, fn
+	tensor.Default().Run(min(ex, n), min(ex, n), l.run)
+	l.fn = nil
+}
+
+// goroutines is the loop of pool goroutines [lo, hi).
+func (l *sampleLoop) goroutines(lo, hi int) {
+	for w := lo; w < hi; w++ {
+		for i := int(l.next.Add(1)) - 1; i < l.n; i = int(l.next.Add(1)) - 1 {
+			l.fn(w, i)
 		}
-	})
+	}
 }
 
 // minShardElems is the batch size in elements below which the
@@ -106,8 +127,10 @@ type paramGrader interface {
 	backwardParams(grad *tensor.Matrix)
 }
 
-// dropScratch releases every layer's training scratch.
+// dropScratch releases every layer's training scratch and the network's
+// own: its gradient pass and batch buffer.
 func (n *Network) dropScratch() {
+	n.grads, n.batch = nil, nil
 	for _, l := range n.Layers {
 		if s, ok := l.(interface{ dropScratch() }); ok {
 			s.dropScratch()

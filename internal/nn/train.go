@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/golitho/hsd/internal/resilience"
-	"github.com/golitho/hsd/internal/tensor"
 	"github.com/golitho/hsd/internal/trace"
 )
 
@@ -63,19 +62,6 @@ func Fit(net *Network, x [][]float64, y []int, cfg TrainConfig) ([]EpochStats, e
 	return FitCtx(context.Background(), net, x, y, cfg)
 }
 
-// nonFiniteGrad reports the first parameter holding a NaN or Inf
-// gradient, if any.
-func nonFiniteGrad(params []*Param) (int, bool) {
-	for i, p := range params {
-		for _, g := range p.G.Data {
-			if math.IsNaN(g) || math.IsInf(g, 0) {
-				return i, true
-			}
-		}
-	}
-	return 0, false
-}
-
 // FitCtx is Fit with cooperative cancellation, observed at epoch
 // boundaries: a cancelled run returns the history of the epochs it
 // completed and an error wrapping ctx.Err(). A non-finite loss or
@@ -110,11 +96,13 @@ func FitCtx(ctx context.Context, net *Network, x [][]float64, y []int, cfg Train
 	for i := range order {
 		order[i] = i
 	}
-	// The parameter slice and the batch buffers serve every step.
+	// The parameter slice and the batch buffers serve every step: rows
+	// holds the batch's samples, which forwardRows copies into a matrix
+	// only when the network does not border them itself.
 	params := net.Params()
 	opt := newAdam(params)
-	xb := tensor.NewMatrix(min(cfg.BatchSize, n), dim)
-	yb := make([]int, xb.Rows)
+	rows := make([][]float64, min(cfg.BatchSize, n))
+	yb := make([]int, len(rows))
 	var history []EpochStats
 	// halt stops the run on a non-finite value: the epoch's span
 	// carries err, and err is returned.
@@ -138,12 +126,11 @@ func FitCtx(ctx context.Context, net *Network, x [][]float64, y []int, cfg Train
 				end = n
 			}
 			bs := end - start
-			xb, yb = sized(xb, bs, dim), yb[:bs]
-			for i := 0; i < bs; i++ {
-				copy(xb.Row(i), x[order[start+i]])
-				yb[i] = y[order[start+i]]
+			rows, yb = rows[:bs], yb[:bs]
+			for i := range rows {
+				rows[i], yb[i] = x[order[start+i]], y[order[start+i]]
 			}
-			logits := net.Forward(xb)
+			logits := net.forwardRows(rows)
 			loss, grad, c := cfg.Loss.Loss(logits, yb)
 			if math.IsNaN(loss) || math.IsInf(loss, 0) {
 				return halt(span, fmt.Errorf("%w: loss=%v at epoch %d batch %d",
@@ -152,12 +139,10 @@ func FitCtx(ctx context.Context, net *Network, x [][]float64, y []int, cfg Train
 			for _, p := range params {
 				p.G.Zero()
 			}
-			net.Backward(grad)
-			if pi, bad := nonFiniteGrad(params); bad {
-				return halt(span, fmt.Errorf("%w: gradient of param %d at epoch %d batch %d",
-					ErrNonFinite, pi, epoch, batches))
+			net.backwardLayers(grad)
+			if err := applyGrads(net, opt, params); err != nil {
+				return halt(span, fmt.Errorf("%w at epoch %d batch %d", err, epoch, batches))
 			}
-			opt.step(params)
 			lossSum += loss
 			correct += c
 			batches++
@@ -179,6 +164,19 @@ func FitCtx(ctx context.Context, net *Network, x [][]float64, y []int, cfg Train
 		}
 	}
 	return history, nil
+}
+
+// applyGrads ends a step whose backward passes have run: the gradient
+// pass (Network.finishGrads), then, only if every gradient is finite,
+// the Adam step. A non-finite gradient leaves every parameter and
+// moment as it was and is reported as ErrNonFinite naming the lowest
+// parameter index that holds one.
+func applyGrads(net *Network, opt *adam, params []*Param) error {
+	if pi, bad := net.finishGrads(); bad {
+		return fmt.Errorf("%w: gradient of param %d", ErrNonFinite, pi)
+	}
+	opt.step(params)
+	return nil
 }
 
 // Score returns the hotspot probability of a single sample: one row

@@ -121,11 +121,13 @@ func readTrainStepGolden(t *testing.T) map[string]trainStepDigest {
 	return want
 }
 
-// TestTrainStepGolden fits every case under 1, 2 and 8 kernel workers
-// and demands, each time, the exact trained bytes the parent commit
-// produced with its serial loop. The kill/resume suites compare this
-// commit with itself; this is the cross-commit anchor, and the worker
-// sweep is why trained bytes do not depend on GOMAXPROCS.
+// TestTrainStepGolden fits every case under 1, 2, 3 and 8 kernel
+// workers and demands, each time, the exact trained bytes the parent
+// commit produced with its serial loop. The kill/resume suites compare
+// this commit with itself; this is the cross-commit anchor, and the
+// worker sweep is why trained bytes do not depend on GOMAXPROCS. Three
+// executors split the gradient pass's and Adam's element ranges and the
+// samples unevenly, where a slip in the order of a sum would show.
 func TestTrainStepGolden(t *testing.T) {
 	cases := trainStepCases()
 	if *updateTrainStep {
@@ -149,7 +151,7 @@ func TestTrainStepGolden(t *testing.T) {
 	}
 	want := readTrainStepGolden(t)
 	defer tensor.SetDefaultWorkers(0)
-	for _, workers := range []int{1, 2, 8} {
+	for _, workers := range []int{1, 2, 3, 8} {
 		tensor.SetDefaultWorkers(workers)
 		for _, c := range cases {
 			if got, err := fitDigest(c); err != nil {
@@ -350,13 +352,14 @@ func TestFitEmitsEpochSpans(t *testing.T) {
 // (bordered copies, gradient slots, the A·Bᵀ transposes), and from then
 // on a step allocates only closures and pool bookkeeping. The MLP is at
 // the count of the commit before the assembly kernel; the zoo CNN, whose
-// ReLU and pool passes are folded into its convolutions, is at 18 where
-// it was 50. The pool is narrowed to the caller so that the count does
-// not depend on which shards a worker happened to take.
+// ReLU and pool passes are folded into its convolutions and whose two
+// convolutions form one chain, taken in one pass each way, is at 12
+// where it was 50, then 18. The pool is narrowed to the caller so that
+// the count does not depend on which shards a worker happened to take.
 func TestTrainStepAllocations(t *testing.T) {
 	tensor.SetDefaultWorkers(1)
 	defer tensor.SetDefaultWorkers(0)
-	want := map[string]float64{"zoo-cnn": 18, "zoo-mlp": 8}
+	want := map[string]float64{"zoo-cnn": 12, "zoo-mlp": 8}
 	for _, c := range trainStepCases() {
 		net, err := c.build()
 		if err != nil {
@@ -412,8 +415,8 @@ func bitsEqual(t *testing.T, what string, got, want []float64) {
 // under six biases, with signed zeros among the incoming gradients. The
 // pass over the sums is called directly first (a sum is never -0, so
 // only there can -0 meet the ReLU), then the whole step on a pointwise
-// convolution with unit weight, whose sums are its input, directly (for
-// dL/dInput) and through Network.Forward/Backward.
+// convolution with unit weight, whose sums are its input, as a one-run
+// convChain (for dL/dInput) and through Network.Forward/Backward.
 func TestConvTrainTailBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	const h, w, rows = 8, 12, 3
@@ -459,8 +462,10 @@ func TestConvTrainTailBits(t *testing.T) {
 		}
 		wantOut = pool.Forward(relu.Forward(ref.Forward(x)))
 		wantDX := ref.Backward(relu.Backward(pool.Backward(grad)))
-		bitsEqual(t, fmt.Sprintf("bias %v: output", bias), conv.forwardTrainReLUPool(x).Data, wantOut.Data)
-		bitsEqual(t, fmt.Sprintf("bias %v: dL/dInput", bias), conv.backwardReLUPool(grad, true).Data, wantDX.Data)
+		ch := net.chainAt(0)
+		bitsEqual(t, fmt.Sprintf("bias %v: output", bias), ch.forward(x, nil).Data, wantOut.Data)
+		bitsEqual(t, fmt.Sprintf("bias %v: dL/dInput", bias), ch.backward(grad, true).Data, wantDX.Data)
+		net.finishGrads()
 		bitsEqual(t, fmt.Sprintf("bias %v: dL/dW", bias), conv.gw.Data, ref.gw.Data)
 		bitsEqual(t, fmt.Sprintf("bias %v: dL/db", bias), conv.gb, ref.gb)
 
@@ -475,6 +480,69 @@ func TestConvTrainTailBits(t *testing.T) {
 		net.Backward(grad)
 		bitsEqual(t, fmt.Sprintf("bias %v: dL/dW through Network.Backward", bias), conv.gw.Data, ref.gw.Data)
 		bitsEqual(t, fmt.Sprintf("bias %v: dL/db through Network.Backward", bias), conv.gb, ref.gb)
+	}
+}
+
+// TestConvChainMatchesLayers: three conv-ReLU-pool runs make one
+// convChain, which Network.Forward and Backward take in one pass each
+// way, with the first convolution forming its dL/dInput when the chain
+// is not at layer 0. Output, dL/dInput where formed and every parameter
+// gradient must be those of the layers run one by one, by Float64bits,
+// at 1, 2 and 3 workers, and forwardRows must give Forward's output.
+func TestConvChainMatchesLayers(t *testing.T) {
+	defer tensor.SetDefaultWorkers(0)
+	build := func(lead bool) *Network {
+		layers := []Layer{
+			NewConv2D(2, 16, 16, 3, 3, 1), NewReLU(3 * 256), NewMaxPool2D(3, 16, 16, 2),
+			NewConv2D(3, 8, 8, 4, 3, 1), NewReLU(4 * 64), NewMaxPool2D(4, 8, 8, 2),
+			NewConv2D(4, 4, 4, 5, 3, 1), NewReLU(5 * 16), NewMaxPool2D(5, 4, 4, 2),
+			NewDense(5*4, 2)}
+		if lead {
+			layers = append([]Layer{NewDense(2*16*16, 2*16*16)}, layers...)
+		}
+		return NewNetwork(layers...)
+	}
+	for _, workers := range []int{1, 2, 3} {
+		tensor.SetDefaultWorkers(workers)
+		for _, lead := range []bool{false, true} {
+			what := fmt.Sprintf("%d workers, lead %v", workers, lead)
+			net, ref := build(lead), build(lead)
+			at := len(net.Layers) - 10
+			if ch := net.chainAt(at); ch.runs() != 3 || len(net.chainBefore(at+9)) != 9 {
+				t.Fatalf("%s: the three runs are not one chain", what)
+			}
+			net.Init(rand.New(rand.NewSource(81)))
+			ref.Init(rand.New(rand.NewSource(81)))
+			rng := rand.New(rand.NewSource(82))
+			x := tensor.NewMatrix(5, 2*16*16)
+			x.Randomize(rng, 1)
+			grad := tensor.NewMatrix(5, 2)
+			grad.Randomize(rng, 1)
+			want := x
+			for _, l := range ref.Layers {
+				want = l.Forward(want)
+			}
+			g := grad
+			for i := len(ref.Layers) - 1; i >= at; i-- {
+				g = ref.Layers[i].Backward(g)
+			}
+			if lead {
+				ref.Layers[0].Backward(g)
+			}
+			rows := make([][]float64, x.Rows)
+			for i := range rows {
+				rows[i] = x.Row(i)
+			}
+			bitsEqual(t, what+": forwardRows", net.forwardRows(rows).Data, want.Data)
+			bitsEqual(t, what+": output", net.Forward(x).Data, want.Data)
+			net.Backward(grad)
+			if lead {
+				bitsEqual(t, what+": chain dL/dInput", net.Layers[1].(*Conv2D).tr.dx.Data, g.Data)
+			}
+			for i, p := range net.Params() {
+				bitsEqual(t, fmt.Sprintf("%s: param %d gradient", what, i), p.G.Data, ref.Params()[i].G.Data)
+			}
+		}
 	}
 }
 

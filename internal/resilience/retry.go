@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -57,10 +58,24 @@ func backoffDelay(attempt int, rng *rand.Rand) time.Duration {
 	return time.Duration(d)
 }
 
+// permanent is the mark of an error that no further attempt can mend: a
+// refusal decided by the input alone. An error carries it by having, in
+// its chain, an error with a Permanent method that returns true: a
+// method and not a sentinel of this package, so that a package marks its
+// own errors without importing this one.
+type permanent interface{ Permanent() bool }
+
+// isPermanent reports whether err carries the permanent mark.
+func isPermanent(err error) bool {
+	var p permanent
+	return errors.As(err, &p) && p.Permanent()
+}
+
 // Retry calls fn up to MaxAttempts times with jittered exponential
-// backoff between attempts, stopping early on success or context
-// cancellation. The returned error wraps the last attempt's error (or
-// the context's when cancelled mid-backoff).
+// backoff between attempts, stopping early on success, on an error
+// marked permanent (see permanent) or on context cancellation. The
+// returned error wraps the last attempt's error (or the context's when
+// cancelled mid-backoff).
 func Retry(ctx context.Context, cfg RetryConfig, fn func(context.Context) error) error {
 	cfg = cfg.withDefaults()
 	var (
@@ -86,6 +101,9 @@ func Retry(ctx context.Context, cfg RetryConfig, fn func(context.Context) error)
 		}
 		if err = fn(ctx); err == nil {
 			return nil
+		}
+		if isPermanent(err) {
+			return fmt.Errorf("resilience: attempt %d failed permanently: %w", attempt+1, err)
 		}
 	}
 	return fmt.Errorf("resilience: %d attempts failed: %w", cfg.MaxAttempts, err)

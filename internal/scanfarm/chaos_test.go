@@ -388,7 +388,8 @@ func TestChaosFarmCtxScorerPanic(t *testing.T) {
 // does). A generated chip gets 1025 small squares inside the core of
 // one window whose shard holds every window that overlaps them. Only
 // the shards holding an over-bound window are quarantined, each naming
-// an over-bound centre, and every other shard's findings are the
+// an over-bound centre after one attempt (the refusal is permanent, so
+// it is not retried), and every other shard's findings are the
 // reference scan's on the chip without the squares.
 func TestChaosFarmOverBoundWindowQuarantined(t *testing.T) {
 	det := fittedCNN(t, false)
@@ -444,6 +445,9 @@ func TestChaosFarmOverBoundWindowQuarantined(t *testing.T) {
 			}
 			if !overShards[q.ShardID] || shard != q.ShardID || !over[at] || !strings.Contains(q.Err, layout.ErrTooManyShapes.Error()) {
 				t.Fatalf("cache %d: quarantine %+v does not name an over-bound window of its shard", cacheSize, q)
+			}
+			if q.Attempts != 1 {
+				t.Fatalf("cache %d: shard %d quarantined after %d attempts, want 1: the refusal is permanent", cacheSize, q.ShardID, q.Attempts)
 			}
 		}
 		var rest []core.Finding

@@ -9,10 +9,12 @@
 //     boundary and surfaces as that window's error;
 //   - retry: a failed shard attempt (an error, a recovered panic, or an
 //     expired ShardBudget) is retried with jittered exponential backoff
-//     up to MaxAttempts;
-//   - quarantine: a shard that exhausts its attempts is recorded as
-//     quarantined — with its bounds and last error — and the scan
-//     continues, so one poison window costs its shard, not the run.
+//     up to MaxAttempts, unless its error is permanent (a window over
+//     layout.MaxClipShapes), which no attempt can mend;
+//   - quarantine: a shard that exhausts its attempts, or fails
+//     permanently, is recorded as quarantined — with its bounds and
+//     last error — and the scan continues, so one poison window costs
+//     its shard, not the run.
 //
 // Run cancellation (ctx) is not a failure: in-flight shards stop, the
 // journal keeps every durable record, and a later Run with Completed
@@ -394,7 +396,8 @@ type worker struct {
 // runShard drives one shard to a terminal state: up to MaxAttempts
 // attempts through resilience.Retry, each under its own ShardBudget
 // deadline, as lithosim.Verify buys an oracle verdict. It returns done
-// after a successful attempt and quarantined after MaxAttempts failures.
+// after a successful attempt and quarantined after MaxAttempts failures,
+// or after the first that resilience.Retry finds permanent.
 // The backoff jitter is seeded by shard ID, so retries of different
 // shards decorrelate while a shard's schedule is the same on every run.
 // A nil return means the run was cancelled before the shard finished

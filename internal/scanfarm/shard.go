@@ -114,7 +114,7 @@ type Config struct {
 	// balance; larger shards amortize journal writes.
 	ShardRows int
 	// MaxAttempts is how many times a shard is tried before it is
-	// quarantined (default 3).
+	// quarantined (default 3); a permanent error quarantines it at once.
 	MaxAttempts int
 	// ShardBudget, when positive, is the per-attempt deadline: an
 	// attempt that exceeds it fails (and counts toward quarantine)
