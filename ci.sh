@@ -278,6 +278,10 @@ echo "== CNN fit benchmark =="
 # and every learn_cycle; the -cpu 1,2 pair prints its two-core speed-up
 # in every log. Not gated.
 go test -run='^$' -bench=FitZooCNN -benchtime=1x -cpu 1,2 ./internal/nn/
+# The pool's hand-off in the shape of a step's gap between forks: median
+# and p90 µs from Run to the second shard's start after 300 µs of serial
+# work, over 200 rounds. Not gated.
+go test -run='^$' -bench=PoolHandoff -benchtime=200x ./internal/tensor/
 
 echo "== scan benchmarks =="
 # One scan each by the fitted CNN: of a chip with no repeated geometry,

@@ -115,7 +115,10 @@ func (c *Conv2D) dropScratch() { c.tr = nil }
 // col2imChannel scatters one input channel's K*K rows of column
 // gradients (band, K*K x positions) into that channel of a flattened
 // sample gradient. Taps are visited in ascending (ky, kx), the order in
-// which each dst cell must take its terms.
+// which each dst cell must take its terms. Each output row of a tap
+// adds one run of the band's row into one run of a dst row, both sliced
+// to the tap's valid columns before the element loop, which is then
+// free of index arithmetic and bounds checks.
 func col2imChannel(g convGeom, ch int, band, dst []float64) {
 	positions := g.oh * g.ow
 	chOff := ch * g.inH * g.inW
@@ -123,12 +126,14 @@ func col2imChannel(g convGeom, ch int, band, dst []float64) {
 		oy0, oy1 := validRange(g.oh, ky, g.pad, g.inH)
 		for kx := 0; kx < g.k; kx++ {
 			ox0, ox1 := validRange(g.ow, kx, g.pad, g.inW)
+			if ox0 == ox1 {
+				continue
+			}
 			src := band[(ky*g.k+kx)*positions:][:positions]
 			for oy := oy0; oy < oy1; oy++ {
-				drow := dst[chOff+(oy+ky-g.pad)*g.inW:][:g.inW]
-				srow := src[oy*g.ow : (oy+1)*g.ow]
-				for ox := ox0; ox < ox1; ox++ {
-					drow[ox+kx-g.pad] += srow[ox]
+				d := dst[chOff+(oy+ky-g.pad)*g.inW+ox0+kx-g.pad:][:ox1-ox0]
+				for j, v := range src[oy*g.ow+ox0:][:len(d)] {
+					d[j] += v
 				}
 			}
 		}
@@ -238,14 +243,7 @@ func (c *Conv2D) beginBackward(grad *tensor.Matrix, needDX bool, ex int) *tensor
 func (c *Conv2D) backwardSample(g convGeom, s *convScratch, w, i int, gm []float64, needDX bool) {
 	klen, positions, kk := c.W.Cols, g.oh*g.ow, c.K*c.K
 	gradT := tensor.Matrix{Rows: positions, Cols: c.OutC, Data: s.gradTOf(w, positions*c.OutC)}
-	// db partial: each channel's sum over ascending positions, from zero.
-	gb := s.gbSlot[i*c.OutC:][:c.OutC]
-	clear(gb)
-	for p := 0; p < positions; p++ {
-		for oc, v := range gradT.Row(p) {
-			gb[oc] += v
-		}
-	}
+	sumPositions(gradT.Data, s.gbSlot[i*c.OutC:][:c.OutC])
 	// dW partial = grad_i · cols_iᵀ, left as its transpose
 	// cols_i · grad_iᵀ: the kernel's lanes lie along OutC.
 	psz := g.paddedLen()
@@ -263,6 +261,41 @@ func (c *Conv2D) backwardSample(g convGeom, s *convScratch, w, i int, gm []float
 		wTch := tensor.Matrix{Rows: kk, Cols: c.OutC, Data: s.wT.Data[ch*kk*c.OutC : (ch+1)*kk*c.OutC]}
 		tensor.MatMulInto(&band, &wTch, &gradM)
 		col2imChannel(g, ch, band.Data, s.dx.Row(i))
+	}
+}
+
+// sumPositions writes a sample's bias-gradient partial into gb: each
+// channel's dL/dSums summed over ascending positions, from zero, gradT
+// holding them transposed (positions x len(gb)). Eight channels are
+// summed at a time, each in a register of its own, so that the eight
+// chains of adds overlap; each sum still takes its terms one at a time in
+// ascending position.
+func sumPositions(gradT, gb []float64) {
+	n := len(gb)
+	positions := len(gradT) / n
+	oc := 0
+	for ; oc+8 <= n; oc += 8 {
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		for p := 0; p < positions; p++ {
+			r := gradT[p*n+oc:][:8]
+			s0 += r[0]
+			s1 += r[1]
+			s2 += r[2]
+			s3 += r[3]
+			s4 += r[4]
+			s5 += r[5]
+			s6 += r[6]
+			s7 += r[7]
+		}
+		gb[oc], gb[oc+1], gb[oc+2], gb[oc+3] = s0, s1, s2, s3
+		gb[oc+4], gb[oc+5], gb[oc+6], gb[oc+7] = s4, s5, s6, s7
+	}
+	for ; oc < n; oc++ {
+		s := 0.0
+		for p := 0; p < positions; p++ {
+			s += gradT[p*n+oc]
+		}
+		gb[oc] = s
 	}
 }
 

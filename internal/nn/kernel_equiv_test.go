@@ -16,7 +16,8 @@ import (
 // convGeometries covers pad 0/1/2, kernel 1/2/3/5, and non-square
 // inputs, including pad >= k (empty stencil interior), single-position
 // outputs, output widths on, past and short of the kernel's 8-column
-// panel, and output channel counts off its 4-row group.
+// panel, output channel counts off its 4-row group, and a single column,
+// whose outer taps meet no input cell in any row.
 func convGeometries() []*Conv2D {
 	return []*Conv2D{
 		NewConv2D(16, 16, 16, 16, 3, 1), // the zoo's two stages
@@ -33,6 +34,7 @@ func convGeometries() []*Conv2D {
 		NewConv2D(1, 4, 4, 1, 1, 0),  // pointwise
 		NewConv2D(1, 3, 3, 1, 3, 2),  // pad 2 > k-1-pad: edge-heavy
 		NewConv2D(1, 3, 3, 1, 3, 0),  // single output position
+		NewConv2D(2, 5, 1, 3, 3, 1),  // one column: taps kx 0 and 2 read only the border
 	}
 }
 

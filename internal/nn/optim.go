@@ -19,11 +19,14 @@ const (
 
 // tailChunks is how many element ranges per executor the gradient pass
 // and Adam's step are cut into, handed out one at a time as executors
-// come free (forSamples). A pool worker parked between passes takes a
-// median 64 µs to start on a 2-vCPU box, and either pass is 200-300 µs
-// of work on one core: cut in one range per executor, the caller had
-// usually run both before the worker woke, and the passes were no
-// faster on two cores than on one. Eighths leave a late worker a share.
+// come free (forSamples). Either pass is 200-300 µs of work on one
+// core. When a pool worker parked between passes, it took a median 64
+// µs to start on a 2-vCPU box: cut in one range per executor, the caller
+// had usually run both before the worker woke, and eighths left a late
+// worker a share. Workers now poll the queue between a step's forks
+// (tensor.Pool), but the box can still take a core away for a while, and
+// halves measured no faster than eighths (BenchmarkFitZooCNN -cpu 2,
+// ahead in 6 of 15 alternating rounds).
 const tailChunks = 8
 
 // chunks is how many ranges a tail pass of the given cost is cut into:

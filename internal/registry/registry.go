@@ -42,6 +42,12 @@ type Generation struct {
 	Detector core.Detector
 	// LoadedAt is when the generation went live.
 	LoadedAt time.Time
+
+	// golden is the detector's scores on the registry's golden set, kept
+	// from when the gate scored it as a candidate, or from its first
+	// reload as the live model for the boot generation; nil until then.
+	// Read and written under the registry's lock.
+	golden *goldenScores
 }
 
 // Verdict is the validation gate's decision on a candidate model.
@@ -139,24 +145,31 @@ func (r *Registry) countReload(outcome string) {
 // Live returns the serving generation. Lock-free; call per request.
 func (r *Registry) Live() *Generation { return r.live.Load() }
 
-// gateScores scores the golden clips with panic containment: a
+// goldenScores is a detector's scores on the golden clips, or the error
+// that stopped them.
+type goldenScores struct {
+	scores []float64
+	err    error
+}
+
+// scoreGolden scores the golden clips with panic containment: a
 // candidate trained for a different tensor shape panics inside the
 // forward pass, and that must read as a gate rejection, not a crash.
-func gateScores(det core.Detector, clips []core.LabeledClip) (scores []float64, err error) {
+func scoreGolden(det core.Detector, clips []core.LabeledClip) (gs goldenScores) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			scores, err = nil, fmt.Errorf("scoring panicked: %v", rec)
+			gs = goldenScores{err: fmt.Errorf("scoring panicked: %v", rec)}
 		}
 	}()
 	raw := make([]float64, len(clips))
 	for i, s := range clips {
 		v, serr := det.Score(s.Clip)
 		if serr != nil {
-			return nil, fmt.Errorf("golden clip %d: %w", i, serr)
+			return goldenScores{err: fmt.Errorf("golden clip %d: %w", i, serr)}
 		}
 		raw[i] = v
 	}
-	return raw, nil
+	return goldenScores{scores: raw}
 }
 
 // goldenStats folds scores into (recall, false-alarm rate) under the
@@ -196,16 +209,23 @@ func goldenStats(det core.Detector, clips []core.LabeledClip, scores []float64) 
 // gate to the sanity checks. logf (optional) receives gate notices.
 func Gate(live, cand core.Detector, golden []core.LabeledClip,
 	maxRecallDrop, maxFalseAlarmRise float64, logf func(format string, args ...any)) Verdict {
+	return judge(live, cand, golden, scoreGolden(live, golden), scoreGolden(cand, golden),
+		maxRecallDrop, maxFalseAlarmRise, logf)
+}
+
+// judge is Gate given both models' golden scores, ls the live model's
+// and cs the candidate's.
+func judge(live, cand core.Detector, golden []core.LabeledClip, ls, cs goldenScores,
+	maxRecallDrop, maxFalseAlarmRise float64, logf func(format string, args ...any)) Verdict {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	v := Verdict{LiveRecall: math.NaN(), CandRecall: math.NaN(), LiveFAR: math.NaN(), CandFAR: math.NaN()}
-	candScores, err := gateScores(cand, golden)
-	if err != nil {
-		v.Reason = "candidate: " + err.Error()
+	if cs.err != nil {
+		v.Reason = "candidate: " + cs.err.Error()
 		return v
 	}
-	for i, s := range candScores {
+	for i, s := range cs.scores {
 		if math.IsNaN(s) || math.IsInf(s, 0) {
 			v.Reason = fmt.Sprintf("candidate produced non-finite score %v on golden clip %d", s, i)
 			return v
@@ -215,18 +235,17 @@ func Gate(live, cand core.Detector, golden []core.LabeledClip,
 		v.OK = true
 		return v
 	}
-	liveScores, err := gateScores(live, golden)
-	if err != nil {
+	if ls.err != nil {
 		// A live model that cannot score the goldens gives the gate no
 		// baseline; accept on candidate sanity alone rather than wedge
 		// reloads forever.
-		logf("registry: live model failed golden scoring (%v); gating on sanity only", err)
+		logf("registry: live model failed golden scoring (%v); gating on sanity only", ls.err)
 		v.OK = true
 		v.Reason = "no live baseline"
 		return v
 	}
-	v.LiveRecall, v.LiveFAR = goldenStats(live, golden, liveScores)
-	v.CandRecall, v.CandFAR = goldenStats(cand, golden, candScores)
+	v.LiveRecall, v.LiveFAR = goldenStats(live, golden, ls.scores)
+	v.CandRecall, v.CandFAR = goldenStats(cand, golden, cs.scores)
 	if !math.IsNaN(v.LiveRecall) && !math.IsNaN(v.CandRecall) &&
 		v.CandRecall < v.LiveRecall-maxRecallDrop {
 		v.Reason = fmt.Sprintf("recall regression: %.3f -> %.3f (max drop %.3f)",
@@ -243,10 +262,19 @@ func Gate(live, cand core.Detector, golden []core.LabeledClip,
 	return v
 }
 
-// gate validates a candidate against the live model with the registry's
-// configured golden set and drift bounds.
-func (r *Registry) gate(live, cand core.Detector) Verdict {
-	return Gate(live, cand, r.cfg.Golden, r.cfg.MaxRecallDrop, r.cfg.MaxFalseAlarmRise, r.cfg.Logf)
+// gate validates a candidate against the live generation with the
+// registry's configured golden set and drift bounds, and returns the
+// candidate's golden scores for it to keep if it goes live. A
+// generation is scored on the golden set once, as the candidate or, for
+// the boot generation, at the first gate, and keeps its scores: the set
+// is the registry's for its lifetime. Caller holds r.mu.
+func (r *Registry) gate(live *Generation, cand core.Detector) (Verdict, *goldenScores) {
+	if live.golden == nil {
+		ls := scoreGolden(live.Detector, r.cfg.Golden)
+		live.golden = &ls
+	}
+	cs := scoreGolden(cand, r.cfg.Golden)
+	return judge(live.Detector, cand, r.cfg.Golden, *live.golden, cs, r.cfg.MaxRecallDrop, r.cfg.MaxFalseAlarmRise, r.cfg.Logf), &cs
 }
 
 // ErrRejected wraps gate rejections so callers can map them to a
@@ -273,7 +301,7 @@ func (r *Registry) Reload(ctx context.Context, path string) (*Generation, Verdic
 		return nil, Verdict{Reason: err.Error()}, err
 	}
 	live := r.live.Load()
-	verdict := r.gate(live.Detector, cand)
+	verdict, golden := r.gate(live, cand)
 	sp.SetAttr("gate", verdict.String())
 	if !verdict.OK {
 		r.countReload("rejected")
@@ -283,7 +311,7 @@ func (r *Registry) Reload(ctx context.Context, path string) (*Generation, Verdic
 	}
 
 	r.nextID++
-	gen := &Generation{ID: r.nextID, Source: path, Detector: cand, LoadedAt: time.Now()}
+	gen := &Generation{ID: r.nextID, Source: path, Detector: cand, LoadedAt: time.Now(), golden: golden}
 	r.prev = live
 	r.goLive(gen)
 	if r.cfg.ProbationRequests > 0 {

@@ -277,3 +277,77 @@ func TestEmptyGoldenGatesOnSanityOnly(t *testing.T) {
 		t.Fatalf("Reload with empty golden set: %v", err)
 	}
 }
+
+// countingDet counts the clips a detector is asked to score.
+type countingDet struct {
+	core.Detector
+	n int
+}
+
+func (d *countingDet) Score(c layout.Clip) (float64, error) {
+	d.n++
+	return d.Detector.Score(c)
+}
+
+// sameVerdict reports whether two verdicts agree field by field, NaNs
+// matching NaNs.
+func sameVerdict(a, b Verdict) bool {
+	same := func(x, y float64) bool { return x == y || math.IsNaN(x) && math.IsNaN(y) }
+	return a.OK == b.OK && a.Reason == b.Reason && same(a.LiveRecall, b.LiveRecall) &&
+		same(a.CandRecall, b.CandRecall) && same(a.LiveFAR, b.LiveFAR) && same(a.CandFAR, b.CandFAR)
+}
+
+// TestReloadScoresLiveOnce: a generation is scored on the golden set
+// once, as the candidate or, for the boot generation, at its first
+// reload as the live model; every later gate against it, a rolled-back
+// one included, reuses those scores. Each reload's verdict is Gate's on
+// the same two detectors.
+func TestReloadScoresLiveOnce(t *testing.T) {
+	g := golden(4, 2)
+	boot := &countingDet{Detector: det("live", 0.5, 0.9, 0.9, 0.1, 0.1)}
+	worse := &countingDet{Detector: det("worse", 0.5, 0.9, 0.1, 0.1, 0.1)}
+	good := &countingDet{Detector: det("good", 0.5, 0.8, 0.8, 0.2, 0.2)}
+	var next *countingDet
+	r := New(boot, Config{
+		Golden:            g,
+		ProbationRequests: 10,
+		Loader:            func(string) (core.Detector, error) { return next, nil },
+	})
+	reload := func(cand *countingDet, wantOK bool) {
+		t.Helper()
+		live := r.Live().Detector.(*countingDet).Detector
+		want := Gate(live, cand.Detector, g, 0, 0, nil)
+		next = cand
+		_, v, err := r.Reload(context.Background(), cand.Name())
+		if (err == nil) != wantOK || v.OK != wantOK {
+			t.Fatalf("reload %s: err %v, verdict %s; want ok %v", cand.Name(), err, v, wantOK)
+		}
+		if !sameVerdict(v, want) {
+			t.Fatalf("reload %s: verdict %+v, Gate's %+v", cand.Name(), v, want)
+		}
+	}
+	const n = 5
+	for i := 0; i < n; i++ {
+		reload(worse, false)
+	}
+	if boot.n != len(g) || worse.n != n*len(g) {
+		t.Fatalf("after %d rejected reloads: boot scored %d clips, candidate %d; want %d and %d",
+			n, boot.n, worse.n, len(g), n*len(g))
+	}
+	reload(good, true)
+	for i := 0; i < n; i++ {
+		reload(worse, false)
+	}
+	if good.n != len(g) || boot.n != len(g) {
+		t.Fatalf("live generation 2 scored %d clips, boot %d; want %d each", good.n, boot.n, len(g))
+	}
+	if !r.Rollback("test") {
+		t.Fatal("no generation to roll back to")
+	}
+	for i := 0; i < n; i++ {
+		reload(worse, false)
+	}
+	if boot.n != len(g) {
+		t.Fatalf("rolled-back boot generation scored %d clips, want its kept %d", boot.n, len(g))
+	}
+}

@@ -3,7 +3,10 @@ package tensor
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 )
 
 func BenchmarkMatMul128(b *testing.B) {
@@ -192,5 +195,44 @@ func BenchmarkSoftmaxRows(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.SoftmaxRows()
+	}
+}
+
+// BenchmarkPoolHandoff times the hand-off from Run to a pool worker in
+// the shape of a training step's gap between forks: 300 µs of serial
+// work on the caller, then a two-shard Run of 300 µs shards. It reports
+// the median and p90 of the time from Run to the start of the second
+// shard, whoever ran it, over b.N rounds, and the share of rounds in
+// which that start came only after the first shard's work, the caller
+// having run both. Give it a round count: -benchtime 200x.
+func BenchmarkPoolHandoff(b *testing.B) {
+	const work = 300 * time.Microsecond
+	p := NewPool(runtime.GOMAXPROCS(0) - 1)
+	defer p.Close()
+	starts := make([]time.Duration, b.N)
+	serial := 0
+	for i := 0; i < b.N; i++ {
+		busy(work)
+		t0 := time.Now()
+		p.Run(2, 2, func(lo, _ int) {
+			if lo == 1 {
+				starts[i] = time.Since(t0)
+			}
+			busy(work)
+		})
+		if starts[i] >= work {
+			serial++
+		}
+	}
+	slices.Sort(starts)
+	us := func(q float64) float64 { return float64(starts[int(q*float64(b.N-1))]) / 1e3 }
+	b.ReportMetric(us(0.5), "p50-µs")
+	b.ReportMetric(us(0.9), "p90-µs")
+	b.ReportMetric(float64(serial)/float64(b.N), "serial-frac")
+}
+
+// busy keeps the calling goroutine on its core for d.
+func busy(d time.Duration) {
+	for t0 := time.Now(); time.Since(t0) < d; {
 	}
 }

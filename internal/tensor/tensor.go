@@ -231,24 +231,31 @@ func matMulTiles(d []float64, ldd int, av []float64, lda int, bv []float64, off 
 		}
 		return
 	}
-	// A plain product's k tiles all read rows 0, n, 2n, ... of a b that
-	// starts further down each time, so its table is filled once.
-	var plain [mmBlockK]int
 	if off == nil {
-		for t, o := 0, 0; t < min(k, mmBlockK); t, o = t+1, o+n {
-			plain[t] = o
-		}
+		matMulPlainTiles(d, ldd, av, lda, bv, m, k, n, acc)
+		return
 	}
 	for k0 := 0; k0 < k; k0 += mmBlockK {
-		k1 := min(k0+mmBlockK, k)
-		tile, bt := plain[:k1-k0], bv
-		if off != nil {
-			tile = off[k0:k1]
-		} else {
-			bt = bv[k0*n:]
+		tile := off[k0:min(k0+mmBlockK, k)]
+		if j := matMulPanels(d, ldd, av[k0:], lda, bv, tile, m, n, acc || k0 > 0); j < n {
+			matMulPortable(d, ldd, av[k0:], lda, bv, tile, m, n, j, acc || k0 > 0)
 		}
-		if j := matMulPanels(d, ldd, av[k0:], lda, bt, tile, m, n, acc || k0 > 0); j < n {
-			matMulPortable(d, ldd, av[k0:], lda, bt, tile, m, n, j, acc || k0 > 0)
+	}
+}
+
+// matMulPlainTiles is matMulTiles for a plain product. Its k tiles all
+// read rows 0, n, 2n, ... of a b that starts further down each time, so
+// its table is filled once, here: the addressed products, which bring
+// their own, neither clear nor fill one.
+func matMulPlainTiles(d []float64, ldd int, av []float64, lda int, bv []float64, m, k, n int, acc bool) {
+	var plain [mmBlockK]int
+	for t, o := 0, 0; t < min(k, mmBlockK); t, o = t+1, o+n {
+		plain[t] = o
+	}
+	for k0 := 0; k0 < k; k0 += mmBlockK {
+		tile := plain[:min(k0+mmBlockK, k)-k0]
+		if j := matMulPanels(d, ldd, av[k0:], lda, bv[k0*n:], tile, m, n, acc || k0 > 0); j < n {
+			matMulPortable(d, ldd, av[k0:], lda, bv[k0*n:], tile, m, n, j, acc || k0 > 0)
 		}
 	}
 }
