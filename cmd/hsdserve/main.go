@@ -60,6 +60,16 @@
 // generation; POST /admin/rollback restores the previous one. The
 // hotspot_model_generation gauge and hotspot_reloads_total{outcome}
 // counters expose every decision on /metrics.
+//
+// Model-quality monitoring (-quality, -spot-check-rate or -learn-wal):
+// the SLO's events are serve outcomes, a primary answer within
+// -deadline good and a primary failure bad, and its burn rate against
+// -slo-target pages and warns (hotspot_quality_alert_state, GET
+// /debug/quality). A spot check rescoring a sampled clip with the
+// lithography oracle feeds online recall and false-alarm rate, the
+// hotspot_spot_check_mismatches_total counter and, with -learn-wal, the
+// mined candidates; a mismatch never pages. A reload or rollback
+// restarts the monitor's windows.
 package main
 
 import (
@@ -120,7 +130,7 @@ func run() error {
 	writeTimeout := flag.Duration("write-timeout", 60*time.Second, "max time to write a response (covers /verify simulation)")
 	idleTimeout := flag.Duration("idle-timeout", 120*time.Second, "keep-alive idle connection timeout")
 	shutdownGrace := flag.Duration("shutdown-grace", 10*time.Second, "graceful shutdown deadline after SIGINT/SIGTERM")
-	quality := flag.Bool("quality", false, "enable model-quality monitoring (oracle spot checks, SLO burn rate, GET /debug/quality); also on with -spot-check-rate > 0 or -learn-wal")
+	quality := flag.Bool("quality", false, "enable model-quality monitoring (GET /debug/quality): an SLO burn-rate alert over serve outcomes, and oracle spot checks that feed online recall, the mismatch counter and -learn-wal but never the alert; also on with -spot-check-rate > 0 or -learn-wal")
 	spotCheckRate := flag.Float64("spot-check-rate", 0, "fraction of scored clips re-checked against the lithography oracle in the background (content-keyed, deterministic)")
 	sloTarget := flag.Float64("slo-target", 0.99, "served-without-primary-failure SLO objective for burn-rate alerting")
 	qualityWindow := flag.Duration("quality-window", 10*time.Second, "quality-monitor sub-window; fast alert window is 3 of these, slow is 18")
@@ -132,6 +142,10 @@ func run() error {
 	if *version {
 		fmt.Println(cli.Version("hsdserve"))
 		return nil
+	}
+	// Refused before the suite is read or anything is trained.
+	if err := checkQualityFlags(*sloTarget, *spotCheckRate, *qualityWindow); err != nil {
+		return err
 	}
 
 	if *kernelWorkers > 0 {
@@ -342,6 +356,22 @@ func run() error {
 	}
 	if err := <-errCh; !errors.Is(err, http.ErrServerClosed) {
 		return err
+	}
+	return nil
+}
+
+// checkQualityFlags refuses the quality-monitor settings that the
+// monitor would otherwise bend without a word: an -slo-target outside
+// (0, 1) turns alerting off, a -spot-check-rate outside [0, 1] is
+// clamped, and a -quality-window <= 0 becomes 10 s.
+func checkQualityFlags(sloTarget, spotCheckRate float64, qualityWindow time.Duration) error {
+	switch {
+	case !(sloTarget > 0 && sloTarget < 1):
+		return fmt.Errorf("-slo-target %v: want a value in (0, 1)", sloTarget)
+	case !(spotCheckRate >= 0 && spotCheckRate <= 1):
+		return fmt.Errorf("-spot-check-rate %v: want a value in [0, 1]", spotCheckRate)
+	case qualityWindow <= 0:
+		return fmt.Errorf("-quality-window %v: want a positive duration", qualityWindow)
 	}
 	return nil
 }

@@ -1,7 +1,8 @@
 // Monitor is the live aggregation point: the server feeds scored events
-// and serve outcomes in; online confusion, SLO burn rates, and the alert
-// state machine come out — through the telemetry registry and the
-// /debug/quality JSON endpoint. A nil *Monitor is a valid disabled
+// and serve outcomes in; online confusion (from spot checks), SLO burn
+// rates and the alert state machine (from serve outcomes only) come out
+// — through the telemetry registry and the /debug/quality JSON
+// endpoint. A nil *Monitor is a valid disabled
 // monitor: every method no-ops, so call sites thread it
 // unconditionally. Its own observer follows the same idiom one level
 // down: Options.Metrics is handed over at construction and may be nil.
@@ -57,18 +58,20 @@ type Options struct {
 	// the slow one slowSubs (3m).
 	SubWindow time.Duration
 
-	// SLOTarget is the good-event fraction objective (e.g. 0.99). Serve
-	// outcomes and spot checks are its events; a spot-check mismatch is
-	// a bad one. Fast-window burn >= pageBurn pages, slow-window burn
-	// >= 1 raises warning. Values outside (0, 1) disable alerting.
+	// SLOTarget is the good-event fraction objective (e.g. 0.99). Its
+	// events are serve outcomes only: a primary answer within its
+	// deadline is good, a primary failure bad. Fast-window burn >=
+	// pageBurn pages, slow-window burn >= 1 raises warning. Values
+	// outside (0, 1) disable alerting.
 	SLOTarget float64
 
 	// SpotCheckRate is the fraction of scored clips rescored by the
 	// shadow oracle, selected deterministically by content fingerprint
-	// (0 disables). Oracle is the ground-truth scorer (lithosim's
-	// LabelCtx), the signature datengine.Config.Oracle has too; checks
-	// queue behind one background worker, which calls it through
-	// lithosim.Verify.
+	// (0 disables); a verdict feeds the confusion cells, the counters
+	// and SpotMissTap, never the SLO. Oracle is the ground-truth scorer
+	// (lithosim's LabelCtx), the signature datengine.Config.Oracle has
+	// too; checks queue behind one background worker, which calls it
+	// through lithosim.Verify.
 	SpotCheckRate float64
 	Oracle        func(ctx context.Context, clip layout.Clip) (bool, error)
 
@@ -134,6 +137,9 @@ type Monitor struct {
 
 	mu  sync.Mutex
 	win *windowRing // spot-check confusion and SLO events
+	// gen counts Resets; a spot check carries the generation it was
+	// sampled in. Written under mu, read by Observe without it.
+	gen atomic.Uint64
 	// alert state machine: upgrades are immediate, downgrades wait out
 	// clearHoldSubs sub-windows below the current level.
 	alertState int
@@ -206,13 +212,13 @@ func (m *Monitor) Observe(ev Event) {
 		}
 	}
 	if m.spotq != nil && sampleFingerprint(ev.Clip.Fingerprint(), m.opts.SpotCheckRate) {
-		m.enqueueSpot(spotJob{clip: ev.Clip, predicted: ev.Score >= ev.Threshold, at: m.clock.Now()})
+		m.enqueueSpot(spotJob{clip: ev.Clip, predicted: ev.Score >= ev.Threshold, at: m.clock.Now(), gen: m.gen.Load()})
 	}
 }
 
-// ReportServeOutcome feeds the SLO window from the serving path: ok is
-// whether the primary answered within its deadline (a degraded or
-// failed request spends error budget even before the oracle weighs in).
+// ReportServeOutcome feeds the SLO window from the serving path, its one
+// source of events: ok is whether the primary answered within its
+// deadline (a degraded or failed request spends error budget).
 func (m *Monitor) ReportServeOutcome(ok bool) {
 	if m == nil {
 		return
@@ -229,17 +235,20 @@ func (m *Monitor) ReportServeOutcome(ok bool) {
 
 // Reset clears all live windows — called by the server when a new
 // model generation swaps in (or is rolled back), so the old model's
-// traffic never counts against the new one. Cumulative counters
-// survive. The alert state is
-// deliberately NOT zeroed: it steps down through the state machine's
-// clear-hold hysteresis once the inputs actually look healthy, so a
-// rollback clears a page only by demonstrating clean traffic.
+// traffic never counts against the new one: a spot check sampled before
+// Reset and still queued or running skips the window when it lands.
+// Cumulative counters survive, and so does the miss tap's feed. The
+// alert state is deliberately NOT zeroed: it steps down through the
+// state machine's clear-hold hysteresis once the inputs actually look
+// healthy, so a rollback clears a page only by demonstrating clean
+// traffic.
 func (m *Monitor) Reset() {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
 	m.win.reset()
+	m.gen.Add(1)
 	m.mu.Unlock()
 }
 

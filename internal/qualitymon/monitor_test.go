@@ -209,12 +209,78 @@ func TestSpotCheckerConfusion(t *testing.T) {
 	if sc.Mismatches != 20 {
 		t.Fatalf("mismatches = %d, want 20", sc.Mismatches)
 	}
-	// 50% bad at a 90% target burns 5x the budget: page.
-	if snap.SLO.BurnFast < 2 {
-		t.Fatalf("burn fast = %v, want >= 2", snap.SLO.BurnFast)
+}
+
+// TestSpotMismatchesNeverPage: the SLO's events are serve outcomes
+// only. With every spot check contradicting the model and every serve
+// outcome good, nothing burns and the alert stays ok, while the
+// mismatch counter and the miss tap still see every check.
+func TestSpotMismatchesNeverPage(t *testing.T) {
+	opts := testMonitorOpts(newFakeClock())
+	opts.SLOTarget = 0.99
+	opts.SpotCheckRate = 1
+	// Oracle hot iff the clip's first shape has an even width; the
+	// model's verdict is always the other one.
+	hot := func(c layout.Clip) bool { return c.Shapes[0].Dx()%2 == 0 }
+	opts.Oracle = func(_ context.Context, c layout.Clip) (bool, error) { return hot(c), nil }
+	var taps atomic.Int64
+	opts.SpotMissTap = func(layout.Clip, bool, bool) { taps.Add(1) }
+	m := New(opts)
+	defer m.Close()
+	const n = 40
+	for i := 0; i < n; i++ {
+		c := testClip(i)
+		score := 1.0
+		if hot(c) {
+			score = 0
+		}
+		m.Observe(Event{Stage: "primary", Score: score, Threshold: 0.5, Clip: c})
+		m.ReportServeOutcome(true)
 	}
-	if snap.Alert.State != AlertPage {
-		t.Fatalf("alert = %s, want page on burn", snap.Alert.Name)
+	if !m.DrainSpotChecks(5 * time.Second) {
+		t.Fatal("spot checks did not drain")
+	}
+	snap := m.Snapshot()
+	if snap.SpotCheck.Mismatches != n || taps.Load() != n {
+		t.Fatalf("%d mismatches counted and %d tapped, want %d of each", snap.SpotCheck.Mismatches, taps.Load(), n)
+	}
+	if w := snap.SpotCheck.Window; w.FP+w.FN != n || w.TP+w.TN != 0 {
+		t.Fatalf("confusion %+v, want %d mismatching cells and no agreeing ones", w, n)
+	}
+	if snap.SLO.BurnFast != 0 || snap.SLO.FastGood != n || snap.SLO.FastBad != 0 || snap.Alert.State != AlertOK {
+		t.Fatalf("slo %+v, alert %s; want %d good serve outcomes, no burn and ok", snap.SLO, snap.Alert.Name, n)
+	}
+}
+
+// TestResetSkipsQueuedSpotCheck: a spot check of the old model's verdict
+// that is still running when Reset swaps generations never lands in the
+// new generation's window, but its mismatch is still counted and mined.
+func TestResetSkipsQueuedSpotCheck(t *testing.T) {
+	opts := testMonitorOpts(newFakeClock())
+	opts.SpotCheckRate = 1
+	entered, release := make(chan struct{}), make(chan struct{})
+	opts.Oracle = func(context.Context, layout.Clip) (bool, error) {
+		close(entered)
+		<-release
+		return false, nil
+	}
+	var taps atomic.Int64
+	opts.SpotMissTap = func(layout.Clip, bool, bool) { taps.Add(1) }
+	m := New(opts)
+	defer m.Close()
+	m.Observe(Event{Stage: "primary", Score: 1, Threshold: 0.5, Clip: testClip(0)})
+	<-entered
+	m.Reset()
+	close(release)
+	if !m.DrainSpotChecks(5 * time.Second) {
+		t.Fatal("spot checks did not drain")
+	}
+	sc := m.Snapshot().SpotCheck
+	if sc.Window != (ConfusionSnapshot{}) {
+		t.Fatalf("a check sampled before Reset landed in the new window: %+v", sc.Window)
+	}
+	if sc.Mismatches != 1 || taps.Load() != 1 {
+		t.Fatalf("%d mismatches counted and %d tapped, want 1 and 1", sc.Mismatches, taps.Load())
 	}
 }
 

@@ -3,8 +3,9 @@
 // 1-T; the burn rate of a window is (bad fraction) / (1-T) — 1 means
 // the budget exactly runs out over the SLO period, pageBurn (2)
 // over the fast window pages, slow-window burn >= 1 warns. Its events
-// are serve outcomes and oracle spot checks; a spot-check mismatch is a
-// bad event, so a confirmed labelling error spends budget. Upgrades are
+// are serve outcomes only: a spot-check mismatch rate tracks which model
+// serves and how often clips are sampled, not lost recall (EXPERIMENTS.md,
+// "Spot-check paging against its rule"). Upgrades are
 // immediate; downgrades wait out clearHoldSubs sub-windows below the
 // current level, so a flapping signal cannot strobe the pager.
 //

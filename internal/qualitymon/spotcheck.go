@@ -20,11 +20,14 @@ import (
 
 // spotJob is one sampled clip awaiting oracle rescoring. at is the
 // observation time, so the confusion window reflects when the model
-// answered, not when the (possibly backlogged) oracle got to it.
+// answered, not when the (possibly backlogged) oracle got to it; gen is
+// the monitor's generation then, so a check of a model that Reset has
+// since retired never lands in its successor's window.
 type spotJob struct {
 	clip      layout.Clip
 	predicted bool
 	at        time.Time
+	gen       uint64
 }
 
 // sampleFingerprint decides membership in the spot-check sample: the
@@ -78,6 +81,10 @@ func (m *Monitor) spotWorker() {
 // runSpotJob buys the oracle's verdict on one sampled clip under
 // lithosim.Verify's deadline, retries and panic containment; a clip it
 // cannot verify counts as a spot-check error and the worker moves on.
+// A verdict fills one confusion cell of the window, unless the job's
+// generation was reset in the meantime; a mismatch is counted and handed
+// to the miss tap either way, since a confirmed label error is worth
+// mining whichever model made it. Verdicts never feed the SLO.
 func (m *Monitor) runSpotJob(j spotJob) {
 	defer m.pending.Add(-1)
 	actual, _, err := lithosim.Verify(context.Background(), m.opts.Oracle, j.clip)
@@ -95,21 +102,16 @@ func (m *Monitor) runSpotJob(j spotJob) {
 	case !actual && j.predicted:
 		idx = confFP
 	}
-	match := actual == j.predicted
-	if !match {
+	if actual != j.predicted {
 		m.mets.spotMismatches.Inc()
 		if tap := m.opts.SpotMissTap; tap != nil {
 			tap(j.clip, j.predicted, actual)
 		}
 	}
-	sloIdx := sloBad
-	if match {
-		sloIdx = sloGood
-	}
 	m.mu.Lock()
-	now := m.win.epochOf(m.clock.Now())
-	m.win.add(j.at, now, idx)
-	m.win.add(j.at, now, sloIdx)
+	if j.gen == m.gen.Load() {
+		m.win.add(j.at, m.win.epochOf(m.clock.Now()), idx)
+	}
 	m.mu.Unlock()
 }
 

@@ -1,24 +1,24 @@
 // Package qualitymon is the model-quality observability layer: a
 // deterministic shadow-oracle spot-checker maintaining online confusion
-// estimates, a multi-window SLO burn-rate alert state machine, and the
-// two taps that feed the active-learning data engine. It is dependency
-// free, exports through the telemetry registry, and is built so that
-// every output is a pure function of the observed event multiset — not
-// of arrival order — which is what makes /debug/quality byte-identical
-// across worker counts.
+// estimates, a multi-window SLO burn-rate alert state machine over serve
+// outcomes only (a mismatch never pages), and the two taps that feed the
+// active-learning data engine. It is dependency free, exports through
+// the telemetry registry, and is built so that every output is a pure
+// function of the observed event multiset — not of arrival order —
+// which is what makes /debug/quality byte-identical across worker counts.
 //
 // The core data structure is one ring of sub-windows keyed by absolute
 // epoch (time / sub-window duration), each holding six integer
 // counters: the spot-check confusion cells and the SLO's good and bad
-// events. Integer increments commute and sub-window assignment depends
-// only on the event timestamp, so merging the ring is order-independent.
-// See DESIGN.md §16.
+// serve outcomes. Integer increments commute and sub-window assignment
+// depends only on the event timestamp, so merging the ring is
+// order-independent. See DESIGN.md §16.
 package qualitymon
 
 import "time"
 
 // The counters of one sub-window: the spot-check confusion cells, then
-// the SLO's good and bad events.
+// the SLO's good and bad serve outcomes.
 const (
 	confTP = iota
 	confFP
