@@ -62,7 +62,7 @@ func run() error {
 	shardRows := flag.Int("shard-rows", 0, "window-grid rows per shard (0 = default)")
 	journalPath := flag.String("journal", "", "persist completed shards to this journal file for crash-safe resume")
 	resume := flag.Bool("resume", false, "resume from -journal, skipping shards it records")
-	cacheSize := flag.Int("cache-size", 4096, "content-addressed clip cache capacity in entries (0 disables)")
+	cacheSize := flag.Int("cache-size", 4096, "content-addressed clip cache capacity in entries, shared by the workers; each worker also keeps up to min(256, N) verdicts it last used (0 disables)")
 	findingsOut := flag.String("findings", "", "write findings deterministically, one per line, to this file")
 	version := flag.Bool("version", false, "print build info (the hotspot_build_info fields) and exit")
 	flag.Parse()

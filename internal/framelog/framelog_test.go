@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -243,6 +245,58 @@ func TestGroupAppendBytes(t *testing.T) {
 	}
 	if group, err := os.ReadFile(path); err != nil || !bytes.Equal(group, singles) {
 		t.Fatalf("grouped appends wrote %d bytes (%v) unlike the %d of single appends", len(group), err, len(singles))
+	}
+}
+
+// TestAppendAllocationsIgnoreGrouping: what Append allocates depends on
+// the records, not on how the caller groups or orders them, so a scan's
+// allocations do not move with the groups its committer happens to
+// form. Frames go out through the log's one fixed buffer, and a frame
+// whose bound exceeds it (the 9 000-float record) is built on its own.
+func TestAppendAllocationsIgnoreGrouping(t *testing.T) {
+	var recs []testRec
+	for i, n := range []int{0, 3, 700, 2000, 9000, 40, 5000, 1} {
+		recs = append(recs, testRec{ID: i, Note: strings.Repeat("x", i), Score: make([]float64, n)})
+	}
+	rev := slices.Clone(recs)
+	slices.Reverse(rev)
+	var singles [][]testRec
+	for i := range recs {
+		singles = append(singles, recs[i:i+1])
+	}
+	dir := t.TempDir()
+	// A process's first GC starts its mark workers, which allocate;
+	// start them before anything is counted.
+	runtime.GC()
+	// A fresh log each time: a buffer that grew with the largest group
+	// would grow in the first pass and show only there.
+	path := filepath.Join(dir, "run.log")
+	allocs := func(groups [][]testRec) float64 {
+		return testing.AllocsPerRun(3, func() {
+			l, err := Create[testMeta, testRec](path, testFormat, testHeader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			for _, g := range groups {
+				if err := l.Append(g...); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	want := allocs([][]testRec{recs})
+	for _, tc := range []struct {
+		name   string
+		groups [][]testRec
+	}{
+		{"singles", singles},
+		{"reversed", [][]testRec{rev}},
+		{"uneven", [][]testRec{recs[:3], recs[3:4], recs[4:]}},
+	} {
+		if got := allocs(tc.groups); got != want {
+			t.Errorf("%s: %.0f allocations an append pass, one group makes %.0f", tc.name, got, want)
+		}
 	}
 }
 

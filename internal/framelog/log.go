@@ -20,7 +20,7 @@ type Format struct{ Header, Record string }
 var ErrMetaMismatch = errors.New("framelog: log belongs to a different run")
 
 // Log is an open append-only log of R records. An Append writes its
-// records in one write and makes them durable with one fsync, so the
+// records and makes them durable with one fsync, so the
 // file's crash mode is a torn tail, which Load detects and Resume
 // truncates. Append is safe for concurrent use.
 type Log[R any] struct {
@@ -35,10 +35,17 @@ type Log[R any] struct {
 	// broken latches a failed append that could not be cut back; every
 	// later Append refuses with it.
 	broken error
-	// frames is the group buffer every Append encodes into, kept across
-	// appends so that it grows once to the largest group.
+	// frames is the buffer every Append packs its frames into, made at
+	// the first Append with groupBuffer bytes and never grown.
 	frames []byte
 }
+
+// groupBuffer is the capacity of a log's frame buffer. An Append
+// writes its frames in order, each write carrying as many whole frames
+// as fit; a frame that may not fit alone is built and written on its
+// own. So what an Append allocates is a function of its records, not of
+// how they were grouped into Appends.
+const groupBuffer = 64 << 10
 
 // Tail describes where a loaded log's intact prefix ends.
 type Tail struct {
@@ -137,14 +144,14 @@ func Resume[M comparable, R any](path string, format Format, meta M) (*Log[R], [
 }
 
 // Append durably records recs, all or nothing: their frames are
-// written in append order, in one write at the end of the intact
-// prefix, and fsynced once before Append returns, so every record
-// survives any later crash. A failed write or fsync is cut back off the
-// file, so no record of the call survives it and a later Append is not
-// stranded behind a torn frame; if the cut fails too, the log refuses
-// every later Append. An Append of no records does nothing. Each
-// record is encoded straight into the log's one group buffer, under the
-// mutex that serializes appends.
+// written in append order at the end of the intact prefix, in as few
+// writes as the log's frame buffer allows, and fsynced once before
+// Append returns, so every record survives any later crash. A failed
+// write or fsync is cut back off the file, so no record of the call
+// survives it and a later Append is not stranded behind a torn frame;
+// if the cut fails too, the log refuses every later Append. An Append
+// of no records does nothing. Records are encoded straight into the
+// frame buffer, under the mutex that serializes appends.
 func (l *Log[R]) Append(recs ...R) error {
 	if len(recs) == 0 {
 		return nil
@@ -154,29 +161,68 @@ func (l *Log[R]) Append(recs ...R) error {
 	if l.broken != nil {
 		return fmt.Errorf("framelog: %s refuses appends after a failed one: %w", l.path, l.broken)
 	}
-	frames := l.frames[:0]
-	for _, rec := range recs {
-		var err error
-		if frames, err = appendFrame(frames, l.record, rec); err != nil {
-			return err
+	at, wrote := l.end, false
+	err := l.encode(recs, func(frames []byte) error {
+		wrote = true
+		if _, err := l.f.WriteAt(frames, at); err != nil {
+			return fmt.Errorf("framelog: append to %s: %w", l.path, err)
+		}
+		at += int64(len(frames))
+		return nil
+	})
+	if err == nil {
+		if err = l.f.Sync(); err != nil {
+			err = fmt.Errorf("framelog: fsync %s: %w", l.path, err)
 		}
 	}
-	l.frames = frames
-	var err error
-	if _, err = l.f.WriteAt(frames, l.end); err != nil {
-		err = fmt.Errorf("framelog: append to %s: %w", l.path, err)
-	} else if err = l.f.Sync(); err != nil {
-		err = fmt.Errorf("framelog: fsync %s: %w", l.path, err)
-	}
 	if err == nil {
-		l.end += int64(len(frames))
+		l.end = at
 		return nil
+	}
+	if !wrote {
+		return err
 	}
 	if terr := l.f.Truncate(l.end); terr != nil {
 		l.broken = errors.Join(err, fmt.Errorf("framelog: truncate %s at %d: %w", l.path, l.end, terr))
 		return l.broken
 	}
 	return err
+}
+
+// encode hands recs' frames to write in order: packed into the frame
+// buffer, which is written whenever the next frame may not fit, except
+// a frame whose bound exceeds the whole buffer, which is built in a
+// buffer of its own and written alone.
+func (l *Log[R]) encode(recs []R, write func([]byte) error) error {
+	if l.frames == nil {
+		l.frames = make([]byte, 0, groupBuffer)
+	}
+	buf := l.frames[:0]
+	for _, rec := range recs {
+		n := frameBound(l.record, rec)
+		if len(buf) > 0 && len(buf)+n > cap(buf) {
+			if err := write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+		var err error
+		if n <= cap(buf) {
+			buf, err = appendFrame(buf, l.record, rec)
+		} else {
+			var big []byte
+			if big, err = appendFrame(nil, l.record, rec); err == nil {
+				err = write(big)
+			}
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if len(buf) == 0 {
+		return nil
+	}
+	return write(buf)
 }
 
 // Tail reports what Resume truncated; zero for a log from Create.

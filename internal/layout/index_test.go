@@ -156,3 +156,31 @@ func TestConcurrentFirstQueries(t *testing.T) {
 	start.Done()
 	done.Wait()
 }
+
+// TestFewCellsImpliesIndexable: the division-free test a probe takes
+// first never keeps a window on the index that cellSpan would send to
+// the linear scan, at the bound's edge (sides of exactly 63 and 64 cell
+// edges at every offset within a cell) and at extreme coordinates.
+func TestFewCellsImpliesIndexable(t *testing.T) {
+	for _, g := range []int{1, 3, 256, 1024, 2048, math.MaxInt64 / 62, math.MaxInt64} {
+		l := NewWithGrid("few", g)
+		check := func(r geom.Rect) {
+			if l.fewCells(r) && l.cellSpan(r) > maxIndexCells {
+				t.Fatalf("grid %d: %v passes fewCells but covers %d cells", g, r, l.cellSpan(r))
+			}
+		}
+		for _, off := range []int{0, 1, g / 2, g - 1, -1, -g / 2} {
+			for _, side := range []int{1, 62 * g, 63 * g, 63*g + 1, 64 * g} {
+				if side <= 0 || off > math.MaxInt64-side {
+					continue
+				}
+				check(geom.R(off, off, off+side, off+side))
+				check(geom.R(off, 0, off+side, 1))
+			}
+		}
+		check(geom.R(math.MinInt64/2, math.MinInt64/2, math.MaxInt64/2, math.MaxInt64/2))
+	}
+	if l := New("few"); !l.fewCells(geom.R(0, 0, 1024, 1024)) {
+		t.Fatal("a clip window at the default grid takes the divisions")
+	}
+}

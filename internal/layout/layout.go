@@ -9,6 +9,7 @@ package layout
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -50,6 +51,10 @@ type Layout struct {
 // and stay off the large list, and a query's window may cover before
 // the query falls back to a linear scan.
 const maxIndexCells = 1 << 12
+
+// maxIndexSide is the side of the largest square of cells a query may
+// cover and stay on the index: maxIndexSide² is maxIndexCells.
+const maxIndexSide = 1 << 6
 
 // indexFactor bounds the built index: it has at most indexFactor cells
 // and indexFactor entries a shape (or 17 x 17, whichever is more), so its
@@ -265,7 +270,7 @@ func (l *Layout) probe(window geom.Rect) (ix *cellIndex, cx0, cy0, cx1, cy1 int,
 	if p.Empty() {
 		return nil, 0, 0, -1, -1, false
 	}
-	if l.cellSpan(p) > maxIndexCells {
+	if !l.fewCells(p) && l.cellSpan(p) > maxIndexCells {
 		return nil, 0, 0, -1, -1, true
 	}
 	ix = l.loadIndex()
@@ -511,6 +516,20 @@ func (l *Layout) cellSpan(r geom.Rect) int {
 		return maxIndexCells + 1
 	}
 	return nx * ny
+}
+
+// fewCells reports, without cellSpan's divisions, that r covers at
+// most maxIndexCells cells of edge gridNM: a side of at most
+// maxIndexSide-1 cell edges meets at most maxIndexSide cells. False
+// says nothing; a clip window is far below the bound.
+func (l *Layout) fewCells(r geom.Rect) bool {
+	g := uint64(l.gridNM)
+	if g > math.MaxUint64/(maxIndexSide-1) {
+		return false
+	}
+	// Unsigned differences, as in cellGrid: exact for any canonical r.
+	side := (maxIndexSide - 1) * g
+	return uint64(r.Max.X)-uint64(r.Min.X) <= side && uint64(r.Max.Y)-uint64(r.Min.Y) <= side
 }
 
 func floorDiv(a, b int) int {

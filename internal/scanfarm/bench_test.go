@@ -125,6 +125,35 @@ func BenchmarkScanFarmJournaled(b *testing.B) {
 	b.ReportMetric(float64(b.N*res.Scanned)/b.Elapsed().Seconds(), "windows/s")
 }
 
+// BenchmarkScanFarmHits is the hit path alone at 1 and 2 workers: the
+// fitted CNN over a repeated-cell chip with the cache on and no
+// journal, so almost every window is a hit and nothing but the hits
+// carries the time. The 2-worker time over the 1-worker time is the hit
+// path's scaling, which ci.sh gates: a hit that writes memory another
+// worker reads (a shared lock, a shared LRU list) keeps it near 1.
+func BenchmarkScanFarmHits(b *testing.B) {
+	det := fittedCNN(b, false)
+	chip := cellChip(b, 128)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			cfg := Config{SkipEmpty: true, Workers: workers, CacheSize: 4096}
+			var res Result
+			var err error
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if res, err = Run(context.Background(), chip, det, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if rate := res.Cache.HitRate(); rate < 0.995 {
+				b.Fatalf("cache hit rate %.4f: the chip does not repeat itself", rate)
+			}
+			b.ReportMetric(float64(b.N*res.Scanned)/b.Elapsed().Seconds(), "windows/s")
+		})
+	}
+}
+
 // BenchmarkScanTracedVsUntraced pins the cost of the tracing hooks on
 // the loop programs run: Run with the fitted CNN over a generated chip
 // and hsdscan's default cache. "untraced" is a context with no tracer,

@@ -109,3 +109,43 @@ func TestNewClipCacheGrowsOnDemand(t *testing.T) {
 		t.Fatalf("after %d puts: stats %+v", n, st)
 	}
 }
+
+// TestClipTable: a worker's table answers only for the whole key a slot
+// holds, holds no more slots than the shared cache holds entries, and
+// counts its hits where the shared cache counts them once folded.
+func TestClipTable(t *testing.T) {
+	c := NewClipCache(4)
+	tab := newClipTable(c)
+	if tab.mask != 3 {
+		t.Fatalf("table of %d slots before a cache of 4 entries", tab.mask+1)
+	}
+	// Two keys that share a slot: the same first byte, different rest.
+	a, b := fpOf(1), fpOf(1)
+	b[15]++
+	tab.put(c, a, 0.25)
+	if _, ok := tab.get(c, b); ok {
+		t.Fatal("the table answered a key it does not hold from a slot holding another")
+	}
+	tab.put(c, b, 0.75)
+	for _, k := range []struct {
+		key  layout.Fingerprint
+		want float64
+	}{{a, 0.25}, {b, 0.75}, {b, 0.75}} {
+		if v, ok := tab.get(c, k.key); !ok || v != k.want {
+			t.Fatalf("get = %v, %v; want %v", v, ok, k.want)
+		}
+	}
+	// b displaced a from the slot, so a came from the cache and went
+	// back in; b's first get then was a cache hit, its second a table
+	// hit, which the cache counts only once folded.
+	if st := c.Stats(); st.Hits != 2 || st.Misses != 1 {
+		t.Fatalf("before the fold: %+v", st)
+	}
+	tab.fold(c)
+	if st := c.Stats(); st.Hits != 3 || st.Misses != 1 {
+		t.Fatalf("after the fold: %+v", st)
+	}
+	if tab := newClipTable(NewClipCache(1 << 20)); tab.mask != tableSlots-1 {
+		t.Fatalf("table of %d slots, want %d", tab.mask+1, tableSlots)
+	}
+}

@@ -196,7 +196,7 @@ func Run(ctx context.Context, chip *layout.Layout, det core.Detector, cfg Config
 		wg sync.WaitGroup
 		mu sync.Mutex // records, res.Scanned
 	)
-	commits := startCommitter(cfg.Journal, cancel)
+	commits := startCommitter(cfg.Journal, cancel, len(todo))
 	finish := func(rec *ShardRecord) {
 		mu.Lock()
 		records[rec.ShardID] = rec
@@ -221,9 +221,12 @@ func Run(ctx context.Context, chip *layout.Layout, det core.Detector, cfg Config
 				plan:  plan,
 				cfg:   cfg,
 				cache: cache,
+				table: newClipTable(cache),
 				mets:  mets,
 				tiles: newTileMemo(det, plan),
 			}
+			// Before wg.Done, so that Run's snapshot has every hit.
+			defer wk.table.fold(cache)
 			for {
 				select {
 				case <-runCtx.Done():
@@ -296,10 +299,10 @@ dispatch:
 // committer appends finished shards' records to the journal in groups,
 // on its own goroutine. A worker hands its record over and takes its
 // next shard at once; the committer takes every record pending and
-// appends them as one group, in one write and one fsync, while the
-// workers scan on. The committer runs when the scheduler gives it a CPU,
-// which with a worker on every CPU can be many shards later: that is
-// what makes the groups large and the fsyncs few. It is also why a
+// appends them as one group, with one fsync, while the workers scan on.
+// The committer runs when the scheduler gives it a CPU, which with a
+// worker on every CPU can be many shards later: that is what makes the
+// groups large and the fsyncs few. It is also why a
 // worker that hands a record over before the run's first group has been
 // tried waits for that try, so that a journal that takes no records
 // ends the run after a shard or two rather than after the shards the
@@ -319,19 +322,22 @@ type committer struct {
 	err   error // the first failed append; read after done closes
 }
 
-func startCommitter(j *Journal, stop context.CancelFunc) *committer {
+// startCommitter starts the committer of a run that scans n shards.
+// Its two record lists, the one the workers fill and the one it
+// appends, each have room for all n, so that what they allocate is a
+// function of the plan, not of the groups a run happens to form.
+func startCommitter(j *Journal, stop context.CancelFunc, n int) *committer {
 	if j == nil {
 		return nil
 	}
-	c := &committer{journal: j, stop: stop,
+	c := &committer{journal: j, stop: stop, pending: make([]ShardRecord, 0, n),
 		wake: make(chan struct{}, 1), tried: make(chan struct{}), done: make(chan struct{})}
-	go c.run()
+	go c.run(make([]ShardRecord, 0, n))
 	return c
 }
 
-func (c *committer) run() {
+func (c *committer) run(group []ShardRecord) {
 	defer close(c.done)
-	var group []ShardRecord
 	tried := false
 	for range c.wake {
 		c.mu.Lock()
@@ -379,8 +385,10 @@ func (c *committer) close() error {
 }
 
 // worker is the per-goroutine scan state: the shared detector with its
-// threshold, and the buffers a shard attempt fills: its windows' scores
-// and, when the scan shares feature tiles, the tile memo (else nil).
+// threshold, the shared clip cache with the worker's own table in front
+// of it (both nil when the cache is off), and the buffers a shard
+// attempt fills: its windows' scores and, when the scan shares feature
+// tiles, the tile memo (else nil).
 type worker struct {
 	chip   *layout.Layout
 	det    core.Detector
@@ -388,6 +396,7 @@ type worker struct {
 	plan   Plan
 	cfg    Config
 	cache  *ClipCache
+	table  *clipTable
 	mets   *farmMetrics
 	tiles  *tileMemo
 	scores []float64
@@ -499,11 +508,12 @@ func (w *worker) scanShard(ctx context.Context, id, attempt int) ([]core.Finding
 // threshold, for a window SkipEmpty leaves unscored.
 //
 // The cache key comes straight from the spatial index (FingerprintAt),
-// so a hit builds no clip. The detector always scores the canonical
-// (origin translated) clip, so a verdict is a pure function of the cache
-// key and hit/miss paths are identical by construction. The shipped detectors are translation-
-// invariant (rasterization and features are window-relative), so this
-// matches scoring the clip in place. col and row place the window in the
+// so a hit builds no clip, and a repeat the worker's table holds takes
+// no lock. The detector always scores the canonical (origin translated)
+// clip, so a verdict is a pure function of the cache key and hit/miss
+// paths are identical by construction. The shipped detectors are
+// translation-invariant (rasterization and features are
+// window-relative), so this matches scoring the clip in place. col and row place the window in the
 // shard for the tile memo, which only a miss touches.
 func (w *worker) scoreWindow(ctx context.Context, center geom.Point, col, row int) (float64, error) {
 	var key layout.Fingerprint
@@ -516,7 +526,7 @@ func (w *worker) scoreWindow(ctx context.Context, center geom.Point, col, row in
 			return math.NaN(), nil
 		}
 		key = fp
-		if score, ok := w.cache.Get(key); ok {
+		if score, ok := w.table.get(w.cache, key); ok {
 			return score, nil
 		}
 	}
@@ -532,7 +542,7 @@ func (w *worker) scoreWindow(ctx context.Context, center geom.Point, col, row in
 		return 0, err
 	}
 	if w.cache != nil {
-		w.cache.Put(key, score)
+		w.table.put(w.cache, key, score)
 	}
 	return score, nil
 }

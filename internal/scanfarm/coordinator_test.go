@@ -296,7 +296,11 @@ func TestFarmCacheHitsOnRepeatedCells(t *testing.T) {
 // run's hit, miss and eviction counts, and Run adds them to the
 // scan_cache_*_total series once, however it returns. So the series move
 // by exactly Result.Cache after a completed run, a cancelled run and a
-// run whose journal append fails.
+// run whose journal append fails. A completed run, at 1, 2 and 8
+// workers, with the shared cache smaller than the chip's distinct keys
+// so that it evicts keys the workers' tables still answer, also finds
+// what the serial uncached run finds and counts every window that
+// reaches the cache once, as a hit or a miss.
 func TestFarmCacheSeriesMatchResult(t *testing.T) {
 	chip := cellChip(t, 10)
 	det := densityDetector{thr: 0.1}
@@ -317,29 +321,65 @@ func TestFarmCacheSeriesMatchResult(t *testing.T) {
 			Evictions: int64(reg.Counter("scan_cache_evictions_total").Value()),
 		}
 	}
-	windows := int64(NewPlan(chip.Bounds(), cfg).Windows())
+	plan := NewPlan(chip.Bounds(), cfg)
+	windows := int64(plan.Windows())
+	// The windows that reach the cache: SkipEmpty answers the empty ones
+	// before it.
+	var keyed int64
+	keys := map[layout.Fingerprint]bool{}
+	for row := 0; row < plan.Rows; row++ {
+		for col := 0; col < plan.Cols; col++ {
+			fp, n, err := chip.FingerprintAt(plan.Center(col, row), plan.ClipNM, plan.CoreFrac)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n > 0 {
+				keyed++
+				keys[fp] = true
+			}
+		}
+	}
+	if len(keys) <= cfg.CacheSize {
+		t.Fatalf("fixture: %d distinct keys, want more than the cache's %d", len(keys), cfg.CacheSize)
+	}
+	serial := cfg
+	serial.Workers, serial.CacheSize, serial.Metrics = 1, 0, nil
+	want, err := Run(context.Background(), chip, det, serial)
+	if err != nil || len(want.Findings) == 0 {
+		t.Fatalf("serial uncached run: %d findings, err %v", len(want.Findings), err)
+	}
+	completed := func(res Result, err error) error {
+		if err != nil || res.Completed != res.Shards {
+			return fmt.Errorf("completed %d of %d shards, err %v", res.Completed, res.Shards, err)
+		}
+		if res.Cache.Hits == 0 || res.Cache.Misses == 0 || res.Cache.Evictions == 0 {
+			return fmt.Errorf("cache stats %+v: want hits, misses and evictions", res.Cache)
+		}
+		if got := res.Cache.Hits + res.Cache.Misses; got != keyed {
+			return fmt.Errorf("cache counted %d hits and misses, want one for each of the %d keyed windows", got, keyed)
+		}
+		if !reflect.DeepEqual(res.Findings, want.Findings) {
+			return fmt.Errorf("findings diverged from the serial uncached run:\ngot  %v\nwant %v", res.Findings, want.Findings)
+		}
+		return nil
+	}
 	for _, tc := range []struct {
 		name    string
+		workers int
 		ctx     context.Context
 		journal *Journal
 		check   func(Result, error) error
 	}{
-		{"completed", context.Background(), nil, func(res Result, err error) error {
-			if err != nil || res.Completed != res.Shards {
-				return fmt.Errorf("completed %d of %d shards, err %v", res.Completed, res.Shards, err)
-			}
-			if res.Cache.Hits == 0 || res.Cache.Misses == 0 || res.Cache.Evictions == 0 {
-				return fmt.Errorf("cache stats %+v: want hits, misses and evictions", res.Cache)
-			}
-			return nil
-		}},
-		{"cancelled", cancelAfterPolls(context.Background(), windows/3), nil, func(res Result, err error) error {
+		{"completed", 2, context.Background(), nil, completed},
+		{"completed-1-worker", 1, context.Background(), nil, completed},
+		{"completed-8-workers", 8, context.Background(), nil, completed},
+		{"cancelled", 2, cancelAfterPolls(context.Background(), windows/3), nil, func(res Result, err error) error {
 			if err != nil || !res.Interrupted {
 				return fmt.Errorf("interrupted %v, err %v; want an interrupted run", res.Interrupted, err)
 			}
 			return nil
 		}},
-		{"journal-append-fails", context.Background(), closed, func(_ Result, err error) error {
+		{"journal-append-fails", 2, context.Background(), closed, func(_ Result, err error) error {
 			if err == nil || !strings.Contains(err.Error(), "journal append") {
 				return fmt.Errorf("err %v, want the journal append error", err)
 			}
@@ -349,6 +389,7 @@ func TestFarmCacheSeriesMatchResult(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			before := series()
 			run := cfg
+			run.Workers = tc.workers
 			run.Journal = tc.journal
 			res, err := Run(tc.ctx, chip, det, run)
 			if err := tc.check(res, err); err != nil {

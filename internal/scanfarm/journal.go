@@ -1,8 +1,8 @@
 // The scan journal: an append-only framelog of completed and quarantined
 // shards, the persistence layer behind `hsdscan -resume`. Run's
-// committer appends finished shards' records in groups, each group in
-// one write and one fsync, and Run returns only once every shard it
-// counted as completed is durable. A SIGKILLed scan resumes from the
+// committer appends finished shards' records in groups, each group
+// with one fsync, and Run returns only once every shard it counted as
+// completed is durable. A SIGKILLed scan resumes from the
 // last durable group; a shard that finished after it is rescanned.
 // DESIGN.md "On-disk formats" has the layout and the crash mode.
 

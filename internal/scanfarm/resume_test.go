@@ -37,9 +37,9 @@ func frameEnds(t *testing.T, data []byte) []int64 {
 // TestResumeFromEveryFrameBoundary: a real farm run's journal, cut at
 // every frame boundary (and one byte past it, a torn frame), resumes to
 // the uninterrupted run's Result. The committer appends a group of
-// records in one write and one fsync, all or nothing: a cut at a group's
-// end is what a kill between groups leaves, and a cut inside a group is
-// what a kill during the group's one write can leave. That Append never
+// records with one fsync, all or nothing: a cut at a group's end is
+// what a kill between groups leaves, and a cut inside a group is what a
+// kill during the group's writes can leave. That Append never
 // returned, so the run had counted none of the group's shards durable,
 // yet the whole frames before the cut are records like any other (a
 // failed Append, unlike a kill, is cut back to the group's start; see

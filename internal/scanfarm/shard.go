@@ -121,7 +121,10 @@ type Config struct {
 	// without cancelling the run.
 	ShardBudget time.Duration
 	// CacheSize bounds the content-addressed clip cache in entries;
-	// 0 disables the cache.
+	// 0 disables the cache. The cache is shared by the workers, and each
+	// worker also keeps the verdicts it last used in a table of its own
+	// of at most 256 slots, and no more than CacheSize, so that a repeat
+	// it has seen takes no lock.
 	CacheSize int
 	// Journal, when non-nil, records completed and quarantined shards
 	// for -resume. Run appends; the caller owns Close.
