@@ -11,7 +11,8 @@
 #   binary's flag set, no facade name and no /metrics series moved, that
 #   every facade name has an outside caller, that nothing is bound
 #   after construction and that no circuit breaker is built outside
-#   serving, a run of every example, a smoke pass over the
+#   serving, a run of every example, a parse of the A/B pair script,
+#   a smoke pass over the
 #   fuzz seed corpora, 7 s of real fuzzing each on all nine fuzz
 #   targets (63 s in all), one pass of the window key, conv, ragged-edge,
 #   matmul kernel, shallow fit, CNN fit, scan miss, journaled scan and
@@ -150,6 +151,10 @@ echo "== flags smoke =="
 # list: a flag cannot appear, vanish or be renamed without the diff
 # showing it.
 ./scripts/flags_smoke.sh
+
+echo "== abpair syntax =="
+# Its pairs take minutes a workload, so the gate only parses it.
+sh -n scripts/abpair.sh
 
 echo "== gltconv smoke =="
 # GLT -> GDS -> GLT gives the bytes GLT -> GLT gives, and an -out whose
@@ -305,16 +310,17 @@ echo "== scan benchmarks =="
 #
 # The journaled scan's allocations are gated: they are a count, not a
 # time, so they do not depend on the machine, and they guard the frame
-# and group buffers the journal reuses. The bound was 560 when 438-491
-# allocs/op were measured over 40 runs at -cpu 1, 2 and 4: the
-# committer's record lists and the journal's frame buffer grew with the
-# largest group a run happened to form. They no longer grow (the lists
-# hold every shard of the plan, the buffer is a fixed 64 KB), and 68
-# runs at -cpu 1, 2 and 4 read 392-479, 433-448 at the default -cpu 2;
-# what still moves is the miss path's sync.Pool scratch, which a GC
-# empties. 530 is 11 % above the highest, and one more allocation per
-# shard (128 shards a scan) crosses it. A fresh frame buffer for each
-# record reads ~1 860.
+# buffer and record lists the journal reuses. The bound was 560 when
+# 438-491 allocs/op were measured over 40 runs at -cpu 1, 2 and 4: the
+# committer's record lists and a frame buffer that held a whole group
+# grew with the largest group a run happened to form. They no longer
+# grow with the groups (the lists hold every shard of the plan, and the
+# buffer holds one frame at a time, so it grows to the largest frame),
+# and 68 runs at -cpu 1, 2 and 4 read 392-479; six runs each at -cpu 1,
+# 2 and 4 now read 426-431, 448-455 and 453-478. What still moves is the
+# miss path's sync.Pool scratch, which a GC empties. 530 is 11 % above
+# the highest, and one more allocation per shard (128 shards a scan)
+# crosses it. A fresh frame buffer for each record reads ~1 860.
 journaled_allocs_max=530
 scanbench=$(go test -run='^$' -bench='ScanFarmCNNMiss|ScanFarmJournaled' -benchtime=1x -benchmem ./internal/scanfarm/)
 printf '%s\n' "$scanbench"
@@ -415,8 +421,10 @@ echo "== data engine chaos =="
 # engine and in the quality monitor's spot-checker. -race because
 # mining taps ingest from scoring goroutines and spot checks run on a
 # background worker, while labeling itself is one serial loop over the
-# WAL.
-run_named 'TestChaos|TestOracleFault' ./internal/datengine/ ./internal/qualitymon/
+# WAL. A real run's WAL, cut at every frame boundary and one byte past
+# it, opens to the replay of the records before the cut and runs on to
+# the uninterrupted run's models and counters.
+run_named 'TestChaos|TestOracleFault|TestWALResumeFromEveryFrameBoundary' ./internal/datengine/ ./internal/qualitymon/
 
 echo "== learn smoke =="
 # End to end: hsdlearn mines the base model's uncertainty band, runs a

@@ -246,7 +246,7 @@ func run() error {
 			fmt.Printf("verified precision over printed findings: %d/%d\n", confirmed, n)
 		}
 		st := sim.Stats()
-		fmt.Printf("measured ODST: %d simulations in %v\n", st.Simulations, st.Elapsed.Round(time.Millisecond))
+		fmt.Printf("verified the %d printed findings of %d: %d simulations in %v\n", n, len(findings), st.Simulations, st.Elapsed.Round(time.Millisecond))
 	}
 	if reg != nil {
 		fmt.Println("--- scan telemetry ---")

@@ -56,8 +56,7 @@ func main() {
 	// come first here, row-major among equal scores.
 	findings := res.Findings
 	sort.SliceStable(findings, func(i, j int) bool { return findings[i].Score > findings[j].Score })
-	windows := (edge/512 + 1) * (edge/512 + 1)
-	fmt.Printf("scanned ~%d windows in %v, flagged %d\n\n", windows, scanTime.Round(time.Millisecond), len(findings))
+	fmt.Printf("scanned %d windows in %v, flagged %d\n\n", res.Windows, scanTime.Round(time.Millisecond), len(findings))
 
 	// Verify the strongest findings with the simulator.
 	sim, err := hsd.NewSimulator(hsd.DefaultSimConfig())

@@ -13,10 +13,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/golitho/hsd/internal/faultinject"
+	"github.com/golitho/hsd/internal/framelog"
 	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/lithosim"
 	"github.com/golitho/hsd/internal/telemetry"
@@ -341,5 +343,114 @@ func TestOracleFaultPanicQuarantines(t *testing.T) {
 	}
 	if rep.Outcome != OutcomeShipped || rep.BatchID != 1 || rep.Quarantined != 0 {
 		t.Fatalf("follow-up report = %+v, want batch 1 shipped", rep)
+	}
+}
+
+// TestWALResumeFromEveryFrameBoundary: the learn WAL of a real run,
+// cut at every frame boundary and one byte past it (a torn frame),
+// opens to the state its intact records replay to, and the loop then
+// runs to the uninterrupted run's models and counters. A cut is what a
+// kill between two appends, or during one, leaves; the resumed process
+// mines the same clips again, and Ingest drops the ones the cut kept.
+func TestWALResumeFromEveryFrameBoundary(t *testing.T) {
+	const mined = 10
+	// run mines into e, cycles until the queue is empty and returns
+	// the bytes of each model it shipped, by batch.
+	run := func(t *testing.T, e *Engine) map[int][]byte {
+		t.Helper()
+		mustIngest(t, e, mined)
+		shipped := map[int][]byte{}
+		for {
+			rep, err := e.RunCycle(context.Background())
+			if errors.Is(err, ErrNoCandidates) {
+				return shipped
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Outcome != OutcomeShipped {
+				t.Fatalf("batch %d: outcome %+v", rep.BatchID, rep)
+			}
+			if shipped[rep.BatchID], err = os.ReadFile(rep.ModelPath); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	snapshot := func(e *Engine) [5]int {
+		c, n, s, r, p := e.Snapshot()
+		return [5]int{c, n, s, r, p}
+	}
+
+	refDir := t.TempDir()
+	full := filepath.Join(refDir, "learn.wal")
+	ref, err := Open(full, fastCfg(refDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantModels := run(t, ref)
+	wantSnap := snapshot(ref)
+	if err := ref.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(wantModels) < 2 {
+		t.Fatalf("uninterrupted run shipped %d models, want several batches", len(wantModels))
+	}
+	data, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, records := loadWAL(t, full)
+	// ends[k] is where the header and the first k records end.
+	var ends []int64
+	r := bytes.NewReader(data)
+	for magic := walFormat.Header; ; magic = walFormat.Record {
+		if _, err := framelog.ReadFrame(r, magic); err != nil {
+			break
+		}
+		ends = append(ends, int64(len(data)-r.Len()))
+	}
+	if len(ends) != len(records)+1 || ends[len(ends)-1] != int64(len(data)) {
+		t.Fatalf("%d frames ending at %v in %d bytes, want a header and %d records", len(ends), ends, len(data), len(records))
+	}
+
+	for k, end := range ends {
+		for _, torn := range []int64{0, 1} {
+			cut := end + torn
+			if cut > int64(len(data)) {
+				continue
+			}
+			dir := t.TempDir()
+			path := filepath.Join(dir, "learn.wal")
+			if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			e, err := Open(path, fastCfg(dir))
+			if err != nil {
+				t.Fatalf("cut at %d: %v", cut, err)
+			}
+			if tail := e.wal.Tail(); tail.Offset != end || tail.Discarded != torn {
+				t.Fatalf("cut at %d: tail %+v, want offset %d with %d bytes discarded", cut, tail, end, torn)
+			}
+			if want := Replay(records[:k]); !reflect.DeepEqual(e.state, want) {
+				t.Fatalf("cut at %d: opened to state %+v, want the replay of its %d intact records %+v", cut, e.state, k, want)
+			}
+			models := run(t, e)
+			if got := snapshot(e); got != wantSnap {
+				t.Fatalf("cut at %d: final snapshot %v, want %v", cut, got, wantSnap)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for id, got := range models {
+				if !bytes.Equal(got, wantModels[id]) {
+					t.Fatalf("cut at %d: batch %d shipped a model of %d bytes unlike the uninterrupted run's %d", cut, id, len(got), len(wantModels[id]))
+				}
+			}
+			_, after := loadWAL(t, path)
+			last, err := os.ReadFile(Replay(after).LastModel)
+			if err != nil || !bytes.Equal(last, wantModels[len(wantModels)-1]) {
+				t.Fatalf("cut at %d: the last shipped model (%v) is not the uninterrupted run's", cut, err)
+			}
+		}
 	}
 }

@@ -347,10 +347,9 @@ func ODSTScaling(suite *hsd.Suite, seed int64, edgesNM []int) (Table, error) {
 		verifyTime := time.Since(t1)
 
 		// Full simulation baseline: simulate a sample of windows and
-		// extrapolate (simulating everything at large edges would defeat
-		// the point of the figure).
+		// extrapolate to every window the scan's plan holds (simulating
+		// everything at large edges would defeat the point of the figure).
 		stride := 512
-		nWindows := (edge/stride + 1) * (edge/stride + 1)
 		const probeN = 16
 		t2 := time.Now()
 		probed := 0
@@ -365,7 +364,7 @@ func ODSTScaling(suite *hsd.Suite, seed int64, edgesNM []int) (Table, error) {
 			}
 			probed++
 		}
-		fullSim := time.Since(t2) / time.Duration(probed) * time.Duration(nWindows)
+		fullSim := time.Since(t2) / time.Duration(probed) * time.Duration(res.Windows)
 
 		odst := scanTime + verifyTime
 		speedup := "-"
@@ -373,7 +372,7 @@ func ODSTScaling(suite *hsd.Suite, seed int64, edgesNM []int) (Table, error) {
 			speedup = fmt.Sprintf("%.1fx", float64(fullSim)/float64(odst))
 		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.1f", float64(edge)/1000), fmt.Sprint(nWindows),
+			fmt.Sprintf("%.1f", float64(edge)/1000), fmt.Sprint(res.Windows),
 			fmt.Sprint(len(findings)), dur(scanTime), dur(verifyTime),
 			dur(odst), dur(fullSim), speedup,
 		})

@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
 	hsd "github.com/golitho/hsd"
+	"github.com/golitho/hsd/internal/scanfarm"
 )
 
 var (
@@ -154,5 +156,25 @@ func TestFindBenchErrors(t *testing.T) {
 	}
 	if _, err := Convergence(s, "missing", 1); err == nil {
 		t.Fatal("convergence on missing benchmark accepted")
+	}
+}
+
+// TestODSTScalingCountsPlannedWindows: Fig. 5's windows column, the
+// count its full-simulation column is extrapolated from, is the number
+// of windows the scan's plan holds for the chip, not a grid guessed
+// from the chip's edge.
+func TestODSTScalingCountsPlannedWindows(t *testing.T) {
+	const seed, edge = 5, 4096
+	tbl, err := ODSTScaling(testSuite(t), seed, []int{edge})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chip, err := hsd.GenerateChip(seed, edge, hsd.DefaultPatternStyle())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := scanfarm.NewPlan(chip.Bounds(), hsd.ScanFarmConfig{SkipEmpty: true}).Windows()
+	if len(tbl.Rows) != 1 || tbl.Rows[0][1] != fmt.Sprint(want) {
+		t.Fatalf("Fig. 5 rows %q, want one row of %d windows", tbl.Rows, want)
 	}
 }

@@ -106,64 +106,6 @@ func appendValue(b []byte, v reflect.Value) []byte {
 	return b
 }
 
-// sizeBound is at least len(appendValue(nil, v)). It reads only the
-// lengths of the strings and slices in v, and the elements of a slice
-// whose element type holds strings or slices, so it costs a small part
-// of the encode it bounds.
-func sizeBound(v reflect.Value) int {
-	if n, ok := maxEncoded(v.Type()); ok {
-		return n
-	}
-	n := 0
-	switch v.Kind() {
-	case reflect.String:
-		return binary.MaxVarintLen64 + v.Len()
-	case reflect.Slice:
-		n = binary.MaxVarintLen64
-		if e, ok := maxEncoded(v.Type().Elem()); ok {
-			return n + v.Len()*e
-		}
-		fallthrough
-	case reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			n += sizeBound(v.Index(i))
-		}
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			n += sizeBound(v.Field(i))
-		}
-	}
-	return n
-}
-
-// maxEncoded is the most bytes appendValue writes for a value of type
-// t, when t holds no string or slice and so has such a bound.
-func maxEncoded(t reflect.Type) (int, bool) {
-	switch t.Kind() {
-	case reflect.Bool:
-		return 1, true
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		return binary.MaxVarintLen64, true
-	case reflect.Float64:
-		return 8, true
-	case reflect.Array:
-		e, ok := maxEncoded(t.Elem())
-		return t.Len() * e, ok
-	case reflect.Struct:
-		n := 0
-		for i := 0; i < t.NumField(); i++ {
-			e, ok := maxEncoded(t.Field(i).Type)
-			if !ok {
-				return 0, false
-			}
-			n += e
-		}
-		return n, true
-	}
-	return 0, false
-}
-
 // decoder consumes buf from the front. Its first failure sticks and
 // empties buf, so every read after it fails at once.
 type decoder struct {

@@ -256,8 +256,5 @@ func FuzzDecode(f *testing.F) {
 		if !bytes.Equal(again, data) {
 			t.Fatalf("accepted payload re-encodes to other bytes:\n in %x\nout %x", data, again)
 		}
-		if n := sizeBound(reflect.ValueOf(v)); n < len(data) {
-			t.Fatalf("sizeBound %d is under the %d bytes the value encodes to", n, len(data))
-		}
 	})
 }

@@ -67,12 +67,6 @@ func appendFrame[T any](dst []byte, magic string, v T) ([]byte, error) {
 	return dst, nil
 }
 
-// frameBound is at least the length of the frame appendFrame builds
-// for v, so a buffer with that much room takes it without growing.
-func frameBound[T any](magic string, v T) int {
-	return len(magic) + lenCRCLen + sizeBound(reflect.ValueOf(&v).Elem())
-}
-
 // sealFrame fills in header, the length and CRC reserved ahead of
 // payload, or refuses a payload over MaxPayload.
 func sealFrame(header, payload []byte) error {

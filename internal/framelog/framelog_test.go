@@ -251,8 +251,9 @@ func TestGroupAppendBytes(t *testing.T) {
 // TestAppendAllocationsIgnoreGrouping: what Append allocates depends on
 // the records, not on how the caller groups or orders them, so a scan's
 // allocations do not move with the groups its committer happens to
-// form. Frames go out through the log's one fixed buffer, and a frame
-// whose bound exceeds it (the 9 000-float record) is built on its own.
+// form. Frames go out one at a time through the log's one buffer, which
+// grows to the largest of them (the 9 000-float record) whatever the
+// grouping or order.
 func TestAppendAllocationsIgnoreGrouping(t *testing.T) {
 	var recs []testRec
 	for i, n := range []int{0, 3, 700, 2000, 9000, 40, 5000, 1} {
@@ -297,6 +298,32 @@ func TestAppendAllocationsIgnoreGrouping(t *testing.T) {
 		if got := allocs(tc.groups); got != want {
 			t.Errorf("%s: %.0f allocations an append pass, one group makes %.0f", tc.name, got, want)
 		}
+	}
+}
+
+// TestAppendCodecRefusalWritesNothing: a record the codec refuses
+// fails its Append before a byte is written, so the file is left as it
+// was and the log is not latched broken: a later Append gets the
+// codec's own error again, not a refusal for an earlier failure.
+func TestAppendCodecRefusalWritesNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.log")
+	type mapRec struct{ M map[string]int }
+	l, err := Create[testMeta, mapRec](path, testFormat, testHeader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := l.Append(mapRec{}); err == nil || !strings.Contains(err.Error(), "cannot carry") {
+			t.Fatalf("append %d of a map record: %v, want the codec's refusal", i, err)
+		}
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("a refused record changed the log: %d bytes (%v), had %d", len(after), err, len(before))
 	}
 }
 

@@ -35,17 +35,12 @@ type Log[R any] struct {
 	// broken latches a failed append that could not be cut back; every
 	// later Append refuses with it.
 	broken error
-	// frames is the buffer every Append packs its frames into, made at
-	// the first Append with groupBuffer bytes and never grown.
-	frames []byte
+	// frame is the buffer every record's frame is built in and written
+	// from, one frame at a time. It grows to the largest frame the log
+	// has written, a size set by the records alone, so what an Append
+	// allocates does not depend on how records were grouped into Appends.
+	frame []byte
 }
-
-// groupBuffer is the capacity of a log's frame buffer. An Append
-// writes its frames in order, each write carrying as many whole frames
-// as fit; a frame that may not fit alone is built and written on its
-// own. So what an Append allocates is a function of its records, not of
-// how they were grouped into Appends.
-const groupBuffer = 64 << 10
 
 // Tail describes where a loaded log's intact prefix ends.
 type Tail struct {
@@ -143,15 +138,16 @@ func Resume[M comparable, R any](path string, format Format, meta M) (*Log[R], [
 	return &Log[R]{path: path, record: format.Record, tail: tail, f: f, end: tail.Offset}, records, nil
 }
 
-// Append durably records recs, all or nothing: their frames are
-// written in append order at the end of the intact prefix, in as few
-// writes as the log's frame buffer allows, and fsynced once before
-// Append returns, so every record survives any later crash. A failed
-// write or fsync is cut back off the file, so no record of the call
-// survives it and a later Append is not stranded behind a torn frame;
-// if the cut fails too, the log refuses every later Append. An Append
-// of no records does nothing. Records are encoded straight into the
-// frame buffer, under the mutex that serializes appends.
+// Append durably records recs, all or nothing: each record's frame is
+// built in the log's frame buffer and written at the end of the intact
+// prefix, in append order, and the file is fsynced once, after the last
+// write, before Append returns, so every record survives any later
+// crash. A failed write or
+// fsync is cut back off the file, so no record of the call survives it
+// and a later Append is not stranded behind a torn frame; if the cut
+// fails too, the log refuses every later Append. A first record the
+// codec refuses writes nothing and is returned as is. An Append of no
+// records does nothing.
 func (l *Log[R]) Append(recs ...R) error {
 	if len(recs) == 0 {
 		return nil
@@ -161,68 +157,33 @@ func (l *Log[R]) Append(recs ...R) error {
 	if l.broken != nil {
 		return fmt.Errorf("framelog: %s refuses appends after a failed one: %w", l.path, l.broken)
 	}
-	at, wrote := l.end, false
-	err := l.encode(recs, func(frames []byte) error {
-		wrote = true
-		if _, err := l.f.WriteAt(frames, at); err != nil {
-			return fmt.Errorf("framelog: append to %s: %w", l.path, err)
+	at := l.end
+	var err error
+	for _, rec := range recs {
+		if l.frame, err = appendFrame(l.frame[:0], l.record, rec); err != nil {
+			if at == l.end {
+				return err
+			}
+			break
 		}
-		at += int64(len(frames))
-		return nil
-	})
-	if err == nil {
-		if err = l.f.Sync(); err != nil {
-			err = fmt.Errorf("framelog: fsync %s: %w", l.path, err)
+		if _, err = l.f.WriteAt(l.frame, at); err != nil {
+			err = fmt.Errorf("framelog: append to %s: %w", l.path, err)
+			break
 		}
+		at += int64(len(l.frame))
 	}
 	if err == nil {
-		l.end = at
-		return nil
-	}
-	if !wrote {
-		return err
+		if err = l.f.Sync(); err == nil {
+			l.end = at
+			return nil
+		}
+		err = fmt.Errorf("framelog: fsync %s: %w", l.path, err)
 	}
 	if terr := l.f.Truncate(l.end); terr != nil {
 		l.broken = errors.Join(err, fmt.Errorf("framelog: truncate %s at %d: %w", l.path, l.end, terr))
 		return l.broken
 	}
 	return err
-}
-
-// encode hands recs' frames to write in order: packed into the frame
-// buffer, which is written whenever the next frame may not fit, except
-// a frame whose bound exceeds the whole buffer, which is built in a
-// buffer of its own and written alone.
-func (l *Log[R]) encode(recs []R, write func([]byte) error) error {
-	if l.frames == nil {
-		l.frames = make([]byte, 0, groupBuffer)
-	}
-	buf := l.frames[:0]
-	for _, rec := range recs {
-		n := frameBound(l.record, rec)
-		if len(buf) > 0 && len(buf)+n > cap(buf) {
-			if err := write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
-		var err error
-		if n <= cap(buf) {
-			buf, err = appendFrame(buf, l.record, rec)
-		} else {
-			var big []byte
-			if big, err = appendFrame(nil, l.record, rec); err == nil {
-				err = write(big)
-			}
-		}
-		if err != nil {
-			return err
-		}
-	}
-	if len(buf) == 0 {
-		return nil
-	}
-	return write(buf)
 }
 
 // Tail reports what Resume truncated; zero for a log from Create.
