@@ -205,8 +205,8 @@ echo "== breakers only where calls are concurrent =="
 # with a deadline on each attempt, and no circuit breaker. A worker runs
 # one shard at a time, so a breaker over its attempts saw only what the
 # retry loop sees, and its one effect was a 5 s cool-down stall per trip
-# (ROADMAP Decided, DESIGN §14). Serving, where concurrent requests share
-# one breaker, is the only caller left.
+# (ROADMAP Decided, DESIGN §14). Serving, where the concurrent requests a
+# model generation serves share its breaker, is the only caller left.
 if grep -rn 'resilience\.NewBreaker' --include='*.go' . | grep -v '_test\.go:' |
 	grep -v -e '^\./internal/serve/' -e '^\./internal/resilience/'; then
 	echo "ci: resilience.NewBreaker is back outside internal/serve; the scan farm's per-worker breaker was deleted because a one-caller breaker only stalls (ROADMAP Decided), retry with resilience.Retry instead" >&2

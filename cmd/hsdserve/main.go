@@ -15,7 +15,8 @@
 //
 // Serving is a graceful-degradation cascade. The -detector (primary,
 // typically deep) model is guarded by a per-request -deadline budget and
-// a circuit breaker; when it overruns the deadline, errors, panics, or
+// a circuit breaker that opens when 5 of the model's last 10 primary
+// outcomes failed; when it overruns the deadline, errors, panics, or
 // the breaker is open, the -fallback (typically shallow) detector
 // answers instead and the JSON response carries "degraded": true plus a
 // "degradedReason" ("deadline", "error", "panic", "breaker-open").
@@ -53,11 +54,14 @@
 // Every candidate passes a validation gate first — it is scored on a golden
 // set held out from the benchmark's test split, and swapped in only if
 // its hotspot recall and false-alarm rate stay within -max-recall-drop
-// / -max-far-rise of the live model and every score is finite. After a
-// swap the next -probation primary outcomes are watched: more than
-// -probation-max-failures failures rolls back to the previous
-// generation automatically. GET /admin/model reports the live
-// generation; POST /admin/rollback restores the previous one. The
+// / -max-far-rise of the live model and every score is finite. Each
+// generation has its own outcome window, the breaker, started empty when
+// it goes live. A swapped-in generation's first -probation primary
+// outcomes are its probation: more than -probation-max-failures
+// failures among them, or a breaker trip among them, rolls back to the
+// previous generation automatically. GET /admin/model reports the live
+// generation; POST /admin/rollback restores the one the last reload
+// replaced, after probation too. The
 // hotspot_model_generation gauge and hotspot_reloads_total{outcome}
 // counters expose every decision on /metrics.
 //
@@ -123,8 +127,8 @@ func run() error {
 	goldenN := flag.Int("golden", 64, "golden validation clips held out of the test split for the reload gate")
 	maxRecallDrop := flag.Float64("max-recall-drop", 0.05, "max golden-set recall a reload candidate may lose vs. the live model")
 	maxFARRise := flag.Float64("max-far-rise", 0.05, "max golden-set false-alarm rate a reload candidate may add")
-	probation := flag.Int("probation", 200, "post-swap primary outcomes watched for automatic rollback (0: off)")
-	probationMaxFail := flag.Int("probation-max-failures", 5, "primary failures tolerated inside the probation window")
+	probation := flag.Int("probation", 200, "a swapped-in model's first primary outcomes, judged for automatic rollback (0: off)")
+	probationMaxFail := flag.Int("probation-max-failures", 5, "primary failures tolerated among them; one more, or a breaker trip among them, rolls back")
 	kernelWorkers := flag.Int("kernel-workers", 0, "total kernel-pool parallelism for training and matmuls (0: GOMAXPROCS)")
 	readTimeout := flag.Duration("read-timeout", 15*time.Second, "max time to read a request")
 	writeTimeout := flag.Duration("write-timeout", 60*time.Second, "max time to write a response (covers /verify simulation)")
@@ -271,15 +275,15 @@ func run() error {
 	if nd, ok := det.(*hsd.NeuralDetector); ok {
 		reload = &serve.ReloadOptions{
 			Config: registry.Config{
-				Loader:               cli.NetworkLoader(nd),
-				Golden:               cli.GoldenSet(bench, *goldenN),
-				MaxRecallDrop:        *maxRecallDrop,
-				MaxFalseAlarmRise:    *maxFARRise,
-				ProbationRequests:    *probation,
-				ProbationMaxFailures: *probationMaxFail,
-				Logf:                 log.Printf,
+				Loader:            cli.NetworkLoader(nd),
+				Golden:            cli.GoldenSet(bench, *goldenN),
+				MaxRecallDrop:     *maxRecallDrop,
+				MaxFalseAlarmRise: *maxFARRise,
+				Logf:              log.Printf,
 			},
-			Path: *modelPath,
+			Path:                 *modelPath,
+			ProbationRequests:    *probation,
+			ProbationMaxFailures: *probationMaxFail,
 		}
 	}
 	if *modelPath != "" && reload == nil {

@@ -35,7 +35,7 @@ func BenchmarkMonitorSnapshot(b *testing.B) {
 	m := New(Options{Clock: newFakeClock()})
 	defer m.Close()
 	for i := 0; i < 1000; i++ {
-		m.ReportServeOutcome(i%100 != 0)
+		m.ReportServeOutcome(0, i%100 != 0)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -59,7 +59,7 @@ func runWorkers(t *testing.T, n int) []byte {
 			for i := w; i < len(evs); i += n {
 				m.Observe(evs[i])
 				if i%5 == 0 {
-					m.ReportServeOutcome(i%10 != 0)
+					m.ReportServeOutcome(0, i%10 != 0)
 				}
 			}
 		}(w)
@@ -102,7 +102,7 @@ func TestSnapshotDeterministicUnderReassignment(t *testing.T) {
 	for i := len(evs) - 1; i >= 0; i-- {
 		m.Observe(evs[i])
 		if i%5 == 0 {
-			m.ReportServeOutcome(i%10 != 0)
+			m.ReportServeOutcome(0, i%10 != 0)
 		}
 	}
 	if !m.DrainSpotChecks(10 * time.Second) {

@@ -138,7 +138,8 @@ type Monitor struct {
 	mu  sync.Mutex
 	win *windowRing // spot-check confusion and SLO events
 	// gen counts Resets; a spot check carries the generation it was
-	// sampled in. Written under mu, read by Observe without it.
+	// sampled in, and a serve outcome the one its model was served in.
+	// Written under mu, read by Observe without it.
 	gen atomic.Uint64
 	// alert state machine: upgrades are immediate, downgrades wait out
 	// clearHoldSubs sub-windows below the current level.
@@ -218,8 +219,10 @@ func (m *Monitor) Observe(ev Event) {
 
 // ReportServeOutcome feeds the SLO window from the serving path, its one
 // source of events: ok is whether the primary answered within its
-// deadline (a degraded or failed request spends error budget).
-func (m *Monitor) ReportServeOutcome(ok bool) {
+// deadline (a degraded or failed request spends error budget). gen is
+// what the Reset that started the serving model's windows returned; an
+// outcome of a model that a later Reset replaced is dropped.
+func (m *Monitor) ReportServeOutcome(gen uint64, ok bool) {
 	if m == nil {
 		return
 	}
@@ -229,27 +232,32 @@ func (m *Monitor) ReportServeOutcome(ok bool) {
 	}
 	at := m.clock.Now()
 	m.mu.Lock()
-	m.win.add(at, m.win.epochOf(at), idx)
+	if gen == m.gen.Load() {
+		m.win.add(at, m.win.epochOf(at), idx)
+	}
 	m.mu.Unlock()
 }
 
 // Reset clears all live windows — called by the server when a new
 // model generation swaps in (or is rolled back), so the old model's
 // traffic never counts against the new one: a spot check sampled before
-// Reset and still queued or running skips the window when it lands.
+// Reset and still queued or running skips the window when it lands, and
+// so does a serve outcome reported with an earlier Reset's generation.
+// It returns the new generation, which the new model's serve outcomes
+// carry (0 on a nil Monitor).
 // Cumulative counters survive, and so does the miss tap's feed. The
 // alert state is deliberately NOT zeroed: it steps down through the
 // state machine's clear-hold hysteresis once the inputs actually look
 // healthy, so a rollback clears a page only by demonstrating clean
 // traffic.
-func (m *Monitor) Reset() {
+func (m *Monitor) Reset() uint64 {
 	if m == nil {
-		return
+		return 0
 	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.win.reset()
-	m.gen.Add(1)
-	m.mu.Unlock()
+	return m.gen.Add(1)
 }
 
 // exportMetrics exports the monitor through reg:

@@ -42,7 +42,7 @@ func testMonitorOpts(clk resilience.Clock) Options {
 func TestNilMonitorNoOps(t *testing.T) {
 	var m *Monitor
 	m.Observe(Event{Stage: "primary", Score: 0.5})
-	m.ReportServeOutcome(true)
+	m.ReportServeOutcome(0, true)
 	m.Reset()
 	m.Close()
 	snap := m.Snapshot()
@@ -65,7 +65,7 @@ func TestObserveAndSnapshotCounts(t *testing.T) {
 		t.Fatalf("50 observed scores counted: slo %+v, spot check %+v", snap.SLO, snap.SpotCheck)
 	}
 	for i := 0; i < 50; i++ {
-		m.ReportServeOutcome(i%5 != 0)
+		m.ReportServeOutcome(0, i%5 != 0)
 	}
 	slo := m.Snapshot().SLO
 	if slo.FastGood != 40 || slo.FastBad != 10 || slo.SlowGood != 40 || slo.SlowBad != 10 {
@@ -121,7 +121,7 @@ func TestBurnAlertAndClear(t *testing.T) {
 	// Clean traffic whose scores all bunch at one value: no alert.
 	for i := 0; i < 200; i++ {
 		m.Observe(Event{Stage: "primary", Score: 0.01})
-		m.ReportServeOutcome(true)
+		m.ReportServeOutcome(0, true)
 	}
 	if snap := m.Snapshot(); snap.Alert.State != AlertOK || snap.SLO.FastGood != 200 {
 		t.Fatalf("bunched clean traffic: alert %s, %d good in the fast window; want ok with 200",
@@ -131,7 +131,7 @@ func TestBurnAlertAndClear(t *testing.T) {
 	// A fast burn: 100 bad events against 200 good is a third of the
 	// fast window bad, 3.3x the 10% budget.
 	for i := 0; i < 100; i++ {
-		m.ReportServeOutcome(false)
+		m.ReportServeOutcome(0, false)
 	}
 	if snap := m.Snapshot(); snap.Alert.State != AlertPage {
 		t.Fatalf("fast burn %v: alert %s, want page", snap.SLO.BurnFast, snap.Alert.Name)
@@ -235,7 +235,7 @@ func TestSpotMismatchesNeverPage(t *testing.T) {
 			score = 0
 		}
 		m.Observe(Event{Stage: "primary", Score: score, Threshold: 0.5, Clip: c})
-		m.ReportServeOutcome(true)
+		m.ReportServeOutcome(0, true)
 	}
 	if !m.DrainSpotChecks(5 * time.Second) {
 		t.Fatal("spot checks did not drain")
@@ -392,10 +392,10 @@ func TestServeOutcomeSLO(t *testing.T) {
 	m := New(testMonitorOpts(clk))
 	defer m.Close()
 	for i := 0; i < 90; i++ {
-		m.ReportServeOutcome(true)
+		m.ReportServeOutcome(0, true)
 	}
 	for i := 0; i < 10; i++ {
-		m.ReportServeOutcome(false)
+		m.ReportServeOutcome(0, false)
 	}
 	snap := m.Snapshot()
 	// 10% bad at target 0.9 = burning exactly 1x the budget.

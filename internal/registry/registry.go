@@ -7,9 +7,11 @@
 // hotspot recall must not drop and the false-alarm rate must not rise
 // beyond configured bounds, all candidate scores must be finite, and a
 // panicking candidate (wrong tensor shape) is caught and rejected. Only
-// a candidate that passes the gate is swapped in. After a swap the
-// registry watches a probation window of serving outcomes; if errors
-// spike, it automatically rolls back to the previous generation.
+// a candidate that passes the gate is swapped in, and the generation it
+// replaces stays the rollback target until the next swap. The registry
+// stores generations, gates candidates and swaps or rolls back; it
+// counts nothing on the serving path. Whoever watches a generation's
+// serving outcomes (package serve) asks for its rollback.
 //
 // Every decision is observable: hotspot_model_generation (gauge),
 // hotspot_reloads_total{outcome} with outcomes swapped / load_failed /
@@ -81,12 +83,6 @@ type Config struct {
 	// MaxFalseAlarmRise is how much the false-alarm rate may rise
 	// (default 0).
 	MaxFalseAlarmRise float64
-	// ProbationRequests is how many post-swap serving outcomes are
-	// watched (0 disables probation).
-	ProbationRequests int
-	// ProbationMaxFailures is how many failures within the window are
-	// tolerated before automatic rollback.
-	ProbationMaxFailures int
 	// OnSwap is called with the new live generation after every swap
 	// and rollback, under the registry's lock; servers use it to repoint
 	// their serving path and reset what was measured on the old model.
@@ -106,13 +102,9 @@ type Registry struct {
 
 	live atomic.Pointer[Generation]
 
-	mu     sync.Mutex // serializes reload / rollback / probation counts
+	mu     sync.Mutex // serializes reload and rollback
 	prev   *Generation
 	nextID int64
-
-	probActive   atomic.Bool
-	probLeft     int
-	probFailures int
 
 	generation *telemetry.Gauge
 }
@@ -284,8 +276,7 @@ var ErrRejected = errors.New("registry: candidate rejected by validation gate")
 // Reload loads the model at path, runs the validation gate against the
 // live generation, and swaps the candidate in when it passes. The
 // returned Verdict carries the gate numbers either way. On success the
-// previous generation is retained for rollback and the probation window
-// (when configured) is armed.
+// previous generation is retained for rollback until the next swap.
 func (r *Registry) Reload(ctx context.Context, path string) (*Generation, Verdict, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -314,11 +305,6 @@ func (r *Registry) Reload(ctx context.Context, path string) (*Generation, Verdic
 	gen := &Generation{ID: r.nextID, Source: path, Detector: cand, LoadedAt: time.Now(), golden: golden}
 	r.prev = live
 	r.goLive(gen)
-	if r.cfg.ProbationRequests > 0 {
-		r.probLeft = r.cfg.ProbationRequests
-		r.probFailures = 0
-		r.probActive.Store(true)
-	}
 	r.countReload("swapped")
 	sp.SetAttrInt("generation", int(gen.ID))
 	if r.cfg.OnSwap != nil {
@@ -328,43 +314,18 @@ func (r *Registry) Reload(ctx context.Context, path string) (*Generation, Verdic
 	return gen, verdict, nil
 }
 
-// ReportOutcome feeds one serving outcome (ok=false for a primary
-// error) into the probation window. Outside probation it is one atomic
-// load. Exceeding the failure budget rolls back to the previous
-// generation.
-func (r *Registry) ReportOutcome(ok bool) {
-	if !r.probActive.Load() {
-		return
-	}
+// Rollback restores the previous generation in place of from, and
+// reports whether it did. It does nothing unless from is still live and
+// a previous generation is kept, so a late outcome of a replaced
+// generation, or a second request that saw the same failure, cannot
+// roll back its successor. The restored generation has no rollback
+// target of its own.
+func (r *Registry) Rollback(from *Generation, reason string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.probActive.Load() { // re-check: a racing rollback disarmed it
-		return
+	if r.live.Load() != from || r.prev == nil {
+		return false
 	}
-	if !ok {
-		r.probFailures++
-	}
-	r.probLeft--
-	if r.probFailures > r.cfg.ProbationMaxFailures {
-		r.rollbackLocked(fmt.Sprintf("%d failures in probation window", r.probFailures))
-		return
-	}
-	if r.probLeft <= 0 {
-		// Survived probation: the previous generation is no longer
-		// needed as a rollback target.
-		r.probActive.Store(false)
-		r.prev = nil
-	}
-}
-
-// rollbackLocked restores the previous generation. Caller holds r.mu.
-func (r *Registry) rollbackLocked(reason string) {
-	r.probActive.Store(false)
-	if r.prev == nil {
-		r.cfg.Logf("registry: rollback wanted (%s) but no previous generation", reason)
-		return
-	}
-	bad := r.live.Load()
 	restored := r.prev
 	r.prev = nil
 	r.goLive(restored)
@@ -372,14 +333,6 @@ func (r *Registry) rollbackLocked(reason string) {
 	if r.cfg.OnSwap != nil {
 		r.cfg.OnSwap(restored)
 	}
-	r.cfg.Logf("registry: rolled back generation %d -> %d: %s", bad.ID, restored.ID, reason)
-}
-
-// Rollback manually restores the previous generation (admin use).
-func (r *Registry) Rollback(reason string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	had := r.prev != nil
-	r.rollbackLocked(reason)
-	return had
+	r.cfg.Logf("registry: rolled back generation %d -> %d: %s", from.ID, restored.ID, reason)
+	return true
 }

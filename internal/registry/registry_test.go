@@ -193,78 +193,55 @@ func TestReloadCountsLoadFailure(t *testing.T) {
 	}
 }
 
-func TestProbationRollsBack(t *testing.T) {
-	cand := det("cand", 0.5, 0.8, 0.8, 0.2, 0.2)
-	r, m, swaps := newTestRegistry(t, cand, Config{
-		Golden:               golden(4, 2),
-		ProbationRequests:    10,
-		ProbationMaxFailures: 2,
-	})
-	if _, _, err := r.Reload(context.Background(), "m"); err != nil {
-		t.Fatalf("Reload: %v", err)
-	}
-	r.ReportOutcome(true)
-	r.ReportOutcome(false)
-	r.ReportOutcome(false)
-	if r.Live().ID != 2 {
-		t.Fatal("rolled back before exceeding the failure budget")
-	}
-	r.ReportOutcome(false) // third failure > budget of 2
-	if r.Live().ID != 1 {
-		t.Fatalf("live generation = %d, want 1 after rollback", r.Live().ID)
-	}
-	if got := counter(m, "rolled_back"); got != 1 {
-		t.Fatalf("rolled_back counter = %v, want 1", got)
-	}
-	if got := m.Gauge("hotspot_model_generation").Value(); got != 1 {
-		t.Fatalf("generation gauge = %v, want 1 after rollback", got)
-	}
-	if *swaps != 2 { // swap in + rollback
-		t.Fatalf("OnSwap fired %d times, want 2", *swaps)
-	}
-	// Window is disarmed: further failures cannot double-rollback.
-	r.ReportOutcome(false)
-	if got := counter(m, "rolled_back"); got != 1 {
-		t.Fatalf("rolled_back counter moved after disarm: %v", got)
-	}
-}
-
-func TestProbationSurvival(t *testing.T) {
-	cand := det("cand", 0.5, 0.8, 0.8, 0.2, 0.2)
-	r, m, _ := newTestRegistry(t, cand, Config{
-		Golden:               golden(4, 2),
-		ProbationRequests:    3,
-		ProbationMaxFailures: 1,
-	})
-	if _, _, err := r.Reload(context.Background(), "m"); err != nil {
-		t.Fatalf("Reload: %v", err)
-	}
-	r.ReportOutcome(true)
-	r.ReportOutcome(false) // within budget
-	r.ReportOutcome(true)  // window closes
-	if r.Live().ID != 2 {
-		t.Fatalf("live generation = %d, want 2 (survived probation)", r.Live().ID)
-	}
-	if got := counter(m, "rolled_back"); got != 0 {
-		t.Fatalf("rolled_back counter = %v, want 0", got)
-	}
-	// After surviving, the rollback target is gone.
-	if r.Rollback("manual") {
-		t.Fatal("Rollback found a previous generation after probation closed")
-	}
-}
-
 func TestManualRollback(t *testing.T) {
 	cand := det("cand", 0.5, 0.8, 0.8, 0.2, 0.2)
 	r, _, _ := newTestRegistry(t, cand, Config{Golden: golden(4, 2)})
 	if _, _, err := r.Reload(context.Background(), "m"); err != nil {
 		t.Fatalf("Reload: %v", err)
 	}
-	if !r.Rollback("operator request") {
+	if !r.Rollback(r.Live(), "operator request") {
 		t.Fatal("manual rollback found nothing to restore")
 	}
 	if r.Live().ID != 1 {
 		t.Fatalf("live generation = %d, want 1", r.Live().ID)
+	}
+}
+
+// TestRollbackOnlyFromLive: a rollback names the generation it rolls
+// back from and does nothing unless that generation is live, so a
+// replaced generation's late failure cannot roll back its successor.
+// The generation a swap replaced stays the rollback target until the
+// next swap, however long the new one has served; the restored one has
+// none.
+func TestRollbackOnlyFromLive(t *testing.T) {
+	cand := det("cand", 0.5, 0.8, 0.8, 0.2, 0.2)
+	r, m, swaps := newTestRegistry(t, cand, Config{Golden: golden(4, 2)})
+	boot := r.Live()
+	if r.Rollback(boot, "boot") {
+		t.Fatal("rolled back the boot generation, which has no predecessor")
+	}
+	if _, _, err := r.Reload(context.Background(), "m"); err != nil {
+		t.Fatalf("Reload: %v", err)
+	}
+	g2 := r.Live()
+	if _, _, err := r.Reload(context.Background(), "m"); err != nil {
+		t.Fatalf("Reload: %v", err)
+	}
+	if r.Rollback(g2, "late failure of a replaced generation") || r.Rollback(boot, "older still") {
+		t.Fatal("a rollback from a generation that is not live went through")
+	}
+	if r.Live().ID != 3 || counter(m, "rolled_back") != 0 || *swaps != 2 {
+		t.Fatalf("live %d, %v rollbacks, %d swaps; want 3, 0 and 2", r.Live().ID, counter(m, "rolled_back"), *swaps)
+	}
+	g3 := r.Live()
+	if !r.Rollback(g3, "operator") || r.Live() != g2 {
+		t.Fatalf("rollback from the live generation 3 left %d live, want 2", r.Live().ID)
+	}
+	if r.Rollback(g3, "second request that saw the same failure") || r.Rollback(g2, "again") {
+		t.Fatal("rolled back twice: the restored generation has no rollback target")
+	}
+	if got := counter(m, "rolled_back"); got != 1 {
+		t.Fatalf("rolled_back counter = %v, want 1", got)
 	}
 }
 
@@ -309,9 +286,8 @@ func TestReloadScoresLiveOnce(t *testing.T) {
 	good := &countingDet{Detector: det("good", 0.5, 0.8, 0.8, 0.2, 0.2)}
 	var next *countingDet
 	r := New(boot, Config{
-		Golden:            g,
-		ProbationRequests: 10,
-		Loader:            func(string) (core.Detector, error) { return next, nil },
+		Golden: g,
+		Loader: func(string) (core.Detector, error) { return next, nil },
 	})
 	reload := func(cand *countingDet, wantOK bool) {
 		t.Helper()
@@ -341,7 +317,7 @@ func TestReloadScoresLiveOnce(t *testing.T) {
 	if good.n != len(g) || boot.n != len(g) {
 		t.Fatalf("live generation 2 scored %d clips, boot %d; want %d each", good.n, boot.n, len(g))
 	}
-	if !r.Rollback("test") {
+	if !r.Rollback(r.Live(), "test") {
 		t.Fatal("no generation to roll back to")
 	}
 	for i := 0; i < n; i++ {

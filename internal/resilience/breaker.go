@@ -12,8 +12,8 @@ import (
 type BreakerState int32
 
 const (
-	// StateClosed admits every call; consecutive failures trip the
-	// breaker.
+	// StateClosed admits every call; FailureThreshold failures among
+	// the last 2·FailureThreshold outcomes trip the breaker.
 	StateClosed BreakerState = iota
 	// StateHalfOpen has admitted the one probe call after the
 	// cool-down and refuses the rest; the probe's failure re-opens,
@@ -40,8 +40,10 @@ var ErrOpen = errors.New("resilience: circuit breaker open")
 
 // BreakerConfig tunes a Breaker. The zero value gets sensible defaults.
 type BreakerConfig struct {
-	// FailureThreshold is the number of consecutive failures in the
-	// closed state that trips the breaker (default 5).
+	// FailureThreshold is how many of the last 2·FailureThreshold
+	// outcomes in the closed state must fail to trip the breaker
+	// (default 5): a run of that many failures trips it, and so do as
+	// many interleaved with successes.
 	FailureThreshold int
 	// OpenTimeout is the cool-down after tripping before the probe
 	// call is admitted (default 5s).
@@ -63,28 +65,33 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	return c
 }
 
-// Breaker is a closed/open/half-open circuit breaker. Allow admits or
-// rejects a call; Record reports the outcome of an admitted call. Safe
-// for concurrent use.
+// Breaker is a closed/open/half-open circuit breaker over a window of
+// the last 2·FailureThreshold outcomes. Allow admits or rejects a call;
+// Record reports the outcome of an admitted call. Safe for concurrent
+// use.
 type Breaker struct {
 	cfg BreakerConfig
 
 	mu       sync.Mutex
 	state    BreakerState
-	fails    int // consecutive failures while closed
+	window   []bool // the last outcomes while closed, true for a failure
+	next     int    // the slot the next outcome overwrites
+	fails    int    // failures in window
 	openedAt time.Time
 }
 
 // NewBreaker constructs a Breaker in the closed state. A telemetry
 // gauge of its state is pulled through State at scrape time.
 func NewBreaker(cfg BreakerConfig) *Breaker {
-	return &Breaker{cfg: cfg.withDefaults()}
+	cfg = cfg.withDefaults()
+	return &Breaker{cfg: cfg, window: make([]bool, 2*cfg.FailureThreshold)}
 }
 
-// trip opens the breaker. Callers hold b.mu.
+// trip opens the breaker and empties the window. Callers hold b.mu.
 func (b *Breaker) trip() {
 	b.state = StateOpen
 	b.openedAt = b.cfg.Clock.Now()
+	clear(b.window)
 	b.fails = 0
 }
 
@@ -111,29 +118,33 @@ func (b *Breaker) Allow() bool {
 }
 
 // Record reports the outcome of an admitted call; a nil error is a
-// success.
-func (b *Breaker) Record(err error) {
+// success. It returns whether this outcome tripped the breaker.
+func (b *Breaker) Record(err error) (tripped bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if err == nil {
-		switch b.state {
-		case StateClosed:
-			b.fails = 0
-		case StateHalfOpen:
-			b.state = StateClosed // fails is 0 since the trip
-		}
-		return
-	}
 	switch b.state {
 	case StateClosed:
-		b.fails++
-		if b.fails >= b.cfg.FailureThreshold {
-			b.trip()
+		if b.window[b.next] {
+			b.fails--
+		}
+		b.window[b.next] = err != nil
+		b.next = (b.next + 1) % len(b.window)
+		if err != nil {
+			b.fails++
+		}
+		if b.fails < b.cfg.FailureThreshold {
+			return false
 		}
 	case StateHalfOpen:
-		b.trip()
+		if err == nil {
+			b.state = StateClosed // the window is empty since the trip
+			return false
+		}
+	default: // StateOpen: a straggler outcome from before the trip; ignore.
+		return false
 	}
-	// StateOpen: a straggler outcome from before the trip; ignore.
+	b.trip()
+	return true
 }
 
 // State returns the current state without side effects: an elapsed

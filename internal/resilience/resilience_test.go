@@ -30,10 +30,8 @@ func TestBreakerStateTable(t *testing.T) {
 		{"initially closed", func() {}, StateClosed},
 		{"fail 1", func() { b.Record(errBoom) }, StateClosed},
 		{"fail 2", func() { b.Record(errBoom) }, StateClosed},
-		{"success resets streak", func() { b.Record(nil) }, StateClosed},
-		{"fail 1 again", func() { b.Record(errBoom) }, StateClosed},
-		{"fail 2 again", func() { b.Record(errBoom) }, StateClosed},
-		{"fail 3 trips", func() { b.Record(errBoom) }, StateOpen},
+		{"a success keeps the window's failures", func() { b.Record(nil) }, StateClosed},
+		{"fail 3 among the last 6 trips", func() { b.Record(errBoom) }, StateOpen},
 		{"open rejects", func() {
 			if b.Allow() {
 				t.Error("open breaker admitted a call")
@@ -57,11 +55,14 @@ func TestBreakerStateTable(t *testing.T) {
 			}
 		}, StateHalfOpen},
 		{"probe success closes", func() { b.Record(nil) }, StateClosed},
-		{"three fails trip again", func() {
-			for i := 0; i < 3; i++ {
-				b.Record(errBoom)
+		{"fail twice", func() { b.Record(errBoom); b.Record(errBoom) }, StateClosed},
+		{"six successes age them out", func() {
+			for i := 0; i < 6; i++ {
+				b.Record(nil)
 			}
-		}, StateOpen},
+		}, StateClosed},
+		{"two more fails", func() { b.Record(errBoom); b.Record(errBoom) }, StateClosed},
+		{"a third trips again", func() { b.Record(errBoom) }, StateOpen},
 		{"cool-down elapses again, probe admitted", func() {
 			clk.Advance(10 * time.Second)
 			if !b.Allow() {

@@ -19,7 +19,6 @@ import (
 	"slices"
 	"sync"
 
-	"github.com/golitho/hsd/internal/core"
 	"github.com/golitho/hsd/internal/geom"
 	"github.com/golitho/hsd/internal/layout"
 )
@@ -28,22 +27,6 @@ import (
 // clip's shapes plus its window; 32 bytes each): about 32 MB however the
 // rectangles are spread over entries.
 const scoreCacheRects = 1 << 20
-
-// liveGen is what a request loads in one atomic step: the live
-// generation's primary, its name and the score cache that belongs to
-// it. A reload or rollback installs a new one, so a score is only ever
-// answered from the cache of the model that computed it.
-type liveGen struct {
-	det core.Detector
-	// name is det.Name(), taken once: some detectors build it on every
-	// call.
-	name  string
-	cache *scoreCache
-}
-
-func newLiveGen(det core.Detector) *liveGen {
-	return &liveGen{det: det, name: det.Name(), cache: newScoreCache(scoreCacheRects)}
-}
 
 // cacheKey is a clip's translation-invariant content hash plus its
 // window origin.

@@ -435,7 +435,7 @@ func TestChaosCacheHitSkipsPrimary(t *testing.T) {
 	if got := faultinject.Fired(PrimarySite); got != 0 {
 		t.Fatalf("serve.primary fired %d times on hits", got)
 	}
-	if st := s.breaker.State(); st != resilience.StateClosed || s.primaryErrs.Value() != 0 {
+	if st := s.live.Load().breaker.State(); st != resilience.StateClosed || s.primaryErrs.Value() != 0 {
 		t.Fatalf("breaker %v, %v primary failures: hits must not count", st, s.primaryErrs.Value())
 	}
 	rec := tr.Traces(1)[0]
@@ -469,25 +469,23 @@ func TestChaosCacheHitKeepsHalfOpenProbe(t *testing.T) {
 	if got := postBody(t, ts.URL, "/score", cachedBody); got.Degraded {
 		t.Fatalf("hit under an open breaker: %+v, want the stored primary verdict", got)
 	}
-	if st := s.breaker.State(); st != resilience.StateOpen {
+	if st := s.live.Load().breaker.State(); st != resilience.StateOpen {
 		t.Fatalf("breaker %v after the hit, want still open: a hit must not take the probe", st)
 	}
 	if got := postBody(t, ts.URL, "/score", thirdBody); got.Degraded {
 		t.Fatalf("probe miss: %+v, want the primary's verdict", got)
 	}
-	if st := s.breaker.State(); st != resilience.StateClosed {
+	if st := s.live.Load().breaker.State(); st != resilience.StateClosed {
 		t.Fatalf("breaker %v after the probe, want closed", st)
 	}
 }
 
 // TestChaosCacheHitsSkipProbation: hits report no probation outcome, so
-// a window of three requests is still open after one miss and many hits,
-// and the previous generation can still be rolled back to.
+// a window of three requests has judged one outcome after one miss and
+// many hits, and the previous generation can still be rolled back to.
 func TestChaosCacheHitsSkipProbation(t *testing.T) {
 	cand := namedDet{name: "cnn-v2", score: 0.9, thr: 0.5}
-	s, ts := reloadServer(t, cand, ReloadOptions{Config: registry.Config{
-		ProbationRequests: 3,
-	}})
+	s, ts := reloadServer(t, cand, ReloadOptions{ProbationRequests: 3})
 	if resp := postReload(t, ts, ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("reload status %d", resp.StatusCode)
 	}
@@ -497,8 +495,11 @@ func TestChaosCacheHitsSkipProbation(t *testing.T) {
 	if hits, misses, _ := cacheCounts(s); hits != 9 || misses != 1 {
 		t.Fatalf("%v hits, %v misses, want 9 and 1", hits, misses)
 	}
+	if n := s.live.Load().judged.Load(); n != 1 {
+		t.Fatalf("probation judged %d outcomes, want the miss's alone", n)
+	}
 	if code := postRollback(t, ts); code != http.StatusOK {
-		t.Fatalf("rollback status %d: probation ended, so hits were counted as probation outcomes", code)
+		t.Fatalf("rollback status %d", code)
 	}
 }
 

@@ -6,9 +6,10 @@
 //	                     candidate, 500 when it cannot be loaded, 400
 //	                     when the request has a body or a query (it
 //	                     cannot name the file) or no Path is configured
-//	POST /admin/rollback -> restore the previous generation (409 when
-//	                     there is none)
-//	GET  /admin/model    -> live generation, source, detector, probation
+//	POST /admin/rollback -> restore the generation the last swap
+//	                     replaced (409 when there is none)
+//	GET  /admin/model    -> live generation, source, detector, threshold
+//	                     and load time
 //
 // The endpoints exist only when Options.Reload is set. A reload is
 // the one way a new model reaches the server, and the file it loads is
@@ -29,14 +30,22 @@ import (
 // ReloadOptions enables and configures validated hot model reload.
 type ReloadOptions struct {
 	// Config is the model registry's: Loader is required; Golden, the two
-	// regression bounds, the probation window and Logf are the caller's.
-	// OnSwap and Metrics are the server's own and overwritten: OnSwap
-	// repoints the serving path and resets the quality monitor.
+	// regression bounds and Logf are the caller's. OnSwap and Metrics are
+	// the server's own and overwritten: OnSwap installs a new serving
+	// generation, with its own cache and outcome window, and resets the
+	// quality monitor.
 	registry.Config
 	// Path is the model file POST /admin/reload loads, the one file the
 	// server ever reloads (hsdserve's -model). Empty, a reload answers
 	// 400.
 	Path string
+	// ProbationRequests is how many of a swapped-in generation's first
+	// primary outcomes are its probation (0 disables it). A restored or
+	// boot generation is not judged.
+	ProbationRequests int
+	// ProbationMaxFailures is how many failures among them are tolerated:
+	// one more, or a breaker trip among them, rolls the generation back.
+	ProbationMaxFailures int
 }
 
 // VerdictJSON is the gate verdict in admin replies. Rates are omitted
@@ -124,7 +133,7 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	if !s.registry.Rollback("operator request") {
+	if !s.registry.Rollback(s.registry.Live(), "operator request") {
 		http.Error(w, "no previous generation to roll back to", http.StatusConflict)
 		return
 	}

@@ -296,10 +296,10 @@ func TestAdminModelAndRollback(t *testing.T) {
 // rolls the serving path back to the previous generation.
 func TestProbationRollbackRestoresServing(t *testing.T) {
 	bad := namedDet{name: "flaky", thr: 0.5, err: errors.New("tensor shape mismatch")}
-	s, ts := reloadServer(t, bad, ReloadOptions{Config: registry.Config{
+	s, ts := reloadServer(t, bad, ReloadOptions{
 		ProbationRequests:    10,
 		ProbationMaxFailures: 1,
-	}})
+	})
 	if resp := postReload(t, ts, ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("reload status = %d", resp.StatusCode)
 	}

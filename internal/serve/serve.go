@@ -15,9 +15,9 @@
 // shallow-to-deep detector spectrum. Its first rung is a score cache:
 // a clip the live primary has already scored is answered with the
 // stored score and runs nothing. The primary (deep, accurate,
-// expensive) detector is guarded by a per-request deadline budget and a
-// circuit breaker; when it times out, errors, panics, or the breaker is
-// open, the request is re-scored by the shallow fallback detector and
+// expensive) detector is guarded by a per-request deadline budget and its
+// generation's circuit breaker; when it times out, errors, panics, or the
+// breaker is open, the request is re-scored by the shallow fallback detector and
 // answered with "degraded": true instead of an error. A token-bucket
 // load shedder rejects excess traffic with 429 + Retry-After before any
 // work is queued. Every stage is observable: hotspot_score_cache_*,
@@ -85,10 +85,11 @@ type Options struct {
 	// verification request gets a context deadline this far out (capped
 	// by any tighter client deadline). Zero disables the budget.
 	DeadlineBudget time.Duration
-	// Breaker tunes the primary-detector circuit breaker; the zero
-	// value gets the resilience defaults (5 consecutive failures trip,
-	// 5s cool-down, 1 probe). The hotspot_breaker_state gauge reads its
-	// state at every scrape.
+	// Breaker tunes the circuit breaker each model generation gets over
+	// its primary outcomes; the zero value gets the resilience defaults
+	// (5 failures among the last 10 outcomes trip, 5s cool-down, 1
+	// probe). The hotspot_breaker_state gauge reads the live
+	// generation's at every scrape.
 	Breaker resilience.BreakerConfig
 	// ShedRate, when positive, enables token-bucket admission control
 	// at this many requests per second (capacity max(ShedRate, 1)). Shed
@@ -112,9 +113,9 @@ type Options struct {
 	// Reload, when non-nil, puts the primary detector behind a versioned
 	// model registry with validated hot reload: POST /admin/reload loads
 	// the file at Reload.Path, gates it on the golden set against the
-	// live model, and swaps atomically; post-swap primary outcomes feed
-	// a probation window that rolls back automatically when errors
-	// spike.
+	// live model, and swaps atomically; the swapped-in generation's first
+	// primary outcomes are its probation, and too many failures among
+	// them, or a breaker trip, roll it back.
 	Reload *ReloadOptions
 	// Quality, when non-nil, enables model-quality monitoring: every
 	// cascade answer is observed (stage "primary" or "fallback") for the
@@ -134,13 +135,12 @@ type Server struct {
 	opts Options
 	// live is swapped atomically on validated hot reload and rollback;
 	// every answer comes from one load, so detector name, threshold,
-	// score and the cache a hit is answered from always describe the same
-	// generation.
+	// score, the cache a hit is answered from and the window an outcome
+	// counts in always describe the same generation.
 	live     atomic.Pointer[liveGen]
 	registry *registry.Registry // nil when hot reload is disabled
 
-	breaker *resilience.Breaker
-	shed    *resilience.Shedder // nil when shedding is disabled
+	shed *resilience.Shedder // nil when shedding is disabled
 
 	panics       *telemetry.Counter
 	fallbacks    *telemetry.Counter
@@ -150,6 +150,62 @@ type Server struct {
 	cacheMisses  *telemetry.Counter
 	cacheEvicted *telemetry.Counter
 	clipsRefused *telemetry.Counter
+}
+
+// liveGen is what a request loads in one atomic step: the live
+// generation's primary, its name, the score cache that belongs to it and
+// its outcome window. A reload or rollback installs a new one, so a
+// score is only ever answered from the cache of the model that computed
+// it, and an outcome only ever counts against the model that produced
+// it.
+type liveGen struct {
+	gen *registry.Generation // nil when hot reload is disabled
+	det core.Detector
+	// name is det.Name(), taken once: some detectors build it on every
+	// call.
+	name  string
+	cache *scoreCache
+	// breaker is the window over the generation's last primary outcomes.
+	breaker *resilience.Breaker
+	// quality is the quality monitor generation its SLO outcomes carry.
+	quality uint64
+	// probation is how many of its first primary outcomes are judged: 0
+	// unless a reload swapped it in. judged and failed count them.
+	probation      int64
+	judged, failed atomic.Int64
+}
+
+// newLiveGen builds the serving generation of det (gen in the registry)
+// with an empty cache and an empty window, and restarts the quality
+// monitor's windows for it; onProbation judges its first outcomes.
+func (s *Server) newLiveGen(det core.Detector, gen *registry.Generation, onProbation bool) *liveGen {
+	g := &liveGen{
+		gen: gen, det: det, name: det.Name(), cache: newScoreCache(scoreCacheRects),
+		breaker: resilience.NewBreaker(s.opts.Breaker),
+		quality: s.opts.Quality.Reset(),
+	}
+	if onProbation {
+		g.probation = int64(s.opts.Reload.ProbationRequests)
+	}
+	return g
+}
+
+// judge counts one primary outcome against g's probation and returns
+// why g must be rolled back: more than ro.ProbationMaxFailures of its
+// first g.probation outcomes failed, or its breaker tripped among them;
+// "" keeps g. The failure count's reason is returned to one outcome
+// only, and a trip's to the outcome that tripped.
+func (g *liveGen) judge(failed, tripped bool, ro *ReloadOptions) string {
+	if g.probation == 0 || g.judged.Add(1) > g.probation {
+		return ""
+	}
+	if failed && g.failed.Add(1) == int64(ro.ProbationMaxFailures)+1 {
+		return fmt.Sprintf("%d failures on probation", ro.ProbationMaxFailures+1)
+	}
+	if tripped {
+		return "breaker tripped on probation"
+	}
+	return ""
 }
 
 // NewServer constructs a Server from Options. Options.Primary must be a
@@ -166,6 +222,9 @@ func NewServer(opts Options) (*Server, error) {
 	}
 	if opts.Clock == nil {
 		opts.Clock = resilience.Real
+	}
+	if opts.Breaker.Clock == nil {
+		opts.Breaker.Clock = opts.Clock
 	}
 	if opts.Metrics == nil {
 		opts.Metrics = telemetry.NewRegistry()
@@ -197,32 +256,28 @@ func NewServer(opts Options) (*Server, error) {
 		cacheEvicted: reg.Counter("hotspot_score_cache_evictions_total"),
 		clipsRefused: reg.Counter("hotspot_clips_refused_total"),
 	}
-	s.live.Store(newLiveGen(opts.Primary))
-	bcfg := opts.Breaker
-	if bcfg.Clock == nil {
-		bcfg.Clock = opts.Clock
-	}
-	s.breaker = resilience.NewBreaker(bcfg)
 	stateGauge := reg.Gauge("hotspot_breaker_state")
-	reg.OnCollect(func() { stateGauge.Set(float64(s.breaker.State())) })
+	reg.OnCollect(func() { stateGauge.Set(float64(s.live.Load().breaker.State())) })
 	if opts.ShedRate > 0 {
 		s.shed = resilience.NewShedder(resilience.ShedderConfig{
 			Rate: opts.ShedRate, Clock: opts.Clock,
 		})
 	}
-	if opts.Reload != nil {
-		rcfg := opts.Reload.Config
-		if rcfg.Loader == nil {
-			return nil, fmt.Errorf("serve: Reload options need a Loader")
-		}
-		rcfg.OnSwap = func(gen *registry.Generation) {
-			s.live.Store(newLiveGen(gen.Detector))
-			// The old model's traffic must not count against the new one.
-			s.opts.Quality.Reset()
-		}
-		rcfg.Metrics = reg
-		s.registry = registry.New(opts.Primary, rcfg)
+	if opts.Reload == nil {
+		s.live.Store(s.newLiveGen(opts.Primary, nil, false))
+		return s, nil
 	}
+	rcfg := opts.Reload.Config
+	if rcfg.Loader == nil {
+		return nil, fmt.Errorf("serve: Reload options need a Loader")
+	}
+	rcfg.OnSwap = func(gen *registry.Generation) {
+		// Only a reload moves the ID up; a rollback restores an older one.
+		s.live.Store(s.newLiveGen(gen.Detector, gen, gen.ID > s.live.Load().gen.ID))
+	}
+	rcfg.Metrics = reg
+	s.registry = registry.New(opts.Primary, rcfg)
+	s.live.Store(s.newLiveGen(opts.Primary, s.registry.Live(), false))
 	return s, nil
 }
 
@@ -414,8 +469,9 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
+	state := s.live.Load().breaker.State()
 	out := ReadyResponse{
-		Breaker:  s.breaker.State().String(),
+		Breaker:  state.String(),
 		Primary:  s.live.Load().name,
 		Shedding: s.shed != nil,
 	}
@@ -427,7 +483,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	}
 	status := http.StatusOK
 	switch {
-	case s.breaker.State() != resilience.StateOpen:
+	case state != resilience.StateOpen:
 		out.Status = "ready"
 	case s.opts.Fallback != nil:
 		out.Status = "degraded"
@@ -562,7 +618,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 func (s *Server) cascadeError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, resilience.ErrOpen):
-		if ra := s.breaker.RetryAfter(); ra > 0 {
+		if ra := s.live.Load().breaker.RetryAfter(); ra > 0 {
 			w.Header().Set("Retry-After", strconv.Itoa(int(ra/time.Second)+1))
 		}
 		http.Error(w, "primary detector unavailable (circuit open), no fallback", http.StatusServiceUnavailable)
@@ -577,7 +633,7 @@ func (s *Server) cascadeError(w http.ResponseWriter, err error) {
 // cache, then down the degradation ladder under the request's deadline
 // budget. A hit gets the primary's verdict with the score the primary
 // stored, and since it runs nothing it touches nothing that counts runs:
-// no budget, no goroutine, no breaker call, no probation or SLO outcome,
+// no budget, no goroutine, no breaker call, no outcome in any window,
 // no serve.primary fault site. It only feeds the quality monitor and
 // adds a "score-cache-hit" event to the request span. A miss that the
 // primary answered within the deadline is stored; a fallback score
@@ -616,7 +672,7 @@ func (s *Server) answer(det core.Detector, name, stage string, clip layout.Clip,
 }
 
 // ladder is the degradation ladder: the clip is scored by gen's primary
-// behind the breaker and ctx's budget, and when that fails (or the
+// behind gen's breaker and ctx's budget, and when that fails (or the
 // breaker is open) it is re-scored by the fallback, never 5xxed while a
 // fallback exists. Spans ("primary", "fallback") hang off ctx; the
 // "breaker-open" and "degrade" events and the degraded flag that makes
@@ -625,14 +681,13 @@ func (s *Server) ladder(ctx context.Context, gen *liveGen, clip layout.Clip) (Sc
 	span := trace.FromContext(ctx)
 	var primaryErr error
 	var reason string
-	if s.breaker.Allow() {
+	if gen.breaker.Allow() {
 		pctx, psp := trace.Start(ctx, "primary", trace.A("detector", gen.name))
 		var score float64
 		score, primaryErr = s.scorePrimary(pctx, gen.det, clip)
 		psp.SetError(primaryErr)
 		psp.End()
-		s.breaker.Record(primaryErr)
-		s.reportOutcome(primaryErr)
+		s.reportOutcome(gen, primaryErr)
 		if primaryErr == nil {
 			return s.answer(gen.det, gen.name, "primary", clip, score, ""), nil
 		}
@@ -679,15 +734,17 @@ type panicError struct{ val any }
 
 func (e *panicError) Error() string { return fmt.Sprintf("primary detector panic: %v", e.val) }
 
-// reportOutcome feeds one primary-scoring outcome into the model
-// registry's probation window (a no-op without a registry, and one
-// atomic load outside probation) and into the quality monitor's SLO
-// window.
-func (s *Server) reportOutcome(primaryErr error) {
-	if s.registry != nil {
-		s.registry.ReportOutcome(primaryErr == nil)
+// reportOutcome feeds one primary-scoring outcome of gen into gen's
+// breaker and the quality monitor's SLO window under gen's stamp, and
+// judges gen's probation with it. The request whose outcome fails gen's
+// probation is the one that asks the registry for the rollback, and the
+// only one that takes its lock.
+func (s *Server) reportOutcome(gen *liveGen, primaryErr error) {
+	tripped := gen.breaker.Record(primaryErr)
+	s.opts.Quality.ReportServeOutcome(gen.quality, primaryErr == nil)
+	if reason := gen.judge(primaryErr != nil, tripped, s.opts.Reload); reason != "" {
+		s.registry.Rollback(gen.gen, reason)
 	}
-	s.opts.Quality.ReportServeOutcome(primaryErr == nil)
 }
 
 // scorePrimary runs prim (the primary detector the caller loaded) on
@@ -695,8 +752,9 @@ func (s *Server) reportOutcome(primaryErr error) {
 // through the per-clip path, which hangs the raster/features/inference
 // spans under the "primary" span. The scoring goroutine cannot be
 // killed on timeout — it finishes in the background while the request
-// degrades; the breaker stops sending traffic to a persistently slow
-// primary.
+// degrades; the generation's breaker stops sending traffic to a primary
+// that overruns in FailureThreshold of its last 2·FailureThreshold
+// outcomes.
 func (s *Server) scorePrimary(ctx context.Context, prim core.Detector, clip layout.Clip) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
