@@ -4,8 +4,9 @@
 #   gofmt, vet (the assembly kernel's declarations included), build, a
 #   cross-build of the portable path, unit + property tests under the
 #   race detector and again on the portable matmul kernel, the chaos,
-#   kill-resume and training-guard suites (each name they select must
-#   still match a test), the end-to-end smoke scripts (hot reload among
+#   kill-resume and training-guard suites, the ship gate's verdict tests
+#   and the SLO burn boundary (each name they select must still match a
+#   test), the end-to-end smoke scripts (hot reload among
 #   them, through its one trigger: an empty POST /admin/reload of the
 #   file hsdserve was started with), a check that no
 #   binary's flag set, no facade name and no /metrics series moved, that
@@ -409,6 +410,14 @@ echo "== quality monitor determinism =="
 # must hold while hooks register mid-scrape; both only mean anything
 # under the race detector.
 run_named 'TestSnapshotDeterministic|TestOnCollectConcurrent' ./internal/qualitymon/ ./internal/telemetry/
+
+echo "== ship gate verdicts and SLO burn boundary =="
+# The registry's gate, one verdict a test or table row through Reload:
+# finite scores, no panic and a golden recall of at least half the live
+# model's pass, and nothing finer is compared. A slow window failing
+# exactly its error budget burns 1 and warns. Named so a rename or
+# deletion fails here.
+run_named 'TestGateVerdicts|TestGateAdmitsSmallScoreDrift|TestGateRejects|TestGateLogsBaselineFailure|TestGateNilLogf|TestGateEmptyGoldenSanityOnly|TestEmptyGoldenGatesOnSanityOnly|TestBurnBoundaryWarns' ./internal/registry/ ./internal/qualitymon/
 
 echo "== data engine chaos =="
 # The active-learning engine is kill-resumed at injected fault points

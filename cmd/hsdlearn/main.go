@@ -1,8 +1,9 @@
 // Command hsdlearn runs the crash-tolerant active-learning loop: mine
 // uncertain clips from a trained detector, select a batch,
 // label it with the lithography-simulation oracle, retrain, and ship
-// the retrained model through the same golden-set gate that guards
-// hsdserve's hot reloads. Every stage outcome is journaled to a WAL
+// the retrained model through the same sanity gate that guards
+// hsdserve's hot reloads: finite scores, no panic, and golden recall at
+// least half the live model's. Every stage outcome is journaled to a WAL
 // before the next stage runs, so the process can be killed -9 at any
 // point and resumed with -resume to a byte-identical shipped model.
 //
@@ -60,9 +61,6 @@ func run() error {
 	margin := flag.Float64("margin", 0.15, "mining band: ingest test-split clips scored within this of the threshold")
 	cycles := flag.Int("cycles", 1, "mine->select->label->retrain->ship cycles to run")
 	modelDir := flag.String("model-dir", "models", "directory for retrained model files (model-<batch>.gob)")
-	goldenN := flag.Int("golden", 64, "golden validation clips held out of the test split for the ship gate")
-	maxRecallDrop := flag.Float64("max-recall-drop", 0.05, "max golden-set recall a retrained model may lose vs. the live model")
-	maxFARRise := flag.Float64("max-far-rise", 0.05, "max golden-set false-alarm rate a retrained model may add")
 	labelDelay := flag.Duration("label-delay", 0, "artificial pause before each oracle call (chaos hook: widens the kill window for scripts/learn_smoke.sh)")
 	version := flag.Bool("version", false, "print build info and exit")
 	flag.Parse()
@@ -116,14 +114,13 @@ func run() error {
 	}
 
 	// Ship path: the identical registry gate hsdserve runs on hot
-	// reload — golden subset of the test split, recall/FAR tolerance,
-	// loader through the base detector's feature pipeline.
+	// reload — the first 64 clips of the test split, the split mining
+	// reads too, and a loader through the base detector's feature
+	// pipeline.
 	reg := registry.New(base, registry.Config{
-		Golden:            cli.GoldenSet(bench, *goldenN),
-		MaxRecallDrop:     *maxRecallDrop,
-		MaxFalseAlarmRise: *maxFARRise,
-		Loader:            cli.NetworkLoader(nd),
-		Logf:              log.Printf,
+		Golden: cli.GoldenSet(bench),
+		Loader: cli.NetworkLoader(nd),
+		Logf:   log.Printf,
 	})
 
 	metrics := telemetry.NewRegistry()

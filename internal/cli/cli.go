@@ -75,13 +75,15 @@ func Train(spec hsd.DetectorSpec, bench *hsd.Benchmark, configure func(hsd.Detec
 	return det, time.Since(t0), nil
 }
 
-// GoldenSet picks up to n clips from bench's test split for the reload
-// and ship gates, interleaving the classes so recall and false-alarm
-// deltas are both measurable.
-func GoldenSet(bench *hsd.Benchmark, n int) []hsd.LabeledClip {
-	if n <= 0 {
-		return nil
-	}
+// goldenSize is how many clips the reload and ship gates score.
+const goldenSize = 64
+
+// GoldenSet picks the first goldenSize clips of bench's test split for
+// the reload and ship gates, interleaving the classes so both recalls
+// and false-alarm rates are measured. The clips are not held out: they
+// are the test split's first hotspots and non-hotspots, and hsdlearn
+// mines that same split.
+func GoldenSet(bench *hsd.Benchmark) []hsd.LabeledClip {
 	var hot, cold []hsd.LabeledClip
 	for _, s := range hsd.FromSamples(bench.Test.Samples) {
 		if s.Hotspot {
@@ -90,12 +92,12 @@ func GoldenSet(bench *hsd.Benchmark, n int) []hsd.LabeledClip {
 			cold = append(cold, s)
 		}
 	}
-	out := make([]hsd.LabeledClip, 0, n)
-	for i := 0; len(out) < n && (i < len(hot) || i < len(cold)); i++ {
+	out := make([]hsd.LabeledClip, 0, goldenSize)
+	for i := 0; len(out) < goldenSize && (i < len(hot) || i < len(cold)); i++ {
 		if i < len(hot) {
 			out = append(out, hot[i])
 		}
-		if len(out) < n && i < len(cold) {
+		if len(out) < goldenSize && i < len(cold) {
 			out = append(out, cold[i])
 		}
 	}

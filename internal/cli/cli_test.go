@@ -70,38 +70,48 @@ func TestLoadBenchmark(t *testing.T) {
 }
 
 func TestGoldenSet(t *testing.T) {
-	// Test split: hot at 0, 3; cold at 1, 2, 4, 5.
-	bench := &hsd.Benchmark{Name: "B", Test: iccad.Split{Samples: []iccad.Sample{
-		sample(0, true), sample(1, false), sample(2, false),
-		sample(3, true), sample(4, false), sample(5, false),
-	}}}
+	// split builds a test split of n clips, clip i a hotspot if hot(i).
+	split := func(n int, hot func(int) bool) *hsd.Benchmark {
+		b := &hsd.Benchmark{Name: "B"}
+		for i := 0; i < n; i++ {
+			b.Test.Samples = append(b.Test.Samples, sample(i, hot(i)))
+		}
+		return b
+	}
 	for _, tc := range []struct {
-		n    int
-		want []int // sample tags, in order
+		name       string
+		bench      *hsd.Benchmark
+		hot, cold  int
+		wantPrefix []int // the first sample tags, in order
 	}{
-		{-1, nil},
-		{0, nil},
-		{1, []int{0}},
-		{3, []int{0, 1, 3}},       // hot, cold, hot
-		{5, []int{0, 1, 3, 2, 4}}, // hots run out, colds go on
-		{64, []int{0, 1, 3, 2, 4, 5}},
+		{"empty", split(0, nil), 0, 0, nil},
+		// Hot at 0 and 3: the hots run out and the colds go on.
+		{"small", split(6, func(i int) bool { return i%3 == 0 }), 2, 4, []int{0, 1, 3, 2, 4, 5}},
+		// 34 hot, 66 cold: interleaved up to the 64-clip cap.
+		{"capped", split(100, func(i int) bool { return i%3 == 0 }), 32, 32, []int{0, 1, 3, 2, 6, 4}},
+		// 2 hot, 98 cold: every hotspot, then colds to the cap.
+		{"few-hot", split(100, func(i int) bool { return i == 0 || i == 50 }), 2, 62, []int{0, 1, 50, 2, 3}},
 	} {
-		got := GoldenSet(bench, tc.n)
-		if tc.want == nil {
-			if got != nil {
-				t.Errorf("GoldenSet(n=%d) = %d clips, want nil", tc.n, len(got))
-			}
-			continue
-		}
+		got := GoldenSet(tc.bench)
 		var tags []int
+		hot, cold := 0, 0
 		for _, s := range got {
-			tags = append(tags, s.Clip.Window.Min.X)
-			if wantHot := s.Clip.Window.Min.X%3 == 0; s.Hotspot != wantHot {
-				t.Errorf("GoldenSet(n=%d): clip %d lost its label", tc.n, s.Clip.Window.Min.X)
+			tag := s.Clip.Window.Min.X
+			tags = append(tags, tag)
+			if s.Hotspot != tc.bench.Test.Samples[tag].Hotspot {
+				t.Errorf("%s: clip %d lost its label", tc.name, tag)
+			}
+			if s.Hotspot {
+				hot++
+			} else {
+				cold++
 			}
 		}
-		if !reflect.DeepEqual(tags, tc.want) {
-			t.Errorf("GoldenSet(n=%d) = %v, want %v", tc.n, tags, tc.want)
+		if hot != tc.hot || cold != tc.cold {
+			t.Errorf("%s: %d hot and %d cold clips, want %d and %d", tc.name, hot, cold, tc.hot, tc.cold)
+		}
+		if len(tags) < len(tc.wantPrefix) || !reflect.DeepEqual(tags[:len(tc.wantPrefix)], tc.wantPrefix) {
+			t.Errorf("%s: GoldenSet = %v, want it to start %v", tc.name, tags, tc.wantPrefix)
 		}
 	}
 }

@@ -4,11 +4,12 @@
 //
 // # Model
 //
-// The mask (a rasterized layout clip) is imaged through a coherent
-// approximation of a Hopkins partially-coherent system: the aerial image is
-// the mask convolved with a Gaussian point-spread function whose width
-// sigma ~ k1 * lambda / NA. A constant-threshold resist model turns the
-// aerial image into the printed pattern. Process variation is modelled by
+// The aerial image is the mask (a rasterized layout clip) convolved with
+// one Gaussian point-spread function whose width is sigma ~ k1 * lambda /
+// NA. The image is linear in the mask: it is neither a partially coherent
+// (Hopkins) image nor a coherent one, which would be the squared
+// magnitude |h * m|^2 of an amplitude blur. A constant-threshold resist
+// model turns the aerial image into the printed pattern. Process variation is modelled by
 // corners: defocus widens the PSF, dose shifts the resist threshold.
 //
 // # Defects

@@ -410,6 +410,40 @@ func TestServeOutcomeSLO(t *testing.T) {
 	}
 }
 
+// TestBurnBoundaryWarns: a slow window failing exactly its error budget
+// burns 1 and warns, for targets given to a few decimals, and one bad
+// event fewer burns under 1 and does not.
+func TestBurnBoundaryWarns(t *testing.T) {
+	for _, tc := range []struct {
+		target float64
+		n, bad int
+	}{
+		{0.9, 100, 10},
+		{0.95, 100, 5},
+		{0.99, 100, 1},
+		{0.99, 400, 4},
+		{0.999, 1000, 1},
+	} {
+		for _, bad := range []int{tc.bad, tc.bad - 1} {
+			clk := newFakeClock()
+			opts := testMonitorOpts(clk)
+			opts.SLOTarget = tc.target
+			m := New(opts)
+			for i := 0; i < tc.n; i++ {
+				m.ReportServeOutcome(0, i >= bad)
+			}
+			snap := m.Snapshot()
+			m.Close()
+			atBudget := bad == tc.bad
+			if atBudget != (snap.Alert.State == AlertWarning) || atBudget != (snap.SLO.BurnSlow == 1) ||
+				snap.SLO.BurnSlow > 1 {
+				t.Errorf("target %v, %d bad in %d: slow burn %v, alert %s; want burn 1 and a warning only at %d bad",
+					tc.target, bad, tc.n, snap.SLO.BurnSlow, snap.Alert.Name, tc.bad)
+			}
+		}
+	}
+}
+
 func TestLowConfidenceTap(t *testing.T) {
 	clk := newFakeClock()
 	opts := testMonitorOpts(clk)

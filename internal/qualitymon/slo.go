@@ -15,7 +15,10 @@
 
 package qualitymon
 
-import "time"
+import (
+	"math"
+	"time"
+)
 
 // pageBurn is the fast-window burn-rate multiple that pages: error
 // budget burning at twice the sustainable rate.
@@ -80,12 +83,19 @@ func ratio(a, b int64) float64 {
 }
 
 // burnRate is the burn multiple of a window: bad fraction over error
-// budget. Disabled (or empty) inputs burn nothing.
+// budget. Disabled (or empty) inputs burn nothing. The budget is rounded
+// to parts per million: 1 - .99 is 0.010000000000000009 in float64, so
+// a window failing exactly 1 % would otherwise burn just under 1 and
+// never warn.
 func burnRate(good, bad int64, target float64) float64 {
 	if target <= 0 || target >= 1 || good+bad == 0 {
 		return 0
 	}
-	return (float64(bad) / float64(good+bad)) / (1 - target)
+	budget := 1 - target
+	if ppm := math.Round(budget * 1e6); ppm > 0 {
+		budget = ppm / 1e6
+	}
+	return (float64(bad) / float64(good+bad)) / budget
 }
 
 // Snapshot evaluates confusion and burn rates at the current clock

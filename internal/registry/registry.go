@@ -2,16 +2,20 @@
 //
 // A Registry holds the live detector generation behind an atomic
 // pointer (lock-free reads on the serving hot path) and serializes
-// reloads: a candidate model is loaded in the background, scored
-// against a golden validation set, and compared with the live model —
-// hotspot recall must not drop and the false-alarm rate must not rise
-// beyond configured bounds, all candidate scores must be finite, and a
-// panicking candidate (wrong tensor shape) is caught and rejected. Only
-// a candidate that passes the gate is swapped in, and the generation it
-// replaces stays the rollback target until the next swap. The registry
-// stores generations, gates candidates and swaps or rolls back; it
-// counts nothing on the serving path. Whoever watches a generation's
-// serving outcomes (package serve) asks for its rollback.
+// reloads: a candidate model is loaded in the background, scored on a
+// golden set, and gated on sanity alone. Every candidate score must be
+// finite, a panicking candidate (wrong tensor shape) is caught and
+// rejected, and the candidate's golden recall must be at least half the
+// live model's, so a collapsed model does not serve. The gate does not
+// compare the two models more finely: on 64 golden clips it cannot tell
+// a better retrain from a worse one (EXPERIMENTS.md, "The ship gate
+// against its rule"), and probation after the swap watches how the new
+// generation serves. Only a candidate that passes the gate is swapped
+// in, and the generation it replaces stays the rollback target until
+// the next swap. The registry stores generations, gates candidates and
+// swaps or rolls back; it counts nothing on the serving path. Whoever
+// watches a generation's serving outcomes (package serve) asks for its
+// rollback.
 //
 // Every decision is observable: hotspot_model_generation (gauge),
 // hotspot_reloads_total{outcome} with outcomes swapped / load_failed /
@@ -57,7 +61,9 @@ type Verdict struct {
 	OK     bool
 	Reason string
 	// Recall and false-alarm rate of live and candidate on the golden
-	// set (NaN when the gate had no golden samples of that class).
+	// set (NaN when the gate had no golden samples of that class or no
+	// live baseline). The gate reads only the recalls; all four say why
+	// a model shipped.
 	LiveRecall, CandRecall float64
 	LiveFAR, CandFAR       float64
 }
@@ -74,14 +80,14 @@ func (v Verdict) String() string {
 type Config struct {
 	// Loader builds a candidate detector from a model path.
 	Loader func(path string) (core.Detector, error)
-	// Golden is the validation set the gate scores both models on. An
-	// empty set reduces the gate to finiteness/panic sanity checks.
+	// Golden is the labelled set the gate scores both models on. An
+	// empty set reduces the gate to the finiteness and panic checks.
 	Golden []core.LabeledClip
-	// MaxRecallDrop is how much hotspot recall the candidate may lose
-	// vs. the live model (default 0: no regression allowed).
+	// MaxRecallDrop is read by nothing. It stays only because bench/
+	// sets it; the gate's one comparison is its recall floor.
 	MaxRecallDrop float64
-	// MaxFalseAlarmRise is how much the false-alarm rate may rise
-	// (default 0).
+	// MaxFalseAlarmRise is read by nothing. It stays only because
+	// bench/ sets it.
 	MaxFalseAlarmRise float64
 	// OnSwap is called with the new live generation after every swap
 	// and rollback, under the registry's lock; servers use it to repoint
@@ -193,25 +199,13 @@ func goldenStats(det core.Detector, clips []core.LabeledClip, scores []float64) 
 	return recall, far
 }
 
-// Gate validates a candidate detector against a live baseline on a
-// golden set: every candidate score must be finite, hotspot recall must
-// not drop more than maxRecallDrop below the live model's, and the
-// false-alarm rate must not rise more than maxFalseAlarmRise above it.
-// Scoring panics read as rejections. An empty golden set reduces the
-// gate to the sanity checks. logf (optional) receives gate notices.
-func Gate(live, cand core.Detector, golden []core.LabeledClip,
-	maxRecallDrop, maxFalseAlarmRise float64, logf func(format string, args ...any)) Verdict {
-	return judge(live, cand, golden, scoreGolden(live, golden), scoreGolden(cand, golden),
-		maxRecallDrop, maxFalseAlarmRise, logf)
-}
-
-// judge is Gate given both models' golden scores, ls the live model's
-// and cs the candidate's.
+// judge is the gate's verdict on a candidate, given both models' golden
+// scores, ls the live model's and cs the candidate's: every candidate
+// score must be finite, and the candidate's golden recall must be at
+// least half the live model's. The floor is skipped when either recall
+// is undefined, or when the live model could not score the golden set.
 func judge(live, cand core.Detector, golden []core.LabeledClip, ls, cs goldenScores,
-	maxRecallDrop, maxFalseAlarmRise float64, logf func(format string, args ...any)) Verdict {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
+	logf func(format string, args ...any)) Verdict {
 	v := Verdict{LiveRecall: math.NaN(), CandRecall: math.NaN(), LiveFAR: math.NaN(), CandFAR: math.NaN()}
 	if cs.err != nil {
 		v.Reason = "candidate: " + cs.err.Error()
@@ -238,35 +232,28 @@ func judge(live, cand core.Detector, golden []core.LabeledClip, ls, cs goldenSco
 	}
 	v.LiveRecall, v.LiveFAR = goldenStats(live, golden, ls.scores)
 	v.CandRecall, v.CandFAR = goldenStats(cand, golden, cs.scores)
-	if !math.IsNaN(v.LiveRecall) && !math.IsNaN(v.CandRecall) &&
-		v.CandRecall < v.LiveRecall-maxRecallDrop {
-		v.Reason = fmt.Sprintf("recall regression: %.3f -> %.3f (max drop %.3f)",
-			v.LiveRecall, v.CandRecall, maxRecallDrop)
-		return v
-	}
-	if !math.IsNaN(v.LiveFAR) && !math.IsNaN(v.CandFAR) &&
-		v.CandFAR > v.LiveFAR+maxFalseAlarmRise {
-		v.Reason = fmt.Sprintf("false-alarm regression: %.3f -> %.3f (max rise %.3f)",
-			v.LiveFAR, v.CandFAR, maxFalseAlarmRise)
+	if v.CandRecall < v.LiveRecall/2 { // false when either is NaN
+		v.Reason = fmt.Sprintf("recall collapse: %.3f -> %.3f, below half the live model's",
+			v.LiveRecall, v.CandRecall)
 		return v
 	}
 	v.OK = true
 	return v
 }
 
-// gate validates a candidate against the live generation with the
-// registry's configured golden set and drift bounds, and returns the
-// candidate's golden scores for it to keep if it goes live. A
-// generation is scored on the golden set once, as the candidate or, for
-// the boot generation, at the first gate, and keeps its scores: the set
-// is the registry's for its lifetime. Caller holds r.mu.
+// gate validates a candidate against the live generation on the
+// registry's golden set, and returns the candidate's golden scores for
+// it to keep if it goes live. A generation is scored on the golden set
+// once, as the candidate or, for the boot generation, at the first gate,
+// and keeps its scores: the set is the registry's for its lifetime.
+// Caller holds r.mu.
 func (r *Registry) gate(live *Generation, cand core.Detector) (Verdict, *goldenScores) {
 	if live.golden == nil {
 		ls := scoreGolden(live.Detector, r.cfg.Golden)
 		live.golden = &ls
 	}
 	cs := scoreGolden(cand, r.cfg.Golden)
-	return judge(live.Detector, cand, r.cfg.Golden, *live.golden, cs, r.cfg.MaxRecallDrop, r.cfg.MaxFalseAlarmRise, r.cfg.Logf), &cs
+	return judge(live.Detector, cand, r.cfg.Golden, *live.golden, cs, r.cfg.Logf), &cs
 }
 
 // ErrRejected wraps gate rejections so callers can map them to a

@@ -3,7 +3,9 @@ package registry
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/golitho/hsd/internal/core"
@@ -129,55 +131,146 @@ func TestReloadSwapsGoodCandidate(t *testing.T) {
 	}
 }
 
-func TestGateRejectsNaNModel(t *testing.T) {
-	cand := det("nan", 0.5, math.NaN(), 0.9, 0.1, 0.1)
-	r, m, swaps := newTestRegistry(t, cand, Config{Golden: golden(4, 2)})
+// gateCase is one reload through the gate: the live model, the
+// candidate the loader returns, the golden set, and what the verdict
+// must say. A case runs with the registry's default (nil) Logf unless
+// it checks the log.
+type gateCase struct {
+	live, cand core.Detector
+	golden     []core.LabeledClip
+	wantOK     bool
+	wantReason string  // substring of Verdict.Reason
+	wantRecall float64 // the candidate's golden recall; NaN: undefined
+	wantLog    string  // substring of a Logf line; "": Logf left nil
+}
 
-	_, v, err := r.Reload(context.Background(), "model-nan")
-	if !errors.Is(err, ErrRejected) {
+// run reloads tc.cand over tc.live and checks the verdict, its reason,
+// the candidate's recall and ErrRejected, and that a pass swaps in
+// generation 2 (OnSwap once, the swapped counter 1) while a rejection
+// leaves generation 1 live (no OnSwap, the rejected counter 1).
+func (tc gateCase) run(t *testing.T) {
+	t.Helper()
+	m := telemetry.NewRegistry()
+	var logs []string
+	cfg := Config{
+		Golden:  tc.golden,
+		Metrics: m,
+		Loader:  func(string) (core.Detector, error) { return tc.cand, nil },
+	}
+	if tc.wantLog != "" {
+		cfg.Logf = func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }
+	}
+	swaps := 0
+	cfg.OnSwap = func(*Generation) { swaps++ }
+	r := New(tc.live, cfg)
+	gen, v, err := r.Reload(context.Background(), "m")
+	if v.OK != tc.wantOK || (err == nil) != tc.wantOK || (gen != nil) != tc.wantOK {
+		t.Fatalf("verdict %s, err %v; want ok %v", v, err, tc.wantOK)
+	}
+	if !tc.wantOK && !errors.Is(err, ErrRejected) {
 		t.Fatalf("err = %v, want ErrRejected", err)
 	}
-	if v.OK {
-		t.Fatal("verdict passed a NaN candidate")
+	if !strings.Contains(v.Reason, tc.wantReason) {
+		t.Fatalf("reason %q does not say %q", v.Reason, tc.wantReason)
 	}
-	if r.Live().ID != 1 {
-		t.Fatalf("live generation = %d, want 1 (unchanged)", r.Live().ID)
+	if got := v.CandRecall; got != tc.wantRecall && !(math.IsNaN(got) && math.IsNaN(tc.wantRecall)) {
+		t.Fatalf("candidate recall %v, want %v", got, tc.wantRecall)
 	}
-	if *swaps != 0 {
-		t.Fatal("OnSwap fired for a rejected candidate")
+	wantID, wantSwaps, outcome := int64(1), 0, "rejected"
+	if tc.wantOK {
+		wantID, wantSwaps, outcome = 2, 1, "swapped"
 	}
-	if got := counter(m, "rejected"); got != 1 {
-		t.Fatalf("rejected counter = %v, want 1", got)
+	if r.Live().ID != wantID || swaps != wantSwaps || counter(m, outcome) != 1 {
+		t.Fatalf("live generation %d, %d swaps, %s counter %v; want %d, %d and 1",
+			r.Live().ID, swaps, outcome, counter(m, outcome), wantID, wantSwaps)
 	}
+	if tc.wantLog != "" && !strings.Contains(strings.Join(logs, "\n"), tc.wantLog) {
+		t.Fatalf("logs %q do not say %q", logs, tc.wantLog)
+	}
+}
+
+// perfectLive catches the 4 hotspots of golden(6, 4) and flags neither
+// coldspot.
+var perfectLive = det("live", 0.5, 0.9, 0.9, 0.9, 0.9, 0.1, 0.1)
+
+// TestGateVerdicts: the recall floor, one row a verdict. A candidate
+// whose golden recall is at least half the live model's passes and one
+// below half is rejected; the floor is skipped when a recall is
+// undefined, and nothing else of the two models is compared, so false
+// alarms may rise.
+func TestGateVerdicts(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		gateCase
+	}{
+		{"recall-at-half", gateCase{live: perfectLive, golden: golden(6, 4), wantOK: true, wantRecall: 0.5,
+			cand: det("cand", 0.5, 0.9, 0.9, 0.4, 0.4, 0.1, 0.1)}},
+		{"recall-below-half", gateCase{live: perfectLive, golden: golden(6, 4), wantReason: "recall collapse", wantRecall: 0.25,
+			cand: det("cand", 0.5, 0.9, 0.4, 0.4, 0.4, 0.1, 0.1)}},
+		{"false-alarms-rise", gateCase{live: perfectLive, golden: golden(6, 4), wantOK: true, wantRecall: 1,
+			cand: det("cand", 0.5, 0.9, 0.9, 0.9, 0.9, 0.6, 0.1)}},
+		{"false-alarms-to-all", gateCase{live: perfectLive, golden: golden(6, 4), wantOK: true, wantRecall: 1,
+			cand: det("cand", 0.5, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9)}},
+		{"recall-undefined", gateCase{live: det("live", 0.5, 0.1, 0.1), golden: golden(2, 0), wantOK: true, wantRecall: math.NaN(),
+			cand: det("cand", 0.5, 0.9, 0.9)}},
+	} {
+		t.Run(tc.name, tc.run)
+	}
+}
+
+func TestGateAdmitsSmallScoreDrift(t *testing.T) {
+	// Every score nudged, no decision flips.
+	gateCase{live: perfectLive, golden: golden(6, 4), wantOK: true, wantRecall: 1,
+		cand: det("cand", 0.5, 0.87, 0.83, 0.95, 0.6, 0.12, 0.17)}.run(t)
 }
 
 func TestGateRejectsRecallRegression(t *testing.T) {
-	// Candidate misses both hotspots: recall 1.0 -> 0.0.
-	cand := det("worse", 0.5, 0.1, 0.1, 0.1, 0.1)
-	r, _, _ := newTestRegistry(t, cand, Config{Golden: golden(4, 2), MaxRecallDrop: 0.25})
-	if _, v, err := r.Reload(context.Background(), "m"); !errors.Is(err, ErrRejected) {
-		t.Fatalf("err = %v (verdict %s), want ErrRejected", err, v)
-	}
+	// The candidate misses every hotspot: recall 1 -> 0.
+	gateCase{live: perfectLive, golden: golden(6, 4), wantReason: "recall collapse", wantRecall: 0,
+		cand: det("worse", 0.5, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1)}.run(t)
 }
 
-func TestGateRejectsFalseAlarmRegression(t *testing.T) {
-	// Candidate flags both coldspots: FAR 0.0 -> 1.0.
-	cand := det("noisy", 0.5, 0.9, 0.9, 0.9, 0.9)
-	r, _, _ := newTestRegistry(t, cand, Config{Golden: golden(4, 2), MaxFalseAlarmRise: 0.25})
-	if _, _, err := r.Reload(context.Background(), "m"); !errors.Is(err, ErrRejected) {
-		t.Fatalf("err = %v, want ErrRejected", err)
-	}
+func TestGateRejectsNaNModel(t *testing.T) {
+	gateCase{live: perfectLive, golden: golden(6, 4), wantReason: "non-finite", wantRecall: math.NaN(),
+		cand: det("nan", 0.5, 0.9, math.NaN(), 0.9, 0.9, 0.1, 0.1)}.run(t)
+}
+
+func TestGateRejectsNonFiniteCandidate(t *testing.T) {
+	gateCase{live: perfectLive, golden: golden(6, 4), wantReason: "non-finite", wantRecall: math.NaN(),
+		cand: det("inf", 0.5, 0.9, 0.9, 0.9, 0.9, math.Inf(-1), 0.1)}.run(t)
 }
 
 func TestGateRejectsPanickingCandidate(t *testing.T) {
-	cand := &fakeDet{name: "boom", panics: true}
-	r, m, _ := newTestRegistry(t, cand, Config{Golden: golden(4, 2)})
-	if _, _, err := r.Reload(context.Background(), "m"); !errors.Is(err, ErrRejected) {
-		t.Fatalf("err = %v, want ErrRejected", err)
-	}
-	if got := counter(m, "rejected"); got != 1 {
-		t.Fatalf("rejected counter = %v, want 1", got)
-	}
+	gateCase{live: perfectLive, golden: golden(6, 4), wantReason: "scoring panicked", wantRecall: math.NaN(),
+		cand: &fakeDet{name: "boom", panics: true}}.run(t)
+}
+
+// TestGateLogsBaselineFailure: a live model that cannot score the golden
+// set leaves the gate on sanity alone, so even a recall-0 candidate
+// passes, and the registry says so in its log.
+func TestGateLogsBaselineFailure(t *testing.T) {
+	gateCase{live: &fakeDet{name: "live", thr: 0.5, panics: true}, golden: golden(6, 4),
+		wantOK: true, wantReason: "no live baseline", wantRecall: math.NaN(), wantLog: "gating on sanity only",
+		cand: det("cand", 0.5, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1)}.run(t)
+}
+
+// TestGateNilLogf: a registry left with a nil Logf does not panic
+// anywhere in the verdict path, the no-baseline path that logs included.
+func TestGateNilLogf(t *testing.T) {
+	self := det("live", 0.5, 0.9, 0.1)
+	gateCase{live: self, cand: self, golden: golden(2, 1), wantOK: true, wantRecall: 1}.run(t)
+	gateCase{live: &fakeDet{name: "live", thr: 0.5, panics: true}, golden: golden(2, 1),
+		wantOK: true, wantReason: "no live baseline", wantRecall: math.NaN(),
+		cand: det("cand", 0.5, 0.9, 0.1)}.run(t)
+}
+
+func TestGateEmptyGoldenSanityOnly(t *testing.T) {
+	gateCase{live: perfectLive, wantOK: true, wantRecall: math.NaN(), cand: det("cand", 0.5)}.run(t)
+}
+
+func TestEmptyGoldenGatesOnSanityOnly(t *testing.T) {
+	// No goldens: nothing is scored, so even a would-be-NaN model passes.
+	gateCase{live: perfectLive, wantOK: true, wantRecall: math.NaN(), cand: det("nan", 0.5, math.NaN())}.run(t)
 }
 
 func TestReloadCountsLoadFailure(t *testing.T) {
@@ -245,16 +338,6 @@ func TestRollbackOnlyFromLive(t *testing.T) {
 	}
 }
 
-func TestEmptyGoldenGatesOnSanityOnly(t *testing.T) {
-	bad := det("nan", 0.5, math.NaN())
-	r, _, _ := newTestRegistry(t, bad, Config{})
-	// No goldens: nothing scored, so even a would-be-NaN model passes —
-	// the gate degrades to sanity checks over an empty set.
-	if _, _, err := r.Reload(context.Background(), "m"); err != nil {
-		t.Fatalf("Reload with empty golden set: %v", err)
-	}
-}
-
 // countingDet counts the clips a detector is asked to score.
 type countingDet struct {
 	core.Detector
@@ -277,12 +360,12 @@ func sameVerdict(a, b Verdict) bool {
 // TestReloadScoresLiveOnce: a generation is scored on the golden set
 // once, as the candidate or, for the boot generation, at its first
 // reload as the live model; every later gate against it, a rolled-back
-// one included, reuses those scores. Each reload's verdict is Gate's on
-// the same two detectors.
+// one included, reuses those scores. Each reload's verdict is judge's on
+// the same two detectors' fresh scores.
 func TestReloadScoresLiveOnce(t *testing.T) {
 	g := golden(4, 2)
 	boot := &countingDet{Detector: det("live", 0.5, 0.9, 0.9, 0.1, 0.1)}
-	worse := &countingDet{Detector: det("worse", 0.5, 0.9, 0.1, 0.1, 0.1)}
+	worse := &countingDet{Detector: det("worse", 0.5, 0.1, 0.1, 0.1, 0.1)}
 	good := &countingDet{Detector: det("good", 0.5, 0.8, 0.8, 0.2, 0.2)}
 	var next *countingDet
 	r := New(boot, Config{
@@ -292,14 +375,14 @@ func TestReloadScoresLiveOnce(t *testing.T) {
 	reload := func(cand *countingDet, wantOK bool) {
 		t.Helper()
 		live := r.Live().Detector.(*countingDet).Detector
-		want := Gate(live, cand.Detector, g, 0, 0, nil)
+		want := judge(live, cand.Detector, g, scoreGolden(live, g), scoreGolden(cand.Detector, g), t.Logf)
 		next = cand
 		_, v, err := r.Reload(context.Background(), cand.Name())
 		if (err == nil) != wantOK || v.OK != wantOK {
 			t.Fatalf("reload %s: err %v, verdict %s; want ok %v", cand.Name(), err, v, wantOK)
 		}
 		if !sameVerdict(v, want) {
-			t.Fatalf("reload %s: verdict %+v, Gate's %+v", cand.Name(), v, want)
+			t.Fatalf("reload %s: verdict %+v, judge's %+v", cand.Name(), v, want)
 		}
 	}
 	const n = 5

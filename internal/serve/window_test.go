@@ -397,8 +397,8 @@ func TestChaosOutcomeSchedules(t *testing.T) {
 			"breaker –, rollback –, warn –, page –",
 			"breaker –, rollback –, warn –, page –"},
 		{interleaved(1),
-			"breaker –, rollback –, warn –, page –, degraded g1 40",
-			"breaker –, rollback –, warn –, page –, degraded g2 40"},
+			"breaker –, rollback –, warn 4.95 s, page –, degraded g1 40",
+			"breaker –, rollback –, warn 4.95 s, page –, degraded g2 40"},
 		{interleaved(5),
 			"breaker –, rollback –, warn 0.95 s, page 0.95 s, degraded g1 200",
 			"breaker –, rollback 5.95 s, warn 0.95 s, page 0.95 s, degraded g2 6"},
