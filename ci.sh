@@ -4,7 +4,8 @@
 #   gofmt, vet (the assembly kernel's declarations included), build, a
 #   cross-build of the portable path, unit + property tests under the
 #   race detector and again on the portable matmul kernel, the chaos,
-#   kill-resume and training-guard suites, the ship gate's verdict tests
+#   kill-resume and training-guard suites, the metamorphic relations
+#   across subsystems (internal/relations), the ship gate's verdict tests
 #   and the SLO burn boundary (each name they select must still match a
 #   test), the end-to-end smoke scripts (hot reload among
 #   them, through its one trigger: an empty POST /admin/reload of the
@@ -101,8 +102,9 @@ echo "== portable kernel =="
 # are the first-layer sums a miss copies from its left neighbour: they
 # equal the whole window's (TestSharedColumnConv1Bits, internal/nn), and
 # a miss without them computes its own
-# (TestFarmConv1FallbackMatchesCoreScan).
-go test -tags purego $short ./internal/tensor/ ./internal/nn/ ./internal/core/ ./internal/fft/ ./internal/features/ ./internal/lithosim/ ./internal/iccad/ ./internal/scanfarm/
+# (TestFarmConv1FallbackMatchesCoreScan). And so are the metamorphic
+# relations (internal/relations), which score through all of it.
+go test -tags purego $short ./internal/tensor/ ./internal/nn/ ./internal/core/ ./internal/fft/ ./internal/features/ ./internal/lithosim/ ./internal/iccad/ ./internal/scanfarm/ ./internal/relations/
 
 echo "== chaos smoke =="
 # The chaos tests inject faults (latency, errors, panics) into the
@@ -146,6 +148,21 @@ echo "== scan farm chaos =="
 # that reaches the cache counted once, and the series moved by exactly
 # Result.Cache.
 run_named 'TestChaosFarm|TestResumeFromEveryFrameBoundary|TestFarmCacheSeriesMatchResult' ./internal/scanfarm/
+
+echo "== metamorphic relations =="
+# The scan farm answers a window from a key that ignores translation and
+# shape order, so its findings must ignore them too. The zoo's CNN-biased
+# (tiles and shared conv1 sums) and AdaBoost (clip by clip), fitted on
+# the small suite, scan a generated chip and a repeated-cell chip: moved
+# by +k and -k core edges (into negative coordinates, journaled and
+# resumed), at 1, 2 and 4 rows a shard, with the cache off and on, with
+# the shapes inserted shuffled, and after GLT -> GDSII -> GLT, the
+# findings move as the chip does and keep their score bits; a window
+# posted to serve gets the farm's score on the miss and on the hit; a
+# rectangle split in two leaves the features and the CNN score, not
+# the fingerprint. The one extractor pitch is pinned to keep every
+# coverage sum exact. -race because the scans run two workers.
+run_named 'TestTranslationMovesFindings|TestShardRowsAndCacheKeepFindings|TestShuffledInsertionKeepsFindings|TestGDSIIRoundTripKeepsFindings|TestServeAgreesWithFarm|TestSplitRectangleKeepsFeatures|TestPitchKeepsCoverageExact' ./internal/relations/ ./internal/features/
 
 echo "== flags smoke =="
 # The five detector binaries' and gltconv's flag names are a committed

@@ -8,9 +8,10 @@
 //   - DCT feature tensors, the compressed spectral representation feeding
 //     convolutional networks (block DCT + zigzag truncation).
 //
-// All extractors rasterize the clip window once and derive features from
-// the grayscale coverage image, preserving the spatial relationships of
-// the original pattern.
+// Density, CCAS and DCT each rasterize the clip window once, at one
+// pitch for the whole package, and derive features from the grayscale
+// coverage image, preserving the spatial relationships of the original
+// pattern; a Concat rasterizes once per part that reads the image.
 package features
 
 import (
@@ -57,6 +58,16 @@ func ExtractCtx(ctx context.Context, ex Extractor, clip layout.Clip) ([]float64,
 	return ex.Extract(clip)
 }
 
+// pixelNM is every extractor's rasterization pitch. A pixel covers
+// 64 nm², a power of two, so each coverage fraction RasterizeInto
+// computes is an exact k/64 and each running sum and clamp at 1 is exact
+// too: a pixel, and every feature derived from it, is the same in
+// whatever order the clip's shapes come. The scan farm's cache, keyed by
+// layout.Fingerprint, which ignores shape order, rests on that. At a
+// 10 nm pitch three shapes abutting inside one pixel sum to 0.6 in one
+// order and to 0.6000000000000001 in another.
+const pixelNM = 8
+
 // scratch is what one extraction needs and no caller ever sees: the
 // clip's raster and the block DCT's two products. Extractors borrow
 // one from scratchPool for the length of an Extract call, so the raster
@@ -90,14 +101,13 @@ type imageExtractor interface {
 
 // extractPooled renders the clip into pooled scratch under a "raster"
 // span, runs ex.fromImage under a "features" span, and returns the
-// scratch to the pool. kind labels a rasterization error; pixelNM <= 0
-// means the default pitch of 8.
-func extractPooled(ctx context.Context, ex imageExtractor, kind string, clip layout.Clip, pixelNM int) ([]float64, error) {
+// scratch to the pool. kind labels a rasterization error.
+func extractPooled(ctx context.Context, ex imageExtractor, kind string, clip layout.Clip) ([]float64, error) {
 	sc := scratchPool.Get().(*scratch)
 	// RasterizeInto sizes and clears the image for whoever borrows it
 	// next, so it can go back in any state.
 	defer scratchPool.Put(sc)
-	if err := rasterize(ctx, sc, ex, kind, clip.Window, clip.Shapes, pixelNM); err != nil {
+	if err := rasterize(ctx, sc, ex, kind, clip.Window, clip.Shapes); err != nil {
 		return nil, err
 	}
 	sp := startSpan(ctx, "features", ex)
@@ -107,9 +117,9 @@ func extractPooled(ctx context.Context, ex imageExtractor, kind string, clip lay
 
 // rasterize renders the part of shapes over window into sc.im under a
 // "raster" span: a clip's whole window, or one tile of it.
-func rasterize(ctx context.Context, sc *scratch, ex Extractor, kind string, window geom.Rect, shapes []geom.Rect, pixelNM int) error {
+func rasterize(ctx context.Context, sc *scratch, ex Extractor, kind string, window geom.Rect, shapes []geom.Rect) error {
 	sp := startSpan(ctx, "raster", ex)
-	err := raster.RasterizeInto(&sc.im, raster.Config{Window: window, PixelNM: pitch(pixelNM)}, shapes)
+	err := raster.RasterizeInto(&sc.im, raster.Config{Window: window, PixelNM: pixelNM}, shapes)
 	sp.SetError(err)
 	sp.End()
 	if err != nil {
@@ -118,22 +128,11 @@ func rasterize(ctx context.Context, sc *scratch, ex Extractor, kind string, wind
 	return nil
 }
 
-// pitch is an extractor's rasterization pitch: PixelNM, or the default
-// of 8 when that is unset.
-func pitch(pixelNM int) int {
-	if pixelNM <= 0 {
-		return 8
-	}
-	return pixelNM
-}
-
 // Density is the density-grid extractor: the clip is divided into
 // Grid x Grid cells and each feature is the drawn-area fraction of a cell.
 type Density struct {
 	// Grid is the number of cells per side.
 	Grid int
-	// PixelNM is the rasterization pitch (default 8).
-	PixelNM int
 }
 
 var _ CtxExtractor = (*Density)(nil)
@@ -154,7 +153,7 @@ func (d *Density) ExtractCtx(ctx context.Context, clip layout.Clip) ([]float64, 
 	if d.Grid <= 0 {
 		return nil, fmt.Errorf("features: density grid must be positive, got %d", d.Grid)
 	}
-	return extractPooled(ctx, d, "density", clip, d.PixelNM)
+	return extractPooled(ctx, d, "density", clip)
 }
 
 func (d *Density) fromImage(sc *scratch) ([]float64, error) {
@@ -188,8 +187,6 @@ type CCAS struct {
 	Rings int
 	// Sectors is the angular resolution per ring.
 	Sectors int
-	// PixelNM is the rasterization pitch (default 8).
-	PixelNM int
 }
 
 var _ CtxExtractor = (*CCAS)(nil)
@@ -210,7 +207,7 @@ func (c *CCAS) ExtractCtx(ctx context.Context, clip layout.Clip) ([]float64, err
 	if c.Rings <= 0 || c.Sectors <= 0 {
 		return nil, fmt.Errorf("features: ccas needs positive rings/sectors, got %d/%d", c.Rings, c.Sectors)
 	}
-	return extractPooled(ctx, c, "ccas", clip, c.PixelNM)
+	return extractPooled(ctx, c, "ccas", clip)
 }
 
 func (c *CCAS) fromImage(sc *scratch) ([]float64, error) {
@@ -299,8 +296,6 @@ type DCT struct {
 	Blocks int
 	// Coefs is the number of retained zigzag DCT coefficients per block.
 	Coefs int
-	// PixelNM is the rasterization pitch (default 8).
-	PixelNM int
 }
 
 var _ CtxExtractor = (*DCT)(nil)
@@ -325,7 +320,7 @@ func (d *DCT) ExtractCtx(ctx context.Context, clip layout.Clip) ([]float64, erro
 	if d.Blocks <= 0 || d.Coefs <= 0 {
 		return nil, fmt.Errorf("features: dct needs positive blocks/coefs, got %d/%d", d.Blocks, d.Coefs)
 	}
-	return extractPooled(ctx, d, "dct", clip, d.PixelNM)
+	return extractPooled(ctx, d, "dct", clip)
 }
 
 func (d *DCT) fromImage(sc *scratch) ([]float64, error) {

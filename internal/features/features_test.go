@@ -18,13 +18,20 @@ import (
 // testClip builds a 1024 nm clip centred at (512,512) over the shapes.
 func testClip(t *testing.T, shapes ...geom.Rect) layout.Clip {
 	t.Helper()
+	return sizedClip(t, 1024, shapes...)
+}
+
+// sizedClip builds a size nm clip with its window at the origin over
+// the shapes: at the one pitch, another size is another image size.
+func sizedClip(t *testing.T, size int, shapes ...geom.Rect) layout.Clip {
+	t.Helper()
 	l := layout.New("t")
 	for _, s := range shapes {
 		if err := l.AddRect(s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	clip, err := l.ClipAt(geom.Pt(512, 512), 1024, 0.5)
+	clip, err := l.ClipAt(geom.Pt(size/2, size/2), size, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,22 +235,22 @@ func TestDCTDCChannelIsDensity(t *testing.T) {
 func TestDCTEnergyConservation(t *testing.T) {
 	// With all coefficients kept, total energy equals image energy
 	// (orthonormal DCT, Parseval).
-	clip := testClip(t, geom.R(128, 128, 896, 896))
-	d := &DCT{Blocks: 8, Coefs: 256, PixelNM: 16} // 64 px image, 8 px blocks
+	clip := sizedClip(t, 512, geom.R(64, 64, 448, 448))
+	d := &DCT{Blocks: 8, Coefs: 256} // 64 px image, 8 px blocks
 	v, err := d.Extract(clip)
 	if err == nil {
 		var e float64
 		for _, x := range v {
 			e += x * x
 		}
-		// 768x768 nm at 16 nm/px = 48x48 px of ones = 2304.
+		// 384x384 nm at 8 nm/px = 48x48 px of ones = 2304.
 		if math.Abs(e-2304) > 1e-6 {
 			t.Fatalf("energy = %v, want 2304", e)
 		}
 		return
 	}
 	// 64/8 blocks of 8x8 = max 64 coefs; 256 must error.
-	d2 := &DCT{Blocks: 8, Coefs: 64, PixelNM: 16}
+	d2 := &DCT{Blocks: 8, Coefs: 64}
 	v, err = d2.Extract(clip)
 	if err != nil {
 		t.Fatal(err)
@@ -422,11 +429,7 @@ func TestGeomStatsWidthSensitivity(t *testing.T) {
 // with fft.DCT2D, keep the zigzag prefix.
 func blockCopyDCT(t *testing.T, d *DCT, clip layout.Clip) []float64 {
 	t.Helper()
-	px := d.PixelNM
-	if px <= 0 {
-		px = 8
-	}
-	im, err := raster.Rasterize(raster.Config{Window: clip.Window, PixelNM: px}, clip.Shapes)
+	im, err := raster.Rasterize(raster.Config{Window: clip.Window, PixelNM: pixelNM}, clip.Shapes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,6 +467,33 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
+// TestPitchKeepsCoverageExact pins pixelNM: it divides the zoo's 1024 nm
+// clip into whole pixels, and a pixel's area is a power of two, so each
+// coverage fraction and each sum of them is exact. Three shapes abutting
+// inside one pixel then give the pixel's bits in every order.
+func TestPitchKeepsCoverageExact(t *testing.T) {
+	if 1024%pixelNM != 0 {
+		t.Fatalf("pitch %d nm does not divide a 1024 nm clip", pixelNM)
+	}
+	if area := pixelNM * pixelNM; area&(area-1) != 0 {
+		t.Fatalf("pitch %d nm has a pixel area of %d nm², not a power of two", pixelNM, area)
+	}
+	abut := []geom.Rect{geom.R(0, 1, 2, 7), geom.R(2, 1, 5, 7), geom.R(5, 1, 6, 7)}
+	var want uint64
+	for i, order := range [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		shapes := []geom.Rect{abut[order[0]], abut[order[1]], abut[order[2]]}
+		im, err := raster.Rasterize(raster.Config{Window: geom.R(0, 0, pixelNM, pixelNM), PixelNM: pixelNM}, shapes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := math.Float64bits(im.Pix[0]); i == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("order %v rasterizes to %v, order %v to %v", order, im.Pix[0], [3]int{0, 1, 2}, math.Float64frombits(want))
+		}
+	}
+}
+
 // TestDCTExtractBitIdenticalToBlockCopy: the band-wide prefix transform
 // gives the tensor the block-copy pipeline gave, bit for bit. (fft's own tests
 // pin DCT2D to the naive transform, which closes the chain to the parent.)
@@ -484,8 +514,8 @@ func TestDCTExtractBitIdenticalToBlockCopy(t *testing.T) {
 }
 
 // TestPooledScratchDoesNotLeakBetweenClips: a dense clip, then an empty
-// one, then one at another pitch (another image size), then back, through
-// each pooled extractor equal the same transform over a fresh
+// one, then smaller ones (a smaller image), then back, then a larger one,
+// through each pooled extractor equal the same transform over a fresh
 // raster.Rasterize, so neither stale pixels nor a stale size survive in
 // the pool.
 func TestPooledScratchDoesNotLeakBetweenClips(t *testing.T) {
@@ -494,23 +524,19 @@ func TestPooledScratchDoesNotLeakBetweenClips(t *testing.T) {
 	steps := []struct {
 		name string
 		clip layout.Clip
-		px   int
 	}{
-		{"dense", dense, 8}, {"empty", testClip(t), 8}, {"busy@16", busy, 16},
-		{"empty@16", testClip(t), 16}, {"busy", busy, 8}, {"dense@4", dense, 4},
+		{"dense", dense}, {"empty", testClip(t)}, {"busy@512", sizedClip(t, 512, busy.Shapes...)},
+		{"empty@512", sizedClip(t, 512)}, {"busy", busy}, {"dense@2048", sizedClip(t, 2048, geom.R(0, 0, 2048, 2048))},
 	}
-	for _, mk := range []func(px int) imageExtractor{
-		func(px int) imageExtractor { return &Density{Grid: 8, PixelNM: px} },
-		func(px int) imageExtractor { return &CCAS{Rings: 4, Sectors: 6, PixelNM: px} },
-		func(px int) imageExtractor { return &DCT{Blocks: 8, Coefs: 6, PixelNM: px} },
+	for _, ex := range []imageExtractor{
+		&Density{Grid: 8}, &CCAS{Rings: 4, Sectors: 6}, &DCT{Blocks: 8, Coefs: 6},
 	} {
 		for _, st := range steps {
-			ex := mk(st.px)
 			got, err := ex.Extract(st.clip)
 			if err != nil {
 				t.Fatal(err)
 			}
-			im, err := raster.Rasterize(raster.Config{Window: st.clip.Window, PixelNM: st.px}, st.clip.Shapes)
+			im, err := raster.Rasterize(raster.Config{Window: st.clip.Window, PixelNM: pixelNM}, st.clip.Shapes)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,14 +16,14 @@ import (
 //
 // A tile's coefficients carry the bits Extract gives the same blocks.
 // RasterizeInto computes a pixel's coverage from the shapes over that
-// pixel alone, in Shapes order, from integer overlaps measured from the
-// raster origin, and the tile's origin is a whole number of pixels from
-// the clip's, so every fraction, running sum and clamp is the one the
-// clip's own raster makes; and ForwardBlocks' coefficient is the same
-// sum whichever other blocks are computed beside it. For two clips to
-// agree on a tile they must hold the same shapes over it in the same
-// order, each clipped to a rectangle containing the tile: layout.ClipAt's
-// clips do.
+// pixel alone, from integer overlaps measured from the raster origin,
+// and the tile's origin is a whole number of pixels from the clip's, so
+// every fraction, running sum and clamp is the one the clip's own raster
+// makes; and ForwardBlocks' coefficient is the same sum whichever other
+// blocks are computed beside it. For two clips to agree on a tile they
+// must hold the same shapes over it, each clipped to a rectangle
+// containing the tile, in any order (pixelNM makes every sum exact):
+// layout.ClipAt's clips do.
 type Tiling struct {
 	d      *DCT
 	clipNM int
@@ -37,16 +37,15 @@ type Tiling struct {
 // whole number of tiles, a tile not a whole number of blocks, or the
 // clip not a whole number of pixels and blocks to begin with.
 func (d *DCT) Tiling(clipNM, tileNM int) (t Tiling, ok bool) {
-	px := pitch(d.PixelNM)
 	if d.Blocks <= 0 || d.Coefs <= 0 || clipNM <= 0 || tileNM <= 0 ||
-		clipNM%px != 0 || clipNM/px%d.Blocks != 0 || clipNM%tileNM != 0 {
+		clipNM%pixelNM != 0 || clipNM/pixelNM%d.Blocks != 0 || clipNM%tileNM != 0 {
 		return Tiling{}, false
 	}
-	bs := clipNM / px / d.Blocks
-	if tileNM%(bs*px) != 0 || d.Coefs > bs*bs {
+	bs := clipNM / pixelNM / d.Blocks
+	if tileNM%(bs*pixelNM) != 0 || d.Coefs > bs*bs {
 		return Tiling{}, false
 	}
-	return Tiling{d: d, clipNM: clipNM, tileNM: tileNM, blocks: tileNM / (bs * px), bs: bs}, true
+	return Tiling{d: d, clipNM: clipNM, tileNM: tileNM, blocks: tileNM / (bs * pixelNM), bs: bs}, true
 }
 
 // PerSide is the number of tiles along a clip edge.
@@ -72,7 +71,7 @@ func (t Tiling) ExtractTile(ctx context.Context, dst []float64, clip layout.Clip
 	tile := geom.Rect{Min: origin, Max: origin.Add(geom.Pt(t.tileNM, t.tileNM))}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	if err := rasterize(ctx, sc, t.d, "dct tile", tile, clip.Shapes, t.d.PixelNM); err != nil {
+	if err := rasterize(ctx, sc, t.d, "dct tile", tile, clip.Shapes); err != nil {
 		return err
 	}
 	sp := startSpan(ctx, "features", t.d)

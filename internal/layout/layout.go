@@ -312,8 +312,9 @@ func (l *Layout) gather(window geom.Rect, ids []int32) []int32 {
 			ids = append(ids, id)
 		}
 	}
-	// Cells interleave their shapes' ids; the tile bits downstream rely
-	// on insertion order (DESIGN §8).
+	// Cells interleave their shapes' ids, and Query promises insertion
+	// order. A clip's raster does not need it: at the extractors' one
+	// pitch every coverage sum is exact in any order (DESIGN §8).
 	slices.Sort(ids)
 	return ids
 }
