@@ -12,10 +12,10 @@
 #   file hsdserve was started with), a check that no
 #   binary's flag set, no facade name and no /metrics series moved, that
 #   every facade name has an outside caller, that nothing is bound
-#   after construction and that no circuit breaker is built outside
-#   serving, a run of every example, a parse of the A/B pair script,
-#   a smoke pass over the
-#   fuzz seed corpora, 7 s of real fuzzing each on all nine fuzz
+#   after construction, that no circuit breaker is built outside
+#   serving and that no optional Ctx interface is back beside the
+#   context-taking Score, a run of every example, a parse of the A/B
+#   pair script, a smoke pass over the fuzz seed corpora, 7 s of real fuzzing each on all nine fuzz
 #   targets (63 s in all), one pass of the window key, conv, ragged-edge,
 #   matmul kernel, shallow fit, CNN fit, scan miss, journaled scan and
 #   serve score cache micro-benchmarks (the journaled scan's allocations
@@ -138,7 +138,7 @@ echo "== scan farm chaos =="
 # panics, latency) and repeated kill-resume cycles over one journal;
 # findings must stay byte-identical to an uninterrupted serial scan
 # and the shared clip cache must hold under -race. A panicking
-# CtxScorer and a window over layout.MaxClipShapes each cost only
+# detector and a window over layout.MaxClipShapes each cost only
 # their shard. A real run's journal, cut at every frame boundary (inside
 # a commit group too) and one byte past it, resumes to the uninterrupted
 # Result and leaves every shard journaled once.
@@ -228,6 +228,19 @@ echo "== breakers only where calls are concurrent =="
 if grep -rn 'resilience\.NewBreaker' --include='*.go' . | grep -v '_test\.go:' |
 	grep -v -e '^\./internal/serve/' -e '^\./internal/resilience/'; then
 	echo "ci: resilience.NewBreaker is back outside internal/serve; the scan farm's per-worker breaker was deleted because a one-caller breaker only stalls (ROADMAP Decided), retry with resilience.Retry instead" >&2
+	exit 1
+fi
+
+echo "== one score method =="
+# Detector.Score and Extractor.ExtractCtx take the context, so a
+# detector or an extractor has one body, traced or not, and a wrapper
+# that embeds one keeps its stage spans. An optional Ctx interface
+# beside them, asserted with a fallback to a plain method, is what lost
+# a wrapper those spans (DESIGN §12). core.CtxFitter stays: the
+# benchmark fits through the plain Fit.
+if grep -rnE 'type Ctx[A-Za-z0-9_]* interface|\.\(([A-Za-z0-9_]+\.)?Ctx[A-Za-z0-9_]*\)|case .*\bCtx[A-Za-z0-9_]*' \
+	--include='*.go' . | grep -v -e '_test\.go:' -e '^\./bench/' | grep -v '\bCtxFitter\b'; then
+	echo "ci: an optional Ctx interface or an assertion to one is back outside bench/; give the method a context instead (core.CtxFitter is the one kept)" >&2
 	exit 1
 fi
 

@@ -214,7 +214,7 @@ func mine(ctx context.Context, eng *datengine.Engine, det core.Detector, bench *
 			return err
 		}
 		clip := s.Clip
-		score, err := core.ScoreClipCtx(ctx, det, clip)
+		score, err := det.Score(ctx, clip)
 		if err != nil {
 			return fmt.Errorf("mining: %w", err)
 		}

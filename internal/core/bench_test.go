@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/golitho/hsd/internal/geom"
@@ -29,7 +30,7 @@ func BenchmarkScan4225Windows(b *testing.B) {
 
 type stubBenchDetector struct{}
 
-func (stubBenchDetector) Name() string                       { return "stub" }
-func (stubBenchDetector) Fit([]LabeledClip) error            { return nil }
-func (stubBenchDetector) Threshold() float64                 { return 0.5 }
-func (stubBenchDetector) Score(layout.Clip) (float64, error) { return 0, nil }
+func (stubBenchDetector) Name() string                                        { return "stub" }
+func (stubBenchDetector) Fit([]LabeledClip) error                             { return nil }
+func (stubBenchDetector) Threshold() float64                                  { return 0.5 }
+func (stubBenchDetector) Score(context.Context, layout.Clip) (float64, error) { return 0, nil }

@@ -27,26 +27,28 @@ type LabeledClip struct {
 
 // Detector is a trainable hotspot classifier over layout clips.
 //
-// Concurrency contract: once Fit has returned, Score (and the optional
-// ScoreCtx and ScoreBatch) must be safe to call from any number of
+// Concurrency contract: once Fit has returned, Score (and ScoreBatch,
+// where a detector has one) must be safe to call from any number of
 // goroutines on the one instance, and must return the same bits as a
-// serial call. Scans, the model registry and the HTTP service all
-// share a single fitted detector; none of them clones or locks. Fit
-// itself is not concurrent with anything.
+// serial call, traced or not. Scans, the model registry and the HTTP
+// service all share a single fitted detector; none of them clones or
+// locks. Fit itself is not concurrent with anything.
 type Detector interface {
 	// Name identifies the detector in reports.
 	Name() string
 	// Fit trains on labelled clips.
 	Fit(train []LabeledClip) error
 	// Score returns a hotspot likelihood; higher means more suspicious.
-	Score(clip layout.Clip) (float64, error)
+	// The context carries the trace its stage spans hang from; it
+	// changes no bit of the score.
+	Score(ctx context.Context, clip layout.Clip) (float64, error)
 	// Threshold is the decision cut: Score >= Threshold flags a hotspot.
 	Threshold() float64
 }
 
-// Predict applies the detector's threshold to a clip.
+// Predict applies the detector's threshold to a clip, untraced.
 func Predict(d Detector, clip layout.Clip) (bool, error) {
-	s, err := d.Score(clip)
+	s, err := d.Score(context.Background(), clip)
 	if err != nil {
 		return false, err
 	}
@@ -247,8 +249,9 @@ func (d *PMDetector) Fit(train []LabeledClip) error {
 	return nil
 }
 
-// Score implements Detector.
-func (d *PMDetector) Score(clip layout.Clip) (float64, error) {
+// Score implements Detector. Matching has no stages, so it records no
+// spans.
+func (d *PMDetector) Score(_ context.Context, clip layout.Clip) (float64, error) {
 	if d.lib == nil {
 		return 0, errNotFitted
 	}
@@ -318,11 +321,6 @@ func (d *FeatureDetector) Fit(train []LabeledClip) error {
 	}
 	d.scale, d.decide = scale, decide
 	return nil
-}
-
-// Score implements Detector.
-func (d *FeatureDetector) Score(clip layout.Clip) (float64, error) {
-	return d.ScoreCtx(context.Background(), clip)
 }
 
 // Threshold implements Detector. It is 0 for every learner: each scores
@@ -425,11 +423,6 @@ func (d *NeuralDetector) History() []nn.EpochStats { return d.hist }
 
 // Network returns the trained network (nil before Fit).
 func (d *NeuralDetector) Network() *nn.Network { return d.net }
-
-// Score implements Detector.
-func (d *NeuralDetector) Score(clip layout.Clip) (float64, error) {
-	return d.ScoreCtx(context.Background(), clip)
-}
 
 // ScoreBatch scores clips in one vectorized pass: per-clip extraction,
 // then nn.PredictBatch, both sharded over tensor.Default. Scores are

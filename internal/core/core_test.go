@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -227,7 +228,7 @@ func TestWithNetworkRejectsWrongInputWidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := swapped.Score(test[0].Clip); err != nil {
+	if _, err := swapped.Score(context.Background(), test[0].Clip); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -272,7 +273,7 @@ func TestNotFittedErrors(t *testing.T) {
 		NewBoostDetector(&features.Density{Grid: 8}, boost.Config{}),
 		NewMLPDetector(&features.Density{Grid: 8}, []int{4}, nn.TrainConfig{}),
 	} {
-		if _, err := det.Score(clip); err == nil {
+		if _, err := det.Score(context.Background(), clip); err == nil {
 			t.Errorf("%s scored before Fit", det.Name())
 		}
 	}
@@ -286,7 +287,7 @@ type stubDetector struct {
 func (s *stubDetector) Name() string                  { return "stub" }
 func (s *stubDetector) Fit(train []LabeledClip) error { return nil }
 func (s *stubDetector) Threshold() float64            { return 0.5 }
-func (s *stubDetector) Score(clip layout.Clip) (float64, error) {
+func (s *stubDetector) Score(_ context.Context, clip layout.Clip) (float64, error) {
 	for _, r := range clip.Shapes {
 		if r.Overlaps(s.Target) {
 			return 1, nil

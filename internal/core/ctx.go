@@ -1,11 +1,14 @@
-// Context-aware scoring: the one body behind every score. A detector
-// that scores through features implements ScoreCtx, which decomposes a
-// scored clip into "raster" + "features" spans (via features.ExtractCtx)
-// followed by an "inference" span, exactly the per-stage ODST breakdown
-// the tracer exports as hotspot_stage_seconds. Its plain Score, like
-// every other plain method with a Ctx twin (Fit), is the twin under
-// context.Background(): untraced callers run the same code and pay only
-// the nil-span fast path.
+// Context-aware scoring: Detector.Score takes the context, and a
+// detector that scores through features decomposes a scored clip into
+// "raster" + "features" spans (Extractor.ExtractCtx) followed by an
+// "inference" span, exactly the per-stage ODST breakdown the tracer
+// exports as hotspot_stage_seconds. An untraced caller passes
+// context.Background() and pays only the nil-span fast path. A wrapper
+// that embeds a Detector keeps the spans of the one it wraps.
+//
+// Training keeps a plain Fit beside the optional FitCtx (CtxFitter):
+// the benchmark fits detectors through Detector.Fit, so that method's
+// signature is pinned.
 
 package core
 
@@ -18,13 +21,6 @@ import (
 	"github.com/golitho/hsd/internal/tensor"
 	"github.com/golitho/hsd/internal/trace"
 )
-
-// CtxScorer is implemented by detectors that attribute scoring stages
-// (raster, features, inference) to trace spans.
-type CtxScorer interface {
-	// ScoreCtx is Score with stage spans on the context's trace.
-	ScoreCtx(ctx context.Context, clip layout.Clip) (float64, error)
-}
 
 // CtxFitter is implemented by detectors whose training observes context
 // cancellation and attributes each epoch to a train.epoch span. A
@@ -44,21 +40,18 @@ func FitClipsCtx(ctx context.Context, d Detector, train []LabeledClip) error {
 	return d.Fit(train)
 }
 
-// ScoreClipCtx scores one clip through the detector's span-attributing
-// path when it has one, falling back to plain Score.
+// ScoreClipCtx is d.Score(ctx, clip); the benchmark calls it by this
+// name.
 func ScoreClipCtx(ctx context.Context, d Detector, clip layout.Clip) (float64, error) {
-	if cs, ok := d.(CtxScorer); ok {
-		return cs.ScoreCtx(ctx, clip)
-	}
-	return d.Score(clip)
+	return d.Score(ctx, clip)
 }
 
 // scoreFeatures is how a feature-based detector turns a clip into a
 // score: extraction under ExtractCtx (one "raster" + "features" span
-// pair per extractor), then scoreVector.
+// pair per rasterizing extractor), then scoreVector.
 func scoreFeatures(ctx context.Context, d Detector, ex features.Extractor, scale *scaler,
 	clip layout.Clip, decide func(v []float64) float64) (float64, error) {
-	v, err := features.ExtractCtx(ctx, ex, clip)
+	v, err := ex.ExtractCtx(ctx, clip)
 	if err != nil {
 		return 0, err
 	}
@@ -77,24 +70,20 @@ func scoreVector(ctx context.Context, d Detector, scale *scaler, v []float64, de
 	return s
 }
 
-var (
-	_ CtxScorer = (*FeatureDetector)(nil)
-	_ CtxScorer = (*NeuralDetector)(nil)
-	_ CtxFitter = (*NeuralDetector)(nil)
-)
+var _ CtxFitter = (*NeuralDetector)(nil)
 
-// ScoreCtx implements CtxScorer.
-func (d *FeatureDetector) ScoreCtx(ctx context.Context, clip layout.Clip) (float64, error) {
+// Score implements Detector.
+func (d *FeatureDetector) Score(ctx context.Context, clip layout.Clip) (float64, error) {
 	if d.decide == nil {
 		return 0, errNotFitted
 	}
 	return scoreFeatures(ctx, d, d.Ex, d.scale, clip, d.decide)
 }
 
-// ScoreCtx implements CtxScorer. It does not mutate the detector: the
+// Score implements Detector. It does not mutate the detector: the
 // forward pass runs on a pooled arena (nn.Score), so concurrent calls on
 // one detector are safe.
-func (d *NeuralDetector) ScoreCtx(ctx context.Context, clip layout.Clip) (float64, error) {
+func (d *NeuralDetector) Score(ctx context.Context, clip layout.Clip) (float64, error) {
 	if d.net == nil {
 		return 0, errNotFitted
 	}
@@ -139,10 +128,10 @@ type Conv1Window struct {
 	Lo, Hi int
 }
 
-// ScoreConv1 is ScoreCtx for a caller that holds the window's feature
+// ScoreConv1 is Score for a caller that holds the window's feature
 // tensor and, in part, its first-layer sums: the sums w lacks, then the
 // rest of the network, under one "inference" span. d must have a Conv1;
-// the score has the bits ScoreCtx gives the clip the window was built
+// the score has the bits Score gives the clip the window was built
 // from.
 func (d *NeuralDetector) ScoreConv1(ctx context.Context, w Conv1Window) float64 {
 	_, sp := trace.Start(ctx, "inference")

@@ -109,7 +109,7 @@ func EvaluateCtx(ctx context.Context, det Detector, benchName string, train, tes
 	sctx, scoreSp := trace.Start(ectx, "score")
 	scoreSp.SetAttrInt("samples", len(test))
 	for i, s := range test {
-		score, err := ScoreClipCtx(sctx, det, s.Clip)
+		score, err := det.Score(sctx, s.Clip)
 		if err != nil {
 			scoreSp.SetError(err)
 			scoreSp.End()

@@ -21,7 +21,7 @@ var errInjected = errors.New("injected failure")
 func (e *errDetector) Name() string                  { return "err" }
 func (e *errDetector) Fit(train []LabeledClip) error { return nil }
 func (e *errDetector) Threshold() float64            { return 0.5 }
-func (e *errDetector) Score(clip layout.Clip) (float64, error) {
+func (e *errDetector) Score(_ context.Context, clip layout.Clip) (float64, error) {
 	if clip.Window.Overlaps(e.Bad) {
 		return 0, errInjected
 	}
@@ -52,10 +52,10 @@ func TestEvaluatePropagatesScoreErrors(t *testing.T) {
 // fitFailDetector always fails to train.
 type fitFailDetector struct{}
 
-func (fitFailDetector) Name() string                       { return "fitfail" }
-func (fitFailDetector) Fit([]LabeledClip) error            { return errInjected }
-func (fitFailDetector) Threshold() float64                 { return 0.5 }
-func (fitFailDetector) Score(layout.Clip) (float64, error) { return 0, nil }
+func (fitFailDetector) Name() string                                        { return "fitfail" }
+func (fitFailDetector) Fit([]LabeledClip) error                             { return errInjected }
+func (fitFailDetector) Threshold() float64                                  { return 0.5 }
+func (fitFailDetector) Score(context.Context, layout.Clip) (float64, error) { return 0, nil }
 
 func TestEvaluatePropagatesFitErrors(t *testing.T) {
 	train, test := tinySplits(t)
@@ -78,7 +78,7 @@ func TestEvaluateCancelledFitLeavesNoModel(t *testing.T) {
 	if _, err := EvaluateCtx(ctx, det, "T1", train, test, EvalOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("evaluate error = %v, want one wrapping context.Canceled", err)
 	}
-	if _, err := det.Score(test[0].Clip); !errors.Is(err, errNotFitted) {
+	if _, err := det.Score(context.Background(), test[0].Clip); !errors.Is(err, errNotFitted) {
 		t.Fatalf("Score after a cancelled fit: err = %v, want errNotFitted", err)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -19,6 +20,7 @@ import (
 	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/nn"
 	"github.com/golitho/hsd/internal/tensor"
+	"github.com/golitho/hsd/internal/trace"
 )
 
 // updateGolden rewrites the miss-path golden from the running code.
@@ -156,32 +158,34 @@ func fitSharedCNN(t *testing.T) (*NeuralDetector, []layout.Clip) {
 }
 
 // TestSharedDetectorConcurrentScore is the property the arena-backed
-// nn.Score adds: one un-cloned neural detector scored from 8 goroutines
-// answers exactly what it answers serially. Meaningful under -race.
+// nn.Score adds: one un-cloned neural detector scored from 8 goroutines,
+// half of them under a recording trace, answers exactly what it answers
+// serially. Meaningful under -race.
 func TestSharedDetectorConcurrentScore(t *testing.T) {
 	det, clips := fitSharedCNN(t)
 	want := make([]float64, len(clips))
 	for i, c := range clips {
-		s, err := det.Score(c)
+		s, err := det.Score(context.Background(), c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = s
 	}
+	tr := trace.New(trace.Config{Capacity: 8})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			ctx := context.Background()
+			if g%2 == 1 {
+				var root *trace.Span
+				ctx, root = trace.Start(trace.WithTracer(ctx, tr), "root")
+				defer root.End()
+			}
 			for k := range clips {
 				i := (k + g*5) % len(clips) // goroutines collide on different clips
-				var s float64
-				var err error
-				if g%2 == 0 {
-					s, err = det.Score(clips[i])
-				} else {
-					s, err = det.ScoreCtx(context.Background(), clips[i])
-				}
+				s, err := det.Score(ctx, clips[i])
 				if err != nil {
 					t.Errorf("goroutine %d clip %d: %v", g, i, err)
 					return
@@ -196,6 +200,43 @@ func TestSharedDetectorConcurrentScore(t *testing.T) {
 	wg.Wait()
 }
 
+// rethresholded embeds a Detector and overrides only its cut, as a
+// caller that re-thresholds a fitted model would.
+type rethresholded struct{ Detector }
+
+func (rethresholded) Threshold() float64 { return 0.9 }
+
+// TestWrappedDetectorKeepsStageSpans: a wrapper that overrides only
+// Threshold scores through the embedded detector's one Score, so the
+// fitted CNN's raster, features and inference spans land on a recording
+// trace under it, and its score keeps the CNN's bits.
+func TestWrappedDetectorKeepsStageSpans(t *testing.T) {
+	det, clips := fitSharedCNN(t)
+	want, err := det.Score(context.Background(), clips[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.New(trace.Config{Capacity: 1})
+	ctx, root := trace.Start(trace.WithTracer(context.Background(), tr), "root")
+	got, err := rethresholded{det}.Score(ctx, clips[0])
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("wrapped score %v, the CNN's %v", got, want)
+	}
+	var names []string
+	for _, sp := range tr.Traces(1)[0].Spans {
+		if sp.Name != "root" {
+			names = append(names, sp.Name)
+		}
+	}
+	if !slices.Equal(names, []string{"raster", "features", "inference"}) {
+		t.Fatalf("wrapped CNN recorded spans %v, want raster, features, inference", names)
+	}
+}
+
 // TestScoreBatchEqualsScore pins the parallel extraction in
 // ScoreBatch: at 1 and N kernel workers the batch equals per-clip
 // Score bit for bit, in input order.
@@ -203,7 +244,7 @@ func TestScoreBatchEqualsScore(t *testing.T) {
 	det, clips := fitSharedCNN(t)
 	want := make([]float64, len(clips))
 	for i, c := range clips {
-		s, err := det.Score(c)
+		s, err := det.Score(context.Background(), c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,11 +361,11 @@ func TestCloneDetectorIsDeepCopy(t *testing.T) {
 		t.Fatal("CloneDetector shares the detector or its network")
 	}
 	for i, c := range clips {
-		want, err := det.Score(c)
+		want, err := det.Score(context.Background(), c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := clone.Score(c)
+		got, err := clone.Score(context.Background(), c)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -113,7 +113,7 @@ type ScanResult struct {
 // ScanCtx slides a detection window across the chip and returns the
 // flagged windows. Cores tile the die, so every location is scored
 // exactly once. It is the reference loop scanfarm.Run's findings are
-// checked against: each window is ClipAt plus ScoreClipCtx, in place.
+// checked against: each window is ClipAt plus Score, in place.
 // Workers split the windows by a fixed stride, worker g scoring windows
 // g, g+W, ... on the one det (see Detector's contract) into its own
 // slots, so the findings do not depend on Workers.
@@ -146,7 +146,7 @@ func ScanCtx(ctx context.Context, chip *layout.Layout, det Detector, cfg ScanCon
 				scores[i] = math.NaN()
 				clip, err := chip.ClipAt(center(i), grid.ClipNM, grid.CoreFrac)
 				if err == nil && !(cfg.SkipEmpty && len(clip.Shapes) == 0) {
-					scores[i], err = ScoreClipCtx(ctx, det, clip)
+					scores[i], err = det.Score(ctx, clip)
 				}
 				if err != nil {
 					// This worker's later windows cannot hold the first error.

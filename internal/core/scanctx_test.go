@@ -16,7 +16,7 @@ type densityDetector struct{ thr float64 }
 func (d densityDetector) Name() string            { return "density" }
 func (d densityDetector) Fit([]LabeledClip) error { return nil }
 func (d densityDetector) Threshold() float64      { return d.thr }
-func (densityDetector) Score(c layout.Clip) (float64, error) {
+func (densityDetector) Score(_ context.Context, c layout.Clip) (float64, error) {
 	return c.Density(), nil
 }
 
@@ -57,7 +57,7 @@ func (flagAll) Threshold() float64 { return math.Inf(-1) }
 
 // TestScanCtxWorkersBitsEqual: the strided split gives every worker
 // count the findings one worker gives, scores equal to the bit, with a
-// fitted CNN scored through its CtxScorer path on a chip of suite clips.
+// fitted CNN scored clip by clip on a chip of suite clips.
 func TestScanCtxWorkersBitsEqual(t *testing.T) {
 	det, clips := fitSharedCNN(t)
 	chip := layout.New("clips")

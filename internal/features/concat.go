@@ -15,7 +15,7 @@ type Concat struct {
 	Parts []Extractor
 }
 
-var _ CtxExtractor = (*Concat)(nil)
+var _ Extractor = (*Concat)(nil)
 
 // NewConcat builds a concatenated extractor.
 func NewConcat(parts ...Extractor) *Concat { return &Concat{Parts: parts} }
@@ -43,16 +43,16 @@ func (c *Concat) Extract(clip layout.Clip) ([]float64, error) {
 	return c.ExtractCtx(context.Background(), clip)
 }
 
-// ExtractCtx implements CtxExtractor: each part extracts under the same
+// ExtractCtx implements Extractor: each part extracts under the same
 // context, so a fused extractor attributes one raster/features span pair
-// per part.
+// per part that rasterizes.
 func (c *Concat) ExtractCtx(ctx context.Context, clip layout.Clip) ([]float64, error) {
 	if len(c.Parts) == 0 {
 		return nil, fmt.Errorf("features: concat has no parts")
 	}
 	out := make([]float64, 0, c.Dim())
 	for _, p := range c.Parts {
-		v, err := ExtractCtx(ctx, p, clip)
+		v, err := p.ExtractCtx(ctx, clip)
 		if err != nil {
 			return nil, fmt.Errorf("features: concat part %s: %w", p.Name(), err)
 		}

@@ -35,27 +35,14 @@ type Extractor interface {
 	Name() string
 	// Dim is the length of the produced vector.
 	Dim() int
-	// Extract computes the features of one clip.
+	// Extract is ExtractCtx untraced. Fits and batched scores extract
+	// through it, and so does the benchmark, which pins its name.
 	Extract(clip layout.Clip) ([]float64, error)
-}
-
-// CtxExtractor is implemented by extractors that attribute their work
-// to trace spans: a "raster" span for clip rasterization and a
-// "features" span for the transform that follows.
-type CtxExtractor interface {
-	Extractor
-	// ExtractCtx computes the features of one clip, emitting stage
-	// spans on the context's trace.
+	// ExtractCtx computes the features of one clip. An extractor that
+	// rasterizes emits a "raster" span for the rasterization and a
+	// "features" span for the transform that follows on the context's
+	// trace; the context changes no bit of the vector.
 	ExtractCtx(ctx context.Context, clip layout.Clip) ([]float64, error)
-}
-
-// ExtractCtx extracts features with span attribution when ex supports
-// it, falling back to plain Extract otherwise.
-func ExtractCtx(ctx context.Context, ex Extractor, clip layout.Clip) ([]float64, error) {
-	if cx, ok := ex.(CtxExtractor); ok {
-		return cx.ExtractCtx(ctx, clip)
-	}
-	return ex.Extract(clip)
 }
 
 // pixelNM is every extractor's rasterization pitch. A pixel covers
@@ -135,7 +122,7 @@ type Density struct {
 	Grid int
 }
 
-var _ CtxExtractor = (*Density)(nil)
+var _ Extractor = (*Density)(nil)
 
 // Name implements Extractor.
 func (d *Density) Name() string { return fmt.Sprintf("density%d", d.Grid) }
@@ -148,7 +135,7 @@ func (d *Density) Extract(clip layout.Clip) ([]float64, error) {
 	return d.ExtractCtx(context.Background(), clip)
 }
 
-// ExtractCtx implements CtxExtractor.
+// ExtractCtx implements Extractor.
 func (d *Density) ExtractCtx(ctx context.Context, clip layout.Clip) ([]float64, error) {
 	if d.Grid <= 0 {
 		return nil, fmt.Errorf("features: density grid must be positive, got %d", d.Grid)
@@ -189,7 +176,7 @@ type CCAS struct {
 	Sectors int
 }
 
-var _ CtxExtractor = (*CCAS)(nil)
+var _ Extractor = (*CCAS)(nil)
 
 // Name implements Extractor.
 func (c *CCAS) Name() string { return fmt.Sprintf("ccas%dx%d", c.Rings, c.Sectors) }
@@ -202,7 +189,7 @@ func (c *CCAS) Extract(clip layout.Clip) ([]float64, error) {
 	return c.ExtractCtx(context.Background(), clip)
 }
 
-// ExtractCtx implements CtxExtractor.
+// ExtractCtx implements Extractor.
 func (c *CCAS) ExtractCtx(ctx context.Context, clip layout.Clip) ([]float64, error) {
 	if c.Rings <= 0 || c.Sectors <= 0 {
 		return nil, fmt.Errorf("features: ccas needs positive rings/sectors, got %d/%d", c.Rings, c.Sectors)
@@ -298,7 +285,7 @@ type DCT struct {
 	Coefs int
 }
 
-var _ CtxExtractor = (*DCT)(nil)
+var _ Extractor = (*DCT)(nil)
 
 // Name implements Extractor.
 func (d *DCT) Name() string { return fmt.Sprintf("dct%dx%dx%d", d.Blocks, d.Blocks, d.Coefs) }
@@ -315,7 +302,7 @@ func (d *DCT) Extract(clip layout.Clip) ([]float64, error) {
 	return d.ExtractCtx(context.Background(), clip)
 }
 
-// ExtractCtx implements CtxExtractor.
+// ExtractCtx implements Extractor.
 func (d *DCT) ExtractCtx(ctx context.Context, clip layout.Clip) ([]float64, error) {
 	if d.Blocks <= 0 || d.Coefs <= 0 {
 		return nil, fmt.Errorf("features: dct needs positive blocks/coefs, got %d/%d", d.Blocks, d.Coefs)

@@ -1,6 +1,7 @@
 package features
 
 import (
+	"context"
 	"math"
 
 	"github.com/golitho/hsd/internal/layout"
@@ -38,6 +39,12 @@ func bucketOf(d int) int {
 		}
 	}
 	return len(geomBuckets)
+}
+
+// ExtractCtx implements Extractor. GeomStats reads the shapes, not a
+// raster, so it records no spans.
+func (g *GeomStats) ExtractCtx(_ context.Context, clip layout.Clip) ([]float64, error) {
+	return g.Extract(clip)
 }
 
 // Extract implements Extractor.

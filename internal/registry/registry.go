@@ -150,10 +150,11 @@ type goldenScores struct {
 	err    error
 }
 
-// scoreGolden scores the golden clips with panic containment: a
-// candidate trained for a different tensor shape panics inside the
-// forward pass, and that must read as a gate rejection, not a crash.
-func scoreGolden(det core.Detector, clips []core.LabeledClip) (gs goldenScores) {
+// scoreGolden scores the golden clips under ctx, with panic
+// containment: a candidate trained for a different tensor shape panics
+// inside the forward pass, and that must read as a gate rejection, not
+// a crash.
+func scoreGolden(ctx context.Context, det core.Detector, clips []core.LabeledClip) (gs goldenScores) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			gs = goldenScores{err: fmt.Errorf("scoring panicked: %v", rec)}
@@ -161,7 +162,7 @@ func scoreGolden(det core.Detector, clips []core.LabeledClip) (gs goldenScores) 
 	}()
 	raw := make([]float64, len(clips))
 	for i, s := range clips {
-		v, serr := det.Score(s.Clip)
+		v, serr := det.Score(ctx, s.Clip)
 		if serr != nil {
 			return goldenScores{err: fmt.Errorf("golden clip %d: %w", i, serr)}
 		}
@@ -245,14 +246,14 @@ func judge(live, cand core.Detector, golden []core.LabeledClip, ls, cs goldenSco
 // registry's golden set, and returns the candidate's golden scores for
 // it to keep if it goes live. A generation is scored on the golden set
 // once, as the candidate or, for the boot generation, at the first gate,
-// and keeps its scores: the set is the registry's for its lifetime.
-// Caller holds r.mu.
-func (r *Registry) gate(live *Generation, cand core.Detector) (Verdict, *goldenScores) {
+// and keeps its scores: the set is the registry's for its lifetime. The
+// scores' spans hang from ctx. Caller holds r.mu.
+func (r *Registry) gate(ctx context.Context, live *Generation, cand core.Detector) (Verdict, *goldenScores) {
 	if live.golden == nil {
-		ls := scoreGolden(live.Detector, r.cfg.Golden)
+		ls := scoreGolden(ctx, live.Detector, r.cfg.Golden)
 		live.golden = &ls
 	}
-	cs := scoreGolden(cand, r.cfg.Golden)
+	cs := scoreGolden(ctx, cand, r.cfg.Golden)
 	return judge(live.Detector, cand, r.cfg.Golden, *live.golden, cs, r.cfg.Logf), &cs
 }
 
@@ -268,7 +269,7 @@ func (r *Registry) Reload(ctx context.Context, path string) (*Generation, Verdic
 	r.mu.Lock()
 	defer r.mu.Unlock()
 
-	_, sp := trace.Start(ctx, "model.reload", trace.A("path", path))
+	ctx, sp := trace.Start(ctx, "model.reload", trace.A("path", path))
 	defer sp.End()
 
 	cand, err := r.cfg.Loader(path)
@@ -279,7 +280,7 @@ func (r *Registry) Reload(ctx context.Context, path string) (*Generation, Verdic
 		return nil, Verdict{Reason: err.Error()}, err
 	}
 	live := r.live.Load()
-	verdict, golden := r.gate(live, cand)
+	verdict, golden := r.gate(ctx, live, cand)
 	sp.SetAttr("gate", verdict.String())
 	if !verdict.OK {
 		r.countReload("rejected")

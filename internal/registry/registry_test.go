@@ -12,6 +12,7 @@ import (
 	"github.com/golitho/hsd/internal/geom"
 	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/telemetry"
+	"github.com/golitho/hsd/internal/trace"
 )
 
 // fakeDet scores clips by looking up the index encoded in the clip
@@ -26,7 +27,7 @@ type fakeDet struct {
 func (d *fakeDet) Name() string                 { return d.name }
 func (d *fakeDet) Fit([]core.LabeledClip) error { return nil }
 func (d *fakeDet) Threshold() float64           { return d.thr }
-func (d *fakeDet) Score(c layout.Clip) (float64, error) {
+func (d *fakeDet) Score(_ context.Context, c layout.Clip) (float64, error) {
 	if d.panics {
 		panic("shape mismatch")
 	}
@@ -344,9 +345,9 @@ type countingDet struct {
 	n int
 }
 
-func (d *countingDet) Score(c layout.Clip) (float64, error) {
+func (d *countingDet) Score(ctx context.Context, c layout.Clip) (float64, error) {
 	d.n++
-	return d.Detector.Score(c)
+	return d.Detector.Score(ctx, c)
 }
 
 // sameVerdict reports whether two verdicts agree field by field, NaNs
@@ -375,9 +376,10 @@ func TestReloadScoresLiveOnce(t *testing.T) {
 	reload := func(cand *countingDet, wantOK bool) {
 		t.Helper()
 		live := r.Live().Detector.(*countingDet).Detector
-		want := judge(live, cand.Detector, g, scoreGolden(live, g), scoreGolden(cand.Detector, g), t.Logf)
+		ctx := context.Background()
+		want := judge(live, cand.Detector, g, scoreGolden(ctx, live, g), scoreGolden(ctx, cand.Detector, g), t.Logf)
 		next = cand
-		_, v, err := r.Reload(context.Background(), cand.Name())
+		_, v, err := r.Reload(ctx, cand.Name())
 		if (err == nil) != wantOK || v.OK != wantOK {
 			t.Fatalf("reload %s: err %v, verdict %s; want ok %v", cand.Name(), err, v, wantOK)
 		}
@@ -408,5 +410,47 @@ func TestReloadScoresLiveOnce(t *testing.T) {
 	}
 	if boot.n != len(g) {
 		t.Fatalf("rolled-back boot generation scored %d clips, want its kept %d", boot.n, len(g))
+	}
+}
+
+// spanDet ends one "inference" span on the context's trace for every
+// clip it scores.
+type spanDet struct{ core.Detector }
+
+func (d spanDet) Score(ctx context.Context, c layout.Clip) (float64, error) {
+	_, sp := trace.Start(ctx, "inference")
+	defer sp.End()
+	return d.Detector.Score(ctx, c)
+}
+
+// TestReloadScoresGoldenUnderReloadSpan: the gate scores the golden set
+// under the reload's context, so the live model's and the candidate's
+// golden scores each hang their spans from the "model.reload" span.
+func TestReloadScoresGoldenUnderReloadSpan(t *testing.T) {
+	g := golden(4, 2)
+	cand := spanDet{det("cand", 0.5, 0.8, 0.8, 0.2, 0.2)}
+	r := New(spanDet{det("live", 0.5, 0.9, 0.9, 0.1, 0.1)}, Config{
+		Golden: g,
+		Loader: func(string) (core.Detector, error) { return cand, nil },
+	})
+	tr := trace.New(trace.Config{Capacity: 1})
+	if _, _, err := r.Reload(trace.WithTracer(context.Background(), tr), "cand"); err != nil {
+		t.Fatal(err)
+	}
+	rec := tr.Traces(1)[0]
+	var root string
+	for _, sp := range rec.Spans {
+		if sp.Name == "model.reload" {
+			root = sp.SpanID
+		}
+	}
+	n := 0
+	for _, sp := range rec.Spans {
+		if sp.Name == "inference" && sp.ParentID == root {
+			n++
+		}
+	}
+	if rec.Root != "model.reload" || n != 2*len(g) {
+		t.Fatalf("trace %q holds %d inference spans under model.reload, want %d", rec.Root, n, 2*len(g))
 	}
 }

@@ -13,7 +13,7 @@
 // Two detectors are fitted once on the small suite's first benchmark:
 // the zoo's CNN-biased, which a scan scores through shared feature tiles
 // and first-layer sums, and AdaBoost, which it scores clip by clip
-// through core.ScoreClipCtx. Both flag every window they score, so a
+// through Score. Both flag every window they score, so a
 // scan's findings carry every score. Each relation runs them over two
 // chips: a generated one and one of a repeated cell, which a scan
 // answers mostly from the cache. Equal means equal Float64bits.
@@ -52,16 +52,11 @@ import (
 const chipEdge = 8192
 
 // everyWindow is a detector whose threshold is below every score, so a
-// scan flags, and reports the score of, every window it scores. It
-// keeps the inner detector's context path. The threshold is finite,
-// since serve writes it into its JSON.
+// scan flags, and reports the score of, every window it scores. The
+// threshold is finite, since serve writes it into its JSON.
 type everyWindow struct{ core.Detector }
 
 func (everyWindow) Threshold() float64 { return -math.MaxFloat64 }
-
-func (d everyWindow) ScoreCtx(ctx context.Context, clip layout.Clip) (float64, error) {
-	return core.ScoreClipCtx(ctx, d.Detector, clip)
-}
 
 type namedDetector struct {
 	name string
@@ -509,11 +504,11 @@ func TestSplitRectangleKeepsFeatures(t *testing.T) {
 							}
 						}
 					}
-					want, err := core.ScoreClipCtx(context.Background(), cnn, clip)
+					want, err := cnn.Score(context.Background(), clip)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := core.ScoreClipCtx(context.Background(), cnn, two)
+					got, err := cnn.Score(context.Background(), two)
 					if err != nil {
 						t.Fatal(err)
 					}

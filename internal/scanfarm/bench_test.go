@@ -31,7 +31,7 @@ type rasterDetector struct{ thr float64 }
 func (d rasterDetector) Name() string                 { return "raster" }
 func (d rasterDetector) Fit([]core.LabeledClip) error { return nil }
 func (d rasterDetector) Threshold() float64           { return d.thr }
-func (d rasterDetector) Score(c layout.Clip) (float64, error) {
+func (d rasterDetector) Score(_ context.Context, c layout.Clip) (float64, error) {
 	im, err := raster.Rasterize(raster.Config{Window: c.Window, PixelNM: 8}, c.Shapes)
 	if err != nil {
 		return 0, err

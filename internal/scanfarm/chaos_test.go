@@ -10,9 +10,10 @@
 //   - TestChaosFarmAdjacentPoisonShards: poison shards in a row on one
 //     worker cost their own attempts and nothing else — no cool-down
 //     stalls the worker or the healthy shard after them.
-//   - TestChaosFarmCtxScorerPanic and TestChaosFarmOverBoundWindowQuarantined:
-//     a panicking CtxScorer and a window over layout.MaxClipShapes each
-//     cost their shard, named in its quarantine, and nothing else.
+//   - TestChaosFarmPoisonQuarantineAnyWorkers and
+//     TestChaosFarmOverBoundWindowQuarantined: a panicking detector and a
+//     window over layout.MaxClipShapes each cost their shard, named in
+//     its quarantine, and nothing else.
 //
 // These are the scan-path twins of the nn kill-resume training gates.
 
@@ -313,34 +314,12 @@ func TestChaosFarmConcurrentCache(t *testing.T) {
 	}
 }
 
-// panicCtxDetector is poisonDetector on the CtxScorer path the feature
-// and neural detectors take: ScoreCtx panics on the poison marker, and
-// Score delegates to it as theirs does.
-type panicCtxDetector struct{ inner core.Detector }
-
-func (d *panicCtxDetector) Name() string                 { return "poison-ctx" }
-func (d *panicCtxDetector) Fit([]core.LabeledClip) error { return nil }
-func (d *panicCtxDetector) Threshold() float64           { return d.inner.Threshold() }
-func (d *panicCtxDetector) Score(c layout.Clip) (float64, error) {
-	return d.ScoreCtx(context.Background(), c)
-}
-func (d *panicCtxDetector) ScoreCtx(_ context.Context, c layout.Clip) (float64, error) {
-	for _, s := range c.Shapes {
-		if s.Dx() == poisonMarker.X && s.Dy() == poisonMarker.Y {
-			panic("poison window (ctx)")
-		}
-	}
-	return d.inner.Score(c)
-}
-
-var _ core.CtxScorer = (*panicCtxDetector)(nil)
-
-// TestChaosFarmCtxScorerPanic: a panic raised on the CtxScorer dispatch
-// path costs its shard as a plain Score panic does, and the quarantine
-// is the same whatever the worker count, because an attempt meets its
-// shard's windows in one fixed order and the first poison window fails
-// it. Every other shard's findings are the reference scan's.
-func TestChaosFarmCtxScorerPanic(t *testing.T) {
+// TestChaosFarmPoisonQuarantineAnyWorkers: a detector panic costs its
+// shard, and the quarantine is the same whatever the worker count,
+// because an attempt meets its shard's windows in one fixed order and
+// the first poison window fails it. Every other shard's findings are
+// the reference scan's.
+func TestChaosFarmPoisonQuarantineAnyWorkers(t *testing.T) {
 	chip := testChip(t, 8)
 	if err := chip.AddRect(poisonRect(3*1024+50, 5*1024+50)); err != nil {
 		t.Fatal(err)
@@ -349,7 +328,7 @@ func TestChaosFarmCtxScorerPanic(t *testing.T) {
 	var want []Quarantine
 	for _, workers := range []int{1, 3, 8} {
 		cfg := Config{SkipEmpty: true, Workers: workers, ShardRows: 1, MaxAttempts: 2}
-		res, err := Run(context.Background(), chip, &panicCtxDetector{inner: inner}, cfg)
+		res, err := Run(context.Background(), chip, &poisonDetector{inner: inner}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,7 +339,7 @@ func TestChaosFarmCtxScorerPanic(t *testing.T) {
 		quarantined := map[int]bool{}
 		for _, q := range res.Quarantined {
 			quarantined[q.ShardID] = true
-			if !strings.Contains(q.Err, "detector panic: poison window (ctx)") || !strings.Contains(q.Err, "window at (") {
+			if !strings.Contains(q.Err, "detector panic: poison window") || !strings.Contains(q.Err, "window at (") {
 				t.Fatalf("workers=%d: quarantine error %q names no panicking window", workers, q.Err)
 			}
 		}

@@ -563,7 +563,7 @@ func (w *worker) scoreMiss(ctx context.Context, canon layout.Clip, col, row int)
 		return 0, err
 	}
 	if w.tiles == nil {
-		return core.ScoreClipCtx(ctx, w.det, canon)
+		return w.det.Score(ctx, canon)
 	}
 	win, err := w.tiles.conv1Window(ctx, canon, col, row)
 	if err != nil {

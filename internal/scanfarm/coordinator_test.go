@@ -554,9 +554,9 @@ type countingDetector struct {
 	scored atomic.Int64
 }
 
-func (d *countingDetector) Score(c layout.Clip) (float64, error) {
+func (d *countingDetector) Score(ctx context.Context, c layout.Clip) (float64, error) {
 	d.scored.Add(1)
-	return d.densityDetector.Score(c)
+	return d.densityDetector.Score(ctx, c)
 }
 
 // TestFarmJournalFailureStopsRun: once the journal stops accepting

@@ -18,7 +18,7 @@ type densityDetector struct{ thr float64 }
 func (d densityDetector) Name() string                 { return "density" }
 func (d densityDetector) Fit([]core.LabeledClip) error { return nil }
 func (d densityDetector) Threshold() float64           { return d.thr }
-func (densityDetector) Score(c layout.Clip) (float64, error) {
+func (densityDetector) Score(_ context.Context, c layout.Clip) (float64, error) {
 	return c.Density(), nil
 }
 
@@ -32,11 +32,11 @@ type cancelAfter struct {
 	cancel context.CancelFunc
 }
 
-func (d *cancelAfter) Score(c layout.Clip) (float64, error) {
+func (d *cancelAfter) Score(ctx context.Context, c layout.Clip) (float64, error) {
 	if d.scored.Add(1) == d.cut {
 		d.cancel()
 	}
-	return d.Detector.Score(c)
+	return d.Detector.Score(ctx, c)
 }
 
 // testChip builds a chip with a deterministic mix of dense and sparse
@@ -113,14 +113,14 @@ type flakyDetector struct {
 func (d *flakyDetector) Name() string                 { return "flaky" }
 func (d *flakyDetector) Fit([]core.LabeledClip) error { return nil }
 func (d *flakyDetector) Threshold() float64           { return d.inner.Threshold() }
-func (d *flakyDetector) Score(c layout.Clip) (float64, error) {
+func (d *flakyDetector) Score(ctx context.Context, c layout.Clip) (float64, error) {
 	if d.fails.Add(-1) >= 0 {
 		if d.panics {
 			panic("transient chaos")
 		}
 		return 0, errTransient
 	}
-	return d.inner.Score(c)
+	return d.inner.Score(ctx, c)
 }
 
 // poisonMarker is a shape size no generated tile produces, even after
@@ -140,13 +140,13 @@ type poisonDetector struct {
 func (d *poisonDetector) Name() string                 { return "poison" }
 func (d *poisonDetector) Fit([]core.LabeledClip) error { return nil }
 func (d *poisonDetector) Threshold() float64           { return d.inner.Threshold() }
-func (d *poisonDetector) Score(c layout.Clip) (float64, error) {
+func (d *poisonDetector) Score(ctx context.Context, c layout.Clip) (float64, error) {
 	for _, s := range c.Shapes {
 		if s.Dx() == poisonMarker.X && s.Dy() == poisonMarker.Y {
 			panic("poison window")
 		}
 	}
-	return d.inner.Score(c)
+	return d.inner.Score(ctx, c)
 }
 
 // poisonRect returns a poison-marker shape anchored at (x, y).

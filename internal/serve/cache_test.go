@@ -129,14 +129,14 @@ func smallSuiteCNN(t testing.TB, blocks, conv1, conv2, hidden int) (*core.Neural
 }
 
 // TestScoreCacheSmallSuiteBits posts every test clip of the small suite
-// to /score twice: the miss and the hit both carry core.ScoreClipCtx's
+// to /score twice: the miss and the hit both carry the detector's Score
 // bits on the served clip.
 func TestScoreCacheSmallSuiteBits(t *testing.T) {
 	det, bodies := smallSuiteCNN(t, 8, 4, 4, 8)
 	want := make([]float64, len(bodies))
 	for i, body := range bodies {
 		var err error
-		if want[i], err = core.ScoreClipCtx(context.Background(), det, servedClip(t, body)); err != nil {
+		if want[i], err = det.Score(context.Background(), servedClip(t, body)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -193,7 +193,7 @@ func TestScoreCacheFollowsGeneration(t *testing.T) {
 	body := clipBody(t, []geom.Rect{geom.R(0, 0, 300, 1024), geom.R(500, 0, 560, 1024)})
 	clip := servedClip(t, body)
 	score := func(det core.Detector) float64 {
-		v, err := core.ScoreClipCtx(context.Background(), det, clip)
+		v, err := det.Score(context.Background(), clip)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -539,12 +539,12 @@ type slowDetector struct {
 	returned chan struct{}
 }
 
-func (d slowDetector) Score(clip layout.Clip) (float64, error) {
+func (d slowDetector) Score(ctx context.Context, clip layout.Clip) (float64, error) {
 	if d.slow.Load() {
 		time.Sleep(100 * time.Millisecond)
 		defer func() { d.returned <- struct{}{} }()
 	}
-	return d.thresholdDetector.Score(clip)
+	return d.thresholdDetector.Score(ctx, clip)
 }
 
 // TestChaosCacheLateScoreNotStored: a primary score that arrives after

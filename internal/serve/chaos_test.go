@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -228,10 +229,10 @@ type heldDetector struct {
 	entered, release chan struct{}
 }
 
-func (d heldDetector) Score(clip layout.Clip) (float64, error) {
+func (d heldDetector) Score(ctx context.Context, clip layout.Clip) (float64, error) {
 	d.entered <- struct{}{}
 	<-d.release
-	return d.thresholdDetector.Score(clip)
+	return d.thresholdDetector.Score(ctx, clip)
 }
 
 // TestChaosBreakerGaugeFollowsState: hotspot_breaker_state is read from

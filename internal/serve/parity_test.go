@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"net/http"
@@ -21,7 +22,7 @@ import (
 // brokenFallback is a fallback whose every answer is an error.
 type brokenFallback struct{ fallbackDetector }
 
-func (brokenFallback) Score(layout.Clip) (float64, error) {
+func (brokenFallback) Score(context.Context, layout.Clip) (float64, error) {
 	return 0, errors.New("fallback boom")
 }
 

@@ -29,11 +29,10 @@ import (
 
 // ReloadOptions enables and configures validated hot model reload.
 type ReloadOptions struct {
-	// Config is the model registry's: Loader is required; Golden, the two
-	// regression bounds and Logf are the caller's. OnSwap and Metrics are
-	// the server's own and overwritten: OnSwap installs a new serving
-	// generation, with its own cache and outcome window, and resets the
-	// quality monitor.
+	// Config is the model registry's: Loader is required; Golden and
+	// Logf are the caller's. OnSwap and Metrics are the server's own and
+	// overwritten: OnSwap installs a new serving generation, with its own
+	// cache and outcome window, and resets the quality monitor.
 	registry.Config
 	// Path is the model file POST /admin/reload loads, the one file the
 	// server ever reloads (hsdserve's -model). Empty, a reload answers

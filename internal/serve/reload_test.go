@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -32,7 +33,7 @@ type namedDet struct {
 func (d namedDet) Name() string                 { return d.name }
 func (d namedDet) Fit([]core.LabeledClip) error { return nil }
 func (d namedDet) Threshold() float64           { return d.thr }
-func (d namedDet) Score(layout.Clip) (float64, error) {
+func (d namedDet) Score(context.Context, layout.Clip) (float64, error) {
 	return d.score, d.err
 }
 

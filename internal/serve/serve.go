@@ -34,6 +34,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -469,10 +470,11 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	state := s.live.Load().breaker.State()
+	gen := s.live.Load()
+	state := gen.breaker.State()
 	out := ReadyResponse{
 		Breaker:  state.String(),
-		Primary:  s.live.Load().name,
+		Primary:  gen.name,
 		Shedding: s.shed != nil,
 	}
 	if s.opts.Fallback != nil {
@@ -605,20 +607,22 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		clipError(w, err)
 		return
 	}
-	resp, err := s.cascade(r.Context(), clip)
+	gen := s.live.Load()
+	resp, err := s.cascade(r.Context(), gen, clip)
 	if err != nil {
-		s.cascadeError(w, err)
+		cascadeError(w, gen, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// cascadeError maps a cascade failure (no fallback available, or the
-// fallback itself failed) to its HTTP status.
-func (s *Server) cascadeError(w http.ResponseWriter, err error) {
+// cascadeError maps a cascade failure of gen (no fallback available,
+// or the fallback itself failed) to its HTTP status; an open breaker's
+// Retry-After is gen's.
+func cascadeError(w http.ResponseWriter, gen *liveGen, err error) {
 	switch {
 	case errors.Is(err, resilience.ErrOpen):
-		if ra := s.live.Load().breaker.RetryAfter(); ra > 0 {
+		if ra := gen.breaker.RetryAfter(); ra > 0 {
 			w.Header().Set("Retry-After", strconv.Itoa(int(ra/time.Second)+1))
 		}
 		http.Error(w, "primary detector unavailable (circuit open), no fallback", http.StatusServiceUnavailable)
@@ -629,18 +633,17 @@ func (s *Server) cascadeError(w http.ResponseWriter, err error) {
 	}
 }
 
-// cascade answers one clip: first from the live generation's score
-// cache, then down the degradation ladder under the request's deadline
-// budget. A hit gets the primary's verdict with the score the primary
-// stored, and since it runs nothing it touches nothing that counts runs:
-// no budget, no goroutine, no breaker call, no outcome in any window,
-// no serve.primary fault site. It only feeds the quality monitor and
-// adds a "score-cache-hit" event to the request span. A miss that the
-// primary answered within the deadline is stored; a fallback score
-// never is. A degraded response is a success; an error means nothing
-// could answer.
-func (s *Server) cascade(ctx context.Context, clip layout.Clip) (ScoreResponse, error) {
-	gen := s.live.Load()
+// cascade answers one clip from gen, the live generation the request
+// loaded: first from its score cache, then down the degradation ladder
+// under the request's deadline budget. A hit gets the primary's verdict
+// with the score the primary stored, and since it runs nothing it
+// touches nothing that counts runs: no budget, no goroutine, no breaker
+// call, no outcome in any window, no serve.primary fault site. It only
+// feeds the quality monitor and adds a "score-cache-hit" event to the
+// request span. A miss that the primary answered within the deadline is
+// stored; a fallback score never is. A degraded response is a success;
+// an error means nothing could answer.
+func (s *Server) cascade(ctx context.Context, gen *liveGen, clip layout.Clip) (ScoreResponse, error) {
 	key := keyOf(clip)
 	if score, ok := gen.cache.get(key, clip); ok {
 		s.cacheHits.Inc()
@@ -705,7 +708,7 @@ func (s *Server) ladder(ctx context.Context, gen *liveGen, clip layout.Clip) (Sc
 	span.AddEvent("degrade", trace.A("reason", reason))
 	span.SetFlag(trace.FlagDegraded)
 	fctx, fsp := trace.Start(ctx, "fallback", trace.A("detector", fallback.Name()))
-	score, err := core.ScoreClipCtx(fctx, fallback, clip)
+	score, err := fallback.Score(fctx, clip)
 	fsp.SetError(err)
 	fsp.End()
 	if err != nil {
@@ -775,7 +778,7 @@ func (s *Server) scorePrimary(ctx context.Context, prim core.Detector, clip layo
 			ch <- outcome{0, err}
 			return
 		}
-		score, err := core.ScoreClipCtx(ctx, prim, clip)
+		score, err := prim.Score(ctx, clip)
 		ch <- outcome{score, err}
 	}()
 	select {
@@ -823,10 +826,24 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// writeJSON answers status with v as one line of JSON. v is encoded
+// before the status is written, so a value JSON cannot hold (a
+// non-finite score or threshold) is answered 500 with the encoder's
+// error, not status with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer jsonBufs.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	// Encoding errors past the header are unrecoverable mid-response;
-	// the client sees a truncated body.
-	_ = json.NewEncoder(w).Encode(v)
+	// Past the status a failed write has no one to answer: the client
+	// has gone.
+	_, _ = w.Write(buf.Bytes())
 }
+
+// jsonBufs holds writeJSON's buffers, so an answer allocates none.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -25,7 +27,7 @@ type thresholdDetector struct{}
 func (thresholdDetector) Name() string                       { return "density-threshold" }
 func (thresholdDetector) Fit(train []core.LabeledClip) error { return nil }
 func (thresholdDetector) Threshold() float64                 { return 0.3 }
-func (thresholdDetector) Score(clip layout.Clip) (float64, error) {
+func (thresholdDetector) Score(_ context.Context, clip layout.Clip) (float64, error) {
 	return clip.Density(), nil
 }
 
@@ -115,6 +117,25 @@ func TestScoreEndpoint(t *testing.T) {
 	}
 	if out2.Hotspot {
 		t.Fatalf("sparse clip flagged: %+v", out2)
+	}
+}
+
+// infThreshold cuts at +Inf, a threshold JSON cannot hold.
+type infThreshold struct{ thresholdDetector }
+
+func (infThreshold) Threshold() float64 { return math.Inf(1) }
+
+// TestScoreUnencodableVerdict: a verdict JSON cannot hold is answered
+// 500 with the encoder's error, not 200 with an empty body.
+func TestScoreUnencodableVerdict(t *testing.T) {
+	s, err := NewServer(Options{Primary: infThreshold{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/score", gltBody(t, geom.R(0, 0, 64, 64))))
+	if w.Code != http.StatusInternalServerError || strings.TrimSpace(w.Body.String()) == "" {
+		t.Fatalf("status %d, body %q; want 500 with the encoding error", w.Code, w.Body.String())
 	}
 }
 
@@ -299,7 +320,7 @@ func TestClipOverShapeBoundRefused(t *testing.T) {
 // panicDetector blows up on Score to exercise panic recovery.
 type panicDetector struct{ thresholdDetector }
 
-func (panicDetector) Score(layout.Clip) (float64, error) { panic("scoring bug") }
+func (panicDetector) Score(context.Context, layout.Clip) (float64, error) { panic("scoring bug") }
 
 func TestPanicRecovery(t *testing.T) {
 	s, err := NewServer(Options{Primary: panicDetector{}})

@@ -36,11 +36,11 @@ func newScheduleDetector(name string, fails func(n int64) bool) scheduleDetector
 
 func (d scheduleDetector) Name() string { return d.name }
 
-func (d scheduleDetector) Score(clip layout.Clip) (float64, error) {
+func (d scheduleDetector) Score(ctx context.Context, clip layout.Clip) (float64, error) {
 	if d.fails(d.calls.Add(1)) {
 		return 0, errScheduled
 	}
-	return d.thresholdDetector.Score(clip)
+	return d.thresholdDetector.Score(ctx, clip)
 }
 
 // missClip is the i-th of a run of distinct one-shape clips, each a
@@ -92,14 +92,14 @@ func TestProbationRollsBack(t *testing.T) {
 	})
 	reload(t, s)
 	for i := 0; i < 3; i++ { // one success, two failures: within the budget
-		if _, err := s.cascade(context.Background(), missClip(i)); err != nil {
+		if _, err := s.cascade(context.Background(), s.live.Load(), missClip(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if id := s.registry.Live().ID; id != 2 {
 		t.Fatalf("live generation %d, want 2: rolled back within the failure budget", id)
 	}
-	if _, err := s.cascade(context.Background(), missClip(3)); err != nil { // the third failure
+	if _, err := s.cascade(context.Background(), s.live.Load(), missClip(3)); err != nil { // the third failure
 		t.Fatal(err)
 	}
 	if id := s.registry.Live().ID; id != 1 || s.live.Load().gen.ID != 1 {
@@ -110,7 +110,7 @@ func TestProbationRollsBack(t *testing.T) {
 	}
 	bootFails.Store(true)
 	for i := 4; i < 14; i++ {
-		s.cascade(context.Background(), missClip(i))
+		s.cascade(context.Background(), s.live.Load(), missClip(i))
 	}
 	if got := reloadCounter(s, "rolled_back"); got != 1 {
 		t.Fatalf("rolled_back counter moved to %v: a restored generation was judged", got)
@@ -129,7 +129,7 @@ func TestProbationSurvival(t *testing.T) {
 	})
 	reload(t, s)
 	for i := 0; i < 10; i++ { // success, failure, success, then failures only
-		s.cascade(context.Background(), missClip(i))
+		s.cascade(context.Background(), s.live.Load(), missClip(i))
 	}
 	if id := s.registry.Live().ID; id != 2 {
 		t.Fatalf("live generation %d, want 2 (survived probation)", id)
@@ -155,14 +155,14 @@ func TestProbationTripRollsBack(t *testing.T) {
 	})
 	reload(t, s)
 	for i := 0; i < 5; i++ {
-		if resp, err := s.cascade(context.Background(), missClip(i)); err != nil || resp.DegradedReason != "error" {
+		if resp, err := s.cascade(context.Background(), s.live.Load(), missClip(i)); err != nil || resp.DegradedReason != "error" {
 			t.Fatalf("miss %d: %+v, %v; want degraded by the broken primary", i, resp, err)
 		}
 	}
 	if id := s.registry.Live().ID; id != 1 || reloadCounter(s, "rolled_back") != 1 {
 		t.Fatalf("live generation %d after 5 failures, want 1: the trip did not roll back", id)
 	}
-	resp, err := s.cascade(context.Background(), missClip(5))
+	resp, err := s.cascade(context.Background(), s.live.Load(), missClip(5))
 	if err != nil || resp.Degraded || resp.Detector != "density-threshold" {
 		t.Fatalf("first miss of the restored generation: %+v, %v; want the primary's verdict", resp, err)
 	}
@@ -171,8 +171,8 @@ func TestProbationTripRollsBack(t *testing.T) {
 // heldErrDetector is heldDetector whose held call fails once released.
 type heldErrDetector struct{ heldDetector }
 
-func (d heldErrDetector) Score(clip layout.Clip) (float64, error) {
-	d.heldDetector.Score(clip)
+func (d heldErrDetector) Score(ctx context.Context, clip layout.Clip) (float64, error) {
+	d.heldDetector.Score(ctx, clip)
 	return 0, errScheduled
 }
 
@@ -186,7 +186,7 @@ func straddle(t *testing.T, opts Options) *Server {
 	s := windowServer(t, held, newScheduleDetector("cnn-v2", func(int64) bool { return false }), opts)
 	done := make(chan ScoreResponse)
 	go func() {
-		resp, err := s.cascade(context.Background(), missClip(0))
+		resp, err := s.cascade(context.Background(), s.live.Load(), missClip(0))
 		if err != nil {
 			t.Error(err)
 		}
@@ -216,7 +216,7 @@ func TestStraddlingFailureCountsForItsGeneration(t *testing.T) {
 	if st := s.live.Load().breaker.State(); st != resilience.StateClosed {
 		t.Fatalf("new generation's breaker %v: the old generation's failure counted in it", st)
 	}
-	if resp, err := s.cascade(context.Background(), missClip(1)); err != nil || resp.Degraded || resp.Detector != "cnn-v2" {
+	if resp, err := s.cascade(context.Background(), s.live.Load(), missClip(1)); err != nil || resp.Degraded || resp.Detector != "cnn-v2" {
 		t.Fatalf("first miss of the new generation: %+v, %v; want its primary's verdict", resp, err)
 	}
 }
@@ -262,7 +262,7 @@ func TestMissDuringSlowReloadDoesNotWait(t *testing.T) {
 	}()
 	<-entered
 	start := time.Now()
-	if _, err := s.cascade(context.Background(), missClip(0)); err != nil {
+	if _, err := s.cascade(context.Background(), s.live.Load(), missClip(0)); err != nil {
 		t.Fatal(err)
 	}
 	if took := time.Since(start); took > 250*time.Millisecond {
@@ -287,12 +287,12 @@ func TestBreakerOpensOnInterleavedFailures(t *testing.T) {
 		if st := s.live.Load().breaker.State(); st != resilience.StateClosed {
 			t.Fatalf("breaker %v before outcome %d", st, i+1)
 		}
-		s.cascade(context.Background(), missClip(i))
+		s.cascade(context.Background(), s.live.Load(), missClip(i))
 	}
 	if st := s.live.Load().breaker.State(); st != resilience.StateOpen {
 		t.Fatalf("breaker %v after 5 failures among 10 outcomes, want open", st)
 	}
-	if resp, _ := s.cascade(context.Background(), missClip(10)); resp.DegradedReason != "breaker-open" {
+	if resp, _ := s.cascade(context.Background(), s.live.Load(), missClip(10)); resp.DegradedReason != "breaker-open" {
 		t.Fatalf("miss under the open breaker: %+v", resp)
 	}
 }
@@ -348,7 +348,7 @@ func runSchedule(t *testing.T, sched outcomeSchedule, afterReload bool) string {
 	degraded := map[int64]int{}
 	for i := 0; i < rate*seconds; i++ {
 		gen := s.live.Load().gen.ID
-		resp, err := s.cascade(context.Background(), missClip(i))
+		resp, err := s.cascade(context.Background(), s.live.Load(), missClip(i))
 		if err != nil {
 			t.Fatalf("%s: request %d: %v", sched.name, i, err)
 		}
