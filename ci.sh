@@ -219,15 +219,27 @@ if grep -rnE 'func \(.*\) Bind[A-Z]' --include='*.go' . | grep -v _test.go; then
 fi
 
 echo "== breakers only where calls are concurrent =="
-# A scan shard is retried the way a clip is verified: resilience.Retry
-# with a deadline on each attempt, and no circuit breaker. A worker runs
-# one shard at a time, so a breaker over its attempts saw only what the
-# retry loop sees, and its one effect was a 5 s cool-down stall per trip
-# (ROADMAP Decided, DESIGN §14). Serving, where the concurrent requests a
-# model generation serves share its breaker, is the only caller left.
+# A scan worker runs one shard at a time, so a breaker over its scans
+# saw only that worker's failures, and its one effect was a 5 s
+# cool-down stall per trip (ROADMAP Decided, DESIGN §14). Serving, where
+# the concurrent requests a model generation serves share its breaker,
+# is the only caller left.
 if grep -rn 'resilience\.NewBreaker' --include='*.go' . | grep -v '_test\.go:' |
 	grep -v -e '^\./internal/serve/' -e '^\./internal/resilience/'; then
-	echo "ci: resilience.NewBreaker is back outside internal/serve; the scan farm's per-worker breaker was deleted because a one-caller breaker only stalls (ROADMAP Decided), retry with resilience.Retry instead" >&2
+	echo "ci: resilience.NewBreaker is back outside internal/serve; the scan farm's per-worker breaker was deleted because a one-caller breaker only stalls (ROADMAP Decided); a failing shard is quarantined instead" >&2
+	exit 1
+fi
+
+echo "== retry only where a second attempt can succeed =="
+# A retry loop stays only where a program can make an attempt fail in a
+# way that a second attempt on the same input escapes (ROADMAP Decided).
+# lithosim.Verify's can: each oracle call runs under a deadline that
+# load can blow on one call and not the next. A shard scan's cannot: a
+# detector is a pure function of its clip, and a refused window a
+# function of the chip, so the farm scans each shard once.
+if grep -rn 'resilience\.Retry(' --include='*.go' . | grep -v '_test\.go:' |
+	grep -v -e '^\./internal/lithosim/' -e '^\./internal/resilience/'; then
+	echo "ci: resilience.Retry is called outside internal/lithosim; retry only where a second attempt on the same input can succeed (ROADMAP Decided)" >&2
 	exit 1
 fi
 

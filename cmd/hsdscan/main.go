@@ -11,9 +11,9 @@
 //	hsdscan -suite suite.gob -journal scan.journal -resume    # pick up
 //
 // The scan runs through the fault-tolerant shard coordinator: the chip
-// is tiled into row-band shards fanned out to -workers goroutines, a
-// failing shard is retried with backoff and quarantined (reported, not
-// fatal) after exhausting its attempts, and repeated geometry is
+// is tiled into row-band shards fanned out to -workers goroutines, each
+// shard is scanned once and a failing one is quarantined (reported with
+// its bounds and failing window, not fatal), and repeated geometry is
 // answered from a content-addressed clip cache (-cache-size). With
 // -journal each completed shard is persisted, so a killed scan rerun
 // with -resume skips finished shards and produces identical findings.
@@ -183,8 +183,7 @@ func run() error {
 	fmt.Printf("shards: %d done (%d resumed from journal), %d quarantined, %d windows\n",
 		res.Completed, res.Resumed, len(res.Quarantined), res.Windows)
 	for _, q := range res.Quarantined {
-		fmt.Printf("QUARANTINED shard %d bounds=%v after %d attempts: %s\n",
-			q.ShardID, q.Bounds, q.Attempts, q.Err)
+		fmt.Printf("QUARANTINED shard %d bounds=%v: %s\n", q.ShardID, q.Bounds, q.Err)
 	}
 	if *cacheSize > 0 {
 		st := res.Cache

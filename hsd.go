@@ -188,9 +188,7 @@ func EvaluateCtx(ctx context.Context, det Detector, bench string, train, test []
 // coordinator behind `hsdscan -workers/-journal/-resume/-cache-size`.
 type (
 	// ScanFarmConfig tunes the shard coordinator: window geometry,
-	// worker pool, shard size, attempts per shard (MaxAttempts) and the
-	// deadline on each (ShardBudget) before a shard is quarantined,
-	// clip cache, and the resumable journal.
+	// worker pool, shard size, clip cache, and the resumable journal.
 	ScanFarmConfig = scanfarm.Config
 	// ScanJournal is the framed-CRC32 append-only record of completed
 	// shards behind resumable scans.

@@ -346,21 +346,8 @@ func (l *Layout) Query(window geom.Rect) []geom.Rect {
 const MaxClipShapes = 1024
 
 // ErrTooManyShapes is wrapped by the error for a window over
-// MaxClipShapes, which names the window's centre and its shape count. It
-// is permanent: the refusal depends on the layout alone, so
-// resilience.Retry makes no further attempt at it.
-var ErrTooManyShapes error = tooManyShapesError{}
-
-// tooManyShapesError is ErrTooManyShapes' type; its Permanent method is
-// the mark resilience.Retry stops on.
-type tooManyShapesError struct{}
-
-func (tooManyShapesError) Error() string {
-	return fmt.Sprintf("clip holds more than %d shapes", MaxClipShapes)
-}
-
-// Permanent marks the refusal as one no retry can mend.
-func (tooManyShapesError) Permanent() bool { return true }
+// MaxClipShapes, which names the window's centre and its shape count.
+var ErrTooManyShapes = fmt.Errorf("clip holds more than %d shapes", MaxClipShapes)
 
 func tooManyShapes(c geom.Point, n int) error {
 	return fmt.Errorf("layout: clip at %v: %w: %d", c, ErrTooManyShapes, n)

@@ -175,14 +175,15 @@ func (r *ReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
 	s.out = sized(s.out, x.Rows, x.Cols)
 	s.mask = grow(s.mask, len(x.Data))
 	forRows(x.Rows, x.Cols, func(r int) {
-		for i := r * x.Cols; i < (r+1)*x.Cols; i++ {
-			v := x.Data[i]
+		lo, hi := r*x.Cols, (r+1)*x.Cols
+		in, mask, out := x.Data[lo:hi], s.mask[lo:hi], s.out.Data[lo:hi]
+		for i, v := range in {
 			pass := !(v < 0)
-			s.mask[i] = pass
+			mask[i] = pass
 			if !pass {
 				v = 0
 			}
-			s.out.Data[i] = v
+			out[i] = v
 		}
 	})
 	return s.out
@@ -196,12 +197,13 @@ func (r *ReLU) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	}
 	s.dx = sized(s.dx, grad.Rows, grad.Cols)
 	forRows(grad.Rows, grad.Cols, func(r int) {
-		for i := r * grad.Cols; i < (r+1)*grad.Cols; i++ {
-			g := grad.Data[i]
-			if !s.mask[i] {
+		lo, hi := r*grad.Cols, (r+1)*grad.Cols
+		in, mask, dx := grad.Data[lo:hi], s.mask[lo:hi], s.dx.Data[lo:hi]
+		for i, g := range in {
+			if !mask[i] {
 				g = 0
 			}
-			s.dx.Data[i] = g
+			dx[i] = g
 		}
 	})
 	return s.dx

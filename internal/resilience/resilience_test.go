@@ -3,7 +3,6 @@ package resilience
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -275,40 +274,8 @@ func TestRetrySucceedsEarly(t *testing.T) {
 	}
 }
 
-// markedErr carries the permanent mark's method with a chosen answer.
-type markedErr bool
-
-func (markedErr) Error() string     { return "marked" }
-func (m markedErr) Permanent() bool { return bool(m) }
-
-// TestRetryStopsOnPermanent: an error whose chain holds a Permanent
-// method answering true ends Retry after its attempt, with no backoff,
-// wrapped or not; one answering false is retried like any other.
-func TestRetryStopsOnPermanent(t *testing.T) {
-	for _, tc := range []struct {
-		err   error
-		calls int
-	}{
-		{markedErr(true), 1},
-		{fmt.Errorf("window at (1,2): %w", markedErr(true)), 1},
-		{markedErr(false), 4},
-		{errBoom, 4},
-	} {
-		clk := &recordClock{}
-		calls := 0
-		err := Retry(context.Background(), RetryConfig{MaxAttempts: 4, Clock: clk}, func(context.Context) error {
-			calls++
-			return tc.err
-		})
-		if !errors.Is(err, tc.err) || calls != tc.calls || len(clk.delays) != tc.calls-1 {
-			t.Errorf("%v: err = %v after %d calls and %d delays, want it wrapped after %d calls",
-				tc.err, err, calls, len(clk.delays), tc.calls)
-		}
-	}
-}
-
 // TestRetrySeedsOnlyToBack: a call that succeeds first time builds no
-// jitter source (every scan shard and oracle verdict is one), and a
+// jitter source (nearly every oracle verdict is one), and a
 // call that retries draws its delays from a source seeded by Seed, as
 // when the source was built up front.
 func TestRetrySeedsOnlyToBack(t *testing.T) {

@@ -2,7 +2,6 @@ package resilience
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -58,24 +57,12 @@ func backoffDelay(attempt int, rng *rand.Rand) time.Duration {
 	return time.Duration(d)
 }
 
-// permanent is the mark of an error that no further attempt can mend: a
-// refusal decided by the input alone. An error carries it by having, in
-// its chain, an error with a Permanent method that returns true: a
-// method and not a sentinel of this package, so that a package marks its
-// own errors without importing this one.
-type permanent interface{ Permanent() bool }
-
-// isPermanent reports whether err carries the permanent mark.
-func isPermanent(err error) bool {
-	var p permanent
-	return errors.As(err, &p) && p.Permanent()
-}
-
 // Retry calls fn up to MaxAttempts times with jittered exponential
-// backoff between attempts, stopping early on success, on an error
-// marked permanent (see permanent) or on context cancellation. The
-// returned error wraps the last attempt's error (or the context's when
-// cancelled mid-backoff).
+// backoff between attempts, stopping early on success or on context
+// cancellation. The returned error wraps the last attempt's error (or
+// the context's when cancelled mid-backoff). Its one caller is
+// lithosim.Verify, whose attempts each run under a deadline that load
+// can blow on one call and not the next.
 func Retry(ctx context.Context, cfg RetryConfig, fn func(context.Context) error) error {
 	cfg = cfg.withDefaults()
 	var (
@@ -101,9 +88,6 @@ func Retry(ctx context.Context, cfg RetryConfig, fn func(context.Context) error)
 		}
 		if err = fn(ctx); err == nil {
 			return nil
-		}
-		if isPermanent(err) {
-			return fmt.Errorf("resilience: attempt %d failed permanently: %w", attempt+1, err)
 		}
 	}
 	return fmt.Errorf("resilience: %d attempts failed: %w", cfg.MaxAttempts, err)

@@ -158,7 +158,7 @@ func BenchmarkScanFarmHits(b *testing.B) {
 // the loop programs run: Run with the fitted CNN over a generated chip
 // and hsdscan's default cache. "untraced" is a context with no tracer,
 // the nil-span path a scan takes with tracing off; "enabled" records
-// every span the scan opens (one scan.shard per shard attempt and the
+// every span the scan opens (one scan.shard per shard and the
 // stage spans under each miss), the full price of turning tracing on
 // (DESIGN §12 has the recorded runs).
 func BenchmarkScanTracedVsUntraced(b *testing.B) {

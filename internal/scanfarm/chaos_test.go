@@ -5,11 +5,12 @@
 //     state discarded) and resumed from the journal repeatedly; the
 //     stitched findings must be byte-identical to an uninterrupted run.
 //   - TestChaosFarmFaultMatrix: injected worker faults — errors,
-//     panics, latency — at the window-score site produce retries or
-//     quarantines, never a crash, a lost finding, or a duplicate.
+//     panics, latency — at the farm's fault sites quarantine exactly
+//     the shards they fail, never crash the run, lose a finding, or
+//     duplicate one.
 //   - TestChaosFarmAdjacentPoisonShards: poison shards in a row on one
-//     worker cost their own attempts and nothing else — no cool-down
-//     stalls the worker or the healthy shard after them.
+//     worker cost their own scans and nothing else — no backoff or
+//     cool-down stalls the worker or the healthy shard after them.
 //   - TestChaosFarmPoisonQuarantineAnyWorkers and
 //     TestChaosFarmOverBoundWindowQuarantined: a panicking detector and a
 //     window over layout.MaxClipShapes each cost their shard, named in
@@ -117,66 +118,49 @@ func TestChaosFarmFaultMatrix(t *testing.T) {
 }
 
 func runFaultMatrix(t *testing.T, chip *layout.Layout, det core.Detector) {
-	base := Config{
-		SkipEmpty:   true,
-		Workers:     3,
-		ShardRows:   1,
-		MaxAttempts: 25,
-	}
+	base := Config{SkipEmpty: true, ShardRows: 1}
 	want := referenceFindings(t, chip, det, base)
+	plan := NewPlan(chip.Bounds(), base)
 
 	faults := []struct {
 		name  string
+		site  string
 		fault faultinject.Fault
+		msg   string // in the quarantine of a shard a firing fails; "" if none fails
 	}{
-		{"errors", faultinject.Fault{Err: errTransient, Count: 11}},
-		{"panics", faultinject.Fault{Panic: "chaos", Count: 7, Skip: 2}},
-		{"latency", faultinject.Fault{Latency: 2 * time.Millisecond, Count: 40}},
-		{"mixed", faultinject.Fault{Latency: time.Millisecond, Err: errTransient, Count: 9, Skip: 5}},
+		{"errors", WindowScoreSite, faultinject.Fault{Err: errTransient, Count: 5}, errTransient.Error()},
+		{"panics", WindowScoreSite, faultinject.Fault{Panic: "chaos", Count: 3, Skip: 2}, "detector panic"},
+		{"latency", WindowScoreSite, faultinject.Fault{Latency: 2 * time.Millisecond, Count: 40}, ""},
+		{"mixed", WindowScoreSite, faultinject.Fault{Latency: time.Millisecond, Err: errTransient, Count: 4, Skip: 5}, errTransient.Error()},
+		// The whole scan dies before any window.
+		{"attempt-errors", ShardAttemptSite, faultinject.Fault{Err: errTransient, Count: 3}, errTransient.Error()},
 	}
 	for _, tc := range faults {
 		t.Run(tc.name, func(t *testing.T) {
-			faultinject.Reset()
-			faultinject.Set(WindowScoreSite, tc.fault)
-			res, err := Run(context.Background(), chip, det, base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Interrupted {
-				t.Fatal("faulted run interrupted")
-			}
-			if len(res.Quarantined) != 0 {
-				t.Fatalf("transient %s quarantined shards: %+v", tc.name, res.Quarantined)
-			}
-			if !reflect.DeepEqual(res.Findings, want) {
-				t.Fatalf("findings diverged under %s:\ngot  %v\nwant %v", tc.name, res.Findings, want)
+			for _, workers := range []int{1, 3, 8} {
+				t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+					faultinject.Reset()
+					faultinject.Set(tc.site, tc.fault)
+					cfg := base
+					cfg.Workers = workers
+					res, err := Run(context.Background(), chip, det, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkFaulted(t, plan, res, want, tc.site, tc.msg)
+				})
 			}
 		})
 	}
-
-	// Shard-attempt faults (the whole attempt dies before any window)
-	// are likewise absorbed.
-	t.Run("attempt-errors", func(t *testing.T) {
-		faultinject.Reset()
-		faultinject.Set(ShardAttemptSite, faultinject.Fault{Err: errTransient, Count: 6})
-		res, err := Run(context.Background(), chip, det, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Quarantined) != 0 || !reflect.DeepEqual(res.Findings, want) {
-			t.Fatalf("attempt faults lost findings: quarantined=%d", len(res.Quarantined))
-		}
-	})
 }
 
 // TestChaosFarmAdjacentPoisonShards runs three poison shards in a row
-// on one worker with the farm's defaults (real backoff, no tuning). Each
-// costs its three attempts and is quarantined; every other shard's
-// findings survive; and the run takes well under a second. The time
-// bound is what catches a pause between attempts beyond the backoff: a
-// breaker over a worker's attempts trips on the fifth consecutive
-// failure and stalls the next poison shard, and the healthy shard after
-// the last one, for its 5 s cool-down each (DESIGN §14).
+// on one worker with the farm's defaults. Each is quarantined; every
+// other shard's findings survive; and the run takes well under a
+// second. The time bound is what catches a pause after a failed scan: a
+// backoff before a rescan, or a breaker over a worker's scans that
+// trips on consecutive failures and stalls the next poison shard, and
+// the healthy shard after the last one, for its cool-down (DESIGN §14).
 func TestChaosFarmAdjacentPoisonShards(t *testing.T) {
 	chip := testChip(t, 8)
 	for p := 0; p < 3; p++ {
@@ -196,35 +180,22 @@ func TestChaosFarmAdjacentPoisonShards(t *testing.T) {
 		t.Fatalf("quarantined %+v, interrupted=%v, %d of %d shards; want the three poison shards",
 			res.Quarantined, res.Interrupted, res.Completed, res.Shards)
 	}
-	quarantined := map[int]bool{}
-	for _, q := range res.Quarantined {
-		quarantined[q.ShardID] = true
-		if q.Attempts != 3 {
-			t.Fatalf("shard %d quarantined after %d attempts, want 3", q.ShardID, q.Attempts)
-		}
-	}
 	plan := NewPlan(chip.Bounds(), cfg)
-	var want []core.Finding
-	for _, f := range referenceFindings(t, chip, inner, cfg) {
-		if !quarantined[shardOf(plan, f.Center)] {
-			want = append(want, f)
-		}
-	}
+	want := outsideQuarantine(plan, referenceFindings(t, chip, inner, cfg), res.Quarantined)
 	if !reflect.DeepEqual(res.Findings, want) {
 		t.Fatalf("findings outside the quarantined shards diverged:\ngot  %v\nwant %v", res.Findings, want)
 	}
 	if elapsed >= 2*time.Second {
 		t.Fatalf("three adjacent poison shards took %v on one worker, want under 2s", elapsed)
 	}
+	t.Logf("three adjacent poison shards took %v on one worker", elapsed)
 }
 
 // TestChaosFarmCNNPoisonWindow holds the tile path to the window-score
 // site's contract. A fault armed without limit fires once per miss: not
-// per tile, and not at all on a hit. And a window that panics on every
-// attempt costs its shard: the retries answer the windows before it from
-// the cache, meet it again as their first miss, and the shard is
-// quarantined under that window's coordinates while every other shard's
-// findings equal the serial scan's.
+// per tile, and not at all on a hit. And a window that panics costs its
+// shard: the shard is quarantined under that window's coordinates while
+// every other shard's findings equal the serial scan's.
 func TestChaosFarmCNNPoisonWindow(t *testing.T) {
 	defer faultinject.Reset()
 	chip, det := cnnChip(t, 6), fittedCNN(t, false)
@@ -246,8 +217,8 @@ func TestChaosFarmCNNPoisonWindow(t *testing.T) {
 	// One worker, so "the 40th miss" is one window: the sweep reaches it
 	// mid-shard, with tiles of its neighbours already in the memo.
 	faultinject.Reset()
-	cfg.Workers, cfg.MaxAttempts = 1, 3
-	faultinject.Set(WindowScoreSite, faultinject.Fault{Panic: "poison", Skip: 40, Count: cfg.MaxAttempts})
+	cfg.Workers = 1
+	faultinject.Set(WindowScoreSite, faultinject.Fault{Panic: "poison", Skip: 40, Count: 1})
 	res, err = Run(context.Background(), chip, det, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -256,30 +227,20 @@ func TestChaosFarmCNNPoisonWindow(t *testing.T) {
 		t.Fatalf("quarantined %+v, interrupted=%v; want the one poisoned shard", res.Quarantined, res.Interrupted)
 	}
 	q := res.Quarantined[0]
-	var shard int
-	var at geom.Point
-	if _, err := fmt.Sscanf(q.Err[strings.Index(q.Err, "scanfarm: shard"):], "scanfarm: shard %d window at (%d,%d):", &shard, &at.X, &at.Y); err != nil {
-		t.Fatalf("quarantine error %q names no window: %v", q.Err, err)
-	}
 	plan := NewPlan(chip.Bounds(), cfg)
-	if shard != q.ShardID || shardOf(plan, at) != q.ShardID || !at.In(q.Bounds) ||
-		q.Attempts != cfg.MaxAttempts || !strings.Contains(q.Err, "detector panic") || !strings.Contains(q.Err, "poison") {
-		t.Fatalf("quarantine %+v does not name a window of its own shard", q)
+	quarantinedWindow(t, plan, q)
+	if !strings.Contains(q.Err, "detector panic") || !strings.Contains(q.Err, "poison") {
+		t.Fatalf("quarantine %+v does not name the panic", q)
 	}
-	var rest []core.Finding
-	for _, f := range want {
-		if shardOf(plan, f.Center) != q.ShardID {
-			rest = append(rest, f)
-		}
-	}
+	rest := outsideQuarantine(plan, want, res.Quarantined)
 	if len(rest) == len(want) || !reflect.DeepEqual(res.Findings, rest) {
 		t.Fatalf("findings outside the quarantined shard diverged:\ngot  %v\nwant %v", res.Findings, rest)
 	}
 }
 
 // TestChaosFarmConcurrentCache hammers one shared cache from many
-// workers while faults force retries — the -race gate for the cache and
-// coordinator bookkeeping.
+// workers while faults quarantine shards — the -race gate for the cache
+// and coordinator bookkeeping.
 func TestChaosFarmConcurrentCache(t *testing.T) {
 	defer faultinject.Reset()
 	chip := cellChip(t, 8)
@@ -291,24 +252,13 @@ func TestChaosFarmConcurrentCache(t *testing.T) {
 		ShardRows: 1,
 		// Smaller than the chip's distinct canonical-clip count (~16)
 		// so the LRU eviction path is exercised under contention.
-		CacheSize:   8,
-		MaxAttempts: 25,
+		CacheSize: 8,
 	}
 	res, err := Run(context.Background(), chip, det, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg2 := cfg
-	cfg2.CacheSize = 0
-	cfg2.Workers = 1
-	faultinject.Reset()
-	want, err := Run(context.Background(), chip, det, cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Findings, want.Findings) {
-		t.Fatal("concurrent cached scan diverged from serial uncached scan")
-	}
+	checkFaulted(t, NewPlan(chip.Bounds(), cfg), res, referenceFindings(t, chip, det, cfg), WindowScoreSite, errTransient.Error())
 	if res.Cache.Evictions == 0 {
 		t.Fatalf("tiny cache never evicted: %+v", res.Cache)
 	}
@@ -316,7 +266,7 @@ func TestChaosFarmConcurrentCache(t *testing.T) {
 
 // TestChaosFarmPoisonQuarantineAnyWorkers: a detector panic costs its
 // shard, and the quarantine is the same whatever the worker count,
-// because an attempt meets its shard's windows in one fixed order and
+// because a scan meets its shard's windows in one fixed order and
 // the first poison window fails it. Every other shard's findings are
 // the reference scan's.
 func TestChaosFarmPoisonQuarantineAnyWorkers(t *testing.T) {
@@ -327,7 +277,7 @@ func TestChaosFarmPoisonQuarantineAnyWorkers(t *testing.T) {
 	inner := densityDetector{thr: 0.5}
 	var want []Quarantine
 	for _, workers := range []int{1, 3, 8} {
-		cfg := Config{SkipEmpty: true, Workers: workers, ShardRows: 1, MaxAttempts: 2}
+		cfg := Config{SkipEmpty: true, Workers: workers, ShardRows: 1}
 		res, err := Run(context.Background(), chip, &poisonDetector{inner: inner}, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -336,20 +286,14 @@ func TestChaosFarmPoisonQuarantineAnyWorkers(t *testing.T) {
 			t.Fatalf("workers=%d: quarantined %+v, interrupted=%v, %d of %d shards; want the poison shards",
 				workers, res.Quarantined, res.Interrupted, res.Completed, res.Shards)
 		}
-		quarantined := map[int]bool{}
+		plan := NewPlan(chip.Bounds(), cfg)
 		for _, q := range res.Quarantined {
-			quarantined[q.ShardID] = true
-			if !strings.Contains(q.Err, "detector panic: poison window") || !strings.Contains(q.Err, "window at (") {
+			quarantinedWindow(t, plan, q)
+			if !strings.Contains(q.Err, "detector panic: poison window") {
 				t.Fatalf("workers=%d: quarantine error %q names no panicking window", workers, q.Err)
 			}
 		}
-		plan := NewPlan(chip.Bounds(), cfg)
-		var rest []core.Finding
-		for _, f := range referenceFindings(t, chip, inner, cfg) {
-			if !quarantined[shardOf(plan, f.Center)] {
-				rest = append(rest, f)
-			}
-		}
+		rest := outsideQuarantine(plan, referenceFindings(t, chip, inner, cfg), res.Quarantined)
 		if !reflect.DeepEqual(res.Findings, rest) {
 			t.Fatalf("workers=%d: findings outside the quarantined shards diverged:\ngot  %v\nwant %v", workers, res.Findings, rest)
 		}
@@ -367,13 +311,12 @@ func TestChaosFarmPoisonQuarantineAnyWorkers(t *testing.T) {
 // does). A generated chip gets 1025 small squares inside the core of
 // one window whose shard holds every window that overlaps them. Only
 // the shards holding an over-bound window are quarantined, each naming
-// an over-bound centre after one attempt (the refusal is permanent, so
-// it is not retried), and every other shard's findings are the
+// an over-bound centre, and every other shard's findings are the
 // reference scan's on the chip without the squares.
 func TestChaosFarmOverBoundWindowQuarantined(t *testing.T) {
 	det := fittedCNN(t, false)
 	bare, chip := cnnChip(t, 6), cnnChip(t, 6)
-	base := Config{SkipEmpty: true, Workers: 3, ShardRows: 3, MaxAttempts: 2}
+	base := Config{SkipEmpty: true, Workers: 3, ShardRows: 3}
 	want := referenceFindings(t, bare, det, base)
 	plan := NewPlan(chip.Bounds(), base)
 	// Row 4's core is overlapped only by windows of rows 3-5: shard 1.
@@ -413,28 +356,11 @@ func TestChaosFarmOverBoundWindowQuarantined(t *testing.T) {
 			t.Fatalf("cache %d: quarantined %+v, interrupted=%v; want shards %v", cacheSize, res.Quarantined, res.Interrupted, overShards)
 		}
 		for _, q := range res.Quarantined {
-			var shard int
-			var at geom.Point
-			i := strings.Index(q.Err, "scanfarm: shard")
-			if i < 0 {
-				t.Fatalf("cache %d: quarantine error %q names no window", cacheSize, q.Err)
-			}
-			if _, err := fmt.Sscanf(q.Err[i:], "scanfarm: shard %d window at (%d,%d):", &shard, &at.X, &at.Y); err != nil {
-				t.Fatalf("cache %d: quarantine error %q names no window: %v", cacheSize, q.Err, err)
-			}
-			if !overShards[q.ShardID] || shard != q.ShardID || !over[at] || !strings.Contains(q.Err, layout.ErrTooManyShapes.Error()) {
+			if at := quarantinedWindow(t, plan, q); !overShards[q.ShardID] || !over[at] || !strings.Contains(q.Err, layout.ErrTooManyShapes.Error()) {
 				t.Fatalf("cache %d: quarantine %+v does not name an over-bound window of its shard", cacheSize, q)
 			}
-			if q.Attempts != 1 {
-				t.Fatalf("cache %d: shard %d quarantined after %d attempts, want 1: the refusal is permanent", cacheSize, q.ShardID, q.Attempts)
-			}
 		}
-		var rest []core.Finding
-		for _, f := range want {
-			if !overShards[shardOf(plan, f.Center)] {
-				rest = append(rest, f)
-			}
-		}
+		rest := outsideQuarantine(plan, want, res.Quarantined)
 		if len(rest) == 0 || !reflect.DeepEqual(res.Findings, rest) {
 			t.Fatalf("cache %d: findings outside the quarantined shard diverged:\ngot  %v\nwant %v", cacheSize, res.Findings, rest)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"github.com/golitho/hsd/internal/faultinject"
@@ -49,10 +48,11 @@ func fallbackChip(t testing.TB, rows int) *layout.Layout {
 
 // TestFarmConv1FallbackMatchesCoreScan: a window whose left neighbour's
 // first-layer sums are not in the memo computes all of its own, and its
-// score is still core.ScanCtx's. That neighbour was a cache hit, a blank
-// window SkipEmpty left unscored, or not yet scored by a retried attempt,
-// which starts over at column 0 with its sums forgotten. Every scored
-// window is flagged, so the findings compare every score's bits.
+// score is still core.ScanCtx's. That neighbour was a cache hit or a
+// blank window SkipEmpty left unscored. A fault fails its shard, and the
+// worker's next shard starts over at column 0 with the failed scan's
+// sums forgotten. Every scored window is flagged, so the findings
+// compare every score's bits.
 func TestFarmConv1FallbackMatchesCoreScan(t *testing.T) {
 	defer faultinject.Reset()
 	det := *fittedCNN(t, false)
@@ -61,7 +61,7 @@ func TestFarmConv1FallbackMatchesCoreScan(t *testing.T) {
 		t.Fatal("the zoo's CNN does not share its first layer")
 	}
 	chip := fallbackChip(t, 4)
-	base := Config{SkipEmpty: true, Workers: 1, ShardRows: 1, MaxAttempts: 10}
+	base := Config{SkipEmpty: true, Workers: 1, ShardRows: 1}
 	want := referenceFindings(t, chip, &det, base)
 
 	// The fixture must hold what it is for: misses, in the sweep's order,
@@ -121,10 +121,7 @@ func TestFarmConv1FallbackMatchesCoreScan(t *testing.T) {
 			if fired := faultinject.Fired(WindowScoreSite); fired != tc.fault.Count {
 				t.Fatalf("the fault fired %d times, want %d", fired, tc.fault.Count)
 			}
-			if len(res.Quarantined) != 0 || !reflect.DeepEqual(res.Findings, want) {
-				t.Fatalf("farm findings diverge from core scan (quarantined %d):\nfarm %v\ncore %v",
-					len(res.Quarantined), res.Findings, want)
-			}
+			checkFaulted(t, plan, res, want, WindowScoreSite, "window at")
 		})
 	}
 }

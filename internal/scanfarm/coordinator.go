@@ -1,20 +1,18 @@
 // The shard coordinator: fans deterministic shards out to a pool of
 // in-process scan workers and survives everything short of losing the
-// journal — worker panics, failing detectors, stuck windows (deadline
-// budget), and process death (resume).
+// journal — worker panics, failing detectors, and process death
+// (resume).
 //
 // Failure containment is layered per window and per shard:
 //
 //   - panic isolation: a detector panic is recovered at the window
 //     boundary and surfaces as that window's error;
-//   - retry: a failed shard attempt (an error, a recovered panic, or an
-//     expired ShardBudget) is retried with jittered exponential backoff
-//     up to MaxAttempts, unless its error is permanent (a window over
-//     layout.MaxClipShapes), which no attempt can mend;
-//   - quarantine: a shard that exhausts its attempts, or fails
-//     permanently, is recorded as quarantined — with its bounds and
-//     last error — and the scan continues, so one poison window costs
-//     its shard, not the run.
+//   - quarantine: a shard whose scan fails (an error or a recovered
+//     panic) is recorded as quarantined — with its bounds and the
+//     failing window's error — and the scan continues, so one poison
+//     window costs its shard, not the run. A shard is scanned once: a
+//     detector is a pure function of its clip and a refused window a
+//     function of the chip, so a second scan would fail the same way.
 //
 // Run cancellation (ctx) is not a failure: in-flight shards stop, the
 // journal keeps every durable record, and a later Run with Completed
@@ -33,14 +31,13 @@ import (
 	"github.com/golitho/hsd/internal/faultinject"
 	"github.com/golitho/hsd/internal/geom"
 	"github.com/golitho/hsd/internal/layout"
-	"github.com/golitho/hsd/internal/resilience"
 	"github.com/golitho/hsd/internal/telemetry"
 	"github.com/golitho/hsd/internal/trace"
 )
 
 // Fault-injection sites for chaos tests.
 const (
-	// ShardAttemptSite fires at the start of every shard attempt.
+	// ShardAttemptSite fires at the start of every shard scan.
 	ShardAttemptSite = "scanfarm.shard.attempt"
 	// WindowScoreSite fires before each window score (cache misses
 	// only: a cache hit never runs the detector). Panics armed here are
@@ -50,10 +47,9 @@ const (
 
 // Quarantine describes one poison shard the scan gave up on.
 type Quarantine struct {
-	ShardID  int
-	Bounds   geom.Rect
-	Attempts int
-	Err      string
+	ShardID int
+	Bounds  geom.Rect
+	Err     string
 }
 
 // Result is the outcome of a scan-farm run.
@@ -90,8 +86,6 @@ type farmMetrics struct {
 	shardsDone        *telemetry.Counter // scan_shards_total{state="done"}
 	shardsQuarantined *telemetry.Counter // scan_shards_total{state="quarantined"}
 	shardsResumed     *telemetry.Counter // scan_shards_total{state="resumed"}
-	attempts          *telemetry.Counter // scan_shard_attempts_total
-	retries           *telemetry.Counter // scan_shard_retries_total
 	cacheHits         *telemetry.Counter // scan_cache_hits_total
 	cacheMisses       *telemetry.Counter // scan_cache_misses_total
 	cacheEvictions    *telemetry.Counter // scan_cache_evictions_total
@@ -101,19 +95,15 @@ type farmMetrics struct {
 
 func newFarmMetrics(reg *telemetry.Registry) *farmMetrics {
 	reg.SetHelp("scan_shards_total", "Shards by terminal state (done, quarantined, resumed).")
-	reg.SetHelp("scan_shard_attempts_total", "Shard scan attempts, including retries.")
-	reg.SetHelp("scan_shard_retries_total", "Shard attempts beyond each shard's first.")
 	reg.SetHelp("scan_cache_hits_total", "Windows answered by the content-addressed clip cache.")
 	reg.SetHelp("scan_cache_misses_total", "Windows that missed the clip cache and ran the detector.")
 	reg.SetHelp("scan_cache_evictions_total", "Clip-cache LRU evictions.")
-	reg.SetHelp("scan_shard_seconds", "Per-shard wall time of successful attempts.")
+	reg.SetHelp("scan_shard_seconds", "Per-shard wall time of successful scans.")
 	reg.SetHelp("scan_quarantined_shards", "Shards quarantined by the most recent scan, resumed records included.")
 	return &farmMetrics{
 		shardsDone:        reg.Counter("scan_shards_total", telemetry.L("state", "done")),
 		shardsQuarantined: reg.Counter("scan_shards_total", telemetry.L("state", "quarantined")),
 		shardsResumed:     reg.Counter("scan_shards_total", telemetry.L("state", "resumed")),
-		attempts:          reg.Counter("scan_shard_attempts_total"),
-		retries:           reg.Counter("scan_shard_retries_total"),
 		cacheHits:         reg.Counter("scan_cache_hits_total"),
 		cacheMisses:       reg.Counter("scan_cache_misses_total"),
 		cacheEvictions:    reg.Counter("scan_cache_evictions_total"),
@@ -130,13 +120,6 @@ func (m *farmMetrics) shard(state ShardState) {
 	}
 }
 
-func (m *farmMetrics) attempt(n int) {
-	m.attempts.Inc()
-	if n > 1 {
-		m.retries.Inc()
-	}
-}
-
 // cache adds one run's clip-cache counts: the cache is the counts'
 // home, and the series get them once per run.
 func (m *farmMetrics) cache(st CacheStats) {
@@ -148,8 +131,7 @@ func (m *farmMetrics) cache(st CacheStats) {
 // Run scans the chip through the shard coordinator and returns the
 // deterministically merged findings. See the package comment for the
 // failure-containment contract, the only one in the tree: a failing
-// window never aborts the run, it fails its shard, which retries and is
-// eventually quarantined.
+// window never aborts the run, it fails its shard, which is quarantined.
 func Run(ctx context.Context, chip *layout.Layout, det core.Detector, cfg Config) (res Result, err error) {
 	cfg = cfg.withDefaults()
 	plan, err := newPlan(chip.Bounds(), cfg)
@@ -276,10 +258,9 @@ dispatch:
 		switch rec.State {
 		case ShardQuarantined:
 			res.Quarantined = append(res.Quarantined, Quarantine{
-				ShardID:  id,
-				Bounds:   plan.ShardBounds(id),
-				Attempts: rec.Attempts,
-				Err:      rec.Err,
+				ShardID: id,
+				Bounds:  plan.ShardBounds(id),
+				Err:     rec.Err,
 			})
 		default:
 			res.Findings = append(res.Findings, rec.Findings...)
@@ -387,7 +368,7 @@ func (c *committer) close() error {
 // worker is the per-goroutine scan state: the shared detector with its
 // threshold, the shared clip cache with the worker's own table in front
 // of it (both nil when the cache is off), and the buffers a shard
-// attempt fills: its windows' scores and, when the scan shares feature
+// scan fills: its windows' scores and, when the scan shares feature
 // tiles, the tile memo (else nil).
 type worker struct {
 	chip   *layout.Layout
@@ -402,51 +383,32 @@ type worker struct {
 	scores []float64
 }
 
-// runShard drives one shard to a terminal state: up to MaxAttempts
-// attempts through resilience.Retry, each under its own ShardBudget
-// deadline, as lithosim.Verify buys an oracle verdict. It returns done
-// after a successful attempt and quarantined after MaxAttempts failures,
-// or after the first that resilience.Retry finds permanent.
-// The backoff jitter is seeded by shard ID, so retries of different
-// shards decorrelate while a shard's schedule is the same on every run.
-// A nil return means the run was cancelled before the shard finished
-// (the shard stays unrecorded and is rescanned on resume); Retry starts
-// no attempt after a cancellation.
+// runShard drives one shard to a terminal state: done after a
+// successful scan, quarantined after a failed one. A nil return means
+// the run was cancelled before the shard finished (the shard stays
+// unrecorded and is rescanned on resume).
 func (w *worker) runShard(ctx context.Context, id int) *ShardRecord {
-	rcfg := resilience.RetryConfig{MaxAttempts: w.cfg.MaxAttempts, Seed: int64(id) + 1}
-	var (
-		findings []core.Finding
-		attempts int
-	)
-	err := resilience.Retry(ctx, rcfg, func(ctx context.Context) (err error) {
-		attempts++
-		w.mets.attempt(attempts)
-		actx, cancel := resilience.WithBudget(ctx, w.cfg.ShardBudget)
-		defer cancel()
-		findings, err = w.scanShard(actx, id, attempts)
-		return err
-	})
+	findings, err := w.scanShard(ctx, id)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil
 		}
 		w.mets.shard(ShardQuarantined)
-		return &ShardRecord{ShardID: id, State: ShardQuarantined, Attempts: attempts, Err: err.Error()}
+		return &ShardRecord{ShardID: id, State: ShardQuarantined, Attempts: 1, Err: err.Error()}
 	}
 	w.mets.shard(ShardDone)
-	return &ShardRecord{ShardID: id, State: ShardDone, Attempts: attempts, Findings: findings}
+	return &ShardRecord{ShardID: id, State: ShardDone, Attempts: 1, Findings: findings}
 }
 
-// scanShard is one attempt over every window of the shard. Any window
-// failure (error, recovered panic, expired budget) aborts the attempt;
-// cached verdicts make re-attempts cheap for the windows already scored.
+// scanShard scans every window of the shard. Any window failure (an
+// error or a recovered panic) fails the scan.
 //
 // The sweep is column by column, so that a feature tile is last needed
 // one column after it is first needed (see tiles.go). Scores land in the
 // worker's rows x cols buffer and the findings are read off it in
 // enumeration order, row-major, which is the order the journal, resume
 // and the merge pin.
-func (w *worker) scanShard(ctx context.Context, id, attempt int) ([]core.Finding, error) {
+func (w *worker) scanShard(ctx context.Context, id int) ([]core.Finding, error) {
 	if err := faultinject.Hit(ShardAttemptSite); err != nil {
 		return nil, err
 	}
@@ -456,7 +418,6 @@ func (w *worker) scanShard(ctx context.Context, id, attempt int) ([]core.Finding
 	if traced {
 		ctx, sp = trace.Start(ctx, "scan.shard")
 		sp.SetAttrInt("shard", id)
-		sp.SetAttrInt("attempt", attempt)
 	}
 	defer sp.End()
 

@@ -10,11 +10,11 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/golitho/hsd/internal/core"
 	"github.com/golitho/hsd/internal/faultinject"
 	"github.com/golitho/hsd/internal/framelog"
+	"github.com/golitho/hsd/internal/geom"
 	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/telemetry"
 )
@@ -53,9 +53,9 @@ func TestFarmMatchesCoreScan(t *testing.T) {
 }
 
 // TestFarmDeterministicMerge is the completion-order property test:
-// whatever the schedule — worker count, shard size, cache on or off,
-// injected transient faults forcing retries — the merged findings slice
-// never changes.
+// whatever the schedule — worker count, shard size, cache on or off —
+// the merged findings slice never changes, and under injected faults it
+// loses exactly the shards the faults fired in.
 func TestFarmDeterministicMerge(t *testing.T) {
 	defer faultinject.Reset()
 	chip := testChip(t, 10)
@@ -68,22 +68,23 @@ func TestFarmDeterministicMerge(t *testing.T) {
 		workers   int
 		shardRows int
 		cacheSize int
-		faults    int // transient WindowScoreSite errors to arm
+		faults    int // WindowScoreSite errors to arm
 	}{
 		{"serial", 1, 1, 0, 0},
 		{"pooled", 4, 1, 0, 0},
 		{"wide-shards", 3, 4, 0, 0},
 		{"cached", 4, 2, 4096, 0},
 		{"cached-tiny", 2, 3, 8, 0},
-		{"retries", 4, 2, 0, 9},
+		// A faulted shard is quarantined, not rescanned.
+		{"retries", 4, 2, 0, 2},
 		{"retries-cached", 3, 1, 1024, 5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			faultinject.Reset()
 			if tc.faults > 0 {
-				// Each armed error fails one window score, failing that
-				// shard's attempt; retries must recover every one.
+				// Each armed error fails one window score, and with it
+				// that shard.
 				faultinject.Set(WindowScoreSite, faultinject.Fault{
 					Err: errTransient, Count: tc.faults, Skip: 3,
 				})
@@ -92,17 +93,11 @@ func TestFarmDeterministicMerge(t *testing.T) {
 			cfg.Workers = tc.workers
 			cfg.ShardRows = tc.shardRows
 			cfg.CacheSize = tc.cacheSize
-			cfg.MaxAttempts = 20 // transient faults must never quarantine here
 			res, err := Run(context.Background(), chip, det, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Quarantined) != 0 {
-				t.Fatalf("transient faults quarantined shards: %+v", res.Quarantined)
-			}
-			if !reflect.DeepEqual(res.Findings, want) {
-				t.Fatalf("schedule changed findings:\ngot  %v\nwant %v", res.Findings, want)
-			}
+			checkFaulted(t, NewPlan(chip.Bounds(), cfg), res, want, WindowScoreSite, errTransient.Error())
 		})
 	}
 }
@@ -117,12 +112,7 @@ func TestFarmQuarantinesPoisonShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	inner := densityDetector{thr: 0.5}
-	cfg := Config{
-		SkipEmpty:   true,
-		Workers:     4,
-		ShardRows:   1,
-		MaxAttempts: 2,
-	}
+	cfg := Config{SkipEmpty: true, Workers: 4, ShardRows: 1}
 	reg := telemetry.NewRegistry()
 	cfg.Metrics = reg
 	res, err := Run(context.Background(), chip, &poisonDetector{inner: inner}, cfg)
@@ -135,12 +125,7 @@ func TestFarmQuarantinesPoisonShard(t *testing.T) {
 	if res.Completed != res.Shards {
 		t.Fatalf("quarantine did not complete the run: %d of %d shards", res.Completed, res.Shards)
 	}
-	quarantined := map[int]bool{}
 	for _, q := range res.Quarantined {
-		quarantined[q.ShardID] = true
-		if q.Attempts != cfg.MaxAttempts {
-			t.Fatalf("quarantine after %d attempts, want %d", q.Attempts, cfg.MaxAttempts)
-		}
 		if q.Err == "" || q.Bounds.Empty() {
 			t.Fatalf("quarantine report incomplete: %+v", q)
 		}
@@ -152,12 +137,7 @@ func TestFarmQuarantinesPoisonShard(t *testing.T) {
 	if lost := len(res.Quarantined) * plan.Cols; res.Scanned != res.Windows-lost { // ShardRows is 1
 		t.Fatalf("scanned %d windows, want %d less the %d quarantined", res.Scanned, res.Windows, lost)
 	}
-	var want []core.Finding
-	for _, f := range referenceFindings(t, chip, inner, cfg) {
-		if !quarantined[shardOf(plan, f.Center)] {
-			want = append(want, f)
-		}
-	}
+	want := outsideQuarantine(plan, referenceFindings(t, chip, inner, cfg), res.Quarantined)
 	if !reflect.DeepEqual(res.Findings, want) {
 		t.Fatalf("lost findings outside quarantined shards:\ngot  %v\nwant %v", res.Findings, want)
 	}
@@ -176,7 +156,7 @@ func TestFarmQuarantinesPoisonShard(t *testing.T) {
 	completed := map[int]ShardRecord{}
 	for _, q := range res.Quarantined {
 		completed[q.ShardID] = ShardRecord{
-			ShardID: q.ShardID, State: ShardQuarantined, Attempts: q.Attempts, Err: q.Err,
+			ShardID: q.ShardID, State: ShardQuarantined, Attempts: 1, Err: q.Err,
 		}
 	}
 	plan2 := NewPlan(chip.Bounds(), cfg)
@@ -201,60 +181,38 @@ func TestFarmQuarantinesPoisonShard(t *testing.T) {
 	}
 }
 
-// TestFarmTransientPanicsLoseNothing: worker panics that clear up
-// (flaky hardware, transient OOM-ish failures) are absorbed by retry —
-// zero lost findings, zero quarantines, and the panic never escapes.
-func TestFarmTransientPanicsLoseNothing(t *testing.T) {
+// TestFarmScoresPoisonWindowOncePerShard: a shard is scanned once. A
+// poison marker lies whole in windows of several one-row shards, and
+// with the cache off every such window reaches the detector, which
+// panics on each. So each shard holding one is quarantined after one
+// panicking call, at the first such window of its sweep, and the
+// quarantine names that window.
+func TestFarmScoresPoisonWindowOncePerShard(t *testing.T) {
 	chip := testChip(t, 8)
-	inner := densityDetector{thr: 0.5}
-	var fails atomic.Int64
-	fails.Store(7)
-	det := &flakyDetector{inner: inner, fails: &fails, panics: true}
-	cfg := Config{
-		SkipEmpty:   true,
-		Workers:     3,
-		ShardRows:   1,
-		MaxAttempts: 30,
+	marker := poisonRect(3*1024+50, 5*1024+300)
+	if err := chip.AddRect(marker); err != nil {
+		t.Fatal(err)
 	}
+	det := &poisonDetector{inner: densityDetector{thr: 0.5}}
+	cfg := Config{SkipEmpty: true, Workers: 1, ShardRows: 1}
 	res, err := Run(context.Background(), chip, det, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Quarantined) != 0 {
-		t.Fatalf("transient panics quarantined shards: %+v", res.Quarantined)
+	if len(res.Quarantined) < 2 || res.Interrupted || res.Completed != res.Shards {
+		t.Fatalf("quarantined %+v, interrupted=%v, %d of %d shards; want the marker's shards",
+			res.Quarantined, res.Interrupted, res.Completed, res.Shards)
 	}
-	want := referenceFindings(t, chip, inner, cfg)
-	if !reflect.DeepEqual(res.Findings, want) {
-		t.Fatalf("lost findings under transient panics:\ngot  %v\nwant %v", res.Findings, want)
+	if calls := det.panics.Load(); calls != int64(len(res.Quarantined)) {
+		t.Fatalf("the detector panicked %d times over %d quarantined shards, want once a shard", calls, len(res.Quarantined))
 	}
-}
-
-// TestFarmShardBudget: a stuck window (injected latency) blows the
-// per-attempt deadline and, when it never unsticks, quarantines the
-// shard instead of hanging the scan.
-func TestFarmShardBudget(t *testing.T) {
-	defer faultinject.Reset()
-	chip := testChip(t, 4)
-	faultinject.Set(WindowScoreSite, faultinject.Fault{Latency: 300 * time.Millisecond})
-	cfg := Config{
-		SkipEmpty:   true,
-		Workers:     2,
-		ShardRows:   2,
-		MaxAttempts: 2,
-		ShardBudget: 30 * time.Millisecond,
-	}
-	start := time.Now()
-	res, err := Run(context.Background(), chip, densityDetector{thr: 0.5}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Quarantined) != res.Shards {
-		t.Fatalf("every shard is stuck; quarantined %d of %d", len(res.Quarantined), res.Shards)
-	}
-	// 2 shards * 2 attempts * ~300ms latency each, parallel over 2
-	// workers: well under 5s proves the budget cut attempts short.
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("budgeted scan took %v", elapsed)
+	plan := NewPlan(chip.Bounds(), cfg)
+	half := plan.ClipNM / 2
+	for _, q := range res.Quarantined {
+		at := quarantinedWindow(t, plan, q)
+		if win := geom.R(at.X-half, at.Y-half, at.X+half, at.Y+half); !win.ContainsRect(marker) {
+			t.Fatalf("quarantine %+v names a window without the whole marker", q)
+		}
 	}
 }
 
@@ -411,9 +369,9 @@ func TestFarmCacheSeriesMatchResult(t *testing.T) {
 
 // TestFarmCancelIsResumable: cancelling mid-run is not an error, leaves
 // the journal with only terminal records, and resuming completes the
-// scan with findings identical to an uninterrupted run. An attempt the
-// cancellation cuts short is neither retried nor quarantined: the shard
-// is left for the resume.
+// scan with findings identical to an uninterrupted run. A scan the
+// cancellation cuts short is not quarantined: the shard is left for the
+// resume.
 func TestFarmCancelIsResumable(t *testing.T) {
 	chip := testChip(t, 10)
 	det := densityDetector{thr: 0.5}
@@ -428,10 +386,7 @@ func TestFarmCancelIsResumable(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cfg.Journal = j
-	reg := telemetry.NewRegistry()
-	cut := cfg
-	cut.Metrics = reg
-	res, err := Run(ctx, chip, &cancelAfter{Detector: det, cut: 130, cancel: cancel}, cut)
+	res, err := Run(ctx, chip, &cancelAfter{Detector: det, cut: 130, cancel: cancel}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,8 +395,8 @@ func TestFarmCancelIsResumable(t *testing.T) {
 		t.Fatalf("cancel after 130 scored clips left %d shards done, interrupted=%v; want a scan cut mid-run",
 			res.Completed, res.Interrupted)
 	}
-	if got := counterValue(t, reg, "scan_shard_retries_total"); got != 0 || len(res.Quarantined) != 0 {
-		t.Fatalf("the cut run retried %v attempts and quarantined %+v; want neither", got, res.Quarantined)
+	if len(res.Quarantined) != 0 {
+		t.Fatalf("the cut run quarantined %+v; want none", res.Quarantined)
 	}
 
 	j2, completed, err := ResumeJournal(path, meta)

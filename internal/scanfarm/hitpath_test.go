@@ -39,7 +39,7 @@ func TestHitPathAllocations(t *testing.T) {
 	// every one of them is in the cache.
 	id := plan.NumShards / 2
 	ctx := context.Background()
-	want, err := w.scanShard(ctx, id, 1)
+	want, err := w.scanShard(ctx, id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestHitPathAllocations(t *testing.T) {
 	windows := (r1 - r0) * plan.Cols
 
 	perShard := testing.AllocsPerRun(20, func() {
-		got, err := w.scanShard(ctx, id, 1)
+		got, err := w.scanShard(ctx, id)
 		if err != nil || len(got) != len(want) {
 			t.Fatalf("warm shard: %d findings, err %v; want %d", len(got), err, len(want))
 		}
@@ -100,7 +100,7 @@ func TestMissPathAllocations(t *testing.T) {
 	// scored, and with no cache every one is a miss on every pass.
 	id := w.plan.NumShards - 1
 	ctx := context.Background()
-	want, err := w.scanShard(ctx, id, 1) // fills the pools, sizes the score buffer
+	want, err := w.scanShard(ctx, id) // fills the pools, sizes the score buffer
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestMissPathAllocations(t *testing.T) {
 	const runs = 10
 	runtime.ReadMemStats(&m0)
 	perShard := testing.AllocsPerRun(runs, func() {
-		got, err := w.scanShard(ctx, id, 1)
+		got, err := w.scanShard(ctx, id)
 		if err != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("repeat shard: %d findings, err %v; want %d", len(got), err, len(want))
 		}
@@ -141,7 +141,7 @@ func TestMissPathAllocations(t *testing.T) {
 	if ww.plan.Cols < 8*w.plan.Cols {
 		t.Fatalf("strip is %d windows wide, the square chip %d", ww.plan.Cols, w.plan.Cols)
 	}
-	if _, err := ww.scanShard(ctx, 0, 1); err != nil {
+	if _, err := ww.scanShard(ctx, 0); err != nil {
 		t.Fatal(err)
 	}
 	held := func(m *tileMemo) int {

@@ -42,8 +42,8 @@ type ShardState uint8
 const (
 	// ShardDone is a fully scanned shard with its findings recorded.
 	ShardDone ShardState = iota + 1
-	// ShardQuarantined is a poison shard that exhausted its attempts;
-	// its findings are unknown and Err records the last failure.
+	// ShardQuarantined is a poison shard whose scan failed; its findings
+	// are unknown and Err records the failure.
 	ShardQuarantined
 )
 
@@ -61,10 +61,12 @@ func (s ShardState) String() string {
 
 // ShardRecord is one journaled shard outcome.
 type ShardRecord struct {
-	ShardID  int
-	State    ShardState
+	ShardID int
+	State   ShardState
+	// Attempts is 1: a shard is scanned once. The field stays so that
+	// journal bytes do not change.
 	Attempts int
-	// Err is the last failure message of a quarantined shard.
+	// Err is the failure message of a quarantined shard.
 	Err string
 	// Findings are the shard's flagged windows in window-enumeration
 	// order (row-major within the shard). Empty for quarantined shards.

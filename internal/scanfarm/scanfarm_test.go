@@ -2,10 +2,14 @@ package scanfarm
 
 import (
 	"context"
+	"fmt"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"github.com/golitho/hsd/internal/core"
+	"github.com/golitho/hsd/internal/faultinject"
 	"github.com/golitho/hsd/internal/geom"
 	"github.com/golitho/hsd/internal/layout"
 )
@@ -101,28 +105,6 @@ func referenceFindings(t testing.TB, chip *layout.Layout, det core.Detector, cfg
 	return res.Findings
 }
 
-// flakyDetector fails (or panics) on its first Fails calls globally,
-// then behaves like the inner detector: the transient-fault workload
-// that retries must absorb without losing a finding.
-type flakyDetector struct {
-	inner  core.Detector
-	fails  *atomic.Int64
-	panics bool
-}
-
-func (d *flakyDetector) Name() string                 { return "flaky" }
-func (d *flakyDetector) Fit([]core.LabeledClip) error { return nil }
-func (d *flakyDetector) Threshold() float64           { return d.inner.Threshold() }
-func (d *flakyDetector) Score(ctx context.Context, c layout.Clip) (float64, error) {
-	if d.fails.Add(-1) >= 0 {
-		if d.panics {
-			panic("transient chaos")
-		}
-		return 0, errTransient
-	}
-	return d.inner.Score(ctx, c)
-}
-
 // poisonMarker is a shape size no generated tile produces, even after
 // window clipping (tile shapes clip to widths {64, 132, 256, 644, 768,
 // 900}); windows containing the full marker are permanently poison.
@@ -132,9 +114,11 @@ func (d *flakyDetector) Score(ctx context.Context, c layout.Clip) (float64, erro
 var poisonMarker = geom.Pt(333, 333)
 
 // poisonDetector panics on any clip containing the poison marker — a
-// permanently failing region whose shard must end up quarantined.
+// permanently failing region whose shard must end up quarantined — and
+// counts the calls it panics on.
 type poisonDetector struct {
-	inner core.Detector
+	inner  core.Detector
+	panics atomic.Int64
 }
 
 func (d *poisonDetector) Name() string                 { return "poison" }
@@ -143,6 +127,7 @@ func (d *poisonDetector) Threshold() float64           { return d.inner.Threshol
 func (d *poisonDetector) Score(ctx context.Context, c layout.Clip) (float64, error) {
 	for _, s := range c.Shapes {
 		if s.Dx() == poisonMarker.X && s.Dy() == poisonMarker.Y {
+			d.panics.Add(1)
 			panic("poison window")
 		}
 	}
@@ -161,4 +146,71 @@ func testChipEmpty() *layout.Layout { return layout.New("empty") }
 func shardOf(p Plan, c geom.Point) int {
 	row := (c.Y - p.Center(0, 0).Y) / p.CoreNM()
 	return row / p.ShardRows
+}
+
+// outsideQuarantine returns the findings of want outside every shard in
+// qs: what a run that quarantined qs must still report.
+func outsideQuarantine(p Plan, want []core.Finding, qs []Quarantine) []core.Finding {
+	gone := map[int]bool{}
+	for _, q := range qs {
+		gone[q.ShardID] = true
+	}
+	var rest []core.Finding
+	for _, f := range want {
+		if !gone[shardOf(p, f.Center)] {
+			rest = append(rest, f)
+		}
+	}
+	return rest
+}
+
+// quarantinedWindow returns the window a quarantine's error names, and
+// fails the test unless the quarantine reports its shard's bounds and
+// the window is one of that shard's own.
+func quarantinedWindow(t testing.TB, p Plan, q Quarantine) geom.Point {
+	t.Helper()
+	var shard int
+	var at geom.Point
+	i := strings.Index(q.Err, "scanfarm: shard")
+	if i < 0 {
+		t.Fatalf("quarantine error %q names no window", q.Err)
+	}
+	if _, err := fmt.Sscanf(q.Err[i:], "scanfarm: shard %d window at (%d,%d):", &shard, &at.X, &at.Y); err != nil {
+		t.Fatalf("quarantine error %q names no window: %v", q.Err, err)
+	}
+	if q.Bounds != p.ShardBounds(q.ShardID) || shard != q.ShardID || shardOf(p, at) != q.ShardID || !at.In(q.Bounds) {
+		t.Fatalf("quarantine %+v does not name a window of its own shard", q)
+	}
+	return at
+}
+
+// checkFaulted holds a run under a fault armed at site to the farm's
+// contract: a shard is scanned once, so every firing that fails a scan
+// (msg non-empty, and what the quarantine reports) quarantines the one
+// shard it fired in, with that shard's bounds; a firing that only slows
+// a window (msg empty) quarantines nothing; and every other shard's
+// findings are want's.
+func checkFaulted(t testing.TB, p Plan, res Result, want []core.Finding, site, msg string) {
+	t.Helper()
+	if res.Interrupted || res.Completed != res.Shards {
+		t.Fatalf("interrupted=%v, %d of %d shards completed", res.Interrupted, res.Completed, res.Shards)
+	}
+	fired := faultinject.Fired(site)
+	if msg == "" {
+		fired = 0
+	}
+	if len(res.Quarantined) != fired {
+		t.Fatalf("%d failing firings quarantined %d shards: %+v", fired, len(res.Quarantined), res.Quarantined)
+	}
+	for _, q := range res.Quarantined {
+		if !strings.Contains(q.Err, msg) || q.Bounds != p.ShardBounds(q.ShardID) {
+			t.Fatalf("quarantine %+v: want the shard's bounds and an error holding %q", q, msg)
+		}
+		if site == WindowScoreSite {
+			quarantinedWindow(t, p, q)
+		}
+	}
+	if rest := outsideQuarantine(p, want, res.Quarantined); !reflect.DeepEqual(res.Findings, rest) {
+		t.Fatalf("findings outside the quarantined shards diverged:\ngot  %v\nwant %v", res.Findings, rest)
+	}
 }

@@ -1,21 +1,20 @@
 // Package scanfarm is the fault-tolerant distributed full-chip scan: a
 // shard coordinator that tiles the chip's window grid into deterministic
 // work units, fans them out to a pool of in-process workers — each shard
-// attempt under panic isolation and a deadline budget, a failed attempt
-// retried with jittered backoff — quarantines poison shards instead of
-// failing the run, journals completed shards crash-safely so a killed
-// scan resumes where it left off, and answers repeated standard-cell
-// geometry from a content-addressed clip cache before any detector runs.
+// scanned once, under panic isolation — quarantines poison shards
+// instead of failing the run, journals completed shards crash-safely so
+// a killed scan resumes where it left off, and answers repeated
+// standard-cell geometry from a content-addressed clip cache before any
+// detector runs.
 //
 // The merged findings are deterministic: shards are row bands of the
 // window-center grid, a shard's findings are in window-enumeration
 // order, and the merge concatenates by shard ID — so worker count,
-// completion order, retries, and cache hits never change the result.
+// completion order, and cache hits never change the result.
 package scanfarm
 
 import (
 	"runtime"
-	"time"
 
 	"github.com/golitho/hsd/internal/core"
 	"github.com/golitho/hsd/internal/geom"
@@ -113,13 +112,6 @@ type Config struct {
 	// Smaller shards mean finer resume granularity and better load
 	// balance; larger shards amortize journal writes.
 	ShardRows int
-	// MaxAttempts is how many times a shard is tried before it is
-	// quarantined (default 3); a permanent error quarantines it at once.
-	MaxAttempts int
-	// ShardBudget, when positive, is the per-attempt deadline: an
-	// attempt that exceeds it fails (and counts toward quarantine)
-	// without cancelling the run.
-	ShardBudget time.Duration
 	// CacheSize bounds the content-addressed clip cache in entries;
 	// 0 disables the cache. The cache is shared by the workers, and each
 	// worker also keeps the verdicts it last used in a table of its own
@@ -133,8 +125,8 @@ type Config struct {
 	// a previous run (from ResumeJournal); they are skipped and their
 	// findings merged as-is.
 	Completed map[int]ShardRecord
-	// Metrics, when non-nil, receives scan_shards_total{state},
-	// scan_shard_attempts_total, and scan_cache_* series.
+	// Metrics, when non-nil, receives scan_shards_total{state} and the
+	// scan_cache_* series.
 	Metrics *telemetry.Registry
 }
 
@@ -143,9 +135,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
 	}
 	return c
 }

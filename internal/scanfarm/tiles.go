@@ -4,9 +4,9 @@
 // The grid steps by the core edge (CoreNM), so when the clip is a whole number of
 // strides a window is PerSide x PerSide stride-square tiles and each
 // tile lies in up to PerSide² windows (four at the default geometry).
-// A worker rasterises and block-DCTs a tile once per shard attempt, from
+// A worker rasterises and block-DCTs a tile once per shard scan, from
 // the clip of the first window that misses the cache over it, and every
-// later miss of the attempt copies it (features.Tiling has the argument
+// later miss of the scan copies it (features.Tiling has the argument
 // for why the bits are Extract's). scanShard sweeps column by column, so
 // the tile columns a window needs are the last PerSide the sweep met: the
 // memo is a ring of that many columns, ShardRows+PerSide-1 tiles each,
@@ -26,9 +26,9 @@
 // zero-bordered plane stored transposed, where an output column is one
 // row of the product (nn.Conv2D.SumRows); it keeps each shard row's last
 // two windows of sums, and a window whose left neighbour was scored in
-// the same attempt copies the shared columns and computes only the
-// others. Any other window (column 0, or after a cache hit, a SkipEmpty
-// window or a retry) computes all of them.
+// the same scan copies the shared columns and computes only the
+// others. Any other window (column 0, or after a cache hit or a
+// SkipEmpty window) computes all of them.
 
 package scanfarm
 
@@ -51,7 +51,7 @@ type tileMemo struct {
 	rows    int        // tile rows a shard spans
 	blocks  int        // DCT blocks along a tile's edge: the s above
 	coef    []float64  // PerSide columns x rows transposed tiles of TileLen coefficients
-	have    []bool     // which of them this attempt has computed
+	have    []bool     // which of them this scan has computed
 	tile    []float64  // ExtractTile's output, on its way into coef
 	win     core.Conv1Window
 	sums    []float64 // per shard row, two windows' sums, by column parity
@@ -90,8 +90,8 @@ func newTileMemo(det core.Detector, plan Plan) *tileMemo {
 	}
 }
 
-// startColumn moves the attempt's sweep to window column col. Column 0
-// starts an attempt, which computes its own tiles and sums: all are
+// startColumn moves the scan's sweep to window column col. Column 0
+// starts a shard's scan, which computes its own tiles and sums: all are
 // forgotten. After that tile column col-1 is behind every window still
 // to come, and its ring slot now stands for tile column col+PerSide-1. A
 // nil memo has nothing to move.
@@ -111,7 +111,7 @@ func (m *tileMemo) startColumn(col int) {
 
 // tileAt returns tile (tx, ty) of the window at grid column col and
 // shard-relative row, computing it from canon, the window's canonical
-// clip, when no earlier window of the attempt left it behind.
+// clip, when no earlier window of the scan left it behind.
 func (m *tileMemo) tileAt(ctx context.Context, canon layout.Clip, col, row, tx, ty int) ([]float64, error) {
 	n, size := m.PerSide(), m.TileLen()
 	i := (col+tx)%n*m.rows + row + ty
@@ -170,8 +170,8 @@ func (m *tileMemo) conv1Window(ctx context.Context, canon layout.Clip, col, row 
 		}
 		m.win.Lo, m.win.Hi = lo, hi
 	}
-	// Any failure from here on fails the attempt, and the next one
-	// starts at column 0, which forgets these sums.
+	// Any failure from here on fails the shard's scan, and the worker's
+	// next shard starts at column 0, which forgets these sums.
 	m.sumsCol[row] = col
 	return m.win, nil
 }
