@@ -15,13 +15,14 @@
 #   after construction, that no circuit breaker is built outside
 #   serving and that no optional Ctx interface is back beside the
 #   context-taking Score, a run of every example, a parse of the A/B
-#   pair script, a smoke pass over the fuzz seed corpora, 7 s of real fuzzing each on all nine fuzz
-#   targets (63 s in all), one pass of the window key, conv, ragged-edge,
-#   matmul kernel, shallow fit, CNN fit, scan miss, journaled scan and
-#   serve score cache micro-benchmarks (the journaled scan's allocations
-#   held to a committed bound), a scan of repeated geometry at 2 workers
-#   held to 0.85 of its time at 1, and a quick pass of the repo
-#   benchmark's four workloads. The matmul kernel tier the run used is
+#   pair script, a smoke pass over the fuzz seed corpora, 7 s of real
+#   fuzzing each on all ten fuzz targets (70 s in all), one pass of the
+#   window key, conv, ragged-edge, matmul kernel, shallow fit, CNN fit,
+#   scan miss, journaled scan and serve score cache micro-benchmarks
+#   (the journaled scan's allocations held to a committed bound and its
+#   journal commits to one a commitAge), a scan of repeated geometry at
+#   2 workers held to 0.85 of its time at 1, and a quick pass of the
+#   repo benchmark's four workloads. The matmul kernel tier the run used is
 #   logged near the top.
 #
 # Usage: ./ci.sh [-short]
@@ -266,18 +267,24 @@ echo "== fuzz seed smoke =="
 # -run=Fuzz executes every fuzz target once per seed corpus entry,
 # without the fuzzing engine; crashes here mean a regressed parser,
 # model loader, frame reader or payload decoder (FuzzDecode,
-# seeded with every golden file's payloads), or a matmul kernel that
+# seeded with every golden file's payloads), a shard record encoder
+# that writes other bytes than the codec, or a matmul kernel that
 # disagrees with the portable one on a seed shape.
-go test -run=Fuzz ./internal/layout/ ./internal/gdsii/ ./internal/nn/ ./internal/framelog/ ./internal/tensor/
+go test -run=Fuzz ./internal/layout/ ./internal/gdsii/ ./internal/nn/ ./internal/framelog/ ./internal/scanfarm/ ./internal/tensor/
 
 echo "== frame reader and payload decoder fuzz =="
-# A bounded budget of real fuzzing, 7 s on each of the nine targets,
+# A bounded budget of real fuzzing, 7 s on each of the ten targets,
 # first on the one frame reader and the one payload decoder every
 # durable file (model, journal, WAL, suite) is
 # read through: each must fail with a documented error or round-trip,
 # and a payload the decoder accepts must re-encode to its own bytes.
+# Then on the one hand-written encoder beside the codec, the scan
+# journal's: for any shard record (negative and huge coordinates, NaN
+# and signed-zero scores, a quarantined record's error) it must write
+# the codec's bytes, and they must decode back to the record.
 go test -run='^$' -fuzz='^FuzzReadFrame$' -fuzztime=7s ./internal/framelog/
 go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=7s ./internal/framelog/
+go test -run='^$' -fuzz='^FuzzShardRecordPayload$' -fuzztime=7s ./internal/scanfarm/
 
 echo "== model loader fuzz =="
 # The loader behind them: a network payload must load or fail with an
@@ -373,6 +380,34 @@ if [ -z "$allocs" ] || [ "$allocs" -gt "$journaled_allocs_max" ]; then
 	exit 1
 fi
 echo "ci: BenchmarkScanFarmJournaled $allocs allocs/op (bound $journaled_allocs_max)"
+
+# Its commits are gated as well: commits/op is the groups a scan
+# appended to its journal (scan_journal_commits_total), each one fsync.
+# The committer tries the run's first group at once, then commits when
+# the oldest pending record is commitAge old, and once more when the
+# run ends, so a scan of ns/op makes at most 2 + ns/op / commitAge. A
+# committer that appends whatever is pending each time it runs made
+# about 30 a scan in 14 ms, and fails this.
+commit_age_ms=$(sed -n 's/^const commitAge = \([0-9][0-9]*\) \* time\.Millisecond$/\1/p' internal/scanfarm/coordinator.go)
+if [ -z "$commit_age_ms" ]; then
+	echo "ci: no 'const commitAge = N * time.Millisecond' in internal/scanfarm/coordinator.go" >&2
+	exit 1
+fi
+if ! printf '%s\n' "$scanbench" | awk -v age="$commit_age_ms" '
+	/^BenchmarkScanFarmJournaled/ {
+		for (i = 2; i <= NF; i++) {
+			if ($i == "ns/op") ns = $(i - 1)
+			if ($i == "commits/op") commits = $(i - 1)
+		}
+	}
+	END {
+		if (ns == "" || commits == "") { print "ci: BenchmarkScanFarmJournaled reports no ns/op or commits/op" > "/dev/stderr"; exit 1 }
+		max = 2 + ns / (age * 1e6)
+		if (commits + 0 > max) { printf "ci: BenchmarkScanFarmJournaled made %s commits in a %.1f ms scan, over 2 + ns/op / %d ms = %.2f\n", commits, ns / 1e6, age, max > "/dev/stderr"; exit 1 }
+		printf "ci: BenchmarkScanFarmJournaled %s commits in a %.1f ms scan (bound %.2f)\n", commits, ns / 1e6, max
+	}'; then
+	exit 1
+fi
 
 echo "== hit path scaling =="
 # A scan of repeated geometry at 2 workers must take at most 0.85 of its

@@ -15,8 +15,11 @@
 // shard is scanned once and a failing one is quarantined (reported with
 // its bounds and failing window, not fatal), and repeated geometry is
 // answered from a content-addressed clip cache (-cache-size). With
-// -journal each completed shard is persisted, so a killed scan rerun
-// with -resume skips finished shards and produces identical findings.
+// -journal completed shards are persisted in groups, one fsync every
+// 10 ms of scanning, and the scan returns only once each is durable; a
+// killed scan loses at most the last 10 ms of completed shards, and
+// rerun with -resume it rescans those, skips the rest and produces
+// identical findings.
 //
 // -trace writes the scan as a Chrome trace_event JSON file: one
 // "hsdscan" root span with a "scan.shard" span per shard and the

@@ -48,19 +48,34 @@ func frameLen(magic string, payload []byte) int64 {
 	return int64(len(magic) + lenCRCLen + len(payload))
 }
 
-// appendFrame appends to dst the frame carrying v's encoding under
-// magic. The length and CRC are reserved ahead of the payload, which is
-// encoded in place and sealed after, so a frame is built in the buffer
-// it is written from. On error dst comes back as it was.
-func appendFrame[T any](dst []byte, magic string, v T) ([]byte, error) {
-	rv := reflect.ValueOf(&v).Elem()
-	if err := walkType(rv.Type(), 0); err != nil {
+// PayloadAppender is a record type's hand-written encoder: AppendPayload
+// appends to b exactly the bytes the codec writes for the value
+// (codec.go), without reflection. The codec stays the definition of the
+// format and decodes every payload; a type with a hand encoder holds the
+// two equal with a test of its own.
+type PayloadAppender interface {
+	AppendPayload(b []byte) []byte
+}
+
+// appendFrame appends to dst the frame carrying *v's encoding under
+// magic: by *v's AppendPayload when *T has one, else by the codec. v is
+// a pointer, so the dispatch boxes nothing. The length and CRC are
+// reserved ahead of the payload, which is encoded in place and sealed
+// after, so a frame is built in the buffer it is written from. On error
+// dst comes back as it was.
+func appendFrame[T any](dst []byte, magic string, v *T) ([]byte, error) {
+	if err := walkType(reflect.TypeFor[T](), 0); err != nil {
 		return dst, err
 	}
 	start := len(dst)
 	dst = append(dst, magic...)
 	head := len(dst)
-	dst = appendValue(append(dst, make([]byte, lenCRCLen)...), rv)
+	dst = append(dst, make([]byte, lenCRCLen)...)
+	if a, ok := any(v).(PayloadAppender); ok {
+		dst = a.AppendPayload(dst)
+	} else {
+		dst = appendValue(dst, reflect.ValueOf(v).Elem())
+	}
 	if err := sealFrame(dst[head:head+lenCRCLen], dst[head+lenCRCLen:]); err != nil {
 		return dst[:start], err
 	}

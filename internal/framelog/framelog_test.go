@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -298,6 +299,53 @@ func TestAppendAllocationsIgnoreGrouping(t *testing.T) {
 		if got := allocs(tc.groups); got != want {
 			t.Errorf("%s: %.0f allocations an append pass, one group makes %.0f", tc.name, got, want)
 		}
+	}
+}
+
+// handRec is testRec with a hand-written encoder, which counts its calls
+// in handCalls.
+type handRec testRec
+
+var handCalls int
+
+func (r *handRec) AppendPayload(b []byte) []byte {
+	handCalls++
+	b = binary.AppendVarint(b, int64(r.ID))
+	b = append(binary.AppendUvarint(b, uint64(len(r.Note))), r.Note...)
+	b = binary.AppendUvarint(b, uint64(len(r.Score)))
+	for _, x := range r.Score {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+	}
+	return b
+}
+
+// TestFrameDispatchesToPayloadAppender: a record type with an
+// AppendPayload is framed by it, the frame is the codec's, and the
+// dispatch allocates nothing once the buffer has grown: it asserts on a
+// pointer to the caller's record, not on a boxed copy.
+func TestFrameDispatchesToPayloadAppender(t *testing.T) {
+	var buf []byte
+	for _, rec := range testRecs() {
+		want, err := appendFrame(nil, testFormat.Record, &rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hand := handRec(rec)
+		calls := handCalls
+		if buf, err = appendFrame(buf[:0], testFormat.Record, &hand); err != nil || handCalls != calls+1 || !bytes.Equal(buf, want) {
+			t.Fatalf("record %d: hand frame %x (%v, %d calls), codec frame %x", rec.ID, buf, err, handCalls-calls, want)
+		}
+	}
+	recs := make([]handRec, 0, 4)
+	for _, rec := range testRecs() {
+		recs = append(recs, handRec(rec))
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i := range recs {
+			buf, _ = appendFrame(buf[:0], testFormat.Record, &recs[i])
+		}
+	}); allocs != 0 {
+		t.Fatalf("framing %d hand-encoded records allocates %v times, want 0", len(recs), allocs)
 	}
 }
 

@@ -17,7 +17,7 @@ func WriteFrame(w io.Writer, magic string, payload []byte) error {
 
 // marshal is v's payload: its frame without the magic, length and CRC.
 func marshal[T any](v T) ([]byte, error) {
-	frame, err := appendFrame(nil, "", v)
+	frame, err := appendFrame(nil, "", &v)
 	if err != nil {
 		return nil, err
 	}

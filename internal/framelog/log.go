@@ -55,7 +55,7 @@ type Tail struct {
 // header frame: the file and its directory entry are fsynced before
 // Create returns.
 func Create[M comparable, R any](path string, format Format, meta M) (*Log[R], error) {
-	frame, err := appendFrame(nil, format.Header, meta)
+	frame, err := appendFrame(nil, format.Header, &meta)
 	if err != nil {
 		return nil, err
 	}
@@ -159,8 +159,8 @@ func (l *Log[R]) Append(recs ...R) error {
 	}
 	at := l.end
 	var err error
-	for _, rec := range recs {
-		if l.frame, err = appendFrame(l.frame[:0], l.record, rec); err != nil {
+	for i := range recs {
+		if l.frame, err = appendFrame(l.frame[:0], l.record, &recs[i]); err != nil {
 			if at == l.end {
 				return err
 			}
@@ -204,7 +204,7 @@ type File[T any] struct{ Magic string }
 
 // Write emits v as one frame, in one Write.
 func (f File[T]) Write(w io.Writer, v T) error {
-	frame, err := appendFrame(nil, f.Magic, v)
+	frame, err := appendFrame(nil, f.Magic, &v)
 	if err != nil {
 		return err
 	}

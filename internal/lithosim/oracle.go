@@ -38,14 +38,12 @@ func (s *Simulator) LabelCtx(ctx context.Context, clip layout.Clip) (hotspot boo
 	return res.Hotspot, nil
 }
 
-// The oracle discipline Verify applies, the same for every caller.
-const (
-	verifyAttempts = 3               // calls per clip, the first included
-	verifyBudget   = 2 * time.Second // deadline on each call
-)
+// verifyBudget is the deadline on each oracle call Verify makes, the
+// same for every caller.
+const verifyBudget = 2 * time.Second
 
 // Verify buys one verdict from oracle (LabelCtx, or a wrapper around
-// it): up to verifyAttempts calls through resilience.Retry, each under
+// it): up to three calls through resilience.Retry, each under
 // its own verifyBudget deadline. The backoff jitter is seeded from the
 // clip's translation-invariant fingerprint, so retries of different
 // clips decorrelate while a clip's schedule is the same wherever it
@@ -56,10 +54,7 @@ const (
 // clip that cannot be verified costs (the data engine quarantines it).
 func Verify(ctx context.Context, oracle func(context.Context, layout.Clip) (bool, error), clip layout.Clip) (hot bool, attempts int, err error) {
 	fp := clip.Fingerprint()
-	rcfg := resilience.RetryConfig{
-		MaxAttempts: verifyAttempts,
-		Seed:        int64(binary.BigEndian.Uint64(fp[:8])>>1) + 1,
-	}
+	rcfg := resilience.RetryConfig{Seed: int64(binary.BigEndian.Uint64(fp[:8])>>1) + 1}
 	err = resilience.Retry(ctx, rcfg, func(ctx context.Context) (err error) {
 		attempts++
 		actx, cancel := resilience.WithBudget(ctx, verifyBudget)

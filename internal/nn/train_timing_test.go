@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/golitho/hsd/internal/resilience"
 )
 
 // stepClock is a deterministic Clock whose Now advances a fixed step per
@@ -22,11 +24,8 @@ func (c *stepClock) Now() time.Time {
 	return c.now
 }
 
-func (c *stepClock) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	ch <- c.now.Add(d)
-	return ch
-}
+// NewTimer is the wall clock's: Fit never waits on a timer.
+func (c *stepClock) NewTimer(d time.Duration) resilience.Timer { return resilience.Real.NewTimer(d) }
 
 // TestFitRecordsEpochTiming checks every epoch of the history carries
 // exactly the duration the injected clock reports: Fit reads the clock

@@ -19,20 +19,58 @@ import (
 	"time"
 )
 
-// Clock abstracts time so breaker cool-downs, bucket refills, and retry
-// backoffs can be driven deterministically in tests.
+// Clock abstracts time so breaker cool-downs, bucket refills, retry
+// backoffs and the scan journal's commit age can be driven
+// deterministically in tests.
 type Clock interface {
 	// Now returns the current time.
 	Now() time.Time
-	// After returns a channel that delivers one value once d has
-	// elapsed.
-	After(d time.Duration) <-chan time.Time
+	// NewTimer returns a timer that fires once d has elapsed.
+	NewTimer(d time.Duration) Timer
+}
+
+// Timer is a Clock's one-shot timer. A loop that waits many times holds
+// one and re-arms it.
+type Timer interface {
+	// C delivers the time once the timer fires.
+	C() <-chan time.Time
+	// Reset re-arms the timer to fire d from now. As with time.Timer,
+	// call it only on a timer whose firing was received or that never
+	// fired.
+	Reset(d time.Duration)
+	// Stop disarms the timer.
+	Stop()
 }
 
 type realClock struct{}
 
-func (realClock) Now() time.Time                         { return time.Now() }
-func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
+func (realClock) Now() time.Time { return time.Now() }
+
+func (realClock) NewTimer(d time.Duration) Timer {
+	r := &realTimer{c: make(chan time.Time, 1)}
+	r.t = time.AfterFunc(d, r.fire)
+	return r
+}
+
+// realTimer delivers on its own channel from an AfterFunc timer: under
+// this module's go 1.22 line a time.NewTimer counts a non-default
+// asynctimerchan setting, and the first count in a process allocates
+// some fifty objects.
+type realTimer struct {
+	t *time.Timer
+	c chan time.Time
+}
+
+func (r *realTimer) fire() {
+	select {
+	case r.c <- time.Now():
+	default:
+	}
+}
+
+func (r *realTimer) C() <-chan time.Time   { return r.c }
+func (r *realTimer) Reset(d time.Duration) { r.t.Reset(d) }
+func (r *realTimer) Stop()                 { r.t.Stop() }
 
 // Real is the wall clock.
 var Real Clock = realClock{}
@@ -62,19 +100,51 @@ func (c *FakeClock) Now() time.Time {
 	return c.now
 }
 
-// After implements Clock: the returned channel fires when Advance moves
-// the clock past the requested duration. Non-positive durations fire
-// immediately.
-func (c *FakeClock) After(d time.Duration) <-chan time.Time {
+// NewTimer implements Clock: the timer fires when Advance moves the
+// clock past d. A non-positive d fires it at once.
+func (c *FakeClock) NewTimer(d time.Duration) Timer {
+	t := &fakeTimer{clock: c, ch: make(chan time.Time, 1)}
+	t.Reset(d)
+	return t
+}
+
+type fakeTimer struct {
+	clock *FakeClock
+	ch    chan time.Time
+}
+
+func (t *fakeTimer) C() <-chan time.Time { return t.ch }
+
+func (t *fakeTimer) Reset(d time.Duration) {
+	c := t.clock
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ch := make(chan time.Time, 1)
-	if d <= 0 {
-		ch <- c.now
-		return ch
+	c.drop(t.ch)
+	select {
+	case <-t.ch: // a firing nobody received
+	default:
 	}
-	c.waiters = append(c.waiters, fakeWaiter{at: c.now.Add(d), ch: ch})
-	return ch
+	if d <= 0 {
+		t.ch <- c.now
+		return
+	}
+	c.waiters = append(c.waiters, fakeWaiter{at: c.now.Add(d), ch: t.ch})
+}
+
+func (t *fakeTimer) Stop() {
+	t.clock.mu.Lock()
+	defer t.clock.mu.Unlock()
+	t.clock.drop(t.ch)
+}
+
+// drop disarms the waiter on ch, if any. c.mu is held.
+func (c *FakeClock) drop(ch chan time.Time) {
+	for i, w := range c.waiters {
+		if w.ch == ch {
+			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
+			return
+		}
+	}
 }
 
 // Advance moves the clock forward and fires every waiter whose deadline

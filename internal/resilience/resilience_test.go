@@ -192,8 +192,8 @@ func TestShedderConcurrent(t *testing.T) {
 	}
 }
 
-// recordClock satisfies Clock, fires After immediately, and records the
-// requested delays so Retry's backoff schedule is observable without
+// recordClock satisfies Clock, fires every timer at once, and records
+// the requested delays so Retry's backoff schedule is observable without
 // sleeping.
 type recordClock struct {
 	mu     sync.Mutex
@@ -202,21 +202,20 @@ type recordClock struct {
 
 func (c *recordClock) Now() time.Time { return time.Unix(0, 0) }
 
-func (c *recordClock) After(d time.Duration) <-chan time.Time {
+func (c *recordClock) NewTimer(d time.Duration) Timer {
 	c.mu.Lock()
 	c.delays = append(c.delays, d)
 	c.mu.Unlock()
-	ch := make(chan time.Time, 1)
-	ch <- time.Unix(0, 0)
-	return ch
+	return NewFakeClock(time.Unix(0, 0)).NewTimer(0)
 }
 
-// TestRetryBackoffBounds asserts every delay Retry schedules lies in
-// the jitter envelope around the shared backoff shape (10 ms doubling,
-// ±20 %), with no wall-clock sleeps involved.
+// TestRetryBackoffBounds asserts Retry makes maxAttempts calls and that
+// every delay it schedules lies in the jitter envelope around the shared
+// backoff shape (10 ms doubling, ±20 %), with no wall-clock sleeps
+// involved.
 func TestRetryBackoffBounds(t *testing.T) {
 	clk := &recordClock{}
-	cfg := RetryConfig{MaxAttempts: 6, Seed: 42, Clock: clk}
+	cfg := RetryConfig{Seed: 42, Clock: clk}
 	calls := 0
 	err := Retry(context.Background(), cfg, func(context.Context) error {
 		calls++
@@ -225,19 +224,16 @@ func TestRetryBackoffBounds(t *testing.T) {
 	if err == nil || !errors.Is(err, errBoom) {
 		t.Fatalf("err = %v, want wrapped errBoom", err)
 	}
-	if calls != 6 {
-		t.Fatalf("calls = %d, want 6", calls)
+	if calls != maxAttempts {
+		t.Fatalf("calls = %d, want %d", calls, maxAttempts)
 	}
-	if len(clk.delays) != 5 {
-		t.Fatalf("delays scheduled = %d, want 5", len(clk.delays))
-	}
-	nominal := []time.Duration{
-		10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond,
-		80 * time.Millisecond, 160 * time.Millisecond,
+	if len(clk.delays) != maxAttempts-1 {
+		t.Fatalf("delays scheduled = %d, want %d", len(clk.delays), maxAttempts-1)
 	}
 	for i, d := range clk.delays {
-		lo := time.Duration(float64(nominal[i]) * (1 - jitter))
-		hi := time.Duration(float64(nominal[i]) * (1 + jitter))
+		nominal := baseDelay << i
+		lo := time.Duration(float64(nominal) * (1 - jitter))
+		hi := time.Duration(float64(nominal) * (1 + jitter))
 		if d < lo || d > hi {
 			t.Errorf("delay %d = %v outside [%v, %v]", i, d, lo, hi)
 		}
@@ -250,18 +246,14 @@ func TestRetryBackoffBounds(t *testing.T) {
 			t.Fatalf("attempt %d: same seed gave %v and %v", a, d1, d2)
 		}
 	}
-	// maxDelay caps the nominal delay even for huge attempt numbers.
-	if d := backoffDelay(50, nil); d != time.Second {
-		t.Fatalf("un-jittered capped delay = %v, want 1s", d)
-	}
 }
 
 func TestRetrySucceedsEarly(t *testing.T) {
 	clk := &recordClock{}
 	calls := 0
-	err := Retry(context.Background(), RetryConfig{MaxAttempts: 5, Clock: clk}, func(context.Context) error {
+	err := Retry(context.Background(), RetryConfig{Clock: clk}, func(context.Context) error {
 		calls++
-		if calls < 3 {
+		if calls < 2 {
 			return errBoom
 		}
 		return nil
@@ -269,8 +261,8 @@ func TestRetrySucceedsEarly(t *testing.T) {
 	if err != nil {
 		t.Fatalf("err = %v", err)
 	}
-	if calls != 3 || len(clk.delays) != 2 {
-		t.Fatalf("calls = %d, delays = %d; want 3 and 2", calls, len(clk.delays))
+	if calls != 2 || len(clk.delays) != 1 {
+		t.Fatalf("calls = %d, delays = %d; want 2 and 1", calls, len(clk.delays))
 	}
 }
 
@@ -290,7 +282,7 @@ func TestRetrySeedsOnlyToBack(t *testing.T) {
 		t.Fatalf("a first-try success allocates %v times, want 0", allocs)
 	}
 	clk := &recordClock{}
-	cfg = RetryConfig{MaxAttempts: 4, Seed: 9, Clock: clk}
+	cfg = RetryConfig{Seed: 9, Clock: clk}
 	if err := Retry(ctx, cfg, func(context.Context) error { return errBoom }); !errors.Is(err, errBoom) {
 		t.Fatalf("err = %v, want wrapped errBoom", err)
 	}
@@ -300,8 +292,8 @@ func TestRetrySeedsOnlyToBack(t *testing.T) {
 			t.Fatalf("delay %d = %v, want %v from a source seeded %d", i, d, want, cfg.Seed)
 		}
 	}
-	if len(clk.delays) != 3 {
-		t.Fatalf("delays scheduled = %d, want 3", len(clk.delays))
+	if len(clk.delays) != maxAttempts-1 {
+		t.Fatalf("delays scheduled = %d, want %d", len(clk.delays), maxAttempts-1)
 	}
 }
 
@@ -310,7 +302,7 @@ func TestRetryHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- Retry(ctx, RetryConfig{MaxAttempts: 3, Clock: clk}, func(context.Context) error {
+		done <- Retry(ctx, RetryConfig{Clock: clk}, func(context.Context) error {
 			return errBoom
 		})
 	}()
@@ -349,30 +341,43 @@ func TestWithBudget(t *testing.T) {
 	}
 }
 
-func TestFakeClockAfter(t *testing.T) {
+// TestFakeClockTimer: a fake timer fires when Advance reaches its
+// deadline, at once for a non-positive duration, never once stopped, and
+// again after a Reset.
+func TestFakeClockTimer(t *testing.T) {
+	fired := func(tm Timer) bool {
+		select {
+		case <-tm.C():
+			return true
+		default:
+			return false
+		}
+	}
 	clk := NewFakeClock(time.Unix(0, 0))
-	ch := clk.After(time.Second)
-	select {
-	case <-ch:
+	tm := clk.NewTimer(time.Second)
+	if fired(tm) {
 		t.Fatal("fired early")
-	default:
 	}
 	clk.Advance(999 * time.Millisecond)
-	select {
-	case <-ch:
+	if fired(tm) {
 		t.Fatal("fired before deadline")
-	default:
 	}
 	clk.Advance(time.Millisecond)
-	select {
-	case <-ch:
-	default:
+	if !fired(tm) {
 		t.Fatal("did not fire at deadline")
 	}
-	// Non-positive durations fire immediately.
-	select {
-	case <-clk.After(0):
-	default:
-		t.Fatal("After(0) did not fire immediately")
+	tm.Reset(time.Second)
+	clk.Advance(time.Second)
+	if !fired(tm) {
+		t.Fatal("did not fire again after Reset")
+	}
+	tm.Reset(time.Second)
+	tm.Stop()
+	clk.Advance(time.Hour)
+	if fired(tm) {
+		t.Fatal("fired after Stop")
+	}
+	if !fired(clk.NewTimer(0)) {
+		t.Fatal("NewTimer(0) did not fire immediately")
 	}
 }

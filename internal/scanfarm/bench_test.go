@@ -11,6 +11,7 @@ import (
 	"github.com/golitho/hsd/internal/iccad"
 	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/raster"
+	"github.com/golitho/hsd/internal/telemetry"
 	"github.com/golitho/hsd/internal/trace"
 )
 
@@ -87,11 +88,16 @@ func BenchmarkScanFarmCNNMiss(b *testing.B) {
 // the fitted CNN over a repeated-cell chip with the cache on, so almost
 // every window is a hit keyed from the index, and a fresh fsynced
 // journal for each scan, so the journal's group commits are what is
-// left of the time.
+// left of the time. commits/op is scan_journal_commits_total over the
+// scans, the groups a scan appends, each with one fsync.
 func BenchmarkScanFarmJournaled(b *testing.B) {
 	det := fittedCNN(b, false)
 	chip := cellChip(b, 128)
-	cfg := Config{SkipEmpty: true, Workers: 2, CacheSize: 4096}
+	// The series exist before the first scan, as in a process that has
+	// scanned before, so that the scans count what a scan allocates.
+	reg := telemetry.NewRegistry()
+	newFarmMetrics(reg)
+	cfg := Config{SkipEmpty: true, Workers: 2, CacheSize: 4096, Metrics: reg}
 	meta := cfg.Meta(chip, det.Name())
 	dir := b.TempDir()
 	var res Result
@@ -123,6 +129,7 @@ func BenchmarkScanFarmJournaled(b *testing.B) {
 		b.Fatalf("cache hit rate %.4f: the chip does not repeat itself", rate)
 	}
 	b.ReportMetric(float64(b.N*res.Scanned)/b.Elapsed().Seconds(), "windows/s")
+	b.ReportMetric(reg.Counter("scan_journal_commits_total").Value()/float64(b.N), "commits/op")
 }
 
 // BenchmarkScanFarmHits is the hit path alone at 1 and 2 workers: the

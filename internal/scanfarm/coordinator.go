@@ -31,6 +31,7 @@ import (
 	"github.com/golitho/hsd/internal/faultinject"
 	"github.com/golitho/hsd/internal/geom"
 	"github.com/golitho/hsd/internal/layout"
+	"github.com/golitho/hsd/internal/resilience"
 	"github.com/golitho/hsd/internal/telemetry"
 	"github.com/golitho/hsd/internal/trace"
 )
@@ -89,6 +90,7 @@ type farmMetrics struct {
 	cacheHits         *telemetry.Counter // scan_cache_hits_total
 	cacheMisses       *telemetry.Counter // scan_cache_misses_total
 	cacheEvictions    *telemetry.Counter // scan_cache_evictions_total
+	journalCommits    *telemetry.Counter // scan_journal_commits_total
 	quarantined       *telemetry.Gauge   // scan_quarantined_shards
 	shardSeconds      *telemetry.Histogram
 }
@@ -98,6 +100,7 @@ func newFarmMetrics(reg *telemetry.Registry) *farmMetrics {
 	reg.SetHelp("scan_cache_hits_total", "Windows answered by the content-addressed clip cache.")
 	reg.SetHelp("scan_cache_misses_total", "Windows that missed the clip cache and ran the detector.")
 	reg.SetHelp("scan_cache_evictions_total", "Clip-cache LRU evictions.")
+	reg.SetHelp("scan_journal_commits_total", "Groups of shard records appended to the scan journal, each with one fsync.")
 	reg.SetHelp("scan_shard_seconds", "Per-shard wall time of successful scans.")
 	reg.SetHelp("scan_quarantined_shards", "Shards quarantined by the most recent scan, resumed records included.")
 	return &farmMetrics{
@@ -107,6 +110,7 @@ func newFarmMetrics(reg *telemetry.Registry) *farmMetrics {
 		cacheHits:         reg.Counter("scan_cache_hits_total"),
 		cacheMisses:       reg.Counter("scan_cache_misses_total"),
 		cacheEvictions:    reg.Counter("scan_cache_evictions_total"),
+		journalCommits:    reg.Counter("scan_journal_commits_total"),
 		quarantined:       reg.Gauge("scan_quarantined_shards"),
 		shardSeconds:      reg.Histogram("scan_shard_seconds", nil),
 	}
@@ -178,7 +182,7 @@ func Run(ctx context.Context, chip *layout.Layout, det core.Detector, cfg Config
 		wg sync.WaitGroup
 		mu sync.Mutex // records, res.Scanned
 	)
-	commits := startCommitter(cfg.Journal, cancel, len(todo))
+	commits := startCommitter(cfg.Journal, cancel, len(todo), resilience.Real, mets.journalCommits)
 	finish := func(rec *ShardRecord) {
 		mu.Lock()
 		records[rec.ShardID] = rec
@@ -277,24 +281,31 @@ dispatch:
 	return res, nil
 }
 
+// commitAge is how long a finished shard's record waits for the group
+// it is committed in. A group is one append with one fsync, so the
+// fsyncs of a scan number about its time over commitAge, plus the run's
+// first group and its last, whatever its shard count; a kill loses at
+// most commitAge of finished shards, which a resume rescans.
+const commitAge = 10 * time.Millisecond
+
 // committer appends finished shards' records to the journal in groups,
 // on its own goroutine. A worker hands its record over and takes its
-// next shard at once; the committer takes every record pending and
-// appends them as one group, with one fsync, while the workers scan on.
-// The committer runs when the scheduler gives it a CPU, which with a
-// worker on every CPU can be many shards later: that is what makes the
-// groups large and the fsyncs few. It is also why a
-// worker that hands a record over before the run's first group has been
-// tried waits for that try, so that a journal that takes no records
-// ends the run after a shard or two rather than after the shards the
-// committer's first wait let through. A journal that fails later ends
-// the run when the committer next runs. A nil committer (no journal)
-// takes nothing.
+// next shard at once. The run's first group is tried as soon as the
+// committer runs, and a worker that hands a record over before that
+// try waits for it, so that a journal that takes no records ends the
+// run after a shard or two. After it, the committer appends every
+// pending record as one group, with one fsync, once the oldest of them
+// is commitAge old, on the run's one timer, or at once when close runs.
+// A journal that fails later ends the run at the next group. A nil
+// committer (no journal) takes nothing.
 type committer struct {
 	journal *Journal
 	stop    context.CancelFunc // called on the first failed append
-	mu      sync.Mutex         // pending
+	clock   resilience.Clock
+	commits *telemetry.Counter // scan_journal_commits_total
+	mu      sync.Mutex         // pending, oldest
 	pending []ShardRecord
+	oldest  time.Time // when the first of pending was added
 	// wake holds at most one token. A record put in pending is followed
 	// by a token, or by a committer that has yet to take pending.
 	wake  chan struct{}
@@ -307,11 +318,11 @@ type committer struct {
 // Its two record lists, the one the workers fill and the one it
 // appends, each have room for all n, so that what they allocate is a
 // function of the plan, not of the groups a run happens to form.
-func startCommitter(j *Journal, stop context.CancelFunc, n int) *committer {
+func startCommitter(j *Journal, stop context.CancelFunc, n int, clock resilience.Clock, commits *telemetry.Counter) *committer {
 	if j == nil {
 		return nil
 	}
-	c := &committer{journal: j, stop: stop, pending: make([]ShardRecord, 0, n),
+	c := &committer{journal: j, stop: stop, clock: clock, commits: commits, pending: make([]ShardRecord, 0, n),
 		wake: make(chan struct{}, 1), tried: make(chan struct{}), done: make(chan struct{})}
 	go c.run(make([]ShardRecord, 0, n))
 	return c
@@ -319,22 +330,57 @@ func startCommitter(j *Journal, stop context.CancelFunc, n int) *committer {
 
 func (c *committer) run(group []ShardRecord) {
 	defer close(c.done)
-	tried := false
-	for range c.wake {
-		c.mu.Lock()
-		group, c.pending = c.pending, group[:0]
-		c.mu.Unlock()
-		if len(group) == 0 || c.err != nil {
-			continue
+	_, open := <-c.wake
+	group = c.commit(group)
+	close(c.tried)
+	var (
+		timer resilience.Timer // made at the first wait, re-armed after
+		due   <-chan time.Time // non-nil while the timer is armed
+	)
+	for open {
+		select {
+		case _, open = <-c.wake:
+			if open {
+				if due == nil {
+					c.mu.Lock()
+					waiting, wait := len(c.pending) > 0, commitAge-c.clock.Now().Sub(c.oldest)
+					c.mu.Unlock()
+					if waiting {
+						if timer == nil {
+							timer = c.clock.NewTimer(wait)
+						} else {
+							timer.Reset(wait)
+						}
+						due = timer.C()
+					}
+				}
+				continue
+			}
+		case <-due:
+			due = nil
 		}
-		if c.err = c.journal.Append(group...); c.err != nil {
-			c.stop()
-		}
-		if !tried {
-			tried = true
-			close(c.tried)
-		}
+		group = c.commit(group)
 	}
+	if timer != nil {
+		timer.Stop()
+	}
+}
+
+// commit appends what is pending as one group, unless an append has
+// failed, and hands group's emptied list back to be the next group.
+func (c *committer) commit(group []ShardRecord) []ShardRecord {
+	c.mu.Lock()
+	group, c.pending = c.pending, group[:0]
+	c.mu.Unlock()
+	if len(group) == 0 || c.err != nil {
+		return group
+	}
+	if c.err = c.journal.Append(group...); c.err != nil {
+		c.stop()
+	} else {
+		c.commits.Inc()
+	}
+	return group
 }
 
 // add queues rec for the next group; before the first group has been
@@ -344,6 +390,9 @@ func (c *committer) add(rec ShardRecord) {
 		return
 	}
 	c.mu.Lock()
+	if len(c.pending) == 0 {
+		c.oldest = c.clock.Now()
+	}
 	c.pending = append(c.pending, rec)
 	c.mu.Unlock()
 	select {
@@ -353,8 +402,8 @@ func (c *committer) add(rec ShardRecord) {
 	<-c.tried
 }
 
-// close commits what is pending, once every add has returned, and
-// returns the first failed append's error: with a nil error, every
+// close commits what is pending at once, once every add has returned,
+// and returns the first failed append's error: with a nil error, every
 // record added is durable.
 func (c *committer) close() error {
 	if c == nil {

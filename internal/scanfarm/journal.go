@@ -1,15 +1,21 @@
 // The scan journal: an append-only framelog of completed and quarantined
 // shards, the persistence layer behind `hsdscan -resume`. Run's
-// committer appends finished shards' records in groups, each group
-// with one fsync, and Run returns only once every shard it counted as
-// completed is durable. A SIGKILLed scan resumes from the
-// last durable group; a shard that finished after it is rescanned.
+// committer appends finished shards' records in groups by age, each
+// group with one fsync: the run's first group at once, then all that is
+// pending once the oldest of it is commitAge old, and the rest when the
+// run ends. Run returns only once every shard it counted as completed
+// is durable. A SIGKILLed scan resumes from the last durable group, so
+// a kill loses at most commitAge of finished shards, which are
+// rescanned on resume. A record is framed by its hand-written encoder
+// (ShardRecord.AppendPayload), which writes the codec's bytes.
 // DESIGN.md "On-disk formats" has the layout and the crash mode.
 
 package scanfarm
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"github.com/golitho/hsd/internal/core"
 	"github.com/golitho/hsd/internal/framelog"
@@ -71,6 +77,24 @@ type ShardRecord struct {
 	// Findings are the shard's flagged windows in window-enumeration
 	// order (row-major within the shard). Empty for quarantined shards.
 	Findings []core.Finding
+}
+
+// AppendPayload implements framelog.PayloadAppender: it appends the
+// bytes framelog's codec writes for r, field by field in declaration
+// order, without reflection. FuzzShardRecordPayload holds the two equal.
+func (r *ShardRecord) AppendPayload(b []byte) []byte {
+	b = binary.AppendVarint(b, int64(r.ShardID))
+	b = binary.AppendUvarint(b, uint64(r.State))
+	b = binary.AppendVarint(b, int64(r.Attempts))
+	b = binary.AppendUvarint(b, uint64(len(r.Err)))
+	b = append(b, r.Err...)
+	b = binary.AppendUvarint(b, uint64(len(r.Findings)))
+	for _, f := range r.Findings {
+		b = binary.AppendVarint(b, int64(f.Center.X))
+		b = binary.AppendVarint(b, int64(f.Center.Y))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f.Score))
+	}
+	return b
 }
 
 // ErrJournalMismatch is returned when a journal's Meta does not match

@@ -2,15 +2,20 @@ package scanfarm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"github.com/golitho/hsd/internal/core"
 	"github.com/golitho/hsd/internal/framelog"
 	"github.com/golitho/hsd/internal/geom"
+	"github.com/golitho/hsd/internal/resilience"
+	"github.com/golitho/hsd/internal/telemetry"
 )
 
 func testMeta() Meta {
@@ -221,4 +226,115 @@ func TestResumeJournalTornAppend(t *testing.T) {
 	if !reflect.DeepEqual(got[7], extra) {
 		t.Fatalf("appended record %+v, want %+v", got[7], extra)
 	}
+}
+
+// TestCommitterGroupsByAge drives the committer on a fake clock. The
+// run's first group is tried before any wait; records added within
+// commitAge of each other land in one Append, made once the oldest is
+// commitAge old; and close commits what is pending at once.
+func TestCommitterGroupsByAge(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "scan.journal")
+	j, err := CreateJournal(path, testMeta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	commits := telemetry.NewRegistry().Counter("scan_journal_commits_total")
+	clk := resilience.NewFakeClock(time.Unix(0, 0))
+	recs := testRecords()
+	c := startCommitter(j, func() { t.Error("an append failed") }, len(recs), clk, commits)
+	check := func(when string, groups, records int) {
+		t.Helper()
+		if _, got := loadJournal(t, path); commits.Value() != float64(groups) || len(got) != records {
+			t.Fatalf("%s: %v groups holding %d records, want %d holding %d", when, commits.Value(), len(got), groups, records)
+		}
+	}
+
+	c.add(recs[0]) // returns once the first group has been tried
+	check("first add, the clock never advanced", 1, 1)
+
+	c.add(recs[1])
+	c.add(recs[2])
+	clk.Advance(commitAge - time.Nanosecond)
+	time.Sleep(20 * time.Millisecond) // room for a commit that comes too early
+	check("the oldest pending record a nanosecond short of commitAge", 1, 1)
+	clk.Advance(time.Nanosecond)
+	for deadline := time.Now().Add(10 * time.Second); commits.Value() < 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	check("the oldest pending record commitAge old", 2, 3)
+
+	c.add(recs[3])
+	if err := c.close(); err != nil {
+		t.Fatal(err)
+	}
+	check("close, the clock not advanced", 3, 4)
+}
+
+// FuzzShardRecordPayload: ShardRecord's hand-written encoder writes the
+// bytes framelog's reflective codec writes for the same record, and
+// they decode back to it. plainRecord is ShardRecord without the
+// encoder, so a frame of it is the codec's.
+func FuzzShardRecordPayload(f *testing.F) {
+	finding := func(x, y int64, score float64) []byte {
+		b := binary.LittleEndian.AppendUint64(nil, uint64(x))
+		b = binary.LittleEndian.AppendUint64(b, uint64(y))
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(score))
+	}
+	var odd []byte
+	for _, fd := range []struct {
+		x, y  int64
+		score float64
+	}{
+		{-1, math.MinInt64, math.NaN()}, {math.MaxInt64, 1 << 40, math.Copysign(0, -1)},
+		{0, -1 << 33, 0}, {63, 64, math.Inf(1)}, {-64, -65, 5e-324},
+	} {
+		odd = append(odd, finding(fd.x, fd.y, fd.score)...)
+	}
+	for _, rec := range testRecords() {
+		var fs []byte
+		for _, fd := range rec.Findings {
+			fs = append(fs, finding(int64(fd.Center.X), int64(fd.Center.Y), fd.Score)...)
+		}
+		f.Add(int64(rec.ShardID), uint8(rec.State), int64(rec.Attempts), rec.Err, fs)
+	}
+	f.Add(int64(-1), uint8(255), int64(math.MinInt64), "", odd)
+	f.Add(int64(math.MaxInt64), uint8(ShardQuarantined), int64(1), "detector panic: ✗ \x00", []byte(nil))
+	const magic = "HSDSJr2\n"
+	type plainRecord ShardRecord
+	f.Fuzz(func(t *testing.T, id int64, state uint8, attempts int64, errMsg string, findings []byte) {
+		rec := ShardRecord{ShardID: int(id), State: ShardState(state), Attempts: int(attempts), Err: errMsg}
+		for ; len(findings) >= 24; findings = findings[24:] {
+			rec.Findings = append(rec.Findings, core.Finding{
+				Center: geom.Pt(int(int64(binary.LittleEndian.Uint64(findings))), int(int64(binary.LittleEndian.Uint64(findings[8:])))),
+				Score:  math.Float64frombits(binary.LittleEndian.Uint64(findings[16:])),
+			})
+		}
+		var hand, codec bytes.Buffer
+		if err := (framelog.File[ShardRecord]{Magic: magic}).Write(&hand, rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := (framelog.File[plainRecord]{Magic: magic}).Write(&codec, plainRecord(rec)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(hand.Bytes(), codec.Bytes()) {
+			t.Fatalf("%+v: hand-encoded frame\n%x\nthe codec's\n%x", rec, hand.Bytes(), codec.Bytes())
+		}
+		if payload := rec.AppendPayload(nil); !bytes.HasSuffix(codec.Bytes(), payload) || codec.Len() != len(magic)+12+len(payload) {
+			t.Fatalf("%+v: AppendPayload gives %x, not the frame's payload", rec, payload)
+		}
+		got, err := (framelog.File[ShardRecord]{Magic: magic}).Read(&hand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ShardID != rec.ShardID || got.State != rec.State || got.Attempts != rec.Attempts || got.Err != rec.Err ||
+			len(got.Findings) != len(rec.Findings) {
+			t.Fatalf("decoded %+v, want %+v", got, rec)
+		}
+		for i, fd := range got.Findings {
+			if want := rec.Findings[i]; fd.Center != want.Center || math.Float64bits(fd.Score) != math.Float64bits(want.Score) {
+				t.Fatalf("finding %d decoded as %+v, want %+v", i, fd, want)
+			}
+		}
+	})
 }

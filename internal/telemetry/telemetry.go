@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -300,35 +301,31 @@ func (r *Registry) runCollectors() {
 	}
 }
 
-func seriesKey(name string, labels []Label) string {
-	if len(labels) == 0 {
-		return name
-	}
-	var b strings.Builder
-	b.WriteString(name)
+// appendSeriesKey appends the key of name's series with labels, sorted
+// by key, so that label order never distinguishes series.
+func appendSeriesKey(b []byte, name string, labels []Label) []byte {
+	b = append(b, name...)
 	for _, l := range labels {
-		b.WriteByte(0)
-		b.WriteString(l.Key)
-		b.WriteByte(0)
-		b.WriteString(l.Value)
+		b = append(append(append(append(b, 0), l.Key...), 0), l.Value...)
 	}
-	return b.String()
+	return b
 }
 
-// sortLabels returns a sorted copy so label order never distinguishes
-// series.
-func sortLabels(labels []Label) []Label {
-	out := append([]Label(nil), labels...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
+func compareLabels(a, b Label) int { return strings.Compare(a.Key, b.Key) }
 
+// getOrCreate returns the series of name and labels, made by make on
+// the first request. A request for a series that exists allocates
+// nothing, so a component may resolve its handles on every run.
 func (r *Registry) getOrCreate(name string, kind metricKind, labels []Label, make func() *series) *series {
-	labels = sortLabels(labels)
-	key := seriesKey(name, labels)
+	if !slices.IsSortedFunc(labels, compareLabels) {
+		labels = slices.Clone(labels)
+		slices.SortFunc(labels, compareLabels)
+	}
+	var buf [128]byte
+	key := appendSeriesKey(buf[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if s, ok := r.byKey[key]; ok {
+	if s, ok := r.byKey[string(key)]; ok {
 		if s.kind != kind {
 			panic(fmt.Sprintf("telemetry: metric %q registered as %s, requested as %s", name, s.kind, kind))
 		}
@@ -339,9 +336,9 @@ func (r *Registry) getOrCreate(name string, kind metricKind, labels []Label, mak
 	}
 	s := make()
 	s.name = name
-	s.labels = labels
+	s.labels = slices.Clone(labels)
 	s.kind = kind
-	r.byKey[key] = s
+	r.byKey[string(key)] = s
 	r.kinds[name] = kind
 	r.order = append(r.order, s)
 	return s

@@ -118,6 +118,32 @@ func TestRegistryGetOrCreateByLabels(t *testing.T) {
 	}
 }
 
+// TestRegistryLookupAllocatesNothing: asking again for a series that
+// exists allocates nothing, whatever its labels' order, and the series
+// keeps its own copy of the labels it was made with.
+func TestRegistryLookupAllocatesNothing(t *testing.T) {
+	reg := NewRegistry()
+	labels := []Label{L("state", "done")}
+	c := reg.Counter("shards_total", labels...)
+	h := reg.Histogram("seconds", nil)
+	m := reg.Counter("multi", L("a", "1"), L("b", "2"))
+	labels[0].Value = "renamed"
+	if allocs := testing.AllocsPerRun(100, func() {
+		if reg.Counter("shards_total", L("state", "done")) != c || reg.Histogram("seconds", nil) != h ||
+			reg.Counter("multi", L("a", "1"), L("b", "2")) != m {
+			t.Fatal("a lookup made a second series")
+		}
+	}); allocs != 0 {
+		t.Fatalf("looking up existing series allocates %v times, want 0", allocs)
+	}
+	if reg.Counter("multi", L("b", "2"), L("a", "1")) != m {
+		t.Fatal("label order created a second series")
+	}
+	if s := reg.Snapshot()[0]; s.Labels[0].Value != "done" {
+		t.Fatalf("the series took its caller's label slice: %+v", s.Labels)
+	}
+}
+
 func TestRegistryKindMismatchPanics(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("x")
